@@ -4,7 +4,6 @@
      altbench run [-e ID]...            run all or selected experiments
      altbench race -c 10,20,30 ...      race fixed-cost alternatives
      altbench mem [--validate]          memory-hierarchy microbenchmarks
-     altbench shard [--validate]        sharded-engine crossover sweep
      altbench prolog -g GOAL [-f FILE]  query the Prolog engine
 *)
 
@@ -169,84 +168,6 @@ let mem_cmd =
     end
   in
   Cmd.v (Cmd.info "mem" ~doc) Term.(const run $ output $ validate $ scale)
-
-(* ---------------- shard ---------------- *)
-
-let shard_cmd =
-  let doc =
-    "Sweep shard count x cross-shard ratio x process count over the \
-     seeded messaging workload: byte-identity across shard counts, \
-     barrier/cross-shard counters, and the pool-level sweep speedup."
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the JSON report to $(docv) (default: stdout).")
-  in
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "Check the determinism contracts (identical digests and event \
-             counts across shard counts, zero barriers at one shard, \
-             cross-shard traffic actually staged) and exit non-zero on \
-             violation. The pool speedup check fails only with >= 2 \
-             cores (a starved single-core host is excused with a note).")
-  in
-  let rounds =
-    Arg.(
-      value & opt int 40
-      & info [ "rounds" ] ~docv:"N" ~doc:"Sends per worker.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
-  in
-  let shards =
-    Arg.(
-      value
-      & opt (list int) Shardbench.default_shards
-      & info [ "shards" ] ~docv:"N1,N2,..."
-          ~doc:"Shard counts to sweep.")
-  in
-  let run output validate_flag rounds seed shards =
-    let r = Shardbench.run ~seed ~rounds ~shard_counts:shards () in
-    let json = Shardbench.to_json r in
-    (match output with
-    | None -> print_string json
-    | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-    if validate_flag then begin
-      (match Shardbench.validate r with
-      | Ok () ->
-        print_endline
-          "shard validate: OK (digests and event counts shard-independent)"
-      | Error es ->
-        List.iter (Printf.eprintf "shard validate: FAIL %s\n") es;
-        exit 1);
-      (* Wall-clock speedup is load-dependent where the digests are not:
-         below two cores a slow pool is expected starvation, so it only
-         warrants a note (same convention as altserve). *)
-      if r.Shardbench.r_pool_speedup < 1.0 then
-        if r.Shardbench.r_cores < 2 then
-          Printf.printf
-            "note: pool speedup %.2fx < 1 on a %d-core host (not a failure)\n"
-            r.Shardbench.r_pool_speedup r.Shardbench.r_cores
-        else begin
-          Printf.eprintf
-            "shard validate: FAIL pool speedup %.2fx < 1 with %d cores\n"
-            r.Shardbench.r_pool_speedup r.Shardbench.r_cores;
-          exit 4
-        end
-    end
-  in
-  Cmd.v (Cmd.info "shard" ~doc)
-    Term.(const run $ output $ validate $ rounds $ seed $ shards)
 
 (* ---------------- prolog ---------------- *)
 
@@ -423,4 +344,5 @@ let () =
   let info = Cmd.info "altbench" ~version:"1.0" ~doc in
   exit
     (Cmd.eval
-       (Cmd.group info [ list_cmd; run_cmd; race_cmd; mem_cmd; shard_cmd; prolog_cmd; repl_cmd ]))
+       (Cmd.group info
+          [ list_cmd; run_cmd; race_cmd; mem_cmd; prolog_cmd; repl_cmd ]))

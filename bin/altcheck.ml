@@ -47,16 +47,6 @@ let jobs_arg =
           "Worker domains for the sweep (default: one per core). The \
            violation report is identical for every value of $(docv).")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Event-loop shards inside every engine ($(b,Engine.create) \
-           $(i,?shards)). Reports are byte-identical for every value of \
-           $(docv); cross-shard traffic pays staged barrier exchanges \
-           ($(b,altbench shard) measures the crossover).")
-
 let sanitize_arg =
   Arg.(
     value & flag
@@ -130,10 +120,10 @@ let run_cmd =
       value & flag
       & info [ "q"; "quiet" ] ~doc:"Print only violations and the summary.")
   in
-  let run seeds names dump quiet jobs sanitize shards =
+  let run seeds names dump quiet jobs sanitize =
     let scenarios = scenarios_of_names names in
     let cells = Invariants.matrix_cells ~seeds ~scenarios () in
-    let results = Invariants.run_cells ~jobs ~sanitize ~shards cells in
+    let results = Invariants.run_cells ~jobs ~sanitize cells in
     (* Results are in cell order, so everything below — the per-policy
        progress lines, the violation listing, the dumped run and the
        exit code — is independent of [jobs]. *)
@@ -193,8 +183,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ seeds $ names $ dump $ quiet $ jobs_arg $ sanitize_arg
-      $ shards_arg)
+      const run $ seeds $ names $ dump $ quiet $ jobs_arg $ sanitize_arg)
 
 (* ---------------- fuzz ---------------- *)
 
@@ -240,8 +229,7 @@ let fuzz_cmd =
       & info [ "q"; "quiet" ]
           ~doc:"Print only violations, mismatches and the summary.")
   in
-  let run seeds names campaign_names verify list_campaigns quiet jobs sanitize
-      shards =
+  let run seeds names campaign_names verify list_campaigns quiet jobs sanitize =
     if list_campaigns then begin
       Printf.printf "campaigns:\n";
       List.iter
@@ -274,7 +262,7 @@ let fuzz_cmd =
           names
     in
     let result =
-      Fuzz.run ~jobs ~seeds ~scenarios ~campaigns ~verify ~sanitize ~shards ()
+      Fuzz.run ~jobs ~seeds ~scenarios ~campaigns ~verify ~sanitize ()
     in
     if not quiet then List.iter print_endline result.Fuzz.lines;
     List.iter
@@ -300,7 +288,7 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ seeds $ names $ campaign_names $ verify $ list_campaigns
-      $ quiet $ jobs_arg $ sanitize_arg $ shards_arg)
+      $ quiet $ jobs_arg $ sanitize_arg)
 
 (* ---------------- sites ---------------- *)
 
@@ -349,8 +337,7 @@ let sites_cmd =
       & info [ "q"; "quiet" ]
           ~doc:"Print only violations, mismatches and the summary.")
   in
-  let run seeds names campaign_names verify list_campaigns quiet jobs sanitize
-      shards =
+  let run seeds names campaign_names verify list_campaigns quiet jobs sanitize =
     if list_campaigns then begin
       Printf.printf "topology: %s\n" (String.concat " " Sitefuzz.site_names);
       Printf.printf "campaigns:\n";
@@ -406,8 +393,7 @@ let sites_cmd =
           names
     in
     let result =
-      Sitefuzz.run ~jobs ~seeds ~scenarios ~campaigns ~verify ~sanitize ~shards
-        ()
+      Sitefuzz.run ~jobs ~seeds ~scenarios ~campaigns ~verify ~sanitize ()
     in
     if not quiet then List.iter print_endline result.Sitefuzz.lines;
     List.iter
@@ -434,7 +420,7 @@ let sites_cmd =
   Cmd.v (Cmd.info "sites" ~doc)
     Term.(
       const run $ seeds $ names $ campaign_names $ verify $ list_campaigns
-      $ quiet $ jobs_arg $ sanitize_arg $ shards_arg)
+      $ quiet $ jobs_arg $ sanitize_arg)
 
 (* ---------------- bench ---------------- *)
 
@@ -854,7 +840,7 @@ let serve_cmd =
             "Fail unless the replay digest and the jobs-1 digest both \
              match the run.")
   in
-  let run seed requests out validate verify sanitize jobs shards =
+  let run seed requests out validate verify sanitize jobs =
     let wl =
       { Workload.default with Workload.wl_seed = seed; wl_requests = requests }
     in
@@ -863,7 +849,6 @@ let serve_cmd =
         Server.default with
         Server.sv_sanitize = sanitize;
         sv_jobs = jobs;
-        sv_shards = shards;
       }
     in
     let result, m, v = Servebench.run_verified wl sv in
@@ -874,8 +859,7 @@ let serve_cmd =
     List.iter
       (fun viol -> Format.eprintf "%a@." Report.pp_violation viol)
       result.Server.violations;
-    let pc = Servebench.measure_pool_cost ~jobs:sv.Server.sv_jobs in
-    let json = Servebench.to_json wl sv m v pc in
+    let json = Servebench.to_json wl sv m v in
     let oc =
       try open_out out
       with Sys_error msg ->
@@ -912,7 +896,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ seed $ requests $ out $ validate $ verify $ sanitize_arg
-      $ jobs_arg $ shards_arg)
+      $ jobs_arg)
 
 (* ---------------- codes ---------------- *)
 

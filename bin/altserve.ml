@@ -182,18 +182,11 @@ let sv_term =
             "Worker domains executing batches (default: one per core). \
              Responses are identical for every value of $(docv).")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Event-loop shards inside each batch engine. Responses are \
-             identical for every value of $(docv).")
-  in
   let mk lanes max_batch window quota_rate quota_burst scenario_quota
       scenario_burst global_quota global_burst ladder shed_only deadline
-      faults retry_budget sanitize jobs shards =
+      faults retry_budget sanitize jobs =
     {
+      Server.default with
       Server.sv_lanes = lanes;
       sv_max_batch = max_batch;
       sv_window = window;
@@ -212,17 +205,14 @@ let sv_term =
       sv_deadline = deadline;
       sv_faults = faults;
       sv_retry_budget = retry_budget;
-      sv_breaker = Server.default.Server.sv_breaker;
-      sv_overhead = Server.default.Server.sv_overhead;
       sv_sanitize = sanitize;
       sv_jobs = jobs;
-      sv_shards = shards;
     }
   in
   Term.(
     const mk $ lanes $ max_batch $ window $ quota_rate $ quota_burst
     $ scenario_quota $ scenario_burst $ global_quota $ global_burst $ ladder
-    $ shed_only $ deadline $ faults $ retry_budget $ sanitize $ jobs $ shards)
+    $ shed_only $ deadline $ faults $ retry_budget $ sanitize $ jobs)
 
 (* The wall-clock throughput floor: far below what even one core
    sustains on the default smoke load, so only a real regression (or a
@@ -261,12 +251,16 @@ let run_degrade wl out =
   List.iter
     (fun (s : Chaosserve.degrade_step) ->
       Printf.printf
-        "rate %6.1f: ladder %d good (%d degraded, %d shed, %.2f/s) vs \
-         shed-only %d good (%d shed, %.2f/s)\n"
+        "rate %6.1f: ladder %d good (%d degraded, %d shed; %.2f/horizon-s, \
+         %.2f/makespan-s) vs shed-only %d good (%d shed; %.2f/horizon-s, \
+         %.2f/makespan-s)\n"
         s.Chaosserve.ds_rate s.Chaosserve.ds_ladder_good
         s.Chaosserve.ds_ladder_degraded s.Chaosserve.ds_ladder_shed
-        s.Chaosserve.ds_ladder_goodput s.Chaosserve.ds_shed_only_good
-        s.Chaosserve.ds_shed_only_shed s.Chaosserve.ds_shed_only_goodput)
+        s.Chaosserve.ds_ladder_good_per_horizon
+        s.Chaosserve.ds_ladder_good_per_makespan s.Chaosserve.ds_shed_only_good
+        s.Chaosserve.ds_shed_only_shed
+        s.Chaosserve.ds_shed_only_good_per_horizon
+        s.Chaosserve.ds_shed_only_good_per_makespan)
     d.Chaosserve.dg_steps;
   let json = Chaosserve.degrade_to_json d in
   let oc =
@@ -290,7 +284,8 @@ let run_degrade wl out =
   end;
   if d.Chaosserve.dg_regressed then begin
     Printf.eprintf
-      "degrade: ladder goodput fell below the shed-only baseline\n";
+      "degrade: ladder good answers per horizon second fell below the \
+       shed-only baseline\n";
     exit (Report.code_of_label "serve-degrade")
   end;
   Printf.printf "degrade ok: ladder >= shed-only at every load step\n";
@@ -329,8 +324,7 @@ let main wl sv out validate verify_determinism chaos degrade_bench =
   List.iter
     (fun viol -> Format.eprintf "%a@." Report.pp_violation viol)
     result.Server.violations;
-  let pc = Servebench.measure_pool_cost ~jobs:sv.Server.sv_jobs in
-  let json = Servebench.to_json wl sv m v pc in
+  let json = Servebench.to_json wl sv m v in
   let oc =
     try open_out out
     with Sys_error msg ->

@@ -139,9 +139,9 @@ let describe_cell c =
     (Concurrent.describe c.fc_policy)
     c.fc_seed
 
-let run_cell ?sanitize ?shards c =
+let run_cell ?sanitize c =
   let faults eng = Faultplan.install (c.fc_campaign.plan ~seed:c.fc_seed) eng in
-  Invariants.run_checked ~faults ?sanitize ?shards c.fc_scenario
+  Invariants.run_checked ~faults ?sanitize c.fc_scenario
     ~policy:c.fc_policy ~seed:c.fc_seed
 
 let summary c (rr : Invariants.run) =
@@ -173,13 +173,13 @@ let render_violations vs =
   List.map (fun v -> Format.asprintf "%a" Report.pp_violation v) vs
 
 let run ?(jobs = 1) ?seeds ?scenarios ?campaigns ?policies ?(verify = false)
-    ?sanitize ?shards () =
+    ?sanitize () =
   let cs = cells ?seeds ?scenarios ?campaigns ?policies () in
   let results =
     Parallel.map_indexed_shared ~jobs
       (fun i ->
         let c = cs.(i) in
-        let rr, vs = run_cell ?sanitize ?shards c in
+        let rr, vs = run_cell ?sanitize c in
         let line = summary c rr in
         let mismatch =
           if not verify then None
@@ -188,7 +188,7 @@ let run ?(jobs = 1) ?seeds ?scenarios ?campaigns ?policies ?(verify = false)
                cell — fresh engine, fresh plan from the same two seeds —
                must reproduce the summary and the violations byte for
                byte. *)
-            let rr', vs' = run_cell ?sanitize ?shards c in
+            let rr', vs' = run_cell ?sanitize c in
             let line' = summary c rr' in
             if line <> line' || render_violations vs <> render_violations vs'
             then

@@ -54,10 +54,10 @@ val cells :
     then policies, then seeds in [1..seeds] (default 5). *)
 
 val run_cell :
-  ?sanitize:bool -> ?shards:int -> cell ->
+  ?sanitize:bool -> cell ->
   Invariants.run * Report.violation list
 (** One faulted, checked execution ({!Invariants.run_checked} with the
-    campaign's plan installed; [sanitize] and [shards] as there). *)
+    campaign's plan installed; [sanitize] as there). *)
 
 val summary : cell -> Invariants.run -> string
 (** A deterministic one-line digest of the cell's execution: outcome,
@@ -85,13 +85,11 @@ val run :
   ?policies:Concurrent.policy list ->
   ?verify:bool ->
   ?sanitize:bool ->
-  ?shards:int ->
   unit ->
   result
 (** Run the whole matrix, fanned over [jobs] domains (default 1) via the
-    persistent {!Parallel.shared} pool — results are in cell order for
-    any [jobs], and byte-identical for any [shards] (the run-level
-    determinism contract).
+    shared pool of {!Parallel.map_indexed_shared} — results are in cell
+    order for any [jobs].
     With [verify] (default false) each cell is executed twice and the
     summaries and violation reports compared. With [sanitize] every cell
     runs under the online {!Sanitizer}, cross-checked against the

@@ -26,8 +26,7 @@ let viol rr check detail =
 (* ------------------------------------------------------------------ *)
 (* Running a scenario.                                                 *)
 
-let mk_engine ?shards seed =
-  Engine.create ~model:Cost_model.att_3b2 ~seed ?shards ()
+let mk_engine seed = Engine.create ~model:Cost_model.att_3b2 ~seed ()
 
 let mk_space eng =
   Address_space.create (Engine.frame_store eng) (Engine.model eng)
@@ -40,8 +39,8 @@ let mk_source eng scenario =
     Some s
   end
 
-let run_scenario ?faults ?(sanitize = false) ?shards scenario ~policy ~seed =
-  let engine = mk_engine ?shards seed in
+let run_scenario ?faults ?(sanitize = false) scenario ~policy ~seed =
+  let engine = mk_engine seed in
   (* The sanitizer attaches before anything is spawned (its vector clocks
      must see every Spawned event), and fault plans hook the engine before
      anything is spawned, so a campaign covers the whole execution (the
@@ -515,8 +514,8 @@ let check_all rr =
     Race.check_sources s ~scenario:rr.scenario.sc_name ~policy ~seed:rr.seed
   | None -> []
 
-let run_checked ?faults ?sanitize ?shards scenario ~policy ~seed =
-  let rr = run_scenario ?faults ?sanitize ?shards scenario ~policy ~seed in
+let run_checked ?faults ?sanitize scenario ~policy ~seed =
+  let rr = run_scenario ?faults ?sanitize scenario ~policy ~seed in
   let vs = check_all rr in
   match rr.sanitizer with
   | None -> (rr, vs)
@@ -792,9 +791,9 @@ let policy_matrix =
      [Hashtbl.create], [Buffer.create] or [mutable] record fields
      reachable from a toplevel binding).
 
-   Results are collected by {!Parallel.map_indexed} in index order, so a
-   parallel sweep reports byte-for-byte what the sequential sweep
-   reports, whatever the domain count. *)
+   Results are collected by {!Parallel.map_indexed_shared} in index
+   order, so a parallel sweep reports byte-for-byte what the sequential
+   sweep reports, whatever the domain count. *)
 
 type cell = { cell_scenario : scenario; cell_policy : Concurrent.policy; cell_seed : int }
 
@@ -810,17 +809,17 @@ let matrix_cells ?(seeds = 5) ?(scenarios = default_scenarios)
            policies)
        scenarios)
 
-let run_cells ?(jobs = 1) ?sanitize ?shards cells =
+let run_cells ?(jobs = 1) ?sanitize cells =
   Parallel.map_indexed_shared ~jobs
     (fun i ->
       let c = cells.(i) in
-      run_checked ?sanitize ?shards c.cell_scenario ~policy:c.cell_policy
+      run_checked ?sanitize c.cell_scenario ~policy:c.cell_policy
         ~seed:c.cell_seed)
     (Array.length cells)
 
-let run_matrix ?seeds ?scenarios ?policies ?jobs ?sanitize ?shards () =
+let run_matrix ?seeds ?scenarios ?policies ?jobs ?sanitize () =
   let cells = matrix_cells ?seeds ?scenarios ?policies () in
-  let results = run_cells ?jobs ?sanitize ?shards cells in
+  let results = run_cells ?jobs ?sanitize cells in
   let violations =
     List.concat_map (fun (_, vs) -> vs) (Array.to_list results)
   in

@@ -56,7 +56,6 @@ type run = {
 val run_scenario :
   ?faults:(Engine.t -> unit) ->
   ?sanitize:bool ->
-  ?shards:int ->
   scenario -> policy:Concurrent.policy -> seed:int -> run
 (** Execute the scenario under the policy: fresh engine
     ({!Cost_model.att_3b2}), tracked parent space, block run to
@@ -92,7 +91,6 @@ val check_all : run -> Report.violation list
 val run_checked :
   ?faults:(Engine.t -> unit) ->
   ?sanitize:bool ->
-  ?shards:int ->
   scenario ->
   policy:Concurrent.policy ->
   seed:int ->
@@ -165,16 +163,14 @@ val matrix_cells :
     per cell: 5). *)
 
 val run_cells :
-  ?jobs:int -> ?sanitize:bool -> ?shards:int -> cell array ->
+  ?jobs:int -> ?sanitize:bool -> cell array ->
   (run * Report.violation list) array
 (** {!run_checked} over every cell, fanned out across [jobs] domains
-    (default 1) via the persistent {!Parallel.shared} pool. Each cell
+    (default 1) via {!Parallel.map_indexed_shared}. Each cell
     constructs its whole engine-world from scratch, so cells share no
     mutable state (the audit is documented in [invariants.ml]); results
     come back in cell order regardless of [jobs], so a parallel sweep is
-    byte-for-byte identical to a sequential one. [shards] runs every
-    cell's engine sharded; the run-level contract makes the reports
-    byte-identical for any value. *)
+    byte-for-byte identical to a sequential one. *)
 
 val run_matrix :
   ?seeds:int ->
@@ -182,7 +178,6 @@ val run_matrix :
   ?policies:Concurrent.policy list ->
   ?jobs:int ->
   ?sanitize:bool ->
-  ?shards:int ->
   unit ->
   Report.violation list * int
 (** Run every (scenario, policy, seed in [1..seeds]) combination (default

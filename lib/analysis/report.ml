@@ -116,7 +116,7 @@ let registry =
       code = 20;
       label = "determinism";
       meaning = "a jobs-1 and a jobs-N sweep produced different reports";
-      source = "lib/analysis/parallel.ml";
+      source = "lib/base/parallel.ml";
     };
     {
       code = 21;

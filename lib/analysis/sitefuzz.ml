@@ -168,10 +168,8 @@ type run = {
   sf_sanitizer : Sanitizer.t option;
 }
 
-let run_cell ?(sanitize = false) ?shards c =
-  let engine =
-    Engine.create ~model:Cost_model.att_3b2 ~seed:c.sf_seed ?shards ()
-  in
+let run_cell ?(sanitize = false) c =
+  let engine = Engine.create ~model:Cost_model.att_3b2 ~seed:c.sf_seed () in
   let sanitizer = if sanitize then Some (Sanitizer.attach engine) else None in
   let sites = Sites.create engine ~names:site_names in
   Faultplan.install ~sites (c.sf_campaign.plan ~seed:c.sf_seed) engine;
@@ -456,13 +454,13 @@ let check_crossed rr =
         ~seed:c.sf_seed
 
 let run ?(jobs = 1) ?seeds ?scenarios ?campaigns ?policies ?(verify = false)
-    ?sanitize ?shards () =
+    ?sanitize () =
   let cs = cells ?seeds ?scenarios ?campaigns ?policies () in
   let results =
     Parallel.map_indexed_shared ~jobs
       (fun i ->
         let c = cs.(i) in
-        let rr = run_cell ?sanitize ?shards c in
+        let rr = run_cell ?sanitize c in
         let vs = check_crossed rr in
         let line = summary rr in
         let mismatch =
@@ -471,7 +469,7 @@ let run ?(jobs = 1) ?seeds ?scenarios ?campaigns ?policies ?(verify = false)
             (* Determinism contract: a fresh engine, topology and plan from
                the same seeds must reproduce the digest and the violations
                byte for byte. *)
-            let rr' = run_cell ?sanitize ?shards c in
+            let rr' = run_cell ?sanitize c in
             let vs' = check_crossed rr' in
             let line' = summary rr' in
             if line <> line' || render_violations vs <> render_violations vs'

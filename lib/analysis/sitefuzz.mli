@@ -75,12 +75,10 @@ type run = {
       (** Present when the cell ran with [~sanitize:true]. *)
 }
 
-val run_cell : ?sanitize:bool -> ?shards:int -> cell -> run
+val run_cell : ?sanitize:bool -> cell -> run
 (** Fresh engine, topology, plan and scenario state; the block run to
     quiescence under {!Concurrent.run_supervised}. With [sanitize] the
-    online {!Sanitizer} watches the whole execution. [shards] runs the
-    cell's engine sharded along the five-site topology; the run-level
-    contract keeps the digest byte-identical for any value. *)
+    online {!Sanitizer} watches the whole execution. *)
 
 val check : run -> Report.violation list
 (** The epoch-aware checkers described above. *)
@@ -108,12 +106,11 @@ val run :
   ?policies:Concurrent.policy list ->
   ?verify:bool ->
   ?sanitize:bool ->
-  ?shards:int ->
   unit ->
   result
 (** Run the whole matrix, fanned over [jobs] domains via the persistent
-    {!Parallel.shared} pool (results in cell order for any [jobs], and
-    byte-identical for any [shards]). With
+    shared pool of {!Parallel.map_indexed_shared} (results in cell order
+    for any [jobs]). With
     [verify] each cell executes twice and the digests and violations are
     compared byte-for-byte. With [sanitize] every cell runs under the
     online {!Sanitizer}, cross-checked against the epoch-aware post-mortem

@@ -58,7 +58,6 @@ let worker p () =
   loop ()
 
 let create ~jobs =
-  if jobs < 1 then invalid_arg "Parallel.create: jobs must be >= 1";
   let p =
     {
       m = Mutex.create ();
@@ -72,8 +71,6 @@ let create ~jobs =
   in
   p.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (worker p));
   p
-
-let jobs p = p.jobs
 
 let shutdown p =
   Mutex.lock p.m;
@@ -90,49 +87,45 @@ let reraise_first slots =
       | Some (Ok _) | None -> ())
     slots
 
+(* [n >= 2]: smaller maps take the sequential path. *)
 let map_indexed_pool p f n =
-  if n < 0 then invalid_arg "Parallel.map_indexed: negative length";
-  if n = 0 then [||]
-  else begin
-    let slots = Array.make n None in
-    let run_job i =
-      let r =
-        match f i with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      slots.(i) <- Some r
+  let slots = Array.make n None in
+  let run_job i =
+    let r =
+      match f i with
+      | v -> Ok v
+      | exception e -> Error (e, Printexc.get_raw_backtrace ())
     in
-    let b = { run_job; total = n; next = 0; outstanding = n } in
-    Mutex.lock p.m;
-    if p.stop then begin
-      Mutex.unlock p.m;
-      invalid_arg "Parallel.map_indexed: pool is shut down"
-    end;
-    (* One batch at a time: a second caller (two top-level sweeps sharing
-       the persistent pool) queues behind the current batch instead of
-       corrupting it. Still not re-entrant from inside a job. *)
-    while p.batch <> None do
-      Condition.wait p.batch_done p.m
-    done;
-    p.batch <- Some b;
-    Condition.broadcast p.work_ready;
-    (* The caller's domain is a worker too. *)
-    drain_batch p b;
-    while b.outstanding > 0 do
-      Condition.wait p.batch_done p.m
-    done;
+    slots.(i) <- Some r
+  in
+  let b = { run_job; total = n; next = 0; outstanding = n } in
+  Mutex.lock p.m;
+  if p.stop then begin
     Mutex.unlock p.m;
-    reraise_first slots;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error _) | None -> assert false (* reraise_first returned *))
-      slots
-  end
+    invalid_arg "Parallel.map_indexed_shared: pool is shut down"
+  end;
+  (* One batch at a time: a second caller (two top-level sweeps sharing
+     the persistent pool) queues behind the current batch instead of
+     corrupting it. Still not re-entrant from inside a job. *)
+  while p.batch <> None do
+    Condition.wait p.batch_done p.m
+  done;
+  p.batch <- Some b;
+  Condition.broadcast p.work_ready;
+  (* The caller's domain is a worker too. *)
+  drain_batch p b;
+  while b.outstanding > 0 do
+    Condition.wait p.batch_done p.m
+  done;
+  Mutex.unlock p.m;
+  reraise_first slots;
+  Array.map
+    (function
+      | Some (Ok v) -> v
+      | Some (Error _) | None -> assert false (* reraise_first returned *))
+    slots
 
 let sequential f n =
-  if n < 0 then invalid_arg "Parallel.map_indexed: negative length";
   if n = 0 then [||]
   else begin
     (* Explicit ascending loop: the determinism contract promises
@@ -144,34 +137,18 @@ let sequential f n =
     a
   end
 
-let map_indexed ~jobs f n =
-  if jobs < 1 then invalid_arg "Parallel.map_indexed: jobs must be >= 1";
-  if jobs = 1 || n <= 1 then sequential f n
-  else begin
-    let p = create ~jobs:(min jobs n) in
-    Fun.protect
-      ~finally:(fun () -> shutdown p)
-      (fun () -> map_indexed_pool p f n)
-  end
-
-let run ~jobs thunks =
-  let a = Array.of_list thunks in
-  map_indexed ~jobs (fun i -> a.(i) ()) (Array.length a)
-
 (* ------------------------------------------------------------------ *)
 (* The persistent shared pool: created on first use, reused by every
    subsequent batch. Spawning a domain costs a systhread, a minor heap
-   and a GC registration — per-batch creation (the old [map_indexed]
-   path) pays that for every serving batch and every sweep; the shared
-   pool pays it once per process. The pool is resized (shutdown +
-   recreate) only when a caller asks for a different worker count, which
-   in practice happens at most once per process run. *)
+   and a GC registration; the shared pool pays it once per process
+   rather than once per serving batch or sweep. The pool is resized
+   (shutdown + recreate) only when a caller asks for a different worker
+   count, which in practice happens at most once per process run. *)
 
 let shared_mu = Mutex.create ()
 let shared_pool : pool option ref = ref None
 
 let shared ~jobs =
-  if jobs < 1 then invalid_arg "Parallel.shared: jobs must be >= 1";
   Mutex.lock shared_mu;
   let p =
     match !shared_pool with
@@ -185,13 +162,9 @@ let shared ~jobs =
   Mutex.unlock shared_mu;
   p
 
-let shutdown_shared () =
-  Mutex.lock shared_mu;
-  (match !shared_pool with Some p -> shutdown p | None -> ());
-  shared_pool := None;
-  Mutex.unlock shared_mu
-
 let map_indexed_shared ~jobs f n =
-  if jobs < 1 then invalid_arg "Parallel.map_indexed: jobs must be >= 1";
+  if jobs < 1 then
+    invalid_arg "Parallel.map_indexed_shared: jobs must be >= 1";
+  if n < 0 then invalid_arg "Parallel.map_indexed_shared: negative length";
   if jobs = 1 || n <= 1 then sequential f n
   else map_indexed_pool (shared ~jobs) f n

@@ -1,80 +1,41 @@
-(** A fixed-size pool of OCaml 5 domains for embarrassingly parallel
+(** A process-wide pool of OCaml 5 domains for embarrassingly parallel
     sweeps.
 
     The verification and evaluation harnesses run hundreds of mutually
     independent simulations (one {e engine} per cell of a scenario x
-    policy x seed matrix). Each cell builds all of its state from
-    scratch, so the only coordination a sweep needs is job dispatch and
-    result collection — exactly what this module provides, with no
-    dependencies beyond the standard library ([Domain], [Mutex],
-    [Condition]).
+    policy x seed matrix), and the serving layer runs one engine per
+    batch. Each run builds all of its state from scratch, so the only
+    coordination needed is job dispatch and result collection — exactly
+    what this module provides, with no dependencies beyond the standard
+    library ([Domain], [Mutex], [Condition]). This is where the
+    repository's real multicore parallelism lives: one engine's events
+    run in a single total order, so independent runs are the unit of
+    parallel work.
 
-    Determinism contract: {!map_indexed} returns results in index order,
-    bit-identical to the sequential [Array.init n f], whatever the
+    Determinism contract: {!map_indexed_shared} returns results in index
+    order, bit-identical to the sequential [Array.init n f], whatever the
     number of workers or the scheduling. Jobs must therefore be
     self-contained: they may not share mutable state with each other
     (each invariant-sweep cell owns its engine, frame store, trace and
     RNG — see DESIGN.md, "Why domain parallelism is safe"). *)
 
-type pool
-(** A fixed set of worker domains consuming jobs from a shared queue. *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: one worker per available
     core. *)
 
-val create : jobs:int -> pool
-(** Spawn [max 1 (jobs - 1)] worker domains (the caller's domain is the
-    remaining worker: a [jobs:1] pool runs everything in the caller).
-    Raises [Invalid_argument] if [jobs < 1]. *)
-
-val jobs : pool -> int
-(** The parallelism the pool was created with. *)
-
-val map_indexed_pool : pool -> (int -> 'a) -> int -> 'a array
-(** [map_indexed_pool pool f n] evaluates [f 0 .. f (n-1)] across the
-    pool's domains (the calling domain participates) and returns
-    [[| f 0; ...; f (n-1) |]] in index order. If one or more jobs
-    raise, every remaining job still runs, and the exception of the
-    {e lowest-indexed} failing job is re-raised in the caller — so a
-    raising job never wedges or poisons the pool. Not re-entrant: do
-    not call it from inside a job of the same pool. *)
-
-val shutdown : pool -> unit
-(** Join the worker domains. The pool must not be used afterwards.
-    Idempotent. *)
-
-val map_indexed : jobs:int -> (int -> 'a) -> int -> 'a array
-(** One-shot convenience: {!create}, {!map_indexed_pool}, {!shutdown}.
-    [map_indexed ~jobs:1 f n] is exactly [Array.init n f] with no
-    domains spawned. *)
-
-val run : jobs:int -> (unit -> 'a) list -> 'a array
-(** Run a fixed list of thunks across [jobs] domains, results in list
-    order. *)
-
-(** {2 The persistent shared pool}
-
-    {!map_indexed} spawns and joins [jobs - 1] domains on {e every}
-    call; a serving loop that dispatches hundreds of batches pays that
-    per batch. The shared pool is created on first use and reused for
-    the life of the process — the serving layer and the sweep runners
-    all dispatch through it. *)
-
-val shared : jobs:int -> pool
-(** The process-wide pool, created on first use with [jobs] workers and
-    reused afterwards. Asking for a different [jobs] than the cached
-    pool's shuts it down and recreates it (rare: worker counts are
-    per-run constants). Thread-safe. *)
-
 val map_indexed_shared : jobs:int -> (int -> 'a) -> int -> 'a array
-(** Like {!map_indexed} but dispatching through {!shared} instead of
-    creating a pool per call. [jobs:1] is exactly the sequential path
-    (no pool, no domains — the determinism-contract baseline).
-    Concurrent batches from different domains serialise; it is still
-    not re-entrant from inside a job. *)
+(** [map_indexed_shared ~jobs f n] evaluates [f 0 .. f (n-1)] and
+    returns [[| f 0; ...; f (n-1) |]] in index order.
 
-val shutdown_shared : unit -> unit
-(** Join the shared pool's domains (benchmarks use this to measure pool
-    reuse against per-batch creation). The next {!shared} call recreates
-    it. *)
+    With [jobs > 1] and [n > 1] the jobs run on a process-wide pool of
+    [jobs] domains (the calling domain is one of them), created on first
+    use and reused by every later call; asking for a different [jobs]
+    shuts it down and recreates it (rare: worker counts are per-run
+    constants). [jobs:1] is exactly the sequential loop, in ascending
+    index order, with no domains spawned.
+
+    If one or more jobs raise, every remaining job still runs, and the
+    exception of the {e lowest-indexed} failing job is re-raised in the
+    caller, so a raising job never wedges or poisons the pool. Calls
+    from different domains serialise; it is not re-entrant from inside a
+    job. Raises [Invalid_argument] if [jobs < 1] or [n < 0]. *)

@@ -23,9 +23,9 @@ let split t =
    output of a SplitMix64 generator seeded with [seed], used as a fresh
    seed. Two distinct keys give statistically independent streams, and —
    unlike [split], whose result depends on how many draws preceded it —
-   the stream is a pure function of (seed, key). The sharded engine keys
-   one stream per process by pid, so a process's draw sequence does not
-   depend on the shard count or on any other process's draws. *)
+   the stream is a pure function of (seed, key). The engine keys one
+   stream per process by pid, so a process's draw sequence does not
+   depend on any other process's draws. *)
 let stream ~seed ~key =
   let s =
     Int64.add (Int64.of_int seed)

@@ -21,8 +21,8 @@ val stream : seed:int -> key:int -> t
     function} of [(seed, key)] — unlike {!split}, it does not depend on
     how many draws preceded the derivation. The engine keys one stream
     per process by pid (from the root seed), so a process's draw
-    sequence is invariant under the shard count: the run-level
-    shards-1 = shards-N determinism contract depends on this. *)
+    sequence does not depend on which other processes exist or how much
+    they draw. *)
 
 val copy : t -> t
 (** [copy t] duplicates the current state (the two copies then produce

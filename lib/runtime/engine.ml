@@ -59,15 +59,10 @@ type pcb = {
   mutable preserve_space : bool;
   oblivious : bool;
   mutable site : string option;
-  mutable shard : int;  (* owning shard; world copies inherit the original's *)
   rng : Rng.t;
-      (* Per-process SplitMix64 stream, keyed (root seed, pid). A
-         per-shard stream would make a process's draws depend on which
-         other processes share its shard — and therefore on the shard
-         count — breaking the shards-1 = shards-N contract; keying by
-         pid is the finest shard-independent split of the root seed.
-         Each shard owns exactly the streams of its resident
-         processes. *)
+      (* Per-process SplitMix64 stream, keyed (root seed, pid): a
+         process's draws depend on nothing but its own identity, not on
+         how many other processes drew before it. *)
 }
 
 and ctx = { engine : t; pcb : pcb }
@@ -119,37 +114,8 @@ and fault_action =
 
 and t = {
   mutable vnow : float;
-  (* --- The sharded scheduler -------------------------------------
-     Processes are partitioned across [nshards] shards (along site
-     failure domains; site-less processes hash by pid). Each shard owns
-     an event queue; all queues share one engine-global stamp counter
-     [next_stamp], so the execution order — the merge of the per-shard
-     queues by (time, stamp) — is exactly the order the single-queue
-     engine produces, whatever the shard count. Cross-shard message
-     events are staged into per-(src, dst) outboxes and exchanged at
-     conservative virtual-time barriers (window = earliest next local
-     event time + the cost model's minimum message latency); staging
-     never changes an event's (time, stamp) key, so it cannot change
-     execution order — only queue residency and the barrier counters. *)
-  nshards : int;
-  queues : event Event_queue.t array;  (* one per shard *)
-  staged : event Event_queue.t array;
-      (* nshards² per-(src, dst) cross-shard outboxes, row-major
-         [src * nshards + dst]; [||] when nshards = 1 *)
-  mutable next_stamp : int;  (* engine-global (time, stamp) order *)
-  mutable cur_shard : int;  (* shard whose event is executing *)
-  shard_events : int array;  (* events executed, per shard *)
-  mutable barriers : int;
-  mutable cross_msgs : int;  (* messages staged across shards *)
-  lookahead : float;  (* conservative window: minimum message latency *)
-  site_shards : (string, int) Hashtbl.t;  (* site -> first-seen index *)
-  mutable site_count : int;
+  queue : event Event_queue.t;  (* (time, stamp) order *)
   root_seed : int;
-  debug_shard_local_epoch : bool;
-      (* Test-only: re-derive the batch-join epoch guard from the
-         sender shard's local execution counter instead of the
-         engine-global one — the broken variant the regression test
-         pins (see [outbox_push]). *)
   procs : (Pid.t, pcb) Hashtbl.t;
   worlds : (Pid.t, Pid.t list ref) Hashtbl.t;  (* logical pid -> copies *)
   alloc : Pid.Allocator.t;
@@ -166,7 +132,7 @@ and t = {
   channels : (Pid.t * Pid.t, channel) Hashtbl.t;
   mutable next_uid : int;  (* engine-global send identity *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
-  mutable events_processed : int;
+  mutable events_processed : int;  (* also the batch-join epoch *)
   mutable live : int;
   mutable deferred : Pid.t list;  (* exited ok, fate deferred on predicates *)
   mutable stopped : bool;
@@ -197,25 +163,14 @@ type _ Effect.t +=
   | E_park : (wake:(unit -> unit) -> unit) -> unit Effect.t
 
 let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
-    ?(trace = true) ?(shards = 1) ?(debug_shard_local_epoch = false) () =
-  if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
+    ?(trace = true) ?(shards = 1) () =
+  (* [shards] is a compatibility argument for the profiling harness in
+     bench/profile, which still passes [~shards:1]. *)
+  if shards <> 1 then invalid_arg "Engine.create: shards must be 1";
   {
     vnow = 0.;
-    nshards = shards;
-    queues = Array.init shards (fun _ -> Event_queue.create ());
-    staged =
-      (if shards = 1 then [||]
-       else Array.init (shards * shards) (fun _ -> Event_queue.create ()));
-    next_stamp = 0;
-    cur_shard = 0;
-    shard_events = Array.make shards 0;
-    barriers = 0;
-    cross_msgs = 0;
-    lookahead = model.Cost_model.msg_latency;
-    site_shards = Hashtbl.create 8;
-    site_count = 0;
+    queue = Event_queue.create ();
     root_seed = seed;
-    debug_shard_local_epoch;
     procs = Hashtbl.create 64;
     worlds = Hashtbl.create 64;
     alloc = Pid.Allocator.create ();
@@ -254,54 +209,17 @@ let model t = t.model_
 let frame_store t = t.store
 let trace t = t.trace_
 let registry t = t.reg
-let shards t = t.nshards
-
-(* Aggregated across shards: the per-shard counters are the source of
-   truth, and the barrier path only moves events between queues — it
-   never executes or drops one — so the sum is exact. *)
-let stats_events_processed t = Array.fold_left ( + ) 0 t.shard_events
-let stats_shard_events t = Array.copy t.shard_events
-let stats_barriers t = t.barriers
-let stats_cross_shard_msgs t = t.cross_msgs
+let stats_events_processed t = t.events_processed
 let stats_mailbox_scanned t = t.mailbox_scanned
-
-(* Every event, on every shard queue and in every staging outbox, is
-   stamped from this one counter: the merged execution order is the
-   single-queue order by construction. *)
-let push_on t shard ~at ev =
-  let seq = t.next_stamp in
-  t.next_stamp <- seq + 1;
-  Event_queue.push_stamped t.queues.(shard) ~time:(Float.max at t.vnow) ~seq ev
 
 let schedule_cancellable t ~at thunk =
   let ev = { dead_ev = false; run_ev = thunk } in
-  push_on t t.cur_shard ~at ev;
+  Event_queue.push t.queue ~time:(Float.max at t.vnow) ev;
   ev
 
 let cancel_event ev = ev.dead_ev <- true
 
 let schedule t ~at thunk = ignore (schedule_cancellable t ~at thunk)
-
-let schedule_on t shard ~at thunk =
-  push_on t shard ~at { dead_ev = false; run_ev = thunk }
-
-(* Route a messaging event to the destination's shard. [src] is the
-   {e sender process}'s shard — not [cur_shard], which during a shared
-   CPU-scheduler tick is whichever shard the tick event happened to live
-   on. Same-shard deliveries go straight onto the shard's own queue (the
-   intra-shard fast path); cross-shard ones are staged into the
-   (src, dst) outbox for the next barrier exchange. *)
-let schedule_to_shard t ~src dst ~at thunk =
-  if t.nshards = 1 || dst = src then schedule_on t dst ~at thunk
-  else begin
-    let seq = t.next_stamp in
-    t.next_stamp <- seq + 1;
-    Event_queue.push_stamped
-      t.staged.((src * t.nshards) + dst)
-      ~time:(Float.max at t.vnow) ~seq
-      { dead_ev = false; run_ev = thunk };
-    t.cross_msgs <- t.cross_msgs + 1
-  end
 
 let tr t e = Trace.record t.trace_ ~time:t.vnow e
 
@@ -394,43 +312,6 @@ let cpu_remove t pid =
 (* Process table helpers.                                              *)
 
 let find_pcb t pid = Hashtbl.find_opt t.procs pid
-
-(* Partition along site failure domains: every site gets a first-seen
-   index (assignment order is part of the deterministic execution, so
-   the index is shard-count independent) and maps to [index mod
-   nshards]; site-less processes hash by pid (the identity hash — pids
-   are already densely allocated integers, so consecutive spawns
-   round-robin). World-split clones do not come through here: a copy
-   lives, and dies, on its original's shard. *)
-let shard_of_pcb t pcb =
-  if t.nshards = 1 then 0
-  else
-    match pcb.site with
-    | Some s ->
-      let idx =
-        match Hashtbl.find_opt t.site_shards s with
-        | Some i -> i
-        | None ->
-          let i = t.site_count in
-          t.site_count <- i + 1;
-          Hashtbl.replace t.site_shards s i;
-          i
-      in
-      idx mod t.nshards
-    | None -> Pid.to_int pcb.pid mod t.nshards
-
-let shard_of t pid =
-  match find_pcb t pid with Some pcb -> pcb.shard | None -> 0
-
-(* The shard a delivery to [dest] belongs to. [dest] is a logical pid:
-   its original pcb persists post-mortem in the process table, and world
-   copies share the original's shard, so one lookup covers every copy. *)
-let shard_of_dest t dest =
-  if t.nshards = 1 then 0
-  else
-    match Hashtbl.find_opt t.procs dest with
-    | Some pcb -> pcb.shard
-    | None -> t.cur_shard
 
 let is_alive pcb = match pcb.state with Dead _ -> false | _ -> true
 
@@ -799,14 +680,12 @@ and accept_with_split t pcb ring pos s : Message.t option =
     register_world t clone;
     t.live <- t.live + 1;
     (* World copies live wherever the original does: a site crash must take
-       every copy of a resident process down with it — and the same goes
-       for the shard, so one flush event reaches every copy. *)
+       every copy of a resident process down with it. *)
     assign_site t clone ~explicit:pcb.site;
-    clone.shard <- pcb.shard;
     tr t (Trace.Split { original = pcb.pid; clone = clone_pid; on = m });
     (match t.spawn_hook with Some h -> h clone_pid clone.name | None -> ());
     (* Charge the copy as a fork-base-cost start delay for the clone. *)
-    schedule_on t clone.shard
+    schedule t
       ~at:(t.vnow +. t.model_.Cost_model.fork_base)
       (fun () -> start_pcb t clone);
     adopt_sender_assumptions t pcb m s;
@@ -874,7 +753,6 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
       preserve_space = false;
       oblivious;
       site = None;
-      shard = 0;  (* settled after site assignment; clones inherit *)
       rng = Rng.stream ~seed:t.root_seed ~key:(Pid.to_int pid);
     }
   in
@@ -1135,13 +1013,14 @@ and channel_of t pcb ~dest =
    and make sure a flush event will hand it to the receiver at the time the
    caller just stored in [ch_clock.(0)] (passing it through the clock
    rather than as an argument keeps the float unboxed on the join path):
-   join
-   the open batch when that is provably order-preserving (same flush time
-   and no event scheduled since the batch last grew), otherwise schedule a
-   fresh flush — which takes exactly the event-queue slot the per-message
-   delivery used to, so (time, seq) order is unchanged. *)
-and outbox_push t chan ~src_shard ~sender ~predicate ~tag ~seq ~uid ~size
-    ~cached payload =
+   join the open batch when that is provably order-preserving (same flush
+   time, no event scheduled since the batch last grew — the queue's stamp
+   — and none executed since it opened — [events_processed], the
+   batch-join epoch), otherwise schedule a fresh flush — which takes
+   exactly the event-queue slot the per-message delivery used to, so
+   (time, seq) order is unchanged. *)
+and outbox_push t chan ~sender ~predicate ~tag ~seq ~uid ~size ~cached payload
+    =
   (if Mailbox.has_frame chan.outbox then
      Frame.fill
        (Mailbox.emplace_frame chan.outbox)
@@ -1157,37 +1036,20 @@ and outbox_push t chan ~src_shard ~sender ~predicate ~tag ~seq ~uid ~size
      in
      Mailbox.emplace_spilled chan.outbox m);
   let at = Float.Array.unsafe_get chan.ch_clock 0 in
-  (* Both join guards must be engine-GLOBAL under sharding. The
-     watermark is the global stamp counter (nothing was scheduled on any
-     shard since the batch last grew) and the epoch is the global
-     execution counter (no event executed on any shard since the batch
-     opened). A per-shard epoch — the tempting "re-derive the counter
-     the shard already keeps" refactor — falsely joins when an event on
-     a different shard ordered between two sends: the merged (time,
-     stamp) order saw an execution, the sender's shard counter did not.
-     [debug_shard_local_epoch] keeps that broken variant compilable for
-     the regression test that pins the divergence. *)
-  let epoch =
-    if t.debug_shard_local_epoch then t.shard_events.(t.cur_shard)
-    else t.events_processed
-  in
   if
     chan.ch_open
     && Float.Array.unsafe_get chan.ch_clock 1 = at
-    && chan.ch_watermark = t.next_stamp
-    && chan.ch_epoch = epoch
+    && chan.ch_watermark = Event_queue.stamp t.queue
+    && chan.ch_epoch = t.events_processed
   then chan.ch_upto.u <- Mailbox.tail_pos chan.outbox
   else begin
     let upto = { u = Mailbox.tail_pos chan.outbox } in
     chan.ch_open <- true;
     Float.Array.unsafe_set chan.ch_clock 1 at;
     chan.ch_upto <- upto;
-    schedule_to_shard t ~src:src_shard
-      (shard_of_dest t chan.ch_dest)
-      ~at
-      (fun () -> flush_channel t chan upto);
-    chan.ch_watermark <- t.next_stamp;
-    chan.ch_epoch <- epoch
+    schedule t ~at (fun () -> flush_channel t chan upto);
+    chan.ch_watermark <- Event_queue.stamp t.queue;
+    chan.ch_epoch <- t.events_processed
   end
 
 and do_send t pcb ~dest ~tag payload =
@@ -1232,8 +1094,7 @@ and do_send t pcb ~dest ~tag payload =
   match t.msg_fault with
   | None ->
     Float.Array.unsafe_set chan.ch_clock 0 at;
-    outbox_push t chan ~src_shard:pcb.shard ~sender:pcb.pid ~predicate ~tag
-      ~seq ~uid ~size
+    outbox_push t chan ~sender:pcb.pid ~predicate ~tag ~seq ~uid ~size
       ~cached:msg payload
   | Some f -> (
     let m = Option.get msg in
@@ -1241,8 +1102,7 @@ and do_send t pcb ~dest ~tag payload =
     match f m with
     | F_deliver ->
       Float.Array.unsafe_set chan.ch_clock 0 at;
-      outbox_push t chan ~src_shard:pcb.shard ~sender:pcb.pid ~predicate ~tag
-        ~seq ~uid ~size
+      outbox_push t chan ~sender:pcb.pid ~predicate ~tag ~seq ~uid ~size
         ~cached:msg payload
     | F_drop ->
       (* The send happened; the network lost it. The channel clock still
@@ -1255,11 +1115,9 @@ and do_send t pcb ~dest ~tag payload =
       (* Two frames, one send identity, independently serialised bytes:
          consuming (or corrupting) one copy cannot touch the other, but a
          world split still filters both out as a single logical send. *)
-      outbox_push t chan ~src_shard:pcb.shard ~sender:pcb.pid ~predicate ~tag
-        ~seq ~uid ~size
+      outbox_push t chan ~sender:pcb.pid ~predicate ~tag ~seq ~uid ~size
         ~cached:msg payload;
-      outbox_push t chan ~src_shard:pcb.shard ~sender:pcb.pid ~predicate ~tag
-        ~seq ~uid ~size
+      outbox_push t chan ~sender:pcb.pid ~predicate ~tag ~seq ~uid ~size
         ~cached:msg payload
     | F_delay extra ->
       (* Extra latency that also holds back later sends on the channel:
@@ -1269,17 +1127,13 @@ and do_send t pcb ~dest ~tag payload =
       let at = at +. Float.max 0. extra in
       Float.Array.unsafe_set chan.ch_clock 0 at;
       inject "delay";
-      schedule_to_shard t ~src:pcb.shard (shard_of_dest t dest) ~at (fun () ->
-          deliver_msg t m)
+      schedule t ~at (fun () -> deliver_msg t m)
     | F_reorder extra ->
       (* Extra latency that does NOT advance the channel clock: a later
          send may overtake this message — a genuine FIFO violation. *)
       Float.Array.unsafe_set chan.ch_clock 0 at;
       inject "reorder";
-      schedule_to_shard t ~src:pcb.shard
-        (shard_of_dest t dest)
-        ~at:(at +. Float.max 0. extra)
-        (fun () -> deliver_msg t m))
+      schedule t ~at:(at +. Float.max 0. extra) (fun () -> deliver_msg t m))
 
 (* Hand every entry of one delivery batch to the receiver. When the trace
    is live each entry is delivered, traced and rescanned in turn — byte-for-
@@ -1437,10 +1291,9 @@ let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
   register_world t pcb;
   t.live <- t.live + 1;
   assign_site t pcb ~explicit:site;
-  pcb.shard <- shard_of_pcb t pcb;
   tr t (Trace.Spawned { pid; parent; name });
   (match t.spawn_hook with Some h -> h pid name | None -> ());
-  schedule_on t pcb.shard ~at:(t.vnow +. start_delay) (fun () -> start_pcb t pcb);
+  schedule t ~at:(t.vnow +. start_delay) (fun () -> start_pcb t pcb);
   pid
 
 let on_exit t pid f =
@@ -1471,107 +1324,22 @@ let preserve_space t pid =
 
 let after t ~delay thunk = schedule t ~at:(t.vnow +. delay) thunk
 
-(* Move every staged cross-shard event due inside the conservative
-   window [horizon] onto its destination shard's queue. The entries keep
-   their global (time, stamp) keys, so the exchange is order-neutral;
-   the window is the earliest next local event time plus the minimum
-   message latency — no event executing inside it can create a delivery
-   due inside it, which is exactly the conservative-lookahead safety
-   argument. *)
-let barrier_exchange t ~horizon =
-  t.barriers <- t.barriers + 1;
-  let n = t.nshards in
-  Array.iteri
-    (fun idx q ->
-      let dst = idx mod n in
-      let continue = ref true in
-      while !continue do
-        match Event_queue.peek_key q with
-        | Some (time, _) when time <= horizon -> (
-          match Event_queue.pop_entry q with
-          | Some (time, seq, ev) ->
-            Event_queue.push_stamped t.queues.(dst) ~time ~seq ev
-          | None -> continue := false)
-        | _ -> continue := false
-      done)
-    t.staged
-
-(* The head (time, stamp) minimum across an array of queues, with the
-   index it was found at. *)
-let min_head qs =
-  let best = ref None in
-  Array.iteri
-    (fun i q ->
-      match Event_queue.peek_key q with
-      | None -> ()
-      | Some (tm, sq) -> (
-        match !best with
-        | Some (bt, bs, _) when bt < tm || (bt = tm && bs < sq) -> ()
-        | _ -> best := Some (tm, sq, i)))
-    qs;
-  !best
-
 let run t =
   t.stopped <- false;
-  if t.nshards = 1 then begin
-    (* The 1-shard loop is the PR 8 loop verbatim: no head comparisons,
-       no staging, no barriers. *)
-    let q = t.queues.(0) in
-    let rec loop () =
-      if not t.stopped then
-        match Event_queue.pop q with
-        | None -> ()
-        | Some (time, ev) ->
-          if ev.dead_ev then loop ()
-          else begin
-            t.vnow <- Float.max t.vnow time;
-            t.events_processed <- t.events_processed + 1;
-            t.shard_events.(0) <- t.shard_events.(0) + 1;
-            ev.run_ev ();
-            loop ()
-          end
-    in
-    loop ()
-  end
-  else begin
-    (* Conservative sharded loop: execute the globally minimal (time,
-       stamp) head across the shard queues — byte-identical to the
-       single-queue merge by construction — exchanging staged
-       cross-shard events at a barrier whenever one would be next. *)
-    let rec loop () =
-      if not t.stopped then
-        match (min_head t.queues, min_head t.staged) with
-        | None, None -> ()
-        | None, Some (st, _, _) ->
-          barrier_exchange t ~horizon:(st +. t.lookahead);
+  let rec loop () =
+    if not t.stopped then
+      match Event_queue.pop t.queue with
+      | None -> ()
+      | Some (time, ev) ->
+        if ev.dead_ev then loop ()
+        else begin
+          t.vnow <- Float.max t.vnow time;
+          t.events_processed <- t.events_processed + 1;
+          ev.run_ev ();
           loop ()
-        | Some (qt, qs, shard), staged ->
-          let staged_first =
-            match staged with
-            | Some (st, ss, _) -> st < qt || (st = qt && ss < qs)
-            | None -> false
-          in
-          if staged_first then begin
-            barrier_exchange t ~horizon:(qt +. t.lookahead);
-            loop ()
-          end
-          else begin
-            match Event_queue.pop t.queues.(shard) with
-            | None -> assert false (* peeked non-empty just above *)
-            | Some (time, ev) ->
-              if ev.dead_ev then loop ()
-              else begin
-                t.cur_shard <- shard;
-                t.vnow <- Float.max t.vnow time;
-                t.events_processed <- t.events_processed + 1;
-                t.shard_events.(shard) <- t.shard_events.(shard) + 1;
-                ev.run_ev ();
-                loop ()
-              end
-          end
-    in
-    loop ()
-  end
+        end
+  in
+  loop ()
 
 let run_for t duration =
   schedule t ~at:(t.vnow +. duration) (fun () -> t.stopped <- true);

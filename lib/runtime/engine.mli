@@ -64,32 +64,16 @@ val create :
   ?seed:int ->
   ?trace:bool ->
   ?shards:int ->
-  ?debug_shard_local_epoch:bool ->
   unit ->
   t
 (** A fresh engine. Default [cores] is [Infinite], default [model] is
-    {!Cost_model.uniform}, default [seed] 42, tracing on.
+    {!Cost_model.uniform}, default [seed] 42, tracing on. Each process
+    draws from its own random stream, keyed by [(seed, pid)].
 
-    [shards] (default 1) partitions processes across that many scheduler
-    shards along site failure domains (site-less processes hash by pid;
-    world-split clones live on their original's shard). Each shard owns
-    its own event queue, its residents' mailboxes and their per-process
-    RNG streams; intra-shard messaging stays on the ring-buffer fast
-    path, while cross-shard deliveries are staged into per-(src, dst)
-    outboxes and exchanged at conservative virtual-time barriers whose
-    window is the earliest next local event time plus the cost model's
-    minimum message latency. All queues share one global (time, stamp)
-    order, so every observable — trace, sanitizer state, consensus
-    rounds, winners, statistics other than the barrier counters — is
-    byte-identical to the 1-shard run (the run-level extension of the
-    sweep-level jobs-1 = jobs-N contract). Raises [Invalid_argument] if
-    [shards < 1].
-
-    [debug_shard_local_epoch] (default false) is test-only: it re-derives
-    the channel batch-join epoch guard from the sender shard's local
-    execution counter instead of the engine-global one — a broken
-    variant kept compilable so the regression test can pin the
-    divergence it causes at [shards >= 2]. *)
+    [shards] exists only because the profiling harness in [bench/profile]
+    still passes [~shards:1]; it goes when that harness is next edited.
+    The only accepted value is 1 (the default): any other raises
+    [Invalid_argument]. *)
 
 val now : t -> float
 (** Current virtual time (seconds). *)
@@ -252,29 +236,7 @@ val on_resolution : t -> Pid.t -> ([ `Certain | `Dead ] -> unit) -> unit
     source-device layer to flush or discard gated side effects. *)
 
 val stats_events_processed : t -> int
-(** Events executed so far, aggregated across shards (the sum of
-    {!stats_shard_events}; exact under the barrier path — a barrier
-    moves events between queues, it never executes or drops one). *)
-
-val shards : t -> int
-(** The shard count the engine was created with. *)
-
-val shard_of : t -> Pid.t -> int
-(** The shard owning [pid] (0 for unknown pids; always 0 when
-    [shards = 1]). Clones report their original's shard. *)
-
-val stats_shard_events : t -> int array
-(** Per-shard executed-event counts, index = shard. A fresh copy. *)
-
-val stats_barriers : t -> int
-(** Cross-shard barrier exchanges performed. 0 when [shards = 1]. This
-    and {!stats_cross_shard_msgs} are scheduling-residency counters: they
-    vary with the shard count and are deliberately excluded from the
-    byte-identity contract. *)
-
-val stats_cross_shard_msgs : t -> int
-(** Message events staged into a cross-shard outbox. 0 when
-    [shards = 1]. *)
+(** Events executed so far (cancelled events are not counted). *)
 
 val stats_mailbox_scanned : t -> int
 (** Total mailbox slots visited by receive scans since the engine was

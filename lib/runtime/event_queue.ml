@@ -24,9 +24,11 @@ let grow t =
     t.heap <- h
   end
 
-let push_entry t e =
+let push t ~time v =
+  if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
   grow t;
-  t.heap.(t.size) <- Some e;
+  t.heap.(t.size) <- Some { time; seq = t.next_seq; value = v };
+  t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   (* Sift up. *)
   let i = ref (t.size - 1) in
@@ -42,21 +44,6 @@ let push_entry t e =
     t.heap.(parent) <- tmp;
     i := parent
   done
-
-let push t ~time v =
-  if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
-  let e = { time; seq = t.next_seq; value = v } in
-  t.next_seq <- t.next_seq + 1;
-  push_entry t e
-
-let push_stamped t ~time ~seq v =
-  if Float.is_nan time then invalid_arg "Event_queue.push_stamped: NaN time";
-  (* Caller-supplied stamp: the sharded engine orders every event by one
-     engine-global (time, stamp) key, so a queue must accept entries whose
-     stamps were issued elsewhere (and keep its own counter ahead of them,
-     so mixing [push] and [push_stamped] stays totally ordered). *)
-  if seq >= t.next_seq then t.next_seq <- seq + 1;
-  push_entry t { time; seq; value = v }
 
 let remove_top t =
   t.size <- t.size - 1;
@@ -94,21 +81,8 @@ let pop t =
     Some (top.time, top.value)
   end
 
-let pop_entry t =
-  if t.size = 0 then None
-  else begin
-    let top = get t 0 in
-    remove_top t;
-    Some (top.time, top.seq, top.value)
-  end
-
 let peek_time t = if t.size = 0 then None else Some (get t 0).time
 
-let peek_key t =
-  if t.size = 0 then None
-  else
-    let e = get t 0 in
-    Some (e.time, e.seq)
 let stamp t = t.next_seq
 let size t = t.size
 let is_empty t = t.size = 0

@@ -9,29 +9,10 @@ val create : unit -> 'a t
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule [v] at [time]. Raises [Invalid_argument] if [time] is NaN. *)
 
-val push_stamped : 'a t -> time:float -> seq:int -> 'a -> unit
-(** Schedule [v] at [time] with a caller-supplied sequence number. The
-    sharded engine orders all events — across every shard queue and the
-    cross-shard staging outboxes — by one engine-global (time, stamp)
-    key, so stamps are issued centrally and entries may migrate between
-    queues (a barrier exchange) without changing their position in the
-    merged order. The queue's own counter is kept ahead of [seq], so
-    mixing {!push} and [push_stamped] on one queue stays totally
-    ordered. Raises [Invalid_argument] if [time] is NaN. *)
-
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)
 
-val pop_entry : 'a t -> (float * int * 'a) option
-(** Like {!pop} but also returns the entry's sequence number, so a
-    barrier exchange can re-queue it elsewhere with {!push_stamped}
-    preserving its global key. *)
-
 val peek_time : 'a t -> float option
-
-val peek_key : 'a t -> (float * int) option
-(** The (time, stamp) key of the earliest event, without removing it.
-    The sharded run loop compares heads across queues with this. *)
 
 val stamp : 'a t -> int
 (** The sequence number the next {!push} will receive. Two observations of

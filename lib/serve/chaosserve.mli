@@ -1,5 +1,5 @@
 (** The serving layer's robustness campaigns: the degradation-ladder
-    benchmark (ladder vs shed-only goodput under ramped overload,
+    benchmark (ladder vs shed-only good answers under ramped overload,
     committed as [BENCH_degrade.json]) and the chaos-serve campaign
     (faults x overload, audited and determinism-checked). [altserve
     --degrade-bench] and [altserve --faults/--chaos] drive these; their
@@ -19,8 +19,16 @@ type degrade_step = {
   ds_shed_only_shed : int;
   ds_shed_only_violations : int;
   ds_horizon : float;  (** The step's arrival horizon (virtual s). *)
-  ds_ladder_goodput : float;  (** Good answers per horizon second. *)
-  ds_shed_only_goodput : float;
+  ds_ladder_good_per_horizon : float;
+      (** Good answers per second of the arrival horizon: the figure the
+          gate compares. Not a completion rate — the lanes may finish
+          long after the last arrival. *)
+  ds_shed_only_good_per_horizon : float;
+  ds_ladder_good_per_makespan : float;
+      (** Good answers per second of the run's own makespan
+          ({!Servebench.metrics}[.m_goodput]): the rate the lanes
+          actually completed them at. *)
+  ds_shed_only_good_per_makespan : float;
 }
 
 type degrade_record = {
@@ -30,8 +38,9 @@ type degrade_record = {
   dg_steps : degrade_step list;
   dg_violations : int;  (** Across every run on both sides. *)
   dg_regressed : bool;
-      (** The ladder's goodput fell below the shed-only baseline's at
-          some step — the regression the benchmark gates on. *)
+      (** The ladder's good answers per horizon second fell below the
+          shed-only baseline's at some step — the regression the
+          benchmark gates on. *)
 }
 
 val degrade :
@@ -44,9 +53,10 @@ val degrade :
 (** Ramp the overload (default 250 requests per step at 100/200/400/800
     req/s into 8 lanes) and serve each step twice: ladder on, and the
     shed-only baseline (identical meter, thresholds and hysteresis —
-    every rung below full service sheds). Goodput is measured over the
-    step's fixed arrival horizon, so both sides are normalised by the
-    same offered load. *)
+    every rung below full service sheds). The gate compares good answers
+    over the step's fixed arrival horizon, so both sides are normalised
+    by the same offered load; each side's completion rate over its own
+    makespan is reported next to it. *)
 
 val degrade_required_fields : string list
 

@@ -11,8 +11,7 @@
     decayed shed-rate window. Never the wall clock, and never actual
     service times (unknown at admission time, and order-dependent), so
     the ladder's trajectory is a pure function of the arrival stream and
-    the config: replay-identical, and independent of [sv_jobs] and
-    [sv_shards].
+    the config: replay-identical, and independent of [sv_jobs].
 
     Each class (scenario, policy) holds its own rung over the shared
     meter and moves one rung per decision, with hysteresis: down at its

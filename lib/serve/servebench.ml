@@ -73,38 +73,6 @@ type verification = {
   v_digest : int64;
 }
 
-type pool_cost = {
-  pc_spawn_s : float;
-  pc_reuse_s : float;
-}
-
-(* What the persistent pool saves: dispatching a trivial wave through a
-   freshly created pool (create + dispatch + join — the per-batch-wave
-   price the serving loop used to pay) versus through the already-warm
-   shared pool. Both time the same no-op wave so the difference is pure
-   domain spawn/join cost. Wall-clock and load-dependent by nature, so
-   the numbers are reported, never gated on. *)
-let measure_pool_cost ~jobs =
-  let jobs = max 1 jobs in
-  if jobs = 1 then { pc_spawn_s = 0.; pc_reuse_s = 0. }
-  else begin
-    let iters = 5 in
-    let wave () = ignore (Sys.opaque_identity 0) in
-    (* Warm the shared pool outside the timed region. *)
-    ignore (Parallel.map_indexed_shared ~jobs (fun _ -> wave ()) jobs);
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Parallel.map_indexed ~jobs (fun _ -> wave ()) jobs)
-    done;
-    let fresh = (Unix.gettimeofday () -. t0) /. float_of_int iters in
-    let t1 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Parallel.map_indexed_shared ~jobs (fun _ -> wave ()) jobs)
-    done;
-    let reused = (Unix.gettimeofday () -. t1) /. float_of_int iters in
-    { pc_spawn_s = fresh; pc_reuse_s = reused }
-  end
-
 let run_verified wl (sv : Server.config) =
   let r = Server.run wl sv in
   let d = Server.digest r in
@@ -125,11 +93,11 @@ let required_fields =
     "latency_p50_s"; "latency_p99_s";
     "latency_p999_s"; "makespan_s"; "req_per_sec"; "batches";
     "batch_occupancy"; "violations"; "digest"; "replay_identical";
-    "jobs_identical"; "shards"; "pool_spawn_s"; "pool_reuse_s";
+    "jobs_identical";
   ]
 
 let to_json (wl : Workload.config) (sv : Server.config) (m : metrics)
-    (v : verification) (pc : pool_cost) =
+    (v : verification) =
   let occupancy =
     "["
     ^ String.concat ", "
@@ -150,7 +118,6 @@ let to_json (wl : Workload.config) (sv : Server.config) (m : metrics)
       Printf.sprintf "  %S: %.1f," "quota_rate" sv.Server.sv_quota_rate;
       Printf.sprintf "  %S: %d," "quota_burst" sv.Server.sv_quota_burst;
       Printf.sprintf "  %S: %d," "jobs" sv.Server.sv_jobs;
-      Printf.sprintf "  %S: %d," "shards" sv.Server.sv_shards;
       Printf.sprintf "  %S: %d," "cores" (Parallel.default_jobs ());
       Printf.sprintf "  %S: %d," "served" m.m_served;
       Printf.sprintf "  %S: %d," "degraded" m.m_degraded;
@@ -172,8 +139,6 @@ let to_json (wl : Workload.config) (sv : Server.config) (m : metrics)
       Printf.sprintf "  %S: %d," "batches" m.m_batches;
       Printf.sprintf "  %S: %s," "batch_occupancy" occupancy;
       Printf.sprintf "  %S: %d," "violations" m.m_violations;
-      Printf.sprintf "  %S: %.6f," "pool_spawn_s" pc.pc_spawn_s;
-      Printf.sprintf "  %S: %.6f," "pool_reuse_s" pc.pc_reuse_s;
       Printf.sprintf "  %S: %S," "digest" (Printf.sprintf "%016Lx" v.v_digest);
       Printf.sprintf "  %S: %b," "replay_identical" v.v_replay_identical;
       Printf.sprintf "  %S: %b" "jobs_identical" v.v_jobs_identical;

@@ -50,28 +50,12 @@ val run_verified :
     (with [sv_jobs = 1] the jobs check is vacuously true — there is
     nothing to compare against). *)
 
-type pool_cost = {
-  pc_spawn_s : float;
-      (** Mean wall cost of a trivial wave through a {e fresh} pool
-          (domain create + dispatch + join) — the per-batch-wave price
-          before the persistent pool. *)
-  pc_reuse_s : float;
-      (** The same wave through the warm {!Parallel.shared} pool. *)
-}
-
-val measure_pool_cost : jobs:int -> pool_cost
-(** Time both dispatch paths over a few no-op waves ([jobs = 1]: both
-    zero — there is no pool on the sequential path). Reported in the
-    record as [pool_spawn_s] / [pool_reuse_s]; wall-clock, so never
-    gated on. *)
-
 val required_fields : string list
 (** The JSON schema, as field names — what [--validate] and the CI job
     probe for. *)
 
 val to_json :
-  Workload.config -> Server.config -> metrics -> verification ->
-  pool_cost -> string
+  Workload.config -> Server.config -> metrics -> verification -> string
 (** The benchmark record, one field per line (the repo's hand-rolled
     JSON idiom: unique keys, so substring probes suffice to validate). *)
 

@@ -340,7 +340,7 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
   let engine =
     Engine.create ~model:Cost_model.att_3b2
       ~seed:((wl.Workload.wl_seed * 1_000_003) + cb.cb_id)
-      ~trace:false ~shards:(max 1 sv.sv_shards) ()
+      ~trace:false ()
   in
   let sites =
     match sv.sv_faults with

@@ -124,8 +124,11 @@ type config = {
   sv_sanitize : bool;  (** Attach the online sanitizer to each engine. *)
   sv_jobs : int;  (** Domains executing batches. *)
   sv_shards : int;
-      (** Event-loop shards inside each batch engine ({!Engine.create}
-          [?shards]); results are byte-identical for any value. *)
+      (** Exists only for the profiling harness in [bench/profile], whose
+          copy of {!run} passes it to {!Engine.create}'s [?shards]; it
+          goes when that harness is next edited. {!run} ignores it, 1
+          (the default) is the only value the engine accepts, and no
+          command-line flag sets it. *)
 }
 
 val default : config

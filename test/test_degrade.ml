@@ -354,8 +354,16 @@ let test_degrade_record_and_schema () =
   List.iter
     (fun (s : Chaosserve.degrade_step) ->
       check Alcotest.bool "goodput normalised by the same horizon" true
-        (s.Chaosserve.ds_horizon > 0.))
+        (s.Chaosserve.ds_horizon > 0.);
+      check Alcotest.bool "the ladder's completion rate is reported" true
+        (s.Chaosserve.ds_ladder_good_per_makespan > 0.))
     d.Chaosserve.dg_steps;
+  (* Under the hottest load the lanes finish long after the last arrival,
+     so the per-horizon figure overstates the rate answers complete at. *)
+  let hottest = List.nth d.Chaosserve.dg_steps 1 in
+  check Alcotest.bool "per-horizon > per-makespan at 600/s" true
+    (hottest.Chaosserve.ds_ladder_good_per_horizon
+    > hottest.Chaosserve.ds_ladder_good_per_makespan);
   match Chaosserve.degrade_validate (Chaosserve.degrade_to_json d) with
   | Ok n ->
       check Alcotest.int "all schema fields present"

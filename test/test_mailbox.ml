@@ -18,6 +18,17 @@ let check = Alcotest.check
 
 let pid i = Pid.of_int i
 
+let spilled_message ~uid ~tag payload =
+  {
+    Message.sender = pid 1;
+    dest = pid 2;
+    predicate = Predicate.empty;
+    payload;
+    tag;
+    seq = uid;
+    size = Message.header_bytes + Payload.size_bytes payload;
+  }
+
 let fill_one ring ~uid ~tag payload =
   (* Emplace the way the engine's send path does: a pooled frame while one
      is available, the spill path otherwise. *)
@@ -26,17 +37,7 @@ let fill_one ring ~uid ~tag payload =
       ~predicate:Predicate.empty ~tag ~seq:uid ~uid
       ~size:(Message.header_bytes + Payload.size_bytes payload)
       ~cached:None payload
-  else
-    Mailbox.emplace_spilled ring
-      {
-        Message.sender = pid 1;
-        dest = pid 2;
-        predicate = Predicate.empty;
-        payload;
-        tag;
-        seq = uid;
-        size = Message.header_bytes + Payload.size_bytes payload;
-      }
+  else Mailbox.emplace_spilled ring (spilled_message ~uid ~tag payload)
 
 let pop_front ring =
   let pos = Mailbox.head_pos ring in
@@ -342,7 +343,8 @@ let test_batch_vs_zero_timeout_polls () =
    filling an ivar whose parked waiter resumes synchronously inside the
    timer's event — moves neither the stamp nor the flush time, so the
    second send silently joined a batch an event had ordered into. An
-   intervening event must flush the open batch. *)
+   intervening event must flush the open batch, which is why the guard
+   also compares the engine's executed-event count. *)
 
 let deliveries eng =
   Trace.find_all (Engine.trace eng) ~f:(function
@@ -610,6 +612,229 @@ let test_drop_upto_discards () =
   check Alcotest.bool "dropped frames back in the pool" true
     (Mailbox.has_frame ring)
 
+(* ---------------- model-based: two rings against a FIFO list ----------------
+
+   Random operation sequences over two rings (an outbox and a mailbox, as
+   a channel pairs them), checked after every step against a trivial
+   reference: per ring, the live entries as a list in position order plus
+   the tail position. Receive-by-tag takes the first entry with that tag;
+   the head is the first live position (the tail when empty); an entry
+   takes a pooled frame iff fewer than [capacity] framed entries are live;
+   a transfer of the whole content into an empty ring of the same capacity
+   adopts it (positions and representations move as they are), any other
+   transfer appends copies that spill once the destination's frames run
+   out. *)
+
+type m_entry = { e_pos : int; e_uid : int; e_tag : string; e_spilled : bool }
+
+type model = {
+  m_cap : int;
+  mutable m_entries : m_entry list;
+  mutable m_tail : int;
+  mutable m_spilled_total : int;
+}
+
+type op =
+  | Push of int * string  (** ring, tag: a frame if one is free, else spill *)
+  | Push_spilled of int * string
+  | Receive of int * string  (** first live entry with the tag, via cursor *)
+  | Remove_nth of int * int  (** tombstone the n-th live entry (mod length) *)
+  | Transfer of int * int  (** [transfer_upto ~upto:(head + k)] to the other *)
+  | Drop of int * int  (** [drop_upto ~upto:(head + k)] *)
+
+let show_op = function
+  | Push (r, t) -> Printf.sprintf "Push(%d,%s)" r t
+  | Push_spilled (r, t) -> Printf.sprintf "Push_spilled(%d,%s)" r t
+  | Receive (r, t) -> Printf.sprintf "Receive(%d,%s)" r t
+  | Remove_nth (r, n) -> Printf.sprintf "Remove_nth(%d,%d)" r n
+  | Transfer (r, k) -> Printf.sprintf "Transfer(%d,%d)" r k
+  | Drop (r, k) -> Printf.sprintf "Drop(%d,%d)" r k
+
+let m_framed m = List.length (List.filter (fun e -> not e.e_spilled) m.m_entries)
+
+let m_head m = match m.m_entries with [] -> m.m_tail | e :: _ -> e.e_pos
+
+let m_append m ~uid ~tag ~spilled =
+  let spilled = spilled || m_framed m >= m.m_cap in
+  m.m_entries <-
+    m.m_entries @ [ { e_pos = m.m_tail; e_uid = uid; e_tag = tag; e_spilled = spilled } ];
+  m.m_tail <- m.m_tail + 1;
+  if spilled then m.m_spilled_total <- m.m_spilled_total + 1
+
+let m_remove m e = m.m_entries <- List.filter (fun e' -> e' != e) m.m_entries
+
+let m_transfer src ~upto dst =
+  let upto = min upto src.m_tail in
+  if upto > m_head src then
+    if dst.m_entries = [] && upto = src.m_tail && dst.m_cap = src.m_cap then begin
+      let dst_tail = dst.m_tail in
+      dst.m_entries <- src.m_entries;
+      dst.m_tail <- src.m_tail;
+      dst.m_spilled_total <-
+        dst.m_spilled_total
+        + List.length (List.filter (fun e -> e.e_spilled) src.m_entries);
+      src.m_entries <- [];
+      src.m_tail <- dst_tail
+    end
+    else begin
+      let moved, kept = List.partition (fun e -> e.e_pos < upto) src.m_entries in
+      src.m_entries <- kept;
+      List.iter
+        (fun e -> m_append dst ~uid:e.e_uid ~tag:e.e_tag ~spilled:e.e_spilled)
+        moved
+    end
+
+let uid_of_message m =
+  match m.Message.payload with Payload.Int i -> i | _ -> -1
+
+(* The ring's live entries in the model's shape. *)
+let observe ring =
+  let acc = ref [] in
+  for pos = Mailbox.head_pos ring to Mailbox.tail_pos ring - 1 do
+    if Mailbox.occupied_at ring pos then
+      acc :=
+        {
+          e_pos = pos;
+          e_uid = uid_of_message (Mailbox.message_at ring pos);
+          e_tag = Mailbox.tag_at ring pos;
+          e_spilled = Mailbox.uid_at ring pos = -1;
+        }
+        :: !acc
+  done;
+  List.rev !acc
+
+let agree ring m =
+  let facts =
+    [
+      ("length", Mailbox.length ring, List.length m.m_entries);
+      ("head", Mailbox.head_pos ring, m_head m);
+      ("tail", Mailbox.tail_pos ring, m.m_tail);
+      ( "spilled_live",
+        Mailbox.spilled_live ring,
+        List.length (List.filter (fun e -> e.e_spilled) m.m_entries) );
+      ("spilled_total", Mailbox.spilled_total ring, m.m_spilled_total);
+      ( "has_frame",
+        Bool.to_int (Mailbox.has_frame ring),
+        Bool.to_int (m_framed m < m.m_cap) );
+    ]
+  in
+  match List.find_opt (fun (_, got, want) -> got <> want) facts with
+  | Some (what, got, want) -> Some (Printf.sprintf "%s: ring %d, model %d" what got want)
+  | None ->
+    if observe ring = m.m_entries then None
+    else Some "entries (position, uid, tag, representation) differ"
+
+(* Receive-by-tag the way the engine does: scan from the tag's cursor
+   (clamped to the head), remove the first match, and advance the cursor
+   past everything the scan proved tag-free. *)
+let ring_receive ring tag =
+  let c = Mailbox.cursor ring tag in
+  if c.Mailbox.cpos < Mailbox.head_pos ring then
+    c.Mailbox.cpos <- Mailbox.head_pos ring;
+  let rec scan pos =
+    if pos >= Mailbox.tail_pos ring then None
+    else if Mailbox.occupied_at ring pos && Mailbox.tag_at ring pos = tag then
+      Some pos
+    else scan (pos + 1)
+  in
+  match scan c.Mailbox.cpos with
+  | None ->
+    c.Mailbox.cpos <- Mailbox.tail_pos ring;
+    None
+  | Some pos ->
+    let uid = uid_of_message (Mailbox.message_at ring pos) in
+    Mailbox.remove ring pos;
+    c.Mailbox.cpos <- pos + 1;
+    Some uid
+
+let run_ops (cap_a, cap_b, ops) =
+  let rings = [| Mailbox.create ~capacity:cap_a (); Mailbox.create ~capacity:cap_b () |] in
+  let models =
+    Array.map
+      (fun cap -> { m_cap = cap; m_entries = []; m_tail = 0; m_spilled_total = 0 })
+      [| cap_a; cap_b |]
+  in
+  let next_uid = ref 0 in
+  List.iteri
+    (fun step op ->
+      let fail fmt =
+        QCheck.Test.fail_reportf ("step %d %s: " ^^ fmt) step (show_op op)
+      in
+      (match op with
+      | Push (r, tag) ->
+        let uid = !next_uid in
+        incr next_uid;
+        fill_one rings.(r) ~uid ~tag (Payload.int uid);
+        m_append models.(r) ~uid ~tag ~spilled:false
+      | Push_spilled (r, tag) ->
+        let uid = !next_uid in
+        incr next_uid;
+        Mailbox.emplace_spilled rings.(r) (spilled_message ~uid ~tag (Payload.int uid));
+        m_append models.(r) ~uid ~tag ~spilled:true
+      | Receive (r, tag) -> (
+        let want = List.find_opt (fun e -> e.e_tag = tag) models.(r).m_entries in
+        let got = ring_receive rings.(r) tag in
+        Option.iter (m_remove models.(r)) want;
+        match (got, want) with
+        | None, None -> ()
+        | Some u, Some e when u = e.e_uid -> ()
+        | _ -> fail "received uid %s, model %s"
+                 (Option.fold ~none:"none" ~some:string_of_int got)
+                 (Option.fold ~none:"none" ~some:(fun e -> string_of_int e.e_uid) want))
+      | Remove_nth (r, n) -> (
+        match models.(r).m_entries with
+        | [] -> ()
+        | es ->
+          let e = List.nth es (n mod List.length es) in
+          Mailbox.remove rings.(r) e.e_pos;
+          m_remove models.(r) e)
+      | Transfer (r, k) ->
+        let upto = m_head models.(r) + k in
+        Mailbox.transfer_upto rings.(r) ~upto rings.(1 - r);
+        m_transfer models.(r) ~upto models.(1 - r)
+      | Drop (r, k) ->
+        let m = models.(r) in
+        let upto = m_head m + k in
+        Mailbox.drop_upto rings.(r) ~upto;
+        m.m_entries <- List.filter (fun e -> e.e_pos >= upto) m.m_entries);
+      Array.iteri
+        (fun r ring ->
+          match agree ring models.(r) with
+          | None -> ()
+          | Some why -> fail "ring %d: %s" r why)
+        rings)
+    ops;
+  true
+
+let arb_ops =
+  let open QCheck.Gen in
+  let ring = int_bound 1 and tag = oneofl [ "a"; "b"; "c" ] in
+  let op =
+    frequency
+      [
+        (6, map2 (fun r t -> Push (r, t)) ring tag);
+        (2, map2 (fun r t -> Push_spilled (r, t)) ring tag);
+        (4, map2 (fun r t -> Receive (r, t)) ring tag);
+        (2, map2 (fun r n -> Remove_nth (r, n)) ring (int_bound 15));
+        (3, map2 (fun r k -> Transfer (r, k)) ring (int_bound 12));
+        (1, map2 (fun r k -> Drop (r, k)) ring (int_bound 12));
+      ]
+  in
+  (* Equal capacities most of the time, so whole-ring adoption happens;
+     otherwise the destination's pool differs and every transfer copies. *)
+  let caps =
+    oneofl [ 0; 1; 2; 4; 8 ] >>= fun a ->
+    frequency [ (3, return (a, a)); (1, map (fun b -> (a, b)) (oneofl [ 0; 1; 4 ])) ]
+  in
+  QCheck.make
+    ~print:(fun (a, b, ops) ->
+      Printf.sprintf "caps %d/%d: %s" a b (String.concat " " (List.map show_op ops)))
+    (map2 (fun (a, b) ops -> (a, b, ops)) caps (list_size (int_range 1 80) op))
+
+let prop_mailbox_matches_model =
+  QCheck.Test.make ~name:"random ops agree with a FIFO-list model" ~count:500
+    arb_ops run_ops
+
 let () =
   Alcotest.run "mailbox"
     [
@@ -658,4 +883,5 @@ let () =
           Alcotest.test_case "drop_upto discards a prefix" `Quick
             test_drop_upto_discards;
         ] );
+      ("model", [ QCheck_alcotest.to_alcotest prop_mailbox_matches_model ]);
     ]

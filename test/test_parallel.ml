@@ -1,6 +1,8 @@
 (* The domain pool is only worth having if it is invisible: same
    results, same order, same failures as the sequential loop, for every
-   worker count. *)
+   worker count. Every test goes through the one entry point,
+   [map_indexed_shared], so they also exercise the persistent pool being
+   reused (and resized) across calls. *)
 
 let check = Alcotest.check
 
@@ -12,7 +14,9 @@ let test_map_indexed_matches_sequential () =
       List.iter
         (fun n ->
           let expected = Array.init n (fun i -> (i * 7) - 3) in
-          let got = Parallel.map_indexed ~jobs (fun i -> (i * 7) - 3) n in
+          let got =
+            Parallel.map_indexed_shared ~jobs (fun i -> (i * 7) - 3) n
+          in
           check
             Alcotest.(array int)
             (Printf.sprintf "jobs=%d n=%d" jobs n)
@@ -21,63 +25,66 @@ let test_map_indexed_matches_sequential () =
     [ 1; 2; 4; 7 ]
 
 let test_run_preserves_list_order () =
-  let thunks = List.init 9 (fun i () -> string_of_int (i * i)) in
+  (* Early jobs do the most work, so later ones finish first on any
+     worker count above one; results must still come back in list
+     order. *)
+  let thunks =
+    Array.of_list
+      (List.init 9 (fun i () ->
+           let acc = ref 0 in
+           for k = 1 to (9 - i) * 20_000 do
+             acc := !acc + (k land 1)
+           done;
+           ignore (Sys.opaque_identity !acc);
+           string_of_int (i * i)))
+  in
   check
     Alcotest.(array string)
     "thunk results in list order"
     (Array.init 9 (fun i -> string_of_int (i * i)))
-    (Parallel.run ~jobs:3 thunks)
+    (Parallel.map_indexed_shared ~jobs:3 (fun i -> thunks.(i) ()) 9)
 
 let test_pool_is_reusable_across_batches () =
-  let pool = Parallel.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () -> Parallel.shutdown pool)
-    (fun () ->
-      check Alcotest.int "jobs" 4 (Parallel.jobs pool);
-      for batch = 1 to 3 do
-        let got = Parallel.map_indexed_pool pool (fun i -> batch * i) 32 in
-        check
-          Alcotest.(array int)
-          (Printf.sprintf "batch %d" batch)
-          (Array.init 32 (fun i -> batch * i))
-          got
-      done)
+  for batch = 1 to 3 do
+    let got = Parallel.map_indexed_shared ~jobs:4 (fun i -> batch * i) 32 in
+    check
+      Alcotest.(array int)
+      (Printf.sprintf "batch %d" batch)
+      (Array.init 32 (fun i -> batch * i))
+      got
+  done
 
 let test_pool_survives_raising_job () =
-  let pool = Parallel.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () -> Parallel.shutdown pool)
-    (fun () ->
-      let others_ran = Array.make 16 false in
-      (match
-         Parallel.map_indexed_pool pool
-           (fun i ->
-             others_ran.(i) <- true;
-             if i = 11 then raise (Boom i);
-             i)
-           16
-       with
-      | _ -> Alcotest.fail "raising job did not propagate"
-      | exception Boom 11 -> ()
-      | exception e ->
-        Alcotest.failf "unexpected exception %s" (Printexc.to_string e));
-      (* Every job still ran, raising one included. *)
-      Array.iteri
-        (fun i ran -> if not ran then Alcotest.failf "job %d skipped" i)
-        others_ran;
-      (* The failure did not wedge or poison the workers. *)
-      check
-        Alcotest.(array int)
-        "pool usable after a failing batch"
-        (Array.init 8 succ)
-        (Parallel.map_indexed_pool pool succ 8))
+  let others_ran = Array.make 16 false in
+  (match
+     Parallel.map_indexed_shared ~jobs:4
+       (fun i ->
+         others_ran.(i) <- true;
+         if i = 11 then raise (Boom i);
+         i)
+       16
+   with
+  | _ -> Alcotest.fail "raising job did not propagate"
+  | exception Boom 11 -> ()
+  | exception e ->
+    Alcotest.failf "unexpected exception %s" (Printexc.to_string e));
+  (* Every job still ran, raising one included. *)
+  Array.iteri
+    (fun i ran -> if not ran then Alcotest.failf "job %d skipped" i)
+    others_ran;
+  (* The failure did not wedge or poison the workers. *)
+  check
+    Alcotest.(array int)
+    "pool usable after a failing batch"
+    (Array.init 8 succ)
+    (Parallel.map_indexed_shared ~jobs:4 succ 8)
 
 let test_lowest_indexed_failure_wins () =
   (* Several jobs raise; whatever domain finishes first, the caller must
      see the lowest-indexed job's exception, deterministically. *)
   for _attempt = 1 to 5 do
     match
-      Parallel.map_indexed ~jobs:4
+      Parallel.map_indexed_shared ~jobs:4
         (fun i -> if i >= 3 && i mod 2 = 1 then raise (Boom i) else i)
         12
     with
@@ -88,8 +95,11 @@ let test_lowest_indexed_failure_wins () =
 
 let test_create_validates_jobs () =
   Alcotest.check_raises "jobs >= 1"
-    (Invalid_argument "Parallel.create: jobs must be >= 1") (fun () ->
-      ignore (Parallel.create ~jobs:0))
+    (Invalid_argument "Parallel.map_indexed_shared: jobs must be >= 1")
+    (fun () -> ignore (Parallel.map_indexed_shared ~jobs:0 Fun.id 4));
+  Alcotest.check_raises "n >= 0"
+    (Invalid_argument "Parallel.map_indexed_shared: negative length")
+    (fun () -> ignore (Parallel.map_indexed_shared ~jobs:2 Fun.id (-1)))
 
 let render_sweep (violations, runs) =
   let buf = Buffer.create 256 in

@@ -299,8 +299,7 @@ let test_bench_record_schema () =
     (m.Servebench.m_served + m.Servebench.m_failed);
   check Alcotest.int "degraded/recovered counters flow through" 0
     (m.Servebench.m_degraded + m.Servebench.m_recovered);
-  let pc = Servebench.measure_pool_cost ~jobs:sv.Server.sv_jobs in
-  match Servebench.validate (Servebench.to_json wl sv m v pc) with
+  match Servebench.validate (Servebench.to_json wl sv m v) with
   | Ok n ->
       check Alcotest.int "all schema fields present"
         (List.length Servebench.required_fields)
