@@ -2,20 +2,45 @@ type frame = { mutable fid : int; buf : bytes; mutable refs : int }
 
 type t = {
   page_size : int;
-  zero : bytes;  (* shared all-zero page, for allocation-free comparisons *)
   mutable next_id : int;
   mutable live : int;
   mutable allocs : int;
   mutable copies : int;
-  mutable free : frame list;  (* recycled zeroed frames *)
   mutable next_map : int;  (* map identities, for the write observer *)
   mutable write_observer : (map:int -> vpage:int -> frame:int -> unit) option;
 }
 
+(* The free-frame pool is per domain, not per store, because a serving
+   domain builds a fresh engine (and store) per batch: a per-store free
+   list would die with each batch, and every page is a major-heap
+   allocation (it exceeds the minor heap's object size limit). Pooled
+   frames keep stale bytes, id and count until [fresh] overwrites them. *)
+
+type bucket = { size : int; mutable frames : frame list }
+type pool = { mutable buckets : bucket list; mutable retained : int }
+
+(* Bytes of free frames a domain keeps; past it, freed frames go to the
+   GC. Enough for the working set of a serving batch many times over. *)
+let pool_cap_bytes = 16 * 1024 * 1024
+
+let pool_key = Domain.DLS.new_key (fun () -> { buckets = []; retained = 0 })
+
+let rec find_bucket size = function
+  | b :: rest -> if b.size = size then b else find_bucket size rest
+  | [] -> raise Not_found
+
+let bucket pool size =
+  match find_bucket size pool.buckets with
+  | b -> b
+  | exception Not_found ->
+    let b = { size; frames = [] } in
+    pool.buckets <- b :: pool.buckets;
+    b
+
 let create ~page_size =
   if page_size <= 0 then invalid_arg "Frame_store.create: page_size";
-  { page_size; zero = Bytes.make page_size '\000'; next_id = 0; live = 0;
-    allocs = 0; copies = 0; free = []; next_map = 0; write_observer = None }
+  { page_size; next_id = 0; live = 0; allocs = 0; copies = 0; next_map = 0;
+    write_observer = None }
 
 let fresh_map_id t =
   let id = t.next_map in
@@ -29,38 +54,37 @@ let notify_write t ~map ~vpage ~frame =
   | Some f -> f ~map ~vpage ~frame
   | None -> ()
 
-let zero_page t = t.zero
-
 let page_size t = t.page_size
 
+(* A frame with reference count 1 and the store's next id — never an id
+   it has handed out before, so an id recorded in an access log always
+   denotes one physical write target (the isolation checker depends on
+   this). Its contents are unspecified: the callers overwrite the whole
+   page. *)
 let fresh t =
-  match t.free with
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  t.live <- t.live + 1;
+  t.allocs <- t.allocs + 1;
+  let pool = Domain.DLS.get pool_key in
+  let b = bucket pool t.page_size in
+  match b.frames with
   | f :: rest ->
-    t.free <- rest;
-    Bytes.fill f.buf 0 t.page_size '\000';
+    b.frames <- rest;
+    pool.retained <- pool.retained - t.page_size;
+    f.fid <- id;
     f.refs <- 1;
-    (* A recycled frame is a new identity: frame ids are never reused, so
-       an id recorded in an access log always denotes one physical write
-       target (the isolation checker depends on this). *)
-    f.fid <- t.next_id;
-    t.next_id <- t.next_id + 1;
     f
-  | [] ->
-    let f = { fid = t.next_id; buf = Bytes.make t.page_size '\000'; refs = 1 } in
-    t.next_id <- t.next_id + 1;
-    f
+  | [] -> { fid = id; buf = Bytes.create t.page_size; refs = 1 }
 
 let alloc t =
   let f = fresh t in
-  t.live <- t.live + 1;
-  t.allocs <- t.allocs + 1;
+  Bytes.fill f.buf 0 t.page_size '\000';
   f
 
 let alloc_copy t src =
   let f = fresh t in
   Bytes.blit src.buf 0 f.buf 0 t.page_size;
-  t.live <- t.live + 1;
-  t.allocs <- t.allocs + 1;
   t.copies <- t.copies + 1;
   f
 
@@ -73,7 +97,13 @@ let decref t f =
   f.refs <- f.refs - 1;
   if f.refs = 0 then begin
     t.live <- t.live - 1;
-    t.free <- f :: t.free
+    let pool = Domain.DLS.get pool_key in
+    let size = Bytes.length f.buf in
+    if pool.retained + size <= pool_cap_bytes then begin
+      let b = bucket pool size in
+      b.frames <- f :: b.frames;
+      pool.retained <- pool.retained + size
+    end
   end
 
 let refcount f = f.refs

@@ -4,38 +4,51 @@
     entire memory hierarchy under the page abstraction", section 3.1). A
     {!t} is the pool of physical frames shared by every address space in one
     simulation; copy-on-write sharing is expressed through frame reference
-    counts. *)
+    counts.
+
+    A frame whose count drops to zero is not discarded: it joins a
+    free-frame pool that belongs to the calling domain, not to the store,
+    and that every store on the domain allocates from. Engines built one
+    after another on a domain therefore recycle each other's frames. The
+    pool holds at most a fixed number of bytes; frames freed past it are
+    left to the GC. Reuse is unobservable: a recycled frame is
+    zero-filled (or overwritten by the copy) and takes the allocating
+    store's next id, so every per-store counter and id below means exactly
+    what it would with a fresh frame. *)
 
 type frame
 (** One physical page frame: a byte buffer plus a reference count. *)
 
 type t
-(** A frame pool. *)
+(** A frame store: the frames of one simulation and their counters. *)
 
 val create : page_size:int -> t
-(** [create ~page_size] makes an empty pool of frames of [page_size] bytes. *)
+(** [create ~page_size] makes an empty store of frames of [page_size]
+    bytes. *)
 
 val page_size : t -> int
 
-val zero_page : t -> bytes
-(** A shared all-zero page of the pool's page size. Callers must never
-    mutate it; it exists so that unmapped pages can be compared against
-    mapped ones without allocating. *)
-
 val alloc : t -> frame
-(** Allocate a fresh zero-filled frame with reference count 1. *)
+(** A zero-filled frame with reference count 1 and an id this store has
+    never handed out. It is taken from the domain's free-frame pool when
+    one of this page size is there, and allocated otherwise; the two are
+    indistinguishable to the caller. *)
 
 val alloc_copy : t -> frame -> frame
-(** [alloc_copy t f] allocates a fresh frame whose contents are a copy of
-    [f]'s, with reference count 1. [f]'s count is unchanged. This is the
-    copy-on-write fault path; the caller accounts its cost. *)
+(** [alloc_copy t f] is like {!alloc}, but the new frame's contents are a
+    copy of [f]'s. [f]'s count is unchanged. This is the copy-on-write
+    fault path; the caller accounts its cost. *)
 
 val incref : frame -> unit
 (** Add one reference (a page map sharing the frame). *)
 
 val decref : t -> frame -> unit
-(** Drop one reference; the frame is returned to the pool's free list when
-    the count reaches zero. *)
+(** Drop one reference. [t] must be the store that allocated the frame.
+    When the count reaches zero the frame leaves [t]'s {!live_frames} and
+    enters the calling domain's free-frame pool (unless the pool is full);
+    the caller must hold no other path to it from then on. A frame enters
+    the pool only at count zero, and only once: decrementing a count that
+    is already zero is an assertion failure. *)
 
 val refcount : frame -> int
 
@@ -45,8 +58,9 @@ val data : frame -> bytes
 
 val id : frame -> int
 (** Stable identity of the frame, for tests, traces, and the analysis
-    layer's access logs. Ids are never reused: a frame recycled through the
-    free list comes back under a fresh id. *)
+    layer's access logs. Ids are per store and never reused within one: a
+    frame recycled through the pool comes back under the allocating
+    store's next id. *)
 
 val live_frames : t -> int
 (** Number of frames currently referenced by at least one map. *)

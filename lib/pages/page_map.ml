@@ -434,7 +434,11 @@ let frame_id t ~vpage =
    counters and logs the analysis layer is about to read (the observer
    effect the old [read]-based implementation had). Frames are compared by
    physical identity first — only valid within one store — and byte-wise
-   otherwise, with unmapped pages standing for the shared zero page. *)
+   otherwise; an unmapped page equals a mapped one that is all zeroes. *)
+let is_zero_page b =
+  let rec go i = i < 0 || (Bytes.unsafe_get b i = '\000' && go (i - 1)) in
+  go (Bytes.length b - 1)
+
 let snapshot_equal a b =
   check a;
   check b;
@@ -461,7 +465,6 @@ let snapshot_equal a b =
         | Some fa, Some fb ->
           (same_store && fa == fb)
           || Bytes.equal (Frame_store.data fa) (Frame_store.data fb)
-        | Some f, None | None, Some f ->
-          Bytes.equal (Frame_store.data f) (Frame_store.zero_page a.store))
+        | Some f, None | None, Some f -> is_zero_page (Frame_store.data f))
       pages true
   end

@@ -261,12 +261,18 @@ let plan (wl : Workload.config) (sv : config) (requests : Workload.request array
 
    One engine per batch, jobs run back to back on it. The engine's seed
    is derived from (workload seed, batch id) only, and batches share no
-   mutable state — sites topology, fault plan, circuit breakers and
-   sanitizer are all scoped to the batch engine — so executing batches
-   on N domains in any order gives the same per-batch results as one
-   domain in dispatch order. Trace recording stays off (these runs are
-   throughput, not post-mortem); the sanitizer, when requested, watches
-   through the trace observer, which is live even with recording off. *)
+   observable mutable state — sites topology, fault plan, circuit
+   breakers and sanitizer are all scoped to the batch engine — so
+   executing batches on N domains in any order gives the same per-batch
+   results as one domain in dispatch order. The one structure batches do
+   share is the executing domain's free-frame pool ({!Frame_store}):
+   each job releases the address spaces it created, and their frames
+   serve the next job and the next batch on that domain. A pooled frame
+   is zero-filled and re-identified by the store that takes it, so what
+   the pool holds, and which batch filled it, cannot be observed. Trace
+   recording stays off (these runs are throughput, not post-mortem); the
+   sanitizer, when requested, watches through the trace observer, which
+   is live even with recording off. *)
 
 type job_result = {
   jr_verdict : verdict;
@@ -418,6 +424,9 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
       in
       let t_start = Engine.now engine in
       let deadline = t_start +. sv.sv_deadline in
+      (* A supervised restart leaves the job a second space: the final
+         incarnation's restored checkpoint. *)
+      let restored = ref None in
       let jr =
         if eff_level = 2 then begin
           let outcome, elapsed = run_sequential engine ~space alts in
@@ -486,6 +495,7 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
                 ~max_restarts:sv.sv_retry_budget ~deadline ~avoid_sites:avoid
                 ~sites alts
             in
+            restored := sr.Concurrent.sr_space;
             let now = Engine.now engine in
             (* Every incarnation that died charges its site's breaker;
                the final incarnation settles its own site by outcome. *)
@@ -565,6 +575,11 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
          at-most-once scope so job n+1's win is not a "duplicate" of job
          n's. *)
       (match sanitizer with Some sz -> Sanitizer.next_block sz | None -> ());
+      (* The job is audited and nothing reads its spaces again: return
+         their frames to the domain's pool (release is idempotent, so a
+         restored space that is the request space itself is fine). *)
+      Address_space.release space;
+      Option.iter Address_space.release !restored;
       jr)
     cb.cb_jobs
   |> fun results ->

@@ -46,6 +46,25 @@ let test_frame_recycling_zeroes () =
     (Bytes.for_all (fun c -> c = '\000') (Frame_store.data g));
   check Alcotest.int "two allocations total" 2 (Frame_store.total_allocations s)
 
+let test_frame_pool_crosses_stores () =
+  (* Two stores on one domain, like two batch engines in turn: a frame the
+     first frees serves the second, zeroed and under the second's ids. *)
+  let a = mk_store () and b = mk_store () in
+  ignore (Frame_store.alloc b);
+  let f = Frame_store.alloc a in
+  let buf = Frame_store.data f in
+  Bytes.fill buf 0 (Bytes.length buf) 'x';
+  Frame_store.decref a f;
+  let g = Frame_store.alloc b in
+  check Alcotest.bool "b reuses a's freed frame" true (Frame_store.data g == buf);
+  check Alcotest.bool "recycled frame zeroed" true
+    (Bytes.for_all (fun c -> c = '\000') (Frame_store.data g));
+  check Alcotest.int "b's next id" 1 (Frame_store.id g);
+  check Alcotest.int "a live" 0 (Frame_store.live_frames a);
+  check Alcotest.int "b live" 2 (Frame_store.live_frames b);
+  check Alcotest.int "a allocations" 1 (Frame_store.total_allocations a);
+  check Alcotest.int "b allocations" 2 (Frame_store.total_allocations b)
+
 (* ---------------- Page_map ---------------- *)
 
 let test_map_read_unmapped_zero () =
@@ -147,7 +166,24 @@ let test_map_snapshot_equal () =
   let b = Page_map.fork a in
   check Alcotest.bool "fork equal" true (Page_map.snapshot_equal a b);
   Page_map.write b ~vpage:3 ~off:0 ~src:(Bytes.of_string "w") ~copied;
-  check Alcotest.bool "diverged" false (Page_map.snapshot_equal a b)
+  check Alcotest.bool "diverged" false (Page_map.snapshot_equal a b);
+  (* An unmapped page equals a mapped page exactly when the latter is all
+     zeroes, within one store and across two. *)
+  let unmapped_vs ~same_store byte =
+    let u = Page_map.create s in
+    let m = Page_map.create (if same_store then s else mk_store ()) in
+    Page_map.write m ~vpage:5 ~off:17 ~src:(Bytes.make 1 byte) ~copied;
+    (Page_map.snapshot_equal u m, Page_map.snapshot_equal m u)
+  in
+  let pair = Alcotest.(pair bool bool) in
+  check pair "unmapped = mapped all-zero" (true, true)
+    (unmapped_vs ~same_store:true '\000');
+  check pair "unmapped <> mapped nonzero" (false, false)
+    (unmapped_vs ~same_store:true 'n');
+  check pair "across stores: unmapped = mapped all-zero" (true, true)
+    (unmapped_vs ~same_store:false '\000');
+  check pair "across stores: unmapped <> mapped nonzero" (false, false)
+    (unmapped_vs ~same_store:false 'n')
 
 (* ---------------- Address_space ---------------- *)
 
@@ -506,6 +542,163 @@ let prop_no_frame_leaks =
       Page_map.release parent;
       Frame_store.live_frames store = 0)
 
+(* Model-based test of the free-frame pool. Two stores share this
+   domain's pool, standing in for two batch engines; random alloc /
+   alloc_copy / byte write / incref / decref sequences run against a
+   reference holding each live frame's bytes and count plus each store's
+   counters. After every step: fresh frames read all-zero and copies
+   equal their source; ids never repeat within a store and the counters
+   match; no live frame's bytes differ from the reference, so a write
+   through one live frame never reached another. *)
+type pool_op =
+  | P_alloc of int  (* store *)
+  | P_copy of int * int  (* store, source frame *)
+  | P_write of int * int * int  (* frame, offset, byte *)
+  | P_incref of int
+  | P_decref of int
+
+let show_pool_op = function
+  | P_alloc s -> Printf.sprintf "alloc s%d" s
+  | P_copy (s, i) -> Printf.sprintf "copy s%d #%d" s i
+  | P_write (i, off, v) -> Printf.sprintf "write #%d[%d]=%d" i off v
+  | P_incref i -> Printf.sprintf "incref #%d" i
+  | P_decref i -> Printf.sprintf "decref #%d" i
+
+let pool_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun s -> P_alloc s) (int_bound 1));
+        (2, map2 (fun s i -> P_copy (s, i)) (int_bound 1) nat);
+        ( 4,
+          map3 (fun i off v -> P_write (i, off, v)) nat (int_bound 255)
+            (int_range 1 255) );
+        (1, map (fun i -> P_incref i) nat);
+        (3, map (fun i -> P_decref i) nat);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list show_pool_op)
+    (list_size (int_range 1 120) op)
+
+type ref_frame = {
+  rf_store : int;
+  rf_frame : Frame_store.frame;
+  rf_bytes : bytes;
+  mutable rf_refs : int;
+}
+
+type ref_store = {
+  mutable r_live : int;
+  mutable r_allocs : int;
+  mutable r_copies : int;
+  r_ids : (int, unit) Hashtbl.t;
+}
+
+let prop_pool_matches_model =
+  QCheck.Test.make ~name:"two stores on one pool match a reference model"
+    ~count:300 pool_ops (fun ops ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let stores = [| mk_store (); mk_store () |] in
+      let ps = Frame_store.page_size stores.(0) in
+      let refs =
+        Array.init 2 (fun _ ->
+            { r_live = 0; r_allocs = 0; r_copies = 0; r_ids = Hashtbl.create 16 })
+      in
+      let live = ref [] in
+      let pick i =
+        match !live with
+        | [] -> None
+        | l -> Some (List.nth l (i mod List.length l))
+      in
+      let adopt s f ~expect ~what =
+        let r = refs.(s) in
+        r.r_live <- r.r_live + 1;
+        r.r_allocs <- r.r_allocs + 1;
+        let id = Frame_store.id f in
+        if Hashtbl.mem r.r_ids id then fail "store %d reissued frame id %d" s id;
+        Hashtbl.add r.r_ids id ();
+        if not (Bytes.equal (Frame_store.data f) expect) then fail "%s" what;
+        live :=
+          !live
+          @ [ { rf_store = s; rf_frame = f; rf_bytes = Bytes.copy expect; rf_refs = 1 } ]
+      in
+      let step = function
+        | P_alloc s ->
+            adopt s (Frame_store.alloc stores.(s)) ~expect:(Bytes.make ps '\000')
+              ~what:"fresh frame not zero-filled"
+        | P_copy (s, i) ->
+            Option.iter
+              (fun src ->
+                refs.(s).r_copies <- refs.(s).r_copies + 1;
+                adopt s
+                  (Frame_store.alloc_copy stores.(s) src.rf_frame)
+                  ~expect:src.rf_bytes ~what:"copy differs from its source")
+              (pick i)
+        | P_write (i, off, v) ->
+            Option.iter
+              (fun rf ->
+                Bytes.set (Frame_store.data rf.rf_frame) off (Char.chr v);
+                Bytes.set rf.rf_bytes off (Char.chr v))
+              (pick i)
+        | P_incref i ->
+            Option.iter
+              (fun rf ->
+                Frame_store.incref rf.rf_frame;
+                rf.rf_refs <- rf.rf_refs + 1)
+              (pick i)
+        | P_decref i ->
+            Option.iter
+              (fun rf ->
+                Frame_store.decref stores.(rf.rf_store) rf.rf_frame;
+                rf.rf_refs <- rf.rf_refs - 1;
+                if rf.rf_refs = 0 then begin
+                  live := List.filter (fun x -> x != rf) !live;
+                  let r = refs.(rf.rf_store) in
+                  r.r_live <- r.r_live - 1
+                end)
+              (pick i)
+      in
+      let agree () =
+        Array.iteri
+          (fun s st ->
+            let r = refs.(s) in
+            if
+              Frame_store.live_frames st <> r.r_live
+              || Frame_store.total_allocations st <> r.r_allocs
+              || Frame_store.cow_copies st <> r.r_copies
+            then
+              fail "store %d counters live/allocs/copies %d/%d/%d, expected %d/%d/%d"
+                s (Frame_store.live_frames st)
+                (Frame_store.total_allocations st)
+                (Frame_store.cow_copies st) r.r_live r.r_allocs r.r_copies)
+          stores;
+        List.iter
+          (fun rf ->
+            if Frame_store.refcount rf.rf_frame <> rf.rf_refs then
+              fail "frame %d of store %d has count %d, expected %d"
+                (Frame_store.id rf.rf_frame) rf.rf_store
+                (Frame_store.refcount rf.rf_frame) rf.rf_refs;
+            if not (Bytes.equal (Frame_store.data rf.rf_frame) rf.rf_bytes) then
+              fail "live frame %d of store %d changed behind its holder"
+                (Frame_store.id rf.rf_frame) rf.rf_store)
+          !live
+      in
+      List.iter
+        (fun op ->
+          step op;
+          agree ())
+        ops;
+      (* Hand every frame back, dirty, for the next case to draw on. *)
+      List.iter
+        (fun rf ->
+          for _ = 1 to rf.rf_refs do
+            Frame_store.decref stores.(rf.rf_store) rf.rf_frame
+          done)
+        !live;
+      Frame_store.live_frames stores.(0) = 0 && Frame_store.live_frames stores.(1) = 0)
+
 (* Absorb is equivalent to the child's view. *)
 let prop_absorb_equals_child =
   QCheck.Test.make ~name:"absorb makes parent identical to child" ~count:200
@@ -537,6 +730,8 @@ let () =
           Alcotest.test_case "copy is independent" `Quick test_frame_copy_independent;
           Alcotest.test_case "refcounting" `Quick test_frame_refcounting;
           Alcotest.test_case "recycling zeroes" `Quick test_frame_recycling_zeroes;
+          Alcotest.test_case "pool crosses stores" `Quick
+            test_frame_pool_crosses_stores;
         ] );
       ( "page_map",
         [
@@ -583,5 +778,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_cow_equals_eager_copy; prop_no_frame_leaks; prop_absorb_equals_child ] );
+          [
+            prop_cow_equals_eager_copy;
+            prop_no_frame_leaks;
+            prop_absorb_equals_child;
+            prop_pool_matches_model;
+          ] );
     ]

@@ -279,6 +279,37 @@ let test_replay_and_jobs_identical () =
   in
   check Alcotest.bool "different seed, different digest" false (d3 = other)
 
+(* Every job hands its frames to its domain's free-frame pool, and the
+   pool outlives [Server.run]. Run seed A, then B, then A again: the third
+   run draws its frames from a pool the first two filled, and must still
+   replay the first exactly, at jobs 1 and at jobs 2 alike. The faulted
+   configuration also releases supervised restarts' restored spaces. *)
+let test_warm_pool_replays () =
+  let wl_a = small_wl and wl_b = { small_wl with Workload.wl_seed = 99 } in
+  List.iter
+    (fun (name, sv) ->
+      let digest_at jobs =
+        let sv = { sv with Server.sv_jobs = jobs } in
+        let first = Server.run wl_a sv in
+        ignore (Server.run wl_b sv);
+        let third = Server.run wl_a sv in
+        check Alcotest.bool
+          (Printf.sprintf "%s, jobs %d: warm-pool responses replay" name jobs)
+          true
+          (first.Server.responses = third.Server.responses);
+        check Alcotest.int64
+          (Printf.sprintf "%s, jobs %d: warm-pool digest replays" name jobs)
+          (Server.digest first) (Server.digest third);
+        Server.digest first
+      in
+      let d1 = digest_at 1 in
+      let d2 = digest_at 2 in
+      check Alcotest.int64 (name ^ ": jobs-1 = jobs-2") d1 d2)
+    [
+      ("default", Server.default);
+      ("faults", { Server.default with Server.sv_faults = Some 7 });
+    ]
+
 let test_sanitized_run_stays_clean () =
   let sv = { Server.default with Server.sv_sanitize = true } in
   let r = Server.run { small_wl with Workload.wl_requests = 120 } sv in
@@ -345,5 +376,7 @@ let () =
             test_sanitized_run_stays_clean;
           Alcotest.test_case "bench record satisfies its schema" `Quick
             test_bench_record_schema;
+          Alcotest.test_case "warm frame pool replays exactly" `Quick
+            test_warm_pool_replays;
         ] );
     ]
