@@ -22,4 +22,5 @@ module Allocator = struct
     pid
 
   let allocated a = a.next - a.first
+  let issued a pid = pid >= a.first && pid < a.next
 end

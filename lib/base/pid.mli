@@ -43,4 +43,7 @@ module Allocator : sig
 
   val allocated : t -> int
   (** Number of pids handed out so far. *)
+
+  val issued : t -> pid -> bool
+  (** [issued a pid]: [pid] was returned by an earlier [fresh a]. *)
 end

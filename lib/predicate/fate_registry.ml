@@ -1,35 +1,61 @@
-type t = (Pid.t, Predicate.fate) Hashtbl.t
+(* Pids are small dense ints handed out by the engine's allocator, so the
+   fates live in a byte per pid: 0 undecided, 1 completed, 2 failed. *)
+type t = {
+  mutable fates : Bytes.t;
+  mutable decided : int;
+  lookup : Pid.t -> Predicate.fate option;
+      (* [fate] of this registry, built once so [normalize] allocates no
+         closure per call. *)
+}
 
-let create () : t = Hashtbl.create 64
+let undecided = '\000'
 
-let fate t pid = Hashtbl.find_opt t pid
+let byte_of_fate = function
+  | Predicate.Completed -> '\001'
+  | Predicate.Failed -> '\002'
+
+let fate_of_byte t i =
+  if i < 0 || i >= Bytes.length t.fates then None
+  else
+    match Bytes.unsafe_get t.fates i with
+    | '\001' -> Some Predicate.Completed
+    | '\002' -> Some Predicate.Failed
+    | _ -> None
+
+let create () =
+  let rec t =
+    { fates = Bytes.make 16 undecided; decided = 0;
+      lookup = (fun pid -> fate_of_byte t (Pid.to_int pid)) }
+  in
+  t
+
+let fate t pid = fate_of_byte t (Pid.to_int pid)
 
 let record t pid f =
-  match Hashtbl.find_opt t pid with
-  | None -> Hashtbl.replace t pid f
-  | Some f' when f' = f -> ()
-  | Some _ -> invalid_arg "Fate_registry.record: fate already decided"
+  let i = Pid.to_int pid in
+  if i < 0 then invalid_arg "Fate_registry.record: negative pid";
+  let n = Bytes.length t.fates in
+  if i >= n then begin
+    let fates = Bytes.make (max (2 * n) (i + 1)) undecided in
+    Bytes.blit t.fates 0 fates 0 n;
+    t.fates <- fates
+  end;
+  let b = byte_of_fate f in
+  let cur = Bytes.unsafe_get t.fates i in
+  if cur = undecided then begin
+    Bytes.unsafe_set t.fates i b;
+    t.decided <- t.decided + 1
+  end
+  else if cur <> b then invalid_arg "Fate_registry.record: fate already decided"
 
 let normalize t pred =
   (* Certain predicates (the overwhelmingly common case on the message
      path) and empty registries have nothing to resolve. *)
-  if Predicate.is_certain pred || Hashtbl.length t = 0 then `Live pred
+  if Predicate.is_certain pred || t.decided = 0 then `Live pred
   else
-  let step pid acc =
-    match acc with
-    | `Dead -> `Dead
-    | `Live p -> (
-      match Hashtbl.find_opt t pid with
-      | None -> `Live p
-      | Some f -> (
-        match Predicate.resolve p ~pid ~fate:f with
-        | Predicate.Unchanged -> `Live p
-        | Predicate.Simplified p' -> `Live p'
-        | Predicate.Falsified -> `Dead))
-  in
-  let pids =
-    Pid.Set.union (Predicate.must_complete pred) (Predicate.must_fail pred)
-  in
-  Pid.Set.fold step pids (`Live pred)
+    match Predicate.resolve_all pred ~fate:t.lookup with
+    | Predicate.Unchanged -> `Live pred
+    | Predicate.Simplified p -> `Live p
+    | Predicate.Falsified -> `Dead
 
-let decided t = Hashtbl.length t
+let decided t = t.decided

@@ -4,7 +4,11 @@
     these elements as processes change status" (section 3.3). The registry
     is where those status changes are recorded, so that predicates can be
     simplified lazily, and processes whose assumptions were falsified can be
-    found and eliminated. *)
+    found and eliminated.
+
+    Pids are the small dense integers an engine's {!Pid.Allocator} hands
+    out, so fates are stored one byte per pid, in an array that grows to
+    the largest pid recorded. *)
 
 type t
 
@@ -17,12 +21,14 @@ val record : t -> Pid.t -> Predicate.fate -> unit
 (** Record a fate. Recording the same fate twice is a no-op; recording a
     {e different} fate for an already-decided pid raises [Invalid_argument]
     — fates are immutable, which is what makes the at-most-once
-    synchronisation sound. *)
+    synchronisation sound. A negative pid raises [Invalid_argument]. *)
 
 val normalize : t -> Predicate.t -> [ `Live of Predicate.t | `Dead ]
-(** Simplify a predicate against every fate known to the registry. [`Dead]
-    means some assumption was falsified: the holder's world no longer
-    exists. [`Live p] carries the residual (possibly empty) predicate. *)
+(** Simplify a predicate against every fate known to the registry, in one
+    pass with one intern ({!Predicate.resolve_all}). [`Dead] means some
+    assumption was falsified: the holder's world no longer exists. [`Live
+    p] carries the residual (possibly empty) predicate; it is the argument
+    itself when no pid of it is decided. *)
 
 val decided : t -> int
 (** Number of pids with a recorded fate. *)

@@ -156,6 +156,25 @@ let resolve t ~pid ~fate =
       Simplified (intern t.completes (Pid.Set.remove pid t.fails))
     else Unchanged
 
+let resolve_all t ~fate =
+  let contradicted ~assumed p =
+    match (fate p, assumed) with
+    | Some Failed, Completed | Some Completed, Failed -> true
+    | _ -> false
+  in
+  let undecided p = match fate p with None -> true | Some _ -> false in
+  if
+    Pid.Set.exists (contradicted ~assumed:Completed) t.completes
+    || Pid.Set.exists (contradicted ~assumed:Failed) t.fails
+  then Falsified
+  else
+    (* [Set.filter] returns its argument when it keeps every element, so
+       an untouched predicate is recognised without interning. *)
+    let completes = Pid.Set.filter undecided t.completes in
+    let fails = Pid.Set.filter undecided t.fails in
+    if completes == t.completes && fails == t.fails then Unchanged
+    else Simplified (intern completes fails)
+
 let pp ppf t =
   let items =
     List.map (fun p -> "+" ^ Pid.to_string p) (Pid.Set.elements t.completes)

@@ -76,6 +76,15 @@ type resolution =
 val resolve : t -> pid:Pid.t -> fate:fate -> resolution
 (** Incorporate the knowledge that [pid] met [fate]. *)
 
+val resolve_all : t -> fate:(Pid.t -> fate option) -> resolution
+(** Incorporate every known fate at once: [fate pid] is [None] while [pid]
+    is undecided. [Falsified] if any assumption is contradicted; otherwise
+    every decided pid is removed and the residue interned once. The result
+    equals folding {!resolve} over each decided pid of the predicate, in
+    any order, and a [Simplified] value is the same (physically equal)
+    interned predicate that fold would reach. [Unchanged] means no pid of
+    the predicate is decided. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [{+P1 +P2 -P3}] ([+] must complete, [-] must fail). *)
 

@@ -48,7 +48,9 @@ type pcb = {
   mutable predicate : Predicate.t;
   space : Address_space.t option;
   mutable mailbox : Mailbox.t;  (* ring of frames, arrival order *)
+  mutable chans : channel list;  (* outbound channels, one per logical dest *)
   mutable last_chan : channel option;  (* last outbound channel, a cache *)
+  born : int;  (* spawn order within the engine: the sweep's snapshot key *)
   mutable doomed : string option;
   mutable cloneable : bool;
   mutable log : log_entry list;  (* newest first *)
@@ -112,24 +114,34 @@ and fault_action =
   | F_duplicate
   | F_reorder of float
 
+(* Every pid-keyed table is an array indexed by the pid: pids are the
+   dense ints this engine's allocator hands out from 0, and the arrays are
+   grown as pids are issued ([alloc_pid]), so their length always covers
+   every issued pid. *)
 and t = {
   mutable vnow : float;
   queue : event Event_queue.t;  (* (time, stamp) order *)
   root_seed : int;
-  procs : (Pid.t, pcb) Hashtbl.t;
-  worlds : (Pid.t, Pid.t list ref) Hashtbl.t;  (* logical pid -> copies *)
+  mutable procs : pcb option array;  (* None: issued but never spawned *)
+  mutable worlds : Pid.t list array;
+      (* logical pid -> its world copies, oldest first; [] for a pid never
+         spawned *)
+  mutable spawned : int;  (* pcbs created so far; the next [born] *)
   alloc : Pid.Allocator.t;
   reg : Fate_registry.t;
   store : Frame_store.t;
   model_ : Cost_model.t;
   cores : cores;
   trace_ : Trace.t;
-  cpu_tasks : (Pid.t, cpu_task) Hashtbl.t;
-  cpu_used : (Pid.t, float ref) Hashtbl.t;
+  mutable cpu_pids : int array;
+  mutable cpu_tasks : cpu_task array;
+      (* The [cpu_n] runnable CPU tasks, sorted by pid, so a tick's
+         completions come out in pid order without a sort. *)
+  mutable cpu_n : int;
+  mutable cpu_used : floatarray;  (* pid -> virtual CPU seconds consumed *)
   mutable cpu_gen : int;
   mutable cpu_last : float;
   mutable cpu_tick_ev : event option;
-  channels : (Pid.t * Pid.t, channel) Hashtbl.t;
   mutable next_uid : int;  (* engine-global send identity *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
   mutable events_processed : int;  (* also the batch-join epoch *)
@@ -162,6 +174,8 @@ type _ Effect.t +=
   | E_random : int64 Effect.t
   | E_park : (wake:(unit -> unit) -> unit) -> unit Effect.t
 
+let initial_pids = 16
+
 let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     ?(trace = true) ?(shards = 1) () =
   (* [shards] is a compatibility argument for the profiling harness in
@@ -171,20 +185,22 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     vnow = 0.;
     queue = Event_queue.create ();
     root_seed = seed;
-    procs = Hashtbl.create 64;
-    worlds = Hashtbl.create 64;
+    procs = Array.make initial_pids None;
+    worlds = Array.make initial_pids [];
+    spawned = 0;
     alloc = Pid.Allocator.create ();
     reg = Fate_registry.create ();
     store = Frame_store.create ~page_size:model.Cost_model.page_size;
     model_ = model;
     cores;
     trace_ = Trace.create ~enabled:trace ();
-    cpu_tasks = Hashtbl.create 16;
-    cpu_used = Hashtbl.create 64;
+    cpu_pids = [||];
+    cpu_tasks = [||];
+    cpu_n = 0;
+    cpu_used = Float.Array.make initial_pids 0.;
     cpu_gen = 0;
     cpu_last = 0.;
     cpu_tick_ev = None;
-    channels = Hashtbl.create 64;
     next_uid = 0;
     mailbox_scanned = 0;
     events_processed = 0;
@@ -238,28 +254,34 @@ let proc_state_string = function
 (* ------------------------------------------------------------------ *)
 (* CPU: egalitarian processor sharing over [cores] processors.         *)
 
+(* The float arithmetic here fixes every virtual timestamp, and so every
+   digest: each task's [remaining] is charged [elapsed *. rate] at every
+   add, remove and tick, and a reschedule is one cancel plus one push.
+   Nothing computed depends on the order of the loops over the tasks
+   ([Float.min] is order-independent), except that the tasks completing
+   at one tick resume in pid order. *)
+
+(* Fills the vacant slots of [cpu_tasks]; never charged or resumed. *)
+let no_task = { remaining = 0.; resume = ignore }
+
 let cpu_rate t =
-  let n = Hashtbl.length t.cpu_tasks in
+  let n = t.cpu_n in
   if n = 0 then 1.0
   else
     match t.cores with
     | Infinite -> 1.0
     | Cores c -> Float.min 1.0 (float_of_int c /. float_of_int n)
 
-let charge_cpu_used t pid amount =
-  match Hashtbl.find_opt t.cpu_used pid with
-  | Some r -> r := !r +. amount
-  | None -> Hashtbl.replace t.cpu_used pid (ref amount)
-
 let cpu_update t =
   let elapsed = t.vnow -. t.cpu_last in
   if elapsed > 0. then begin
     let rate = cpu_rate t in
-    Hashtbl.iter
-      (fun pid task ->
-        task.remaining <- task.remaining -. (elapsed *. rate);
-        charge_cpu_used t pid (elapsed *. rate))
-      t.cpu_tasks
+    let used = t.cpu_used in
+    for i = 0 to t.cpu_n - 1 do
+      let task = t.cpu_tasks.(i) and pid = t.cpu_pids.(i) in
+      task.remaining <- task.remaining -. (elapsed *. rate);
+      Float.Array.set used pid (Float.Array.get used pid +. (elapsed *. rate))
+    done
   end;
   t.cpu_last <- t.vnow
 
@@ -270,48 +292,124 @@ let rec cpu_reschedule t =
     cancel_event ev;
     t.cpu_tick_ev <- None
   | None -> ());
-  if Hashtbl.length t.cpu_tasks > 0 then begin
+  if t.cpu_n > 0 then begin
     let gen = t.cpu_gen in
     let rate = cpu_rate t in
-    let min_rem =
-      Hashtbl.fold
-        (fun _ task acc -> Float.min acc (Float.max 0. task.remaining))
-        t.cpu_tasks infinity
-    in
-    let at = t.vnow +. (min_rem /. rate) in
+    let min_rem = ref infinity in
+    for i = 0 to t.cpu_n - 1 do
+      min_rem := Float.min !min_rem (Float.max 0. t.cpu_tasks.(i).remaining)
+    done;
+    let at = t.vnow +. (!min_rem /. rate) in
     t.cpu_tick_ev <- Some (schedule_cancellable t ~at (fun () -> cpu_tick t gen))
   end
 
 and cpu_tick t gen =
   if gen = t.cpu_gen then begin
     cpu_update t;
-    let done_ =
-      Hashtbl.fold
-        (fun pid task acc -> if task.remaining <= 1e-12 then (pid, task) :: acc else acc)
-        t.cpu_tasks []
-    in
-    let done_ = List.sort (fun (a, _) (b, _) -> Pid.compare a b) done_ in
-    List.iter (fun (pid, _) -> Hashtbl.remove t.cpu_tasks pid) done_;
+    (* Collect the finished tasks (walking down, so the list comes out in
+       ascending pid order), then compact the rest in place. *)
+    let n = t.cpu_n in
+    let done_ = ref [] in
+    for i = n - 1 downto 0 do
+      let task = t.cpu_tasks.(i) in
+      if task.remaining <= 1e-12 then done_ := task :: !done_
+    done;
+    (match !done_ with
+    | [] -> ()
+    | _ ->
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        let task = t.cpu_tasks.(i) in
+        if not (task.remaining <= 1e-12) then begin
+          t.cpu_pids.(!k) <- t.cpu_pids.(i);
+          t.cpu_tasks.(!k) <- task;
+          incr k
+        end
+      done;
+      Array.fill t.cpu_tasks !k (n - !k) no_task;
+      t.cpu_n <- !k);
     cpu_reschedule t;
-    List.iter (fun (_, task) -> task.resume ()) done_
+    List.iter (fun task -> task.resume ()) !done_
   end
+
+(* The index of [pid]'s task, or of the first task with a larger pid (its
+   insertion point) when it has none. *)
+let cpu_slot t pid =
+  let i = ref 0 in
+  while !i < t.cpu_n && t.cpu_pids.(!i) < pid do
+    incr i
+  done;
+  !i
 
 let cpu_add t pid task =
   cpu_update t;
-  Hashtbl.replace t.cpu_tasks pid task;
+  let pid = Pid.to_int pid in
+  let i = cpu_slot t pid in
+  if i < t.cpu_n && t.cpu_pids.(i) = pid then t.cpu_tasks.(i) <- task
+  else begin
+    let n = t.cpu_n in
+    if n = Array.length t.cpu_pids then begin
+      let cap = max 8 (2 * n) in
+      let pids = Array.make cap 0 and tasks = Array.make cap no_task in
+      Array.blit t.cpu_pids 0 pids 0 n;
+      Array.blit t.cpu_tasks 0 tasks 0 n;
+      t.cpu_pids <- pids;
+      t.cpu_tasks <- tasks
+    end;
+    Array.blit t.cpu_pids i t.cpu_pids (i + 1) (n - i);
+    Array.blit t.cpu_tasks i t.cpu_tasks (i + 1) (n - i);
+    t.cpu_pids.(i) <- pid;
+    t.cpu_tasks.(i) <- task;
+    t.cpu_n <- n + 1
+  end;
   cpu_reschedule t
 
 let cpu_remove t pid =
-  if Hashtbl.mem t.cpu_tasks pid then begin
+  let pid = Pid.to_int pid in
+  let i = cpu_slot t pid in
+  if i < t.cpu_n && t.cpu_pids.(i) = pid then begin
     cpu_update t;
-    Hashtbl.remove t.cpu_tasks pid;
+    let n = t.cpu_n - 1 in
+    Array.blit t.cpu_pids (i + 1) t.cpu_pids i (n - i);
+    Array.blit t.cpu_tasks (i + 1) t.cpu_tasks i (n - i);
+    t.cpu_tasks.(n) <- no_task;
+    t.cpu_n <- n;
     cpu_reschedule t
   end
 
 (* ------------------------------------------------------------------ *)
 (* Process table helpers.                                              *)
 
-let find_pcb t pid = Hashtbl.find_opt t.procs pid
+(* Issue the next pid, growing every pid-indexed table to cover it. *)
+let alloc_pid t =
+  let pid = Pid.Allocator.fresh t.alloc in
+  let n = Array.length t.procs in
+  if Pid.to_int pid >= n then begin
+    let cap = 2 * n in
+    let procs = Array.make cap None and worlds = Array.make cap [] in
+    Array.blit t.procs 0 procs 0 n;
+    Array.blit t.worlds 0 worlds 0 n;
+    let used = Float.Array.make cap 0. in
+    Float.Array.blit t.cpu_used 0 used 0 n;
+    t.procs <- procs;
+    t.worlds <- worlds;
+    t.cpu_used <- used
+  end;
+  pid
+
+let find_pcb t pid =
+  let i = Pid.to_int pid in
+  if i >= 0 && i < Array.length t.procs then Array.unsafe_get t.procs i else None
+
+(* World copies of a logical pid, oldest first; [] if it was never spawned
+   (a ghost destination, or the physical pid of a clone). *)
+let world_copies t pid =
+  let i = Pid.to_int pid in
+  if i >= 0 && i < Array.length t.worlds then Array.unsafe_get t.worlds i else []
+
+let rec find_channel dest = function
+  | [] -> raise Not_found
+  | c :: rest -> if Pid.equal c.ch_dest dest then c else find_channel dest rest
 
 let is_alive pcb = match pcb.state with Dead _ -> false | _ -> true
 
@@ -326,11 +424,17 @@ let predicate_of t pid = Option.map (fun p -> p.predicate) (find_pcb t pid)
 
 let live_count t = t.live
 
-let parked_pids t =
-  Hashtbl.fold
-    (fun pid pcb acc -> if is_alive pcb && pcb.park <> None then pid :: acc else acc)
-    t.procs []
-  |> List.sort Pid.compare
+(* The pids of the spawned processes satisfying [f], ascending. *)
+let pids_where t f =
+  let acc = ref [] in
+  for i = Array.length t.procs - 1 downto 0 do
+    match t.procs.(i) with
+    | Some pcb when f pcb -> acc := pcb.pid :: !acc
+    | _ -> ()
+  done;
+  !acc
+
+let parked_pids t = pids_where t (fun pcb -> is_alive pcb && pcb.park <> None)
 
 let log_push pcb e =
   if pcb.cloneable && pcb.replay = [] then pcb.log <- e :: pcb.log
@@ -445,28 +549,30 @@ and sweep t =
     let continue = ref true in
     while !continue do
       t.sweep_again <- false;
-      let live =
-        Hashtbl.fold (fun _ p acc -> if is_alive p then p :: acc else acc) t.procs []
-        |> List.sort (fun a b -> Pid.compare a.pid b.pid)
-      in
-      List.iter
-        (fun pcb ->
-          if is_alive pcb then begin
-            (match Fate_registry.normalize t.reg pcb.predicate with
-            | `Dead ->
-              tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
-              fire_res_watchers t pcb `Dead;
-              kill t pcb.pid ~reason:"dead world"
-            | `Live p ->
-              let changed = not (Predicate.equal p pcb.predicate) in
-              pcb.predicate <- p;
-              if changed && Predicate.is_certain p then
-                fire_res_watchers t pcb `Certain);
-            (* A parked receiver may now be able to accept a message whose
-               acceptance was deferred. *)
-            if is_alive pcb then rescan_parked t pcb
-          end)
-        live;
+      (* A round visits, in pid order, the processes spawned before it
+         began. User code it wakes (watchers, rescanned receivers) may
+         spawn more — a world clone, or a pre-allocated pid the walk has
+         yet to reach — and those wait for the next sweep. [t.procs] is
+         re-read per step: a spawn may grow it. *)
+      let born_before = t.spawned in
+      for i = 0 to Pid.Allocator.allocated t.alloc - 1 do
+        match t.procs.(i) with
+        | Some pcb when pcb.born < born_before && is_alive pcb ->
+          (match Fate_registry.normalize t.reg pcb.predicate with
+          | `Dead ->
+            tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
+            fire_res_watchers t pcb `Dead;
+            kill t pcb.pid ~reason:"dead world"
+          | `Live p ->
+            let changed = not (Predicate.equal p pcb.predicate) in
+            pcb.predicate <- p;
+            if changed && Predicate.is_certain p then
+              fire_res_watchers t pcb `Certain);
+          (* A parked receiver may now be able to accept a message whose
+             acceptance was deferred. *)
+          if is_alive pcb then rescan_parked t pcb
+        | _ -> ()
+      done;
       (* Settle deferred fates. *)
       let deferred = t.deferred in
       t.deferred <- [];
@@ -661,7 +767,7 @@ and accept_with_split t pcb ring pos s : Message.t option =
     Some m
   | Some reject_pred when can_clone ->
     let m = Mailbox.message_at ring pos in
-    let clone_pid = Pid.Allocator.fresh t.alloc in
+    let clone_pid = alloc_pid t in
     let clone =
       make_pcb t ~pid:clone_pid ~logical:pcb.logical ~parent:pcb.parent
         ~name:(pcb.name ^ "~world") ~predicate:reject_pred ~space:None
@@ -728,7 +834,7 @@ and rescan_parked t pcb =
 
 and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
     ~oblivious ~body =
-  if Hashtbl.mem t.procs pid then
+  if Option.is_some (find_pcb t pid) then
     invalid_arg "Engine.spawn: pid already in use";
   let pcb =
     {
@@ -742,7 +848,9 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
       predicate;
       space;
       mailbox = Mailbox.create ();
+      chans = [];
       last_chan = None;
+      born = t.spawned;
       doomed = None;
       cloneable = cloneable && space = None;
       log = [];
@@ -756,7 +864,8 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
       rng = Rng.stream ~seed:t.root_seed ~key:(Pid.to_int pid);
     }
   in
-  Hashtbl.replace t.procs pid pcb;
+  t.spawned <- t.spawned + 1;
+  t.procs.(Pid.to_int pid) <- Some pcb;
   pcb
 
 and assign_site t pcb ~explicit =
@@ -766,9 +875,8 @@ and assign_site t pcb ~explicit =
     | None -> explicit)
 
 and register_world t pcb =
-  match Hashtbl.find_opt t.worlds pcb.logical with
-  | Some l -> l := pcb.pid :: !l
-  | None -> Hashtbl.replace t.worlds pcb.logical (ref [ pcb.pid ])
+  let i = Pid.to_int pcb.logical in
+  t.worlds.(i) <- t.worlds.(i) @ [ pcb.pid ]
 
 and start_pcb t pcb =
   match pcb.state with
@@ -977,15 +1085,14 @@ and run_body t pcb =
   in
   Effect.Deep.match_with pcb.body ctx handler
 
-and channel_of t pcb ~dest =
+and channel_of pcb ~dest =
   match pcb.last_chan with
   | Some c when Pid.equal c.ch_dest dest -> c
   | _ ->
-    let key = (pcb.pid, dest) in
     let c =
-      match Hashtbl.find_opt t.channels key with
-      | Some c -> c
-      | None ->
+      match find_channel dest pcb.chans with
+      | c -> c
+      | exception Not_found ->
         let c =
           {
             ch_sender = pcb.pid;
@@ -1002,7 +1109,7 @@ and channel_of t pcb ~dest =
             ch_upto = { u = 0 };
           }
         in
-        Hashtbl.replace t.channels key c;
+        pcb.chans <- c :: pcb.chans;
         c
     in
     pcb.last_chan <- Some c;
@@ -1078,7 +1185,7 @@ and do_send t pcb ~dest ~tag payload =
     else None
   in
   (match msg with Some m when live -> tr t (Trace.Sent { msg = m }) | _ -> ());
-  let chan = channel_of t pcb ~dest in
+  let chan = channel_of pcb ~dest in
   (* Per-(sender, logical dest) FIFO: never deliver before an earlier send.
      The cost expression is inlined (rather than calling
      [Cost_model.message_cost]) so the float stays unboxed in this frame. *)
@@ -1163,19 +1270,15 @@ and flush_channel t chan upto =
     done
   end
   else begin
-    (match Hashtbl.find t.worlds chan.ch_dest with
-    | l -> (
-      match !l with
-      | [ pid ] -> drain_batch_to t outbox upto pid
-      | pids -> (
-        while Mailbox.head_pos outbox < upto.u do
-          let pos = Mailbox.head_pos outbox in
-          List.iter
-            (fun pid -> deliver_pos_to t outbox pos pid ~rescan:false)
-            (List.rev pids);
-          Mailbox.remove outbox pos
-        done))
-    | exception Not_found -> drain_batch_to t outbox upto chan.ch_dest);
+    (match world_copies t chan.ch_dest with
+    | [] -> drain_batch_to t outbox upto chan.ch_dest
+    | [ pid ] -> drain_batch_to t outbox upto pid
+    | pids ->
+      while Mailbox.head_pos outbox < upto.u do
+        let pos = Mailbox.head_pos outbox in
+        List.iter (fun pid -> deliver_pos_to t outbox pos pid ~rescan:false) pids;
+        Mailbox.remove outbox pos
+      done);
     rescan_worlds t chan.ch_dest
   end
 
@@ -1183,9 +1286,9 @@ and flush_channel t chan upto =
    the whole batch (liveness cannot change mid-drain — no user code runs
    until the rescan). *)
 and drain_batch_to t outbox upto pid =
-  match Hashtbl.find t.procs pid with
-  | exception Not_found -> Mailbox.drop_upto outbox ~upto:upto.u
-  | pcb ->
+  match find_pcb t pid with
+  | None -> Mailbox.drop_upto outbox ~upto:upto.u
+  | Some pcb ->
     if is_alive pcb then Mailbox.transfer_upto outbox ~upto:upto.u pcb.mailbox
     else Mailbox.drop_upto outbox ~upto:upto.u
 
@@ -1203,20 +1306,15 @@ and deliver_entry outbox pos dst =
 
 (* Deliver one outbox entry to every world copy of its destination. *)
 and deliver_pos t outbox pos ~dest ~rescan =
-  match Hashtbl.find t.worlds dest with
-  | l -> (
-    match !l with
-    | [ pid ] -> deliver_pos_to t outbox pos pid ~rescan
-    | pids ->
-      List.iter
-        (fun pid -> deliver_pos_to t outbox pos pid ~rescan)
-        (List.rev pids))
-  | exception Not_found -> deliver_pos_to t outbox pos dest ~rescan
+  match world_copies t dest with
+  | [] -> deliver_pos_to t outbox pos dest ~rescan
+  | [ pid ] -> deliver_pos_to t outbox pos pid ~rescan
+  | pids -> List.iter (fun pid -> deliver_pos_to t outbox pos pid ~rescan) pids
 
 and deliver_pos_to t outbox pos pid ~rescan =
-  match Hashtbl.find t.procs pid with
-  | exception Not_found -> ()
-  | pcb ->
+  match find_pcb t pid with
+  | None -> ()
+  | Some pcb ->
     if is_alive pcb then begin
       let deliverable =
         (* Checked at delivery time, per destination copy: a site crash or
@@ -1235,17 +1333,15 @@ and deliver_pos_to t outbox pos pid ~rescan =
     end
 
 and rescan_worlds t dest =
-  match Hashtbl.find t.worlds dest with
-  | l -> (
-    match !l with
-    | [ pid ] -> rescan_world_copy t pid
-    | pids -> List.iter (fun pid -> rescan_world_copy t pid) (List.rev pids))
-  | exception Not_found -> rescan_world_copy t dest
+  match world_copies t dest with
+  | [] -> rescan_world_copy t dest
+  | [ pid ] -> rescan_world_copy t pid
+  | pids -> List.iter (fun pid -> rescan_world_copy t pid) pids
 
 and rescan_world_copy t pid =
-  match Hashtbl.find t.procs pid with
-  | exception Not_found -> ()
-  | pcb -> if is_alive pcb then rescan_parked t pcb
+  match find_pcb t pid with
+  | None -> ()
+  | Some pcb -> if is_alive pcb then rescan_parked t pcb
 
 (* Direct delivery for messages that bypass the outbox (delayed/reordered
    fault injections): already materialised, so the message value is shared
@@ -1253,9 +1349,9 @@ and rescan_world_copy t pid =
    copy, exactly as the heap path delivered it. *)
 and deliver_msg t (msg : Message.t) =
   let copies =
-    match Hashtbl.find_opt t.worlds msg.Message.dest with
-    | Some l -> List.rev !l
-    | None -> [ msg.Message.dest ]
+    match world_copies t msg.Message.dest with
+    | [] -> [ msg.Message.dest ]
+    | l -> l
   in
   List.iter
     (fun pid ->
@@ -1275,12 +1371,21 @@ and deliver_msg t (msg : Message.t) =
 (* ------------------------------------------------------------------ *)
 (* Public spawning / running.                                          *)
 
-let fresh_pids t n = List.init n (fun _ -> Pid.Allocator.fresh t.alloc)
+let fresh_pids t n = List.init n (fun _ -> alloc_pid t)
 
 let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
     ?(cloneable = true) ?(oblivious = false) ?(start_delay = 0.)
     ?(name = "proc") ?site body =
-  let pid = match pid with Some p -> p | None -> Pid.Allocator.fresh t.alloc in
+  let pid =
+    match pid with
+    | None -> alloc_pid t
+    | Some p ->
+      (* Only a pid this engine issued: a forged one would later collide
+         with the allocator's own, and would size the tables. *)
+      if not (Pid.Allocator.issued t.alloc p) then
+        invalid_arg "Engine.spawn: pid not issued by this engine";
+      p
+  in
   (match parent with
   | Some pp -> Option.iter disable_cloning (find_pcb t pp)
   | None -> ());
@@ -1326,20 +1431,16 @@ let after t ~delay thunk = schedule t ~at:(t.vnow +. delay) thunk
 
 let run t =
   t.stopped <- false;
-  let rec loop () =
-    if not t.stopped then
-      match Event_queue.pop t.queue with
-      | None -> ()
-      | Some (time, ev) ->
-        if ev.dead_ev then loop ()
-        else begin
-          t.vnow <- Float.max t.vnow time;
-          t.events_processed <- t.events_processed + 1;
-          ev.run_ev ();
-          loop ()
-        end
-  in
-  loop ()
+  let q = t.queue in
+  while (not t.stopped) && not (Event_queue.is_empty q) do
+    let time = Event_queue.min_time q in
+    let ev = Event_queue.pop_min q in
+    if not ev.dead_ev then begin
+      t.vnow <- Float.max t.vnow time;
+      t.events_processed <- t.events_processed + 1;
+      ev.run_ev ()
+    end
+  done
 
 let run_for t duration =
   schedule t ~at:(t.vnow +. duration) (fun () -> t.stopped <- true);
@@ -1420,9 +1521,11 @@ let receive_timeout ctx ?tag ~timeout () =
     else Effect.perform (E_recv_timeout (tag, timeout))
 
 let cpu_time_of t pid =
-  match Hashtbl.find_opt t.cpu_used pid with Some r -> !r | None -> 0.
+  let i = Pid.to_int pid in
+  if i >= 0 && i < Float.Array.length t.cpu_used then Float.Array.get t.cpu_used i
+  else 0.
 
-let total_cpu_time t = Hashtbl.fold (fun _ r acc -> acc +. !r) t.cpu_used 0.
+let total_cpu_time t = Float.Array.fold_left ( +. ) 0. t.cpu_used
 
 let logical_of t pid = Option.map (fun p -> p.logical) (find_pcb t pid)
 let space_of t pid = Option.bind (find_pcb t pid) (fun p -> p.space)
@@ -1430,13 +1533,8 @@ let name_of t pid = Option.map (fun p -> p.name) (find_pcb t pid)
 let site_of t pid = Option.bind (find_pcb t pid) (fun p -> p.site)
 
 let children_of t pid =
-  Hashtbl.fold
-    (fun cpid pcb acc ->
-      match pcb.parent with
-      | Some p when Pid.equal p pid -> cpid :: acc
-      | _ -> acc)
-    t.procs []
-  |> List.sort Pid.compare
+  pids_where t (fun pcb ->
+      match pcb.parent with Some p -> Pid.equal p pid | None -> false)
 
 let certain_of t pid =
   match Fate_registry.fate t.reg pid with

@@ -86,7 +86,9 @@ val registry : t -> Fate_registry.t
 val fresh_pids : t -> int -> Pid.t list
 (** Pre-allocate pids, so that sibling predicates can be constructed before
     the siblings are spawned. Pids obtained here must be passed to
-    {!spawn}'s [?pid] exactly once. *)
+    {!spawn}'s [?pid] exactly once. An engine's pids are dense: it hands
+    them out from 0, and keeps its per-process tables in arrays indexed by
+    them. *)
 
 val spawn :
   t ->
@@ -110,7 +112,13 @@ val spawn :
     requests explicit placement on a simulated site; it is passed to the
     site hook (see {!set_site_hook}) as the [explicit] argument, or adopted
     directly when no hook is installed. The engine does not run anything
-    until {!run}. *)
+    until {!run}.
+
+    [pid] must be one this engine's {!fresh_pids} returned and no process
+    has taken yet: a pid it never issued raises [Invalid_argument
+    "Engine.spawn: pid not issued by this engine"] (accepted, it would
+    later collide with a pid the engine hands out itself), and a taken one
+    raises [Invalid_argument "Engine.spawn: pid already in use"]. *)
 
 val on_exit : t -> Pid.t -> (exit_status -> unit) -> unit
 (** Register a watcher called (at the process's exit time) when the pid
@@ -146,7 +154,8 @@ val run_for : t -> float -> unit
     queued). *)
 
 val parked_pids : t -> Pid.t list
-(** Processes blocked in {!receive} or {!Ivar.read} right now. *)
+(** Processes blocked in {!receive}, {!Ivar.read} or {!delay} right now,
+    sorted by pid. *)
 
 val live_count : t -> int
 
@@ -228,7 +237,10 @@ val record_fate : t -> Pid.t -> Predicate.fate -> unit
     winner is decided). Normally fates are recorded automatically at process
     exit; an exit with unresolved assumptions is deferred until they
     resolve. Triggers the predicate sweep: processes whose assumptions are
-    falsified are eliminated, and resolution callbacks run. *)
+    falsified are eliminated, and resolution callbacks run. Each round of
+    the sweep visits processes in pid order, and only those spawned before
+    the round began; one spawned by a callback it runs waits for a later
+    round or sweep. *)
 
 val on_resolution : t -> Pid.t -> ([ `Certain | `Dead ] -> unit) -> unit
 (** Call back when the pid's predicate becomes empty ([`Certain]) or its
@@ -251,7 +263,8 @@ val cpu_time_of : t -> Pid.t -> float
     metrics of section 4.1. *)
 
 val total_cpu_time : t -> float
-(** Sum of {!cpu_time_of} over all processes ever run. *)
+(** Sum of {!cpu_time_of} over all processes ever run, added in pid
+    order. *)
 
 val logical_of : t -> Pid.t -> Pid.t option
 (** The logical identity of a physical process: differs from the pid only

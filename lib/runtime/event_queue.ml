@@ -1,87 +1,122 @@
-type 'a entry = { time : float; seq : int; value : 'a }
+(* A binary min-heap over parallel arrays: slot [i] is the event
+   ([times.(i)], [seqs.(i)], [values.(i)]). Times live in a [floatarray],
+   so neither a push nor a pop allocates a boxed float, an entry record or
+   an option cell. Values are stored as [Obj.t]: an ['a array] would need
+   an ['a] to fill empty slots with, and, for ['a = float], would be a
+   flat float array that cannot hold the filler. Slots at or beyond
+   [size] always hold [empty], so the heap never retains a value after it
+   leaves the queue. *)
 
 type 'a t = {
-  mutable heap : 'a entry option array;  (* slots >= size are None *)
+  mutable times : floatarray;
+  mutable seqs : int array;
+  mutable values : Obj.t array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let empty = Obj.repr 0
 
-let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let get t i =
-  match t.heap.(i) with
-  | Some e -> e
-  | None -> invalid_arg "Event_queue: empty slot inside the heap"
+let create () =
+  { times = Float.Array.create 0; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 
 let grow t =
-  let cap = Array.length t.heap in
-  if t.size >= cap then begin
-    let ncap = max 16 (cap * 2) in
-    let h = Array.make ncap None in
-    Array.blit t.heap 0 h 0 cap;
-    t.heap <- h
-  end
+  let cap = Array.length t.seqs in
+  let ncap = max 16 (cap * 2) in
+  let times = Float.Array.create ncap in
+  Float.Array.blit t.times 0 times 0 cap;
+  let seqs = Array.make ncap 0 in
+  Array.blit t.seqs 0 seqs 0 cap;
+  let values = Array.make ncap empty in
+  Array.blit t.values 0 values 0 cap;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.values <- values
+
+(* (time, seq) of slot [i] orders before (time, seq). *)
+let before t i time seq =
+  let ti = Float.Array.unsafe_get t.times i in
+  ti < time || (ti = time && Array.unsafe_get t.seqs i < seq)
+
+let set t i time seq v =
+  Float.Array.unsafe_set t.times i time;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.values i v
+
+let move t ~src ~dst =
+  set t dst (Float.Array.unsafe_get t.times src) (Array.unsafe_get t.seqs src)
+    (Array.unsafe_get t.values src)
 
 let push t ~time v =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
-  grow t;
-  t.heap.(t.size) <- Some { time; seq = t.next_seq; value = v };
-  t.next_seq <- t.next_seq + 1;
+  if t.size = Array.length t.seqs then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* Sift the hole at the end up, moving larger parents down. *)
+  let i = ref t.size in
   t.size <- t.size + 1;
-  (* Sift up. *)
-  let i = ref (t.size - 1) in
   while
     !i > 0
     &&
     let parent = (!i - 1) / 2 in
-    lt (get t !i) (get t parent)
+    not (before t parent time seq)
   do
     let parent = (!i - 1) / 2 in
-    let tmp = t.heap.(!i) in
-    t.heap.(!i) <- t.heap.(parent);
-    t.heap.(parent) <- tmp;
+    move t ~src:parent ~dst:!i;
     i := parent
-  done
+  done;
+  set t !i time seq (Obj.repr v)
 
-let remove_top t =
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    (* Clear the vacated slot: the heap array must not retain a live
-       reference to an entry (and its closure payload) after it leaves
-       the queue, or every popped event lives until its slot happens to
-       be overwritten — a real leak in long simulations. *)
-    t.heap.(t.size) <- None;
-    (* Sift down. *)
+let min_time t =
+  if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
+  Float.Array.unsafe_get t.times 0
+
+let pop_min t =
+  if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  let top = Array.unsafe_get t.values 0 in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    (* Sift the last slot's event down from the root. *)
+    let time = Float.Array.unsafe_get t.times n in
+    let seq = Array.unsafe_get t.seqs n in
+    let v = Array.unsafe_get t.values n in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.size && lt (get t l) (get t !smallest) then smallest := l;
-      if r < t.size && lt (get t r) (get t !smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = t.heap.(!i) in
-        t.heap.(!i) <- t.heap.(!smallest);
-        t.heap.(!smallest) <- tmp;
-        i := !smallest
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && before t r (Float.Array.unsafe_get t.times l)
+                        (Array.unsafe_get t.seqs l)
+          then r
+          else l
+        in
+        if before t c time seq then begin
+          move t ~src:c ~dst:!i;
+          i := c
+        end
+        else continue := false
       end
-      else continue := false
-    done
-  end
-  else t.heap.(0) <- None
+    done;
+    set t !i time seq v
+  end;
+  (* The vacated slot must not keep the popped (or moved) value
+     reachable: every popped event would otherwise live until its slot
+     happened to be overwritten — a real leak in long simulations. *)
+  Array.unsafe_set t.values n empty;
+  Obj.obj top
 
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = get t 0 in
-    remove_top t;
-    Some (top.time, top.value)
-  end
+  else
+    let time = min_time t in
+    let v = pop_min t in
+    Some (time, v)
 
-let peek_time t = if t.size = 0 then None else Some (get t 0).time
+let peek_time t = if t.size = 0 then None else Some (min_time t)
 
 let stamp t = t.next_seq
 let size t = t.size
@@ -90,5 +125,5 @@ let is_empty t = t.size = 0
 let clear t =
   (* Consistent with pop's slot clearing: keep the capacity, drop every
      reference. *)
-  Array.fill t.heap 0 (Array.length t.heap) None;
+  Array.fill t.values 0 t.size empty;
   t.size <- 0

@@ -1,6 +1,11 @@
 (** The simulation event queue: a binary min-heap ordered by (time, insertion
     sequence). The sequence number makes simultaneous events fire in
-    insertion order, so simulations are deterministic. *)
+    insertion order, so simulations are deterministic.
+
+    The heap is kept in parallel arrays (a [floatarray] of times, an [int
+    array] of sequence numbers, and the values), so {!push}, {!min_time}
+    and {!pop_min} allocate nothing once the arrays have grown to the
+    queue's working size. A popped or cleared value is never retained. *)
 
 type 'a t
 
@@ -9,8 +14,18 @@ val create : unit -> 'a t
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule [v] at [time]. Raises [Invalid_argument] if [time] is NaN. *)
 
+val min_time : 'a t -> float
+(** The time of the earliest event. Raises [Invalid_argument] on an empty
+    queue. *)
+
+val pop_min : 'a t -> 'a
+(** Remove and return the earliest event's value (read {!min_time} first
+    for its time). Raises [Invalid_argument] on an empty queue. The
+    engine's event loop uses this pair, which allocates no option or
+    tuple per event. *)
+
 val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event. *)
+(** Remove and return the earliest event, [None] when empty. *)
 
 val peek_time : 'a t -> float option
 

@@ -199,6 +199,79 @@ let prop_resolve_shrinks =
       | Predicate.Falsified -> true
       | Predicate.Simplified q' -> Predicate.cardinal q' = Predicate.cardinal q - 1)
 
+(* [Fate_registry.normalize] against the definition: fold
+   [Predicate.resolve] over every decided pid. The pid universe sits at a
+   random base so the registry's byte array has to grow past its initial
+   size; recording a pid's other fate must raise, recording its own fate
+   again must not. *)
+let gen_registry_case =
+  QCheck.Gen.(
+    let* base = oneofl [ 0; 60; 300 ] in
+    let pid = map (fun i -> Pid.of_int (base + i)) (int_range 0 11) in
+    let* roles = list_repeat 12 (int_range 0 2) in
+    let completes = ref [] and fails = ref [] in
+    List.iteri
+      (fun i r ->
+        let q = Pid.of_int (base + i) in
+        if r = 1 then completes := q :: !completes
+        else if r = 2 then fails := q :: !fails)
+      roles;
+    let q = Predicate.make ~must_complete:!completes ~must_fail:!fails in
+    let* fates =
+      list_size (int_range 0 14)
+        (pair pid (oneofl [ Predicate.Completed; Predicate.Failed ]))
+    in
+    return (q, fates))
+
+let prop_registry_model =
+  let print (q, fates) =
+    Printf.sprintf "%s with %s" (Predicate.to_string q)
+      (String.concat " "
+         (List.map
+            (fun (pid, f) ->
+              Pid.to_string pid ^ if f = Predicate.Completed then "=ok" else "=fail")
+            fates))
+  in
+  QCheck.Test.make ~name:"normalize agrees with a fold of resolve" ~count:500
+    (QCheck.make ~print gen_registry_case) (fun (q, fates) ->
+      let r = Fate_registry.create () in
+      let model = Hashtbl.create 16 in
+      let recorded_ok =
+        List.for_all
+          (fun (pid, f) ->
+            match Hashtbl.find_opt model pid with
+            | Some f' when f' <> f -> (
+              match Fate_registry.record r pid f with
+              | () -> false
+              | exception Invalid_argument _ -> true)
+            | _ ->
+              Hashtbl.replace model pid f;
+              Fate_registry.record r pid f;
+              Fate_registry.fate r pid = Some f)
+          fates
+      in
+      let reference =
+        Hashtbl.fold (fun pid f acc -> (pid, f) :: acc) model []
+        |> List.sort compare
+        |> List.fold_left
+             (fun acc (pid, fate) ->
+               match acc with
+               | `Dead -> `Dead
+               | `Live p -> (
+                 match Predicate.resolve p ~pid ~fate with
+                 | Predicate.Unchanged -> `Live p
+                 | Predicate.Simplified p' -> `Live p'
+                 | Predicate.Falsified -> `Dead))
+             (`Live q)
+      in
+      recorded_ok
+      && Fate_registry.decided r = Hashtbl.length model
+      &&
+      match (Fate_registry.normalize r q, reference) with
+      | `Dead, `Dead -> true
+      | `Live a, `Live b -> a == b
+      | _ -> false)
+
 let () =
   Alcotest.run "predicate"
     [
@@ -219,6 +292,7 @@ let () =
         [
           Alcotest.test_case "record and query" `Quick test_registry_record_and_fate;
           Alcotest.test_case "normalize" `Quick test_registry_normalize;
+          QCheck_alcotest.to_alcotest prop_registry_model;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

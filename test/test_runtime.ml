@@ -101,6 +101,80 @@ let prop_eq_sorted =
       in
       drain neg_infinity)
 
+(* A model test: random push / pop / min_time+pop_min / peek / clear
+   sequences, times drawn from a few values so ties are common, against a
+   list kept sorted by (time, stamp). Each pushed value is its stamp. *)
+type eq_op = Push of float | Pop | Pop_min | Peek | Clear
+
+let prop_eq_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 200)
+        (frequency
+           [
+             (6, map (fun i -> Push (float_of_int i /. 2.)) (int_range 0 6));
+             (3, return Pop);
+             (3, return Pop_min);
+             (1, return Peek);
+             (1, map (fun _ -> Clear) (int_range 0 5));
+           ]))
+  in
+  let print ops =
+    String.concat " "
+      (List.map
+         (function
+           | Push t -> Printf.sprintf "push(%g)" t
+           | Pop -> "pop"
+           | Pop_min -> "pop_min"
+           | Peek -> "peek"
+           | Clear -> "clear")
+         ops)
+  in
+  QCheck.Test.make ~name:"model: a list sorted by (time, stamp)" ~count:300
+    (QCheck.make ~print gen) (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref [] and stamp = ref 0 in
+      let rec insert ((t, _) as e) = function
+        | ((t', _) as e') :: rest when t' <= t -> e' :: insert e rest
+        | l -> e :: l
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Push time ->
+              Event_queue.push q ~time !stamp;
+              model := insert (time, !stamp) !model;
+              incr stamp;
+              true
+            | Pop -> (
+              match !model with
+              | [] -> Event_queue.pop q = None
+              | e :: rest ->
+                model := rest;
+                Event_queue.pop q = Some e)
+            | Pop_min -> (
+              match !model with
+              | [] -> (
+                match Event_queue.pop_min q with
+                | _ -> false
+                | exception Invalid_argument _ -> true)
+              | (t, v) :: rest ->
+                model := rest;
+                let t' = Event_queue.min_time q in
+                let v' = Event_queue.pop_min q in
+                t' = t && v' = v)
+            | Peek -> Event_queue.peek_time q = Option.map fst (List.nth_opt !model 0)
+            | Clear ->
+              Event_queue.clear q;
+              model := [];
+              true
+          in
+          ok
+          && Event_queue.size q = List.length !model
+          && Event_queue.stamp q = !stamp)
+        ops)
+
 (* ---------------- Engine basics ---------------- *)
 
 let mk ?cores ?model ?(trace = false) () = Engine.create ?cores ?model ~trace ()
@@ -170,6 +244,20 @@ let test_fresh_pids_and_spawn_pid () =
   Alcotest.check_raises "reuse rejected"
     (Invalid_argument "Engine.spawn: pid already in use") (fun () ->
       ignore (Engine.spawn eng ~pid:p0 (fun _ -> ())))
+
+(* A pid the engine never issued is refused: accepted, it would collide
+   with the allocator's own pid later and break an unrelated spawn. *)
+let test_spawn_unissued_pid () =
+  let eng = mk () in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "pid %d rejected" n)
+        (Invalid_argument "Engine.spawn: pid not issued by this engine")
+        (fun () -> ignore (Engine.spawn eng ~pid:(Pid.of_int n) (fun _ -> ()))))
+    [ 2; -1; 1_000_000 ];
+  let plain = List.init 3 (fun _ -> Pid.to_int (Engine.spawn eng (fun _ -> ()))) in
+  check Alcotest.(list int) "allocator pids unaffected" [ 0; 1; 2 ] plain
 
 let test_run_for () =
   let eng = mk () in
@@ -657,6 +745,102 @@ let test_parked_pids_at_quiescence () =
     [ Pid.to_int stuck ]
     (List.map Pid.to_int (Engine.parked_pids eng))
 
+(* ---------------- Ordering contracts ----------------
+   Orders the engine promises whatever its tables look like inside; the
+   digests depend on them. Pre-allocated pids are spawned in descending
+   order, so an insertion-ordered table would get each one wrong. *)
+
+let test_cpu_ties_resume_by_pid () =
+  let eng = mk () in
+  let pids = Engine.fresh_pids eng 4 in
+  let order = ref [] in
+  List.iter
+    (fun pid ->
+      ignore
+        (Engine.spawn eng ~pid (fun ctx ->
+             Engine.delay ctx 1.;
+             order := (Engine.self ctx, Engine.now_v ctx) :: !order)))
+    (List.rev pids);
+  Engine.run eng;
+  check Alcotest.(list int) "ascending pid order" (List.map Pid.to_int pids)
+    (List.rev_map (fun (p, _) -> Pid.to_int p) !order);
+  List.iter (fun (_, at) -> check cf "one tick, at 1s" 1. at) !order
+
+let test_sweep_kills_by_pid () =
+  let eng = Engine.create ~trace:true () in
+  let dep, victims =
+    match Engine.fresh_pids eng 5 with d :: vs -> (d, vs) | [] -> assert false
+  in
+  List.iter
+    (fun pid ->
+      ignore
+        (Engine.spawn eng ~pid
+           ~predicate:(Predicate.make ~must_complete:[ dep ] ~must_fail:[])
+           (fun ctx -> Engine.delay ctx 100.)))
+    (List.rev victims);
+  ignore
+    (Engine.spawn eng ~pid:dep (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.abort ctx "dep fails"));
+  Engine.run eng;
+  let killed =
+    List.filter_map
+      (fun (_, e) ->
+        match e with
+        | Trace.Killed { pid; reason = "dead world" } -> Some (Pid.to_int pid)
+        | _ -> None)
+      (Trace.events (Engine.trace eng))
+  in
+  check Alcotest.(list int) "dead-world kills in pid order"
+    (List.map Pid.to_int victims) killed
+
+let test_children_and_parked_sorted () =
+  let eng = mk () in
+  let root = Engine.spawn eng (fun _ -> ()) in
+  let kids = Engine.fresh_pids eng 4 in
+  (match kids with
+  | [ a; b; c; d ] ->
+    List.iter
+      (fun pid ->
+        ignore
+          (Engine.spawn eng ~pid ~parent:root (fun ctx ->
+               ignore (Engine.receive ctx ()))))
+      [ c; a; d; b ]
+  | _ -> assert false);
+  Engine.run eng;
+  let ints = List.map Pid.to_int in
+  check Alcotest.(list int) "children_of sorted" (ints kids)
+    (ints (Engine.children_of eng root));
+  check Alcotest.(list int) "parked_pids sorted" (ints kids)
+    (ints (Engine.parked_pids eng))
+
+(* [dep] completes; the sweep this triggers finds [w] certain and fires
+   its resolution watcher, which spawns the pre-allocated [late] (a pid
+   above [w], still ahead of the sweep's cursor) assuming [dep]
+   completes. [late] was not alive when the round began, so the round
+   leaves its predicate alone: it starts with [{+dep}] unsimplified. *)
+let test_sweep_skips_processes_it_spawns () =
+  let eng = mk () in
+  let dep, w, late =
+    match Engine.fresh_pids eng 3 with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> assert false
+  in
+  let on_dep = Predicate.make ~must_complete:[ dep ] ~must_fail:[] in
+  let seen = ref None in
+  ignore (Engine.spawn eng ~pid:w ~predicate:on_dep (fun ctx -> Engine.delay ctx 10.));
+  Engine.on_resolution eng w (fun _ ->
+      ignore
+        (Engine.spawn eng ~pid:late ~predicate:on_dep (fun ctx ->
+             seen := Some (Engine.my_predicate ctx))));
+  ignore (Engine.spawn eng ~pid:dep (fun ctx -> Engine.delay ctx 1.));
+  Engine.run eng;
+  match !seen with
+  | Some p ->
+    check Alcotest.string "not visited by the spawning round"
+      (Predicate.to_string on_dep) (Predicate.to_string p)
+  | None -> Alcotest.fail "late never ran"
+
 let () =
   Alcotest.run "runtime"
     [
@@ -671,6 +855,7 @@ let () =
           Alcotest.test_case "peek and clear" `Quick test_eq_peek_clear;
           Alcotest.test_case "NaN rejected" `Quick test_eq_nan;
           QCheck_alcotest.to_alcotest prop_eq_sorted;
+          QCheck_alcotest.to_alcotest prop_eq_model;
         ] );
       ( "engine",
         [
@@ -680,6 +865,8 @@ let () =
           Alcotest.test_case "exit statuses" `Quick test_exit_statuses;
           Alcotest.test_case "on_exit watcher" `Quick test_on_exit_watcher;
           Alcotest.test_case "fresh pids / reuse" `Quick test_fresh_pids_and_spawn_pid;
+          Alcotest.test_case "spawn rejects an unissued pid" `Quick
+            test_spawn_unissued_pid;
           Alcotest.test_case "run_for" `Quick test_run_for;
         ] );
       ( "cpu",
@@ -737,5 +924,16 @@ let () =
             test_random_bits_logged_deterministic;
           Alcotest.test_case "parked pids at quiescence" `Quick
             test_parked_pids_at_quiescence;
+        ] );
+      ( "ordering",
+        [
+          Alcotest.test_case "cpu ties resume in pid order" `Quick
+            test_cpu_ties_resume_by_pid;
+          Alcotest.test_case "sweep kills in pid order" `Quick
+            test_sweep_kills_by_pid;
+          Alcotest.test_case "children and parked sorted" `Quick
+            test_children_and_parked_sorted;
+          Alcotest.test_case "sweep skips processes it spawns" `Quick
+            test_sweep_skips_processes_it_spawns;
         ] );
     ]
