@@ -18,7 +18,8 @@
 
     Checks performed online:
 
-    - {b at-most-once}: duplicate latch wins, per-epoch double wins, wins
+    - {b at-most-once}: duplicate latch wins (a win in an epoch a later
+      recovery fenced is void and not counted), per-epoch double wins, wins
       after degradation or by fenced-off stale epochs, win+late and
       duplicate-late anomalies — flagged at the [Sync_won]/[Sync_late]
       event itself;

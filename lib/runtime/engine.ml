@@ -1242,95 +1242,79 @@ and do_send t pcb ~dest ~tag payload =
       inject "reorder";
       schedule t ~at:(at +. Float.max 0. extra) (fun () -> deliver_msg t m))
 
-(* Hand every entry of one delivery batch to the receiver. When the trace
-   is live each entry is delivered, traced and rescanned in turn — byte-for-
-   byte the event sequence the per-message engine produced, because the
-   batch-join rule guarantees nothing could have ordered between them. When
-   nobody is watching the trace (and no delivery-fault hook needs a
-   per-copy veto interleaved with world splits), the destination's world
-   copies are resolved once, all entries are enqueued, and each copy is
-   rescanned once: unobservable (no user code can run mid-drain), and it
-   turns n park/wake cycles of a pipelined receiver into one. *)
+(* Hand every entry of one delivery batch to every world copy of its
+   destination, then rescan each copy once. The rule is the same whoever
+   watches: no user code runs before the rescan, so no receiver can see a
+   batch half-delivered, and every [Delivered] event and delivery-fault
+   verdict of the batch precedes the first acceptance. How the entries
+   move is chosen from what the engine can see: a single copy with no
+   delivery-fault hook takes the whole batch in one [transfer_upto]
+   (O(1) when it adopts into an empty ring); anything else offers each
+   entry to each copy in turn. *)
 and flush_channel t chan upto =
   if chan.ch_open && chan.ch_upto == upto then chan.ch_open <- false;
-  let outbox = chan.outbox in
-  let live = Trace.live t.trace_ in
-  if live || t.delivery_fault != None then begin
-    if live then begin
-      let n = upto.u - Mailbox.head_pos outbox in
-      if n > 1 then
-        tr t
-          (Trace.Delivered_batch
-             { sender = chan.ch_sender; dest = chan.ch_dest; count = n })
-    end;
+  let outbox = chan.outbox and dest = chan.ch_dest in
+  if Trace.live t.trace_ then begin
+    let n = upto.u - Mailbox.head_pos outbox in
+    if n > 1 then
+      tr t (Trace.Delivered_batch { sender = chan.ch_sender; dest; count = n })
+  end;
+  (match (t.delivery_fault, world_copies t dest) with
+  | None, [] -> drain_batch_to t outbox upto dest
+  | None, [ pid ] -> drain_batch_to t outbox upto pid
+  | _ ->
+    let copies = receivers t dest in
     while Mailbox.head_pos outbox < upto.u do
       let pos = Mailbox.head_pos outbox in
-      deliver_pos t outbox pos ~dest:chan.ch_dest ~rescan:true;
+      offer_entry t outbox pos copies;
       Mailbox.remove outbox pos
-    done
-  end
-  else begin
-    (match world_copies t chan.ch_dest with
-    | [] -> drain_batch_to t outbox upto chan.ch_dest
-    | [ pid ] -> drain_batch_to t outbox upto pid
-    | pids ->
-      while Mailbox.head_pos outbox < upto.u do
-        let pos = Mailbox.head_pos outbox in
-        List.iter (fun pid -> deliver_pos_to t outbox pos pid ~rescan:false) pids;
-        Mailbox.remove outbox pos
-      done);
-    rescan_worlds t chan.ch_dest
-  end
+    done);
+  rescan_worlds t dest
 
-(* The single-world-copy bulk drain: destination pcb looked up once for
-   the whole batch (liveness cannot change mid-drain — no user code runs
-   until the rescan). *)
+(* The single-copy bulk move: the destination is looked up once for the
+   whole batch (liveness cannot change mid-drain). *)
 and drain_batch_to t outbox upto pid =
   match find_pcb t pid with
-  | None -> Mailbox.drop_upto outbox ~upto:upto.u
-  | Some pcb ->
-    if is_alive pcb then Mailbox.transfer_upto outbox ~upto:upto.u pcb.mailbox
-    else Mailbox.drop_upto outbox ~upto:upto.u
+  | Some pcb when is_alive pcb ->
+    if Trace.live t.trace_ then
+      for pos = Mailbox.head_pos outbox to upto.u - 1 do
+        tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at outbox pos })
+      done;
+    Mailbox.transfer_upto outbox ~upto:upto.u pcb.mailbox
+  | _ -> Mailbox.drop_upto outbox ~upto:upto.u
 
-(* Move one outbox entry into a destination ring: framed entries are
-   deep-copied into a destination frame (or materialised and spilled if
-   the destination pool is exhausted); spilled entries share the
-   immutable message value, exactly like the old heap path did. *)
-and deliver_entry outbox pos dst =
-  let fr = Mailbox.frame_at outbox pos in
-  if Frame.occupied fr then begin
-    if Mailbox.has_frame dst then Frame.copy_into fr (Mailbox.emplace_frame dst)
-    else Mailbox.emplace_spilled dst (Frame.message fr)
-  end
-  else Mailbox.emplace_spilled dst (Mailbox.message_at outbox pos)
-
-(* Deliver one outbox entry to every world copy of its destination. *)
-and deliver_pos t outbox pos ~dest ~rescan =
-  match world_copies t dest with
-  | [] -> deliver_pos_to t outbox pos dest ~rescan
-  | [ pid ] -> deliver_pos_to t outbox pos pid ~rescan
-  | pids -> List.iter (fun pid -> deliver_pos_to t outbox pos pid ~rescan) pids
-
-and deliver_pos_to t outbox pos pid ~rescan =
-  match find_pcb t pid with
-  | None -> ()
-  | Some pcb ->
-    if is_alive pcb then begin
-      let deliverable =
-        (* Checked at delivery time, per destination copy: a site crash or
-           partition that comes up while the message is in flight still
-           loses it. The hook records its own trace events. *)
+(* Offer one outbox entry to each world copy in turn (a direct loop: a
+   closure over [pos] would allocate per entry). The delivery-fault hook
+   is asked per copy at delivery time, so a site crash or partition that
+   comes up while the message is in flight still loses it; the hook
+   records its own trace events. Framed entries are deep-copied into a
+   destination frame (or materialised and spilled if the destination pool
+   is exhausted); spilled entries share the immutable message value. *)
+and offer_entry t outbox pos = function
+  | [] -> ()
+  | pid :: rest ->
+    (match find_pcb t pid with
+    | Some pcb when is_alive pcb ->
+      if
         match t.delivery_fault with
         | None -> true
         | Some f -> f (Mailbox.message_at outbox pos) ~dest:pid
-      in
-      if deliverable then begin
-        deliver_entry outbox pos pcb.mailbox;
+      then begin
+        let fr = Mailbox.frame_at outbox pos and dst = pcb.mailbox in
+        if not (Frame.occupied fr) then
+          Mailbox.emplace_spilled dst (Mailbox.message_at outbox pos)
+        else if Mailbox.has_frame dst then
+          Frame.copy_into fr (Mailbox.emplace_frame dst)
+        else Mailbox.emplace_spilled dst (Frame.message fr);
         if Trace.live t.trace_ then
-          tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at outbox pos });
-        if rescan then rescan_parked t pcb
+          tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at outbox pos })
       end
-    end
+    | _ -> ());
+    offer_entry t outbox pos rest
+
+(* The copies a delivery is offered to: a ghost destination (never
+   spawned, or the physical pid of a clone) stands for itself. *)
+and receivers t dest = match world_copies t dest with [] -> [ dest ] | l -> l
 
 and rescan_worlds t dest =
   match world_copies t dest with
@@ -1343,30 +1327,23 @@ and rescan_world_copy t pid =
   | None -> ()
   | Some pcb -> if is_alive pcb then rescan_parked t pcb
 
-(* Direct delivery for messages that bypass the outbox (delayed/reordered
-   fault injections): already materialised, so the message value is shared
-   into the receivers' rings via the spill path — one value for every
-   copy, exactly as the heap path delivered it. *)
+(* Delayed or reordered fault injections bypass the outbox: the message
+   already exists, so every copy shares it through the spill path, and
+   the copies are rescanned once after all of them received it. *)
 and deliver_msg t (msg : Message.t) =
-  let copies =
-    match world_copies t msg.Message.dest with
-    | [] -> [ msg.Message.dest ]
-    | l -> l
-  in
+  let dest = msg.Message.dest in
   List.iter
     (fun pid ->
       match find_pcb t pid with
-      | Some pcb when is_alive pcb ->
-        let deliverable =
-          match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid
-        in
-        if deliverable then begin
-          Mailbox.emplace_spilled pcb.mailbox msg;
-          tr t (Trace.Delivered { dest = pid; msg });
-          rescan_parked t pcb
-        end
+      | Some pcb
+        when is_alive pcb
+             && match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid
+        ->
+        Mailbox.emplace_spilled pcb.mailbox msg;
+        tr t (Trace.Delivered { dest = pid; msg })
       | _ -> ())
-    copies
+    (receivers t dest);
+  rescan_worlds t dest
 
 (* ------------------------------------------------------------------ *)
 (* Public spawning / running.                                          *)

@@ -238,7 +238,7 @@ let adopt t dst =
   (* Adopted spilled entries took the overflow path into [dst] exactly as
      the copying path's [emplace_spilled] would have recorded: without
      this, [spilled_total] on the destination silently under-counts by the
-     whole adopted batch and diverges from the per-entry path. [dst] is
+     whole adopted batch and diverges from the copying path. [dst] is
      empty (adoption precondition), so its own [spilled_live] is 0. *)
   dst.spilled_total <- dst.spilled_total + t.spilled_live;
   dst.spilled_live <- t.spilled_live;

@@ -100,8 +100,9 @@ val transfer_upto : t -> upto:int -> t -> unit
     [\[head_pos src, upto)] into [dst] — framed entries deep-copy into a
     destination frame (or materialise and spill when [dst]'s pool is
     exhausted), spilled entries share the immutable message value — and
-    clears them from [src], advancing its head once. The bulk form of
-    per-entry deliver+{!remove} used by batched delivery. *)
+    clears them from [src], advancing its head once. Batched delivery
+    moves a whole batch this way when it goes to a single receiver with
+    no delivery-fault hook to consult. *)
 
 val drop_upto : t -> upto:int -> unit
 (** Remove every live entry in [\[head_pos, upto)]: the bulk discard for
@@ -130,10 +131,10 @@ val frames_made : t -> int
 
 val spilled_total : t -> int
 (** Total entries that ever took the overflow spill path {e into this
-    ring}, whether they arrived through {!emplace_spilled}, the per-entry
-    copy of {!transfer_upto}, or a whole-batch adoption (adopted spilled
-    entries count exactly as the per-entry path would have counted
-    them — the two flush paths must agree byte-for-byte). *)
+    ring}, whether they arrived through {!emplace_spilled}, the copying
+    form of {!transfer_upto}, or a whole-batch adoption (adopted spilled
+    entries count exactly as copying them would have: adoption and
+    copying must agree byte-for-byte). *)
 
 val spilled_live : t -> int
 (** Spilled entries currently live in [head, tail): the part of

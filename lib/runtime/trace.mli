@@ -13,7 +13,8 @@ type event =
   | Delivered_batch of { sender : Pid.t; dest : Pid.t; count : int }
       (** A channel flush handed [count] messages from one sender's outbox
           to their receiver in a single event-queue event. Emitted (before
-          the per-message {!Delivered} events it covers) only when
+          the per-message {!Delivered} events it covers, which all come
+          before any receiver accepts one of them) only when
           [count > 1]; a batch of one is indistinguishable from the
           pre-batching engine and is not announced. *)
   | Accepted of { dest : Pid.t; msg : Message.t; dest_pred : Predicate.t }
@@ -72,9 +73,8 @@ val set_enabled : t -> bool -> unit
 val live : t -> bool
 (** Whether {!record} currently has any effect: recording is enabled or an
     observer is installed. The engine's messaging hot path consults this
-    to skip materialising trace-only message values — and to coalesce
-    per-message delivery bookkeeping into batches — when no one is
-    watching. *)
+    to skip materialising trace-only message values when no one is
+    watching; it never changes when a receiver runs. *)
 
 val record : t -> time:float -> event -> unit
 

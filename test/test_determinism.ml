@@ -2,8 +2,8 @@
    the run/fuzz/sites matrices are byte-identical at every domain count,
    with and without the online sanitizer, and still match the digests
    recorded when the engine could shard (where shards 1/2/4 were asserted
-   equal); a zero-latency ring storm keeps its pinned trace and per-channel
-   FIFO; per-process RNG streams depend only on (seed, pid); the shared
+   equal); a zero-latency ring storm keeps its pinned trace events and
+   per-channel FIFO; per-process RNG streams depend only on (seed, pid); the shared
    pool propagates the lowest-indexed exception and survives it; the
    batch-join epoch guard is engine-wide; and [Engine.create] accepts only
    the one shard it has. The suite and case names predate the removal of
@@ -132,10 +132,20 @@ let ring_run () =
   Engine.run eng;
   (Trace.to_jsonl (Engine.trace eng), Array.map List.rev got)
 
+(* Every batch lands whole before any receiver is rescanned, so each
+   batch's [accepted] lines follow all of its [delivered] lines. The
+   digest over the sorted lines was recorded when receivers were rescanned
+   entry by entry: the events and their contents must stay exactly those,
+   whatever order they come in. *)
 let test_zero_lookahead_ordering () =
   let trace, got = ring_run () in
-  check Alcotest.string "ring trace digest unchanged" "c962df31733cfc49"
-    (fnv [ trace ]);
+  check Alcotest.string "ring trace digest" "9093b0c7a94edb91" (fnv [ trace ]);
+  let lines =
+    String.split_on_char '\n' trace |> List.filter (fun l -> l <> "")
+  in
+  check Alcotest.int "ring trace event count" 56 (List.length lines);
+  check Alcotest.string "ring trace events unchanged up to order"
+    "fb06139dd5c0e4ed" (fnv (List.sort compare lines));
   Array.iteri
     (fun i payloads ->
       let from = (i + ring_n - 1) mod ring_n in

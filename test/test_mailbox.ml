@@ -12,7 +12,8 @@
    - the per-tag receive cursor (the quadratic re-scan fix), with a hard
      budget on [Engine.stats_mailbox_scanned],
    - payload freezing and size stamping at send,
-   - batched delivery interleaved with zero-timeout pure polls. *)
+   - batched delivery interleaved with zero-timeout pure polls, the same
+     with the trace off, on, or behind a pass-through delivery hook. *)
 
 let check = Alcotest.check
 
@@ -292,12 +293,28 @@ let test_size_stamped_and_payload_frozen_at_send () =
 
 (* ---------------- batched delivery vs zero-timeout polls ---------------- *)
 
+(* What a receiver observes must not depend on who watches: the same
+   programs run with the trace off, with it on, and with a delivery-fault
+   hook that lets everything through. *)
+let observers =
+  [
+    ("trace off", fun () -> Engine.create ~trace:false ());
+    ("trace on", fun () -> Engine.create ~trace:true ());
+    ( "pass-through hook",
+      fun () ->
+        let eng = Engine.create ~trace:false () in
+        Engine.set_delivery_fault eng (Some (fun _ ~dest:_ -> true));
+        eng );
+  ]
+
+let int_of_payload = function Payload.Int i -> i | _ -> -1
+
 (* [receive_timeout ~timeout:0.] is a pure poll: before the batch lands it
    must report None without parking; after the batch lands it must drain
    exactly the delivered messages in order. *)
-let test_batch_vs_zero_timeout_polls () =
+let batch_vs_zero_timeout_polls (what, make) =
   let n = 50 in
-  let eng = Engine.create ~trace:false () in
+  let eng = make () in
   let pre_polls = ref (-1) and post = ref [] and final = ref (Some []) in
   let receiver =
     Engine.spawn eng ~cloneable:false ~name:"poller" (fun ctx ->
@@ -328,12 +345,68 @@ let test_batch_vs_zero_timeout_polls () =
            Engine.send ctx receiver (Payload.int i)
          done));
   Engine.run eng;
-  check Alcotest.int "polls before delivery all miss, none park" 10 !pre_polls;
-  let drained = List.rev_map (function Payload.Int i -> i | _ -> -1) !post in
-  check (Alcotest.list Alcotest.int) "batch drained in order"
+  check Alcotest.int (what ^ ": polls before delivery all miss, none park") 10
+    !pre_polls;
+  check (Alcotest.list Alcotest.int) (what ^ ": batch drained in order")
     (List.init n (fun i -> i + 1))
-    drained;
-  check Alcotest.bool "and then the well is dry" true (!final = None)
+    (List.rev_map int_of_payload !post);
+  check Alcotest.bool (what ^ ": and then the well is dry") true (!final = None)
+
+(* A receiver parked on message 1 of a 3-message batch polls the moment it
+   wakes. The batch lands whole before any receiver runs, so the poll
+   finds message 2 in every configuration. *)
+let wake_then_poll (what, make) =
+  let eng = make () in
+  let seen = ref [] in
+  let receiver =
+    Engine.spawn eng ~cloneable:false ~name:"waker" (fun ctx ->
+        let first = Engine.receive ctx () in
+        let next = Engine.receive_timeout ctx ~timeout:0. () in
+        seen :=
+          first.Message.payload
+          :: Option.to_list (Option.map (fun m -> m.Message.payload) next))
+  in
+  ignore
+    (Engine.spawn eng ~cloneable:false ~name:"source" (fun ctx ->
+         for i = 1 to 3 do
+           Engine.send ctx receiver (Payload.int i)
+         done));
+  Engine.run eng;
+  check (Alcotest.list Alcotest.int)
+    (what ^ ": the poll after waking sees message 2")
+    [ 1; 2 ]
+    (List.map int_of_payload !seen);
+  if Trace.enabled (Engine.trace eng) then begin
+    let positions p =
+      List.concat
+        (List.mapi
+           (fun i (_, e) -> if p e then [ i ] else [])
+           (Trace.events (Engine.trace eng)))
+    in
+    let delivered =
+      positions (function
+        | Trace.Delivered { dest; _ } -> Pid.equal dest receiver
+        | _ -> false)
+    and accepted =
+      positions (function
+        | Trace.Accepted { dest; _ } -> Pid.equal dest receiver
+        | _ -> false)
+    in
+    check Alcotest.int (what ^ ": one batch of 3") 1
+      (Trace.count (Engine.trace eng) ~f:(function
+        | Trace.Delivered_batch { count = 3; _ } -> true
+        | _ -> false));
+    check Alcotest.int (what ^ ": every entry delivered") 3
+      (List.length delivered);
+    check Alcotest.bool
+      (what ^ ": every delivery precedes the first acceptance")
+      true
+      (List.for_all (fun d -> d < List.hd accepted) delivered)
+  end
+
+let test_batch_vs_zero_timeout_polls () =
+  List.iter batch_vs_zero_timeout_polls observers;
+  List.iter wake_then_poll observers
 
 (* ---------------- the batch-join guard vs zero-delay timers ----------------
 
@@ -354,9 +427,9 @@ let deliveries eng =
        | _, Trace.Delivered { msg; _ } -> msg.Message.payload
        | _ -> Payload.Unit)
 
-let run_timer_between_sends ~force_per_entry =
+let run_timer_between_sends ~pass_through_hook =
   let eng = Engine.create () in
-  if force_per_entry then
+  if pass_through_hook then
     Engine.set_delivery_fault eng (Some (fun _ ~dest:_ -> true));
   let got = ref [] in
   let receiver =
@@ -379,7 +452,7 @@ let run_timer_between_sends ~force_per_entry =
   (eng, List.rev !got)
 
 let test_zero_delay_timer_flushes_open_batch () =
-  let eng, got = run_timer_between_sends ~force_per_entry:false in
+  let eng, got = run_timer_between_sends ~pass_through_hook:false in
   let batches =
     Trace.count (Engine.trace eng) ~f:(function
       | Trace.Delivered_batch _ -> true
@@ -391,10 +464,11 @@ let test_zero_delay_timer_flushes_open_batch () =
     "per-channel FIFO kept"
     [ 1; 2 ]
     (List.map (function Payload.Int i -> i | _ -> -1) got);
-  (* Determinism: the forced per-entry path receives and traces the very
-     same delivery sequence. *)
-  let eng', got' = run_timer_between_sends ~force_per_entry:true in
-  check Alcotest.bool "received order matches the per-entry path" true
+  (* Determinism: a pass-through delivery hook, which moves entries one
+     (entry, copy) offer at a time, receives and traces the very same
+     delivery sequence. *)
+  let eng', got' = run_timer_between_sends ~pass_through_hook:true in
+  check Alcotest.bool "received order matches the hooked run" true
     (got = got');
   check Alcotest.bool "traced delivery order matches too" true
     (deliveries eng = deliveries eng');
@@ -425,8 +499,7 @@ let test_zero_delay_timer_flushes_open_batch () =
    receivers see both copies adjacent in FIFO order, the copies are
    physically identical (so they cannot diverge, and physical-identity /
    (sender, seq) dedup — what [Majority] uses — collapses them to one),
-   and the batched flush path agrees byte-for-byte with the per-entry
-   path. *)
+   and the traced run receives exactly what the untraced one does. *)
 let run_burst_with_duplicates ~trace ~n =
   let eng = Engine.create ~trace () in
   (* Duplicate every data message; the burst of [n] in a single event
@@ -477,9 +550,9 @@ let test_spilled_duplicates_stay_one_logical_send () =
     got;
   check Alcotest.int "dedup collapses every pair to one logical send" n
     (Hashtbl.length distinct);
-  (* The per-entry (traced) path delivers the identical sequence. *)
+  (* The traced run delivers the identical sequence. *)
   let got' = run_burst_with_duplicates ~trace:true ~n in
-  check Alcotest.bool "batched path = per-entry path" true
+  check Alcotest.bool "untraced run = traced run" true
     (List.map (fun m -> (m.Message.seq, m.Message.payload)) got
     = List.map (fun m -> (m.Message.seq, m.Message.payload)) got')
 
@@ -527,9 +600,9 @@ let test_transfer_into_nonempty_ring_copies () =
     expected
 
 (* Regression: whole-batch adoption used to skip the spill accounting the
-   per-entry path records. A destination that adopts a batch containing
+   copying path records. A destination that adopts a batch containing
    spilled entries must show exactly the [spilled_total] the copying path
-   would have produced — the two flush paths are required to be
+   would have produced — adoption and copying are required to be
    indistinguishable. Pre-fix this reported 0 after an adoption. *)
 let test_adoption_spilled_accounting_matches_copy_path () =
   let mk_src () =
@@ -539,8 +612,8 @@ let test_adoption_spilled_accounting_matches_copy_path () =
     done;
     src
   in
-  (* Reference: the forced per-entry path (a partial transfer first, so
-     the adoption guard never applies). *)
+  (* Reference: the copying path (a partial transfer first, so the
+     adoption guard never applies). *)
   let src = mk_src () in
   let dst_copy = Mailbox.create ~capacity:4 () in
   Mailbox.transfer_upto src ~upto:(Mailbox.head_pos src + 1) dst_copy;

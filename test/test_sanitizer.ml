@@ -256,6 +256,33 @@ let test_next_block_across_supervised_restart () =
   check Alcotest.bool "without next_block the second win leaks" true
     (has_class Report.At_most_once (Sanitizer.flags sz_leak))
 
+(* The trace of a served request under site faults: incarnation 1's
+   winner takes the latch and its coordinator dies before answering, the
+   watchdog fences the voters to epoch 2, and the successor's child wins
+   again. The fence voided the first grant, so the second win is the
+   block's only live one. The control drops the [Recovered]: two wins in
+   one unfenced scope are a real duplicate. *)
+let test_fenced_win_is_void () =
+  let flags ~recovered =
+    let eng = Engine.create () in
+    let sz = Sanitizer.attach eng in
+    let record e = Trace.record (Engine.trace eng) ~time:(Engine.now eng) e in
+    record (Trace.Sync_won { pid = Pid.of_int 6; index = 2; epoch = 1 });
+    if recovered then
+      record
+        (Trace.Recovered
+           { failed = Pid.of_int 3; successor = Pid.of_int 7; epoch = 2 });
+    record (Trace.Sync_won { pid = Pid.of_int 10; index = 2; epoch = 2 });
+    Sanitizer.detach sz;
+    Sanitizer.flags sz
+  in
+  check
+    Alcotest.(list string)
+    "a win behind the fence is the block's only live one" []
+    (List.map (fun f -> f.Sanitizer.sf_detail) (flags ~recovered:true));
+  check Alcotest.bool "without the fence the second win is flagged" true
+    (has_class Report.At_most_once (flags ~recovered:false))
+
 let () =
   Alcotest.run "sanitizer"
     [
@@ -269,6 +296,8 @@ let () =
             test_shared_space_caught_at_write;
           Alcotest.test_case "next_block scopes supervised restarts" `Quick
             test_next_block_across_supervised_restart;
+          Alcotest.test_case "a fenced epoch's win is void" `Quick
+            test_fenced_win_is_void;
         ] );
       ( "contract",
         [

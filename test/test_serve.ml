@@ -316,6 +316,26 @@ let test_sanitized_run_stays_clean () =
   check Alcotest.bool "sanitized serving run flags nothing" true
     (r.Server.violations = [])
 
+(* The sanitizer only observes: on the faulted path it must flag nothing
+   and leave every response as the unsanitized run gives it. 500 requests
+   reach a batch whose first coordinator wins, absorbs and dies before
+   answering, so its recovered successor wins again behind the epoch
+   fence — legal under [run_supervised]'s contract. *)
+let test_sanitized_faulted_run () =
+  let wl = { Workload.default with Workload.wl_requests = 500 } in
+  let sv = { Server.default with Server.sv_faults = Some 7 } in
+  let plain = Server.run wl sv in
+  let sanitized = Server.run wl { sv with Server.sv_sanitize = true } in
+  check Alcotest.bool "recoveries happened" true (sanitized.Server.recovered > 0);
+  check
+    Alcotest.(list string)
+    "sanitized faulted run flags nothing" []
+    (List.map
+       (fun v -> Format.asprintf "%a" Report.pp_violation v)
+       sanitized.Server.violations);
+  check Alcotest.int64 "sanitizing leaves the digest alone"
+    (Server.digest plain) (Server.digest sanitized)
+
 let test_bench_record_schema () =
   let sv = Server.default in
   let wl = { small_wl with Workload.wl_requests = 150 } in
@@ -374,6 +394,8 @@ let () =
             test_replay_and_jobs_identical;
           Alcotest.test_case "sanitized run stays clean" `Quick
             test_sanitized_run_stays_clean;
+          Alcotest.test_case "sanitized faulted run stays clean" `Quick
+            test_sanitized_faulted_run;
           Alcotest.test_case "bench record satisfies its schema" `Quick
             test_bench_record_schema;
           Alcotest.test_case "warm frame pool replays exactly" `Quick
