@@ -28,6 +28,11 @@
                                         path and emit BENCH_lint.json
      altcheck codes                     print the exit-code registry
 
+   fuzz and sites are one command ([campaign_cmd]) over one runner
+   ({!Campaign.run}): fuzz sweeps the message-campaign family, sites the
+   site-campaign family, and the two differ only in their defaults and
+   wording.
+
    Exit code 0 when every run satisfies every invariant; otherwise the
    exit code of the most severe violated class. Every code altcheck can
    produce lives in Report.registry ('altcheck codes' prints the table). *)
@@ -77,20 +82,17 @@ let list_cmd =
 
 (* ---------------- run ---------------- *)
 
-let scenarios_of_names names =
-  match names with
-  | [] -> Invariants.default_scenarios
+(* Resolve named items against [all] (every item when no name is given);
+   an unknown name exits 1 with a pointer to where the names are listed. *)
+let pick what hint name_of all = function
+  | [] -> all
   | names ->
     List.map
       (fun n ->
-        match
-          List.find_opt
-            (fun s -> s.Invariants.sc_name = n)
-            Invariants.default_scenarios
-        with
-        | Some s -> s
+        match List.find_opt (fun x -> name_of x = n) all with
+        | Some x -> x
         | None ->
-          Printf.eprintf "unknown scenario %S; try 'altcheck list'\n" n;
+          Printf.eprintf "unknown %s %S; try '%s'\n" what n hint;
           exit 1)
       names
 
@@ -121,7 +123,11 @@ let run_cmd =
       & info [ "q"; "quiet" ] ~doc:"Print only violations and the summary.")
   in
   let run seeds names dump quiet jobs sanitize =
-    let scenarios = scenarios_of_names names in
+    let scenarios =
+      pick "scenario" "altcheck list"
+        (fun s -> s.Invariants.sc_name)
+        Invariants.default_scenarios names
+    in
     let cells = Invariants.matrix_cells ~seeds ~scenarios () in
     let results = Invariants.run_cells ~jobs ~sanitize cells in
     (* Results are in cell order, so everything below — the per-policy
@@ -185,24 +191,38 @@ let run_cmd =
     Term.(
       const run $ seeds $ names $ dump $ quiet $ jobs_arg $ sanitize_arg)
 
-(* ---------------- fuzz ---------------- *)
+(* ---------------- fuzz / sites ---------------- *)
 
-let fuzz_cmd =
-  let doc =
-    "Run the invariant checkers under deterministic fault-injection \
-     campaigns (scenario x campaign x policy x seed matrix)."
+(* How a campaign command names and describes the family it sweeps. *)
+type campaign_cli = {
+  cli_name : string;
+  cli_doc : string;
+  cli_label : string;  (* the summary line reads "<n> <label> runs" *)
+  cli_scenario_doc : string;
+  cli_list_doc : string;
+  cli_family : Campaign.family;
+}
+
+let campaign_cmd cli =
+  let family = cli.cli_family in
+  (* A site family runs only its own (sourceless) scenarios, so its --list
+     names them, and the topology, and is where an unknown scenario name
+     points. *)
+  let supervised =
+    List.exists (fun c -> c.Campaign.cg_supervised) family.Campaign.fm_campaigns
   in
+  let list_hint = Printf.sprintf "altcheck %s --list" cli.cli_name in
   let seeds =
     Arg.(
-      value & opt int 5
+      value
+      & opt int family.Campaign.fm_seeds
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Seeds per (scenario, campaign, policy) cell.")
   in
   let names =
     Arg.(
       value & opt_all string []
-      & info [ "s"; "scenario" ] ~docv:"NAME"
-          ~doc:"Scenario to fuzz (repeatable); see $(b,altcheck list).")
+      & info [ "s"; "scenario" ] ~docv:"NAME" ~doc:cli.cli_scenario_doc)
   in
   let campaign_names =
     Arg.(
@@ -219,9 +239,7 @@ let fuzz_cmd =
              and violation reports are byte-identical.")
   in
   let list_campaigns =
-    Arg.(
-      value & flag
-      & info [ "list" ] ~doc:"List the campaigns and fuzz policies, then exit.")
+    Arg.(value & flag & info [ "list" ] ~doc:cli.cli_list_doc)
   in
   let quiet =
     Arg.(
@@ -231,196 +249,109 @@ let fuzz_cmd =
   in
   let run seeds names campaign_names verify list_campaigns quiet jobs sanitize =
     if list_campaigns then begin
+      if supervised then
+        Printf.printf "topology: %s\n" (String.concat " " Campaign.site_names);
       Printf.printf "campaigns:\n";
+      let width =
+        List.fold_left
+          (fun w c -> max w (String.length c.Campaign.cg_name + 1))
+          0 family.Campaign.fm_campaigns
+      in
       List.iter
-        (fun (c : Fuzz.campaign) ->
-          Printf.printf "  %-18s%s\n" c.Fuzz.cg_name c.Fuzz.cg_doc)
-        Fuzz.default_campaigns;
-      Printf.printf "policies (%d):\n" (List.length Fuzz.default_policies);
+        (fun c ->
+          Printf.printf "  %-*s%s\n" width c.Campaign.cg_name c.Campaign.cg_doc)
+        family.Campaign.fm_campaigns;
+      Printf.printf "policies (%d):\n"
+        (List.length family.Campaign.fm_policies);
       List.iter
         (fun p -> Printf.printf "  %s\n" (Concurrent.describe p))
-        Fuzz.default_policies;
-      exit 0
-    end;
-    let scenarios = scenarios_of_names names in
-    let campaigns =
-      match campaign_names with
-      | [] -> Fuzz.default_campaigns
-      | names ->
-        List.map
-          (fun n ->
-            match
-              List.find_opt
-                (fun (c : Fuzz.campaign) -> c.Fuzz.cg_name = n)
-                Fuzz.default_campaigns
-            with
-            | Some c -> c
-            | None ->
-              Printf.eprintf "unknown campaign %S; try 'altcheck fuzz --list'\n"
-                n;
-              exit 1)
-          names
-    in
-    let result =
-      Fuzz.run ~jobs ~seeds ~scenarios ~campaigns ~verify ~sanitize ()
-    in
-    if not quiet then List.iter print_endline result.Fuzz.lines;
-    List.iter
-      (fun v -> Format.printf "%a@." Report.pp_violation v)
-      result.Fuzz.violations;
-    (match result.Fuzz.first_failing with
-    | Some c ->
-      Printf.printf "minimal failing cell: %s\n" (Fuzz.describe_cell c)
-    | None -> ());
-    List.iter
-      (fun m -> Printf.printf "DETERMINISM MISMATCH: %s\n" m)
-      result.Fuzz.mismatches;
-    Printf.printf "%d fuzzed runs%s, %d violations%s\n" result.Fuzz.cells_run
-      (if verify then " (each executed twice)" else "")
-      (List.length result.Fuzz.violations)
-      (if verify then
-         Printf.sprintf ", %d determinism mismatches"
-           (List.length result.Fuzz.mismatches)
-       else "");
-    if result.Fuzz.mismatches <> [] then exit Report.code_determinism;
-    exit (Report.exit_code result.Fuzz.violations)
-  in
-  Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(
-      const run $ seeds $ names $ campaign_names $ verify $ list_campaigns
-      $ quiet $ jobs_arg $ sanitize_arg)
-
-(* ---------------- sites ---------------- *)
-
-let sites_cmd =
-  let doc =
-    "Run supervised blocks (coordinator recovery) under deterministic \
-     site-crash and network-partition campaigns."
-  in
-  let seeds =
-    Arg.(
-      value & opt int 3
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Seeds per (scenario, campaign, policy) cell.")
-  in
-  let names =
-    Arg.(
-      value & opt_all string []
-      & info [ "s"; "scenario" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to run (repeatable); sourceless scenarios only — see \
-             $(b,altcheck sites --list).")
-  in
-  let campaign_names =
-    Arg.(
-      value & opt_all string []
-      & info [ "c"; "campaign" ] ~docv:"NAME"
-          ~doc:"Campaign to run (repeatable); default: all of them.")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify-determinism" ]
-          ~doc:
-            "Execute every cell twice and fail (exit 20) unless summaries \
-             and violation reports are byte-identical.")
-  in
-  let list_campaigns =
-    Arg.(
-      value & flag
-      & info [ "list" ]
-          ~doc:"List the site campaigns, policies and scenarios, then exit.")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ]
-          ~doc:"Print only violations, mismatches and the summary.")
-  in
-  let run seeds names campaign_names verify list_campaigns quiet jobs sanitize =
-    if list_campaigns then begin
-      Printf.printf "topology: %s\n" (String.concat " " Sitefuzz.site_names);
-      Printf.printf "campaigns:\n";
-      List.iter
-        (fun (c : Sitefuzz.campaign) ->
-          Printf.printf "  %-22s%s\n" c.Sitefuzz.sg_name c.Sitefuzz.sg_doc)
-        Sitefuzz.default_campaigns;
-      Printf.printf "policies (%d):\n" (List.length Sitefuzz.default_policies);
-      List.iter
-        (fun p -> Printf.printf "  %s\n" (Concurrent.describe p))
-        Sitefuzz.default_policies;
-      Printf.printf "scenarios:\n";
-      List.iter
-        (fun (s : Invariants.scenario) ->
-          Printf.printf "  %s\n" s.Invariants.sc_name)
-        Sitefuzz.default_scenarios;
+        family.Campaign.fm_policies;
+      if supervised then begin
+        Printf.printf "scenarios:\n";
+        List.iter
+          (fun s -> Printf.printf "  %s\n" s.Invariants.sc_name)
+          family.Campaign.fm_scenarios
+      end;
       exit 0
     end;
     let scenarios =
-      match names with
-      | [] -> Sitefuzz.default_scenarios
-      | names ->
-        List.map
-          (fun n ->
-            match
-              List.find_opt
-                (fun s -> s.Invariants.sc_name = n)
-                Sitefuzz.default_scenarios
-            with
-            | Some s -> s
-            | None ->
-              Printf.eprintf
-                "unknown scenario %S; try 'altcheck sites --list'\n" n;
-              exit 1)
-          names
+      pick "scenario"
+        (if supervised then list_hint else "altcheck list")
+        (fun s -> s.Invariants.sc_name)
+        family.Campaign.fm_scenarios names
     in
     let campaigns =
-      match campaign_names with
-      | [] -> Sitefuzz.default_campaigns
-      | names ->
-        List.map
-          (fun n ->
-            match
-              List.find_opt
-                (fun (c : Sitefuzz.campaign) -> c.Sitefuzz.sg_name = n)
-                Sitefuzz.default_campaigns
-            with
-            | Some c -> c
-            | None ->
-              Printf.eprintf
-                "unknown campaign %S; try 'altcheck sites --list'\n" n;
-              exit 1)
-          names
+      pick "campaign" list_hint
+        (fun c -> c.Campaign.cg_name)
+        family.Campaign.fm_campaigns campaign_names
     in
     let result =
-      Sitefuzz.run ~jobs ~seeds ~scenarios ~campaigns ~verify ~sanitize ()
+      Campaign.run ~jobs ~verify ~sanitize
+        (Campaign.cells
+           {
+             family with
+             Campaign.fm_seeds = seeds;
+             fm_scenarios = scenarios;
+             fm_campaigns = campaigns;
+           })
     in
-    if not quiet then List.iter print_endline result.Sitefuzz.lines;
+    if not quiet then List.iter print_endline result.Campaign.lines;
     List.iter
       (fun v -> Format.printf "%a@." Report.pp_violation v)
-      result.Sitefuzz.violations;
-    (match result.Sitefuzz.first_failing with
+      result.Campaign.violations;
+    (match result.Campaign.first_failing with
     | Some c ->
-      Printf.printf "minimal failing cell: %s\n" (Sitefuzz.describe_cell c)
+      Printf.printf "minimal failing cell: %s\n" (Campaign.describe_cell c)
     | None -> ());
     List.iter
       (fun m -> Printf.printf "DETERMINISM MISMATCH: %s\n" m)
-      result.Sitefuzz.mismatches;
-    Printf.printf "%d site-faulted runs%s, %d violations%s\n"
-      result.Sitefuzz.cells_run
+      result.Campaign.mismatches;
+    Printf.printf "%d %s runs%s, %d violations%s\n" result.Campaign.cells_run
+      cli.cli_label
       (if verify then " (each executed twice)" else "")
-      (List.length result.Sitefuzz.violations)
+      (List.length result.Campaign.violations)
       (if verify then
          Printf.sprintf ", %d determinism mismatches"
-           (List.length result.Sitefuzz.mismatches)
+           (List.length result.Campaign.mismatches)
        else "");
-    if result.Sitefuzz.mismatches <> [] then exit Report.code_determinism;
-    exit (Report.exit_code result.Sitefuzz.violations)
+    if result.Campaign.mismatches <> [] then exit Report.code_determinism;
+    exit (Report.exit_code result.Campaign.violations)
   in
-  Cmd.v (Cmd.info "sites" ~doc)
+  Cmd.v
+    (Cmd.info cli.cli_name ~doc:cli.cli_doc)
     Term.(
       const run $ seeds $ names $ campaign_names $ verify $ list_campaigns
       $ quiet $ jobs_arg $ sanitize_arg)
+
+let fuzz_cmd =
+  campaign_cmd
+    {
+      cli_name = "fuzz";
+      cli_doc =
+        "Run the invariant checkers under deterministic fault-injection \
+         campaigns (scenario x campaign x policy x seed matrix).";
+      cli_label = "fuzzed";
+      cli_scenario_doc =
+        "Scenario to fuzz (repeatable); see $(b,altcheck list).";
+      cli_list_doc = "List the campaigns and fuzz policies, then exit.";
+      cli_family = Campaign.messages;
+    }
+
+let sites_cmd =
+  campaign_cmd
+    {
+      cli_name = "sites";
+      cli_doc =
+        "Run supervised blocks (coordinator recovery) under deterministic \
+         site-crash and network-partition campaigns.";
+      cli_label = "site-faulted";
+      cli_scenario_doc =
+        "Scenario to run (repeatable); sourceless scenarios only — see \
+         $(b,altcheck sites --list).";
+      cli_list_doc =
+        "List the site campaigns, policies and scenarios, then exit.";
+      cli_family = Campaign.sites;
+    }
 
 (* ---------------- bench ---------------- *)
 
@@ -521,18 +452,9 @@ let bench_cmd =
       let len = in_channel_length ic in
       let contents = really_input_string ic len in
       close_in ic;
-      let has_field f =
-        (* Keys are unique in the emitted object, so a substring probe of
-           the quoted key is a sufficient smoke check. *)
-        let needle = Printf.sprintf "%S:" f in
-        let nlen = String.length needle in
-        let rec scan i =
-          i + nlen <= String.length contents
-          && (String.sub contents i nlen = needle || scan (i + 1))
-        in
-        scan 0
+      let missing =
+        Servebench.missing_fields ~required:required_fields contents
       in
-      let missing = List.filter (fun f -> not (has_field f)) required_fields in
       if missing <> [] then begin
         Printf.eprintf "schema validation FAILED; missing: %s\n"
           (String.concat ", " missing);

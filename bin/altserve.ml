@@ -220,7 +220,7 @@ let sv_term =
 let wall_rps_floor = 50.
 
 let run_chaos wl (sv : Server.config) =
-  let o =
+  let r, v =
     Chaosserve.chaos ~requests:wl.Workload.wl_requests
       ~rate:wl.Workload.wl_rate ~jobs:sv.Server.sv_jobs
       ~seed:wl.Workload.wl_seed ()
@@ -228,17 +228,17 @@ let run_chaos wl (sv : Server.config) =
   Printf.printf
     "chaos: %d requests: %d served, %d degraded, %d recovered, %d failed, \
      %d shed; %d breaker opens; digest %016Lx\n"
-    o.Chaosserve.ch_requests o.Chaosserve.ch_served o.Chaosserve.ch_degraded
-    o.Chaosserve.ch_recovered o.Chaosserve.ch_failed o.Chaosserve.ch_shed
-    o.Chaosserve.ch_breaker_opens o.Chaosserve.ch_digest;
+    wl.Workload.wl_requests r.Server.served r.Server.degraded
+    r.Server.recovered r.Server.failed r.Server.shed r.Server.breaker_opens
+    v.Servebench.v_digest;
   List.iter
     (fun viol -> Format.eprintf "%a@." Report.pp_violation viol)
-    o.Chaosserve.ch_violations;
-  if not o.Chaosserve.ch_replay_identical then
+    r.Server.violations;
+  if not v.Servebench.v_replay_identical then
     Printf.eprintf "chaos: replay with the same seeds diverged\n";
-  if not o.Chaosserve.ch_jobs_identical then
+  if not v.Servebench.v_jobs_identical then
     Printf.eprintf "chaos: jobs-1 and jobs-%d diverged\n" sv.Server.sv_jobs;
-  if Chaosserve.chaos_ok o then begin
+  if Chaosserve.chaos_ok r v then begin
     Printf.printf
       "chaos ok: 0 violations, replay identical, jobs-1 = jobs-%d\n"
       sv.Server.sv_jobs;

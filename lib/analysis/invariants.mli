@@ -76,8 +76,8 @@ val sequential_reference :
     {e sequentially} (first-fit, {!Alt_block.run_first}) in a fresh,
     fault-free engine, and return the outcome together with the resulting
     address space and source device. This is the oracle the transparency
-    checkers compare a concurrent execution against; {!Sitefuzz} reuses it
-    for supervised (coordinator-recovery) runs. *)
+    checkers compare a concurrent execution against; {!Campaign}'s site
+    executor reuses it for supervised (coordinator-recovery) runs. *)
 
 val check_at_most_once : run -> Report.violation list
 val check_transparency : run -> Report.violation list

@@ -195,17 +195,8 @@ let degrade_to_json (d : degrade_record) =
     ]
 
 let degrade_validate contents =
-  let has_field f =
-    let needle = Printf.sprintf "%S:" f in
-    let nlen = String.length needle in
-    let rec scan i =
-      i + nlen <= String.length contents
-      && (String.sub contents i nlen = needle || scan (i + 1))
-    in
-    scan 0
-  in
   match
-    List.filter (fun f -> not (has_field f)) degrade_required_fields
+    Servebench.missing_fields ~required:degrade_required_fields contents
   with
   | [] -> Ok (List.length degrade_required_fields)
   | missing -> Error missing
@@ -213,22 +204,9 @@ let degrade_validate contents =
 (* ------------------------------------------------------------------ *)
 (* The chaos-serve campaign.                                           *)
 
-type chaos_outcome = {
-  ch_requests : int;
-  ch_served : int;
-  ch_degraded : int;
-  ch_recovered : int;
-  ch_failed : int;
-  ch_shed : int;
-  ch_breaker_opens : int;
-  ch_violations : Report.violation list;
-  ch_digest : int64;
-  ch_replay_identical : bool;
-  ch_jobs_identical : bool;
-}
-
-let chaos_ok o =
-  o.ch_violations = [] && o.ch_replay_identical && o.ch_jobs_identical
+let chaos_ok (r : Server.result) (v : Servebench.verification) =
+  r.Server.violations = [] && v.Servebench.v_replay_identical
+  && v.Servebench.v_jobs_identical
 
 let chaos ?(requests = 240) ?(rate = 400.) ?(jobs = 1) ~seed () =
   let wl = campaign_workload ~seed ~requests ~rate in
@@ -248,23 +226,5 @@ let chaos ?(requests = 240) ?(rate = 400.) ?(jobs = 1) ~seed () =
       sv_jobs = jobs;
     }
   in
-  let r = Server.run wl sv in
-  let d = Server.digest r in
-  let replay = Server.digest (Server.run wl sv) in
-  let jobs_identical =
-    if jobs <= 1 then true
-    else Server.digest (Server.run wl { sv with Server.sv_jobs = 1 }) = d
-  in
-  {
-    ch_requests = requests;
-    ch_served = r.Server.served;
-    ch_degraded = r.Server.degraded;
-    ch_recovered = r.Server.recovered;
-    ch_failed = r.Server.failed;
-    ch_shed = r.Server.shed;
-    ch_breaker_opens = r.Server.breaker_opens;
-    ch_violations = r.Server.violations;
-    ch_digest = d;
-    ch_replay_identical = replay = d;
-    ch_jobs_identical = jobs_identical;
-  }
+  let r, _, v = Servebench.run_verified wl sv in
+  (r, v)

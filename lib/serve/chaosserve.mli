@@ -68,31 +68,15 @@ val degrade_validate : string -> (int, string list) result
 (** Probe a record for every required field: [Ok count] or
     [Error missing]. *)
 
-(** The chaos campaign's verdict: the serve counters, every violation
-    the per-request audits and the sanitizer raised, and the
-    determinism witnesses. *)
-type chaos_outcome = {
-  ch_requests : int;
-  ch_served : int;
-  ch_degraded : int;
-  ch_recovered : int;
-  ch_failed : int;
-  ch_shed : int;
-  ch_breaker_opens : int;
-  ch_violations : Report.violation list;
-  ch_digest : int64;
-  ch_replay_identical : bool;
-  ch_jobs_identical : bool;
-}
-
-val chaos_ok : chaos_outcome -> bool
+val chaos_ok : Server.result -> Servebench.verification -> bool
 (** No violations, replay-identical, jobs-1 = jobs-N. *)
 
 val chaos : ?requests:int -> ?rate:float -> ?jobs:int -> seed:int -> unit ->
-  chaos_outcome
+  Server.result * Servebench.verification
 (** Serve an overloaded stream (default 240 requests at 400 req/s into
     8 lanes, ladder on) under the seeded fault campaign
     ([sv_faults = Some seed]: per-batch coordinator crashes and healed
     partitions, supervised recovery, breakers), with the online
-    sanitizer attached and every request audited — then replay it, and
-    re-run it on one domain when [jobs > 1], comparing digests. *)
+    sanitizer attached and every request audited, through
+    {!Servebench.run_verified}: the run, its replay, and a one-domain
+    re-run when [jobs > 1], compared by digest. *)

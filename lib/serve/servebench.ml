@@ -146,11 +146,10 @@ let to_json (wl : Workload.config) (sv : Server.config) (m : metrics)
       "";
     ]
 
-let validate contents =
+(* Keys are unique in an emitted record, so a substring probe of the
+   quoted key is a sufficient smoke check. *)
+let missing_fields ~required contents =
   let has_field f =
-    (* Keys are unique in the emitted object, so a substring probe of the
-       quoted key is a sufficient smoke check (same idiom as altcheck
-       bench). *)
     let needle = Printf.sprintf "%S:" f in
     let nlen = String.length needle in
     let rec scan i =
@@ -159,6 +158,9 @@ let validate contents =
     in
     scan 0
   in
-  match List.filter (fun f -> not (has_field f)) required_fields with
+  List.filter (fun f -> not (has_field f)) required
+
+let validate contents =
+  match missing_fields ~required:required_fields contents with
   | [] -> Ok (List.length required_fields)
   | missing -> Error missing

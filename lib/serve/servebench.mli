@@ -59,6 +59,12 @@ val to_json :
 (** The benchmark record, one field per line (the repo's hand-rolled
     JSON idiom: unique keys, so substring probes suffice to validate). *)
 
+val missing_fields : required:string list -> string -> string list
+(** The [required] keys that do not appear quoted (["key":]) in a
+    record's contents, in [required] order. Keys are unique in every
+    record the repo emits, so this substring probe is the schema check
+    behind each [--validate]. *)
+
 val validate : string -> (int, string list) result
 (** Probe a record's contents for every required field: [Ok count] or
     [Error missing]. *)

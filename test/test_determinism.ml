@@ -56,19 +56,28 @@ let sweep_lines ~sanitize ~jobs =
   |> Array.to_list
   |> List.map render_invariant_run
 
-let fuzz_lines ~sanitize ~jobs =
-  let campaigns = List.filteri (fun i _ -> i < 3) Fuzz.default_campaigns in
-  let r =
-    Fuzz.run ~jobs ~seeds:1
-      ~scenarios:[ List.hd Invariants.default_scenarios ]
-      ~campaigns ~sanitize ()
-  in
-  r.Fuzz.lines @ render_violations r.Fuzz.violations
+let campaign_lines family ~sanitize ~jobs =
+  let r = Campaign.run ~jobs ~sanitize (Campaign.cells family) in
+  r.Campaign.lines @ render_violations r.Campaign.violations
 
-let sites_lines ~sanitize ~jobs =
-  let campaigns = List.filteri (fun i _ -> i < 2) Sitefuzz.default_campaigns in
-  let r = Sitefuzz.run ~jobs ~seeds:1 ~campaigns ~sanitize () in
-  r.Sitefuzz.lines @ render_violations r.Sitefuzz.violations
+let fuzz_lines =
+  let f = Campaign.messages in
+  campaign_lines
+    {
+      f with
+      Campaign.fm_seeds = 1;
+      fm_scenarios = [ List.hd Invariants.default_scenarios ];
+      fm_campaigns = List.filteri (fun i _ -> i < 3) f.Campaign.fm_campaigns;
+    }
+
+let sites_lines =
+  let f = Campaign.sites in
+  campaign_lines
+    {
+      f with
+      Campaign.fm_seeds = 1;
+      fm_campaigns = List.filteri (fun i _ -> i < 2) f.Campaign.fm_campaigns;
+    }
 
 (* jobs 1/2/4 x +/- sanitizer must agree line for line, and the
    sanitize-off lines followed by the sanitize-on lines must hash to the

@@ -220,7 +220,7 @@ let test_next_block_across_supervised_restart () =
     let sites =
       Sites.create eng ~names:[ "s0"; "s1"; "s2"; "s3"; "s4" ]
     in
-    (* The sitefuzz crash-coordinator campaign: s0 (coordinator, children,
+    (* The crash-coordinator site campaign: s0 (coordinator, children,
        voter 0) dies mid-consensus, the watchdog recovers on a survivor. *)
     Faultplan.install ~sites
       (Faultplan.make ~seed:42
