@@ -18,9 +18,8 @@ type t = {
 
 val header_bytes : int
 (** Fixed per-message header estimate added to the payload size. Exposed
-    so the engine's ring-buffer send path — which builds message records
-    directly around preallocated frames — prices messages identically to
-    {!make}. *)
+    so the engine's send path, which builds its message record inline,
+    prices messages identically to {!make}. *)
 
 val make :
   sender:Pid.t ->

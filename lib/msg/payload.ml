@@ -37,127 +37,6 @@ let int i = Int i
 let str s = Str s
 let pair a b = Pair (a, b)
 
-(* ------------------------------------------------------------------ *)
-(* In-place binary codec, used by the ring-buffer message frames to
-   serialise payloads into preallocated slot buffers. The format is a
-   one-byte constructor tag followed by the constructor's data:
-
-     0 Unit | 1 Bool false | 2 Bool true | 3 Int (8B LE) | 4 Float (8B LE)
-     5 Str (4B LE length, bytes) | 6 Pair (a, b) | 7 List (4B LE count, items)
-
-   Integers are written byte-by-byte rather than through
-   [Bytes.set_int64_le] so that encoding an [Int] — the hot scalar case —
-   allocates nothing (no boxed int64 intermediary). *)
-
-let rec encoded_size = function
-  | Unit | Bool _ -> 1
-  | Int _ | Float _ -> 9
-  | Str s -> 5 + String.length s
-  | Pair (a, b) -> 1 + encoded_size a + encoded_size b
-  | List l -> 5 + List.fold_left (fun acc x -> acc + encoded_size x) 0 l
-
-let put_int63 buf pos v =
-  (* Little-endian, alloc-free: OCaml ints are 63-bit, the top byte
-     carries the sign through the arithmetic shift on decode. *)
-  Bytes.unsafe_set buf pos (Char.unsafe_chr (v land 0xff));
-  Bytes.unsafe_set buf (pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set buf (pos + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set buf (pos + 3) (Char.unsafe_chr ((v lsr 24) land 0xff));
-  Bytes.unsafe_set buf (pos + 4) (Char.unsafe_chr ((v lsr 32) land 0xff));
-  Bytes.unsafe_set buf (pos + 5) (Char.unsafe_chr ((v lsr 40) land 0xff));
-  Bytes.unsafe_set buf (pos + 6) (Char.unsafe_chr ((v lsr 48) land 0xff));
-  Bytes.unsafe_set buf (pos + 7) (Char.unsafe_chr ((v asr 56) land 0xff))
-
-let get_int63 buf pos =
-  let b i = Char.code (Bytes.unsafe_get buf (pos + i)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) lor (b 4 lsl 32)
-  lor (b 5 lsl 40) lor (b 6 lsl 48) lor (b 7 lsl 56)
-
-let put_u32 buf pos v =
-  Bytes.unsafe_set buf pos (Char.unsafe_chr (v land 0xff));
-  Bytes.unsafe_set buf (pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set buf (pos + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set buf (pos + 3) (Char.unsafe_chr ((v lsr 24) land 0xff))
-
-let get_u32 buf pos =
-  let b i = Char.code (Bytes.unsafe_get buf (pos + i)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-
-let rec encode_at buf pos = function
-  | Unit ->
-    Bytes.unsafe_set buf pos '\000';
-    pos + 1
-  | Bool false ->
-    Bytes.unsafe_set buf pos '\001';
-    pos + 1
-  | Bool true ->
-    Bytes.unsafe_set buf pos '\002';
-    pos + 1
-  | Int i ->
-    Bytes.unsafe_set buf pos '\003';
-    put_int63 buf (pos + 1) i;
-    pos + 9
-  | Float f ->
-    Bytes.unsafe_set buf pos '\004';
-    Bytes.set_int64_le buf (pos + 1) (Int64.bits_of_float f);
-    pos + 9
-  | Str s ->
-    let n = String.length s in
-    Bytes.unsafe_set buf pos '\005';
-    put_u32 buf (pos + 1) n;
-    Bytes.blit_string s 0 buf (pos + 5) n;
-    pos + 5 + n
-  | Pair (a, b) ->
-    Bytes.unsafe_set buf pos '\006';
-    encode_at buf (encode_at buf (pos + 1) a) b
-  | List l ->
-    Bytes.unsafe_set buf pos '\007';
-    put_u32 buf (pos + 1) (List.length l);
-    List.fold_left (fun p x -> encode_at buf p x) (pos + 5) l
-
-let encode_into t ~buf ~pos =
-  let n = encoded_size t in
-  if pos < 0 || pos + n > Bytes.length buf then None
-  else Some (encode_at buf pos t)
-
-let payload_unit = Unit
-let payload_false = Bool false
-let payload_true = Bool true
-
-let rec decode_at buf pos =
-  match Bytes.get buf pos with
-  | '\000' -> (payload_unit, pos + 1)
-  | '\001' -> (payload_false, pos + 1)
-  | '\002' -> (payload_true, pos + 1)
-  | '\003' -> (Int (get_int63 buf (pos + 1)), pos + 9)
-  | '\004' ->
-    (Float (Int64.float_of_bits (Bytes.get_int64_le buf (pos + 1))), pos + 9)
-  | '\005' ->
-    let n = get_u32 buf (pos + 1) in
-    (Str (Bytes.sub_string buf (pos + 5) n), pos + 5 + n)
-  | '\006' ->
-    let a, p = decode_at buf (pos + 1) in
-    let b, p = decode_at buf p in
-    (Pair (a, b), p)
-  | '\007' ->
-    let n = get_u32 buf (pos + 1) in
-    let rec items acc p k =
-      if k = 0 then (List (List.rev acc), p)
-      else
-        let x, p = decode_at buf p in
-        items (x :: acc) p (k - 1)
-    in
-    items [] (pos + 5) n
-  | c ->
-    invalid_arg
-      (Printf.sprintf "Payload.decode_from: bad constructor tag %d at %d"
-         (Char.code c) pos)
-
-let decode_from ~buf ~pos =
-  if pos < 0 || pos >= Bytes.length buf then
-    invalid_arg "Payload.decode_from: position out of range"
-  else decode_at buf pos
-
 let get_int = function Int i -> i | _ -> invalid_arg "Payload.get_int"
 let get_str = function Str s -> s | _ -> invalid_arg "Payload.get_str"
 let get_pair = function Pair (a, b) -> (a, b) | _ -> invalid_arg "Payload.get_pair"

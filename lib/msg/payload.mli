@@ -4,7 +4,9 @@
     must be comparable (for tests), printable (for traces), and sizeable
     (message cost in the cost model depends on payload bytes). Keeping the
     type closed is also what makes the runtime's deterministic-replay
-    cloning of receivers sound — logged receive results are plain data. *)
+    cloning of receivers sound — logged receive results are plain data.
+    Payloads are immutable, so a payload is frozen the moment it is sent:
+    every receiver of a message shares the sender's value. *)
 
 type t =
   | Unit
@@ -26,26 +28,6 @@ val to_string : t -> string
 (** Convenience constructors and partial projections (raising
     [Invalid_argument] on shape mismatch, for use in tests and examples
     where the protocol fixes the shape). *)
-
-(** {2 In-place binary codec}
-
-    The ring-buffer message frames serialise payloads directly into
-    preallocated slot buffers with this codec; a payload that does not fit
-    the slot takes the frame's spill path instead. Encoding an [Int] — the
-    common scalar case — is allocation-free; decoding allocates exactly the
-    payload value returned. *)
-
-val encoded_size : t -> int
-(** Exact number of bytes {!encode_into} will write. *)
-
-val encode_into : t -> buf:Bytes.t -> pos:int -> int option
-(** [encode_into t ~buf ~pos] writes [t] at [pos] and returns the position
-    one past the encoding, or [None] if it would not fit in [buf] (the
-    caller's spill path). *)
-
-val decode_from : buf:Bytes.t -> pos:int -> t * int
-(** Inverse of {!encode_into}: the decoded payload and the position one
-    past it. Raises [Invalid_argument] on a corrupt buffer. *)
 
 val int : int -> t
 val str : string -> t

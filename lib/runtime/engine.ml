@@ -47,7 +47,7 @@ type pcb = {
   mutable park : park option;
   mutable predicate : Predicate.t;
   space : Address_space.t option;
-  mutable mailbox : Mailbox.t;  (* ring of frames, arrival order *)
+  mutable mailbox : Mailbox.t;  (* ring of messages, arrival order *)
   mutable chans : channel list;  (* outbound channels, one per logical dest *)
   mutable last_chan : channel option;  (* last outbound channel, a cache *)
   born : int;  (* spawn order within the engine: the sweep's snapshot key *)
@@ -72,11 +72,11 @@ and ctx = { engine : t; pcb : pcb }
 and event = { mutable dead_ev : bool; run_ev : unit -> unit }
 
 (* One (sender, logical dest) messaging channel: the per-sender FIFO
-   clock, a ring-buffer outbox of in-flight frames, and the state of the
+   clock, a ring-buffer outbox of in-flight messages, and the state of the
    currently open delivery batch.
 
    A batch is a single scheduled event that will hand a contiguous run of
-   outbox frames to the receiver in one step. A later send may join the
+   outbox entries to the receiver in one step. A later send may join the
    open batch only if (a) it is due at exactly the batch's flush time,
    (b) the event queue's stamp has not moved since the batch last grew —
    i.e. nothing else was scheduled in between — and (c) no event has
@@ -142,7 +142,6 @@ and t = {
   mutable cpu_gen : int;
   mutable cpu_last : float;
   mutable cpu_tick_ev : event option;
-  mutable next_uid : int;  (* engine-global send identity *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
   mutable events_processed : int;  (* also the batch-join epoch *)
   mutable live : int;
@@ -201,7 +200,6 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     cpu_gen = 0;
     cpu_last = 0.;
     cpu_tick_ev = None;
-    next_uid = 0;
     mailbox_scanned = 0;
     events_processed = 0;
     live = 0;
@@ -614,7 +612,7 @@ and try_receive t pcb tag : Message.t =
   if Mailbox.is_empty ring then Mailbox.no_message
   else begin
     (* A tag-filtered receive starts at the ring's per-tag cursor: every
-       position before it is known to hold no live frame with this tag, so
+       position before it is known to hold no live entry with this tag, so
        repeated polls do not re-scan foreign traffic (the old list scan
        was quadratic in exactly that case). The cursor may be behind the
        head after consumptions; clamp it forward. *)
@@ -638,121 +636,98 @@ and try_receive t pcb tag : Message.t =
    common no-deferral scan allocates nothing. [prefix] is true while every
    slot visited so far was a tombstone or tag-foreign, i.e. while the
    per-tag cursor may still advance over them. A top-level function rather
-   than an inner closure: the receive fast path allocates nothing. The
-   position-indexed accessors hide whether an entry is framed or spilled. *)
+   than an inner closure: the receive fast path allocates nothing. *)
 and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
   if pos >= Mailbox.tail_pos ring then Mailbox.no_message
   else begin
     t.mailbox_scanned <- t.mailbox_scanned + 1;
-    if not (Mailbox.occupied_at ring pos) then begin
+    let m = Mailbox.message_at ring pos in
+    if
+      m == Mailbox.no_message
+      || match tag with
+         | None -> false
+         | Some wanted -> not (String.equal m.Message.tag wanted)
+    then begin
+      (* A tombstone or tag-foreign traffic. *)
       advance_cursor cur pos prefix;
       scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
     end
-    else
-      let matches_tag =
-        match tag with
-        | None -> true
-        | Some wanted -> String.equal (Mailbox.tag_at ring pos) wanted
-      in
-      if not matches_tag then begin
-        advance_cursor cur pos prefix;
-        scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
-      end
-      else if pcb.oblivious then begin
-        (* Kernel-level services (consensus voters, devices) accept every
-           message: they are part of process management, not of any world. *)
-        let m = Mailbox.message_at ring pos in
+    else if pcb.oblivious then begin
+      (* Kernel-level services (consensus voters, devices) accept every
+         message: they are part of process management, not of any world. *)
+      if Trace.live t.trace_ then
+        tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
+      Mailbox.remove ring pos;
+      m
+    end
+    else if
+      (* Empty-list check first: nothing is examined unless a sender has
+         actually been deferred during this scan. *)
+      (match blocked with
+      | [] -> false
+      | _ -> List.exists (Pid.equal m.Message.sender) blocked)
+    then scan_mailbox t pcb ring tag cur blocked (pos + 1) false
+    else begin
+      let spred = m.Message.predicate in
+      if Predicate.is_certain spred then begin
+        (* The overwhelmingly common case: a sender with no unresolved
+           assumptions. Normalisation would return the predicate
+           unchanged and the receiver trivially implies it, so accept
+           directly without allocating the `Live wrapper. *)
         if Trace.live t.trace_ then
-          tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
+          tr t
+            (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
         Mailbox.remove ring pos;
         m
       end
-      else if
-        (* Empty-list check first: nothing is examined unless a sender has
-           actually been deferred during this scan. *)
-        (match blocked with
-        | [] -> false
-        | _ -> List.exists (Pid.equal (Mailbox.sender_at ring pos)) blocked)
-      then scan_mailbox t pcb ring tag cur blocked (pos + 1) false
-      else begin
-        let spred = Mailbox.predicate_at ring pos in
-        if Predicate.is_certain spred then begin
-          (* The overwhelmingly common case: a sender with no unresolved
-             assumptions. Normalisation would return the predicate
-             unchanged and the receiver trivially implies it, so accept
-             directly without allocating the `Live wrapper. *)
-          let m = Mailbox.message_at ring pos in
+      else
+        match Fate_registry.normalize t.reg spred with
+        | `Dead ->
+          (* The sender's world died: the message never happened. *)
           if Trace.live t.trace_ then
-            tr t
-              (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
+            tr t (Trace.Ignored { dest = pcb.pid; msg = m; reason = "dead world" });
           Mailbox.remove ring pos;
-          m
-        end
-        else
-          match Fate_registry.normalize t.reg spred with
-          | `Dead ->
-            (* The sender's world died: the message never happened. *)
+          advance_cursor cur pos prefix;
+          scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
+        | `Live s ->
+          if Predicate.implies pcb.predicate s then begin
             if Trace.live t.trace_ then
               tr t
-                (Trace.Ignored
-                   {
-                     dest = pcb.pid;
-                     msg = Mailbox.message_at ring pos;
-                     reason = "dead world";
-                   });
+                (Trace.Accepted
+                   { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
+            Mailbox.remove ring pos;
+            m
+          end
+          else if Predicate.conflicts pcb.predicate s then begin
+            if Trace.live t.trace_ then
+              tr t (Trace.Ignored { dest = pcb.pid; msg = m; reason = "conflict" });
             Mailbox.remove ring pos;
             advance_cursor cur pos prefix;
             scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
-          | `Live s ->
-            if Predicate.implies pcb.predicate s then begin
-              let m = Mailbox.message_at ring pos in
-              if Trace.live t.trace_ then
-                tr t
-                  (Trace.Accepted
-                     { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
-              Mailbox.remove ring pos;
-              m
-            end
-            else if Predicate.conflicts pcb.predicate s then begin
-              if Trace.live t.trace_ then
-                tr t
-                  (Trace.Ignored
-                     {
-                       dest = pcb.pid;
-                       msg = Mailbox.message_at ring pos;
-                       reason = "conflict";
-                     });
-              Mailbox.remove ring pos;
-              advance_cursor cur pos prefix;
-              scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
-            end
-            else begin
-              (* The message requires new assumptions. *)
-              match accept_with_split t pcb ring pos s with
-              | Some m ->
-                Mailbox.remove ring pos;
-                m
-              | None ->
-                (* Keep waiting: do not overtake this sender (FIFO). *)
-                scan_mailbox t pcb ring tag cur
-                  (Mailbox.sender_at ring pos :: blocked)
-                  (pos + 1) false
-            end
-      end
+          end
+          else if accept_with_split t pcb m s then begin
+            (* The message required new assumptions, which it now has. *)
+            Mailbox.remove ring pos;
+            m
+          end
+          else
+            (* Keep waiting: do not overtake this sender (FIFO). *)
+            scan_mailbox t pcb ring tag cur (m.Message.sender :: blocked)
+              (pos + 1) false
+    end
   end
 
 and advance_cursor cur pos prefix =
   if prefix then
     match cur with None -> () | Some c -> c.Mailbox.cpos <- pos + 1
 
-(* Receiver [pcb] is about to accept the message at [pos] of its ring,
-   whose (normalized) sending predicate [s] extends the receiver's
-   assumptions. Create the rejecting world as a replay clone, then let
-   [pcb] proceed as the accepting world. Returns the accepted message, or
-   [None] to defer; the caller removes the entry from the mailbox on
-   acceptance. *)
-and accept_with_split t pcb ring pos s : Message.t option =
-  let sender = Mailbox.sender_at ring pos in
+(* Receiver [pcb] is about to accept [m], a message in its mailbox whose
+   (normalized) sending predicate [s] extends the receiver's assumptions.
+   Create the rejecting world as a replay clone, then let [pcb] proceed as
+   the accepting world. Returns false to defer; the caller removes the
+   entry from the mailbox on acceptance. *)
+and accept_with_split t pcb m s =
+  let sender = m.Message.sender in
   let reject_pred =
     if Predicate.mem_completes pcb.predicate sender then None
     else Some (Predicate.assume_fails pcb.predicate sender)
@@ -762,11 +737,9 @@ and accept_with_split t pcb ring pos s : Message.t option =
   | None ->
     (* The receiver already depends on the sender completing; the only new
        assumptions are the sender's own, which acceptance takes on. *)
-    let m = Mailbox.message_at ring pos in
     adopt_sender_assumptions t pcb m s;
-    Some m
+    true
   | Some reject_pred when can_clone ->
-    let m = Mailbox.message_at ring pos in
     let clone_pid = alloc_pid t in
     let clone =
       make_pcb t ~pid:clone_pid ~logical:pcb.logical ~parent:pcb.parent
@@ -775,14 +748,11 @@ and accept_with_split t pcb ring pos s : Message.t option =
     in
     clone.replay <- List.rev pcb.log;
     clone.log <- pcb.log;
-    (* The rejecting world keeps everything except the accepted send —
-       keyed by send identity (and by shared message value for spilled
-       entries), so an injected duplicate is excluded along with its
-       original, exactly like the physical-equality filter on the old
-       list mailbox. Framed entries are deep-copied: both worlds may
-       consume their copies independently. *)
-    clone.mailbox <-
-      Mailbox.copy_excluding pcb.mailbox ~uid:(Mailbox.uid_at ring pos) ~msg:m;
+    (* The rejecting world keeps everything except the accepted send. An
+       injected duplicate is the same message value pushed twice, so the
+       physical-identity filter excludes it along with its original; the
+       worlds share the remaining immutable entries. *)
+    clone.mailbox <- Mailbox.copy_excluding pcb.mailbox ~msg:m;
     register_world t clone;
     t.live <- t.live + 1;
     (* World copies live wherever the original does: a site crash must take
@@ -795,19 +765,15 @@ and accept_with_split t pcb ring pos s : Message.t option =
       ~at:(t.vnow +. t.model_.Cost_model.fork_base)
       (fun () -> start_pcb t clone);
     adopt_sender_assumptions t pcb m s;
-    Some m
+    true
   | Some _ ->
     (* Not cloneable: fall back to deferring until the sender resolves
        (pessimistic but semantics-preserving). *)
     if Trace.live t.trace_ then
       tr t
         (Trace.Ignored
-           {
-             dest = pcb.pid;
-             msg = Mailbox.message_at ring pos;
-             reason = "deferred (receiver not cloneable)";
-           });
-    None
+           { dest = pcb.pid; msg = m; reason = "deferred (receiver not cloneable)" });
+    false
 
 and adopt_sender_assumptions t pcb m s =
   (* The trace records the predicate the receiver held when it decided to
@@ -1115,33 +1081,18 @@ and channel_of pcb ~dest =
     pcb.last_chan <- Some c;
     c
 
-(* Serialise one outgoing message into the channel's outbox (or spill it
-   as a heap message when the ring's frame pool is exhausted by a burst)
-   and make sure a flush event will hand it to the receiver at the time the
-   caller just stored in [ch_clock.(0)] (passing it through the clock
-   rather than as an argument keeps the float unboxed on the join path):
-   join the open batch when that is provably order-preserving (same flush
-   time, no event scheduled since the batch last grew — the queue's stamp
-   — and none executed since it opened — [events_processed], the
-   batch-join epoch), otherwise schedule a fresh flush — which takes
-   exactly the event-queue slot the per-message delivery used to, so
-   (time, seq) order is unchanged. *)
-and outbox_push t chan ~sender ~predicate ~tag ~seq ~uid ~size ~cached payload
-    =
-  (if Mailbox.has_frame chan.outbox then
-     Frame.fill
-       (Mailbox.emplace_frame chan.outbox)
-       ~sender ~dest:chan.ch_dest ~predicate ~tag ~seq ~uid ~size ~cached
-       payload
-   else
-     let m =
-       match cached with
-       | Some m -> m
-       | None ->
-         { Message.sender; dest = chan.ch_dest; predicate; payload; tag; seq;
-           size }
-     in
-     Mailbox.emplace_spilled chan.outbox m);
+(* Append one outgoing message to the channel's outbox and make sure a
+   flush event will hand it to the receiver at the time the caller just
+   stored in [ch_clock.(0)] (passing it through the clock rather than as
+   an argument keeps the float unboxed on the join path): join the open
+   batch when that is provably order-preserving (same flush time, no
+   event scheduled since the batch last grew — the queue's stamp — and
+   none executed since it opened — [events_processed], the batch-join
+   epoch), otherwise schedule a fresh flush — which takes exactly the
+   event-queue slot the per-message delivery used to, so (time, seq)
+   order is unchanged. *)
+and outbox_push t chan msg =
+  Mailbox.push chan.outbox msg;
   let at = Float.Array.unsafe_get chan.ch_clock 0 in
   if
     chan.ch_open
@@ -1171,20 +1122,11 @@ and do_send t pcb ~dest ~tag payload =
   in
   let seq = pcb.send_seq in
   pcb.send_seq <- seq + 1;
-  let uid = t.next_uid in
-  t.next_uid <- uid + 1;
   let size = Message.header_bytes + Payload.size_bytes payload in
-  let live = Trace.live t.trace_ in
-  (* Materialise a message value only if someone will look at it: the
-     trace, a message-fault plan, or a delivery-fault hook. It is threaded
-     through the frames as [cached] so every event about this send shares
-     one value, exactly like the heap-allocated path did. *)
-  let msg =
-    if live || t.msg_fault != None || t.delivery_fault != None then
-      Some { Message.sender = pcb.pid; dest; predicate; payload; tag; seq; size }
-    else None
-  in
-  (match msg with Some m when live -> tr t (Trace.Sent { msg = m }) | _ -> ());
+  (* The one value every receiver, trace event and fault hook sees for
+     this send. *)
+  let msg = { Message.sender = pcb.pid; dest; predicate; payload; tag; seq; size } in
+  if Trace.live t.trace_ then tr t (Trace.Sent { msg });
   let chan = channel_of pcb ~dest in
   (* Per-(sender, logical dest) FIFO: never deliver before an earlier send.
      The cost expression is inlined (rather than calling
@@ -1201,16 +1143,13 @@ and do_send t pcb ~dest ~tag payload =
   match t.msg_fault with
   | None ->
     Float.Array.unsafe_set chan.ch_clock 0 at;
-    outbox_push t chan ~sender:pcb.pid ~predicate ~tag ~seq ~uid ~size
-      ~cached:msg payload
+    outbox_push t chan msg
   | Some f -> (
-    let m = Option.get msg in
-    let inject kind = tr t (Trace.Injected { kind; pid = None; msg = Some m }) in
-    match f m with
+    let inject kind = tr t (Trace.Injected { kind; pid = None; msg = Some msg }) in
+    match f msg with
     | F_deliver ->
       Float.Array.unsafe_set chan.ch_clock 0 at;
-      outbox_push t chan ~sender:pcb.pid ~predicate ~tag ~seq ~uid ~size
-        ~cached:msg payload
+      outbox_push t chan msg
     | F_drop ->
       (* The send happened; the network lost it. The channel clock still
          advances so that later sends keep their fault-free schedule. *)
@@ -1219,13 +1158,11 @@ and do_send t pcb ~dest ~tag payload =
     | F_duplicate ->
       Float.Array.unsafe_set chan.ch_clock 0 at;
       inject "duplicate";
-      (* Two frames, one send identity, independently serialised bytes:
-         consuming (or corrupting) one copy cannot touch the other, but a
-         world split still filters both out as a single logical send. *)
-      outbox_push t chan ~sender:pcb.pid ~predicate ~tag ~seq ~uid ~size
-        ~cached:msg payload;
-      outbox_push t chan ~sender:pcb.pid ~predicate ~tag ~seq ~uid ~size
-        ~cached:msg payload
+      (* Two entries sharing one immutable value: consuming one copy
+         cannot touch the other, and a world split's physical-identity
+         filter removes both as a single logical send. *)
+      outbox_push t chan msg;
+      outbox_push t chan msg
     | F_delay extra ->
       (* Extra latency that also holds back later sends on the channel:
          per-sender FIFO is preserved, everything just arrives late. The
@@ -1234,13 +1171,13 @@ and do_send t pcb ~dest ~tag payload =
       let at = at +. Float.max 0. extra in
       Float.Array.unsafe_set chan.ch_clock 0 at;
       inject "delay";
-      schedule t ~at (fun () -> deliver_msg t m)
+      schedule t ~at (fun () -> deliver_msg t msg)
     | F_reorder extra ->
       (* Extra latency that does NOT advance the channel clock: a later
          send may overtake this message — a genuine FIFO violation. *)
       Float.Array.unsafe_set chan.ch_clock 0 at;
       inject "reorder";
-      schedule t ~at:(at +. Float.max 0. extra) (fun () -> deliver_msg t m))
+      schedule t ~at:(at +. Float.max 0. extra) (fun () -> deliver_msg t msg))
 
 (* Hand every entry of one delivery batch to every world copy of its
    destination, then rescan each copy once. The rule is the same whoever
@@ -1266,7 +1203,7 @@ and flush_channel t chan upto =
     let copies = receivers t dest in
     while Mailbox.head_pos outbox < upto.u do
       let pos = Mailbox.head_pos outbox in
-      offer_entry t outbox pos copies;
+      offer_entry t (Mailbox.message_at outbox pos) copies;
       Mailbox.remove outbox pos
     done);
   rescan_worlds t dest
@@ -1283,34 +1220,24 @@ and drain_batch_to t outbox upto pid =
     Mailbox.transfer_upto outbox ~upto:upto.u pcb.mailbox
   | _ -> Mailbox.drop_upto outbox ~upto:upto.u
 
-(* Offer one outbox entry to each world copy in turn (a direct loop: a
-   closure over [pos] would allocate per entry). The delivery-fault hook
-   is asked per copy at delivery time, so a site crash or partition that
-   comes up while the message is in flight still loses it; the hook
-   records its own trace events. Framed entries are deep-copied into a
-   destination frame (or materialised and spilled if the destination pool
-   is exhausted); spilled entries share the immutable message value. *)
-and offer_entry t outbox pos = function
+(* Offer one message to each world copy in turn (a direct loop: a
+   closure over the message would allocate per entry). The delivery-fault
+   hook is asked per copy at delivery time, so a site crash or partition
+   that comes up while the message is in flight still loses it; the hook
+   records its own trace events. Every copy that takes the message
+   shares the one immutable value. *)
+and offer_entry t msg = function
   | [] -> ()
   | pid :: rest ->
     (match find_pcb t pid with
     | Some pcb when is_alive pcb ->
-      if
-        match t.delivery_fault with
-        | None -> true
-        | Some f -> f (Mailbox.message_at outbox pos) ~dest:pid
+      if match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid
       then begin
-        let fr = Mailbox.frame_at outbox pos and dst = pcb.mailbox in
-        if not (Frame.occupied fr) then
-          Mailbox.emplace_spilled dst (Mailbox.message_at outbox pos)
-        else if Mailbox.has_frame dst then
-          Frame.copy_into fr (Mailbox.emplace_frame dst)
-        else Mailbox.emplace_spilled dst (Frame.message fr);
-        if Trace.live t.trace_ then
-          tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at outbox pos })
+        Mailbox.push pcb.mailbox msg;
+        if Trace.live t.trace_ then tr t (Trace.Delivered { dest = pid; msg })
       end
     | _ -> ());
-    offer_entry t outbox pos rest
+    offer_entry t msg rest
 
 (* The copies a delivery is offered to: a ghost destination (never
    spawned, or the physical pid of a clone) stands for itself. *)
@@ -1327,22 +1254,11 @@ and rescan_world_copy t pid =
   | None -> ()
   | Some pcb -> if is_alive pcb then rescan_parked t pcb
 
-(* Delayed or reordered fault injections bypass the outbox: the message
-   already exists, so every copy shares it through the spill path, and
-   the copies are rescanned once after all of them received it. *)
+(* Delayed or reordered fault injections bypass the outbox but take the
+   same tail: offered to every copy, which are then rescanned once. *)
 and deliver_msg t (msg : Message.t) =
   let dest = msg.Message.dest in
-  List.iter
-    (fun pid ->
-      match find_pcb t pid with
-      | Some pcb
-        when is_alive pcb
-             && match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid
-        ->
-        Mailbox.emplace_spilled pcb.mailbox msg;
-        tr t (Trace.Delivered { dest = pid; msg })
-      | _ -> ())
-    (receivers t dest);
+  offer_entry t msg (receivers t dest);
   rescan_worlds t dest
 
 (* ------------------------------------------------------------------ *)

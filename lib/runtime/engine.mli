@@ -181,7 +181,9 @@ val charge_memory : ctx -> unit
 val send : ctx -> ?tag:string -> Pid.t -> Payload.t -> unit
 (** Reliable FIFO send; stamps the message with the sender's current
     predicate and charges {!Cost_model.message_cost} latency before
-    delivery. *)
+    delivery. The message is built once: every world copy of the receiver,
+    every trace event and every fault hook sees that one immutable
+    value. *)
 
 val receive : ctx -> ?tag:string -> unit -> Message.t
 (** Block until a message acceptable under the predicate rules (and matching
@@ -310,7 +312,9 @@ val children_of : t -> Pid.t -> Pid.t list
     on the same channel queue behind it); [F_reorder] adds latency {e
     without} holding the channel clock back, so a later message can overtake
     — the only way to violate FIFO, kept separate so campaigns can opt in
-    deliberately. *)
+    deliberately. [F_duplicate] queues the one message value twice, so a
+    world split that accepts one copy excludes both from the rejecting
+    world. *)
 type fault_action =
   | F_deliver
   | F_drop

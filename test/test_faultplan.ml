@@ -259,10 +259,9 @@ let test_same_seeds_same_injections () =
   check (Alcotest.float 0.) "identical final virtual time" t1 t2;
   check Alcotest.bool "the p=0.5 stream did fire" true (List.length i1 > 0)
 
-(* Satellite regression for F_duplicate on spilled outbox entries
-   (uid = -1 inside the ring), end to end under a drop+duplicate fault
+(* Regression for F_duplicate end to end, under a drop+duplicate fault
    plan with the online sanitizer attached: the duplicate copies share
-   one immutable cached message, so neither physical-identity dedup
+   one immutable message value, so neither physical-identity dedup
    (what [Mailbox.copy_excluding] uses for world splits) nor the
    per-sender reply tally in [Majority] can be defeated, and the
    sanitizer's frame-ownership / happens-before tracking must not

@@ -1,44 +1,31 @@
-(* Tests for the ring-buffer mailbox (lib/runtime/mailbox.ml, lib/msg/frame.ml)
-   and the messaging hot-path fixes that ride on it:
+(* Tests for the ring-buffer mailbox (lib/runtime/mailbox.ml) and the
+   messaging hot-path behaviour that rides on it:
 
-   - pool recycling across wrap-around (the alloc-free steady state),
-   - the spill path when a burst exceeds the frame pool (overflow spills,
-     it never blocks: sends are asynchronous),
-   - degenerate capacities (zero = all-spill, one slot),
-   - world-split exclusion ([copy_excluding]) over framed/spilled mixes,
-   - frame recycling vs duplicate aliasing (the latent bug a shared-slot
-     implementation has: both regression-tested at the frame level and
-     end-to-end through fault injection),
+   - FIFO order across wrap-around, growth and bursts (a send never
+     blocks: the ring grows), and a slot array that stays flat under
+     steady streaming,
+   - duplicates and world splits: the copies of one send share one
+     immutable value, consuming one leaves the other intact, and a split
+     ([copy_excluding]) excludes both,
+   - a delivered message is the sent value itself, with one copy, with
+     two world copies and behind a pass-through delivery hook,
    - the per-tag receive cursor (the quadratic re-scan fix), with a hard
      budget on [Engine.stats_mailbox_scanned],
-   - payload freezing and size stamping at send,
+   - size stamping at send,
    - batched delivery interleaved with zero-timeout pure polls, the same
-     with the trace off, on, or behind a pass-through delivery hook. *)
+     with the trace off, on, or behind a pass-through delivery hook,
+   - two qcheck models: the ring against a FIFO list, and channel
+     batching against one-event-per-message delivery order. *)
 
 let check = Alcotest.check
 
 let pid i = Pid.of_int i
 
-let spilled_message ~uid ~tag payload =
-  {
-    Message.sender = pid 1;
-    dest = pid 2;
-    predicate = Predicate.empty;
-    payload;
-    tag;
-    seq = uid;
-    size = Message.header_bytes + Payload.size_bytes payload;
-  }
+let message ~uid ~tag payload =
+  Message.make ~sender:(pid 1) ~dest:(pid 2) ~predicate:Predicate.empty ~tag
+    ~seq:uid payload
 
-let fill_one ring ~uid ~tag payload =
-  (* Emplace the way the engine's send path does: a pooled frame while one
-     is available, the spill path otherwise. *)
-  if Mailbox.has_frame ring then
-    Frame.fill (Mailbox.emplace_frame ring) ~sender:(pid 1) ~dest:(pid 2)
-      ~predicate:Predicate.empty ~tag ~seq:uid ~uid
-      ~size:(Message.header_bytes + Payload.size_bytes payload)
-      ~cached:None payload
-  else Mailbox.emplace_spilled ring (spilled_message ~uid ~tag payload)
+let push_one ring ~uid ~tag payload = Mailbox.push ring (message ~uid ~tag payload)
 
 let pop_front ring =
   let pos = Mailbox.head_pos ring in
@@ -46,138 +33,159 @@ let pop_front ring =
   Mailbox.remove ring pos;
   m
 
+let int_of_payload = function Payload.Int i -> i | _ -> -1
+
+let pop_int ring = int_of_payload (pop_front ring).Message.payload
+
+(* The live entries, in position order. *)
+let entries ring =
+  let acc = ref [] in
+  for pos = Mailbox.tail_pos ring - 1 downto Mailbox.head_pos ring do
+    let m = Mailbox.message_at ring pos in
+    if m != Mailbox.no_message then acc := (pos, m) :: !acc
+  done;
+  !acc
+
+let same_values a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
+(* Heap words the ring holds: its record, slot array and sentinel. *)
+let ring_words ring = Obj.reachable_words (Obj.repr ring)
+
 (* ---------------- ring mechanics ---------------- *)
 
-(* Steady-state streaming through a small ring: positions wrap many times
-   over, FIFO order holds throughout, and the frame pool never grows past
-   its bound — the recycled frames are the whole point. *)
-let test_wraparound_pool_stays_flat () =
-  let ring = Mailbox.create ~capacity:8 () in
-  let next_uid = ref 0 and expect = ref 0 in
-  for _round = 1 to 500 do
+(* Steady-state streaming: positions wrap many times over, FIFO order
+   holds throughout, and a drained ring is no bigger after 500 rounds
+   than after the first — the slot array never grows. *)
+let test_wraparound_stays_flat () =
+  let ring = Mailbox.create () in
+  let next = ref 0 and expect = ref 0 and words = ref 0 in
+  for round = 1 to 500 do
     for _ = 1 to 3 do
-      fill_one ring ~uid:!next_uid ~tag:"t" (Payload.int !next_uid);
-      incr next_uid
+      push_one ring ~uid:!next ~tag:"t" (Payload.int !next);
+      incr next
     done;
     for _ = 1 to 3 do
-      (match (pop_front ring).Message.payload with
-      | Payload.Int i -> check Alcotest.int "FIFO across wrap" !expect i
-      | _ -> Alcotest.fail "unexpected payload");
+      check Alcotest.int "FIFO across wrap" !expect (pop_int ring);
       incr expect
-    done
+    done;
+    if round = 1 then words := ring_words ring
   done;
   check Alcotest.int "ring drained" 0 (Mailbox.length ring);
-  check Alcotest.bool "pool bounded" true (Mailbox.frames_made ring <= 8);
-  check Alcotest.int "nothing ever spilled" 0 (Mailbox.spilled_total ring);
+  check Alcotest.int "slot array never grew" !words (ring_words ring);
   check Alcotest.bool "positions wrapped many times" true
     (Mailbox.tail_pos ring > 8 * 100)
 
-(* A burst deeper than the pool: the overflow takes the spill path and the
-   ring keeps accepting (sends are asynchronous — there is nothing to
-   block). Order is preserved across the framed/spilled boundary, and
-   consuming the burst rearms the pool for the next one. *)
-let test_overflow_spills_never_blocks () =
-  let ring = Mailbox.create ~capacity:4 () in
-  for i = 0 to 19 do
-    fill_one ring ~uid:i ~tag:"t" (Payload.int i)
-  done;
-  check Alcotest.int "all 20 accepted" 20 (Mailbox.length ring);
-  check Alcotest.int "pool exhausted at its bound" 4 (Mailbox.frames_made ring);
-  check Alcotest.int "the rest spilled" 16 (Mailbox.spilled_total ring);
-  for i = 0 to 19 do
-    match (pop_front ring).Message.payload with
-    | Payload.Int j -> check Alcotest.int "order across the boundary" i j
-    | _ -> Alcotest.fail "unexpected payload"
-  done;
-  (* The consumed frames are back in the pool: a second burst frames its
-     first 4 again without creating anything. *)
-  for i = 100 to 104 do
-    fill_one ring ~uid:i ~tag:"t" (Payload.int i)
-  done;
-  check Alcotest.int "no new frames for the second burst" 4
-    (Mailbox.frames_made ring)
+(* A burst far deeper than the first slot array: the ring grows (sends
+   are asynchronous — there is nothing to block on) and keeps FIFO order
+   across every growth step. The grown ring carries the next burst of the
+   same depth without growing again. *)
+let test_burst_grows_in_order () =
+  let ring = Mailbox.create () in
+  let burst base =
+    for i = base to base + 199 do
+      push_one ring ~uid:i ~tag:"t" (Payload.int i)
+    done;
+    check Alcotest.int "the whole burst accepted" 200 (Mailbox.length ring);
+    for i = base to base + 199 do
+      check Alcotest.int "order across growth" i (pop_int ring)
+    done
+  in
+  burst 0;
+  let words = ring_words ring in
+  burst 1000;
+  check Alcotest.int "no growth for the second burst" words (ring_words ring)
 
-let test_zero_capacity_is_all_spill () =
-  let ring = Mailbox.create ~capacity:0 () in
-  check Alcotest.bool "never has a frame" false (Mailbox.has_frame ring);
-  for i = 0 to 9 do
-    fill_one ring ~uid:i ~tag:"t" (Payload.int i)
+(* Growth while the live entries wrap around the end of the slot array
+   (the head is mid-array, the tail has wrapped) re-homes them by
+   position: FIFO order survives, and so do mid-ring tombstones. *)
+let test_growth_while_wrapped () =
+  let ring = Mailbox.create () in
+  for i = 0 to 5 do
+    push_one ring ~uid:i ~tag:"t" (Payload.int i)
   done;
-  check Alcotest.int "all spilled" 10 (Mailbox.spilled_total ring);
-  check Alcotest.int "all held" 10 (Mailbox.length ring);
-  for i = 0 to 9 do
-    match (pop_front ring).Message.payload with
-    | Payload.Int j -> check Alcotest.int "order" i j
-    | _ -> Alcotest.fail "unexpected payload"
-  done
+  for i = 0 to 4 do
+    check Alcotest.int "drain" i (pop_int ring)
+  done;
+  (* Head at position 5 of an 8-slot array: these wrap, then grow it. *)
+  for i = 6 to 29 do
+    push_one ring ~uid:i ~tag:"t" (Payload.int i)
+  done;
+  Mailbox.remove ring 10;
+  check Alcotest.int "all held" 24 (Mailbox.length ring);
+  List.iter
+    (fun i -> check Alcotest.int "order after growth" i (pop_int ring))
+    (List.filter (fun i -> i <> 10) (List.init 25 (fun i -> i + 5)))
 
-let test_one_slot_ring () =
-  let ring = Mailbox.create ~capacity:1 () in
+(* The copies of one send are one value pushed twice. Consuming one copy,
+   and then streaming later traffic through the slot it vacated, leaves
+   the other copy exactly the sent value. *)
+let test_duplicate_copies_share_one_value () =
+  let ring = Mailbox.create () in
   for i = 0 to 99 do
-    fill_one ring ~uid:i ~tag:"t" (Payload.int i);
-    match (pop_front ring).Message.payload with
-    | Payload.Int j -> check Alcotest.int "ping-pong order" i j
-    | _ -> Alcotest.fail "unexpected payload"
-  done;
-  check Alcotest.int "one frame ever made" 1 (Mailbox.frames_made ring);
-  check Alcotest.int "nothing spilled" 0 (Mailbox.spilled_total ring)
+    let m = message ~uid:i ~tag:"t" (Payload.str (string_of_int i)) in
+    Mailbox.push ring m;
+    Mailbox.push ring m;
+    let first = pop_front ring in
+    push_one ring ~uid:(-1) ~tag:"chaff" (Payload.str "overwrite");
+    let second = pop_front ring in
+    check Alcotest.bool "both copies are the sent value" true
+      (first == m && second == m);
+    check Alcotest.string "payload intact" (string_of_int i)
+      (Payload.get_str second.Message.payload);
+    check Alcotest.string "chaff after both" "chaff" (pop_front ring).Message.tag
+  done
 
 (* ---------------- world-split exclusion ---------------- *)
 
-let test_copy_excluding_framed_and_spilled () =
-  let ring = Mailbox.create ~capacity:2 () in
-  (* 0,1 framed; 2,3 spilled. *)
-  for i = 0 to 3 do
-    fill_one ring ~uid:i ~tag:"t" (Payload.int i)
+(* A world split's rejecting copy keeps everything except the accepted
+   send — both entries of an injected duplicate — and shares the rest. *)
+let test_copy_excluding_drops_every_copy () =
+  let ring = Mailbox.create () in
+  let ms = Array.init 4 (fun i -> message ~uid:i ~tag:"t" (Payload.int i)) in
+  List.iter (Mailbox.push ring) [ ms.(0); ms.(1); ms.(1); ms.(2); ms.(3) ];
+  let c = Mailbox.copy_excluding ring ~msg:ms.(1) in
+  check Alcotest.int "both copies of the accepted send excluded" 3
+    (Mailbox.length c);
+  check Alcotest.bool "the rest kept in order, shared" true
+    (same_values [ ms.(0); ms.(2); ms.(3) ] (List.map snd (entries c)));
+  (* Exclusion is by identity: an equal message is a different send. *)
+  let twin = message ~uid:1 ~tag:"t" (Payload.int 1) in
+  check Alcotest.int "a structurally equal send stays" 5
+    (Mailbox.length (Mailbox.copy_excluding ring ~msg:twin));
+  (* Both worlds consume independently. *)
+  ignore (pop_front ring);
+  ignore (pop_front ring);
+  check Alcotest.bool "copy unaffected by the original's consumption" true
+    (same_values [ ms.(0); ms.(2); ms.(3) ] (List.map snd (entries c)))
+
+(* ---------------- duplicates and identity ---------------- *)
+
+(* A duplicate travels outbox -> mailbox as two entries of one value.
+   After the first copy is consumed and later traffic has cycled through
+   both rings, the second copy is still the sent value: no slot holds
+   content that traffic could overwrite. *)
+let test_traffic_cannot_reach_a_duplicate () =
+  let outbox = Mailbox.create () and inbox = Mailbox.create () in
+  let m = message ~uid:42 ~tag:"orig" (Payload.int 1234) in
+  Mailbox.push outbox m;
+  Mailbox.push outbox m;
+  Mailbox.transfer_upto outbox ~upto:(Mailbox.tail_pos outbox) inbox;
+  check Alcotest.bool "first copy is the sent value" true (pop_front inbox == m);
+  for i = 0 to 99 do
+    push_one outbox ~uid:i ~tag:"evil" (Payload.str "overwrite");
+    Mailbox.transfer_upto outbox ~upto:(Mailbox.tail_pos outbox) inbox;
+    (* Consume the newcomer, leaving the second copy at the head. *)
+    Mailbox.remove inbox (Mailbox.tail_pos inbox - 1)
   done;
-  (* Exclude the framed uid 1. *)
-  let c1 =
-    Mailbox.copy_excluding ring ~uid:1 ~msg:(Mailbox.message_at ring 1)
-  in
-  check Alcotest.int "one framed entry excluded" 3 (Mailbox.length c1);
-  (* Exclude the spilled entry at position 3 (uid -1: spilled entries are
-     matched by physical message identity instead). *)
-  let c2 =
-    Mailbox.copy_excluding ring
-      ~uid:(Mailbox.uid_at ring 3)
-      ~msg:(Mailbox.message_at ring 3)
-  in
-  check Alcotest.int "one spilled entry excluded" 3 (Mailbox.length c2);
-  (* The copy is independent: consuming from the original must not
-     disturb the copy's content (frames were deep-copied). *)
-  let before = (Mailbox.message_at c1 (Mailbox.head_pos c1)).Message.payload in
-  ignore (pop_front ring);
-  ignore (pop_front ring);
-  let after = (Mailbox.message_at c1 (Mailbox.head_pos c1)).Message.payload in
-  check Alcotest.bool "copy unaffected by original's consumption" true
-    (Payload.equal before after)
+  let second = pop_front inbox in
+  check Alcotest.bool "second copy is the sent value" true (second == m);
+  check Alcotest.string "tag survived" "orig" second.Message.tag;
+  check Alcotest.int "payload survived" 1234 (int_of_payload second.Message.payload);
+  check Alcotest.int "nothing else left" 0 (Mailbox.length inbox)
 
-(* ---------------- frame recycling vs aliasing ---------------- *)
-
-(* The latent bug a shared-slot implementation has: if delivering (or
-   duplicating) a frame shared the slot instead of deep-copying it, then
-   consuming the original and letting a later send recycle the slot would
-   rewrite the copy's bytes under it. [Frame.copy_into] is the fix; this
-   pins it down. *)
-let test_frame_recycle_cannot_corrupt_copy () =
-  let src = Frame.create () in
-  Frame.fill src ~sender:(pid 1) ~dest:(pid 2) ~predicate:Predicate.empty
-    ~tag:"orig" ~seq:7 ~uid:42 ~size:25 ~cached:None (Payload.int 1234);
-  let copy = Frame.create () in
-  Frame.copy_into src copy;
-  (* Recycle the source slot for an unrelated later send. *)
-  Frame.clear src;
-  Frame.fill src ~sender:(pid 9) ~dest:(pid 9) ~predicate:Predicate.empty
-    ~tag:"evil" ~seq:8 ~uid:43 ~size:29 ~cached:None
-    (Payload.str "overwrite");
-  check Alcotest.bool "payload survived the recycle" true
-    (Payload.equal (Payload.int 1234) (Frame.payload copy));
-  check Alcotest.string "tag survived" "orig" (Frame.tag copy);
-  check Alcotest.int "uid survived" 42 (Frame.uid copy)
-
-(* End-to-end: a Duplicate fault injects two copies of one send. Each must
-   be independently serialised — receiving both, interleaved with enough
-   later traffic to recycle every slot, yields two intact copies. *)
+(* End-to-end: a Duplicate fault injects two copies of one send. Receiving
+   both, interleaved with enough later traffic to cycle every slot, yields
+   two intact copies. *)
 let test_duplicate_copies_do_not_alias () =
   let eng = Engine.create ~trace:false () in
   Engine.set_message_fault eng
@@ -193,7 +201,7 @@ let test_duplicate_copies_do_not_alias () =
         for _ = 1 to 2 do
           got := (Engine.receive ctx ~tag:"dup" ()).Message.payload :: !got
         done;
-        (* ...then drain the chaff that recycled the slots. *)
+        (* ...then drain the chaff. *)
         for _ = 1 to n_chaff do
           ignore (Engine.receive ctx ~tag:"chaff" ())
         done)
@@ -212,6 +220,161 @@ let test_duplicate_copies_do_not_alias () =
     check Alcotest.bool "second copy intact" true
       (Payload.equal b (Payload.str "precious"))
   | l -> Alcotest.failf "expected 2 copies, got %d" (List.length l)
+
+(* [F_duplicate] on every send of a 100-message burst: the two copies of
+   each send arrive adjacent in FIFO order and are one value (so physical
+   identity or (sender, seq) dedup — what [Majority] uses — counts one
+   vote), the traced run receives exactly what the untraced one does,
+   and a world split on a duplicated send excludes both copies from the
+   rejecting world. *)
+let run_burst_with_duplicates ~trace ~n =
+  let eng = Engine.create ~trace () in
+  Engine.set_message_fault eng
+    (Some (fun m -> if m.Message.tag = "d" then Engine.F_duplicate else Engine.F_deliver));
+  let got = ref [] in
+  let receiver =
+    Engine.spawn eng ~cloneable:false ~name:"sink" (fun ctx ->
+        for _ = 1 to 2 * n do
+          got := Engine.receive ctx ~tag:"d" () :: !got
+        done)
+  in
+  ignore
+    (Engine.spawn eng ~cloneable:false ~name:"burst" (fun ctx ->
+         for i = 0 to n - 1 do
+           Engine.send ctx ~tag:"d" receiver (Payload.int i)
+         done));
+  Engine.run eng;
+  List.rev !got
+
+(* A speculative sender's duplicated message splits the receiver. Each
+   world records the tag of the first message it accepts: the accepting
+   world takes the speculative one; the rejecting world must not find
+   the duplicate left behind, so its first message is the later one. *)
+let split_on_duplicate () =
+  let eng = Engine.create ~trace:false () in
+  Engine.set_message_fault eng
+    (Some (fun m -> if m.Message.tag = "spec" then Engine.F_duplicate else Engine.F_deliver));
+  let spec = List.hd (Engine.fresh_pids eng 1) in
+  let firsts = ref [] in
+  let recv =
+    Engine.spawn eng ~name:"recv" (fun ctx ->
+        let m = Engine.receive ctx () in
+        firsts := m.Message.tag :: !firsts)
+  in
+  ignore
+    (Engine.spawn eng ~pid:spec ~name:"spec"
+       ~predicate:(Predicate.make ~must_complete:[ spec ] ~must_fail:[])
+       (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.send ctx ~tag:"spec" recv (Payload.int 1);
+         (* Stay unresolved until both worlds have accepted a message. *)
+         Engine.delay ctx 10.));
+  ignore
+    (Engine.spawn eng ~name:"late" (fun ctx ->
+         Engine.delay ctx 5.;
+         Engine.send ctx ~tag:"late" recv (Payload.int 2)));
+  Engine.run eng;
+  List.sort compare !firsts
+
+let test_duplicates_stay_one_logical_send () =
+  let n = 100 in
+  let got = run_burst_with_duplicates ~trace:false ~n in
+  check Alcotest.int "every copy of every send arrived" (2 * n)
+    (List.length got);
+  (* FIFO with copies adjacent: seq sequence is 0,0,1,1,2,2,... *)
+  List.iteri
+    (fun k m ->
+      check Alcotest.int
+        (Printf.sprintf "copy order @%d" k)
+        (k / 2) m.Message.seq)
+    got;
+  let rec pairs = function
+    | a :: b :: rest -> (a, b) :: pairs rest
+    | _ -> []
+  in
+  check Alcotest.bool "each send's two copies are one value" true
+    (List.for_all (fun (a, b) -> a == b) (pairs got));
+  let distinct = Hashtbl.create 64 in
+  List.iter
+    (fun m -> Hashtbl.replace distinct (m.Message.sender, m.Message.seq) ())
+    got;
+  check Alcotest.int "dedup collapses every pair to one logical send" n
+    (Hashtbl.length distinct);
+  let got' = run_burst_with_duplicates ~trace:true ~n in
+  check Alcotest.bool "untraced run = traced run" true
+    (List.map (fun m -> (m.Message.seq, m.Message.payload)) got
+    = List.map (fun m -> (m.Message.seq, m.Message.payload)) got');
+  check
+    (Alcotest.list Alcotest.string)
+    "a split excludes both copies from the rejecting world" [ "late"; "spec" ]
+    (split_on_duplicate ())
+
+(* With the trace off, the receiver gets the sender's message value and
+   the sender's payload value — not a rebuilt or decoded copy — whether
+   the batch moves to one copy in bulk, is offered to two world copies,
+   or passes a delivery-fault hook. *)
+let test_delivered_message_is_the_sent_value () =
+  let sent = List.init 3 (fun i -> Payload.str (Printf.sprintf "p%d" i)) in
+  let run_single ~hook =
+    let eng = Engine.create ~trace:false () in
+    let hooked = ref [] in
+    if hook then
+      Engine.set_delivery_fault eng
+        (Some
+           (fun m ~dest:_ ->
+             hooked := m :: !hooked;
+             true));
+    let got = ref [] in
+    let receiver =
+      Engine.spawn eng ~cloneable:false ~name:"sink" (fun ctx ->
+          for _ = 1 to 3 do
+            got := Engine.receive ctx () :: !got
+          done)
+    in
+    ignore
+      (Engine.spawn eng ~cloneable:false ~name:"source" (fun ctx ->
+           List.iter (fun p -> Engine.send ctx receiver p) sent));
+    Engine.run eng;
+    (List.rev !got, List.rev !hooked)
+  in
+  let got, _ = run_single ~hook:false in
+  check Alcotest.bool "one copy: each payload is the sender's" true
+    (same_values sent (List.map (fun m -> m.Message.payload) got));
+  let got, hooked = run_single ~hook:true in
+  check Alcotest.bool "hook: the receiver gets the message the hook saw" true
+    (same_values hooked got);
+  check Alcotest.bool "hook: each payload is the sender's" true
+    (same_values sent (List.map (fun m -> m.Message.payload) got));
+  (* Two world copies: a speculative send splits the receiver, then a
+     later message reaches both copies. *)
+  let eng = Engine.create ~trace:false () in
+  let spec = List.hd (Engine.fresh_pids eng 1) in
+  let late = Payload.str "late" in
+  let seen = ref [] in
+  let recv =
+    Engine.spawn eng ~name:"recv" (fun ctx ->
+        for _ = 1 to 2 do
+          let m = Engine.receive ctx () in
+          if m.Message.tag = "late" then seen := m :: !seen
+        done)
+  in
+  ignore
+    (Engine.spawn eng ~pid:spec ~name:"spec"
+       ~predicate:(Predicate.make ~must_complete:[ spec ] ~must_fail:[])
+       (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.send ctx ~tag:"spec" recv (Payload.int 1);
+         Engine.delay ctx 10.));
+  ignore
+    (Engine.spawn eng ~name:"late" (fun ctx ->
+         Engine.delay ctx 5.;
+         Engine.send ctx ~tag:"late" recv late));
+  Engine.run eng;
+  match !seen with
+  | [ a; b ] ->
+    check Alcotest.bool "two world copies share the one message" true (a == b);
+    check Alcotest.bool "and the sender's payload" true (a.Message.payload == late)
+  | l -> Alcotest.failf "expected both worlds to receive, got %d" (List.length l)
 
 (* ---------------- per-tag cursor: the re-scan budget ---------------- *)
 
@@ -253,12 +416,10 @@ let test_tag_cursor_scan_budget () =
       (n_foreign * n_wanted);
   check Alcotest.bool "scan budget respected" true (scanned <= budget)
 
-(* ---------------- payload freezing / size stamping ---------------- *)
+(* ---------------- size stamping ---------------- *)
 
-(* A message's wire size is stamped at send from the payload it carried at
-   that moment, for framed (inline-encoded) and spilled (oversized)
-   payloads alike — [Message.size_bytes] can no longer go stale relative
-   to the payload, because the payload is frozen when it is serialised. *)
+(* A message's wire size is stamped at send from the payload it carried,
+   small and large payloads alike, and the payload arrives unchanged. *)
 let test_size_stamped_and_payload_frozen_at_send () =
   let eng = Engine.create ~trace:false () in
   let small = Payload.int 7 in
@@ -282,12 +443,12 @@ let test_size_stamped_and_payload_frozen_at_send () =
       m1.Message.size;
     check Alcotest.int "stamped size is live size" (Message.size_bytes m1)
       m1.Message.size;
-    check Alcotest.bool "small payload round-trips" true
+    check Alcotest.bool "small payload arrives" true
       (Payload.equal small m1.Message.payload);
-    check Alcotest.int "oversized payload spills with its size intact"
+    check Alcotest.int "large payload's size stamped too"
       (Message.header_bytes + Payload.size_bytes big)
       m2.Message.size;
-    check Alcotest.bool "oversized payload round-trips" true
+    check Alcotest.bool "large payload arrives" true
       (Payload.equal big m2.Message.payload)
   | l -> Alcotest.failf "expected 2 messages, got %d" (List.length l)
 
@@ -306,8 +467,6 @@ let observers =
         Engine.set_delivery_fault eng (Some (fun _ ~dest:_ -> true));
         eng );
   ]
-
-let int_of_payload = function Payload.Int i -> i | _ -> -1
 
 (* [receive_timeout ~timeout:0.] is a pure poll: before the batch lands it
    must report None without parking; after the batch lands it must drain
@@ -491,79 +650,14 @@ let test_zero_delay_timer_flushes_open_batch () =
       | Trace.Delivered_batch { count = 2; _ } -> true
       | _ -> false))
 
-(* ---------------- spilled duplicates (fault injection) ----------------
-
-   [F_duplicate] on a send whose outbox entry takes the spill path
-   (uid = -1 inside the ring) pushes two entries sharing one immutable
-   cached message. The shared value must behave as one logical send:
-   receivers see both copies adjacent in FIFO order, the copies are
-   physically identical (so they cannot diverge, and physical-identity /
-   (sender, seq) dedup — what [Majority] uses — collapses them to one),
-   and the traced run receives exactly what the untraced one does. *)
-let run_burst_with_duplicates ~trace ~n =
-  let eng = Engine.create ~trace () in
-  (* Duplicate every data message; the burst of [n] in a single event
-     overflows the sender's 64-frame outbox pool, so the tail entries —
-     and their duplicates — are spilled, not framed. *)
-  Engine.set_message_fault eng
-    (Some (fun m -> if m.Message.tag = "d" then Engine.F_duplicate else Engine.F_deliver));
-  let got = ref [] in
-  let receiver =
-    Engine.spawn eng ~cloneable:false ~name:"sink" (fun ctx ->
-        for _ = 1 to 2 * n do
-          got := Engine.receive ctx ~tag:"d" () :: !got
-        done)
-  in
-  ignore
-    (Engine.spawn eng ~cloneable:false ~name:"burst" (fun ctx ->
-         for i = 0 to n - 1 do
-           Engine.send ctx ~tag:"d" receiver (Payload.int i)
-         done));
-  Engine.run eng;
-  List.rev !got
-
-let test_spilled_duplicates_stay_one_logical_send () =
-  let n = 100 in
-  let got = run_burst_with_duplicates ~trace:false ~n in
-  check Alcotest.int "every copy of every send arrived" (2 * n)
-    (List.length got);
-  (* FIFO with copies adjacent: seq sequence is 0,0,1,1,2,2,... *)
-  List.iteri
-    (fun k m ->
-      check Alcotest.int
-        (Printf.sprintf "copy order @%d" k)
-        (k / 2) m.Message.seq)
-    got;
-  (* Physical identity: both copies of a spilled send are the one shared
-     immutable message — aliasing cannot make them diverge, and dedup by
-     physical identity (or (sender, seq), as Majority tallies votes)
-     counts one vote. Sampled well past the 64-frame pool. *)
-  let copies s = List.filter (fun m -> m.Message.seq = s) got in
-  (match copies 90 with
-  | [ a; b ] ->
-    check Alcotest.bool "spilled duplicate shares the message value" true
-      (a == b)
-  | l -> Alcotest.failf "expected 2 copies of seq 90, got %d" (List.length l));
-  let distinct = Hashtbl.create 64 in
-  List.iter
-    (fun m -> Hashtbl.replace distinct (m.Message.sender, m.Message.seq) ())
-    got;
-  check Alcotest.int "dedup collapses every pair to one logical send" n
-    (Hashtbl.length distinct);
-  (* The traced run delivers the identical sequence. *)
-  let got' = run_burst_with_duplicates ~trace:true ~n in
-  check Alcotest.bool "untraced run = traced run" true
-    (List.map (fun m -> (m.Message.seq, m.Message.payload)) got
-    = List.map (fun m -> (m.Message.seq, m.Message.payload)) got')
-
 (* ---------------- bulk transfer / adoption ---------------- *)
 
 let test_transfer_into_empty_ring_adopts () =
-  let src = Mailbox.create ~capacity:4 () in
+  let src = Mailbox.create () in
   for i = 0 to 9 do
-    fill_one src ~uid:i ~tag:"t" (Payload.int i)
+    push_one src ~uid:i ~tag:"t" (Payload.int i)
   done;
-  let dst = Mailbox.create ~capacity:4 () in
+  let dst = Mailbox.create () in
   ignore (Mailbox.cursor dst "t");
   Mailbox.transfer_upto src ~upto:(Mailbox.tail_pos src) dst;
   check Alcotest.int "all moved" 10 (Mailbox.length dst);
@@ -572,118 +666,102 @@ let test_transfer_into_empty_ring_adopts () =
   check Alcotest.int "destination cursor reset to the adopted head"
     (Mailbox.head_pos dst) c.Mailbox.cpos;
   for i = 0 to 9 do
-    match (pop_front dst).Message.payload with
-    | Payload.Int j -> check Alcotest.int "order preserved" i j
-    | _ -> Alcotest.fail "unexpected payload"
+    check Alcotest.int "order preserved" i (pop_int dst)
   done;
   (* The source inherited usable (empty) state: it keeps working. *)
-  fill_one src ~uid:100 ~tag:"t" (Payload.int 100);
+  push_one src ~uid:100 ~tag:"t" (Payload.int 100);
   check Alcotest.int "source reusable after adoption" 1 (Mailbox.length src)
 
 let test_transfer_into_nonempty_ring_copies () =
-  let src = Mailbox.create ~capacity:2 () in
+  let src = Mailbox.create () in
   for i = 10 to 14 do
-    fill_one src ~uid:i ~tag:"t" (Payload.int i)
+    push_one src ~uid:i ~tag:"t" (Payload.int i)
   done;
-  let dst = Mailbox.create ~capacity:2 () in
-  fill_one dst ~uid:0 ~tag:"t" (Payload.int 0);
+  let dst = Mailbox.create () in
+  push_one dst ~uid:0 ~tag:"t" (Payload.int 0);
   Mailbox.transfer_upto src ~upto:(Mailbox.tail_pos src) dst;
   check Alcotest.int "appended behind the resident entry" 6
     (Mailbox.length dst);
   check Alcotest.int "source drained" 0 (Mailbox.length src);
-  let expected = [ 0; 10; 11; 12; 13; 14 ] in
   List.iter
-    (fun e ->
-      match (pop_front dst).Message.payload with
-      | Payload.Int j -> check Alcotest.int "arrival order" e j
-      | _ -> Alcotest.fail "unexpected payload")
-    expected
+    (fun e -> check Alcotest.int "arrival order" e (pop_int dst))
+    [ 0; 10; 11; 12; 13; 14 ]
 
-(* Regression: whole-batch adoption used to skip the spill accounting the
-   copying path records. A destination that adopts a batch containing
-   spilled entries must show exactly the [spilled_total] the copying path
-   would have produced — adoption and copying are required to be
-   indistinguishable. Pre-fix this reported 0 after an adoption. *)
-let test_adoption_spilled_accounting_matches_copy_path () =
+(* Whole-batch adoption and the copying path must be indistinguishable:
+   the same batch (with a tombstone in it) leaves the same message values
+   in the same order either way, and both sources empty and reusable. *)
+let test_adoption_matches_copy_path () =
+  let ms = List.init 10 (fun i -> message ~uid:i ~tag:"t" (Payload.int i)) in
   let mk_src () =
-    let src = Mailbox.create ~capacity:4 () in
-    for i = 0 to 9 do
-      fill_one src ~uid:i ~tag:"t" (Payload.int i)
-    done;
+    let src = Mailbox.create () in
+    List.iter (Mailbox.push src) ms;
+    Mailbox.remove src 4;
     src
   in
   (* Reference: the copying path (a partial transfer first, so the
      adoption guard never applies). *)
-  let src = mk_src () in
-  let dst_copy = Mailbox.create ~capacity:4 () in
-  Mailbox.transfer_upto src ~upto:(Mailbox.head_pos src + 1) dst_copy;
-  Mailbox.transfer_upto src ~upto:(Mailbox.tail_pos src) dst_copy;
+  let src_copy = mk_src () in
+  let dst_copy = Mailbox.create () in
+  Mailbox.transfer_upto src_copy ~upto:(Mailbox.head_pos src_copy + 1) dst_copy;
+  Mailbox.transfer_upto src_copy ~upto:(Mailbox.tail_pos src_copy) dst_copy;
   (* Same batch through the O(1) adoption path. *)
-  let src = mk_src () in
-  let dst_adopt = Mailbox.create ~capacity:4 () in
-  Mailbox.transfer_upto src ~upto:(Mailbox.tail_pos src) dst_adopt;
+  let src_adopt = mk_src () in
+  let dst_adopt = Mailbox.create () in
+  Mailbox.transfer_upto src_adopt ~upto:(Mailbox.tail_pos src_adopt) dst_adopt;
+  let values ring = List.map snd (entries ring) in
   check Alcotest.int "both paths moved everything" (Mailbox.length dst_copy)
     (Mailbox.length dst_adopt);
-  check Alcotest.int "source spilled 6 of 10" 6 (Mailbox.spilled_total src);
-  check Alcotest.int "adoption accounts the spilled entries"
-    (Mailbox.spilled_total dst_copy)
-    (Mailbox.spilled_total dst_adopt);
-  check Alcotest.int "live spill census matches too"
-    (Mailbox.spilled_live dst_copy)
-    (Mailbox.spilled_live dst_adopt);
-  check Alcotest.int "source's live spill census drained" 0
-    (Mailbox.spilled_live src);
-  (* Draining returns the census to zero while the totals stay put. *)
-  for i = 0 to 9 do
-    match (pop_front dst_adopt).Message.payload with
-    | Payload.Int j -> check Alcotest.int "adopted order" i j
-    | _ -> Alcotest.fail "unexpected payload"
-  done;
-  check Alcotest.int "drained census" 0 (Mailbox.spilled_live dst_adopt);
-  check Alcotest.int "total is monotone" 6 (Mailbox.spilled_total dst_adopt)
+  check Alcotest.bool "identical entries" true
+    (same_values (values dst_copy) (values dst_adopt));
+  check Alcotest.bool "the batch minus its tombstone" true
+    (same_values (List.filteri (fun i _ -> i <> 4) ms) (values dst_adopt));
+  List.iter
+    (fun src ->
+      check Alcotest.int "source drained" 0 (Mailbox.length src);
+      push_one src ~uid:99 ~tag:"t" (Payload.int 99);
+      check Alcotest.int "source reusable" 99 (pop_int src))
+    [ src_copy; src_adopt ];
+  List.iter
+    (fun i -> check Alcotest.int "adopted order" i (pop_int dst_adopt))
+    [ 0; 1; 2; 3; 5; 6; 7; 8; 9 ]
 
-(* The destination pool exhausting mid-batch: the first entries of the
-   transfer land in destination frames, the rest spill — and the
-   spilled-vs-framed interleaving must preserve per-channel FIFO order
-   exactly (locking the current behavior, which is correct: entries are
-   appended in position order whichever representation they take). *)
-let test_transfer_fifo_when_dst_pool_exhausts_mid_batch () =
-  let src = Mailbox.create ~capacity:8 () in
+(* The destination growing mid-batch: its live entries wrap around the
+   end of its slot array when an 8-entry batch arrives that does not
+   fit, so the transfer re-homes them and appends the batch — FIFO order
+   must hold exactly across the growth. *)
+let test_transfer_fifo_when_destination_grows () =
+  let src = Mailbox.create () in
   for i = 10 to 17 do
-    fill_one src ~uid:i ~tag:"t" (Payload.int i)
+    push_one src ~uid:i ~tag:"t" (Payload.int i)
   done;
-  (* Two resident framed entries leave the 4-frame destination pool with
-     only two free frames for an 8-entry batch. *)
-  let dst = Mailbox.create ~capacity:4 () in
-  fill_one dst ~uid:0 ~tag:"t" (Payload.int 0);
-  fill_one dst ~uid:1 ~tag:"t" (Payload.int 1);
+  let dst = Mailbox.create () in
+  for i = -6 to -1 do
+    push_one dst ~uid:i ~tag:"t" (Payload.int i)
+  done;
+  for _ = 1 to 6 do
+    ignore (pop_front dst)
+  done;
+  (* Head at position 6 of an 8-slot array: 0..5 occupy 6, 7, 0, 1, 2, 3. *)
+  for i = 0 to 5 do
+    push_one dst ~uid:i ~tag:"t" (Payload.int i)
+  done;
   Mailbox.transfer_upto src ~upto:(Mailbox.tail_pos src) dst;
-  check Alcotest.int "all appended" 10 (Mailbox.length dst);
-  check Alcotest.int "pool stayed at its bound" 4 (Mailbox.frames_made dst);
-  check Alcotest.int "overflow of the batch spilled" 6
-    (Mailbox.spilled_total dst);
-  check Alcotest.int "spill census agrees" 6 (Mailbox.spilled_live dst);
+  check Alcotest.int "all appended" 14 (Mailbox.length dst);
   List.iteri
     (fun k e ->
-      match (pop_front dst).Message.payload with
-      | Payload.Int j ->
-        check Alcotest.int (Printf.sprintf "FIFO across the boundary @%d" k) e j
-      | _ -> Alcotest.fail "unexpected payload")
-    [ 0; 1; 10; 11; 12; 13; 14; 15; 16; 17 ];
-  check Alcotest.int "census zero after drain" 0 (Mailbox.spilled_live dst)
+      check Alcotest.int (Printf.sprintf "FIFO across the growth @%d" k) e
+        (pop_int dst))
+    [ 0; 1; 2; 3; 4; 5; 10; 11; 12; 13; 14; 15; 16; 17 ]
 
 let test_drop_upto_discards () =
-  let ring = Mailbox.create ~capacity:2 () in
+  let ring = Mailbox.create () in
   for i = 0 to 5 do
-    fill_one ring ~uid:i ~tag:"t" (Payload.int i)
+    push_one ring ~uid:i ~tag:"t" (Payload.int i)
   done;
   Mailbox.drop_upto ring ~upto:(Mailbox.head_pos ring + 4);
   check Alcotest.int "four dropped" 2 (Mailbox.length ring);
-  (match (pop_front ring).Message.payload with
-  | Payload.Int j -> check Alcotest.int "survivors keep order" 4 j
-  | _ -> Alcotest.fail "unexpected payload");
-  check Alcotest.bool "dropped frames back in the pool" true
-    (Mailbox.has_frame ring)
+  check Alcotest.int "head moved past them" 4 (Mailbox.head_pos ring);
+  check Alcotest.int "survivors keep order" 4 (pop_int ring)
 
 (* ---------------- model-based: two rings against a FIFO list ----------------
 
@@ -691,25 +769,16 @@ let test_drop_upto_discards () =
    a channel pairs them), checked after every step against a trivial
    reference: per ring, the live entries as a list in position order plus
    the tail position. Receive-by-tag takes the first entry with that tag;
-   the head is the first live position (the tail when empty); an entry
-   takes a pooled frame iff fewer than [capacity] framed entries are live;
-   a transfer of the whole content into an empty ring of the same capacity
-   adopts it (positions and representations move as they are), any other
-   transfer appends copies that spill once the destination's frames run
-   out. *)
+   the head is the first live position (the tail when empty); a transfer
+   of the whole content into an empty ring adopts it (positions move as
+   they are, the source continues from the destination's old tail), any
+   other transfer appends. *)
 
-type m_entry = { e_pos : int; e_uid : int; e_tag : string; e_spilled : bool }
-
-type model = {
-  m_cap : int;
-  mutable m_entries : m_entry list;
-  mutable m_tail : int;
-  mutable m_spilled_total : int;
-}
+type m_entry = { e_pos : int; e_uid : int; e_tag : string }
+type model = { mutable m_entries : m_entry list; mutable m_tail : int }
 
 type op =
-  | Push of int * string  (** ring, tag: a frame if one is free, else spill *)
-  | Push_spilled of int * string
+  | Push of int * string  (** ring, tag *)
   | Receive of int * string  (** first live entry with the tag, via cursor *)
   | Remove_nth of int * int  (** tombstone the n-th live entry (mod length) *)
   | Transfer of int * int  (** [transfer_upto ~upto:(head + k)] to the other *)
@@ -717,64 +786,41 @@ type op =
 
 let show_op = function
   | Push (r, t) -> Printf.sprintf "Push(%d,%s)" r t
-  | Push_spilled (r, t) -> Printf.sprintf "Push_spilled(%d,%s)" r t
   | Receive (r, t) -> Printf.sprintf "Receive(%d,%s)" r t
   | Remove_nth (r, n) -> Printf.sprintf "Remove_nth(%d,%d)" r n
   | Transfer (r, k) -> Printf.sprintf "Transfer(%d,%d)" r k
   | Drop (r, k) -> Printf.sprintf "Drop(%d,%d)" r k
 
-let m_framed m = List.length (List.filter (fun e -> not e.e_spilled) m.m_entries)
-
 let m_head m = match m.m_entries with [] -> m.m_tail | e :: _ -> e.e_pos
 
-let m_append m ~uid ~tag ~spilled =
-  let spilled = spilled || m_framed m >= m.m_cap in
-  m.m_entries <-
-    m.m_entries @ [ { e_pos = m.m_tail; e_uid = uid; e_tag = tag; e_spilled = spilled } ];
-  m.m_tail <- m.m_tail + 1;
-  if spilled then m.m_spilled_total <- m.m_spilled_total + 1
+let m_append m ~uid ~tag =
+  m.m_entries <- m.m_entries @ [ { e_pos = m.m_tail; e_uid = uid; e_tag = tag } ];
+  m.m_tail <- m.m_tail + 1
 
 let m_remove m e = m.m_entries <- List.filter (fun e' -> e' != e) m.m_entries
 
 let m_transfer src ~upto dst =
   let upto = min upto src.m_tail in
   if upto > m_head src then
-    if dst.m_entries = [] && upto = src.m_tail && dst.m_cap = src.m_cap then begin
+    if dst.m_entries = [] && upto = src.m_tail then begin
       let dst_tail = dst.m_tail in
       dst.m_entries <- src.m_entries;
       dst.m_tail <- src.m_tail;
-      dst.m_spilled_total <-
-        dst.m_spilled_total
-        + List.length (List.filter (fun e -> e.e_spilled) src.m_entries);
       src.m_entries <- [];
       src.m_tail <- dst_tail
     end
     else begin
       let moved, kept = List.partition (fun e -> e.e_pos < upto) src.m_entries in
       src.m_entries <- kept;
-      List.iter
-        (fun e -> m_append dst ~uid:e.e_uid ~tag:e.e_tag ~spilled:e.e_spilled)
-        moved
+      List.iter (fun e -> m_append dst ~uid:e.e_uid ~tag:e.e_tag) moved
     end
-
-let uid_of_message m =
-  match m.Message.payload with Payload.Int i -> i | _ -> -1
 
 (* The ring's live entries in the model's shape. *)
 let observe ring =
-  let acc = ref [] in
-  for pos = Mailbox.head_pos ring to Mailbox.tail_pos ring - 1 do
-    if Mailbox.occupied_at ring pos then
-      acc :=
-        {
-          e_pos = pos;
-          e_uid = uid_of_message (Mailbox.message_at ring pos);
-          e_tag = Mailbox.tag_at ring pos;
-          e_spilled = Mailbox.uid_at ring pos = -1;
-        }
-        :: !acc
-  done;
-  List.rev !acc
+  List.map
+    (fun (pos, m) ->
+      { e_pos = pos; e_uid = int_of_payload m.Message.payload; e_tag = m.Message.tag })
+    (entries ring)
 
 let agree ring m =
   let facts =
@@ -782,20 +828,13 @@ let agree ring m =
       ("length", Mailbox.length ring, List.length m.m_entries);
       ("head", Mailbox.head_pos ring, m_head m);
       ("tail", Mailbox.tail_pos ring, m.m_tail);
-      ( "spilled_live",
-        Mailbox.spilled_live ring,
-        List.length (List.filter (fun e -> e.e_spilled) m.m_entries) );
-      ("spilled_total", Mailbox.spilled_total ring, m.m_spilled_total);
-      ( "has_frame",
-        Bool.to_int (Mailbox.has_frame ring),
-        Bool.to_int (m_framed m < m.m_cap) );
     ]
   in
   match List.find_opt (fun (_, got, want) -> got <> want) facts with
   | Some (what, got, want) -> Some (Printf.sprintf "%s: ring %d, model %d" what got want)
   | None ->
     if observe ring = m.m_entries then None
-    else Some "entries (position, uid, tag, representation) differ"
+    else Some "entries (position, uid, tag) differ"
 
 (* Receive-by-tag the way the engine does: scan from the tag's cursor
    (clamped to the head), remove the first match, and advance the cursor
@@ -806,27 +845,23 @@ let ring_receive ring tag =
     c.Mailbox.cpos <- Mailbox.head_pos ring;
   let rec scan pos =
     if pos >= Mailbox.tail_pos ring then None
-    else if Mailbox.occupied_at ring pos && Mailbox.tag_at ring pos = tag then
-      Some pos
-    else scan (pos + 1)
+    else
+      let m = Mailbox.message_at ring pos in
+      if m != Mailbox.no_message && m.Message.tag = tag then Some (pos, m)
+      else scan (pos + 1)
   in
   match scan c.Mailbox.cpos with
   | None ->
     c.Mailbox.cpos <- Mailbox.tail_pos ring;
     None
-  | Some pos ->
-    let uid = uid_of_message (Mailbox.message_at ring pos) in
+  | Some (pos, m) ->
     Mailbox.remove ring pos;
     c.Mailbox.cpos <- pos + 1;
-    Some uid
+    Some (int_of_payload m.Message.payload)
 
-let run_ops (cap_a, cap_b, ops) =
-  let rings = [| Mailbox.create ~capacity:cap_a (); Mailbox.create ~capacity:cap_b () |] in
-  let models =
-    Array.map
-      (fun cap -> { m_cap = cap; m_entries = []; m_tail = 0; m_spilled_total = 0 })
-      [| cap_a; cap_b |]
-  in
+let run_ops ops =
+  let rings = [| Mailbox.create (); Mailbox.create () |] in
+  let models = Array.init 2 (fun _ -> { m_entries = []; m_tail = 0 }) in
   let next_uid = ref 0 in
   List.iteri
     (fun step op ->
@@ -837,13 +872,8 @@ let run_ops (cap_a, cap_b, ops) =
       | Push (r, tag) ->
         let uid = !next_uid in
         incr next_uid;
-        fill_one rings.(r) ~uid ~tag (Payload.int uid);
-        m_append models.(r) ~uid ~tag ~spilled:false
-      | Push_spilled (r, tag) ->
-        let uid = !next_uid in
-        incr next_uid;
-        Mailbox.emplace_spilled rings.(r) (spilled_message ~uid ~tag (Payload.int uid));
-        m_append models.(r) ~uid ~tag ~spilled:true
+        push_one rings.(r) ~uid ~tag (Payload.int uid);
+        m_append models.(r) ~uid ~tag
       | Receive (r, tag) -> (
         let want = List.find_opt (fun e -> e.e_tag = tag) models.(r).m_entries in
         let got = ring_receive rings.(r) tag in
@@ -885,28 +915,115 @@ let arb_ops =
   let op =
     frequency
       [
-        (6, map2 (fun r t -> Push (r, t)) ring tag);
-        (2, map2 (fun r t -> Push_spilled (r, t)) ring tag);
+        (8, map2 (fun r t -> Push (r, t)) ring tag);
         (4, map2 (fun r t -> Receive (r, t)) ring tag);
         (2, map2 (fun r n -> Remove_nth (r, n)) ring (int_bound 15));
         (3, map2 (fun r k -> Transfer (r, k)) ring (int_bound 12));
         (1, map2 (fun r k -> Drop (r, k)) ring (int_bound 12));
       ]
   in
-  (* Equal capacities most of the time, so whole-ring adoption happens;
-     otherwise the destination's pool differs and every transfer copies. *)
-  let caps =
-    oneofl [ 0; 1; 2; 4; 8 ] >>= fun a ->
-    frequency [ (3, return (a, a)); (1, map (fun b -> (a, b)) (oneofl [ 0; 1; 4 ])) ]
-  in
   QCheck.make
-    ~print:(fun (a, b, ops) ->
-      Printf.sprintf "caps %d/%d: %s" a b (String.concat " " (List.map show_op ops)))
-    (map2 (fun (a, b) ops -> (a, b, ops)) caps (list_size (int_range 1 80) op))
+    ~print:(fun ops -> String.concat " " (List.map show_op ops))
+    (list_size (int_range 1 80) op)
 
 let prop_mailbox_matches_model =
   QCheck.Test.make ~name:"random ops agree with a FIFO-list model" ~count:500
     arb_ops run_ops
+
+(* ---------------- model-based: channel batching vs per-message delivery ----------------
+
+   Random programs: k senders, each a list of steps — send a tagged
+   message to one collecting receiver, delay (dyadic, so virtual times are
+   exact under [Cost_model.uniform], whose zero latency delivers at the
+   send time), or fill / await one of two shared ivars. A fill resumes
+   its waiters synchronously inside the filler's event, and one CPU tick
+   resumes every sender whose delay ends then, so two senders' sends can
+   interleave within one event: exactly what the batch-join guard has to
+   notice. Delivering each message by its own event, in (time, stamp)
+   order, hands messages over in a stable sort of the sends by (send
+   time, global send index); batching must be indistinguishable from
+   that. With a per-tag receive, the collector sees that order's
+   subsequence for its tag. *)
+
+type step = Send of string | Delay of float | Fill of int | Await of int
+
+let show_step = function
+  | Send t -> "send " ^ t
+  | Delay d -> Printf.sprintf "delay %g" d
+  | Fill j -> Printf.sprintf "fill %d" j
+  | Await j -> Printf.sprintf "await %d" j
+
+let run_program (per_tag, senders) =
+  let eng = Engine.create ~model:(Cost_model.uniform ()) ~trace:false () in
+  let ivars = Array.init 2 (fun _ -> Engine.Ivar.create ()) in
+  let sent = ref [] and next = ref 0 and got = ref [] in
+  let collector =
+    Engine.spawn eng ~cloneable:false ~name:"collector" (fun ctx ->
+        while true do
+          let m = Engine.receive ctx ?tag:per_tag () in
+          got := int_of_payload m.Message.payload :: !got
+        done)
+  in
+  List.iteri
+    (fun i steps ->
+      ignore
+        (Engine.spawn eng ~cloneable:false ~name:(Printf.sprintf "s%d" i) (fun ctx ->
+             List.iter
+               (function
+                 | Send tag ->
+                   let k = !next in
+                   incr next;
+                   sent := (Engine.now eng, k, tag) :: !sent;
+                   Engine.send ctx ~tag collector (Payload.int k)
+                 | Delay d -> Engine.delay ctx d
+                 | Fill j -> ignore (Engine.Ivar.try_fill ivars.(j) ())
+                 | Await j -> Engine.Ivar.read ctx ivars.(j))
+               steps)))
+    senders;
+  Engine.run eng;
+  let reference =
+    List.stable_sort
+      (fun (t1, i1, _) (t2, i2, _) -> compare (t1, i1) (t2, i2))
+      (List.rev !sent)
+  in
+  let want =
+    List.filter_map
+      (fun (_, k, tag) ->
+        match per_tag with Some t when t <> tag -> None | _ -> Some k)
+      reference
+  in
+  let got = List.rev !got in
+  if got = want then true
+  else
+    QCheck.Test.fail_reportf "received [%s], per-message order [%s]"
+      (String.concat "; " (List.map string_of_int got))
+      (String.concat "; " (List.map string_of_int want))
+
+let arb_program =
+  let open QCheck.Gen in
+  let tag = oneofl [ "a"; "b" ] in
+  let step =
+    frequency
+      [
+        (4, map (fun t -> Send t) tag);
+        (2, map (fun d -> Delay d) (oneofl [ 0.; 0.25; 0.5; 1. ]));
+        (1, map (fun j -> Fill j) (int_bound 1));
+        (1, map (fun j -> Await j) (int_bound 1));
+      ]
+  in
+  let senders = int_range 1 4 >>= fun k -> list_repeat k (list_size (int_range 0 10) step) in
+  let per_tag = frequency [ (1, return None); (1, map Option.some tag) ] in
+  QCheck.make
+    ~print:(fun (per_tag, senders) ->
+      Printf.sprintf "receive %s; %s"
+        (Option.value per_tag ~default:"any")
+        (String.concat " | "
+           (List.map (fun s -> String.concat ", " (List.map show_step s)) senders)))
+    (pair per_tag senders)
+
+let prop_batching_matches_per_message =
+  QCheck.Test.make ~name:"channel batching matches per-message delivery order"
+    ~count:1000 arb_program run_program
 
 let () =
   Alcotest.run "mailbox"
@@ -914,23 +1031,25 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "wrap-around keeps the pool flat" `Quick
-            test_wraparound_pool_stays_flat;
+            test_wraparound_stays_flat;
           Alcotest.test_case "overflow spills, never blocks" `Quick
-            test_overflow_spills_never_blocks;
+            test_burst_grows_in_order;
           Alcotest.test_case "zero capacity is all-spill" `Quick
-            test_zero_capacity_is_all_spill;
-          Alcotest.test_case "one-slot ring" `Quick test_one_slot_ring;
+            test_growth_while_wrapped;
+          Alcotest.test_case "one-slot ring" `Quick test_duplicate_copies_share_one_value;
           Alcotest.test_case "copy_excluding over framed and spilled" `Quick
-            test_copy_excluding_framed_and_spilled;
+            test_copy_excluding_drops_every_copy;
         ] );
       ( "aliasing",
         [
           Alcotest.test_case "frame recycle cannot corrupt a copy" `Quick
-            test_frame_recycle_cannot_corrupt_copy;
+            test_traffic_cannot_reach_a_duplicate;
           Alcotest.test_case "duplicate fault copies do not alias" `Quick
             test_duplicate_copies_do_not_alias;
           Alcotest.test_case "spilled duplicates stay one logical send" `Quick
-            test_spilled_duplicates_stay_one_logical_send;
+            test_duplicates_stay_one_logical_send;
+          Alcotest.test_case "a delivered message is the sent value" `Quick
+            test_delivered_message_is_the_sent_value;
         ] );
       ( "hot path",
         [
@@ -950,11 +1069,15 @@ let () =
           Alcotest.test_case "transfer into non-empty ring copies" `Quick
             test_transfer_into_nonempty_ring_copies;
           Alcotest.test_case "adoption spilled accounting = copy path" `Quick
-            test_adoption_spilled_accounting_matches_copy_path;
+            test_adoption_matches_copy_path;
           Alcotest.test_case "FIFO when destination pool exhausts mid-batch"
-            `Quick test_transfer_fifo_when_dst_pool_exhausts_mid_batch;
+            `Quick test_transfer_fifo_when_destination_grows;
           Alcotest.test_case "drop_upto discards a prefix" `Quick
             test_drop_upto_discards;
         ] );
-      ("model", [ QCheck_alcotest.to_alcotest prop_mailbox_matches_model ]);
+      ( "model",
+        [
+          QCheck_alcotest.to_alcotest prop_mailbox_matches_model;
+          QCheck_alcotest.to_alcotest prop_batching_matches_per_message;
+        ] );
     ]
