@@ -163,7 +163,9 @@ let bench_checkpoint =
   let sp = Address_space.create ~size_hint:(64 * 4096) store model in
   Test.make ~name:"checkpoint capture+serialise (64 pages)"
     (Staged.stage (fun () ->
-         ignore (Checkpoint.to_bytes (Checkpoint.capture sp))))
+         let image = Checkpoint.capture sp in
+         ignore (Checkpoint.to_bytes image);
+         Checkpoint.release image))
 
 let bench_txn_commit =
   Test.make ~name:"txn: begin+write+commit (DES)"

@@ -254,6 +254,9 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
                 +. model.Cost_model.msg_latency;
               None)
     in
+    (* Every child has its own pages now; the image's frames go back to
+       the pool. *)
+    Option.iter Checkpoint.release checkpoint;
     if !setup_cost > 0. then Engine.delay ctx !setup_cost;
     let latch : 'a latch_value Engine.Ivar.t = Engine.Ivar.create () in
     let remaining = ref spawned_count in
@@ -447,7 +450,10 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
              the winner privatised. *)
           (match policy.placement with
           | Remote_spawn ->
-            let back = Checkpoint.transfer_cost model (Checkpoint.capture csp) in
+            let back =
+              Cost_model.remote_spawn_cost model
+                ~mapped_pages:(Address_space.mapped_pages csp)
+            in
             selection_cost := !selection_cost +. back;
             Engine.delay ctx back
           | Remote_on_demand ->
@@ -633,6 +639,9 @@ let run_supervised eng ?(policy = default_policy) ?space ?(max_restarts = 2)
   | Some site ->
     ignore (launch ~epoch:1 ~site ~space_now:space ~ours:false ~start_delay:0.));
   Engine.run eng;
+  (* Quiescent: no incarnation is left to die, so the last restore is
+     done. *)
+  Option.iter Checkpoint.release image;
   Majority.shutdown consensus;
   let final_pid, final_space =
     match !coordinators with

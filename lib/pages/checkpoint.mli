@@ -6,19 +6,38 @@
     module is that mechanism for the simulated store: an {!image} is a
     self-contained byte snapshot of an address space, which can be restored
     into a fresh space — in the same simulation or conceptually shipped to
-    a remote node. Remote spawning of alternatives is built on it. *)
+    a remote node. Remote spawning of alternatives is built on it.
+
+    An image's page contents live in {!Frame_store} frames of a store
+    private to the image, so they are taken from the calling domain's
+    free-frame pool rather than allocated afresh. Lifetime rule: whoever
+    captures (or parses) an image {!release}s it once its last {!restore}
+    or {!to_bytes} is done, which hands the frames back to the pool; an
+    image that is never released simply leaves its frames to the GC. *)
 
 type image
 (** A serialised address space: page size plus the (sparse) list of mapped
-    pages and their contents. *)
+    pages and their contents, held in pooled frames the image owns. *)
 
 val capture : Address_space.t -> image
 (** Snapshot the space's current contents. O(mapped pages); does not
-    disturb sharing (reads only). *)
+    disturb sharing (reads only). The pages are read through
+    {!Page_map.read_into}, so the space's access counters and logs move as
+    for any read; the space's store is not touched — its frame ids,
+    {!Frame_store.live_frames}, {!Frame_store.total_allocations} and
+    {!Frame_store.cow_copies} are exactly what they were. *)
+
+val release : image -> unit
+(** Return the image's frames to the domain's free-frame pool. Idempotent.
+    After it, {!restore} and {!to_bytes} raise
+    [Invalid_argument "Checkpoint: image released"] (the frames may
+    already hold another store's pages); {!page_size}, {!mapped_pages},
+    {!size_bytes} and {!transfer_cost} still answer. *)
 
 val restore : Frame_store.t -> Cost_model.t -> image -> Address_space.t
 (** Materialise the image as a fresh private address space in the given
-    store. Raises [Invalid_argument] if the page sizes disagree. *)
+    store. Raises [Invalid_argument] if the page sizes disagree or the
+    image was released. *)
 
 val page_size : image -> int
 val mapped_pages : image -> int
@@ -28,10 +47,12 @@ val size_bytes : image -> int
 
 val to_bytes : image -> bytes
 (** Serialise to a flat byte string (the "executable file" of the paper's
-    implementation). *)
+    implementation). Raises [Invalid_argument] if the image was
+    released. *)
 
 val of_bytes : bytes -> image
-(** Inverse of {!to_bytes}. Raises [Invalid_argument] with a
+(** Inverse of {!to_bytes}; the result owns pooled frames like a captured
+    image. Raises [Invalid_argument] with a
     ["Checkpoint.of_bytes"] message on malformed data: a truncated or
     oversized buffer, nonsensical header fields (the size arithmetic is
     overflow-safe, so no wire value can smuggle an out-of-range access

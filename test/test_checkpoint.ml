@@ -170,6 +170,138 @@ let prop_capture_restore_identity =
       let sp' = Checkpoint.restore (Frame_store.create ~page_size:256) model image in
       Page_map.snapshot_equal (Address_space.map sp) (Address_space.map sp'))
 
+let test_release_idempotent () =
+  let sp = mk_space () in
+  Address_space.set_int sp ~addr:0 3;
+  let image = Checkpoint.capture sp in
+  Checkpoint.release image;
+  Checkpoint.release image;
+  check Alcotest.int "still counts its pages" 1 (Checkpoint.mapped_pages image);
+  let released = Invalid_argument "Checkpoint: image released" in
+  Alcotest.check_raises "restore after release" released (fun () ->
+      ignore (Checkpoint.restore (Frame_store.create ~page_size:256) model image));
+  Alcotest.check_raises "to_bytes after release" released (fun () ->
+      ignore (Checkpoint.to_bytes image))
+
+(* The image's frames come from a store of its own, so checkpointing a
+   space leaves every counter of the space's store, and the id its next
+   frame gets, exactly as they were. *)
+let test_capture_store_neutral () =
+  let store = Frame_store.create ~page_size:256 in
+  let sp = Address_space.create store model in
+  Address_space.set_int sp ~addr:0 1;
+  Address_space.set_int sp ~addr:3000 2;
+  let before = Frame_store.alloc store in
+  let allocs = Frame_store.total_allocations store in
+  let copies = Frame_store.cow_copies store in
+  let live = Frame_store.live_frames store in
+  let image = Checkpoint.capture sp in
+  check Alcotest.int "captured pages" 2 (Checkpoint.mapped_pages image);
+  Checkpoint.release image;
+  check Alcotest.int "total allocations" allocs (Frame_store.total_allocations store);
+  check Alcotest.int "cow copies" copies (Frame_store.cow_copies store);
+  check Alcotest.int "live frames" live (Frame_store.live_frames store);
+  let after = Frame_store.alloc store in
+  check Alcotest.int "next frame id" (Frame_store.id before + 1) (Frame_store.id after)
+
+(* Model: an image must keep the bytes of capture time however the
+   source moves on afterwards — direct writes, a forked child's writes
+   absorbed back, a forked child thrown away — while a second store on
+   the same domain takes frames from the pool and scribbles on them.
+   Re-capturing releases the old image first, so the pool hands its
+   frames straight back out to the source and the second store. *)
+type ck_op =
+  | K_set of int * int  (* addr, byte *)
+  | K_fork_absorb of (int * int) list
+  | K_fork_discard of (int * int) list
+  | K_other_alloc
+  | K_other_free of int
+  | K_recapture
+
+let show_ck_op =
+  let writes ws =
+    String.concat "," (List.map (fun (a, v) -> Printf.sprintf "%d=%d" a v) ws)
+  in
+  function
+  | K_set (a, v) -> Printf.sprintf "set %d=%d" a v
+  | K_fork_absorb ws -> Printf.sprintf "fork+absorb [%s]" (writes ws)
+  | K_fork_discard ws -> Printf.sprintf "fork+discard [%s]" (writes ws)
+  | K_other_alloc -> "other alloc"
+  | K_other_free i -> Printf.sprintf "other free #%d" i
+  | K_recapture -> "recapture"
+
+let span = 16 * 256
+
+(* Initial writes to the source, then the ops that follow its capture. *)
+let ck_case =
+  let open QCheck.Gen in
+  let write = pair (int_bound (span - 1)) (int_range 0 255) in
+  let writes = list_size (int_range 1 6) write in
+  let op =
+    frequency
+      [
+        (4, map (fun (a, v) -> K_set (a, v)) write);
+        (2, map (fun ws -> K_fork_absorb ws) writes);
+        (1, map (fun ws -> K_fork_discard ws) writes);
+        (3, return K_other_alloc);
+        (2, map (fun i -> K_other_free i) nat);
+        (1, return K_recapture);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair (list (pair int int)) (list show_ck_op))
+    (pair (list_size (int_range 0 20) write) (list_size (int_range 1 60) op))
+
+let prop_image_survives_source_and_pool =
+  QCheck.Test.make
+    ~name:"image keeps capture-time bytes across writes and pool reuse"
+    ~count:200 ck_case
+    (fun (init, ops) ->
+      let sp = mk_space () in
+      List.iter (fun (addr, v) -> Address_space.set_u8 sp ~addr v) init;
+      let other = Frame_store.create ~page_size:256 in
+      let held = ref [] in
+      let snap () = Address_space.read_bytes sp ~addr:0 ~len:span in
+      let matches image expect =
+        let sp' = Checkpoint.restore (Frame_store.create ~page_size:256) model image in
+        Bytes.equal (Address_space.read_bytes sp' ~addr:0 ~len:span) expect
+      in
+      let image = ref (Checkpoint.capture sp) in
+      let expect = ref (snap ()) in
+      let ok = ref true in
+      let apply = function
+        | K_set (addr, v) -> Address_space.set_u8 sp ~addr v
+        | K_fork_absorb ws ->
+          let child = Address_space.fork sp in
+          List.iter (fun (addr, v) -> Address_space.set_u8 child ~addr v) ws;
+          Address_space.absorb ~parent:sp ~child
+        | K_fork_discard ws ->
+          let child = Address_space.fork sp in
+          List.iter (fun (addr, v) -> Address_space.set_u8 child ~addr v) ws;
+          Address_space.release child
+        | K_other_alloc ->
+          let f = Frame_store.alloc other in
+          Bytes.fill (Frame_store.data f) 0 256 '\xff';
+          held := f :: !held
+        | K_other_free i -> (
+          match !held with
+          | [] -> ()
+          | l ->
+            let f = List.nth l (i mod List.length l) in
+            Frame_store.decref other f;
+            held := List.filter (fun g -> g != f) l)
+        | K_recapture ->
+          ok := !ok && matches !image !expect;
+          Checkpoint.release !image;
+          image := Checkpoint.capture sp;
+          expect := snap ()
+      in
+      List.iter apply ops;
+      let result = !ok && matches !image !expect in
+      Checkpoint.release !image;
+      List.iter (Frame_store.decref other) !held;
+      result)
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -190,5 +322,10 @@ let () =
           Alcotest.test_case "transfer cost calibration" `Quick
             test_transfer_cost_calibration;
           QCheck_alcotest.to_alcotest prop_capture_restore_identity;
+          Alcotest.test_case "release is idempotent and final" `Quick
+            test_release_idempotent;
+          Alcotest.test_case "capture leaves the source store untouched" `Quick
+            test_capture_store_neutral;
+          QCheck_alcotest.to_alcotest prop_image_survives_source_and_pool;
         ] );
     ]
