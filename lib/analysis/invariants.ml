@@ -785,11 +785,17 @@ let policy_matrix =
      their counters live in the values returned by [create].
    - [Rng]: generators are values; scenarios derive theirs from the
      cell seed. [Pid.Allocator] instances are per-engine.
-   - No module in alt_base, alt_pages, alt_predicate, alt_msg,
-     alt_runtime, alt_consensus, alt_sources, altexec or alt_analysis
-     defines top-level mutable state (checked: no module-level [ref],
-     [Hashtbl.create], [Buffer.create] or [mutable] record fields
-     reachable from a toplevel binding).
+   - Top-level mutable state in alt_base, alt_pages, alt_predicate,
+     alt_msg, alt_runtime, alt_consensus, alt_sources, altexec and
+     alt_analysis (checked: module-level [ref], [Hashtbl.create],
+     [Buffer.create], [Mutex], [Domain.DLS], and [mutable] record fields
+     reachable from a toplevel binding) is two pools and one inert value.
+     [Frame_store]'s free-frame pool is per domain ([Domain.DLS]), and
+     reuse from it is unobservable: a pooled frame is zero-filled and
+     takes the allocating store's next id. [Parallel]'s shared pool sits
+     behind its own mutex and hands results back in index order.
+     [Page_map]'s table filler is a frame of a private store that no map
+     resolves, so nothing ever writes it. [Predicate] holds no state.
 
    Results are collected by {!Parallel.map_indexed_shared} in index
    order, so a parallel sweep reports byte-for-byte what the sequential

@@ -128,7 +128,7 @@ let bench_absorb ~mapped ~dirty n =
 
 (* ------------------------------------------------------------------ *)
 (* IPC: one sender streaming messages at a receiver, certain predicates
-   throughout (the common case the interning fast paths serve).         *)
+   throughout (the common case [Predicate.implies] short-circuits).     *)
 
 let ipc_engine n =
   let eng = Engine.create ~trace:false () in
@@ -250,9 +250,9 @@ let validate r =
     (words "write_int/bytes" >= 5.0 *. Float.max 1.0 (words "write_int/fast"))
     "write_int/bytes vs fast: reduction below 5x";
   (* Fork of a 1024-page map must not allocate anywhere near 1024 words:
-     it is O(1), a few small tables. *)
+     it is O(1), a few small records. *)
   check
-    (words "fork_release/1024_mapped" < 512.)
+    (words "fork_release/1024_mapped" < 128.)
     (Printf.sprintf "fork allocates %.0f words/op for 1024 mapped pages"
        (words "fork_release/1024_mapped"));
   (* Absorb allocation must scale with the dirty count, not the mapped

@@ -16,8 +16,134 @@
    winner was absorbed writes its still-exclusive pages in place, for
    instance), while keeping fork and absorb off the O(mapped) path. *)
 
+(* ------------------------------------------------------------------ *)
+(* An int-keyed open-addressing table: power-of-two capacity, linear
+   probing, backward-shift deletion. An empty table holds no arrays until
+   its first insert, so a fresh overlay or log costs one record; lookups
+   and the replacement of an existing key allocate nothing. [min_int]
+   marks an empty slot, so every other int (negative vpages included) is
+   a valid key. Removed and reset slots take [dummy], so the table drops
+   its references to them. *)
+
+module Tbl = struct
+  type 'a t = {
+    mutable keys : int array;
+    mutable vals : 'a array;
+    mutable size : int;
+    dummy : 'a;
+  }
+
+  let no_key = min_int
+
+  let create dummy = { keys = [||]; vals = [||]; size = 0; dummy }
+
+  let length t = t.size
+
+  (* Fibonacci hashing: spreads strided keys (0, 1024, 2048, ...) that an
+     identity hash would pile into one probe run. *)
+  let home k mask =
+    let h = k * 0x9E3779B97F4A7C1 in
+    (h lxor (h lsr 29)) land mask
+
+  let rec probe keys k i mask =
+    let k' = Array.unsafe_get keys i in
+    if k' = k then i
+    else if k' = no_key then -1
+    else probe keys k ((i + 1) land mask) mask
+
+  (* Slot holding [k], or -1. *)
+  let slot t k =
+    if t.size = 0 then -1
+    else
+      let mask = Array.length t.keys - 1 in
+      probe t.keys k (home k mask) mask
+
+  let mem t k = slot t k >= 0
+
+  let rec free_slot keys i mask =
+    if Array.unsafe_get keys i = no_key then i else free_slot keys ((i + 1) land mask) mask
+
+  let add_absent t k v =
+    let mask = Array.length t.keys - 1 in
+    let i = free_slot t.keys (home k mask) mask in
+    Array.unsafe_set t.keys i k;
+    Array.unsafe_set t.vals i v;
+    t.size <- t.size + 1
+
+  (* Keep the load at most 3/4. *)
+  let grow t =
+    let cap = Array.length t.keys in
+    if cap = 0 then begin
+      t.keys <- Array.make 8 no_key;
+      t.vals <- Array.make 8 t.dummy
+    end
+    else if 4 * (t.size + 1) > 3 * cap then begin
+      let keys = t.keys and vals = t.vals in
+      t.keys <- Array.make (2 * cap) no_key;
+      t.vals <- Array.make (2 * cap) t.dummy;
+      t.size <- 0;
+      for i = 0 to cap - 1 do
+        let k = Array.unsafe_get keys i in
+        if k <> no_key then add_absent t k (Array.unsafe_get vals i)
+      done
+    end
+
+  let replace t k v =
+    let i = slot t k in
+    if i >= 0 then Array.unsafe_set t.vals i v
+    else begin
+      grow t;
+      add_absent t k v
+    end
+
+  (* Backward-shift deletion: walk the probe run after the hole and move
+     back every entry whose home does not lie cyclically in (hole, j], so
+     no lookup ever stops early at a hole. *)
+  let rec shift_back t hole j mask =
+    let k = Array.unsafe_get t.keys j in
+    if k = no_key then hole
+    else if (j - home k mask) land mask >= (j - hole) land mask then begin
+      Array.unsafe_set t.keys hole k;
+      Array.unsafe_set t.vals hole (Array.unsafe_get t.vals j);
+      shift_back t j ((j + 1) land mask) mask
+    end
+    else shift_back t hole ((j + 1) land mask) mask
+
+  let remove t k =
+    let i = slot t k in
+    if i >= 0 then begin
+      let mask = Array.length t.keys - 1 in
+      let hole = shift_back t i ((i + 1) land mask) mask in
+      Array.unsafe_set t.keys hole no_key;
+      Array.unsafe_set t.vals hole t.dummy;
+      t.size <- t.size - 1
+    end
+
+  (* Drop every entry and both arrays. *)
+  let reset t =
+    t.keys <- [||];
+    t.vals <- [||];
+    t.size <- 0
+
+  let iter f t =
+    let keys = t.keys in
+    for i = 0 to Array.length keys - 1 do
+      let k = Array.unsafe_get keys i in
+      if k <> no_key then f k (Array.unsafe_get t.vals i)
+    done
+
+  let fold f t acc =
+    let acc = ref acc in
+    iter (fun k v -> acc := f k v !acc) t;
+    !acc
+end
+
+(* Fills the frame tables' empty slots: a frame of a private store, never
+   resolved by any map. *)
+let no_frame = Frame_store.alloc (Frame_store.create ~page_size:1)
+
 type node = {
-  frames : (int, Frame_store.frame) Hashtbl.t;
+  frames : Frame_store.frame Tbl.t;
   mutable is_top : bool;  (* the private top layer of one live map *)
   mutable deps : node list;  (* nodes whose [base] is this node *)
   mutable base : node option;
@@ -36,17 +162,17 @@ type t = {
   (* Access logs survive release so that the analysis layer can audit the
      page behaviour of eliminated processes post mortem. *)
   mutable track : bool;
-  reads_log : (int, unit) Hashtbl.t;  (* vpage touched by a read *)
-  writes_log : (int, int) Hashtbl.t;  (* vpage -> id of the frame written *)
+  reads_log : unit Tbl.t;  (* vpage touched by a read *)
+  writes_log : int Tbl.t;  (* vpage -> id of the frame written *)
 }
 
-let fresh_top base = { frames = Hashtbl.create 8; is_top = true; deps = []; base }
+let fresh_top base = { frames = Tbl.create no_frame; is_top = true; deps = []; base }
 
 let create store =
   { store; id = Frame_store.fresh_map_id store; top = fresh_top None;
     mapped = 0; fault = false; cow_copies = 0;
     writes = 0; reads = 0; released = false; track = false;
-    reads_log = Hashtbl.create 8; writes_log = Hashtbl.create 8 }
+    reads_log = Tbl.create (); writes_log = Tbl.create 0 }
 
 let store t = t.store
 let id t = t.id
@@ -57,12 +183,12 @@ let check t = if t.released then invalid_arg "Page_map: use after release"
 (* Resolve [vpage] through the overlay chain; raises [Not_found] when the
    page is unmapped. Allocation-free. *)
 let rec resolve_node node vpage =
-  match Hashtbl.find node.frames vpage with
-  | f -> f
-  | exception Not_found -> (
+  let i = Tbl.slot node.frames vpage in
+  if i >= 0 then Array.unsafe_get node.frames.vals i
+  else
     match node.base with
     | Some b -> resolve_node b vpage
-    | None -> raise Not_found)
+    | None -> raise Not_found
 
 let resolve_opt t vpage =
   match resolve_node t.top vpage with
@@ -72,12 +198,12 @@ let resolve_opt t vpage =
 (* Like [resolve_node], but also says which layer the frame was found
    in. Slow path only. *)
 let rec resolve_loc node vpage =
-  match Hashtbl.find node.frames vpage with
-  | f -> (f, node)
-  | exception Not_found -> (
+  let i = Tbl.slot node.frames vpage in
+  if i >= 0 then (Array.unsafe_get node.frames.vals i, node)
+  else
     match node.base with
     | Some b -> resolve_loc b vpage
-    | None -> raise Not_found)
+    | None -> raise Not_found
 
 (* Number of live maps currently resolving [vpage] to the frame held by
    [node]: walk the layers stacked on [node], cutting any branch that
@@ -85,7 +211,7 @@ let rec resolve_loc node vpage =
    would have, at slow-path-only cost. *)
 let resolvers node vpage =
   let rec above n acc =
-    if Hashtbl.mem n.frames vpage then acc
+    if Tbl.mem n.frames vpage then acc
     else if n.is_top then acc + 1
     else List.fold_left (fun acc d -> above d acc) acc n.deps
   in
@@ -103,12 +229,14 @@ let rec compact t =
   let top = t.top in
   match top.base with
   | Some b when (match b.deps with [ _ ] -> true | _ -> false) ->
-    Hashtbl.iter
+    Tbl.iter
       (fun vpage f ->
-        (match Hashtbl.find_opt b.frames vpage with
-        | Some shadowed -> Frame_store.decref t.store shadowed
-        | None -> ());
-        Hashtbl.replace b.frames vpage f)
+        let i = Tbl.slot b.frames vpage in
+        if i >= 0 then begin
+          Frame_store.decref t.store (Array.unsafe_get b.frames.vals i);
+          Array.unsafe_set b.frames.vals i f
+        end
+        else Tbl.replace b.frames vpage f)
       top.frames;
     b.deps <- [];
     b.is_top <- true;
@@ -121,7 +249,7 @@ let fork parent =
   compact parent;
   let top = parent.top in
   let child_top =
-    if Hashtbl.length top.frames = 0 then begin
+    if Tbl.length top.frames = 0 then begin
       (* Idle overlay: the child can share the existing base directly
          (after compaction it is either shared already or absent). *)
       let ct = fresh_top top.base in
@@ -141,8 +269,7 @@ let fork parent =
   { store = parent.store; id = Frame_store.fresh_map_id parent.store;
     top = child_top; mapped = parent.mapped;
     fault = false; cow_copies = 0; writes = 0; reads = 0; released = false;
-    track = parent.track; reads_log = Hashtbl.create 8;
-    writes_log = Hashtbl.create 8 }
+    track = parent.track; reads_log = Tbl.create (); writes_log = Tbl.create 0 }
 
 let mapped_pages t =
   check t;
@@ -151,14 +278,14 @@ let mapped_pages t =
 (* Fold [f] over every mapped vpage with its resolving frame and the
    layer holding it (topmost occurrence wins, as in [resolve_node]). *)
 let fold_resolved t f acc =
-  let seen = Hashtbl.create (max 16 t.mapped) in
+  let seen = Tbl.create () in
   let rec go node acc =
     let acc =
-      Hashtbl.fold
+      Tbl.fold
         (fun vp fr acc ->
-          if Hashtbl.mem seen vp then acc
+          if Tbl.mem seen vp then acc
           else begin
-            Hashtbl.add seen vp ();
+            Tbl.replace seen vp ();
             f vp fr node acc
           end)
         node.frames acc
@@ -182,7 +309,7 @@ let bounds_check t ~off ~len =
 
 let note_read t vpage =
   t.reads <- t.reads + 1;
-  if t.track then Hashtbl.replace t.reads_log vpage ()
+  if t.track then Tbl.replace t.reads_log vpage ()
 
 let read_into t ~vpage ~off ~len ~dst ~dst_off =
   check t;
@@ -205,7 +332,7 @@ let read t ~vpage ~off ~len =
 (* Materialise a zero frame for an unmapped page in the top layer. *)
 let materialize t vpage =
   let f = Frame_store.alloc t.store in
-  Hashtbl.replace t.top.frames vpage f;
+  Tbl.replace t.top.frames vpage f;
   t.mapped <- t.mapped + 1;
   f
 
@@ -217,7 +344,7 @@ let prepare_slow t vpage =
       if resolvers owner vpage > 1 then begin
         (* Someone else still resolves this frame: privatise it. *)
         let f = Frame_store.alloc_copy t.store shared in
-        Hashtbl.replace t.top.frames vpage f;
+        Tbl.replace t.top.frames vpage f;
         t.cow_copies <- t.cow_copies + 1;
         t.fault <- true;
         f
@@ -227,8 +354,8 @@ let prepare_slow t vpage =
            died): adopt it into the top so later writes take the fast
            path. Equivalent to the eager scheme's refcount-1 in-place
            write — no fault, no copy. *)
-        Hashtbl.remove owner.frames vpage;
-        Hashtbl.replace t.top.frames vpage shared;
+        Tbl.remove owner.frames vpage;
+        Tbl.replace t.top.frames vpage shared;
         shared
       end
     | exception Not_found -> materialize t vpage)
@@ -240,13 +367,13 @@ let prepare_slow t vpage =
 let prepare_write t vpage =
   compact t;
   t.fault <- false;
-  match Hashtbl.find t.top.frames vpage with
-  | f -> f
-  | exception Not_found -> prepare_slow t vpage
+  let frames = t.top.frames in
+  let i = Tbl.slot frames vpage in
+  if i >= 0 then Array.unsafe_get frames.vals i else prepare_slow t vpage
 
 let note_write t vpage f =
   if t.track then begin
-    Hashtbl.replace t.writes_log vpage (Frame_store.id f);
+    Tbl.replace t.writes_log vpage (Frame_store.id f);
     Frame_store.notify_write t.store ~map:t.id ~vpage ~frame:(Frame_store.id f)
   end
 
@@ -351,24 +478,27 @@ let set_int t ~vpage ~off v =
 let touch_page t ~vpage =
   check t;
   compact t;
-  match Hashtbl.find t.top.frames vpage with
-  | f ->
-    note_write t vpage f;
+  let frames = t.top.frames in
+  let i = Tbl.slot frames vpage in
+  if i >= 0 then begin
+    note_write t vpage (Array.unsafe_get frames.vals i);
     false
-  | exception Not_found ->
+  end
+  else begin
     t.fault <- false;
     let f = prepare_slow t vpage in
     note_write t vpage f;
     if t.fault then t.writes <- t.writes + 1;
     t.fault
+  end
 
 (* ------------------------------------------------------------------ *)
 
 (* Free a map's hold on [node]: its frames go back to the store and the
    layer below loses a dependent (recursively, when it was the last). *)
 let rec free_node store node =
-  Hashtbl.iter (fun _ f -> Frame_store.decref store f) node.frames;
-  Hashtbl.reset node.frames;
+  Tbl.iter (fun _ f -> Frame_store.decref store f) node.frames;
+  Tbl.reset node.frames;
   match node.base with
   | Some b ->
     remove_dep b node;
@@ -398,8 +528,8 @@ let absorb ~parent ~child =
   parent.reads <- parent.reads + child.reads;
   (* The surviving timeline inherits the winner's access history; the
      child keeps its own copy for post-mortem analysis. *)
-  Hashtbl.iter (fun k () -> Hashtbl.replace parent.reads_log k ()) child.reads_log;
-  Hashtbl.iter (fun k v -> Hashtbl.replace parent.writes_log k v) child.writes_log;
+  Tbl.iter (fun k () -> Tbl.replace parent.reads_log k ()) child.reads_log;
+  Tbl.iter (fun k v -> Tbl.replace parent.writes_log k v) child.writes_log;
   child.top <- fresh_top None;
   child.mapped <- 0;
   child.released <- true;
@@ -415,11 +545,11 @@ let tracking t = t.track
 (* Deliberately usable after [release]: eliminated siblings are audited
    through these logs. *)
 let read_log t =
-  Hashtbl.fold (fun vpage () acc -> vpage :: acc) t.reads_log []
+  Tbl.fold (fun vpage () acc -> vpage :: acc) t.reads_log []
   |> List.sort compare
 
 let write_log t =
-  Hashtbl.fold (fun vpage fid acc -> (vpage, fid) :: acc) t.writes_log []
+  Tbl.fold (fun vpage fid acc -> (vpage, fid) :: acc) t.writes_log []
   |> List.sort compare
 
 let mapped_vpages t =
@@ -445,10 +575,10 @@ let snapshot_equal a b =
   let ps = page_size a in
   if ps <> page_size b then false
   else begin
-    let pages = Hashtbl.create 64 in
+    let pages = Tbl.create () in
     let add t =
       let rec go node =
-        Hashtbl.iter (fun v _ -> Hashtbl.replace pages v ()) node.frames;
+        Tbl.iter (fun v _ -> Tbl.replace pages v ()) node.frames;
         match node.base with Some base -> go base | None -> ()
       in
       go t.top
@@ -456,7 +586,7 @@ let snapshot_equal a b =
     add a;
     add b;
     let same_store = a.store == b.store in
-    Hashtbl.fold
+    Tbl.fold
       (fun vpage () acc ->
         acc
         &&

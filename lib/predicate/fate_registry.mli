@@ -25,10 +25,10 @@ val record : t -> Pid.t -> Predicate.fate -> unit
 
 val normalize : t -> Predicate.t -> [ `Live of Predicate.t | `Dead ]
 (** Simplify a predicate against every fate known to the registry, in one
-    pass with one intern ({!Predicate.resolve_all}). [`Dead] means some
-    assumption was falsified: the holder's world no longer exists. [`Live
-    p] carries the residual (possibly empty) predicate; it is the argument
-    itself when no pid of it is decided. *)
+    pass that builds at most one residue ({!Predicate.resolve_all}).
+    [`Dead] means some assumption was falsified: the holder's world no
+    longer exists. [`Live p] carries the residual (possibly empty)
+    predicate; it is the argument itself when no pid of it is decided. *)
 
 val decided : t -> int
 (** Number of pids with a recorded fate. *)

@@ -1,185 +1,177 @@
-(* Predicates are hash-consed: every value is interned in a global table,
-   so structurally equal predicates are physically equal and carry one
-   globally unique [id]. The engine compares predicates on every message
-   delivery; interning turns those comparisons into pointer equality in
-   the common case and lets [implies]/[conflicts] memoise on id pairs.
+(* A predicate is two sorted, duplicate-free arrays of raw pids, so every
+   operation is a binary search or a merge walk: [implies] and
+   [conflicts], which the engine runs on every delivery, allocate
+   nothing, and no state is shared between domains. Every constructor
+   returns [empty] for the certain predicate, so the fast paths below
+   test it physically. The loops are top-level functions taking every
+   variable as an argument: a local recursive function would allocate a
+   closure per call. *)
 
-   Determinism contract: intern ids depend on allocation order and so may
-   differ between runs and domains — they must never influence anything
-   observable. [equal] is id-based (sound because ids are unique per
-   structure), but [compare] remains structural so that any ordering
-   derived from it is schedule-independent. *)
+type t = { completes : int array; fails : int array }
 
-type t = { id : int; completes : Pid.Set.t; fails : Pid.Set.t }
+let empty = { completes = [||]; fails = [||] }
 
-module Intern_key = struct
-  type t = Pid.Set.t * Pid.Set.t
+let mk completes fails =
+  if Array.length completes = 0 && Array.length fails = 0 then empty
+  else { completes; fails }
 
-  let equal (c1, f1) (c2, f2) = Pid.Set.equal c1 c2 && Pid.Set.equal f1 f2
+(* Index of [x] in [a.(lo..hi-1)], or [-1 - i] for its insertion point [i]. *)
+let rec search a x lo hi =
+  if lo >= hi then -1 - lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let y = Array.unsafe_get a mid in
+    if y = x then mid else if y < x then search a x (mid + 1) hi else search a x lo mid
 
-  (* Fold over the elements: the polymorphic hash would walk the balanced
-     tree, whose shape is not canonical for a given element set. *)
-  let hash (c, f) =
-    let step p h = (h * 33) lxor Pid.to_int p in
-    let h = Pid.Set.fold step c 0x1505 in
-    (Pid.Set.fold step f (h lxor 0x9e3779b9)) land max_int
-end
+let mem a x = search a x 0 (Array.length a) >= 0
 
-module Intern_table = Hashtbl.Make (Intern_key)
+(* [a] with [x] added; [x] must be absent. *)
+let insert a x =
+  let i = -1 - search a x 0 (Array.length a) and n = Array.length a in
+  let b = Array.make (n + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (n - i);
+  b
 
-(* Engines running in sibling domains (parallel sweeps) share the table;
-   the lock is uncontended in single-domain runs. *)
-let intern_lock = Mutex.create ()
-let intern_table : t Intern_table.t = Intern_table.create 256
-let next_id = ref 0
+(* Every element of [s.(i..)] is in [r.(j..)]. *)
+let rec subset s r i j =
+  let ns = Array.length s and nr = Array.length r in
+  i = ns
+  || nr - j >= ns - i
+     &&
+     let x = Array.unsafe_get s i and y = Array.unsafe_get r j in
+     if x = y then subset s r (i + 1) (j + 1) else x > y && subset s r i (j + 1)
 
-let intern completes fails =
-  let key = (completes, fails) in
-  Mutex.lock intern_lock;
-  let r =
-    match Intern_table.find_opt intern_table key with
-    | Some t -> t
-    | None ->
-      let t = { id = !next_id; completes; fails } in
-      incr next_id;
-      Intern_table.add intern_table key t;
-      t
-  in
-  Mutex.unlock intern_lock;
-  r
+let rec intersects a b i j =
+  i < Array.length a
+  && j < Array.length b
+  &&
+  let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
+  x = y || if x < y then intersects a b (i + 1) j else intersects a b i (j + 1)
 
-let empty = intern Pid.Set.empty Pid.Set.empty
+(* Merge [a.(i..)] and [b.(j..)] into [c.(k..)], dropping duplicates;
+   returns the merged length. *)
+let rec merge a b c i j k =
+  let na = Array.length a and nb = Array.length b in
+  if i = na then (Array.blit b j c k (nb - j); k + nb - j)
+  else if j = nb then (Array.blit a i c k (na - i); k + na - i)
+  else
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
+    Array.unsafe_set c k (if x <= y then x else y);
+    merge a b c (if x <= y then i + 1 else i) (if y <= x then j + 1 else j) (k + 1)
 
-let consistent ~completes ~fails = Pid.Set.disjoint completes fails
+(* Returns an argument when it already contains the other. *)
+let union a b =
+  if subset b a 0 0 then a
+  else if subset a b 0 0 then b
+  else
+    let c = Array.make (Array.length a + Array.length b) 0 in
+    let n = merge a b c 0 0 0 in
+    if n = Array.length c then c else Array.sub c 0 n
+
+let of_list l = Array.of_list (List.sort_uniq Int.compare (List.map Pid.to_int l))
+let to_set a = Array.fold_left (fun s p -> Pid.Set.add (Pid.of_int p) s) Pid.Set.empty a
 
 let make ~must_complete ~must_fail =
-  let completes = Pid.Set.of_list must_complete in
-  let fails = Pid.Set.of_list must_fail in
-  if not (consistent ~completes ~fails) then
-    invalid_arg "Predicate.make: inconsistent";
-  intern completes fails
+  let completes = of_list must_complete and fails = of_list must_fail in
+  if intersects completes fails 0 0 then invalid_arg "Predicate.make: inconsistent";
+  mk completes fails
 
-let must_complete t = t.completes
-let must_fail t = t.fails
-let is_certain t = t == empty
-let cardinal t = Pid.Set.cardinal t.completes + Pid.Set.cardinal t.fails
+let must_complete t = to_set t.completes
+let must_fail t = to_set t.fails
+let is_certain t = Array.length t.completes = 0 && Array.length t.fails = 0
+let cardinal t = Array.length t.completes + Array.length t.fails
+let mem_completes t pid = mem t.completes (Pid.to_int pid)
+let mem_fails t pid = mem t.fails (Pid.to_int pid)
 
 let assume_completes t pid =
-  if Pid.Set.mem pid t.fails then
+  let x = Pid.to_int pid in
+  if mem t.fails x then
     invalid_arg "Predicate.assume_completes: pid already assumed to fail";
-  intern (Pid.Set.add pid t.completes) t.fails
+  if mem t.completes x then t else { t with completes = insert t.completes x }
 
 let assume_fails t pid =
-  if Pid.Set.mem pid t.completes then
+  let x = Pid.to_int pid in
+  if mem t.completes x then
     invalid_arg "Predicate.assume_fails: pid already assumed to complete";
-  intern t.completes (Pid.Set.add pid t.fails)
-
-let mem_completes t pid = Pid.Set.mem pid t.completes
-let mem_fails t pid = Pid.Set.mem pid t.fails
-
-(* ------------------------------------------------------------------ *)
-(* Memoised binary tests. The cache key packs both interned ids into one
-   immediate int (31 bits each); predicates with larger ids — never seen
-   in practice — skip the cache. Caches are domain-local, so no lock is
-   taken on the hot path, and bounded. *)
-
-let memo_limit = 32768
-let id_limit = 0x4000_0000
-
-type caches = { implies_c : (int, bool) Hashtbl.t; conflicts_c : (int, bool) Hashtbl.t }
-
-let caches_key =
-  Domain.DLS.new_key (fun () ->
-      { implies_c = Hashtbl.create 1024; conflicts_c = Hashtbl.create 1024 })
-
-let memo cache k compute =
-  match Hashtbl.find cache k with
-  | v -> v
-  | exception Not_found ->
-    if Hashtbl.length cache >= memo_limit then Hashtbl.reset cache;
-    let v = compute () in
-    Hashtbl.add cache k v;
-    v
+  if mem t.fails x then t else { t with fails = insert t.fails x }
 
 let implies r s =
-  (* Physical fast path: every predicate implies itself, and the certain
-     predicate is implied by everything. *)
-  if r == s || s == empty then true
-  else if r.id < id_limit && s.id < id_limit then
-    memo (Domain.DLS.get caches_key).implies_c
-      ((r.id lsl 31) lor s.id)
-      (fun () ->
-        Pid.Set.subset s.completes r.completes && Pid.Set.subset s.fails r.fails)
-  else Pid.Set.subset s.completes r.completes && Pid.Set.subset s.fails r.fails
+  r == s || s == empty
+  || (subset s.completes r.completes 0 0 && subset s.fails r.fails 0 0)
 
 let conflicts r s =
   (* A predicate is internally consistent, so it cannot conflict with
      itself; the certain predicate conflicts with nothing. *)
-  if r == s || r == empty || s == empty then false
-  else if r.id < id_limit && s.id < id_limit then
-    memo (Domain.DLS.get caches_key).conflicts_c
-      ((r.id lsl 31) lor s.id)
-      (fun () ->
-        (not (Pid.Set.disjoint r.completes s.fails))
-        || not (Pid.Set.disjoint r.fails s.completes))
-  else
-    (not (Pid.Set.disjoint r.completes s.fails))
-    || not (Pid.Set.disjoint r.fails s.completes)
+  not (r == s || r == empty || s == empty)
+  && (intersects r.completes s.fails 0 0 || intersects r.fails s.completes 0 0)
 
 let conjoin r s =
   if conflicts r s then invalid_arg "Predicate.conjoin: conflicting predicates";
-  if r == s || s == empty then r
-  else if r == empty then s
-  else intern (Pid.Set.union r.completes s.completes) (Pid.Set.union r.fails s.fails)
+  if implies r s then r
+  else if implies s r then s
+  else { completes = union r.completes s.completes; fails = union r.fails s.fails }
 
-(* Interning makes structural equality coincide with id equality. *)
-let equal a b = a == b || a.id = b.id
+let equal a b = a == b || a = b
+
+(* Lexicographic over the ascending elements, a proper prefix first:
+   exactly the order [Pid.Set.compare] gives. *)
+let rec compare_from a b i =
+  let na = Array.length a and nb = Array.length b in
+  if i = na then if i = nb then 0 else -1
+  else if i = nb then 1
+  else
+    let c = Int.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else compare_from a b (i + 1)
 
 let compare a b =
-  let c = Pid.Set.compare a.completes b.completes in
-  if c <> 0 then c else Pid.Set.compare a.fails b.fails
+  let c = compare_from a.completes b.completes 0 in
+  if c <> 0 then c else compare_from a.fails b.fails 0
 
 type fate = Completed | Failed
 
 type resolution = Unchanged | Simplified of t | Falsified
 
-let resolve t ~pid ~fate =
-  match fate with
-  | Completed ->
-    if Pid.Set.mem pid t.fails then Falsified
-    else if Pid.Set.mem pid t.completes then
-      Simplified (intern (Pid.Set.remove pid t.completes) t.fails)
-    else Unchanged
-  | Failed ->
-    if Pid.Set.mem pid t.completes then Falsified
-    else if Pid.Set.mem pid t.fails then
-      Simplified (intern t.completes (Pid.Set.remove pid t.fails))
-    else Unchanged
+(* Number of pids of [a.(i..)] that [fate] has decided, plus [n]; [-1] as
+   soon as one was decided against [assumed]. *)
+let rec count_decided fate a ~assumed i n =
+  if i = Array.length a then n
+  else
+    match fate (Pid.of_int (Array.unsafe_get a i)) with
+    | None -> count_decided fate a ~assumed (i + 1) n
+    | Some f -> if f == assumed then count_decided fate a ~assumed (i + 1) (n + 1) else -1
+
+(* Copy the undecided pids of [a.(i..)] into [b.(k..)]. *)
+let rec keep_undecided fate a b i k =
+  if i < Array.length a then
+    match fate (Pid.of_int (Array.unsafe_get a i)) with
+    | None ->
+      Array.unsafe_set b k (Array.unsafe_get a i);
+      keep_undecided fate a b (i + 1) (k + 1)
+    | Some _ -> keep_undecided fate a b (i + 1) k
+
+let undecided fate a ~decided =
+  if decided = 0 then a
+  else begin
+    let b = Array.make (Array.length a - decided) 0 in
+    keep_undecided fate a b 0 0;
+    b
+  end
 
 let resolve_all t ~fate =
-  let contradicted ~assumed p =
-    match (fate p, assumed) with
-    | Some Failed, Completed | Some Completed, Failed -> true
-    | _ -> false
-  in
-  let undecided p = match fate p with None -> true | Some _ -> false in
-  if
-    Pid.Set.exists (contradicted ~assumed:Completed) t.completes
-    || Pid.Set.exists (contradicted ~assumed:Failed) t.fails
-  then Falsified
+  let dc = count_decided fate t.completes ~assumed:Completed 0 0 in
+  let df = if dc < 0 then -1 else count_decided fate t.fails ~assumed:Failed 0 0 in
+  if dc < 0 || df < 0 then Falsified
+  else if dc = 0 && df = 0 then Unchanged
   else
-    (* [Set.filter] returns its argument when it keeps every element, so
-       an untouched predicate is recognised without interning. *)
-    let completes = Pid.Set.filter undecided t.completes in
-    let fails = Pid.Set.filter undecided t.fails in
-    if completes == t.completes && fails == t.fails then Unchanged
-    else Simplified (intern completes fails)
+    Simplified
+      (mk (undecided fate t.completes ~decided:dc) (undecided fate t.fails ~decided:df))
+
+let resolve t ~pid ~fate =
+  resolve_all t ~fate:(fun p -> if Pid.equal p pid then Some fate else None)
 
 let pp ppf t =
-  let items =
-    List.map (fun p -> "+" ^ Pid.to_string p) (Pid.Set.elements t.completes)
-    @ List.map (fun p -> "-" ^ Pid.to_string p) (Pid.Set.elements t.fails)
-  in
-  Format.fprintf ppf "{%s}" (String.concat " " items)
+  let items sign a = List.map (fun p -> sign ^ Pid.to_string (Pid.of_int p)) (Array.to_list a) in
+  Format.fprintf ppf "{%s}" (String.concat " " (items "+" t.completes @ items "-" t.fails))
 
 let to_string t = Format.asprintf "%a" pp t

@@ -19,6 +19,7 @@ val make : must_complete:Pid.t list -> must_fail:Pid.t list -> t
 
 val must_complete : t -> Pid.Set.t
 val must_fail : t -> Pid.Set.t
+(** Built afresh on each call, for export (the trace's JSON). *)
 
 val is_certain : t -> bool
 (** [true] iff there are no unresolved assumptions. Only certain processes
@@ -42,25 +43,28 @@ val implies : t -> t -> bool
 (** [implies r s]: every assumption of [s] is already an assumption of [r].
     This is the paper's "S is a subset of R" immediate-acceptance test (the
     receiver's world view already agrees with the sender's). Physically
-    equal arguments short-circuit; other pairs are memoised per domain by
-    interned id, so the per-message cost is amortised constant. *)
+    equal arguments and a certain [s] short-circuit; otherwise it is a
+    merge walk over the sorted pids, O(|r| + |s|), allocating nothing. *)
 
 val conflicts : t -> t -> bool
 (** [conflicts r s]: some process is assumed to complete by one side and to
-    fail by the other. Such a message is ignored by the receiver. Memoised
-    like {!implies}. *)
+    fail by the other. Such a message is ignored by the receiver. A merge
+    walk like {!implies}, allocating nothing. *)
 
 val conjoin : t -> t -> t
 (** Union of assumptions. Raises [Invalid_argument] if the two conflict;
-    callers should test {!conflicts} first. *)
+    callers should test {!conflicts} first. Returns an argument itself when
+    it already implies the other. *)
 
 val equal : t -> t -> bool
-(** Constant time: predicates are hash-consed, so structural equality
-    coincides with physical equality. *)
+(** Structural, O(k) in the number of assumptions: every route to the same
+    assumptions gives an equal predicate. *)
 
 val compare : t -> t -> int
-(** Structural (by pid sets), deliberately independent of interning order,
-    so orderings derived from it are schedule-deterministic. *)
+(** Structural: lexicographic over the ascending completes, then over the
+    ascending fails, a proper prefix first. This is the order
+    [Pid.Set.compare] gives on the two sets, so orderings derived from it
+    are schedule-deterministic. *)
 
 type fate = Completed | Failed
 (** The eventual resolution of a process. *)
@@ -79,11 +83,11 @@ val resolve : t -> pid:Pid.t -> fate:fate -> resolution
 val resolve_all : t -> fate:(Pid.t -> fate option) -> resolution
 (** Incorporate every known fate at once: [fate pid] is [None] while [pid]
     is undecided. [Falsified] if any assumption is contradicted; otherwise
-    every decided pid is removed and the residue interned once. The result
-    equals folding {!resolve} over each decided pid of the predicate, in
-    any order, and a [Simplified] value is the same (physically equal)
-    interned predicate that fold would reach. [Unchanged] means no pid of
-    the predicate is decided. *)
+    every decided pid is removed in one pass that builds one filtered
+    array per side that changed. The result equals folding {!resolve} over
+    each decided pid of the predicate, in any order: a [Simplified] value
+    is {!equal} to the predicate that fold would reach. [Unchanged] means
+    no pid of the predicate is decided, and allocates nothing. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [{+P1 +P2 -P3}] ([+] must complete, [-] must fail). *)

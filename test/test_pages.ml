@@ -721,6 +721,250 @@ let prop_absorb_equals_child =
       Page_map.absorb ~parent ~child;
       Page_map.snapshot_equal parent reference)
 
+(* ---------------- model: Page_map against an eager-copy reference ----------------
+
+   A family of maps over one store, grown by [fork] and shrunk by
+   [absorb] and [release], replays random [set_u8], [get_u8] and
+   [touch_page] steps. The reference copies every page table eagerly on
+   fork and keeps a reference count per frame: a write to a frame with
+   count above one takes a copy-on-write fault, a write to an unmapped
+   page materialises a zero frame. The layered maps must agree with it on
+   bytes, fault results, [mapped_pages], [mapped_vpages],
+   [private_pages], [cow_copies], and - since frames are allocated at the
+   same steps on both sides - the frame ids in [frame_id] and the sorted
+   [write_log], as well as [read_log]; logs are checked on released maps
+   too. The store's [live_frames] never falls below the reference's count
+   (a frame some map resolves is never freed) and is 0 once every map is
+   released: a frozen layer may hold a frame that every live relative
+   shadows until the layer is compacted or freed, where the eager scheme
+   frees it at once. Pages 0..7 plus widely spaced ones force
+   probe collisions, table growth, and the adoption of a frame out of a
+   frozen layer once its other claimants are gone. *)
+
+type rframe = { rid : int; rbytes : Bytes.t; mutable rrefs : int }
+
+type rmap = {
+  rpages : (int, rframe) Hashtbl.t;
+  mutable rcow : int;
+  rreads : (int, unit) Hashtbl.t;
+  rwrites : (int, int) Hashtbl.t;
+  mutable rlive : bool;
+}
+
+type map_op =
+  | Set of int * int * int * int  (* map, vpage, off, value *)
+  | Get of int * int * int
+  | Touch of int * int
+  | Fork of int
+  | Absorb of int * int  (* parent, child *)
+  | Release of int
+
+let show_map_op = function
+  | Set (m, vp, off, v) -> Printf.sprintf "set #%d %d:%d=%d" m vp off v
+  | Get (m, vp, off) -> Printf.sprintf "get #%d %d:%d" m vp off
+  | Touch (m, vp) -> Printf.sprintf "touch #%d %d" m vp
+  | Fork m -> Printf.sprintf "fork #%d" m
+  | Absorb (p, c) -> Printf.sprintf "absorb #%d <- #%d" p c
+  | Release m -> Printf.sprintf "release #%d" m
+
+let model_page_size = 16
+
+let run_map_model ops =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let store = Frame_store.create ~page_size:model_page_size in
+  let next_id = ref 0 and live = ref 0 in
+  let rmap () =
+    { rpages = Hashtbl.create 8; rcow = 0; rreads = Hashtbl.create 8;
+      rwrites = Hashtbl.create 8; rlive = true }
+  in
+  let root = Page_map.create store in
+  Page_map.set_tracking root true;
+  let maps = ref [| (root, rmap ()) |] in
+  let r_alloc bytes =
+    let f = { rid = !next_id; rbytes = bytes; rrefs = 1 } in
+    incr next_id;
+    incr live;
+    f
+  in
+  let r_decref f =
+    f.rrefs <- f.rrefs - 1;
+    if f.rrefs = 0 then decr live
+  in
+  (* The reference's writable frame for [vp], and whether it faulted. *)
+  let r_prepare r vp =
+    match Hashtbl.find_opt r.rpages vp with
+    | Some f when f.rrefs = 1 -> (f, false)
+    | Some f ->
+      let g = r_alloc (Bytes.copy f.rbytes) in
+      r_decref f;
+      Hashtbl.replace r.rpages vp g;
+      r.rcow <- r.rcow + 1;
+      (g, true)
+    | None ->
+      let g = r_alloc (Bytes.make model_page_size '\000') in
+      Hashtbl.replace r.rpages vp g;
+      (g, false)
+  in
+  let r_release r =
+    Hashtbl.iter (fun _ f -> r_decref f) r.rpages;
+    Hashtbl.reset r.rpages;
+    r.rlive <- false
+  in
+  (* Reads a whole page with tracking off, so the audit stays out of the
+     read log it checks. *)
+  let audit_read m vp =
+    Page_map.set_tracking m false;
+    let b = Page_map.read m ~vpage:vp ~off:0 ~len:model_page_size in
+    Page_map.set_tracking m true;
+    b
+  in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let agree i (m, r) =
+    let logs_ok =
+      Page_map.read_log m = List.map fst (sorted r.rreads)
+      && Page_map.write_log m = sorted r.rwrites
+    in
+    if not logs_ok then Some (Printf.sprintf "map #%d: access logs" i)
+    else if Page_map.released m = r.rlive then Some "released"
+    else if not r.rlive then None
+    else if Page_map.mapped_pages m <> Hashtbl.length r.rpages then Some "mapped_pages"
+    else if Page_map.mapped_vpages m <> List.map fst (sorted r.rpages) then
+      Some "mapped_vpages"
+    else if
+      Page_map.private_pages m
+      <> Hashtbl.fold (fun _ f n -> if f.rrefs = 1 then n + 1 else n) r.rpages 0
+    then Some "private_pages"
+    else if Page_map.cow_copies m <> r.rcow then Some "cow_copies"
+    else
+      Hashtbl.fold
+        (fun vp f acc ->
+          match acc with
+          | Some _ -> acc
+          | None ->
+            if Page_map.frame_id m ~vpage:vp <> Some f.rid then
+              Some (Printf.sprintf "frame_id of page %d" vp)
+            else if not (Bytes.equal f.rbytes (audit_read m vp)) then
+              Some (Printf.sprintf "bytes of page %d" vp)
+            else None)
+        r.rpages None
+      |> Option.map (fun why -> Printf.sprintf "map #%d: %s" i why)
+  in
+  let live_index k =
+    let live_maps =
+      List.filter (fun i -> (snd !maps.(i)).rlive) (List.init (Array.length !maps) Fun.id)
+    in
+    match live_maps with
+    | [] -> None
+    | l -> Some (List.nth l (k mod List.length l))
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Set (k, vp, off, v) ->
+        Option.iter
+          (fun i ->
+            let m, r = !maps.(i) in
+            let faulted = Page_map.set_u8 m ~vpage:vp ~off v in
+            let f, r_faulted = r_prepare r vp in
+            Bytes.set f.rbytes off (Char.chr v);
+            Hashtbl.replace r.rwrites vp f.rid;
+            if faulted <> r_faulted then fail "%s: fault %b" (show_map_op op) faulted)
+          (live_index k)
+      | Get (k, vp, off) ->
+        Option.iter
+          (fun i ->
+            let m, r = !maps.(i) in
+            let got = Page_map.get_u8 m ~vpage:vp ~off in
+            Hashtbl.replace r.rreads vp ();
+            let want =
+              match Hashtbl.find_opt r.rpages vp with
+              | Some f -> Char.code (Bytes.get f.rbytes off)
+              | None -> 0
+            in
+            if got <> want then fail "%s: read %d, reference %d" (show_map_op op) got want)
+          (live_index k)
+      | Touch (k, vp) ->
+        Option.iter
+          (fun i ->
+            let m, r = !maps.(i) in
+            let faulted = Page_map.touch_page m ~vpage:vp in
+            let f, r_faulted = r_prepare r vp in
+            Hashtbl.replace r.rwrites vp f.rid;
+            if faulted <> r_faulted then fail "%s: fault %b" (show_map_op op) faulted)
+          (live_index k)
+      | Fork k ->
+        Option.iter
+          (fun i ->
+            let m, r = !maps.(i) in
+            let c = rmap () in
+            Hashtbl.iter
+              (fun vp f ->
+                f.rrefs <- f.rrefs + 1;
+                Hashtbl.replace c.rpages vp f)
+              r.rpages;
+            maps := Array.append !maps [| (Page_map.fork m, c) |])
+          (live_index k)
+      | Absorb (kp, kc) -> (
+        match (live_index kp, live_index kc) with
+        | Some p, Some c when p <> c ->
+          let pm, pr = !maps.(p) and cm, cr = !maps.(c) in
+          Page_map.absorb ~parent:pm ~child:cm;
+          Hashtbl.iter (fun _ f -> r_decref f) pr.rpages;
+          Hashtbl.reset pr.rpages;
+          Hashtbl.iter (Hashtbl.replace pr.rpages) cr.rpages;
+          Hashtbl.reset cr.rpages;
+          cr.rlive <- false;
+          pr.rcow <- pr.rcow + cr.rcow;
+          Hashtbl.iter (Hashtbl.replace pr.rreads) cr.rreads;
+          Hashtbl.iter (Hashtbl.replace pr.rwrites) cr.rwrites
+        | _ -> ())
+      | Release k ->
+        Option.iter
+          (fun i ->
+            let m, r = !maps.(i) in
+            Page_map.release m;
+            r_release r)
+          (live_index k));
+      if Frame_store.live_frames store < !live then
+        fail "after %s: %d live frames, reference %d" (show_map_op op)
+          (Frame_store.live_frames store) !live;
+      Array.iteri
+        (fun i pair ->
+          match agree i pair with
+          | Some why -> fail "after %s: %s" (show_map_op op) why
+          | None -> ())
+        !maps)
+    ops;
+  Array.iter (fun (m, _) -> Page_map.release m) !maps;
+  Frame_store.live_frames store = 0
+
+let arb_map_ops =
+  let open QCheck.Gen in
+  let vpage =
+    frequency
+      [ (3, int_bound 7); (2, oneofl [ 64; 1000; 1024; 4096; 65536; 1 lsl 30; 1 lsl 40 ]) ]
+  in
+  let m = int_bound 15 and off = int_bound (model_page_size - 1) in
+  let op =
+    frequency
+      [
+        (8, map2 (fun (k, vp) (o, v) -> Set (k, vp, o, v)) (pair m vpage)
+              (pair off (int_bound 255)));
+        (5, map3 (fun k vp o -> Get (k, vp, o)) m vpage off);
+        (3, map2 (fun k vp -> Touch (k, vp)) m vpage);
+        (3, map (fun k -> Fork k) m);
+        (2, map2 (fun p c -> Absorb (p, c)) m m);
+        (1, map (fun k -> Release k) m);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_map_op ops))
+    (list_size (int_range 1 80) op)
+
+let prop_page_map_model =
+  QCheck.Test.make ~name:"random ops agree with an eager-copy reference" ~count:500
+    arb_map_ops run_map_model
+
 let () =
   Alcotest.run "pages"
     [
@@ -783,5 +1027,6 @@ let () =
             prop_no_frame_leaks;
             prop_absorb_equals_child;
             prop_pool_matches_model;
+            prop_page_map_model;
           ] );
     ]

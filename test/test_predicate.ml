@@ -88,20 +88,26 @@ let test_pp () =
   check Alcotest.string "printed" "{+P1 -P2}" (Predicate.to_string (pred [ 1 ] [ 2 ]))
 
 let test_hash_consing () =
-  (* Predicates are interned: structural equality coincides with physical
-     equality, regardless of construction order or route. *)
-  check Alcotest.bool "same lists, same box" true
-    (pred [ 1; 2 ] [ 3 ] == pred [ 2; 1 ] [ 3 ]);
-  check Alcotest.bool "assume route reaches the same box" true
-    (Predicate.assume_completes (pred [ 1 ] [ 3 ]) (p 2) == pred [ 1; 2 ] [ 3 ]);
-  check Alcotest.bool "conjoin route reaches the same box" true
-    (Predicate.conjoin (pred [ 1 ] []) (pred [ 2 ] [ 3 ]) == pred [ 1; 2 ] [ 3 ]);
-  check Alcotest.bool "empty is unique" true
-    (pred [] [] == Predicate.empty);
-  (* [resolve] re-interns its result. *)
-  (match Predicate.resolve (pred [ 1; 2 ] []) ~pid:(p 2) ~fate:Predicate.Completed with
-  | Predicate.Simplified q -> check Alcotest.bool "resolved box" true (q == pred [ 1 ] [])
-  | _ -> Alcotest.fail "expected Simplified")
+  (* The construction route does not matter: every route to the same
+     assumptions yields an equal predicate that compares as 0. Only the
+     certain predicate is shared physically. *)
+  let same name a b =
+    check Alcotest.bool name true (Predicate.equal a b && Predicate.compare a b = 0)
+  in
+  let target = pred [ 1; 2 ] [ 3 ] in
+  same "list order and duplicates" (pred [ 2; 1; 2 ] [ 3 ]) target;
+  same "assume route" (Predicate.assume_completes (pred [ 1 ] [ 3 ]) (p 2)) target;
+  same "assume route, other order"
+    (Predicate.assume_fails (Predicate.assume_completes (pred [ 2 ] []) (p 1)) (p 3))
+    target;
+  same "conjoin route" (Predicate.conjoin (pred [ 1 ] []) (pred [ 2 ] [ 3 ])) target;
+  check Alcotest.bool "empty is unique" true (pred [] [] == Predicate.empty);
+  (match Predicate.resolve (pred [ 1 ] []) ~pid:(p 1) ~fate:Predicate.Completed with
+  | Predicate.Simplified q -> check Alcotest.bool "resolved to empty" true (q == Predicate.empty)
+  | _ -> Alcotest.fail "expected Simplified");
+  match Predicate.resolve (pred [ 1; 2 ] []) ~pid:(p 2) ~fate:Predicate.Completed with
+  | Predicate.Simplified q -> same "resolve route" q (pred [ 1 ] [])
+  | _ -> Alcotest.fail "expected Simplified"
 
 (* ---------------- Fate_registry ---------------- *)
 
@@ -147,8 +153,8 @@ let gen_pred =
            ~must_fail:(List.map Pid.of_int fails)))
 
 let prop_memoised_implies_conflicts =
-  (* The memo caches must agree with a from-scratch structural check, on
-     first use and on the cached second use. *)
+  (* [implies]/[conflicts] must agree with a from-scratch check on the pid
+     sets, and give the same answer when asked twice. *)
   let subset a b = Pid.Set.subset a b in
   QCheck.Test.make ~name:"memoised implies/conflicts match structural truth"
     ~count:500 (QCheck.pair gen_pred gen_pred) (fun (r, s) ->
@@ -269,8 +275,220 @@ let prop_registry_model =
       &&
       match (Fate_registry.normalize r q, reference) with
       | `Dead, `Dead -> true
-      | `Live a, `Live b -> a == b
+      | `Live a, `Live b -> Predicate.equal a b
       | _ -> false)
+
+(* ---------------- model: Predicate against a pair of pid sets ----------------
+
+   Random programs build a family of predicates from [empty] with [make],
+   [assume_*], [conjoin], [resolve] and [resolve_all], and replay every
+   step on a reference that is a plain [(completes, fails)] pair of
+   [Pid.Set]s. Both sides must raise on the same steps; every value built
+   must agree with its reference on [cardinal], [mem_*], [must_*],
+   [is_certain] and [to_string], and every pair of values on [implies],
+   [conflicts], [equal] and the sign of [compare] (the reference orders
+   by [Pid.Set.compare] on completes, then on fails). Pids come from a
+   small universe, where prefixes, overlaps and conflicts are common, or
+   from 0..4000, where the arrays stay sparse. *)
+
+type ref_pred = { rc : Pid.Set.t; rf : Pid.Set.t }
+
+type op =
+  | Make of int list * int list
+  | Assume of Predicate.fate * int * int  (* side, value, pid *)
+  | Conjoin of int * int
+  | Resolve of int * int * Predicate.fate
+  | Resolve_all of int * (int * Predicate.fate) list
+
+let show_fate = function Predicate.Completed -> "ok" | Predicate.Failed -> "fail"
+
+let show_ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+
+let show_op = function
+  | Make (c, f) -> Printf.sprintf "make %s %s" (show_ints c) (show_ints f)
+  | Assume (side, i, x) -> Printf.sprintf "assume_%s #%d %d" (show_fate side) i x
+  | Conjoin (i, j) -> Printf.sprintf "conjoin #%d #%d" i j
+  | Resolve (i, x, f) -> Printf.sprintf "resolve #%d %d=%s" i x (show_fate f)
+  | Resolve_all (i, fs) ->
+    Printf.sprintf "resolve_all #%d {%s}" i
+      (String.concat " "
+         (List.map (fun (x, f) -> Printf.sprintf "%d=%s" x (show_fate f)) fs))
+
+let set_of l = Pid.Set.of_list (List.map Pid.of_int l)
+
+let ref_to_string r =
+  let side sign s = List.map (fun q -> sign ^ Pid.to_string q) (Pid.Set.elements s) in
+  "{" ^ String.concat " " (side "+" r.rc @ side "-" r.rf) ^ "}"
+
+let ref_implies r s = Pid.Set.subset s.rc r.rc && Pid.Set.subset s.rf r.rf
+
+let ref_conflicts r s =
+  not (Pid.Set.disjoint r.rc s.rf && Pid.Set.disjoint r.rf s.rc)
+
+let ref_compare a b =
+  let c = Pid.Set.compare a.rc b.rc in
+  if c <> 0 then c else Pid.Set.compare a.rf b.rf
+
+let sign c = Stdlib.compare c 0
+
+(* The reference outcome of one step; [`Raises] stands for
+   [Invalid_argument]. *)
+let ref_step values = function
+  | Make (c, f) ->
+    let rc = set_of c and rf = set_of f in
+    if Pid.Set.disjoint rc rf then `Value { rc; rf } else `Raises
+  | Assume (Predicate.Completed, i, x) ->
+    let r = values.(i) and x = Pid.of_int x in
+    if Pid.Set.mem x r.rf then `Raises else `Value { r with rc = Pid.Set.add x r.rc }
+  | Assume (Predicate.Failed, i, x) ->
+    let r = values.(i) and x = Pid.of_int x in
+    if Pid.Set.mem x r.rc then `Raises else `Value { r with rf = Pid.Set.add x r.rf }
+  | Conjoin (i, j) ->
+    let a = values.(i) and b = values.(j) in
+    if ref_conflicts a b then `Raises
+    else `Value { rc = Pid.Set.union a.rc b.rc; rf = Pid.Set.union a.rf b.rf }
+  | Resolve (i, x, fate) -> (
+    let r = values.(i) and x = Pid.of_int x in
+    let held, other =
+      match fate with
+      | Predicate.Completed -> (r.rc, r.rf)
+      | Predicate.Failed -> (r.rf, r.rc)
+    in
+    if Pid.Set.mem x other then `Falsified
+    else if not (Pid.Set.mem x held) then `Unchanged
+    else
+      match fate with
+      | Predicate.Completed -> `Simplified { r with rc = Pid.Set.remove x r.rc }
+      | Predicate.Failed -> `Simplified { r with rf = Pid.Set.remove x r.rf })
+  | Resolve_all (i, fates) ->
+    let r = values.(i) in
+    let fate q = List.assoc_opt (Pid.to_int q) fates in
+    let against assumed q = match fate q with Some f -> f <> assumed | None -> false in
+    if Pid.Set.exists (against Predicate.Completed) r.rc
+       || Pid.Set.exists (against Predicate.Failed) r.rf
+    then `Falsified
+    else
+      let undecided = Pid.Set.filter (fun q -> fate q = None) in
+      let r' = { rc = undecided r.rc; rf = undecided r.rf } in
+      if Pid.Set.equal r'.rc r.rc && Pid.Set.equal r'.rf r.rf then `Unchanged
+      else `Simplified r'
+
+let real_step values op =
+  let pids = List.map Pid.of_int in
+  let value f = match f () with v -> `Value v | exception Invalid_argument _ -> `Raises in
+  let resolution = function
+    | Predicate.Unchanged -> `Unchanged
+    | Predicate.Simplified q -> `Simplified q
+    | Predicate.Falsified -> `Falsified
+  in
+  match op with
+  | Make (c, f) -> value (fun () -> Predicate.make ~must_complete:(pids c) ~must_fail:(pids f))
+  | Assume (Predicate.Completed, i, x) ->
+    value (fun () -> Predicate.assume_completes values.(i) (Pid.of_int x))
+  | Assume (Predicate.Failed, i, x) ->
+    value (fun () -> Predicate.assume_fails values.(i) (Pid.of_int x))
+  | Conjoin (i, j) -> value (fun () -> Predicate.conjoin values.(i) values.(j))
+  | Resolve (i, x, fate) -> resolution (Predicate.resolve values.(i) ~pid:(Pid.of_int x) ~fate)
+  | Resolve_all (i, fates) ->
+    resolution
+      (Predicate.resolve_all values.(i) ~fate:(fun q -> List.assoc_opt (Pid.to_int q) fates))
+
+(* Why [q] disagrees with its reference [r], if it does. *)
+let disagreement ~universe q r =
+  let probe = Pid.Set.elements (Pid.Set.union r.rc r.rf) @ List.map Pid.of_int universe in
+  if Predicate.cardinal q <> Pid.Set.cardinal r.rc + Pid.Set.cardinal r.rf then
+    Some "cardinal"
+  else if Predicate.is_certain q <> (Pid.Set.is_empty r.rc && Pid.Set.is_empty r.rf) then
+    Some "is_certain"
+  else if not (Pid.Set.equal (Predicate.must_complete q) r.rc) then Some "must_complete"
+  else if not (Pid.Set.equal (Predicate.must_fail q) r.rf) then Some "must_fail"
+  else if Predicate.to_string q <> ref_to_string r then Some "to_string"
+  else
+    List.find_map
+      (fun x ->
+        if Predicate.mem_completes q x <> Pid.Set.mem x r.rc then
+          Some ("mem_completes " ^ Pid.to_string x)
+        else if Predicate.mem_fails q x <> Pid.Set.mem x r.rf then
+          Some ("mem_fails " ^ Pid.to_string x)
+        else None)
+      probe
+
+let pair_disagreement (a, ra) (b, rb) =
+  if Predicate.implies a b <> ref_implies ra rb then Some "implies"
+  else if Predicate.conflicts a b <> ref_conflicts ra rb then Some "conflicts"
+  else if Predicate.equal a b <> (ref_compare ra rb = 0) then Some "equal"
+  else if sign (Predicate.compare a b) <> sign (ref_compare ra rb) then Some "compare"
+  else None
+
+let run_model (universe, ops) =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let values = ref [| (Predicate.empty, { rc = Pid.Set.empty; rf = Pid.Set.empty }) |] in
+  let add (q, r) =
+    (match disagreement ~universe q r with
+    | Some why -> fail "%s: %s vs reference %s" why (Predicate.to_string q) (ref_to_string r)
+    | None -> ());
+    Array.iter
+      (fun other ->
+        List.iter
+          (fun (x, y) ->
+            match pair_disagreement x y with
+            | Some why ->
+              fail "%s %s %s" why (Predicate.to_string (fst x)) (Predicate.to_string (fst y))
+            | None -> ())
+          [ ((q, r), other); (other, (q, r)) ])
+      !values;
+    values := Array.append !values [| (q, r) |]
+  in
+  List.iter
+    (fun op ->
+      let n = Array.length !values in
+      let op =
+        match op with
+        | Make _ -> op
+        | Assume (side, i, x) -> Assume (side, i mod n, x)
+        | Conjoin (i, j) -> Conjoin (i mod n, j mod n)
+        | Resolve (i, x, f) -> Resolve (i mod n, x, f)
+        | Resolve_all (i, fs) -> Resolve_all (i mod n, fs)
+      in
+      match (real_step (Array.map fst !values) op, ref_step (Array.map snd !values) op) with
+      | `Raises, `Raises | `Unchanged, `Unchanged | `Falsified, `Falsified -> ()
+      | `Value q, `Value r | `Simplified q, `Simplified r -> add (q, r)
+      | _ -> fail "%s: outcomes differ" (show_op op))
+    ops;
+  true
+
+let arb_model =
+  let open QCheck.Gen in
+  let program universe =
+    let pid = oneofl universe in
+    let pids = list_size (int_range 0 5) pid in
+    let fate = oneofl [ Predicate.Completed; Predicate.Failed ] in
+    let idx = int_bound 40 in
+    let op =
+      frequency
+        [
+          (3, map2 (fun c f -> Make (c, f)) pids pids);
+          (6, map3 (fun s i x -> Assume (s, i, x)) fate idx pid);
+          (3, map2 (fun i j -> Conjoin (i, j)) idx idx);
+          (3, map3 (fun i x f -> Resolve (i, x, f)) idx pid fate);
+          (2, map2 (fun i fs -> Resolve_all (i, fs)) idx
+                (list_size (int_range 0 6) (pair pid fate)));
+        ]
+    in
+    map (fun ops -> (universe, ops)) (list_size (int_range 1 40) op)
+  in
+  let small = List.init 8 Fun.id in
+  let large =
+    map (fun xs -> List.sort_uniq compare xs) (list_size (int_range 1 12) (int_range 0 4000))
+  in
+  QCheck.make
+    ~print:(fun (u, ops) ->
+      Printf.sprintf "pids %s: %s" (show_ints u) (String.concat "; " (List.map show_op ops)))
+    (oneof [ program small; large >>= program ])
+
+let prop_predicate_model =
+  QCheck.Test.make ~name:"random ops agree with a pid-set-pair model" ~count:500
+    arb_model run_model
 
 let () =
   Alcotest.run "predicate"
@@ -303,5 +521,6 @@ let () =
             prop_conflicts_symmetric;
             prop_empty_is_unit;
             prop_resolve_shrinks;
+            prop_predicate_model;
           ] );
     ]
