@@ -18,9 +18,6 @@
      altcheck run/fuzz/sites --sanitize attach the online sanitizer to every
                                         run and cross-check it against the
                                         post-mortem checkers
-     altcheck serve [--requests N]      run the request-driven serving layer
-                                        over a seeded open-loop load and
-                                        emit BENCH_serve.json
      altcheck lint [-f F.pl -g GOAL]    statically analyse OR-branch mutual
                                         exclusivity and alternative
                                         footprints (JSON findings via --json)
@@ -723,103 +720,6 @@ let lint_cmd =
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(const run $ file $ goals $ json $ bench $ out $ validate)
 
-(* ---------------- serve ---------------- *)
-
-let serve_cmd =
-  let doc =
-    "Run the request-driven serving layer over a seeded open-loop load, \
-     verify the determinism contract, and write BENCH_serve.json."
-  in
-  let seed =
-    Arg.(
-      value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 600
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Arrivals to generate (smoke-sized default).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_serve.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the record.")
-  in
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "After writing, re-check the record for every schema field \
-             (used by the $(b,@serve-smoke) alias).")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify-determinism" ]
-          ~doc:
-            "Fail unless the replay digest and the jobs-1 digest both \
-             match the run.")
-  in
-  let run seed requests out validate verify sanitize jobs =
-    let wl =
-      { Workload.default with Workload.wl_seed = seed; wl_requests = requests }
-    in
-    let sv =
-      {
-        Server.default with
-        Server.sv_sanitize = sanitize;
-        sv_jobs = jobs;
-      }
-    in
-    let result, m, v = Servebench.run_verified wl sv in
-    Printf.printf
-      "%d requests: %d served, %d failed, %d shed in %d batches; p99 %.4f s\n"
-      m.Servebench.m_requests m.Servebench.m_served m.Servebench.m_failed
-      m.Servebench.m_shed m.Servebench.m_batches m.Servebench.m_p99;
-    List.iter
-      (fun viol -> Format.eprintf "%a@." Report.pp_violation viol)
-      result.Server.violations;
-    let json = Servebench.to_json wl sv m v in
-    let oc =
-      try open_out out
-      with Sys_error msg ->
-        Printf.eprintf "cannot write %s: %s\n" out msg;
-        exit 1
-    in
-    output_string oc json;
-    close_out oc;
-    Printf.printf "%s: digest %016Lx\n" out v.Servebench.v_digest;
-    if validate then begin
-      match Servebench.validate json with
-      | Ok n -> Printf.printf "schema ok (%d fields)\n" n
-      | Error missing ->
-          Printf.eprintf "schema validation FAILED; missing: %s\n"
-            (String.concat ", " missing);
-          exit 2
-    end;
-    if verify then begin
-      if not v.Servebench.v_replay_identical then begin
-        Printf.eprintf
-          "determinism FAILED: replay with the same configs diverged\n";
-        exit 3
-      end;
-      if not v.Servebench.v_jobs_identical then begin
-        Printf.eprintf "determinism FAILED: jobs-1 and jobs-%d diverged\n"
-          jobs;
-        exit 3
-      end;
-      Printf.printf "determinism ok: replay identical, jobs-1 = jobs-%d\n"
-        jobs
-    end;
-    exit (if result.Server.violations = [] then 0 else 1)
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(
-      const run $ seed $ requests $ out $ validate $ verify $ sanitize_arg
-      $ jobs_arg)
-
 (* ---------------- codes ---------------- *)
 
 let codes_cmd =
@@ -833,7 +733,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            list_cmd; run_cmd; fuzz_cmd; sites_cmd; bench_cmd; serve_cmd;
-            lint_cmd; codes_cmd;
-          ]))
+          [ list_cmd; run_cmd; fuzz_cmd; sites_cmd; bench_cmd; lint_cmd; codes_cmd ]))

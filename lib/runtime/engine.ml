@@ -28,14 +28,18 @@ type proc_state =
 
 type cpu_task = { mutable remaining : float; resume : unit -> unit }
 
+(* What [kill] needs of every parked process (its [cancel]) and, for a
+   blocked receive only, what [rescan_parked] needs to hand it a message. *)
 type park =
   | Park_recv of {
       tag : string option;
       wake : Message.t -> unit;
       cancel : string -> unit;
     }
-  | Park_ivar of { cancel : string -> unit }
-  | Park_cpu of { task : cpu_task; cancel : string -> unit }
+  | Park_other of { cancel : string -> unit }
+
+(* A write-once cell; [waiters] resume the processes parked on it. *)
+type 'a ivar = { mutable value : 'a option; mutable waiters : ('a -> unit) list }
 
 type pcb = {
   pid : Pid.t;
@@ -161,17 +165,19 @@ and t = {
   mutable delivery_fault : (Message.t -> dest:Pid.t -> bool) option;
 }
 
-(* Send and the receive fast paths no longer go through effects at all:
-   [send] runs entirely in the caller's frame, and [receive] /
-   [receive_timeout] only perform an effect to park when nothing in the
-   mailbox is acceptable right now. *)
-type _ Effect.t +=
-  | E_delay : float -> unit Effect.t
-  | E_now : float Effect.t
-  | E_recv : string option -> Message.t Effect.t
-  | E_recv_timeout : string option * float -> Message.t option Effect.t
-  | E_random : int64 Effect.t
-  | E_park : (wake:(unit -> unit) -> unit) -> unit Effect.t
+(* What a parked process waits for: CPU time, a message, or an ivar fill,
+   the last two optionally bounded by a timeout. *)
+type _ suspension =
+  | S_cpu : float -> unit suspension
+  | S_recv : string option -> Message.t suspension
+  | S_recv_timeout : string option * float -> Message.t option suspension
+  | S_fill : 'a ivar -> 'a suspension
+  | S_fill_timeout : 'a ivar * float -> 'a option suspension
+
+(* The engine's only effect: parking. Every body operation that cannot
+   block (send, now_v, random_bits, the receive fast paths, the doom,
+   replay and log steps) runs on the caller's own stack. *)
+type _ Effect.t += E_suspend : 'a suspension -> 'a Effect.t
 
 let initial_pids = 16
 
@@ -530,9 +536,7 @@ and kill t pid ~reason =
       | None ->
         (* Runnable (start scheduled): doom it; the start event checks. *)
         pcb.doomed <- Some reason
-      | Some (Park_recv { cancel; _ })
-      | Some (Park_ivar { cancel })
-      | Some (Park_cpu { cancel; _ }) ->
+      | Some (Park_recv { cancel; _ } | Park_other { cancel }) ->
         pcb.park <- None;
         cpu_remove t pcb.pid;
         cancel reason))
@@ -861,15 +865,6 @@ and start_pcb t pcb =
 
 and run_body t pcb =
   let ctx = { engine = t; pcb } in
-  let check_doom : type a. (a, unit) Effect.Deep.continuation -> bool =
-   fun k ->
-    match pcb.doomed with
-    | Some reason ->
-      pcb.doomed <- None;
-      Effect.Deep.discontinue k (Process_killed reason);
-      true
-    | None -> false
-  in
   let handler =
     {
       Effect.Deep.retc = (fun () -> finalize t pcb Exited_ok);
@@ -882,91 +877,24 @@ and run_body t pcb =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | E_delay dt ->
+          | E_suspend s ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
-                if check_doom k then ()
-                else begin
-                  match replay_next pcb with
-                  | Some (L_delay _) -> Effect.Deep.continue k ()
-                  | Some _ ->
-                    Effect.Deep.discontinue k
-                      (Replay_divergence "expected delay")
-                  | None ->
-                    log_push pcb (L_delay dt);
-                    if dt <= 0. then Effect.Deep.continue k ()
-                    else begin
-                      let armed = ref true in
-                      let task =
-                        {
-                          remaining = dt;
-                          resume =
-                            (fun () ->
-                              if !armed then begin
-                                armed := false;
-                                pcb.park <- None;
-                                pcb.state <- Running;
-                                Effect.Deep.continue k ()
-                              end);
-                        }
-                      in
-                      let cancel reason =
-                        if !armed then begin
-                          armed := false;
-                          Effect.Deep.discontinue k (Process_killed reason)
-                        end
-                      in
-                      pcb.state <- Suspended;
-                      pcb.park <- Some (Park_cpu { task; cancel });
-                      cpu_add t pcb.pid task
-                    end
-                end)
-          | E_now ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                if check_doom k then ()
-                else begin
-                  match replay_next pcb with
-                  | Some (L_now v) -> Effect.Deep.continue k v
-                  | Some _ ->
-                    Effect.Deep.discontinue k (Replay_divergence "expected now")
-                  | None ->
-                    log_push pcb (L_now t.vnow);
-                    Effect.Deep.continue k t.vnow
-                end)
-          | E_random ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                if check_doom k then ()
-                else begin
-                  match replay_next pcb with
-                  | Some (L_random v) -> Effect.Deep.continue k v
-                  | Some _ ->
-                    Effect.Deep.discontinue k
-                      (Replay_divergence "expected random")
-                  | None ->
-                    let v = Rng.bits64 pcb.rng in
-                    log_push pcb (L_random v);
-                    Effect.Deep.continue k v
-                end)
-          | E_recv tag ->
-            (* The caller ([receive]) already ran the replay and mailbox
-               fast paths; performing the effect means nothing was
-               acceptable, so this handler only parks. Scanning again here
-               would both waste the scan and duplicate any Ignored
-               (deferral) trace events the first scan recorded. *)
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                if check_doom k then ()
-                else begin
+                match pcb.doomed with
+                | Some reason ->
+                  pcb.doomed <- None;
+                  Effect.Deep.discontinue k (Process_killed reason)
+                | None ->
+                  (* One-shot: whichever of [resume] and [cancel] runs
+                     first wins, so a stale waiter (say, on an ivar filled
+                     after its process was killed) does nothing. *)
                   let armed = ref true in
-                  let wake m =
+                  let resume v =
                     if !armed then begin
                       armed := false;
                       pcb.park <- None;
                       pcb.state <- Running;
-                      log_push pcb (L_recv m);
-                      Effect.Deep.continue k m
+                      Effect.Deep.continue k v
                     end
                   in
                   let cancel reason =
@@ -976,80 +904,58 @@ and run_body t pcb =
                     end
                   in
                   pcb.state <- Suspended;
-                  pcb.park <- Some (Park_recv { tag; wake; cancel })
-                end)
-          | E_recv_timeout (tag, timeout) ->
-            (* Park-only, like [E_recv]: the caller polled already. *)
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                if check_doom k then ()
-                else begin
-                  let armed = ref true in
-                  let timeout_ev = ref None in
-                  let disarm () =
-                    armed := false;
-                    Option.iter cancel_event !timeout_ev
-                  in
-                  let wake m =
-                    if !armed then begin
-                      disarm ();
-                      pcb.park <- None;
-                      pcb.state <- Running;
-                      log_push pcb (L_recv_opt (Some m));
-                      Effect.Deep.continue k (Some m)
-                    end
-                  in
-                  let timeout_wake () =
-                    if !armed then begin
-                      disarm ();
-                      pcb.park <- None;
-                      pcb.state <- Running;
-                      log_push pcb (L_recv_opt None);
-                      Effect.Deep.continue k None
-                    end
-                  in
-                  let cancel reason =
-                    if !armed then begin
-                      disarm ();
-                      Effect.Deep.discontinue k (Process_killed reason)
-                    end
-                  in
-                  pcb.state <- Suspended;
-                  pcb.park <- Some (Park_recv { tag; wake; cancel });
-                  timeout_ev :=
-                    Some
-                      (schedule_cancellable t ~at:(t.vnow +. timeout) (fun () ->
-                           timeout_wake ()))
-                end)
-          | E_park register ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                if check_doom k then ()
-                else begin
-                  disable_cloning pcb;
-                  let armed = ref true in
-                  let wake () =
-                    if !armed then begin
-                      armed := false;
-                      pcb.park <- None;
-                      pcb.state <- Running;
-                      Effect.Deep.continue k ()
-                    end
-                  in
-                  let cancel reason =
-                    if !armed then begin
-                      armed := false;
-                      Effect.Deep.discontinue k (Process_killed reason)
-                    end
-                  in
-                  pcb.state <- Suspended;
-                  pcb.park <- Some (Park_ivar { cancel });
-                  register ~wake
-                end)
+                  suspend t pcb s ~resume ~cancel)
           | _ -> None);
     }
   in
   Effect.Deep.match_with pcb.body ctx handler
+
+(* Register a parked process's wait. Each wait pushes exactly the
+   event-queue entries it always has (an untimed receive none, a timed
+   wait its one deadline event), since the batch-join rule compares
+   [Event_queue.stamp]. A timed wait's deadline resumes it with [None],
+   and its wake and its cancel each retire the deadline first, so a
+   waiter that is woken or killed never drags the clock to it. The two
+   timed waits spell that out rather than share a helper returning the
+   pair: the tuple cost 0.2% of serve-steady's minor words per block. The
+   untimed receive parks with [resume] itself as its wake: it parks once
+   per message wait, so it carries no deadline bookkeeping. A receive
+   parks only after its caller found nothing acceptable, and the park
+   does not scan again: a second scan would repeat the first one's
+   deferral trace events. *)
+and suspend : type a.
+    t -> pcb -> a suspension -> resume:(a -> unit) -> cancel:(string -> unit) -> unit
+    =
+ fun t pcb s ~resume ~cancel ->
+  match s with
+  | S_cpu dt ->
+    pcb.park <- Some (Park_other { cancel });
+    cpu_add t pcb.pid { remaining = dt; resume }
+  | S_recv tag -> pcb.park <- Some (Park_recv { tag; wake = resume; cancel })
+  | S_recv_timeout (tag, timeout) ->
+    let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
+    let wake m =
+      cancel_event ev;
+      resume (Some m)
+    and cancel reason =
+      cancel_event ev;
+      cancel reason
+    in
+    pcb.park <- Some (Park_recv { tag; wake; cancel })
+  | S_fill iv ->
+    pcb.park <- Some (Park_other { cancel });
+    iv.waiters <- iv.waiters @ [ resume ]
+  | S_fill_timeout (iv, timeout) ->
+    let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
+    let wake v =
+      cancel_event ev;
+      resume (Some v)
+    and cancel reason =
+      cancel_event ev;
+      cancel reason
+    in
+    pcb.park <- Some (Park_other { cancel });
+    iv.waiters <- iv.waiters @ [ wake ]
 
 and channel_of pcb ~dest =
   match pcb.last_chan with
@@ -1342,10 +1248,45 @@ let run_for t duration =
 (* ------------------------------------------------------------------ *)
 (* In-process operations.                                              *)
 
+(* Everything here runs on the caller's own stack and performs an effect
+   only to park. Raising [Process_killed] / [Replay_divergence] directly is
+   equivalent to the handler's [discontinue]: we are already inside the
+   fiber, and the exception unwinds to [run_body]'s [exnc] either way. A
+   receive that parked logs what it got as soon as the park returns:
+   nothing runs between the handler's [continue] and that step, so the
+   log is the same as if the handler wrote it. *)
+
+let check_doomed pcb =
+  match pcb.doomed with
+  | Some reason ->
+    pcb.doomed <- None;
+    raise (Process_killed reason)
+  | None -> ()
+
 let self ctx = ctx.pcb.pid
 let engine ctx = ctx.engine
-let now_v _ctx = Effect.perform E_now
-let delay _ctx dt = Effect.perform (E_delay dt)
+
+let now_v ctx =
+  let pcb = ctx.pcb in
+  check_doomed pcb;
+  match replay_next pcb with
+  | Some (L_now v) -> v
+  | Some _ -> raise (Replay_divergence "expected now")
+  | None ->
+    let v = ctx.engine.vnow in
+    log_push pcb (L_now v);
+    v
+
+let delay ctx dt =
+  let pcb = ctx.pcb in
+  check_doomed pcb;
+  match replay_next pcb with
+  | Some (L_delay _) -> ()
+  | Some _ -> raise (Replay_divergence "expected delay")
+  | None ->
+    log_push pcb (L_delay dt);
+    if dt <= 0. then () else Effect.perform (E_suspend (S_cpu dt))
+
 let space ctx = ctx.pcb.space
 
 let charge_memory ctx =
@@ -1354,20 +1295,6 @@ let charge_memory ctx =
   | Some sp ->
     let c = Address_space.drain_cost sp in
     if c > 0. then delay ctx c
-
-(* The messaging operations run on the caller's own stack instead of
-   performing an effect: [send] never suspends, and the receives only
-   perform a (park-only) effect when nothing queued is acceptable. Raising
-   [Process_killed] / [Replay_divergence] directly is equivalent to the
-   old handler's [discontinue]: we are already inside the fiber, and the
-   exception unwinds to [run_body]'s [exnc] either way. *)
-
-let check_doomed pcb =
-  match pcb.doomed with
-  | Some reason ->
-    pcb.doomed <- None;
-    raise (Process_killed reason)
-  | None -> ()
 
 let send ctx ?(tag = "") dest payload =
   let pcb = ctx.pcb in
@@ -1387,11 +1314,11 @@ let receive ctx ?tag () =
   | Some _ -> raise (Replay_divergence "expected receive")
   | None ->
     let m = try_receive ctx.engine pcb tag in
-    if m != Mailbox.no_message then begin
-      log_push pcb (L_recv m);
-      m
-    end
-    else Effect.perform (E_recv tag)
+    let m =
+      if m != Mailbox.no_message then m else Effect.perform (E_suspend (S_recv tag))
+    in
+    log_push pcb (L_recv m);
+    m
 
 let receive_timeout ctx ?tag ~timeout () =
   let pcb = ctx.pcb in
@@ -1401,17 +1328,16 @@ let receive_timeout ctx ?tag ~timeout () =
   | Some _ -> raise (Replay_divergence "expected receive_timeout")
   | None ->
     let m = try_receive ctx.engine pcb tag in
-    if m != Mailbox.no_message then begin
-      log_push pcb (L_recv_opt (Some m));
-      Some m
-    end
-    else if timeout <= 0. then begin
-      (* Poll-only: nothing acceptable is queued right now, report that
-         immediately without parking. *)
-      log_push pcb (L_recv_opt None);
-      None
-    end
-    else Effect.perform (E_recv_timeout (tag, timeout))
+    let r =
+      if m != Mailbox.no_message then Some m
+      else if timeout <= 0. then
+        (* Poll-only: nothing acceptable is queued right now, report that
+           immediately without parking. *)
+        None
+      else Effect.perform (E_suspend (S_recv_timeout (tag, timeout)))
+    in
+    log_push pcb (L_recv_opt r);
+    r
 
 let cpu_time_of t pid =
   let i = Pid.to_int pid in
@@ -1441,7 +1367,18 @@ let certain_of t pid =
       | `Live p -> Predicate.is_certain p
       | `Dead -> false))
 let abort _ctx reason = raise (Abort_process reason)
-let random_bits _ctx = Effect.perform E_random
+
+let random_bits ctx =
+  let pcb = ctx.pcb in
+  check_doomed pcb;
+  match replay_next pcb with
+  | Some (L_random v) -> v
+  | Some _ -> raise (Replay_divergence "expected random")
+  | None ->
+    let v = Rng.bits64 pcb.rng in
+    log_push pcb (L_random v);
+    v
+
 let my_predicate ctx = ctx.pcb.predicate
 
 let is_certain ctx =
@@ -1450,7 +1387,7 @@ let is_certain ctx =
   | `Dead -> false
 
 module Ivar = struct
-  type 'a t = { mutable value : 'a option; mutable waiters : (unit -> unit) list }
+  type 'a t = 'a ivar
 
   let create () = { value = None; waiters = [] }
 
@@ -1461,7 +1398,7 @@ module Ivar = struct
       iv.value <- Some v;
       let ws = iv.waiters in
       iv.waiters <- [];
-      List.iter (fun w -> w ()) ws;
+      List.iter (fun w -> w v) ws;
       true
 
   let is_filled iv = iv.value <> None
@@ -1471,42 +1408,14 @@ module Ivar = struct
     disable_cloning ctx.pcb;
     match iv.value with
     | Some v -> v
-    | None -> (
-      Effect.perform (E_park (fun ~wake -> iv.waiters <- iv.waiters @ [ wake ]));
-      match iv.value with
-      | Some v -> v
-      | None ->
-        failwith
-          (Format.asprintf
-             "Engine.Ivar.read: process %a (%s, %s) woken with the ivar still \
-              empty"
-             Pid.pp ctx.pcb.pid ctx.pcb.name
-             (proc_state_string ctx.pcb.state)))
+    | None -> Effect.perform (E_suspend (S_fill iv))
 
   let read_timeout ctx iv ~timeout =
     disable_cloning ctx.pcb;
     match iv.value with
-    | Some v -> Some v
+    | Some _ as r -> r
     | None when timeout <= 0. ->
       (* Poll-only: report the current state without parking. *)
       None
-    | None ->
-      let eng = ctx.engine in
-      Effect.perform
-        (E_park
-           (fun ~wake ->
-             let ev =
-               schedule_cancellable eng ~at:(eng.vnow +. timeout) (fun () ->
-                   wake ())
-             in
-             (* A fill arriving first retires the pending timeout event so
-                it cannot drag the virtual clock to the deadline. *)
-             iv.waiters <-
-               iv.waiters
-               @ [
-                   (fun () ->
-                     cancel_event ev;
-                     wake ());
-                 ]));
-      iv.value
+    | None -> Effect.perform (E_suspend (S_fill_timeout (iv, timeout)))
 end

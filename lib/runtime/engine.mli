@@ -12,8 +12,11 @@
 
     A process body is an OCaml function over a {!ctx}. Inside a body, the
     operations of this module ({!delay}, {!send}, {!receive}, ...) may be
-    used; they are implemented with effect handlers, so a body suspends and
-    resumes transparently. Outside a body they raise
+    used. They run on the body's own stack; only parking (waiting for CPU
+    time in {!delay}, for a message in {!receive} or {!receive_timeout},
+    for a fill in {!Ivar.read} or {!Ivar.read_timeout}) performs an effect,
+    which the engine handles to suspend the body and resume it
+    transparently. An operation that has to park outside a body raises
     [Effect.Unhandled].
 
     {2 Multiple worlds}

@@ -2,9 +2,9 @@
     {!Server.run}, verify the determinism contract, and emit
     [BENCH_serve.json].
 
-    Shared by [altserve] (the interactive CLI) and [altcheck serve]
-    (the CI smoke entry point), so both produce the same record from
-    the same configs. *)
+    Used by [altserve] (the CLI, which the [@serve-smoke] alias runs at
+    600 arrivals) and by the chaos-serve campaign, so every entry point
+    produces the same record from the same configs. *)
 
 type metrics = {
   m_requests : int;

@@ -429,39 +429,81 @@ let test_message_to_dead_pid_dropped () =
 
 (* ---------------- Kill and doom ---------------- *)
 
-let test_kill_parked () =
+(* One table over the five ways a body parks: each wait is a function
+   from the body's ctx and an ivar to what the wait returned. Every wait
+   is killed while parked; the timed ones are also woken and left to time
+   out. *)
+let payload m = Some (Payload.get_int m.Message.payload)
+
+let wait_delay ctx _ =
+  Engine.delay ctx 100.;
+  None
+
+let wait_receive ctx _ = payload (Engine.receive ctx ())
+
+let wait_receive_timeout ctx _ =
+  Option.bind (Engine.receive_timeout ctx ~timeout:100. ()) payload
+
+let wait_read ctx iv = Some (Engine.Ivar.read ctx iv)
+let wait_read_timeout ctx iv = Engine.Ivar.read_timeout ctx iv ~timeout:100.
+
+(* Whatever could wake a wait: a fill of its ivar and a message (the
+   engine [mk] builds charges nothing, so the message lands at once). *)
+let poke ctx victim iv =
+  ignore (Engine.Ivar.try_fill iv 7);
+  Engine.send ctx victim (Payload.int 7)
+
+(* A victim parked in [wait] from t = 0, and a process running [at_1] on
+   it at t = 1. Returns the engine, the victim, what its wait returned and
+   when (None if it never resumed), and how many times its finaliser and
+   its exit watcher ran. *)
+let wait_scenario wait at_1 =
   let eng = mk () in
-  let cleaned = ref false in
+  let iv = Engine.Ivar.create () in
+  let resumed = ref None and finalised = ref 0 and exits = ref 0 in
   let victim =
     Engine.spawn eng (fun ctx ->
         Fun.protect
-          ~finally:(fun () -> cleaned := true)
-          (fun () -> ignore (Engine.receive ctx ())))
+          ~finally:(fun () -> incr finalised)
+          (fun () ->
+            let r = wait ctx iv in
+            resumed := Some (r, Engine.now_v ctx)))
   in
+  Engine.on_exit eng victim (fun _ -> incr exits);
   ignore
     (Engine.spawn eng (fun ctx ->
          Engine.delay ctx 1.;
-         Engine.kill (Engine.engine ctx) victim ~reason:"test"));
+         at_1 ctx victim iv));
   Engine.run eng;
-  check Alcotest.bool "Fun.protect ran" true !cleaned;
-  check Alcotest.bool "eliminated" true
-    (Engine.status eng victim = Some (Engine.Eliminated "test"))
+  (eng, victim, !resumed, !finalised, !exits)
 
-let test_kill_delaying () =
-  let eng = mk () in
-  let reached = ref false in
-  let victim =
-    Engine.spawn eng (fun ctx ->
-        Engine.delay ctx 100.;
-        reached := true)
+let resumed_at = Alcotest.(option (pair (option int) cf))
+
+(* Two runs: a poke would retire a stale deadline event itself, so the
+   clock is checked on a run with the kill alone. *)
+let test_killed_in wait () =
+  let kill ctx victim _ = Engine.kill (Engine.engine ctx) victim ~reason:"cut" in
+  let eng, _, _, _, _ = wait_scenario wait kill in
+  check cf "clock stays at the kill" 1. (Engine.now eng);
+  let eng, victim, resumed, finalised, exits =
+    wait_scenario wait (fun ctx victim iv ->
+        kill ctx victim iv;
+        poke ctx victim iv)
   in
-  ignore
-    (Engine.spawn eng (fun ctx ->
-         Engine.delay ctx 1.;
-         Engine.kill (Engine.engine ctx) victim ~reason:"cut"));
-  Engine.run eng;
-  check Alcotest.bool "body never resumed" false !reached;
-  check cf "run ended at kill time" 1. (Engine.now eng)
+  check Alcotest.bool "eliminated" true
+    (Engine.status eng victim = Some (Engine.Eliminated "cut"));
+  check Alcotest.int "exited once" 1 exits;
+  check Alcotest.int "finaliser ran once" 1 finalised;
+  check resumed_at "a later fill or message does not resume it" None resumed
+
+let test_woken_in wait () =
+  let eng, _, resumed, _, _ = wait_scenario wait poke in
+  check resumed_at "resumed with the value at the wake" (Some (Some 7, 1.)) resumed;
+  check cf "deadline retired" 1. (Engine.now eng)
+
+let test_timed_out_in wait () =
+  let _, _, resumed, _, _ = wait_scenario wait (fun _ _ _ -> ()) in
+  check resumed_at "resumed with None at the deadline" (Some (None, 100.)) resumed
 
 let test_kill_embryo () =
   let eng = mk () in
@@ -518,6 +560,25 @@ let test_ivar_read_timeout () =
   Engine.run eng;
   check Alcotest.bool "timed out" true (!got = None);
   check cf "deadline respected" 1.5 (Engine.now eng)
+
+(* A waiter killed in [read_timeout] retires its deadline event: left
+   live, it would drag [run]'s clock to a deadline nobody waits for. *)
+let test_ivar_read_timeout_killed () =
+  let eng = mk () in
+  let iv : int Engine.Ivar.t = Engine.Ivar.create () in
+  let exits = ref [] in
+  let waiter =
+    Engine.spawn eng (fun ctx -> ignore (Engine.Ivar.read_timeout ctx iv ~timeout:100.))
+  in
+  Engine.on_exit eng waiter (fun st -> exits := st :: !exits);
+  ignore
+    (Engine.spawn eng (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.kill (Engine.engine ctx) waiter ~reason:"cut"));
+  Engine.run eng;
+  check cf "clock stays at the kill" 1. (Engine.now eng);
+  check Alcotest.bool "eliminated exactly once" true
+    (!exits = [ Engine.Eliminated "cut" ])
 
 (* ---------------- Worlds ---------------- *)
 
@@ -613,6 +674,42 @@ let test_worlds_clone_replays_state () =
     (List.mem (2, 2) !recorded);
   check Alcotest.bool "original saw speculative message" true
     (List.mem (2, 1) !recorded)
+
+(* [random_bits], [delay] and [now_v] run on the caller's stack, and must
+   still replay from the log: the rejecting clone re-executes them and has
+   to see the bits and the time the original saw, not fresh ones. *)
+let test_worlds_clone_replays_clock_and_rng () =
+  let eng = mk () in
+  let spec = List.hd (Engine.fresh_pids eng 1) in
+  let recorded = ref [] in
+  let recv =
+    Engine.spawn eng ~name:"recv" (fun ctx ->
+        let bits = Engine.random_bits ctx in
+        Engine.delay ctx 0.5;
+        let t = Engine.now_v ctx in
+        ignore (Engine.receive ctx ());
+        recorded := (Pid.to_int (Engine.self ctx), bits, t) :: !recorded)
+  in
+  ignore
+    (Engine.spawn eng ~pid:spec
+       ~predicate:(Predicate.make ~must_complete:[ spec ] ~must_fail:[])
+       (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.send ctx recv (Payload.int 1);
+         Engine.delay ctx 1.;
+         Engine.abort ctx "fails -> accepting world dies"));
+  ignore
+    (Engine.spawn eng (fun ctx ->
+         Engine.delay ctx 5.;
+         Engine.send ctx recv (Payload.int 2)));
+  Engine.run eng;
+  match !recorded with
+  | [ (clone, clone_bits, clone_t); (orig, bits, t) ] ->
+    check Alcotest.bool "two worlds recorded" true (clone <> orig);
+    check Alcotest.int64 "same bits" bits clone_bits;
+    check cf "original read the time after its delay" 0.5 t;
+    check cf "clone replayed the same time" t clone_t
+  | l -> Alcotest.failf "expected both worlds to record, got %d" (List.length l)
 
 let test_oblivious_receiver_never_splits () =
   let eng = Engine.create ~trace:true () in
@@ -890,8 +987,22 @@ let () =
         ] );
       ( "kill",
         [
-          Alcotest.test_case "kill parked runs cleanup" `Quick test_kill_parked;
-          Alcotest.test_case "kill delaying" `Quick test_kill_delaying;
+          Alcotest.test_case "kill parked runs cleanup" `Quick
+            (test_killed_in wait_receive);
+          Alcotest.test_case "kill delaying" `Quick (test_killed_in wait_delay);
+          Alcotest.test_case "killed in receive_timeout" `Quick
+            (test_killed_in wait_receive_timeout);
+          Alcotest.test_case "killed in Ivar.read" `Quick (test_killed_in wait_read);
+          Alcotest.test_case "killed in Ivar.read_timeout" `Quick
+            (test_killed_in wait_read_timeout);
+          Alcotest.test_case "woken in receive_timeout" `Quick
+            (test_woken_in wait_receive_timeout);
+          Alcotest.test_case "woken in Ivar.read_timeout" `Quick
+            (test_woken_in wait_read_timeout);
+          Alcotest.test_case "timed out in receive_timeout" `Quick
+            (test_timed_out_in wait_receive_timeout);
+          Alcotest.test_case "timed out in Ivar.read_timeout" `Quick
+            (test_timed_out_in wait_read_timeout);
           Alcotest.test_case "kill embryo" `Quick test_kill_embryo;
           Alcotest.test_case "kill dead is noop" `Quick test_kill_dead_noop;
         ] );
@@ -900,6 +1011,8 @@ let () =
           Alcotest.test_case "at-most-once" `Quick test_ivar_at_most_once;
           Alcotest.test_case "read blocks until fill" `Quick test_ivar_read_blocks;
           Alcotest.test_case "read timeout" `Quick test_ivar_read_timeout;
+          Alcotest.test_case "killed read_timeout keeps the clock" `Quick
+            test_ivar_read_timeout_killed;
         ] );
       ( "worlds",
         [
@@ -910,6 +1023,8 @@ let () =
             test_worlds_sender_fails;
           Alcotest.test_case "clone replays local state" `Quick
             test_worlds_clone_replays_state;
+          Alcotest.test_case "clone replays clock and randomness" `Quick
+            test_worlds_clone_replays_clock_and_rng;
           Alcotest.test_case "oblivious service never splits" `Quick
             test_oblivious_receiver_never_splits;
           Alcotest.test_case "conflicting message ignored" `Quick
