@@ -24,7 +24,7 @@ type t = {
 }
 
 let create ~rate ~burst =
-  if rate <= 0. then invalid_arg "Quota.create: rate must be > 0";
+  if not (rate > 0.) then invalid_arg "Quota.create: rate must be > 0";
   if burst < 1 then invalid_arg "Quota.create: burst must be >= 1";
   { rate; burst; base = 0.; steps = 0; admits = 0 }
 

@@ -92,22 +92,25 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Phase 1: admission and batch formation.
 
-   A single sequential scan over the (already time-ordered) arrivals.
-   Everything here is plain arithmetic on the request stream — no
-   engine, no parallelism — so the admission decisions, ladder rungs and
-   batch boundaries are trivially a function of the two configs. Batches
-   are keyed by (scenario, policy, ladder rung): jobs in one batch share
-   an engine and an effective policy, so they must agree on everything
-   that shapes both. *)
+   A single sequential pass over the arrival stream, admitting each
+   request as {!Workload.iter} draws it. Everything here is plain
+   arithmetic on the request stream — no engine, no parallelism — so the
+   admission decisions, ladder rungs and batch boundaries are trivially
+   a function of the two configs. A refused request is answered on the
+   spot and is garbage once answered. Batches are keyed by (scenario,
+   policy, ladder rung): jobs in one batch share an engine and an
+   effective policy, so they must agree on everything that shapes
+   both. *)
 
 type open_batch = {
-  ob_seq : int;  (* open order, breaks deadline ties deterministically *)
+  ob_slot : int;  (* (class, rung) key: index into the plan's [slots] *)
   ob_scenario : string;
   ob_policy : int;
   ob_level : int;
   ob_deadline : float;
   mutable ob_jobs : Workload.request list;  (* newest first *)
   mutable ob_count : int;
+  mutable ob_full : bool;  (* closed on reaching [sv_max_batch] *)
 }
 
 type closed_batch = {
@@ -130,39 +133,75 @@ let close_batch ~id ~at ob =
   }
 
 type admission_stats = {
+  ad_shed : int;
   ad_shed_overload : int;
   ad_transitions : int;
   ad_peak_pressure : float;
 }
 
-let plan (wl : Workload.config) (sv : config) (requests : Workload.request array)
-    =
+(* Admitted rungs: 0 full service, 1 latch elision, 2 sequential. *)
+let rungs = 3
+
+(* The fewest tokens any of [buckets] holds at [now]: the binding
+   constraint an honest refusal names. *)
+let rec min_tokens acc ~now = function
+  | [] -> acc
+  | q :: rest -> min_tokens (Float.min acc (Quota.tokens q ~now)) ~now rest
+
+(* Plan the whole stream: refusals go straight into [responses] (indexed
+   by [rq_id]); admitted requests come back in the closed batches. *)
+let plan (wl : Workload.config) (sv : config) (responses : response array) =
+  (* Classes are (scenario, policy), the scenario by its first position
+     in [wl_scenarios]. Their controller labels are built here, once. *)
+  let names = Array.of_list wl.Workload.wl_scenarios in
+  let scenario_index name =
+    let rec go i = if String.equal names.(i) name then i else go (i + 1) in
+    go 0
+  in
+  let policies = wl.Workload.wl_policies in
+  let labels =
+    Array.init (Array.length names * policies) (fun c ->
+        names.(c / policies) ^ "/" ^ string_of_int (c mod policies))
+  in
   let tenant_quotas =
     Array.init wl.Workload.wl_tenants (fun _ ->
         Quota.create ~rate:sv.sv_quota_rate ~burst:sv.sv_quota_burst)
   in
-  (* The optional wider quota classes: per-scenario and global buckets.
+  (* The optional wider quota classes: per-scenario and global buckets,
+     in the order a request is checked against them after its tenant's.
      A request must pass every applicable class; the conforming/charge
      split inside [Quota.admit_all] guarantees a shed consumes from
      none. *)
-  let scenario_quotas =
-    if sv.sv_scenario_rate <= 0. then []
-    else
-      List.map
-        (fun s ->
-          (s, Quota.create ~rate:sv.sv_scenario_rate ~burst:sv.sv_scenario_burst))
-        wl.Workload.wl_scenarios
+  let global =
+    if sv.sv_global_rate <= 0. then []
+    else [ Quota.create ~rate:sv.sv_global_rate ~burst:sv.sv_global_burst ]
   in
-  let global_quota =
-    if sv.sv_global_rate <= 0. then None
-    else Some (Quota.create ~rate:sv.sv_global_rate ~burst:sv.sv_global_burst)
+  let wider =
+    Array.map
+      (fun _ ->
+        if sv.sv_scenario_rate <= 0. then global
+        else
+          Quota.create ~rate:sv.sv_scenario_rate ~burst:sv.sv_scenario_burst
+          :: global)
+      names
   in
   let ladder = Controller.create sv.sv_ladder in
-  let opens : open_batch list ref = ref [] in
-  let open_seq = ref 0 in
+  (* Open batches in open order: [front], then [back] newest first. A
+     batch's deadline is its opening arrival plus [sv_window], and
+     arrivals never decrease, so this is also (deadline, open order):
+     the batches due at any arrival are a prefix. A batch that filled up
+     stays queued, marked [ob_full], until it reaches the head. Immutable
+     lists rather than a [Queue.t], whose old tail cell, once linked to
+     a young one, keeps every later cell alive until the next minor
+     collection, dequeued or not. [slots] maps a (class, rung) key to
+     its open batch, if any. *)
+  let front = ref [] and back = ref [] in
+  let slots : open_batch option array =
+    Array.make (Array.length labels * rungs) None
+  in
   let closed = ref [] in
   let n_closed = ref 0 in
-  let rejected = ref [] in
+  let shed = ref 0 in
   let emit_close ~at ob =
     closed := close_batch ~id:!n_closed ~at ob :: !closed;
     incr n_closed
@@ -170,91 +209,97 @@ let plan (wl : Workload.config) (sv : config) (requests : Workload.request array
   (* Expire every open batch whose window ended at or before [now], in
      (deadline, open order): between two arrivals the window timers are
      the only events, and they fire in time order. *)
-  let expire now =
-    let due, live =
-      List.partition (fun ob -> ob.ob_deadline <= now) !opens
-    in
-    opens := live;
-    List.sort
-      (fun a b ->
-        match compare a.ob_deadline b.ob_deadline with
-        | 0 -> compare a.ob_seq b.ob_seq
-        | c -> c)
-      due
-    |> List.iter (fun ob -> emit_close ~at:ob.ob_deadline ob)
+  let rec expire now =
+    match !front with
+    | [] -> (
+        match !back with
+        | [] -> ()
+        | newest_first ->
+            front := List.rev newest_first;
+            back := [];
+            expire now)
+    | ob :: rest ->
+        if ob.ob_full then begin
+          front := rest;
+          expire now
+        end
+        else if ob.ob_deadline <= now then begin
+          front := rest;
+          slots.(ob.ob_slot) <- None;
+          emit_close ~at:ob.ob_deadline ob;
+          expire now
+        end
   in
-  Array.iter
-    (fun (rq : Workload.request) ->
+  let refuse (rq : Workload.request) cause =
+    responses.(rq.Workload.rq_id) <-
+      {
+        rs_id = rq.Workload.rq_id;
+        rs_tenant = rq.Workload.rq_tenant;
+        rs_batch = -1;
+        rs_verdict = Rejected cause;
+        rs_completion = rq.Workload.rq_arrival;
+        rs_latency = 0.;
+        rs_elapsed = 0.;
+        rs_wasted = 0.;
+      };
+    incr shed
+  in
+  Workload.iter wl (fun (rq : Workload.request) ->
       let now = rq.Workload.rq_arrival in
       expire now;
+      let scenario = scenario_index rq.Workload.rq_scenario in
       let buckets =
-        (tenant_quotas.(rq.Workload.rq_tenant)
-         :: (match List.assoc_opt rq.Workload.rq_scenario scenario_quotas with
-            | Some q -> [ q ]
-            | None -> []))
-        @ (match global_quota with Some q -> [ q ] | None -> [])
+        tenant_quotas.(rq.Workload.rq_tenant) :: wider.(scenario)
       in
-      if not (Quota.admit_all buckets ~now) then begin
-        (* The honest refusal names the binding constraint: the fewest
-           tokens any applicable class held. *)
-        let tokens =
-          List.fold_left
-            (fun acc q -> Float.min acc (Quota.tokens q ~now))
-            infinity buckets
-        in
-        rejected := (rq, Quota_exhausted { tokens }) :: !rejected
-      end
+      if not (Quota.admit_all buckets ~now) then
+        refuse rq (Quota_exhausted { tokens = min_tokens infinity ~now buckets })
       else begin
-        let cls =
-          rq.Workload.rq_scenario ^ "/" ^ string_of_int rq.Workload.rq_policy
-        in
+        let cls = (scenario * policies) + rq.Workload.rq_policy in
         match
-          Controller.decide ladder ~cls ~now ~work:rq.Workload.rq_work
+          Controller.decide ladder ~cls:labels.(cls) ~now
+            ~work:rq.Workload.rq_work
         with
-        | Controller.Shed { backlog } ->
-            rejected := (rq, Overload { backlog }) :: !rejected
+        | Controller.Shed { backlog } -> refuse rq (Overload { backlog })
         | Controller.Admit { level } ->
-            let key ob =
-              String.equal ob.ob_scenario rq.Workload.rq_scenario
-              && ob.ob_policy = rq.Workload.rq_policy
-              && ob.ob_level = level
-            in
+            let slot = (cls * rungs) + level in
             let ob =
-              match List.find_opt key !opens with
+              match slots.(slot) with
               | Some ob -> ob
               | None ->
                   let ob =
                     {
-                      ob_seq = !open_seq;
+                      ob_slot = slot;
                       ob_scenario = rq.Workload.rq_scenario;
                       ob_policy = rq.Workload.rq_policy;
                       ob_level = level;
                       ob_deadline = now +. sv.sv_window;
                       ob_jobs = [];
                       ob_count = 0;
+                      ob_full = false;
                     }
                   in
-                  incr open_seq;
-                  opens := !opens @ [ ob ];
+                  back := ob :: !back;
+                  slots.(slot) <- Some ob;
                   ob
             in
             ob.ob_jobs <- rq :: ob.ob_jobs;
             ob.ob_count <- ob.ob_count + 1;
             if ob.ob_count >= sv.sv_max_batch then begin
-              opens := List.filter (fun o -> o != ob) !opens;
+              ob.ob_full <- true;
+              slots.(slot) <- None;
               emit_close ~at:now ob
             end
-      end)
-    requests;
+      end);
   expire infinity;
   let stats =
     {
+      ad_shed = !shed;
       ad_shed_overload = Controller.overload_sheds ladder;
       ad_transitions = Controller.transitions ladder;
       ad_peak_pressure = Controller.peak_pressure ladder;
     }
   in
-  (Array.of_list (List.rev !closed), List.rev !rejected, stats)
+  (Array.of_list (List.rev !closed), stats)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: batch execution.
@@ -400,7 +445,7 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
       let space =
         Address_space.create (Engine.frame_store engine) (Engine.model engine)
       in
-      Address_space.set_tracking space true;
+      Address_space.set_tracking space sv.sv_sanitize;
       scenario.Invariants.prepare engine space;
       ignore (Address_space.drain_cost space);
       let source =
@@ -613,27 +658,23 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
    no argument here. *)
 
 let run (wl : Workload.config) (sv : config) =
+  (* Written so that a NaN float fails every check. *)
   if sv.sv_lanes < 1 then invalid_arg "Server.run: lanes must be >= 1";
   if sv.sv_max_batch < 1 then invalid_arg "Server.run: max_batch must be >= 1";
-  if sv.sv_window < 0. then invalid_arg "Server.run: negative window";
-  if sv.sv_overhead < 0. then invalid_arg "Server.run: negative overhead";
-  if sv.sv_deadline <= 0. then invalid_arg "Server.run: deadline must be > 0";
+  if not (sv.sv_window >= 0.) then invalid_arg "Server.run: window must be >= 0";
+  if not (sv.sv_overhead >= 0.) then
+    invalid_arg "Server.run: overhead must be >= 0";
+  if not (sv.sv_deadline > 0.) then invalid_arg "Server.run: deadline must be > 0";
   if sv.sv_retry_budget < 0 then
     invalid_arg "Server.run: negative retry budget";
-  let requests = Workload.generate wl in
+  Workload.validate wl;
   List.iter
     (fun name -> ignore (resolve_scenario name))
     wl.Workload.wl_scenarios;
   if wl.Workload.wl_policies > List.length Invariants.policy_matrix then
     invalid_arg "Server.run: wl_policies exceeds the policy matrix";
-  let batches, rejected, ad = plan wl sv requests in
-  let executed =
-    Parallel.map_indexed_shared ~jobs:(max 1 sv.sv_jobs)
-      (fun i -> execute_batch wl sv batches.(i))
-      (Array.length batches)
-  in
   let responses =
-    Array.make (Array.length requests)
+    Array.make wl.Workload.wl_requests
       {
         rs_id = -1;
         rs_tenant = -1;
@@ -645,20 +686,12 @@ let run (wl : Workload.config) (sv : config) =
         rs_wasted = 0.;
       }
   in
-  List.iter
-    (fun ((rq : Workload.request), cause) ->
-      responses.(rq.Workload.rq_id) <-
-        {
-          rs_id = rq.Workload.rq_id;
-          rs_tenant = rq.Workload.rq_tenant;
-          rs_batch = -1;
-          rs_verdict = Rejected cause;
-          rs_completion = rq.Workload.rq_arrival;
-          rs_latency = 0.;
-          rs_elapsed = 0.;
-          rs_wasted = 0.;
-        })
-    rejected;
+  let batches, ad = plan wl sv responses in
+  let executed =
+    Parallel.map_indexed_shared ~jobs:(max 1 sv.sv_jobs)
+      (fun i -> execute_batch wl sv batches.(i))
+      (Array.length batches)
+  in
   let lane_free = Array.make sv.sv_lanes 0. in
   let violations = ref [] in
   let served = ref 0 and failed = ref 0 in
@@ -720,7 +753,7 @@ let run (wl : Workload.config) (sv : config) =
     degraded = !degraded;
     recovered = !recovered;
     failed = !failed;
-    shed = List.length rejected;
+    shed = ad.ad_shed;
     shed_overload = ad.ad_shed_overload;
     breaker_opens = !breaker_opens;
     ladder_transitions = ad.ad_transitions;

@@ -95,7 +95,7 @@ type batch_stat = {
 type config = {
   sv_lanes : int;  (** Service lanes (virtual executors). *)
   sv_max_batch : int;  (** Occupancy that closes a batch immediately. *)
-  sv_window : float;  (** Max virtual time a batch waits open. *)
+  sv_window : float;  (** Max virtual time a batch waits open ([>= 0.]). *)
   sv_quota_rate : float;  (** Per-tenant token refill rate (tokens/s). *)
   sv_quota_burst : int;  (** Per-tenant bucket depth. *)
   sv_scenario_rate : float;
@@ -111,11 +111,11 @@ type config = {
       (** The degradation ladder (disabled by default:
           {!Controller.default} with [dc_enabled = false]). *)
   sv_deadline : float;
-      (** Per-request virtual-time budget, measured on the batch engine
-          from block entry ([infinity] = none, the default). Threaded
-          into the block's rendezvous wait, its consensus retry backoff
-          and the supervised relaunch loop, so no retry path can overrun
-          it. *)
+      (** Per-request virtual-time budget ([> 0.]), measured on the
+          batch engine from block entry ([infinity] = none, the
+          default). Threaded into the block's rendezvous wait, its
+          consensus retry backoff and the supervised relaunch loop, so
+          no retry path can overrun it. *)
   sv_faults : int option;
       (** [Some seed] runs every batch under a seeded fault campaign:
           five named sites, coordinator crashes and healed partitions
@@ -165,7 +165,14 @@ type result = {
 }
 
 val run : Workload.config -> config -> result
-(** Generate the workload and serve it to completion. *)
+(** Serve the workload to completion. Both configs are checked first
+    ([Invalid_argument], NaN included): the server's bounds, then
+    {!Workload.validate}, then the scenario names and policy count.
+    Admission then consumes the arrival stream as {!Workload.iter}
+    draws it, without building the request array: a refused request's
+    [Rejected] response is written into its slot at once, and batch
+    windows expire by popping the head of the open batches, which are
+    kept in open order, and so in deadline order. *)
 
 val digest : result -> int64
 (** FNV-1a over every response's rendered fields — the replay fingerprint

@@ -63,29 +63,35 @@ let pareto rng ~shape ~cap =
   let u = Rng.float rng 1. in
   Float.min cap ((1. -. u) ** (-1. /. shape))
 
+(* Every float check is written so that NaN fails it. *)
 let validate c =
   if c.wl_requests < 0 then invalid_arg "Workload.generate: negative requests";
-  if c.wl_rate <= 0. then invalid_arg "Workload.generate: rate must be > 0";
+  if not (c.wl_rate > 0.) then invalid_arg "Workload.generate: rate must be > 0";
   if c.wl_tenants < 1 then invalid_arg "Workload.generate: no tenants";
+  if Float.is_nan c.wl_zipf then invalid_arg "Workload.generate: zipf is NaN";
   if c.wl_scenarios = [] then invalid_arg "Workload.generate: no scenarios";
   if c.wl_policies < 1 then invalid_arg "Workload.generate: no policies";
-  if c.wl_tail <= 0. then invalid_arg "Workload.generate: tail shape <= 0"
+  if not (c.wl_tail > 0.) then invalid_arg "Workload.generate: tail shape <= 0";
+  if not (c.wl_tail_cap > 0.) then
+    invalid_arg "Workload.generate: tail cap must be > 0"
 
-let generate c =
+let iter c f =
   validate c;
   let rng = Rng.create ~seed:c.wl_seed in
   let cdf = zipf_cdf ~tenants:c.wl_tenants ~s:c.wl_zipf in
   let scenarios = Array.of_list c.wl_scenarios in
+  let mean = 1. /. c.wl_rate in
   let clock = ref 0. in
-  Array.init c.wl_requests (fun i ->
-      (* One fixed draw order per request — interarrival, tenant,
-         scenario, policy, seed, work — so the stream replays exactly. *)
-      clock := !clock +. Rng.exponential rng ~mean:(1. /. c.wl_rate);
-      let tenant = zipf_pick cdf (Rng.float rng 1.) in
-      let scenario = scenarios.(Rng.int rng (Array.length scenarios)) in
-      let policy = Rng.int rng c.wl_policies in
-      let seed = 1 + Rng.int rng 9973 in
-      let work = pareto rng ~shape:c.wl_tail ~cap:c.wl_tail_cap in
+  for i = 0 to c.wl_requests - 1 do
+    (* One fixed draw order per request — interarrival, tenant,
+       scenario, policy, seed, work — so the stream replays exactly. *)
+    clock := !clock +. Rng.exponential rng ~mean;
+    let tenant = zipf_pick cdf (Rng.float rng 1.) in
+    let scenario = scenarios.(Rng.int rng (Array.length scenarios)) in
+    let policy = Rng.int rng c.wl_policies in
+    let seed = 1 + Rng.int rng 9973 in
+    let work = pareto rng ~shape:c.wl_tail ~cap:c.wl_tail_cap in
+    f
       {
         rq_id = i;
         rq_tenant = tenant;
@@ -94,4 +100,12 @@ let generate c =
         rq_policy = policy;
         rq_seed = seed;
         rq_work = work;
-      })
+      }
+  done
+
+let generate c =
+  let out = ref [||] in
+  iter c (fun rq ->
+      if rq.rq_id = 0 then out := Array.make c.wl_requests rq;
+      !out.(rq.rq_id) <- rq);
+  !out

@@ -58,6 +58,120 @@ let test_rng_split_independent () =
   (* The split stream must differ from the parent's continued stream. *)
   check Alcotest.bool "split differs" true (Rng.bits64 a <> Rng.bits64 b)
 
+(* Pinned outputs. Workload streams, fault plans and every process's
+   draws come from this generator, so a change to how the state is
+   stored or stepped must reproduce these values bit for bit. *)
+let first16 f = List.init 16 (fun _ -> f ())
+
+let test_rng_pinned_outputs () =
+  let fresh () = Rng.create ~seed:2024 in
+  let r = fresh () in
+  check
+    Alcotest.(list int64)
+    "bits64"
+    [ 0x9f6d8fecf88eecd5L; 0x18e430bb1511f2d2L; 0x4c6f7cbf58dba57fL;
+      0x1dbe69e0ae9bb859L; 0xd4a0c1656476437aL; 0x8d6b7b6d69455aebL;
+      0x230249cae3603297L; 0x98aa033e99c4a792L; 0x2b39e8e05ba9e530L;
+      0x6d467b84dc360331L; 0x762887bf5d21a339L; 0xd644a39996a5cd1bL;
+      0xd811dfdb557fab8bL; 0xa955c3c7d9d3af85L; 0x25430e1349d55355L;
+      0xb05386bf060a34c7L ]
+    (first16 (fun () -> Rng.bits64 r));
+  let r = fresh () in
+  check
+    Alcotest.(list int)
+    "int, power-of-two bound"
+    [ 821; 180; 351; 534; 222; 698; 165; 484; 332; 204; 206; 838; 738; 993;
+      213; 305 ]
+    (first16 (fun () -> Rng.int r 1024));
+  let r = fresh () in
+  check
+    Alcotest.(list int)
+    "int, bound 9973"
+    [ 1137; 3010; 7644; 3804; 5844; 7954; 8349; 6087; 3830; 1594; 8310; 9516;
+      37; 9646; 1097; 6840 ]
+    (first16 (fun () -> Rng.int r 9973));
+  (* A bound just above 2^61 rejects almost half of all draws, so this
+     row exercises the redraw loop. *)
+  let r = fresh () in
+  check
+    Alcotest.(list int)
+    "int, bound 2^61 + 1"
+    [ 448403032917703860; 1376939507642198367; 535816721599491606;
+      630664969256963237; 778694166902896972; 1968529202266079436;
+      2128551087878727886; 671251319712208085; 1563506127331458759;
+      2058117020029405329; 1228523796556560133; 2037432854265061129;
+      1664731427565976510; 892768819023411653; 884508192037143008;
+      1340733574816989416 ]
+    (first16 (fun () -> Rng.int r ((1 lsl 61) + 1)));
+  let r = fresh () in
+  check
+    Alcotest.(list int64)
+    "float bits"
+    [ 0x3fe3edb1fd9f11ddL; 0x3fb8e430bb1511f0L; 0x3fd31bdf2fd636e8L;
+      0x3fbdbe69e0ae9bb8L; 0x3fea94182cac8ec8L; 0x3fe1ad6f6dad28abL;
+      0x3fc18124e571b018L; 0x3fe3154067d33894L; 0x3fc59cf4702dd4f0L;
+      0x3fdb519ee1370d80L; 0x3fdd8a21efd74868L; 0x3feac8947332d4b9L;
+      0x3feb023bfb6aaff5L; 0x3fe52ab878fb3a75L; 0x3fc2a18709a4eaa8L;
+      0x3fe60a70d7e0c146L ]
+    (first16 (fun () -> Int64.bits_of_float (Rng.float r 1.)));
+  let r = fresh () in
+  check
+    Alcotest.(list bool)
+    "bool"
+    [ true; false; true; true; false; true; true; false; false; true; true;
+      true; true; true; true; true ]
+    (first16 (fun () -> Rng.bool r));
+  let r = Rng.stream ~seed:2024 ~key:5 in
+  check
+    Alcotest.(list int64)
+    "stream ~seed:2024 ~key:5"
+    [ 0x326a6898845a0b89L; 0x481fc6257050d277L; 0x3d893be28958da61L;
+      0xd8cff2cad9a50c30L; 0x2df05bc636b57935L; 0x5a1ebd2f0124b3a2L;
+      0xabc940f1c52c5b53L; 0xc86e14b1f527f112L; 0xb96174054d19e68eL;
+      0x97a08f3876d3dde3L; 0xc39488fb63f5c09fL; 0x9d574da993ad31ccL;
+      0x5982bbb39a5c01b6L; 0xd2a359388612671cL; 0xd840b373de217708L;
+      0x2c736d543b691746L ]
+    (first16 (fun () -> Rng.bits64 r));
+  (* [split] after one draw: the child's stream, then the parent's
+     continuation, which resumes at the parent's third output. *)
+  let p = fresh () in
+  ignore (Rng.bits64 p);
+  let c = Rng.split p in
+  check
+    Alcotest.(list int64)
+    "split: child"
+    [ 0x7d8029131a9cf55aL; 0x59ac64c47d850673L; 0x575647bea2cc354fL;
+      0x81f645b62c86b95aL; 0x48993b0b5daf688cL; 0x4e2fa9c587de24aL;
+      0xee0345aea1be2037L; 0xb88257f1adb6c05L; 0x6066342b6107bd5L;
+      0x66a4f8a5dba6412dL; 0x4a908e413bab3f4dL; 0xe725db81849552d8L;
+      0x8b80188ee601804bL; 0xc21fda3684c8c256L; 0x23dfa2820e8aafe7L;
+      0x8b3c722f1c4ade78L ]
+    (first16 (fun () -> Rng.bits64 c));
+  check
+    Alcotest.(list int64)
+    "split: parent continues"
+    [ 0x4c6f7cbf58dba57fL; 0x1dbe69e0ae9bb859L; 0xd4a0c1656476437aL;
+      0x8d6b7b6d69455aebL; 0x230249cae3603297L; 0x98aa033e99c4a792L;
+      0x2b39e8e05ba9e530L; 0x6d467b84dc360331L; 0x762887bf5d21a339L;
+      0xd644a39996a5cd1bL; 0xd811dfdb557fab8bL; 0xa955c3c7d9d3af85L;
+      0x25430e1349d55355L; 0xb05386bf060a34c7L; 0xfde34b132f5500f5L;
+      0x56cac227eef3fb1fL ]
+    (first16 (fun () -> Rng.bits64 p))
+
+(* A copy shares no state with its original: drawing from either leaves
+   the other's stream where it was. *)
+let test_rng_copy_independent () =
+  let a = Rng.create ~seed:2024 in
+  ignore (Rng.bits64 a);
+  let b = Rng.copy a in
+  let from_b = first16 (fun () -> Rng.bits64 b) in
+  check Alcotest.(list int64) "draining the copy leaves the original" from_b
+    (first16 (fun () -> Rng.bits64 a));
+  let c = Rng.copy a in
+  let next = Rng.bits64 a in
+  check Alcotest.int64 "drawing from the original leaves the copy" next
+    (Rng.bits64 c)
+
 let test_rng_int_bounds () =
   let r = Rng.create ~seed:11 in
   for _ = 1 to 1000 do
@@ -276,6 +390,8 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "copy duplicates state" `Quick test_rng_copy;
           Alcotest.test_case "split diverges" `Quick test_rng_split_independent;
+          Alcotest.test_case "pinned outputs" `Quick test_rng_pinned_outputs;
+          Alcotest.test_case "copy is independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "int stays in bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int rejects bad bound" `Quick test_rng_int_invalid;
           Alcotest.test_case "int large-bound bias regression" `Quick

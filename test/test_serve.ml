@@ -28,6 +28,53 @@ let test_workload_deterministic () =
   let c = Workload.generate { wl with Workload.wl_seed = 2 } in
   check Alcotest.bool "different seed, different stream" false (a = c)
 
+(* The stream the server consumes is the array [generate] returns,
+   element for element, and both are pinned: an FNV-1a hash over all
+   seven fields of every request (floats by their exact hex form) at the
+   default config and at one that moves every knob. *)
+let wl_digest (a : Workload.request array) =
+  let h = ref 0xcbf29ce484222325L in
+  Array.iter
+    (fun (rq : Workload.request) ->
+      String.iter
+        (fun c ->
+          h :=
+            Int64.mul
+              (Int64.logxor !h (Int64.of_int (Char.code c)))
+              0x100000001b3L)
+        (Printf.sprintf "%d|%d|%h|%s|%d|%d|%h;" rq.Workload.rq_id
+           rq.Workload.rq_tenant rq.Workload.rq_arrival rq.Workload.rq_scenario
+           rq.Workload.rq_policy rq.Workload.rq_seed rq.Workload.rq_work))
+    a;
+  !h
+
+let skewed_wl =
+  {
+    Workload.wl_seed = 77;
+    wl_requests = 5000;
+    wl_rate = 800.;
+    wl_tenants = 7;
+    wl_zipf = 0.;
+    wl_tail = 0.7;
+    wl_tail_cap = 100.;
+    wl_scenarios = [ "counters"; "guarded"; "teletype" ];
+    wl_policies = 24;
+  }
+
+let test_workload_stream_pinned () =
+  List.iter
+    (fun (name, wl, pin) ->
+      let a = Workload.generate wl in
+      let streamed = ref [] in
+      Workload.iter wl (fun rq -> streamed := rq :: !streamed);
+      check Alcotest.bool (name ^ ": iter yields generate's array") true
+        (Array.of_list (List.rev !streamed) = a);
+      check Alcotest.int64 (name ^ ": pinned stream") pin (wl_digest a))
+    [
+      ("default", Workload.default, 0xc596d8f599b58f69L);
+      ("skewed", skewed_wl, 0x9bf6eb57d54529b0L);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Quota exactness.
 
@@ -267,6 +314,110 @@ let test_starved_quota_classes_shed_honestly () =
 (* ------------------------------------------------------------------ *)
 (* The determinism contract, end to end.                               *)
 
+(* Configurations that stress the planner: windows that close at once
+   or never, one-job batches, the degradation ladder (degrading and
+   shed-only) on a stream it cannot keep up with, the scenario and
+   global quota classes, and a finite deadline. The digests are those
+   of closing, at each arrival, every due batch in (deadline, open
+   order); any other closing order or time moves them. At this arrival
+   rate no two requests share a window of zero length, so [window 0]
+   and [max_batch 1] both run one-job batches and share a digest. The
+   deadline fails two requests. Every row must also answer each request
+   exactly once, in its own slot. *)
+let planner_rows =
+  let wl = { Workload.default with Workload.wl_requests = 300 } in
+  let hot = { wl with Workload.wl_requests = 400; wl_rate = 800. } in
+  let ladder =
+    { (Controller.default ~lanes:4) with Controller.dc_enabled = true }
+  in
+  [
+    ("window 0", wl, { Server.default with Server.sv_window = 0. },
+     0x49177a7b3e13aaecL);
+    ("window infinity", wl, { Server.default with Server.sv_window = infinity },
+     0x883f9c29d35e2434L);
+    ("max_batch 1", wl, { Server.default with Server.sv_max_batch = 1 },
+     0x49177a7b3e13aaecL);
+    ("ladder", hot,
+     { Server.default with Server.sv_ladder = ladder; sv_lanes = 4 },
+     0xab2879d5ed87b25bL);
+    ("shed only", hot,
+     {
+       Server.default with
+       Server.sv_ladder = { ladder with Controller.dc_shed_only = true };
+       sv_lanes = 4;
+     },
+     0xe0a4ea7f2d5679c1L);
+    ("quota classes", wl,
+     {
+       Server.default with
+       Server.sv_scenario_rate = 40.;
+       sv_scenario_burst = 4;
+       sv_global_rate = 120.;
+       sv_global_burst = 6;
+     },
+     0x41ee1588207a65e7L);
+    ("deadline", wl, { Server.default with Server.sv_deadline = 0.1 },
+     0x93c2d2c7b2736349L);
+  ]
+
+let test_planner_rows () =
+  List.iter
+    (fun (name, (wl : Workload.config), sv, pin) ->
+      let r = Server.run wl sv in
+      check Alcotest.int64 (name ^ ": digest") pin (Server.digest r);
+      check Alcotest.int (name ^ ": census") wl.Workload.wl_requests (answered r);
+      check Alcotest.int (name ^ ": one response per request")
+        wl.Workload.wl_requests
+        (Array.length r.Server.responses);
+      Array.iteri
+        (fun i (rs : Server.response) ->
+          check Alcotest.int (name ^ ": rs_id is the slot") i rs.Server.rs_id)
+        r.Server.responses)
+    planner_rows
+
+(* A NaN anywhere a float is bounded used to slip past the check: a NaN
+   window left requests unanswered, a NaN deadline failed deep in the
+   event queue, NaN rates shed everything. Each must now be refused up
+   front, like a negative value. *)
+let test_nan_config_rejected () =
+  let wl = { small_wl with Workload.wl_requests = 50 } in
+  let raises name ~by wl sv =
+    match Server.run wl sv with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument msg ->
+        if not (String.starts_with ~prefix:(by ^ ": ") msg) then
+          Alcotest.failf "%s: raised %S, not from %s" name msg by
+  in
+  let sv = Server.default in
+  let server = "Server.run" and quota = "Quota.create" in
+  let workload = "Workload.generate" in
+  raises "window nan" ~by:server wl { sv with Server.sv_window = nan };
+  raises "deadline nan" ~by:server wl { sv with Server.sv_deadline = nan };
+  raises "overhead nan" ~by:server wl { sv with Server.sv_overhead = nan };
+  raises "quota rate nan" ~by:quota wl { sv with Server.sv_quota_rate = nan };
+  raises "scenario rate nan" ~by:quota wl
+    { sv with Server.sv_scenario_rate = nan };
+  raises "global rate nan" ~by:quota wl { sv with Server.sv_global_rate = nan };
+  raises "rate nan" ~by:workload { wl with Workload.wl_rate = nan } sv;
+  raises "tail nan" ~by:workload { wl with Workload.wl_tail = nan } sv;
+  raises "tail cap nan" ~by:workload { wl with Workload.wl_tail_cap = nan } sv;
+  raises "tail cap -1" ~by:workload { wl with Workload.wl_tail_cap = -1. } sv;
+  raises "zipf nan" ~by:workload { wl with Workload.wl_zipf = nan } sv
+
+(* The workload config is checked before the scenario names are
+   resolved, as when the whole array was generated first. *)
+let test_workload_checked_first () =
+  Alcotest.check_raises "bad workload reported before unknown scenario"
+    (Invalid_argument "Workload.generate: rate must be > 0") (fun () ->
+      ignore
+        (Server.run
+           {
+             small_wl with
+             Workload.wl_rate = 0.;
+             wl_scenarios = [ "no-such-scenario" ];
+           }
+           Server.default))
+
 let test_replay_and_jobs_identical () =
   let sv = { Server.default with Server.sv_jobs = 3 } in
   let d3 = Server.digest (Server.run small_wl sv) in
@@ -365,6 +516,8 @@ let () =
         [
           Alcotest.test_case "seeded generation is deterministic" `Quick
             test_workload_deterministic;
+          Alcotest.test_case "iter yields the pinned stream" `Quick
+            test_workload_stream_pinned;
         ] );
       ( "quota",
         [
@@ -400,5 +553,11 @@ let () =
             test_bench_record_schema;
           Alcotest.test_case "warm frame pool replays exactly" `Quick
             test_warm_pool_replays;
+          Alcotest.test_case "planner rows: pinned digests, one slot each"
+            `Quick test_planner_rows;
+          Alcotest.test_case "NaN config values are rejected" `Quick
+            test_nan_config_rejected;
+          Alcotest.test_case "workload config is checked first" `Quick
+            test_workload_checked_first;
         ] );
     ]
