@@ -536,6 +536,14 @@ let run_checked ?faults ?sanitize scenario ~policy ~seed =
 
 let page_size_of sp = (Address_space.model sp).Cost_model.page_size
 
+(* Every served request builds one of these blocks, so its alternative
+   names come from tables rather than a format interpreter. *)
+let ctr_name = Names.indexed 3 (Printf.sprintf "ctr%d")
+let guarded_name = Names.indexed 3 (Printf.sprintf "g%d")
+let winner_line = Names.indexed 3 (Printf.sprintf "winner=%d")
+let tty_name = Names.indexed 2 (Printf.sprintf "tty%d")
+let all_fail_name = Names.indexed 2 (Printf.sprintf "f%d")
+
 let counters =
   let prepare _eng sp =
     let p = page_size_of sp in
@@ -546,7 +554,7 @@ let counters =
   let alts _eng ~seed ~source:_ =
     List.init 3 (fun i ->
         Alternative.make
-          ~name:(Printf.sprintf "ctr%d" i)
+          ~name:(ctr_name i)
           (fun ctx ->
             let sp = Option.get (Engine.space ctx) in
             let p = page_size_of sp in
@@ -574,7 +582,7 @@ let guarded =
     let closed_i = (open_i + 2) mod n in
     List.init n (fun i ->
         Alternative.make
-          ~name:(Printf.sprintf "g%d" i)
+          ~name:(guarded_name i)
           ~guard:(fun _ -> i <> closed_i)
           (fun ctx ->
             let sp = Option.get (Engine.space ctx) in
@@ -584,7 +592,7 @@ let guarded =
             if i = failing_i then raise (Alternative.Failed "rejected");
             Address_space.set_int sp ~addr:0 (seed + i);
             Address_space.set_string sp ~addr:(3 * p)
-              (Printf.sprintf "winner=%d" i);
+              (winner_line i);
             Engine.charge_memory ctx;
             (10 * i) + (seed mod 100)))
   in
@@ -596,7 +604,7 @@ let teletype =
     let src = Option.get source in
     List.init 2 (fun i ->
         Alternative.make
-          ~name:(Printf.sprintf "tty%d" i)
+          ~name:(tty_name i)
           (fun ctx ->
             let sp = Option.get (Engine.space ctx) in
             let p = page_size_of sp in
@@ -621,7 +629,7 @@ let all_fail =
   let alts _eng ~seed ~source:_ =
     List.init 2 (fun i ->
         Alternative.make
-          ~name:(Printf.sprintf "f%d" i)
+          ~name:(all_fail_name i)
           (fun ctx ->
             let sp = Option.get (Engine.space ctx) in
             let rng = Rng.create ~seed:((seed * 17) + i) in

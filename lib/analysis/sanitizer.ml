@@ -2,11 +2,13 @@
    page-write, and source-emission hooks. Where the post-mortem checkers
    replay a finished [History] (memory grows with run length, findings
    carry no "caught in the act" coordinates), the sanitizer consumes each
-   event as it happens with state bounded by the live working set —
-   processes, in-flight messages, live frames — and flags violations at
-   the exact virtual time and pid of the offence.
+   event as it happens and flags violations at the exact virtual time and
+   pid of the offence. Its keyed tables are bounded by the live working
+   set — in-flight messages, registered maps, live frames — and its
+   per-pid arrays grow with the pids the engine issues, like the engine's
+   own tables.
 
-   Happens-before is tracked with per-process vector clocks:
+   Happens-before is tracked with per-process vector clocks ([Vclock]):
 
    - [Spawned]   child clock := parent clock joined with {child -> 1}
    - [Sent]      snapshot the sender's clock under (sender, seq), tick
@@ -31,22 +33,43 @@ type owner =
   | Single of Pid.t
   | Shared of Pid.t list  (* deliberately shared space: >= 2 registrants *)
 
+(* Int-keyed tables: message keys and frame keys pack two non-negative
+   ints below 2^31 into one ([pack]). *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k lxor (k lsr 31)) land max_int
+end)
+
+let pack_limit = 1 lsl 31
+
+let pack what hi lo =
+  if hi < 0 || hi >= pack_limit || lo < 0 || lo >= pack_limit then
+    invalid_arg (Printf.sprintf "Sanitizer: %s (%d, %d) out of range" what hi lo);
+  (hi lsl 31) lor lo
+
+let msg_key (m : Message.t) =
+  pack "message key" (Pid.to_int m.Message.sender) m.Message.seq
+
+let frame_key ~vpage ~frame = pack "frame key" vpage frame
+
 type t = {
   eng : Engine.t;
-  clocks : (Pid.t, int Pid.Map.t) Hashtbl.t;
-  msg_snap : (Pid.t * int, int Pid.Map.t) Hashtbl.t;
+  mutable clocks : Vclock.t array;  (* by pid; [Vclock.empty] = absent *)
+  mutable clock_count : int;  (* non-empty entries of [clocks] *)
+  mutable msg_snap : Vclock.t Itbl.t option;
       (* clock snapshot at Sent, keyed (sender, seq); drained at
          Accepted / Ignored / injected drop so in-flight traffic bounds
          the table, not run length *)
-  maps : (int, owner) Hashtbl.t;  (* page-map id -> owning process *)
-  frames : (int * int, Pid.t * int Pid.Map.t) Hashtbl.t;
+  mutable maps : owner Itbl.t option;  (* page-map id -> owning process *)
+  mutable frames : (Pid.t * Vclock.t) Itbl.t option;
       (* (vpage, frame id) -> last writer and its clock at the write *)
-  owned_frames : (Pid.t, (int * int) list ref) Hashtbl.t;
-      (* writer -> its entries in [frames], for O(own) pruning *)
-  dead : (Pid.t, unit) Hashtbl.t;  (* exited pids (liveness for Shared) *)
+  mutable owned_frames : int list array;
+      (* by writer pid: its keys in [frames], for O(own) pruning *)
+  mutable dead : bool array;  (* by pid: exited (liveness for Shared) *)
   mutable wins : (Pid.t * int * int) list;  (* (pid, index, epoch), newest first *)
-  lates : (Pid.t, unit) Hashtbl.t;
-  epoch_wins : (int, int) Hashtbl.t;
+  mutable lates : Pid.t list;
   mutable fence : int;  (* epochs below this were fenced by a recovery *)
   mutable degraded : bool;
   mutable sources_seen : int;
@@ -55,27 +78,75 @@ type t = {
   mutable in_flag : bool;  (* re-entrancy guard while tracing a flag *)
 }
 
+(* The keyed tables are made on first insert: a serving run attaches a
+   sanitizer to every batch engine. *)
+let snaps t =
+  match t.msg_snap with
+  | Some h -> h
+  | None ->
+    let h = Itbl.create 16 in
+    t.msg_snap <- Some h;
+    h
+
+let map_owners t =
+  match t.maps with
+  | Some h -> h
+  | None ->
+    let h = Itbl.create 16 in
+    t.maps <- Some h;
+    h
+
+let frame_writers t =
+  match t.frames with
+  | Some h -> h
+  | None ->
+    let h = Itbl.create 16 in
+    t.frames <- Some h;
+    h
+
+let table_length = function Some h -> Itbl.length h | None -> 0
+
+(* A pid-indexed array long enough to hold index [i]. *)
+let grown a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let b = Array.make (Int.max (i + 1) (Int.max 16 (2 * n))) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+let is_dead t pid =
+  let i = Pid.to_int pid in
+  i < Array.length t.dead && t.dead.(i)
+
+let mark_dead t pid =
+  let i = Pid.to_int pid in
+  t.dead <- grown t.dead i false;
+  t.dead.(i) <- true
+
 (* ------------------------------------------------------------------ *)
 (* Vector clocks.                                                      *)
 
 let clock_of t pid =
-  match Hashtbl.find_opt t.clocks pid with
-  | Some c -> c
-  | None -> Pid.Map.empty
+  let i = Pid.to_int pid in
+  if i < Array.length t.clocks then t.clocks.(i) else Vclock.empty
 
-let tick t pid =
-  let c = clock_of t pid in
-  let n = match Pid.Map.find_opt pid c with Some n -> n | None -> 0 in
-  Hashtbl.replace t.clocks pid (Pid.Map.add pid (n + 1) c)
+let drop_clock t pid =
+  let i = Pid.to_int pid in
+  if i < Array.length t.clocks && not (Vclock.is_empty t.clocks.(i)) then begin
+    t.clock_count <- t.clock_count - 1;
+    t.clocks.(i) <- Vclock.empty
+  end
 
-let join a b = Pid.Map.union (fun _ x y -> Some (max x y)) a b
+(* [c] is never empty: every clock stored holds at least its own tick. *)
+let set_clock t pid c =
+  let i = Pid.to_int pid in
+  t.clocks <- grown t.clocks i Vclock.empty;
+  if Vclock.is_empty t.clocks.(i) then t.clock_count <- t.clock_count + 1;
+  t.clocks.(i) <- c
 
-(* [leq a b]: every component of [a] is known to [b] — the event that
-   snapshotted [a] happens-before the holder of [b]. *)
-let leq a b =
-  Pid.Map.for_all
-    (fun p n -> match Pid.Map.find_opt p b with Some m -> n <= m | None -> false)
-    a
+let tick t pid = set_clock t pid (Vclock.tick (clock_of t pid) pid)
 
 (* ------------------------------------------------------------------ *)
 (* Flagging.                                                           *)
@@ -95,43 +166,55 @@ let flag t ?pid cls detail =
 (* ------------------------------------------------------------------ *)
 (* Page-map registration and the write observer.                       *)
 
+let rec has_pid p = function
+  | [] -> false
+  | q :: rest -> Pid.equal p q || has_pid p rest
+
 let register_map t pid =
   match Engine.space_of t.eng pid with
   | None -> ()
   | Some sp ->
     let id = Page_map.id (Address_space.map sp) in
-    (match Hashtbl.find_opt t.maps id with
-    | None -> Hashtbl.replace t.maps id (Single pid)
+    let owners = map_owners t in
+    (match Itbl.find_opt owners id with
+    | None -> Itbl.replace owners id (Single pid)
     | Some (Single p) when not (Pid.equal p pid) ->
-      Hashtbl.replace t.maps id (Shared [ pid; p ])
-    | Some (Shared ps) when not (List.exists (Pid.equal pid) ps) ->
-      Hashtbl.replace t.maps id (Shared (pid :: ps))
+      Itbl.replace owners id (Shared [ pid; p ])
+    | Some (Shared ps) when not (has_pid pid ps) ->
+      Itbl.replace owners id (Shared (pid :: ps))
     | Some _ -> ())
 
 let note_owned t pid key =
-  match Hashtbl.find_opt t.owned_frames pid with
-  | Some l -> l := key :: !l
-  | None -> Hashtbl.replace t.owned_frames pid (ref [ key ])
+  let i = Pid.to_int pid in
+  t.owned_frames <- grown t.owned_frames i [];
+  t.owned_frames.(i) <- key :: t.owned_frames.(i)
+
+let rec unown writers pid = function
+  | [] -> ()
+  | key :: rest ->
+    (match Itbl.find_opt writers key with
+    | Some (p, _) when Pid.equal p pid -> Itbl.remove writers key
+    | _ -> ());
+    unown writers pid rest
 
 let prune_owned t pid =
-  match Hashtbl.find_opt t.owned_frames pid with
-  | None -> ()
-  | Some l ->
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt t.frames key with
-        | Some (p, _) when Pid.equal p pid -> Hashtbl.remove t.frames key
-        | _ -> ())
-      !l;
-    Hashtbl.remove t.owned_frames pid
+  let i = Pid.to_int pid in
+  match t.frames with
+  | Some writers when i < Array.length t.owned_frames ->
+    unown writers pid t.owned_frames.(i);
+    t.owned_frames.(i) <- []
+  | _ -> ()
+
+let owner_of t map =
+  match t.maps with Some h -> Itbl.find_opt h map | None -> None
 
 let on_write t ~map ~vpage ~frame =
-  match Hashtbl.find_opt t.maps map with
+  match owner_of t map with
   | None -> ()  (* unregistered map (e.g. a degraded parent's inline fork):
                    no process attribution, stay conservative and silent —
                    the post-mortem oracle only audits block children *)
   | Some (Shared ps) ->
-    let live = List.filter (fun p -> not (Hashtbl.mem t.dead p)) ps in
+    let live = List.filter (fun p -> not (is_dead t p)) ps in
     if List.length live >= 2 then
       flag t ~pid:(List.hd live) Report.Isolation
         (Format.asprintf
@@ -139,17 +222,19 @@ let on_write t ~map ~vpage ~frame =
             live siblings"
            frame vpage (List.length live))
   | Some (Single pid) -> (
-    let key = (vpage, frame) in
-    match Hashtbl.find_opt t.frames key with
+    let writers = frame_writers t in
+    let key = frame_key ~vpage ~frame in
+    let now = clock_of t pid in
+    match Itbl.find_opt writers key with
     | None ->
-      Hashtbl.replace t.frames key (pid, clock_of t pid);
+      Itbl.replace writers key (pid, now);
       note_owned t pid key
-    | Some (prev, _) when Pid.equal prev pid ->
-      Hashtbl.replace t.frames key (pid, clock_of t pid)
+    | Some (prev, snap) when Pid.equal prev pid ->
+      if snap != now then Itbl.replace writers key (pid, now)
     | Some (prev, snap) ->
-      if leq snap (clock_of t pid) then begin
+      if Vclock.leq snap now then begin
         (* Ordered handoff (absorb): re-own the frame. *)
-        Hashtbl.replace t.frames key (pid, clock_of t pid);
+        Itbl.replace writers key (pid, now);
         note_owned t pid key
       end
       else
@@ -162,6 +247,41 @@ let on_write t ~map ~vpage ~frame =
 (* ------------------------------------------------------------------ *)
 (* Trace events.                                                       *)
 
+let drop_snap t (m : Message.t) =
+  match t.msg_snap with Some h -> Itbl.remove h (msg_key m) | None -> ()
+
+(* The clock snapshot taken when [m] was sent, drained from the table. *)
+let take_snap t (m : Message.t) =
+  match t.msg_snap with
+  | None -> None
+  | Some h -> (
+    let key = msg_key m in
+    match Itbl.find_opt h key with
+    | Some _ as snap ->
+      Itbl.remove h key;
+      snap
+    | None -> None)
+
+(* The per-block at-most-once state is a few entries long; these walks
+   are top-level so that a win or a late allocates no closure. *)
+let rec won_by p = function
+  | [] -> false
+  | (q, _, _) :: rest -> Pid.equal p q || won_by p rest
+
+let rec wins_in epoch n = function
+  | [] -> n
+  | (_, _, e) :: rest -> wins_in epoch (if e = epoch then n + 1 else n) rest
+
+(* A win in a fenced epoch was voided by the recovery that fenced it
+   ([run_supervised]'s contract), so it does not count against the
+   block's one win; the per-epoch and stale-incarnation checks still
+   cover each epoch on its own. *)
+let fenced t e = e <> 0 && e < t.fence
+
+let rec unfenced_wins t n = function
+  | [] -> n
+  | (_, _, e) :: rest -> unfenced_wins t (if fenced t e then n else n + 1) rest
+
 let on_event t ~time:_ e =
   match e with
   | Trace.Sanitizer_flag _ -> ()  (* our own breadcrumbs *)
@@ -171,22 +291,19 @@ let on_event t ~time:_ e =
       | Some p ->
         tick t p;
         clock_of t p
-      | None -> Pid.Map.empty
+      | None -> Vclock.empty
     in
-    Hashtbl.replace t.clocks pid (join base (Pid.Map.singleton pid 1));
+    set_clock t pid (Vclock.join base (Vclock.singleton pid));
     register_map t pid
   | Trace.Sent { msg } ->
     let sender = msg.Message.sender in
-    Hashtbl.replace t.msg_snap (sender, msg.Message.seq) (clock_of t sender);
+    Itbl.replace (snaps t) (msg_key msg) (clock_of t sender);
     tick t sender
   | Trace.Accepted { dest; msg; dest_pred } ->
-    let key = (msg.Message.sender, msg.Message.seq) in
-    (match Hashtbl.find_opt t.msg_snap key with
+    (match take_snap t msg with
     | Some snap ->
-      Hashtbl.remove t.msg_snap key;
-      Hashtbl.replace t.clocks dest (join (clock_of t dest) snap)
-    | None -> ()  (* duplicate delivery: the join already happened *));
-    tick t dest;
+      set_clock t dest (Vclock.join_tick (clock_of t dest) snap dest)
+    | None -> tick t dest  (* duplicate delivery: the join already happened *));
     if Predicate.conflicts dest_pred msg.Message.predicate then
       flag t ~pid:dest Report.World
         (Format.asprintf
@@ -195,35 +312,26 @@ let on_event t ~time:_ e =
            Pid.pp dest Pid.pp msg.Message.sender
            (Predicate.to_string msg.Message.predicate)
            (Predicate.to_string dest_pred))
-  | Trace.Ignored { msg; _ } ->
-    Hashtbl.remove t.msg_snap (msg.Message.sender, msg.Message.seq)
+  | Trace.Ignored { msg; _ } -> drop_snap t msg
   | Trace.Injected { kind = "drop" | "partition-drop"; msg = Some msg; _ } ->
-    Hashtbl.remove t.msg_snap (msg.Message.sender, msg.Message.seq)
+    drop_snap t msg
   | Trace.Absorbed { parent; child } ->
-    Hashtbl.replace t.clocks parent (join (clock_of t parent) (clock_of t child));
-    tick t parent;
-    Hashtbl.remove t.clocks child
+    set_clock t parent
+      (Vclock.join_tick (clock_of t parent) (clock_of t child) parent);
+    drop_clock t child
   | Trace.Sync_won { pid; index; epoch } ->
+    let per = wins_in epoch 0 t.wins in
     t.wins <- (pid, index, epoch) :: t.wins;
-    let per =
-      match Hashtbl.find_opt t.epoch_wins epoch with Some n -> n | None -> 0
-    in
-    Hashtbl.replace t.epoch_wins epoch (per + 1);
-    (* A win in a fenced epoch was voided by the recovery that fenced it
-       ([run_supervised]'s contract), so it does not count against the
-       block's one win; the per-epoch and stale-incarnation checks below
-       still cover each epoch on its own. *)
-    let fenced e = e <> 0 && e < t.fence in
-    let live_wins = List.filter (fun (_, _, e) -> not (fenced e)) t.wins in
-    if List.length live_wins > 1 then
+    let live_wins = unfenced_wins t 0 t.wins in
+    if live_wins > 1 then
       flag t ~pid Report.At_most_once
         (Printf.sprintf
            "the at-most-once latch fired a second time (win %d of the block)"
-           (List.length live_wins));
+           live_wins);
     if per + 1 > 1 then
       flag t ~pid Report.At_most_once
         (Printf.sprintf "%d Sync_won events within epoch %d" (per + 1) epoch);
-    if fenced epoch then
+    if fenced t epoch then
       flag t ~pid Report.At_most_once
         (Printf.sprintf
            "a stale incarnation won in epoch %d after voters were fenced to \
@@ -233,15 +341,15 @@ let on_event t ~time:_ e =
       flag t ~pid Report.At_most_once
         "Sync_won recorded although the block degraded to sequential \
          execution";
-    if Hashtbl.mem t.lates pid then
+    if has_pid pid t.lates then
       flag t ~pid Report.At_most_once
         (Format.asprintf "%a both won and lost the synchronisation" Pid.pp pid)
   | Trace.Sync_late { pid; _ } ->
-    if Hashtbl.mem t.lates pid then
+    if has_pid pid t.lates then
       flag t ~pid Report.At_most_once
         (Format.asprintf "%a was told \"too late\" more than once" Pid.pp pid)
-    else Hashtbl.replace t.lates pid ();
-    if List.exists (fun (p, _, _) -> Pid.equal p pid) t.wins then
+    else t.lates <- pid :: t.lates;
+    if won_by pid t.wins then
       flag t ~pid Report.At_most_once
         (Format.asprintf "the winner %a was also told \"too late\"" Pid.pp pid)
   | Trace.Degraded _ ->
@@ -253,20 +361,21 @@ let on_event t ~time:_ e =
     | [] -> ())
   | Trace.Recovered { epoch; _ } -> t.fence <- max t.fence epoch
   | Trace.Exited { pid; status } ->
-    Hashtbl.replace t.dead pid ();
+    mark_dead t pid;
     (* Clocks of space-less processes are not needed once they exit:
        accepts of their in-flight messages join through [msg_snap]
        snapshots, not live clocks. Space owners keep theirs until the
        absorb rendezvous consumes it (winners) or their world dies
        (losers, pruned with their frames below). *)
     (match Engine.space_of t.eng pid with
-    | None -> Hashtbl.remove t.clocks pid
+    | None -> drop_clock t pid
     | Some _ ->
-      if not (String.length status >= 2 && String.sub status 0 2 = "ok") then begin
+      if not (String.length status >= 2 && status.[0] = 'o' && status.[1] = 'k')
+      then begin
         prune_owned t pid;
-        Hashtbl.remove t.clocks pid
+        drop_clock t pid
       end)
-  | Trace.Killed { pid; _ } -> Hashtbl.replace t.dead pid ()
+  | Trace.Killed { pid; _ } -> mark_dead t pid
   (* [Delivered], [Delivered_batch] and the rest fall through by design:
      sanitized runs emit them, but happens-before is carried by [Sent] and
      [Accepted]; a delivery alone orders nothing. *)
@@ -279,15 +388,15 @@ let attach eng =
   let t =
     {
       eng;
-      clocks = Hashtbl.create 64;
-      msg_snap = Hashtbl.create 64;
-      maps = Hashtbl.create 16;
-      frames = Hashtbl.create 64;
-      owned_frames = Hashtbl.create 16;
-      dead = Hashtbl.create 64;
+      clocks = [||];
+      clock_count = 0;
+      msg_snap = None;
+      maps = None;
+      frames = None;
+      owned_frames = [||];
+      dead = [||];
       wins = [];
-      lates = Hashtbl.create 8;
-      epoch_wins = Hashtbl.create 4;
+      lates = [];
       fence = 0;
       degraded = false;
       sources_seen = 0;
@@ -306,8 +415,8 @@ let detach t =
   Frame_store.set_write_observer (Engine.frame_store t.eng) None
 
 (* The at-most-once state is scoped to ONE alternative block: [wins],
-   [lates], per-epoch tallies, the degradation latch and the recovery
-   fence all describe "this block's" latch. A serving engine runs many
+   [lates], the degradation latch and the recovery fence all describe
+   "this block's" latch. A serving engine runs many
    independent blocks back to back on one engine; without this reset the
    second block's perfectly legal [Sync_won] would flag as a duplicate
    win of the first. Vector clocks, frame ownership and message
@@ -316,8 +425,7 @@ let detach t =
    flags also survive: they already happened. *)
 let next_block t =
   t.wins <- [];
-  Hashtbl.reset t.lates;
-  Hashtbl.reset t.epoch_wins;
+  t.lates <- [];
   t.fence <- 0;
   t.degraded <- false
 
@@ -337,9 +445,8 @@ let flags t = List.rev t.flags
 let flag_count t = t.flag_count
 
 let state_size t =
-  Hashtbl.length t.clocks + Hashtbl.length t.msg_snap + Hashtbl.length t.maps
-  + Hashtbl.length t.frames + Hashtbl.length t.lates
-  + Hashtbl.length t.epoch_wins + List.length t.wins
+  t.clock_count + table_length t.msg_snap + table_length t.maps
+  + table_length t.frames + List.length t.lates + List.length t.wins
 
 (* ------------------------------------------------------------------ *)
 (* Reporting and the oracle cross-check.                               *)

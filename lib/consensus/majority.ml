@@ -108,6 +108,9 @@ let crashed_voter_body ctx =
   in
   loop ()
 
+let voter_name = Names.indexed 8 (Printf.sprintf "voter%d")
+let crashed_voter_name = Names.indexed 8 (Printf.sprintf "voter%d(crashed)")
+
 let create engine ~nodes ?(crashed = []) ?(vote_delay = 0.) ?(sites = []) () =
   if nodes < 1 then invalid_arg "Majority.create: nodes must be >= 1";
   let msg_count = ref 0 in
@@ -124,11 +127,11 @@ let create engine ~nodes ?(crashed = []) ?(vote_delay = 0.) ?(sites = []) () =
     List.init nodes (fun i ->
         if List.mem i crashed then
           Engine.spawn engine ~oblivious:true ~cloneable:false
-            ~name:(Printf.sprintf "voter%d(crashed)" i) ?site:(site_of i)
+            ~name:(crashed_voter_name i) ?site:(site_of i)
             crashed_voter_body
         else
           Engine.spawn engine ~oblivious:true ~cloneable:false
-            ~name:(Printf.sprintf "voter%d" i) ?site:(site_of i)
+            ~name:(voter_name i) ?site:(site_of i)
             (voter_body ~vote_delay ~grant_slot:grants.(i) ~floor:floors.(i)
                ~msg_count))
   in
@@ -158,8 +161,12 @@ let acquire_verdict_epoch ctx t ~epoch ~reply_timeout =
     (fun voter -> Engine.send ctx ~tag:tag_req voter (req_payload ~round ~epoch))
     t.pids;
   let need = majority t in
-  let replied = Hashtbl.create (2 * t.n) in
-  let rec collect ~grants ~replies =
+  (* [replied]: the voters already counted this round, at most [t.n]. *)
+  let rec counted p = function
+    | [] -> false
+    | q :: rest -> Pid.equal p q || counted p rest
+  in
+  let rec collect ~grants ~replied ~replies =
     if grants >= need then Granted
     else if grants + (t.n - replies) < need then
       (* Enough explicit denials arrived that a majority is arithmetically
@@ -177,18 +184,20 @@ let acquire_verdict_epoch ctx t ~epoch ~reply_timeout =
         (* A stale reply that raced the entry drain: it answers an older
            request, so it neither grants nor counts as this round's
            reply. *)
-        collect ~grants ~replies
-      | Some m when Hashtbl.mem replied m.Message.sender ->
+        collect ~grants ~replied ~replies
+      | Some m when counted m.Message.sender replied ->
         (* A duplicated reply (e.g. under fault injection): one voter,
            one vote. Counting it again would let [n/2 + 1] copies of a
            single grant manufacture a majority. *)
-        collect ~grants ~replies
+        collect ~grants ~replied ~replies
       | Some m ->
-        Hashtbl.replace replied m.Message.sender ();
         let g = rep_granted m in
-        collect ~grants:(grants + if g then 1 else 0) ~replies:(replies + 1)
+        collect
+          ~grants:(grants + if g then 1 else 0)
+          ~replied:(m.Message.sender :: replied)
+          ~replies:(replies + 1)
   in
-  collect ~grants:0 ~replies:0
+  collect ~grants:0 ~replied:[] ~replies:0
 
 let acquire_verdict ctx t ~reply_timeout =
   acquire_verdict_epoch ctx t ~epoch:0 ~reply_timeout

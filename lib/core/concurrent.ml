@@ -114,6 +114,11 @@ let child_predicate parent_pred pids i =
   in
   add p 0
 
+(* Child [i] of alternative [name] is ["name[i]"]; incarnation [e] of a
+   supervised block's coordinator is ["alt-parent.e<e>"]. *)
+let index_suffix = Names.indexed 16 (Printf.sprintf "[%d]")
+let coordinator_name = Names.indexed 8 (Printf.sprintf "alt-parent.e%d")
+
 let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
     ?(exclusive = false) ?(deadline = infinity) alts =
   let eng = Engine.engine ctx in
@@ -268,8 +273,11 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
        reachable): distinguishes "every alternative genuinely failed" from
        "the synchronisation layer was unreachable". *)
     let no_quorum_seen = ref 0 in
-    let tr e = Trace.record (Engine.trace eng) ~time:(Engine.now eng) e in
-    if elide_consensus then
+    (* Callers test [live] first: an event nobody records or observes is
+       not worth building. *)
+    let trace = Engine.trace eng in
+    let tr e = Trace.record trace ~time:(Engine.now eng) e in
+    if elide_consensus && Trace.live trace then
       tr (Trace.Note "consensus elided: alternatives proven mutually exclusive");
     let remote =
       match policy.placement with
@@ -330,9 +338,11 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
                 | Majority.No_quorum -> `No_quorum)
             in
             match verdict with
-            | `Won -> tr (Trace.Sync_won { pid = me; index = i; epoch })
+            | `Won ->
+              if Trace.live trace then
+                tr (Trace.Sync_won { pid = me; index = i; epoch })
             | `Late ->
-              tr (Trace.Sync_late { pid = me; index = i });
+              if Trace.live trace then tr (Trace.Sync_late { pid = me; index = i });
               Engine.abort child_ctx "too late"
             | `No_quorum ->
               (* Not a loss: the decision was never made. No [Sync_late]
@@ -345,7 +355,7 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
             Engine.spawn eng ~pid:pids.(i) ~parent:parent_pid
               ~predicate:(child_predicate parent_pred pids i)
               ?space:spaces.(i) ~cloneable:false
-              ~name:(Printf.sprintf "%s[%d]" alt.Alternative.name i)
+              ~name:(alt.Alternative.name ^ index_suffix i)
               body
           in
           Engine.on_exit eng pid (fun st ->
@@ -405,7 +415,7 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
        as {!Alt_block} would. *)
     let degrade reason =
       degraded := true;
-      tr (Trace.Degraded { parent = parent_pid; reason });
+      if Trace.live trace then tr (Trace.Degraded { parent = parent_pid; reason });
       let victims =
         Array.to_list pids |> List.filteri (fun i _ -> open_.(i))
       in
@@ -466,7 +476,8 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
             Engine.delay ctx back
           | Local_spawn -> ());
           Address_space.absorb ~parent:psp ~child:csp;
-          tr (Trace.Absorbed { parent = parent_pid; child = pid });
+          if Trace.live trace then
+            tr (Trace.Absorbed { parent = parent_pid; child = pid });
           let c = Address_space.drain_cost psp in
           selection_cost := !selection_cost +. c;
           if c > 0. then Engine.delay ctx c
@@ -587,7 +598,7 @@ let run_supervised eng ?(policy = default_policy) ?space ?(max_restarts = 2)
     incr incarnations;
     let pid =
       Engine.spawn eng ?space:space_now ~cloneable:false
-        ~name:(Printf.sprintf "alt-parent.e%d" epoch)
+        ~name:(coordinator_name epoch)
         ~site ~start_delay
         (fun ctx ->
           result := Some (epoch, run ctx ~policy ~consensus ~epoch ~deadline alts))

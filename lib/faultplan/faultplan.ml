@@ -175,5 +175,14 @@ let install ?sites plan eng =
                 Engine.after eng ~delay:h (fun () ->
                     Sites.heal topo ~left ~right)))
       site_rules);
-  Engine.set_message_fault eng (Some on_message);
-  Engine.set_spawn_hook eng (Some on_spawn)
+  (* A hook that can never act is not installed: only a [Crash] rule
+     ever silences a pid, so without one and without message rules every
+     send is delivered, and without process rules no spawn is looked at.
+     The engine's no-hook path is its [F_deliver] path. *)
+  let crashes =
+    List.exists (fun r -> match r.fault with Crash _ -> true | Kill -> false)
+      proc_rules
+  in
+  Engine.set_message_fault eng
+    (if msg_rules = [] && not crashes then None else Some on_message);
+  Engine.set_spawn_hook eng (if proc_rules = [] then None else Some on_spawn)

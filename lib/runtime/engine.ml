@@ -468,7 +468,8 @@ let rec finalize t pcb st =
     cpu_remove t pcb.pid;
     if not pcb.preserve_space then Option.iter Address_space.release pcb.space;
     t.live <- t.live - 1;
-    tr t (Trace.Exited { pid = pcb.pid; status = status_string st });
+    if Trace.live t.trace_ then
+      tr t (Trace.Exited { pid = pcb.pid; status = status_string st });
     let watchers = pcb.exit_watchers in
     pcb.exit_watchers <- [];
     List.iter
@@ -500,7 +501,7 @@ let rec finalize t pcb st =
            fate until they resolve (the process "cannot commit" yet). *)
         pcb.predicate <- p;
         t.deferred <- pcb.pid :: t.deferred;
-        tr t (Trace.Fate_deferred pcb.pid))
+        if Trace.live t.trace_ then tr t (Trace.Fate_deferred pcb.pid))
     | Exited_failed _ | Crashed _ | Eliminated _ ->
       fire_res_watchers t pcb `Dead;
       record_fate t pcb.pid Predicate.Failed)
@@ -520,7 +521,7 @@ and record_fate t pid fate =
   | Some f when f = fate -> ()
   | _ ->
     Fate_registry.record t.reg pid fate;
-    tr t (Trace.Fate { pid; fate }));
+    if Trace.live t.trace_ then tr t (Trace.Fate { pid; fate }));
   sweep t
 
 and kill t pid ~reason =
@@ -562,7 +563,8 @@ and sweep t =
         | Some pcb when pcb.born < born_before && is_alive pcb ->
           (match Fate_registry.normalize t.reg pcb.predicate with
           | `Dead ->
-            tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
+            if Trace.live t.trace_ then
+              tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
             fire_res_watchers t pcb `Dead;
             kill t pcb.pid ~reason:"dead world"
           | `Live p ->
@@ -762,7 +764,8 @@ and accept_with_split t pcb m s =
     (* World copies live wherever the original does: a site crash must take
        every copy of a resident process down with it. *)
     assign_site t clone ~explicit:pcb.site;
-    tr t (Trace.Split { original = pcb.pid; clone = clone_pid; on = m });
+    if Trace.live t.trace_ then
+      tr t (Trace.Split { original = pcb.pid; clone = clone_pid; on = m });
     (match t.spawn_hook with Some h -> h clone_pid clone.name | None -> ());
     (* Charge the copy as a fork-base-cost start delay for the clone. *)
     schedule t
@@ -790,7 +793,8 @@ and adopt_sender_assumptions t pcb m s =
     else Predicate.assume_completes p m.Message.sender
   in
   pcb.predicate <- p;
-  tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pred_at_accept })
+  if Trace.live t.trace_ then
+    tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pred_at_accept })
 
 and rescan_parked t pcb =
   match pcb.park with
@@ -856,7 +860,7 @@ and start_pcb t pcb =
     | Some reason -> finalize t pcb (Eliminated reason)
     | None ->
       pcb.state <- Running;
-      tr t (Trace.Started pcb.pid);
+      if Trace.live t.trace_ then tr t (Trace.Started pcb.pid);
       run_body t pcb)
   | (Running | Suspended) as st ->
     failwith
@@ -1195,7 +1199,7 @@ let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
   register_world t pcb;
   t.live <- t.live + 1;
   assign_site t pcb ~explicit:site;
-  tr t (Trace.Spawned { pid; parent; name });
+  if Trace.live t.trace_ then tr t (Trace.Spawned { pid; parent; name });
   (match t.spawn_hook with Some h -> h pid name | None -> ());
   schedule t ~at:(t.vnow +. start_delay) (fun () -> start_pcb t pcb);
   pid

@@ -576,6 +576,245 @@ let prop_scheme_c_bounds =
       e.Schemes.oracle <= e.Schemes.scheme_a +. 1e-9
       && e.Schemes.oracle <= e.Schemes.scheme_b +. 1e-9)
 
+(* ---------------- Pinned process names and trace bytes ---------------- *)
+
+(* These pins were taken from the code that built every name with
+   [Printf] and recorded every trace event unconditionally. Names must
+   not move: [Faultplan] matches process rules by name substring, so a
+   renamed process silently changes which rules fire. The trace must not
+   lose an event to the [Trace.live] guards: the oracle audits it. *)
+
+let pinned label expected actual =
+  check Alcotest.(list string) label expected actual
+
+let spawned_names eng =
+  List.filter_map
+    (fun (_, e) ->
+      match e with Trace.Spawned { name; _ } -> Some name | _ -> None)
+    (Trace.events (Engine.trace eng))
+
+let consensus3 ?(crashed = []) () =
+  {
+    Concurrent.default_policy with
+    sync =
+      Concurrent.Consensus
+        { nodes = 3; crashed; vote_delay = 0.0002; reply_timeout = 0.05 };
+  }
+
+let scenario_run name policy =
+  Invariants.run_scenario
+    (Option.get (Invariants.find_scenario name))
+    ~policy ~seed:1
+
+let scenario_names name policy =
+  spawned_names (scenario_run name policy).Invariants.engine
+
+let test_names_of_scenario_blocks () =
+  pinned "counters, local latch"
+    [ "alt-parent"; "ctr0[0]"; "ctr1[1]"; "ctr2[2]" ]
+    (scenario_names "counters" Concurrent.default_policy);
+  pinned "counters, 3-node consensus"
+    [
+      "alt-parent";
+      "voter0";
+      "voter1";
+      "voter2";
+      "ctr0[0]";
+      "ctr1[1]";
+      "ctr2[2]";
+    ]
+    (scenario_names "counters" (consensus3 ()));
+  pinned "guarded, local latch"
+    [ "alt-parent"; "g0[0]"; "g1[1]"; "g2[2]" ]
+    (scenario_names "guarded" Concurrent.default_policy);
+  pinned "guarded, 3-node consensus"
+    [
+      "alt-parent";
+      "voter0";
+      "voter1";
+      "voter2";
+      "g0[0]";
+      "g1[1]";
+      "g2[2]";
+    ]
+    (scenario_names "guarded" (consensus3 ()));
+  pinned "a crashed voter"
+    [
+      "alt-parent";
+      "voter0";
+      "voter1(crashed)";
+      "voter2";
+      "ctr0[0]";
+      "ctr1[1]";
+      "ctr2[2]";
+    ]
+    (scenario_names "counters" (consensus3 ~crashed:[ 1 ] ()))
+
+(* A supervised block whose first [kills] coordinators are killed
+   shortly after they spawn, so the watchdog restarts it [kills] times. *)
+let supervised_names ~kills =
+  let eng = Engine.create ~seed:7 () in
+  let sites = Sites.create eng ~names:[ "s0"; "s1"; "s2" ] in
+  let killed = ref 0 in
+  Engine.set_spawn_hook eng
+    (Some
+       (fun pid name ->
+         if String.starts_with ~prefix:"alt-parent" name && !killed < kills
+         then begin
+           incr killed;
+           Engine.after eng ~delay:0.001 (fun () ->
+               Engine.kill eng pid ~reason:"test kill")
+         end));
+  let alts =
+    List.init 2 (fun i ->
+        Alternative.make ~name:"s" (fun ctx ->
+            Engine.delay ctx (0.01 *. float_of_int (i + 1));
+            i))
+  in
+  let sr =
+    Concurrent.run_supervised eng ~policy:(consensus3 ()) ~max_restarts:kills
+      ~sites alts
+  in
+  check Alcotest.int "restarts" kills (List.length sr.Concurrent.sr_recoveries);
+  spawned_names eng
+
+let test_names_of_supervised_restarts () =
+  pinned "one restart"
+    [
+      "voter0";
+      "voter1";
+      "voter2";
+      "alt-parent.e1";
+      "s[0]";
+      "s[1]";
+      "alt-parent.e2";
+      "s[0]";
+      "s[1]";
+    ] (supervised_names ~kills:1);
+  pinned "restarts up to epoch 8"
+    [
+      "voter0";
+      "voter1";
+      "voter2";
+      "alt-parent.e1";
+      "s[0]";
+      "s[1]";
+      "alt-parent.e2";
+      "s[0]";
+      "s[1]";
+      "alt-parent.e3";
+      "s[0]";
+      "s[1]";
+      "alt-parent.e4";
+      "s[0]";
+      "s[1]";
+      "alt-parent.e5";
+      "s[0]";
+      "s[1]";
+      "alt-parent.e6";
+      "s[0]";
+      "s[1]";
+      "alt-parent.e7";
+      "s[0]";
+      "s[1]";
+      "alt-parent.e8";
+      "s[0]";
+      "s[1]";
+    ] (supervised_names ~kills:7)
+
+let test_names_past_table_ends () =
+  let eng = Engine.create () in
+  let alts =
+    List.init 17 (fun i ->
+        Alternative.make ~name:"w" (fun ctx ->
+            Engine.delay ctx (0.001 *. float_of_int (i + 1));
+            i))
+  in
+  ignore (Concurrent.run_toplevel eng alts);
+  pinned "alternative 16"
+    [
+      "alt-parent";
+      "w[0]";
+      "w[1]";
+      "w[2]";
+      "w[3]";
+      "w[4]";
+      "w[5]";
+      "w[6]";
+      "w[7]";
+      "w[8]";
+      "w[9]";
+      "w[10]";
+      "w[11]";
+      "w[12]";
+      "w[13]";
+      "w[14]";
+      "w[15]";
+      "w[16]";
+    ] (spawned_names eng);
+  let eng = Engine.create () in
+  let maj = Majority.create eng ~nodes:10 ~crashed:[ 9 ] () in
+  Majority.shutdown maj;
+  Engine.run eng;
+  pinned "voters 8 and 9"
+    [
+      "voter0";
+      "voter1";
+      "voter2";
+      "voter3";
+      "voter4";
+      "voter5";
+      "voter6";
+      "voter7";
+      "voter8";
+      "voter9(crashed)";
+    ] (spawned_names eng)
+
+let trace_digest eng =
+  Digest.to_hex (Digest.string (Trace.to_jsonl (Engine.trace eng)))
+
+let test_recorded_trace_digests () =
+  pinned "Trace.to_jsonl digests"
+    [
+      "e3c0fa72e3374b56fe8928091c06d844";
+      "62666151dcdc27a128e5fdfd22c255ff";
+      "aecf1dddfff618d8a93a3cde084b3b65";
+      "bbaa242e311533fc29560ce279f96def";
+    ]
+    (List.map
+       (fun (name, policy) -> trace_digest (scenario_run name policy).Invariants.engine)
+       [
+         ("counters", Concurrent.default_policy);
+         ("counters", consensus3 ());
+         ("guarded", Concurrent.default_policy);
+         ("guarded", consensus3 ());
+       ])
+
+(* Recording off, an observer attached: the observer must see every event
+   a recording run stores, in the same order. *)
+let test_observer_only_run () =
+  let sc = Option.get (Invariants.find_scenario "counters") in
+  let policy = consensus3 () in
+  let recorded =
+    List.map
+      (fun (time, e) -> Trace.event_to_json ~time e)
+      (Trace.events (Engine.trace (scenario_run "counters" policy).Invariants.engine))
+  in
+  let eng = Engine.create ~model:Cost_model.att_3b2 ~seed:1 ~trace:false () in
+  let seen = ref [] in
+  Trace.set_observer (Engine.trace eng)
+    (Some (fun ~time e -> seen := Trace.event_to_json ~time e :: !seen));
+  let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+  Address_space.set_tracking space true;
+  sc.Invariants.prepare eng space;
+  ignore (Address_space.drain_cost space);
+  ignore
+    (Concurrent.run_toplevel eng ~policy ~space
+       (sc.Invariants.alts eng ~seed:1 ~source:None));
+  check Alcotest.int "observed events" 64 (List.length !seen);
+  check Alcotest.(list string) "observer sees the recorded stream" recorded
+    (List.rev !seen)
+
 let () =
   Alcotest.run "core"
     [
@@ -635,6 +874,18 @@ let () =
           Alcotest.test_case "children inherit parent predicates" `Quick
             test_children_inherit_parent_predicates;
           QCheck_alcotest.to_alcotest prop_concurrent_selects_a_real_alternative;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "scenario block names" `Quick
+            test_names_of_scenario_blocks;
+          Alcotest.test_case "supervised restart names" `Quick
+            test_names_of_supervised_restarts;
+          Alcotest.test_case "names past the tables" `Quick
+            test_names_past_table_ends;
+          Alcotest.test_case "recorded trace digests" `Quick
+            test_recorded_trace_digests;
+          Alcotest.test_case "observer-only run" `Quick test_observer_only_run;
         ] );
       ( "schemes",
         [

@@ -10,6 +10,16 @@ let has_class cls flags =
 
 let oracle_has cls vs = List.exists (fun v -> v.Report.check = cls) vs
 
+(* The rendered violations of each seeded corruption, pinned: the clean
+   matrices never reach these paths, so no digest guards them. *)
+let pinned_violations label expected sz =
+  check
+    Alcotest.(list string)
+    label expected
+    (List.map
+       (fun v -> Report.class_name v.Report.check ^ " " ^ v.Report.detail)
+       (Sanitizer.violations sz ~scenario:"s" ~policy:"p" ~seed:0))
+
 (* ---------------- uncertain source emission, caught at emission ------- *)
 
 (* A speculative alternative writes the teletype and then forces a device
@@ -65,6 +75,10 @@ let test_emission_caught_online () =
   let v = List.find (fun v -> v.Report.check = Report.Sources) rendered in
   check Alcotest.bool "detail has [t=...]" true (contains v.Report.detail "[t=");
   check Alcotest.bool "detail has pid=" true (contains v.Report.detail "pid=");
+  pinned_violations "rendered emission flags"
+    [
+      "sources [t=0.048000 pid=P1] speculative output \"rogue output\" reached source device \"rogue-teletype-tty\" before its writer's predicates resolved";
+    ] sz;
   (* Post-mortem parity: the oracle sees the same offence, so the
      crosscheck appended no divergence. *)
   check Alcotest.bool "oracle agrees" true (oracle_has Report.Sources violations);
@@ -90,6 +104,11 @@ let test_forged_win_caught_online () =
   check Alcotest.bool "flagged at the forged event" true
     (has_class Report.At_most_once (Sanitizer.flags sz));
   Sanitizer.detach sz;
+  pinned_violations "rendered forged-win flags"
+    [
+      "at-most-once [t=0.084816 pid=P3] the at-most-once latch fired a second time (win 2 of the block)";
+      "at-most-once [t=0.084816 pid=P3] 2 Sync_won events within epoch 0";
+    ] sz;
   (* The post-mortem oracle, replaying the same (corrupted) trace, agrees
      — so the crosscheck records no divergence. *)
   let oracle = Invariants.check_all rr in
@@ -129,6 +148,10 @@ let test_shared_space_caught_at_write () =
   in
   check Alcotest.bool "flagged while both writers were live" true
     (f.Sanitizer.sf_time >= 0.001 && f.Sanitizer.sf_time <= 0.002);
+  pinned_violations "rendered isolation flags"
+    [
+      "isolation [t=0.001000 pid=P1] write to frame 0 (vpage 0) of an address space shared by 2 live siblings";
+    ] sz;
   (* Oracle parity on the same run. *)
   let oracle =
     Race.check_isolation eng ~children:[ p1; p2 ] ~scenario:"shared"
@@ -254,7 +277,11 @@ let test_next_block_across_supervised_restart () =
      first block's scope and must be flagged. *)
   let _, _, _, sz_leak = run ~reset_scope:false in
   check Alcotest.bool "without next_block the second win leaks" true
-    (has_class Report.At_most_once (Sanitizer.flags sz_leak))
+    (has_class Report.At_most_once (Sanitizer.flags sz_leak));
+  pinned_violations "rendered leak flags"
+    [
+      "at-most-once [t=1.188381 pid=P21] a stale incarnation won in epoch 1 after voters were fenced to epoch 2";
+    ] sz_leak
 
 (* The trace of a served request under site faults: incarnation 1's
    winner takes the latch and its coordinator dies before answering, the
@@ -263,7 +290,7 @@ let test_next_block_across_supervised_restart () =
    block's only live one. The control drops the [Recovered]: two wins in
    one unfenced scope are a real duplicate. *)
 let test_fenced_win_is_void () =
-  let flags ~recovered =
+  let run ~recovered =
     let eng = Engine.create () in
     let sz = Sanitizer.attach eng in
     let record e = Trace.record (Engine.trace eng) ~time:(Engine.now eng) e in
@@ -274,14 +301,69 @@ let test_fenced_win_is_void () =
            { failed = Pid.of_int 3; successor = Pid.of_int 7; epoch = 2 });
     record (Trace.Sync_won { pid = Pid.of_int 10; index = 2; epoch = 2 });
     Sanitizer.detach sz;
-    Sanitizer.flags sz
+    sz
   in
+  let flags ~recovered = Sanitizer.flags (run ~recovered) in
   check
     Alcotest.(list string)
     "a win behind the fence is the block's only live one" []
     (List.map (fun f -> f.Sanitizer.sf_detail) (flags ~recovered:true));
   check Alcotest.bool "without the fence the second win is flagged" true
-    (has_class Report.At_most_once (flags ~recovered:false))
+    (has_class Report.At_most_once (flags ~recovered:false));
+  pinned_violations "rendered unfenced double win"
+    [
+      "at-most-once [t=0.000000 pid=P10] the at-most-once latch fired a second time (win 2 of the block)";
+    ]
+    (run ~recovered:false)
+
+(* ---------------- the flat vector clock against a map reference ------ *)
+
+let ref_tick m p =
+  Pid.Map.update p (fun n -> Some (1 + Option.value ~default:0 n)) m
+
+(* A clock built by ticking pids in order, both as a [Vclock.t] and as the
+   [Pid.Map] the sanitizer used before (absent = 0). *)
+let clocks_of ticks =
+  List.fold_left
+    (fun (c, m) p ->
+      let p = Pid.of_int p in
+      (Vclock.tick c p, ref_tick m p))
+    (Vclock.empty, Pid.Map.empty) ticks
+
+let ref_join = Pid.Map.union (fun _ x y -> Some (max x y))
+
+let ref_leq a b =
+  Pid.Map.for_all
+    (fun p n ->
+      match Pid.Map.find_opt p b with Some m -> n <= m | None -> false)
+    a
+
+let gen_ticks = QCheck.(list_of_size Gen.(int_range 0 12) (int_range 0 7))
+
+let prop_vclock_matches_map =
+  QCheck.Test.make ~name:"Vclock join/join_tick/leq/tick match a Pid.Map reference"
+    ~count:1000 (QCheck.pair gen_ticks gen_ticks) (fun (xs, ys) ->
+      let a, ra = clocks_of xs and b, rb = clocks_of ys in
+      (* [c] dominates [a]: the ticks of [a], then more. *)
+      let c, rc = clocks_of (xs @ ys) in
+      let same v r = Vclock.to_list v = Pid.Map.bindings r in
+      same a ra && same b rb && same c rc
+      && same (Vclock.join a b) (ref_join ra rb)
+      && same (Vclock.join b a) (ref_join rb ra)
+      && same (Vclock.join a c) (ref_join ra rc)
+      && same (Vclock.join a (Vclock.singleton (Pid.of_int 3)))
+           (ref_join ra (Pid.Map.singleton (Pid.of_int 3) 1))
+      && Vclock.leq a b = ref_leq ra rb
+      && Vclock.leq b a = ref_leq rb ra
+      && Vclock.leq a c = ref_leq ra rc
+      && Vclock.leq c a = ref_leq rc ra
+      && Vclock.is_empty a = Pid.Map.is_empty ra
+      && List.for_all
+           (fun p ->
+             let p = Pid.of_int p in
+             same (Vclock.join_tick a b p) (ref_tick (ref_join ra rb) p)
+             && same (Vclock.tick a p) (ref_tick ra p))
+           [ 0; 3; 7; 9 ])
 
 let () =
   Alcotest.run "sanitizer"
@@ -304,5 +386,6 @@ let () =
           Alcotest.test_case "bounded state" `Quick test_bounded_state;
           Alcotest.test_case "clean runs unchanged" `Quick
             test_clean_run_parity;
+          QCheck_alcotest.to_alcotest prop_vclock_matches_map;
         ] );
     ]
