@@ -70,12 +70,16 @@ module Tbl = struct
     Array.unsafe_set t.vals i v;
     t.size <- t.size + 1
 
-  (* Keep the load at most 3/4. *)
+  (* Keep the load at most 3/4. A table's first insert builds its
+     8-slot arrays as literals: the key array is allocated inline, and
+     the value array needs only the runtime's float-array check, where
+     [Array.make] is a runtime call per array. *)
   let grow t =
     let cap = Array.length t.keys in
     if cap = 0 then begin
-      t.keys <- Array.make 8 no_key;
-      t.vals <- Array.make 8 t.dummy
+      let k = no_key and d = t.dummy in
+      t.keys <- [| k; k; k; k; k; k; k; k |];
+      t.vals <- [| d; d; d; d; d; d; d; d |]
     end
     else if 4 * (t.size + 1) > 3 * cap then begin
       let keys = t.keys and vals = t.vals in
@@ -195,30 +199,35 @@ let resolve_opt t vpage =
   | f -> Some f
   | exception Not_found -> None
 
-(* Like [resolve_node], but also says which layer the frame was found
-   in. Slow path only. *)
-let rec resolve_loc node vpage =
-  let i = Tbl.slot node.frames vpage in
-  if i >= 0 then (Array.unsafe_get node.frames.vals i, node)
-  else
-    match node.base with
-    | Some b -> resolve_loc b vpage
-    | None -> raise Not_found
+(* Stands for "no layer": no map ever resolves through it. *)
+let no_node = { frames = Tbl.create no_frame; is_top = false; deps = []; base = None }
+
+(* The layer [vpage] resolves in, or [no_node] when it is unmapped.
+   Slow path only; allocation-free. *)
+let rec resolve_layer node vpage =
+  if Tbl.mem node.frames vpage then node
+  else match node.base with Some b -> resolve_layer b vpage | None -> no_node
 
 (* Number of live maps currently resolving [vpage] to the frame held by
    [node]: walk the layers stacked on [node], cutting any branch that
    shadows the page. Equals the reference count an eager per-frame scheme
-   would have, at slow-path-only cost. *)
-let resolvers node vpage =
-  let rec above n acc =
-    if Tbl.mem n.frames vpage then acc
-    else if n.is_top then acc + 1
-    else List.fold_left (fun acc d -> above d acc) acc n.deps
-  in
-  if node.is_top then 1
-  else List.fold_left (fun acc d -> above d acc) 0 node.deps
+   would have, at slow-path-only cost. Top-level walks taking [vpage], so
+   a count allocates no closure. *)
+let rec above vpage n acc =
+  if Tbl.mem n.frames vpage then acc
+  else if n.is_top then acc + 1
+  else above_all vpage n.deps acc
 
-let remove_dep b n = b.deps <- List.filter (fun d -> not (d == n)) b.deps
+and above_all vpage deps acc =
+  match deps with [] -> acc | d :: rest -> above_all vpage rest (above vpage d acc)
+
+let resolvers node vpage = if node.is_top then 1 else above_all vpage node.deps 0
+
+let rec without n = function
+  | [] -> []
+  | d :: rest -> if d == n then without n rest else d :: without n rest
+
+let remove_dep b n = b.deps <- without n b.deps
 
 (* While the layer under the top is referenced by nobody else, its history
    is private: merge the top's entries down over it (freeing the frames
@@ -338,9 +347,11 @@ let materialize t vpage =
 
 let prepare_slow t vpage =
   match t.top.base with
-  | Some b -> (
-    match resolve_loc b vpage with
-    | shared, owner ->
+  | Some b ->
+    let owner = resolve_layer b vpage in
+    if owner == no_node then materialize t vpage
+    else begin
+      let shared = Array.unsafe_get owner.frames.vals (Tbl.slot owner.frames vpage) in
       if resolvers owner vpage > 1 then begin
         (* Someone else still resolves this frame: privatise it. *)
         let f = Frame_store.alloc_copy t.store shared in
@@ -358,7 +369,7 @@ let prepare_slow t vpage =
         Tbl.replace t.top.frames vpage shared;
         shared
       end
-    | exception Not_found -> materialize t vpage)
+    end
   | None -> materialize t vpage
 
 (* Return the writable frame for [vpage], privatising or materialising as

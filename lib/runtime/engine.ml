@@ -26,8 +26,6 @@ type proc_state =
   | Suspended
   | Dead of exit_status
 
-type cpu_task = { mutable remaining : float; resume : unit -> unit }
-
 (* What [kill] needs of every parked process (its [cancel]) and, for a
    blocked receive only, what [rescan_parked] needs to hand it a message. *)
 type park =
@@ -65,10 +63,12 @@ type pcb = {
   mutable preserve_space : bool;
   oblivious : bool;
   mutable site : string option;
-  rng : Rng.t;
+  mutable rng : Rng.t;
       (* Per-process SplitMix64 stream, keyed (root seed, pid): a
          process's draws depend on nothing but its own identity, not on
-         how many other processes drew before it. *)
+         how many other processes drew before it. Made on the first
+         draw ([no_rng] until then); being a pure function of (seed,
+         pid), it draws the same whenever it is made. *)
 }
 
 and ctx = { engine : t; pcb : pcb }
@@ -138,14 +138,18 @@ and t = {
   cores : cores;
   trace_ : Trace.t;
   mutable cpu_pids : int array;
-  mutable cpu_tasks : cpu_task array;
+  mutable cpu_rem : floatarray;
+  mutable cpu_resume : (unit -> unit) array;
       (* The [cpu_n] runnable CPU tasks, sorted by pid, so a tick's
-         completions come out in pid order without a sort. *)
+         completions come out in pid order without a sort: task [i] is
+         [cpu_pids.(i)], with [cpu_rem.(i)] seconds of demand left and
+         [cpu_resume.(i)] to call when they run out. Parallel arrays, so
+         charging a task stores a double instead of boxing one. *)
   mutable cpu_n : int;
   mutable cpu_used : floatarray;  (* pid -> virtual CPU seconds consumed *)
-  mutable cpu_gen : int;
   mutable cpu_last : float;
-  mutable cpu_tick_ev : event option;
+  mutable cpu_tick : unit -> unit;  (* runs a tick; made once per engine *)
+  mutable cpu_tick_ev : event;  (* the pending tick, or [no_event] *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
   mutable events_processed : int;  (* also the batch-join epoch *)
   mutable live : int;
@@ -181,43 +185,10 @@ type _ Effect.t += E_suspend : 'a suspension -> 'a Effect.t
 
 let initial_pids = 16
 
-let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
-    ?(trace = true) ?(shards = 1) () =
-  (* [shards] is a compatibility argument for the profiling harness in
-     bench/profile, which still passes [~shards:1]. *)
-  if shards <> 1 then invalid_arg "Engine.create: shards must be 1";
-  {
-    vnow = 0.;
-    queue = Event_queue.create ();
-    root_seed = seed;
-    procs = Array.make initial_pids None;
-    worlds = Array.make initial_pids [];
-    spawned = 0;
-    alloc = Pid.Allocator.create ();
-    reg = Fate_registry.create ();
-    store = Frame_store.create ~page_size:model.Cost_model.page_size;
-    model_ = model;
-    cores;
-    trace_ = Trace.create ~enabled:trace ();
-    cpu_pids = [||];
-    cpu_tasks = [||];
-    cpu_n = 0;
-    cpu_used = Float.Array.make initial_pids 0.;
-    cpu_gen = 0;
-    cpu_last = 0.;
-    cpu_tick_ev = None;
-    mailbox_scanned = 0;
-    events_processed = 0;
-    live = 0;
-    deferred = [];
-    stopped = false;
-    sweeping = false;
-    sweep_again = false;
-    msg_fault = None;
-    spawn_hook = None;
-    site_hook = None;
-    delivery_fault = None;
-  }
+(* Sentinels: an event that never runs, and a generator never drawn
+   from (a pcb's stream before its first draw). *)
+let no_event = { dead_ev = true; run_ev = ignore }
+let no_rng = Rng.create ~seed:0
 
 let set_message_fault t f = t.msg_fault <- f
 let set_spawn_hook t f = t.spawn_hook <- f
@@ -259,14 +230,13 @@ let proc_state_string = function
 (* CPU: egalitarian processor sharing over [cores] processors.         *)
 
 (* The float arithmetic here fixes every virtual timestamp, and so every
-   digest: each task's [remaining] is charged [elapsed *. rate] at every
-   add, remove and tick, and a reschedule is one cancel plus one push.
+   digest: each task's remaining demand is charged [elapsed *. rate] at
+   every add, remove and tick, and a reschedule is one cancel plus one
+   push, even when the tick time is unchanged: that push moves
+   [Event_queue.stamp], which the batch-join rule reads.
    Nothing computed depends on the order of the loops over the tasks
    ([Float.min] is order-independent), except that the tasks completing
    at one tick resume in pid order. *)
-
-(* Fills the vacant slots of [cpu_tasks]; never charged or resumed. *)
-let no_task = { remaining = 0.; resume = ignore }
 
 let cpu_rate t =
   let n = t.cpu_n in
@@ -280,61 +250,58 @@ let cpu_update t =
   let elapsed = t.vnow -. t.cpu_last in
   if elapsed > 0. then begin
     let rate = cpu_rate t in
-    let used = t.cpu_used in
+    let used = t.cpu_used and rem = t.cpu_rem in
     for i = 0 to t.cpu_n - 1 do
-      let task = t.cpu_tasks.(i) and pid = t.cpu_pids.(i) in
-      task.remaining <- task.remaining -. (elapsed *. rate);
+      let pid = t.cpu_pids.(i) in
+      Float.Array.set rem i (Float.Array.get rem i -. (elapsed *. rate));
       Float.Array.set used pid (Float.Array.get used pid +. (elapsed *. rate))
     done
   end;
   t.cpu_last <- t.vnow
 
+(* Only the stored tick event can be live: every reschedule cancels it
+   before pushing the next, so a tick that runs is the current one. *)
 let rec cpu_reschedule t =
-  t.cpu_gen <- t.cpu_gen + 1;
-  (match t.cpu_tick_ev with
-  | Some ev ->
-    cancel_event ev;
-    t.cpu_tick_ev <- None
-  | None -> ());
+  if t.cpu_tick_ev != no_event then begin
+    cancel_event t.cpu_tick_ev;
+    t.cpu_tick_ev <- no_event
+  end;
   if t.cpu_n > 0 then begin
-    let gen = t.cpu_gen in
     let rate = cpu_rate t in
     let min_rem = ref infinity in
     for i = 0 to t.cpu_n - 1 do
-      min_rem := Float.min !min_rem (Float.max 0. t.cpu_tasks.(i).remaining)
+      min_rem := Float.min !min_rem (Float.max 0. (Float.Array.get t.cpu_rem i))
     done;
     let at = t.vnow +. (!min_rem /. rate) in
-    t.cpu_tick_ev <- Some (schedule_cancellable t ~at (fun () -> cpu_tick t gen))
+    t.cpu_tick_ev <- schedule_cancellable t ~at t.cpu_tick
   end
 
-and cpu_tick t gen =
-  if gen = t.cpu_gen then begin
-    cpu_update t;
-    (* Collect the finished tasks (walking down, so the list comes out in
-       ascending pid order), then compact the rest in place. *)
-    let n = t.cpu_n in
-    let done_ = ref [] in
-    for i = n - 1 downto 0 do
-      let task = t.cpu_tasks.(i) in
-      if task.remaining <= 1e-12 then done_ := task :: !done_
+and cpu_tick t =
+  cpu_update t;
+  (* Collect the finished tasks' resumes (walking down, so the list comes
+     out in ascending pid order), then compact the rest in place. *)
+  let n = t.cpu_n in
+  let rem = t.cpu_rem in
+  let done_ = ref [] in
+  for i = n - 1 downto 0 do
+    if Float.Array.get rem i <= 1e-12 then done_ := t.cpu_resume.(i) :: !done_
+  done;
+  (match !done_ with
+  | [] -> ()
+  | _ ->
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if not (Float.Array.get rem i <= 1e-12) then begin
+        t.cpu_pids.(!k) <- t.cpu_pids.(i);
+        Float.Array.set rem !k (Float.Array.get rem i);
+        t.cpu_resume.(!k) <- t.cpu_resume.(i);
+        incr k
+      end
     done;
-    (match !done_ with
-    | [] -> ()
-    | _ ->
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        let task = t.cpu_tasks.(i) in
-        if not (task.remaining <= 1e-12) then begin
-          t.cpu_pids.(!k) <- t.cpu_pids.(i);
-          t.cpu_tasks.(!k) <- task;
-          incr k
-        end
-      done;
-      Array.fill t.cpu_tasks !k (n - !k) no_task;
-      t.cpu_n <- !k);
-    cpu_reschedule t;
-    List.iter (fun task -> task.resume ()) !done_
-  end
+    Array.fill t.cpu_resume !k (n - !k) ignore;
+    t.cpu_n <- !k);
+  cpu_reschedule t;
+  List.iter (fun resume -> resume ()) !done_
 
 (* The index of [pid]'s task, or of the first task with a larger pid (its
    insertion point) when it has none. *)
@@ -345,25 +312,34 @@ let cpu_slot t pid =
   done;
   !i
 
-let cpu_add t pid task =
+let cpu_add t pid dt resume =
   cpu_update t;
   let pid = Pid.to_int pid in
   let i = cpu_slot t pid in
-  if i < t.cpu_n && t.cpu_pids.(i) = pid then t.cpu_tasks.(i) <- task
+  if i < t.cpu_n && t.cpu_pids.(i) = pid then begin
+    Float.Array.set t.cpu_rem i dt;
+    t.cpu_resume.(i) <- resume
+  end
   else begin
     let n = t.cpu_n in
     if n = Array.length t.cpu_pids then begin
       let cap = max 8 (2 * n) in
-      let pids = Array.make cap 0 and tasks = Array.make cap no_task in
+      let pids = Array.make cap 0
+      and rem = Float.Array.make cap 0.
+      and resumes = Array.make cap ignore in
       Array.blit t.cpu_pids 0 pids 0 n;
-      Array.blit t.cpu_tasks 0 tasks 0 n;
+      Float.Array.blit t.cpu_rem 0 rem 0 n;
+      Array.blit t.cpu_resume 0 resumes 0 n;
       t.cpu_pids <- pids;
-      t.cpu_tasks <- tasks
+      t.cpu_rem <- rem;
+      t.cpu_resume <- resumes
     end;
     Array.blit t.cpu_pids i t.cpu_pids (i + 1) (n - i);
-    Array.blit t.cpu_tasks i t.cpu_tasks (i + 1) (n - i);
+    Float.Array.blit t.cpu_rem i t.cpu_rem (i + 1) (n - i);
+    Array.blit t.cpu_resume i t.cpu_resume (i + 1) (n - i);
     t.cpu_pids.(i) <- pid;
-    t.cpu_tasks.(i) <- task;
+    Float.Array.set t.cpu_rem i dt;
+    t.cpu_resume.(i) <- resume;
     t.cpu_n <- n + 1
   end;
   cpu_reschedule t
@@ -375,11 +351,55 @@ let cpu_remove t pid =
     cpu_update t;
     let n = t.cpu_n - 1 in
     Array.blit t.cpu_pids (i + 1) t.cpu_pids i (n - i);
-    Array.blit t.cpu_tasks (i + 1) t.cpu_tasks i (n - i);
-    t.cpu_tasks.(n) <- no_task;
+    Float.Array.blit t.cpu_rem (i + 1) t.cpu_rem i (n - i);
+    Array.blit t.cpu_resume (i + 1) t.cpu_resume i (n - i);
+    t.cpu_resume.(n) <- ignore;
     t.cpu_n <- n;
     cpu_reschedule t
   end
+
+let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
+    ?(trace = true) ?(shards = 1) () =
+  (* [shards] is a compatibility argument for the profiling harness in
+     bench/profile, which still passes [~shards:1]. *)
+  if shards <> 1 then invalid_arg "Engine.create: shards must be 1";
+  let t =
+    {
+      vnow = 0.;
+      queue = Event_queue.create ();
+      root_seed = seed;
+      procs = Array.make initial_pids None;
+      worlds = Array.make initial_pids [];
+      spawned = 0;
+      alloc = Pid.Allocator.create ();
+      reg = Fate_registry.create ();
+      store = Frame_store.create ~page_size:model.Cost_model.page_size;
+      model_ = model;
+      cores;
+      trace_ = Trace.create ~enabled:trace ();
+      cpu_pids = [||];
+      cpu_rem = Float.Array.create 0;
+      cpu_resume = [||];
+      cpu_n = 0;
+      cpu_used = Float.Array.make initial_pids 0.;
+      cpu_last = 0.;
+      cpu_tick = ignore;
+      cpu_tick_ev = no_event;
+      mailbox_scanned = 0;
+      events_processed = 0;
+      live = 0;
+      deferred = [];
+      stopped = false;
+      sweeping = false;
+      sweep_again = false;
+      msg_fault = None;
+      spawn_hook = None;
+      site_hook = None;
+      delivery_fault = None;
+    }
+  in
+  t.cpu_tick <- (fun () -> cpu_tick t);
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Process table helpers.                                              *)
@@ -835,7 +855,7 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
       preserve_space = false;
       oblivious;
       site = None;
-      rng = Rng.stream ~seed:t.root_seed ~key:(Pid.to_int pid);
+      rng = no_rng;
     }
   in
   t.spawned <- t.spawned + 1;
@@ -850,7 +870,8 @@ and assign_site t pcb ~explicit =
 
 and register_world t pcb =
   let i = Pid.to_int pcb.logical in
-  t.worlds.(i) <- t.worlds.(i) @ [ pcb.pid ]
+  t.worlds.(i) <-
+    (match t.worlds.(i) with [] -> [ pcb.pid ] | ws -> ws @ [ pcb.pid ])
 
 and start_pcb t pcb =
   match pcb.state with
@@ -934,7 +955,7 @@ and suspend : type a.
   match s with
   | S_cpu dt ->
     pcb.park <- Some (Park_other { cancel });
-    cpu_add t pcb.pid { remaining = dt; resume }
+    cpu_add t pcb.pid dt resume
   | S_recv tag -> pcb.park <- Some (Park_recv { tag; wake = resume; cancel })
   | S_recv_timeout (tag, timeout) ->
     let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
@@ -1379,6 +1400,8 @@ let random_bits ctx =
   | Some (L_random v) -> v
   | Some _ -> raise (Replay_divergence "expected random")
   | None ->
+    if pcb.rng == no_rng then
+      pcb.rng <- Rng.stream ~seed:ctx.engine.root_seed ~key:(Pid.to_int pcb.pid);
     let v = Rng.bits64 pcb.rng in
     log_push pcb (L_random v);
     v

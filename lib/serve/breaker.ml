@@ -27,7 +27,8 @@ let default = { bk_threshold = 3; bk_cooldown = 0.5 }
 let create (cfg : config) =
   if cfg.bk_threshold < 1 then
     invalid_arg "Breaker.create: threshold must be >= 1";
-  if cfg.bk_cooldown <= 0. then
+  (* Written so that a NaN cooldown fails it. *)
+  if not (cfg.bk_cooldown > 0.) then
     invalid_arg "Breaker.create: cooldown must be > 0";
   {
     threshold = cfg.bk_threshold;

@@ -67,38 +67,54 @@ let default ~lanes =
 
 type decision = Admit of { level : int } | Shed of { backlog : float }
 
-type t = {
-  cfg : config;
+(* The meter's floats, in an all-float record: OCaml stores it flat, so
+   updating a field stores a double instead of boxing a fresh one. *)
+type meter = {
   mutable outstanding : float;  (* estimated work-seconds not yet drained *)
   mutable last : float;  (* virtual time of the last decision *)
   mutable dec_arrivals : float;  (* decayed arrival count *)
   mutable dec_sheds : float;  (* decayed overload-shed count *)
-  levels : (string, int) Hashtbl.t;  (* class -> current rung *)
-  mutable transitions : int;
-  mutable overload_sheds : int;
   mutable peak_pressure : float;
 }
 
+type t = {
+  cfg : config;
+  m : meter;
+  (* The class table: [labels.(i)]'s current rung is [rungs.(i)], for
+     the [n_classes] classes seen so far, in order of first sight. *)
+  mutable labels : string array;
+  mutable rungs : int array;
+  mutable n_classes : int;
+  mutable transitions : int;
+  mutable overload_sheds : int;
+}
+
+(* Every float check is written so that NaN fails it. *)
 let create cfg =
   if cfg.dc_lanes < 1 then invalid_arg "Controller.create: lanes must be >= 1";
-  if cfg.dc_est_service <= 0. then
+  if not (cfg.dc_est_service > 0.) then
     invalid_arg "Controller.create: est_service must be > 0";
   if not (cfg.dc_latch_at < cfg.dc_seq_at && cfg.dc_seq_at < cfg.dc_shed_at)
   then invalid_arg "Controller.create: thresholds must increase up the ladder";
-  if cfg.dc_hysteresis < 0. || cfg.dc_hysteresis >= 1. then
+  if not (cfg.dc_hysteresis >= 0. && cfg.dc_hysteresis < 1.) then
     invalid_arg "Controller.create: hysteresis must be in [0, 1)";
-  if cfg.dc_window <= 0. then
+  if not (cfg.dc_window > 0.) then
     invalid_arg "Controller.create: window must be > 0";
   {
     cfg;
-    outstanding = 0.;
-    last = 0.;
-    dec_arrivals = 0.;
-    dec_sheds = 0.;
-    levels = Hashtbl.create 16;
+    m =
+      {
+        outstanding = 0.;
+        last = 0.;
+        dec_arrivals = 0.;
+        dec_sheds = 0.;
+        peak_pressure = 0.;
+      };
+    labels = [||];
+    rungs = [||];
+    n_classes = 0;
     transitions = 0;
     overload_sheds = 0;
-    peak_pressure = 0.;
   }
 
 let threshold cfg = function
@@ -110,32 +126,72 @@ let threshold cfg = function
    and decay the rate counters. Monotone [now] is the arrival stream's
    own guarantee. *)
 let advance t ~now =
-  let dt = now -. t.last in
+  let m = t.m in
+  let dt = now -. m.last in
   if dt > 0. then begin
-    t.outstanding <-
-      Float.max 0. (t.outstanding -. (dt *. float_of_int t.cfg.dc_lanes));
+    m.outstanding <-
+      Float.max 0. (m.outstanding -. (dt *. float_of_int t.cfg.dc_lanes));
     let decay = Float.exp (-.dt /. t.cfg.dc_window) in
-    t.dec_arrivals <- t.dec_arrivals *. decay;
-    t.dec_sheds <- t.dec_sheds *. decay;
-    t.last <- now
+    m.dec_arrivals <- m.dec_arrivals *. decay;
+    m.dec_sheds <- m.dec_sheds *. decay;
+    m.last <- now
   end
 
-let pressure t =
-  let backlog = t.outstanding /. float_of_int t.cfg.dc_lanes in
-  let shed_frac =
-    if t.dec_arrivals <= 0. then 0. else t.dec_sheds /. t.dec_arrivals
-  in
-  backlog *. (1. +. shed_frac)
+(* A class's slot in the table, or -1. Callers that build each label
+   once (the server does) hit on the physical pass; an equal string
+   built per arrival still resolves on the second. Top-level walks, so
+   a lookup allocates nothing. *)
+let rec find_same labels cls i n =
+  if i = n then -1
+  else if Array.unsafe_get labels i == cls then i
+  else find_same labels cls (i + 1) n
+
+let rec find_equal labels cls i n =
+  if i = n then -1
+  else if String.equal (Array.unsafe_get labels i) cls then i
+  else find_equal labels cls (i + 1) n
+
+let find t cls =
+  let i = find_same t.labels cls 0 t.n_classes in
+  if i >= 0 then i else find_equal t.labels cls 0 t.n_classes
+
+(* The slot of [cls], appended at rung 0 on first sight. *)
+let slot t cls =
+  let i = find t cls in
+  if i >= 0 then i
+  else begin
+    let n = t.n_classes in
+    if n = Array.length t.labels then begin
+      let cap = max 16 (2 * n) in
+      let labels = Array.make cap "" and rungs = Array.make cap 0 in
+      Array.blit t.labels 0 labels 0 n;
+      Array.blit t.rungs 0 rungs 0 n;
+      t.labels <- labels;
+      t.rungs <- rungs
+    end;
+    t.labels.(n) <- cls;
+    t.n_classes <- n + 1;
+    n
+  end
+
+(* Shared answers for the admitted rungs, so an admission allocates no
+   decision. *)
+let admits = [| Admit { level = 0 }; Admit { level = 1 }; Admit { level = 2 } |]
 
 let decide t ~cls ~now ~work =
   if not t.cfg.dc_enabled then Admit { level = 0 }
   else begin
     advance t ~now;
-    let p = pressure t in
-    if p > t.peak_pressure then t.peak_pressure <- p;
-    let current =
-      match Hashtbl.find_opt t.levels cls with Some l -> l | None -> 0
+    let m = t.m in
+    let lanes = float_of_int t.cfg.dc_lanes in
+    let backlog = m.outstanding /. lanes in
+    let shed_frac =
+      if m.dec_arrivals <= 0. then 0. else m.dec_sheds /. m.dec_arrivals
     in
+    let p = backlog *. (1. +. shed_frac) in
+    if p > m.peak_pressure then m.peak_pressure <- p;
+    let i = slot t cls in
+    let current = t.rungs.(i) in
     let next =
       if current < 3 && p >= threshold t.cfg current then current + 1
       else if
@@ -145,28 +201,29 @@ let decide t ~cls ~now ~work =
       else current
     in
     if next <> current then begin
-      Hashtbl.replace t.levels cls next;
+      t.rungs.(i) <- next;
       t.transitions <- t.transitions + 1
     end;
     let effective =
       if t.cfg.dc_shed_only && next > 0 then 3 else next
     in
-    t.dec_arrivals <- t.dec_arrivals +. 1.;
+    m.dec_arrivals <- m.dec_arrivals +. 1.;
     if effective >= 3 then begin
       (* Sheds deposit nothing: refused work never occupies a lane. *)
-      t.dec_sheds <- t.dec_sheds +. 1.;
+      m.dec_sheds <- m.dec_sheds +. 1.;
       t.overload_sheds <- t.overload_sheds + 1;
-      Shed { backlog = t.outstanding /. float_of_int t.cfg.dc_lanes }
+      Shed { backlog = m.outstanding /. lanes }
     end
     else begin
-      t.outstanding <- t.outstanding +. (t.cfg.dc_est_service *. work);
-      Admit { level = effective }
+      m.outstanding <- m.outstanding +. (t.cfg.dc_est_service *. work);
+      admits.(effective)
     end
   end
 
 let level t ~cls =
-  match Hashtbl.find_opt t.levels cls with Some l -> l | None -> 0
+  let i = find t cls in
+  if i >= 0 then t.rungs.(i) else 0
 
 let transitions t = t.transitions
 let overload_sheds t = t.overload_sheds
-let peak_pressure t = t.peak_pressure
+let peak_pressure t = t.m.peak_pressure

@@ -15,10 +15,14 @@
    small under intermittent load; under sustained saturation [steps]
    grows but the arithmetic stays two operations from exact inputs. *)
 
+(* [base] sits alone in an all-float record, which OCaml stores flat:
+   re-anchoring it stores a double instead of boxing a fresh float. *)
+type anchor = { mutable base : float }
+
 type t = {
   rate : float;
   burst : int;
-  mutable base : float;
+  a : anchor;
   mutable steps : int;
   mutable admits : int;
 }
@@ -26,15 +30,15 @@ type t = {
 let create ~rate ~burst =
   if not (rate > 0.) then invalid_arg "Quota.create: rate must be > 0";
   if burst < 1 then invalid_arg "Quota.create: burst must be >= 1";
-  { rate; burst; base = 0.; steps = 0; admits = 0 }
+  { rate; burst; a = { base = 0. }; steps = 0; admits = 0 }
 
 let conforming t ~now =
-  (now -. t.base) *. t.rate >= float_of_int (t.steps - t.burst + 1)
+  (now -. t.a.base) *. t.rate >= float_of_int (t.steps - t.burst + 1)
 
 let charge t ~now =
-  let tat = t.base +. (float_of_int t.steps /. t.rate) in
+  let tat = t.a.base +. (float_of_int t.steps /. t.rate) in
   if now > tat then begin
-    t.base <- now;
+    t.a.base <- now;
     t.steps <- 1
   end
   else t.steps <- t.steps + 1;
@@ -53,9 +57,21 @@ let admit t ~now =
    denied by its tenant bucket must not burn a token from the global
    one, or shed traffic would push every other tenant's refill schedule
    around. *)
+let rec all_conform buckets ~now =
+  match buckets with
+  | [] -> true
+  | t :: rest -> conforming t ~now && all_conform rest ~now
+
+let rec charge_all buckets ~now =
+  match buckets with
+  | [] -> ()
+  | t :: rest ->
+      charge t ~now;
+      charge_all rest ~now
+
 let admit_all buckets ~now =
-  if List.for_all (fun t -> conforming t ~now) buckets then begin
-    List.iter (fun t -> charge t ~now) buckets;
+  if all_conform buckets ~now then begin
+    charge_all buckets ~now;
     true
   end
   else false
@@ -63,6 +79,6 @@ let admit_all buckets ~now =
 let admitted t = t.admits
 
 let tokens t ~now =
-  let avail = ((now -. t.base) *. t.rate) -. float_of_int t.steps
+  let avail = ((now -. t.a.base) *. t.rate) -. float_of_int t.steps
               +. float_of_int t.burst in
   Float.max 0. (Float.min (float_of_int t.burst) avail)

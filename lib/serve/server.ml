@@ -148,16 +148,29 @@ let rec min_tokens acc ~now = function
   | [] -> acc
   | q :: rest -> min_tokens (Float.min acc (Quota.tokens q ~now)) ~now rest
 
+(* The first position of [name] in [names], where [first.(i)] is the
+   first position of [names.(i)]. {!Workload.iter} hands out the very
+   strings of [wl_scenarios], so the physical pass finds every arrival's
+   scenario without comparing a byte. *)
+let rec find_same names name i =
+  if i = Array.length names then -1
+  else if Array.unsafe_get names i == name then i
+  else find_same names name (i + 1)
+
+let rec find_equal names name i =
+  if String.equal names.(i) name then i else find_equal names name (i + 1)
+
+let scenario_index names first name =
+  let i = find_same names name 0 in
+  if i >= 0 then first.(i) else find_equal names name 0
+
 (* Plan the whole stream: refusals go straight into [responses] (indexed
    by [rq_id]); admitted requests come back in the closed batches. *)
 let plan (wl : Workload.config) (sv : config) (responses : response array) =
   (* Classes are (scenario, policy), the scenario by its first position
      in [wl_scenarios]. Their controller labels are built here, once. *)
   let names = Array.of_list wl.Workload.wl_scenarios in
-  let scenario_index name =
-    let rec go i = if String.equal names.(i) name then i else go (i + 1) in
-    go 0
-  in
+  let first = Array.map (fun name -> find_equal names name 0) names in
   let policies = wl.Workload.wl_policies in
   let labels =
     Array.init (Array.length names * policies) (fun c ->
@@ -184,6 +197,13 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
           Quota.create ~rate:sv.sv_scenario_rate ~burst:sv.sv_scenario_burst
           :: global)
       names
+  in
+  (* Every (tenant, scenario) pair's bucket list, built once, so an
+     arrival conses nothing to be checked. *)
+  let n_names = Array.length names in
+  let buckets_of =
+    Array.init (wl.Workload.wl_tenants * n_names) (fun i ->
+        tenant_quotas.(i / n_names) :: wider.(i mod n_names))
   in
   let ladder = Controller.create sv.sv_ladder in
   (* Open batches in open order: [front], then [back] newest first. A
@@ -247,10 +267,8 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
   Workload.iter wl (fun (rq : Workload.request) ->
       let now = rq.Workload.rq_arrival in
       expire now;
-      let scenario = scenario_index rq.Workload.rq_scenario in
-      let buckets =
-        tenant_quotas.(rq.Workload.rq_tenant) :: wider.(scenario)
-      in
+      let scenario = scenario_index names first rq.Workload.rq_scenario in
+      let buckets = buckets_of.((rq.Workload.rq_tenant * n_names) + scenario) in
       if not (Quota.admit_all buckets ~now) then
         refuse rq (Quota_exhausted { tokens = min_tokens infinity ~now buckets })
       else begin
@@ -331,10 +349,11 @@ let resolve_scenario name =
   | Some sc -> sc
   | None -> invalid_arg (Printf.sprintf "Server.run: unknown scenario %S" name)
 
+let policy_table = Array.of_list Invariants.policy_matrix
+
 let resolve_policy idx =
-  match List.nth_opt Invariants.policy_matrix idx with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Server.run: policy index %d" idx)
+  if idx >= 0 && idx < Array.length policy_table then policy_table.(idx)
+  else invalid_arg (Printf.sprintf "Server.run: policy index %d" idx)
 
 (* The serving layer's static exclusivity registry: scenarios whose
    alternatives are provably mutually exclusive by construction, the
@@ -351,6 +370,13 @@ let proven_exclusive = function "guarded" | "all-fail" -> true | _ -> false
    altcheck sites campaigns: voters spread across all five, coordinators
    placed per epoch. *)
 let fault_sites = [ "s0"; "s1"; "s2"; "s3"; "s4" ]
+let fault_site_names = Array.of_list fault_sites
+
+let rec fault_site_index name i =
+  if i = Array.length fault_site_names then
+    invalid_arg ("Server: unknown fault site " ^ name)
+  else if String.equal fault_site_names.(i) name then i
+  else fault_site_index name (i + 1)
 
 (* The per-batch chaos campaign, derived from the batch id alone (the
    plan seed mixes in the fault seed): a third of the batches lose the
@@ -406,13 +432,19 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
         Faultplan.install ~sites plan engine;
         Some sites
   in
-  let breakers = Hashtbl.create 8 in
+  (* One breaker per fault site, made on first use; only a faulted
+     batch has sites. *)
+  let breakers =
+    Array.make (if Option.is_some sites then Array.length fault_site_names else 0)
+      None
+  in
   let breaker site =
-    match Hashtbl.find_opt breakers site with
+    let i = fault_site_index site 0 in
+    match breakers.(i) with
     | Some b -> b
     | None ->
         let b = Breaker.create sv.sv_breaker in
-        Hashtbl.add breakers site b;
+        breakers.(i) <- Some b;
         b
   in
   let sanitizer = if sv.sv_sanitize then Some (Sanitizer.attach engine) else None in
@@ -638,12 +670,9 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
           ~seed:cb.cb_id
   in
   let opens =
-    List.fold_left
-      (fun acc site ->
-        match Hashtbl.find_opt breakers site with
-        | Some b -> acc + Breaker.opens b
-        | None -> acc)
-      0 fault_sites
+    Array.fold_left
+      (fun acc b -> match b with Some b -> acc + Breaker.opens b | None -> acc)
+      0 breakers
   in
   (results, sz_viols, opens)
 

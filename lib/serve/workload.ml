@@ -33,30 +33,6 @@ let default =
     wl_policies = 8;
   }
 
-(* Zipf sampling by inversion over the precomputed CDF: tenant k gets
-   weight (k+1)^-s. The table is built once per [generate]; requests
-   then cost one uniform draw and a binary search. *)
-let zipf_cdf ~tenants ~s =
-  let w = Array.init tenants (fun k -> (float_of_int (k + 1)) ** -.s) in
-  let total = Array.fold_left ( +. ) 0. w in
-  let cdf = Array.make tenants 0. in
-  let acc = ref 0. in
-  for k = 0 to tenants - 1 do
-    acc := !acc +. (w.(k) /. total);
-    cdf.(k) <- !acc
-  done;
-  cdf.(tenants - 1) <- 1.;
-  cdf
-
-let zipf_pick cdf u =
-  let n = Array.length cdf in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if u <= cdf.(mid) then hi := mid else lo := mid + 1
-  done;
-  !lo
-
 (* Bounded Pareto via inverse transform: heavy-tailed service demand
    without unbounded outliers that would make a smoke run open-ended. *)
 let pareto rng ~shape ~cap =
@@ -78,7 +54,9 @@ let validate c =
 let iter c f =
   validate c;
   let rng = Rng.create ~seed:c.wl_seed in
-  let cdf = zipf_cdf ~tenants:c.wl_tenants ~s:c.wl_zipf in
+  (* Zipf tenants by inversion: the table is built once per stream, and
+     a request costs one uniform draw and a guided lookup. *)
+  let zipf = Zipf.table ~tenants:c.wl_tenants ~s:c.wl_zipf in
   let scenarios = Array.of_list c.wl_scenarios in
   let mean = 1. /. c.wl_rate in
   let clock = ref 0. in
@@ -86,7 +64,7 @@ let iter c f =
     (* One fixed draw order per request — interarrival, tenant,
        scenario, policy, seed, work — so the stream replays exactly. *)
     clock := !clock +. Rng.exponential rng ~mean;
-    let tenant = zipf_pick cdf (Rng.float rng 1.) in
+    let tenant = Zipf.pick zipf (Rng.float rng 1.) in
     let scenario = scenarios.(Rng.int rng (Array.length scenarios)) in
     let policy = Rng.int rng c.wl_policies in
     let seed = 1 + Rng.int rng 9973 in

@@ -148,6 +148,207 @@ let test_controller_shed_only_is_all_or_nothing () =
   check Alcotest.bool "baseline answers no more than the ladder" true
     (Controller.overload_sheds b > 0)
 
+(* A NaN field used to pass [create]'s checks, each written as "reject
+   when out of range", which NaN never is. A NaN window or estimate then
+   left an overloaded controller shedding nothing: one lane, one arrival
+   of work 5 per millisecond, 20,000 decisions, 0 sheds where the
+   default config sheds 19,978. One case per field. *)
+let controller_rejects_nan field cfg msg () =
+  Alcotest.check_raises (field ^ " = nan")
+    (Invalid_argument ("Controller.create: " ^ msg))
+    (fun () -> ignore (Controller.create cfg))
+
+let test_controller_nan_est_service =
+  controller_rejects_nan "est_service"
+    { ladder_cfg with Controller.dc_est_service = nan }
+    "est_service must be > 0"
+
+let test_controller_nan_hysteresis =
+  controller_rejects_nan "hysteresis"
+    { ladder_cfg with Controller.dc_hysteresis = nan }
+    "hysteresis must be in [0, 1)"
+
+let test_controller_nan_window =
+  controller_rejects_nan "window"
+    { ladder_cfg with Controller.dc_window = nan }
+    "window must be > 0"
+
+(* The parent's controller, kept here as the reference for the class
+   table: a [Hashtbl] from class label to rung, the meter in mutable
+   fields. Same arithmetic in the same order. *)
+module Ref_controller = struct
+  open Controller
+
+  type t = {
+    cfg : config;
+    mutable outstanding : float;
+    mutable last : float;
+    mutable dec_arrivals : float;
+    mutable dec_sheds : float;
+    levels : (string, int) Hashtbl.t;
+    mutable transitions : int;
+    mutable overload_sheds : int;
+    mutable peak_pressure : float;
+  }
+
+  let create cfg =
+    {
+      cfg;
+      outstanding = 0.;
+      last = 0.;
+      dec_arrivals = 0.;
+      dec_sheds = 0.;
+      levels = Hashtbl.create 16;
+      transitions = 0;
+      overload_sheds = 0;
+      peak_pressure = 0.;
+    }
+
+  let threshold cfg = function
+    | 0 -> cfg.dc_latch_at
+    | 1 -> cfg.dc_seq_at
+    | _ -> cfg.dc_shed_at
+
+  let advance t ~now =
+    let dt = now -. t.last in
+    if dt > 0. then begin
+      t.outstanding <-
+        Float.max 0. (t.outstanding -. (dt *. float_of_int t.cfg.dc_lanes));
+      let decay = Float.exp (-.dt /. t.cfg.dc_window) in
+      t.dec_arrivals <- t.dec_arrivals *. decay;
+      t.dec_sheds <- t.dec_sheds *. decay;
+      t.last <- now
+    end
+
+  let pressure t =
+    let backlog = t.outstanding /. float_of_int t.cfg.dc_lanes in
+    let shed_frac =
+      if t.dec_arrivals <= 0. then 0. else t.dec_sheds /. t.dec_arrivals
+    in
+    backlog *. (1. +. shed_frac)
+
+  let decide t ~cls ~now ~work =
+    if not t.cfg.dc_enabled then Admit { level = 0 }
+    else begin
+      advance t ~now;
+      let p = pressure t in
+      if p > t.peak_pressure then t.peak_pressure <- p;
+      let current =
+        match Hashtbl.find_opt t.levels cls with Some l -> l | None -> 0
+      in
+      let next =
+        if current < 3 && p >= threshold t.cfg current then current + 1
+        else if
+          current > 0
+          && p <= threshold t.cfg (current - 1) *. (1. -. t.cfg.dc_hysteresis)
+        then current - 1
+        else current
+      in
+      if next <> current then begin
+        Hashtbl.replace t.levels cls next;
+        t.transitions <- t.transitions + 1
+      end;
+      let effective = if t.cfg.dc_shed_only && next > 0 then 3 else next in
+      t.dec_arrivals <- t.dec_arrivals +. 1.;
+      if effective >= 3 then begin
+        t.dec_sheds <- t.dec_sheds +. 1.;
+        t.overload_sheds <- t.overload_sheds + 1;
+        Shed { backlog = t.outstanding /. float_of_int t.cfg.dc_lanes }
+      end
+      else begin
+        t.outstanding <- t.outstanding +. (t.cfg.dc_est_service *. work);
+        Admit { level = effective }
+      end
+    end
+
+  let level t ~cls =
+    match Hashtbl.find_opt t.levels cls with Some l -> l | None -> 0
+end
+
+let same_decision a b =
+  match (a, b) with
+  | Controller.Admit { level = x }, Controller.Admit { level = y } -> x = y
+  | Controller.Shed { backlog = x }, Controller.Shed { backlog = y } ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+(* Class labels as a server builds them, once, and shared by physical
+   identity; the stream also passes fresh strings equal to them, and
+   labels of classes first seen late. *)
+let shared_labels =
+  Array.init 12 (fun c -> Printf.sprintf "sc%d/%d" (c / 4) (c mod 4))
+
+let gen_decisions =
+  QCheck.Gen.(
+    list_size (int_range 0 400)
+      (triple
+         (pair (int_range 0 11) (int_range 0 3))
+         (frequency [ (3, return 0.); (2, float_bound_inclusive 0.05);
+                      (1, float_bound_inclusive 2.) ])
+         (float_range 0.5 20.)))
+
+let gen_ladder_cfg =
+  QCheck.Gen.(
+    map
+      (fun (((lanes, est), (window, hyst)), shed_only) ->
+        {
+          (Controller.default ~lanes) with
+          Controller.dc_enabled = true;
+          dc_shed_only = shed_only;
+          dc_est_service = est;
+          dc_window = window;
+          dc_hysteresis = hyst;
+        })
+      (pair
+         (pair
+            (pair (int_range 1 4) (float_range 0.01 1.))
+            (pair (float_range 0.01 5.) (float_range 0. 0.9)))
+         (frequency [ (4, return false); (1, return true) ])))
+
+let prop_class_table_matches_hashtbl =
+  QCheck.Test.make
+    ~name:"class table matches the Hashtbl controller, shared or fresh labels"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (_, ds) -> Printf.sprintf "%d decisions" (List.length ds))
+       QCheck.Gen.(pair gen_ladder_cfg gen_decisions))
+    (fun (cfg, ds) ->
+      let t = Controller.create cfg and r = Ref_controller.create cfg in
+      let now = ref 0. in
+      let agree =
+        List.for_all
+          (fun ((c, how), dt, work) ->
+            now := !now +. dt;
+            let shared = shared_labels.(c) in
+            (* 0, 1: the shared string; 2: a fresh equal copy; 3: a fresh
+               copy of a label no shared string has. *)
+            let cls =
+              match how with
+              | 0 | 1 -> shared
+              | 2 -> Bytes.to_string (Bytes.of_string shared)
+              | _ -> Printf.sprintf "late/%d" c
+            in
+            same_decision
+              (Controller.decide t ~cls ~now:!now ~work)
+              (Ref_controller.decide r ~cls ~now:!now ~work))
+          ds
+      in
+      let labels =
+        Array.to_list shared_labels
+        @ List.init 12 (fun c -> Printf.sprintf "late/%d" c)
+        @ [ "never seen" ]
+      in
+      agree
+      && List.for_all
+           (fun cls ->
+             Controller.level t ~cls = Ref_controller.level r ~cls)
+           labels
+      && Controller.transitions t = r.Ref_controller.transitions
+      && Controller.overload_sheds t = r.Ref_controller.overload_sheds
+      && Int64.equal
+           (Int64.bits_of_float (Controller.peak_pressure t))
+           (Int64.bits_of_float r.Ref_controller.peak_pressure))
+
 (* ------------------------------------------------------------------ *)
 (* Breaker: closed -> open -> half-open -> closed, in virtual time.    *)
 
@@ -177,6 +378,13 @@ let test_breaker_lifecycle () =
   Breaker.record_success b;
   check Alcotest.bool "probe success closes" true
     (Breaker.state b = Breaker.Closed)
+
+(* A NaN cooldown used to pass [create]; an opened breaker then never
+   half-opened ([allow] at t = 1e9 was still [false]). *)
+let test_breaker_nan_cooldown () =
+  Alcotest.check_raises "cooldown = nan"
+    (Invalid_argument "Breaker.create: cooldown must be > 0") (fun () ->
+      ignore (Breaker.create { Breaker.bk_threshold = 3; bk_cooldown = nan }))
 
 let test_breaker_halfopen_failure_reopens () =
   let b = Breaker.create { Breaker.bk_threshold = 1; bk_cooldown = 0.5 } in
@@ -388,6 +596,13 @@ let () =
             test_controller_sheds_deposit_nothing;
           Alcotest.test_case "shed-only baseline is all-or-nothing" `Quick
             test_controller_shed_only_is_all_or_nothing;
+          Alcotest.test_case "NaN est_service is rejected" `Quick
+            test_controller_nan_est_service;
+          Alcotest.test_case "NaN hysteresis is rejected" `Quick
+            test_controller_nan_hysteresis;
+          Alcotest.test_case "NaN window is rejected" `Quick
+            test_controller_nan_window;
+          QCheck_alcotest.to_alcotest prop_class_table_matches_hashtbl;
         ] );
       ( "breaker",
         [
@@ -395,6 +610,8 @@ let () =
             test_breaker_lifecycle;
           Alcotest.test_case "half-open failure reopens" `Quick
             test_breaker_halfopen_failure_reopens;
+          Alcotest.test_case "NaN cooldown is rejected" `Quick
+            test_breaker_nan_cooldown;
         ] );
       ( "ladder",
         [

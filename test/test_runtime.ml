@@ -315,6 +315,122 @@ let test_cpu_excess_cores () =
   let _, f = run_workers (Engine.Cores 8) [ 1.; 1. ] in
   Array.iter (fun t -> check cf "no contention" 1. t) f
 
+(* Bit-exact pin of the processor-sharing scheduler. Serving runs on
+   [Infinite] cores, so no digest covers finite ones: this table records
+   every completion time (%h) and every pid's [cpu_time_of] under three
+   core counts, through overlapping delays, a pid delaying again after
+   its first slice, a kill in the middle of a slice, and a sender whose
+   two same-instant sends straddle that kill. A reschedule pushes one
+   tick event even when the tick time is unchanged; skipping it would let
+   the second send join the first's delivery batch and move
+   [stats_events_processed]. *)
+let cpu_schedule_table cores =
+  let eng = mk ~cores () in
+  let log = Buffer.create 256 in
+  let note fmt = Printf.bprintf log fmt in
+  let worker name ?(start_delay = 0.) works =
+    Engine.spawn eng ~start_delay (fun ctx ->
+        List.iter
+          (fun w ->
+            Engine.delay ctx w;
+            note "%s %h\n" name (Engine.now_v ctx))
+          works)
+  in
+  let a = worker "a" [ 1.0; 0.3 ] in
+  let b = worker "b" ~start_delay:0.25 [ 0.7 ] in
+  let victim = worker "victim" [ 2.0 ] in
+  let c = worker "c" [ 0.1; 0.1; 0.1; 1. /. 3. ] in
+  let d = worker "d" ~start_delay:0.5 [ 0.45 ] in
+  let recv =
+    Engine.spawn eng (fun ctx ->
+        for _ = 1 to 2 do
+          let m = Engine.receive ctx () in
+          note "recv %d %h\n" (Payload.get_int m.Message.payload)
+            (Engine.now_v ctx)
+        done)
+  in
+  let sender =
+    Engine.spawn eng ~start_delay:0.6 (fun ctx ->
+        Engine.send ctx recv (Payload.int 1);
+        Engine.kill eng victim ~reason:"mid-slice";
+        Engine.send ctx recv (Payload.int 2))
+  in
+  Engine.run eng;
+  List.iter
+    (fun (name, pid) -> note "cpu %s %h\n" name (Engine.cpu_time_of eng pid))
+    [ ("a", a); ("b", b); ("victim", victim); ("c", c); ("d", d);
+      ("recv", recv); ("sender", sender) ];
+  note "total %h now %h events %d\n" (Engine.total_cpu_time eng)
+    (Engine.now eng) (Engine.stats_events_processed eng);
+  Buffer.contents log
+
+let test_cpu_schedule_pinned () =
+  List.iter
+    (fun (label, cores, expected) ->
+      check Alcotest.string label expected (cpu_schedule_table cores))
+    [
+      ( "cores 1",
+        Engine.Cores 1,
+        "c 0x1.4444444444445p-2\n" ^
+        "recv 1 0x1.3333333333333p-1\n" ^
+        "recv 2 0x1.3333333333333p-1\n" ^
+        "c 0x1.792c5f92c5f93p-1\n" ^
+        "c 0x1.22fc962fc963p+0\n" ^
+        "d 0x1.28f5c28f5c28fp+1\n" ^
+        "c 0x1.375c28f5c28f6p+1\n" ^
+        "b 0x1.5dc28f5c28f5cp+1\n" ^
+        "a 0x1.797e4b17e4b18p+1\n" ^
+        "a 0x1.9fe4b17e4b17ep+1\n" ^
+        "cpu a 0x1.4ccccccccccccp+0\n" ^
+        "cpu b 0x1.6666666666666p-1\n" ^
+        "cpu victim 0x1.53a06d3a06d39p-3\n" ^
+        "cpu c 0x1.4444444444444p-1\n" ^
+        "cpu d 0x1.cccccccccccccp-2\n" ^
+        "cpu recv 0x0p+0\n" ^
+        "cpu sender 0x0p+0\n" ^
+        "total 0x1.9fe4b17e4b17ep+1 now 0x1.9fe4b17e4b17ep+1 events 17\n" );
+      ( "cores 2",
+        Engine.Cores 2,
+        "c 0x1.3333333333334p-3\n" ^
+        "c 0x1.4444444444445p-2\n" ^
+        "c 0x1.0aaaaaaaaaaabp-1\n" ^
+        "recv 1 0x1.3333333333333p-1\n" ^
+        "recv 2 0x1.3333333333333p-1\n" ^
+        "c 0x1.340da740da741p+0\n" ^
+        "d 0x1.5da740da740dbp+0\n" ^
+        "b 0x1.7da740da740dbp+0\n" ^
+        "a 0x1.9fc962fc962fdp+0\n" ^
+        "a 0x1.ec962fc962fcap+0\n" ^
+        "cpu a 0x1.4cccccccccccdp+0\n" ^
+        "cpu b 0x1.6666666666667p-1\n" ^
+        "cpu victim 0x1.53a06d3a06d39p-2\n" ^
+        "cpu c 0x1.4444444444444p-1\n" ^
+        "cpu d 0x1.ccccccccccccep-2\n" ^
+        "cpu recv 0x0p+0\n" ^
+        "cpu sender 0x0p+0\n" ^
+        "total 0x1.b51eb851eb852p+1 now 0x1.ec962fc962fcap+0 events 17\n" );
+      ( "infinite",
+        Engine.Infinite,
+        "c 0x1.999999999999ap-4\n" ^
+        "c 0x1.999999999999ap-3\n" ^
+        "c 0x1.3333333333334p-2\n" ^
+        "recv 1 0x1.3333333333333p-1\n" ^
+        "recv 2 0x1.3333333333333p-1\n" ^
+        "c 0x1.4444444444444p-1\n" ^
+        "b 0x1.e666666666666p-1\n" ^
+        "d 0x1.e666666666666p-1\n" ^
+        "a 0x1p+0\n" ^
+        "a 0x1.4cccccccccccdp+0\n" ^
+        "cpu a 0x1.4cccccccccccdp+0\n" ^
+        "cpu b 0x1.6666666666666p-1\n" ^
+        "cpu victim 0x1.3333333333333p-1\n" ^
+        "cpu c 0x1.4444444444444p-1\n" ^
+        "cpu d 0x1.cccccccccccccp-2\n" ^
+        "cpu recv 0x0p+0\n" ^
+        "cpu sender 0x0p+0\n" ^
+        "total 0x1.d777777777778p+1 now 0x1.4cccccccccccdp+0 events 16\n" );
+    ]
+
 (* ---------------- IPC ---------------- *)
 
 let test_send_receive_payload () =
@@ -974,6 +1090,8 @@ let () =
           Alcotest.test_case "unequal work" `Quick test_cpu_unequal_work;
           Alcotest.test_case "cpu accounting" `Quick test_cpu_time_accounting;
           Alcotest.test_case "excess cores" `Quick test_cpu_excess_cores;
+          Alcotest.test_case "schedule pinned bit-exactly" `Quick
+            test_cpu_schedule_pinned;
         ] );
       ( "ipc",
         [

@@ -121,6 +121,110 @@ let test_quota_burst_and_refusal () =
      token is back, regardless of how many refusals happened. *)
   check Alcotest.bool "refill after shed burst" true (Quota.admit q ~now:0.1)
 
+(* The guided Zipf pick is the binary search, answer for answer. *)
+let zipf_shapes =
+  List.concat_map
+    (fun tenants -> List.map (fun s -> (tenants, s)) [ 0.; 1.1; 3. ])
+    [ 1; 2; 100; 1000 ]
+
+let test_zipf_pick_boundaries () =
+  let below_one u = u >= 0. && u < 1. in
+  List.iter
+    (fun (tenants, s) ->
+      let cdf = Zipf.cdf ~tenants ~s and t = Zipf.table ~tenants ~s in
+      let probe u =
+        if below_one u then
+          check Alcotest.int
+            (Printf.sprintf "tenants %d, s %g, u %h" tenants s u)
+            (Zipf.search cdf u) (Zipf.pick t u)
+      in
+      let around u = List.iter probe [ Float.pred u; u; Float.succ u ] in
+      for b = 0 to Zipf.buckets do
+        around (float_of_int b /. float_of_int Zipf.buckets)
+      done;
+      Array.iter around cdf;
+      probe (Float.pred 1.);
+      probe 0.)
+    ((100, -1000.) :: zipf_shapes)
+
+let prop_zipf_pick_matches_search =
+  QCheck.Test.make ~name:"guided Zipf pick matches the binary search"
+    ~count:2000
+    QCheck.(pair (int_range 0 (List.length zipf_shapes - 1)) (float_bound_exclusive 1.))
+    (fun (shape, u) ->
+      let tenants, s = List.nth zipf_shapes shape in
+      Zipf.pick (Zipf.table ~tenants ~s) u = Zipf.search (Zipf.cdf ~tenants ~s) u)
+
+(* [Quota.admit_all] against the parent's GCRA with its [List.for_all]
+   check and [List.iter] charge, on random streams over random subsets
+   (repeats included) of a few buckets. *)
+module Ref_quota = struct
+  type t = {
+    rate : float;
+    burst : int;
+    mutable base : float;
+    mutable steps : int;
+    mutable admits : int;
+  }
+
+  let create ~rate ~burst = { rate; burst; base = 0.; steps = 0; admits = 0 }
+
+  let conforming t ~now =
+    (now -. t.base) *. t.rate >= float_of_int (t.steps - t.burst + 1)
+
+  let charge t ~now =
+    let tat = t.base +. (float_of_int t.steps /. t.rate) in
+    if now > tat then begin
+      t.base <- now;
+      t.steps <- 1
+    end
+    else t.steps <- t.steps + 1;
+    t.admits <- t.admits + 1
+
+  let admit_all buckets ~now =
+    if List.for_all (fun t -> conforming t ~now) buckets then begin
+      List.iter (fun t -> charge t ~now) buckets;
+      true
+    end
+    else false
+
+  let tokens t ~now =
+    let avail =
+      ((now -. t.base) *. t.rate) -. float_of_int t.steps +. float_of_int t.burst
+    in
+    Float.max 0. (Float.min (float_of_int t.burst) avail)
+end
+
+let prop_admit_all_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 4) (pair (float_range 0.5 50.) (int_range 1 4)))
+        (list_size (int_range 0 300)
+           (pair (float_bound_inclusive 0.2) (list_size (int_range 0 4) (int_range 0 3)))))
+  in
+  QCheck.Test.make ~name:"admit_all matches a for_all/iter reference" ~count:300
+    (QCheck.make gen) (fun (specs, steps) ->
+      let qs = List.map (fun (rate, burst) -> Quota.create ~rate ~burst) specs in
+      let rs = List.map (fun (rate, burst) -> Ref_quota.create ~rate ~burst) specs in
+      let qa = Array.of_list qs and ra = Array.of_list rs in
+      let n = Array.length qa in
+      let now = ref 0. in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun (dt, picks) ->
+          now := !now +. dt;
+          let now = !now in
+          let picks = List.map (fun i -> i mod n) picks in
+          Quota.admit_all (List.map (fun i -> qa.(i)) picks) ~now
+          = Ref_quota.admit_all (List.map (fun i -> ra.(i)) picks) ~now
+          && List.for_all2
+               (fun q r ->
+                 Quota.admitted q = r.Ref_quota.admits
+                 && Int64.equal (bits (Quota.tokens q ~now)) (bits (Ref_quota.tokens r ~now)))
+               qs rs)
+        steps)
+
 (* Composed quota classes (tenant x scenario x global): a request is
    admitted only when every class conforms, and a composite shed
    charges none of them — the all-or-nothing contract admission relies
@@ -518,6 +622,9 @@ let () =
             test_workload_deterministic;
           Alcotest.test_case "iter yields the pinned stream" `Quick
             test_workload_stream_pinned;
+          Alcotest.test_case "guided Zipf pick at every boundary" `Quick
+            test_zipf_pick_boundaries;
+          QCheck_alcotest.to_alcotest prop_zipf_pick_matches_search;
         ] );
       ( "quota",
         [
@@ -529,6 +636,7 @@ let () =
             test_quota_classes_all_or_nothing;
           Alcotest.test_case "composed classes: no drift across 10^6" `Quick
             test_quota_classes_no_drift_over_1e6;
+          QCheck_alcotest.to_alcotest prop_admit_all_matches_reference;
         ] );
       ( "shed path",
         [
