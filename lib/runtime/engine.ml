@@ -26,16 +26,6 @@ type proc_state =
   | Suspended
   | Dead of exit_status
 
-(* What [kill] needs of every parked process (its [cancel]) and, for a
-   blocked receive only, what [rescan_parked] needs to hand it a message. *)
-type park =
-  | Park_recv of {
-      tag : string option;
-      wake : Message.t -> unit;
-      cancel : string -> unit;
-    }
-  | Park_other of { cancel : string -> unit }
-
 (* A write-once cell; [waiters] resume the processes parked on it. *)
 type 'a ivar = { mutable value : 'a option; mutable waiters : ('a -> unit) list }
 
@@ -46,7 +36,7 @@ type pcb = {
   name : string;
   body : ctx -> unit;
   mutable state : proc_state;
-  mutable park : park option;
+  mutable park : park;
   mutable predicate : Predicate.t;
   space : Address_space.t option;
   mutable mailbox : Mailbox.t;  (* ring of messages, arrival order *)
@@ -70,6 +60,21 @@ type pcb = {
          draw ([no_rng] until then); being a pure function of (seed,
          pid), it draws the same whenever it is made. *)
 }
+
+(* How a process is parked. A CPU park is the process and its
+   continuation: [kill] discontinues [k], and a finished slice continues
+   it only while [pcb.park] is still physically that value (the one-shot
+   guard). A blocked receive carries what [rescan_parked] needs to hand it
+   a message; it and an ivar park carry the [cancel] that [kill] calls. *)
+and park =
+  | No_park
+  | Park_cpu of { pcb : pcb; k : (unit, unit) Effect.Deep.continuation }
+  | Park_recv of {
+      tag : string option;
+      wake : Message.t -> unit;
+      cancel : string -> unit;
+    }
+  | Park_other of { cancel : string -> unit }
 
 and ctx = { engine : t; pcb : pcb }
 
@@ -139,17 +144,19 @@ and t = {
   trace_ : Trace.t;
   mutable cpu_pids : int array;
   mutable cpu_rem : floatarray;
-  mutable cpu_resume : (unit -> unit) array;
+  mutable cpu_park : park array;
       (* The [cpu_n] runnable CPU tasks, sorted by pid, so a tick's
          completions come out in pid order without a sort: task [i] is
          [cpu_pids.(i)], with [cpu_rem.(i)] seconds of demand left and
-         [cpu_resume.(i)] to call when they run out. Parallel arrays, so
-         charging a task stores a double instead of boxing one. *)
+         parked as [cpu_park.(i)], a [Park_cpu] to continue when they run
+         out. Parallel arrays, so charging a task stores a double instead
+         of boxing one. *)
   mutable cpu_n : int;
   mutable cpu_used : floatarray;  (* pid -> virtual CPU seconds consumed *)
   mutable cpu_last : float;
-  mutable cpu_tick : unit -> unit;  (* runs a tick; made once per engine *)
-  mutable cpu_tick_ev : event;  (* the pending tick, or [no_event] *)
+  mutable cpu_tick_ev : event;
+      (* runs a tick; made once per engine, and put in the queue's slot
+         while a tick is pending *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
   mutable events_processed : int;  (* also the batch-join epoch *)
   mutable live : int;
@@ -185,9 +192,8 @@ type _ Effect.t += E_suspend : 'a suspension -> 'a Effect.t
 
 let initial_pids = 16
 
-(* Sentinels: an event that never runs, and a generator never drawn
-   from (a pcb's stream before its first draw). *)
-let no_event = { dead_ev = true; run_ev = ignore }
+(* Sentinel: a generator never drawn from (a pcb's stream before its
+   first draw). *)
 let no_rng = Rng.create ~seed:0
 
 let set_message_fault t f = t.msg_fault <- f
@@ -231,9 +237,11 @@ let proc_state_string = function
 
 (* The float arithmetic here fixes every virtual timestamp, and so every
    digest: each task's remaining demand is charged [elapsed *. rate] at
-   every add, remove and tick, and a reschedule is one cancel plus one
-   push, even when the tick time is unchanged: that push moves
-   [Event_queue.stamp], which the batch-join rule reads.
+   every add, remove and tick. The pending tick lives in the event
+   queue's slot, never in its heap: a reschedule re-keys the slot (or
+   clears it when no task is left), and re-keying takes a fresh stamp even
+   when the tick time is unchanged, exactly as the push it replaces did,
+   because the batch-join rule reads [Event_queue.stamp].
    Nothing computed depends on the order of the loops over the tasks
    ([Float.min] is order-independent), except that the tasks completing
    at one tick resume in pid order. *)
@@ -259,32 +267,54 @@ let cpu_update t =
   end;
   t.cpu_last <- t.vnow
 
-(* Only the stored tick event can be live: every reschedule cancels it
-   before pushing the next, so a tick that runs is the current one. *)
-let rec cpu_reschedule t =
-  if t.cpu_tick_ev != no_event then begin
-    cancel_event t.cpu_tick_ev;
-    t.cpu_tick_ev <- no_event
-  end;
-  if t.cpu_n > 0 then begin
+let cpu_reschedule t =
+  if t.cpu_n = 0 then Event_queue.clear_slot t.queue
+  else begin
     let rate = cpu_rate t in
     let min_rem = ref infinity in
     for i = 0 to t.cpu_n - 1 do
       min_rem := Float.min !min_rem (Float.max 0. (Float.Array.get t.cpu_rem i))
     done;
     let at = t.vnow +. (!min_rem /. rate) in
-    t.cpu_tick_ev <- schedule_cancellable t ~at t.cpu_tick
+    Event_queue.set_slot t.queue ~time:(Float.max at t.vnow) t.cpu_tick_ev
   end
 
-and cpu_tick t =
+(* Continue a process whose slice ran out, unless it was killed after the
+   tick collected it: [kill] resets [pcb.park], and a killed process that
+   catches [Process_killed] and delays again parks as a fresh value. *)
+let resume_slice p =
+  match p with
+  | Park_cpu { pcb; k } when pcb.park == p ->
+    pcb.park <- No_park;
+    pcb.state <- Running;
+    Effect.Deep.continue k ()
+  | _ -> ()
+
+(* The one-shot resume and cancel of a closure-based park (see
+   [suspend]). *)
+let resume_once pcb armed k v =
+  if !armed then begin
+    armed := false;
+    pcb.park <- No_park;
+    pcb.state <- Running;
+    Effect.Deep.continue k v
+  end
+
+let cancel_once armed k reason =
+  if !armed then begin
+    armed := false;
+    Effect.Deep.discontinue k (Process_killed reason)
+  end
+
+let cpu_tick t =
   cpu_update t;
-  (* Collect the finished tasks' resumes (walking down, so the list comes
+  (* Collect the finished tasks' parks (walking down, so the list comes
      out in ascending pid order), then compact the rest in place. *)
   let n = t.cpu_n in
   let rem = t.cpu_rem in
   let done_ = ref [] in
   for i = n - 1 downto 0 do
-    if Float.Array.get rem i <= 1e-12 then done_ := t.cpu_resume.(i) :: !done_
+    if Float.Array.get rem i <= 1e-12 then done_ := t.cpu_park.(i) :: !done_
   done;
   (match !done_ with
   | [] -> ()
@@ -294,14 +324,14 @@ and cpu_tick t =
       if not (Float.Array.get rem i <= 1e-12) then begin
         t.cpu_pids.(!k) <- t.cpu_pids.(i);
         Float.Array.set rem !k (Float.Array.get rem i);
-        t.cpu_resume.(!k) <- t.cpu_resume.(i);
+        t.cpu_park.(!k) <- t.cpu_park.(i);
         incr k
       end
     done;
-    Array.fill t.cpu_resume !k (n - !k) ignore;
+    Array.fill t.cpu_park !k (n - !k) No_park;
     t.cpu_n <- !k);
   cpu_reschedule t;
-  List.iter (fun resume -> resume ()) !done_
+  List.iter resume_slice !done_
 
 (* The index of [pid]'s task, or of the first task with a larger pid (its
    insertion point) when it has none. *)
@@ -312,13 +342,13 @@ let cpu_slot t pid =
   done;
   !i
 
-let cpu_add t pid dt resume =
+let cpu_add t pid dt park =
   cpu_update t;
   let pid = Pid.to_int pid in
   let i = cpu_slot t pid in
   if i < t.cpu_n && t.cpu_pids.(i) = pid then begin
     Float.Array.set t.cpu_rem i dt;
-    t.cpu_resume.(i) <- resume
+    t.cpu_park.(i) <- park
   end
   else begin
     let n = t.cpu_n in
@@ -326,20 +356,20 @@ let cpu_add t pid dt resume =
       let cap = max 8 (2 * n) in
       let pids = Array.make cap 0
       and rem = Float.Array.make cap 0.
-      and resumes = Array.make cap ignore in
+      and parks = Array.make cap No_park in
       Array.blit t.cpu_pids 0 pids 0 n;
       Float.Array.blit t.cpu_rem 0 rem 0 n;
-      Array.blit t.cpu_resume 0 resumes 0 n;
+      Array.blit t.cpu_park 0 parks 0 n;
       t.cpu_pids <- pids;
       t.cpu_rem <- rem;
-      t.cpu_resume <- resumes
+      t.cpu_park <- parks
     end;
     Array.blit t.cpu_pids i t.cpu_pids (i + 1) (n - i);
     Float.Array.blit t.cpu_rem i t.cpu_rem (i + 1) (n - i);
-    Array.blit t.cpu_resume i t.cpu_resume (i + 1) (n - i);
+    Array.blit t.cpu_park i t.cpu_park (i + 1) (n - i);
     t.cpu_pids.(i) <- pid;
     Float.Array.set t.cpu_rem i dt;
-    t.cpu_resume.(i) <- resume;
+    t.cpu_park.(i) <- park;
     t.cpu_n <- n + 1
   end;
   cpu_reschedule t
@@ -352,8 +382,8 @@ let cpu_remove t pid =
     let n = t.cpu_n - 1 in
     Array.blit t.cpu_pids (i + 1) t.cpu_pids i (n - i);
     Float.Array.blit t.cpu_rem (i + 1) t.cpu_rem i (n - i);
-    Array.blit t.cpu_resume (i + 1) t.cpu_resume i (n - i);
-    t.cpu_resume.(n) <- ignore;
+    Array.blit t.cpu_park (i + 1) t.cpu_park i (n - i);
+    t.cpu_park.(n) <- No_park;
     t.cpu_n <- n;
     cpu_reschedule t
   end
@@ -363,6 +393,9 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
   (* [shards] is a compatibility argument for the profiling harness in
      bench/profile, which still passes [~shards:1]. *)
   if shards <> 1 then invalid_arg "Engine.create: shards must be 1";
+  (match cores with
+  | Cores c when c < 1 -> invalid_arg "Engine.create: cores must be at least 1"
+  | _ -> ());
   let t =
     {
       vnow = 0.;
@@ -379,12 +412,11 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
       trace_ = Trace.create ~enabled:trace ();
       cpu_pids = [||];
       cpu_rem = Float.Array.create 0;
-      cpu_resume = [||];
+      cpu_park = [||];
       cpu_n = 0;
       cpu_used = Float.Array.make initial_pids 0.;
       cpu_last = 0.;
-      cpu_tick = ignore;
-      cpu_tick_ev = no_event;
+      cpu_tick_ev = { dead_ev = true; run_ev = ignore };  (* set below *)
       mailbox_scanned = 0;
       events_processed = 0;
       live = 0;
@@ -398,7 +430,7 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
       delivery_fault = None;
     }
   in
-  t.cpu_tick <- (fun () -> cpu_tick t);
+  t.cpu_tick_ev <- { dead_ev = false; run_ev = (fun () -> cpu_tick t) };
   t
 
 (* ------------------------------------------------------------------ *)
@@ -458,7 +490,9 @@ let pids_where t f =
   done;
   !acc
 
-let parked_pids t = pids_where t (fun pcb -> is_alive pcb && pcb.park <> None)
+let parked_pids t =
+  pids_where t (fun pcb ->
+      is_alive pcb && match pcb.park with No_park -> false | _ -> true)
 
 let log_push pcb e =
   if pcb.cloneable && pcb.replay = [] then pcb.log <- e :: pcb.log
@@ -484,7 +518,7 @@ let rec finalize t pcb st =
   | Dead _ -> ()
   | _ ->
     pcb.state <- Dead st;
-    pcb.park <- None;
+    pcb.park <- No_park;
     cpu_remove t pcb.pid;
     if not pcb.preserve_space then Option.iter Address_space.release pcb.space;
     t.live <- t.live - 1;
@@ -554,12 +588,16 @@ and kill t pid ~reason =
     | Running -> pcb.doomed <- Some reason
     | Suspended -> (
       match pcb.park with
-      | None ->
+      | No_park ->
         (* Runnable (start scheduled): doom it; the start event checks. *)
         pcb.doomed <- Some reason
-      | Some (Park_recv { cancel; _ } | Park_other { cancel }) ->
-        pcb.park <- None;
+      | Park_cpu { k; _ } ->
+        pcb.park <- No_park;
         cpu_remove t pcb.pid;
+        Effect.Deep.discontinue k (Process_killed reason)
+      | Park_recv { cancel; _ } | Park_other { cancel } ->
+        (* Never in the CPU table: only a [Park_cpu] is. *)
+        pcb.park <- No_park;
         cancel reason))
 
 (* Re-examine every live process's predicate after new knowledge arrives:
@@ -818,7 +856,7 @@ and adopt_sender_assumptions t pcb m s =
 
 and rescan_parked t pcb =
   match pcb.park with
-  | Some (Park_recv { tag; wake; _ }) ->
+  | Park_recv { tag; wake; _ } ->
     let m = try_receive t pcb tag in
     if m != Mailbox.no_message then wake m
   | _ -> ()
@@ -838,7 +876,7 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
       name;
       body;
       state = Embryo;
-      park = None;
+      park = No_park;
       predicate;
       space;
       mailbox = Mailbox.create ();
@@ -903,84 +941,76 @@ and run_body t pcb =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | E_suspend s ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                match pcb.doomed with
-                | Some reason ->
-                  pcb.doomed <- None;
-                  Effect.Deep.discontinue k (Process_killed reason)
-                | None ->
-                  (* One-shot: whichever of [resume] and [cancel] runs
-                     first wins, so a stale waiter (say, on an ivar filled
-                     after its process was killed) does nothing. *)
-                  let armed = ref true in
-                  let resume v =
-                    if !armed then begin
-                      armed := false;
-                      pcb.park <- None;
-                      pcb.state <- Running;
-                      Effect.Deep.continue k v
-                    end
-                  in
-                  let cancel reason =
-                    if !armed then begin
-                      armed := false;
-                      Effect.Deep.discontinue k (Process_killed reason)
-                    end
-                  in
-                  pcb.state <- Suspended;
-                  suspend t pcb s ~resume ~cancel)
+            Some (fun (k : (a, unit) Effect.Deep.continuation) -> suspend t pcb s k)
           | _ -> None);
     }
   in
   Effect.Deep.match_with pcb.body ctx handler
 
-(* Register a parked process's wait. Each wait pushes exactly the
+(* Park a process on its wait, unless it was doomed. A CPU park is the
+   [Park_cpu] value that both [pcb.park] and the CPU task table hold; it
+   allocates no closure. The other waits resume through closures:
+   [resume_once] and [cancel_once] over one [armed] cell, so whichever
+   runs first wins and a stale waiter (say, on an ivar filled after its
+   process was killed) does nothing. Each wait pushes exactly the
    event-queue entries it always has (an untimed receive none, a timed
    wait its one deadline event), since the batch-join rule compares
    [Event_queue.stamp]. A timed wait's deadline resumes it with [None],
    and its wake and its cancel each retire the deadline first, so a
    waiter that is woken or killed never drags the clock to it. The two
    timed waits spell that out rather than share a helper returning the
-   pair: the tuple cost 0.2% of serve-steady's minor words per block. The
-   untimed receive parks with [resume] itself as its wake: it parks once
-   per message wait, so it carries no deadline bookkeeping. A receive
-   parks only after its caller found nothing acceptable, and the park
-   does not scan again: a second scan would repeat the first one's
-   deferral trace events. *)
+   pair, which would allocate a tuple per park. The untimed receive parks
+   with its resume as its wake: it parks once per message wait, so it
+   carries no deadline bookkeeping. A receive parks only after its caller
+   found nothing acceptable, and the park does not scan again: a second
+   scan would repeat the first one's deferral trace events. *)
 and suspend : type a.
-    t -> pcb -> a suspension -> resume:(a -> unit) -> cancel:(string -> unit) -> unit
-    =
- fun t pcb s ~resume ~cancel ->
-  match s with
-  | S_cpu dt ->
-    pcb.park <- Some (Park_other { cancel });
-    cpu_add t pcb.pid dt resume
-  | S_recv tag -> pcb.park <- Some (Park_recv { tag; wake = resume; cancel })
-  | S_recv_timeout (tag, timeout) ->
-    let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
-    let wake m =
-      cancel_event ev;
-      resume (Some m)
-    and cancel reason =
-      cancel_event ev;
-      cancel reason
-    in
-    pcb.park <- Some (Park_recv { tag; wake; cancel })
-  | S_fill iv ->
-    pcb.park <- Some (Park_other { cancel });
-    iv.waiters <- iv.waiters @ [ resume ]
-  | S_fill_timeout (iv, timeout) ->
-    let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
-    let wake v =
-      cancel_event ev;
-      resume (Some v)
-    and cancel reason =
-      cancel_event ev;
-      cancel reason
-    in
-    pcb.park <- Some (Park_other { cancel });
-    iv.waiters <- iv.waiters @ [ wake ]
+    t -> pcb -> a suspension -> (a, unit) Effect.Deep.continuation -> unit =
+ fun t pcb s k ->
+  match pcb.doomed with
+  | Some reason ->
+    pcb.doomed <- None;
+    Effect.Deep.discontinue k (Process_killed reason)
+  | None -> (
+    pcb.state <- Suspended;
+    match s with
+    | S_cpu dt ->
+      let p = Park_cpu { pcb; k } in
+      pcb.park <- p;
+      cpu_add t pcb.pid dt p
+    | S_recv tag ->
+      let armed = ref true in
+      pcb.park <-
+        Park_recv { tag; wake = resume_once pcb armed k; cancel = cancel_once armed k }
+    | S_recv_timeout (tag, timeout) ->
+      let armed = ref true in
+      let resume = resume_once pcb armed k in
+      let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
+      let wake m =
+        cancel_event ev;
+        resume (Some m)
+      and cancel reason =
+        cancel_event ev;
+        cancel_once armed k reason
+      in
+      pcb.park <- Park_recv { tag; wake; cancel }
+    | S_fill iv ->
+      let armed = ref true in
+      pcb.park <- Park_other { cancel = cancel_once armed k };
+      iv.waiters <- iv.waiters @ [ resume_once pcb armed k ]
+    | S_fill_timeout (iv, timeout) ->
+      let armed = ref true in
+      let resume = resume_once pcb armed k in
+      let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
+      let wake v =
+        cancel_event ev;
+        resume (Some v)
+      and cancel reason =
+        cancel_event ev;
+        cancel_once armed k reason
+      in
+      pcb.park <- Park_other { cancel };
+      iv.waiters <- iv.waiters @ [ wake ])
 
 and channel_of pcb ~dest =
   match pcb.last_chan with

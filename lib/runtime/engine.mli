@@ -71,7 +71,9 @@ val create :
   t
 (** A fresh engine. Default [cores] is [Infinite], default [model] is
     {!Cost_model.uniform}, default [seed] 42, tracing on. Each process
-    draws from its own random stream, keyed by [(seed, pid)].
+    draws from its own random stream, keyed by [(seed, pid)]. [Cores c]
+    with [c < 1] raises [Invalid_argument]: no processor would ever finish
+    a slice.
 
     [shards] exists only because the profiling harness in [bench/profile]
     still passes [~shards:1]; it goes when that harness is next edited.

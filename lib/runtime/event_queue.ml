@@ -1,11 +1,18 @@
-(* A binary min-heap over parallel arrays: slot [i] is the event
+(* A binary min-heap over parallel arrays: position [i] is the event
    ([times.(i)], [seqs.(i)], [values.(i)]). Times live in a [floatarray],
    so neither a push nor a pop allocates a boxed float, an entry record or
    an option cell. Values are stored as [Obj.t]: an ['a array] would need
-   an ['a] to fill empty slots with, and, for ['a = float], would be a
-   flat float array that cannot hold the filler. Slots at or beyond
+   an ['a] to fill empty positions with, and, for ['a = float], would be a
+   flat float array that cannot hold the filler. Positions at or beyond
    [size] always hold [empty], so the heap never retains a value after it
-   leaves the queue. *)
+   leaves the queue.
+
+   Beside the heap sits one re-keyable slot, an event with its own
+   (time, seq) that [set_slot] moves in place: the engine's pending CPU
+   tick, rescheduled at every delay, kill and tick, would otherwise cost a
+   cancelled heap entry and a fresh push each time. The slot takes part in
+   every (time, seq) comparison here, so the order is decided in this
+   module alone. *)
 
 type 'a t = {
   mutable times : floatarray;
@@ -13,12 +20,24 @@ type 'a t = {
   mutable values : Obj.t array;
   mutable size : int;
   mutable next_seq : int;
+  slot_time : floatarray;  (* length 1: the slot's time, stored unboxed *)
+  mutable slot_seq : int;  (* -1 while the slot is empty *)
+  mutable slot_value : Obj.t;  (* [empty] while the slot is empty *)
 }
 
 let empty = Obj.repr 0
 
 let create () =
-  { times = Float.Array.create 0; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
+  {
+    times = Float.Array.create 0;
+    seqs = [||];
+    values = [||];
+    size = 0;
+    next_seq = 0;
+    slot_time = Float.Array.make 1 0.;
+    slot_seq = -1;
+    slot_value = empty;
+  }
 
 let grow t =
   let cap = Array.length t.seqs in
@@ -33,7 +52,7 @@ let grow t =
   t.seqs <- seqs;
   t.values <- values
 
-(* (time, seq) of slot [i] orders before (time, seq). *)
+(* (time, seq) of position [i] orders before (time, seq). *)
 let before t i time seq =
   let ti = Float.Array.unsafe_get t.times i in
   ti < time || (ti = time && Array.unsafe_get t.seqs i < seq)
@@ -67,17 +86,39 @@ let push t ~time v =
   done;
   set t !i time seq (Obj.repr v)
 
-let min_time t =
-  if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
-  Float.Array.unsafe_get t.times 0
+let set_slot t ~time v =
+  if Float.is_nan time then invalid_arg "Event_queue.set_slot: NaN time";
+  Float.Array.unsafe_set t.slot_time 0 time;
+  t.slot_seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  t.slot_value <- Obj.repr v
 
-let pop_min t =
+let clear_slot t =
+  t.slot_seq <- -1;
+  t.slot_value <- empty
+
+(* The slot holds the earliest event: it is set, and the heap is empty or
+   its root orders after the slot. *)
+let slot_first t =
+  t.slot_seq >= 0
+  && (t.size = 0
+     || not (before t 0 (Float.Array.unsafe_get t.slot_time 0) t.slot_seq))
+
+let min_time t =
+  if slot_first t then Float.Array.unsafe_get t.slot_time 0
+  else begin
+    if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
+    Float.Array.unsafe_get t.times 0
+  end
+
+(* Remove the heap's root and return its value. *)
+let pop_heap t =
   if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
   let top = Array.unsafe_get t.values 0 in
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
-    (* Sift the last slot's event down from the root. *)
+    (* Sift the last position's event down from the root. *)
     let time = Float.Array.unsafe_get t.times n in
     let seq = Array.unsafe_get t.seqs n in
     let v = Array.unsafe_get t.values n in
@@ -103,27 +144,37 @@ let pop_min t =
     done;
     set t !i time seq v
   end;
-  (* The vacated slot must not keep the popped (or moved) value
-     reachable: every popped event would otherwise live until its slot
+  (* The vacated position must not keep the popped (or moved) value
+     reachable: every popped event would otherwise live until its position
      happened to be overwritten — a real leak in long simulations. *)
   Array.unsafe_set t.values n empty;
   Obj.obj top
 
+let pop_min t =
+  if slot_first t then begin
+    let v = t.slot_value in
+    clear_slot t;
+    Obj.obj v
+  end
+  else pop_heap t
+
+let is_empty t = t.size = 0 && t.slot_seq < 0
+
 let pop t =
-  if t.size = 0 then None
+  if is_empty t then None
   else
     let time = min_time t in
     let v = pop_min t in
     Some (time, v)
 
-let peek_time t = if t.size = 0 then None else Some (min_time t)
+let peek_time t = if is_empty t then None else Some (min_time t)
 
 let stamp t = t.next_seq
-let size t = t.size
-let is_empty t = t.size = 0
+let size t = if t.slot_seq < 0 then t.size else t.size + 1
 
 let clear t =
-  (* Consistent with pop's slot clearing: keep the capacity, drop every
+  (* Consistent with pop's clearing: keep the capacity, drop every
      reference. *)
   Array.fill t.values 0 t.size empty;
-  t.size <- 0
+  t.size <- 0;
+  clear_slot t

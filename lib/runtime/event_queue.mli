@@ -5,7 +5,13 @@
     The heap is kept in parallel arrays (a [floatarray] of times, an [int
     array] of sequence numbers, and the values), so {!push}, {!min_time}
     and {!pop_min} allocate nothing once the arrays have grown to the
-    queue's working size. A popped or cleared value is never retained. *)
+    queue's working size. A popped or cleared value is never retained.
+
+    Beside the heap the queue holds one {e slot}: an event that
+    {!set_slot} re-keys in place instead of leaving a cancelled entry
+    behind. The slot orders against the heap by the same (time, sequence)
+    rule, and {!min_time}, {!pop_min}, {!pop}, {!peek_time}, {!is_empty},
+    {!size} and {!clear} all count it. *)
 
 type 'a t
 
@@ -13,6 +19,15 @@ val create : unit -> 'a t
 
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule [v] at [time]. Raises [Invalid_argument] if [time] is NaN. *)
+
+val set_slot : 'a t -> time:float -> 'a -> unit
+(** Put [v] in the slot at [time], replacing whatever the slot held. It
+    takes a fresh sequence number exactly as {!push} would (so it moves
+    {!stamp}), even when the time is unchanged. Raises [Invalid_argument]
+    if [time] is NaN. *)
+
+val clear_slot : 'a t -> unit
+(** Empty the slot, if set. Does not move {!stamp}. *)
 
 val min_time : 'a t -> float
 (** The time of the earliest event. Raises [Invalid_argument] on an empty
@@ -30,11 +45,11 @@ val pop : 'a t -> (float * 'a) option
 val peek_time : 'a t -> float option
 
 val stamp : 'a t -> int
-(** The sequence number the next {!push} will receive. Two observations of
-    [stamp] are equal iff nothing was pushed in between, which is what the
-    engine's channel layer uses to decide whether a message may join an
-    already-scheduled delivery batch without reordering it against
-    intervening events. *)
+(** The sequence number the next {!push} or {!set_slot} will receive. Two
+    observations of [stamp] are equal iff nothing was pushed or slotted in
+    between, which is what the engine's channel layer uses to decide
+    whether a message may join an already-scheduled delivery batch without
+    reordering it against intervening events. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

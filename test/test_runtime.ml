@@ -86,7 +86,10 @@ let test_eq_peek_clear () =
 let test_eq_nan () =
   let q = Event_queue.create () in
   Alcotest.check_raises "NaN rejected" (Invalid_argument "Event_queue.push: NaN time")
-    (fun () -> Event_queue.push q ~time:Float.nan ())
+    (fun () -> Event_queue.push q ~time:Float.nan ());
+  Alcotest.check_raises "NaN slot rejected"
+    (Invalid_argument "Event_queue.set_slot: NaN time")
+    (fun () -> Event_queue.set_slot q ~time:Float.nan ())
 
 let prop_eq_sorted =
   QCheck.Test.make ~name:"pop order is sorted by time" ~count:300
@@ -101,10 +104,21 @@ let prop_eq_sorted =
       in
       drain neg_infinity)
 
-(* A model test: random push / pop / min_time+pop_min / peek / clear
-   sequences, times drawn from a few values so ties are common, against a
-   list kept sorted by (time, stamp). Each pushed value is its stamp. *)
-type eq_op = Push of float | Pop | Pop_min | Peek | Clear
+(* A model test: random push / set_slot / clear_slot / pop /
+   min_time+pop_min / peek / clear sequences, times drawn from a few values
+   so ties (slot against heap too) are common, against a list kept sorted
+   by (time, stamp). Each pushed or slotted value is its stamp. The
+   reference treats the slot the way a plain heap would: setting it
+   cancels the previous slot entry and inserts a new one, clearing it
+   cancels the entry, and pops skip cancelled entries. *)
+type eq_op =
+  | Push of float
+  | Set_slot of float
+  | Clear_slot
+  | Pop
+  | Pop_min
+  | Peek
+  | Clear
 
 let prop_eq_model =
   let gen =
@@ -113,6 +127,8 @@ let prop_eq_model =
         (frequency
            [
              (6, map (fun i -> Push (float_of_int i /. 2.)) (int_range 0 6));
+             (3, map (fun i -> Set_slot (float_of_int i /. 2.)) (int_range 0 6));
+             (1, return Clear_slot);
              (3, return Pop);
              (3, return Pop_min);
              (1, return Peek);
@@ -124,6 +140,8 @@ let prop_eq_model =
       (List.map
          (function
            | Push t -> Printf.sprintf "push(%g)" t
+           | Set_slot t -> Printf.sprintf "set_slot(%g)" t
+           | Clear_slot -> "clear_slot"
            | Pop -> "pop"
            | Pop_min -> "pop_min"
            | Peek -> "peek"
@@ -133,10 +151,29 @@ let prop_eq_model =
   QCheck.Test.make ~name:"model: a list sorted by (time, stamp)" ~count:300
     (QCheck.make ~print gen) (fun ops ->
       let q = Event_queue.create () in
-      let model = ref [] and stamp = ref 0 in
-      let rec insert ((t, _) as e) = function
-        | ((t', _) as e') :: rest when t' <= t -> e' :: insert e rest
+      (* Entries (time, stamp, live), sorted by (time, stamp); [slot] is
+         the live flag of the latest slot entry. *)
+      let model = ref [] and stamp = ref 0 and slot = ref (ref false) in
+      let rec insert ((t, _, _) as e) = function
+        | ((t', _, _) as e') :: rest when t' <= t -> e' :: insert e rest
         | l -> e :: l
+      in
+      let add time =
+        let live = ref true in
+        model := insert (time, !stamp, live) !model;
+        incr stamp;
+        live
+      in
+      (* Drop the cancelled entries at the front. *)
+      let rec front () =
+        match !model with
+        | (_, _, live) :: rest when not !live ->
+          model := rest;
+          front ()
+        | l -> l
+      in
+      let live_count () =
+        List.length (List.filter (fun (_, _, live) -> !live) !model)
       in
       List.for_all
         (fun op ->
@@ -144,34 +181,45 @@ let prop_eq_model =
             match op with
             | Push time ->
               Event_queue.push q ~time !stamp;
-              model := insert (time, !stamp) !model;
-              incr stamp;
+              ignore (add time);
+              true
+            | Set_slot time ->
+              Event_queue.set_slot q ~time !stamp;
+              !slot := false;
+              slot := add time;
+              true
+            | Clear_slot ->
+              Event_queue.clear_slot q;
+              !slot := false;
               true
             | Pop -> (
-              match !model with
+              match front () with
               | [] -> Event_queue.pop q = None
-              | e :: rest ->
+              | (t, v, _) :: rest ->
                 model := rest;
-                Event_queue.pop q = Some e)
+                Event_queue.pop q = Some (t, v))
             | Pop_min -> (
-              match !model with
+              match front () with
               | [] -> (
                 match Event_queue.pop_min q with
                 | _ -> false
                 | exception Invalid_argument _ -> true)
-              | (t, v) :: rest ->
+              | (t, v, _) :: rest ->
                 model := rest;
                 let t' = Event_queue.min_time q in
                 let v' = Event_queue.pop_min q in
                 t' = t && v' = v)
-            | Peek -> Event_queue.peek_time q = Option.map fst (List.nth_opt !model 0)
+            | Peek ->
+              Event_queue.peek_time q
+              = (match front () with [] -> None | (t, _, _) :: _ -> Some t)
             | Clear ->
               Event_queue.clear q;
               model := [];
               true
           in
           ok
-          && Event_queue.size q = List.length !model
+          && Event_queue.size q = live_count ()
+          && Event_queue.is_empty q = (live_count () = 0)
           && Event_queue.stamp q = !stamp)
         ops)
 
@@ -430,6 +478,45 @@ let test_cpu_schedule_pinned () =
         "cpu sender 0x0p+0\n" ^
         "total 0x1.d777777777778p+1 now 0x1.4cccccccccccdp+0 events 16\n" );
     ]
+
+let test_cores_rejected () =
+  List.iter
+    (fun c ->
+      Alcotest.check_raises
+        (Printf.sprintf "Cores %d" c)
+        (Invalid_argument "Engine.create: cores must be at least 1")
+        (fun () -> ignore (Engine.create ~cores:(Engine.Cores c) ())))
+    [ 0; -1 ]
+
+(* A slice a tick has collected but not yet resumed must not resume a
+   process killed in between. [a] and [b] finish their 1 s delays on the
+   same tick, and [a] (the lower pid, so resumed first) kills [b]. [b]
+   catches [Process_killed] and delays 5 s, parking again before the tick
+   reaches its old slice: that slice must leave the new park alone. *)
+let stale_slice_table cores =
+  let eng = mk ~cores () in
+  let log = Buffer.create 64 in
+  (match Engine.fresh_pids eng 2 with
+  | [ a; b ] ->
+    ignore
+      (Engine.spawn eng ~pid:a (fun ctx ->
+           Engine.delay ctx 1.0;
+           Engine.kill eng b ~reason:"stale"));
+    ignore
+      (Engine.spawn eng ~pid:b (fun ctx ->
+           (try Engine.delay ctx 1.0
+            with Engine.Process_killed _ -> Engine.delay ctx 5.0);
+           Printf.bprintf log "b %h\n" (Engine.now_v ctx)))
+  | _ -> assert false);
+  Engine.run eng;
+  Printf.bprintf log "events %d\n" (Engine.stats_events_processed eng);
+  Buffer.contents log
+
+let test_cpu_stale_slice () =
+  check Alcotest.string "infinite" "b 0x1.8p+2\nevents 4\n"
+    (stale_slice_table Engine.Infinite);
+  check Alcotest.string "cores 1" "b 0x1.cp+2\nevents 4\n"
+    (stale_slice_table (Engine.Cores 1))
 
 (* ---------------- IPC ---------------- *)
 
@@ -1092,6 +1179,9 @@ let () =
           Alcotest.test_case "excess cores" `Quick test_cpu_excess_cores;
           Alcotest.test_case "schedule pinned bit-exactly" `Quick
             test_cpu_schedule_pinned;
+          Alcotest.test_case "cores below 1 rejected" `Quick test_cores_rejected;
+          Alcotest.test_case "stale slice leaves a re-park alone" `Quick
+            test_cpu_stale_slice;
         ] );
       ( "ipc",
         [
