@@ -6,8 +6,6 @@
      altcheck run -s counters           restrict to named scenarios
      altcheck run --dump-trace F.jsonl  dump a trace (first violating run,
                                         else the last run) as JSON Lines
-     altcheck bench -o BENCH.json       time the sweep sequentially vs
-                                        parallel and emit a JSON record
      altcheck fuzz [--seeds N]          re-run the invariant checkers under
                                         fault-injection campaigns
      altcheck fuzz --verify-determinism re-execute every cell and fail on
@@ -350,140 +348,6 @@ let sites_cmd =
       cli_family = Campaign.sites;
     }
 
-(* ---------------- bench ---------------- *)
-
-let bench_cmd =
-  let doc =
-    "Time the full invariant sweep sequentially and in parallel, and write \
-     a JSON benchmark record (the repo's perf trajectory reads it)."
-  in
-  let seeds =
-    Arg.(
-      value & opt int 5
-      & info [ "seeds" ] ~docv:"N" ~doc:"Seeds per (scenario, policy) cell.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_altcheck.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the record.")
-  in
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "After writing, re-read the file and fail unless every schema \
-             field is present (used by the $(b,@bench-smoke) alias).")
-  in
-  let required_fields =
-    [
-      "benchmark"; "runs"; "seeds"; "jobs"; "cores"; "sequential_s";
-      "parallel_s"; "speedup"; "runs_per_sec_sequential";
-      "runs_per_sec_parallel"; "violations"; "identical_reports";
-    ]
-  in
-  let run seeds out validate jobs =
-    let cells = Invariants.matrix_cells ~seeds () in
-    let n = Array.length cells in
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    Printf.printf "%d runs per sweep; timing sequential sweep...\n%!" n;
-    let seq_results, seq_s = time (fun () -> Invariants.run_cells ~jobs:1 cells) in
-    Printf.printf "sequential: %.3f s; timing parallel sweep (%d jobs)...\n%!"
-      seq_s jobs;
-    let par_results, par_s = time (fun () -> Invariants.run_cells ~jobs cells) in
-    Printf.printf "parallel:   %.3f s\n%!" par_s;
-    let report results =
-      List.concat_map
-        (fun (_, vs) ->
-          List.map (fun v -> Format.asprintf "%a" Report.pp_violation v) vs)
-        (Array.to_list results)
-    in
-    let seq_report = report seq_results and par_report = report par_results in
-    let identical = seq_report = par_report in
-    if not identical then
-      Printf.eprintf
-        "WARNING: parallel sweep reported different violations than the \
-         sequential sweep\n";
-    let violations = List.length seq_report in
-    let json =
-      String.concat "\n"
-        [
-          "{";
-          Printf.sprintf "  %S: %S," "benchmark" "altcheck-sweep";
-          Printf.sprintf "  %S: %d," "runs" n;
-          Printf.sprintf "  %S: %d," "seeds" seeds;
-          Printf.sprintf "  %S: %d," "jobs" jobs;
-          Printf.sprintf "  %S: %d," "cores" (Parallel.default_jobs ());
-          Printf.sprintf "  %S: %.6f," "sequential_s" seq_s;
-          Printf.sprintf "  %S: %.6f," "parallel_s" par_s;
-          Printf.sprintf "  %S: %.3f," "speedup" (seq_s /. par_s);
-          Printf.sprintf "  %S: %.1f," "runs_per_sec_sequential"
-            (float_of_int n /. seq_s);
-          Printf.sprintf "  %S: %.1f," "runs_per_sec_parallel"
-            (float_of_int n /. par_s);
-          Printf.sprintf "  %S: %d," "violations" violations;
-          Printf.sprintf "  %S: %b" "identical_reports" identical;
-          "}";
-          "";
-        ]
-    in
-    let oc =
-      try open_out out
-      with Sys_error m ->
-        Printf.eprintf "cannot write %s: %s\n" out m;
-        exit 1
-    in
-    output_string oc json;
-    close_out oc;
-    Printf.printf
-      "%s: %d runs, %.3f s sequential, %.3f s on %d jobs (%.2fx), %d \
-       violations\n"
-      out n seq_s par_s jobs (seq_s /. par_s) violations;
-    if validate then begin
-      let ic = open_in out in
-      let len = in_channel_length ic in
-      let contents = really_input_string ic len in
-      close_in ic;
-      let missing =
-        Servebench.missing_fields ~required:required_fields contents
-      in
-      if missing <> [] then begin
-        Printf.eprintf "schema validation FAILED; missing: %s\n"
-          (String.concat ", " missing);
-        exit 2
-      end;
-      Printf.printf "schema ok (%d fields)\n" (List.length required_fields);
-      (* A parallel sweep can only beat the sequential one when there is
-         real parallelism to be had. On a single-core host (CI containers,
-         commonly) a speedup below 1x is expected scheduling overhead, so
-         it only warrants a note; with two or more cores it is a genuine
-         performance regression. See EXPERIMENTS.md. *)
-      let cores = Parallel.default_jobs () in
-      let speedup = seq_s /. par_s in
-      if speedup < 1.0 then
-        if cores < 2 then
-          Printf.printf
-            "note: speedup %.2fx < 1 on a %d-core host; domain fan-out \
-             cannot help without >= 2 cores (not a failure)\n"
-            speedup cores
-        else begin
-          Printf.eprintf
-            "speedup validation FAILED: %.2fx < 1 with %d cores available\n"
-            speedup cores;
-          exit 4
-        end
-    end;
-    if not identical then exit 3;
-    exit (if violations = 0 then 0 else 1)
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const run $ seeds $ out $ validate $ jobs_arg)
-
 (* ---------------- lint ---------------- *)
 
 (* The built-in lint suite: the OR-parallel route-planning program from
@@ -733,4 +597,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; fuzz_cmd; sites_cmd; bench_cmd; lint_cmd; codes_cmd ]))
+          [ list_cmd; run_cmd; fuzz_cmd; sites_cmd; lint_cmd; codes_cmd ]))

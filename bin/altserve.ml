@@ -4,12 +4,6 @@
      altserve --requests 2000 --rate 200   a seeded open-loop run
      altserve --sanitize                   attach the online sanitizer to
                                            every batch engine
-     altserve --verify-determinism         also replay the run and compare
-                                           digests (same seed => identical
-                                           responses; jobs-1 = jobs-N)
-     altserve --validate -o BENCH.json     re-read the record and fail
-                                           unless every schema field is
-                                           present (the @serve-smoke alias)
      altserve --ladder --rate 800          enable the degradation ladder
      altserve --faults 7                   run every batch under a seeded
                                            fault campaign (supervised
@@ -20,6 +14,9 @@
      altserve --degrade-bench              ladder vs shed-only goodput
                                            under ramped overload; writes
                                            BENCH_degrade.json
+
+   Every serving run also re-checks its record against the schema and
+   replays itself (same seed => identical responses; jobs-1 = jobs-N).
 
    Exit codes: 0 clean; 1 invariant violations on served requests;
    2 schema validation failed; 3 determinism verification failed;
@@ -291,7 +288,7 @@ let run_degrade wl out =
   Printf.printf "degrade ok: ladder >= shed-only at every load step\n";
   exit 0
 
-let main wl sv out validate verify_determinism chaos degrade_bench =
+let main wl sv out chaos degrade_bench =
   if chaos then run_chaos wl sv;
   if degrade_bench then run_degrade wl out;
   let t0 = Unix.gettimeofday () in
@@ -334,32 +331,27 @@ let main wl sv out validate verify_determinism chaos degrade_bench =
   output_string oc json;
   close_out oc;
   Printf.printf "%s: digest %016Lx\n" out v.Servebench.v_digest;
-  if validate then begin
-    match Servebench.validate json with
-    | Ok n -> Printf.printf "schema ok (%d fields)\n" n
-    | Error missing ->
-        Printf.eprintf "schema validation FAILED; missing: %s\n"
-          (String.concat ", " missing);
-        exit 2
+  (match Servebench.validate json with
+  | Ok n -> Printf.printf "schema ok (%d fields)\n" n
+  | Error missing ->
+      Printf.eprintf "schema validation FAILED; missing: %s\n"
+        (String.concat ", " missing);
+      exit 2);
+  if not v.Servebench.v_replay_identical then begin
+    Printf.eprintf "determinism FAILED: replay with the same configs diverged\n";
+    exit 3
   end;
-  if verify_determinism then begin
-    if not v.Servebench.v_replay_identical then begin
-      Printf.eprintf
-        "determinism FAILED: replay with the same configs diverged\n";
-      exit 3
-    end;
-    if not v.Servebench.v_jobs_identical then begin
-      Printf.eprintf "determinism FAILED: jobs-1 and jobs-%d diverged\n"
-        sv.Server.sv_jobs;
-      exit 3
-    end;
-    Printf.printf "determinism ok: replay identical, jobs-1 = jobs-%d\n"
-      sv.Server.sv_jobs
+  if not v.Servebench.v_jobs_identical then begin
+    Printf.eprintf "determinism FAILED: jobs-1 and jobs-%d diverged\n"
+      sv.Server.sv_jobs;
+    exit 3
   end;
+  Printf.printf "determinism ok: replay identical, jobs-1 = jobs-%d\n"
+    sv.Server.sv_jobs;
   (* Wall-clock throughput is load-dependent where everything above is
      not: on a single-core host a slow run is expected scheduling
      starvation, so it only warrants a note; with two or more cores it
-     is a genuine regression (same convention as altcheck bench). *)
+     is a genuine regression. *)
   let cores = Parallel.default_jobs () in
   if wall_rps < wall_rps_floor then
     if cores < 2 then
@@ -382,22 +374,6 @@ let () =
       value
       & opt string "BENCH_serve.json"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the record.")
-  in
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "After writing, re-check the record for every schema field \
-             (used by the $(b,@serve-smoke) alias).")
-  in
-  let verify_determinism =
-    Arg.(
-      value & flag
-      & info [ "verify-determinism" ]
-          ~doc:
-            "Fail unless the replay digest and the jobs-1 digest both \
-             match the run.")
   in
   let chaos =
     Arg.(
@@ -426,5 +402,4 @@ let () =
     (Cmd.eval
        (Cmd.v info
           Term.(
-            const main $ wl_term $ sv_term $ out $ validate
-            $ verify_determinism $ chaos $ degrade_bench)))
+            const main $ wl_term $ sv_term $ out $ chaos $ degrade_bench)))

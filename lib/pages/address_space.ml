@@ -162,5 +162,4 @@ let shared_pages t = Page_map.shared_pages t.map_
 
 let set_tracking t b = Page_map.set_tracking t.map_ b
 let tracking t = Page_map.tracking t.map_
-let read_pages t = Page_map.read_log t.map_
 let written_pages t = Page_map.write_log t.map_

@@ -74,15 +74,13 @@ val private_pages : t -> int
 val shared_pages : t -> int
 
 val set_tracking : t -> bool -> unit
-(** Enable (or disable) per-page access-set recording on the underlying
-    {!Page_map}. Children created by {!fork} inherit the setting, so
-    enabling it on a parent before an alternative block audits every
-    sibling. Off by default (zero overhead for benchmarks). *)
+(** Enable (or disable) per-page write recording on the underlying
+    {!Page_map} (reads are only counted). Children created by {!fork}
+    inherit the setting, so enabling it on a parent before an alternative
+    block audits every sibling. Off by default (zero overhead for
+    benchmarks). *)
 
 val tracking : t -> bool
-
-val read_pages : t -> int list
-(** Virtual pages this space has read, ascending; usable after {!release}. *)
 
 val written_pages : t -> (int * int) list
 (** [(vpage, frame_id)] pairs for pages this space has written; usable

@@ -6,12 +6,13 @@ type image = {
   psize : int;
   store : Frame_store.t;
   pages : (int * Frame_store.frame) list;  (* vpage, contents *)
+  tracked : bool;  (* the source space's page tracking, re-applied at restore *)
   mutable released : bool;
 }
 
 (* One frame per source entry; [fill] writes the page into the frame and
    names its vpage. *)
-let of_pages psize fill entries =
+let of_pages psize ~tracked fill entries =
   let store = Frame_store.create ~page_size:psize in
   let pages =
     List.map
@@ -20,12 +21,12 @@ let of_pages psize fill entries =
         (fill e (Frame_store.data f), f))
       entries
   in
-  { psize; store; pages; released = false }
+  { psize; store; pages; tracked; released = false }
 
 let capture space =
   let map = Address_space.map space in
   let psize = Page_map.page_size map in
-  of_pages psize
+  of_pages psize ~tracked:(Page_map.tracking map)
     (fun vpage dst ->
       Page_map.read_into map ~vpage ~off:0 ~len:psize ~dst ~dst_off:0;
       vpage)
@@ -55,6 +56,8 @@ let restore store model image =
         ~src:(Frame_store.data f) ~copied)
     image.pages;
   ignore (Address_space.drain_cost space);
+  (* After the fill, so the restore's own writes stay unobserved. *)
+  if image.tracked then Address_space.set_tracking space true;
   space
 
 let page_size image = image.psize
@@ -117,7 +120,7 @@ let of_bytes b =
         Hashtbl.replace seen vpage ();
         off)
   in
-  of_pages psize
+  of_pages psize ~tracked:false
     (fun off dst ->
       Bytes.blit b (off + per_page_header) dst 0 psize;
       int_at off)

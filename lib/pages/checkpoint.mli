@@ -22,8 +22,8 @@ type image
 val capture : Address_space.t -> image
 (** Snapshot the space's current contents. O(mapped pages); does not
     disturb sharing (reads only). The pages are read through
-    {!Page_map.read_into}, so the space's access counters and logs move as
-    for any read; the space's store is not touched — its frame ids,
+    {!Page_map.read_into}, so the space's read counter moves as for any
+    read; the space's store is not touched — its frame ids,
     {!Frame_store.live_frames}, {!Frame_store.total_allocations} and
     {!Frame_store.cow_copies} are exactly what they were. *)
 
@@ -36,8 +36,11 @@ val release : image -> unit
 
 val restore : Frame_store.t -> Cost_model.t -> image -> Address_space.t
 (** Materialise the image as a fresh private address space in the given
-    store. Raises [Invalid_argument] if the page sizes disagree or the
-    image was released. *)
+    store. The space is tracked ({!Address_space.set_tracking}) exactly
+    when the captured space was, so a restored incarnation stays visible
+    to the write log and the store's write observer; the restore's own
+    page fills are not recorded. Raises [Invalid_argument] if the page
+    sizes disagree or the image was released. *)
 
 val page_size : image -> int
 val mapped_pages : image -> int
@@ -52,7 +55,8 @@ val to_bytes : image -> bytes
 
 val of_bytes : bytes -> image
 (** Inverse of {!to_bytes}; the result owns pooled frames like a captured
-    image. Raises [Invalid_argument] with a
+    image and restores untracked (the wire format carries no tracking
+    setting). Raises [Invalid_argument] with a
     ["Checkpoint.of_bytes"] message on malformed data: a truncated or
     oversized buffer, nonsensical header fields (the size arithmetic is
     overflow-safe, so no wire value can smuggle an out-of-range access

@@ -57,7 +57,7 @@ let notify_write t ~map ~vpage ~frame =
 let page_size t = t.page_size
 
 (* A frame with reference count 1 and the store's next id — never an id
-   it has handed out before, so an id recorded in an access log always
+   it has handed out before, so an id recorded in a write log always
    denotes one physical write target (the isolation checker depends on
    this). Its contents are unspecified: the callers overwrite the whole
    page. *)

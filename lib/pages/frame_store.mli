@@ -58,7 +58,7 @@ val data : frame -> bytes
 
 val id : frame -> int
 (** Stable identity of the frame, for tests, traces, and the analysis
-    layer's access logs. Ids are per store and never reused within one: a
+    layer's write logs. Ids are per store and never reused within one: a
     frame recycled through the pool comes back under the allocating
     store's next id. *)
 

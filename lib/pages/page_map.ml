@@ -163,10 +163,9 @@ type t = {
   mutable writes : int;
   mutable reads : int;
   mutable released : bool;
-  (* Access logs survive release so that the analysis layer can audit the
-     page behaviour of eliminated processes post mortem. *)
+  (* The write log survives release so that the analysis layer can audit
+     the page behaviour of eliminated processes post mortem. *)
   mutable track : bool;
-  reads_log : unit Tbl.t;  (* vpage touched by a read *)
   writes_log : int Tbl.t;  (* vpage -> id of the frame written *)
 }
 
@@ -176,7 +175,7 @@ let create store =
   { store; id = Frame_store.fresh_map_id store; top = fresh_top None;
     mapped = 0; fault = false; cow_copies = 0;
     writes = 0; reads = 0; released = false; track = false;
-    reads_log = Tbl.create (); writes_log = Tbl.create 0 }
+    writes_log = Tbl.create 0 }
 
 let store t = t.store
 let id t = t.id
@@ -278,7 +277,7 @@ let fork parent =
   { store = parent.store; id = Frame_store.fresh_map_id parent.store;
     top = child_top; mapped = parent.mapped;
     fault = false; cow_copies = 0; writes = 0; reads = 0; released = false;
-    track = parent.track; reads_log = Tbl.create (); writes_log = Tbl.create 0 }
+    track = parent.track; writes_log = Tbl.create 0 }
 
 let mapped_pages t =
   check t;
@@ -316,16 +315,12 @@ let bounds_check t ~off ~len =
   if off < 0 || len < 0 || off + len > ps then
     invalid_arg "Page_map: access crosses page boundary"
 
-let note_read t vpage =
-  t.reads <- t.reads + 1;
-  if t.track then Tbl.replace t.reads_log vpage ()
-
 let read_into t ~vpage ~off ~len ~dst ~dst_off =
   check t;
   bounds_check t ~off ~len;
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Page_map.read_into: destination range";
-  note_read t vpage;
+  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | f -> Bytes.blit (Frame_store.data f) off dst dst_off len
   | exception Not_found -> Bytes.fill dst dst_off len '\000'
@@ -333,7 +328,7 @@ let read_into t ~vpage ~off ~len ~dst ~dst_off =
 let read t ~vpage ~off ~len =
   check t;
   bounds_check t ~off ~len;
-  note_read t vpage;
+  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | f -> Bytes.sub (Frame_store.data f) off len
   | exception Not_found -> Bytes.make len '\000'
@@ -411,7 +406,7 @@ let write t ~vpage ~off ~src ~copied =
 let get_u8 t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:1;
-  note_read t vpage;
+  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | f -> Char.code (Bytes.unsafe_get (Frame_store.data f) off)
   | exception Not_found -> 0
@@ -429,7 +424,7 @@ let set_u8 t ~vpage ~off v =
 let get_i64 t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:8;
-  note_read t vpage;
+  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | f -> Bytes.get_int64_le (Frame_store.data f) off
   | exception Not_found -> 0L
@@ -449,7 +444,7 @@ let set_i64 t ~vpage ~off v =
 let get_int t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:8;
-  note_read t vpage;
+  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | exception Not_found -> 0
   | f ->
@@ -484,7 +479,7 @@ let set_int t ~vpage ~off v =
    changing its contents. Counts a write (and returns [true], so the
    caller charges the copy) only when a copy-on-write fault is actually
    serviced; a page that is already private is a no-op apart from the
-   access log, and an unmapped page is materialised for free (zero-fill
+   write log, and an unmapped page is materialised for free (zero-fill
    costs nothing in the model). *)
 let touch_page t ~vpage =
   check t;
@@ -537,9 +532,8 @@ let absorb ~parent ~child =
   parent.cow_copies <- parent.cow_copies + child.cow_copies;
   parent.writes <- parent.writes + child.writes;
   parent.reads <- parent.reads + child.reads;
-  (* The surviving timeline inherits the winner's access history; the
+  (* The surviving timeline inherits the winner's write history; the
      child keeps its own copy for post-mortem analysis. *)
-  Tbl.iter (fun k () -> Tbl.replace parent.reads_log k ()) child.reads_log;
   Tbl.iter (fun k v -> Tbl.replace parent.writes_log k v) child.writes_log;
   child.top <- fresh_top None;
   child.mapped <- 0;
@@ -554,11 +548,7 @@ let set_tracking t b = t.track <- b
 let tracking t = t.track
 
 (* Deliberately usable after [release]: eliminated siblings are audited
-   through these logs. *)
-let read_log t =
-  Tbl.fold (fun vpage () acc -> vpage :: acc) t.reads_log []
-  |> List.sort compare
-
+   through this log. *)
 let write_log t =
   Tbl.fold (fun vpage fid acc -> (vpage, fid) :: acc) t.writes_log []
   |> List.sort compare
@@ -572,7 +562,7 @@ let frame_id t ~vpage =
   Option.map Frame_store.id (resolve_opt t vpage)
 
 (* Stat-neutral by design: auditing a map must not perturb the access
-   counters and logs the analysis layer is about to read (the observer
+   counters and log the analysis layer is about to read (the observer
    effect the old [read]-based implementation had). Frames are compared by
    physical identity first — only valid within one store — and byte-wise
    otherwise; an unmapped page equals a mapped one that is all zeroes. *)

@@ -105,27 +105,24 @@ val reads : t -> int
 
 (** {2 Access-set recording}
 
-    When tracking is enabled, the map records which virtual pages were read
-    and which were written (together with the identity of the frame each
-    write landed in). The analysis layer uses these logs for isolation
-    checking: two sibling maps whose write logs contain the same frame id
-    for a page have mutated shared state without copy-on-write
-    privatisation. Tracking is off by default; {!fork} inherits the
-    parent's setting. *)
+    When tracking is enabled, the map records which virtual pages were
+    written, together with the identity of the frame each write landed in;
+    reads are only counted ({!reads}). The analysis layer uses the write
+    log for isolation checking: two sibling maps whose write logs contain
+    the same frame id for a page have mutated shared state without
+    copy-on-write privatisation. Tracking is off by default; {!fork}
+    inherits the parent's setting. *)
 
 val set_tracking : t -> bool -> unit
 val tracking : t -> bool
-
-val read_log : t -> int list
-(** Virtual pages read since creation, ascending. Unlike the page-table
-    accessors, this remains usable after {!release} (post-mortem audit of
-    eliminated processes). Empty unless tracking was enabled. *)
 
 val write_log : t -> (int * int) list
 (** [(vpage, frame_id)] pairs: the frame most recently written through this
     map for each written page, ascending by page. Frame ids are never
     reused by the store, so equal ids across sibling maps mean writes to
-    the same physical frame. Usable after {!release}. *)
+    the same physical frame. Unlike the page-table accessors, this remains
+    usable after {!release} (post-mortem audit of eliminated processes).
+    Empty unless tracking was enabled. *)
 
 val mapped_vpages : t -> int list
 (** Virtual page numbers with a materialised frame, ascending. *)
@@ -137,6 +134,6 @@ val frame_id : t -> vpage:int -> int option
 val snapshot_equal : t -> t -> bool
 (** [snapshot_equal a b] holds when both maps present identical page
     contents (zero-extended to the union of their mapped pages).
-    Stat-neutral: auditing never perturbs {!reads}/{!read_log}. Frames
-    shared between maps of the same store short-circuit by identity before
-    any byte comparison. *)
+    Stat-neutral: auditing never perturbs {!reads}. Frames shared between
+    maps of the same store short-circuit by identity before any byte
+    comparison. *)

@@ -51,8 +51,8 @@ val run_verified :
     nothing to compare against). *)
 
 val required_fields : string list
-(** The JSON schema, as field names — what [--validate] and the CI job
-    probe for. *)
+(** The JSON schema, as field names — what every [altserve] run and the
+    CI job probe for. *)
 
 val to_json :
   Workload.config -> Server.config -> metrics -> verification -> string
@@ -63,7 +63,7 @@ val missing_fields : required:string list -> string -> string list
 (** The [required] keys that do not appear quoted (["key":]) in a
     record's contents, in [required] order. Keys are unique in every
     record the repo emits, so this substring probe is the schema check
-    behind each [--validate]. *)
+    behind {!validate} and [Chaosserve.degrade_validate]. *)
 
 val validate : string -> (int, string list) result
 (** Probe a record's contents for every required field: [Ok count] or

@@ -176,4 +176,5 @@ val run : Workload.config -> config -> result
 
 val digest : result -> int64
 (** FNV-1a over every response's rendered fields — the replay fingerprint
-    [altserve --verify-determinism] and the jobs-1-vs-N check compare. *)
+    that every [altserve] run's replay and jobs-1-vs-N checks compare
+    ({!Servebench.run_verified}). *)

@@ -308,8 +308,8 @@ let test_space_touch_private_is_free () =
     (Address_space.pending_cost child)
 
 let test_snapshot_equal_is_stat_neutral () =
-  (* Satellite: auditing with [snapshot_equal] (and reading the logs) must
-     not perturb the counters or logs it is auditing. *)
+  (* Satellite: auditing with [snapshot_equal] (and reading the write log)
+     must not perturb the counters or the log it is auditing. *)
   let s = mk_store () in
   let a = Page_map.create s in
   Page_map.set_tracking a true;
@@ -320,14 +320,13 @@ let test_snapshot_equal_is_stat_neutral () =
   ignore (Page_map.read a ~vpage:0 ~off:0 ~len:2);
   let reads_a = Page_map.reads a and writes_a = Page_map.writes a in
   let reads_b = Page_map.reads b and writes_b = Page_map.writes b in
-  let rlog_a = Page_map.read_log a and wlog_a = Page_map.write_log a in
+  let wlog_a = Page_map.write_log a in
   ignore (Page_map.snapshot_equal a b);
   ignore (Page_map.snapshot_equal a a);
   check Alcotest.int "a.reads unchanged" reads_a (Page_map.reads a);
   check Alcotest.int "a.writes unchanged" writes_a (Page_map.writes a);
   check Alcotest.int "b.reads unchanged" reads_b (Page_map.reads b);
   check Alcotest.int "b.writes unchanged" writes_b (Page_map.writes b);
-  check Alcotest.(list int) "a read log unchanged" rlog_a (Page_map.read_log a);
   check
     Alcotest.(list (pair int int))
     "a write log unchanged" wlog_a (Page_map.write_log a)
@@ -732,21 +731,23 @@ let prop_absorb_equals_child =
    bytes, fault results, [mapped_pages], [mapped_vpages],
    [private_pages], [cow_copies], and - since frames are allocated at the
    same steps on both sides - the frame ids in [frame_id] and the sorted
-   [write_log], as well as [read_log]; logs are checked on released maps
-   too. The store's [live_frames] never falls below the reference's count
-   (a frame some map resolves is never freed) and is 0 once every map is
-   released: a frozen layer may hold a frame that every live relative
-   shadows until the layer is compacted or freed, where the eager scheme
-   frees it at once. Pages 0..7 plus widely spaced ones force
-   probe collisions, table growth, and the adoption of a frame out of a
-   frozen layer once its other claimants are gone. *)
+   [write_log], which is checked on released maps too. Every map is
+   tracked, so the store's write observer must report exactly the
+   [(map id, vpage, frame id)] of each step's write, with map ids dense
+   in creation order, and nothing for the audit reads. The store's
+   [live_frames] never falls below the reference's count (a frame some
+   map resolves is never freed) and is 0 once every map is released: a
+   frozen layer may hold a frame that every live relative shadows until
+   the layer is compacted or freed, where the eager scheme frees it at
+   once. Pages 0..7 plus widely spaced ones force probe collisions,
+   table growth, and the adoption of a frame out of a frozen layer once
+   its other claimants are gone. *)
 
 type rframe = { rid : int; rbytes : Bytes.t; mutable rrefs : int }
 
 type rmap = {
   rpages : (int, rframe) Hashtbl.t;
   mutable rcow : int;
-  rreads : (int, unit) Hashtbl.t;
   rwrites : (int, int) Hashtbl.t;
   mutable rlive : bool;
 }
@@ -774,9 +775,12 @@ let run_map_model ops =
   let store = Frame_store.create ~page_size:model_page_size in
   let next_id = ref 0 and live = ref 0 in
   let rmap () =
-    { rpages = Hashtbl.create 8; rcow = 0; rreads = Hashtbl.create 8;
-      rwrites = Hashtbl.create 8; rlive = true }
+    { rpages = Hashtbl.create 8; rcow = 0; rwrites = Hashtbl.create 8;
+      rlive = true }
   in
+  let reported = ref [] in
+  Frame_store.set_write_observer store
+    (Some (fun ~map ~vpage ~frame -> reported := (map, vpage, frame) :: !reported));
   let root = Page_map.create store in
   Page_map.set_tracking root true;
   let maps = ref [| (root, rmap ()) |] in
@@ -810,21 +814,11 @@ let run_map_model ops =
     Hashtbl.reset r.rpages;
     r.rlive <- false
   in
-  (* Reads a whole page with tracking off, so the audit stays out of the
-     read log it checks. *)
-  let audit_read m vp =
-    Page_map.set_tracking m false;
-    let b = Page_map.read m ~vpage:vp ~off:0 ~len:model_page_size in
-    Page_map.set_tracking m true;
-    b
-  in
+  let audit_read m vp = Page_map.read m ~vpage:vp ~off:0 ~len:model_page_size in
   let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
   let agree i (m, r) =
-    let logs_ok =
-      Page_map.read_log m = List.map fst (sorted r.rreads)
-      && Page_map.write_log m = sorted r.rwrites
-    in
-    if not logs_ok then Some (Printf.sprintf "map #%d: access logs" i)
+    if Page_map.write_log m <> sorted r.rwrites then
+      Some (Printf.sprintf "map #%d: write log" i)
     else if Page_map.released m = r.rlive then Some "released"
     else if not r.rlive then None
     else if Page_map.mapped_pages m <> Hashtbl.length r.rpages then Some "mapped_pages"
@@ -859,6 +853,8 @@ let run_map_model ops =
   in
   List.iter
     (fun op ->
+      reported := [];
+      let expected = ref [] in
       (match op with
       | Set (k, vp, off, v) ->
         Option.iter
@@ -868,6 +864,7 @@ let run_map_model ops =
             let f, r_faulted = r_prepare r vp in
             Bytes.set f.rbytes off (Char.chr v);
             Hashtbl.replace r.rwrites vp f.rid;
+            expected := [ (i, vp, f.rid) ];
             if faulted <> r_faulted then fail "%s: fault %b" (show_map_op op) faulted)
           (live_index k)
       | Get (k, vp, off) ->
@@ -875,7 +872,6 @@ let run_map_model ops =
           (fun i ->
             let m, r = !maps.(i) in
             let got = Page_map.get_u8 m ~vpage:vp ~off in
-            Hashtbl.replace r.rreads vp ();
             let want =
               match Hashtbl.find_opt r.rpages vp with
               | Some f -> Char.code (Bytes.get f.rbytes off)
@@ -890,6 +886,7 @@ let run_map_model ops =
             let faulted = Page_map.touch_page m ~vpage:vp in
             let f, r_faulted = r_prepare r vp in
             Hashtbl.replace r.rwrites vp f.rid;
+            expected := [ (i, vp, f.rid) ];
             if faulted <> r_faulted then fail "%s: fault %b" (show_map_op op) faulted)
           (live_index k)
       | Fork k ->
@@ -915,7 +912,6 @@ let run_map_model ops =
           Hashtbl.reset cr.rpages;
           cr.rlive <- false;
           pr.rcow <- pr.rcow + cr.rcow;
-          Hashtbl.iter (Hashtbl.replace pr.rreads) cr.rreads;
           Hashtbl.iter (Hashtbl.replace pr.rwrites) cr.rwrites
         | _ -> ())
       | Release k ->
@@ -933,7 +929,14 @@ let run_map_model ops =
           match agree i pair with
           | Some why -> fail "after %s: %s" (show_map_op op) why
           | None -> ())
-        !maps)
+        !maps;
+      let show l =
+        String.concat " "
+          (List.map (fun (m, vp, f) -> Printf.sprintf "#%d:%d->%d" m vp f) l)
+      in
+      if List.rev !reported <> !expected then
+        fail "after %s: observer saw [%s], reference [%s]" (show_map_op op)
+          (show (List.rev !reported)) (show !expected))
     ops;
   Array.iter (fun (m, _) -> Page_map.release m) !maps;
   Frame_store.live_frames store = 0

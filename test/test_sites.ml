@@ -436,6 +436,58 @@ let test_coordinator_site_crash_recovers () =
       | _ -> false));
   check Alcotest.int "everything reaped" 0 (Engine.live_count eng)
 
+let test_restored_incarnation_stays_tracked () =
+  (* The site campaign tracks the block's space, so every write an
+     alternative makes reaches the write log and the sanitizer's
+     observer. A recovered coordinator runs in a space restored from the
+     checkpoint; that space, and the children forked from it, must stay
+     tracked too. The cell is the one whose epoch-2 children used CPU
+     while recording no writes when restore dropped the setting. *)
+  let cell =
+    List.find
+      (fun c ->
+        let d = Campaign.describe_cell c in
+        String.starts_with ~prefix:"counters/crash-coordinator/" d
+        && String.ends_with ~suffix:"/retry2/seed 1" d)
+      (Array.to_list (Campaign.cells Campaign.sites))
+  in
+  let eng =
+    Engine.create ~model:Cost_model.att_3b2 ~seed:cell.Campaign.cl_seed ()
+  in
+  let sites = Sites.create eng ~names:Campaign.site_names in
+  Faultplan.install ~sites
+    (cell.Campaign.cl_campaign.Campaign.plan ~seed:cell.Campaign.cl_seed)
+    eng;
+  let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+  Address_space.set_tracking space true;
+  cell.Campaign.cl_scenario.Invariants.prepare eng space;
+  ignore (Address_space.drain_cost space);
+  let alts =
+    cell.Campaign.cl_scenario.Invariants.alts eng ~seed:cell.Campaign.cl_seed
+      ~source:None
+  in
+  let rr =
+    Concurrent.run_supervised eng ~policy:cell.Campaign.cl_policy ~space
+      ~sites alts
+  in
+  let successor =
+    match rr.Concurrent.sr_recoveries with
+    | [ (_, successor, 2) ] -> successor
+    | _ -> Alcotest.fail "expected exactly one recovery, to epoch 2"
+  in
+  let children = Engine.children_of eng successor in
+  check Alcotest.bool "epoch 2 spawned children" true (children <> []);
+  List.iter
+    (fun c ->
+      match Engine.space_of eng c with
+      | None -> Alcotest.fail "an epoch-2 child has no address space"
+      | Some sp ->
+        check Alcotest.bool
+          (Format.asprintf "epoch-2 child %a recorded its writes" Pid.pp c)
+          true
+          (Address_space.written_pages sp <> []))
+    children
+
 let () =
   Alcotest.run "sites"
     [
@@ -484,5 +536,7 @@ let () =
             test_supervised_clean_run;
           Alcotest.test_case "site crash recovers on a survivor" `Quick
             test_coordinator_site_crash_recovers;
+          Alcotest.test_case "restored incarnation stays tracked" `Quick
+            test_restored_incarnation_stays_tracked;
         ] );
     ]
