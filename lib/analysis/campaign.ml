@@ -1,16 +1,14 @@
 (* Fault campaigns over the invariant scenarios: one cell matrix and one
    runner for both kinds of campaign.
 
-   A message campaign attacks individual messages and processes; the cell
-   runs through {!Invariants.run_checked} with the plan installed. A site
-   campaign attacks whole failure domains: the cell builds a five-site
-   topology, spreads the consensus voters one per site, runs the block
-   under {!Concurrent.run_supervised}, and injects site crashes and network
-   partitions from the plan seed. Its checkers are epoch-aware versions of
-   the core invariants: at most one synchronisation win {e per epoch}, at
-   most one committed result {e across} epochs, transparency of any
-   selected result against the sequential oracle, honest degradation when
-   a voter majority is lost. *)
+   A message campaign attacks individual messages and processes. A site
+   campaign attacks whole failure domains: its cell runs the block under
+   {!Concurrent.run_supervised} on the five-site topology, with the
+   consensus voters spread one per site and site crashes and network
+   partitions injected from the plan seed. Every cell runs through
+   {!Invariants.run_checked}, so one oracle judges both kinds; this module
+   adds only the campaign's own claim that a lost voter majority cannot
+   select a winner. *)
 
 type t = {
   cg_name : string;
@@ -293,307 +291,65 @@ let outcome_string rep =
   | Alt_block.Block_failed r -> Printf.sprintf "failed(%S)" r
 
 (* ------------------------------------------------------------------ *)
-(* The message executor.                                               *)
+(* The executor: one checked run per cell, supervised on the five-site
+   topology for a site campaign.                                        *)
 
-let message_summary c (rr : Invariants.run) =
+let count_events rr f = Trace.count (Engine.trace rr.Invariants.engine) ~f
+
+let summary c (rr : Invariants.run) =
   let rep = rr.Invariants.report in
-  let h = History.of_trace (Engine.trace rr.Invariants.engine) in
-  Printf.sprintf
-    "%s: %s degraded=%b attempted=%d injections=%d msgs=%d elapsed=%.9f \
-     wasted=%.9f"
-    (describe_cell c) (outcome_string rep) rep.Concurrent.degraded
-    rep.Concurrent.attempted
-    (List.length (History.injections h))
-    rep.Concurrent.sync_messages rep.Concurrent.elapsed
-    rep.Concurrent.wasted_cpu
-
-let run_message_cell ?sanitize c =
-  let faults eng = Faultplan.install (c.cl_campaign.plan ~seed:c.cl_seed) eng in
-  let rr, vs =
-    Invariants.run_checked ~faults ?sanitize c.cl_scenario ~policy:c.cl_policy
-      ~seed:c.cl_seed
+  let injections =
+    count_events rr (function Trace.Injected _ -> true | _ -> false)
   in
-  (message_summary c rr, vs)
+  match rr.Invariants.supervised with
+  | None ->
+    Printf.sprintf
+      "%s: %s degraded=%b attempted=%d injections=%d msgs=%d elapsed=%.9f \
+       wasted=%.9f"
+      (describe_cell c) (outcome_string rep) rep.Concurrent.degraded
+      rep.Concurrent.attempted injections rep.Concurrent.sync_messages
+      rep.Concurrent.elapsed rep.Concurrent.wasted_cpu
+  | Some (sites, sr) ->
+    Printf.sprintf
+      "%s: %s epoch=%d incarnations=%d recoveries=%d degraded=%b \
+       crashed=[%s] partitions=%d heals=%d injections=%d msgs=%d \
+       elapsed=%.9f wasted=%.9f"
+      (describe_cell c) (outcome_string rep) sr.Concurrent.sr_epoch
+      sr.Concurrent.sr_incarnations
+      (List.length sr.Concurrent.sr_recoveries)
+      rep.Concurrent.degraded
+      (String.concat "," (Sites.crashed_sites sites))
+      (count_events rr (function Trace.Partitioned _ -> true | _ -> false))
+      (count_events rr (function Trace.Healed _ -> true | _ -> false))
+      injections rep.Concurrent.sync_messages rep.Concurrent.elapsed
+      rep.Concurrent.wasted_cpu
 
-(* ------------------------------------------------------------------ *)
-(* The site executor: one supervised execution on the five-site
-   topology, and its epoch-aware checkers.                              *)
-
-type site_run = {
-  sf_engine : Engine.t;
-  sf_sites : Sites.t;
-  sf_sr : int Concurrent.supervised_report;
-  sf_cell : cell;
-  sf_alts_count : int;
-  sf_sanitizer : Sanitizer.t option;
-}
-
-let run_supervised ?(sanitize = false) c =
-  let engine = Engine.create ~model:Cost_model.att_3b2 ~seed:c.cl_seed () in
-  let sanitizer = if sanitize then Some (Sanitizer.attach engine) else None in
-  let sites = Sites.create engine ~names:site_names in
-  Faultplan.install ~sites (c.cl_campaign.plan ~seed:c.cl_seed) engine;
-  let space =
-    Address_space.create (Engine.frame_store engine) (Engine.model engine)
-  in
-  Address_space.set_tracking space true;
-  c.cl_scenario.Invariants.prepare engine space;
-  ignore (Address_space.drain_cost space);
-  let alts = c.cl_scenario.Invariants.alts engine ~seed:c.cl_seed ~source:None in
-  let sr =
-    Concurrent.run_supervised engine ~policy:c.cl_policy ~space ~sites alts
-  in
-  {
-    sf_engine = engine;
-    sf_sites = sites;
-    sf_sr = sr;
-    sf_cell = c;
-    sf_alts_count = List.length alts;
-    sf_sanitizer = sanitizer;
-  }
-
-let check rr =
-  let c = rr.sf_cell in
-  let sr = rr.sf_sr in
-  let rep = sr.Concurrent.sr_report in
-  let h = History.of_trace (Engine.trace rr.sf_engine) in
-  let out = ref [] in
-  let viol cls d =
-    out :=
-      Report.violation cls ~scenario:c.cl_scenario.Invariants.sc_name
-        ~policy:(Concurrent.describe c.cl_policy)
-        ~seed:c.cl_seed d
-      :: !out
-  in
-  let wins = History.sync_wins_epochs h in
-  (* At most one synchronisation win per epoch: the consensus semaphore is
-     0-1 within an incarnation, whatever the sites did. *)
-  let by_epoch = Hashtbl.create 8 in
-  List.iter
-    (fun (pid, idx, e) ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt by_epoch e) in
-      Hashtbl.replace by_epoch e ((pid, idx) :: l))
-    wins;
-  Hashtbl.iter
-    (fun e l ->
-      if List.length l > 1 then
-        viol Report.At_most_once
-          (Printf.sprintf "%d Sync_won events within epoch %d" (List.length l)
-             e))
-    by_epoch;
-  let final_wins = List.filter (fun (_, _, e) -> e = sr.Concurrent.sr_epoch) wins in
-  (* Outcome-shaped checks, including transparency against the sequential
-     oracle run on the final surviving space. *)
-  let compare_space sspace =
-    match sr.Concurrent.sr_space with
-    | None ->
-      viol Report.Transparency
-        "a selected outcome left no surviving address space to audit"
-    | Some sp ->
-      if
-        not
-          (Page_map.snapshot_equal (Address_space.map sp)
-             (Address_space.map sspace))
-      then
-        viol Report.Transparency
-          "the surviving address space differs from a sequential execution \
-           of the winning alternative alone"
-  in
-  (match rep.Concurrent.outcome with
-  | Alt_block.Selected { index; value } when not rep.Concurrent.degraded -> (
-    if c.cl_campaign.cg_majority_crash then
-      viol Report.At_most_once
-        "a majority of voter sites crashed before any alternative could \
-         synchronise, yet the block claims a selected winner";
-    (match (final_wins, rep.Concurrent.winner) with
-    | [ (pid, i, _) ], Some w ->
-      if not (Pid.equal pid w) then
-        viol Report.At_most_once
-          (Format.asprintf
-             "epoch %d Sync_won by %a but the report names %a as the winner"
-             sr.Concurrent.sr_epoch Pid.pp pid Pid.pp w);
-      if i <> index then
-        viol Report.At_most_once
-          (Printf.sprintf
-             "epoch %d Sync_won for alternative %d but the outcome selected \
-              %d"
-             sr.Concurrent.sr_epoch i index)
-    | [], _ ->
-      viol Report.At_most_once
-        (Printf.sprintf
-           "outcome is Selected but epoch %d recorded no Sync_won"
-           sr.Concurrent.sr_epoch)
-    | _ :: _, None ->
-      viol Report.At_most_once "a selected outcome reports no winner pid"
-    | ws, _ ->
-      viol Report.At_most_once
-        (Printf.sprintf "%d Sync_won events in the deciding epoch"
-           (List.length ws)));
-    match
-      Invariants.sequential_reference c.cl_scenario ~seed:c.cl_seed
-        ~indices:[ index ]
-    with
-    | Some (Alt_block.Selected { index = 0; value = value' }), sspace, _ ->
-      if value' <> value then
-        viol Report.Transparency
-          (Printf.sprintf
-             "winning alternative %d returned %d under site faults but %d \
-              sequentially"
-             index value value');
-      compare_space sspace
-    | Some _, _, _ ->
-      viol Report.Transparency
-        (Printf.sprintf "winning alternative %d fails when re-executed alone"
-           index)
-    | None, _, _ ->
-      viol Report.Transparency "sequential reference execution did not \
-                                complete")
-  | Alt_block.Selected { index; value } -> (
-    (* Degraded: the fallback ran the alternatives sequentially in the
-       final incarnation's space, so the oracle is first-fit over all of
-       them — and no epoch may claim a speculative win for the deciding
-       incarnation. *)
-    if final_wins <> [] then
-      viol Report.At_most_once
-        (Printf.sprintf
-           "epoch %d degraded to sequential execution yet recorded Sync_won"
-           sr.Concurrent.sr_epoch);
-    let indices = List.init rr.sf_alts_count Fun.id in
-    match
-      Invariants.sequential_reference c.cl_scenario ~seed:c.cl_seed ~indices
-    with
-    | Some (Alt_block.Selected { index = index'; value = value' }), sspace, _
-      ->
-      if index' <> index || value' <> value then
-        viol Report.Transparency
-          (Printf.sprintf
-             "degraded block selected alternative %d (value %d) but a \
-              sequential execution selects %d (value %d)"
-             index value index' value');
-      compare_space sspace
-    | Some (Alt_block.Block_failed _), _, _ ->
-      viol Report.Transparency
-        (Printf.sprintf
-           "degraded block selected alternative %d but a sequential \
-            execution fails"
-           index)
-    | None, _, _ ->
-      viol Report.Transparency "sequential reference execution did not \
-                                complete")
-  | Alt_block.Block_failed _ ->
-    (* Failure under a site campaign is honest (availability, not safety,
-       is sacrificed) — but it must be a clean failure: no winner, and no
-       win recorded for the epoch that reported it. *)
-    (match rep.Concurrent.winner with
-    | Some w ->
-      viol Report.At_most_once
-        (Format.asprintf "a failed block reports %a as a winner" Pid.pp w)
-    | None -> ());
-    if final_wins <> [] then
-      viol Report.At_most_once
-        (Printf.sprintf "epoch %d failed yet recorded Sync_won"
-           sr.Concurrent.sr_epoch));
-  (* Recovery bookkeeping: the report, the trace, and the topology agree. *)
-  if sr.Concurrent.sr_incarnations <> 1 + List.length sr.Concurrent.sr_recoveries
-  then
-    viol Report.Accounting
-      (Printf.sprintf "%d incarnations but %d recoveries"
-         sr.Concurrent.sr_incarnations
-         (List.length sr.Concurrent.sr_recoveries));
-  if History.recoveries h <> sr.Concurrent.sr_recoveries then
-    viol Report.Accounting
-      "the trace's Recovered events do not match the supervised report";
-  ignore
-    (List.fold_left
-       (fun prev (_, _, e) ->
-         if e <> prev + 1 then
-           viol Report.Accounting
-             (Printf.sprintf
-                "recovery epochs are not consecutive: %d follows %d" e prev);
-         e)
-       1 sr.Concurrent.sr_recoveries);
-  let sorted = List.sort compare in
-  if sorted (History.site_crashes h) <> sorted (Sites.crashed_sites rr.sf_sites)
-  then
-    viol Report.Accounting
-      "traced Site_crashed events do not match the topology's crashed set";
-  (* Elimination across incarnations: every child of every coordinator
-     exits exactly once, and an [ok] exit is only legitimate for a child
-     that won some epoch's synchronisation (the final winner, or an
-     orphaned winner whose epoch was fenced before commit — its pages died
-     with its incarnation). *)
-  let won_some pid = List.exists (fun (p, _, _) -> Pid.equal p pid) wins in
-  List.iter
-    (fun child ->
-      match History.exits_of h child with
-      | [ st ] -> (
-        let is_winner =
-          Option.equal Pid.equal (Some child) rep.Concurrent.winner
-        in
-        match History.classify_exit st with
-        | History.Ok_exit ->
-          if (not is_winner) && not (won_some child) then
-            viol Report.Elimination
-              (Format.asprintf
-                 "alternative %a exited ok without ever winning a \
-                  synchronisation"
-                 Pid.pp child)
-        | _ ->
-          if is_winner then
-            viol Report.Elimination
-              (Format.asprintf "the winner %a exited %S" Pid.pp child st))
-      | [] ->
-        viol Report.Elimination
-          (Format.asprintf "child %a has no Exited event" Pid.pp child)
-      | l ->
-        viol Report.Elimination
-          (Format.asprintf "child %a exited %d times" Pid.pp child
-             (List.length l)))
-    rep.Concurrent.children;
-  if Engine.live_count rr.sf_engine <> 0 then
-    viol Report.World
-      (Printf.sprintf "%d processes still live at quiescence"
-         (Engine.live_count rr.sf_engine));
-  List.rev !out
-
-(* [check] plus, when the cell ran sanitized, the streaming-vs-post-mortem
-   cross-check (agreement adds nothing; divergence is a Sanitizer-class
-   violation). *)
-let check_crossed rr =
-  let vs = check rr in
-  match rr.sf_sanitizer with
-  | None -> vs
-  | Some sz ->
-    Sanitizer.detach sz;
-    let c = rr.sf_cell in
-    vs
-    @ Sanitizer.crosscheck sz ~oracle:vs
+(* A campaign that takes a voter majority down before anyone can
+   synchronise leaves no quorum to select with: a clean [Selected] outcome
+   is a phantom winner. *)
+let phantom_winner c (rr : Invariants.run) =
+  let rep = rr.Invariants.report in
+  match rep.Concurrent.outcome with
+  | Alt_block.Selected _
+    when c.cl_campaign.cg_majority_crash && not rep.Concurrent.degraded ->
+    [
+      Report.violation Report.At_most_once
         ~scenario:c.cl_scenario.Invariants.sc_name
         ~policy:(Concurrent.describe c.cl_policy)
         ~seed:c.cl_seed
+        "a majority of voter sites crashed before any alternative could \
+         synchronise, yet the block claims a selected winner";
+    ]
+  | _ -> []
 
-let site_summary rr =
-  let sr = rr.sf_sr in
-  let rep = sr.Concurrent.sr_report in
-  let h = History.of_trace (Engine.trace rr.sf_engine) in
-  Printf.sprintf
-    "%s: %s epoch=%d incarnations=%d recoveries=%d degraded=%b crashed=[%s] \
-     partitions=%d heals=%d injections=%d msgs=%d elapsed=%.9f wasted=%.9f"
-    (describe_cell rr.sf_cell) (outcome_string rep) sr.Concurrent.sr_epoch
-    sr.Concurrent.sr_incarnations
-    (List.length sr.Concurrent.sr_recoveries)
-    rep.Concurrent.degraded
-    (String.concat "," (Sites.crashed_sites rr.sf_sites))
-    (List.length (History.partitions h))
-    (List.length (History.heals h))
-    (List.length (History.injections h))
-    rep.Concurrent.sync_messages rep.Concurrent.elapsed
-    rep.Concurrent.wasted_cpu
-
-let run_site_cell ?sanitize c =
-  let rr = run_supervised ?sanitize c in
-  let vs = check_crossed rr in
-  (site_summary rr, vs)
+let run_cell ?sanitize c =
+  let sites = if c.cl_campaign.cg_supervised then Some site_names else None in
+  let rr, vs =
+    Invariants.run_checked
+      ~faults:(c.cl_campaign.plan ~seed:c.cl_seed)
+      ?sites ?sanitize c.cl_scenario ~policy:c.cl_policy ~seed:c.cl_seed
+  in
+  (summary c rr, vs @ phantom_winner c rr)
 
 (* ------------------------------------------------------------------ *)
 (* The runner.                                                         *)
@@ -610,10 +366,7 @@ let render_violations vs =
   List.map (fun v -> Format.asprintf "%a" Report.pp_violation v) vs
 
 let run ?(jobs = 1) ?(verify = false) ?sanitize cs =
-  let run_cell c =
-    if c.cl_campaign.cg_supervised then run_site_cell ?sanitize c
-    else run_message_cell ?sanitize c
-  in
+  let run_cell = run_cell ?sanitize in
   let results =
     Parallel.map_indexed_shared ~jobs
       (fun i ->

@@ -1,31 +1,25 @@
 (** Fault campaigns: the invariant sweep under adversarial plans, with one
-    cell matrix, one runner and two executors.
+    cell matrix and one runner.
 
     The clean sweep ({!Invariants.run_matrix}) shows the paper's invariants
     hold on healthy executions; this module re-runs the scenarios with a
     {!Faultplan} installed, across a scenario x campaign x policy x seed
     matrix. A faulted execution may honestly {e fail} (availability is
     allowed to suffer), but every invariant the checkers can still judge
-    must hold. A campaign is one of two kinds, and only the per-cell
-    executor differs between them:
+    must hold. A campaign is one of two kinds:
 
     - a {e message} campaign drops, duplicates, delays and reorders
       consensus messages, crashes voters, kills children and raises
-      timeout storms. The cell runs through {!Invariants.run_checked} with
-      the plan installed, so every core checker judges it;
+      timeout storms;
     - a {e site} campaign crashes and partitions whole sites. The cell
-      builds the five-site topology ({!site_names}), spreads five
-      consensus voters one per site, and runs the block under
-      {!Concurrent.run_supervised}, so the coordinator itself may die and
-      recover. Its checkers are epoch-aware: at most one [Sync_won] per
-      incarnation epoch, exactly one committed result across all epochs (a
-      failed or degraded block commits none and names no winner),
-      transparency of any selected result against
-      {!Invariants.sequential_reference} compared on the {e final}
-      surviving space ([sr_space]), honest failure when a voter majority is
-      lost, per-child exit accounting across every incarnation, and
-      agreement between the supervised report, the trace, and the
-      topology.
+      runs on the five-site topology ({!site_names}) with five consensus
+      voters spread one per site, under {!Concurrent.run_supervised}, so
+      the coordinator itself may die and recover.
+
+    Every cell runs through {!Invariants.run_checked} (with [~sites] for a
+    site campaign), so the one post-mortem oracle judges both kinds. A
+    site campaign that removes a voter majority additionally flags a
+    non-degraded [Selected] outcome as a phantom winner.
 
     Everything is deterministic: a cell is fully identified by
     (scenario, campaign, policy, seed), and re-running it produces a

@@ -28,8 +28,7 @@ type t = {
   spawns : (Pid.t, Pid.t option * string) Hashtbl.t;
   spawn_order : Pid.t list;
   exits : (Pid.t, string list) Hashtbl.t;  (* statuses, oldest first *)
-  sync_wins : (Pid.t * int) list;
-  sync_wins_epochs : (Pid.t * int * int) list;
+  sync_wins : (Pid.t * int * int) list;
   sync_lates : (Pid.t * int) list;
   absorbs : (Pid.t * Pid.t) list;
   accepts : (Pid.t * Predicate.t * Message.t) list;
@@ -39,8 +38,6 @@ type t = {
   injections : (string * Pid.t option * Message.t option) list;
   degradations : (Pid.t * string) list;
   site_crashes : string list;
-  partitions : (string list * string list) list;
-  heals : (string list * string list) list;
   recoveries : (Pid.t * Pid.t * int) list;
   delivery_batches : (Pid.t * Pid.t * int) list;  (* sender, dest, count *)
 }
@@ -53,7 +50,7 @@ let of_trace trace =
   let accepts = ref [] and fates = ref [] and kills = ref [] in
   let sent = ref [] in
   let injections = ref [] and degradations = ref [] in
-  let site_crashes = ref [] and partitions = ref [] and heals = ref [] in
+  let site_crashes = ref [] in
   let recoveries = ref [] in
   let batches = ref [] in
   List.iter
@@ -80,9 +77,6 @@ let of_trace trace =
       | Trace.Degraded { parent; reason } ->
         degradations := (parent, reason) :: !degradations
       | Trace.Site_crashed { site } -> site_crashes := site :: !site_crashes
-      | Trace.Partitioned { left; right } ->
-        partitions := (left, right) :: !partitions
-      | Trace.Healed { left; right } -> heals := (left, right) :: !heals
       | Trace.Recovered { failed; successor; epoch } ->
         recoveries := (failed, successor, epoch) :: !recoveries
       | Trace.Delivered_batch { sender; dest; count } ->
@@ -91,14 +85,14 @@ let of_trace trace =
            semantics. Kept only as an observability digest. *)
         batches := (sender, dest, count) :: !batches
       | Trace.Started _ | Trace.Delivered _ | Trace.Ignored _ | Trace.Split _
-      | Trace.Fate_deferred _ | Trace.Sanitizer_flag _ | Trace.Note _ -> ())
+      | Trace.Fate_deferred _ | Trace.Sanitizer_flag _ | Trace.Note _
+      | Trace.Partitioned _ | Trace.Healed _ -> ())
     (Trace.events trace);
   {
     spawns;
     spawn_order = List.rev !spawn_order;
     exits;
-    sync_wins = List.rev_map (fun (pid, index, _) -> (pid, index)) !wins;
-    sync_wins_epochs = List.rev !wins;
+    sync_wins = List.rev !wins;
     sync_lates = List.rev !lates;
     absorbs = List.rev !absorbs;
     accepts = List.rev !accepts;
@@ -108,8 +102,6 @@ let of_trace trace =
     injections = List.rev !injections;
     degradations = List.rev !degradations;
     site_crashes = List.rev !site_crashes;
-    partitions = List.rev !partitions;
-    heals = List.rev !heals;
     recoveries = List.rev !recoveries;
     delivery_batches = List.rev !batches;
   }
@@ -119,7 +111,6 @@ let parent_of t pid = Option.join (Option.map fst (Hashtbl.find_opt t.spawns pid
 let spawned t = t.spawn_order
 let exits_of t pid = Option.value ~default:[] (Hashtbl.find_opt t.exits pid)
 let sync_wins t = t.sync_wins
-let sync_wins_epochs t = t.sync_wins_epochs
 let sync_lates t = t.sync_lates
 let absorbs t = t.absorbs
 let accepts t = t.accepts
@@ -129,8 +120,6 @@ let sent t = t.sent
 let injections t = t.injections
 let degradations t = t.degradations
 let site_crashes t = t.site_crashes
-let partitions t = t.partitions
-let heals t = t.heals
 let recoveries t = t.recoveries
 let delivery_batches t = t.delivery_batches
 let faulted t = t.injections <> []

@@ -37,10 +37,7 @@ val exits_of : t -> Pid.t -> string list
 
 (** {2 Synchronisation and rendezvous} *)
 
-val sync_wins : t -> (Pid.t * int) list
-(** [(pid, alternative index)] of every [Sync_won] event, in order. *)
-
-val sync_wins_epochs : t -> (Pid.t * int * int) list
+val sync_wins : t -> (Pid.t * int * int) list
 (** [(pid, alternative index, epoch)] of every [Sync_won] event, in order.
     Epoch 0 is an unsupervised block; >= 1 an incarnation under coordinator
     recovery ({!Concurrent.run_supervised}). *)
@@ -74,11 +71,6 @@ val degradations : t -> (Pid.t * string) list
 
 val site_crashes : t -> string list
 (** Sites that crashed ([Site_crashed] events), in order. *)
-
-val partitions : t -> (string list * string list) list
-(** [(left, right)] of every [Partitioned] event, in order. *)
-
-val heals : t -> (string list * string list) list
 
 val recoveries : t -> (Pid.t * Pid.t * int) list
 (** [(failed coordinator, successor, new epoch)] of every [Recovered]

@@ -12,6 +12,7 @@ type run = {
   space : Address_space.t;
   source : Source.t option;
   report : int Concurrent.report;
+  supervised : (Sites.t * int Concurrent.supervised_report) option;
   policy : Concurrent.policy;
   scenario : scenario;
   seed : int;
@@ -22,6 +23,28 @@ type run = {
 let viol rr check detail =
   Report.violation check ~scenario:rr.scenario.sc_name
     ~policy:(Concurrent.describe rr.policy) ~seed:rr.seed detail
+
+(* An unsupervised block is epoch 0 and never recovers. *)
+let deciding_epoch rr =
+  match rr.supervised with
+  | None -> 0
+  | Some (_, sr) -> sr.Concurrent.sr_epoch
+
+(* Coordinators a recovery fenced off: their wins and rendezvous are void. *)
+let fenced_coordinators rr =
+  match rr.supervised with
+  | None -> []
+  | Some (_, sr) ->
+    List.map (fun (failed, _, _) -> failed) sr.Concurrent.sr_recoveries
+
+(* Every alternative of every incarnation. The report lists the deciding
+   incarnation's (all of them when none decided). *)
+let block_children rr =
+  let own = rr.report.Concurrent.children in
+  List.filter
+    (fun c -> not (List.exists (Pid.equal c) own))
+    (List.concat_map (Engine.children_of rr.engine) (fenced_coordinators rr))
+  @ own
 
 (* ------------------------------------------------------------------ *)
 (* Running a scenario.                                                 *)
@@ -39,7 +62,7 @@ let mk_source eng scenario =
     Some s
   end
 
-let run_scenario ?faults ?(sanitize = false) scenario ~policy ~seed =
+let run_scenario ?faults ?sites ?(sanitize = false) scenario ~policy ~seed =
   let engine = mk_engine seed in
   (* The sanitizer attaches before anything is spawned (its vector clocks
      must see every Spawned event), and fault plans hook the engine before
@@ -47,7 +70,8 @@ let run_scenario ?faults ?(sanitize = false) scenario ~policy ~seed =
      transparency checker's reference runs stay fault-free: they are built
      by [sequential_reference] below). *)
   let sanitizer = if sanitize then Some (Sanitizer.attach engine) else None in
-  (match faults with Some install -> install engine | None -> ());
+  let topology = Option.map (fun names -> Sites.create engine ~names) sites in
+  Option.iter (fun plan -> Faultplan.install ?sites:topology plan engine) faults;
   let space = mk_space engine in
   Address_space.set_tracking space true;
   scenario.prepare engine space;
@@ -57,12 +81,21 @@ let run_scenario ?faults ?(sanitize = false) scenario ~policy ~seed =
   | Some sz, Some src -> Sanitizer.observe_source sz src
   | _ -> ());
   let alts = scenario.alts engine ~seed ~source in
-  let report = Concurrent.run_toplevel engine ~policy ~space alts in
+  let space, report, supervised =
+    match topology with
+    | None -> (space, Concurrent.run_toplevel engine ~policy ~space alts, None)
+    | Some sites ->
+      let sr = Concurrent.run_supervised engine ~policy ~space ~sites alts in
+      ( Option.value sr.Concurrent.sr_space ~default:space,
+        sr.Concurrent.sr_report,
+        Some (sites, sr) )
+  in
   {
     engine;
     space;
     source;
     report;
+    supervised;
     policy;
     scenario;
     seed;
@@ -73,11 +106,27 @@ let run_scenario ?faults ?(sanitize = false) scenario ~policy ~seed =
 (* ------------------------------------------------------------------ *)
 (* At-most-once synchronisation.                                       *)
 
-let check_at_most_once rr =
-  let h = History.of_trace (Engine.trace rr.engine) in
+let check_at_most_once rr h =
   let out = ref [] in
   let add d = out := viol rr Report.At_most_once d :: !out in
-  let wins = History.sync_wins h in
+  let epoch = deciding_epoch rr in
+  let fenced = fenced_coordinators rr in
+  let all_wins = History.sync_wins h in
+  (* The latch is 0-1 within one incarnation, whatever the sites did. *)
+  List.iter
+    (fun e ->
+      match List.filter (fun (_, _, e') -> e' = e) all_wins with
+      | _ :: _ :: _ as ws ->
+        add
+          (Printf.sprintf
+             "%d Sync_won events within epoch %d: the at-most-once latch \
+              fired more than once"
+             (List.length ws) e)
+      | _ -> ())
+    (List.sort_uniq Int.compare (List.map (fun (_, _, e) -> e) all_wins));
+  (* A win in an epoch a recovery fenced is void: only the deciding
+     incarnation's win speaks for the block. *)
+  let wins = List.filter (fun (_, _, e) -> e = epoch) all_wins in
   let lates = History.sync_lates h in
   let winner = rr.report.Concurrent.winner in
   (if rr.report.Concurrent.degraded then begin
@@ -99,7 +148,7 @@ let check_at_most_once rr =
   match rr.report.Concurrent.outcome with
   | Alt_block.Selected { index; _ } -> (
     match wins with
-    | [ (pid, i) ] ->
+    | [ (pid, i, _) ] ->
       if not (Option.equal Pid.equal (Some pid) winner) then
         add
           (Format.asprintf
@@ -111,23 +160,21 @@ let check_at_most_once rr =
         add
           (Printf.sprintf
              "Sync_won for alternative %d but the outcome selected %d" i index)
-    | [] -> add "outcome is Selected but no Sync_won event was recorded"
-    | ws ->
+    | [] ->
       add
-        (Printf.sprintf
-           "%d Sync_won events in one block: the at-most-once latch fired \
-            more than once"
-           (List.length ws)))
+        (Printf.sprintf "outcome is Selected but epoch %d recorded no Sync_won"
+           epoch)
+    | _ -> ())
   | Alt_block.Block_failed _ ->
     if wins <> [] then
       add "Sync_won recorded although the block reported failure");
   List.iter
-    (fun (pid, _) ->
+    (fun (pid, _, _) ->
       if List.exists (fun (p, _) -> Pid.equal p pid) lates then
         add
           (Format.asprintf "%a both won and lost the synchronisation" Pid.pp
              pid))
-    wins;
+    all_wins;
   let rec dup_late = function
     | [] -> ()
     | (pid, _) :: rest ->
@@ -137,16 +184,21 @@ let check_at_most_once rr =
       dup_late (List.filter (fun (p, _) -> not (Pid.equal p pid)) rest)
   in
   dup_late lates;
+  let children = block_children rr in
   List.iter
     (fun (pid, _) ->
-      if not (List.exists (Pid.equal pid) rr.report.Concurrent.children) then
+      if not (List.exists (Pid.equal pid) children) then
         add
           (Format.asprintf "Sync_late for %a, which is not a block child"
              Pid.pp pid)
       else if Option.equal Pid.equal (Some pid) winner then
         add (Format.asprintf "the winner %a was also told \"too late\"" Pid.pp pid))
     lates;
-  let absorbs = History.absorbs h in
+  let absorbs =
+    List.filter
+      (fun (parent, _) -> not (List.exists (Pid.equal parent) fenced))
+      (History.absorbs h)
+  in
   if List.length absorbs > 1 then
     add
       (Printf.sprintf "%d Absorbed rendezvous in one block"
@@ -190,7 +242,7 @@ let source_lines = function
   | None -> []
   | Some s -> List.map (fun (_, _, l) -> l) (Source.output s)
 
-let check_transparency rr =
+let check_transparency rr h =
   let v d = [ viol rr Report.Transparency d ] in
   let compare_state sspace ssource =
     let state_ok =
@@ -220,7 +272,7 @@ let check_transparency rr =
        compare against. *)
     []
   | Alt_block.Block_failed _
-    when History.faulted (History.of_trace (Engine.trace rr.engine)) ->
+    when History.faulted h ->
     (* An injected fault (dropped message, killed child, ...) may honestly
        fail a block that would succeed sequentially: availability is
        sacrificed, not transparency. What must {e never} happen — and is
@@ -284,8 +336,7 @@ let check_transparency rr =
 (* ------------------------------------------------------------------ *)
 (* World soundness.                                                    *)
 
-let check_world rr =
-  let h = History.of_trace (Engine.trace rr.engine) in
+let check_world rr h =
   let out = ref [] in
   let add d = out := viol rr Report.World d :: !out in
   List.iter
@@ -338,16 +389,23 @@ let too_late_exit h pid =
     (fun s -> History.classify_exit s = History.Failed_exit "too late")
     (History.exits_of h pid)
 
-let check_elimination rr =
-  let h = History.of_trace (Engine.trace rr.engine) in
+let check_elimination rr h =
   let out = ref [] in
   let add d = out := viol rr Report.Elimination d :: !out in
-  let children = rr.report.Concurrent.children in
+  let children = block_children rr in
   let winner = rr.report.Concurrent.winner in
-  if rr.report.Concurrent.spawned <> List.length children then
+  (* An ok exit is legitimate only for a child that won some epoch's
+     synchronisation: the final winner, or a winner whose incarnation was
+     fenced before it could answer (its effects died with it). *)
+  let won_some c =
+    List.exists (fun (p, _, _) -> Pid.equal p c) (History.sync_wins h)
+  in
+  if rr.report.Concurrent.spawned <> List.length rr.report.Concurrent.children
+  then
     add
       (Printf.sprintf "report claims %d spawned alternatives but lists %d"
-         rr.report.Concurrent.spawned (List.length children));
+         rr.report.Concurrent.spawned
+         (List.length rr.report.Concurrent.children));
   List.iter
     (fun c ->
       (match History.exits_of h c with
@@ -355,11 +413,11 @@ let check_elimination rr =
         let is_winner = Option.equal Pid.equal (Some c) winner in
         (match History.classify_exit st with
         | History.Ok_exit ->
-          if not is_winner then
+          if not (won_some c) then
             add
               (Format.asprintf
-                 "losing alternative %a exited ok: a second alternative's \
-                  effects survived"
+                 "alternative %a exited ok without winning a synchronisation: \
+                  a second alternative's effects survived"
                  Pid.pp c)
         | _ ->
           if is_winner then
@@ -409,8 +467,7 @@ let check_elimination rr =
 (* ------------------------------------------------------------------ *)
 (* Overhead accounting.                                                *)
 
-let check_accounting rr =
-  let h = History.of_trace (Engine.trace rr.engine) in
+let check_accounting rr h =
   let out = ref [] in
   let add d = out := viol rr Report.Accounting d :: !out in
   let rep = rr.report in
@@ -500,36 +557,17 @@ let check_accounting rr =
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
-(* Everything.                                                         *)
+(* Recovery: the supervised report, the trace and the topology agree.  *)
 
-let check_all rr =
-  let policy = Concurrent.describe rr.policy in
-  check_at_most_once rr @ check_transparency rr @ check_world rr
-  @ check_elimination rr @ check_accounting rr
-  @ Race.check_isolation rr.engine ~children:rr.report.Concurrent.children
-      ~scenario:rr.scenario.sc_name ~policy ~seed:rr.seed
-  @
-  match rr.source with
-  | Some s ->
-    Race.check_sources s ~scenario:rr.scenario.sc_name ~policy ~seed:rr.seed
-  | None -> []
-
-let run_checked ?faults ?sanitize scenario ~policy ~seed =
-  let rr = run_scenario ?faults ?sanitize scenario ~policy ~seed in
-  let vs = check_all rr in
-  match rr.sanitizer with
-  | None -> (rr, vs)
-  | Some sz ->
-    (* The post-mortem checkers are the sanitizer's oracle: on every cell
-       the streaming verdict must agree with the replay verdict. Agreement
-       contributes nothing, so clean sweeps stay byte-identical; a
-       divergence is a finding of its own class (exit code 17). *)
-    Sanitizer.detach sz;
-    let policy_s = Concurrent.describe policy in
-    ( rr,
-      vs
-      @ Sanitizer.crosscheck sz ~oracle:vs ~scenario:scenario.sc_name
-          ~policy:policy_s ~seed )
+let check_recovery rr h (sites, sr) =
+  let out = ref [] in
+  let add d = out := viol rr Report.Accounting d :: !out in
+  if History.recoveries h <> sr.Concurrent.sr_recoveries then
+    add "the trace's Recovered events do not match the supervised report";
+  let sorted = List.sort compare in
+  if sorted (History.site_crashes h) <> sorted (Sites.crashed_sites sites) then
+    add "traced Site_crashed events do not match the topology's crashed set";
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* The default scenarios.                                              *)
@@ -740,6 +778,47 @@ let check_supervised_report ~scenario ~policy ~seed
       "a decided supervised block has no final coordinator"
   | _ -> ());
   !out
+
+(* ------------------------------------------------------------------ *)
+(* Everything.                                                         *)
+
+let check_all rr =
+  let h = History.of_trace (Engine.trace rr.engine) in
+  let policy = Concurrent.describe rr.policy in
+  check_at_most_once rr h @ check_transparency rr h @ check_world rr h
+  @ check_elimination rr h
+  (* Trace-level accounting sums over one incarnation; a supervised block
+     is audited by its report and its recovery record instead. *)
+  @ (match rr.supervised with
+    | None -> check_accounting rr h
+    | Some ((_, sr) as s) ->
+      check_supervised_report ~scenario:rr.scenario.sc_name ~policy:rr.policy
+        ~seed:rr.seed sr
+      @ check_recovery rr h s)
+  @ Race.check_isolation rr.engine ~children:rr.report.Concurrent.children
+      ~scenario:rr.scenario.sc_name ~policy ~seed:rr.seed
+  @
+  match rr.source with
+  | Some s ->
+    Race.check_sources s ~scenario:rr.scenario.sc_name ~policy ~seed:rr.seed
+  | None -> []
+
+let run_checked ?faults ?sites ?sanitize scenario ~policy ~seed =
+  let rr = run_scenario ?faults ?sites ?sanitize scenario ~policy ~seed in
+  let vs = check_all rr in
+  match rr.sanitizer with
+  | None -> (rr, vs)
+  | Some sz ->
+    (* The post-mortem checkers are the sanitizer's oracle: on every cell
+       the streaming verdict must agree with the replay verdict. Agreement
+       contributes nothing, so clean sweeps stay byte-identical; a
+       divergence is a finding of its own class (exit code 17). *)
+    Sanitizer.detach sz;
+    let policy_s = Concurrent.describe policy in
+    ( rr,
+      vs
+      @ Sanitizer.crosscheck sz ~oracle:vs ~scenario:scenario.sc_name
+          ~policy:policy_s ~seed )
 
 (* ------------------------------------------------------------------ *)
 (* The policy matrix.                                                  *)

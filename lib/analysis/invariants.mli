@@ -1,27 +1,35 @@
 (** The paper's invariants, checked against whole executions.
 
-    Each checker consumes a finished run of {!Concurrent.run_toplevel} —
-    engine, trace, report — and verifies one family of properties from
-    Smith & Maguire's transparency argument:
+    {!check_all} consumes a finished run — engine, trace, report — of
+    either {!Concurrent.run_toplevel} or {!Concurrent.run_supervised}, and
+    verifies each family of properties from Smith & Maguire's transparency
+    argument with the same checkers for both:
 
-    - {!check_at_most_once}: exactly one alternative wins the
-      synchronisation, every other synchroniser is told it is too late,
-      and the winner's state is absorbed exactly once (section 3.2);
-    - {!check_transparency}: the surviving address space, result value and
+    - {b at-most-once}: at most one alternative wins the synchronisation
+      in each incarnation epoch, the deciding epoch's win is the reported
+      winner, every other synchroniser is told it is too late, and the
+      winner's state is absorbed exactly once (section 3.2). Wins and
+      rendezvous of a coordinator a recovery fenced off are void;
+    - {b transparency}: the surviving address space, result value and
       source output are identical to a fresh {e sequential} execution of
       the winning alternative alone (section 3);
-    - {!check_world}: no process accepted a message whose sending predicate
-      conflicts with its own, fates are immutable, and falsified worlds
-      were eliminated (sections 3.3-3.4);
-    - {!check_elimination}: every spawned alternative exits exactly once,
-      only the winner succeeds, and synchronisation losers abort
-      (section 3.2.1);
-    - {!check_accounting}: the report's [wasted_cpu], [sync_messages] and
-      [child_cow_copies] reconcile with the engine's CPU ledger, the
-      message trace and the frame store (section 4).
+    - {b world}: no process accepted a message whose sending predicate
+      conflicts with its own, fates are immutable, falsified worlds were
+      eliminated, and nothing is left live at quiescence (sections
+      3.3-3.4);
+    - {b elimination}: every spawned alternative exits exactly once, an
+      [ok] exit only for a child that won some epoch, and synchronisation
+      losers abort (section 3.2.1);
+    - {b isolation} and {b sources}: {!Race.check_isolation} and
+      {!Race.check_sources}.
 
-    {!check_all} additionally runs {!Race.check_isolation} and
-    {!Race.check_sources}. *)
+    An unsupervised run is additionally held to {b accounting}: the
+    report's [wasted_cpu], [sync_messages] and [child_cow_copies]
+    reconcile with the engine's CPU ledger, the message trace and the
+    frame store (section 4) — sums defined for one incarnation. A
+    supervised run is instead held to {!check_supervised_report} and to
+    agreement of its [Recovered] and [Site_crashed] events with the
+    supervised report and the topology. *)
 
 (** A checkable workload: how to seed the parent's state and build the
     block's alternatives, deterministically from a seed. *)
@@ -41,9 +49,16 @@ type scenario = {
 (** One finished, checkable execution. *)
 type run = {
   engine : Engine.t;  (** Quiescent after the block. *)
-  space : Address_space.t;  (** The parent's (preserved) address space. *)
+  space : Address_space.t;
+      (** The surviving address space: the parent's (preserved) space, or
+          a supervised block's [sr_space]. *)
   source : Source.t option;
   report : int Concurrent.report;
+      (** The (deciding incarnation's) block report. *)
+  supervised : (Sites.t * int Concurrent.supervised_report) option;
+      (** Present when the block ran under {!Concurrent.run_supervised}:
+          the topology and the supervised report (deciding epoch, final
+          coordinator, recoveries). An unsupervised run is epoch 0. *)
   policy : Concurrent.policy;
   scenario : scenario;
   seed : int;
@@ -54,42 +69,28 @@ type run = {
 }
 
 val run_scenario :
-  ?faults:(Engine.t -> unit) ->
+  ?faults:Faultplan.t ->
+  ?sites:string list ->
   ?sanitize:bool ->
   scenario -> policy:Concurrent.policy -> seed:int -> run
 (** Execute the scenario under the policy: fresh engine
     ({!Cost_model.att_3b2}), tracked parent space, block run to
-    quiescence via {!Concurrent.run_toplevel}. [faults] (e.g.
-    [Faultplan.install plan]) is applied to the fresh engine before
-    anything runs, so an injection campaign covers the whole execution;
-    the transparency checker's sequential reference runs are always
-    fault-free. With [~sanitize:true] (default false) a {!Sanitizer} is
-    attached before anything spawns and watches the whole execution
-    online. *)
-
-val sequential_reference :
-  scenario ->
-  seed:int ->
-  indices:int list ->
-  int Alt_block.outcome option * Address_space.t * Source.t option
-(** Execute the scenario's alternatives whose indices appear in [indices]
-    {e sequentially} (first-fit, {!Alt_block.run_first}) in a fresh,
-    fault-free engine, and return the outcome together with the resulting
-    address space and source device. This is the oracle the transparency
-    checkers compare a concurrent execution against; {!Campaign}'s site
-    executor reuses it for supervised (coordinator-recovery) runs. *)
-
-val check_at_most_once : run -> Report.violation list
-val check_transparency : run -> Report.violation list
-val check_world : run -> Report.violation list
-val check_elimination : run -> Report.violation list
-val check_accounting : run -> Report.violation list
+    quiescence via {!Concurrent.run_toplevel}. With [~sites] the engine
+    gets a {!Sites} topology of those names and the block runs under
+    {!Concurrent.run_supervised} on it instead (the policy must use
+    [Consensus]). [faults] is installed on the fresh engine (and the
+    topology) before anything runs, so an injection campaign covers the
+    whole execution; the transparency checker's sequential reference runs
+    are always fault-free. With [~sanitize:true] (default false) a
+    {!Sanitizer} is attached before anything spawns and watches the whole
+    execution online. *)
 
 val check_all : run -> Report.violation list
-(** All five checkers plus the {!Race} checkers, concatenated. *)
+(** Every checker that applies to the run (see above), concatenated. *)
 
 val run_checked :
-  ?faults:(Engine.t -> unit) ->
+  ?faults:Faultplan.t ->
+  ?sites:string list ->
   ?sanitize:bool ->
   scenario ->
   policy:Concurrent.policy ->

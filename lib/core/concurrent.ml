@@ -427,18 +427,14 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
         Engine.delay ctx issue;
         selection_cost := !selection_cost +. issue
       end;
-      let rec go index = function
-        | [] -> Alt_block.Block_failed "no alternative succeeded"
-        | alt :: rest -> (
-          match Alt_block.attempt ctx alt with
-          | Ok value ->
-            incr attempted;
-            Alt_block.Selected { index; value }
-          | Error _ ->
-            incr attempted;
-            go (index + 1) rest)
+      let outcome = Alt_block.run_first ctx alts in
+      let tried =
+        match outcome with
+        | Alt_block.Selected { index; _ } -> index + 1
+        | Alt_block.Block_failed _ -> List.length alts
       in
-      (go 0 alts, None)
+      attempted := !attempted + tried;
+      (outcome, None)
     in
     let outcome, winner =
       match decision with

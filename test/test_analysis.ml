@@ -145,6 +145,110 @@ let test_trace_jsonl () =
             find 0)
           lines)
 
+(* ---------------- supervised blocks ---------------- *)
+
+(* A site-campaign cell run through the oracle's own runner. *)
+let run_site_cell (c : Campaign.cell) =
+  Invariants.run_scenario
+    ~faults:(c.Campaign.cl_campaign.Campaign.plan ~seed:c.Campaign.cl_seed)
+    ~sites:Campaign.site_names c.Campaign.cl_scenario
+    ~policy:c.Campaign.cl_policy ~seed:c.Campaign.cl_seed
+
+let site_cell ~campaign ~scenario =
+  List.filter
+    (fun (c : Campaign.cell) ->
+      c.Campaign.cl_campaign.Campaign.cg_name = campaign
+      && c.Campaign.cl_scenario.Invariants.sc_name = scenario)
+    (Array.to_list (Campaign.cells Campaign.sites))
+
+let epoch_of rr = (snd (Option.get rr.Invariants.supervised)).Concurrent.sr_epoch
+
+(* The world and at-most-once checkers judge supervised blocks too: a
+   conflicting acceptance and a second win in the deciding epoch, forged
+   into a clean crash-minority cell, each trip their own class. *)
+let test_supervised_world_and_latch () =
+  let rr = run_site_cell (List.hd (site_cell ~campaign:"crash-minority" ~scenario:"counters")) in
+  check Alcotest.int "the clean cell is clean" 0
+    (List.length (Invariants.check_all rr));
+  let tr = Engine.trace rr.Invariants.engine in
+  let clean = Trace.events tr in
+  let now = Engine.now rr.Invariants.engine in
+  let c0 = List.hd rr.Invariants.report.Concurrent.children in
+  let c1 = List.nth rr.Invariants.report.Concurrent.children 1 in
+  let msg =
+    Message.make ~sender:c0 ~dest:c1
+      ~predicate:(Predicate.make ~must_complete:[ c0 ] ~must_fail:[])
+      ~tag:"forged" ~seq:0 Payload.Unit
+  in
+  Trace.replace tr
+    (clean
+    @ [
+        ( now,
+          Trace.Accepted
+            {
+              dest = c1;
+              msg;
+              dest_pred = Predicate.make ~must_complete:[] ~must_fail:[ c0 ];
+            } );
+      ]);
+  let vs = Invariants.check_all rr in
+  check Alcotest.(list string) "only the world checker fires" [ "world" ]
+    (class_names vs);
+  check Alcotest.int "exit code" 12 (Report.exit_code vs);
+  let loser =
+    List.find
+      (fun c ->
+        not (Option.equal Pid.equal (Some c) rr.Invariants.report.Concurrent.winner))
+      rr.Invariants.report.Concurrent.children
+  in
+  Trace.replace tr
+    (clean
+    @ [ (now, Trace.Sync_won { pid = loser; index = 99; epoch = epoch_of rr }) ]);
+  let vs = Invariants.check_all rr in
+  check Alcotest.(list string) "only the at-most-once checker fires"
+    [ "at-most-once" ] (class_names vs);
+  check Alcotest.int "exit code" 10 (Report.exit_code vs)
+
+(* A win in an epoch a recovery fenced is void: a first incarnation that
+   won, absorbed its winner and died leaves a second Sync_won, a second
+   Absorbed and a second ok exit in the block's trace, none of which may
+   count against the deciding epoch. *)
+let test_fenced_win_is_void () =
+  let rr, failed, child =
+    List.find_map
+      (fun c ->
+        let rr = run_site_cell c in
+        match (snd (Option.get rr.Invariants.supervised)).Concurrent.sr_recoveries with
+        | [ (failed, _, 2) ] -> (
+          match Engine.children_of rr.Invariants.engine failed with
+          | child :: _ -> Some (rr, failed, child)
+          | [] -> None)
+        | _ -> None)
+      (site_cell ~campaign:"crash-coordinator" ~scenario:"counters")
+    |> Option.get
+  in
+  check Alcotest.int "epoch 2 decided" 2 (epoch_of rr);
+  check Alcotest.int "the clean cell is clean" 0
+    (List.length (Invariants.check_all rr));
+  let tr = Engine.trace rr.Invariants.engine in
+  let now = Engine.now rr.Invariants.engine in
+  Trace.replace tr
+    (List.map
+       (fun (t, e) ->
+         match e with
+         | Trace.Exited { pid; _ } when Pid.equal pid child ->
+           (t, Trace.Exited { pid; status = "ok" })
+         | e -> (t, e))
+       (Trace.events tr)
+    @ [
+        (now, Trace.Sync_won { pid = child; index = 0; epoch = 1 });
+        (now, Trace.Absorbed { parent = failed; child });
+      ]);
+  let vs = Invariants.check_all rr in
+  List.iter (fun v -> Format.printf "%a@." Report.pp_violation v) vs;
+  check Alcotest.int "nothing counts against the deciding epoch" 0
+    (List.length vs)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -162,5 +266,12 @@ let () =
             test_isolation_shared_space;
           Alcotest.test_case "trace exports as JSON lines" `Quick
             test_trace_jsonl;
+        ] );
+      ( "supervised",
+        [
+          Alcotest.test_case "forged acceptance and double win -> 12, 10"
+            `Quick test_supervised_world_and_latch;
+          Alcotest.test_case "a fenced epoch's win is void" `Quick
+            test_fenced_win_is_void;
         ] );
     ]

@@ -279,15 +279,13 @@ let test_sanitized_drop_duplicate_plan_stays_clean () =
       sync_backoff = 0.02;
     }
   in
-  let faults eng =
-    Faultplan.install
-      (Faultplan.make ~seed:13
-         [
-           Faultplan.message ~p:0.3 ~tag:"vote_rep" Faultplan.Drop;
-           Faultplan.message ~tag:"vote_rep" Faultplan.Duplicate;
-           Faultplan.message ~p:0.5 ~tag:"vote_req" Faultplan.Duplicate;
-         ])
-      eng
+  let faults =
+    Faultplan.make ~seed:13
+      [
+        Faultplan.message ~p:0.3 ~tag:"vote_rep" Faultplan.Drop;
+        Faultplan.message ~tag:"vote_rep" Faultplan.Duplicate;
+        Faultplan.message ~p:0.5 ~tag:"vote_req" Faultplan.Duplicate;
+      ]
   in
   List.iter
     (fun sc_name ->

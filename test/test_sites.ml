@@ -451,25 +451,14 @@ let test_restored_incarnation_stays_tracked () =
         && String.ends_with ~suffix:"/retry2/seed 1" d)
       (Array.to_list (Campaign.cells Campaign.sites))
   in
-  let eng =
-    Engine.create ~model:Cost_model.att_3b2 ~seed:cell.Campaign.cl_seed ()
+  let run =
+    Invariants.run_scenario
+      ~faults:(cell.Campaign.cl_campaign.Campaign.plan ~seed:cell.Campaign.cl_seed)
+      ~sites:Campaign.site_names cell.Campaign.cl_scenario
+      ~policy:cell.Campaign.cl_policy ~seed:cell.Campaign.cl_seed
   in
-  let sites = Sites.create eng ~names:Campaign.site_names in
-  Faultplan.install ~sites
-    (cell.Campaign.cl_campaign.Campaign.plan ~seed:cell.Campaign.cl_seed)
-    eng;
-  let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
-  Address_space.set_tracking space true;
-  cell.Campaign.cl_scenario.Invariants.prepare eng space;
-  ignore (Address_space.drain_cost space);
-  let alts =
-    cell.Campaign.cl_scenario.Invariants.alts eng ~seed:cell.Campaign.cl_seed
-      ~source:None
-  in
-  let rr =
-    Concurrent.run_supervised eng ~policy:cell.Campaign.cl_policy ~space
-      ~sites alts
-  in
+  let eng = run.Invariants.engine in
+  let _, rr = Option.get run.Invariants.supervised in
   let successor =
     match rr.Concurrent.sr_recoveries with
     | [ (_, successor, 2) ] -> successor
