@@ -25,8 +25,7 @@ let classify_exit s =
         | None -> invalid_arg ("History.classify_exit: " ^ s)))
 
 type t = {
-  spawns : (Pid.t, Pid.t option * string) Hashtbl.t;
-  spawn_order : Pid.t list;
+  names : (Pid.t, string) Hashtbl.t;
   exits : (Pid.t, string list) Hashtbl.t;  (* statuses, oldest first *)
   sync_wins : (Pid.t * int * int) list;
   sync_lates : (Pid.t * int) list;
@@ -39,26 +38,21 @@ type t = {
   degradations : (Pid.t * string) list;
   site_crashes : string list;
   recoveries : (Pid.t * Pid.t * int) list;
-  delivery_batches : (Pid.t * Pid.t * int) list;  (* sender, dest, count *)
 }
 
 let of_trace trace =
-  let spawns = Hashtbl.create 32 in
+  let names = Hashtbl.create 32 in
   let exits = Hashtbl.create 32 in
-  let spawn_order = ref [] in
   let wins = ref [] and lates = ref [] and absorbs = ref [] in
   let accepts = ref [] and fates = ref [] and kills = ref [] in
   let sent = ref [] in
   let injections = ref [] and degradations = ref [] in
   let site_crashes = ref [] in
   let recoveries = ref [] in
-  let batches = ref [] in
   List.iter
     (fun (_, e) ->
       match e with
-      | Trace.Spawned { pid; parent; name } ->
-        Hashtbl.replace spawns pid (parent, name);
-        spawn_order := pid :: !spawn_order
+      | Trace.Spawned { pid; name; _ } -> Hashtbl.replace names pid name
       | Trace.Exited { pid; status } ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt exits pid) in
         Hashtbl.replace exits pid (prev @ [ status ])
@@ -79,18 +73,12 @@ let of_trace trace =
       | Trace.Site_crashed { site } -> site_crashes := site :: !site_crashes
       | Trace.Recovered { failed; successor; epoch } ->
         recoveries := (failed, successor, epoch) :: !recoveries
-      | Trace.Delivered_batch { sender; dest; count } ->
-        (* Batching is a scheduling detail: the per-message Delivered /
-           Accepted records that follow the batch event carry the
-           semantics. Kept only as an observability digest. *)
-        batches := (sender, dest, count) :: !batches
-      | Trace.Started _ | Trace.Delivered _ | Trace.Ignored _ | Trace.Split _
-      | Trace.Fate_deferred _ | Trace.Sanitizer_flag _ | Trace.Note _
+      | Trace.Started _ | Trace.Delivered_batch _ | Trace.Delivered _
+      | Trace.Ignored _ | Trace.Split _ | Trace.Fate_deferred _ | Trace.Sanitizer_flag _ | Trace.Note _
       | Trace.Partitioned _ | Trace.Healed _ -> ())
     (Trace.events trace);
   {
-    spawns;
-    spawn_order = List.rev !spawn_order;
+    names;
     exits;
     sync_wins = List.rev !wins;
     sync_lates = List.rev !lates;
@@ -103,12 +91,9 @@ let of_trace trace =
     degradations = List.rev !degradations;
     site_crashes = List.rev !site_crashes;
     recoveries = List.rev !recoveries;
-    delivery_batches = List.rev !batches;
   }
 
-let name_of t pid = Option.map snd (Hashtbl.find_opt t.spawns pid)
-let parent_of t pid = Option.join (Option.map fst (Hashtbl.find_opt t.spawns pid))
-let spawned t = t.spawn_order
+let name_of t pid = Hashtbl.find_opt t.names pid
 let exits_of t pid = Option.value ~default:[] (Hashtbl.find_opt t.exits pid)
 let sync_wins t = t.sync_wins
 let sync_lates t = t.sync_lates
@@ -121,7 +106,6 @@ let injections t = t.injections
 let degradations t = t.degradations
 let site_crashes t = t.site_crashes
 let recoveries t = t.recoveries
-let delivery_batches t = t.delivery_batches
 let faulted t = t.injections <> []
 
 let count_sent_tag t ~tag =

@@ -14,11 +14,6 @@ val of_trace : Trace.t -> t
 val name_of : t -> Pid.t -> string option
 (** Spawn-time name, if the pid was spawned inside the traced window. *)
 
-val parent_of : t -> Pid.t -> Pid.t option
-
-val spawned : t -> Pid.t list
-(** All spawned pids, in spawn order. *)
-
 (** {2 Exits} *)
 
 (** Parsed form of the exit-status strings recorded by the engine. *)
@@ -75,12 +70,6 @@ val site_crashes : t -> string list
 val recoveries : t -> (Pid.t * Pid.t * int) list
 (** [(failed coordinator, successor, new epoch)] of every [Recovered]
     event, in order. *)
-
-val delivery_batches : t -> (Pid.t * Pid.t * int) list
-(** [(sender, dest, count)] of every [Delivered_batch] event, in order: a
-    digest of how the engine coalesced same-instant deliveries. Purely
-    observational — the semantic record of each delivery is still its own
-    [Delivered] / [Accepted] event — so no invariant keys on it. *)
 
 val faulted : t -> bool
 (** At least one injection took effect. Checkers use this to decide whether

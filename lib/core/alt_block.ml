@@ -2,10 +2,6 @@ type 'a outcome =
   | Selected of { index : int; value : 'a }
   | Block_failed of string
 
-let outcome_index = function
-  | Selected { index; _ } -> Some index
-  | Block_failed _ -> None
-
 (* Run one alternative in the current process against the current sink
    state, rolling back on failure. Returns [Ok v] or [Error reason]. *)
 let attempt ctx (alt : 'a Alternative.t) =

@@ -16,8 +16,6 @@ type 'a outcome =
       (** The FAIL branch: no alternative succeeded (or none synchronised
           in time, in the concurrent case). *)
 
-val outcome_index : 'a outcome -> int option
-
 val attempt : Engine.ctx -> 'a Alternative.t -> ('a, string) result
 (** Run one alternative in the calling process against its sink state,
     rolling the state back from a copy-on-write snapshot if the guard or

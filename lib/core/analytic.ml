@@ -3,17 +3,14 @@ type overhead = { setup : float; runtime : float; selection : float }
 let overhead_total o = o.setup +. o.runtime +. o.selection
 let zero_overhead = { setup = 0.; runtime = 0.; selection = 0. }
 
-let mean_time = Stats.mean
-let best_time = Stats.min
-
 let pi ~times ~overhead =
   if Array.length times = 0 then invalid_arg "Analytic.pi: no alternatives";
   if overhead < 0. then invalid_arg "Analytic.pi: negative overhead";
-  mean_time times /. (best_time times +. overhead)
+  Stats.mean times /. (Stats.min times +. overhead)
 
 let wins ~times ~overhead = pi ~times ~overhead > 1.
 
-let break_even_overhead ~times = mean_time times -. best_time times
+let break_even_overhead ~times = Stats.mean times -. Stats.min times
 
 type row = {
   label : string;

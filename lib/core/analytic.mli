@@ -23,12 +23,6 @@ type overhead = {
 val overhead_total : overhead -> float
 val zero_overhead : overhead
 
-val mean_time : float array -> float
-(** [tau(C_mean, x)]: the expected cost of the sequential baseline. *)
-
-val best_time : float array -> float
-(** [tau(C_best, x)]. *)
-
 val pi : times:float array -> overhead:float -> float
 (** The performance improvement ratio. [times] must be non-empty and
     [overhead] non-negative. *)

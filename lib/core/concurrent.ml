@@ -114,6 +114,16 @@ let child_predicate parent_pred pids i =
   in
   add p 0
 
+(* CPU burnt by every child but the winner, added in the order given:
+   each caller passes its children in ascending pid order. *)
+let wasted_cpu eng ~winner children =
+  List.fold_left
+    (fun acc c ->
+      match winner with
+      | Some w when Pid.equal w c -> acc
+      | _ -> acc +. Engine.cpu_time_of eng c)
+    0. children
+
 (* Child [i] of alternative [name] is ["name[i]"]; incarnation [e] of a
    supervised block's coordinator is ["alt-parent.e<e>"]. *)
 let index_suffix = Names.indexed 16 (Printf.sprintf "[%d]")
@@ -502,13 +512,7 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
           Address_space.release sp
         | _ -> ())
       spaces;
-    let wasted_cpu =
-      Array.fold_left
-        (fun acc pid ->
-          if Option.equal Pid.equal (Some pid) winner then acc
-          else acc +. Engine.cpu_time_of eng pid)
-        0. pids
-    in
+    let children = Array.to_list pids |> List.filteri (fun i _ -> open_.(i)) in
     let child_cow_copies =
       Array.fold_left
         (fun acc sp ->
@@ -518,13 +522,12 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
     {
       outcome;
       winner;
-      children =
-        Array.to_list pids |> List.filteri (fun i _ -> open_.(i));
+      children;
       elapsed = Engine.now_v ctx -. t0;
       setup_cost = !setup_cost;
       spawned = spawned_count;
       selection_cost = !selection_cost;
-      wasted_cpu;
+      wasted_cpu = wasted_cpu eng ~winner children;
       child_cow_copies;
       sync_messages =
         (match consensus with Some m -> Majority.messages_sent m | None -> 0);
@@ -660,16 +663,10 @@ let run_supervised eng ?(policy = default_policy) ?space ?(max_restarts = 2)
       (fun (pid, _, _) -> Engine.children_of eng pid)
       (List.rev !coordinators)
   in
-  let wasted_of winner =
-    List.fold_left
-      (fun acc c ->
-        if Option.equal Pid.equal (Some c) winner then acc
-        else acc +. Engine.cpu_time_of eng c)
-      0. all_children
-  in
   let sr_epoch, sr_report =
     match !result with
-    | Some (epoch, r) -> (epoch, { r with wasted_cpu = wasted_of r.winner })
+    | Some (epoch, r) ->
+      (epoch, { r with wasted_cpu = wasted_cpu eng ~winner:r.winner all_children })
     | None ->
       (* No incarnation lived to decide: report the outage honestly (no
          phantom winner, no fabricated costs). *)
@@ -682,7 +679,7 @@ let run_supervised eng ?(policy = default_policy) ?space ?(max_restarts = 2)
           setup_cost = 0.;
           spawned = List.length all_children;
           selection_cost = 0.;
-          wasted_cpu = wasted_of None;
+          wasted_cpu = wasted_cpu eng ~winner:None all_children;
           child_cow_copies = 0;
           sync_messages = Majority.messages_sent consensus;
           attempted = 0;
@@ -714,12 +711,5 @@ let run_toplevel eng ?policy ?space ?exclusive ?deadline alts =
     (* The in-process report counts waste up to the parent's resumption;
        with asynchronous elimination the zombies keep burning CPU after
        that, so recount now that the simulation is quiescent. *)
-    let wasted_cpu =
-      List.fold_left
-        (fun acc c ->
-          if Option.equal Pid.equal (Some c) r.winner then acc
-          else acc +. Engine.cpu_time_of eng c)
-        0. r.children
-    in
-    { r with wasted_cpu }
+    { r with wasted_cpu = wasted_cpu eng ~winner:r.winner r.children }
   | None -> failwith "Concurrent.run_toplevel: block did not complete"

@@ -879,6 +879,11 @@ let all =
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
 
+(* The experiments that call [Unix.fork]. OCaml 5 refuses a fork once any
+   domain has been spawned, and E7 and E16 start the domain pool when
+   [jobs > 1], so [run_all] runs these first. *)
+let forking = [ e8_prolog_or; e12_real_machine; e13_real_race ]
+
 let run_all ?ids ?jobs ppf =
   let jobs = match jobs with Some j -> j | None -> Parallel.default_jobs () in
   let selected =
@@ -886,8 +891,20 @@ let run_all ?ids ?jobs ppf =
     | None -> all
     | Some ids -> List.filter_map find ids
   in
+  let run e ppf =
+    fp ppf "@.== %s: %s@.   [%s]@.@." e.id e.title e.paper_ref;
+    e.run ~jobs ppf
+  in
+  (* Each forking experiment prints into a string, emitted at its place. *)
+  let forked =
+    List.filter_map
+      (fun e ->
+        if List.memq e forking then Some (e, Format.asprintf "%t" (run e)) else None)
+      selected
+  in
   List.iter
     (fun e ->
-      fp ppf "@.== %s: %s@.   [%s]@.@." e.id e.title e.paper_ref;
-      e.run ~jobs ppf)
+      match List.assq_opt e forked with
+      | Some out -> fp ppf "%s@?" out
+      | None -> run e ppf)
     selected

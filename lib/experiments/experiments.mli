@@ -105,4 +105,8 @@ val find : string -> experiment option
 val run_all : ?ids:string list -> ?jobs:int -> Format.formatter -> unit
 (** Run all (or the selected) experiments, with section headers. [jobs]
     (default {!Parallel.default_jobs}) is passed to each experiment's
-    per-trial fan-out; it never changes the printed tables. *)
+    per-trial fan-out; it never changes the printed tables. The experiments
+    that fork real processes (E8, E12, E13) run first, since OCaml 5 forbids
+    a fork once the domain pool exists; their output is buffered and
+    printed in its place, so the order printed is that of [ids] (or
+    {!all}). *)

@@ -17,7 +17,6 @@ let rec size_bytes = function
   | List l -> 4 + List.fold_left (fun acc x -> acc + size_bytes x) 0 l
 
 let equal = ( = )
-let compare = Stdlib.compare
 
 let rec pp ppf = function
   | Unit -> Format.fprintf ppf "()"

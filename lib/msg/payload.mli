@@ -21,7 +21,6 @@ val size_bytes : t -> int
 (** Wire-size estimate used by {!Cost_model.message_cost}. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -158,8 +158,6 @@ let touch t ~addr ~len =
 let cow_copies t = Page_map.cow_copies t.map_
 let mapped_pages t = Page_map.mapped_pages t.map_
 let private_pages t = Page_map.private_pages t.map_
-let shared_pages t = Page_map.shared_pages t.map_
 
 let set_tracking t b = Page_map.set_tracking t.map_ b
-let tracking t = Page_map.tracking t.map_
 let written_pages t = Page_map.write_log t.map_

@@ -65,13 +65,9 @@ val pending_cost : t -> float
 val drain_cost : t -> float
 (** Return the pending cost and reset it to zero. *)
 
-val add_cost : t -> float -> unit
-(** Account an externally computed cost (e.g. remote spawn transfer). *)
-
 val cow_copies : t -> int
 val mapped_pages : t -> int
 val private_pages : t -> int
-val shared_pages : t -> int
 
 val set_tracking : t -> bool -> unit
 (** Enable (or disable) per-page write recording on the underlying
@@ -79,8 +75,6 @@ val set_tracking : t -> bool -> unit
     inherit the setting, so enabling it on a parent before an alternative
     block audits every sibling. Off by default (zero overhead for
     benchmarks). *)
-
-val tracking : t -> bool
 
 val written_pages : t -> (int * int) list
 (** [(vpage, frame_id)] pairs for pages this space has written; usable

@@ -60,7 +60,6 @@ let restore store model image =
   if image.tracked then Address_space.set_tracking space true;
   space
 
-let page_size image = image.psize
 let mapped_pages image = List.length image.pages
 
 let header_bytes = 16

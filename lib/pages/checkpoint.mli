@@ -31,8 +31,8 @@ val release : image -> unit
 (** Return the image's frames to the domain's free-frame pool. Idempotent.
     After it, {!restore} and {!to_bytes} raise
     [Invalid_argument "Checkpoint: image released"] (the frames may
-    already hold another store's pages); {!page_size}, {!mapped_pages},
-    {!size_bytes} and {!transfer_cost} still answer. *)
+    already hold another store's pages); {!mapped_pages}, {!size_bytes}
+    and {!transfer_cost} still answer. *)
 
 val restore : Frame_store.t -> Cost_model.t -> image -> Address_space.t
 (** Materialise the image as a fresh private address space in the given
@@ -42,7 +42,6 @@ val restore : Frame_store.t -> Cost_model.t -> image -> Address_space.t
     page fills are not recorded. Raises [Invalid_argument] if the page
     sizes disagree or the image was released. *)
 
-val page_size : image -> int
 val mapped_pages : image -> int
 
 val size_bytes : image -> int

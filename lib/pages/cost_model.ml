@@ -107,9 +107,3 @@ let remote_spawn_cost m ~mapped_pages =
   m.remote_spawn_base +. (float_of_int mapped_pages *. m.remote_per_page)
 
 let message_cost m ~bytes = m.msg_latency +. (float_of_int bytes *. m.msg_per_byte)
-
-let pp ppf m =
-  Format.fprintf ppf
-    "%s: page=%dB fork=%.4gs+%.4gs/pg copy=%.4gs/pg msg=%.4gs+%.4gs/B" m.name
-    m.page_size m.fork_base m.fork_per_page m.page_copy m.msg_latency
-    m.msg_per_byte

@@ -73,4 +73,3 @@ val remote_spawn_cost : t -> mapped_pages:int -> float
 val message_cost : t -> bytes:int -> float
 (** End-to-end cost of delivering one message of [bytes] payload bytes. *)
 
-val pp : Format.formatter -> t -> unit

@@ -177,7 +177,6 @@ let create store =
     writes = 0; reads = 0; released = false; track = false;
     writes_log = Tbl.create 0 }
 
-let store t = t.store
 let id t = t.id
 let page_size t = Frame_store.page_size t.store
 

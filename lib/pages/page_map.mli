@@ -17,7 +17,6 @@ val create : Frame_store.t -> t
 (** An empty address map over the given frame pool. Unmapped pages read as
     zeroes and are materialised on first write. *)
 
-val store : t -> Frame_store.t
 val id : t -> int
 (** This map's {!Frame_store.fresh_map_id}: a store-unique, deterministic
     identity. The frame store's write observer reports tracked writes

@@ -1,4 +1,4 @@
-type cores = Infinite | Cores of int
+type cores = Cpu.cores = Infinite | Cores of int
 
 type exit_status =
   | Exited_ok
@@ -140,23 +140,10 @@ and t = {
   reg : Fate_registry.t;
   store : Frame_store.t;
   model_ : Cost_model.t;
-  cores : cores;
   trace_ : Trace.t;
-  mutable cpu_pids : int array;
-  mutable cpu_rem : floatarray;
-  mutable cpu_park : park array;
-      (* The [cpu_n] runnable CPU tasks, sorted by pid, so a tick's
-         completions come out in pid order without a sort: task [i] is
-         [cpu_pids.(i)], with [cpu_rem.(i)] seconds of demand left and
-         parked as [cpu_park.(i)], a [Park_cpu] to continue when they run
-         out. Parallel arrays, so charging a task stores a double instead
-         of boxing one. *)
-  mutable cpu_n : int;
-  mutable cpu_used : floatarray;  (* pid -> virtual CPU seconds consumed *)
-  mutable cpu_last : float;
-  mutable cpu_tick_ev : event;
-      (* runs a tick; made once per engine, and put in the queue's slot
-         while a tick is pending *)
+  cpu : (park, event) Cpu.t;
+      (* The runnable processes, each parked as the [Park_cpu] its tick
+         hands back. *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
   mutable events_processed : int;  (* also the batch-join epoch *)
   mutable live : int;
@@ -226,59 +213,6 @@ let status_string = function
   | Crashed r -> "crashed: " ^ r
   | Eliminated r -> "eliminated: " ^ r
 
-let proc_state_string = function
-  | Embryo -> "embryo"
-  | Running -> "running"
-  | Suspended -> "suspended"
-  | Dead st -> "dead (" ^ status_string st ^ ")"
-
-(* ------------------------------------------------------------------ *)
-(* CPU: egalitarian processor sharing over [cores] processors.         *)
-
-(* The float arithmetic here fixes every virtual timestamp, and so every
-   digest: each task's remaining demand is charged [elapsed *. rate] at
-   every add, remove and tick. The pending tick lives in the event
-   queue's slot, never in its heap: a reschedule re-keys the slot (or
-   clears it when no task is left), and re-keying takes a fresh stamp even
-   when the tick time is unchanged, exactly as the push it replaces did,
-   because the batch-join rule reads [Event_queue.stamp].
-   Nothing computed depends on the order of the loops over the tasks
-   ([Float.min] is order-independent), except that the tasks completing
-   at one tick resume in pid order. *)
-
-let cpu_rate t =
-  let n = t.cpu_n in
-  if n = 0 then 1.0
-  else
-    match t.cores with
-    | Infinite -> 1.0
-    | Cores c -> Float.min 1.0 (float_of_int c /. float_of_int n)
-
-let cpu_update t =
-  let elapsed = t.vnow -. t.cpu_last in
-  if elapsed > 0. then begin
-    let rate = cpu_rate t in
-    let used = t.cpu_used and rem = t.cpu_rem in
-    for i = 0 to t.cpu_n - 1 do
-      let pid = t.cpu_pids.(i) in
-      Float.Array.set rem i (Float.Array.get rem i -. (elapsed *. rate));
-      Float.Array.set used pid (Float.Array.get used pid +. (elapsed *. rate))
-    done
-  end;
-  t.cpu_last <- t.vnow
-
-let cpu_reschedule t =
-  if t.cpu_n = 0 then Event_queue.clear_slot t.queue
-  else begin
-    let rate = cpu_rate t in
-    let min_rem = ref infinity in
-    for i = 0 to t.cpu_n - 1 do
-      min_rem := Float.min !min_rem (Float.max 0. (Float.Array.get t.cpu_rem i))
-    done;
-    let at = t.vnow +. (!min_rem /. rate) in
-    Event_queue.set_slot t.queue ~time:(Float.max at t.vnow) t.cpu_tick_ev
-  end
-
 (* Continue a process whose slice ran out, unless it was killed after the
    tick collected it: [kill] resets [pcb.park], and a killed process that
    catches [Process_killed] and delays again parks as a fresh value. *)
@@ -306,87 +240,11 @@ let cancel_once armed k reason =
     Effect.Deep.discontinue k (Process_killed reason)
   end
 
-let cpu_tick t =
-  cpu_update t;
-  (* Collect the finished tasks' parks (walking down, so the list comes
-     out in ascending pid order), then compact the rest in place. *)
-  let n = t.cpu_n in
-  let rem = t.cpu_rem in
-  let done_ = ref [] in
-  for i = n - 1 downto 0 do
-    if Float.Array.get rem i <= 1e-12 then done_ := t.cpu_park.(i) :: !done_
-  done;
-  (match !done_ with
-  | [] -> ()
-  | _ ->
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      if not (Float.Array.get rem i <= 1e-12) then begin
-        t.cpu_pids.(!k) <- t.cpu_pids.(i);
-        Float.Array.set rem !k (Float.Array.get rem i);
-        t.cpu_park.(!k) <- t.cpu_park.(i);
-        incr k
-      end
-    done;
-    Array.fill t.cpu_park !k (n - !k) No_park;
-    t.cpu_n <- !k);
-  cpu_reschedule t;
-  List.iter resume_slice !done_
+(* The event every engine's CPU puts in its queue's slot: [run] knows it
+   and ticks its own engine's CPU, so it closes over no engine. *)
+let cpu_tick_event = { dead_ev = false; run_ev = ignore }
 
-(* The index of [pid]'s task, or of the first task with a larger pid (its
-   insertion point) when it has none. *)
-let cpu_slot t pid =
-  let i = ref 0 in
-  while !i < t.cpu_n && t.cpu_pids.(!i) < pid do
-    incr i
-  done;
-  !i
-
-let cpu_add t pid dt park =
-  cpu_update t;
-  let pid = Pid.to_int pid in
-  let i = cpu_slot t pid in
-  if i < t.cpu_n && t.cpu_pids.(i) = pid then begin
-    Float.Array.set t.cpu_rem i dt;
-    t.cpu_park.(i) <- park
-  end
-  else begin
-    let n = t.cpu_n in
-    if n = Array.length t.cpu_pids then begin
-      let cap = max 8 (2 * n) in
-      let pids = Array.make cap 0
-      and rem = Float.Array.make cap 0.
-      and parks = Array.make cap No_park in
-      Array.blit t.cpu_pids 0 pids 0 n;
-      Float.Array.blit t.cpu_rem 0 rem 0 n;
-      Array.blit t.cpu_park 0 parks 0 n;
-      t.cpu_pids <- pids;
-      t.cpu_rem <- rem;
-      t.cpu_park <- parks
-    end;
-    Array.blit t.cpu_pids i t.cpu_pids (i + 1) (n - i);
-    Float.Array.blit t.cpu_rem i t.cpu_rem (i + 1) (n - i);
-    Array.blit t.cpu_park i t.cpu_park (i + 1) (n - i);
-    t.cpu_pids.(i) <- pid;
-    Float.Array.set t.cpu_rem i dt;
-    t.cpu_park.(i) <- park;
-    t.cpu_n <- n + 1
-  end;
-  cpu_reschedule t
-
-let cpu_remove t pid =
-  let pid = Pid.to_int pid in
-  let i = cpu_slot t pid in
-  if i < t.cpu_n && t.cpu_pids.(i) = pid then begin
-    cpu_update t;
-    let n = t.cpu_n - 1 in
-    Array.blit t.cpu_pids (i + 1) t.cpu_pids i (n - i);
-    Float.Array.blit t.cpu_rem (i + 1) t.cpu_rem i (n - i);
-    Array.blit t.cpu_park (i + 1) t.cpu_park i (n - i);
-    t.cpu_park.(n) <- No_park;
-    t.cpu_n <- n;
-    cpu_reschedule t
-  end
+let cpu_tick t = List.iter resume_slice (Cpu.tick t.cpu ~now:t.vnow)
 
 let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     ?(trace = true) ?(shards = 1) () =
@@ -396,42 +254,32 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
   (match cores with
   | Cores c when c < 1 -> invalid_arg "Engine.create: cores must be at least 1"
   | _ -> ());
-  let t =
-    {
-      vnow = 0.;
-      queue = Event_queue.create ();
-      root_seed = seed;
-      procs = Array.make initial_pids None;
-      worlds = Array.make initial_pids [];
-      spawned = 0;
-      alloc = Pid.Allocator.create ();
-      reg = Fate_registry.create ();
-      store = Frame_store.create ~page_size:model.Cost_model.page_size;
-      model_ = model;
-      cores;
-      trace_ = Trace.create ~enabled:trace ();
-      cpu_pids = [||];
-      cpu_rem = Float.Array.create 0;
-      cpu_park = [||];
-      cpu_n = 0;
-      cpu_used = Float.Array.make initial_pids 0.;
-      cpu_last = 0.;
-      cpu_tick_ev = { dead_ev = true; run_ev = ignore };  (* set below *)
-      mailbox_scanned = 0;
-      events_processed = 0;
-      live = 0;
-      deferred = [];
-      stopped = false;
-      sweeping = false;
-      sweep_again = false;
-      msg_fault = None;
-      spawn_hook = None;
-      site_hook = None;
-      delivery_fault = None;
-    }
-  in
-  t.cpu_tick_ev <- { dead_ev = false; run_ev = (fun () -> cpu_tick t) };
-  t
+  let queue = Event_queue.create () in
+  {
+    vnow = 0.;
+    queue;
+    root_seed = seed;
+    procs = Array.make initial_pids None;
+    worlds = Array.make initial_pids [];
+    spawned = 0;
+    alloc = Pid.Allocator.create ();
+    reg = Fate_registry.create ();
+    store = Frame_store.create ~page_size:model.Cost_model.page_size;
+    model_ = model;
+    trace_ = Trace.create ~enabled:trace ();
+    cpu = Cpu.create cores queue ~tick:cpu_tick_event ~empty:No_park;
+    mailbox_scanned = 0;
+    events_processed = 0;
+    live = 0;
+    deferred = [];
+    stopped = false;
+    sweeping = false;
+    sweep_again = false;
+    msg_fault = None;
+    spawn_hook = None;
+    site_hook = None;
+    delivery_fault = None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Process table helpers.                                              *)
@@ -445,11 +293,8 @@ let alloc_pid t =
     let procs = Array.make cap None and worlds = Array.make cap [] in
     Array.blit t.procs 0 procs 0 n;
     Array.blit t.worlds 0 worlds 0 n;
-    let used = Float.Array.make cap 0. in
-    Float.Array.blit t.cpu_used 0 used 0 n;
     t.procs <- procs;
-    t.worlds <- worlds;
-    t.cpu_used <- used
+    t.worlds <- worlds
   end;
   pid
 
@@ -475,8 +320,6 @@ let status t pid =
   match find_pcb t pid with
   | Some { state = Dead s; _ } -> Some s
   | _ -> None
-
-let predicate_of t pid = Option.map (fun p -> p.predicate) (find_pcb t pid)
 
 let live_count t = t.live
 
@@ -519,7 +362,7 @@ let rec finalize t pcb st =
   | _ ->
     pcb.state <- Dead st;
     pcb.park <- No_park;
-    cpu_remove t pcb.pid;
+    Cpu.remove t.cpu ~now:t.vnow pcb.pid;
     if not pcb.preserve_space then Option.iter Address_space.release pcb.space;
     t.live <- t.live - 1;
     if Trace.live t.trace_ then
@@ -593,7 +436,7 @@ and kill t pid ~reason =
         pcb.doomed <- Some reason
       | Park_cpu { k; _ } ->
         pcb.park <- No_park;
-        cpu_remove t pcb.pid;
+        Cpu.remove t.cpu ~now:t.vnow pcb.pid;
         Effect.Deep.discontinue k (Process_killed reason)
       | Park_recv { cancel; _ } | Park_other { cancel } ->
         (* Never in the CPU table: only a [Park_cpu] is. *)
@@ -921,10 +764,10 @@ and start_pcb t pcb =
       pcb.state <- Running;
       if Trace.live t.trace_ then tr t (Trace.Started pcb.pid);
       run_body t pcb)
-  | (Running | Suspended) as st ->
+  | Running | Suspended ->
     failwith
-      (Format.asprintf "Engine.start_pcb: process %a (%s) already started: %s"
-         Pid.pp pcb.pid pcb.name (proc_state_string st))
+      (Format.asprintf "Engine.start_pcb: process %a (%s) already started"
+         Pid.pp pcb.pid pcb.name)
 
 and run_body t pcb =
   let ctx = { engine = t; pcb } in
@@ -977,7 +820,7 @@ and suspend : type a.
     | S_cpu dt ->
       let p = Park_cpu { pcb; k } in
       pcb.park <- p;
-      cpu_add t pcb.pid dt p
+      Cpu.add t.cpu ~now:t.vnow pcb.pid dt p
     | S_recv tag ->
       let armed = ref true in
       pcb.park <-
@@ -1292,7 +1135,7 @@ let run t =
     if not ev.dead_ev then begin
       t.vnow <- Float.max t.vnow time;
       t.events_processed <- t.events_processed + 1;
-      ev.run_ev ()
+      if ev == cpu_tick_event then cpu_tick t else ev.run_ev ()
     end
   done
 
@@ -1318,6 +1161,9 @@ let check_doomed pcb =
     raise (Process_killed reason)
   | None -> ()
 
+(* A NaN wait would reach the event queue, which refuses it out of [run]. *)
+let check_duration fn d = if Float.is_nan d then invalid_arg (fn ^ ": NaN duration")
+
 let self ctx = ctx.pcb.pid
 let engine ctx = ctx.engine
 
@@ -1335,6 +1181,7 @@ let now_v ctx =
 let delay ctx dt =
   let pcb = ctx.pcb in
   check_doomed pcb;
+  check_duration "Engine.delay" dt;
   match replay_next pcb with
   | Some (L_delay _) -> ()
   | Some _ -> raise (Replay_divergence "expected delay")
@@ -1378,6 +1225,7 @@ let receive ctx ?tag () =
 let receive_timeout ctx ?tag ~timeout () =
   let pcb = ctx.pcb in
   check_doomed pcb;
+  check_duration "Engine.receive_timeout" timeout;
   match replay_next pcb with
   | Some (L_recv_opt r) -> r
   | Some _ -> raise (Replay_divergence "expected receive_timeout")
@@ -1394,12 +1242,8 @@ let receive_timeout ctx ?tag ~timeout () =
     log_push pcb (L_recv_opt r);
     r
 
-let cpu_time_of t pid =
-  let i = Pid.to_int pid in
-  if i >= 0 && i < Float.Array.length t.cpu_used then Float.Array.get t.cpu_used i
-  else 0.
-
-let total_cpu_time t = Float.Array.fold_left ( +. ) 0. t.cpu_used
+let cpu_time_of t pid = Cpu.used t.cpu pid
+let total_cpu_time t = Cpu.total t.cpu
 
 let logical_of t pid = Option.map (fun p -> p.logical) (find_pcb t pid)
 let space_of t pid = Option.bind (find_pcb t pid) (fun p -> p.space)
@@ -1468,6 +1312,7 @@ module Ivar = struct
     | None -> Effect.perform (E_suspend (S_fill iv))
 
   let read_timeout ctx iv ~timeout =
+    check_duration "Engine.Ivar.read_timeout" timeout;
     disable_cloning ctx.pcb;
     match iv.value with
     | Some _ as r -> r

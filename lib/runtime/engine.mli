@@ -1,5 +1,7 @@
 (** The simulated operating system: process management, virtual time,
-    CPU scheduling, and predicate-aware interprocess communication.
+    parking on the CPU, and predicate-aware interprocess communication.
+    Processor sharing itself (rates, charging, the tick) is {!Cpu}'s; the
+    engine parks a process there and resumes it when its slice ends.
 
     This is the substrate the paper assumes (section 3.1): independently
     schedulable processes, reliable FIFO message passing, sink state managed
@@ -51,8 +53,8 @@ type ctx
 (** CPU capacity: [Infinite] gives every process its own processor (pure
     "real concurrency"); [Cores n] shares [n] processors among runnable
     processes, egalitarian processor-sharing (the paper's "virtual
-    concurrency" through multiprocessing). *)
-type cores = Infinite | Cores of int
+    concurrency" through multiprocessing; see {!Cpu}). *)
+type cores = Cpu.cores = Infinite | Cores of int
 
 (** How a process left the system. *)
 type exit_status =
@@ -137,8 +139,6 @@ val kill : t -> Pid.t -> reason:string -> unit
 val alive : t -> Pid.t -> bool
 val status : t -> Pid.t -> exit_status option
 (** [None] while the process is still live (or never existed). *)
-
-val predicate_of : t -> Pid.t -> Predicate.t option
 
 val preserve_space : t -> Pid.t -> unit
 (** Keep the pid's address space alive across its exit, so that a parent can
@@ -238,16 +238,6 @@ module Ivar : sig
 end
 
 (** {2 Engine-level hooks} *)
-
-val record_fate : t -> Pid.t -> Predicate.fate -> unit
-(** Record a fate explicitly (the alt-block synchroniser uses this when the
-    winner is decided). Normally fates are recorded automatically at process
-    exit; an exit with unresolved assumptions is deferred until they
-    resolve. Triggers the predicate sweep: processes whose assumptions are
-    falsified are eliminated, and resolution callbacks run. Each round of
-    the sweep visits processes in pid order, and only those spawned before
-    the round began; one spawned by a callback it runs waits for a later
-    round or sweep. *)
 
 val on_resolution : t -> Pid.t -> ([ `Certain | `Dead ] -> unit) -> unit
 (** Call back when the pid's predicate becomes empty ([`Certain]) or its

@@ -3,8 +3,6 @@ let space ctx =
   | Some sp -> sp
   | None -> invalid_arg "Mem: process has no address space"
 
-let heap ctx = Heap.create ~base:0 (space ctx)
-
 let get ctx cell =
   let sp = space ctx in
   let v = Heap.get (Heap.view (Heap.create sp) sp) cell in

@@ -9,10 +9,6 @@
     All functions raise [Invalid_argument] if the calling process has no
     address space. *)
 
-val heap : Engine.ctx -> Heap.t
-(** The calling process's view of the shared heap layout: cells allocated
-    by any ancestor can be dereferenced through it. *)
-
 val get : Engine.ctx -> 'a Heap.cell -> 'a
 val set : Engine.ctx -> 'a Heap.cell -> 'a -> unit
 

@@ -113,11 +113,6 @@ let pp_event ppf = function
       detail
   | Note s -> Format.fprintf ppf "note: %s" s
 
-let dump ppf t =
-  List.iter
-    (fun (time, e) -> Format.fprintf ppf "[%10.6f] %a@." time pp_event e)
-    (events t)
-
 (* ------------------------------------------------------------------ *)
 (* JSONL export (hand-rolled: no JSON library in the dependency set).  *)
 

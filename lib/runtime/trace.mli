@@ -100,7 +100,6 @@ val replace : t -> (float * event) list -> unit
     history; not something the engine ever does. *)
 
 val pp_event : Format.formatter -> event -> unit
-val dump : Format.formatter -> t -> unit
 
 val event_to_json : time:float -> event -> string
 (** One event as a single-line JSON object [{"t":..., "ev":..., ...}]. *)

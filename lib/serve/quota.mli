@@ -19,18 +19,7 @@ val admit : t -> now:float -> bool
 (** Admission decision at virtual time [now] (calls must have
     nondecreasing [now]). [true] consumes a token; [false] is a shed —
     the state does not change, so shed traffic never pushes the
-    refill schedule around. Equivalent to {!conforming} followed, on
-    success, by {!charge}. *)
-
-val conforming : t -> now:float -> bool
-(** The pure half of {!admit}: would a request at [now] conform? Changes
-    nothing — the composition layer checks every applicable class with
-    this before consuming from any of them. *)
-
-val charge : t -> now:float -> unit
-(** The commit half of {!admit}: consume one token at [now]. Only
-    meaningful directly after {!conforming} returned [true] at the same
-    [now] (the GCRA re-anchor assumes a conforming arrival). *)
+    refill schedule around. *)
 
 val admit_all : t list -> now:float -> bool
 (** Composite admission across quota classes (per-tenant, per-scenario,

@@ -161,7 +161,3 @@ let partitioned t a b =
   check_known t ~fn:"partitioned" a;
   check_known t ~fn:"partitioned" b;
   cut t a b
-
-let detach t =
-  Engine.set_site_hook t.engine None;
-  Engine.set_delivery_fault t.engine None

@@ -28,8 +28,7 @@ val create : Engine.t -> names:string list -> t
 (** Install a topology on the engine: claims {!Engine.set_site_hook} and
     {!Engine.set_delivery_fault}. Raises [Invalid_argument] on an empty or
     duplicated name list. One topology per engine; installing a second one
-    silently replaces the first's hooks (use {!detach} to make that
-    explicit). *)
+    silently replaces the first's hooks. *)
 
 val names : t -> string list
 (** Site names, in declaration order. *)
@@ -70,8 +69,3 @@ val heal : t -> left:string list -> right:string list -> unit
 
 val partitioned : t -> string -> string -> bool
 (** Whether the link between the two sites is currently cut. *)
-
-val detach : t -> unit
-(** Uninstall this topology's hooks from the engine. Placement labels
-    already assigned survive (they live in the process table); no further
-    placement or filtering happens. *)

@@ -518,6 +518,307 @@ let test_cpu_stale_slice () =
   check Alcotest.string "cores 1" "b 0x1.cp+2\nevents 4\n"
     (stale_slice_table (Engine.Cores 1))
 
+(* Model: the engine's processor sharing against a plain-list reference.
+   A generated program has up to 6 processes. Each starts after a delay,
+   runs a list of delays and, after some of them, kills another process
+   directly or through [Engine.after]; some victims catch
+   [Process_killed] and delay once more. More kills come from
+   [Engine.after] at set-up. The reference runs the same program over a
+   list of (pid, remaining) tasks, with the CPU's formulas applied at the
+   same points, and its own (time, stamp) event order: every push and
+   every tick reschedule takes the next stamp, as [Event_queue] does. *)
+type cpu_kill = Direct of int | After of float * int
+
+type cpu_proc = {
+  start : float;
+  steps : (float * cpu_kill option) list;
+  catch : float option;
+}
+
+type cpu_prog = { procs : cpu_proc array; kills : (float * int) list }
+
+let cpu_prog_to_string p =
+  let kill = function
+    | Direct v -> Printf.sprintf " kill %d" v
+    | After (x, v) -> Printf.sprintf " after %h kill %d" x v
+  in
+  let proc i pr =
+    Printf.sprintf "p%d start %h [%s]%s" i pr.start
+      (String.concat "; "
+         (List.map
+            (fun (d, k) -> Printf.sprintf "%h%s" d (Option.fold ~none:"" ~some:kill k))
+            pr.steps))
+      (Option.fold ~none:"" ~some:(Printf.sprintf " catch %h") pr.catch)
+  in
+  String.concat "\n"
+    (List.mapi proc (Array.to_list p.procs)
+    @ List.map (fun (x, v) -> Printf.sprintf "after %h kill %d" x v) p.kills)
+
+let cpu_prog_gen =
+  let open QCheck.Gen in
+  (* Zero, equal and tiny delays, so that completions coincide and land
+     on either side of the tick's 1e-12 threshold. *)
+  let dur =
+    frequency
+      [
+        ( 6,
+          oneofl [ 0.; 0.25; 0.5; 1.0; 1e-13; 1e-12; 3e-12; 0.1; 1. /. 3.; 0.7 ] );
+        (1, float_range 0. 2.);
+      ]
+  in
+  int_range 1 6 >>= fun n ->
+  let victim self = map (fun v -> if v >= self then v + 1 else v) (int_bound (n - 2)) in
+  let step self =
+    pair dur
+      (if n = 1 then return None
+       else
+         frequency
+           [
+             (6, return None);
+             (2, map (fun v -> Some (Direct v)) (victim self));
+             ( 1,
+               map2
+                 (fun x v -> Some (After (x, v)))
+                 (oneofl [ 0.; 0.25; 0.5 ])
+                 (victim self) );
+           ])
+  in
+  let proc self =
+    map3
+      (fun start steps catch -> { start; steps; catch })
+      (oneofl [ 0.; 0.; 0.25; 0.5; 1e-13; 1.0 ])
+      (list_size (int_range 0 4) (step self))
+      (opt dur)
+  in
+  map2
+    (fun procs kills -> { procs = Array.of_list procs; kills })
+    (flatten_l (List.init n proc))
+    (list_size (int_range 0 3)
+       (pair (oneofl [ 0.; 0.25; 0.5; 0.75; 1.0; 1.5 ]) (int_bound (n - 1))))
+
+(* What a run shows: each completed delay's time, then each process's
+   exit, CPU time, the total, the clock and the event count. *)
+let cpu_prog_engine cores prog =
+  let eng = Engine.create ~cores ~trace:false () in
+  let n = Array.length prog.procs in
+  let pids = Array.of_list (Engine.fresh_pids eng n) in
+  let log = Buffer.create 256 in
+  let kill = function
+    | Direct v -> Engine.kill eng pids.(v) ~reason:"direct"
+    | After (x, v) ->
+      Engine.after eng ~delay:x (fun () -> Engine.kill eng pids.(v) ~reason:"after")
+  in
+  Array.iteri
+    (fun i pr ->
+      ignore
+        (Engine.spawn eng ~pid:pids.(i) ~start_delay:pr.start (fun ctx ->
+             try
+               List.iteri
+                 (fun j (d, k) ->
+                   Engine.delay ctx d;
+                   Printf.bprintf log "%d.%d %h\n" i j (Engine.now eng);
+                   Option.iter kill k)
+                 pr.steps
+             with Engine.Process_killed _ when Option.is_some pr.catch ->
+               Engine.delay ctx (Option.get pr.catch);
+               Printf.bprintf log "%d caught %h\n" i (Engine.now eng))))
+    prog.procs;
+  List.iter (fun (x, v) -> kill (After (x, v))) prog.kills;
+  Engine.run eng;
+  Array.iteri
+    (fun i pid ->
+      Printf.bprintf log "%d %s cpu %h\n" i
+        (match Engine.status eng pid with
+        | Some Engine.Exited_ok -> "ok"
+        | Some (Engine.Eliminated _) -> "eliminated"
+        | Some _ -> "other"
+        | None -> "live")
+        (Engine.cpu_time_of eng pid))
+    pids;
+  Printf.bprintf log "total %h now %h events %d\n" (Engine.total_cpu_time eng)
+    (Engine.now eng) (Engine.stats_events_processed eng);
+  Buffer.contents log
+
+type cpu_event = Start of int | Kill of int | Tick
+
+let cpu_prog_model cores prog =
+  let n = Array.length prog.procs in
+  let log = Buffer.create 256 in
+  let now = ref 0. and last = ref 0. and stamp = ref 0 and events = ref 0 in
+  (* Runnable tasks (pid, remaining, park), ascending pid; [park] names
+     the park the task resumes. *)
+  let tasks = ref [] in
+  let used = Array.make n 0. in
+  (* Pending events (time, stamp, event), unordered; the tick is one
+     entry, replaced at each reschedule. *)
+  let queue = ref [] in
+  let push time ev =
+    queue := (Float.max time !now, !stamp, ev) :: !queue;
+    incr stamp
+  in
+  let rate () =
+    match (List.length !tasks, cores) with
+    | 0, _ | _, Engine.Infinite -> 1.0
+    | k, Engine.Cores c -> Float.min 1.0 (float_of_int c /. float_of_int k)
+  in
+  let update () =
+    let elapsed = !now -. !last in
+    if elapsed > 0. then begin
+      let r = rate () in
+      List.iter
+        (fun (pid, rem, _) ->
+          rem := !rem -. (elapsed *. r);
+          used.(pid) <- used.(pid) +. (elapsed *. r))
+        !tasks
+    end;
+    last := !now
+  in
+  let reschedule () =
+    queue := List.filter (fun (_, _, ev) -> ev <> Tick) !queue;
+    match !tasks with
+    | [] -> ()
+    | ts ->
+      let r = rate () in
+      let min_rem =
+        List.fold_left (fun m (_, rem, _) -> Float.min m (Float.max 0. !rem)) infinity ts
+      in
+      push (!now +. (min_rem /. r)) Tick
+  in
+  let remove pid =
+    if List.exists (fun (p, _, _) -> p = pid) !tasks then begin
+      update ();
+      tasks := List.filter (fun (p, _, _) -> p <> pid) !tasks;
+      reschedule ()
+    end
+  in
+  (* Process state: [`Embryo] until its start event, [`Dead] once exited;
+     [phase] is [`Catching] once it caught a kill; [park] is the live
+     park's number, 0 when not parked. *)
+  let state = Array.make n `Embryo and phase = Array.make n `Main in
+  let pc = Array.make n 0 and park = Array.make n 0 and parks = ref 0 in
+  let steps = Array.map (fun pr -> Array.of_list pr.steps) prog.procs in
+  let rec step i =
+    match phase.(i) with
+    | `Main when pc.(i) < Array.length steps.(i) -> delay i (fst steps.(i).(pc.(i)))
+    | `Main -> exit_ i "ok"
+    | `Catching -> delay i (Option.get prog.procs.(i).catch)
+  and delay i d =
+    if d <= 0. then finished i
+    else begin
+      incr parks;
+      park.(i) <- !parks;
+      update ();
+      tasks :=
+        List.sort compare ((i, ref d, !parks) :: List.filter (fun (p, _, _) -> p <> i) !tasks);
+      reschedule ()
+    end
+  and finished i =
+    match phase.(i) with
+    | `Main ->
+      let k = snd steps.(i).(pc.(i)) in
+      Printf.bprintf log "%d.%d %h\n" i pc.(i) !now;
+      pc.(i) <- pc.(i) + 1;
+      Option.iter kill k;
+      step i
+    | `Catching ->
+      Printf.bprintf log "%d caught %h\n" i !now;
+      exit_ i "ok"
+  and exit_ i status =
+    state.(i) <- `Dead status;
+    remove i
+  and kill = function
+    | Direct v -> kill_now v
+    | After (x, v) -> push (!now +. x) (Kill v)
+  and kill_now v =
+    match state.(v) with
+    | `Dead _ -> ()
+    | `Embryo -> state.(v) <- `Dead "eliminated"
+    | `Live ->
+      (* Not running, so parked: in the task list, or collected by the
+         tick that is resuming its batch. *)
+      park.(v) <- 0;
+      remove v;
+      if phase.(v) = `Main && Option.is_some prog.procs.(v).catch then begin
+        phase.(v) <- `Catching;
+        step v
+      end
+      else exit_ v "eliminated"
+  in
+  let tick () =
+    update ();
+    let finished_, rest = List.partition (fun (_, rem, _) -> !rem <= 1e-12) !tasks in
+    tasks := rest;
+    reschedule ();
+    List.iter
+      (fun (pid, _, p) ->
+        if park.(pid) = p then begin
+          park.(pid) <- 0;
+          finished pid
+        end)
+      finished_
+  in
+  Array.iteri (fun i pr -> push pr.start (Start i)) prog.procs;
+  List.iter (fun (x, v) -> push x (Kill v)) prog.kills;
+  while !queue <> [] do
+    let ((time, _, ev) as first) =
+      List.fold_left
+        (fun ((t, s, _) as a) ((t', s', _) as b) ->
+          if t' < t || (t' = t && s' < s) then b else a)
+        (List.hd !queue) !queue
+    in
+    queue := List.filter (fun e -> e != first) !queue;
+    now := Float.max !now time;
+    incr events;
+    match ev with
+    | Start i ->
+      if state.(i) = `Embryo then begin
+        state.(i) <- `Live;
+        step i
+      end
+    | Kill v -> kill_now v
+    | Tick -> tick ()
+  done;
+  Array.iteri
+    (fun i st ->
+      Printf.bprintf log "%d %s cpu %h\n" i
+        (match st with `Dead s -> s | `Embryo | `Live -> "live")
+        used.(i))
+    state;
+  Printf.bprintf log "total %h now %h events %d\n"
+    (Array.fold_left ( +. ) 0. used)
+    !now !events;
+  Buffer.contents log
+
+let prop_cpu_model =
+  QCheck.Test.make ~name:"model: processor sharing over a plain list" ~count:500
+    (QCheck.make ~print:cpu_prog_to_string cpu_prog_gen)
+    (fun prog ->
+      List.for_all
+        (fun cores ->
+          let engine = cpu_prog_engine cores prog
+          and model = cpu_prog_model cores prog in
+          engine = model
+          || QCheck.Test.fail_reportf "%s:@.engine:@.%s@.model:@.%s"
+               (match cores with
+               | Engine.Infinite -> "Infinite"
+               | Engine.Cores c -> Printf.sprintf "Cores %d" c)
+               engine model)
+        Engine.[ Infinite; Cores 1; Cores 2; Cores 3; Cores 4 ])
+
+(* A NaN wait is refused on the caller's stack: the body crashes with the
+   operation's name, and the rest of the run goes on. *)
+let test_nan_wait fn wait () =
+  let eng = mk () in
+  let bad = Engine.spawn eng wait in
+  let sibling = Engine.spawn eng (fun ctx -> Engine.delay ctx 1.0) in
+  Engine.run eng;
+  check Alcotest.bool "crashed" true
+    (Engine.status eng bad
+    = Some (Engine.Crashed (Printexc.to_string (Invalid_argument (fn ^ ": NaN duration")))));
+  check Alcotest.bool "sibling finished" true
+    (Engine.status eng sibling = Some Engine.Exited_ok);
+  check cf "clock" 1. (Engine.now eng)
+
 (* ---------------- IPC ---------------- *)
 
 let test_send_receive_payload () =
@@ -1182,6 +1483,17 @@ let () =
           Alcotest.test_case "cores below 1 rejected" `Quick test_cores_rejected;
           Alcotest.test_case "stale slice leaves a re-park alone" `Quick
             test_cpu_stale_slice;
+          QCheck_alcotest.to_alcotest prop_cpu_model;
+          Alcotest.test_case "NaN delay crashes only its caller" `Quick
+            (test_nan_wait "Engine.delay" (fun ctx -> Engine.delay ctx Float.nan));
+          Alcotest.test_case "NaN receive_timeout crashes only its caller" `Quick
+            (test_nan_wait "Engine.receive_timeout" (fun ctx ->
+                 ignore (Engine.receive_timeout ctx ~timeout:Float.nan ())));
+          Alcotest.test_case "NaN Ivar.read_timeout crashes only its caller" `Quick
+            (test_nan_wait "Engine.Ivar.read_timeout" (fun ctx ->
+                 ignore
+                   (Engine.Ivar.read_timeout ctx (Engine.Ivar.create ())
+                      ~timeout:Float.nan)));
         ] );
       ( "ipc",
         [
