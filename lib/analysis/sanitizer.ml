@@ -1,12 +1,23 @@
 (* The online sanitizer: a streaming monitor over the engine's trace,
-   page-write, and source-emission hooks. Where the post-mortem checkers
-   replay a finished [History] (memory grows with run length, findings
-   carry no "caught in the act" coordinates), the sanitizer consumes each
-   event as it happens and flags violations at the exact virtual time and
-   pid of the offence. Its keyed tables are bounded by the live working
-   set — in-flight messages, registered maps, live frames — and its
-   per-pid arrays grow with the pids the engine issues, like the engine's
-   own tables.
+   the frame store's observer, and source emissions. Where the
+   post-mortem checkers replay a finished [History] (memory grows with run
+   length, findings carry no "caught in the act" coordinates), the
+   sanitizer consumes each event as it happens and flags violations at the
+   exact virtual time and pid of the offence. It subscribes only to the
+   trace kinds [on_event] matches, so a sanitized engine with recording off
+   never builds the rest.
+
+   Its keyed tables hold only what can still matter, so a block leaves the
+   state as it found it once its processes have exited and its spaces are
+   released:
+   - a message snapshot goes when the message is accepted, ignored or
+     dropped, or at [next_block] when no copy of its receiver is alive;
+   - a map's registration goes when the map is released or absorbed, and
+     with it the clock of an owner that has already exited;
+   - a frame's last writer goes when the frame is freed: frame ids are
+     never reused, so no write can land in it again.
+   The per-pid arrays grow with the pids the engine issues, like the
+   engine's own tables.
 
    Happens-before is tracked with per-process vector clocks ([Vclock]):
 
@@ -15,12 +26,12 @@
    - [Accepted]  receiver clock := join with the snapshot, tick
    - [Absorbed]  parent clock := join with the winner child's clock
 
-   Page writes reach the sanitizer through the frame store's write
-   observer (tracked maps only). Two different maps writing the same
-   physical frame is an isolation race unless the writes are ordered by
-   happens-before — the one legal unordered-looking case, a parent
-   rewriting frames it absorbed from the winner, is exactly the case the
-   absorb join orders. *)
+   Page writes of every map reach the sanitizer through the frame store's
+   observer; writes of a map no spawned process owns are ignored. Two
+   different maps writing the same physical frame is an isolation race
+   unless the writes are ordered by happens-before — the one legal
+   unordered-looking case, a parent rewriting frames it absorbed from the
+   winner, is exactly the case the absorb join orders. *)
 
 type flag = {
   sf_time : float;
@@ -29,44 +40,41 @@ type flag = {
   sf_detail : string;
 }
 
+module Tbl = Page_map.Int_table
+
 type owner =
+  | Unregistered  (* the maps table's dummy *)
   | Single of Pid.t
   | Shared of Pid.t list  (* deliberately shared space: >= 2 registrants *)
 
-(* Int-keyed tables: message keys and frame keys pack two non-negative
-   ints below 2^31 into one ([pack]). *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(* The last write to a frame, updated in place when the frame is
+   rewritten or changes hands. *)
+type writer = { mutable w_pid : Pid.t; mutable w_clock : Vclock.t }
 
-  let equal = Int.equal
-  let hash k = (k lxor (k lsr 31)) land max_int
-end)
+(* The frames table's dummy; never updated. *)
+let no_writer = { w_pid = Pid.of_int (-1); w_clock = Vclock.empty }
 
+(* Message keys pack (sender, seq), two non-negative ints below 2^31. *)
 let pack_limit = 1 lsl 31
 
-let pack what hi lo =
-  if hi < 0 || hi >= pack_limit || lo < 0 || lo >= pack_limit then
-    invalid_arg (Printf.sprintf "Sanitizer: %s (%d, %d) out of range" what hi lo);
-  (hi lsl 31) lor lo
-
 let msg_key (m : Message.t) =
-  pack "message key" (Pid.to_int m.Message.sender) m.Message.seq
-
-let frame_key ~vpage ~frame = pack "frame key" vpage frame
+  let hi = Pid.to_int m.Message.sender and lo = m.Message.seq in
+  if hi < 0 || hi >= pack_limit || lo < 0 || lo >= pack_limit then
+    invalid_arg
+      (Printf.sprintf "Sanitizer: message key (%d, %d) out of range" hi lo);
+  (hi lsl 31) lor lo
 
 type t = {
   eng : Engine.t;
+  mutable sub : Trace.subscription option;
   mutable clocks : Vclock.t array;  (* by pid; [Vclock.empty] = absent *)
   mutable clock_count : int;  (* non-empty entries of [clocks] *)
-  mutable msg_snap : Vclock.t Itbl.t option;
-      (* clock snapshot at Sent, keyed (sender, seq); drained at
-         Accepted / Ignored / injected drop so in-flight traffic bounds
-         the table, not run length *)
-  mutable maps : owner Itbl.t option;  (* page-map id -> owning process *)
-  mutable frames : (Pid.t * Vclock.t) Itbl.t option;
-      (* (vpage, frame id) -> last writer and its clock at the write *)
-  mutable owned_frames : int list array;
-      (* by writer pid: its keys in [frames], for O(own) pruning *)
+  snaps : Vclock.t Tbl.t;
+      (* message key -> the sender's clock at Sent; an empty clock stands
+         for "no snapshot", which a join treats alike *)
+  snap_dest : int Tbl.t;  (* message key -> its destination, same keys *)
+  maps : owner Tbl.t;  (* page-map id -> owning process *)
+  frames : writer Tbl.t;  (* frame id -> its last writer *)
   mutable dead : bool array;  (* by pid: exited (liveness for Shared) *)
   mutable wins : (Pid.t * int * int) list;  (* (pid, index, epoch), newest first *)
   mutable lates : Pid.t list;
@@ -75,36 +83,7 @@ type t = {
   mutable sources_seen : int;
   mutable flags : flag list;  (* newest first *)
   mutable flag_count : int;
-  mutable in_flag : bool;  (* re-entrancy guard while tracing a flag *)
 }
-
-(* The keyed tables are made on first insert: a serving run attaches a
-   sanitizer to every batch engine. *)
-let snaps t =
-  match t.msg_snap with
-  | Some h -> h
-  | None ->
-    let h = Itbl.create 16 in
-    t.msg_snap <- Some h;
-    h
-
-let map_owners t =
-  match t.maps with
-  | Some h -> h
-  | None ->
-    let h = Itbl.create 16 in
-    t.maps <- Some h;
-    h
-
-let frame_writers t =
-  match t.frames with
-  | Some h -> h
-  | None ->
-    let h = Itbl.create 16 in
-    t.frames <- Some h;
-    h
-
-let table_length = function Some h -> Itbl.length h | None -> 0
 
 (* A pid-indexed array long enough to hold index [i]. *)
 let grown a i fill =
@@ -149,22 +128,17 @@ let set_clock t pid c =
 let tick t pid = set_clock t pid (Vclock.tick (clock_of t pid) pid)
 
 (* ------------------------------------------------------------------ *)
-(* Flagging.                                                           *)
+(* Flagging. The sanitizer does not subscribe to its own breadcrumbs.  *)
 
 let flag t ?pid cls detail =
   let time = Engine.now t.eng in
   t.flags <- { sf_time = time; sf_class = cls; sf_pid = pid; sf_detail = detail } :: t.flags;
   t.flag_count <- t.flag_count + 1;
-  if not t.in_flag then begin
-    t.in_flag <- true;
-    Trace.record (Engine.trace t.eng) ~time
-      (Trace.Sanitizer_flag
-         { check = Report.class_name cls; pid; detail });
-    t.in_flag <- false
-  end
+  Trace.record (Engine.trace t.eng) ~time
+    (Trace.Sanitizer_flag { check = Report.class_name cls; pid; detail })
 
 (* ------------------------------------------------------------------ *)
-(* Page-map registration and the write observer.                       *)
+(* Page-map registration and the frame store's observer.               *)
 
 let rec has_pid p = function
   | [] -> false
@@ -173,47 +147,27 @@ let rec has_pid p = function
 let register_map t pid =
   match Engine.space_of t.eng pid with
   | None -> ()
-  | Some sp ->
+  | Some sp -> (
     let id = Page_map.id (Address_space.map sp) in
-    let owners = map_owners t in
-    (match Itbl.find_opt owners id with
-    | None -> Itbl.replace owners id (Single pid)
-    | Some (Single p) when not (Pid.equal p pid) ->
-      Itbl.replace owners id (Shared [ pid; p ])
-    | Some (Shared ps) when not (has_pid pid ps) ->
-      Itbl.replace owners id (Shared (pid :: ps))
-    | Some _ -> ())
+    match Tbl.find t.maps id with
+    | Unregistered -> Tbl.replace t.maps id (Single pid)
+    | Single p when not (Pid.equal p pid) -> Tbl.replace t.maps id (Shared [ pid; p ])
+    | Shared ps when not (has_pid pid ps) -> Tbl.replace t.maps id (Shared (pid :: ps))
+    | Single _ | Shared _ -> ())
 
-let note_owned t pid key =
-  let i = Pid.to_int pid in
-  t.owned_frames <- grown t.owned_frames i [];
-  t.owned_frames.(i) <- key :: t.owned_frames.(i)
+let written_by pid _frame w = Pid.equal w.w_pid pid
 
-let rec unown writers pid = function
-  | [] -> ()
-  | key :: rest ->
-    (match Itbl.find_opt writers key with
-    | Some (p, _) when Pid.equal p pid -> Itbl.remove writers key
-    | _ -> ());
-    unown writers pid rest
-
-let prune_owned t pid =
-  let i = Pid.to_int pid in
-  match t.frames with
-  | Some writers when i < Array.length t.owned_frames ->
-    unown writers pid t.owned_frames.(i);
-    t.owned_frames.(i) <- []
-  | _ -> ()
-
-let owner_of t map =
-  match t.maps with Some h -> Itbl.find_opt h map | None -> None
+(* Forget the frames [pid] wrote last: its world died. *)
+let prune_owned t pid = Tbl.remove_if written_by pid t.frames
 
 let on_write t ~map ~vpage ~frame =
-  match owner_of t map with
-  | None -> ()  (* unregistered map (e.g. a degraded parent's inline fork):
-                   no process attribution, stay conservative and silent —
-                   the post-mortem oracle only audits block children *)
-  | Some (Shared ps) ->
+  match Tbl.find t.maps map with
+  | Unregistered -> ()  (* no owning process (e.g. a degraded parent's
+                           inline fork, or a restore filling its image):
+                           no attribution, stay conservative and silent —
+                           the post-mortem oracle only audits block
+                           children *)
+  | Shared ps ->
     let live = List.filter (fun p -> not (is_dead t p)) ps in
     if List.length live >= 2 then
       flag t ~pid:(List.hd live) Report.Isolation
@@ -221,46 +175,69 @@ let on_write t ~map ~vpage ~frame =
            "write to frame %d (vpage %d) of an address space shared by %d \
             live siblings"
            frame vpage (List.length live))
-  | Some (Single pid) -> (
-    let writers = frame_writers t in
-    let key = frame_key ~vpage ~frame in
+  | Single pid ->
     let now = clock_of t pid in
-    match Itbl.find_opt writers key with
-    | None ->
-      Itbl.replace writers key (pid, now);
-      note_owned t pid key
-    | Some (prev, snap) when Pid.equal prev pid ->
-      if snap != now then Itbl.replace writers key (pid, now)
-    | Some (prev, snap) ->
-      if Vclock.leq snap now then begin
-        (* Ordered handoff (absorb): re-own the frame. *)
-        Itbl.replace writers key (pid, now);
-        note_owned t pid key
-      end
-      else
-        flag t ~pid Report.Isolation
-          (Format.asprintf
-             "%a wrote frame %d (vpage %d) concurrently with %a: the write \
-              was not privatised copy-on-write"
-             Pid.pp pid frame vpage Pid.pp prev))
+    let w = Tbl.find t.frames frame in
+    if w == no_writer then Tbl.replace t.frames frame { w_pid = pid; w_clock = now }
+    else if Pid.equal w.w_pid pid then w.w_clock <- now
+    else if Vclock.leq w.w_clock now then begin
+      (* Ordered handoff (absorb): re-own the frame. *)
+      w.w_pid <- pid;
+      w.w_clock <- now
+    end
+    else
+      flag t ~pid Report.Isolation
+        (Format.asprintf
+           "%a wrote frame %d (vpage %d) concurrently with %a: the write \
+            was not privatised copy-on-write"
+           Pid.pp pid frame vpage Pid.pp w.w_pid)
+
+let on_free t ~frame = Tbl.remove t.frames frame
+
+(* An owner that has exited keeps its clock only for the absorb that
+   might still read it; a released map is never absorbed. *)
+let forget_if_dead t pid = if is_dead t pid then drop_clock t pid
+
+let rec forget_dead t = function
+  | [] -> ()
+  | p :: rest ->
+    forget_if_dead t p;
+    forget_dead t rest
+
+let on_release t ~map =
+  match Tbl.find t.maps map with
+  | Unregistered -> ()
+  | Single pid ->
+    Tbl.remove t.maps map;
+    forget_if_dead t pid
+  | Shared ps ->
+    Tbl.remove t.maps map;
+    forget_dead t ps
 
 (* ------------------------------------------------------------------ *)
 (* Trace events.                                                       *)
 
-let drop_snap t (m : Message.t) =
-  match t.msg_snap with Some h -> Itbl.remove h (msg_key m) | None -> ()
+let drop_snap t key =
+  Tbl.remove t.snaps key;
+  Tbl.remove t.snap_dest key
 
-(* The clock snapshot taken when [m] was sent, drained from the table. *)
+(* The clock snapshot taken when [m] was sent, drained from the table;
+   empty when there is none (a duplicate delivery: the join already
+   happened). *)
 let take_snap t (m : Message.t) =
-  match t.msg_snap with
-  | None -> None
-  | Some h -> (
-    let key = msg_key m in
-    match Itbl.find_opt h key with
-    | Some _ as snap ->
-      Itbl.remove h key;
-      snap
-    | None -> None)
+  let key = msg_key m in
+  let snap = Tbl.find t.snaps key in
+  drop_snap t key;
+  snap
+
+(* A snapshot of a message no process can accept any more: its receiver,
+   and every world copy of it, has exited. *)
+let dead_letter t key dest =
+  if Engine.receivable t.eng (Pid.of_int dest) then false
+  else begin
+    Tbl.remove t.snaps key;
+    true
+  end
 
 (* The per-block at-most-once state is a few entries long; these walks
    are top-level so that a win or a late allocates no closure. *)
@@ -284,7 +261,6 @@ let rec unfenced_wins t n = function
 
 let on_event t ~time:_ e =
   match e with
-  | Trace.Sanitizer_flag _ -> ()  (* our own breadcrumbs *)
   | Trace.Spawned { pid; parent; _ } ->
     let base =
       match parent with
@@ -293,17 +269,17 @@ let on_event t ~time:_ e =
         clock_of t p
       | None -> Vclock.empty
     in
-    set_clock t pid (Vclock.join base (Vclock.singleton pid));
+    (* The child is new to [base]: ticking it in joins its first event. *)
+    set_clock t pid (Vclock.tick base pid);
     register_map t pid
   | Trace.Sent { msg } ->
     let sender = msg.Message.sender in
-    Itbl.replace (snaps t) (msg_key msg) (clock_of t sender);
+    let key = msg_key msg in
+    Tbl.replace t.snaps key (clock_of t sender);
+    Tbl.replace t.snap_dest key (Pid.to_int msg.Message.dest);
     tick t sender
   | Trace.Accepted { dest; msg; dest_pred } ->
-    (match take_snap t msg with
-    | Some snap ->
-      set_clock t dest (Vclock.join_tick (clock_of t dest) snap dest)
-    | None -> tick t dest  (* duplicate delivery: the join already happened *));
+    set_clock t dest (Vclock.join_tick (clock_of t dest) (take_snap t msg) dest);
     if Predicate.conflicts dest_pred msg.Message.predicate then
       flag t ~pid:dest Report.World
         (Format.asprintf
@@ -312,9 +288,9 @@ let on_event t ~time:_ e =
            Pid.pp dest Pid.pp msg.Message.sender
            (Predicate.to_string msg.Message.predicate)
            (Predicate.to_string dest_pred))
-  | Trace.Ignored { msg; _ } -> drop_snap t msg
+  | Trace.Ignored { msg; _ } -> drop_snap t (msg_key msg)
   | Trace.Injected { kind = "drop" | "partition-drop"; msg = Some msg; _ } ->
-    drop_snap t msg
+    drop_snap t (msg_key msg)
   | Trace.Absorbed { parent; child } ->
     set_clock t parent
       (Vclock.join_tick (clock_of t parent) (clock_of t child) parent);
@@ -363,23 +339,30 @@ let on_event t ~time:_ e =
   | Trace.Exited { pid; status } ->
     mark_dead t pid;
     (* Clocks of space-less processes are not needed once they exit:
-       accepts of their in-flight messages join through [msg_snap]
-       snapshots, not live clocks. Space owners keep theirs until the
-       absorb rendezvous consumes it (winners) or their world dies
-       (losers, pruned with their frames below). *)
+       accepts of their in-flight messages join through [snaps], not live
+       clocks. Space owners keep theirs until the absorb rendezvous
+       consumes it (winners), their world dies (losers, pruned with their
+       frames below) or their map is released. *)
     (match Engine.space_of t.eng pid with
     | None -> drop_clock t pid
-    | Some _ ->
+    | Some sp ->
       if not (String.length status >= 2 && status.[0] = 'o' && status.[1] = 'k')
       then begin
         prune_owned t pid;
         drop_clock t pid
-      end)
+      end
+      else if Page_map.released (Address_space.map sp) then drop_clock t pid)
   | Trace.Killed { pid; _ } -> mark_dead t pid
-  (* [Delivered], [Delivered_batch] and the rest fall through by design:
-     sanitized runs emit them, but happens-before is carried by [Sent] and
-     [Accepted]; a delivery alone orders nothing. *)
+  (* Only the kinds in [kinds] arrive. [Delivered], [Delivered_batch] and
+     the rest are left out by design: happens-before is carried by [Sent]
+     and [Accepted]; a delivery alone orders nothing. *)
   | _ -> ()
+
+let kinds =
+  Trace.Kind.(
+    spawned lor sent lor accepted lor ignored lor injected lor absorbed
+    lor sync_won lor sync_late lor degraded lor recovered lor exited
+    lor killed)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
@@ -388,12 +371,13 @@ let attach eng =
   let t =
     {
       eng;
+      sub = None;
       clocks = [||];
       clock_count = 0;
-      msg_snap = None;
-      maps = None;
-      frames = None;
-      owned_frames = [||];
+      snaps = Tbl.create Vclock.empty;
+      snap_dest = Tbl.create (-1);
+      maps = Tbl.create Unregistered;
+      frames = Tbl.create no_writer;
       dead = [||];
       wins = [];
       lates = [];
@@ -402,17 +386,19 @@ let attach eng =
       sources_seen = 0;
       flags = [];
       flag_count = 0;
-      in_flag = false;
     }
   in
-  Trace.set_observer (Engine.trace eng) (Some (fun ~time e -> on_event t ~time e));
-  Frame_store.set_write_observer (Engine.frame_store eng)
-    (Some (fun ~map ~vpage ~frame -> on_write t ~map ~vpage ~frame));
+  t.sub <- Some (Trace.subscribe (Engine.trace eng) kinds (on_event t));
+  Frame_store.set_observer (Engine.frame_store eng)
+    (Some
+       { Frame_store.on_write = on_write t; on_free = on_free t;
+         on_release = on_release t });
   t
 
 let detach t =
-  Trace.set_observer (Engine.trace t.eng) None;
-  Frame_store.set_write_observer (Engine.frame_store t.eng) None
+  Option.iter (Trace.unsubscribe (Engine.trace t.eng)) t.sub;
+  t.sub <- None;
+  Frame_store.set_observer (Engine.frame_store t.eng) None
 
 (* The at-most-once state is scoped to ONE alternative block: [wins],
    [lates], the degradation latch and the recovery fence all describe
@@ -421,9 +407,11 @@ let detach t =
    second block's perfectly legal [Sync_won] would flag as a duplicate
    win of the first. Vector clocks, frame ownership and message
    snapshots deliberately survive — happens-before and isolation span
-   the whole engine, whatever block a process belonged to. Accumulated
+   the whole engine, whatever block a process belonged to — except for
+   the snapshots of messages no process can receive any more. Accumulated
    flags also survive: they already happened. *)
 let next_block t =
+  Tbl.remove_if dead_letter t t.snap_dest;
   t.wins <- [];
   t.lates <- [];
   t.fence <- 0;
@@ -445,8 +433,8 @@ let flags t = List.rev t.flags
 let flag_count t = t.flag_count
 
 let state_size t =
-  t.clock_count + table_length t.msg_snap + table_length t.maps
-  + table_length t.frames + List.length t.lates + List.length t.wins
+  t.clock_count + Tbl.length t.snaps + Tbl.length t.maps + Tbl.length t.frames
+  + List.length t.lates + List.length t.wins
 
 (* ------------------------------------------------------------------ *)
 (* Reporting and the oracle cross-check.                               *)

@@ -1,10 +1,12 @@
 (** The online sanitizer (altsan).
 
-    A streaming monitor that consumes the engine's trace events, tracked
-    page writes, and source emissions {e as they happen}, with state
-    bounded by the live working set (processes, in-flight messages, live
+    A streaming monitor that consumes the engine's trace events, page
+    writes, and source emissions {e as they happen}, with state bounded by
+    the live working set (processes, in-flight messages, live maps and
     frames) rather than by run length — so it can watch executions whose
-    trace recording is switched off entirely. Violations are flagged at
+    trace recording is switched off entirely, and whose spaces keep no
+    write log. A block leaves the state as it found it once its processes
+    have exited, {!next_block} has closed it and its spaces are released. Violations are flagged at
     the exact virtual time and pid of the offence and additionally traced
     as {!Trace.Sanitizer_flag} breadcrumbs.
 
@@ -42,14 +44,21 @@ type flag = {
   sf_detail : string;
 }
 
+val kinds : Trace.mask
+(** The trace kinds the sanitizer reads: [Spawned], [Sent], [Accepted],
+    [Ignored], [Injected], [Absorbed], [Sync_won], [Sync_late],
+    [Degraded], [Recovered], [Exited] and [Killed]. A sanitized engine
+    with recording off builds no other kind. *)
+
 val attach : Engine.t -> t
-(** Install the sanitizer on an engine: claims the trace observer
-    ({!Trace.set_observer}) and the frame store's write observer. Must be
-    called before the monitored processes are spawned. One sanitizer per
-    engine. *)
+(** Install the sanitizer on an engine: subscribes to {!kinds}
+    ({!Trace.subscribe}) and claims the frame store's observer
+    ({!Frame_store.set_observer}). Must be called before the monitored
+    processes are spawned. One sanitizer per engine. *)
 
 val detach : t -> unit
-(** Remove the observers. The accumulated flags remain readable. *)
+(** Unsubscribe and release the frame store's observer. The accumulated
+    flags remain readable. *)
 
 val next_block : t -> unit
 (** Close the current alternative block's at-most-once scope: the win /
@@ -57,8 +66,10 @@ val next_block : t -> unit
     the next block's legal [Sync_won] is not mistaken for a duplicate
     win of the previous one. Happens-before state (vector clocks, frame
     ownership, in-flight message snapshots) and accumulated flags
-    survive. The serving layer calls this between the jobs of a shared
-    batch engine; single-block runs never need it. *)
+    survive, except the snapshots of messages no live process can receive
+    any more, which are dropped here. The serving layer calls this
+    between the jobs of a shared batch engine; single-block runs never
+    need it. *)
 
 val observe_source : t -> Source.t -> unit
 (** Watch a source device for uncertain emissions (claims the device's
@@ -71,7 +82,8 @@ val flag_count : t -> int
 
 val state_size : t -> int
 (** Total entries across the sanitizer's tables — what the boundedness
-    regression asserts stays O(live working set) on long runs. *)
+    regressions assert stays O(live working set) on long runs, and returns
+    to its value before a block once the block is over. *)
 
 val violations :
   t -> scenario:string -> policy:string -> seed:int -> Report.violation list

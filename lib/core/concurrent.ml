@@ -283,11 +283,11 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
        reachable): distinguishes "every alternative genuinely failed" from
        "the synchronisation layer was unreachable". *)
     let no_quorum_seen = ref 0 in
-    (* Callers test [live] first: an event nobody records or observes is
-       not worth building. *)
+    (* Callers test [wants] for the kind first: an event no subscriber
+       reads is not worth building. *)
     let trace = Engine.trace eng in
     let tr e = Trace.record trace ~time:(Engine.now eng) e in
-    if elide_consensus && Trace.live trace then
+    if elide_consensus && Trace.wants trace Trace.Kind.note then
       tr (Trace.Note "consensus elided: alternatives proven mutually exclusive");
     let remote =
       match policy.placement with
@@ -349,10 +349,11 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
             in
             match verdict with
             | `Won ->
-              if Trace.live trace then
+              if Trace.wants trace Trace.Kind.sync_won then
                 tr (Trace.Sync_won { pid = me; index = i; epoch })
             | `Late ->
-              if Trace.live trace then tr (Trace.Sync_late { pid = me; index = i });
+              if Trace.wants trace Trace.Kind.sync_late then
+                tr (Trace.Sync_late { pid = me; index = i });
               Engine.abort child_ctx "too late"
             | `No_quorum ->
               (* Not a loss: the decision was never made. No [Sync_late]
@@ -425,7 +426,8 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
        as {!Alt_block} would. *)
     let degrade reason =
       degraded := true;
-      if Trace.live trace then tr (Trace.Degraded { parent = parent_pid; reason });
+      if Trace.wants trace Trace.Kind.degraded then
+        tr (Trace.Degraded { parent = parent_pid; reason });
       let victims =
         Array.to_list pids |> List.filteri (fun i _ -> open_.(i))
       in
@@ -482,7 +484,7 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
             Engine.delay ctx back
           | Local_spawn -> ());
           Address_space.absorb ~parent:psp ~child:csp;
-          if Trace.live trace then
+          if Trace.wants trace Trace.Kind.absorbed then
             tr (Trace.Absorbed { parent = parent_pid; child = pid });
           let c = Address_space.drain_cost psp in
           selection_cost := !selection_cost +. c;

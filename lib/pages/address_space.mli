@@ -70,11 +70,12 @@ val mapped_pages : t -> int
 val private_pages : t -> int
 
 val set_tracking : t -> bool -> unit
-(** Enable (or disable) per-page write recording on the underlying
-    {!Page_map} (reads are only counted). Children created by {!fork}
-    inherit the setting, so enabling it on a parent before an alternative
-    block audits every sibling. Off by default (zero overhead for
-    benchmarks). *)
+(** Enable (or disable) the per-page write log of the underlying
+    {!Page_map} (reads are only counted) that the post-mortem isolation
+    check reads. Children created by {!fork} inherit the setting, so
+    enabling it on a parent before an alternative block audits every
+    sibling. Off by default. Writes reach the frame store's observer
+    either way: an online monitor needs no log. *)
 
 val written_pages : t -> (int * int) list
 (** [(vpage, frame_id)] pairs for pages this space has written; usable

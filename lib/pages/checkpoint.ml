@@ -56,7 +56,7 @@ let restore store model image =
         ~src:(Frame_store.data f) ~copied)
     image.pages;
   ignore (Address_space.drain_cost space);
-  (* After the fill, so the restore's own writes stay unobserved. *)
+  (* After the fill, so the restore's own writes stay out of the log. *)
   if image.tracked then Address_space.set_tracking space true;
   space
 

@@ -38,9 +38,10 @@ val restore : Frame_store.t -> Cost_model.t -> image -> Address_space.t
 (** Materialise the image as a fresh private address space in the given
     store. The space is tracked ({!Address_space.set_tracking}) exactly
     when the captured space was, so a restored incarnation stays visible
-    to the write log and the store's write observer; the restore's own
-    page fills are not recorded. Raises [Invalid_argument] if the page
-    sizes disagree or the image was released. *)
+    to the write log; the restore's own page fills are not logged (the
+    store's observer hears them as writes of a map no process owns yet).
+    Raises [Invalid_argument] if the page sizes disagree or the image
+    was released. *)
 
 val mapped_pages : image -> int
 

@@ -6,8 +6,14 @@ type t = {
   mutable live : int;
   mutable allocs : int;
   mutable copies : int;
-  mutable next_map : int;  (* map identities, for the write observer *)
-  mutable write_observer : (map:int -> vpage:int -> frame:int -> unit) option;
+  mutable next_map : int;  (* map identities, for the observer *)
+  mutable observer : observer option;
+}
+
+and observer = {
+  on_write : map:int -> vpage:int -> frame:int -> unit;
+  on_free : frame:int -> unit;
+  on_release : map:int -> unit;
 }
 
 (* The free-frame pool is per domain, not per store, because a serving
@@ -40,19 +46,22 @@ let bucket pool size =
 let create ~page_size =
   if page_size <= 0 then invalid_arg "Frame_store.create: page_size";
   { page_size; next_id = 0; live = 0; allocs = 0; copies = 0; next_map = 0;
-    write_observer = None }
+    observer = None }
 
 let fresh_map_id t =
   let id = t.next_map in
   t.next_map <- t.next_map + 1;
   id
 
-let set_write_observer t f = t.write_observer <- f
+let set_observer t o = t.observer <- o
 
-let notify_write t ~map ~vpage ~frame =
-  match t.write_observer with
-  | Some f -> f ~map ~vpage ~frame
+let notify_write t ~map ~vpage f =
+  match t.observer with
+  | Some o -> o.on_write ~map ~vpage ~frame:f.fid
   | None -> ()
+
+let notify_release t ~map =
+  match t.observer with Some o -> o.on_release ~map | None -> ()
 
 let page_size t = t.page_size
 
@@ -97,6 +106,7 @@ let decref t f =
   f.refs <- f.refs - 1;
   if f.refs = 0 then begin
     t.live <- t.live - 1;
+    (match t.observer with Some o -> o.on_free ~frame:f.fid | None -> ());
     let pool = Domain.DLS.get pool_key in
     let size = Bytes.length f.buf in
     if pool.retained + size <= pool_cap_bytes then begin

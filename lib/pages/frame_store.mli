@@ -77,13 +77,33 @@ val fresh_map_id : t -> int
     pool. Ids are dense, allocated in creation order, so they are
     deterministic per simulation. *)
 
-val set_write_observer :
-  t -> (map:int -> vpage:int -> frame:int -> unit) option -> unit
-(** Install (or clear) an online write observer: {!Page_map.note_write}
-    reports every {e tracked} page write through it, identifying the
-    writing map by its {!fresh_map_id}. Untracked maps stay entirely off
-    this path, so benchmarks are unaffected. The analysis layer's
-    sanitizer uses this to detect isolation races as they happen. *)
+(** {2 Observation}
 
-val notify_write : t -> map:int -> vpage:int -> frame:int -> unit
-(** Used by {!Page_map}; a no-op when no observer is installed. *)
+    An online monitor (the analysis layer's sanitizer) watches the store
+    through one observer: every page write of every map drawing from the
+    store, every frame whose last reference is dropped, and every map
+    that is released. A store with no observer pays one branch per write
+    and nothing else. *)
+
+type observer = {
+  on_write : map:int -> vpage:int -> frame:int -> unit;
+      (** A write through the map with {!fresh_map_id} [map] landed in
+          frame [frame] at page [vpage]. *)
+  on_free : frame:int -> unit;
+      (** The frame's count reached zero: no map can write it again, as
+          ids are never reused. *)
+  on_release : map:int -> unit;
+      (** The map was released (or absorbed into its parent): it will
+          never write again. *)
+}
+
+val set_observer : t -> observer option -> unit
+(** Install (or clear) the store's observer. *)
+
+val notify_write : t -> map:int -> vpage:int -> frame -> unit
+(** Used by {!Page_map} on every write, with the frame written; a no-op
+    when no observer is installed. Page maps report whether or not they
+    keep a write log. *)
+
+val notify_release : t -> map:int -> unit
+(** Used by {!Page_map} when a map is released or absorbed. *)

@@ -60,6 +60,10 @@ module Tbl = struct
 
   let mem t k = slot t k >= 0
 
+  let find t k =
+    let i = slot t k in
+    if i >= 0 then Array.unsafe_get t.vals i else t.dummy
+
   let rec free_slot keys i mask =
     if Array.unsafe_get keys i = no_key then i else free_slot keys ((i + 1) land mask) mask
 
@@ -113,15 +117,28 @@ module Tbl = struct
     end
     else shift_back t hole ((j + 1) land mask) mask
 
+  let remove_slot t i =
+    let mask = Array.length t.keys - 1 in
+    let hole = shift_back t i ((i + 1) land mask) mask in
+    Array.unsafe_set t.keys hole no_key;
+    Array.unsafe_set t.vals hole t.dummy;
+    t.size <- t.size - 1
+
   let remove t k =
     let i = slot t k in
-    if i >= 0 then begin
-      let mask = Array.length t.keys - 1 in
-      let hole = shift_back t i ((i + 1) land mask) mask in
-      Array.unsafe_set t.keys hole no_key;
-      Array.unsafe_set t.vals hole t.dummy;
-      t.size <- t.size - 1
-    end
+    if i >= 0 then remove_slot t i
+
+  (* A removal shifts the rest of the probe run back into slot [i], so
+     [i] is examined again. Only an entry that wraps from the array's
+     start to its end moves behind the scan, and it is merely examined
+     twice. [env] lets a top-level [f] run without a closure. *)
+  let remove_if f env t =
+    let i = ref 0 in
+    while !i < Array.length t.keys do
+      let k = Array.unsafe_get t.keys !i in
+      if k <> no_key && f env k (Array.unsafe_get t.vals !i) then remove_slot t !i
+      else incr i
+    done
 
   (* Drop every entry and both arrays. *)
   let reset t =
@@ -155,7 +172,7 @@ type node = {
 
 type t = {
   store : Frame_store.t;
-  id : int;  (* store-unique map identity, for the write observer *)
+  id : int;  (* store-unique map identity, for the store's observer *)
   mutable top : node;
   mutable mapped : int;  (* distinct vpages resolving to a frame *)
   mutable fault : bool;  (* scratch: did the last prepare_write COW? *)
@@ -376,11 +393,10 @@ let prepare_write t vpage =
   let i = Tbl.slot frames vpage in
   if i >= 0 then Array.unsafe_get frames.vals i else prepare_slow t vpage
 
+(* Every write reaches the store's observer; [track] gates only the log. *)
 let note_write t vpage f =
-  if t.track then begin
-    Tbl.replace t.writes_log vpage (Frame_store.id f);
-    Frame_store.notify_write t.store ~map:t.id ~vpage ~frame:(Frame_store.id f)
-  end
+  if t.track then Tbl.replace t.writes_log vpage (Frame_store.id f);
+  Frame_store.notify_write t.store ~map:t.id ~vpage f
 
 let write_from t ~vpage ~off ~src ~src_off ~len =
   check t;
@@ -515,7 +531,8 @@ let release t =
     free_node t.store t.top;
     t.top <- fresh_top None;
     t.mapped <- 0;
-    t.released <- true
+    t.released <- true;
+    Frame_store.notify_release t.store ~map:t.id
   end
 
 let released t = t.released
@@ -537,6 +554,7 @@ let absorb ~parent ~child =
   child.top <- fresh_top None;
   child.mapped <- 0;
   child.released <- true;
+  Frame_store.notify_release child.store ~map:child.id;
   compact parent
 
 let cow_copies t = t.cow_copies
@@ -598,3 +616,8 @@ let snapshot_equal a b =
         | Some f, None | None, Some f -> is_zero_page (Frame_store.data f))
       pages true
   end
+
+(* Exported for the analysis layer's per-operation tables. It is named
+   here, after every use, because a module the signature restricts is
+   captured by each closure that calls into it. *)
+module Int_table = Tbl

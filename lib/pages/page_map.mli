@@ -11,6 +11,36 @@
     its page pointer with the child's overlay, walking only the child's
     dirty pages. *)
 
+(** {2 Flat int tables}
+
+    The int-keyed open-addressing table page maps keep their layers and
+    write logs in, exposed for other per-operation tables (the
+    sanitizer's). Power-of-two capacity, linear probing, backward-shift
+    deletion. An empty table holds no arrays until its first insert;
+    lookups, the replacement of an existing key and removals allocate
+    nothing. [min_int] is reserved; every other int is a valid key. *)
+
+module Int_table : sig
+  type 'a t
+
+  val create : 'a -> 'a t
+  (** [create dummy]: [dummy] fills empty slots (so the table holds no
+      reference to removed values) and is what {!find} returns for an
+      absent key. *)
+
+  val length : 'a t -> int
+
+  val find : 'a t -> int -> 'a
+  (** The key's value, or the table's dummy when the key is absent. *)
+
+  val replace : 'a t -> int -> 'a -> unit
+  val remove : 'a t -> int -> unit
+
+  val remove_if : ('e -> int -> 'a -> bool) -> 'e -> 'a t -> unit
+  (** [remove_if f env t] removes every entry for which [f env key value]
+      holds, allocating nothing when [f] is a top-level function. *)
+end
+
 type t
 
 val create : Frame_store.t -> t
@@ -19,9 +49,9 @@ val create : Frame_store.t -> t
 
 val id : t -> int
 (** This map's {!Frame_store.fresh_map_id}: a store-unique, deterministic
-    identity. The frame store's write observer reports tracked writes
-    under it, and the analysis layer joins those reports back to processes
-    through {!Address_space.map}. *)
+    identity. The frame store's observer reports this map's writes and its
+    release under it, and the analysis layer joins those reports back to
+    processes through {!Address_space.map}. *)
 
 val page_size : t -> int
 
@@ -87,11 +117,13 @@ val touch_page : t -> vpage:int -> bool
 val absorb : parent:t -> child:t -> unit
 (** The parent drops all of its frames and takes over the child's overlay
     and statistics; the child map becomes released (any further use
-    raises). This is the atomic page-pointer replacement of [alt_wait].
+    raises, and the store's observer hears of the release). This is the
+    atomic page-pointer replacement of [alt_wait].
     O(pages the child dirtied), not O(mapped). *)
 
 val release : t -> unit
-(** Drop every frame reference (process elimination). Idempotent. *)
+(** Drop every frame reference (process elimination) and report the
+    release to the store's observer. Idempotent. *)
 
 val released : t -> bool
 
@@ -104,13 +136,16 @@ val reads : t -> int
 
 (** {2 Access-set recording}
 
-    When tracking is enabled, the map records which virtual pages were
-    written, together with the identity of the frame each write landed in;
-    reads are only counted ({!reads}). The analysis layer uses the write
-    log for isolation checking: two sibling maps whose write logs contain
-    the same frame id for a page have mutated shared state without
-    copy-on-write privatisation. Tracking is off by default; {!fork}
-    inherits the parent's setting. *)
+    Every write is reported to the frame store's observer
+    ({!Frame_store.set_observer}), tracked or not: that notification is
+    how the online sanitizer sees writes as they happen, and it keeps no
+    state in the map. Tracking adds a write log on top: the map records
+    which virtual pages were written, together with the identity of the
+    frame each write landed in; reads are only counted ({!reads}). The
+    post-mortem isolation check reads the log: two sibling maps whose
+    write logs contain the same frame id for a page have mutated shared
+    state without copy-on-write privatisation. Tracking is off by default;
+    {!fork} inherits the parent's setting. *)
 
 val set_tracking : t -> bool -> unit
 val tracking : t -> bool

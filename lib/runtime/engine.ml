@@ -207,6 +207,10 @@ let schedule t ~at thunk = ignore (schedule_cancellable t ~at thunk)
 
 let tr t e = Trace.record t.trace_ ~time:t.vnow e
 
+(* Whether some trace subscriber reads events of kind [k]: tested before
+   an event is built, so a kind nobody reads costs no allocation. *)
+let wants t k = Trace.wants t.trace_ k
+
 let status_string = function
   | Exited_ok -> "ok"
   | Exited_failed r -> "failed: " ^ r
@@ -316,6 +320,13 @@ let is_alive pcb = match pcb.state with Dead _ -> false | _ -> true
 
 let alive t pid = match find_pcb t pid with Some p -> is_alive p | None -> false
 
+let rec any_alive t = function
+  | [] -> false
+  | p :: rest -> alive t p || any_alive t rest
+
+let receivable t pid =
+  match world_copies t pid with [] -> alive t pid | copies -> any_alive t copies
+
 let status t pid =
   match find_pcb t pid with
   | Some { state = Dead s; _ } -> Some s
@@ -365,7 +376,7 @@ let rec finalize t pcb st =
     Cpu.remove t.cpu ~now:t.vnow pcb.pid;
     if not pcb.preserve_space then Option.iter Address_space.release pcb.space;
     t.live <- t.live - 1;
-    if Trace.live t.trace_ then
+    if wants t Trace.Kind.exited then
       tr t (Trace.Exited { pid = pcb.pid; status = status_string st });
     let watchers = pcb.exit_watchers in
     pcb.exit_watchers <- [];
@@ -398,7 +409,8 @@ let rec finalize t pcb st =
            fate until they resolve (the process "cannot commit" yet). *)
         pcb.predicate <- p;
         t.deferred <- pcb.pid :: t.deferred;
-        if Trace.live t.trace_ then tr t (Trace.Fate_deferred pcb.pid))
+        if wants t Trace.Kind.fate_deferred then
+          tr t (Trace.Fate_deferred pcb.pid))
     | Exited_failed _ | Crashed _ | Eliminated _ ->
       fire_res_watchers t pcb `Dead;
       record_fate t pcb.pid Predicate.Failed)
@@ -418,7 +430,7 @@ and record_fate t pid fate =
   | Some f when f = fate -> ()
   | _ ->
     Fate_registry.record t.reg pid fate;
-    if Trace.live t.trace_ then tr t (Trace.Fate { pid; fate }));
+    if wants t Trace.Kind.fate then tr t (Trace.Fate { pid; fate }));
   sweep t
 
 and kill t pid ~reason =
@@ -464,7 +476,7 @@ and sweep t =
         | Some pcb when pcb.born < born_before && is_alive pcb ->
           (match Fate_registry.normalize t.reg pcb.predicate with
           | `Dead ->
-            if Trace.live t.trace_ then
+            if wants t Trace.Kind.killed then
               tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
             fire_res_watchers t pcb `Dead;
             kill t pcb.pid ~reason:"dead world"
@@ -562,7 +574,7 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
     else if pcb.oblivious then begin
       (* Kernel-level services (consensus voters, devices) accept every
          message: they are part of process management, not of any world. *)
-      if Trace.live t.trace_ then
+      if wants t Trace.Kind.accepted then
         tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
       Mailbox.remove ring pos;
       m
@@ -581,7 +593,7 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
            assumptions. Normalisation would return the predicate
            unchanged and the receiver trivially implies it, so accept
            directly without allocating the `Live wrapper. *)
-        if Trace.live t.trace_ then
+        if wants t Trace.Kind.accepted then
           tr t
             (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
         Mailbox.remove ring pos;
@@ -591,14 +603,14 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
         match Fate_registry.normalize t.reg spred with
         | `Dead ->
           (* The sender's world died: the message never happened. *)
-          if Trace.live t.trace_ then
+          if wants t Trace.Kind.ignored then
             tr t (Trace.Ignored { dest = pcb.pid; msg = m; reason = "dead world" });
           Mailbox.remove ring pos;
           advance_cursor cur pos prefix;
           scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
         | `Live s ->
           if Predicate.implies pcb.predicate s then begin
-            if Trace.live t.trace_ then
+            if wants t Trace.Kind.accepted then
               tr t
                 (Trace.Accepted
                    { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
@@ -606,7 +618,7 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
             m
           end
           else if Predicate.conflicts pcb.predicate s then begin
-            if Trace.live t.trace_ then
+            if wants t Trace.Kind.ignored then
               tr t (Trace.Ignored { dest = pcb.pid; msg = m; reason = "conflict" });
             Mailbox.remove ring pos;
             advance_cursor cur pos prefix;
@@ -665,7 +677,7 @@ and accept_with_split t pcb m s =
     (* World copies live wherever the original does: a site crash must take
        every copy of a resident process down with it. *)
     assign_site t clone ~explicit:pcb.site;
-    if Trace.live t.trace_ then
+    if wants t Trace.Kind.split then
       tr t (Trace.Split { original = pcb.pid; clone = clone_pid; on = m });
     (match t.spawn_hook with Some h -> h clone_pid clone.name | None -> ());
     (* Charge the copy as a fork-base-cost start delay for the clone. *)
@@ -677,7 +689,7 @@ and accept_with_split t pcb m s =
   | Some _ ->
     (* Not cloneable: fall back to deferring until the sender resolves
        (pessimistic but semantics-preserving). *)
-    if Trace.live t.trace_ then
+    if wants t Trace.Kind.ignored then
       tr t
         (Trace.Ignored
            { dest = pcb.pid; msg = m; reason = "deferred (receiver not cloneable)" });
@@ -694,7 +706,7 @@ and adopt_sender_assumptions t pcb m s =
     else Predicate.assume_completes p m.Message.sender
   in
   pcb.predicate <- p;
-  if Trace.live t.trace_ then
+  if wants t Trace.Kind.accepted then
     tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pred_at_accept })
 
 and rescan_parked t pcb =
@@ -762,7 +774,7 @@ and start_pcb t pcb =
     | Some reason -> finalize t pcb (Eliminated reason)
     | None ->
       pcb.state <- Running;
-      if Trace.live t.trace_ then tr t (Trace.Started pcb.pid);
+      if wants t Trace.Kind.started then tr t (Trace.Started pcb.pid);
       run_body t pcb)
   | Running | Suspended ->
     failwith
@@ -930,7 +942,7 @@ and do_send t pcb ~dest ~tag payload =
   (* The one value every receiver, trace event and fault hook sees for
      this send. *)
   let msg = { Message.sender = pcb.pid; dest; predicate; payload; tag; seq; size } in
-  if Trace.live t.trace_ then tr t (Trace.Sent { msg });
+  if wants t Trace.Kind.sent then tr t (Trace.Sent { msg });
   let chan = channel_of pcb ~dest in
   (* Per-(sender, logical dest) FIFO: never deliver before an earlier send.
      The cost expression is inlined (rather than calling
@@ -949,7 +961,10 @@ and do_send t pcb ~dest ~tag payload =
     Float.Array.unsafe_set chan.ch_clock 0 at;
     outbox_push t chan msg
   | Some f -> (
-    let inject kind = tr t (Trace.Injected { kind; pid = None; msg = Some msg }) in
+    let inject kind =
+      if wants t Trace.Kind.injected then
+        tr t (Trace.Injected { kind; pid = None; msg = Some msg })
+    in
     match f msg with
     | F_deliver ->
       Float.Array.unsafe_set chan.ch_clock 0 at;
@@ -995,7 +1010,7 @@ and do_send t pcb ~dest ~tag payload =
 and flush_channel t chan upto =
   if chan.ch_open && chan.ch_upto == upto then chan.ch_open <- false;
   let outbox = chan.outbox and dest = chan.ch_dest in
-  if Trace.live t.trace_ then begin
+  if wants t Trace.Kind.delivered_batch then begin
     let n = upto.u - Mailbox.head_pos outbox in
     if n > 1 then
       tr t (Trace.Delivered_batch { sender = chan.ch_sender; dest; count = n })
@@ -1017,7 +1032,7 @@ and flush_channel t chan upto =
 and drain_batch_to t outbox upto pid =
   match find_pcb t pid with
   | Some pcb when is_alive pcb ->
-    if Trace.live t.trace_ then
+    if wants t Trace.Kind.delivered then
       for pos = Mailbox.head_pos outbox to upto.u - 1 do
         tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at outbox pos })
       done;
@@ -1038,7 +1053,8 @@ and offer_entry t msg = function
       if match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid
       then begin
         Mailbox.push pcb.mailbox msg;
-        if Trace.live t.trace_ then tr t (Trace.Delivered { dest = pid; msg })
+        if wants t Trace.Kind.delivered then
+          tr t (Trace.Delivered { dest = pid; msg })
       end
     | _ -> ());
     offer_entry t msg rest
@@ -1093,7 +1109,7 @@ let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
   register_world t pcb;
   t.live <- t.live + 1;
   assign_site t pcb ~explicit:site;
-  if Trace.live t.trace_ then tr t (Trace.Spawned { pid; parent; name });
+  if wants t Trace.Kind.spawned then tr t (Trace.Spawned { pid; parent; name });
   (match t.spawn_hook with Some h -> h pid name | None -> ());
   schedule t ~at:(t.vnow +. start_delay) (fun () -> start_pcb t pcb);
   pid

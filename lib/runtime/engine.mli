@@ -137,6 +137,11 @@ val kill : t -> Pid.t -> reason:string -> unit
     unwinds at its next operation. Killing a dead pid is a no-op. *)
 
 val alive : t -> Pid.t -> bool
+
+val receivable : t -> Pid.t -> bool
+(** Whether a message addressed to the pid could still be accepted: the
+    process, or some world copy of it, is alive. *)
+
 val status : t -> Pid.t -> exit_status option
 (** [None] while the process is still live (or never existed). *)
 

@@ -23,23 +23,149 @@ type event =
   | Sanitizer_flag of { check : string; pid : Pid.t option; detail : string }
   | Note of string
 
-type t = {
-  mutable events : (float * event) list;
-  mutable enabled : bool;
-  mutable observer : (time:float -> event -> unit) option;
+(* One bit per constructor, in declaration order. *)
+type mask = int
+
+module Kind = struct
+  let spawned = 1
+  let started = 1 lsl 1
+  let exited = 1 lsl 2
+  let sent = 1 lsl 3
+  let delivered = 1 lsl 4
+  let delivered_batch = 1 lsl 5
+  let accepted = 1 lsl 6
+  let ignored = 1 lsl 7
+  let split = 1 lsl 8
+  let killed = 1 lsl 9
+  let fate = 1 lsl 10
+  let fate_deferred = 1 lsl 11
+  let absorbed = 1 lsl 12
+  let sync_won = 1 lsl 13
+  let sync_late = 1 lsl 14
+  let injected = 1 lsl 15
+  let degraded = 1 lsl 16
+  let site_crashed = 1 lsl 17
+  let partitioned = 1 lsl 18
+  let healed = 1 lsl 19
+  let recovered = 1 lsl 20
+  let sanitizer_flag = 1 lsl 21
+  let note = 1 lsl 22
+  let all = (1 lsl 23) - 1
+end
+
+let kind = function
+  | Spawned _ -> Kind.spawned
+  | Started _ -> Kind.started
+  | Exited _ -> Kind.exited
+  | Sent _ -> Kind.sent
+  | Delivered _ -> Kind.delivered
+  | Delivered_batch _ -> Kind.delivered_batch
+  | Accepted _ -> Kind.accepted
+  | Ignored _ -> Kind.ignored
+  | Split _ -> Kind.split
+  | Killed _ -> Kind.killed
+  | Fate _ -> Kind.fate
+  | Fate_deferred _ -> Kind.fate_deferred
+  | Absorbed _ -> Kind.absorbed
+  | Sync_won _ -> Kind.sync_won
+  | Sync_late _ -> Kind.sync_late
+  | Injected _ -> Kind.injected
+  | Degraded _ -> Kind.degraded
+  | Site_crashed _ -> Kind.site_crashed
+  | Partitioned _ -> Kind.partitioned
+  | Healed _ -> Kind.healed
+  | Recovered _ -> Kind.recovered
+  | Sanitizer_flag _ -> Kind.sanitizer_flag
+  | Note _ -> Kind.note
+
+type subscription = { s_mask : mask; s_f : time:float -> event -> unit }
+
+(* The subscribers besides the recorder, and what they record while
+   being called. *)
+type hub = {
+  subs : subscription list;  (* in subscription order *)
+  mutable busy : bool;  (* the subscribers are being called *)
+  mutable pending : (float * event) list;  (* recorded meanwhile, newest first *)
 }
 
-let create ?(enabled = true) () = { events = []; enabled; observer = None }
-let enabled t = t.enabled
+(* No subscriber besides the recorder; never dispatched through, so never
+   mutated. *)
+let no_hub = { subs = []; busy = false; pending = [] }
 
-let live t =
-  t.enabled || (match t.observer with Some _ -> true | None -> false)
-let set_enabled t b = t.enabled <- b
-let set_observer t f = t.observer <- f
+(* The recorder is the subscriber with every bit set. [mask] is the
+   union of every subscriber's mask, plus [recording] while the recorder
+   is on: the one word the engine's guards test. *)
+type t = {
+  mutable events : (float * event) list;
+  mutable mask : mask;
+  mutable hub : hub;
+}
 
-let record t ~time e =
-  if t.enabled then t.events <- (time, e) :: t.events;
-  match t.observer with Some f -> f ~time e | None -> ()
+let recording = Kind.all + 1
+
+let remask t ~enabled =
+  t.mask <-
+    List.fold_left
+      (fun m s -> m lor s.s_mask)
+      (if enabled then Kind.all lor recording else 0)
+      t.hub.subs
+
+let create ?(enabled = true) () =
+  let t = { events = []; mask = 0; hub = no_hub } in
+  remask t ~enabled;
+  t
+
+let enabled t = t.mask land recording <> 0
+let set_enabled t b = remask t ~enabled:b
+let wants t k = t.mask land k <> 0
+
+let set_subs t subs =
+  if t.hub.busy then invalid_arg "Trace: subscriptions changed by a subscriber";
+  t.hub <- (match subs with [] -> no_hub | _ -> { subs; busy = false; pending = [] });
+  remask t ~enabled:(enabled t)
+
+let subscribe t mask f =
+  let s = { s_mask = mask; s_f = f } in
+  set_subs t (t.hub.subs @ [ s ]);
+  s
+
+let unsubscribe t s = set_subs t (List.filter (fun s' -> s' != s) t.hub.subs)
+
+let rec notify subs ~time e k =
+  match subs with
+  | [] -> ()
+  | s :: rest ->
+    if s.s_mask land k <> 0 then s.s_f ~time e;
+    notify rest ~time e k
+
+(* An event recorded while the subscribers are being called (the
+   sanitizer traces its flags from inside its own callback) waits until
+   every subscriber has seen the current one, so that all of them, the
+   recorder included, see one stream in one order. *)
+let rec record t ~time e =
+  let k = kind e in
+  if t.mask land k <> 0 then begin
+    let hub = t.hub in
+    if hub.busy then hub.pending <- (time, e) :: hub.pending
+    else begin
+      if t.mask land recording <> 0 then t.events <- (time, e) :: t.events;
+      if hub != no_hub then dispatch t hub ~time e k
+    end
+  end
+
+and dispatch t hub ~time e k =
+  hub.busy <- true;
+  (match notify hub.subs ~time e k with
+  | () -> hub.busy <- false
+  | exception ex ->
+    hub.busy <- false;
+    hub.pending <- [];
+    raise ex);
+  match hub.pending with
+  | [] -> ()
+  | queued ->
+    hub.pending <- [];
+    List.iter (fun (time, e) -> record t ~time e) (List.rev queued)
 
 let events t = List.rev t.events
 

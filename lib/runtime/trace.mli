@@ -2,7 +2,14 @@
 
     The engine records one {!event} per interesting action; tests assert on
     traces, and the worlds/elimination examples print them. Recording can be
-    disabled for long benchmark runs. *)
+    disabled for long benchmark runs.
+
+    Whoever reads events is a {e subscriber} with a {!mask} of the event
+    kinds it reads. The recorder, which keeps {!events}, is the subscriber
+    with every bit set while recording is enabled; an online monitor such
+    as the sanitizer subscribes to the few kinds it matches. The engine
+    asks {!wants} before it builds an event, so a kind no subscriber reads
+    is never built. *)
 
 type event =
   | Spawned of { pid : Pid.t; parent : Pid.t option; name : string }
@@ -69,23 +76,73 @@ type t
 val create : ?enabled:bool -> unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
+(** Switch the recorder on or off. Other subscribers are unaffected. *)
 
-val live : t -> bool
-(** Whether {!record} currently has any effect: recording is enabled or an
-    observer is installed. The engine's messaging hot path consults this
-    to skip materialising trace-only message values when no one is
-    watching; it never changes when a receiver runs. *)
+(** {2 Subscriptions} *)
+
+type mask = int
+(** A set of event kinds: one bit per {!event} constructor, combined with
+    [lor]. *)
+
+module Kind : sig
+  val spawned : mask
+  val started : mask
+  val exited : mask
+  val sent : mask
+  val delivered : mask
+  val delivered_batch : mask
+  val accepted : mask
+  val ignored : mask
+  val split : mask
+  val killed : mask
+  val fate : mask
+  val fate_deferred : mask
+  val absorbed : mask
+  val sync_won : mask
+  val sync_late : mask
+  val injected : mask
+  val degraded : mask
+  val site_crashed : mask
+  val partitioned : mask
+  val healed : mask
+  val recovered : mask
+  val sanitizer_flag : mask
+  val note : mask
+
+  val all : mask
+  (** Every kind: the recorder's mask. *)
+end
+
+val kind : event -> mask
+(** The single bit of the event's constructor. *)
+
+val wants : t -> mask -> bool
+(** Whether some subscriber reads a kind in the mask: the recorder while
+    recording is enabled, or any {!subscribe}d callback. The engine tests
+    the kind it is about to build, so an event nobody reads costs one
+    branch and no allocation; the answer never changes when a receiver
+    runs. *)
+
+type subscription
+
+val subscribe : t -> mask -> (time:float -> event -> unit) -> subscription
+(** Call [f] on every {!record}ed event whose kind is in [mask], {e even
+    when recording is disabled}, so a streaming monitor can watch an
+    execution whose trace is switched off to bound memory. Subscribers are
+    called in subscription order, after the recorder has stored the event.
+    A subscriber may itself call {!record} (the sanitizer appends
+    {!Sanitizer_flag} events this way): the new event is held until every
+    subscriber has seen the current one, so every subscriber sees the
+    recorder's stream filtered by its mask, in the recorder's order.
+    {!replace} and {!clear} notify nobody: they rewrite history rather
+    than extend it. Raises [Invalid_argument] when called from inside a
+    subscriber, as does {!unsubscribe}. *)
+
+val unsubscribe : t -> subscription -> unit
 
 val record : t -> time:float -> event -> unit
-
-val set_observer : t -> (time:float -> event -> unit) option -> unit
-(** Install (or clear) an online observer: called on every {!record},
-    {e even when recording is disabled}, so a streaming monitor can watch
-    an execution whose trace is switched off to bound memory. The observer
-    runs after the event is stored; it may itself call {!record} (the
-    sanitizer appends {!Sanitizer_flag} events this way) but must guard
-    against reacting to its own events. {!replace} and {!clear} do not
-    notify the observer: they rewrite history rather than extend it. *)
+(** Hand the event to the recorder and every subscriber whose mask holds
+    its kind; a no-op when nobody reads it. *)
 
 val events : t -> (float * event) list
 (** All recorded events, oldest first. *)

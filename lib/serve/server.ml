@@ -334,8 +334,9 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
    is zero-filled and re-identified by the store that takes it, so what
    the pool holds, and which batch filled it, cannot be observed. Trace
    recording stays off (these runs are throughput, not post-mortem); the
-   sanitizer, when requested, watches through the trace observer, which
-   is live even with recording off. *)
+   sanitizer, when requested, watches through its trace subscription,
+   called even with recording off, and the frame store's observer, which
+   hears every write although the request spaces keep no write log. *)
 
 type job_result = {
   jr_verdict : verdict;
@@ -477,7 +478,6 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
       let space =
         Address_space.create (Engine.frame_store engine) (Engine.model engine)
       in
-      Address_space.set_tracking space sv.sv_sanitize;
       scenario.Invariants.prepare engine space;
       ignore (Address_space.drain_cost space);
       let source =
@@ -665,9 +665,11 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
     | None -> []
     | Some sz ->
         Sanitizer.detach sz;
-        Sanitizer.violations sz ~scenario:cb.cb_scenario
-          ~policy:(Concurrent.describe policy)
-          ~seed:cb.cb_id
+        if Sanitizer.flag_count sz = 0 then []
+        else
+          Sanitizer.violations sz ~scenario:cb.cb_scenario
+            ~policy:(Concurrent.describe policy)
+            ~seed:cb.cb_id
   in
   let opens =
     Array.fold_left
@@ -791,33 +793,59 @@ let run (wl : Workload.config) (sv : config) =
 
 (* ------------------------------------------------------------------ *)
 
-let render_verdict = function
-  | Served { alt; value } -> Printf.sprintf "served:%d:%d" alt value
-  | Served_degraded { alt; value; level } ->
-      Printf.sprintf "degraded:L%d:%d:%d" level alt value
-  | Recovered { alt; value; epochs } ->
-      Printf.sprintf "recovered:e%d:%d:%d" epochs alt value
-  | Failed reason -> Printf.sprintf "failed:%s" reason
-  | Rejected (Quota_exhausted { tokens }) ->
-      Printf.sprintf "rejected:%.17g" tokens
-  | Rejected (Overload { backlog }) ->
-      Printf.sprintf "rejected:overload:%.17g" backlog
+(* [digest] is FNV-1a over each response rendered as
+   ["id|tenant|batch|verdict|completion|latency|elapsed|wasted"], ints in
+   decimal and floats as ["%.17g"]; the verdict renders as
+   ["served:alt:value"], ["degraded:L<level>:alt:value"],
+   ["recovered:e<epochs>:alt:value"], ["failed:<reason>"],
+   ["rejected:<tokens>"] or ["rejected:overload:<backlog>"]. The pieces
+   are mixed one at a time, so no line is ever built. *)
 
-let render_response rs =
-  Printf.sprintf "%d|%d|%d|%s|%.17g|%.17g|%.17g|%.17g" rs.rs_id rs.rs_tenant
-    rs.rs_batch (render_verdict rs.rs_verdict) rs.rs_completion rs.rs_latency
-    rs.rs_elapsed rs.rs_wasted
+external format_float : string -> float -> string = "caml_format_float"
+
+let fnv_prime = 0x100000001b3L
+
+let mix_char h c = Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) fnv_prime
+
+let mix_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := mix_char !h (String.unsafe_get s i)
+  done;
+  !h
+
+let mix_int h n = mix_string h (string_of_int n)
+let mix_float h x = mix_string h (format_float "%.17g" x)
+
+(* [prefix] and the ints, the ints separated by ':'. *)
+let mix_ints2 h prefix a b = mix_int (mix_char (mix_int (mix_string h prefix) a) ':') b
+
+let mix_ints3 h prefix a b c = mix_int (mix_char (mix_ints2 h prefix a b) ':') c
+
+let mix_verdict h = function
+  | Served { alt; value } -> mix_ints2 h "served:" alt value
+  | Served_degraded { alt; value; level } ->
+      mix_ints3 h "degraded:L" level alt value
+  | Recovered { alt; value; epochs } -> mix_ints3 h "recovered:e" epochs alt value
+  | Failed reason -> mix_string (mix_string h "failed:") reason
+  | Rejected (Quota_exhausted { tokens }) ->
+      mix_float (mix_string h "rejected:") tokens
+  | Rejected (Overload { backlog }) ->
+      mix_float (mix_string h "rejected:overload:") backlog
+
+let mix_response h rs =
+  let h = mix_char (mix_int h rs.rs_id) '|' in
+  let h = mix_char (mix_int h rs.rs_tenant) '|' in
+  let h = mix_char (mix_int h rs.rs_batch) '|' in
+  let h = mix_char (mix_verdict h rs.rs_verdict) '|' in
+  let h = mix_char (mix_float h rs.rs_completion) '|' in
+  let h = mix_char (mix_float h rs.rs_latency) '|' in
+  let h = mix_char (mix_float h rs.rs_elapsed) '|' in
+  mix_float h rs.rs_wasted
 
 let digest r =
   let h = ref 0xcbf29ce484222325L in
-  let mix s =
-    String.iter
-      (fun c ->
-        h :=
-          Int64.mul
-            (Int64.logxor !h (Int64.of_int (Char.code c)))
-            0x100000001b3L)
-      s
-  in
-  Array.iter (fun rs -> mix (render_response rs)) r.responses;
+  for i = 0 to Array.length r.responses - 1 do
+    h := mix_response !h (Array.unsafe_get r.responses i)
+  done;
   !h

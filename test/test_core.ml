@@ -582,7 +582,7 @@ let prop_scheme_c_bounds =
    [Printf] and recorded every trace event unconditionally. Names must
    not move: [Faultplan] matches process rules by name substring, so a
    renamed process silently changes which rules fire. The trace must not
-   lose an event to the [Trace.live] guards: the oracle audits it. *)
+   lose an event to the [Trace.wants] guards: the oracle audits it. *)
 
 let pinned label expected actual =
   check Alcotest.(list string) label expected actual
@@ -790,8 +790,8 @@ let test_recorded_trace_digests () =
          ("guarded", consensus3 ());
        ])
 
-(* Recording off, an observer attached: the observer must see every event
-   a recording run stores, in the same order. *)
+(* Recording off, a subscriber to every kind attached: it must see every
+   event a recording run stores, in the same order. *)
 let test_observer_only_run () =
   let sc = Option.get (Invariants.find_scenario "counters") in
   let policy = consensus3 () in
@@ -802,8 +802,9 @@ let test_observer_only_run () =
   in
   let eng = Engine.create ~model:Cost_model.att_3b2 ~seed:1 ~trace:false () in
   let seen = ref [] in
-  Trace.set_observer (Engine.trace eng)
-    (Some (fun ~time e -> seen := Trace.event_to_json ~time e :: !seen));
+  ignore
+    (Trace.subscribe (Engine.trace eng) Trace.Kind.all (fun ~time e ->
+         seen := Trace.event_to_json ~time e :: !seen));
   let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
   Address_space.set_tracking space true;
   sc.Invariants.prepare eng space;
@@ -814,6 +815,104 @@ let test_observer_only_run () =
   check Alcotest.int "observed events" 64 (List.length !seen);
   check Alcotest.(list string) "observer sees the recorded stream" recorded
     (List.rev !seen)
+
+(* ------------------------------------------------------------------ *)
+(* Trace subscriptions.                                                *)
+
+(* Every default scenario under a local latch and under consensus, with
+   the recorder on and three more subscribers: the sanitizer's kinds, one
+   kind, and every kind. Each must see the recorder's stream filtered by
+   its mask: the same events, times and order. *)
+let test_subscribers_see_their_kinds () =
+  let events_of kinds stream =
+    List.filter (fun (_, e) -> Trace.kind e land kinds <> 0) stream
+  in
+  let render l = List.map (fun (time, e) -> Trace.event_to_json ~time e) l in
+  List.iter
+    (fun (sc : Invariants.scenario) ->
+      List.iter
+        (fun (pname, policy) ->
+          let eng =
+            Engine.create ~model:Cost_model.att_3b2 ~seed:1 ~trace:true ()
+          in
+          let tr = Engine.trace eng in
+          let subscribers =
+            List.map
+              (fun kinds ->
+                let seen = ref [] in
+                ignore
+                  (Trace.subscribe tr kinds (fun ~time e ->
+                       seen := (time, e) :: !seen));
+                (kinds, seen))
+              [ Sanitizer.kinds; Trace.Kind.accepted; Trace.Kind.all ]
+          in
+          let space =
+            Address_space.create (Engine.frame_store eng) (Engine.model eng)
+          in
+          sc.Invariants.prepare eng space;
+          ignore (Address_space.drain_cost space);
+          let source =
+            if not sc.Invariants.uses_source then None
+            else begin
+              let s = Source.create eng ~name:"tty" in
+              Source.feed s sc.Invariants.source_script;
+              Some s
+            end
+          in
+          ignore
+            (Concurrent.run_toplevel eng ~policy ~space
+               (sc.Invariants.alts eng ~seed:1 ~source));
+          let recorded = Trace.events tr in
+          List.iter
+            (fun (kinds, seen) ->
+              check
+                Alcotest.(list string)
+                (Printf.sprintf "%s, %s, mask %#x" sc.Invariants.sc_name pname
+                   kinds)
+                (render (events_of kinds recorded))
+                (render (List.rev !seen)))
+            subscribers)
+        [ ("local latch", Concurrent.default_policy); ("consensus", consensus3 ()) ])
+    Invariants.default_scenarios
+
+(* Recording off and only the sanitizer attached: the engine is asked to
+   build no kind the sanitizer does not read. *)
+let test_sanitizer_kinds_only () =
+  let eng = Engine.create ~trace:false () in
+  let tr = Engine.trace eng in
+  check Alcotest.bool "nothing wanted before" false (Trace.wants tr Trace.Kind.all);
+  let sz = Sanitizer.attach eng in
+  for bit = 0 to 22 do
+    let k = 1 lsl bit in
+    check Alcotest.bool
+      (Printf.sprintf "kind %#x" k)
+      (Sanitizer.kinds land k <> 0) (Trace.wants tr k)
+  done;
+  Sanitizer.detach sz;
+  check Alcotest.bool "nothing wanted after" false (Trace.wants tr Trace.Kind.all)
+
+(* A subscriber that records from inside its callback (as the sanitizer
+   traces its flags): the recorded event waits until every subscriber has
+   seen the current one, so all streams keep the recorder's order. *)
+let test_record_from_a_subscriber () =
+  let tr = Trace.create () in
+  let first = ref [] and second = ref [] in
+  let note ~time:_ e = Trace.event_to_json ~time:0. e in
+  ignore
+    (Trace.subscribe tr Trace.Kind.all (fun ~time e ->
+         first := note ~time e :: !first;
+         match e with
+         | Trace.Started p -> Trace.record tr ~time (Trace.Note (Pid.to_string p))
+         | _ -> ()));
+  ignore
+    (Trace.subscribe tr Trace.Kind.all (fun ~time e ->
+         second := note ~time e :: !second));
+  Trace.record tr ~time:1. (Trace.Started (Pid.of_int 3));
+  Trace.record tr ~time:2. (Trace.Started (Pid.of_int 4));
+  let recorded = List.map (fun (time, e) -> note ~time e) (Trace.events tr) in
+  check Alcotest.int "four events" 4 (List.length recorded);
+  check Alcotest.(list string) "first subscriber" recorded (List.rev !first);
+  check Alcotest.(list string) "second subscriber" recorded (List.rev !second)
 
 let () =
   Alcotest.run "core"
@@ -886,6 +985,15 @@ let () =
           Alcotest.test_case "recorded trace digests" `Quick
             test_recorded_trace_digests;
           Alcotest.test_case "observer-only run" `Quick test_observer_only_run;
+        ] );
+      ( "subscribe",
+        [
+          Alcotest.test_case "subscribers see exactly their kinds" `Quick
+            test_subscribers_see_their_kinds;
+          Alcotest.test_case "sanitizer alone wants only its kinds" `Quick
+            test_sanitizer_kinds_only;
+          Alcotest.test_case "recording from a subscriber keeps order" `Quick
+            test_record_from_a_subscriber;
         ] );
       ( "schemes",
         [

@@ -731,10 +731,14 @@ let prop_absorb_equals_child =
    bytes, fault results, [mapped_pages], [mapped_vpages],
    [private_pages], [cow_copies], and - since frames are allocated at the
    same steps on both sides - the frame ids in [frame_id] and the sorted
-   [write_log], which is checked on released maps too. Every map is
-   tracked, so the store's write observer must report exactly the
+   [write_log], which is checked on released maps too. The run is made
+   once with every map tracked and once with none (every write log then
+   stays empty): either way the store's observer must report exactly the
    [(map id, vpage, frame id)] of each step's write, with map ids dense
-   in creation order, and nothing for the audit reads. The store's
+   in creation order, and nothing for the audit reads; the id of each
+   map a step releases or absorbs; and each freed frame once, so that
+   the frames reported freed and the live frames add up to every frame
+   allocated. The store's
    [live_frames] never falls below the reference's count (a frame some
    map resolves is never freed) and is 0 once every map is released: a
    frozen layer may hold a frame that every live relative shadows until
@@ -770,7 +774,7 @@ let show_map_op = function
 
 let model_page_size = 16
 
-let run_map_model ops =
+let run_map_model ~track ops =
   let fail fmt = QCheck.Test.fail_reportf fmt in
   let store = Frame_store.create ~page_size:model_page_size in
   let next_id = ref 0 and live = ref 0 in
@@ -778,11 +782,21 @@ let run_map_model ops =
     { rpages = Hashtbl.create 8; rcow = 0; rwrites = Hashtbl.create 8;
       rlive = true }
   in
-  let reported = ref [] in
-  Frame_store.set_write_observer store
-    (Some (fun ~map ~vpage ~frame -> reported := (map, vpage, frame) :: !reported));
+  let reported = ref [] and released = ref [] in
+  let freed = Hashtbl.create 64 in
+  Frame_store.set_observer store
+    (Some
+       {
+         Frame_store.on_write =
+           (fun ~map ~vpage ~frame -> reported := (map, vpage, frame) :: !reported);
+         on_free =
+           (fun ~frame ->
+             if Hashtbl.mem freed frame then fail "frame %d freed twice" frame;
+             Hashtbl.replace freed frame ());
+         on_release = (fun ~map -> released := map :: !released);
+       });
   let root = Page_map.create store in
-  Page_map.set_tracking root true;
+  Page_map.set_tracking root track;
   let maps = ref [| (root, rmap ()) |] in
   let r_alloc bytes =
     let f = { rid = !next_id; rbytes = bytes; rrefs = 1 } in
@@ -817,7 +831,7 @@ let run_map_model ops =
   let audit_read m vp = Page_map.read m ~vpage:vp ~off:0 ~len:model_page_size in
   let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
   let agree i (m, r) =
-    if Page_map.write_log m <> sorted r.rwrites then
+    if Page_map.write_log m <> (if track then sorted r.rwrites else []) then
       Some (Printf.sprintf "map #%d: write log" i)
     else if Page_map.released m = r.rlive then Some "released"
     else if not r.rlive then None
@@ -854,7 +868,8 @@ let run_map_model ops =
   List.iter
     (fun op ->
       reported := [];
-      let expected = ref [] in
+      released := [];
+      let expected = ref [] and expected_released = ref [] in
       (match op with
       | Set (k, vp, off, v) ->
         Option.iter
@@ -906,6 +921,7 @@ let run_map_model ops =
         | Some p, Some c when p <> c ->
           let pm, pr = !maps.(p) and cm, cr = !maps.(c) in
           Page_map.absorb ~parent:pm ~child:cm;
+          expected_released := [ c ];
           Hashtbl.iter (fun _ f -> r_decref f) pr.rpages;
           Hashtbl.reset pr.rpages;
           Hashtbl.iter (Hashtbl.replace pr.rpages) cr.rpages;
@@ -919,6 +935,7 @@ let run_map_model ops =
           (fun i ->
             let m, r = !maps.(i) in
             Page_map.release m;
+            expected_released := [ i ];
             r_release r)
           (live_index k));
       if Frame_store.live_frames store < !live then
@@ -936,7 +953,15 @@ let run_map_model ops =
       in
       if List.rev !reported <> !expected then
         fail "after %s: observer saw [%s], reference [%s]" (show_map_op op)
-          (show (List.rev !reported)) (show !expected))
+          (show (List.rev !reported)) (show !expected);
+      if !released <> !expected_released then
+        fail "after %s: observer saw %d releases" (show_map_op op)
+          (List.length !released);
+      if
+        Hashtbl.length freed + Frame_store.live_frames store
+        <> Frame_store.total_allocations store
+      then fail "after %s: %d frames reported freed" (show_map_op op)
+          (Hashtbl.length freed))
     ops;
   Array.iter (fun (m, _) -> Page_map.release m) !maps;
   Frame_store.live_frames store = 0
@@ -966,7 +991,8 @@ let arb_map_ops =
 
 let prop_page_map_model =
   QCheck.Test.make ~name:"random ops agree with an eager-copy reference" ~count:500
-    arb_map_ops run_map_model
+    arb_map_ops (fun ops ->
+      run_map_model ~track:true ops && run_map_model ~track:false ops)
 
 let () =
   Alcotest.run "pages"

@@ -365,6 +365,66 @@ let prop_vclock_matches_map =
              && same (Vclock.tick a p) (ref_tick ra p))
            [ 0; 3; 7; 9 ])
 
+(* ---------------- state across the blocks of one engine ------------- *)
+
+(* One engine hosts block after block, as a serving batch does: after
+   each block the sanitizer's scope is closed and the request's spaces
+   are released. Whatever a block registered (its maps, its owners'
+   clocks and frame writers, the snapshots of messages that died
+   undelivered) must be gone by then, so the state after 100 blocks is
+   the state after 10. The crashed site loses every message to or from
+   its voter ("site-drop"), and its residents' replies die unread. *)
+let state_after_blocks ?crashed_site policy n =
+  let eng = Engine.create ~trace:false ~seed:3 ~model:Cost_model.att_3b2 () in
+  let sz = Sanitizer.attach eng in
+  let sites =
+    Option.map
+      (fun site ->
+        let sites = Sites.create eng ~names:[ "s0"; "s1"; "s2"; "s3"; "s4" ] in
+        Sites.crash sites site;
+        sites)
+      crashed_site
+  in
+  let counters = List.hd Invariants.default_scenarios in
+  for seed = 1 to n do
+    let space =
+      Address_space.create (Engine.frame_store eng) (Engine.model eng)
+    in
+    counters.Invariants.prepare eng space;
+    ignore (Address_space.drain_cost space);
+    let alts = counters.Invariants.alts eng ~seed ~source:None in
+    (match sites with
+    | None -> ignore (Concurrent.run_toplevel eng ~policy ~space alts)
+    | Some sites ->
+      let sr = Concurrent.run_supervised eng ~policy ~space ~sites alts in
+      Option.iter Address_space.release sr.Concurrent.sr_space);
+    Sanitizer.next_block sz;
+    Address_space.release space
+  done;
+  Sanitizer.detach sz;
+  check Alcotest.int "no flags" 0 (Sanitizer.flag_count sz);
+  Sanitizer.state_size sz
+
+let consensus_policy =
+  {
+    Concurrent.default_policy with
+    Concurrent.sync =
+      Concurrent.Consensus
+        { nodes = 3; crashed = []; vote_delay = 0.0002; reply_timeout = 0.05 };
+  }
+
+let test_state_returns_after_each_block () =
+  List.iter
+    (fun (label, crashed_site, policy) ->
+      check Alcotest.int label
+        (state_after_blocks ?crashed_site policy 10)
+        (state_after_blocks ?crashed_site policy 100))
+    [
+      ("local latch", None, Concurrent.default_policy);
+      ("3-node consensus", None, consensus_policy);
+      ("5-node consensus, crashed site", Some "s4", supervised_policy);
+    ]
+
 let () =
   Alcotest.run "sanitizer"
     [
@@ -384,6 +444,8 @@ let () =
       ( "contract",
         [
           Alcotest.test_case "bounded state" `Quick test_bounded_state;
+          Alcotest.test_case "state returns after each block" `Quick
+            test_state_returns_after_each_block;
           Alcotest.test_case "clean runs unchanged" `Quick
             test_clean_run_parity;
           QCheck_alcotest.to_alcotest prop_vclock_matches_map;

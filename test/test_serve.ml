@@ -613,6 +613,111 @@ let test_bench_record_schema () =
   | Error missing ->
       Alcotest.fail ("missing fields: " ^ String.concat ", " missing)
 
+(* ------------------------------------------------------------------ *)
+(* The digest against its definition.                                 *)
+
+(* The renderer [Server.digest] was first written as: one [Printf] line
+   per response, folded byte by byte. Kept here as the reference the
+   piecewise mix must equal. *)
+let reference_digest (r : Server.result) =
+  let render_verdict = function
+    | Server.Served { alt; value } -> Printf.sprintf "served:%d:%d" alt value
+    | Server.Served_degraded { alt; value; level } ->
+      Printf.sprintf "degraded:L%d:%d:%d" level alt value
+    | Server.Recovered { alt; value; epochs } ->
+      Printf.sprintf "recovered:e%d:%d:%d" epochs alt value
+    | Server.Failed reason -> Printf.sprintf "failed:%s" reason
+    | Server.Rejected (Server.Quota_exhausted { tokens }) ->
+      Printf.sprintf "rejected:%.17g" tokens
+    | Server.Rejected (Server.Overload { backlog }) ->
+      Printf.sprintf "rejected:overload:%.17g" backlog
+  in
+  let render (rs : Server.response) =
+    Printf.sprintf "%d|%d|%d|%s|%.17g|%.17g|%.17g|%.17g" rs.Server.rs_id
+      rs.Server.rs_tenant rs.Server.rs_batch
+      (render_verdict rs.Server.rs_verdict)
+      rs.Server.rs_completion rs.Server.rs_latency rs.Server.rs_elapsed
+      rs.Server.rs_wasted
+  in
+  let h = ref 0xcbf29ce484222325L in
+  Array.iter
+    (fun rs ->
+      String.iter
+        (fun c ->
+          h :=
+            Int64.mul
+              (Int64.logxor !h (Int64.of_int (Char.code c)))
+              0x100000001b3L)
+        (render rs))
+    r.Server.responses;
+  !h
+
+let test_digest_matches_reference () =
+  let odd_floats =
+    [ nan; Float.neg nan; infinity; neg_infinity; -0.; 0.; 5e-324; max_float; 0.1; -2.5e-7;
+      1e300; 123456789.125 ]
+  in
+  let verdicts =
+    [
+      Server.Served { alt = 0; value = 42 };
+      Server.Served_degraded { alt = 2; value = -7; level = 1 };
+      Server.Served_degraded { alt = 1; value = 0; level = 2 };
+      Server.Recovered { alt = 3; value = max_int; epochs = 2 };
+      Server.Failed "coordinator lost";
+      Server.Failed "";
+      Server.Rejected (Server.Quota_exhausted { tokens = 0.25 });
+      Server.Rejected (Server.Overload { backlog = 17.5 });
+    ]
+    @ List.concat_map
+        (fun x ->
+          [
+            Server.Rejected (Server.Quota_exhausted { tokens = x });
+            Server.Rejected (Server.Overload { backlog = x });
+          ])
+        odd_floats
+  in
+  let nf = List.length odd_floats in
+  let responses =
+    Array.of_list
+      (List.mapi
+         (fun i v ->
+           let f k = List.nth odd_floats ((i + k) mod nf) in
+           {
+             Server.rs_id = i;
+             rs_tenant = i * 7;
+             rs_batch = (if i mod 3 = 0 then -1 else i);
+             rs_verdict = v;
+             rs_completion = f 0;
+             rs_latency = f 1;
+             rs_elapsed = f 2;
+             rs_wasted = f 3;
+           })
+         verdicts)
+  in
+  let result =
+    {
+      Server.responses;
+      batches = [||];
+      violations = [];
+      served = 0;
+      degraded = 0;
+      recovered = 0;
+      failed = 0;
+      shed = 0;
+      shed_overload = 0;
+      breaker_opens = 0;
+      ladder_transitions = 0;
+      peak_pressure = 0.;
+    }
+  in
+  check Alcotest.int64 "every verdict and odd float" (reference_digest result)
+    (Server.digest result);
+  check Alcotest.int64 "no responses" (reference_digest { result with Server.responses = [||] })
+    (Server.digest { result with Server.responses = [||] });
+  let served = Server.run small_wl Server.default in
+  check Alcotest.int64 "a served run" (reference_digest served)
+    (Server.digest served)
+
 let () =
   Alcotest.run "serve"
     [
@@ -667,5 +772,7 @@ let () =
             test_nan_config_rejected;
           Alcotest.test_case "workload config is checked first" `Quick
             test_workload_checked_first;
+          Alcotest.test_case "digest matches its Printf definition" `Quick
+            test_digest_matches_reference;
         ] );
     ]
