@@ -385,11 +385,12 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
     let wait_budget =
       Float.min policy.timeout (Float.max 0. (deadline -. Engine.now_v ctx))
     in
-    let decision =
-      match Engine.Ivar.read_timeout ctx latch ~timeout:wait_budget with
-      | Some v -> Some v
-      | None -> Engine.Ivar.peek latch (* a fill racing the deadline wins *)
-    in
+    (* The deadline and a fill at the same virtual time fire in (time,
+       stamp) order: a fill whose event was scheduled before this wait
+       parked wins, one scheduled after it finds the wait already resumed
+       with [None]. The latch cannot be filled by then, so [None] needs no
+       second look. *)
+    let decision = Engine.Ivar.read_timeout ctx latch ~timeout:wait_budget in
     let selection_cost = ref 0. in
     let per_kill =
       model.Cost_model.kill_per_sibling

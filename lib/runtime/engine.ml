@@ -26,9 +26,6 @@ type proc_state =
   | Suspended
   | Dead of exit_status
 
-(* A write-once cell; [waiters] resume the processes parked on it. *)
-type 'a ivar = { mutable value : 'a option; mutable waiters : ('a -> unit) list }
-
 type pcb = {
   pid : Pid.t;
   logical : Pid.t;
@@ -61,24 +58,41 @@ type pcb = {
          pid), it draws the same whenever it is made. *)
 }
 
-(* How a process is parked. A CPU park is the process and its
-   continuation: [kill] discontinues [k], and a finished slice continues
-   it only while [pcb.park] is still physically that value (the one-shot
-   guard). A blocked receive carries what [rescan_parked] needs to hand it
-   a message; it and an ivar park carry the [cancel] that [kill] calls. *)
+(* How a process is parked: what it waits for and its continuation,
+   plain data with no closure. [kill] discontinues [k]. Whatever else
+   resumes a park (a finished CPU slice, a fill, a rescan, a deadline)
+   continues [k] only while [pcb.park] is still physically that value
+   (the one-shot guard), so a stale waker does nothing. A timed park's
+   deadline is the event-queue entry whose handle is the pid; the
+   resumption that wins clears it. The fill parks are GADT constructors
+   over the ivar's type: [iv] holds the value that [k] takes. *)
 and park =
   | No_park
   | Park_cpu of { pcb : pcb; k : (unit, unit) Effect.Deep.continuation }
-  | Park_recv of {
+  | Park_recv of { tag : string option; k : (Message.t, unit) Effect.Deep.continuation }
+  | Park_recv_timed of {
       tag : string option;
-      wake : Message.t -> unit;
-      cancel : string -> unit;
+      k : (Message.t option, unit) Effect.Deep.continuation;
     }
-  | Park_other of { cancel : string -> unit }
+  | Park_fill : {
+      pcb : pcb;
+      iv : 'a ivar;
+      k : ('a, unit) Effect.Deep.continuation;
+    }
+      -> park
+  | Park_fill_timed : {
+      eng : t;
+      pcb : pcb;
+      iv : 'a ivar;
+      k : ('a option, unit) Effect.Deep.continuation;
+    }
+      -> park
+
+(* A write-once cell; [waiters] are the fill parks made on it, in park
+   order. *)
+and 'a ivar = { mutable value : 'a option; mutable waiters : park list }
 
 and ctx = { engine : t; pcb : pcb }
-
-and event = { mutable dead_ev : bool; run_ev : unit -> unit }
 
 (* One (sender, logical dest) messaging channel: the per-sender FIFO
    clock, a ring-buffer outbox of in-flight messages, and the state of the
@@ -129,7 +143,7 @@ and fault_action =
    every issued pid. *)
 and t = {
   mutable vnow : float;
-  queue : event Event_queue.t;  (* (time, stamp) order *)
+  queue : (unit -> unit) Event_queue.t;  (* (time, stamp) order *)
   root_seed : int;
   mutable procs : pcb option array;  (* None: issued but never spawned *)
   mutable worlds : Pid.t list array;
@@ -141,7 +155,7 @@ and t = {
   store : Frame_store.t;
   model_ : Cost_model.t;
   trace_ : Trace.t;
-  cpu : (park, event) Cpu.t;
+  cpu : (park, unit -> unit) Cpu.t;
       (* The runnable processes, each parked as the [Park_cpu] its tick
          hands back. *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
@@ -196,14 +210,7 @@ let registry t = t.reg
 let stats_events_processed t = t.events_processed
 let stats_mailbox_scanned t = t.mailbox_scanned
 
-let schedule_cancellable t ~at thunk =
-  let ev = { dead_ev = false; run_ev = thunk } in
-  Event_queue.push t.queue ~time:(Float.max at t.vnow) ev;
-  ev
-
-let cancel_event ev = ev.dead_ev <- true
-
-let schedule t ~at thunk = ignore (schedule_cancellable t ~at thunk)
+let schedule t ~at thunk = Event_queue.push t.queue ~time:(Float.max at t.vnow) thunk
 
 let tr t e = Trace.record t.trace_ ~time:t.vnow e
 
@@ -228,27 +235,53 @@ let resume_slice p =
     Effect.Deep.continue k ()
   | _ -> ()
 
-(* The one-shot resume and cancel of a closure-based park (see
-   [suspend]). *)
-let resume_once pcb armed k v =
-  if !armed then begin
-    armed := false;
-    pcb.park <- No_park;
-    pcb.state <- Running;
-    Effect.Deep.continue k v
-  end
-
-let cancel_once armed k reason =
-  if !armed then begin
-    armed := false;
-    Effect.Deep.discontinue k (Process_killed reason)
-  end
-
-(* The event every engine's CPU puts in its queue's slot: [run] knows it
-   and ticks its own engine's CPU, so it closes over no engine. *)
-let cpu_tick_event = { dead_ev = false; run_ev = ignore }
+(* The two events [run] recognises by identity and handles itself, so
+   neither closes over an engine: the one every engine's CPU puts in its
+   queue's slot, and the one behind every timed wait's deadline handle.
+   Neither is ever called. *)
+let cpu_tick_event () = invalid_arg "Engine: the CPU tick runs from run"
+let deadline_event () = invalid_arg "Engine: a deadline runs from run"
 
 let cpu_tick t = List.iter resume_slice (Cpu.tick t.cpu ~now:t.vnow)
+
+(* A timed wait's deadline is the queue entry keyed by its pid. An
+   infinite timeout sets none: the wait parks exactly like an untimed
+   one. *)
+let set_deadline t pcb timeout =
+  if timeout < infinity then
+    Event_queue.set_handle t.queue (Pid.to_int pcb.pid) ~time:(t.vnow +. timeout)
+      deadline_event
+
+let clear_deadline t pcb = Event_queue.clear_handle t.queue (Pid.to_int pcb.pid)
+
+(* Take a process off its wait, and its deadline out of the queue if it
+   has one, then continue or discontinue the wait's [k]. *)
+let unpark t pcb =
+  pcb.park <- No_park;
+  clear_deadline t pcb
+
+let resume t pcb k v =
+  unpark t pcb;
+  pcb.state <- Running;
+  Effect.Deep.continue k v
+
+let cancel t pcb k reason =
+  unpark t pcb;
+  Effect.Deep.discontinue k (Process_killed reason)
+
+(* Resume a fill park whose ivar was just filled, unless it went stale.
+   An untimed fill park has no deadline, and no engine to clear one in. *)
+let wake_filled p =
+  match p with
+  | Park_fill { pcb; iv; k } when pcb.park == p -> (
+    match iv.value with
+    | Some v ->
+      pcb.park <- No_park;
+      pcb.state <- Running;
+      Effect.Deep.continue k v
+    | None -> ())
+  | Park_fill_timed { eng; pcb; iv; k } when pcb.park == p -> resume eng pcb k iv.value
+  | _ -> ()
 
 let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     ?(trace = true) ?(shards = 1) () =
@@ -372,7 +405,7 @@ let rec finalize t pcb st =
   | Dead _ -> ()
   | _ ->
     pcb.state <- Dead st;
-    pcb.park <- No_park;
+    unpark t pcb;
     Cpu.remove t.cpu ~now:t.vnow pcb.pid;
     if not pcb.preserve_space then Option.iter Address_space.release pcb.space;
     t.live <- t.live - 1;
@@ -447,13 +480,14 @@ and kill t pid ~reason =
         (* Runnable (start scheduled): doom it; the start event checks. *)
         pcb.doomed <- Some reason
       | Park_cpu { k; _ } ->
-        pcb.park <- No_park;
         Cpu.remove t.cpu ~now:t.vnow pcb.pid;
-        Effect.Deep.discontinue k (Process_killed reason)
-      | Park_recv { cancel; _ } | Park_other { cancel } ->
-        (* Never in the CPU table: only a [Park_cpu] is. *)
-        pcb.park <- No_park;
-        cancel reason))
+        cancel t pcb k reason
+      (* The other parks are never in the CPU table: only a [Park_cpu]
+         is. *)
+      | Park_recv { k; _ } -> cancel t pcb k reason
+      | Park_recv_timed { k; _ } -> cancel t pcb k reason
+      | Park_fill { k; _ } -> cancel t pcb k reason
+      | Park_fill_timed { k; _ } -> cancel t pcb k reason))
 
 (* Re-examine every live process's predicate after new knowledge arrives:
    falsified worlds are eliminated, satisfied assumptions removed, parked
@@ -711,9 +745,12 @@ and adopt_sender_assumptions t pcb m s =
 
 and rescan_parked t pcb =
   match pcb.park with
-  | Park_recv { tag; wake; _ } ->
+  | Park_recv { tag; k } ->
     let m = try_receive t pcb tag in
-    if m != Mailbox.no_message then wake m
+    if m != Mailbox.no_message then resume t pcb k m
+  | Park_recv_timed { tag; k } ->
+    let m = try_receive t pcb tag in
+    if m != Mailbox.no_message then resume t pcb k (Some m)
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -802,23 +839,18 @@ and run_body t pcb =
   in
   Effect.Deep.match_with pcb.body ctx handler
 
-(* Park a process on its wait, unless it was doomed. A CPU park is the
-   [Park_cpu] value that both [pcb.park] and the CPU task table hold; it
-   allocates no closure. The other waits resume through closures:
-   [resume_once] and [cancel_once] over one [armed] cell, so whichever
-   runs first wins and a stale waiter (say, on an ivar filled after its
-   process was killed) does nothing. Each wait pushes exactly the
-   event-queue entries it always has (an untimed receive none, a timed
-   wait its one deadline event), since the batch-join rule compares
-   [Event_queue.stamp]. A timed wait's deadline resumes it with [None],
-   and its wake and its cancel each retire the deadline first, so a
-   waiter that is woken or killed never drags the clock to it. The two
-   timed waits spell that out rather than share a helper returning the
-   pair, which would allocate a tuple per park. The untimed receive parks
-   with its resume as its wake: it parks once per message wait, so it
-   carries no deadline bookkeeping. A receive parks only after its caller
-   found nothing acceptable, and the park does not scan again: a second
-   scan would repeat the first one's deferral trace events. *)
+(* Park a process on its wait, unless it was doomed. Every park is one
+   [park] value in [pcb.park], plus a CPU task or an ivar waiter entry
+   holding that same value, plus a deadline handle for a timed wait with
+   a finite timeout. No park builds a closure or a cancellable event.
+   Each wait takes exactly the event-queue stamps it always has (an
+   untimed receive none, a finite timed wait one, at park time), since
+   the batch-join rule compares [Event_queue.stamp]; clearing a deadline
+   takes none. A woken or killed timed wait clears its deadline, so the
+   heap keeps no dead entry and the clock is never dragged to a deadline
+   nobody waits for. A receive parks only after its caller found nothing
+   acceptable, and the park does not scan again: a second scan would
+   repeat the first one's deferral trace events. *)
 and suspend : type a.
     t -> pcb -> a suspension -> (a, unit) Effect.Deep.continuation -> unit =
  fun t pcb s k ->
@@ -833,39 +865,19 @@ and suspend : type a.
       let p = Park_cpu { pcb; k } in
       pcb.park <- p;
       Cpu.add t.cpu ~now:t.vnow pcb.pid dt p
-    | S_recv tag ->
-      let armed = ref true in
-      pcb.park <-
-        Park_recv { tag; wake = resume_once pcb armed k; cancel = cancel_once armed k }
+    | S_recv tag -> pcb.park <- Park_recv { tag; k }
     | S_recv_timeout (tag, timeout) ->
-      let armed = ref true in
-      let resume = resume_once pcb armed k in
-      let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
-      let wake m =
-        cancel_event ev;
-        resume (Some m)
-      and cancel reason =
-        cancel_event ev;
-        cancel_once armed k reason
-      in
-      pcb.park <- Park_recv { tag; wake; cancel }
+      set_deadline t pcb timeout;
+      pcb.park <- Park_recv_timed { tag; k }
     | S_fill iv ->
-      let armed = ref true in
-      pcb.park <- Park_other { cancel = cancel_once armed k };
-      iv.waiters <- iv.waiters @ [ resume_once pcb armed k ]
+      let p = Park_fill { pcb; iv; k } in
+      pcb.park <- p;
+      iv.waiters <- iv.waiters @ [ p ]
     | S_fill_timeout (iv, timeout) ->
-      let armed = ref true in
-      let resume = resume_once pcb armed k in
-      let ev = schedule_cancellable t ~at:(t.vnow +. timeout) (fun () -> resume None) in
-      let wake v =
-        cancel_event ev;
-        resume (Some v)
-      and cancel reason =
-        cancel_event ev;
-        cancel_once armed k reason
-      in
-      pcb.park <- Park_other { cancel };
-      iv.waiters <- iv.waiters @ [ wake ])
+      set_deadline t pcb timeout;
+      let p = Park_fill_timed { eng = t; pcb; iv; k } in
+      pcb.park <- p;
+      iv.waiters <- iv.waiters @ [ p ])
 
 and channel_of pcb ~dest =
   match pcb.last_chan with
@@ -1142,17 +1154,27 @@ let preserve_space t pid =
 
 let after t ~delay thunk = schedule t ~at:(t.vnow +. delay) thunk
 
+(* A timed wait's deadline came first: resume it with [None]. *)
+let deadline t pid =
+  match find_pcb t (Pid.of_int pid) with
+  | None -> ()
+  | Some pcb -> (
+    match pcb.park with
+    | Park_recv_timed { k; _ } -> resume t pcb k None
+    | Park_fill_timed { k; _ } -> resume t pcb k None
+    | _ -> ())
+
 let run t =
   t.stopped <- false;
   let q = t.queue in
   while (not t.stopped) && not (Event_queue.is_empty q) do
     let time = Event_queue.min_time q in
     let ev = Event_queue.pop_min q in
-    if not ev.dead_ev then begin
-      t.vnow <- Float.max t.vnow time;
-      t.events_processed <- t.events_processed + 1;
-      if ev == cpu_tick_event then cpu_tick t else ev.run_ev ()
-    end
+    t.vnow <- Float.max t.vnow time;
+    t.events_processed <- t.events_processed + 1;
+    if ev == cpu_tick_event then cpu_tick t
+    else if ev == deadline_event then deadline t (Event_queue.popped_handle q)
+    else ev ()
   done
 
 let run_for t duration =
@@ -1180,6 +1202,12 @@ let check_doomed pcb =
 (* A NaN wait would reach the event queue, which refuses it out of [run]. *)
 let check_duration fn d = if Float.is_nan d then invalid_arg (fn ^ ": NaN duration")
 
+(* An infinite delay would put the CPU tick at NaN ([inf -. inf]), which
+   the event queue refuses out of [run]. *)
+let check_delay d =
+  check_duration "Engine.delay" d;
+  if Float.abs d = infinity then invalid_arg "Engine.delay: infinite duration"
+
 let self ctx = ctx.pcb.pid
 let engine ctx = ctx.engine
 
@@ -1197,7 +1225,7 @@ let now_v ctx =
 let delay ctx dt =
   let pcb = ctx.pcb in
   check_doomed pcb;
-  check_duration "Engine.delay" dt;
+  check_delay dt;
   match replay_next pcb with
   | Some (L_delay _) -> ()
   | Some _ -> raise (Replay_divergence "expected delay")
@@ -1315,7 +1343,7 @@ module Ivar = struct
       iv.value <- Some v;
       let ws = iv.waiters in
       iv.waiters <- [];
-      List.iter (fun w -> w v) ws;
+      List.iter wake_filled ws;
       true
 
   let is_filled iv = iv.value <> None

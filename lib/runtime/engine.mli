@@ -178,7 +178,9 @@ val now_v : ctx -> float
 
 val delay : ctx -> float -> unit
 (** Consume [dt] seconds of CPU work. Under [Cores n] contention, the
-    elapsed virtual time may exceed [dt]. *)
+    elapsed virtual time may exceed [dt]. [dt <= 0.] returns at once. A
+    NaN or infinite [dt] raises [Invalid_argument] in the caller, so only
+    that process crashes. *)
 
 val space : ctx -> Address_space.t option
 (** The process's paged address space, if it has one. *)
@@ -205,7 +207,15 @@ val receive_timeout : ctx -> ?tag:string -> timeout:float -> unit -> Message.t o
     consensus over crashed voters). [timeout <= 0.] is a pure poll: it
     returns immediately with an already-queued acceptable message if there
     is one, [None] otherwise, never parking and never advancing virtual
-    time — well-defined for watchdog polling loops and reply-drains. *)
+    time — well-defined for watchdog polling loops and reply-drains.
+    [timeout = infinity] sets no deadline: the call parks exactly like
+    {!receive}, and a process nothing wakes stays in {!parked_pids} at
+    quiescence rather than resuming at virtual time [infinity]. A NaN
+    timeout raises [Invalid_argument] in the caller.
+
+    The deadline is an event like any other, ordered by (time, stamp)
+    and stamped when the call parks, so a delivery due at exactly the
+    deadline wins only if its event was scheduled before the park. *)
 
 val abort : ctx -> string -> 'a
 (** Terminate this process with [Exited_failed]. *)
@@ -237,9 +247,14 @@ module Ivar : sig
 
   val read_timeout : ctx -> 'a t -> timeout:float -> 'a option
   (** Like {!read} but gives up after [timeout] seconds of virtual time,
-      returning [None]. A fill arriving exactly at the deadline wins.
-      [timeout <= 0.] is a pure poll: the current contents (if any) are
-      returned immediately, without parking or advancing virtual time. *)
+      returning [None]. The deadline is an event stamped when the call
+      parks, and events fire in (time, stamp) order. So a fill from an
+      event at exactly the deadline wins only if that event was scheduled
+      before the park; one scheduled after the park finds the wait
+      already resumed with [None]. [timeout <= 0.] is a pure poll: the
+      current contents (if any) are returned immediately, without parking
+      or advancing virtual time. [timeout = infinity] sets no deadline, as
+      in {!receive_timeout}. *)
 end
 
 (** {2 Engine-level hooks} *)
@@ -250,7 +265,8 @@ val on_resolution : t -> Pid.t -> ([ `Certain | `Dead ] -> unit) -> unit
     source-device layer to flush or discard gated side effects. *)
 
 val stats_events_processed : t -> int
-(** Events executed so far (cancelled events are not counted). *)
+(** Events executed so far, including timed-wait deadlines that fired. A
+    deadline cleared by a wake or a kill is never an event. *)
 
 val stats_mailbox_scanned : t -> int
 (** Total mailbox slots visited by receive scans since the engine was

@@ -7,11 +7,16 @@
     and {!pop_min} allocate nothing once the arrays have grown to the
     queue's working size. A popped or cleared value is never retained.
 
+    An entry may be keyed by a {e handle}, a small non-negative int:
+    {!set_handle} re-keys the handle's entry in place (or queues it) and
+    {!clear_handle} removes it, each in O(log n), so an event that is
+    often withdrawn leaves no cancelled entry behind. The arrays that
+    track handles are made by the first {!set_handle}.
+
     Beside the heap the queue holds one {e slot}: an event that
-    {!set_slot} re-keys in place instead of leaving a cancelled entry
-    behind. The slot orders against the heap by the same (time, sequence)
-    rule, and {!min_time}, {!pop_min}, {!pop}, {!peek_time}, {!is_empty},
-    {!size} and {!clear} all count it. *)
+    {!set_slot} re-keys in O(1). The slot orders against the heap by the
+    same (time, sequence) rule, and {!min_time}, {!pop_min}, {!pop},
+    {!peek_time}, {!is_empty}, {!size} and {!clear} all count it. *)
 
 type 'a t
 
@@ -19,6 +24,15 @@ val create : unit -> 'a t
 
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule [v] at [time]. Raises [Invalid_argument] if [time] is NaN. *)
+
+val set_handle : 'a t -> int -> time:float -> 'a -> unit
+(** [set_handle t h ~time v] makes [v] at [time] the entry of handle [h],
+    replacing the entry [h] had, if any. It takes a fresh sequence number
+    exactly as {!push} would (so it moves {!stamp}). Raises
+    [Invalid_argument] if [time] is NaN or [h] is negative. *)
+
+val clear_handle : 'a t -> int -> unit
+(** Remove handle [h]'s entry, if it has one. Does not move {!stamp}. *)
 
 val set_slot : 'a t -> time:float -> 'a -> unit
 (** Put [v] in the slot at [time], replacing whatever the slot held. It
@@ -39,15 +53,20 @@ val pop_min : 'a t -> 'a
     engine's event loop uses this pair, which allocates no option or
     tuple per event. *)
 
+val popped_handle : 'a t -> int
+(** The handle of the entry the last {!pop_min} or {!pop} removed, or -1
+    if that entry had none (a {!push} or the slot). *)
+
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event, [None] when empty. *)
 
 val peek_time : 'a t -> float option
 
 val stamp : 'a t -> int
-(** The sequence number the next {!push} or {!set_slot} will receive. Two
-    observations of [stamp] are equal iff nothing was pushed or slotted in
-    between, which is what the engine's channel layer uses to decide
+(** The sequence number the next {!push}, {!set_handle} or {!set_slot}
+    will receive. Two
+    observations of [stamp] are equal iff nothing was pushed, set or
+    slotted in between, which is what the engine's channel layer uses to decide
     whether a message may join an already-scheduled delivery batch without
     reordering it against intervening events. *)
 

@@ -89,7 +89,10 @@ let test_eq_nan () =
     (fun () -> Event_queue.push q ~time:Float.nan ());
   Alcotest.check_raises "NaN slot rejected"
     (Invalid_argument "Event_queue.set_slot: NaN time")
-    (fun () -> Event_queue.set_slot q ~time:Float.nan ())
+    (fun () -> Event_queue.set_slot q ~time:Float.nan ());
+  Alcotest.check_raises "NaN handle rejected"
+    (Invalid_argument "Event_queue.set_handle: NaN time")
+    (fun () -> Event_queue.set_handle q 0 ~time:Float.nan ())
 
 let prop_eq_sorted =
   QCheck.Test.make ~name:"pop order is sorted by time" ~count:300
@@ -104,35 +107,47 @@ let prop_eq_sorted =
       in
       drain neg_infinity)
 
-(* A model test: random push / set_slot / clear_slot / pop /
-   min_time+pop_min / peek / clear sequences, times drawn from a few values
-   so ties (slot against heap too) are common, against a list kept sorted
-   by (time, stamp). Each pushed or slotted value is its stamp. The
-   reference treats the slot the way a plain heap would: setting it
-   cancels the previous slot entry and inserts a new one, clearing it
-   cancels the entry, and pops skip cancelled entries. *)
+(* A model test: random push / set_slot / clear_slot / set_handle /
+   clear_handle / pop / min_time+pop_min / peek / clear sequences, times
+   drawn from a few values so ties (slot and handles against the heap too)
+   are common, against a list kept sorted by (time, stamp). Each pushed,
+   slotted or handled value is its stamp. The reference treats the slot
+   and each handle the way a plain heap would: setting one cancels its
+   previous entry and inserts a new one, clearing it cancels the entry,
+   and pops skip cancelled entries. Every pop must also report the handle
+   of the entry it removed. *)
 type eq_op =
   | Push of float
   | Set_slot of float
   | Clear_slot
+  | Set_handle of int * float
+  | Clear_handle of int
   | Pop
   | Pop_min
   | Peek
   | Clear
 
+let eq_handles = 8
+
+(* Pushes outnumber pops and clears are rare, so the heap grows deep
+   enough for a cleared handle's hole to need filling from below and from
+   above. *)
 let prop_eq_model =
+  let time = QCheck.Gen.map (fun i -> float_of_int i /. 2.) (QCheck.Gen.int_range 0 8) in
   let gen =
     QCheck.Gen.(
       list_size (int_range 0 200)
         (frequency
            [
-             (6, map (fun i -> Push (float_of_int i /. 2.)) (int_range 0 6));
-             (3, map (fun i -> Set_slot (float_of_int i /. 2.)) (int_range 0 6));
-             (1, return Clear_slot);
-             (3, return Pop);
-             (3, return Pop_min);
-             (1, return Peek);
-             (1, map (fun _ -> Clear) (int_range 0 5));
+             (12, map (fun t -> Push t) time);
+             (4, map (fun t -> Set_slot t) time);
+             (2, return Clear_slot);
+             (8, map2 (fun h t -> Set_handle (h, t)) (int_range 0 (eq_handles - 1)) time);
+             (6, map (fun h -> Clear_handle h) (int_range 0 eq_handles));
+             (4, return Pop);
+             (4, return Pop_min);
+             (2, return Peek);
+             (1, return Clear);
            ]))
   in
   let print ops =
@@ -142,38 +157,42 @@ let prop_eq_model =
            | Push t -> Printf.sprintf "push(%g)" t
            | Set_slot t -> Printf.sprintf "set_slot(%g)" t
            | Clear_slot -> "clear_slot"
+           | Set_handle (h, t) -> Printf.sprintf "set_handle(%d,%g)" h t
+           | Clear_handle h -> Printf.sprintf "clear_handle(%d)" h
            | Pop -> "pop"
            | Pop_min -> "pop_min"
            | Peek -> "peek"
            | Clear -> "clear")
          ops)
   in
-  QCheck.Test.make ~name:"model: a list sorted by (time, stamp)" ~count:300
+  QCheck.Test.make ~name:"model: a list sorted by (time, stamp)" ~count:1000
     (QCheck.make ~print gen) (fun ops ->
       let q = Event_queue.create () in
-      (* Entries (time, stamp, live), sorted by (time, stamp); [slot] is
-         the live flag of the latest slot entry. *)
+      (* Entries (time, stamp, live, handle), sorted by (time, stamp), with
+         handle -1 for a push or the slot; [slot] is the live flag of the
+         latest slot entry, [handles.(h)] that of handle [h]'s latest. *)
       let model = ref [] and stamp = ref 0 and slot = ref (ref false) in
-      let rec insert ((t, _, _) as e) = function
-        | ((t', _, _) as e') :: rest when t' <= t -> e' :: insert e rest
+      let handles = Array.init (eq_handles + 1) (fun _ -> ref false) in
+      let rec insert ((t, _, _, _) as e) = function
+        | ((t', _, _, _) as e') :: rest when t' <= t -> e' :: insert e rest
         | l -> e :: l
       in
-      let add time =
+      let add ?(handle = -1) time =
         let live = ref true in
-        model := insert (time, !stamp, live) !model;
+        model := insert (time, !stamp, live, handle) !model;
         incr stamp;
         live
       in
       (* Drop the cancelled entries at the front. *)
       let rec front () =
         match !model with
-        | (_, _, live) :: rest when not !live ->
+        | (_, _, live, _) :: rest when not !live ->
           model := rest;
           front ()
         | l -> l
       in
       let live_count () =
-        List.length (List.filter (fun (_, _, live) -> !live) !model)
+        List.length (List.filter (fun (_, _, live, _) -> !live) !model)
       in
       List.for_all
         (fun op ->
@@ -192,26 +211,35 @@ let prop_eq_model =
               Event_queue.clear_slot q;
               !slot := false;
               true
+            | Set_handle (h, time) ->
+              Event_queue.set_handle q h ~time !stamp;
+              handles.(h) := false;
+              handles.(h) <- add ~handle:h time;
+              true
+            | Clear_handle h ->
+              Event_queue.clear_handle q h;
+              handles.(h) := false;
+              true
             | Pop -> (
               match front () with
               | [] -> Event_queue.pop q = None
-              | (t, v, _) :: rest ->
+              | (t, v, _, h) :: rest ->
                 model := rest;
-                Event_queue.pop q = Some (t, v))
+                Event_queue.pop q = Some (t, v) && Event_queue.popped_handle q = h)
             | Pop_min -> (
               match front () with
               | [] -> (
                 match Event_queue.pop_min q with
                 | _ -> false
                 | exception Invalid_argument _ -> true)
-              | (t, v, _) :: rest ->
+              | (t, v, _, h) :: rest ->
                 model := rest;
                 let t' = Event_queue.min_time q in
                 let v' = Event_queue.pop_min q in
-                t' = t && v' = v)
+                t' = t && v' = v && Event_queue.popped_handle q = h)
             | Peek ->
               Event_queue.peek_time q
-              = (match front () with [] -> None | (t, _, _) :: _ -> Some t)
+              = (match front () with [] -> None | (t, _, _, _) :: _ -> Some t)
             | Clear ->
               Event_queue.clear q;
               model := [];
@@ -805,19 +833,22 @@ let prop_cpu_model =
                engine model)
         Engine.[ Infinite; Cores 1; Cores 2; Cores 3; Cores 4 ])
 
-(* A NaN wait is refused on the caller's stack: the body crashes with the
-   operation's name, and the rest of the run goes on. *)
-let test_nan_wait fn wait () =
+(* A NaN wait, or an infinite delay, is refused on the caller's stack:
+   the body crashes with the operation's name, and the rest of the run
+   goes on. *)
+let test_bad_wait reason wait () =
   let eng = mk () in
   let bad = Engine.spawn eng wait in
   let sibling = Engine.spawn eng (fun ctx -> Engine.delay ctx 1.0) in
   Engine.run eng;
   check Alcotest.bool "crashed" true
     (Engine.status eng bad
-    = Some (Engine.Crashed (Printexc.to_string (Invalid_argument (fn ^ ": NaN duration")))));
+    = Some (Engine.Crashed (Printexc.to_string (Invalid_argument reason))));
   check Alcotest.bool "sibling finished" true
     (Engine.status eng sibling = Some Engine.Exited_ok);
   check cf "clock" 1. (Engine.now eng)
+
+let test_nan_wait fn = test_bad_wait (fn ^ ": NaN duration")
 
 (* ---------------- IPC ---------------- *)
 
@@ -1009,6 +1040,23 @@ let test_timed_out_in wait () =
   let _, _, resumed, _, _ = wait_scenario wait (fun _ _ _ -> ()) in
   check resumed_at "resumed with None at the deadline" (Some (None, 100.)) resumed
 
+let wait_receive_forever ctx _ =
+  Option.bind (Engine.receive_timeout ctx ~timeout:infinity ()) payload
+
+let wait_read_forever ctx iv = Engine.Ivar.read_timeout ctx iv ~timeout:infinity
+
+(* An infinite timeout sets no deadline: left alone, the wait stays parked
+   at quiescence and the clock stops at the last event, where a deadline
+   at infinity used to resume it (and leave [Engine.now] at infinity). *)
+let test_forever_in wait () =
+  let eng, victim, resumed, _, _ = wait_scenario wait (fun _ _ _ -> ()) in
+  check resumed_at "never resumed" None resumed;
+  check Alcotest.(list int) "still parked" [ Pid.to_int victim ]
+    (List.map Pid.to_int (Engine.parked_pids eng));
+  check cf "clock stays at the last event" 1. (Engine.now eng);
+  let _, _, resumed, _, _ = wait_scenario wait poke in
+  check resumed_at "woken like an untimed wait" (Some (Some 7, 1.)) resumed
+
 let test_kill_embryo () =
   let eng = mk () in
   let ran = ref false in
@@ -1083,6 +1131,31 @@ let test_ivar_read_timeout_killed () =
   check cf "clock stays at the kill" 1. (Engine.now eng);
   check Alcotest.bool "eliminated exactly once" true
     (!exits = [ Engine.Eliminated "cut" ])
+
+(* A fill and a deadline due at the same time fire in (time, stamp)
+   order, and the deadline is stamped when the reader parks (at t = 0):
+   a fill scheduled before the park wins, one scheduled after it loses. *)
+let test_ivar_fill_at_deadline () =
+  let read ~fill_before_park =
+    let eng = mk () in
+    let iv = Engine.Ivar.create () in
+    let fill () = ignore (Engine.Ivar.try_fill iv 7) in
+    let got = ref None in
+    if fill_before_park then Engine.after eng ~delay:1. fill;
+    ignore
+      (Engine.spawn eng (fun ctx ->
+           let r = Engine.Ivar.read_timeout ctx iv ~timeout:1. in
+           got := Some (r, Engine.now_v ctx)));
+    if not fill_before_park then
+      ignore (Engine.spawn eng (fun ctx -> Engine.after (Engine.engine ctx) ~delay:1. fill));
+    Engine.run eng;
+    (!got, Engine.Ivar.peek iv)
+  in
+  let outcome = Alcotest.(pair resumed_at (option int)) in
+  check outcome "fill scheduled before the park wins" (Some (Some 7, 1.), Some 7)
+    (read ~fill_before_park:true);
+  check outcome "fill scheduled after the park loses" (Some (None, 1.), Some 7)
+    (read ~fill_before_park:false)
 
 (* ---------------- Worlds ---------------- *)
 
@@ -1494,6 +1567,9 @@ let () =
                  ignore
                    (Engine.Ivar.read_timeout ctx (Engine.Ivar.create ())
                       ~timeout:Float.nan)));
+          Alcotest.test_case "infinite delay crashes only its caller" `Quick
+            (test_bad_wait "Engine.delay: infinite duration" (fun ctx ->
+                 Engine.delay ctx infinity));
         ] );
       ( "ipc",
         [
@@ -1504,6 +1580,8 @@ let () =
           Alcotest.test_case "receive timeout" `Quick test_receive_timeout;
           Alcotest.test_case "delivery beats timeout" `Quick test_receive_timeout_delivery_wins;
           Alcotest.test_case "message to dead pid" `Quick test_message_to_dead_pid_dropped;
+          Alcotest.test_case "infinite receive_timeout parks like receive" `Quick
+            (test_forever_in wait_receive_forever);
         ] );
       ( "kill",
         [
@@ -1533,6 +1611,10 @@ let () =
           Alcotest.test_case "read timeout" `Quick test_ivar_read_timeout;
           Alcotest.test_case "killed read_timeout keeps the clock" `Quick
             test_ivar_read_timeout_killed;
+          Alcotest.test_case "infinite read_timeout parks like read" `Quick
+            (test_forever_in wait_read_forever);
+          Alcotest.test_case "fill at the deadline: (time, stamp) order" `Quick
+            test_ivar_fill_at_deadline;
         ] );
       ( "worlds",
         [
