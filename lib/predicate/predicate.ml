@@ -128,6 +128,26 @@ let compare a b =
   let c = compare_from a.completes b.completes 0 in
   if c <> 0 then c else compare_from a.fails b.fails 0
 
+type receipt =
+  | Accept
+  | Adopt of t
+  | Split of { accept : t; reject : t }
+  | Ignore of string
+  | Defer
+
+let receipt r ~sender s ~cloneable =
+  match s with
+  | `Dead -> Ignore "dead world"
+  | `Live s ->
+    if implies r s then Accept
+    else if conflicts r s || mem_fails r sender || mem_fails s sender then
+      Ignore "conflict"
+    else if mem_completes r sender then Adopt (conjoin r s)
+    else if cloneable then
+      Split
+        { accept = assume_completes (conjoin r s) sender; reject = assume_fails r sender }
+    else Defer
+
 type fate = Completed | Failed
 
 type resolution = Unchanged | Simplified of t | Falsified

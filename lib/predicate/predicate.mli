@@ -66,6 +66,30 @@ val compare : t -> t -> int
     [Pid.Set.compare] gives on the two sets, so orderings derived from it
     are schedule-deterministic. *)
 
+(** What a receiver does with one message (section 3.4.2). *)
+type receipt =
+  | Accept  (** Take it as it is. *)
+  | Adopt of t  (** Take it, and hold this predicate from now on. *)
+  | Split of { accept : t; reject : t }
+      (** Take it holding [accept]; a clone holding [reject] keeps waiting. *)
+  | Ignore of string  (** Drop it: ["dead world"] or ["conflict"]. *)
+  | Defer
+      (** Leave it queued, and take no later message of its sender before
+          it, until the sender's fate resolves. *)
+
+val receipt : t -> sender:Pid.t -> [ `Live of t | `Dead ] -> cloneable:bool -> receipt
+(** [receipt r ~sender s ~cloneable]: the receipt of a message from
+    [sender], whose predicate normalises to [s], by a receiver holding
+    [r]. Decided in this order, the first that applies:
+    - [`Dead]: [Ignore "dead world"];
+    - [implies r s]: [Accept] (so a certain [s] is always accepted);
+    - [conflicts r s], or [r] or [s] assumes [sender] fails: [Ignore
+      "conflict"], since taking it means assuming [sender] completes;
+    - [r] assumes [sender] completes: [Adopt (conjoin r s)];
+    - [cloneable]: [Split], [accept] being [conjoin r s] plus [sender]
+      completing and [reject] being [r] plus [sender] failing;
+    - otherwise [Defer]. *)
+
 type fate = Completed | Failed
 (** The eventual resolution of a process. *)
 

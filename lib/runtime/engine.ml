@@ -555,7 +555,7 @@ and sweep t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Message scanning: accept / ignore / split (section 3.4.2).          *)
+(* Message scanning: the ring walk around Predicate.receipt (3.4.2).   *)
 
 and try_receive t pcb tag : Message.t =
   (* Returns [Mailbox.no_message] (physical compare) when nothing is
@@ -584,12 +584,13 @@ and try_receive t pcb tag : Message.t =
     scan_mailbox t pcb ring tag cur [] start true
   end
 
-(* Walk the ring in position order; honour per-sender FIFO when deferring.
-   [blocked] (senders we must not overtake) is threaded as a list so the
-   common no-deferral scan allocates nothing. [prefix] is true while every
-   slot visited so far was a tombstone or tag-foreign, i.e. while the
-   per-tag cursor may still advance over them. A top-level function rather
-   than an inner closure: the receive fast path allocates nothing. *)
+(* Walk the ring in position order and act on each entry's receipt,
+   honouring per-sender FIFO when deferring. [blocked] (senders we must
+   not overtake) is threaded as a list so the common no-deferral scan
+   allocates nothing. [prefix] is true while every slot visited so far
+   was a tombstone or tag-foreign, i.e. while the per-tag cursor may still
+   advance over them. A top-level function rather than an inner closure:
+   the receive fast path allocates nothing. *)
 and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
   if pos >= Mailbox.tail_pos ring then Mailbox.no_message
   else begin
@@ -605,14 +606,6 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
       advance_cursor cur pos prefix;
       scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
     end
-    else if pcb.oblivious then begin
-      (* Kernel-level services (consensus voters, devices) accept every
-         message: they are part of process management, not of any world. *)
-      if wants t Trace.Kind.accepted then
-        tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
-      Mailbox.remove ring pos;
-      m
-    end
     else if
       (* Empty-list check first: nothing is examined unless a sender has
          actually been deferred during this scan. *)
@@ -620,128 +613,76 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
       | [] -> false
       | _ -> List.exists (Pid.equal m.Message.sender) blocked)
     then scan_mailbox t pcb ring tag cur blocked (pos + 1) false
-    else begin
-      let spred = m.Message.predicate in
-      if Predicate.is_certain spred then begin
-        (* The overwhelmingly common case: a sender with no unresolved
-           assumptions. Normalisation would return the predicate
-           unchanged and the receiver trivially implies it, so accept
-           directly without allocating the `Live wrapper. *)
+    else
+      match
+        (* Kernel-level services (consensus voters, devices) accept every
+           message: they belong to no world. The rule accepts a certain
+           sender, the overwhelmingly common case. Both skip the call,
+           whose `Live argument would allocate. *)
+        if pcb.oblivious || Predicate.is_certain m.Message.predicate then
+          Predicate.Accept
+        else
+          Predicate.receipt pcb.predicate ~sender:m.Message.sender
+            (Fate_registry.normalize t.reg m.Message.predicate)
+            ~cloneable:pcb.cloneable
+      with
+      | Predicate.Defer ->
+        (* Keep waiting: do not overtake this sender (FIFO). *)
+        scan_mailbox t pcb ring tag cur (m.Message.sender :: blocked) (pos + 1) false
+      | Predicate.Ignore reason ->
+        if wants t Trace.Kind.ignored then
+          tr t (Trace.Ignored { dest = pcb.pid; msg = m; reason });
+        Mailbox.remove ring pos;
+        advance_cursor cur pos prefix;
+        scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
+      | (Predicate.Accept | Predicate.Adopt _ | Predicate.Split _) as receipt ->
+        (* The trace records the predicate the receiver held when it
+           decided, not the one it adopts: the analysis layer re-derives
+           the decision from it. *)
+        let dest_pred = pcb.predicate in
+        (match receipt with
+        | Predicate.Adopt p -> pcb.predicate <- p
+        | Predicate.Split { accept; reject } ->
+          split t pcb m reject;
+          pcb.predicate <- accept
+        | _ -> ());
         if wants t Trace.Kind.accepted then
-          tr t
-            (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
+          tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred });
         Mailbox.remove ring pos;
         m
-      end
-      else
-        match Fate_registry.normalize t.reg spred with
-        | `Dead ->
-          (* The sender's world died: the message never happened. *)
-          if wants t Trace.Kind.ignored then
-            tr t (Trace.Ignored { dest = pcb.pid; msg = m; reason = "dead world" });
-          Mailbox.remove ring pos;
-          advance_cursor cur pos prefix;
-          scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
-        | `Live s ->
-          if Predicate.implies pcb.predicate s then begin
-            if wants t Trace.Kind.accepted then
-              tr t
-                (Trace.Accepted
-                   { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
-            Mailbox.remove ring pos;
-            m
-          end
-          else if Predicate.conflicts pcb.predicate s then begin
-            if wants t Trace.Kind.ignored then
-              tr t (Trace.Ignored { dest = pcb.pid; msg = m; reason = "conflict" });
-            Mailbox.remove ring pos;
-            advance_cursor cur pos prefix;
-            scan_mailbox t pcb ring tag cur blocked (pos + 1) prefix
-          end
-          else if accept_with_split t pcb m s then begin
-            (* The message required new assumptions, which it now has. *)
-            Mailbox.remove ring pos;
-            m
-          end
-          else
-            (* Keep waiting: do not overtake this sender (FIFO). *)
-            scan_mailbox t pcb ring tag cur (m.Message.sender :: blocked)
-              (pos + 1) false
-    end
   end
 
 and advance_cursor cur pos prefix =
   if prefix then
     match cur with None -> () | Some c -> c.Mailbox.cpos <- pos + 1
 
-(* Receiver [pcb] is about to accept [m], a message in its mailbox whose
-   (normalized) sending predicate [s] extends the receiver's assumptions.
-   Create the rejecting world as a replay clone, then let [pcb] proceed as
-   the accepting world. Returns false to defer; the caller removes the
-   entry from the mailbox on acceptance. *)
-and accept_with_split t pcb m s =
-  let sender = m.Message.sender in
-  let reject_pred =
-    if Predicate.mem_completes pcb.predicate sender then None
-    else Some (Predicate.assume_fails pcb.predicate sender)
+(* The rejecting world of a split on [m]: a replay clone of [pcb] that
+   holds [reject] and starts after a fork's base cost. *)
+and split t pcb m reject =
+  let clone_pid = alloc_pid t in
+  let clone =
+    make_pcb t ~pid:clone_pid ~logical:pcb.logical ~parent:pcb.parent
+      ~name:(pcb.name ^ "~world") ~predicate:reject ~space:None ~cloneable:true
+      ~oblivious:false ~body:pcb.body
   in
-  let can_clone = pcb.cloneable in
-  match reject_pred with
-  | None ->
-    (* The receiver already depends on the sender completing; the only new
-       assumptions are the sender's own, which acceptance takes on. *)
-    adopt_sender_assumptions t pcb m s;
-    true
-  | Some reject_pred when can_clone ->
-    let clone_pid = alloc_pid t in
-    let clone =
-      make_pcb t ~pid:clone_pid ~logical:pcb.logical ~parent:pcb.parent
-        ~name:(pcb.name ^ "~world") ~predicate:reject_pred ~space:None
-        ~cloneable:true ~oblivious:false ~body:pcb.body
-    in
-    clone.replay <- List.rev pcb.log;
-    clone.log <- pcb.log;
-    (* The rejecting world keeps everything except the accepted send. An
-       injected duplicate is the same message value pushed twice, so the
-       physical-identity filter excludes it along with its original; the
-       worlds share the remaining immutable entries. *)
-    clone.mailbox <- Mailbox.copy_excluding pcb.mailbox ~msg:m;
-    register_world t clone;
-    t.live <- t.live + 1;
-    (* World copies live wherever the original does: a site crash must take
-       every copy of a resident process down with it. *)
-    assign_site t clone ~explicit:pcb.site;
-    if wants t Trace.Kind.split then
-      tr t (Trace.Split { original = pcb.pid; clone = clone_pid; on = m });
-    (match t.spawn_hook with Some h -> h clone_pid clone.name | None -> ());
-    (* Charge the copy as a fork-base-cost start delay for the clone. *)
-    schedule t
-      ~at:(t.vnow +. t.model_.Cost_model.fork_base)
-      (fun () -> start_pcb t clone);
-    adopt_sender_assumptions t pcb m s;
-    true
-  | Some _ ->
-    (* Not cloneable: fall back to deferring until the sender resolves
-       (pessimistic but semantics-preserving). *)
-    if wants t Trace.Kind.ignored then
-      tr t
-        (Trace.Ignored
-           { dest = pcb.pid; msg = m; reason = "deferred (receiver not cloneable)" });
-    false
-
-and adopt_sender_assumptions t pcb m s =
-  (* The trace records the predicate the receiver held when it decided to
-     accept, not the conjoined one: the analysis layer re-derives the
-     acceptance decision from it. *)
-  let pred_at_accept = pcb.predicate in
-  let p = Predicate.conjoin pcb.predicate s in
-  let p =
-    if Predicate.mem_completes p m.Message.sender then p
-    else Predicate.assume_completes p m.Message.sender
-  in
-  pcb.predicate <- p;
-  if wants t Trace.Kind.accepted then
-    tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pred_at_accept })
+  clone.replay <- List.rev pcb.log;
+  clone.log <- pcb.log;
+  (* The rejecting world keeps everything except the accepted send. An
+     injected duplicate is the same message value pushed twice, so the
+     physical-identity filter excludes it along with its original; the
+     worlds share the remaining immutable entries. *)
+  clone.mailbox <- Mailbox.copy_excluding pcb.mailbox ~msg:m;
+  register_world t clone;
+  t.live <- t.live + 1;
+  (* World copies live wherever the original does: a site crash must take
+     every copy of a resident process down with it. *)
+  assign_site t clone ~explicit:pcb.site;
+  if wants t Trace.Kind.split then
+    tr t (Trace.Split { original = pcb.pid; clone = clone_pid; on = m });
+  (match t.spawn_hook with Some h -> h clone_pid clone.name | None -> ());
+  schedule t
+    ~at:(t.vnow +. t.model_.Cost_model.fork_base)
+    (fun () -> start_pcb t clone)
 
 and rescan_parked t pcb =
   match pcb.park with
@@ -849,8 +790,7 @@ and run_body t pcb =
    takes none. A woken or killed timed wait clears its deadline, so the
    heap keeps no dead entry and the clock is never dragged to a deadline
    nobody waits for. A receive parks only after its caller found nothing
-   acceptable, and the park does not scan again: a second scan would
-   repeat the first one's deferral trace events. *)
+   acceptable, and the park does not scan again. *)
 and suspend : type a.
     t -> pcb -> a suspension -> (a, unit) Effect.Deep.continuation -> unit =
  fun t pcb s k ->

@@ -24,16 +24,21 @@
     {2 Multiple worlds}
 
     Message receipt compares the receiver's predicate with the sender's, as
-    in section 3.4.2 of the paper: implied predicates are accepted,
-    conflicting ones ignored, and a message requiring {e new} assumptions
-    splits the receiver in two. The paper splits with a COW fork; here a
-    clone is produced by {e deterministic replay}: the engine logs every
-    effectful operation of a cloneable process, and the clone re-executes
-    the body consuming the log (performing no side effects and no virtual
-    time), then continues live. A process that has spawned children or read
-    an ivar is not cloneable; a split against a non-cloneable receiver falls
-    back to deferring the message until the sender's fate resolves, which is
-    pessimistic but semantics-preserving. *)
+    in section 3.4.2 of the paper, and {!Predicate.receipt} is the whole
+    rule. In order: a message from a dead world is ignored, an implied one
+    accepted, and a conflicting one ignored; so is one whose sender either
+    side assumes fails, since taking it assumes the sender completes. A
+    receiver that already assumes the sender completes adopts the rest;
+    any other message splits the receiver in two. The paper splits with a
+    COW fork; here a clone is produced by {e deterministic replay}: the
+    engine logs every effectful operation of a cloneable process, and the
+    clone re-executes the body consuming the log (performing no side
+    effects and no virtual time), then continues live. A process that has
+    spawned children or read an ivar is not cloneable; a split against a
+    non-cloneable receiver falls back to deferring the message until the
+    sender's fate resolves, which is pessimistic but semantics-preserving.
+    A deferral records no trace event: [Trace.Ignored] means the message
+    left the mailbox unaccepted. *)
 
 type t
 (** An engine (one simulation). *)

@@ -29,6 +29,9 @@ type event =
           of the sender's assumptions: the analysis layer audits acceptance
           decisions against it. *)
   | Ignored of { dest : Pid.t; msg : Message.t; reason : string }
+      (** Removed from the receiver's mailbox unaccepted, for [reason]
+          (["dead world"] or ["conflict"]). A deferred message stays
+          queued and records nothing. *)
   | Split of { original : Pid.t; clone : Pid.t; on : Message.t }
   | Killed of { pid : Pid.t; reason : string }
   | Fate of { pid : Pid.t; fate : Predicate.fate }

@@ -1327,6 +1327,632 @@ let test_conflicting_message_ignored () =
   Engine.run eng;
   check Alcotest.bool "conflicting message never accepted" true (!got = None)
 
+(* ---------------- Receipts (section 3.4.2) ---------------- *)
+
+(* What the trace shows receiver [pid] doing with its messages, in order:
+   splitting on one, accepting one (under the predicate it held when it
+   decided) or ignoring one. A message is named by its int payload. *)
+let receipts eng pid =
+  let n (m : Message.t) = Payload.get_int m.Message.payload in
+  List.filter_map
+    (fun (time, e) ->
+      match e with
+      | Trace.Split { original; on; _ } when Pid.equal original pid ->
+        Some (Printf.sprintf "t=%g split on %d" time (n on))
+      | Trace.Accepted { dest; msg; dest_pred } when Pid.equal dest pid ->
+        Some
+          (Printf.sprintf "t=%g accepted %d under %s" time (n msg)
+             (Predicate.to_string dest_pred))
+      | Trace.Ignored { dest; msg; reason } when Pid.equal dest pid ->
+        Some (Printf.sprintf "t=%g ignored %d: %s" time (n msg) reason)
+      | _ -> None)
+    (Trace.events (Engine.trace eng))
+
+let assumes ?(fail = []) complete = Predicate.make ~must_complete:complete ~must_fail:fail
+let check_receipts eng pid expected =
+  check Alcotest.(list string) "receipts" expected (receipts eng pid)
+
+(* A receiver holding every assumption of an uncertain sender accepts its
+   message as it is: no split, and the receiver's predicate is unchanged. *)
+let test_receipt_implied () =
+  let eng = Engine.create () in
+  let a = List.hd (Engine.fresh_pids eng 1) in
+  let after = ref "" in
+  let recv =
+    Engine.spawn eng ~predicate:(assumes [ a ]) (fun ctx ->
+        ignore (Engine.receive ctx ());
+        after := Predicate.to_string (Engine.my_predicate ctx))
+  in
+  ignore
+    (Engine.spawn eng ~predicate:(assumes [ a ]) (fun ctx ->
+         Engine.send ctx recv (Payload.int 1)));
+  Engine.run eng;
+  check_receipts eng recv [ "t=0 accepted 1 under {+P0}" ];
+  check Alcotest.string "predicate" "{+P0}" !after
+
+(* The sender's world died while its message waited: the message never
+   happened. *)
+let test_receipt_dead_world () =
+  let eng = Engine.create () in
+  let a = List.hd (Engine.fresh_pids eng 1) in
+  let got = ref (Some 0) and after = ref "" in
+  let recv =
+    Engine.spawn eng (fun ctx ->
+        Engine.delay ctx 2.;
+        got :=
+          Option.map
+            (fun m -> Payload.get_int m.Message.payload)
+            (Engine.receive_timeout ctx ~timeout:1. ());
+        after := Predicate.to_string (Engine.my_predicate ctx))
+  in
+  ignore
+    (Engine.spawn eng ~predicate:(assumes [ a ]) (fun ctx ->
+         Engine.send ctx recv (Payload.int 1);
+         Engine.delay ctx 5.));
+  ignore
+    (Engine.spawn eng ~pid:a (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.abort ctx "a fails"));
+  Engine.run eng;
+  check_receipts eng recv [ "t=2 ignored 1: dead world" ];
+  check Alcotest.(option int) "nothing accepted" None !got;
+  check Alcotest.string "predicate" "{}" !after
+
+(* A receiver that already assumes the sender completes has no world in
+   which it rejects the sender: it takes on the sender's other
+   assumptions without splitting. *)
+let test_receipt_adopt () =
+  let eng = Engine.create () in
+  let pids = Engine.fresh_pids eng 2 in
+  let a = List.nth pids 0 and c = List.nth pids 1 in
+  let after = ref "" in
+  let recv =
+    Engine.spawn eng ~predicate:(assumes [ c ]) (fun ctx ->
+        ignore (Engine.receive ctx ());
+        after := Predicate.to_string (Engine.my_predicate ctx))
+  in
+  ignore
+    (Engine.spawn eng ~pid:c ~predicate:(assumes [ a; c ]) (fun ctx ->
+         Engine.send ctx recv (Payload.int 1)));
+  Engine.run eng;
+  check_receipts eng recv [ "t=0 accepted 1 under {+P1}" ];
+  check Alcotest.string "predicate" "{+P0 +P1}" !after
+
+(* A receiver that cannot be cloned leaves a message needing a new
+   assumption queued, and records nothing for it. It takes a later
+   message from another sender first, never one from the same sender.
+   When the sender completes, the queued message is accepted. *)
+let test_receipt_defer_then_accept () =
+  let eng = Engine.create () in
+  let c = List.hd (Engine.fresh_pids eng 1) in
+  let got = ref [] and after = ref "" in
+  let recv =
+    Engine.spawn eng ~cloneable:false (fun ctx ->
+        for _ = 1 to 2 do
+          got := Payload.get_int (Engine.receive ctx ()).Message.payload :: !got
+        done;
+        after := Predicate.to_string (Engine.my_predicate ctx))
+  in
+  ignore
+    (Engine.spawn eng ~pid:c ~predicate:(assumes [ c ]) (fun ctx ->
+         Engine.send ctx recv (Payload.int 1);
+         Engine.send ctx recv (Payload.int 2);
+         Engine.delay ctx 5.));
+  ignore
+    (Engine.spawn eng (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.send ctx recv (Payload.int 3)));
+  Engine.run eng;
+  check_receipts eng recv [ "t=1 accepted 3 under {}"; "t=5 accepted 1 under {}" ];
+  check Alcotest.(list int) "accepted" [ 3; 1 ] (List.rev !got);
+  check Alcotest.string "predicate" "{}" !after
+
+(* Regression: a deferral was traced as [Ignored] although the message
+   stayed queued and was accepted later, so the sanitizer dropped its
+   clock snapshot before the acceptance. *)
+let test_receipt_deferral_not_ignored () =
+  let eng = Engine.create () in
+  let a = List.hd (Engine.fresh_pids eng 1) in
+  let recv =
+    Engine.spawn eng ~cloneable:false (fun ctx -> ignore (Engine.receive ctx ()))
+  in
+  ignore
+    (Engine.spawn eng ~predicate:(assumes [ a ]) (fun ctx ->
+         Engine.send ctx recv (Payload.int 1)));
+  ignore (Engine.spawn eng ~pid:a (fun ctx -> Engine.delay ctx 5.));
+  Engine.run eng;
+  check_receipts eng recv [ "t=5 accepted 1 under {}" ]
+
+(* Regression: a split's rejecting world, which assumes the sender fails,
+   split again on the sender's next message and crashed assuming it
+   completes. The sender is the child of an unresolved alternative: its
+   messages carry {+A}, not its own completion. *)
+let test_receipt_rejecting_world () =
+  let eng = Engine.create () in
+  let a = List.hd (Engine.fresh_pids eng 1) in
+  let recv =
+    Engine.spawn eng (fun ctx ->
+        ignore (Engine.receive ctx ());
+        ignore (Engine.receive ctx ()))
+  in
+  ignore
+    (Engine.spawn eng ~predicate:(assumes [ a ]) (fun ctx ->
+         Engine.send ctx recv (Payload.int 1);
+         Engine.delay ctx 1.;
+         Engine.send ctx recv (Payload.int 2)));
+  Engine.run eng;
+  let clone = Pid.of_int 3 in
+  check_receipts eng recv
+    [ "t=0 split on 1"; "t=0 accepted 1 under {}"; "t=1 accepted 2 under {+P0 +P2}" ];
+  check_receipts eng clone [ "t=1 ignored 2: conflict" ];
+  check Alcotest.int "one split" 1
+    (Trace.count (Engine.trace eng) ~f:(function Trace.Split _ -> true | _ -> false));
+  check Alcotest.bool "the rejecting world still waits" true
+    (Engine.status eng clone = None)
+
+(* Regression: a sender whose predicate assumes its own failure made
+   [Engine.run] itself raise, from the rescan that split on its message. *)
+let test_receipt_sender_assumes_failure () =
+  let eng = Engine.create () in
+  let c = List.hd (Engine.fresh_pids eng 1) in
+  let got = ref (Some 0) in
+  let recv =
+    Engine.spawn eng (fun ctx ->
+        got :=
+          Option.map
+            (fun m -> Payload.get_int m.Message.payload)
+            (Engine.receive_timeout ctx ~timeout:5. ()))
+  in
+  ignore
+    (Engine.spawn eng ~pid:c ~predicate:(assumes [] ~fail:[ c ]) (fun ctx ->
+         Engine.send ctx recv (Payload.int 1)));
+  Engine.run eng;
+  check_receipts eng recv [ "t=0 ignored 1: conflict" ];
+  check Alcotest.(option int) "nothing accepted" None !got
+
+(* The receipt model. A receiver, cloneable or not and holding a
+   generated predicate, polls its mailbox between sends, fate
+   resolutions and feeds. Every world of it is compared, poll by poll,
+   with a plain list run under the pid-set rule.
+
+   Pids [0 .. universe - 1] are the ones predicates range over. Each is
+   a process holding a generated predicate, and any of them may resolve
+   (complete or fail). The first [senders] of them send to the receiver.
+   A feed grows a sender's predicate between two of its sends, which is
+   the only way two messages of one sender can get different receipts:
+   another universe process sends it its predicate, and the sender, which
+   cannot be cloned, takes it at once. Step [i] happens at virtual time
+   10 (i + 1), a feed's receive half a second later. *)
+type rstep =
+  | R_send of int * string  (** sender, tag *)
+  | R_feed of int * int  (** from, to a sender *)
+  | R_resolve of int * bool  (** pid, completes *)
+  | R_poll of string option  (** every world of the receiver polls *)
+
+type rprog = {
+  senders : int;
+  preds : (int list * int list) array;  (** per universe pid: completes, fails *)
+  rpred : int list * int list;
+  cloneable : bool;
+  rsteps : rstep array;
+}
+
+let rstep_time i = float_of_int (10 * (i + 1))
+
+let rpred_to_string (c, f) =
+  "{"
+  ^ String.concat " "
+      (List.map (Printf.sprintf "+%d") c @ List.map (Printf.sprintf "-%d") f)
+  ^ "}"
+
+let rprog_to_string p =
+  let step i s =
+    Printf.sprintf "t=%g %s" (rstep_time i)
+      (match s with
+      | R_send (s, tag) -> Printf.sprintf "%d sends %d tagged %s" s i tag
+      | R_feed (u, s) -> Printf.sprintf "%d feeds %d" u s
+      | R_resolve (u, ok) ->
+        Printf.sprintf "%d %s" u (if ok then "completes" else "fails")
+      | R_poll None -> "poll"
+      | R_poll (Some tag) -> "poll tag " ^ tag)
+  in
+  String.concat "\n"
+    ((Printf.sprintf "receiver %s%s, %d senders" (rpred_to_string p.rpred)
+        (if p.cloneable then "" else " (not cloneable)")
+        p.senders
+     :: List.mapi (fun u q -> Printf.sprintf "pid %d %s" u (rpred_to_string q))
+          (Array.to_list p.preds))
+    @ List.mapi step (Array.to_list p.rsteps))
+
+let rprog_gen =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun senders ->
+  int_range (max 2 senders) 6 >>= fun universe ->
+  (* A process usually assumes its own completion, the shape of an
+     alternative, and now and then its own failure. *)
+  let pred ~self =
+    flatten_l
+      (List.init universe (fun u ->
+           frequency
+             (if u = self then [ (6, return `C); (3, return `N); (1, return `F) ]
+              else [ (6, return `N); (2, return `C); (2, return `F) ])))
+    >|= fun marks ->
+    let pick m = List.concat (List.mapi (fun u x -> if x = m then [ u ] else []) marks) in
+    (pick `C, pick `F)
+  in
+  flatten_l (List.init universe (fun u -> pred ~self:u)) >>= fun preds ->
+  (* A feed mostly comes from a pid the sender assumes completes, so
+     that the sender adopts its predicate. *)
+  let feed =
+    int_bound (senders - 1) >>= fun s ->
+    map
+      (fun u -> R_feed (u, s))
+      (match List.filter (( <> ) s) (fst (List.nth preds s)) with
+      | [] -> int_bound (universe - 1)
+      | us -> oneofl us)
+  in
+  let step =
+    frequency
+      [
+        ( 3,
+          map2
+            (fun s tag -> R_send (s, tag))
+            (int_bound (senders - 1))
+            (oneofl [ "a"; "b" ]) );
+        (1, feed);
+        (2, map2 (fun u ok -> R_resolve (u, ok)) (int_bound (universe - 1)) bool);
+        (3, map (fun tag -> R_poll tag) (oneofl [ None; None; Some "a"; Some "b" ]));
+      ]
+  in
+  (* At most 8 sends, each pid resolved at most once, and a last poll. *)
+  let rec keep sends resolved = function
+    | [] -> [ R_poll None ]
+    | (R_send _ as s) :: rest ->
+      if sends = 8 then keep sends resolved rest else s :: keep (sends + 1) resolved rest
+    | (R_resolve (u, _) as s) :: rest ->
+      if List.mem u resolved then keep sends resolved rest
+      else s :: keep sends (u :: resolved) rest
+    | s :: rest -> s :: keep sends resolved rest
+  in
+  let random =
+    map3
+      (fun rpred cloneable steps ->
+        let preds = Array.of_list preds and rsteps = Array.of_list steps in
+        { senders; preds; rpred; cloneable; rsteps })
+      (pred ~self:(-1)) bool
+      (list_size (int_range 3 16) step)
+  in
+  (* One program in four opens with the shape per-sender FIFO is about.
+     Sender 0 assumes pid 1 completes, but not its own completion. It
+     sends, adopts pid 1's predicate and sends again, to a receiver that
+     cannot be cloned and does not assume sender 0 completes. The first
+     message is then often deferred and the second ignored. *)
+  let fifo =
+    random >|= fun p ->
+    let drop us = List.filter (fun u -> not (List.mem u us)) in
+    let preds = Array.copy p.preds in
+    let c, f = preds.(0) in
+    preds.(0) <- (List.sort_uniq compare (1 :: drop [ 0 ] c), drop [ 0; 1 ] f);
+    {
+      p with
+      preds;
+      rpred = (drop [ 0 ] (fst p.rpred), snd p.rpred);
+      cloneable = false;
+      rsteps =
+        Array.append [| R_send (0, "a"); R_feed (1, 0); R_send (0, "a") |] p.rsteps;
+    }
+  in
+  map
+    (fun p -> { p with rsteps = Array.of_list (keep 0 [] (Array.to_list p.rsteps)) })
+    (frequency [ (3, random); (1, fifo) ])
+
+(* One line per receiver world (its polls, then whether it lives),
+   sorted; one per universe pid that took a feed (its polls); then the
+   fates of the universe. A poll shows its time, the predicate before
+   it, the message accepted ("-" for none), the messages ignored with
+   their reasons, and the predicate after it. *)
+let rprog_report worlds fed fates =
+  String.concat "\n" (List.sort compare worlds @ fed) ^ "\nfates " ^ fates
+
+let rpoll_to_string t before got ignored after =
+  Printf.sprintf "%g:%s>%s%s:%s " t before got ignored after
+
+let rprog_engine p =
+  let eng = Engine.create () in
+  let univ = Array.of_list (Engine.fresh_pids eng (Array.length p.preds)) in
+  let pred (c, f) =
+    Predicate.make ~must_complete:(List.map (Array.get univ) c)
+      ~must_fail:(List.map (Array.get univ) f)
+  in
+  let show q =
+    let ints s = List.map Pid.to_int (Pid.Set.elements s) in
+    rpred_to_string (ints (Predicate.must_complete q), ints (Predicate.must_fail q))
+  in
+  let until ctx t = Engine.delay ctx (t -. Engine.now eng) in
+  let forever ctx = ignore (Engine.receive ctx ~tag:"never" ()) in
+  let records = ref [] in
+  (* Poll at [t]; a clone replays the polls before its split at its own
+     start time, later than theirs, so only live polls are recorded. *)
+  let poll ctx i t tag =
+    until ctx t;
+    let before = show (Engine.my_predicate ctx) in
+    let got = Engine.receive_timeout ctx ?tag ~timeout:0. () in
+    if Engine.now eng < t +. 0.5 then
+      records :=
+        ( Engine.self ctx,
+          i,
+          before,
+          (match got with
+          | Some m -> string_of_int (Payload.get_int m.Message.payload)
+          | None -> "-"),
+          show (Engine.my_predicate ctx) )
+        :: !records
+  in
+  let steps = List.mapi (fun i s -> (i, s)) (Array.to_list p.rsteps) in
+  let recv =
+    Engine.spawn eng ~predicate:(pred p.rpred) ~cloneable:p.cloneable (fun ctx ->
+        List.iter
+          (function i, R_poll tag -> poll ctx i (rstep_time i) tag | _ -> ())
+          steps;
+        forever ctx)
+  in
+  Array.iteri
+    (fun u pid ->
+      let rec go ctx = function
+        | [] -> forever ctx
+        | (i, R_send (s, tag)) :: rest when s = u ->
+          until ctx (rstep_time i);
+          Engine.send ctx ~tag recv (Payload.int i);
+          go ctx rest
+        | (i, R_feed (v, s)) :: rest when v = u || s = u ->
+          if v = u then begin
+            until ctx (rstep_time i);
+            Engine.send ctx ~tag:"feed" univ.(s) (Payload.int i)
+          end;
+          if s = u then poll ctx i (rstep_time i +. 0.5) (Some "feed");
+          go ctx rest
+        | (i, R_resolve (v, ok)) :: _ when v = u ->
+          until ctx (rstep_time i);
+          if not ok then Engine.abort ctx "fails"
+        | _ :: rest -> go ctx rest
+      in
+      ignore
+        (Engine.spawn eng ~pid ~predicate:(pred p.preds.(u)) ~cloneable:false (fun ctx ->
+             go ctx steps)))
+    univ;
+  match Engine.run eng with
+  | exception e -> "Engine.run raised " ^ Printexc.to_string e
+  | () ->
+    let events = Trace.events (Engine.trace eng) in
+    let polls pid =
+      let poll (_, i, before, got, after) =
+        let t = rstep_time i in
+        let ignored =
+          List.filter_map
+            (function
+              | time, Trace.Ignored { dest; msg; reason }
+                when Pid.equal dest pid && time >= t && time < t +. 1. ->
+                Some
+                  (Printf.sprintf " x%d(%s)" (Payload.get_int msg.Message.payload) reason)
+              | _ -> None)
+            events
+        in
+        rpoll_to_string t before got (String.concat "" ignored) after
+      in
+      String.concat ""
+        (List.rev_map poll
+           (List.filter (fun (q, _, _, _, _) -> Pid.equal q pid) !records))
+    in
+    let world pid =
+      polls pid
+      ^
+      match Engine.status eng pid with
+      | None -> "live"
+      | Some (Engine.Eliminated _) -> "dead"
+      | Some (Engine.Crashed r) -> "crashed " ^ r
+      | Some _ -> "exited"
+    in
+    let clones =
+      List.filter_map
+        (function _, Trace.Split { clone; _ } -> Some clone | _ -> None)
+        events
+    in
+    let fed =
+      List.filter_map
+        (fun pid ->
+          match polls pid with
+          | "" -> None
+          | s -> Some (Printf.sprintf "%d: %s" (Pid.to_int pid) s))
+        (Array.to_list univ)
+    in
+    rprog_report
+      (List.map world (recv :: clones))
+      fed
+      (String.concat ""
+         (Array.to_list
+            (Array.map
+               (fun pid ->
+                 match Fate_registry.fate (Engine.registry eng) pid with
+                 | Some Predicate.Completed -> "C"
+                 | Some Predicate.Failed -> "F"
+                 | None -> "?")
+               univ)))
+
+(* A receiver world of the model, or a universe process's predicate and
+   feed mailbox. *)
+type rworld = {
+  mutable wpred : int list * int list;
+  mutable mbox : (int * int * string * (int list * int list)) list;
+      (** id, sender, tag, the predicate the send stamped *)
+  wclone : bool;
+  mutable alive : bool;
+  mutable wlog : string list;  (** newest first *)
+}
+
+let rworld wpred wclone = { wpred; mbox = []; wclone; alive = true; wlog = [] }
+
+let rprog_model p =
+  let n = Array.length p.preds in
+  let fate = Array.make n None in
+  (* [`Deferred]: exited while its predicate was still uncertain. *)
+  let state = Array.make n `Alive in
+  let procs = Array.map (fun q -> rworld q false) p.preds in
+  let undecided = List.filter (fun u -> fate.(u) = None) in
+  let normalize (c, f) =
+    if
+      List.exists (fun u -> fate.(u) = Some `F) c
+      || List.exists (fun u -> fate.(u) = Some `C) f
+    then `Dead
+    else `Live (undecided c, undecided f)
+  in
+  let sub a b = List.for_all (fun x -> List.mem x b) a in
+  let meets a b = List.exists (fun x -> List.mem x b) a in
+  let union a b = List.sort_uniq compare (a @ b) in
+  (* Section 3.4.2, over pid-set pairs. *)
+  let rule (rc, rf) sender s cloneable =
+    match s with
+    | `Dead -> `Ignore "dead world"
+    | `Live (sc, sf) ->
+      if sub sc rc && sub sf rf then `Accept
+      else if meets rc sf || meets rf sc || List.mem sender rf || List.mem sender sf then
+        `Ignore "conflict"
+      else if List.mem sender rc then `Adopt (union rc sc, union rf sf)
+      else if cloneable then
+        `Split ((union rc (sender :: sc), union rf sf), (rc, union rf [ sender ]))
+      else `Defer
+  in
+  let worlds = ref [ rworld p.rpred p.cloneable ] in
+  (* After each recorded fate, to a fixpoint: whatever holds a falsified
+     predicate dies, deferred fates settle, the rest are simplified. *)
+  let rec sweep () =
+    let changed = ref false in
+    Array.iteri
+      (fun u pr ->
+        match (state.(u), normalize pr.wpred) with
+        | `Gone, _ -> ()
+        | _, `Dead ->
+          state.(u) <- `Gone;
+          fate.(u) <- Some `F;
+          changed := true
+        | `Deferred, `Live ([], []) ->
+          state.(u) <- `Gone;
+          fate.(u) <- Some `C;
+          changed := true
+        | _, `Live q -> pr.wpred <- q)
+      procs;
+    List.iter
+      (fun w ->
+        if w.alive then
+          match normalize w.wpred with
+          | `Dead -> w.alive <- false
+          | `Live q -> w.wpred <- q)
+      !worlds;
+    if !changed then sweep ()
+  in
+  let decide u f =
+    state.(u) <- `Gone;
+    fate.(u) <- Some f;
+    sweep ()
+  in
+  let resolve u ok =
+    if state.(u) = `Alive then
+      if not ok then decide u `F
+      else
+        let c, f = procs.(u).wpred in
+        match normalize (List.filter (( <> ) u) c, f) with
+        | `Dead -> decide u `F
+        | `Live ([], []) -> decide u `C
+        | `Live q ->
+          state.(u) <- `Deferred;
+          procs.(u).wpred <- q
+  in
+  let send i u tag dests =
+    if state.(u) = `Alive then
+      let stamped =
+        match normalize procs.(u).wpred with `Live q -> q | `Dead -> procs.(u).wpred
+      in
+      List.iter
+        (fun w -> if w.alive then w.mbox <- w.mbox @ [ (i, u, tag, stamped) ])
+        dests
+  in
+  (* One poll by [w]: the first acceptable entry, deferring per sender
+     and never overtaking a deferred sender. A split's clone polls next. *)
+  let poll t tag pending w =
+    let before = w.wpred and ignored = Buffer.create 16 in
+    let rec scan blocked kept = function
+      | [] ->
+        w.mbox <- List.rev kept;
+        "-"
+      | ((id, sender, etag, stamped) as e) :: rest -> (
+        if (match tag with None -> false | Some t -> t <> etag) || List.mem sender blocked
+        then scan blocked (e :: kept) rest
+        else
+          match
+            if stamped = ([], []) then `Accept
+            else rule w.wpred sender (normalize stamped) w.wclone
+          with
+          | `Defer -> scan (sender :: blocked) (e :: kept) rest
+          | `Ignore reason ->
+            Printf.bprintf ignored " x%d(%s)" id reason;
+            scan blocked kept rest
+          | (`Accept | `Adopt _ | `Split _) as r ->
+            let others = List.rev_append kept rest in
+            (match r with
+            | `Adopt q -> w.wpred <- q
+            | `Split (accept, reject) ->
+              let c = { (rworld reject true) with mbox = others } in
+              worlds := !worlds @ [ c ];
+              Queue.push c pending;
+              w.wpred <- accept
+            | `Accept -> ());
+            w.mbox <- others;
+            string_of_int id)
+    in
+    let got = scan [] [] w.mbox in
+    w.wlog <-
+      rpoll_to_string t (rpred_to_string before) got (Buffer.contents ignored)
+        (rpred_to_string w.wpred)
+      :: w.wlog
+  in
+  Array.iteri
+    (fun i s ->
+      let t = rstep_time i in
+      match s with
+      | R_send (u, tag) -> send i u tag !worlds
+      | R_feed (u, s) ->
+        send i u "feed" [ procs.(s) ];
+        if state.(s) = `Alive then poll t (Some "feed") (Queue.create ()) procs.(s)
+      | R_resolve (u, ok) -> resolve u ok
+      | R_poll tag ->
+        let pending = Queue.create () in
+        List.iter (fun w -> if w.alive then Queue.push w pending) !worlds;
+        while not (Queue.is_empty pending) do
+          poll t tag pending (Queue.pop pending)
+        done)
+    p.rsteps;
+  rprog_report
+    (List.map
+       (fun w -> String.concat "" (List.rev w.wlog) ^ if w.alive then "live" else "dead")
+       !worlds)
+    (List.concat
+       (List.mapi
+          (fun u pr ->
+            match pr.wlog with
+            | [] -> []
+            | l -> [ Printf.sprintf "%d: %s" u (String.concat "" (List.rev l)) ])
+          (Array.to_list procs)))
+    (String.concat ""
+       (Array.to_list
+          (Array.map (function Some `C -> "C" | Some `F -> "F" | None -> "?") fate)))
+
+let prop_receipt_model =
+  QCheck.Test.make ~name:"model: receipts over a plain list" ~count:500
+    (QCheck.make ~print:rprog_to_string rprog_gen)
+    (fun p ->
+      let engine = rprog_engine p and model = rprog_model p in
+      engine = model
+      || QCheck.Test.fail_reportf "engine:@.%s@.model:@.%s" engine model)
+
 let test_deferred_fate_resolution () =
   (* A process that exits ok while assuming another completes gets its fate
      recorded only when that other resolves. *)
@@ -1631,6 +2257,18 @@ let () =
             test_oblivious_receiver_never_splits;
           Alcotest.test_case "conflicting message ignored" `Quick
             test_conflicting_message_ignored;
+          Alcotest.test_case "receipt: implied accept" `Quick test_receipt_implied;
+          Alcotest.test_case "receipt: dead-world ignore" `Quick test_receipt_dead_world;
+          Alcotest.test_case "receipt: adopt" `Quick test_receipt_adopt;
+          Alcotest.test_case "receipt: defer, then accept" `Quick
+            test_receipt_defer_then_accept;
+          Alcotest.test_case "receipt: a deferral is not ignored" `Quick
+            test_receipt_deferral_not_ignored;
+          Alcotest.test_case "receipt: rejecting world ignores its sender" `Quick
+            test_receipt_rejecting_world;
+          Alcotest.test_case "receipt: sender assuming its own failure" `Quick
+            test_receipt_sender_assumes_failure;
+          QCheck_alcotest.to_alcotest prop_receipt_model;
         ] );
       ( "fates",
         [
