@@ -376,6 +376,13 @@ let check_world rr h =
                "%a belonged to a falsified world but was never eliminated"
                Pid.pp pid))
     (History.kills h);
+  (* A winner that never settles keeps its gated source output
+     buffered for ever. *)
+  (match rr.report.Concurrent.winner with
+  | Some w
+    when Fate_registry.fate (Engine.registry rr.engine) w <> Some Predicate.Completed ->
+    add (Format.asprintf "winner %a is not recorded completed at quiescence" Pid.pp w)
+  | _ -> ());
   let live = Engine.live_count rr.engine in
   if live <> 0 then
     add (Printf.sprintf "%d processes still live at quiescence" live);

@@ -15,8 +15,8 @@
       the winning alternative alone (section 3);
     - {b world}: no process accepted a message whose sending predicate
       conflicts with its own, fates are immutable, falsified worlds were
-      eliminated, and nothing is left live at quiescence (sections
-      3.3-3.4);
+      eliminated, the reported winner is recorded completed, and nothing
+      is left live at quiescence (sections 3.3-3.4);
     - {b elimination}: every spawned alternative exits exactly once, an
       [ok] exit only for a child that won some epoch, and synchronisation
       losers abort (section 3.2.1);

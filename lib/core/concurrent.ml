@@ -102,17 +102,15 @@ type 'a latch_value =
   | All_failed_l
 
 (* Build the child predicates: each alternative inherits the parent's
-   assumptions, assumes it completes, and assumes its siblings do not
-   (section 3.3: "sibling rivalry taken to its extreme"). *)
-let child_predicate parent_pred pids i =
-  let p = Predicate.assume_completes parent_pred pids.(i) in
-  let n = Array.length pids in
-  let rec add p j =
-    if j >= n then p
-    else if j = i then add p (j + 1)
-    else add (Predicate.assume_fails p pids.(j)) (j + 1)
-  in
-  add p 0
+   assumptions, assumes it completes, and assumes its open siblings do not
+   (section 3.3: "sibling rivalry taken to its extreme"). A closed one is
+   never spawned, so its fate, never decided, must not be assumed. *)
+let child_predicate parent_pred pids open_ i =
+  let p = ref (Predicate.assume_completes parent_pred pids.(i)) in
+  for j = 0 to Array.length pids - 1 do
+    if j <> i && open_.(j) then p := Predicate.assume_fails !p pids.(j)
+  done;
+  !p
 
 (* CPU burnt by every child but the winner, added in the order given:
    each caller passes its children in ascending pid order. *)
@@ -364,7 +362,7 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
           in
           let pid =
             Engine.spawn eng ~pid:pids.(i) ~parent:parent_pid
-              ~predicate:(child_predicate parent_pred pids i)
+              ~predicate:(child_predicate parent_pred pids open_ i)
               ?space:spaces.(i) ~cloneable:false
               ~name:(alt.Alternative.name ^ index_suffix i)
               body

@@ -58,4 +58,15 @@ let normalize t pred =
     | Predicate.Simplified p -> `Live p
     | Predicate.Falsified -> `Dead
 
+let resolution t ~pid pred =
+  match fate t pid with
+  | Some Predicate.Completed -> `Certain
+  | Some Predicate.Failed -> `Dead
+  | None when Predicate.is_certain pred -> `Certain
+  | None -> (
+    match Predicate.resolve_all pred ~fate:t.lookup with
+    | Predicate.Unchanged -> `Pending
+    | Predicate.Simplified p -> if Predicate.is_certain p then `Certain else `Pending
+    | Predicate.Falsified -> `Dead)
+
 let decided t = t.decided

@@ -30,5 +30,11 @@ val normalize : t -> Predicate.t -> [ `Live of Predicate.t | `Dead ]
     longer exists. [`Live p] carries the residual (possibly empty)
     predicate; it is the argument itself when no pid of it is decided. *)
 
+val resolution : t -> pid:Pid.t -> Predicate.t -> [ `Certain | `Dead | `Pending ]
+(** What is decided about the world of [pid], which holds [pred]: its
+    recorded fate ([`Certain] if completed, [`Dead] if failed), or else
+    whether [pred] normalises to [`Dead] or to an empty residue
+    ([`Certain]). A certain or wholly undecided [pred] allocates nothing. *)
+
 val decided : t -> int
 (** Number of pids with a recorded fate. *)

@@ -135,13 +135,13 @@ type receipt =
   | Ignore of string
   | Defer
 
-let receipt r ~sender s ~cloneable =
+let receipt r ~sender ~stamp s ~cloneable =
   match s with
   | `Dead -> Ignore "dead world"
+  | `Live _ when mem_fails stamp sender -> Ignore "conflict"
   | `Live s ->
     if implies r s then Accept
-    else if conflicts r s || mem_fails r sender || mem_fails s sender then
-      Ignore "conflict"
+    else if conflicts r s || mem_fails r sender then Ignore "conflict"
     else if mem_completes r sender then Adopt (conjoin r s)
     else if cloneable then
       Split

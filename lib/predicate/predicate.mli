@@ -77,13 +77,16 @@ type receipt =
       (** Leave it queued, and take no later message of its sender before
           it, until the sender's fate resolves. *)
 
-val receipt : t -> sender:Pid.t -> [ `Live of t | `Dead ] -> cloneable:bool -> receipt
-(** [receipt r ~sender s ~cloneable]: the receipt of a message from
-    [sender], whose predicate normalises to [s], by a receiver holding
-    [r]. Decided in this order, the first that applies:
+val receipt :
+  t -> sender:Pid.t -> stamp:t -> [ `Live of t | `Dead ] -> cloneable:bool -> receipt
+(** [receipt r ~sender ~stamp s ~cloneable]: the receipt of a message from
+    [sender], stamped with [stamp], which normalises to [s], by a receiver
+    holding [r]. Decided in this order, the first that applies:
     - [`Dead]: [Ignore "dead world"];
-    - [implies r s]: [Accept] (so a certain [s] is always accepted);
-    - [conflicts r s], or [r] or [s] assumes [sender] fails: [Ignore
+    - [stamp] assumes [sender] fails: [Ignore "conflict"], as below ([s]
+      drops that assumption once [sender] is recorded failed);
+    - [implies r s]: [Accept] (so a certain [stamp] is always accepted);
+    - [conflicts r s], or [r] assumes [sender] fails: [Ignore
       "conflict"], since taking it means assuming [sender] completes;
     - [r] assumes [sender] completes: [Adopt (conjoin r s)];
     - [cloneable]: [Split], [accept] being [conjoin r s] plus [sender]

@@ -161,7 +161,7 @@ and t = {
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
   mutable events_processed : int;  (* also the batch-join epoch *)
   mutable live : int;
-  mutable deferred : Pid.t list;  (* exited ok, fate deferred on predicates *)
+  mutable deferred : pcb list;  (* exited ok, fate deferred on predicates *)
   mutable stopped : bool;
   mutable sweeping : bool;
   mutable sweep_again : bool;
@@ -419,34 +419,48 @@ let rec finalize t pcb st =
         with e ->
           tr t (Trace.Note ("exit watcher raised: " ^ Printexc.to_string e)))
       watchers;
-    (match st with
+    match st with
     | Exited_ok -> (
       (* An alternative's predicate assumes its own completion; its exit is
-         precisely what resolves that assumption. *)
-      (match Predicate.resolve pcb.predicate ~pid:pcb.pid ~fate:Predicate.Completed with
-      | Predicate.Simplified p -> pcb.predicate <- p
-      | Predicate.Unchanged -> ()
-      | Predicate.Falsified ->
-        (* It assumed its own failure: an impossible world; drop the
-           self-assumption and let the normal sweep handle the rest. *)
-        ());
-      match Fate_registry.normalize t.reg pcb.predicate with
-      | `Dead ->
-        fire_res_watchers t pcb `Dead;
-        record_fate t pcb.pid Predicate.Failed
-      | `Live p when Predicate.is_certain p ->
-        fire_res_watchers t pcb `Certain;
-        record_fate t pcb.pid Predicate.Completed
-      | `Live p ->
-        (* Completion is conditional on unresolved assumptions: defer the
-           fate until they resolve (the process "cannot commit" yet). *)
-        pcb.predicate <- p;
-        t.deferred <- pcb.pid :: t.deferred;
-        if wants t Trace.Kind.fate_deferred then
-          tr t (Trace.Fate_deferred pcb.pid))
-    | Exited_failed _ | Crashed _ | Eliminated _ ->
-      fire_res_watchers t pcb `Dead;
-      record_fate t pcb.pid Predicate.Failed)
+         precisely what resolves that assumption. One that assumed its own
+         failure lived in a world that cannot exist. *)
+      match Predicate.resolve pcb.predicate ~pid:pcb.pid ~fate:Predicate.Completed with
+      | Predicate.Falsified -> decide t pcb `Dead
+      | r ->
+        (match r with Predicate.Simplified p -> pcb.predicate <- p | _ -> ());
+        if not (settle_exited t pcb) then begin
+          (* Completion is conditional on unresolved assumptions: defer the
+             fate until they resolve (the process "cannot commit" yet). *)
+          t.deferred <- pcb :: t.deferred;
+          if wants t Trace.Kind.fate_deferred then tr t (Trace.Fate_deferred pcb.pid)
+        end)
+    | Exited_failed _ | Crashed _ | Eliminated _ -> decide t pcb `Dead
+
+(* Settle the fate of a process that exited ok, if what it assumes is
+   known by now: [false] while it stays pending, holding the residue. *)
+and settle_exited t pcb =
+  match Fate_registry.normalize t.reg pcb.predicate with
+  | `Dead ->
+    decide t pcb `Dead;
+    true
+  | `Live p when Predicate.is_certain p ->
+    decide t pcb `Certain;
+    true
+  | `Live p ->
+    pcb.predicate <- p;
+    false
+
+(* Tell the resolution watchers, then record the fate [outcome] means
+   and sweep. Each process is decided once: at a failed exit, or when its
+   ok exit settles. *)
+and decide t pcb outcome =
+  fire_res_watchers t pcb outcome;
+  let fate =
+    match outcome with `Certain -> Predicate.Completed | `Dead -> Predicate.Failed
+  in
+  Fate_registry.record t.reg pcb.pid fate;
+  if wants t Trace.Kind.fate then tr t (Trace.Fate { pid = pcb.pid; fate });
+  sweep t
 
 and fire_res_watchers t pcb outcome =
   let ws = pcb.res_watchers in
@@ -457,14 +471,6 @@ and fire_res_watchers t pcb outcome =
       with e ->
         tr t (Trace.Note ("resolution watcher raised: " ^ Printexc.to_string e)))
     ws
-
-and record_fate t pid fate =
-  (match Fate_registry.fate t.reg pid with
-  | Some f when f = fate -> ()
-  | _ ->
-    Fate_registry.record t.reg pid fate;
-    if wants t Trace.Kind.fate then tr t (Trace.Fate { pid; fate }));
-  sweep t
 
 and kill t pid ~reason =
   match find_pcb t pid with
@@ -527,27 +533,7 @@ and sweep t =
       (* Settle deferred fates. *)
       let deferred = t.deferred in
       t.deferred <- [];
-      let still =
-        List.filter
-          (fun pid ->
-            match find_pcb t pid with
-            | None -> false
-            | Some pcb -> (
-              match Fate_registry.normalize t.reg pcb.predicate with
-              | `Dead ->
-                fire_res_watchers t pcb `Dead;
-                record_fate t pid Predicate.Failed;
-                false
-              | `Live p when Predicate.is_certain p ->
-                pcb.predicate <- p;
-                fire_res_watchers t pcb `Certain;
-                record_fate t pid Predicate.Completed;
-                false
-              | `Live p ->
-                pcb.predicate <- p;
-                true))
-          deferred
-      in
+      let still = List.filter (fun pcb -> not (settle_exited t pcb)) deferred in
       t.deferred <- still @ t.deferred;
       continue := t.sweep_again
     done;
@@ -623,6 +609,7 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
           Predicate.Accept
         else
           Predicate.receipt pcb.predicate ~sender:m.Message.sender
+            ~stamp:m.Message.predicate
             (Fate_registry.normalize t.reg m.Message.predicate)
             ~cloneable:pcb.cloneable
       with
@@ -1074,18 +1061,20 @@ let on_exit t pid f =
     | Dead st -> f st
     | _ -> pcb.exit_watchers <- f :: pcb.exit_watchers)
 
+(* What is decided about [pcb]'s world. One that ended other than ok has
+   failed, also in the exit watchers run before its fate is recorded. *)
+let resolution t pcb =
+  match pcb.state with
+  | Dead (Exited_failed _ | Crashed _ | Eliminated _) -> `Dead
+  | _ -> Fate_registry.resolution t.reg ~pid:pcb.pid pcb.predicate
+
 let on_resolution t pid f =
   match find_pcb t pid with
   | None -> invalid_arg "Engine.on_resolution: unknown pid"
   | Some pcb -> (
-    match Fate_registry.normalize t.reg pcb.predicate with
-    | `Dead -> f `Dead
-    | `Live p when Predicate.is_certain p && is_alive pcb -> f `Certain
-    | _ -> (
-      match pcb.state with
-      | Dead (Exited_ok) -> pcb.res_watchers <- f :: pcb.res_watchers
-      | Dead _ -> f `Dead
-      | _ -> pcb.res_watchers <- f :: pcb.res_watchers))
+    match resolution t pcb with
+    | `Pending -> pcb.res_watchers <- f :: pcb.res_watchers
+    | (`Certain | `Dead) as o -> f o)
 
 let preserve_space t pid =
   match find_pcb t pid with
@@ -1239,16 +1228,10 @@ let children_of t pid =
       match pcb.parent with Some p -> Pid.equal p pid | None -> false)
 
 let certain_of t pid =
-  match Fate_registry.fate t.reg pid with
-  | Some Predicate.Completed -> true
-  | Some Predicate.Failed -> false
-  | None -> (
-    match find_pcb t pid with
-    | None -> false
-    | Some pcb -> (
-      match Fate_registry.normalize t.reg pcb.predicate with
-      | `Live p -> Predicate.is_certain p
-      | `Dead -> false))
+  match find_pcb t pid with
+  | None -> false
+  | Some pcb -> resolution t pcb = `Certain
+
 let abort _ctx reason = raise (Abort_process reason)
 
 let random_bits ctx =
@@ -1266,10 +1249,7 @@ let random_bits ctx =
 
 let my_predicate ctx = ctx.pcb.predicate
 
-let is_certain ctx =
-  match Fate_registry.normalize ctx.engine.reg ctx.pcb.predicate with
-  | `Live p -> Predicate.is_certain p
-  | `Dead -> false
+let is_certain ctx = resolution ctx.engine ctx.pcb = `Certain
 
 module Ivar = struct
   type 'a t = 'a ivar

@@ -25,9 +25,9 @@
 
     Message receipt compares the receiver's predicate with the sender's, as
     in section 3.4.2 of the paper, and {!Predicate.receipt} is the whole
-    rule. In order: a message from a dead world is ignored, an implied one
-    accepted, and a conflicting one ignored; so is one whose sender either
-    side assumes fails, since taking it assumes the sender completes. A
+    rule. In order: a message from a dead world or stamped assuming its
+    sender fails is ignored, an implied one accepted, and a conflicting one
+    or one whose sender the receiver assumes fails ignored. A
     receiver that already assumes the sender completes adopts the rest;
     any other message splits the receiver in two. The paper splits with a
     COW fork; here a clone is produced by {e deterministic replay}: the
@@ -231,7 +231,7 @@ val random_bits : ctx -> int64
 val my_predicate : ctx -> Predicate.t
 
 val is_certain : ctx -> bool
-(** No unresolved assumptions: this process may touch source devices. *)
+(** Decided [`Certain] ({!on_resolution}): it may touch source devices. *)
 
 (** {2 Write-once cells (the local synchronisation latch)} *)
 
@@ -265,8 +265,11 @@ end
 (** {2 Engine-level hooks} *)
 
 val on_resolution : t -> Pid.t -> ([ `Certain | `Dead ] -> unit) -> unit
-(** Call back when the pid's predicate becomes empty ([`Certain]) or its
-    world dies ([`Dead]). Fires immediately if already decided. Used by the
+(** Call back once with what is decided about the pid's world, at once if
+    it is decided already: [`Certain] once its fate is recorded completed
+    or its predicate, normalised against the recorded fates, is empty;
+    [`Dead] once its fate is recorded failed, it ended other than ok, or
+    its predicate is falsified ({!Fate_registry.resolution}). Used by the
     source-device layer to flush or discard gated side effects. *)
 
 val stats_events_processed : t -> int
@@ -301,11 +304,9 @@ val space_of : t -> Pid.t -> Address_space.t option
     {!preserve_space} was called. *)
 
 val certain_of : t -> Pid.t -> bool
-(** Engine-level counterpart of {!is_certain}: whether the pid's existence
-    is free of unresolved assumptions {e right now}. A pid whose fate is
-    recorded as completed is certain; a failed or dead-world pid is not.
-    Used by the source-device layer to stamp emissions, and by the analysis
-    layer to audit them. *)
+(** Whether the pid is decided [`Certain] {e right now}, as {!on_resolution}
+    would say; [false] for an unknown pid. Used by the source-device layer
+    to stamp emissions, and by the analysis layer to audit them. *)
 
 val name_of : t -> Pid.t -> string option
 (** The name the pid was spawned with. Works after exit (post-mortem

@@ -482,6 +482,39 @@ let test_winner_fate_completed_losers_failed () =
       children
   | None, _ -> Alcotest.fail "expected a winner")
 
+(* Regression: under before-spawn and redundant guards the closed
+   alternative's pid was issued but never spawned, yet the open one still
+   assumed it fails. That fate is never decided, so the winner never
+   became certain and its tty line stayed buffered. Every placement must
+   emit the winner's line and record it completed. *)
+let test_guard_placements_agree () =
+  List.iter
+    (fun guards ->
+      let eng = Engine.create ~trace:false () in
+      let tty = Source.create eng ~name:"tty" in
+      let alt ?guard line =
+        Alternative.make ?guard (fun ctx ->
+            Source.write ctx tty line;
+            Engine.delay ctx 1.;
+            line)
+      in
+      let r =
+        Concurrent.run_toplevel eng
+          ~policy:{ Concurrent.default_policy with guards }
+          [ alt ~guard:(fun _ -> false) "closed"; alt "winner" ]
+      in
+      let name = Concurrent.describe { Concurrent.default_policy with guards } in
+      check
+        Alcotest.(list string)
+        (name ^ ": tty") [ "winner" ]
+        (List.map (fun (_, _, l) -> l) (Source.output tty));
+      match r.Concurrent.winner with
+      | Some w ->
+        check Alcotest.bool (name ^ ": winner completed") true
+          (Fate_registry.fate (Engine.registry eng) w = Some Predicate.Completed)
+      | None -> Alcotest.fail (name ^ ": no winner"))
+    Concurrent.[ Guard_in_child; Guard_before_spawn; Guard_at_sync; Guard_redundant ]
+
 (* The observable outcome must equal some sequential selection: the
    transparency property, tested over random cost vectors. *)
 let prop_concurrent_selects_a_real_alternative =
@@ -970,6 +1003,7 @@ let () =
           Alcotest.test_case "core contention" `Quick test_cores_contention_slows_block;
           Alcotest.test_case "empty block rejected" `Quick test_empty_block_rejected;
           Alcotest.test_case "fates recorded" `Quick test_winner_fate_completed_losers_failed;
+          Alcotest.test_case "guard placements agree" `Quick test_guard_placements_agree;
           Alcotest.test_case "children inherit parent predicates" `Quick
             test_children_inherit_parent_predicates;
           QCheck_alcotest.to_alcotest prop_concurrent_selects_a_real_alternative;

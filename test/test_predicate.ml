@@ -139,6 +139,23 @@ let test_registry_normalize () =
     check Alcotest.int "only one left" 1 (Predicate.cardinal q)
   | `Dead -> Alcotest.fail "should be live")
 
+(* A recorded fate decides over the predicate; without one, the
+   normalised predicate does. *)
+let test_registry_resolution () =
+  let r = Fate_registry.create () in
+  Fate_registry.record r (p 1) Predicate.Completed;
+  Fate_registry.record r (p 2) Predicate.Failed;
+  let case name want pid c f =
+    check Alcotest.bool name true
+      (Fate_registry.resolution r ~pid:(p pid) (pred c f) = want)
+  in
+  case "recorded completed" `Certain 1 [ 5 ] [];
+  case "recorded failed" `Dead 2 [] [];
+  case "certain predicate" `Certain 7 [] [];
+  case "fully resolved" `Certain 7 [ 1 ] [ 2 ];
+  case "falsified" `Dead 7 [ 2 ] [];
+  case "residue" `Pending 7 [ 1; 5 ] []
+
 (* ---------------- properties ---------------- *)
 
 let gen_pred =
@@ -510,6 +527,7 @@ let () =
         [
           Alcotest.test_case "record and query" `Quick test_registry_record_and_fate;
           Alcotest.test_case "normalize" `Quick test_registry_normalize;
+          Alcotest.test_case "resolution" `Quick test_registry_resolution;
           QCheck_alcotest.to_alcotest prop_registry_model;
         ] );
       ( "properties",

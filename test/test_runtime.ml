@@ -1564,22 +1564,25 @@ let rprog_to_string p =
           (Array.to_list p.preds))
     @ List.mapi step (Array.to_list p.rsteps))
 
+(* A predicate over pids [0 .. universe - 1], as (completes, fails). A
+   process usually assumes its own completion, the shape of an
+   alternative, and now and then its own failure. *)
+let pred_gen universe ~self =
+  let open QCheck.Gen in
+  flatten_l
+    (List.init universe (fun u ->
+         frequency
+           (if u = self then [ (6, return `C); (3, return `N); (1, return `F) ]
+            else [ (6, return `N); (2, return `C); (2, return `F) ])))
+  >|= fun marks ->
+  let pick m = List.concat (List.mapi (fun u x -> if x = m then [ u ] else []) marks) in
+  (pick `C, pick `F)
+
 let rprog_gen =
   let open QCheck.Gen in
   int_range 1 4 >>= fun senders ->
   int_range (max 2 senders) 6 >>= fun universe ->
-  (* A process usually assumes its own completion, the shape of an
-     alternative, and now and then its own failure. *)
-  let pred ~self =
-    flatten_l
-      (List.init universe (fun u ->
-           frequency
-             (if u = self then [ (6, return `C); (3, return `N); (1, return `F) ]
-              else [ (6, return `N); (2, return `C); (2, return `F) ])))
-    >|= fun marks ->
-    let pick m = List.concat (List.mapi (fun u x -> if x = m then [ u ] else []) marks) in
-    (pick `C, pick `F)
-  in
+  let pred = pred_gen universe in
   flatten_l (List.init universe (fun u -> pred ~self:u)) >>= fun preds ->
   (* A feed mostly comes from a pid the sender assumes completes, so
      that the sender adopts its predicate. *)
@@ -1809,13 +1812,13 @@ let rprog_model p =
   let meets a b = List.exists (fun x -> List.mem x b) a in
   let union a b = List.sort_uniq compare (a @ b) in
   (* Section 3.4.2, over pid-set pairs. *)
-  let rule (rc, rf) sender s cloneable =
+  let rule (rc, rf) sender stamped s cloneable =
     match s with
     | `Dead -> `Ignore "dead world"
+    | `Live _ when List.mem sender (snd stamped) -> `Ignore "conflict"
     | `Live (sc, sf) ->
       if sub sc rc && sub sf rf then `Accept
-      else if meets rc sf || meets rf sc || List.mem sender rf || List.mem sender sf then
-        `Ignore "conflict"
+      else if meets rc sf || meets rf sc || List.mem sender rf then `Ignore "conflict"
       else if List.mem sender rc then `Adopt (union rc sc, union rf sf)
       else if cloneable then
         `Split ((union rc (sender :: sc), union rf sf), (rc, union rf [ sender ]))
@@ -1859,12 +1862,15 @@ let rprog_model p =
       if not ok then decide u `F
       else
         let c, f = procs.(u).wpred in
-        match normalize (List.filter (( <> ) u) c, f) with
-        | `Dead -> decide u `F
-        | `Live ([], []) -> decide u `C
-        | `Live q ->
-          state.(u) <- `Deferred;
-          procs.(u).wpred <- q
+        (* Completing falsifies an assumption of its own failure. *)
+        if List.mem u f then decide u `F
+        else
+          match normalize (List.filter (( <> ) u) c, f) with
+          | `Dead -> decide u `F
+          | `Live ([], []) -> decide u `C
+          | `Live q ->
+            state.(u) <- `Deferred;
+            procs.(u).wpred <- q
   in
   let send i u tag dests =
     if state.(u) = `Alive then
@@ -1889,7 +1895,7 @@ let rprog_model p =
         else
           match
             if stamped = ([], []) then `Accept
-            else rule w.wpred sender (normalize stamped) w.wclone
+            else rule w.wpred sender stamped (normalize stamped) w.wclone
           with
           | `Defer -> scan (sender :: blocked) (e :: kept) rest
           | `Ignore reason ->
@@ -1950,6 +1956,244 @@ let prop_receipt_model =
     (QCheck.make ~print:rprog_to_string rprog_gen)
     (fun p ->
       let engine = rprog_engine p and model = rprog_model p in
+      engine = model
+      || QCheck.Test.fail_reportf "engine:@.%s@.model:@.%s" engine model)
+
+(* The fate model. Up to 6 processes, pids [0 .. n - 1], each holding a
+   generated predicate over those pids (itself included) and ending at
+   its own virtual time: ok, by abort, by crash, or never (parked on a
+   receive). Every pid's resolution and certainty is probed before the
+   run and at each half time, and a process's resolution again from its
+   exit watcher, just before its fate is decided. The reference is a plain
+   list settled to a fixpoint after each ending. Both report every fate
+   and exit, the dead-world kills, each watcher's outcomes with their
+   times, the [certain_of] probes and the live count at quiescence. *)
+type fend = F_ok | F_abort | F_crash | F_hang
+
+type fprog = {
+  fpreds : (int list * int list) array;  (** per pid: completes, fails *)
+  fends : (int * fend) array;  (** per pid: end time, ending *)
+}
+
+(* End times are distinct integers up to this; probes run at every half
+   time up to it, the last one at quiescence. *)
+let fprog_horizon = 12
+
+let fprog_to_string p =
+  String.concat "\n"
+    (List.mapi
+       (fun u q ->
+         Printf.sprintf "pid %d %s %s" u (rpred_to_string q)
+           (match p.fends.(u) with
+           | _, F_hang -> "hangs"
+           | t, e ->
+             Printf.sprintf "%s at t=%d"
+               (match e with F_ok -> "ok" | F_abort -> "aborts" | _ -> "crashes")
+               t))
+       (Array.to_list p.fpreds))
+
+let fprog_gen =
+  let open QCheck.Gen in
+  int_range 1 6 >>= fun n ->
+  flatten_l (List.init n (fun u -> pred_gen n ~self:u)) >>= fun preds ->
+  shuffle_l (List.init fprog_horizon (fun i -> i + 1)) >>= fun times ->
+  flatten_l
+    (List.init n (fun _ ->
+         frequency
+           [
+             (5, return F_ok); (2, return F_abort); (1, return F_crash); (1, return F_hang);
+           ]))
+  >|= fun ends ->
+  {
+    fpreds = Array.of_list preds;
+    fends = Array.of_list (List.mapi (fun u e -> (List.nth times u, e)) ends);
+  }
+
+let fevent u why t = Printf.sprintf "%d %s@%g" u why t
+
+let fout_to_string o t =
+  Printf.sprintf " %s@%g" (match o with `Certain -> "certain" | `Dead -> "dead") t
+
+let fprog_report ~fates ~exits ~kills ~watches ~certain ~live =
+  String.concat "\n"
+    ([ "fates " ^ fates; "exits " ^ exits;
+       "kills " ^ String.concat " " (List.sort compare kills) ]
+    @ List.sort compare
+        (List.map (fun (w, outs) -> w ^ ":" ^ String.concat "" !outs) watches)
+    @ List.rev certain
+    @ [ Printf.sprintf "live %d" live ])
+
+let fprog_engine p =
+  let n = Array.length p.fpreds in
+  let eng = Engine.create () in
+  let pids = Array.of_list (Engine.fresh_pids eng n) in
+  let watches = ref [] and certain = ref [] in
+  let watch why u =
+    let outs = ref [] in
+    watches := (fevent u why (Engine.now eng), outs) :: !watches;
+    Engine.on_resolution eng pids.(u) (fun o ->
+        outs := !outs @ [ fout_to_string o (Engine.now eng) ])
+  in
+  let probe () =
+    for u = 0 to n - 1 do
+      watch "probe" u
+    done;
+    certain :=
+      Printf.sprintf "certain_of@%g %s" (Engine.now eng)
+        (String.concat ""
+           (List.init n (fun u -> if Engine.certain_of eng pids.(u) then "1" else "0")))
+      :: !certain
+  in
+  Array.iteri
+    (fun u pid ->
+      let c, f = p.fpreds.(u) in
+      let predicate =
+        Predicate.make ~must_complete:(List.map (Array.get pids) c)
+          ~must_fail:(List.map (Array.get pids) f)
+      in
+      ignore
+        (Engine.spawn eng ~pid ~predicate (fun ctx ->
+             match p.fends.(u) with
+             | _, F_hang -> ignore (Engine.receive ctx ~tag:"never" ())
+             | t, e -> (
+               Engine.delay ctx (float_of_int t);
+               match e with
+               | F_abort -> Engine.abort ctx "aborts"
+               | F_crash -> failwith "crashes"
+               | _ -> ())));
+      Engine.on_exit eng pid (fun _ -> watch "exit" u))
+    pids;
+  probe ();
+  for h = 0 to fprog_horizon do
+    Engine.after eng ~delay:(float_of_int h +. 0.5) probe
+  done;
+  Engine.run eng;
+  let letters f = String.concat "" (Array.to_list (Array.map f pids)) in
+  fprog_report
+    ~fates:
+      (letters (fun pid ->
+           match Fate_registry.fate (Engine.registry eng) pid with
+           | Some Predicate.Completed -> "C"
+           | Some Predicate.Failed -> "F"
+           | None -> "?"))
+    ~exits:
+      (letters (fun pid ->
+           match Engine.status eng pid with
+           | None -> "-"
+           | Some Engine.Exited_ok -> "o"
+           | Some (Engine.Exited_failed _) -> "a"
+           | Some (Engine.Crashed _) -> "c"
+           | Some (Engine.Eliminated _) -> "e"))
+    ~kills:
+      (List.filter_map
+         (function
+           | t, Trace.Killed { pid; reason = "dead world" } ->
+             Some (fevent (Pid.to_int pid) "killed" t)
+           | _ -> None)
+         (Trace.events (Engine.trace eng)))
+    ~watches:!watches ~certain:!certain ~live:(Engine.live_count eng)
+
+let fprog_model p =
+  let n = Array.length p.fpreds in
+  let fate = Array.make n None in
+  (* '-' live, 'o' exited ok, 'a' aborted, 'c' crashed, 'e' eliminated *)
+  let exit = Array.make n '-' in
+  let kills = ref [] in
+  let watches = ref [] and certain = ref [] and waiting = ref [] in
+  (* What is decided about [u]'s world: its fate, or else its predicate
+     against every fate, less its own completion once it exited ok. *)
+  let resolution u =
+    match fate.(u) with
+    | Some `C -> `Certain
+    | Some `F -> `Dead
+    | None ->
+      let c, f = p.fpreds.(u) in
+      let c = if exit.(u) = 'o' then List.filter (( <> ) u) c else c in
+      if
+        List.exists (fun v -> fate.(v) = Some `F) c
+        || List.exists (fun v -> fate.(v) = Some `C) f
+      then `Dead
+      else if List.for_all (fun v -> fate.(v) <> None) (c @ f) then `Certain
+      else `Pending
+  in
+  let watch why u t =
+    let outs = ref [] in
+    watches := (fevent u why t, outs) :: !watches;
+    waiting := (u, outs) :: !waiting
+  in
+  (* Fire every waiting watcher whose pid is decided now. *)
+  let fire t =
+    waiting :=
+      List.filter
+        (fun (u, outs) ->
+          match resolution u with
+          | `Pending -> true
+          | (`Certain | `Dead) as o ->
+            outs := [ fout_to_string o t ];
+            false)
+        !waiting
+  in
+  (* Kill the live processes whose predicate is falsified and settle the
+     ones that exited ok, until nothing changes. *)
+  let rec settle t =
+    let changed = ref false in
+    for u = 0 to n - 1 do
+      if fate.(u) = None then
+        match (exit.(u), resolution u) with
+        | '-', `Dead ->
+          exit.(u) <- 'e';
+          fate.(u) <- Some `F;
+          kills := fevent u "killed" t :: !kills;
+          watch "exit" u t;
+          changed := true
+        | 'o', ((`Certain | `Dead) as o) ->
+          fate.(u) <- Some (if o = `Certain then `C else `F);
+          changed := true
+        | _ -> ()
+    done;
+    if !changed then settle t
+  in
+  let probe t =
+    for u = 0 to n - 1 do
+      watch "probe" u t
+    done;
+    fire t;
+    certain :=
+      Printf.sprintf "certain_of@%g %s" t
+        (String.concat ""
+           (List.init n (fun u -> if resolution u = `Certain then "1" else "0")))
+      :: !certain
+  in
+  probe 0.;
+  for h = 0 to fprog_horizon do
+    let t = float_of_int h in
+    Array.iteri
+      (fun u (e, ending) ->
+        if e = h && exit.(u) = '-' && ending <> F_hang then begin
+          watch "exit" u t;
+          exit.(u) <- (match ending with F_ok -> 'o' | F_abort -> 'a' | _ -> 'c');
+          (* Completing falsifies an assumption of its own failure. *)
+          if ending <> F_ok || List.mem u (snd p.fpreds.(u)) then fate.(u) <- Some `F
+        end)
+      p.fends;
+    settle t;
+    fire t;
+    probe (t +. 0.5)
+  done;
+  fprog_report
+    ~fates:
+      (String.concat ""
+         (Array.to_list
+            (Array.map (function Some `C -> "C" | Some `F -> "F" | None -> "?") fate)))
+    ~exits:(String.init n (fun u -> exit.(u)))
+    ~kills:!kills ~watches:!watches ~certain:!certain
+    ~live:(Array.fold_left (fun k x -> if x = '-' then k + 1 else k) 0 exit)
+
+let prop_fate_model =
+  QCheck.Test.make ~name:"model: fates over a plain list" ~count:500
+    (QCheck.make ~print:fprog_to_string fprog_gen)
+    (fun p ->
+      let engine = fprog_engine p and model = fprog_model p in
       engine = model
       || QCheck.Test.fail_reportf "engine:@.%s@.model:@.%s" engine model)
 
@@ -2022,6 +2266,42 @@ let test_on_resolution_hooks () =
   Engine.run eng;
   check Alcotest.bool "certain hook" true (!outcome_ok = Some `Certain);
   check Alcotest.bool "dead hook" true (!outcome_dead = Some `Dead)
+
+(* Regression: [on_resolution] on an already decided pid put the watcher
+   on a list nothing read again: a certain process that exited ok, and
+   one whose deferred fate then completed. *)
+let test_on_resolution_when_decided () =
+  let eng = mk () in
+  let dep = List.hd (Engine.fresh_pids eng 1) in
+  let certain = Engine.spawn eng (fun ctx -> Engine.delay ctx 1.) in
+  let deferred =
+    Engine.spawn eng ~predicate:(assumes [ dep ]) (fun ctx -> Engine.delay ctx 1.)
+  in
+  ignore (Engine.spawn eng ~pid:dep (fun ctx -> Engine.delay ctx 5.));
+  Engine.run eng;
+  check Alcotest.bool "the deferred one is certain" true (Engine.certain_of eng deferred);
+  List.iter
+    (fun pid ->
+      let got = ref [] in
+      Engine.on_resolution eng pid (fun o -> got := o :: !got);
+      check Alcotest.bool "fires at once" true (!got = [ `Certain ]))
+    [ certain; deferred ]
+
+(* Regression: an ok exit of a process that assumed its own failure left
+   its fate undecided for ever and its watcher unfired. Its world cannot
+   exist, so it settles as a dead one. *)
+let test_exit_assuming_own_failure () =
+  let eng = mk () in
+  let self = List.hd (Engine.fresh_pids eng 1) in
+  let got = ref [] in
+  ignore
+    (Engine.spawn eng ~pid:self ~predicate:(assumes [] ~fail:[ self ]) (fun ctx ->
+         Engine.delay ctx 1.));
+  Engine.on_resolution eng self (fun o -> got := o :: !got);
+  Engine.run eng;
+  check Alcotest.bool "failed" true
+    (Fate_registry.fate (Engine.registry eng) self = Some Predicate.Failed);
+  check Alcotest.bool "told dead" true (!got = [ `Dead ])
 
 let test_random_bits_logged_deterministic () =
   let run_once () =
@@ -2275,10 +2555,15 @@ let () =
           Alcotest.test_case "deferred fate resolution" `Quick test_deferred_fate_resolution;
           Alcotest.test_case "dead-world cascade" `Quick test_dead_world_cascade;
           Alcotest.test_case "on_resolution hooks" `Quick test_on_resolution_hooks;
+          Alcotest.test_case "on_resolution when decided" `Quick
+            test_on_resolution_when_decided;
+          Alcotest.test_case "ok exit assuming its own failure" `Quick
+            test_exit_assuming_own_failure;
           Alcotest.test_case "random bits deterministic" `Quick
             test_random_bits_logged_deterministic;
           Alcotest.test_case "parked pids at quiescence" `Quick
             test_parked_pids_at_quiescence;
+          QCheck_alcotest.to_alcotest prop_fate_model;
         ] );
       ( "ordering",
         [
