@@ -640,7 +640,8 @@ let run_supervised eng ?(policy = default_policy) ?space ?(max_restarts = 2)
                   ~ours:(Option.is_some space') ~start_delay
               in
               recoveries := (pid, pid', epoch') :: !recoveries;
-              tr (Trace.Recovered { failed = pid; successor = pid'; epoch = epoch' })
+              if Trace.wants (Engine.trace eng) Trace.Kind.recovered then
+                tr (Trace.Recovered { failed = pid; successor = pid'; epoch = epoch' })
           end
         end);
     pid

@@ -175,21 +175,37 @@ and t = {
     string option)
     option;
   mutable delivery_fault : (Message.t -> dest:Pid.t -> bool) option;
+  mutable handler : (unit, unit) Effect.Deep.handler option;
+      (* Every body's handler, built at the first start: it reads the
+         process from [running], not from its closures. *)
+  mutable running : int;
+      (* The pid of the process whose fiber last handed control to the
+         handler, -1 before any. A body sets it just before it performs a
+         park ([park_as]) and its fiber just before it returns or raises
+         ([run_fiber]); the handler reads it at once, before any other
+         fiber can run. So fibers entered from inside another (a fill's
+         waiter, a kill's victim) never see each other's value, and no
+         entry has to set or restore it. An int, so that setting it is a
+         plain store, not a write barrier. *)
+  mutable park_time : float;
+  mutable park_tag : string option;
+      (* The operands of the argument-free park effect being performed:
+         the CPU time of [E_cpu], the timeout of [E_recv_timed], the tag
+         of both receives. *)
 }
 
-(* What a parked process waits for: CPU time, a message, or an ivar fill,
-   the last two optionally bounded by a timeout. *)
-type _ suspension =
-  | S_cpu : float -> unit suspension
-  | S_recv : string option -> Message.t suspension
-  | S_recv_timeout : string option * float -> Message.t option suspension
-  | S_fill : 'a ivar -> 'a suspension
-  | S_fill_timeout : 'a ivar * float -> 'a option suspension
-
-(* The engine's only effect: parking. Every body operation that cannot
-   block (send, now_v, random_bits, the receive fast paths, the doom,
-   replay and log steps) runs on the caller's own stack. *)
-type _ Effect.t += E_suspend : 'a suspension -> 'a Effect.t
+(* The engine's effects, all of them parks. The CPU wait and the two
+   receives are constants whose operands travel in [park_time] and
+   [park_tag], so performing one builds nothing; a fill wait names its
+   ivar. Every body operation that cannot block (send, now_v,
+   random_bits, the receive fast paths, the doom, replay and log steps)
+   runs on the caller's own stack. *)
+type _ Effect.t +=
+  | E_cpu : unit Effect.t
+  | E_recv : Message.t Effect.t
+  | E_recv_timed : Message.t option Effect.t
+  | E_fill : 'a ivar -> 'a Effect.t
+  | E_fill_timed : 'a ivar * float -> 'a option Effect.t
 
 let initial_pids = 16
 
@@ -223,6 +239,12 @@ let status_string = function
   | Exited_failed r -> "failed: " ^ r
   | Crashed r -> "crashed: " ^ r
   | Eliminated r -> "eliminated: " ^ r
+
+(* The pcb whose fiber handed control to the handler (see [running]). *)
+let running_pcb t =
+  match t.procs.(t.running) with
+  | Some pcb -> pcb
+  | None -> invalid_arg "Engine: no running process"
 
 (* Continue a process whose slice ran out, unless it was killed after the
    tick collected it: [kill] resets [pcb.park], and a killed process that
@@ -283,6 +305,15 @@ let wake_filled p =
   | Park_fill_timed { eng; pcb; iv; k } when pcb.park == p -> resume eng pcb k iv.value
   | _ -> ()
 
+(* A process's fiber: its body, which names the process to the handler
+   on the way out, however it leaves. *)
+let run_fiber ctx =
+  match ctx.pcb.body ctx with
+  | () -> ctx.engine.running <- Pid.to_int ctx.pcb.pid
+  | exception e ->
+    ctx.engine.running <- Pid.to_int ctx.pcb.pid;
+    raise e
+
 let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     ?(trace = true) ?(shards = 1) () =
   (* [shards] is a compatibility argument for the profiling harness in
@@ -316,6 +347,10 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     spawn_hook = None;
     site_hook = None;
     delivery_fault = None;
+    handler = None;
+    running = -1;
+    park_time = 0.;
+    park_tag = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -417,7 +452,8 @@ let rec finalize t pcb st =
       (fun w ->
         try w st
         with e ->
-          tr t (Trace.Note ("exit watcher raised: " ^ Printexc.to_string e)))
+          if wants t Trace.Kind.note then
+            tr t (Trace.Note ("exit watcher raised: " ^ Printexc.to_string e)))
       watchers;
     match st with
     | Exited_ok -> (
@@ -469,7 +505,8 @@ and fire_res_watchers t pcb outcome =
     (fun w ->
       try w outcome
       with e ->
-        tr t (Trace.Note ("resolution watcher raised: " ^ Printexc.to_string e)))
+        if wants t Trace.Kind.note then
+          tr t (Trace.Note ("resolution watcher raised: " ^ Printexc.to_string e)))
     ws
 
 and kill t pid ~reason =
@@ -747,31 +784,48 @@ and start_pcb t pcb =
          Pid.pp pcb.pid pcb.name)
 
 and run_body t pcb =
-  let ctx = { engine = t; pcb } in
   let handler =
-    {
-      Effect.Deep.retc = (fun () -> finalize t pcb Exited_ok);
-      exnc =
-        (fun e ->
-          match e with
-          | Process_killed r -> finalize t pcb (Eliminated r)
-          | Abort_process r -> finalize t pcb (Exited_failed r)
-          | e -> finalize t pcb (Crashed (Printexc.to_string e)));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | E_suspend s ->
-            Some (fun (k : (a, unit) Effect.Deep.continuation) -> suspend t pcb s k)
-          | _ -> None);
-    }
+    match t.handler with
+    | Some h -> h
+    | None ->
+      let h = make_handler t in
+      t.handler <- Some h;
+      h
   in
-  Effect.Deep.match_with pcb.body ctx handler
+  Effect.Deep.match_with run_fiber { engine = t; pcb } handler
 
-(* Park a process on its wait, unless it was doomed. Every park is one
-   [park] value in [pcb.park], plus a CPU task or an ivar waiter entry
-   holding that same value, plus a deadline handle for a timed wait with
-   a finite timeout. No park builds a closure or a cancellable event.
-   Each wait takes exactly the event-queue stamps it always has (an
+(* The one handler of [t]'s bodies. The constant parks' [Some] closures
+   are built here, once: [effc] hands the running process's continuation
+   to one of them and allocates nothing. *)
+and make_handler t =
+  let cpu = Some (fun k -> suspend t E_cpu k)
+  and recv = Some (fun k -> suspend t E_recv k)
+  and recv_timed = Some (fun k -> suspend t E_recv_timed k) in
+  {
+    Effect.Deep.retc = (fun () -> finalize t (running_pcb t) Exited_ok);
+    exnc =
+      (fun e ->
+        let pcb = running_pcb t in
+        match e with
+        | Process_killed r -> finalize t pcb (Eliminated r)
+        | Abort_process r -> finalize t pcb (Exited_failed r)
+        | e -> finalize t pcb (Crashed (Printexc.to_string e)));
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | E_cpu -> cpu
+        | E_recv -> recv
+        | E_recv_timed -> recv_timed
+        | E_fill _ | E_fill_timed _ -> Some (fun k -> suspend t eff k)
+        | _ -> None);
+  }
+
+(* Park the running process on its wait, unless it was doomed. Every park
+   is one [park] value in [pcb.park], plus a CPU task or an ivar waiter
+   entry holding that same value, plus a deadline handle for a timed wait
+   with a finite timeout. No park builds a closure or a cancellable
+   event. Each wait takes exactly the event-queue stamps it always has (an
    untimed receive none, a finite timed wait one, at park time), since
    the batch-join rule compares [Event_queue.stamp]; clearing a deadline
    takes none. A woken or killed timed wait clears its deadline, so the
@@ -779,32 +833,34 @@ and run_body t pcb =
    nobody waits for. A receive parks only after its caller found nothing
    acceptable, and the park does not scan again. *)
 and suspend : type a.
-    t -> pcb -> a suspension -> (a, unit) Effect.Deep.continuation -> unit =
- fun t pcb s k ->
+    t -> a Effect.t -> (a, unit) Effect.Deep.continuation -> unit =
+ fun t eff k ->
+  let pcb = running_pcb t in
   match pcb.doomed with
   | Some reason ->
     pcb.doomed <- None;
     Effect.Deep.discontinue k (Process_killed reason)
   | None -> (
     pcb.state <- Suspended;
-    match s with
-    | S_cpu dt ->
+    match eff with
+    | E_cpu ->
       let p = Park_cpu { pcb; k } in
       pcb.park <- p;
-      Cpu.add t.cpu ~now:t.vnow pcb.pid dt p
-    | S_recv tag -> pcb.park <- Park_recv { tag; k }
-    | S_recv_timeout (tag, timeout) ->
-      set_deadline t pcb timeout;
-      pcb.park <- Park_recv_timed { tag; k }
-    | S_fill iv ->
+      Cpu.add t.cpu ~now:t.vnow pcb.pid t.park_time p
+    | E_recv -> pcb.park <- Park_recv { tag = t.park_tag; k }
+    | E_recv_timed ->
+      set_deadline t pcb t.park_time;
+      pcb.park <- Park_recv_timed { tag = t.park_tag; k }
+    | E_fill iv ->
       let p = Park_fill { pcb; iv; k } in
       pcb.park <- p;
       iv.waiters <- iv.waiters @ [ p ]
-    | S_fill_timeout (iv, timeout) ->
+    | E_fill_timed (iv, timeout) ->
       set_deadline t pcb timeout;
       let p = Park_fill_timed { eng = t; pcb; iv; k } in
       pcb.park <- p;
-      iv.waiters <- iv.waiters @ [ p ])
+      iv.waiters <- iv.waiters @ [ p ]
+    | _ -> invalid_arg "Engine.suspend: not a park effect")
 
 and channel_of pcb ~dest =
   match pcb.last_chan with
@@ -1116,10 +1172,15 @@ let run_for t duration =
 (* Everything here runs on the caller's own stack and performs an effect
    only to park. Raising [Process_killed] / [Replay_divergence] directly is
    equivalent to the handler's [discontinue]: we are already inside the
-   fiber, and the exception unwinds to [run_body]'s [exnc] either way. A
-   receive that parked logs what it got as soon as the park returns:
-   nothing runs between the handler's [continue] and that step, so the
-   log is the same as if the handler wrote it. *)
+   fiber, and the exception unwinds through [run_fiber] to the handler's
+   [exnc] either way. A receive that parked logs what it got as soon as
+   the park returns: nothing runs between the handler's [continue] and
+   that step, so the log is the same as if the handler wrote it. *)
+
+(* Name the process to the handler, then park on [eff]. *)
+let park_as ctx eff =
+  ctx.engine.running <- Pid.to_int ctx.pcb.pid;
+  Effect.perform eff
 
 let check_doomed pcb =
   match pcb.doomed with
@@ -1160,7 +1221,10 @@ let delay ctx dt =
   | Some _ -> raise (Replay_divergence "expected delay")
   | None ->
     log_push pcb (L_delay dt);
-    if dt <= 0. then () else Effect.perform (E_suspend (S_cpu dt))
+    if dt > 0. then begin
+      ctx.engine.park_time <- dt;
+      park_as ctx E_cpu
+    end
 
 let space ctx = ctx.pcb.space
 
@@ -1190,7 +1254,11 @@ let receive ctx ?tag () =
   | None ->
     let m = try_receive ctx.engine pcb tag in
     let m =
-      if m != Mailbox.no_message then m else Effect.perform (E_suspend (S_recv tag))
+      if m != Mailbox.no_message then m
+      else begin
+        ctx.engine.park_tag <- tag;
+        park_as ctx E_recv
+      end
     in
     log_push pcb (L_recv m);
     m
@@ -1210,7 +1278,11 @@ let receive_timeout ctx ?tag ~timeout () =
         (* Poll-only: nothing acceptable is queued right now, report that
            immediately without parking. *)
         None
-      else Effect.perform (E_suspend (S_recv_timeout (tag, timeout)))
+      else begin
+        ctx.engine.park_tag <- tag;
+        ctx.engine.park_time <- timeout;
+        park_as ctx E_recv_timed
+      end
     in
     log_push pcb (L_recv_opt r);
     r
@@ -1273,7 +1345,7 @@ module Ivar = struct
     disable_cloning ctx.pcb;
     match iv.value with
     | Some v -> v
-    | None -> Effect.perform (E_suspend (S_fill iv))
+    | None -> park_as ctx (E_fill iv)
 
   let read_timeout ctx iv ~timeout =
     check_duration "Engine.Ivar.read_timeout" timeout;
@@ -1283,5 +1355,5 @@ module Ivar = struct
     | None when timeout <= 0. ->
       (* Poll-only: report the current state without parking. *)
       None
-    | None -> Effect.perform (E_suspend (S_fill_timeout (iv, timeout)))
+    | None -> park_as ctx (E_fill_timed (iv, timeout))
 end

@@ -18,8 +18,14 @@
     time in {!delay}, for a message in {!receive} or {!receive_timeout},
     for a fill in {!Ivar.read} or {!Ivar.read_timeout}) performs an effect,
     which the engine handles to suspend the body and resume it
-    transparently. An operation that has to park outside a body raises
-    [Effect.Unhandled].
+    transparently. Every body of an engine runs under one handler, built
+    at the engine's first start, which learns whose fiber it serves from
+    a pid the fiber stores just before it parks, returns or raises, so
+    nested fibers (a fill waking its waiter, a kill from a body) stay
+    apart. The CPU and message parks are constant effects whose operands
+    travel in the engine, so a park allocates its park record and the
+    runtime's continuation, and a start no handler. An operation that has
+    to park outside a body raises [Effect.Unhandled].
 
     {2 Multiple worlds}
 

@@ -2421,6 +2421,194 @@ let test_sweep_skips_processes_it_spawns () =
       (Predicate.to_string on_dep) (Predicate.to_string p)
   | None -> Alcotest.fail "late never ran"
 
+(* ---------------- The running register ----------------
+
+   One handler serves every body of an engine and reads whose fiber it
+   serves from the engine's running register, which a fiber sets just
+   before it parks, returns or raises. A fiber run from inside another
+   body (a fill's waiter, a kill's victim) must not leave its value to
+   the outer one: the outer body's later park, exit or crash is still
+   its own. Each case checks every pid's exit status and its [Exited]
+   and [Fate] events. *)
+
+(* A pid's [Exited] statuses and [Fate]s, in trace order. *)
+let endings eng pid =
+  List.filter_map
+    (fun (_, e) ->
+      match e with
+      | Trace.Exited { pid = p; status } when Pid.equal p pid -> Some ("exited " ^ status)
+      | Trace.Fate { pid = p; fate = Predicate.Completed } when Pid.equal p pid ->
+        Some "completed"
+      | Trace.Fate { pid = p; fate = Predicate.Failed } when Pid.equal p pid ->
+        Some "failed"
+      | _ -> None)
+    (Trace.events (Engine.trace eng))
+
+let status_text = function
+  | Engine.Exited_ok -> "ok"
+  | Engine.Exited_failed r -> "failed: " ^ r
+  | Engine.Crashed r -> "crashed: " ^ r
+  | Engine.Eliminated r -> "eliminated: " ^ r
+
+(* [expected] opens with the pid's exit, which its status must match. *)
+let check_endings eng pid expected =
+  let what = Format.asprintf "%a" Pid.pp pid in
+  check Alcotest.(list string) ("endings of " ^ what) expected (endings eng pid);
+  check Alcotest.(option string) ("status of " ^ what)
+    (Some (List.hd expected))
+    (Option.map (fun s -> "exited " ^ status_text s) (Engine.status eng pid))
+
+(* A waiter parked on an ivar, and a filler that fills it at t = 1 (the
+   waiter then runs [after] inside the filler's [try_fill]), then parks on
+   the CPU and exits. *)
+let test_fill_wakes_waiter after expected ~clock () =
+  let eng = mk ~trace:true () in
+  let iv = Engine.Ivar.create () in
+  let waiter =
+    Engine.spawn eng ~name:"waiter" (fun ctx ->
+        ignore (Engine.Ivar.read ctx iv);
+        after ctx)
+  in
+  let filler =
+    Engine.spawn eng ~name:"filler" (fun ctx ->
+        Engine.delay ctx 1.;
+        ignore (Engine.Ivar.try_fill iv 1);
+        Engine.delay ctx 1.)
+  in
+  Engine.run eng;
+  check_endings eng waiter expected;
+  check_endings eng filler [ "exited ok"; "completed" ];
+  check cf "clock" clock (Engine.now eng)
+
+let waiter_exits = ignore
+let waiter_crashes _ = failwith "boom"
+let waiter_parks ctx = Engine.delay ctx 2.
+
+(* A victim parked in a receive is killed at t = 1 by [kill]; a
+   bystander parks across the kill and exits at t = 3. *)
+let test_kill_parked kill () =
+  let eng = mk ~trace:true () in
+  let victim = Engine.spawn eng ~name:"victim" (fun ctx -> ignore (Engine.receive ctx ())) in
+  let bystander =
+    Engine.spawn eng ~name:"bystander" (fun ctx ->
+        Engine.delay ctx 1.;
+        Engine.delay ctx 2.)
+  in
+  let killer = kill eng victim in
+  Engine.run eng;
+  check_endings eng victim [ "exited eliminated: cut"; "failed" ];
+  check_endings eng bystander [ "exited ok"; "completed" ];
+  Option.iter (fun k -> check_endings eng k [ "exited ok"; "completed" ]) killer;
+  check cf "clock" 3. (Engine.now eng)
+
+(* The killer parks before and after the kill. *)
+let kill_from_body eng victim =
+  Some
+    (Engine.spawn eng ~name:"killer" (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.kill eng victim ~reason:"cut";
+         Engine.delay ctx 1.))
+
+let kill_from_after eng victim =
+  Engine.after eng ~delay:1. (fun () -> Engine.kill eng victim ~reason:"cut");
+  None
+
+(* A receiver splits on a speculative sender's message; its rejecting
+   clone replays the receiver's delay from the log, then parks live on a
+   receive and a delay of its own. The sender fails, so the clone's world
+   is the one that completes. *)
+let test_clone_replays_parks () =
+  let eng = mk ~trace:true () in
+  let spec = List.hd (Engine.fresh_pids eng 1) in
+  let recv =
+    Engine.spawn eng ~name:"recv" (fun ctx ->
+        Engine.delay ctx 0.5;
+        ignore (Engine.receive ctx ());
+        Engine.delay ctx 1.)
+  in
+  ignore
+    (Engine.spawn eng ~pid:spec
+       ~predicate:(Predicate.make ~must_complete:[ spec ] ~must_fail:[])
+       (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.send ctx recv (Payload.int 1);
+         Engine.delay ctx 4.;
+         Engine.abort ctx "spec fails"));
+  let later =
+    Engine.spawn eng ~name:"later" (fun ctx ->
+        Engine.delay ctx 2.;
+        Engine.send ctx recv (Payload.int 2))
+  in
+  Engine.run eng;
+  let clone =
+    match
+      List.filter_map
+        (fun (_, e) -> match e with Trace.Split { clone; _ } -> Some clone | _ -> None)
+        (Trace.events (Engine.trace eng))
+    with
+    | [ c ] -> c
+    | l -> Alcotest.failf "expected one split, got %d" (List.length l)
+  in
+  check_endings eng recv [ "exited ok"; "failed" ];
+  check_endings eng clone [ "exited ok"; "completed" ];
+  check_endings eng spec [ "exited failed: spec fails"; "failed" ];
+  check_endings eng later [ "exited ok"; "completed" ]
+
+(* ---------------- Allocation budget ----------------
+
+   Minor words per operation on a warm engine (its handler built, its
+   tables grown by a first run of the same shape): a CPU park, a message
+   hop (a send and the parked receive it wakes) and a spawn-to-exit. A
+   park allocates its park record and the runtime's continuation, and a
+   start the fiber's own; the ceilings sit a little above the measured
+   figures (14 / 36 / 78 words with OCaml 5.1.1), and below what a handler
+   built per start (+19 a spawn) or a park effect or closure built per
+   park (+5 or +8 a park) would cost. *)
+
+let words_per ~n op =
+  let eng = mk () in
+  op eng 64;
+  let w0 = Gc.minor_words () in
+  op eng n;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let cpu_parks eng n =
+  ignore
+    (Engine.spawn eng ~cloneable:false (fun ctx ->
+         for _ = 1 to n do
+           Engine.delay ctx 1.
+         done));
+  Engine.run eng
+
+let one = Payload.int 1
+
+(* [n] hops between two processes that only receive and reply. *)
+let message_hops eng n =
+  let pong =
+    Engine.spawn eng ~cloneable:false (fun ctx ->
+        for _ = 1 to n / 2 do
+          let m = Engine.receive ctx () in
+          Engine.send ctx m.Message.sender one
+        done)
+  in
+  ignore
+    (Engine.spawn eng ~cloneable:false (fun ctx ->
+         for _ = 1 to n / 2 do
+           Engine.send ctx pong one;
+           ignore (Engine.receive ctx ())
+         done));
+  Engine.run eng
+
+let spawns eng n =
+  for _ = 1 to n do
+    ignore (Engine.spawn eng ~cloneable:false ignore);
+    Engine.run eng
+  done
+
+let test_alloc_budget name op ceiling () =
+  let w = words_per ~n:2000 op in
+  if w > ceiling then Alcotest.failf "%s: %.1f words, ceiling %.0f" name w ceiling
+
 let () =
   Alcotest.run "runtime"
     [
@@ -2564,6 +2752,30 @@ let () =
           Alcotest.test_case "parked pids at quiescence" `Quick
             test_parked_pids_at_quiescence;
           QCheck_alcotest.to_alcotest prop_fate_model;
+        ] );
+      ( "running",
+        [
+          Alcotest.test_case "fill wakes a waiter that exits" `Quick
+            (test_fill_wakes_waiter waiter_exits [ "exited ok"; "completed" ] ~clock:2.);
+          Alcotest.test_case "fill wakes a waiter that crashes" `Quick
+            (test_fill_wakes_waiter waiter_crashes
+               [ "exited crashed: Failure(\"boom\")"; "failed" ]
+               ~clock:2.);
+          Alcotest.test_case "fill wakes a waiter that parks" `Quick
+            (test_fill_wakes_waiter waiter_parks [ "exited ok"; "completed" ] ~clock:3.);
+          Alcotest.test_case "body kills a parked process" `Quick
+            (test_kill_parked kill_from_body);
+          Alcotest.test_case "after kills a parked process" `Quick
+            (test_kill_parked kill_from_after);
+          Alcotest.test_case "clone replays its parks" `Quick test_clone_replays_parks;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "CPU park" `Quick (test_alloc_budget "CPU park" cpu_parks 16.);
+          Alcotest.test_case "message hop" `Quick
+            (test_alloc_budget "message hop" message_hops 38.);
+          Alcotest.test_case "spawn to exit" `Quick
+            (test_alloc_budget "spawn to exit" spawns 80.);
         ] );
       ( "ordering",
         [
