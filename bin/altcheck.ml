@@ -1,21 +1,23 @@
 (* altcheck: verify executions against the paper's invariants.
 
-     altcheck list                      enumerate scenarios and policies
-     altcheck run [--seeds N]           run the full scenario x policy matrix
+     altcheck run [--seeds N]           run the clean scenario x policy matrix
+     altcheck run --list                enumerate scenarios and policies
      altcheck run --jobs 8              fan the matrix out over 8 domains
      altcheck run -s counters           restrict to named scenarios
-     altcheck run --dump-trace F.jsonl  dump a trace (first violating run,
-                                        else the last run) as JSON Lines
      altcheck fuzz [--seeds N]          re-run the invariant checkers under
                                         fault-injection campaigns
-     altcheck fuzz --verify-determinism re-execute every cell and fail on
-                                        any byte-level divergence
      altcheck sites [--seeds N]         run supervised (coordinator-recovery)
                                         blocks under site-crash and
                                         partition campaigns
+     altcheck run/fuzz/sites --verify-determinism
+                                        re-execute every cell and fail on
+                                        any byte-level divergence
      altcheck run/fuzz/sites --sanitize attach the online sanitizer to every
                                         run and cross-check it against the
                                         post-mortem checkers
+     altcheck run/fuzz/sites --dump-trace F.jsonl
+                                        dump a trace (first violating cell,
+                                        else the last cell) as JSON Lines
      altcheck lint [-f F.pl -g GOAL]    statically analyse OR-branch mutual
                                         exclusivity and alternative
                                         footprints (JSON findings via --json)
@@ -23,10 +25,10 @@
                                         path and emit BENCH_lint.json
      altcheck codes                     print the exit-code registry
 
-   fuzz and sites are one command ([campaign_cmd]) over one runner
-   ({!Campaign.run}): fuzz sweeps the message-campaign family, sites the
-   site-campaign family, and the two differ only in their defaults and
-   wording.
+   run, fuzz and sites are one command ([campaign_cmd]) over one runner
+   ({!Campaign.run}): run sweeps the clean family, fuzz the
+   message-campaign family, sites the site-campaign family, and the three
+   differ only in their defaults and wording.
 
    Exit code 0 when every run satisfies every invariant; otherwise the
    exit code of the most severe violated class. Every code altcheck can
@@ -57,25 +59,7 @@ let sanitize_arg =
            the post-mortem checkers. Agreement leaves the report \
            byte-identical; divergence is itself a violation (exit 17).")
 
-(* ---------------- list ---------------- *)
-
-let list_cmd =
-  let doc = "List the checkable scenarios and the policy matrix." in
-  let run () =
-    Printf.printf "scenarios:\n";
-    List.iter
-      (fun (s : Invariants.scenario) ->
-        Printf.printf "  %-12s%s\n" s.Invariants.sc_name
-          (if s.Invariants.uses_source then " (uses a source device)" else ""))
-      Invariants.default_scenarios;
-    Printf.printf "policies (%d):\n" (List.length Invariants.policy_matrix);
-    List.iter
-      (fun p -> Printf.printf "  %s\n" (Concurrent.describe p))
-      Invariants.policy_matrix
-  in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
-
-(* ---------------- run ---------------- *)
+(* ---------------- run / fuzz / sites ---------------- *)
 
 (* Resolve named items against [all] (every item when no name is given);
    an unknown name exits 1 with a pointer to where the names are listed. *)
@@ -91,102 +75,21 @@ let pick what hint name_of all = function
           exit 1)
       names
 
-let run_cmd =
-  let doc = "Run the invariant checkers over the scenario x policy matrix." in
-  let seeds =
-    Arg.(
-      value & opt int 5
-      & info [ "seeds" ] ~docv:"N" ~doc:"Seeds per (scenario, policy) cell.")
+(* Write [c]'s event trace as JSON Lines. The sweep keeps no engine, so
+   the cell is executed again: a cell's run is a function of the cell, so
+   this is the trace the sweep saw. *)
+let dump_trace ~sanitize file which c =
+  let rr, _ = Campaign.execute ~sanitize c in
+  let oc =
+    try open_out file
+    with Sys_error m ->
+      Printf.eprintf "cannot write trace: %s\n" m;
+      exit 1
   in
-  let names =
-    Arg.(
-      value & opt_all string []
-      & info [ "s"; "scenario" ] ~docv:"NAME"
-          ~doc:"Scenario to check (repeatable); see $(b,altcheck list).")
-  in
-  let dump =
-    Arg.(
-      value & opt (some string) None
-      & info [ "dump-trace" ] ~docv:"FILE"
-          ~doc:
-            "Write one run's event trace as JSON Lines: the first violating \
-             run if any, otherwise the last run executed.")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ] ~doc:"Print only violations and the summary.")
-  in
-  let run seeds names dump quiet jobs sanitize =
-    let scenarios =
-      pick "scenario" "altcheck list"
-        (fun s -> s.Invariants.sc_name)
-        Invariants.default_scenarios names
-    in
-    let cells = Invariants.matrix_cells ~seeds ~scenarios () in
-    let results = Invariants.run_cells ~jobs ~sanitize cells in
-    (* Results are in cell order, so everything below — the per-policy
-       progress lines, the violation listing, the dumped run and the
-       exit code — is independent of [jobs]. *)
-    let violations =
-      List.concat_map (fun (_, vs) -> vs) (Array.to_list results)
-    in
-    if not quiet then
-      List.iter
-        (fun sc ->
-          List.iter
-            (fun policy ->
-              let here =
-                List.filter
-                  (fun v ->
-                    v.Report.scenario = sc.Invariants.sc_name
-                    && v.Report.policy = Concurrent.describe policy)
-                  violations
-              in
-              Printf.printf "%-10s %-44s %d seeds  %s\n%!" sc.Invariants.sc_name
-                (Concurrent.describe policy) seeds
-                (match here with
-                | [] -> "ok"
-                | vs -> Printf.sprintf "%d VIOLATIONS" (List.length vs)))
-            Invariants.policy_matrix)
-        scenarios;
-    List.iter (fun v -> Format.printf "%a@." Report.pp_violation v) violations;
-    Printf.printf "%d runs, %d violations\n" (Array.length results)
-      (List.length violations);
-    let dumped_run =
-      let violating =
-        Array.to_seq results
-        |> Seq.filter_map (fun (rr, vs) -> if vs <> [] then Some rr else None)
-        |> Seq.uncons
-      in
-      match (violating, Array.length results) with
-      | Some (rr, _), _ -> Some (rr, true)
-      | None, 0 -> None
-      | None, n -> Some (fst results.(n - 1), false)
-    in
-    (match (dump, dumped_run) with
-    | Some file, Some (rr, violating) ->
-      let oc =
-        try open_out file
-        with Sys_error m ->
-          Printf.eprintf "cannot write trace: %s\n" m;
-          exit 1
-      in
-      output_string oc (Trace.to_jsonl (Engine.trace rr.Invariants.engine));
-      close_out oc;
-      Printf.printf "trace of %s run (%s, %s, seed %d) written to %s\n"
-        (if violating then "first violating" else "last")
-        rr.Invariants.scenario.Invariants.sc_name
-        (Concurrent.describe rr.Invariants.policy)
-        rr.Invariants.seed file
-    | Some _, None | None, _ -> ());
-    exit (Report.exit_code violations)
-  in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const run $ seeds $ names $ dump $ quiet $ jobs_arg $ sanitize_arg)
-
-(* ---------------- fuzz / sites ---------------- *)
+  output_string oc (Trace.to_jsonl (Engine.trace rr.Invariants.engine));
+  close_out oc;
+  Printf.printf "trace of %s cell %s written to %s\n" which
+    (Campaign.describe_cell c) file
 
 (* How a campaign command names and describes the family it sweeps. *)
 type campaign_cli = {
@@ -200,9 +103,7 @@ type campaign_cli = {
 
 let campaign_cmd cli =
   let family = cli.cli_family in
-  (* A site family runs only its own (sourceless) scenarios, so its --list
-     names them, and the topology, and is where an unknown scenario name
-     points. *)
+  (* A site family runs on a fixed topology, which its --list names. *)
   let supervised =
     List.exists (fun c -> c.Campaign.cg_supervised) family.Campaign.fm_campaigns
   in
@@ -236,13 +137,22 @@ let campaign_cmd cli =
   let list_campaigns =
     Arg.(value & flag & info [ "list" ] ~doc:cli.cli_list_doc)
   in
+  let dump =
+    Arg.(
+      value & opt (some string) None
+      & info [ "dump-trace" ] ~docv:"FILE"
+          ~doc:
+            "Write one cell's event trace as JSON Lines: the first violating \
+             cell if any, otherwise the last cell of the sweep.")
+  in
   let quiet =
     Arg.(
       value & flag
       & info [ "q"; "quiet" ]
           ~doc:"Print only violations, mismatches and the summary.")
   in
-  let run seeds names campaign_names verify list_campaigns quiet jobs sanitize =
+  let run seeds names campaign_names verify list_campaigns dump quiet jobs
+      sanitize =
     if list_campaigns then begin
       if supervised then
         Printf.printf "topology: %s\n" (String.concat " " Campaign.site_names);
@@ -261,17 +171,17 @@ let campaign_cmd cli =
       List.iter
         (fun p -> Printf.printf "  %s\n" (Concurrent.describe p))
         family.Campaign.fm_policies;
-      if supervised then begin
-        Printf.printf "scenarios:\n";
-        List.iter
-          (fun s -> Printf.printf "  %s\n" s.Invariants.sc_name)
-          family.Campaign.fm_scenarios
-      end;
+      Printf.printf "scenarios:\n";
+      List.iter
+        (fun s ->
+          Printf.printf "  %s%s\n" s.Invariants.sc_name
+            (if s.Invariants.uses_source then " (uses a source device)"
+             else ""))
+        family.Campaign.fm_scenarios;
       exit 0
     end;
     let scenarios =
-      pick "scenario"
-        (if supervised then list_hint else "altcheck list")
+      pick "scenario" list_hint
         (fun s -> s.Invariants.sc_name)
         family.Campaign.fm_scenarios names
     in
@@ -280,16 +190,19 @@ let campaign_cmd cli =
         (fun c -> c.Campaign.cg_name)
         family.Campaign.fm_campaigns campaign_names
     in
-    let result =
-      Campaign.run ~jobs ~verify ~sanitize
-        (Campaign.cells
-           {
-             family with
-             Campaign.fm_seeds = seeds;
-             fm_scenarios = scenarios;
-             fm_campaigns = campaigns;
-           })
+    let cells =
+      Campaign.cells
+        {
+          family with
+          Campaign.fm_seeds = seeds;
+          fm_scenarios = scenarios;
+          fm_campaigns = campaigns;
+        }
     in
+    let result = Campaign.run ~jobs ~verify ~sanitize cells in
+    (* Results are in cell order, so everything below — the summary
+       lines, the violation listing, the dumped cell and the exit code —
+       is independent of [jobs]. *)
     if not quiet then List.iter print_endline result.Campaign.lines;
     List.iter
       (fun v -> Format.printf "%a@." Report.pp_violation v)
@@ -309,6 +222,11 @@ let campaign_cmd cli =
          Printf.sprintf ", %d determinism mismatches"
            (List.length result.Campaign.mismatches)
        else "");
+    (match (dump, result.Campaign.first_failing) with
+    | Some file, Some c -> dump_trace ~sanitize file "first violating" c
+    | Some file, None when Array.length cells > 0 ->
+      dump_trace ~sanitize file "last" cells.(Array.length cells - 1)
+    | _ -> ());
     if result.Campaign.mismatches <> [] then exit Report.code_determinism;
     exit (Report.exit_code result.Campaign.violations)
   in
@@ -316,7 +234,20 @@ let campaign_cmd cli =
     (Cmd.info cli.cli_name ~doc:cli.cli_doc)
     Term.(
       const run $ seeds $ names $ campaign_names $ verify $ list_campaigns
-      $ quiet $ jobs_arg $ sanitize_arg)
+      $ dump $ quiet $ jobs_arg $ sanitize_arg)
+
+let run_cmd =
+  campaign_cmd
+    {
+      cli_name = "run";
+      cli_doc =
+        "Run the invariant checkers over the clean scenario x policy matrix.";
+      cli_label = "clean";
+      cli_scenario_doc =
+        "Scenario to check (repeatable); see $(b,altcheck run --list).";
+      cli_list_doc = "List the scenarios and the policy matrix, then exit.";
+      cli_family = Campaign.clean;
+    }
 
 let fuzz_cmd =
   campaign_cmd
@@ -327,8 +258,9 @@ let fuzz_cmd =
          campaigns (scenario x campaign x policy x seed matrix).";
       cli_label = "fuzzed";
       cli_scenario_doc =
-        "Scenario to fuzz (repeatable); see $(b,altcheck list).";
-      cli_list_doc = "List the campaigns and fuzz policies, then exit.";
+        "Scenario to fuzz (repeatable); see $(b,altcheck fuzz --list).";
+      cli_list_doc =
+        "List the campaigns, fuzz policies and scenarios, then exit.";
       cli_family = Campaign.messages;
     }
 
@@ -597,4 +529,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; fuzz_cmd; sites_cmd; lint_cmd; codes_cmd ]))
+          [ run_cmd; fuzz_cmd; sites_cmd; lint_cmd; codes_cmd ]))

@@ -1,12 +1,14 @@
-(* Fault campaigns over the invariant scenarios: one cell matrix and one
-   runner for both kinds of campaign.
+(* The invariant sweep as campaigns over the invariant scenarios: one cell
+   matrix and one runner for the clean sweep and both kinds of fault
+   campaign.
 
-   A message campaign attacks individual messages and processes. A site
-   campaign attacks whole failure domains: its cell runs the block under
-   {!Concurrent.run_supervised} on the five-site topology, with the
-   consensus voters spread one per site and site crashes and network
-   partitions injected from the plan seed. Every cell runs through
-   {!Invariants.run_checked}, so one oracle judges both kinds; this module
+   The clean campaign installs the empty plan, so its cells are the
+   healthy executions. A message campaign attacks individual messages and
+   processes. A site campaign attacks whole failure domains: its cell runs
+   the block under {!Concurrent.run_supervised} on the five-site topology,
+   with the consensus voters spread one per site and site crashes and
+   network partitions injected from the plan seed. Every cell runs through
+   {!Invariants.run_checked}, so one oracle judges every kind; this module
    adds only the campaign's own claim that a lost voter majority cannot
    select a winner. *)
 
@@ -243,6 +245,25 @@ let sites =
     fm_policies = retrying 5;
   }
 
+(* [Faultplan.none] installs no hook and schedules nothing: a clean cell
+   runs exactly as [Invariants.run_checked] does without [~faults]. *)
+let clean =
+  {
+    fm_seeds = 5;
+    fm_scenarios = Invariants.default_scenarios;
+    fm_campaigns =
+      [
+        {
+          cg_name = "clean";
+          cg_doc = "no faults: the healthy execution";
+          cg_supervised = false;
+          cg_majority_crash = false;
+          plan = (fun ~seed:_ -> Faultplan.none);
+        };
+      ];
+    fm_policies = Invariants.policy_matrix;
+  }
+
 let site_names = [ "s0"; "s1"; "s2"; "s3"; "s4" ]
 
 type cell = {
@@ -342,17 +363,57 @@ let phantom_winner c (rr : Invariants.run) =
     ]
   | _ -> []
 
-let run_cell ?sanitize c =
+let execute ?sanitize c =
   let sites = if c.cl_campaign.cg_supervised then Some site_names else None in
   let rr, vs =
     Invariants.run_checked
       ~faults:(c.cl_campaign.plan ~seed:c.cl_seed)
       ?sites ?sanitize c.cl_scenario ~policy:c.cl_policy ~seed:c.cl_seed
   in
-  (summary c rr, vs @ phantom_winner c rr)
+  (rr, vs @ phantom_winner c rr)
+
+(* A cell's summary line and violations; the run itself is dropped here,
+   so a sweep holds one engine per busy domain, not one per cell. *)
+let run_cell ?sanitize c =
+  let rr, vs = execute ?sanitize c in
+  (summary c rr, vs)
 
 (* ------------------------------------------------------------------ *)
-(* The runner.                                                         *)
+(* The runner, fanned out over a domain pool.
+
+   Every cell of the matrix is an independent simulation:
+   {!Invariants.run_scenario} builds a fresh [Engine.t] (own event queue,
+   trace, frame store, process table, RNG), a fresh address space, a
+   fresh source device and, for a site campaign, a fresh topology, and
+   the checkers only read that run's state. Audit of everything a cell
+   touches (2026-08, for the sweep's domain parallelism):
+
+   - [Engine] / [Event_queue] / [Trace] / [Fate_registry]: all state
+     hangs off the [Engine.t] created per cell; effect handlers are
+     per-engine, not global.
+   - [Frame_store] / [Address_space] / [Page_map] / [Checkpoint]:
+     reached only through the per-engine frame store.
+   - [Majority] / [Source]: spawn processes inside the cell's engine;
+     their counters live in the values returned by [create].
+   - [Rng]: generators are values; scenarios derive theirs from the
+     cell seed, and a fault plan its stream from the plan seed.
+     [Pid.Allocator] instances are per-engine.
+   - Top-level mutable state in alt_base, alt_pages, alt_predicate,
+     alt_msg, alt_runtime, alt_consensus, alt_sites, alt_sources,
+     alt_faultplan, altexec and alt_analysis (checked: module-level
+     [ref], [Hashtbl.create], [Buffer.create], [Mutex], [Domain.DLS], and
+     [mutable] record fields reachable from a toplevel binding) is two
+     pools and one inert value.
+     [Frame_store]'s free-frame pool is per domain ([Domain.DLS]), and
+     reuse from it is unobservable: a pooled frame is zero-filled and
+     takes the allocating store's next id. [Parallel]'s shared pool sits
+     behind its own mutex and hands results back in index order.
+     [Page_map]'s table filler is a frame of a private store that no map
+     resolves, so nothing ever writes it. [Predicate] holds no state.
+
+   Results are collected by {!Parallel.map_indexed_shared} in index
+   order, so a parallel sweep reports byte-for-byte what the sequential
+   sweep reports, whatever the domain count. *)
 
 type result = {
   cells_run : int;

@@ -1,13 +1,11 @@
-(** Fault campaigns: the invariant sweep under adversarial plans, with one
-    cell matrix and one runner.
+(** The invariant sweep as campaigns: one cell matrix and one runner.
 
-    The clean sweep ({!Invariants.run_matrix}) shows the paper's invariants
-    hold on healthy executions; this module re-runs the scenarios with a
+    A cell runs one scenario under one policy and seed with a campaign's
     {!Faultplan} installed, across a scenario x campaign x policy x seed
-    matrix. A faulted execution may honestly {e fail} (availability is
-    allowed to suffer), but every invariant the checkers can still judge
-    must hold. A campaign is one of two kinds:
+    matrix. A campaign is one of three kinds:
 
+    - the {e clean} campaign ({!clean}) installs {!Faultplan.none}: it
+      shows the paper's invariants hold on healthy executions;
     - a {e message} campaign drops, duplicates, delays and reorders
       consensus messages, crashes voters, kills children and raises
       timeout storms;
@@ -16,15 +14,17 @@
       voters spread one per site, under {!Concurrent.run_supervised}, so
       the coordinator itself may die and recover.
 
+    A faulted execution may honestly {e fail} (availability is allowed to
+    suffer), but every invariant the checkers can still judge must hold.
     Every cell runs through {!Invariants.run_checked} (with [~sites] for a
-    site campaign), so the one post-mortem oracle judges both kinds. A
+    site campaign), so the one post-mortem oracle judges every kind. A
     site campaign that removes a voter majority additionally flags a
     non-degraded [Selected] outcome as a phantom winner.
 
     Everything is deterministic: a cell is fully identified by
     (scenario, campaign, policy, seed), and re-running it produces a
-    byte-identical summary line and violation report. {!run} can verify
-    that contract on every cell ([~verify:true]). *)
+    byte-identical summary line, violation report and trace. {!run} can
+    verify that contract on every cell ([~verify:true]). *)
 
 (** A named, seed-parameterised fault plan. *)
 type t = {
@@ -50,6 +50,12 @@ type family = {
   fm_campaigns : t list;
   fm_policies : Concurrent.policy list;
 }
+
+val clean : family
+(** 5 seeds over every {!Invariants.default_scenarios}; one campaign,
+    [clean], whose plan is {!Faultplan.none}; and the full
+    {!Invariants.policy_matrix}. A clean cell runs exactly as
+    {!Invariants.run_checked} without [~faults]. *)
 
 val messages : family
 (** 5 seeds over every {!Invariants.default_scenarios}; the message
@@ -88,6 +94,13 @@ val cells : family -> cell array
 val describe_cell : cell -> string
 (** ["scenario/campaign/policy/seed N"] — the replay coordinates. *)
 
+val execute : ?sanitize:bool -> cell -> Invariants.run * Report.violation list
+(** Run one cell through {!Invariants.run_checked} (supervised on the
+    {!site_names} topology for a site campaign) and add the campaign's
+    own phantom-winner check. Deterministic in the cell: a re-execution
+    yields a byte-identical trace and report, which is how a caller gets
+    a cell's trace back after {!run} without {!run} keeping any engine. *)
+
 type result = {
   cells_run : int;
   violations : Report.violation list;  (** In cell order. *)
@@ -105,10 +118,14 @@ type result = {
 }
 
 val run : ?jobs:int -> ?verify:bool -> ?sanitize:bool -> cell array -> result
-(** Run every cell, fanned over [jobs] domains (default 1) via the shared
-    pool of {!Parallel.map_indexed_shared} — results are in cell order for
-    any [jobs]. With [verify] (default false) each cell is executed twice
-    and the summaries and violation reports compared byte for byte. With
+(** {!execute} every cell, fanned over [jobs] domains (default 1) via the
+    shared pool of {!Parallel.map_indexed_shared} — results are in cell
+    order for any [jobs]. Each cell builds its whole engine-world from
+    scratch, so cells share no mutable state (the audit is recorded in
+    [campaign.ml] above [run]), and only a cell's summary line and
+    violations outlive it. With [verify] (default false) each cell is
+    executed twice and the summaries and violation reports compared byte
+    for byte. With
     [sanitize] every cell runs under the online {!Sanitizer},
     cross-checked against its post-mortem checkers; agreement leaves the
     report byte-identical. *)

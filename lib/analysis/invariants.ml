@@ -859,68 +859,3 @@ let policy_matrix =
             guards)
         syncs)
     eliminations
-
-(* ------------------------------------------------------------------ *)
-(* The sweep, fanned out over a domain pool.
-
-   Every cell of the (scenario, policy, seed) matrix is an independent
-   simulation: {!run_scenario} builds a fresh [Engine.t] (own event
-   queue, trace, frame store, process table, RNG), a fresh address
-   space, and a fresh source device, and the checkers only read that
-   run's state. Audit of everything a cell touches (2026-08, for this
-   module's domain parallelism):
-
-   - [Engine] / [Event_queue] / [Trace] / [Fate_registry]: all state
-     hangs off the [Engine.t] created per cell; effect handlers are
-     per-fiber, not global.
-   - [Frame_store] / [Address_space] / [Page_map] / [Checkpoint]:
-     reached only through the per-engine frame store.
-   - [Majority] / [Source]: spawn processes inside the cell's engine;
-     their counters live in the values returned by [create].
-   - [Rng]: generators are values; scenarios derive theirs from the
-     cell seed. [Pid.Allocator] instances are per-engine.
-   - Top-level mutable state in alt_base, alt_pages, alt_predicate,
-     alt_msg, alt_runtime, alt_consensus, alt_sources, altexec and
-     alt_analysis (checked: module-level [ref], [Hashtbl.create],
-     [Buffer.create], [Mutex], [Domain.DLS], and [mutable] record fields
-     reachable from a toplevel binding) is two pools and one inert value.
-     [Frame_store]'s free-frame pool is per domain ([Domain.DLS]), and
-     reuse from it is unobservable: a pooled frame is zero-filled and
-     takes the allocating store's next id. [Parallel]'s shared pool sits
-     behind its own mutex and hands results back in index order.
-     [Page_map]'s table filler is a frame of a private store that no map
-     resolves, so nothing ever writes it. [Predicate] holds no state.
-
-   Results are collected by {!Parallel.map_indexed_shared} in index
-   order, so a parallel sweep reports byte-for-byte what the sequential
-   sweep reports, whatever the domain count. *)
-
-type cell = { cell_scenario : scenario; cell_policy : Concurrent.policy; cell_seed : int }
-
-let matrix_cells ?(seeds = 5) ?(scenarios = default_scenarios)
-    ?(policies = policy_matrix) () =
-  Array.of_list
-    (List.concat_map
-       (fun sc ->
-         List.concat_map
-           (fun policy ->
-             List.init seeds (fun i ->
-                 { cell_scenario = sc; cell_policy = policy; cell_seed = i + 1 }))
-           policies)
-       scenarios)
-
-let run_cells ?(jobs = 1) ?sanitize cells =
-  Parallel.map_indexed_shared ~jobs
-    (fun i ->
-      let c = cells.(i) in
-      run_checked ?sanitize c.cell_scenario ~policy:c.cell_policy
-        ~seed:c.cell_seed)
-    (Array.length cells)
-
-let run_matrix ?seeds ?scenarios ?policies ?jobs ?sanitize () =
-  let cells = matrix_cells ?seeds ?scenarios ?policies () in
-  let results = run_cells ?jobs ?sanitize cells in
-  let violations =
-    List.concat_map (fun (_, vs) -> vs) (Array.to_list results)
-  in
-  (violations, Array.length cells)

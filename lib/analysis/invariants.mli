@@ -145,43 +145,3 @@ val policy_matrix : Concurrent.policy list
 (** Every combination of elimination strategy (3) x synchronisation mode
     (local latch, 3-node consensus) x guard placement (4), local
     placement: 24 policies. *)
-
-(** One cell of the sweep matrix. *)
-type cell = {
-  cell_scenario : scenario;
-  cell_policy : Concurrent.policy;
-  cell_seed : int;
-}
-
-val matrix_cells :
-  ?seeds:int ->
-  ?scenarios:scenario list ->
-  ?policies:Concurrent.policy list ->
-  unit ->
-  cell array
-(** The (scenario, policy, seed in [1..seeds]) matrix in canonical sweep
-    order: scenarios outermost, then policies, then seeds (default seeds
-    per cell: 5). *)
-
-val run_cells :
-  ?jobs:int -> ?sanitize:bool -> cell array ->
-  (run * Report.violation list) array
-(** {!run_checked} over every cell, fanned out across [jobs] domains
-    (default 1) via {!Parallel.map_indexed_shared}. Each cell
-    constructs its whole engine-world from scratch, so cells share no
-    mutable state (the audit is documented in [invariants.ml]); results
-    come back in cell order regardless of [jobs], so a parallel sweep is
-    byte-for-byte identical to a sequential one. *)
-
-val run_matrix :
-  ?seeds:int ->
-  ?scenarios:scenario list ->
-  ?policies:Concurrent.policy list ->
-  ?jobs:int ->
-  ?sanitize:bool ->
-  unit ->
-  Report.violation list * int
-(** Run every (scenario, policy, seed in [1..seeds]) combination (default
-    seeds per cell: 5) on [jobs] domains (default 1) and collect all
-    violations, in cell order. Returns the violations and the number of
-    runs executed. *)

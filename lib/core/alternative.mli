@@ -51,8 +51,9 @@ type 'a t = {
       (** Must hold for the alternative to be eligible. Evaluated in the
           child process. *)
   body : Engine.ctx -> 'a;
-      (** The method. May {!Engine.delay}, use {!Mem} sink state, and
-          exchange messages. It must not write sink state after its
+      (** The method. May {!Engine.delay}, read and write sink state in
+          its {!Engine.space} (then {!Engine.charge_memory}), and exchange
+          messages. It must not write sink state after its
           synchronisation succeeds (i.e. after [body] returns). To signal
           failure from within, call {!Engine.abort} or raise {!Failed}. *)
   footprint : footprint option;

@@ -15,8 +15,9 @@
 type 'a alternate = {
   name : string;
   version : Engine.ctx -> 'a;
-      (** One software version. May update sink state via {!Mem}; raises or
-          calls {!Engine.abort} on internal failure. *)
+      (** One software version. May update sink state in its
+          {!Engine.space} (then {!Engine.charge_memory}); raises or calls
+          {!Engine.abort} on internal failure. *)
 }
 
 val alternate : ?name:string -> (Engine.ctx -> 'a) -> 'a alternate

@@ -551,17 +551,20 @@ and sweep t =
       for i = 0 to Pid.Allocator.allocated t.alloc - 1 do
         match t.procs.(i) with
         | Some pcb when pcb.born < born_before && is_alive pcb ->
-          (match Fate_registry.normalize t.reg pcb.predicate with
-          | `Dead ->
-            if wants t Trace.Kind.killed then
-              tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
-            fire_res_watchers t pcb `Dead;
-            kill t pcb.pid ~reason:"dead world"
-          | `Live p ->
-            let changed = not (Predicate.equal p pcb.predicate) in
-            pcb.predicate <- p;
-            if changed && Predicate.is_certain p then
-              fire_res_watchers t pcb `Certain);
+          (* A certain predicate normalises to itself: skipping the call
+             keeps the walk free of its `Live cell. *)
+          if not (Predicate.is_certain pcb.predicate) then
+            (match Fate_registry.normalize t.reg pcb.predicate with
+            | `Dead ->
+              if wants t Trace.Kind.killed then
+                tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
+              fire_res_watchers t pcb `Dead;
+              kill t pcb.pid ~reason:"dead world"
+            | `Live p ->
+              let changed = not (Predicate.equal p pcb.predicate) in
+              pcb.predicate <- p;
+              if changed && Predicate.is_certain p then
+                fire_res_watchers t pcb `Certain);
           (* A parked receiver may now be able to accept a message whose
              acceptance was deferred. *)
           if is_alive pcb then rescan_parked t pcb

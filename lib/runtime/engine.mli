@@ -198,8 +198,8 @@ val space : ctx -> Address_space.t option
 
 val charge_memory : ctx -> unit
 (** Drain the address space's pending copy-on-write cost into {!delay}.
-    Memory-heavy bodies should call this after bursts of writes; the [Mem]
-    helpers do it automatically. *)
+    A body that writes its {!space} should call this after each write or
+    burst of writes, so its copy-on-write faults cost virtual time. *)
 
 val send : ctx -> ?tag:string -> Pid.t -> Payload.t -> unit
 (** Reliable FIFO send; stamps the message with the sender's current

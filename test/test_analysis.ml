@@ -15,11 +15,14 @@ let class_names vs =
 (* ---------------- clean matrix ---------------- *)
 
 let test_clean_matrix () =
-  let violations, runs = Invariants.run_matrix ~seeds:2 () in
+  let r =
+    Campaign.run (Campaign.cells { Campaign.clean with Campaign.fm_seeds = 2 })
+  in
+  let violations = r.Campaign.violations in
   check Alcotest.int "all cells ran"
     (List.length Invariants.default_scenarios
      * List.length Invariants.policy_matrix * 2)
-    runs;
+    r.Campaign.cells_run;
   List.iter (fun v -> Format.printf "%a@." Report.pp_violation v) violations;
   check Alcotest.int "no violations" 0 (List.length violations);
   check Alcotest.int "exit code" 0 (Report.exit_code violations)

@@ -80,11 +80,16 @@ let in_process ?space eng f =
   | Some r -> r
   | None -> Alcotest.fail "process did not complete"
 
-let with_heap eng f =
-  let model = Engine.model eng in
-  let space = Address_space.create (Engine.frame_store eng) model in
-  let heap = Heap.create space in
-  f space heap
+(* Sink state at a fixed address of the calling process's space; a write
+   charges its copy-on-write fault to the caller's clock. *)
+let set_int ctx addr v =
+  Address_space.set_int (Option.get (Engine.space ctx)) ~addr v;
+  Engine.charge_memory ctx
+
+let get_int ctx addr =
+  let v = Address_space.get_int (Option.get (Engine.space ctx)) ~addr in
+  Engine.charge_memory ctx;
+  v
 
 (* ---------------- Alt_block (sequential semantics) ---------------- *)
 
@@ -126,43 +131,42 @@ let test_run_first_guard_skips () =
 
 let test_sequential_rollback_restores_memory () =
   let eng = mk_engine () in
-  with_heap eng (fun space heap ->
-      let cell = Heap.int_cell heap 100 in
-      let alts =
-        [
-          Alternative.make (fun ctx ->
-              Mem.set ctx cell 999;
-              (* Fail after the write: it must be rolled back. *)
-              raise (Alternative.Failed "after write"));
-          Alternative.make (fun ctx ->
-              check Alcotest.int "second trial sees pristine state" 100
-                (Mem.get ctx cell);
-              Mem.set ctx cell 200;
-              "done");
-        ]
-      in
-      match in_process ~space eng (fun ctx -> Alt_block.run_first ctx alts) with
-      | Alt_block.Selected { value = "done"; _ } ->
-        check Alcotest.int "committed value" 200
-          (Address_space.get_int space ~addr:(Heap.cell_addr cell))
-      | _ -> Alcotest.fail "unexpected outcome")
+  let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+  Address_space.set_int space ~addr:0 100;
+  let alts =
+    [
+      Alternative.make (fun ctx ->
+          set_int ctx 0 999;
+          (* Fail after the write: it must be rolled back. *)
+          raise (Alternative.Failed "after write"));
+      Alternative.make (fun ctx ->
+          check Alcotest.int "second trial sees pristine state" 100
+            (get_int ctx 0);
+          set_int ctx 0 200;
+          "done");
+    ]
+  in
+  match in_process ~space eng (fun ctx -> Alt_block.run_first ctx alts) with
+  | Alt_block.Selected { value = "done"; _ } ->
+    check Alcotest.int "committed value" 200
+      (Address_space.get_int space ~addr:0)
+  | _ -> Alcotest.fail "unexpected outcome"
 
 let test_sequential_rollback_on_total_failure () =
   let eng = mk_engine () in
-  with_heap eng (fun space heap ->
-      let cell = Heap.int_cell heap 1 in
-      let alts =
-        [
-          Alternative.make (fun ctx ->
-              Mem.set ctx cell 2;
-              raise (Alternative.Failed "x"));
-        ]
-      in
-      (match in_process ~space eng (fun ctx -> Alt_block.run_first ctx alts) with
-      | Alt_block.Block_failed _ -> ()
-      | _ -> Alcotest.fail "expected failure");
-      check Alcotest.int "state restored" 1
-        (Address_space.get_int space ~addr:(Heap.cell_addr cell)))
+  let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+  Address_space.set_int space ~addr:0 1;
+  let alts =
+    [
+      Alternative.make (fun ctx ->
+          set_int ctx 0 2;
+          raise (Alternative.Failed "x"));
+    ]
+  in
+  (match in_process ~space eng (fun ctx -> Alt_block.run_first ctx alts) with
+  | Alt_block.Block_failed _ -> ()
+  | _ -> Alcotest.fail "expected failure");
+  check Alcotest.int "state restored" 1 (Address_space.get_int space ~addr:0)
 
 let test_run_random_is_seed_deterministic () =
   let run seed =
@@ -270,11 +274,10 @@ let test_concurrent_absorbs_winner_memory () =
   let eng = mk_engine () in
   let model = Engine.model eng in
   let space = Address_space.create (Engine.frame_store eng) model in
-  let heap = Heap.create space in
-  let cell = Heap.int_cell heap 0 in
+  Address_space.set_int space ~addr:0 0;
   let mark value cost =
     Alternative.make (fun ctx ->
-        Mem.set ctx cell value;
+        set_int ctx 0 value;
         Engine.delay ctx cost;
         value)
   in
@@ -284,7 +287,7 @@ let test_concurrent_absorbs_winner_memory () =
   | _ -> Alcotest.fail "fast marker must win");
   (* The parent's view must show exactly the winner's state change. *)
   check Alcotest.int "winner's write absorbed" 222
-    (Address_space.get_int space ~addr:(Heap.cell_addr cell));
+    (Address_space.get_int space ~addr:0);
   check Alcotest.bool "loser pages privatised then dropped" true
     (r.Concurrent.child_cow_copies >= 1)
 
@@ -295,25 +298,24 @@ let test_concurrent_transparency_vs_sequential () =
     let eng = mk_engine () in
     let model = Engine.model eng in
     let space = Address_space.create (Engine.frame_store eng) model in
-    let heap = Heap.create space in
-    let a = Heap.int_cell heap 0 and b = Heap.int_cell heap 0 in
+    Address_space.set_int space ~addr:0 0;
+    Address_space.set_int space ~addr:8 0;
     let alts =
       [
         Alternative.make (fun ctx ->
-            Mem.set ctx a 1;
+            set_int ctx 0 1;
             Engine.delay ctx 5.;
-            Mem.set ctx b 1;
+            set_int ctx 8 1;
             "slow");
         Alternative.make (fun ctx ->
-            Mem.set ctx a 2;
+            set_int ctx 0 2;
             Engine.delay ctx 1.;
-            Mem.set ctx b 2;
+            set_int ctx 8 2;
             "fast");
       ]
     in
     let _ = run_block eng space alts in
-    (Address_space.get_int space ~addr:(Heap.cell_addr a),
-     Address_space.get_int space ~addr:(Heap.cell_addr b))
+    (Address_space.get_int space ~addr:0, Address_space.get_int space ~addr:8)
   in
   let concurrent =
     final_of (fun eng space alts -> Concurrent.run_toplevel eng ~space alts)

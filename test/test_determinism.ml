@@ -50,11 +50,13 @@ let render_invariant_run ((rr : Invariants.run), vs) =
 let render_violations vs =
   List.map (fun v -> Format.asprintf "%a" Report.pp_violation v) vs
 
+let clean_cells = Campaign.cells { Campaign.clean with Campaign.fm_seeds = 1 }
+
 let sweep_lines ~sanitize ~jobs =
-  let cells = Invariants.matrix_cells ~seeds:1 () in
-  Invariants.run_cells ~jobs ~sanitize cells
+  Parallel.map_indexed_shared ~jobs
+    (fun i -> render_invariant_run (Campaign.execute ~sanitize clean_cells.(i)))
+    (Array.length clean_cells)
   |> Array.to_list
-  |> List.map render_invariant_run
 
 let campaign_lines family ~sanitize ~jobs =
   let r = Campaign.run ~jobs ~sanitize (Campaign.cells family) in
@@ -109,6 +111,25 @@ let test_fuzz_matrix_byte_identity () =
 
 let test_sites_matrix_byte_identity () =
   check_matrix ~what:"sites matrix" ~pinned:"07c018c3f8292445" sites_lines
+
+(* A cell's trace is a function of the cell: [altcheck --dump-trace]
+   re-executes the chosen cell rather than keep every engine of the
+   sweep, so a second execution must write the same bytes. *)
+let test_clean_cell_trace_replays () =
+  let jsonl ~sanitize c =
+    let rr, _ = Campaign.execute ~sanitize c in
+    Trace.to_jsonl (Engine.trace rr.Invariants.engine)
+  in
+  List.iter
+    (fun sanitize ->
+      Array.iter
+        (fun c ->
+          check Alcotest.string
+            (Printf.sprintf "%s (sanitize=%b)" (Campaign.describe_cell c)
+               sanitize)
+            (jsonl ~sanitize c) (jsonl ~sanitize c))
+        clean_cells)
+    [ false; true ]
 
 (* ---------------- zero-latency ring ordering ---------------- *)
 
@@ -320,6 +341,8 @@ let () =
             test_fuzz_matrix_byte_identity;
           Alcotest.test_case "sites matrix, shards 1/2/4, +/- sanitizer"
             `Quick test_sites_matrix_byte_identity;
+          Alcotest.test_case "clean cell trace, executed twice, +/- sanitizer"
+            `Quick test_clean_cell_trace_replays;
           Alcotest.test_case "zero-lookahead ring ordering" `Quick
             test_zero_lookahead_ordering;
         ] );

@@ -16,6 +16,12 @@ let in_process ?space eng f =
   | Some r -> r
   | None -> Alcotest.fail "root did not complete"
 
+(* Sink state at a fixed address of the calling process's space; a write
+   charges its copy-on-write fault to the caller's clock. *)
+let set_int ctx addr v =
+  Address_space.set_int (Option.get (Engine.space ctx)) ~addr v;
+  Engine.charge_memory ctx
+
 (* ---------------- lost eliminations: the too-late backup ----------- *)
 
 let test_no_elim_at_most_once () =
@@ -74,21 +80,20 @@ let test_no_elim_state_stays_consistent () =
      absorbed. *)
   let eng = Engine.create ~trace:false () in
   let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
-  let heap = Heap.create space in
-  let cell = Heap.int_cell heap 0 in
+  Address_space.set_int space ~addr:0 0;
   let policy = { Concurrent.default_policy with elimination = Concurrent.No_elim } in
   let r =
     Concurrent.run_toplevel eng ~policy ~space
       [
-        Alternative.make (fun ctx -> Mem.set ctx cell 1; Engine.delay ctx 1.; 1);
-        Alternative.make (fun ctx -> Mem.set ctx cell 2; Engine.delay ctx 9.; 2);
+        Alternative.make (fun ctx -> set_int ctx 0 1; Engine.delay ctx 1.; 1);
+        Alternative.make (fun ctx -> set_int ctx 0 2; Engine.delay ctx 9.; 2);
       ]
   in
   (match r.Concurrent.outcome with
   | Alt_block.Selected { value = 1; _ } -> ()
   | _ -> Alcotest.fail "fast alternative must win");
   check Alcotest.int "zombie's write never lands" 1
-    (Address_space.get_int space ~addr:(Heap.cell_addr cell))
+    (Address_space.get_int space ~addr:0)
 
 (* ---------------- chained speculation ---------------- *)
 

@@ -20,6 +20,12 @@ let in_process ?space eng f =
   | Some r -> r
   | None -> Alcotest.fail "root did not complete"
 
+(* Sink state at a fixed address of the calling process's space; a write
+   charges its copy-on-write fault to the caller's clock. *)
+let set_int ctx addr v =
+  Address_space.set_int (Option.get (Engine.space ctx)) ~addr v;
+  Engine.charge_memory ctx
+
 let with_policy ?(guards = Concurrent.Guard_in_child)
     ?(placement = Concurrent.Local_spawn) () =
   { Concurrent.default_policy with guards; placement }
@@ -149,15 +155,14 @@ let test_remote_setup_costs_rfork () =
 
 let test_remote_state_ships_back () =
   let eng, space = remote_setup_engine () in
-  let heap = Heap.create space in
-  let cell = Heap.int_cell heap 0 in
+  Address_space.set_int space ~addr:0 0;
   let r =
     in_process ~space eng (fun ctx ->
         Concurrent.run ctx
           ~policy:(with_policy ~placement:Concurrent.Remote_spawn ())
           [
             Alternative.make (fun ctx ->
-                Mem.set ctx cell 99;
+                set_int ctx 0 99;
                 Engine.delay ctx 0.1;
                 "writer");
           ])
@@ -166,7 +171,7 @@ let test_remote_state_ships_back () =
   | Alt_block.Selected { value = "writer"; _ } -> ()
   | _ -> Alcotest.fail "writer must win");
   check Alcotest.int "remote write visible after absorption" 99
-    (Address_space.get_int space ~addr:(Heap.cell_addr cell));
+    (Address_space.get_int space ~addr:0);
   (* Shipping the winner's image back is part of the selection cost. *)
   check Alcotest.bool "selection includes return transfer" true
     (r.Concurrent.selection_cost > 0.9)
@@ -252,13 +257,12 @@ let test_on_demand_ships_back_only_dirty () =
      image back; on-demand ships only the one dirty page. *)
   let run placement =
     let eng, space = remote_setup_engine () in
-    let heap = Heap.create space in
-    let cell = Heap.int_cell heap 0 in
+    Address_space.set_int space ~addr:0 0;
     (in_process ~space eng (fun ctx ->
          Concurrent.run ctx ~policy:(with_policy ~placement ())
            [
              Alternative.make (fun ctx ->
-                 Mem.set ctx cell 1;
+                 set_int ctx 0 1;
                  Engine.delay ctx 0.1;
                  ());
            ]))
@@ -269,15 +273,14 @@ let test_on_demand_ships_back_only_dirty () =
 
 let test_on_demand_state_still_ships_back () =
   let eng, space = remote_setup_engine () in
-  let heap = Heap.create space in
-  let cell = Heap.int_cell heap 0 in
+  Address_space.set_int space ~addr:0 0;
   let r =
     in_process ~space eng (fun ctx ->
         Concurrent.run ctx
           ~policy:(with_policy ~placement:Concurrent.Remote_on_demand ())
           [
             Alternative.make (fun ctx ->
-                Mem.set ctx cell 31;
+                set_int ctx 0 31;
                 Engine.delay ctx 0.1;
                 ());
           ])
@@ -286,7 +289,7 @@ let test_on_demand_state_still_ships_back () =
   | Alt_block.Selected _ -> ()
   | _ -> Alcotest.fail "must win");
   check Alcotest.int "winner write visible" 31
-    (Address_space.get_int space ~addr:(Heap.cell_addr cell))
+    (Address_space.get_int space ~addr:0)
 
 (* ---------------- replication ---------------- *)
 

@@ -1,21 +1,26 @@
-(* Coverage for the smaller surfaces: Mem helpers, payload/message
+(* Coverage for the smaller surfaces: memory charging, payload/message
    printing and sizing, trace utilities, alternative constructors, and
    assorted accessors. *)
 
 let check = Alcotest.check
 let cf = Alcotest.float 1e-9
 
-(* ---------------- Mem ---------------- *)
+(* ---------------- memory charging ---------------- *)
+
+(* A body reaches its sink state through [Engine.space] and pays for its
+   copy-on-write faults with [Engine.charge_memory]. *)
 
 let test_mem_requires_space () =
   let eng = Engine.create ~trace:false () in
-  let raised = ref false in
+  let seen = ref None in
   ignore
     (Engine.spawn eng (fun ctx ->
-         try ignore (Mem.read_bytes ctx ~addr:0 ~len:1)
-         with Invalid_argument _ -> raised := true));
+         Engine.charge_memory ctx;
+         seen := Some (Option.is_none (Engine.space ctx), Engine.now_v ctx)));
   Engine.run eng;
-  check Alcotest.bool "spaceless process rejected" true !raised
+  check
+    Alcotest.(option (pair bool cf))
+    "spaceless process: no space, nothing charged" (Some (true, 0.)) !seen
 
 let test_mem_rw_and_charging () =
   let model = Cost_model.att_3b2 in
@@ -26,9 +31,10 @@ let test_mem_rw_and_charging () =
   let finish = ref 0. in
   ignore
     (Engine.spawn eng ~space:child (fun ctx ->
-         Mem.write_bytes ctx ~addr:0 (Bytes.of_string "xy");
+         Address_space.write_bytes child ~addr:0 (Bytes.of_string "xy");
+         Engine.charge_memory ctx;
          check Alcotest.string "read back" "xy"
-           (Bytes.to_string (Mem.read_bytes ctx ~addr:0 ~len:2));
+           (Bytes.to_string (Address_space.read_bytes child ~addr:0 ~len:2));
          finish := Engine.now_v ctx));
   Engine.run eng;
   (* The COW fault on the shared page must have cost one page copy. *)
@@ -43,7 +49,8 @@ let test_mem_touch () =
   ignore (Address_space.drain_cost child);
   ignore
     (Engine.spawn eng ~space:child (fun ctx ->
-         Mem.touch ctx ~addr:0 ~len:1024));
+         Address_space.touch child ~addr:0 ~len:1024;
+         Engine.charge_memory ctx));
   Engine.run eng;
   check Alcotest.int "all four pages privatised" 4 (Address_space.cow_copies child)
 
@@ -183,15 +190,6 @@ let test_source_name_and_analytic_pp () =
   let printed = Format.asprintf "%a" Analytic.pp_row row in
   check Alcotest.bool "row pp mentions PI" true (String.length printed > 10)
 
-let test_heap_brk_monotone () =
-  let model = Cost_model.uniform ~page_size:256 () in
-  let sp = Address_space.create (Frame_store.create ~page_size:256) model in
-  let h = Heap.create sp in
-  let b0 = Heap.brk h in
-  ignore (Heap.alloc h 100);
-  check Alcotest.bool "brk advanced" true (Heap.brk h >= b0 + 100);
-  check Alcotest.bool "space accessor" true (Heap.space h == sp)
-
 let () =
   Alcotest.run "misc"
     [
@@ -225,6 +223,5 @@ let () =
           Alcotest.test_case "engine accessors" `Quick test_engine_accessors;
           Alcotest.test_case "source name / analytic pp" `Quick
             test_source_name_and_analytic_pp;
-          Alcotest.test_case "heap brk" `Quick test_heap_brk_monotone;
         ] );
     ]

@@ -391,48 +391,6 @@ let test_frame_conservation_schedules () =
         (Frame_store.live_frames store)
   done
 
-(* ---------------- Heap ---------------- *)
-
-let test_heap_cells () =
-  let sp = mk_space () in
-  let h = Heap.create sp in
-  let a = Heap.int_cell h 10 in
-  let b = Heap.float_cell h 1.5 in
-  let c = Heap.string_cell h ~max_len:16 "hi" in
-  check Alcotest.int "int cell" 10 (Heap.get h a);
-  check cf "float cell" 1.5 (Heap.get h b);
-  check Alcotest.string "string cell" "hi" (Heap.get h c);
-  Heap.set h a 11;
-  Heap.set h c "longer text";
-  check Alcotest.int "int updated" 11 (Heap.get h a);
-  check Alcotest.string "string updated" "longer text" (Heap.get h c);
-  Alcotest.check_raises "string too long"
-    (Invalid_argument "Heap.set: string too long") (fun () ->
-      Heap.set h c "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa")
-
-let test_heap_alloc_disjoint () =
-  let sp = mk_space () in
-  let h = Heap.create sp in
-  let a = Heap.alloc h 5 and b = Heap.alloc h 5 in
-  check Alcotest.bool "disjoint and ordered" true (b >= a + 5);
-  check Alcotest.bool "aligned" true (a mod 8 = 0 && b mod 8 = 0)
-
-let test_heap_view_through_fork () =
-  let sp = mk_space () in
-  let h = Heap.create sp in
-  let cell = Heap.int_cell h 1 in
-  let child_space = Address_space.fork sp in
-  ignore (Address_space.drain_cost child_space);
-  let child_heap = Heap.view h child_space in
-  check Alcotest.int "child sees parent value" 1 (Heap.get child_heap cell);
-  Heap.set child_heap cell 99;
-  check Alcotest.int "child updated" 99 (Heap.get child_heap cell);
-  check Alcotest.int "parent isolated" 1 (Heap.get h cell);
-  (* Views share the allocation frontier. *)
-  let c2 = Heap.int_cell child_heap 5 in
-  check Alcotest.bool "no overlap across views" true
-    (Heap.cell_addr c2 > Heap.cell_addr cell)
-
 (* ---------------- Cost_model ---------------- *)
 
 let test_model_calibration_3b2 () =
@@ -1034,12 +992,6 @@ let () =
           Alcotest.test_case "scalar cross-page fallback" `Quick
             test_space_scalar_cross_page;
           Alcotest.test_case "page-size mismatch" `Quick test_space_page_size_mismatch;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "typed cells" `Quick test_heap_cells;
-          Alcotest.test_case "alloc disjoint" `Quick test_heap_alloc_disjoint;
-          Alcotest.test_case "view through fork" `Quick test_heap_view_through_fork;
         ] );
       ( "cost_model",
         [

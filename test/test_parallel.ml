@@ -101,19 +101,21 @@ let test_create_validates_jobs () =
     (Invalid_argument "Parallel.map_indexed_shared: negative length")
     (fun () -> ignore (Parallel.map_indexed_shared ~jobs:2 Fun.id (-1)))
 
-let render_sweep (violations, runs) =
+let render_sweep (r : Campaign.result) =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Format.fprintf ppf "runs=%d@." runs;
-  List.iter (Format.fprintf ppf "%a@." Report.pp_violation) violations;
+  Format.fprintf ppf "runs=%d@." r.Campaign.cells_run;
+  List.iter (Format.fprintf ppf "%s@.") r.Campaign.lines;
+  List.iter (Format.fprintf ppf "%a@." Report.pp_violation) r.Campaign.violations;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
 let test_run_matrix_independent_of_jobs () =
-  (* The headline determinism contract: the full sweep's report is
+  (* The headline determinism contract: the clean sweep's report is
      byte-for-byte identical whether it ran on one domain or several. *)
-  let sequential = render_sweep (Invariants.run_matrix ~seeds:1 ~jobs:1 ()) in
-  let parallel = render_sweep (Invariants.run_matrix ~seeds:1 ~jobs:4 ()) in
+  let cells = Campaign.cells { Campaign.clean with Campaign.fm_seeds = 1 } in
+  let sequential = render_sweep (Campaign.run ~jobs:1 cells) in
+  let parallel = render_sweep (Campaign.run ~jobs:4 cells) in
   if not (String.equal sequential parallel) then
     Alcotest.failf "parallel sweep diverged from sequential:@.%s@.vs@.%s"
       sequential parallel;

@@ -18,6 +18,17 @@ let in_process ?space eng f =
   | Some r -> r
   | None -> Alcotest.fail "process did not complete"
 
+(* Sink state at a fixed address of the calling process's space; a write
+   charges its copy-on-write fault to the caller's clock. *)
+let set_int ctx addr v =
+  Address_space.set_int (Option.get (Engine.space ctx)) ~addr v;
+  Engine.charge_memory ctx
+
+let get_int ctx addr =
+  let v = Address_space.get_int (Option.get (Engine.space ctx)) ~addr in
+  Engine.charge_memory ctx;
+  v
+
 let accept_positive = fun _ctx v -> v > 0
 
 let timed name cost value =
@@ -59,18 +70,17 @@ let test_sequential_rollback_restores_sink_state () =
   let eng = mk_engine () in
   let model = Engine.model eng in
   let space = Address_space.create (Engine.frame_store eng) model in
-  let heap = Heap.create space in
-  let cell = Heap.int_cell heap 5 in
+  Address_space.set_int space ~addr:0 5;
   let rb =
     Recovery_block.make
-      ~acceptance:(fun ctx _ -> Mem.get ctx cell < 100)
+      ~acceptance:(fun ctx _ -> get_int ctx 0 < 100)
       [
         Recovery_block.alternate ~name:"bad" (fun ctx ->
-            Mem.set ctx cell 1000;
+            set_int ctx 0 1000;
             0);
         Recovery_block.alternate ~name:"good" (fun ctx ->
-            let v = Mem.get ctx cell in
-            Mem.set ctx cell (v + 1);
+            let v = get_int ctx 0 in
+            set_int ctx 0 (v + 1);
             v);
       ]
   in
@@ -78,7 +88,7 @@ let test_sequential_rollback_restores_sink_state () =
   check Alcotest.bool "good accepted with pristine view" true
     (r.Recovery_block.verdict = `Accepted (1, 5));
   check Alcotest.int "final state is good's write" 6
-    (Address_space.get_int space ~addr:(Heap.cell_addr cell))
+    (Address_space.get_int space ~addr:0)
 
 let test_sequential_all_rejected () =
   let eng = mk_engine () in

@@ -2605,6 +2605,30 @@ let spawns eng n =
     Engine.run eng
   done
 
+(* A decided fate sweeps every live process. A certain predicate needs no
+   normalising, so the live processes parked on a receive cost a fate no
+   words: spawn-to-exit is measured on a warm engine with none and with
+   [live] of them. *)
+let test_sweep_skips_certain () =
+  let live = 500 and n = 200 in
+  let spawn_words ~live =
+    let eng = mk () in
+    for _ = 1 to live do
+      ignore
+        (Engine.spawn eng ~cloneable:false (fun ctx ->
+             ignore (Engine.receive ctx ())))
+    done;
+    spawns eng 64;
+    let w0 = Gc.minor_words () in
+    spawns eng n;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let per_live =
+    (spawn_words ~live -. spawn_words ~live:0) /. float_of_int live
+  in
+  if per_live > 0.1 then
+    Alcotest.failf "%.2f words per fate per live certain process" per_live
+
 let test_alloc_budget name op ceiling () =
   let w = words_per ~n:2000 op in
   if w > ceiling then Alcotest.failf "%s: %.1f words, ceiling %.0f" name w ceiling
@@ -2776,6 +2800,8 @@ let () =
             (test_alloc_budget "message hop" message_hops 38.);
           Alcotest.test_case "spawn to exit" `Quick
             (test_alloc_budget "spawn to exit" spawns 80.);
+          Alcotest.test_case "sweep: no words per certain process" `Quick
+            test_sweep_skips_certain;
         ] );
       ( "ordering",
         [
