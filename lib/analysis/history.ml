@@ -35,7 +35,6 @@ type t = {
   kills : (Pid.t * string) list;
   sent : Message.t list;
   injections : (string * Pid.t option * Message.t option) list;
-  degradations : (Pid.t * string) list;
   site_crashes : string list;
   recoveries : (Pid.t * Pid.t * int) list;
 }
@@ -46,7 +45,7 @@ let of_trace trace =
   let wins = ref [] and lates = ref [] and absorbs = ref [] in
   let accepts = ref [] and fates = ref [] and kills = ref [] in
   let sent = ref [] in
-  let injections = ref [] and degradations = ref [] in
+  let injections = ref [] in
   let site_crashes = ref [] in
   let recoveries = ref [] in
   List.iter
@@ -68,14 +67,12 @@ let of_trace trace =
       | Trace.Sent { msg } -> sent := msg :: !sent
       | Trace.Injected { kind; pid; msg } ->
         injections := (kind, pid, msg) :: !injections
-      | Trace.Degraded { parent; reason } ->
-        degradations := (parent, reason) :: !degradations
       | Trace.Site_crashed { site } -> site_crashes := site :: !site_crashes
       | Trace.Recovered { failed; successor; epoch } ->
         recoveries := (failed, successor, epoch) :: !recoveries
       | Trace.Started _ | Trace.Delivered_batch _ | Trace.Delivered _
       | Trace.Ignored _ | Trace.Split _ | Trace.Fate_deferred _ | Trace.Sanitizer_flag _ | Trace.Note _
-      | Trace.Partitioned _ | Trace.Healed _ -> ())
+      | Trace.Partitioned _ | Trace.Healed _ | Trace.Degraded _ -> ())
     (Trace.events trace);
   {
     names;
@@ -88,7 +85,6 @@ let of_trace trace =
     kills = List.rev !kills;
     sent = List.rev !sent;
     injections = List.rev !injections;
-    degradations = List.rev !degradations;
     site_crashes = List.rev !site_crashes;
     recoveries = List.rev !recoveries;
   }
@@ -101,9 +97,7 @@ let absorbs t = t.absorbs
 let accepts t = t.accepts
 let fates t = t.fates
 let kills t = t.kills
-let sent t = t.sent
 let injections t = t.injections
-let degradations t = t.degradations
 let site_crashes t = t.site_crashes
 let recoveries t = t.recoveries
 let faulted t = t.injections <> []

@@ -52,17 +52,11 @@ val kills : t -> (Pid.t * string) list
 (** [(pid, reason)] of every [Killed] event (dead-world sweep kills; direct
     eliminations appear only as [Exited]). *)
 
-val sent : t -> Message.t list
-
 (** {2 Faults} *)
 
 val injections : t -> (string * Pid.t option * Message.t option) list
 (** [(kind, pid, msg)] of every [Injected] event: the fault campaign's
     footprint on this execution. *)
-
-val degradations : t -> (Pid.t * string) list
-(** [(parent, reason)] of every [Degraded] event (alt-block fell back to
-    sequential execution). *)
 
 val site_crashes : t -> string list
 (** Sites that crashed ([Site_crashed] events), in order. *)

@@ -8,18 +8,6 @@ type check_class =
   | Accounting
   | Sanitizer
 
-let all_classes =
-  [
-    At_most_once;
-    Transparency;
-    World;
-    Elimination;
-    Isolation;
-    Sources;
-    Accounting;
-    Sanitizer;
-  ]
-
 let class_name = function
   | At_most_once -> "at-most-once"
   | Transparency -> "transparency"
@@ -161,15 +149,6 @@ let code_determinism = code_of_label "determinism"
 let code_lint_conflict = code_of_label "lint-conflict"
 let code_lint_unknown = code_of_label "lint-unknown"
 
-let class_exit_code c = code_of_label (class_name c)
-
-let severity c =
-  let rec idx i = function
-    | [] -> invalid_arg "Report.severity"
-    | x :: rest -> if x = c then i else idx (i + 1) rest
-  in
-  idx 0 all_classes
-
 let pp_code_table ppf () =
   Format.fprintf ppf "%-6s %-14s %-28s %s@." "code" "label" "source" "meaning";
   List.iter
@@ -194,12 +173,12 @@ let pp_violation ppf v =
     (class_provenance v.check) (class_name v.check) v.detail v.scenario
     v.policy v.seed
 
+(* Constant constructors compare in declaration order, which is severity
+   order. *)
 let exit_code = function
   | [] -> 0
-  | vs ->
+  | v :: vs ->
     let worst =
-      List.fold_left
-        (fun acc v -> if severity v.check < severity acc then v.check else acc)
-        (List.hd vs).check vs
+      List.fold_left (fun acc v -> if v.check < acc then v.check else acc) v.check vs
     in
-    class_exit_code worst
+    code_of_label (class_name worst)

@@ -38,19 +38,8 @@ type check_class =
           are reported under {e that} class; this class only covers
           divergence between the two. *)
 
-val all_classes : check_class list
-(** Every class, in severity (= declaration) order. *)
-
 val class_name : check_class -> string
 (** Short stable identifier, e.g. ["at-most-once"]. *)
-
-val class_provenance : check_class -> string
-(** The source file whose logic the class verifies,
-    e.g. ["lib/core/concurrent.ml"]. *)
-
-val class_exit_code : check_class -> int
-(** Distinct nonzero process exit code per class (10-17), looked up in
-    {!registry}. *)
 
 (** {1 The exit-code registry} *)
 
@@ -102,6 +91,3 @@ val pp_violation : Format.formatter -> violation -> unit
 val exit_code : violation list -> int
 (** [0] for no violations; otherwise the exit code of the most severe
     class present (severity = declaration order of {!check_class}). *)
-
-val severity : check_class -> int
-(** Position in {!all_classes} (0 = most fundamental). *)

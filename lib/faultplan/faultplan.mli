@@ -20,8 +20,8 @@
     alone. *)
 
 (** What to do to a matched message. [Delay] adds latency but preserves the
-    per-channel FIFO order; [Reorder] adds latency {e without} holding the
-    channel back, so later messages may overtake (the paper's transport is
+    per-(sender, dest) FIFO order; [Reorder] adds latency {e without} holding
+    that order back, so later messages may overtake (the paper's transport is
     FIFO, so reorder campaigns probe beyond its stated model). *)
 type msg_action = Drop | Duplicate | Delay of float | Reorder of float
 

@@ -37,8 +37,11 @@ type pcb = {
   mutable predicate : Predicate.t;
   space : Address_space.t option;
   mutable mailbox : Mailbox.t;  (* ring of messages, arrival order *)
-  mutable chans : channel list;  (* outbound channels, one per logical dest *)
-  mutable last_chan : channel option;  (* last outbound channel, a cache *)
+  mutable sent_to : int array;
+  mutable sent_at : floatarray;
+      (* The per-(sender, logical dest) FIFO clock: the last delivery time
+         scheduled to pid [sent_to.(i)] (see [clock_slot]). Empty until
+         the first send. *)
   born : int;  (* spawn order within the engine: the sweep's snapshot key *)
   mutable doomed : string option;
   mutable cloneable : bool;
@@ -94,41 +97,38 @@ and 'a ivar = { mutable value : 'a option; mutable waiters : park list }
 
 and ctx = { engine : t; pcb : pcb }
 
-(* One (sender, logical dest) messaging channel: the per-sender FIFO
-   clock, a ring-buffer outbox of in-flight messages, and the state of the
-   currently open delivery batch.
+(* What the event queue holds: data, dispatched by [run].
 
-   A batch is a single scheduled event that will hand a contiguous run of
-   outbox entries to the receiver in one step. A later send may join the
-   open batch only if (a) it is due at exactly the batch's flush time,
-   (b) the event queue's stamp has not moved since the batch last grew —
-   i.e. nothing else was scheduled in between — and (c) no event has
-   executed since either. The stamp alone counts only pushes: a
-   zero-delay timer that pops and runs between two sends at the same
-   virtual time (say, filling an ivar whose waiter resumes synchronously
-   and sends again) moves neither the stamp nor the flush time, yet an
-   event did order between the two sends and must flush the open batch.
-   With (a)–(c) together no event can possibly order between the batch's
-   members and global (time, seq) order is preserved exactly as if each
-   message had its own event. *)
-and channel = {
-  ch_sender : Pid.t;
-  ch_dest : Pid.t;  (* logical destination *)
-  outbox : Mailbox.t;
-  ch_clock : floatarray;
-      (* [0] = last scheduled delivery time (the per-sender FIFO clock),
-         [1] = the open batch's flush time. A flat float pair rather than
-         two mutable fields of this mixed record, so the send fast path
-         stores and compares times without boxing a float per message. *)
-  mutable ch_open : bool;
-  mutable ch_watermark : int;  (* Event_queue.stamp when the batch last grew *)
-  mutable ch_epoch : int;  (* events_processed when the batch was opened *)
-  mutable ch_upto : upto;
-}
-
-(* The open batch's end position, shared with the scheduled flush closure
-   so joins can extend the batch without touching the event queue. *)
-and upto = { mutable u : int }
+   A [Flush] is a delivery batch: the messages of one (sender, logical
+   dest) pair due at one time, handed to the receiver by one event.
+   [first] is its first message; [more] is {!no_more} for a batch of one,
+   else a ring holding every message of the batch, [first] included; a
+   delayed or reordered fault injection is a batch of one of its own. A
+   later send may join the batch only if (a) it goes to the same pair,
+   (b) it is due at exactly the batch's flush time, (c) the event queue's
+   stamp has not moved since the batch was pushed — nothing else was
+   scheduled in between — and (d) no event has executed since either. The
+   stamp alone counts only pushes: a zero-delay timer that pops and runs
+   between two sends at the same virtual time (say, filling an ivar whose
+   waiter resumes synchronously and sends again) moves neither the stamp
+   nor the flush time, yet an event did order between the two sends and
+   must flush the batch. Nor may a sender that the batch's own flush
+   resumes, at its time, join the batch it has just delivered. With
+   (a)–(d) no event can order between the batch's members, so global
+   (time, seq) order is exactly as if each message had its own event.
+   Every push takes a stamp, so only the batch pushed last can pass (c):
+   the engine keeps that one in [open_batch]. *)
+and event =
+  | Tick  (* the CPU's, in the queue's slot *)
+  | Deadline  (* a timed wait's, keyed by its pid *)
+  | Start of pcb
+  | Flush of {
+      sender : Pid.t;
+      dest : Pid.t;  (* logical destination *)
+      first : Message.t;
+      mutable more : Mailbox.t;
+    }
+  | Thunk of (unit -> unit)
 
 and fault_action =
   | F_deliver
@@ -143,7 +143,7 @@ and fault_action =
    every issued pid. *)
 and t = {
   mutable vnow : float;
-  queue : (unit -> unit) Event_queue.t;  (* (time, stamp) order *)
+  queue : event Event_queue.t;  (* (time, stamp) order *)
   root_seed : int;
   mutable procs : pcb option array;  (* None: issued but never spawned *)
   mutable worlds : Pid.t list array;
@@ -155,11 +155,18 @@ and t = {
   store : Frame_store.t;
   model_ : Cost_model.t;
   trace_ : Trace.t;
-  cpu : (park, unit -> unit) Cpu.t;
+  cpu : (park, event) Cpu.t;
       (* The runnable processes, each parked as the [Park_cpu] its tick
          hands back. *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
   mutable events_processed : int;  (* also the batch-join epoch *)
+  mutable open_batch : event;  (* the [Flush] pushed last; [Tick] before any *)
+  open_time : floatarray;  (* its flush time, unboxed *)
+  mutable open_stamp : int;  (* Event_queue.stamp just after its push *)
+  mutable open_epoch : int;  (* events_processed at its push *)
+  mutable spare : Mailbox.t;
+      (* An empty ring for the next joined batch, or {!no_more}: flushed
+         batches' rings, with their slot arrays, are recycled here. *)
   mutable live : int;
   mutable deferred : pcb list;  (* exited ok, fate deferred on predicates *)
   mutable stopped : bool;
@@ -213,6 +220,9 @@ let initial_pids = 16
    first draw). *)
 let no_rng = Rng.create ~seed:0
 
+(* The [more] of every batch of one. Never pushed to. *)
+let no_more = Mailbox.create ()
+
 let set_message_fault t f = t.msg_fault <- f
 let set_spawn_hook t f = t.spawn_hook <- f
 let set_site_hook t f = t.site_hook <- f
@@ -257,13 +267,6 @@ let resume_slice p =
     Effect.Deep.continue k ()
   | _ -> ()
 
-(* The two events [run] recognises by identity and handles itself, so
-   neither closes over an engine: the one every engine's CPU puts in its
-   queue's slot, and the one behind every timed wait's deadline handle.
-   Neither is ever called. *)
-let cpu_tick_event () = invalid_arg "Engine: the CPU tick runs from run"
-let deadline_event () = invalid_arg "Engine: a deadline runs from run"
-
 let cpu_tick t = List.iter resume_slice (Cpu.tick t.cpu ~now:t.vnow)
 
 (* A timed wait's deadline is the queue entry keyed by its pid. An
@@ -272,7 +275,7 @@ let cpu_tick t = List.iter resume_slice (Cpu.tick t.cpu ~now:t.vnow)
 let set_deadline t pcb timeout =
   if timeout < infinity then
     Event_queue.set_handle t.queue (Pid.to_int pcb.pid) ~time:(t.vnow +. timeout)
-      deadline_event
+      Deadline
 
 let clear_deadline t pcb = Event_queue.clear_handle t.queue (Pid.to_int pcb.pid)
 
@@ -335,9 +338,14 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     store = Frame_store.create ~page_size:model.Cost_model.page_size;
     model_ = model;
     trace_ = Trace.create ~enabled:trace ();
-    cpu = Cpu.create cores queue ~tick:cpu_tick_event ~empty:No_park;
+    cpu = Cpu.create cores queue ~tick:Tick ~empty:No_park;
     mailbox_scanned = 0;
     events_processed = 0;
+    open_batch = Tick;
+    open_time = Float.Array.make 1 0.;
+    open_stamp = -1;
+    open_epoch = -1;
+    spare = no_more;
     live = 0;
     deferred = [];
     stopped = false;
@@ -380,9 +388,26 @@ let world_copies t pid =
   let i = Pid.to_int pid in
   if i >= 0 && i < Array.length t.worlds then Array.unsafe_get t.worlds i else []
 
-let rec find_channel dest = function
-  | [] -> raise Not_found
-  | c :: rest -> if Pid.equal c.ch_dest dest then c else find_channel dest rest
+(* The slot of [dest] in a FIFO-clock table, else its first free slot,
+   else its length when it is full. A free slot holds pid -1 and clock
+   [neg_infinity]; a slot of a forged pid -1 holds a finite clock. The
+   scan compares ints and reads a clock only at a -1. Top-level, so the
+   send path builds no closure. *)
+let rec clock_slot sent_to sent_at dest i =
+  if i = Array.length sent_to then i
+  else
+    let d = Array.unsafe_get sent_to i in
+    if d = dest || (d = -1 && Float.Array.unsafe_get sent_at i = neg_infinity) then i
+    else clock_slot sent_to sent_at dest (i + 1)
+
+let grow_clock pcb =
+  let n = Array.length pcb.sent_to in
+  let cap = if n = 0 then 4 else 2 * n in
+  let sent_to = Array.make cap (-1) and sent_at = Float.Array.make cap neg_infinity in
+  Array.blit pcb.sent_to 0 sent_to 0 n;
+  Float.Array.blit pcb.sent_at 0 sent_at 0 n;
+  pcb.sent_to <- sent_to;
+  pcb.sent_at <- sent_at
 
 let is_alive pcb = match pcb.state with Dead _ -> false | _ -> true
 
@@ -416,8 +441,11 @@ let parked_pids t =
   pids_where t (fun pcb ->
       is_alive pcb && match pcb.park with No_park -> false | _ -> true)
 
-let log_push pcb e =
-  if pcb.cloneable && pcb.replay = [] then pcb.log <- e :: pcb.log
+(* Whether [pcb]'s operations are logged for replay. Tested before a
+   log entry is built, so an unlogged operation allocates none. *)
+let logging pcb = pcb.cloneable && pcb.replay = []
+
+let log pcb e = pcb.log <- e :: pcb.log
 
 let replay_next pcb =
   match pcb.replay with
@@ -707,9 +735,7 @@ and split t pcb m reject =
   if wants t Trace.Kind.split then
     tr t (Trace.Split { original = pcb.pid; clone = clone_pid; on = m });
   (match t.spawn_hook with Some h -> h clone_pid clone.name | None -> ());
-  schedule t
-    ~at:(t.vnow +. t.model_.Cost_model.fork_base)
-    (fun () -> start_pcb t clone)
+  schedule t ~at:(t.vnow +. t.model_.Cost_model.fork_base) (Start clone)
 
 and rescan_parked t pcb =
   match pcb.park with
@@ -740,8 +766,8 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
       predicate;
       space;
       mailbox = Mailbox.create ();
-      chans = [];
-      last_chan = None;
+      sent_to = [||];
+      sent_at = Float.Array.create 0;
       born = t.spawned;
       doomed = None;
       cloneable = cloneable && space = None;
@@ -865,64 +891,35 @@ and suspend : type a.
       iv.waiters <- iv.waiters @ [ p ]
     | _ -> invalid_arg "Engine.suspend: not a park effect")
 
-and channel_of pcb ~dest =
-  match pcb.last_chan with
-  | Some c when Pid.equal c.ch_dest dest -> c
+(* Hand [msg] to a flush at the time in [pcb.sent_at.(i)] (read through
+   the index, so the float stays unboxed): join the open batch when that
+   is provably order-preserving (see [event]), otherwise push a fresh
+   [Flush], which takes exactly the event-queue slot a per-message
+   delivery would, so (time, seq) order is unchanged. A batch's first
+   join moves it into a ring, the spare one when there is one. *)
+and batch_push t pcb i (msg : Message.t) =
+  let at = Float.Array.unsafe_get pcb.sent_at i in
+  match t.open_batch with
+  | Flush b
+    when Float.Array.unsafe_get t.open_time 0 = at
+         && t.open_stamp = Event_queue.stamp t.queue
+         && t.open_epoch = t.events_processed
+         && Pid.equal b.sender pcb.pid
+         && Pid.equal b.dest msg.dest ->
+    if b.more == no_more then begin
+      let ring = if t.spare == no_more then Mailbox.create () else t.spare in
+      t.spare <- no_more;
+      Mailbox.push ring b.first;
+      b.more <- ring
+    end;
+    Mailbox.push b.more msg
   | _ ->
-    let c =
-      match find_channel dest pcb.chans with
-      | c -> c
-      | exception Not_found ->
-        let c =
-          {
-            ch_sender = pcb.pid;
-            ch_dest = dest;
-            outbox = Mailbox.create ();
-            ch_clock =
-              (let a = Float.Array.create 2 in
-               Float.Array.set a 0 neg_infinity;
-               Float.Array.set a 1 0.;
-               a);
-            ch_open = false;
-            ch_watermark = -1;
-            ch_epoch = -1;
-            ch_upto = { u = 0 };
-          }
-        in
-        pcb.chans <- c :: pcb.chans;
-        c
-    in
-    pcb.last_chan <- Some c;
-    c
-
-(* Append one outgoing message to the channel's outbox and make sure a
-   flush event will hand it to the receiver at the time the caller just
-   stored in [ch_clock.(0)] (passing it through the clock rather than as
-   an argument keeps the float unboxed on the join path): join the open
-   batch when that is provably order-preserving (same flush time, no
-   event scheduled since the batch last grew — the queue's stamp — and
-   none executed since it opened — [events_processed], the batch-join
-   epoch), otherwise schedule a fresh flush — which takes exactly the
-   event-queue slot the per-message delivery used to, so (time, seq)
-   order is unchanged. *)
-and outbox_push t chan msg =
-  Mailbox.push chan.outbox msg;
-  let at = Float.Array.unsafe_get chan.ch_clock 0 in
-  if
-    chan.ch_open
-    && Float.Array.unsafe_get chan.ch_clock 1 = at
-    && chan.ch_watermark = Event_queue.stamp t.queue
-    && chan.ch_epoch = t.events_processed
-  then chan.ch_upto.u <- Mailbox.tail_pos chan.outbox
-  else begin
-    let upto = { u = Mailbox.tail_pos chan.outbox } in
-    chan.ch_open <- true;
-    Float.Array.unsafe_set chan.ch_clock 1 at;
-    chan.ch_upto <- upto;
-    schedule t ~at (fun () -> flush_channel t chan upto);
-    chan.ch_watermark <- Event_queue.stamp t.queue;
-    chan.ch_epoch <- t.events_processed
-  end
+    let b = Flush { sender = pcb.pid; dest = msg.dest; first = msg; more = no_more } in
+    schedule t ~at b;
+    t.open_batch <- b;
+    Float.Array.unsafe_set t.open_time 0 at;
+    t.open_stamp <- Event_queue.stamp t.queue;
+    t.open_epoch <- t.events_processed
 
 and do_send t pcb ~dest ~tag payload =
   let predicate =
@@ -941,125 +938,123 @@ and do_send t pcb ~dest ~tag payload =
      this send. *)
   let msg = { Message.sender = pcb.pid; dest; predicate; payload; tag; seq; size } in
   if wants t Trace.Kind.sent then tr t (Trace.Sent { msg });
-  let chan = channel_of pcb ~dest in
   (* Per-(sender, logical dest) FIFO: never deliver before an earlier send.
      The cost expression is inlined (rather than calling
      [Cost_model.message_cost]) so the float stays unboxed in this frame. *)
+  let i = clock_slot pcb.sent_to pcb.sent_at (Pid.to_int dest) 0 in
+  if i = Array.length pcb.sent_to then grow_clock pcb;
+  Array.unsafe_set pcb.sent_to i (Pid.to_int dest);
   let at =
     let earliest =
       t.vnow
       +. t.model_.Cost_model.msg_latency
       +. (float_of_int size *. t.model_.Cost_model.msg_per_byte)
     in
-    let last = Float.Array.unsafe_get chan.ch_clock 0 in
+    let last = Float.Array.unsafe_get pcb.sent_at i in
     if last > earliest then last else earliest
   in
+  (* Every outcome but a delay advances the clock to [at]: a dropped or
+     reordered send keeps later sends on their fault-free schedule. *)
+  Float.Array.unsafe_set pcb.sent_at i at;
   match t.msg_fault with
-  | None ->
-    Float.Array.unsafe_set chan.ch_clock 0 at;
-    outbox_push t chan msg
+  | None -> batch_push t pcb i msg
   | Some f -> (
     let inject kind =
       if wants t Trace.Kind.injected then
         tr t (Trace.Injected { kind; pid = None; msg = Some msg })
     in
     match f msg with
-    | F_deliver ->
-      Float.Array.unsafe_set chan.ch_clock 0 at;
-      outbox_push t chan msg
+    | F_deliver -> batch_push t pcb i msg
     | F_drop ->
-      (* The send happened; the network lost it. The channel clock still
-         advances so that later sends keep their fault-free schedule. *)
-      Float.Array.unsafe_set chan.ch_clock 0 at;
+      (* The send happened; the network lost it. *)
       inject "drop"
     | F_duplicate ->
-      Float.Array.unsafe_set chan.ch_clock 0 at;
       inject "duplicate";
       (* Two entries sharing one immutable value: consuming one copy
          cannot touch the other, and a world split's physical-identity
          filter removes both as a single logical send. *)
-      outbox_push t chan msg;
-      outbox_push t chan msg
+      batch_push t pcb i msg;
+      batch_push t pcb i msg
     | F_delay extra ->
-      (* Extra latency that also holds back later sends on the channel:
-         per-sender FIFO is preserved, everything just arrives late. The
-         message bypasses the outbox (its time would break the outbox's
-         monotone order) and is delivered directly. *)
+      (* Extra latency that also holds back later sends to the same
+         destination: per-sender FIFO is preserved, everything just
+         arrives late. *)
       let at = at +. Float.max 0. extra in
-      Float.Array.unsafe_set chan.ch_clock 0 at;
+      Float.Array.unsafe_set pcb.sent_at i at;
       inject "delay";
-      schedule t ~at (fun () -> deliver_msg t msg)
+      schedule t ~at (Flush { sender = pcb.pid; dest; first = msg; more = no_more })
     | F_reorder extra ->
-      (* Extra latency that does NOT advance the channel clock: a later
-         send may overtake this message — a genuine FIFO violation. *)
-      Float.Array.unsafe_set chan.ch_clock 0 at;
+      (* Extra latency that does NOT advance the clock: a later send may
+         overtake this message — a genuine FIFO violation. *)
       inject "reorder";
-      schedule t ~at:(at +. Float.max 0. extra) (fun () -> deliver_msg t msg))
+      schedule t
+        ~at:(at +. Float.max 0. extra)
+        (Flush { sender = pcb.pid; dest; first = msg; more = no_more }))
 
-(* Hand every entry of one delivery batch to every world copy of its
+(* Hand every message of one delivery batch to every world copy of its
    destination, then rescan each copy once. The rule is the same whoever
    watches: no user code runs before the rescan, so no receiver can see a
    batch half-delivered, and every [Delivered] event and delivery-fault
-   verdict of the batch precedes the first acceptance. How the entries
+   verdict of the batch precedes the first acceptance. How the messages
    move is chosen from what the engine can see: a single copy with no
-   delivery-fault hook takes the whole batch in one [transfer_upto]
-   (O(1) when it adopts into an empty ring); anything else offers each
-   entry to each copy in turn. *)
-and flush_channel t chan upto =
-  if chan.ch_open && chan.ch_upto == upto then chan.ch_open <- false;
-  let outbox = chan.outbox and dest = chan.ch_dest in
-  if wants t Trace.Kind.delivered_batch then begin
-    let n = upto.u - Mailbox.head_pos outbox in
-    if n > 1 then
-      tr t (Trace.Delivered_batch { sender = chan.ch_sender; dest; count = n })
+   delivery-fault hook takes a joined run in one [transfer_upto] (O(1)
+   when it adopts into an empty ring); anything else, a batch of one
+   included, offers each message to each copy in turn. An emptied ring
+   becomes the engine's spare. *)
+and flush_batch t sender dest first more =
+  if more == no_more then offer_copies t first dest
+  else begin
+    if wants t Trace.Kind.delivered_batch then
+      tr t (Trace.Delivered_batch { sender; dest; count = Mailbox.length more });
+    (match (t.delivery_fault, world_copies t dest) with
+    | None, [] -> hand_over t more dest
+    | None, [ pid ] -> hand_over t more pid
+    | _ ->
+      while not (Mailbox.is_empty more) do
+        let pos = Mailbox.head_pos more in
+        offer_copies t (Mailbox.message_at more pos) dest;
+        Mailbox.remove more pos
+      done);
+    if Mailbox.is_empty more then t.spare <- more
   end;
-  (match (t.delivery_fault, world_copies t dest) with
-  | None, [] -> drain_batch_to t outbox upto dest
-  | None, [ pid ] -> drain_batch_to t outbox upto pid
-  | _ ->
-    let copies = receivers t dest in
-    while Mailbox.head_pos outbox < upto.u do
-      let pos = Mailbox.head_pos outbox in
-      offer_entry t (Mailbox.message_at outbox pos) copies;
-      Mailbox.remove outbox pos
-    done);
   rescan_worlds t dest
 
 (* The single-copy bulk move: the destination is looked up once for the
-   whole batch (liveness cannot change mid-drain). *)
-and drain_batch_to t outbox upto pid =
+   whole run (liveness cannot change mid-move). A dead one drops it. *)
+and hand_over t more pid =
   match find_pcb t pid with
   | Some pcb when is_alive pcb ->
     if wants t Trace.Kind.delivered then
-      for pos = Mailbox.head_pos outbox to upto.u - 1 do
-        tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at outbox pos })
+      for pos = Mailbox.head_pos more to Mailbox.tail_pos more - 1 do
+        tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at more pos })
       done;
-    Mailbox.transfer_upto outbox ~upto:upto.u pcb.mailbox
-  | _ -> Mailbox.drop_upto outbox ~upto:upto.u
+    Mailbox.transfer_upto more ~upto:(Mailbox.tail_pos more) pcb.mailbox
+  | _ -> ()
 
-(* Offer one message to each world copy in turn (a direct loop: a
-   closure over the message would allocate per entry). The delivery-fault
-   hook is asked per copy at delivery time, so a site crash or partition
-   that comes up while the message is in flight still loses it; the hook
-   records its own trace events. Every copy that takes the message
-   shares the one immutable value. *)
-and offer_entry t msg = function
+(* Offer one message to each world copy of [dest] in turn; a ghost
+   destination (never spawned, or the physical pid of a clone) stands for
+   itself. The delivery-fault hook is asked per copy at delivery time, so
+   a site crash or partition that comes up while the message is in
+   flight still loses it; the hook records its own trace events. Every
+   copy that takes the message shares the one immutable value. *)
+and offer_copies t msg dest =
+  match world_copies t dest with [] -> offer t msg dest | copies -> offer_each t msg copies
+
+(* A direct loop: a closure over the message would allocate per entry. *)
+and offer_each t msg = function
   | [] -> ()
   | pid :: rest ->
-    (match find_pcb t pid with
-    | Some pcb when is_alive pcb ->
-      if match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid
-      then begin
-        Mailbox.push pcb.mailbox msg;
-        if wants t Trace.Kind.delivered then
-          tr t (Trace.Delivered { dest = pid; msg })
-      end
-    | _ -> ());
-    offer_entry t msg rest
+    offer t msg pid;
+    offer_each t msg rest
 
-(* The copies a delivery is offered to: a ghost destination (never
-   spawned, or the physical pid of a clone) stands for itself. *)
-and receivers t dest = match world_copies t dest with [] -> [ dest ] | l -> l
+and offer t msg pid =
+  match find_pcb t pid with
+  | Some pcb when is_alive pcb ->
+    if match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid then begin
+      Mailbox.push pcb.mailbox msg;
+      if wants t Trace.Kind.delivered then tr t (Trace.Delivered { dest = pid; msg })
+    end
+  | _ -> ()
 
 and rescan_worlds t dest =
   match world_copies t dest with
@@ -1071,13 +1066,6 @@ and rescan_world_copy t pid =
   match find_pcb t pid with
   | None -> ()
   | Some pcb -> if is_alive pcb then rescan_parked t pcb
-
-(* Delayed or reordered fault injections bypass the outbox but take the
-   same tail: offered to every copy, which are then rescanned once. *)
-and deliver_msg t (msg : Message.t) =
-  let dest = msg.Message.dest in
-  offer_entry t msg (receivers t dest);
-  rescan_worlds t dest
 
 (* ------------------------------------------------------------------ *)
 (* Public spawning / running.                                          *)
@@ -1109,7 +1097,7 @@ let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
   assign_site t pcb ~explicit:site;
   if wants t Trace.Kind.spawned then tr t (Trace.Spawned { pid; parent; name });
   (match t.spawn_hook with Some h -> h pid name | None -> ());
-  schedule t ~at:(t.vnow +. start_delay) (fun () -> start_pcb t pcb);
+  schedule t ~at:(t.vnow +. start_delay) (Start pcb);
   pid
 
 let on_exit t pid f =
@@ -1140,7 +1128,7 @@ let preserve_space t pid =
   | None -> invalid_arg "Engine.preserve_space: unknown pid"
   | Some pcb -> pcb.preserve_space <- true
 
-let after t ~delay thunk = schedule t ~at:(t.vnow +. delay) thunk
+let after t ~delay thunk = schedule t ~at:(t.vnow +. delay) (Thunk thunk)
 
 (* A timed wait's deadline came first: resume it with [None]. *)
 let deadline t pid =
@@ -1160,13 +1148,16 @@ let run t =
     let ev = Event_queue.pop_min q in
     t.vnow <- Float.max t.vnow time;
     t.events_processed <- t.events_processed + 1;
-    if ev == cpu_tick_event then cpu_tick t
-    else if ev == deadline_event then deadline t (Event_queue.popped_handle q)
-    else ev ()
+    match ev with
+    | Tick -> cpu_tick t
+    | Deadline -> deadline t (Event_queue.popped_handle q)
+    | Start pcb -> start_pcb t pcb
+    | Flush b -> flush_batch t b.sender b.dest b.first b.more
+    | Thunk f -> f ()
   done
 
 let run_for t duration =
-  schedule t ~at:(t.vnow +. duration) (fun () -> t.stopped <- true);
+  schedule t ~at:(t.vnow +. duration) (Thunk (fun () -> t.stopped <- true));
   run t
 
 (* ------------------------------------------------------------------ *)
@@ -1212,7 +1203,7 @@ let now_v ctx =
   | Some _ -> raise (Replay_divergence "expected now")
   | None ->
     let v = ctx.engine.vnow in
-    log_push pcb (L_now v);
+    if logging pcb then log pcb (L_now v);
     v
 
 let delay ctx dt =
@@ -1223,7 +1214,7 @@ let delay ctx dt =
   | Some (L_delay _) -> ()
   | Some _ -> raise (Replay_divergence "expected delay")
   | None ->
-    log_push pcb (L_delay dt);
+    if logging pcb then log pcb (L_delay dt);
     if dt > 0. then begin
       ctx.engine.park_time <- dt;
       park_as ctx E_cpu
@@ -1245,7 +1236,7 @@ let send ctx ?(tag = "") dest payload =
   | Some L_sent -> ()
   | Some _ -> raise (Replay_divergence "expected send")
   | None ->
-    log_push pcb L_sent;
+    if logging pcb then log pcb L_sent;
     do_send ctx.engine pcb ~dest ~tag payload
 
 let receive ctx ?tag () =
@@ -1263,7 +1254,7 @@ let receive ctx ?tag () =
         park_as ctx E_recv
       end
     in
-    log_push pcb (L_recv m);
+    if logging pcb then log pcb (L_recv m);
     m
 
 let receive_timeout ctx ?tag ~timeout () =
@@ -1287,7 +1278,7 @@ let receive_timeout ctx ?tag ~timeout () =
         park_as ctx E_recv_timed
       end
     in
-    log_push pcb (L_recv_opt r);
+    if logging pcb then log pcb (L_recv_opt r);
     r
 
 let cpu_time_of t pid = Cpu.used t.cpu pid
@@ -1319,7 +1310,7 @@ let random_bits ctx =
     if pcb.rng == no_rng then
       pcb.rng <- Rng.stream ~seed:ctx.engine.root_seed ~key:(Pid.to_int pcb.pid);
     let v = Rng.bits64 pcb.rng in
-    log_push pcb (L_random v);
+    if logging pcb then log pcb (L_random v);
     v
 
 let my_predicate ctx = ctx.pcb.predicate

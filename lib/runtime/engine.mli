@@ -336,9 +336,10 @@ val children_of : t -> Pid.t -> Pid.t list
     installed behaves bit-for-bit as before. *)
 
 (** What to do with a message about to be scheduled for delivery.
-    [F_delay] adds latency but preserves per-channel FIFO order (later sends
-    on the same channel queue behind it); [F_reorder] adds latency {e
-    without} holding the channel clock back, so a later message can overtake
+    [F_delay] adds latency but preserves per-(sender, dest) FIFO order
+    (later sends to the same destination queue behind it); [F_reorder] adds
+    latency {e without} holding the pair's clock back, so a later message
+    can overtake
     — the only way to violate FIFO, kept separate so campaigns can opt in
     deliberately. [F_duplicate] queues the one message value twice, so a
     world split that accepts one copy excludes both from the rejecting

@@ -66,9 +66,9 @@ val stamp : 'a t -> int
 (** The sequence number the next {!push}, {!set_handle} or {!set_slot}
     will receive. Two
     observations of [stamp] are equal iff nothing was pushed, set or
-    slotted in between, which is what the engine's channel layer uses to decide
-    whether a message may join an already-scheduled delivery batch without
-    reordering it against intervening events. *)
+    slotted in between, which is what the engine's batch-join rule uses to
+    decide whether a message may join an already-scheduled delivery batch
+    without reordering it against intervening events. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

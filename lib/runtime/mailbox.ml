@@ -1,12 +1,12 @@
 (* A ring-buffer mailbox of immutable messages.
 
-   Used both as a receiver's mailbox and as a channel's outbox. Entries
-   are addressed by *absolute* monotone positions: [head] is the first
-   position that may still hold a live entry, [tail] is one past the
-   newest. A position maps to a physical slot by masking with the
-   (power-of-two) slot-array length, so positions survive growth and
-   removal — the engine's per-tag receive cursors depend on that
-   stability.
+   Used both as a receiver's mailbox and to hold a joined delivery
+   batch's run of messages until its flush. Entries are addressed by
+   *absolute* monotone positions: [head] is the first position that may
+   still hold a live entry, [tail] is one past the newest. A position
+   maps to a physical slot by masking with the (power-of-two) slot-array
+   length, so positions survive growth and removal — the engine's per-tag
+   receive cursors depend on that stability.
 
    A slot holds the sent [Message.t] itself: messages are immutable, so
    every copy of a send (world copies, an injected duplicate) shares the
@@ -88,6 +88,10 @@ let remove t pos =
     skip_tombstones t
   end
 
+let rec reset_cursors pos = function
+  | [] -> ()
+  | c :: rest -> c.cpos <- pos; reset_cursors pos rest
+
 (* Whole-batch adoption: when the destination is empty and the batch is
    the source's entire content, the destination takes the source's slot
    array wholesale and the source inherits the (empty) array the
@@ -106,23 +110,8 @@ let adopt t dst =
   t.live <- 0;
   (* Both rings' absolute numbering just jumped; cursors are lower bounds
      tied to the old numbering, so reset them to the new heads. *)
-  List.iter (fun c -> c.cpos <- dst.head) dst.cursors;
-  List.iter (fun c -> c.cpos <- t.head) t.cursors
-
-(* Clear [head, upto) of [t], handing each live entry to [f] first. *)
-let take_upto t ~upto f =
-  let mask = Array.length t.slots - 1 in
-  for pos = t.head to upto - 1 do
-    let i = pos land mask in
-    let m = Array.unsafe_get t.slots i in
-    if m != no_message then begin
-      f m;
-      Array.unsafe_set t.slots i no_message;
-      t.live <- t.live - 1
-    end
-  done;
-  t.head <- upto;
-  skip_tombstones t
+  reset_cursors dst.head dst.cursors;
+  reset_cursors t.head t.cursors
 
 let transfer_upto t ~upto dst =
   let upto = if upto > t.tail then t.tail else upto in
@@ -130,12 +119,19 @@ let transfer_upto t ~upto dst =
     if dst.live = 0 && upto = t.tail then adopt t dst
     else begin
       reserve dst (upto - t.head);
-      take_upto t ~upto (push dst)
+      let mask = Array.length t.slots - 1 in
+      for pos = t.head to upto - 1 do
+        let i = pos land mask in
+        let m = Array.unsafe_get t.slots i in
+        if m != no_message then begin
+          push dst m;
+          Array.unsafe_set t.slots i no_message;
+          t.live <- t.live - 1
+        end
+      done;
+      t.head <- upto;
+      skip_tombstones t
     end
-
-let drop_upto t ~upto =
-  let upto = if upto > t.tail then t.tail else upto in
-  if upto > t.head then take_upto t ~upto ignore
 
 let cursor t tag =
   let rec find = function

@@ -1,6 +1,7 @@
 (** A ring-buffer mailbox of immutable messages.
 
-    Serves both as a receiver's mailbox and as a per-channel outbox.
+    Serves both as a receiver's mailbox and as the run of messages a
+    joined delivery batch holds until its flush.
     Entries are addressed by absolute monotone positions that survive
     growth and removal: position [p] lives in physical slot
     [p land (n - 1)] of a slot array whose length [n] is a power of two,
@@ -60,12 +61,8 @@ val transfer_upto : t -> upto:int -> t -> unit
     range is all of [src], [dst] adopts [src]'s slot array in O(1) (and
     [src] continues from [dst]'s old tail with [dst]'s old array); both
     rings' cursors reset to their new heads. Batched delivery moves a
-    whole batch this way when it goes to a single receiver with no
+    joined batch this way when it goes to a single receiver with no
     delivery-fault hook to consult. *)
-
-val drop_upto : t -> upto:int -> unit
-(** Remove every live entry in [\[head_pos, upto)]: the bulk discard for
-    batches whose destination is dead. *)
 
 val cursor : t -> string -> cursor
 (** The ring's cursor for [tag], created at the current head on first

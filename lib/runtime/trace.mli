@@ -18,8 +18,9 @@ type event =
   | Sent of { msg : Message.t }
   | Delivered of { dest : Pid.t; msg : Message.t }
   | Delivered_batch of { sender : Pid.t; dest : Pid.t; count : int }
-      (** A channel flush handed [count] messages from one sender's outbox
-          to their receiver in a single event-queue event. Emitted (before
+      (** A delivery batch handed [count] messages that [sender] sent to
+          [dest] at one delivery time to their receiver in a single
+          event-queue event. Emitted (before
           the per-message {!Delivered} events it covers, which all come
           before any receiver accepts one of them) only when
           [count > 1]; a batch of one is indistinguishable from the

@@ -753,20 +753,10 @@ let test_transfer_fifo_when_destination_grows () =
         (pop_int dst))
     [ 0; 1; 2; 3; 4; 5; 10; 11; 12; 13; 14; 15; 16; 17 ]
 
-let test_drop_upto_discards () =
-  let ring = Mailbox.create () in
-  for i = 0 to 5 do
-    push_one ring ~uid:i ~tag:"t" (Payload.int i)
-  done;
-  Mailbox.drop_upto ring ~upto:(Mailbox.head_pos ring + 4);
-  check Alcotest.int "four dropped" 2 (Mailbox.length ring);
-  check Alcotest.int "head moved past them" 4 (Mailbox.head_pos ring);
-  check Alcotest.int "survivors keep order" 4 (pop_int ring)
-
 (* ---------------- model-based: two rings against a FIFO list ----------------
 
-   Random operation sequences over two rings (an outbox and a mailbox, as
-   a channel pairs them), checked after every step against a trivial
+   Random operation sequences over two rings (a joined batch's run and a
+   mailbox, as a flush pairs them), checked after every step against a trivial
    reference: per ring, the live entries as a list in position order plus
    the tail position. Receive-by-tag takes the first entry with that tag;
    the head is the first live position (the tail when empty); a transfer
@@ -782,14 +772,12 @@ type op =
   | Receive of int * string  (** first live entry with the tag, via cursor *)
   | Remove_nth of int * int  (** tombstone the n-th live entry (mod length) *)
   | Transfer of int * int  (** [transfer_upto ~upto:(head + k)] to the other *)
-  | Drop of int * int  (** [drop_upto ~upto:(head + k)] *)
 
 let show_op = function
   | Push (r, t) -> Printf.sprintf "Push(%d,%s)" r t
   | Receive (r, t) -> Printf.sprintf "Receive(%d,%s)" r t
   | Remove_nth (r, n) -> Printf.sprintf "Remove_nth(%d,%d)" r n
   | Transfer (r, k) -> Printf.sprintf "Transfer(%d,%d)" r k
-  | Drop (r, k) -> Printf.sprintf "Drop(%d,%d)" r k
 
 let m_head m = match m.m_entries with [] -> m.m_tail | e :: _ -> e.e_pos
 
@@ -894,12 +882,7 @@ let run_ops ops =
       | Transfer (r, k) ->
         let upto = m_head models.(r) + k in
         Mailbox.transfer_upto rings.(r) ~upto rings.(1 - r);
-        m_transfer models.(r) ~upto models.(1 - r)
-      | Drop (r, k) ->
-        let m = models.(r) in
-        let upto = m_head m + k in
-        Mailbox.drop_upto rings.(r) ~upto;
-        m.m_entries <- List.filter (fun e -> e.e_pos >= upto) m.m_entries);
+        m_transfer models.(r) ~upto models.(1 - r));
       Array.iteri
         (fun r ring ->
           match agree ring models.(r) with
@@ -919,7 +902,6 @@ let arb_ops =
         (4, map2 (fun r t -> Receive (r, t)) ring tag);
         (2, map2 (fun r n -> Remove_nth (r, n)) ring (int_bound 15));
         (3, map2 (fun r k -> Transfer (r, k)) ring (int_bound 12));
-        (1, map2 (fun r k -> Drop (r, k)) ring (int_bound 12));
       ]
   in
   QCheck.make
@@ -930,39 +912,92 @@ let prop_mailbox_matches_model =
   QCheck.Test.make ~name:"random ops agree with a FIFO-list model" ~count:500
     arb_ops run_ops
 
-(* ---------------- model-based: channel batching vs per-message delivery ----------------
+(* ---------------- model-based: batching vs per-message delivery ----------------
 
    Random programs: k senders, each a list of steps — send a tagged
-   message to one collecting receiver, delay (dyadic, so virtual times are
-   exact under [Cost_model.uniform], whose zero latency delivers at the
-   send time), or fill / await one of two shared ivars. A fill resumes
-   its waiters synchronously inside the filler's event, and one CPU tick
-   resumes every sender whose delay ends then, so two senders' sends can
-   interleave within one event: exactly what the batch-join guard has to
-   notice. Delivering each message by its own event, in (time, stamp)
-   order, hands messages over in a stable sort of the sends by (send
-   time, global send index); batching must be indistinguishable from
-   that. With a per-tag receive, the collector sees that order's
+   message with a padding of 0 to 240 bytes to one of two or three
+   collecting receivers, delay (dyadic), fill / await one of two shared
+   ivars, or await a collector's next receipt — under one of four cost
+   models: latency 0 or 1/4, per-byte cost 0 or 1/256, so every virtual
+   time stays exact. A fill resumes its waiters synchronously inside the
+   filler's event, and one CPU tick resumes every sender whose delay
+   ends then, so two senders' sends can interleave within one event:
+   exactly what the batch-join guard has to notice. A collector fills
+   its receipt ivar as it takes each message, so with zero cost a sender
+   can be resumed inside the very flush of its last batch, at that
+   batch's time, with no event pushed since: it must not join the
+   flushed batch. With a size cost one sender's sends to different
+   collectors fall due at different times, and a small message queues
+   behind a larger one sent earlier on its (sender, collector) pair,
+   whose FIFO clock binds, but not behind one to another collector.
+
+   Delivering each message by its own event, in (time, stamp) order,
+   hands a collector its messages in a stable sort of the sends by (due
+   time, global send index), where a send's due time is
+   max (its pair's clock, send time + latency + size x per-byte cost) and
+   becomes the pair's clock. Batching must be indistinguishable from
+   that. With a per-tag receive, each collector sees that order's
    subsequence for its tag. *)
 
-type step = Send of string | Delay of float | Fill of int | Await of int
+type step =
+  | Send of { tag : string; dest : int; pad : int }
+  | Delay of float
+  | Fill of int
+  | Await of int
+  | Await_receipt of int  (** the collector's next receipt *)
 
 let show_step = function
-  | Send t -> "send " ^ t
+  | Send { tag; dest; pad } -> Printf.sprintf "send %s to c%d +%d" tag dest pad
   | Delay d -> Printf.sprintf "delay %g" d
   | Fill j -> Printf.sprintf "fill %d" j
   | Await j -> Printf.sprintf "await %d" j
+  | Await_receipt c -> Printf.sprintf "await c%d" c
 
-let run_program (per_tag, senders) =
-  let eng = Engine.create ~model:(Cost_model.uniform ()) ~trace:false () in
+type program = {
+  latency : float;
+  per_byte : float;
+  collectors : int;
+  per_tag : string option;
+  senders : step list list;
+}
+
+let show_program p =
+  Printf.sprintf "latency %g, per-byte %g, %d collectors, receive %s; %s" p.latency
+    p.per_byte p.collectors
+    (Option.value p.per_tag ~default:"any")
+    (String.concat " | "
+       (List.map (fun s -> String.concat ", " (List.map show_step s)) p.senders))
+
+(* A send as the reference sees it. *)
+type sent = {
+  s_now : float;
+  s_k : int;
+  s_sender : int;
+  s_dest : int;
+  s_tag : string;
+  s_size : int;
+}
+
+let run_program p =
+  let model =
+    { (Cost_model.uniform ()) with msg_latency = p.latency; msg_per_byte = p.per_byte }
+  in
+  let eng = Engine.create ~model ~trace:false () in
   let ivars = Array.init 2 (fun _ -> Engine.Ivar.create ()) in
-  let sent = ref [] and next = ref 0 and got = ref [] in
-  let collector =
-    Engine.spawn eng ~cloneable:false ~name:"collector" (fun ctx ->
-        while true do
-          let m = Engine.receive ctx ?tag:per_tag () in
-          got := int_of_payload m.Message.payload :: !got
-        done)
+  let sent = ref [] and next = ref 0 in
+  let got = Array.make p.collectors [] in
+  let receipt = Array.init p.collectors (fun _ -> Engine.Ivar.create ()) in
+  let collectors =
+    Array.init p.collectors (fun c ->
+        Engine.spawn eng ~cloneable:false ~name:(Printf.sprintf "c%d" c) (fun ctx ->
+            while true do
+              let m = Engine.receive ctx ?tag:p.per_tag () in
+              let k = int_of_payload (fst (Payload.get_pair m.Message.payload)) in
+              got.(c) <- k :: got.(c);
+              let iv = receipt.(c) in
+              receipt.(c) <- Engine.Ivar.create ();
+              ignore (Engine.Ivar.try_fill iv ())
+            done))
   in
   List.iteri
     (fun i steps ->
@@ -970,34 +1005,63 @@ let run_program (per_tag, senders) =
         (Engine.spawn eng ~cloneable:false ~name:(Printf.sprintf "s%d" i) (fun ctx ->
              List.iter
                (function
-                 | Send tag ->
+                 | Send { tag; dest; pad } ->
                    let k = !next in
                    incr next;
-                   sent := (Engine.now eng, k, tag) :: !sent;
-                   Engine.send ctx ~tag collector (Payload.int k)
+                   let payload =
+                     Payload.pair (Payload.int k) (Payload.str (String.make pad 'x'))
+                   in
+                   let s_size = Message.header_bytes + Payload.size_bytes payload in
+                   let s_dest = dest mod p.collectors in
+                   sent :=
+                     { s_now = Engine.now eng; s_k = k; s_sender = i; s_dest; s_tag = tag; s_size }
+                     :: !sent;
+                   Engine.send ctx ~tag collectors.(s_dest) payload
                  | Delay d -> Engine.delay ctx d
                  | Fill j -> ignore (Engine.Ivar.try_fill ivars.(j) ())
-                 | Await j -> Engine.Ivar.read ctx ivars.(j))
+                 | Await j -> Engine.Ivar.read ctx ivars.(j)
+                 | Await_receipt c -> Engine.Ivar.read ctx receipt.(c mod p.collectors))
                steps)))
-    senders;
+    p.senders;
   Engine.run eng;
-  let reference =
-    List.stable_sort
-      (fun (t1, i1, _) (t2, i2, _) -> compare (t1, i1) (t2, i2))
+  let clocks = Hashtbl.create 16 in
+  let due =
+    List.rev_map
+      (fun s ->
+        let earliest = s.s_now +. p.latency +. (float_of_int s.s_size *. p.per_byte) in
+        let at =
+          match Hashtbl.find_opt clocks (s.s_sender, s.s_dest) with
+          | Some last when last > earliest -> last
+          | _ -> earliest
+        in
+        Hashtbl.replace clocks (s.s_sender, s.s_dest) at;
+        (at, s))
       (List.rev !sent)
+    |> List.rev
   in
-  let want =
-    List.filter_map
-      (fun (_, k, tag) ->
-        match per_tag with Some t when t <> tag -> None | _ -> Some k)
-      reference
+  let reference =
+    List.stable_sort (fun (t1, s1) (t2, s2) -> compare (t1, s1.s_k) (t2, s2.s_k)) due
   in
-  let got = List.rev !got in
-  if got = want then true
-  else
-    QCheck.Test.fail_reportf "received [%s], per-message order [%s]"
-      (String.concat "; " (List.map string_of_int got))
-      (String.concat "; " (List.map string_of_int want))
+  let mismatch =
+    List.find_map
+      (fun c ->
+        let want =
+          List.filter_map
+            (fun (_, s) ->
+              if s.s_dest <> c then None
+              else match p.per_tag with Some t when t <> s.s_tag -> None | _ -> Some s.s_k)
+            reference
+        in
+        let got = List.rev got.(c) in
+        if got = want then None else Some (c, got, want))
+      (List.init p.collectors Fun.id)
+  in
+  match mismatch with
+  | None -> true
+  | Some (c, got, want) ->
+    let show l = String.concat "; " (List.map string_of_int l) in
+    QCheck.Test.fail_reportf "collector c%d received [%s], per-message order [%s]" c
+      (show got) (show want)
 
 let arb_program =
   let open QCheck.Gen in
@@ -1005,21 +1069,27 @@ let arb_program =
   let step =
     frequency
       [
-        (4, map (fun t -> Send t) tag);
+        ( 4,
+          map3
+            (fun tag dest pad -> Send { tag; dest; pad })
+            tag (int_bound 2) (oneofl [ 0; 16; 80; 240 ]) );
         (2, map (fun d -> Delay d) (oneofl [ 0.; 0.25; 0.5; 1. ]));
         (1, map (fun j -> Fill j) (int_bound 1));
         (1, map (fun j -> Await j) (int_bound 1));
+        (1, map (fun c -> Await_receipt c) (int_bound 2));
       ]
   in
   let senders = int_range 1 4 >>= fun k -> list_repeat k (list_size (int_range 0 10) step) in
   let per_tag = frequency [ (1, return None); (1, map Option.some tag) ] in
-  QCheck.make
-    ~print:(fun (per_tag, senders) ->
-      Printf.sprintf "receive %s; %s"
-        (Option.value per_tag ~default:"any")
-        (String.concat " | "
-           (List.map (fun s -> String.concat ", " (List.map show_step s)) senders)))
-    (pair per_tag senders)
+  let program =
+    map3
+      (fun (latency, per_byte) (collectors, per_tag) senders ->
+        { latency; per_byte; collectors; per_tag; senders })
+      (pair (oneofl [ 0.; 0.25 ]) (oneofl [ 0.; 1. /. 256. ]))
+      (pair (int_range 2 3) per_tag)
+      senders
+  in
+  QCheck.make ~print:show_program program
 
 let prop_batching_matches_per_message =
   QCheck.Test.make ~name:"channel batching matches per-message delivery order"
@@ -1072,8 +1142,6 @@ let () =
             test_adoption_matches_copy_path;
           Alcotest.test_case "FIFO when destination pool exhausts mid-batch"
             `Quick test_transfer_fifo_when_destination_grows;
-          Alcotest.test_case "drop_upto discards a prefix" `Quick
-            test_drop_upto_discards;
         ] );
       ( "model",
         [

@@ -2558,12 +2558,18 @@ let test_clone_replays_parks () =
 
    Minor words per operation on a warm engine (its handler built, its
    tables grown by a first run of the same shape): a CPU park, a message
-   hop (a send and the parked receive it wakes) and a spawn-to-exit. A
-   park allocates its park record and the runtime's continuation, and a
-   start the fiber's own; the ceilings sit a little above the measured
-   figures (14 / 36 / 78 words with OCaml 5.1.1), and below what a handler
-   built per start (+19 a spawn) or a park effect or closure built per
-   park (+5 or +8 a park) would cost. *)
+   hop (a send and the parked receive it wakes), a spawn-to-exit, a send
+   to a destination never sent to (with its receiver's spawn to exit),
+   and a message in a two-message batch. A park allocates its park record
+   and the runtime's continuation, a start the fiber's own, and a send
+   its message and, unless it joins a batch, the batch's [Flush]. The
+   ceilings sit a little above the measured figures (12 / 22 / 75.5 /
+   149 / 15 words with OCaml 5.1.1), and below what a handler built per
+   start (+19 a spawn), a park effect or closure built per park (+5 or
+   +8 a park), a replay-log entry built for an unlogged process (+2 a
+   park or a receive), a channel object per (sender, dest) pair (+41 a
+   fresh destination) or a fresh ring per joined batch (+7 a batched
+   message) would cost. *)
 
 let words_per ~n op =
   let eng = mk () in
@@ -2604,6 +2610,38 @@ let spawns eng n =
     ignore (Engine.spawn eng ~cloneable:false ignore);
     Engine.run eng
   done
+
+(* One sender and [n] fresh receivers, one message each: per receiver, a
+   spawn to exit, a receive and a send to a destination never sent to. *)
+let fresh_dests eng n =
+  let sink ctx = ignore (Engine.receive ctx ()) in
+  let dests = Array.init n (fun _ -> Engine.spawn eng ~cloneable:false sink) in
+  ignore
+    (Engine.spawn eng ~cloneable:false (fun ctx ->
+         Array.iter (fun d -> Engine.send ctx d one) dests));
+  Engine.run eng
+
+(* [n] messages in two-message batches: each side sends two back to back,
+   which join one delivery batch, and receives the other's two. *)
+let batched_hops eng n =
+  let pong =
+    Engine.spawn eng ~cloneable:false (fun ctx ->
+        for _ = 1 to n / 4 do
+          let m = Engine.receive ctx () in
+          ignore (Engine.receive ctx ());
+          Engine.send ctx m.Message.sender one;
+          Engine.send ctx m.Message.sender one
+        done)
+  in
+  ignore
+    (Engine.spawn eng ~cloneable:false (fun ctx ->
+         for _ = 1 to n / 4 do
+           Engine.send ctx pong one;
+           Engine.send ctx pong one;
+           ignore (Engine.receive ctx ());
+           ignore (Engine.receive ctx ())
+         done));
+  Engine.run eng
 
 (* A decided fate sweeps every live process. A certain predicate needs no
    normalising, so the live processes parked on a receive cost a fate no
@@ -2795,11 +2833,15 @@ let () =
         ] );
       ( "alloc",
         [
-          Alcotest.test_case "CPU park" `Quick (test_alloc_budget "CPU park" cpu_parks 16.);
+          Alcotest.test_case "CPU park" `Quick (test_alloc_budget "CPU park" cpu_parks 13.);
           Alcotest.test_case "message hop" `Quick
-            (test_alloc_budget "message hop" message_hops 38.);
+            (test_alloc_budget "message hop" message_hops 24.);
           Alcotest.test_case "spawn to exit" `Quick
-            (test_alloc_budget "spawn to exit" spawns 80.);
+            (test_alloc_budget "spawn to exit" spawns 77.);
+          Alcotest.test_case "send to a fresh dest" `Quick
+            (test_alloc_budget "send to a fresh dest" fresh_dests 160.);
+          Alcotest.test_case "two-message batches" `Quick
+            (test_alloc_budget "two-message batches" batched_hops 17.);
           Alcotest.test_case "sweep: no words per certain process" `Quick
             test_sweep_skips_certain;
         ] );
