@@ -3,7 +3,6 @@
      altbench list                       enumerate experiments
      altbench run [-e ID]...            run all or selected experiments
      altbench race -c 10,20,30 ...      race fixed-cost alternatives
-     altbench mem [--validate]          memory-hierarchy microbenchmarks
      altbench prolog -g GOAL [-f FILE]  query the Prolog engine
 *)
 
@@ -118,56 +117,6 @@ let race_cmd =
       (Stats.mean times) overhead
   in
   Cmd.v (Cmd.info "race" ~doc) Term.(const run $ costs $ cores $ overhead $ machine)
-
-(* ---------------- mem ---------------- *)
-
-let mem_cmd =
-  let doc =
-    "Memory-hierarchy microbenchmarks: minor words and ops/sec for scalar \
-     page access, fork, absorb, and IPC."
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the JSON report to $(docv) (default: stdout).")
-  in
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "Check the allocation contracts (zero-alloc scalar fast path, \
-             O(1) fork, O(dirty) absorb) and exit non-zero on violation. \
-             Runs with reduced iteration counts.")
-  in
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale" ] ~docv:"X"
-          ~doc:"Multiply iteration counts by $(docv).")
-  in
-  let run output validate_flag scale =
-    let scale = if validate_flag then Float.min scale 0.2 else scale in
-    let r = Membench.run ~scale () in
-    let json = Membench.to_json r in
-    (match output with
-    | None -> print_string json
-    | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-    if validate_flag then begin
-      match Membench.validate r with
-      | Ok () -> print_endline "mem validate: OK (allocation contracts hold)"
-      | Error es ->
-        List.iter (Printf.eprintf "mem validate: FAIL %s\n") es;
-        exit 1
-    end
-  in
-  Cmd.v (Cmd.info "mem" ~doc) Term.(const run $ output $ validate $ scale)
 
 (* ---------------- prolog ---------------- *)
 
@@ -345,4 +294,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; race_cmd; mem_cmd; prolog_cmd; repl_cmd ]))
+          [ list_cmd; run_cmd; race_cmd; prolog_cmd; repl_cmd ]))

@@ -13,10 +13,10 @@ let tag_rep = "vote_rep"
 
 (* Replies are stamped with the round id of the request they answer
    (in the payload, not the tag: the trace-level accounting of sync
-   messages keys on the two tags above). A requester whose [acquire]
-   timed out leaves that round's replies in its mailbox; without the
-   stamp, a retried [acquire] would consume them as if they answered the
-   new round's requests and could tally the same voter twice — enough
+   messages keys on the two tags above). A requester whose round timed
+   out leaves that round's replies in its mailbox; without the stamp, a
+   retried round would consume them as if they answered the new round's
+   requests and could tally the same voter twice — enough
    manufactured "grants" to claim a majority it does not hold.
 
    The round id is a fresh draw from {!Engine.random_bits} rather than a
@@ -146,6 +146,7 @@ let fence t ~epoch =
 
 type verdict = Granted | Denied | No_quorum
 
+(* One acquisition round. *)
 let acquire_verdict_epoch ctx t ~epoch ~reply_timeout =
   let round = Int64.to_int (Engine.random_bits ctx) land max_int in
   (* Drain replies a previous, timed-out round left in the mailbox. They
@@ -198,11 +199,6 @@ let acquire_verdict_epoch ctx t ~epoch ~reply_timeout =
           ~replies:(replies + 1)
   in
   collect ~grants:0 ~replied:[] ~replies:0
-
-let acquire_verdict ctx t ~reply_timeout =
-  acquire_verdict_epoch ctx t ~epoch:0 ~reply_timeout
-
-let acquire ctx t ~reply_timeout = acquire_verdict ctx t ~reply_timeout = Granted
 
 let acquire_retry ctx t ?(epoch = 0) ?(deadline = infinity) ~reply_timeout
     ?(retries = 0) ?(backoff = 0.01) () =

@@ -40,37 +40,6 @@ val majority : t -> int
     the only verdict worth retrying. *)
 type verdict = Granted | Denied | No_quorum
 
-val acquire_verdict : Engine.ctx -> t -> reply_timeout:float -> verdict
-(** Attempt to acquire the semaphore on behalf of the calling process: send
-    a vote request to every voter and collect replies until the outcome is
-    decided (majority of grants, majority arithmetically denied, or
-    per-reply timeout). At most one caller ever gets [Granted];
-    re-acquiring after owning returns [Granted] again (votes are idempotent
-    per requester).
-
-    Each call is a fresh {e round}: requests and replies carry a round id
-    in their payload, replies left queued by an earlier timed-out round
-    are drained on entry and discarded if they race the drain, and only
-    the current round's replies are tallied — at most one reply per voter
-    (duplicates, e.g. injected ones, are ignored). An acquisition that
-    ended [No_quorum] is therefore safe to retry — stale grants cannot
-    be double-counted into a majority (after the abortable-mutex
-    discipline of Jayanti & Jayanti 2018). Equivalent to
-    {!acquire_verdict_epoch} at epoch 0. *)
-
-val acquire_verdict_epoch :
-  Engine.ctx -> t -> epoch:int -> reply_timeout:float -> verdict
-(** {!acquire_verdict} on behalf of block incarnation [epoch] (coordinator
-    recovery). Epoch 0 sends the original one-field request payload
-    (executions without recovery are byte-identical to before); epoch
-    [e >= 1] rides in the payload and is checked against each voter's
-    {e floor}: a request below the floor is denied, a request above it
-    raises it, and a grant held at a below-floor epoch is void — the slot
-    is reassignable to the current incarnation. See {!fence}. *)
-
-val acquire : Engine.ctx -> t -> reply_timeout:float -> bool
-(** [acquire_verdict ... = Granted]. *)
-
 val acquire_retry :
   Engine.ctx ->
   t ->
@@ -81,11 +50,35 @@ val acquire_retry :
   ?backoff:float ->
   unit ->
   verdict
-(** {!acquire_verdict} with up to [retries] (default 0) additional rounds
-    on [No_quorum], separated by exponential backoff: before retry [k]
-    (0-based) the caller delays [backoff * 2{^k}] seconds of virtual time
-    (default [backoff] 0.01; pass [0.] for immediate retries). [Granted]
-    and [Denied] return immediately — only an undecided round retries.
+(** Attempt to acquire the semaphore on behalf of the calling process, as
+    block incarnation [epoch] (default 0). Each {e round} sends a vote
+    request to every voter and collects replies until the outcome is
+    decided (majority of grants, majority arithmetically denied, or
+    per-reply timeout). At most one caller ever gets [Granted];
+    re-acquiring after owning returns [Granted] again (votes are
+    idempotent per requester).
+
+    Requests and replies carry a round id in their payload, replies left
+    queued by an earlier timed-out round are drained on entry and
+    discarded if they race the drain, and only the current round's
+    replies are tallied — at most one reply per voter (duplicates, e.g.
+    injected ones, are ignored). A round that ended [No_quorum] is
+    therefore safe to retry — stale grants cannot be double-counted into
+    a majority (after the abortable-mutex discipline of Jayanti &
+    Jayanti 2018).
+
+    Epoch 0 sends the original one-field request payload (executions
+    without recovery are byte-identical to before); epoch [e >= 1] rides
+    in the payload and is checked against each voter's {e floor}: a
+    request below the floor is denied, a request above it raises it, and
+    a grant held at a below-floor epoch is void — the slot is
+    reassignable to the current incarnation. See {!fence}.
+
+    Up to [retries] (default 0) additional rounds follow a [No_quorum],
+    separated by exponential backoff: before retry [k] (0-based) the
+    caller delays [backoff * 2{^k}] seconds of virtual time (default
+    [backoff] 0.01; pass [0.] for immediate retries). [Granted] and
+    [Denied] return immediately — only an undecided round retries.
     Deterministic: backoff burns virtual time through {!Engine.delay}, so
     identical seeds replay identical schedules.
 

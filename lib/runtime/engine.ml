@@ -997,7 +997,7 @@ and do_send t pcb ~dest ~tag payload =
    batch half-delivered, and every [Delivered] event and delivery-fault
    verdict of the batch precedes the first acceptance. How the messages
    move is chosen from what the engine can see: a single copy with no
-   delivery-fault hook takes a joined run in one [transfer_upto] (O(1)
+   delivery-fault hook takes a joined run in one [transfer] (O(1)
    when it adopts into an empty ring); anything else, a batch of one
    included, offers each message to each copy in turn. An emptied ring
    becomes the engine's spare. *)
@@ -1028,7 +1028,7 @@ and hand_over t more pid =
       for pos = Mailbox.head_pos more to Mailbox.tail_pos more - 1 do
         tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at more pos })
       done;
-    Mailbox.transfer_upto more ~upto:(Mailbox.tail_pos more) pcb.mailbox
+    Mailbox.transfer more pcb.mailbox
   | _ -> ()
 
 (* Offer one message to each world copy of [dest] in turn; a ghost

@@ -92,10 +92,9 @@ let rec reset_cursors pos = function
   | [] -> ()
   | c :: rest -> c.cpos <- pos; reset_cursors pos rest
 
-(* Whole-batch adoption: when the destination is empty and the batch is
-   the source's entire content, the destination takes the source's slot
-   array wholesale and the source inherits the (empty) array the
-   destination held. O(1) instead of O(batch), and in a streaming steady
+(* Whole-batch adoption: when the destination is empty, it takes the
+   source's slot array wholesale and the source inherits the (empty)
+   array the destination held. O(1) instead of O(batch), and in a streaming steady
    state the two rings simply circulate one pair of arrays between them.
    The entries are the very values the copying path would have pushed. *)
 let adopt t dst =
@@ -113,24 +112,22 @@ let adopt t dst =
   reset_cursors dst.head dst.cursors;
   reset_cursors t.head t.cursors
 
-let transfer_upto t ~upto dst =
-  let upto = if upto > t.tail then t.tail else upto in
-  if upto > t.head then
-    if dst.live = 0 && upto = t.tail then adopt t dst
+let transfer t dst =
+  if t.tail > t.head then
+    if dst.live = 0 then adopt t dst
     else begin
-      reserve dst (upto - t.head);
+      reserve dst (t.tail - t.head);
       let mask = Array.length t.slots - 1 in
-      for pos = t.head to upto - 1 do
+      for pos = t.head to t.tail - 1 do
         let i = pos land mask in
         let m = Array.unsafe_get t.slots i in
         if m != no_message then begin
           push dst m;
-          Array.unsafe_set t.slots i no_message;
-          t.live <- t.live - 1
+          Array.unsafe_set t.slots i no_message
         end
       done;
-      t.head <- upto;
-      skip_tombstones t
+      t.live <- 0;
+      t.head <- t.tail
     end
 
 let cursor t tag =

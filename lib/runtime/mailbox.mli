@@ -54,14 +54,13 @@ val remove : t -> int -> unit
 (** Tombstone the entry at an absolute position; the head advances past
     any leading tombstones. No-op on an already empty slot. *)
 
-val transfer_upto : t -> upto:int -> t -> unit
-(** [transfer_upto src ~upto dst] moves every live entry in
-    [\[head_pos src, upto)] to the back of [dst], in order, and clears
-    them from [src], advancing its head once. When [dst] is empty and the
-    range is all of [src], [dst] adopts [src]'s slot array in O(1) (and
-    [src] continues from [dst]'s old tail with [dst]'s old array); both
-    rings' cursors reset to their new heads. Batched delivery moves a
-    joined batch this way when it goes to a single receiver with no
+val transfer : t -> t -> unit
+(** [transfer src dst] moves every live entry of [src] to the back of
+    [dst], in order, and leaves [src] empty. When [dst] is empty, [dst]
+    adopts [src]'s slot array in O(1) (and [src] continues from [dst]'s
+    old tail with [dst]'s old array); both rings' cursors reset to their
+    new heads. Otherwise the entries are copied. Batched delivery moves
+    a joined batch this way when it goes to a single receiver with no
     delivery-fault hook to consult. *)
 
 val cursor : t -> string -> cursor

@@ -4,6 +4,10 @@ let check = Alcotest.check
 
 let mk () = Engine.create ~trace:false ~model:Cost_model.hp_9000_350 ()
 
+(* One acquisition round, as a bool. *)
+let acquired ctx m ~reply_timeout =
+  Majority.acquire_retry ctx m ~reply_timeout () = Majority.Granted
+
 let test_create_validations () =
   let eng = mk () in
   Alcotest.check_raises "nodes >= 1"
@@ -22,7 +26,7 @@ let test_single_requester_acquires () =
   let got = ref false in
   ignore
     (Engine.spawn eng (fun ctx ->
-         got := Majority.acquire ctx m ~reply_timeout:1.;
+         got := acquired ctx m ~reply_timeout:1.;
          Majority.shutdown m));
   Engine.run eng;
   check Alcotest.bool "acquired" true !got
@@ -37,10 +41,10 @@ let test_exclusive_between_two () =
       let r1 = ref None and r2 = ref None in
       ignore
         (Engine.spawn eng (fun ctx ->
-             r1 := Some (Majority.acquire ctx m ~reply_timeout:1.)));
+             r1 := Some (acquired ctx m ~reply_timeout:1.)));
       ignore
         (Engine.spawn eng ~start_delay:offset (fun ctx ->
-             r2 := Some (Majority.acquire ctx m ~reply_timeout:1.)));
+             r2 := Some (acquired ctx m ~reply_timeout:1.)));
       Engine.run eng;
       match (!r1, !r2) with
       | Some a, Some b ->
@@ -55,7 +59,7 @@ let test_survives_minority_crash () =
   let got = ref false in
   ignore
     (Engine.spawn eng (fun ctx ->
-         got := Majority.acquire ctx m ~reply_timeout:0.5;
+         got := acquired ctx m ~reply_timeout:0.5;
          Majority.shutdown m));
   Engine.run eng;
   check Alcotest.bool "2 of 5 crashed: still acquirable" true !got
@@ -66,7 +70,7 @@ let test_majority_crash_blocks_all () =
   let got = ref true in
   ignore
     (Engine.spawn eng (fun ctx ->
-         got := Majority.acquire ctx m ~reply_timeout:0.2;
+         got := acquired ctx m ~reply_timeout:0.2;
          Majority.shutdown m));
   Engine.run eng;
   check Alcotest.bool "3 of 5 crashed: unacquirable" false !got
@@ -77,8 +81,8 @@ let test_reacquire_idempotent () =
   let seq = ref [] in
   ignore
     (Engine.spawn eng (fun ctx ->
-         seq := Majority.acquire ctx m ~reply_timeout:1. :: !seq;
-         seq := Majority.acquire ctx m ~reply_timeout:1. :: !seq;
+         seq := acquired ctx m ~reply_timeout:1. :: !seq;
+         seq := acquired ctx m ~reply_timeout:1. :: !seq;
          Majority.shutdown m));
   Engine.run eng;
   check Alcotest.(list bool) "both acquisitions granted" [ true; true ] !seq
@@ -89,7 +93,7 @@ let test_owner_visible () =
   let winner = ref None in
   let pid =
     Engine.spawn eng (fun ctx ->
-        if Majority.acquire ctx m ~reply_timeout:1. then
+        if acquired ctx m ~reply_timeout:1. then
           winner := Some (Engine.self ctx);
         Majority.shutdown m)
   in
@@ -102,7 +106,7 @@ let test_message_accounting () =
   let m = Majority.create eng ~nodes:3 () in
   ignore
     (Engine.spawn eng (fun ctx ->
-         ignore (Majority.acquire ctx m ~reply_timeout:1.);
+         ignore (Majority.acquire_retry ctx m ~reply_timeout:1. ());
          Majority.shutdown m));
   Engine.run eng;
   (* 3 requests + 3 replies handled by live voters. *)
@@ -115,7 +119,7 @@ let test_vote_delay_slows_acquire () =
     let t = ref 0. in
     ignore
       (Engine.spawn eng (fun ctx ->
-           ignore (Majority.acquire ctx m ~reply_timeout:5.);
+           ignore (Majority.acquire_retry ctx m ~reply_timeout:5. ());
            t := Engine.now_v ctx;
            Majority.shutdown m));
     Engine.run eng;
@@ -126,7 +130,7 @@ let test_vote_delay_slows_acquire () =
 
 (* Regression for the stale-reply bug. 2 live voters of 5 can never be a
    majority, however often the requester retries. Before the round-id
-   fix, the retried [acquire] consumed the previous round's queued
+   fix, the retried round consumed the previous round's queued
    grants AND the current round's — tallying voters 0 and 1 twice, i.e.
    4 "grants" >= 3 — and won a majority it does not hold. *)
 let test_retry_after_timeout_cannot_win_lost_majority () =
@@ -139,11 +143,11 @@ let test_retry_after_timeout_cannot_win_lost_majority () =
     (Engine.spawn eng (fun ctx ->
          (* Votes take ~0.3 s; a 0.1 s reply timeout expires first, so
             this round's two grants arrive after the caller gave up. *)
-         first := Some (Majority.acquire ctx m ~reply_timeout:0.1);
+         first := Some (acquired ctx m ~reply_timeout:0.1);
          Engine.delay ctx 1.0;
          (* The stale grants now sit in the mailbox. Retry with a window
             long enough to also collect this round's fresh grants. *)
-         second := Some (Majority.acquire ctx m ~reply_timeout:0.5);
+         second := Some (acquired ctx m ~reply_timeout:0.5);
          Majority.shutdown m));
   Engine.run eng;
   check Alcotest.(option bool) "first acquire times out" (Some false) !first;
@@ -160,9 +164,9 @@ let test_retry_after_timeout_succeeds_with_live_majority () =
   let first = ref None and second = ref None in
   let pid =
     Engine.spawn eng (fun ctx ->
-        first := Some (Majority.acquire ctx m ~reply_timeout:0.1);
+        first := Some (acquired ctx m ~reply_timeout:0.1);
         Engine.delay ctx 1.0;
-        second := Some (Majority.acquire ctx m ~reply_timeout:5.);
+        second := Some (acquired ctx m ~reply_timeout:5.);
         Majority.shutdown m)
   in
   Engine.run eng;
@@ -201,7 +205,7 @@ let test_malformed_request_does_not_consume_grant () =
          Engine.send ctx ~tag:"vote_req" voter (Payload.Int (-1))));
   ignore
     (Engine.spawn eng ~name:"genuine" ~start_delay:0.01 (fun ctx ->
-         got := Some (Majority.acquire_verdict ctx m ~reply_timeout:1.);
+         got := Some (Majority.acquire_retry ctx m ~reply_timeout:1. ());
          Majority.shutdown m));
   Engine.run eng;
   check (Alcotest.option verdict) "garbled requests never hold the vote"
@@ -213,7 +217,7 @@ let test_verdict_denied_is_final () =
   let winner = ref None and loser = ref None in
   ignore
     (Engine.spawn eng (fun ctx ->
-         winner := Some (Majority.acquire_verdict ctx m ~reply_timeout:1.)));
+         winner := Some (Majority.acquire_retry ctx m ~reply_timeout:1. ())));
   ignore
     (Engine.spawn eng ~start_delay:0.5 (fun ctx ->
          (* The semaphore is owned by now: every voter answers promptly
@@ -275,7 +279,7 @@ let test_verdict_no_quorum_when_majority_silent () =
   let got = ref None in
   ignore
     (Engine.spawn eng (fun ctx ->
-         got := Some (Majority.acquire_verdict ctx m ~reply_timeout:0.2);
+         got := Some (Majority.acquire_retry ctx m ~reply_timeout:0.2 ());
          Majority.shutdown m));
   Engine.run eng;
   check (Alcotest.option verdict)
@@ -295,7 +299,7 @@ let test_speculative_requesters_do_not_split_voters () =
          ~predicate:
            (Predicate.make ~must_complete:[ pid ] ~must_fail:[ other ])
          (fun ctx ->
-           if Majority.acquire ctx m ~reply_timeout:1. then incr wins))
+           if acquired ctx m ~reply_timeout:1. then incr wins))
   in
   spawn_child a b;
   spawn_child b a;

@@ -164,14 +164,15 @@ let test_kill_during_consensus () =
   let m = Majority.create eng ~nodes:3 ~vote_delay:0.05 () in
   let got = ref false in
   let victim =
-    Engine.spawn eng (fun ctx -> ignore (Majority.acquire ctx m ~reply_timeout:5.))
+    Engine.spawn eng (fun ctx ->
+        ignore (Majority.acquire_retry ctx m ~reply_timeout:5. ()))
   in
   ignore
     (Engine.spawn eng ~start_delay:0.01 (fun ctx ->
          Engine.kill (Engine.engine ctx) victim ~reason:"mid-protocol"));
   ignore
     (Engine.spawn eng ~start_delay:1. (fun ctx ->
-         got := Majority.acquire ctx m ~reply_timeout:5.;
+         got := Majority.acquire_retry ctx m ~reply_timeout:5. () = Majority.Granted;
          Majority.shutdown m));
   Engine.run eng;
   (* The dead requester may already hold grants from quick voters; the

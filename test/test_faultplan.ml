@@ -37,7 +37,7 @@ let test_empty_plan_injects_nothing () =
   let got = ref None in
   ignore
     (Engine.spawn eng (fun ctx ->
-         got := Some (Majority.acquire_verdict ctx m ~reply_timeout:1.);
+         got := Some (Majority.acquire_retry ctx m ~reply_timeout:1. ());
          Majority.shutdown m));
   Engine.run eng;
   check (Alcotest.option verdict) "clean acquire" (Some Majority.Granted) !got;
@@ -57,7 +57,7 @@ let test_dropped_replies_time_out_as_no_quorum () =
   let got = ref None in
   ignore
     (Engine.spawn eng (fun ctx ->
-         got := Some (Majority.acquire_verdict ctx m ~reply_timeout:0.1);
+         got := Some (Majority.acquire_retry ctx m ~reply_timeout:0.1 ());
          Majority.shutdown m));
   Engine.run eng;
   check (Alcotest.option verdict) "undecided" (Some Majority.No_quorum) !got;
@@ -84,7 +84,7 @@ let test_reordered_replies_recover_by_retry () =
   let direct = ref None and retried = ref None in
   ignore
     (Engine.spawn eng (fun ctx ->
-         direct := Some (Majority.acquire_verdict ctx m ~reply_timeout:0.05);
+         direct := Some (Majority.acquire_retry ctx m ~reply_timeout:0.05 ());
          retried :=
            Some
              (Majority.acquire_retry ctx m ~reply_timeout:0.05 ~retries:3
@@ -145,7 +145,7 @@ let test_duplicated_replies_cannot_fake_majority () =
   let got = ref None in
   ignore
     (Engine.spawn eng (fun ctx ->
-         got := Some (Majority.acquire_verdict ctx m ~reply_timeout:0.2);
+         got := Some (Majority.acquire_retry ctx m ~reply_timeout:0.2 ());
          Majority.shutdown m));
   Engine.run eng;
   check (Alcotest.option verdict) "2 of 5 stays short of a majority"
@@ -216,9 +216,9 @@ let test_crash_then_revive_heals () =
   let during = ref None and after = ref None in
   ignore
     (Engine.spawn eng (fun ctx ->
-         during := Some (Majority.acquire_verdict ctx m ~reply_timeout:0.1);
+         during := Some (Majority.acquire_retry ctx m ~reply_timeout:0.1 ());
          Engine.delay ctx 0.5;
-         after := Some (Majority.acquire_verdict ctx m ~reply_timeout:0.5);
+         after := Some (Majority.acquire_retry ctx m ~reply_timeout:0.5 ());
          Majority.shutdown m));
   Engine.run eng;
   check (Alcotest.option verdict) "partitioned voter: undecided"

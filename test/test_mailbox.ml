@@ -169,11 +169,11 @@ let test_traffic_cannot_reach_a_duplicate () =
   let m = message ~uid:42 ~tag:"orig" (Payload.int 1234) in
   Mailbox.push outbox m;
   Mailbox.push outbox m;
-  Mailbox.transfer_upto outbox ~upto:(Mailbox.tail_pos outbox) inbox;
+  Mailbox.transfer outbox inbox;
   check Alcotest.bool "first copy is the sent value" true (pop_front inbox == m);
   for i = 0 to 99 do
     push_one outbox ~uid:i ~tag:"evil" (Payload.str "overwrite");
-    Mailbox.transfer_upto outbox ~upto:(Mailbox.tail_pos outbox) inbox;
+    Mailbox.transfer outbox inbox;
     (* Consume the newcomer, leaving the second copy at the head. *)
     Mailbox.remove inbox (Mailbox.tail_pos inbox - 1)
   done;
@@ -659,7 +659,7 @@ let test_transfer_into_empty_ring_adopts () =
   done;
   let dst = Mailbox.create () in
   ignore (Mailbox.cursor dst "t");
-  Mailbox.transfer_upto src ~upto:(Mailbox.tail_pos src) dst;
+  Mailbox.transfer src dst;
   check Alcotest.int "all moved" 10 (Mailbox.length dst);
   check Alcotest.int "source empty" 0 (Mailbox.length src);
   let c = Mailbox.cursor dst "t" in
@@ -679,7 +679,7 @@ let test_transfer_into_nonempty_ring_copies () =
   done;
   let dst = Mailbox.create () in
   push_one dst ~uid:0 ~tag:"t" (Payload.int 0);
-  Mailbox.transfer_upto src ~upto:(Mailbox.tail_pos src) dst;
+  Mailbox.transfer src dst;
   check Alcotest.int "appended behind the resident entry" 6
     (Mailbox.length dst);
   check Alcotest.int "source drained" 0 (Mailbox.length src);
@@ -698,16 +698,19 @@ let test_adoption_matches_copy_path () =
     Mailbox.remove src 4;
     src
   in
-  (* Reference: the copying path (a partial transfer first, so the
-     adoption guard never applies). *)
+  (* Reference: the copying path (a resident entry in the destination,
+     taken off after the move, so the adoption guard never applies). *)
   let src_copy = mk_src () in
   let dst_copy = Mailbox.create () in
-  Mailbox.transfer_upto src_copy ~upto:(Mailbox.head_pos src_copy + 1) dst_copy;
-  Mailbox.transfer_upto src_copy ~upto:(Mailbox.tail_pos src_copy) dst_copy;
+  let resident = message ~uid:(-1) ~tag:"t" (Payload.int (-1)) in
+  Mailbox.push dst_copy resident;
+  Mailbox.transfer src_copy dst_copy;
+  check Alcotest.bool "the resident entry stays first" true
+    (pop_front dst_copy == resident);
   (* Same batch through the O(1) adoption path. *)
   let src_adopt = mk_src () in
   let dst_adopt = Mailbox.create () in
-  Mailbox.transfer_upto src_adopt ~upto:(Mailbox.tail_pos src_adopt) dst_adopt;
+  Mailbox.transfer src_adopt dst_adopt;
   let values ring = List.map snd (entries ring) in
   check Alcotest.int "both paths moved everything" (Mailbox.length dst_copy)
     (Mailbox.length dst_adopt);
@@ -745,7 +748,7 @@ let test_transfer_fifo_when_destination_grows () =
   for i = 0 to 5 do
     push_one dst ~uid:i ~tag:"t" (Payload.int i)
   done;
-  Mailbox.transfer_upto src ~upto:(Mailbox.tail_pos src) dst;
+  Mailbox.transfer src dst;
   check Alcotest.int "all appended" 14 (Mailbox.length dst);
   List.iteri
     (fun k e ->
@@ -760,9 +763,9 @@ let test_transfer_fifo_when_destination_grows () =
    reference: per ring, the live entries as a list in position order plus
    the tail position. Receive-by-tag takes the first entry with that tag;
    the head is the first live position (the tail when empty); a transfer
-   of the whole content into an empty ring adopts it (positions move as
-   they are, the source continues from the destination's old tail), any
-   other transfer appends. *)
+   moves the whole content: into an empty ring it adopts it (positions
+   move as they are, the source continues from the destination's old
+   tail), into a non-empty one it appends. *)
 
 type m_entry = { e_pos : int; e_uid : int; e_tag : string }
 type model = { mutable m_entries : m_entry list; mutable m_tail : int }
@@ -771,13 +774,13 @@ type op =
   | Push of int * string  (** ring, tag *)
   | Receive of int * string  (** first live entry with the tag, via cursor *)
   | Remove_nth of int * int  (** tombstone the n-th live entry (mod length) *)
-  | Transfer of int * int  (** [transfer_upto ~upto:(head + k)] to the other *)
+  | Transfer of int  (** [transfer] the whole ring to the other *)
 
 let show_op = function
   | Push (r, t) -> Printf.sprintf "Push(%d,%s)" r t
   | Receive (r, t) -> Printf.sprintf "Receive(%d,%s)" r t
   | Remove_nth (r, n) -> Printf.sprintf "Remove_nth(%d,%d)" r n
-  | Transfer (r, k) -> Printf.sprintf "Transfer(%d,%d)" r k
+  | Transfer r -> Printf.sprintf "Transfer(%d)" r
 
 let m_head m = match m.m_entries with [] -> m.m_tail | e :: _ -> e.e_pos
 
@@ -787,10 +790,9 @@ let m_append m ~uid ~tag =
 
 let m_remove m e = m.m_entries <- List.filter (fun e' -> e' != e) m.m_entries
 
-let m_transfer src ~upto dst =
-  let upto = min upto src.m_tail in
-  if upto > m_head src then
-    if dst.m_entries = [] && upto = src.m_tail then begin
+let m_transfer src dst =
+  if src.m_entries <> [] then
+    if dst.m_entries = [] then begin
       let dst_tail = dst.m_tail in
       dst.m_entries <- src.m_entries;
       dst.m_tail <- src.m_tail;
@@ -798,9 +800,8 @@ let m_transfer src ~upto dst =
       src.m_tail <- dst_tail
     end
     else begin
-      let moved, kept = List.partition (fun e -> e.e_pos < upto) src.m_entries in
-      src.m_entries <- kept;
-      List.iter (fun e -> m_append dst ~uid:e.e_uid ~tag:e.e_tag) moved
+      List.iter (fun e -> m_append dst ~uid:e.e_uid ~tag:e.e_tag) src.m_entries;
+      src.m_entries <- []
     end
 
 (* The ring's live entries in the model's shape. *)
@@ -879,10 +880,9 @@ let run_ops ops =
           let e = List.nth es (n mod List.length es) in
           Mailbox.remove rings.(r) e.e_pos;
           m_remove models.(r) e)
-      | Transfer (r, k) ->
-        let upto = m_head models.(r) + k in
-        Mailbox.transfer_upto rings.(r) ~upto rings.(1 - r);
-        m_transfer models.(r) ~upto models.(1 - r));
+      | Transfer r ->
+        Mailbox.transfer rings.(r) rings.(1 - r);
+        m_transfer models.(r) models.(1 - r));
       Array.iteri
         (fun r ring ->
           match agree ring models.(r) with
@@ -901,7 +901,7 @@ let arb_ops =
         (8, map2 (fun r t -> Push (r, t)) ring tag);
         (4, map2 (fun r t -> Receive (r, t)) ring tag);
         (2, map2 (fun r n -> Remove_nth (r, n)) ring (int_bound 15));
-        (3, map2 (fun r k -> Transfer (r, k)) ring (int_bound 12));
+        (3, map (fun r -> Transfer r) ring);
       ]
   in
   QCheck.make

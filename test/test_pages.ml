@@ -1,5 +1,5 @@
-(* Tests for the paged store: frames, COW page maps, address spaces, heap
-   cells, and the calibrated cost models. *)
+(* Tests for the paged store: frames, COW page maps, address spaces, the
+   calibrated cost models, and the store's allocation contracts. *)
 
 let check = Alcotest.check
 let cf = Alcotest.float 1e-9
@@ -952,6 +952,97 @@ let prop_page_map_model =
     arb_map_ops (fun ops ->
       run_map_model ~track:true ops && run_map_model ~track:false ops)
 
+(* ---------------- Allocation contracts ----------------
+
+   Minor words per operation after a warm-up run of the same operation
+   (the shape of test_runtime's [alloc] group). The paper's cost argument
+   needs a scalar access that allocates nothing in steady state, a
+   copy-on-write fork that does not grow with the address space, and an
+   absorb that pays only for the winner's dirty pages (§3.1, §4.4). With
+   4096-byte pages, 1024 pages mapped and OCaml 5.1.1 the figures are 0
+   words a scalar get or set, 71 a fork and release, and 97 / 1864 a
+   fork, dirty and absorb of 1 / 256 pages; the ceilings sit a little
+   above them. *)
+
+let alloc_page_size = 4096
+let alloc_mapped = 1024
+
+(* [make ()] builds the fixture and returns the operation run [n] times. *)
+let words_per ~n make =
+  let op = make () in
+  op 64;
+  let w0 = Gc.minor_words () in
+  op n;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_alloc_budget name make ceiling () =
+  let w = words_per ~n:2000 make in
+  if w > ceiling then Alcotest.failf "%s: %.2f words, ceiling %.2f" name w ceiling
+
+let scalar_sink = ref 0
+
+(* A space whose eight scalar slots are already private top-layer pages. *)
+let warm_space () =
+  let store = mk_store ~page_size:alloc_page_size () in
+  let s = Address_space.create ~size_hint:(8 * alloc_page_size) store Cost_model.modern in
+  for i = 0 to 7 do
+    Address_space.set_int s ~addr:(i * 8) i
+  done;
+  s
+
+let scalar_gets () =
+  let s = warm_space () in
+  fun n ->
+    let acc = ref 0 in
+    for i = 1 to n do
+      acc := !acc + Address_space.get_int s ~addr:((i land 7) * 8)
+    done;
+    scalar_sink := !acc
+
+let scalar_sets () =
+  let s = warm_space () in
+  fun n ->
+    for i = 1 to n do
+      Address_space.set_int s ~addr:((i land 7) * 8) i
+    done
+
+(* A page map with the first [alloc_mapped] pages mapped. *)
+let mapped_map () =
+  let m = Page_map.create (mk_store ~page_size:alloc_page_size ()) in
+  for vp = 0 to alloc_mapped - 1 do
+    ignore (Page_map.set_u8 m ~vpage:vp ~off:0 1)
+  done;
+  m
+
+let fork_releases () =
+  let m = mapped_map () in
+  fun n ->
+    for _ = 1 to n do
+      Page_map.release (Page_map.fork m)
+    done
+
+(* [n] rounds of: fork the parent, dirty [dirty] pages in the child,
+   absorb the child back. *)
+let absorbs ~dirty () =
+  let parent = mapped_map () in
+  fun n ->
+    for i = 1 to n do
+      let child = Page_map.fork parent in
+      for d = 0 to dirty - 1 do
+        ignore (Page_map.set_u8 child ~vpage:d ~off:1 (i land 0xff))
+      done;
+      Page_map.absorb ~parent ~child
+    done
+
+(* 256 dirty pages cost at least 16x what 1 costs: absorb scales with the
+   dirty count, and the 1-page figure is no fixed cost hiding a walk. *)
+let test_absorb_scales_with_dirty () =
+  let a1 = words_per ~n:200 (absorbs ~dirty:1) in
+  let a256 = words_per ~n:200 (absorbs ~dirty:256) in
+  if a256 < 16. *. a1 then
+    Alcotest.failf "absorb: 256 dirty pages %.1f words, under 16x 1 dirty page %.1f"
+      a256 a1
+
 let () =
   Alcotest.run "pages"
     [
@@ -1000,6 +1091,19 @@ let () =
           Alcotest.test_case "rfork calibration" `Quick test_model_calibration_rfork;
           Alcotest.test_case "pages_for edges" `Quick test_model_pages_for_edges;
           Alcotest.test_case "message cost" `Quick test_model_message_cost;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "scalar get_int" `Quick
+            (test_alloc_budget "get_int" scalar_gets 0.01);
+          Alcotest.test_case "scalar set_int" `Quick
+            (test_alloc_budget "set_int" scalar_sets 0.01);
+          Alcotest.test_case "fork and release, 1024 mapped" `Quick
+            (test_alloc_budget "fork and release" fork_releases 75.);
+          Alcotest.test_case "absorb 1 dirty of 1024 mapped" `Quick
+            (test_alloc_budget "absorb 1 dirty" (absorbs ~dirty:1) 105.);
+          Alcotest.test_case "absorb scales with dirty pages" `Quick
+            test_absorb_scales_with_dirty;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -233,7 +233,8 @@ let prop_consensus_exclusive =
         (fun offset ->
           ignore
             (Engine.spawn eng ~start_delay:offset (fun ctx ->
-                 if Majority.acquire ctx m ~reply_timeout:1. then incr wins;
+                 if Majority.acquire_retry ctx m ~reply_timeout:1. () = Majority.Granted
+                 then incr wins;
                  incr done_)))
         offsets;
       Engine.run eng;

@@ -2559,17 +2559,18 @@ let test_clone_replays_parks () =
    Minor words per operation on a warm engine (its handler built, its
    tables grown by a first run of the same shape): a CPU park, a message
    hop (a send and the parked receive it wakes), a spawn-to-exit, a send
-   to a destination never sent to (with its receiver's spawn to exit),
-   and a message in a two-message batch. A park allocates its park record
-   and the runtime's continuation, a start the fiber's own, and a send
-   its message and, unless it joins a batch, the batch's [Flush]. The
-   ceilings sit a little above the measured figures (12 / 22 / 75.5 /
-   149 / 15 words with OCaml 5.1.1), and below what a handler built per
-   start (+19 a spawn), a park effect or closure built per park (+5 or
-   +8 a park), a replay-log entry built for an unlogged process (+2 a
-   park or a receive), a channel object per (sender, dest) pair (+41 a
-   fresh destination) or a fresh ring per joined batch (+7 a batched
-   message) would cost. *)
+   to a destination never sent to (with its receiver's spawn to exit), a
+   message in a two-message batch, and a message streamed one way. A park
+   allocates its park record and the runtime's continuation, a start the
+   fiber's own, and a send its message and, unless it joins a batch, the
+   batch's [Flush]. The ceilings sit a little above the measured figures
+   (12 / 22 / 75.5 / 149 / 15 / 8.2 words with OCaml 5.1.1), and below
+   what a handler built per start (+19 a spawn), a park effect or closure
+   built per park (+5 or +8 a park), a replay-log entry built for an
+   unlogged process (+2 a park or a receive), a channel object per
+   (sender, dest) pair (+41 a fresh destination), a fresh ring per joined
+   batch (+7 a batched message) or mailboxes without rings (150+ a
+   streamed message) would cost. *)
 
 let words_per ~n op =
   let eng = mk () in
@@ -2619,6 +2620,22 @@ let fresh_dests eng n =
   ignore
     (Engine.spawn eng ~cloneable:false (fun ctx ->
          Array.iter (fun d -> Engine.send ctx d one) dests));
+  Engine.run eng
+
+(* [n] messages streamed one way: a sender that only sends, a receiver
+   that only receives. *)
+let streamed_sends eng n =
+  let sink =
+    Engine.spawn eng ~cloneable:false (fun ctx ->
+        for _ = 1 to n do
+          ignore (Engine.receive ctx ())
+        done)
+  in
+  ignore
+    (Engine.spawn eng ~cloneable:false (fun ctx ->
+         for _ = 1 to n do
+           Engine.send ctx sink one
+         done));
   Engine.run eng
 
 (* [n] messages in two-message batches: each side sends two back to back,
@@ -2842,6 +2859,8 @@ let () =
             (test_alloc_budget "send to a fresh dest" fresh_dests 160.);
           Alcotest.test_case "two-message batches" `Quick
             (test_alloc_budget "two-message batches" batched_hops 17.);
+          Alcotest.test_case "streamed one-way sends" `Quick
+            (test_alloc_budget "streamed one-way sends" streamed_sends 9.);
           Alcotest.test_case "sweep: no words per certain process" `Quick
             test_sweep_skips_certain;
         ] );

@@ -309,7 +309,7 @@ let test_denied_returns_without_consuming_retries () =
   let r2_verdict = ref Majority.No_quorum and r2_elapsed = ref infinity in
   ignore
     (Engine.spawn eng (fun ctx ->
-         ignore (Majority.acquire ctx m ~reply_timeout:1.)));
+         ignore (Majority.acquire_retry ctx m ~reply_timeout:1. ())));
   ignore
     (Engine.spawn eng ~start_delay:0.5 (fun ctx ->
          let t0 = Engine.now_v ctx in
@@ -335,11 +335,11 @@ let test_stale_epoch_denied () =
   let stale = ref Majority.No_quorum and current = ref Majority.No_quorum in
   ignore
     (Engine.spawn eng (fun ctx ->
-         stale := Majority.acquire_verdict_epoch ctx m ~epoch:1 ~reply_timeout:1.));
+         stale := Majority.acquire_retry ctx m ~epoch:1 ~reply_timeout:1. ()));
   ignore
     (Engine.spawn eng ~start_delay:0.5 (fun ctx ->
          current :=
-           Majority.acquire_verdict_epoch ctx m ~epoch:2 ~reply_timeout:1.;
+           Majority.acquire_retry ctx m ~epoch:2 ~reply_timeout:1. ();
          Majority.shutdown m));
   Engine.run eng;
   check Alcotest.bool "below-floor request denied" true
@@ -353,12 +353,12 @@ let test_fence_voids_stale_grants () =
   let old = ref Majority.No_quorum and next = ref Majority.No_quorum in
   ignore
     (Engine.spawn eng (fun ctx ->
-         old := Majority.acquire_verdict_epoch ctx m ~epoch:1 ~reply_timeout:1.));
+         old := Majority.acquire_retry ctx m ~epoch:1 ~reply_timeout:1. ()));
   Engine.after eng ~delay:0.5 (fun () -> Majority.fence m ~epoch:2);
   ignore
     (Engine.spawn eng ~start_delay:1. (fun ctx ->
          next :=
-           Majority.acquire_verdict_epoch ctx m ~epoch:2 ~reply_timeout:1.;
+           Majority.acquire_retry ctx m ~epoch:2 ~reply_timeout:1. ();
          Majority.shutdown m));
   Engine.run eng;
   check Alcotest.bool "epoch-1 incarnation won first" true
