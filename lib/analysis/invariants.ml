@@ -701,49 +701,77 @@ let find_scenario name =
    sound subset of the post-mortem classes: any violation here implies
    the corresponding replay checker would find one too. *)
 
-let check_report ~scenario ~policy ~seed (rep : _ Concurrent.report) =
-  let out = ref [] in
-  let add cls d =
-    out :=
-      Report.violation cls ~scenario ~policy:(Concurrent.describe policy) ~seed d
-      :: !out
-  in
+(* A violation built and pushed onto [out]. The checks below accumulate
+   newest first in a local [ref] that no closure captures, so a clean
+   report allocates nothing. *)
+let flag out cls ~scenario ~policy ~seed d =
+  Report.violation cls ~scenario ~policy:(Concurrent.describe policy) ~seed d :: out
+
+let rec mem_pid p = function [] -> false | q :: rest -> Pid.equal p q || mem_pid p rest
+
+(* [rep]'s violations, newest first, pushed onto [out]. *)
+let report_violations ~scenario ~policy ~seed (rep : _ Concurrent.report) out =
+  let out = ref out in
   if rep.Concurrent.spawned <> List.length rep.Concurrent.children then
-    add Report.Elimination
-      (Printf.sprintf "report claims %d spawned alternatives but lists %d"
-         rep.Concurrent.spawned
-         (List.length rep.Concurrent.children));
+    out :=
+      flag !out Report.Elimination ~scenario ~policy ~seed
+        (Printf.sprintf "report claims %d spawned alternatives but lists %d"
+           rep.Concurrent.spawned
+           (List.length rep.Concurrent.children));
   (match (rep.Concurrent.outcome, rep.Concurrent.winner) with
   | _, Some w when rep.Concurrent.degraded ->
-    add Report.At_most_once
-      (Format.asprintf "a degraded block reported %a as a speculative winner"
-         Pid.pp w)
+    out :=
+      flag !out Report.At_most_once ~scenario ~policy ~seed
+        (Format.asprintf "a degraded block reported %a as a speculative winner"
+           Pid.pp w)
   | Alt_block.Selected _, Some w ->
-    if not (List.exists (Pid.equal w) rep.Concurrent.children) then
-      add Report.At_most_once
-        (Format.asprintf "the winner %a is not a block child" Pid.pp w)
+    if not (mem_pid w rep.Concurrent.children) then
+      out :=
+        flag !out Report.At_most_once ~scenario ~policy ~seed
+          (Format.asprintf "the winner %a is not a block child" Pid.pp w)
   | Alt_block.Selected _, None ->
     if not rep.Concurrent.degraded then
-      add Report.At_most_once
-        "outcome is Selected but the report names no winner"
+      out :=
+        flag !out Report.At_most_once ~scenario ~policy ~seed
+          "outcome is Selected but the report names no winner"
   | Alt_block.Block_failed _, Some w ->
-    add Report.At_most_once
-      (Format.asprintf "a failed block reported %a as its winner" Pid.pp w)
+    out :=
+      flag !out Report.At_most_once ~scenario ~policy ~seed
+        (Format.asprintf "a failed block reported %a as its winner" Pid.pp w)
   | Alt_block.Block_failed _, None -> ());
   if rep.Concurrent.wasted_cpu < 0. then
-    add Report.Accounting
-      (Printf.sprintf "negative wasted_cpu %.9f" rep.Concurrent.wasted_cpu);
+    out :=
+      flag !out Report.Accounting ~scenario ~policy ~seed
+        (Printf.sprintf "negative wasted_cpu %.9f" rep.Concurrent.wasted_cpu);
   if rep.Concurrent.elapsed < 0. then
-    add Report.Accounting
-      (Printf.sprintf "negative elapsed %.9f" rep.Concurrent.elapsed);
+    out :=
+      flag !out Report.Accounting ~scenario ~policy ~seed
+        (Printf.sprintf "negative elapsed %.9f" rep.Concurrent.elapsed);
   (match policy.Concurrent.sync with
   | Concurrent.Local ->
     if rep.Concurrent.sync_messages <> 0 then
-      add Report.Accounting
-        (Printf.sprintf "local latch reports %d sync messages"
-           rep.Concurrent.sync_messages)
+      out :=
+        flag !out Report.Accounting ~scenario ~policy ~seed
+          (Printf.sprintf "local latch reports %d sync messages"
+             rep.Concurrent.sync_messages)
   | Concurrent.Consensus _ -> ());
-  List.rev !out
+  !out
+
+let check_report ~scenario ~policy ~seed rep =
+  List.rev (report_violations ~scenario ~policy ~seed rep [])
+
+(* Recovery [i] (from 0) must fence to epoch [i + 2]. *)
+let rec fence_violations ~scenario ~policy ~seed i recoveries out =
+  match recoveries with
+  | [] -> out
+  | (_, _, epoch) :: rest ->
+    let out =
+      if epoch = i + 2 then out
+      else
+        flag out Report.At_most_once ~scenario ~policy ~seed
+          (Printf.sprintf "recovery %d fenced to epoch %d, expected %d" i epoch (i + 2))
+    in
+    fence_violations ~scenario ~policy ~seed (i + 1) rest out
 
 (* The supervised variant: audit the inner report, then the recovery
    bookkeeping — a recovered request must look like exactly what it is,
@@ -751,40 +779,33 @@ let check_report ~scenario ~policy ~seed (rep : _ Concurrent.report) =
    a dead coordinator. *)
 let check_supervised_report ~scenario ~policy ~seed
     (sr : _ Concurrent.supervised_report) =
-  let out = ref (check_report ~scenario ~policy ~seed sr.Concurrent.sr_report) in
-  let add cls d =
-    out :=
-      !out
-      @ [ Report.violation cls ~scenario ~policy:(Concurrent.describe policy)
-            ~seed d ]
-  in
+  let out = ref (report_violations ~scenario ~policy ~seed sr.Concurrent.sr_report []) in
   let recoveries = List.length sr.Concurrent.sr_recoveries in
   if sr.Concurrent.sr_incarnations < 1 then
-    add Report.Elimination "supervised block launched no incarnation";
+    out :=
+      flag !out Report.Elimination ~scenario ~policy ~seed
+        "supervised block launched no incarnation";
   if sr.Concurrent.sr_incarnations <> recoveries + 1 then
-    add Report.Elimination
-      (Printf.sprintf "%d incarnations but %d recoveries"
-         sr.Concurrent.sr_incarnations recoveries);
+    out :=
+      flag !out Report.Elimination ~scenario ~policy ~seed
+        (Printf.sprintf "%d incarnations but %d recoveries"
+           sr.Concurrent.sr_incarnations recoveries);
   if sr.Concurrent.sr_epoch <> sr.Concurrent.sr_incarnations then
-    add Report.At_most_once
-      (Printf.sprintf
-         "report epoch %d is not the last incarnation's (%d): a stale \
-          incarnation answered through the fence"
-         sr.Concurrent.sr_epoch sr.Concurrent.sr_incarnations);
-  List.iteri
-    (fun i (_, _, epoch) ->
-      if epoch <> i + 2 then
-        add Report.At_most_once
-          (Printf.sprintf "recovery %d fenced to epoch %d, expected %d" i
-             epoch (i + 2)))
-    sr.Concurrent.sr_recoveries;
+    out :=
+      flag !out Report.At_most_once ~scenario ~policy ~seed
+        (Printf.sprintf
+           "report epoch %d is not the last incarnation's (%d): a stale \
+            incarnation answered through the fence"
+           sr.Concurrent.sr_epoch sr.Concurrent.sr_incarnations);
+  out := fence_violations ~scenario ~policy ~seed 0 sr.Concurrent.sr_recoveries !out;
   (match (sr.Concurrent.sr_report.Concurrent.outcome,
           sr.Concurrent.sr_coordinator) with
   | Alt_block.Selected _, None ->
-    add Report.At_most_once
-      "a decided supervised block has no final coordinator"
+    out :=
+      flag !out Report.At_most_once ~scenario ~policy ~seed
+        "a decided supervised block has no final coordinator"
   | _ -> ());
-  !out
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Everything.                                                         *)

@@ -146,82 +146,88 @@ let fence t ~epoch =
 
 type verdict = Granted | Denied | No_quorum
 
-(* One acquisition round. *)
+(* One acquisition round: top-level functions taking every variable as
+   an argument, since a local closure is built on every call. *)
+
+let tag_req_opt = Some tag_req
+let tag_rep_opt = Some tag_rep
+
+(* Drain replies a previous, timed-out round left in the mailbox. They are
+   from an older round by construction, but consuming them now also keeps
+   the mailbox from growing across many retries. *)
+let rec drain ctx =
+  match Engine.receive_timeout ctx ?tag:tag_rep_opt ~timeout:0. () with
+  | Some _ -> drain ctx
+  | None -> ()
+
+let rec request ctx payload = function
+  | [] -> ()
+  | voter :: rest ->
+    Engine.send ctx ?tag:tag_req_opt voter payload;
+    request ctx payload rest
+
+(* [replied]: the voters already counted this round, at most [t.n]. *)
+let rec counted p = function
+  | [] -> false
+  | q :: rest -> Pid.equal p q || counted p rest
+
+let rec collect ctx t ~round ~need ~reply_timeout ~grants ~replied ~replies =
+  if grants >= need then Granted
+  else if grants + (t.n - replies) < need then
+    (* Enough explicit denials arrived that a majority is arithmetically
+       impossible even if every silent voter grants: the semaphore is (or
+       is becoming) someone else's. Grants are permanent, so this is final
+       — retrying cannot help. *)
+    Denied
+  else
+    match Engine.receive_timeout ctx ?tag:tag_rep_opt ~timeout:reply_timeout () with
+    | None ->
+      (* Remaining voters are presumed crashed or partitioned; the outcome
+         is undecided, and a retry may still reach them. *)
+      No_quorum
+    | Some m when rep_round m <> round ->
+      (* A stale reply that raced the entry drain: it answers an older
+         request, so it neither grants nor counts as this round's reply. *)
+      collect ctx t ~round ~need ~reply_timeout ~grants ~replied ~replies
+    | Some m when counted m.Message.sender replied ->
+      (* A duplicated reply (e.g. under fault injection): one voter, one
+         vote. Counting it again would let [n/2 + 1] copies of a single
+         grant manufacture a majority. *)
+      collect ctx t ~round ~need ~reply_timeout ~grants ~replied ~replies
+    | Some m ->
+      collect ctx t ~round ~need ~reply_timeout
+        ~grants:(if rep_granted m then grants + 1 else grants)
+        ~replied:(m.Message.sender :: replied) ~replies:(replies + 1)
+
 let acquire_verdict_epoch ctx t ~epoch ~reply_timeout =
   let round = Int64.to_int (Engine.random_bits ctx) land max_int in
-  (* Drain replies a previous, timed-out round left in the mailbox. They
-     are from an older round by construction, but consuming them now also
-     keeps the mailbox from growing across many retries. *)
-  let rec drain () =
-    match Engine.receive_timeout ctx ~tag:tag_rep ~timeout:0. () with
-    | Some _ -> drain ()
-    | None -> ()
-  in
-  drain ();
-  List.iter
-    (fun voter -> Engine.send ctx ~tag:tag_req voter (req_payload ~round ~epoch))
-    t.pids;
-  let need = majority t in
-  (* [replied]: the voters already counted this round, at most [t.n]. *)
-  let rec counted p = function
-    | [] -> false
-    | q :: rest -> Pid.equal p q || counted p rest
-  in
-  let rec collect ~grants ~replied ~replies =
-    if grants >= need then Granted
-    else if grants + (t.n - replies) < need then
-      (* Enough explicit denials arrived that a majority is arithmetically
-         impossible even if every silent voter grants: the semaphore is
-         (or is becoming) someone else's. Grants are permanent, so this is
-         final — retrying cannot help. *)
-      Denied
-    else
-      match Engine.receive_timeout ctx ~tag:tag_rep ~timeout:reply_timeout () with
-      | None ->
-        (* Remaining voters are presumed crashed or partitioned; the
-           outcome is undecided, and a retry may still reach them. *)
-        No_quorum
-      | Some m when rep_round m <> round ->
-        (* A stale reply that raced the entry drain: it answers an older
-           request, so it neither grants nor counts as this round's
-           reply. *)
-        collect ~grants ~replied ~replies
-      | Some m when counted m.Message.sender replied ->
-        (* A duplicated reply (e.g. under fault injection): one voter,
-           one vote. Counting it again would let [n/2 + 1] copies of a
-           single grant manufacture a majority. *)
-        collect ~grants ~replied ~replies
-      | Some m ->
-        let g = rep_granted m in
-        collect
-          ~grants:(grants + if g then 1 else 0)
-          ~replied:(m.Message.sender :: replied)
-          ~replies:(replies + 1)
-  in
-  collect ~grants:0 ~replied:[] ~replies:0
+  drain ctx;
+  (* Every voter is sent the one payload. *)
+  request ctx (req_payload ~round ~epoch) t.pids;
+  collect ctx t ~round ~need:(majority t) ~reply_timeout ~grants:0 ~replied:[]
+    ~replies:0
+
+(* Deterministic exponential backoff in virtual time: delay, then run a
+   fresh round (fresh round id, so leftovers of this one are discarded by
+   the round stamp). A retry is only worth taking if the backoff plus a
+   full reply wait still fits inside the caller's deadline — a block-local
+   retry budget must never overrun the request's remaining virtual-time
+   budget, so a round that could not complete in time is not started and
+   the undecided verdict is returned as-is. *)
+let rec retry ctx t ~epoch ~deadline ~reply_timeout ~retries ~backoff k =
+  match acquire_verdict_epoch ctx t ~epoch ~reply_timeout with
+  | No_quorum when k < retries ->
+    let wait = if backoff > 0. then backoff *. (2. ** float_of_int k) else 0. in
+    if Engine.now_v ctx +. wait +. reply_timeout > deadline then No_quorum
+    else begin
+      if wait > 0. then Engine.delay ctx wait;
+      retry ctx t ~epoch ~deadline ~reply_timeout ~retries ~backoff (k + 1)
+    end
+  | v -> v
 
 let acquire_retry ctx t ?(epoch = 0) ?(deadline = infinity) ~reply_timeout
     ?(retries = 0) ?(backoff = 0.01) () =
-  let rec go k =
-    match acquire_verdict_epoch ctx t ~epoch ~reply_timeout with
-    | No_quorum when k < retries ->
-      (* Deterministic exponential backoff in virtual time: delay, then
-         run a fresh round (fresh round id, so leftovers of this one are
-         discarded by the round stamp). A retry is only worth taking if
-         the backoff plus a full reply wait still fits inside the
-         caller's deadline — a block-local retry budget must never
-         overrun the request's remaining virtual-time budget, so a
-         round that could not complete in time is not started and the
-         undecided verdict is returned as-is. *)
-      let wait = if backoff > 0. then backoff *. (2. ** float_of_int k) else 0. in
-      if Engine.now_v ctx +. wait +. reply_timeout > deadline then No_quorum
-      else begin
-        if wait > 0. then Engine.delay ctx wait;
-        go (k + 1)
-      end
-    | v -> v
-  in
-  go 0
+  retry ctx t ~epoch ~deadline ~reply_timeout ~retries ~backoff 0
 
 let owner t =
   let tally = Hashtbl.create 8 in

@@ -97,30 +97,163 @@ type 'a report = {
   degraded : bool;
 }
 
+(* The report of a block that decided nothing: no setup, no selection. *)
+let failed_report ~reason ~children ~elapsed ~wasted_cpu ~sync_messages =
+  {
+    outcome = Alt_block.Block_failed reason;
+    winner = None;
+    children;
+    elapsed;
+    setup_cost = 0.;
+    spawned = List.length children;
+    selection_cost = 0.;
+    wasted_cpu;
+    child_cow_copies = 0;
+    sync_messages;
+    attempted = 0;
+    degraded = false;
+  }
+
 type 'a latch_value =
   | Win of { index : int; pid : Pid.t; value : 'a }
   | All_failed_l
 
-(* Build the child predicates: each alternative inherits the parent's
-   assumptions, assumes it completes, and assumes its open siblings do not
-   (section 3.3: "sibling rivalry taken to its extreme"). A closed one is
-   never spawned, so its fate, never decided, must not be assumed. *)
-let child_predicate parent_pred pids open_ i =
-  let p = ref (Predicate.assume_completes parent_pred pids.(i)) in
-  for j = 0 to Array.length pids - 1 do
-    if j <> i && open_.(j) then p := Predicate.assume_fails !p pids.(j)
-  done;
-  !p
+(* One block's state. Each child's body is a closure over this record and
+   its index, and one exit watcher serves every child: nothing else of the
+   block is captured. *)
+type 'a block = {
+  eng : Engine.t;
+  alts : 'a Alternative.t array;
+  latch : 'a latch_value Engine.Ivar.t;
+  mutable remaining : int;  (* children not yet exited *)
+  (* Alternatives run to a verdict (value, declared failure, or crash), not
+     eliminated mid-flight: what a recovery block may call "attempts". *)
+  mutable attempted : int;
+  (* Children whose consensus rounds ended undecided: "the synchronisation
+     layer was unreachable", not "every alternative genuinely failed". *)
+  mutable no_quorum : int;
+  guard_in_child : bool;
+  guard_at_sync : bool;
+  remote : bool;
+  consensus : Majority.t option;
+  policy : policy;
+  epoch : int;
+  deadline : float;
+  model : Cost_model.t;
+  trace : Trace.t;  (* test [wants] first: build no event nobody reads *)
+}
+
+let child_body b i ctx =
+  let alt = b.alts.(i) in
+  if b.guard_in_child && not (alt.Alternative.guard ctx) then
+    Engine.abort ctx "guard failed";
+  let value =
+    match alt.Alternative.body ctx with
+    | v ->
+      b.attempted <- b.attempted + 1;
+      v
+    | exception Alternative.Failed r ->
+      b.attempted <- b.attempted + 1;
+      Engine.abort ctx ("failed: " ^ r)
+    | exception ((Engine.Process_killed _ | Engine.Abort_process _) as e) ->
+      (* Eliminated (or self-aborted) mid-body: not an attempt. *)
+      raise e
+    | exception e ->
+      b.attempted <- b.attempted + 1;
+      raise e
+  in
+  Engine.charge_memory ctx;
+  if b.guard_at_sync && not (alt.Alternative.guard ctx) then
+    Engine.abort ctx "guard failed at sync";
+  (* A remote child's synchronisation attempt crosses the network. *)
+  if b.remote then Engine.delay ctx b.model.Cost_model.msg_latency;
+  let me = Engine.self ctx in
+  let won =
+    match b.consensus with
+    | None -> Engine.Ivar.try_fill b.latch (Win { index = i; pid = me; value })
+    | Some maj -> (
+      let reply_timeout =
+        match b.policy.sync with
+        | Consensus { reply_timeout; _ } -> reply_timeout
+        | Local -> assert false
+      in
+      match
+        Majority.acquire_retry ctx maj ~epoch:b.epoch ~deadline:b.deadline
+          ~reply_timeout ~retries:b.policy.sync_retries
+          ~backoff:b.policy.sync_backoff ()
+      with
+      | Majority.Granted ->
+        ignore (Engine.Ivar.try_fill b.latch (Win { index = i; pid = me; value }));
+        true
+      | Majority.Denied -> false
+      | Majority.No_quorum ->
+        (* Not a loss: the decision was never made. No [Sync_late] is
+           recorded — the at-most-once audit counts those as decided
+           denials. *)
+        b.no_quorum <- b.no_quorum + 1;
+        Engine.abort ctx "no quorum reachable")
+  in
+  if not won then begin
+    if Trace.wants b.trace Trace.Kind.sync_late then
+      Trace.record b.trace ~time:(Engine.now b.eng)
+        (Trace.Sync_late { pid = me; index = i });
+    Engine.abort ctx "too late"
+  end;
+  if Trace.wants b.trace Trace.Kind.sync_won then
+    Trace.record b.trace ~time:(Engine.now b.eng)
+      (Trace.Sync_won { pid = me; index = i; epoch = b.epoch })
+
+let child_exited b st =
+  b.remaining <- b.remaining - 1;
+  match st with
+  | Engine.Exited_ok -> ()
+  | Engine.Exited_failed _ | Engine.Crashed _ | Engine.Eliminated _ ->
+    if b.remaining = 0 && not (Engine.Ivar.is_filled b.latch) then
+      ignore (Engine.Ivar.try_fill b.latch All_failed_l)
+
+(* Kill every open child but child [except] (-1: none), in pid order:
+   at once, or [async]ly, from an event one message latency later. *)
+let kill_open b pids open_ ~except ~reason ~async =
+  for i = 0 to Array.length pids - 1 do
+    if open_.(i) && i <> except then begin
+      let pid = pids.(i) in
+      if async then
+        Engine.after b.eng ~delay:b.model.Cost_model.msg_latency (fun () ->
+            Engine.kill b.eng pid ~reason)
+      else Engine.kill b.eng pid ~reason
+    end
+  done
+
+(* The parent issues [victims] kills; returns what that charged it. *)
+let charge_kills ctx ~victims ~per_kill =
+  let issue = float_of_int victims *. per_kill in
+  if issue > 0. then (Engine.delay ctx issue; issue) else 0.
+
+(* Sibling elimination of the [victims] open children but child [except]
+   (-1: none); returns what it charged the parent. *)
+let eliminate ctx b pids open_ ~per_kill ~victims ~except ~reason =
+  match b.policy.elimination with
+  | Sync_elim ->
+    let charged = charge_kills ctx ~victims ~per_kill in
+    kill_open b pids open_ ~except ~reason ~async:false;
+    charged
+  | Async_elim ->
+    kill_open b pids open_ ~except ~reason ~async:true;
+    0.
+  | No_elim -> 0.
 
 (* CPU burnt by every child but the winner, added in the order given:
    each caller passes its children in ascending pid order. *)
 let wasted_cpu eng ~winner children =
-  List.fold_left
-    (fun acc c ->
-      match winner with
-      | Some w when Pid.equal w c -> acc
-      | _ -> acc +. Engine.cpu_time_of eng c)
-    0. children
+  let acc = ref 0. and rest = ref children in
+  while !rest != [] do
+    let c = List.hd !rest in
+    (match winner with
+    | Some w when Pid.equal w c -> ()
+    | _ -> acc := !acc +. Engine.cpu_time_of eng c);
+    rest := List.tl !rest
+  done;
+  !acc
 
 (* Child [i] of alternative [name] is ["name[i]"]; incarnation [e] of a
    supervised block's coordinator is ["alt-parent.e<e>"]. *)
@@ -142,44 +275,19 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
   let parent_pred = Engine.my_predicate ctx in
   let parent_space = Engine.space ctx in
   let alt_arr = Array.of_list alts in
-  let guard_before =
-    match policy.guards with
-    | Guard_before_spawn | Guard_redundant -> true
-    | Guard_in_child | Guard_at_sync -> false
-  in
-  let guard_in_child =
-    match policy.guards with
-    | Guard_in_child | Guard_redundant -> true
-    | Guard_before_spawn | Guard_at_sync -> false
-  in
-  let guard_at_sync =
-    match policy.guards with
-    | Guard_at_sync | Guard_redundant -> true
-    | Guard_in_child | Guard_before_spawn -> false
-  in
   (* Pre-spawn guard evaluation happens serially in the parent; closed
      alternatives are never spawned. *)
-  let open_ =
-    Array.map
-      (fun alt -> (not guard_before) || alt.Alternative.guard ctx)
-      alt_arr
-  in
+  let open_ = Array.make n true in
+  (match policy.guards with
+  | Guard_before_spawn | Guard_redundant ->
+    for i = 0 to n - 1 do
+      open_.(i) <- alt_arr.(i).Alternative.guard ctx
+    done
+  | Guard_in_child | Guard_at_sync -> ());
   let spawned_count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 open_ in
   if spawned_count = 0 then
-    {
-      outcome = Alt_block.Block_failed "no open alternative";
-      winner = None;
-      children = [];
-      elapsed = Engine.now_v ctx -. t0;
-      setup_cost = 0.;
-      spawned = 0;
-      selection_cost = 0.;
-      wasted_cpu = 0.;
-      child_cow_copies = 0;
-      sync_messages = 0;
-      attempted = 0;
-      degraded = false;
-    }
+    failed_report ~reason:"no open alternative" ~children:[]
+      ~elapsed:(Engine.now_v ctx -. t0) ~wasted_cpu:0. ~sync_messages:0
   else begin
     let pids = Array.of_list (Engine.fresh_pids eng n) in
     (* A borrowed consensus group (coordinator recovery) outlives this
@@ -205,9 +313,7 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
       | Consensus { nodes; crashed; vote_delay; _ }, None ->
         Some (Majority.create eng ~nodes ~crashed ~vote_delay ())
     in
-    let consensus =
-      match borrowed with Some m -> Some m | None -> owned_consensus
-    in
+    let consensus = match borrowed with Some _ -> borrowed | None -> owned_consensus in
     (* Setup: one execution environment per open alternative. Local
        placement duplicates the page map copy-on-write; remote placement
        checkpoints the whole image and ships it (Smith & Ioannidis 1989),
@@ -222,160 +328,95 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
     (* On-demand children share the parent's frames but every
        copy-on-write fault also fetches the page over the network. *)
     let on_demand_model =
-      {
-        model with
-        Cost_model.page_copy =
-          model.Cost_model.page_copy +. model.Cost_model.remote_per_page;
-      }
+      if policy.placement <> Remote_on_demand then model
+      else
+        let page_copy = model.Cost_model.page_copy +. model.Cost_model.remote_per_page in
+        { model with Cost_model.page_copy }
     in
     let setup_cost = ref 0. in
-    let spaces =
-      Array.init n (fun i ->
-          if not open_.(i) then None
-          else
-            match (policy.placement, parent_space) with
-            | Local_spawn, Some sp ->
-              let child = Address_space.fork sp in
-              setup_cost := !setup_cost +. Address_space.drain_cost child;
-              Some child
-            | Local_spawn, None ->
-              setup_cost := !setup_cost +. model.Cost_model.fork_base;
-              None
-            | Remote_spawn, Some _ ->
-              let image = Option.get checkpoint in
-              let child =
-                Checkpoint.restore (Engine.frame_store eng) model image
-              in
-              setup_cost := !setup_cost +. Checkpoint.transfer_cost model image;
-              Some child
-            | Remote_spawn, None ->
-              setup_cost :=
-                !setup_cost +. model.Cost_model.remote_spawn_base;
-              None
-            | Remote_on_demand, Some sp ->
-              (* No image travels at spawn: just the process state and one
-                 control round trip. *)
-              let child = Address_space.fork ~model:on_demand_model sp in
-              ignore (Address_space.drain_cost child);
-              setup_cost :=
-                !setup_cost +. model.Cost_model.fork_base
-                +. model.Cost_model.msg_latency;
-              Some child
-            | Remote_on_demand, None ->
-              setup_cost :=
-                !setup_cost +. model.Cost_model.fork_base
-                +. model.Cost_model.msg_latency;
-              None)
-    in
+    let spaces = Array.make n None in
+    for i = 0 to n - 1 do
+      if open_.(i) then
+        match (policy.placement, parent_space) with
+        | Local_spawn, Some sp ->
+          let child = Address_space.fork sp in
+          setup_cost := !setup_cost +. Address_space.drain_cost child;
+          spaces.(i) <- Some child
+        | Local_spawn, None -> setup_cost := !setup_cost +. model.Cost_model.fork_base
+        | Remote_spawn, Some _ ->
+          let image = Option.get checkpoint in
+          spaces.(i) <- Some (Checkpoint.restore (Engine.frame_store eng) model image);
+          setup_cost := !setup_cost +. Checkpoint.transfer_cost model image
+        | Remote_spawn, None ->
+          setup_cost := !setup_cost +. model.Cost_model.remote_spawn_base
+        | Remote_on_demand, Some sp ->
+          (* No image travels at spawn: just the process state and one
+             control round trip. *)
+          let child = Address_space.fork ~model:on_demand_model sp in
+          ignore (Address_space.drain_cost child);
+          setup_cost :=
+            !setup_cost +. model.Cost_model.fork_base +. model.Cost_model.msg_latency;
+          spaces.(i) <- Some child
+        | Remote_on_demand, None ->
+          setup_cost :=
+            !setup_cost +. model.Cost_model.fork_base +. model.Cost_model.msg_latency
+    done;
     (* Every child has its own pages now; the image's frames go back to
        the pool. *)
     Option.iter Checkpoint.release checkpoint;
     if !setup_cost > 0. then Engine.delay ctx !setup_cost;
-    let latch : 'a latch_value Engine.Ivar.t = Engine.Ivar.create () in
-    let remaining = ref spawned_count in
-    (* Alternatives that ran their body to a verdict (value, declared
-       failure, or crash) — as opposed to being eliminated mid-flight.
-       This is what a recovery block may honestly call "attempts". *)
-    let attempted = ref 0 in
-    (* Children whose consensus rounds ended undecided (no quorum
-       reachable): distinguishes "every alternative genuinely failed" from
-       "the synchronisation layer was unreachable". *)
-    let no_quorum_seen = ref 0 in
-    (* Callers test [wants] for the kind first: an event no subscriber
-       reads is not worth building. *)
-    let trace = Engine.trace eng in
-    let tr e = Trace.record trace ~time:(Engine.now eng) e in
-    if elide_consensus && Trace.wants trace Trace.Kind.note then
-      tr (Trace.Note "consensus elided: alternatives proven mutually exclusive");
-    let remote =
-      match policy.placement with
-      | Remote_spawn | Remote_on_demand -> true
-      | Local_spawn -> false
+    let b =
+      {
+        eng;
+        alts = alt_arr;
+        latch = Engine.Ivar.create ();
+        remaining = spawned_count;
+        attempted = 0;
+        no_quorum = 0;
+        guard_in_child =
+          (match policy.guards with
+          | Guard_in_child | Guard_redundant -> true
+          | Guard_before_spawn | Guard_at_sync -> false);
+        guard_at_sync =
+          (match policy.guards with
+          | Guard_at_sync | Guard_redundant -> true
+          | Guard_in_child | Guard_before_spawn -> false);
+        remote =
+          (match policy.placement with
+          | Local_spawn -> false
+          | Remote_spawn | Remote_on_demand -> true);
+        consensus;
+        policy;
+        epoch;
+        deadline;
+        model;
+        trace = Engine.trace eng;
+      }
     in
-    Array.iteri
-      (fun i alt ->
-        if open_.(i) then begin
-          let body child_ctx =
-            if guard_in_child && not (alt.Alternative.guard child_ctx) then
-              Engine.abort child_ctx "guard failed";
-            let value =
-              try
-                let v = alt.Alternative.body child_ctx in
-                incr attempted;
-                v
-              with
-              | Alternative.Failed r ->
-                incr attempted;
-                Engine.abort child_ctx ("failed: " ^ r)
-              | (Engine.Process_killed _ | Engine.Abort_process _) as e ->
-                (* Eliminated (or self-aborted) mid-body: not an attempt. *)
-                raise e
-              | e ->
-                incr attempted;
-                raise e
-            in
-            Engine.charge_memory child_ctx;
-            if guard_at_sync && not (alt.Alternative.guard child_ctx) then
-              Engine.abort child_ctx "guard failed at sync";
-            (* A remote child's synchronisation attempt crosses the
-               network. *)
-            if remote then Engine.delay child_ctx model.Cost_model.msg_latency;
-            let me = Engine.self child_ctx in
-            let verdict =
-              match consensus with
-              | None ->
-                if Engine.Ivar.try_fill latch (Win { index = i; pid = me; value })
-                then `Won
-                else `Late
-              | Some maj ->
-                let reply_timeout =
-                  match policy.sync with
-                  | Consensus { reply_timeout; _ } -> reply_timeout
-                  | Local -> assert false
-                in
-                (match
-                   Majority.acquire_retry child_ctx maj ~epoch ~deadline
-                     ~reply_timeout ~retries:policy.sync_retries
-                     ~backoff:policy.sync_backoff ()
-                 with
-                | Majority.Granted ->
-                  ignore
-                    (Engine.Ivar.try_fill latch (Win { index = i; pid = me; value }));
-                  `Won
-                | Majority.Denied -> `Late
-                | Majority.No_quorum -> `No_quorum)
-            in
-            match verdict with
-            | `Won ->
-              if Trace.wants trace Trace.Kind.sync_won then
-                tr (Trace.Sync_won { pid = me; index = i; epoch })
-            | `Late ->
-              if Trace.wants trace Trace.Kind.sync_late then
-                tr (Trace.Sync_late { pid = me; index = i });
-              Engine.abort child_ctx "too late"
-            | `No_quorum ->
-              (* Not a loss: the decision was never made. No [Sync_late]
-                 is recorded — the at-most-once audit counts those as
-                 decided denials. *)
-              incr no_quorum_seen;
-              Engine.abort child_ctx "no quorum reachable"
-          in
-          let pid =
-            Engine.spawn eng ~pid:pids.(i) ~parent:parent_pid
-              ~predicate:(child_predicate parent_pred pids open_ i)
-              ?space:spaces.(i) ~cloneable:false
-              ~name:(alt.Alternative.name ^ index_suffix i)
-              body
-          in
-          Engine.on_exit eng pid (fun st ->
-              decr remaining;
-              match st with
-              | Engine.Exited_ok -> ()
-              | Engine.Exited_failed _ | Engine.Crashed _ | Engine.Eliminated _ ->
-                if !remaining = 0 && not (Engine.Ivar.is_filled latch) then
-                  ignore (Engine.Ivar.try_fill latch All_failed_l))
-        end)
-      alt_arr;
+    if elide_consensus && Trace.wants b.trace Trace.Kind.note then
+      Trace.record b.trace ~time:(Engine.now eng)
+        (Trace.Note "consensus elided: alternatives proven mutually exclusive");
+    let parent = Some parent_pid in
+    let children = ref [] in
+    for i = n - 1 downto 0 do
+      if open_.(i) then children := pids.(i) :: !children
+    done;
+    let children = !children in
+    let rivals = if spawned_count = n then pids else Array.of_list children in
+    let exited st = child_exited b st in
+    for i = 0 to n - 1 do
+      if open_.(i) then begin
+        let pid =
+          Engine.spawn_process eng ~pid:pids.(i) ~parent
+            ~predicate:(Predicate.assume_alternative parent_pred ~self:pids.(i) ~rivals)
+            ~space:spaces.(i) ~cloneable:false ~oblivious:false ~start_delay:0.
+            ~name:(alt_arr.(i).Alternative.name ^ index_suffix i)
+            ~site:None
+            (fun ctx -> child_body b i ctx)
+        in
+        Engine.on_exit eng pid exited
+      end
+    done;
     (* alt_wait: rendezvous with the first successful child. The wait is
        bounded by the policy's own timeout and by whatever remains of the
        request deadline — a deadline-bound block must resolve (degrade or
@@ -388,72 +429,39 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
        parked wins, one scheduled after it finds the wait already resumed
        with [None]. The latch cannot be filled by then, so [None] needs no
        second look. *)
-    let decision = Engine.Ivar.read_timeout ctx latch ~timeout:wait_budget in
+    let decision = Engine.Ivar.read_timeout ctx b.latch ~timeout:wait_budget in
     let selection_cost = ref 0. in
     let per_kill =
       model.Cost_model.kill_per_sibling
-      +. if remote then model.Cost_model.msg_latency else 0.
+      +. if b.remote then model.Cost_model.msg_latency else 0.
     in
-    let eliminate ~except ~reason =
-      let victims =
-        Array.to_list pids
-        |> List.filteri (fun i _ -> open_.(i))
-        |> List.filter (fun pid -> not (Option.equal Pid.equal (Some pid) except))
-      in
-      match policy.elimination with
-      | Sync_elim ->
-        let issue = float_of_int (List.length victims) *. per_kill in
-        if issue > 0. then begin
-          Engine.delay ctx issue;
-          selection_cost := !selection_cost +. issue
-        end;
-        List.iter (fun pid -> Engine.kill eng pid ~reason) victims
-      | Async_elim ->
-        List.iter
-          (fun pid ->
-            Engine.after eng ~delay:model.Cost_model.msg_latency (fun () ->
-                Engine.kill eng pid ~reason))
-          victims
-      | No_elim -> ()
-    in
-    let degraded = ref false in
-    (* Graceful degradation: abandon speculation and run the block the way
-       a sequential program would have. Children are killed {e before} any
-       cost is charged (a charge suspends the parent, and a straggler could
-       win the latch during the suspension); then the alternatives run one
-       by one in the parent, against the parent's own sink state, exactly
-       as {!Alt_block} would. *)
-    let degrade reason =
-      degraded := true;
-      if Trace.wants trace Trace.Kind.degraded then
-        tr (Trace.Degraded { parent = parent_pid; reason });
-      let victims =
-        Array.to_list pids |> List.filteri (fun i _ -> open_.(i))
-      in
-      List.iter
-        (fun pid -> Engine.kill eng pid ~reason:"degraded to sequential")
-        victims;
-      let issue = float_of_int (List.length victims) *. per_kill in
-      if issue > 0. then begin
-        Engine.delay ctx issue;
-        selection_cost := !selection_cost +. issue
-      end;
-      let outcome = Alt_block.run_first ctx alts in
-      let tried =
-        match outcome with
-        | Alt_block.Selected { index; _ } -> index + 1
-        | Alt_block.Block_failed _ -> List.length alts
-      in
-      attempted := !attempted + tried;
-      (outcome, None)
-    in
-    let outcome, winner =
+    let degraded = ref false and winner = ref None in
+    let outcome =
       match decision with
-      | Some All_failed_l
-        when !no_quorum_seen > 0 && policy.degradation = Sequential_fallback ->
-        degrade "consensus unreachable"
-      | None when policy.degradation = Sequential_fallback ->
-        degrade "alt_wait timeout"
+      | (Some All_failed_l | None)
+        when policy.degradation = Sequential_fallback
+             && (Option.is_none decision || b.no_quorum > 0) ->
+        (* Graceful degradation: abandon speculation and run the block the
+           way a sequential program would have. Children are killed {e
+           before} any cost is charged (a charge suspends the parent, and a
+           straggler could win the latch during the suspension); then the
+           alternatives run one by one in the parent, against the parent's
+           own sink state, exactly as {!Alt_block} would. *)
+        degraded := true;
+        let reason =
+          if Option.is_none decision then "alt_wait timeout" else "consensus unreachable"
+        in
+        if Trace.wants b.trace Trace.Kind.degraded then
+          Trace.record b.trace ~time:(Engine.now eng)
+            (Trace.Degraded { parent = parent_pid; reason });
+        kill_open b pids open_ ~except:(-1) ~reason:"degraded to sequential" ~async:false;
+        selection_cost :=
+          !selection_cost +. charge_kills ctx ~victims:spawned_count ~per_kill;
+        let outcome = Alt_block.run_first ctx alts in
+        (match outcome with
+        | Alt_block.Selected { index; _ } -> b.attempted <- b.attempted + index + 1
+        | Alt_block.Block_failed _ -> b.attempted <- b.attempted + n);
+        outcome
       | Some (Win { index; pid; value }) ->
         (* Rendezvous first, before the parent can suspend: the winner is
            still alive (it fills the latch before exiting), so its page map
@@ -465,74 +473,73 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
              checkpoint/restart scheme has no dirty-page tracking, so the
              whole image travels; the on-demand scheme ships only the pages
              the winner privatised. *)
-          (match policy.placement with
-          | Remote_spawn ->
+          if b.remote then begin
             let back =
-              Cost_model.remote_spawn_cost model
-                ~mapped_pages:(Address_space.mapped_pages csp)
+              match policy.placement with
+              | Remote_on_demand ->
+                model.Cost_model.msg_latency
+                +. float_of_int (Address_space.private_pages csp)
+                   *. model.Cost_model.remote_per_page
+              | Remote_spawn | Local_spawn ->
+                Cost_model.remote_spawn_cost model
+                  ~mapped_pages:(Address_space.mapped_pages csp)
             in
             selection_cost := !selection_cost +. back;
             Engine.delay ctx back
-          | Remote_on_demand ->
-            let dirty = Address_space.private_pages csp in
-            let back =
-              model.Cost_model.msg_latency
-              +. (float_of_int dirty *. model.Cost_model.remote_per_page)
-            in
-            selection_cost := !selection_cost +. back;
-            Engine.delay ctx back
-          | Local_spawn -> ());
+          end;
           Address_space.absorb ~parent:psp ~child:csp;
-          if Trace.wants trace Trace.Kind.absorbed then
-            tr (Trace.Absorbed { parent = parent_pid; child = pid });
+          if Trace.wants b.trace Trace.Kind.absorbed then
+            Trace.record b.trace ~time:(Engine.now eng)
+              (Trace.Absorbed { parent = parent_pid; child = pid });
           let c = Address_space.drain_cost psp in
           selection_cost := !selection_cost +. c;
           if c > 0. then Engine.delay ctx c
         | _ -> ());
-        eliminate ~except:(Some pid) ~reason:"sibling elimination";
-        (Alt_block.Selected { index; value }, Some pid)
-      | Some All_failed_l when !no_quorum_seen > 0 ->
+        selection_cost :=
+          !selection_cost
+          +. eliminate ctx b pids open_ ~per_kill ~victims:(spawned_count - 1)
+               ~except:index ~reason:"sibling elimination";
+        winner := Some pid;
+        Alt_block.Selected { index; value }
+      | Some All_failed_l when b.no_quorum > 0 ->
         (* Children died reporting "no quorum reachable", not genuine
            failure: report the synchronisation outage, not a lie about the
            alternatives. *)
-        (Alt_block.Block_failed "consensus unreachable", None)
-      | Some All_failed_l -> (Alt_block.Block_failed "no alternative succeeded", None)
+        Alt_block.Block_failed "consensus unreachable"
+      | Some All_failed_l -> Alt_block.Block_failed "no alternative succeeded"
       | None ->
-        eliminate ~except:None ~reason:"alt_wait timeout";
-        (Alt_block.Block_failed "timeout", None)
+        selection_cost :=
+          !selection_cost
+          +. eliminate ctx b pids open_ ~per_kill ~victims:spawned_count
+               ~except:(-1) ~reason:"alt_wait timeout";
+        Alt_block.Block_failed "timeout"
     in
     Option.iter Majority.shutdown owned_consensus;
     (* Release loser address spaces that were never started or whose owner
        is already gone (live losers release at their own elimination). *)
-    Array.iteri
-      (fun i sp ->
-        match sp with
-        | Some sp
-          when (not (Engine.alive eng pids.(i)))
-               && not (Page_map.released (Address_space.map sp)) ->
-          Address_space.release sp
-        | _ -> ())
-      spaces;
-    let children = Array.to_list pids |> List.filteri (fun i _ -> open_.(i)) in
-    let child_cow_copies =
-      Array.fold_left
-        (fun acc sp ->
-          match sp with Some sp -> acc + Address_space.cow_copies sp | None -> acc)
-        0 spaces
-    in
+    let child_cow_copies = ref 0 in
+    for i = 0 to n - 1 do
+      match spaces.(i) with
+      | Some sp ->
+        if (not (Engine.alive eng pids.(i)))
+           && not (Page_map.released (Address_space.map sp))
+        then Address_space.release sp;
+        child_cow_copies := !child_cow_copies + Address_space.cow_copies sp
+      | None -> ()
+    done;
     {
       outcome;
-      winner;
+      winner = !winner;
       children;
       elapsed = Engine.now_v ctx -. t0;
       setup_cost = !setup_cost;
       spawned = spawned_count;
       selection_cost = !selection_cost;
-      wasted_cpu = wasted_cpu eng ~winner children;
-      child_cow_copies;
+      wasted_cpu = wasted_cpu eng ~winner:!winner children;
+      child_cow_copies = !child_cow_copies;
       sync_messages =
         (match consensus with Some m -> Majority.messages_sent m | None -> 0);
-      attempted = !attempted;
+      attempted = b.attempted;
       degraded = !degraded;
     }
   end
@@ -673,20 +680,10 @@ let run_supervised eng ?(policy = default_policy) ?space ?(max_restarts = 2)
       (* No incarnation lived to decide: report the outage honestly (no
          phantom winner, no fabricated costs). *)
       ( !incarnations,
-        {
-          outcome = Alt_block.Block_failed "coordinator lost";
-          winner = None;
-          children = all_children;
-          elapsed = Engine.now eng -. t0;
-          setup_cost = 0.;
-          spawned = List.length all_children;
-          selection_cost = 0.;
-          wasted_cpu = wasted_cpu eng ~winner:None all_children;
-          child_cow_copies = 0;
-          sync_messages = Majority.messages_sent consensus;
-          attempted = 0;
-          degraded = false;
-        } )
+        failed_report ~reason:"coordinator lost" ~children:all_children
+          ~elapsed:(Engine.now eng -. t0)
+          ~wasted_cpu:(wasted_cpu eng ~winner:None all_children)
+          ~sync_messages:(Majority.messages_sent consensus) )
   in
   {
     sr_report;
@@ -713,5 +710,6 @@ let run_toplevel eng ?policy ?space ?exclusive ?deadline alts =
     (* The in-process report counts waste up to the parent's resumption;
        with asynchronous elimination the zombies keep burning CPU after
        that, so recount now that the simulation is quiescent. *)
-    { r with wasted_cpu = wasted_cpu eng ~winner:r.winner r.children }
+    let w = wasted_cpu eng ~winner:r.winner r.children in
+    if w = r.wasted_cpu then r else { r with wasted_cpu = w }
   | None -> failwith "Concurrent.run_toplevel: block did not complete"

@@ -96,6 +96,50 @@ let assume_fails t pid =
     invalid_arg "Predicate.assume_fails: pid already assumed to complete";
   if mem t.fails x then t else { t with fails = insert t.fails x }
 
+(* How many pids of [rivals.(i..)] (strictly ascending, [self] skipped)
+   [fails] lacks, plus [n]; raises as [assume_fails] would on one that
+   [completes] holds. *)
+let rec count_rivals completes fails rivals ~self i n =
+  if i = Array.length rivals then n
+  else
+    let x = Pid.to_int (Array.unsafe_get rivals i) in
+    if i > 0 && x <= Pid.to_int (Array.unsafe_get rivals (i - 1)) then
+      invalid_arg "Predicate.assume_alternative: rivals not strictly ascending";
+    if x = self then count_rivals completes fails rivals ~self (i + 1) n
+    else if mem completes x then
+      invalid_arg "Predicate.assume_fails: pid already assumed to complete"
+    else count_rivals completes fails rivals ~self (i + 1) (if mem fails x then n else n + 1)
+
+(* [merge] of [a.(i..)] and the pids of [rivals.(j..)] into [c.(k..)],
+   [self] skipped. *)
+let rec merge_rivals a rivals c ~self i j k =
+  let na = Array.length a and nb = Array.length rivals in
+  if j < nb && Pid.to_int (Array.unsafe_get rivals j) = self then
+    merge_rivals a rivals c ~self i (j + 1) k
+  else if j = nb then Array.blit a i c k (na - i)
+  else if i = na then begin
+    Array.unsafe_set c k (Pid.to_int (Array.unsafe_get rivals j));
+    merge_rivals a rivals c ~self i (j + 1) (k + 1)
+  end
+  else
+    let x = Array.unsafe_get a i and y = Pid.to_int (Array.unsafe_get rivals j) in
+    Array.unsafe_set c k (if x <= y then x else y);
+    merge_rivals a rivals c ~self
+      (if x <= y then i + 1 else i) (if y <= x then j + 1 else j) (k + 1)
+
+let assume_alternative t ~self ~rivals =
+  let x = Pid.to_int self in
+  if mem t.fails x then
+    invalid_arg "Predicate.assume_completes: pid already assumed to fail";
+  let added = count_rivals t.completes t.fails rivals ~self:x 0 0 in
+  let completes = if mem t.completes x then t.completes else insert t.completes x in
+  if added = 0 then if completes == t.completes then t else { t with completes }
+  else begin
+    let fails = Array.make (Array.length t.fails + added) 0 in
+    merge_rivals t.fails rivals fails ~self:x 0 0 0;
+    { completes; fails }
+  end
+
 let implies r s =
   r == s || s == empty
   || (subset s.completes r.completes 0 0 && subset s.fails r.fails 0 0)

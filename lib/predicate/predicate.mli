@@ -36,6 +36,16 @@ val assume_fails : t -> Pid.t -> t
 (** Add the assumption that [pid] does not complete. Raises on the converse
     conflict. *)
 
+val assume_alternative : t -> self:Pid.t -> rivals:Pid.t array -> t
+(** The predicate of one alternative of a block, built in one step: [t]
+    plus [self] completing plus every pid of [rivals] failing. [rivals]
+    must be strictly ascending; [self], if among them, is skipped, so one
+    array of a block's children serves each child. Equal to
+    [assume_completes] of [self] followed by [assume_fails] of each rival
+    in turn, and raises the same [Invalid_argument] on a conflicting pid;
+    [rivals] out of order raises [Invalid_argument]. Allocates at most the
+    two new arrays and the record. *)
+
 val mem_completes : t -> Pid.t -> bool
 val mem_fails : t -> Pid.t -> bool
 

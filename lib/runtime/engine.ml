@@ -1072,19 +1072,12 @@ and rescan_world_copy t pid =
 
 let fresh_pids t n = List.init n (fun _ -> alloc_pid t)
 
-let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
-    ?(cloneable = true) ?(oblivious = false) ?(start_delay = 0.)
-    ?(name = "proc") ?site body =
-  let pid =
-    match pid with
-    | None -> alloc_pid t
-    | Some p ->
-      (* Only a pid this engine issued: a forged one would later collide
-         with the allocator's own, and would size the tables. *)
-      if not (Pid.Allocator.issued t.alloc p) then
-        invalid_arg "Engine.spawn: pid not issued by this engine";
-      p
-  in
+let spawn_process t ~pid ~parent ~predicate ~space ~cloneable ~oblivious
+    ~start_delay ~name ~site body =
+  (* Only a pid this engine issued: a forged one would later collide with
+     the allocator's own, and would size the tables. *)
+  if not (Pid.Allocator.issued t.alloc pid) then
+    invalid_arg "Engine.spawn: pid not issued by this engine";
   (match parent with
   | Some pp -> Option.iter disable_cloning (find_pcb t pp)
   | None -> ());
@@ -1099,6 +1092,13 @@ let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
   (match t.spawn_hook with Some h -> h pid name | None -> ());
   schedule t ~at:(t.vnow +. start_delay) (Start pcb);
   pid
+
+let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
+    ?(cloneable = true) ?(oblivious = false) ?(start_delay = 0.)
+    ?(name = "proc") ?site body =
+  let pid = match pid with Some p -> p | None -> alloc_pid t in
+  spawn_process t ~pid ~parent ~predicate ~space ~cloneable ~oblivious
+    ~start_delay ~name ~site body
 
 let on_exit t pid f =
   match find_pcb t pid with

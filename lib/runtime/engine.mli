@@ -136,7 +136,29 @@ val spawn :
     has taken yet: a pid it never issued raises [Invalid_argument
     "Engine.spawn: pid not issued by this engine"] (accepted, it would
     later collide with a pid the engine hands out itself), and a taken one
-    raises [Invalid_argument "Engine.spawn: pid already in use"]. *)
+    raises [Invalid_argument "Engine.spawn: pid already in use"].
+
+    [spawn] is a thin wrapper over {!spawn_process}: it fills in the
+    defaults and, without [?pid], takes the next pid. *)
+
+val spawn_process :
+  t ->
+  pid:Pid.t ->
+  parent:Pid.t option ->
+  predicate:Predicate.t ->
+  space:Address_space.t option ->
+  cloneable:bool ->
+  oblivious:bool ->
+  start_delay:float ->
+  name:string ->
+  site:string option ->
+  (ctx -> unit) ->
+  Pid.t
+(** {!spawn} with every argument given: the one code path both take. A
+    caller that spawns many processes with the same [parent] boxes it once
+    and passes no [Some] per spawn (a block's children are spawned this
+    way). [pid] must be one of {!fresh_pids}, as for {!spawn}, and raises
+    the same [Invalid_argument]s. *)
 
 val on_exit : t -> Pid.t -> (exit_status -> unit) -> unit
 (** Register a watcher called (at the process's exit time) when the pid

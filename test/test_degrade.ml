@@ -548,6 +548,57 @@ let test_supervised_audit_catches_stale_epoch () =
        tampered
     <> [])
 
+(* The audit's violations come in the order its checks are written: the
+   inner report's first, then the recovery bookkeeping's; and a clean
+   report is audited without allocating. *)
+let test_supervised_audit_order_and_clean_cost () =
+  let eng = Engine.create ~model:Cost_model.att_3b2 () in
+  let sites = Sites.create eng ~names:[ "s0"; "s1"; "s2" ] in
+  let policy =
+    {
+      Concurrent.default_policy with
+      Concurrent.sync =
+        Concurrent.Consensus
+          { nodes = 3; crashed = []; vote_delay = 0.0002; reply_timeout = 0.5 };
+    }
+  in
+  let scenario = List.hd Invariants.default_scenarios in
+  let alts = scenario.Invariants.alts eng ~seed:1 ~source:None in
+  let sr = Concurrent.run_supervised eng ~policy ~sites alts in
+  let audit sr = Invariants.check_supervised_report ~scenario:"counters" ~policy ~seed:1 sr in
+  let inner = sr.Concurrent.sr_report in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Invariants.check_report ~scenario:"counters" ~policy ~seed:1 inner);
+    ignore (audit sr)
+  done;
+  check (Alcotest.float 0.) "a clean audit allocates nothing" 0. (Gc.minor_words () -. w0);
+  let p = Pid.of_int 0 in
+  let tampered =
+    {
+      sr with
+      Concurrent.sr_report =
+        { inner with Concurrent.spawned = inner.Concurrent.spawned + 1; wasted_cpu = -1. };
+      sr_incarnations = 0;
+      sr_recoveries = [ (p, p, 2); (p, p, 5) ];
+    }
+  in
+  check
+    Alcotest.(list string)
+    "inner report first, then recovery checks, each in order"
+    [
+      "elimination: report claims 4 spawned alternatives but lists 3";
+      "accounting: negative wasted_cpu -1.000000000";
+      "elimination: supervised block launched no incarnation";
+      "elimination: 0 incarnations but 2 recoveries";
+      "at-most-once: report epoch 1 is not the last incarnation's (0): a stale \
+       incarnation answered through the fence";
+      "at-most-once: recovery 1 fenced to epoch 5, expected 3";
+    ]
+    (List.map
+       (fun v -> Report.class_name v.Report.check ^ ": " ^ v.Report.detail)
+       (audit tampered))
+
 (* ------------------------------------------------------------------ *)
 (* The degrade benchmark record.                                       *)
 
@@ -630,6 +681,8 @@ let () =
             `Quick test_chaos_campaign_recovers_and_stays_deterministic;
           Alcotest.test_case "audit catches stale-epoch answers" `Quick
             test_supervised_audit_catches_stale_epoch;
+          Alcotest.test_case "audit order and clean cost" `Quick
+            test_supervised_audit_order_and_clean_cost;
         ] );
       ( "benchmark",
         [

@@ -222,6 +222,63 @@ let prop_resolve_shrinks =
       | Predicate.Falsified -> true
       | Predicate.Simplified q' -> Predicate.cardinal q' = Predicate.cardinal q - 1)
 
+(* [Predicate.assume_alternative] against its definition: [assume_completes]
+   of [self], then [assume_fails] of each rival but [self] in turn. The
+   parents already hold assumptions over the same dozen pids, so a self or
+   rival already assumed either way, and a conflict on either, all occur;
+   a conflict must raise the very [Invalid_argument] the fold raises. *)
+let gen_alternative_case =
+  QCheck.Gen.(
+    let pid = int_range 0 11 in
+    let* completes = list_size (int_range 0 4) pid in
+    let* fails = list_size (int_range 0 4) pid in
+    let* self = pid in
+    let* rivals = list_size (int_range 0 6) pid in
+    return
+      ( List.sort_uniq compare completes,
+        List.filter (fun x -> not (List.mem x completes)) (List.sort_uniq compare fails),
+        self,
+        List.sort_uniq compare rivals ))
+
+let prop_assume_alternative_model =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let print (c, f, s, r) = Printf.sprintf "+[%s] -[%s] self %d rivals [%s]" (ints c) (ints f) s (ints r) in
+  let outcome f = match f () with q -> Ok q | exception Invalid_argument m -> Error m in
+  QCheck.Test.make ~name:"assume_alternative agrees with a fold of assume_completes/assume_fails"
+    ~count:2000 (QCheck.make ~print gen_alternative_case) (fun (c, f, s, r) ->
+      let parent =
+        Predicate.make ~must_complete:(List.map Pid.of_int c) ~must_fail:(List.map Pid.of_int f)
+      in
+      let self = Pid.of_int s and rivals = List.map Pid.of_int r in
+      let fold () =
+        List.fold_left
+          (fun q x -> if Pid.equal x self then q else Predicate.assume_fails q x)
+          (Predicate.assume_completes parent self)
+          rivals
+      in
+      let one_step () = Predicate.assume_alternative parent ~self ~rivals:(Array.of_list rivals) in
+      match (outcome fold, outcome one_step) with
+      | Ok a, Ok b ->
+        Predicate.equal a b && Predicate.equal b a
+        && Predicate.compare a b = 0 && Predicate.compare b a = 0
+        || QCheck.Test.fail_reportf "fold %s, one step %s" (Predicate.to_string a)
+             (Predicate.to_string b)
+      | Error a, Error b ->
+        String.equal a b || QCheck.Test.fail_reportf "fold raised %S, one step %S" a b
+      | Ok a, Error b ->
+        QCheck.Test.fail_reportf "fold gave %s, one step raised %S" (Predicate.to_string a) b
+      | Error a, Ok b ->
+        QCheck.Test.fail_reportf "fold raised %S, one step gave %s" a (Predicate.to_string b))
+
+let test_assume_alternative_rejects_unsorted () =
+  let p = Pid.of_int in
+  Alcotest.check_raises "descending rivals"
+    (Invalid_argument "Predicate.assume_alternative: rivals not strictly ascending") (fun () ->
+      ignore (Predicate.assume_alternative Predicate.empty ~self:(p 0) ~rivals:[| p 2; p 1 |]));
+  Alcotest.check_raises "duplicate rival"
+    (Invalid_argument "Predicate.assume_alternative: rivals not strictly ascending") (fun () ->
+      ignore (Predicate.assume_alternative Predicate.empty ~self:(p 0) ~rivals:[| p 1; p 1 |]))
+
 (* [Fate_registry.normalize] against the definition: fold
    [Predicate.resolve] over every decided pid. The pid universe sits at a
    random base so the registry's byte array has to grow past its initial
@@ -522,6 +579,8 @@ let () =
           Alcotest.test_case "equal/compare" `Quick test_equal_compare;
           Alcotest.test_case "hash-consing" `Quick test_hash_consing;
           Alcotest.test_case "printing" `Quick test_pp;
+          Alcotest.test_case "assume_alternative rejects unsorted rivals" `Quick
+            test_assume_alternative_rejects_unsorted;
         ] );
       ( "fate_registry",
         [
@@ -540,5 +599,6 @@ let () =
             prop_empty_is_unit;
             prop_resolve_shrinks;
             prop_predicate_model;
+            prop_assume_alternative_model;
           ] );
     ]
