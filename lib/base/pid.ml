@@ -23,4 +23,5 @@ module Allocator = struct
 
   let allocated a = a.next - a.first
   let issued a pid = pid >= a.first && pid < a.next
+  let reset a = a.next <- a.first
 end

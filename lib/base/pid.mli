@@ -46,4 +46,8 @@ module Allocator : sig
 
   val issued : t -> pid -> bool
   (** [issued a pid]: [pid] was returned by an earlier [fresh a]. *)
+
+  val reset : t -> unit
+  (** Forget every pid handed out: the next [fresh] returns the first pid
+      again, as after [create]. *)
 end

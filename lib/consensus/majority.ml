@@ -2,14 +2,19 @@ type t = {
   engine : Engine.t;
   pids : Pid.t list;
   n : int;
-  grants : (Pid.t * int) option ref array;
-      (* per-voter grant record: owner pid and the epoch it was granted at *)
-  floors : int ref array;  (* per-voter minimum acceptable epoch *)
-  msg_count : int ref;
+  owners : int array;  (* per voter: the pid it granted, -1 while free *)
+  owner_epochs : int array;  (* per voter: the epoch of that grant *)
+  floors : int array;  (* per voter: the minimum acceptable epoch *)
+  vote_delay : float;
+  mutable msg_count : int;
 }
 
 let tag_req = "vote_req"
 let tag_rep = "vote_rep"
+
+(* Boxed once, so a tagged send or receive builds no [Some]. *)
+let tag_req_opt = Some tag_req
+let tag_rep_opt = Some tag_rep
 
 (* Replies are stamped with the round id of the request they answer
    (in the payload, not the tag: the trace-level accounting of sync
@@ -23,8 +28,13 @@ let tag_rep = "vote_rep"
    per-requester counter: the engine records it in the deterministic
    replay log, so a world-split clone of a requester re-derives the very
    round id its logged replies carry. Counter state outside the log
-   would advance during replay and desynchronise. *)
-let rep_payload ~granted ~round = Payload.Pair (Payload.Bool granted, Payload.Int round)
+   would advance during replay and desynchronise.
+
+   A reply is [Pair (Bool granted, Int round)]. The [Bool] is one of two
+   shared constants and the [Int] is the request's own round block
+   (payloads are immutable), so a reply builds only its pair. *)
+let granted_yes = Payload.Bool true
+let granted_no = Payload.Bool false
 
 let rep_round m =
   match m.Message.payload with
@@ -43,13 +53,6 @@ let req_payload ~round ~epoch =
   if epoch = 0 then Payload.Int round
   else Payload.Pair (Payload.Int round, Payload.Int epoch)
 
-let req_parts = function
-  | Payload.Int round when round >= 0 -> Some (round, 0)
-  | Payload.Pair (Payload.Int round, Payload.Int epoch)
-    when round >= 0 && epoch >= 0 ->
-    Some (round, epoch)
-  | _ -> None
-
 (* A voter grants its vote to the first requester it hears from and denies
    everyone else, forever: the grant is the durable half of the 0-1
    semaphore. Voters are oblivious kernel services (their receives bypass
@@ -62,43 +65,47 @@ let req_parts = function
    fenced it off — and a grant held at a below-floor epoch no longer counts
    as taken: the fenced incarnation's claim is void, so the slot is
    reassignable to the current incarnation. *)
-let voter_body ~vote_delay ~grant_slot ~floor ~msg_count ctx =
-  let rec loop () =
-    let m = Engine.receive ctx ~tag:tag_req () in
-    incr msg_count;
-    (match req_parts m.Message.payload with
-    | Some (round, epoch) ->
-      if vote_delay > 0. then Engine.delay ctx vote_delay;
-      let requester = m.Message.sender in
-      if epoch > !floor then floor := epoch;
-      let granted =
-        if epoch < !floor then false
-        else begin
-          match !grant_slot with
-          | None ->
-            grant_slot := Some (requester, epoch);
-            true
-          | Some (_owner, owner_epoch) when owner_epoch < !floor ->
-            (* The grant belongs to a fenced-off incarnation: void. *)
-            grant_slot := Some (requester, epoch);
-            true
-          | Some (owner, owner_epoch) ->
-            let same = Pid.equal owner requester in
-            if same && epoch > owner_epoch then
-              grant_slot := Some (owner, epoch);
-            same
-        end
-      in
-      Engine.send ctx ~tag:tag_rep requester (rep_payload ~granted ~round);
-      incr msg_count
-    | None ->
-      (* Malformed request: ignore it, mirroring [rep_round]'s [-1] on the
-         requester side. The vote is NOT granted — a garbled message must
-         not consume the durable half of the 0-1 semaphore. *)
-      ());
-    loop ()
-  in
-  loop ()
+let vote t i requester ~epoch =
+  if epoch > t.floors.(i) then t.floors.(i) <- epoch;
+  let floor = t.floors.(i) in
+  if epoch < floor then false
+  else begin
+    let owner = t.owners.(i) in
+    if owner < 0 || t.owner_epochs.(i) < floor then begin
+      (* Free, or held by a fenced-off incarnation: void. *)
+      t.owners.(i) <- requester;
+      t.owner_epochs.(i) <- epoch;
+      true
+    end
+    else begin
+      let same = owner = requester in
+      if same && epoch > t.owner_epochs.(i) then t.owner_epochs.(i) <- epoch;
+      same
+    end
+  end
+
+let reply ctx t i m ~round ~epoch =
+  if t.vote_delay > 0. then Engine.delay ctx t.vote_delay;
+  let requester = m.Message.sender in
+  let granted = vote t i (Pid.to_int requester) ~epoch in
+  Engine.send ctx ?tag:tag_rep_opt requester
+    (Payload.Pair ((if granted then granted_yes else granted_no), round));
+  t.msg_count <- t.msg_count + 1
+
+(* Voter [i]'s body, a top-level loop over its arguments. A malformed
+   request is ignored, mirroring [rep_round]'s [-1] on the requester
+   side: a garbled message must not consume the durable half of the 0-1
+   semaphore. *)
+let rec voter_loop t i ctx =
+  let m = Engine.receive ctx ?tag:tag_req_opt () in
+  t.msg_count <- t.msg_count + 1;
+  (match m.Message.payload with
+  | Payload.Int r as round when r >= 0 -> reply ctx t i m ~round ~epoch:0
+  | Payload.Pair ((Payload.Int r as round), Payload.Int epoch)
+    when r >= 0 && epoch >= 0 ->
+    reply ctx t i m ~round ~epoch
+  | _ -> ());
+  voter_loop t i ctx
 
 let crashed_voter_body ctx =
   (* Receives and drops everything: a crashed node is silent. *)
@@ -111,46 +118,55 @@ let crashed_voter_body ctx =
 let voter_name = Names.indexed 8 (Printf.sprintf "voter%d")
 let crashed_voter_name = Names.indexed 8 (Printf.sprintf "voter%d(crashed)")
 
+(* Spawn voter [i] onwards, one per pid. Round-robin sites spread the
+   voters so a crash of any one site takes out as few as possible (a
+   minority, whenever nodes > |sites| >= 2). *)
+let rec spawn_voters t ~crashed ~sites i = function
+  | [] -> ()
+  | pid :: rest ->
+    let site =
+      if Array.length sites = 0 then None
+      else Some sites.(i mod Array.length sites)
+    in
+    let dead = List.mem i crashed in
+    ignore
+      (Engine.spawn_process t.engine ~pid ~parent:None ~predicate:Predicate.empty
+         ~space:None ~cloneable:false ~oblivious:true ~start_delay:0.
+         ~name:(if dead then crashed_voter_name i else voter_name i)
+         ~site
+         (if dead then crashed_voter_body else fun ctx -> voter_loop t i ctx));
+    spawn_voters t ~crashed ~sites (i + 1) rest
+
 let create engine ~nodes ?(crashed = []) ?(vote_delay = 0.) ?(sites = []) () =
   if nodes < 1 then invalid_arg "Majority.create: nodes must be >= 1";
-  let msg_count = ref 0 in
-  let grants = Array.init nodes (fun _ -> ref None) in
-  let floors = Array.init nodes (fun _ -> ref 0) in
-  let site_arr = Array.of_list sites in
-  let site_of i =
-    (* Round-robin spread so a crash of any one site takes out as few
-       voters as possible (a minority, whenever nodes > |sites| >= 2). *)
-    if Array.length site_arr = 0 then None
-    else Some site_arr.(i mod Array.length site_arr)
+  let t =
+    {
+      engine;
+      pids = Engine.fresh_pids engine nodes;
+      n = nodes;
+      owners = Array.make nodes (-1);
+      owner_epochs = Array.make nodes 0;
+      floors = Array.make nodes 0;
+      vote_delay;
+      msg_count = 0;
+    }
   in
-  let pids =
-    List.init nodes (fun i ->
-        if List.mem i crashed then
-          Engine.spawn engine ~oblivious:true ~cloneable:false
-            ~name:(crashed_voter_name i) ?site:(site_of i)
-            crashed_voter_body
-        else
-          Engine.spawn engine ~oblivious:true ~cloneable:false
-            ~name:(voter_name i) ?site:(site_of i)
-            (voter_body ~vote_delay ~grant_slot:grants.(i) ~floor:floors.(i)
-               ~msg_count))
-  in
-  { engine; pids; n = nodes; grants; floors; msg_count }
+  spawn_voters t ~crashed ~sites:(Array.of_list sites) 0 t.pids;
+  t
 
 let node_pids t = t.pids
 let nodes t = t.n
 let majority t = (t.n / 2) + 1
 
 let fence t ~epoch =
-  Array.iter (fun floor -> if epoch > !floor then floor := epoch) t.floors
+  for i = 0 to t.n - 1 do
+    if epoch > t.floors.(i) then t.floors.(i) <- epoch
+  done
 
 type verdict = Granted | Denied | No_quorum
 
 (* One acquisition round: top-level functions taking every variable as
    an argument, since a local closure is built on every call. *)
-
-let tag_req_opt = Some tag_req
-let tag_rep_opt = Some tag_rep
 
 (* Drain replies a previous, timed-out round left in the mailbox. They are
    from an older round by construction, but consuming them now also keeps
@@ -229,21 +245,25 @@ let acquire_retry ctx t ?(epoch = 0) ?(deadline = infinity) ~reply_timeout
     ?(retries = 0) ?(backoff = 0.01) () =
   retry ctx t ~epoch ~deadline ~reply_timeout ~retries ~backoff 0
 
+(* The number of voters that granted [owner]. *)
+let grants_to t owner =
+  let c = ref 0 in
+  Array.iter (fun o -> if o = owner then incr c) t.owners;
+  !c
+
 let owner t =
-  let tally = Hashtbl.create 8 in
+  let found = ref None in
   Array.iter
-    (fun slot ->
-      match !slot with
-      | None -> ()
-      | Some (p, _) ->
-        let c = Option.value ~default:0 (Hashtbl.find_opt tally p) in
-        Hashtbl.replace tally p (c + 1))
-    t.grants;
-  Hashtbl.fold
-    (fun p c acc -> if c >= majority t then Some p else acc)
-    tally None
+    (fun o -> if o >= 0 && grants_to t o >= majority t then found := Some (Pid.of_int o))
+    t.owners;
+  !found
 
-let shutdown t =
-  List.iter (fun pid -> Engine.kill t.engine pid ~reason:"consensus shutdown") t.pids
+let rec kill_voters engine = function
+  | [] -> ()
+  | pid :: rest ->
+    Engine.kill engine pid ~reason:"consensus shutdown";
+    kill_voters engine rest
 
-let messages_sent t = !(t.msg_count)
+let shutdown t = kill_voters t.engine t.pids
+
+let messages_sent t = t.msg_count

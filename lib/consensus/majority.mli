@@ -24,7 +24,8 @@ val create :
     [crashed] are spawned dead: they receive requests and never answer.
     [vote_delay] (default 0) is per-vote processing time at each live
     voter. [sites] (default none) spreads the voters round-robin across the
-    given site names via {!Engine.spawn}'s [?site], so that no single site
+    given site names as each voter's explicit site
+    ({!Engine.spawn_process}'s [site]), so that no single site
     hosts a majority whenever [nodes > length sites >= 2]. Raises
     [Invalid_argument] if [nodes < 1]. *)
 

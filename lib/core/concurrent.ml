@@ -118,6 +118,20 @@ type 'a latch_value =
   | Win of { index : int; pid : Pid.t; value : 'a }
   | All_failed_l
 
+(* [Majority.acquire_retry]'s arguments, boxed once per consensus block
+   rather than at every child's call. *)
+type acquire = {
+  reply_timeout : float;
+  a_epoch : int option;
+  a_deadline : float option;
+  a_retries : int option;
+  a_backoff : float option;
+}
+
+let no_acquire =
+  { reply_timeout = 0.; a_epoch = None; a_deadline = None; a_retries = None;
+    a_backoff = None }
+
 (* One block's state. Each child's body is a closure over this record and
    its index, and one exit watcher serves every child: nothing else of the
    block is captured. *)
@@ -138,7 +152,7 @@ type 'a block = {
   consensus : Majority.t option;
   policy : policy;
   epoch : int;
-  deadline : float;
+  acquire : acquire;  (* [no_acquire] without a consensus group *)
   model : Cost_model.t;
   trace : Trace.t;  (* test [wants] first: build no event nobody reads *)
 }
@@ -172,15 +186,10 @@ let child_body b i ctx =
     match b.consensus with
     | None -> Engine.Ivar.try_fill b.latch (Win { index = i; pid = me; value })
     | Some maj -> (
-      let reply_timeout =
-        match b.policy.sync with
-        | Consensus { reply_timeout; _ } -> reply_timeout
-        | Local -> assert false
-      in
+      let a = b.acquire in
       match
-        Majority.acquire_retry ctx maj ~epoch:b.epoch ~deadline:b.deadline
-          ~reply_timeout ~retries:b.policy.sync_retries
-          ~backoff:b.policy.sync_backoff ()
+        Majority.acquire_retry ctx maj ?epoch:a.a_epoch ?deadline:a.a_deadline
+          ~reply_timeout:a.reply_timeout ?retries:a.a_retries ?backoff:a.a_backoff ()
       with
       | Majority.Granted ->
         ignore (Engine.Ivar.try_fill b.latch (Win { index = i; pid = me; value }));
@@ -388,7 +397,17 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
         consensus;
         policy;
         epoch;
-        deadline;
+        acquire =
+          (match (consensus, policy.sync) with
+          | Some _, Consensus { reply_timeout; _ } ->
+            {
+              reply_timeout;
+              a_epoch = Some epoch;
+              a_deadline = Some deadline;
+              a_retries = Some policy.sync_retries;
+              a_backoff = Some policy.sync_backoff;
+            }
+          | _ -> no_acquire);
         model;
         trace = Engine.trace eng;
       }

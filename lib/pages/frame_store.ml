@@ -16,11 +16,13 @@ and observer = {
   on_release : map:int -> unit;
 }
 
-(* The free-frame pool is per domain, not per store, because a serving
-   domain builds a fresh engine (and store) per batch: a per-store free
-   list would die with each batch, and every page is a major-heap
-   allocation (it exceeds the minor heap's object size limit). Pooled
-   frames keep stale bytes, id and count until [fresh] overwrites them. *)
+(* The free-frame pool is per domain, not per store, because a checker
+   cell builds a fresh engine (and store) per run: a per-store free list
+   would die with each run, and every page is a major-heap allocation
+   (it exceeds the minor heap's object size limit). A serving domain
+   resets one engine per batch instead, and [reset] forgets the store's
+   counters but not the pool. Pooled frames keep stale bytes, id and
+   count until [fresh] overwrites them. *)
 
 type bucket = { size : int; mutable frames : frame list }
 type pool = { mutable buckets : bucket list; mutable retained : int }
@@ -47,6 +49,14 @@ let create ~page_size =
   if page_size <= 0 then invalid_arg "Frame_store.create: page_size";
   { page_size; next_id = 0; live = 0; allocs = 0; copies = 0; next_map = 0;
     observer = None }
+
+let reset t =
+  t.next_id <- 0;
+  t.live <- 0;
+  t.allocs <- 0;
+  t.copies <- 0;
+  t.next_map <- 0;
+  t.observer <- None
 
 let fresh_map_id t =
   let id = t.next_map in

@@ -28,6 +28,12 @@ val create : page_size:int -> t
 
 val page_size : t -> int
 
+val reset : t -> unit
+(** Return the store to the state {!create} leaves: every counter and the
+    map-id sequence at zero, and no observer. Frames still referenced by
+    maps of the previous run are forgotten, not pooled: nothing may
+    decrement them through this store afterwards. *)
+
 val alloc : t -> frame
 (** A zero-filled frame with reference count 1 and an id this store has
     never handed out. It is taken from the domain's free-frame pool when

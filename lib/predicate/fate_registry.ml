@@ -3,6 +3,7 @@
 type t = {
   mutable fates : Bytes.t;
   mutable decided : int;
+  mutable extent : int;  (* one past the largest pid recorded *)
   lookup : Pid.t -> Predicate.fate option;
       (* [fate] of this registry, built once so [normalize] allocates no
          closure per call. *)
@@ -24,7 +25,7 @@ let fate_of_byte t i =
 
 let create () =
   let rec t =
-    { fates = Bytes.make 16 undecided; decided = 0;
+    { fates = Bytes.make 16 undecided; decided = 0; extent = 0;
       lookup = (fun pid -> fate_of_byte t (Pid.to_int pid)) }
   in
   t
@@ -44,7 +45,8 @@ let record t pid f =
   let cur = Bytes.unsafe_get t.fates i in
   if cur = undecided then begin
     Bytes.unsafe_set t.fates i b;
-    t.decided <- t.decided + 1
+    t.decided <- t.decided + 1;
+    if i >= t.extent then t.extent <- i + 1
   end
   else if cur <> b then invalid_arg "Fate_registry.record: fate already decided"
 
@@ -70,3 +72,8 @@ let resolution t ~pid pred =
     | Predicate.Falsified -> `Dead)
 
 let decided t = t.decided
+
+let reset t =
+  Bytes.fill t.fates 0 t.extent undecided;
+  t.extent <- 0;
+  t.decided <- 0

@@ -38,3 +38,8 @@ val resolution : t -> pid:Pid.t -> Predicate.t -> [ `Certain | `Dead | `Pending 
 
 val decided : t -> int
 (** Number of pids with a recorded fate. *)
+
+val reset : t -> unit
+(** Forget every recorded fate, as {!create} would leave the registry,
+    keeping the table's capacity. Only the bytes up to the largest pid
+    ever recorded are cleared. *)

@@ -231,8 +231,29 @@ let resolve_all t ~fate =
     Simplified
       (mk (undecided fate t.completes ~decided:dc) (undecided fate t.fails ~decided:df))
 
+(* [a] without its element at index [i]. *)
+let remove_at a i =
+  let n = Array.length a in
+  let b = Array.make (n - 1) 0 in
+  Array.blit a 0 b 0 i;
+  Array.blit a (i + 1) b i (n - 1 - i);
+  b
+
+(* One pid, decided by two binary searches: no fate function to build. *)
 let resolve t ~pid ~fate =
-  resolve_all t ~fate:(fun p -> if Pid.equal p pid then Some fate else None)
+  let x = Pid.to_int pid in
+  let i = search t.completes x 0 (Array.length t.completes) in
+  if i >= 0 then
+    match fate with
+    | Completed -> Simplified (mk (remove_at t.completes i) t.fails)
+    | Failed -> Falsified
+  else
+    let i = search t.fails x 0 (Array.length t.fails) in
+    if i < 0 then Unchanged
+    else
+      match fate with
+      | Failed -> Simplified (mk t.completes (remove_at t.fails i))
+      | Completed -> Falsified
 
 let pp ppf t =
   let items sign a = List.map (fun p -> sign ^ Pid.to_string (Pid.of_int p)) (Array.to_list a) in

@@ -115,7 +115,9 @@ type resolution =
           predicate lives in a dead world and must be eliminated. *)
 
 val resolve : t -> pid:Pid.t -> fate:fate -> resolution
-(** Incorporate the knowledge that [pid] met [fate]. *)
+(** Incorporate the knowledge that [pid] met [fate]: the same result as
+    {!resolve_all} with a fate function that decides [pid] alone.
+    [Unchanged] allocates nothing. *)
 
 val resolve_all : t -> fate:(Pid.t -> fate option) -> resolution
 (** Incorporate every known fate at once: [fate pid] is [None] while [pid]

@@ -16,6 +16,7 @@ type ('p, 'e) t = {
   mutable payloads : 'p array;
   mutable n : int;
   mutable used : floatarray;  (* pid -> CPU seconds charged *)
+  mutable extent : int;  (* one past the largest pid ever added *)
   mutable last : float;
 }
 
@@ -30,6 +31,7 @@ let create cores queue ~tick ~empty =
     payloads = [||];
     n = 0;
     used = Float.Array.make 16 0.;
+    extent = 0;
     last = 0.;
   }
 
@@ -111,6 +113,7 @@ let add c ~now pid dt p =
     Float.Array.blit c.used 0 used 0 len;
     c.used <- used
   end;
+  if pid >= c.extent then c.extent <- pid + 1;
   let i = slot c pid in
   if i < c.n && c.pids.(i) = pid then begin
     Float.Array.set c.rem i dt;
@@ -159,3 +162,11 @@ let used c pid =
   if i >= 0 && i < Float.Array.length c.used then Float.Array.get c.used i else 0.
 
 let total c = Float.Array.fold_left ( +. ) 0. c.used
+
+let reset c =
+  Array.fill c.payloads 0 c.n c.empty;
+  c.n <- 0;
+  Float.Array.fill c.used 0 c.extent 0.;
+  c.extent <- 0;
+  c.last <- 0.;
+  Event_queue.clear_slot c.queue

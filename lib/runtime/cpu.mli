@@ -49,3 +49,8 @@ val used : ('p, 'e) t -> Pid.t -> float
 
 val total : ('p, 'e) t -> float
 (** The sum of {!used} over every pid, added in pid order. *)
+
+val reset : ('p, 'e) t -> unit
+(** Drop every task and clear the queue's slot, zero the CPU charged to
+    every pid ever added, and charge from time 0 again: the state
+    {!create} leaves, with the tables' capacity kept. *)

@@ -144,7 +144,7 @@ and fault_action =
 and t = {
   mutable vnow : float;
   queue : event Event_queue.t;  (* (time, stamp) order *)
-  root_seed : int;
+  mutable root_seed : int;
   mutable procs : pcb option array;  (* None: issued but never spawned *)
   mutable worlds : Pid.t list array;
       (* logical pid -> its world copies, oldest first; [] for a pid never
@@ -361,6 +361,43 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     park_tag = None;
   }
 
+(* Back to the state [create ~seed] leaves, with the same cores, model
+   and trace setting, keeping every table's capacity. The pid-indexed
+   tables are cleared up to the last pid issued, the only part a run
+   touches. The handler is kept, as it reads everything from [t], and so
+   is the spare batch ring, which is empty. *)
+let reset t ~seed =
+  let issued = Pid.Allocator.allocated t.alloc in
+  Array.fill t.procs 0 issued None;
+  Array.fill t.worlds 0 issued [];
+  Pid.Allocator.reset t.alloc;
+  Event_queue.reset t.queue;
+  Fate_registry.reset t.reg;
+  Frame_store.reset t.store;
+  Trace.reset t.trace_;
+  Cpu.reset t.cpu;
+  t.vnow <- 0.;
+  t.root_seed <- seed;
+  t.spawned <- 0;
+  t.mailbox_scanned <- 0;
+  t.events_processed <- 0;
+  t.open_batch <- Tick;
+  Float.Array.unsafe_set t.open_time 0 0.;
+  t.open_stamp <- -1;
+  t.open_epoch <- -1;
+  t.live <- 0;
+  t.deferred <- [];
+  t.stopped <- false;
+  t.sweeping <- false;
+  t.sweep_again <- false;
+  t.msg_fault <- None;
+  t.spawn_hook <- None;
+  t.site_hook <- None;
+  t.delivery_fault <- None;
+  t.running <- -1;
+  t.park_time <- 0.;
+  t.park_tag <- None
+
 (* ------------------------------------------------------------------ *)
 (* Process table helpers.                                              *)
 
@@ -463,6 +500,10 @@ let disable_cloning pcb =
 (* ------------------------------------------------------------------ *)
 (* Fates, predicate sweep, world elimination.                          *)
 
+let watcher_raised t kind e =
+  if wants t Trace.Kind.note then
+    tr t (Trace.Note (kind ^ " watcher raised: " ^ Printexc.to_string e))
+
 let rec finalize t pcb st =
   match pcb.state with
   | Dead _ -> ()
@@ -476,13 +517,7 @@ let rec finalize t pcb st =
       tr t (Trace.Exited { pid = pcb.pid; status = status_string st });
     let watchers = pcb.exit_watchers in
     pcb.exit_watchers <- [];
-    List.iter
-      (fun w ->
-        try w st
-        with e ->
-          if wants t Trace.Kind.note then
-            tr t (Trace.Note ("exit watcher raised: " ^ Printexc.to_string e)))
-      watchers;
+    run_exit_watchers t st watchers;
     match st with
     | Exited_ok -> (
       (* An alternative's predicate assumes its own completion; its exit is
@@ -529,13 +564,22 @@ and decide t pcb outcome =
 and fire_res_watchers t pcb outcome =
   let ws = pcb.res_watchers in
   pcb.res_watchers <- [];
-  List.iter
-    (fun w ->
-      try w outcome
-      with e ->
-        if wants t Trace.Kind.note then
-          tr t (Trace.Note ("resolution watcher raised: " ^ Printexc.to_string e)))
-    ws
+  run_res_watchers t outcome ws
+
+(* The watcher loops: direct recursion, since a closure over the status
+   would be built at every exit. A watcher that raises is noted and the
+   rest still run. *)
+and run_exit_watchers t st = function
+  | [] -> ()
+  | w :: rest ->
+    (try w st with e -> watcher_raised t "exit" e);
+    run_exit_watchers t st rest
+
+and run_res_watchers t outcome = function
+  | [] -> ()
+  | w :: rest ->
+    (try w outcome with e -> watcher_raised t "resolution" e);
+    run_res_watchers t outcome rest
 
 and kill t pid ~reason =
   match find_pcb t pid with
@@ -623,28 +667,23 @@ and try_receive t pcb tag : Message.t =
        repeated polls do not re-scan foreign traffic (the old list scan
        was quadratic in exactly that case). The cursor may be behind the
        head after consumptions; clamp it forward. *)
-    let cur =
-      match tag with
-      | None -> None
-      | Some wanted ->
-        let c = Mailbox.cursor ring wanted in
-        if c.Mailbox.cpos < Mailbox.head_pos ring then
-          c.Mailbox.cpos <- Mailbox.head_pos ring;
-        Some c
-    in
-    let start =
-      match cur with None -> Mailbox.head_pos ring | Some c -> c.Mailbox.cpos
-    in
-    scan_mailbox t pcb ring tag cur [] start true
+    match tag with
+    | None -> scan_mailbox t pcb ring tag Mailbox.no_cursor [] (Mailbox.head_pos ring) true
+    | Some wanted ->
+      let c = Mailbox.cursor ring wanted in
+      if c.Mailbox.cpos < Mailbox.head_pos ring then
+        c.Mailbox.cpos <- Mailbox.head_pos ring;
+      scan_mailbox t pcb ring tag c [] c.Mailbox.cpos true
   end
 
 (* Walk the ring in position order and act on each entry's receipt,
    honouring per-sender FIFO when deferring. [blocked] (senders we must
    not overtake) is threaded as a list so the common no-deferral scan
    allocates nothing. [prefix] is true while every slot visited so far
-   was a tombstone or tag-foreign, i.e. while the per-tag cursor may still
-   advance over them. A top-level function rather than an inner closure:
-   the receive fast path allocates nothing. *)
+   was a tombstone or tag-foreign, i.e. while the per-tag cursor [cur]
+   ({!Mailbox.no_cursor} for an untagged receive) may still advance over
+   them. A top-level function rather than an inner closure: the receive
+   fast path allocates nothing. *)
 and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
   if pos >= Mailbox.tail_pos ring then Mailbox.no_message
   else begin
@@ -708,8 +747,7 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
   end
 
 and advance_cursor cur pos prefix =
-  if prefix then
-    match cur with None -> () | Some c -> c.Mailbox.cpos <- pos + 1
+  if prefix && cur != Mailbox.no_cursor then cur.Mailbox.cpos <- pos + 1
 
 (* The rejecting world of a split on [m]: a replay clone of [pcb] that
    holds [reject] and starts after a fork's base cost. *)

@@ -93,6 +93,22 @@ val create :
     The only accepted value is 1 (the default): any other raises
     [Invalid_argument]. *)
 
+val reset : t -> seed:int -> unit
+(** Return the engine to exactly the state [create ~seed] leaves, with
+    the cores and cost model it was created with and its recorder's
+    current on/off setting ({!Trace.set_enabled}). What
+    the previous run left behind is dropped: its processes (parked ones
+    are abandoned, not unwound: no cleanup of theirs runs), queued
+    events, fates, recorded trace events and trace subscribers, the
+    frame store's counters and observer, the CPU's tasks and charges,
+    and the fault, spawn, site and delivery hooks. Every table keeps its
+    capacity, and only the part of it the previous run used is cleared,
+    so a run on a reset engine allocates what it would on a warm one,
+    and nothing observable tells it from a run on a fresh engine.
+    Address spaces made on the previous run's frame store must not be
+    used or released afterwards. Not to be called from a process body
+    or a hook while the engine runs. *)
+
 val now : t -> float
 (** Current virtual time (seconds). *)
 

@@ -288,3 +288,9 @@ let clear t =
   done;
   t.size <- 0;
   clear_slot t
+
+let reset t =
+  clear t;
+  t.next_seq <- 0;
+  t.popped <- -1;
+  Float.Array.unsafe_set t.slot_time 0 0.

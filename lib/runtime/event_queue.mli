@@ -74,3 +74,8 @@ val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val clear : 'a t -> unit
+
+val reset : 'a t -> unit
+(** {!clear}, and restart the sequence numbers: the queue is then in the
+    state {!create} leaves, except that it keeps its arrays' capacity
+    (the handle arrays included, once made). *)

@@ -130,15 +130,18 @@ let transfer t dst =
       t.head <- t.tail
     end
 
-let cursor t tag =
-  let rec find = function
-    | [] ->
-      let c = { ctag = tag; cpos = t.head } in
-      t.cursors <- c :: t.cursors;
-      c
-    | c :: rest -> if String.equal c.ctag tag then c else find rest
-  in
-  find t.cursors
+(* Never a ring's cursor, and never written. *)
+let no_cursor = { ctag = ""; cpos = 0 }
+
+(* A top-level walk: an inner [find] would be a closure per receive. *)
+let rec find_cursor t tag = function
+  | [] ->
+    let c = { ctag = tag; cpos = t.head } in
+    t.cursors <- c :: t.cursors;
+    c
+  | c :: rest -> if String.equal c.ctag tag then c else find_cursor t tag rest
+
+let cursor t tag = find_cursor t tag t.cursors
 
 let copy_excluding t ~msg =
   let r = create () in

@@ -67,6 +67,11 @@ val cursor : t -> string -> cursor
 (** The ring's cursor for [tag], created at the current head on first
     use. *)
 
+val no_cursor : cursor
+(** A distinguished cursor that belongs to no ring: what an untagged
+    receive scan carries instead of an option. Compared physically; it
+    must never be written. *)
+
 val copy_excluding : t -> msg:Message.t -> t
 (** A fresh ring holding every live entry, in order, except those
     physically equal to [msg] — the accepted send, with its injected

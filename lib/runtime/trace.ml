@@ -117,6 +117,12 @@ let create ?(enabled = true) () =
 
 let enabled t = t.mask land recording <> 0
 let set_enabled t b = remask t ~enabled:b
+
+let reset t =
+  let enabled = enabled t in
+  t.events <- [];
+  t.hub <- no_hub;
+  remask t ~enabled
 let wants t k = t.mask land k <> 0
 
 let set_subs t subs =

@@ -82,6 +82,10 @@ val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 (** Switch the recorder on or off. Other subscribers are unaffected. *)
 
+val reset : t -> unit
+(** Drop every recorded event and every subscriber, keeping the
+    recorder's enabled flag: the state [create ~enabled] leaves. *)
+
 (** {2 Subscriptions} *)
 
 type mask = int

@@ -322,17 +322,20 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
 (* ------------------------------------------------------------------ *)
 (* Phase 2: batch execution.
 
-   One engine per batch, jobs run back to back on it. The engine's seed
-   is derived from (workload seed, batch id) only, and batches share no
-   observable mutable state — sites topology, fault plan, circuit
-   breakers and sanitizer are all scoped to the batch engine — so
-   executing batches on N domains in any order gives the same per-batch
-   results as one domain in dispatch order. The one structure batches do
-   share is the executing domain's free-frame pool ({!Frame_store}):
-   each job releases the address spaces it created, and their frames
-   serve the next job and the next batch on that domain. A pooled frame
-   is zero-filled and re-identified by the store that takes it, so what
-   the pool holds, and which batch filled it, cannot be observed. Trace
+   Each domain keeps one engine, and a batch runs on its domain's engine
+   after {!Engine.reset} with the batch's seed, jobs back to back. The
+   seed is derived from (workload seed, batch id) only, and a reset
+   engine is exactly a fresh one with that seed, tables' capacity aside
+   — sites topology, fault plan, circuit breakers and sanitizer are all
+   scoped to the batch and dropped by the next reset — so executing
+   batches on N domains in any order gives the same per-batch results
+   as one domain in dispatch order. The structures batches on a domain
+   share are that engine's tables and the domain's free-frame pool
+   ({!Frame_store}): each job releases the address spaces it created,
+   and their frames serve the next job and the next batch on that
+   domain. A pooled frame is zero-filled and re-identified by the store
+   that takes it, and a reset clears every table entry a run used, so
+   what either holds, and which batch filled it, cannot be observed. Trace
    recording stays off (these runs are throughput, not post-mortem); the
    sanitizer, when requested, watches through its trace subscription,
    called even with recording off, and the frame store's observer, which
@@ -414,12 +417,14 @@ let run_sequential engine ~space alts =
   Engine.run engine;
   (!outcome, Engine.now engine -. t0)
 
+(* The executing domain's batch engine, made on the domain's first batch. *)
+let engine_key =
+  Domain.DLS.new_key (fun () ->
+      Engine.create ~model:Cost_model.att_3b2 ~trace:false ())
+
 let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
-  let engine =
-    Engine.create ~model:Cost_model.att_3b2
-      ~seed:((wl.Workload.wl_seed * 1_000_003) + cb.cb_id)
-      ~trace:false ()
-  in
+  let engine = Domain.DLS.get engine_key in
+  Engine.reset engine ~seed:((wl.Workload.wl_seed * 1_000_003) + cb.cb_id);
   let sites =
     match sv.sv_faults with
     | None -> None

@@ -33,11 +33,13 @@
     its entire engine-world (sites, fault plan, breakers, sanitizer)
     from its own seed and results are folded back in batch order, so
     [sv_jobs = 1] and [sv_jobs = n] are byte-identical ({!digest}
-    equal). The one structure batches share is each domain's free-frame
-    pool ({!Frame_store}): a job releases the address spaces it created
-    once it is audited, and later jobs and batches on that domain — of
-    this run or a later one — reuse the frames. Its contents cannot be
-    observed: a reused frame is zero-filled and takes the new store's
+    equal). The structures batches share are each domain's engine and
+    free-frame pool ({!Frame_store}). A batch runs on its domain's
+    engine after {!Engine.reset} with the batch's seed, which leaves it
+    exactly as a fresh engine. A job releases the address spaces it
+    created once it is audited, and later jobs and batches on that
+    domain — of this run or a later one — reuse the frames. Neither can
+    be observed: a reused frame is zero-filled and takes the new store's
     next id, so how batches fall on domains, and what ran before, leave
     the digest unchanged. *)
 

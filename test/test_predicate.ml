@@ -222,6 +222,32 @@ let prop_resolve_shrinks =
       | Predicate.Falsified -> true
       | Predicate.Simplified q' -> Predicate.cardinal q' = Predicate.cardinal q - 1)
 
+(* [Predicate.resolve] decides one pid with two binary searches; its
+   definition is [resolve_all] with a fate function that decides that pid
+   alone. Pids 20 and 21 occur in no generated predicate. *)
+let prop_resolve_is_one_pid_resolve_all =
+  let gen =
+    QCheck.triple gen_pred (QCheck.int_bound 21)
+      (QCheck.make ~print:(function Predicate.Completed -> "completed" | Predicate.Failed -> "failed")
+         QCheck.Gen.(oneofl [ Predicate.Completed; Predicate.Failed ]))
+  in
+  QCheck.Test.make ~name:"resolve agrees with resolve_all on a one-pid fate"
+    ~count:2000 gen (fun (q, n, fate) ->
+      let pid = Pid.of_int n in
+      let one = Predicate.resolve q ~pid ~fate in
+      let all =
+        Predicate.resolve_all q ~fate:(fun p -> if Pid.equal p pid then Some fate else None)
+      in
+      match (one, all) with
+      | Predicate.Unchanged, Predicate.Unchanged | Predicate.Falsified, Predicate.Falsified ->
+        true
+      | Predicate.Simplified a, Predicate.Simplified b ->
+        (Predicate.equal a b && Predicate.compare a b = 0
+         && Predicate.is_certain a = (a == Predicate.empty))
+        || QCheck.Test.fail_reportf "resolve %s, resolve_all %s" (Predicate.to_string a)
+             (Predicate.to_string b)
+      | _ -> QCheck.Test.fail_report "different resolutions")
+
 (* [Predicate.assume_alternative] against its definition: [assume_completes]
    of [self], then [assume_fails] of each rival but [self] in turn. The
    parents already hold assumptions over the same dozen pids, so a self or
@@ -598,6 +624,7 @@ let () =
             prop_conflicts_symmetric;
             prop_empty_is_unit;
             prop_resolve_shrinks;
+            prop_resolve_is_one_pid_resolve_all;
             prop_predicate_model;
             prop_assume_alternative_model;
           ] );

@@ -2554,6 +2554,169 @@ let test_clone_replays_parks () =
   check_endings eng spec [ "exited failed: spec fails"; "failed" ];
   check_endings eng later [ "exited ok"; "completed" ]
 
+(* ---------------- Reset ----------------
+
+   [Engine.reset] must leave nothing a fresh engine would not have. An
+   engine is dirtied first: a site topology and fault plan (every message
+   delayed, a site crash still queued), an attached sanitizer, an extra
+   trace subscriber that notes every start, a process parked with a
+   pending deadline, CPU tasks still running, a fate deferred on a live
+   process, a split world and written pages. Its pid 0 crashes, so a
+   stale fate table would refuse the completion of the next run's pid 0.
+   Reset, it then runs the same program as a fresh engine made with the
+   same seed; everything either engine can report must agree. *)
+
+let reset_cores = Engine.Cores 2
+
+let dirty eng =
+  let sites = Sites.create eng ~names:[ "s0"; "s1" ] in
+  Faultplan.install ~sites
+    (Faultplan.make ~seed:3
+       [ Faultplan.message (Faultplan.Delay 0.25); Faultplan.crash_site ~at:100. "s1" ])
+    eng;
+  ignore (Sanitizer.attach eng);
+  let tr = Engine.trace eng in
+  ignore
+    (Trace.subscribe tr Trace.Kind.started (fun ~time _ ->
+         Trace.record tr ~time (Trace.Note "stale subscriber")));
+  ignore (Engine.spawn eng ~name:"crasher" (fun _ -> failwith "dirty"));
+  ignore
+    (Engine.spawn eng ~name:"sleeper" (fun ctx ->
+         ignore (Engine.receive_timeout ctx ~timeout:1000. ())));
+  ignore (Engine.spawn eng ~name:"hog" (fun ctx -> Engine.delay ctx 500.));
+  ignore (Engine.spawn eng ~name:"hog" (fun ctx -> Engine.delay ctx 300.));
+  let dep, spec =
+    match Engine.fresh_pids eng 2 with [ a; b ] -> (a, b) | _ -> assert false
+  in
+  ignore (Engine.spawn eng ~pid:dep ~name:"dep" (fun ctx -> Engine.delay ctx 400.));
+  ignore
+    (Engine.spawn eng ~name:"hopeful"
+       ~predicate:(Predicate.make ~must_complete:[ dep ] ~must_fail:[])
+       ignore);
+  let recv =
+    Engine.spawn eng ~name:"recv" (fun ctx ->
+        ignore (Engine.receive ctx ());
+        Engine.delay ctx 200.)
+  in
+  ignore
+    (Engine.spawn eng ~pid:spec ~name:"spec"
+       ~predicate:(Predicate.make ~must_complete:[ spec ] ~must_fail:[])
+       (fun ctx ->
+         Engine.send ctx recv (Payload.int 1);
+         Engine.delay ctx 200.));
+  let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+  Address_space.set_int space ~addr:0 1;
+  Address_space.set_int (Address_space.fork space) ~addr:0 2;
+  Engine.run_for eng 5.;
+  (* The dirt this test is about. *)
+  assert (Engine.parked_pids eng <> []);
+  assert (Engine.live_count eng > 0);
+  assert (Trace.count tr ~f:(function Trace.Split _ -> true | _ -> false) > 0
+          || not (Trace.enabled tr))
+
+(* The program both engines run: CPU sharing over two cores, tagged
+   traffic past a foreign-tag message, a timed receive whose deadline
+   fires, a random draw, a split world whose sender fails, and a forked
+   space written copy-on-write. It returns what the bodies and the exit
+   watchers saw, in order. *)
+let replay_program eng =
+  let seen = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> seen := s :: !seen) fmt in
+  let watch pid =
+    Engine.on_exit eng pid (fun st ->
+        note "%s %s @%g" (Pid.to_string pid) (status_text st) (Engine.now eng))
+  in
+  let root =
+    Engine.spawn eng ~name:"root" (fun ctx ->
+        Engine.delay ctx 1.;
+        note "rng %Ld" (Engine.random_bits ctx))
+  in
+  let workers =
+    List.init 3 (fun i ->
+        Engine.spawn eng ~name:"worker" (fun ctx -> Engine.delay ctx (float_of_int (i + 1))))
+  in
+  let server =
+    Engine.spawn eng ~name:"server" (fun ctx ->
+        let m = Engine.receive ctx ~tag:"req" () in
+        Engine.send ctx ~tag:"rep" m.Message.sender
+          (Payload.int (Payload.get_int m.Message.payload + 1));
+        match Engine.receive_timeout ctx ~tag:"never" ~timeout:2. () with
+        | None -> note "server timed out @%g" (Engine.now_v ctx)
+        | Some _ -> note "server heard never")
+  in
+  let client =
+    Engine.spawn eng ~name:"client" (fun ctx ->
+        Engine.send ctx ~tag:"noise" server (Payload.int 0);
+        Engine.send ctx ~tag:"req" server (Payload.int 41);
+        let m = Engine.receive ctx ~tag:"rep" () in
+        note "client got %d" (Payload.get_int m.Message.payload))
+  in
+  let spec = List.hd (Engine.fresh_pids eng 1) in
+  let recv =
+    Engine.spawn eng ~name:"recv" (fun ctx ->
+        let m = Engine.receive ctx () in
+        Engine.delay ctx 0.5;
+        note "%s took %d" (Pid.to_string (Engine.self ctx))
+          (Payload.get_int m.Message.payload))
+  in
+  ignore
+    (Engine.spawn eng ~pid:spec ~name:"spec"
+       ~predicate:(Predicate.make ~must_complete:[ spec ] ~must_fail:[])
+       (fun ctx ->
+         Engine.delay ctx 0.5;
+         Engine.send ctx recv (Payload.int 7);
+         Engine.delay ctx 1.;
+         Engine.abort ctx "spec fails"));
+  let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+  Address_space.set_int space ~addr:0 5;
+  let pager =
+    Engine.spawn eng ~space:(Address_space.fork space) ~name:"pager" (fun ctx ->
+        match Engine.space ctx with
+        | Some sp ->
+          Address_space.set_int sp ~addr:0 9;
+          Engine.charge_memory ctx
+        | None -> ())
+  in
+  List.iter watch ((root :: workers) @ [ server; client; recv; spec; pager ]);
+  Engine.run eng;
+  List.rev !seen
+
+(* Everything an engine reports after [replay_program], as lines. *)
+let replay_observation eng =
+  let report = replay_program eng in
+  let store = Engine.frame_store eng in
+  report
+  @ [
+      Printf.sprintf "now %h" (Engine.now eng);
+      Printf.sprintf "events %d" (Engine.stats_events_processed eng);
+      Printf.sprintf "scanned %d" (Engine.stats_mailbox_scanned eng);
+      Printf.sprintf "live %d" (Engine.live_count eng);
+      Printf.sprintf "parked %s"
+        (String.concat "," (List.map Pid.to_string (Engine.parked_pids eng)));
+      Printf.sprintf "frames %d allocs %d cow %d next map %d"
+        (Frame_store.live_frames store)
+        (Frame_store.total_allocations store)
+        (Frame_store.cow_copies store)
+        (Frame_store.fresh_map_id store);
+    ]
+  @ List.init 32 (fun i ->
+        Printf.sprintf "cpu P%d %h" i (Engine.cpu_time_of eng (Pid.of_int i)))
+  @ [ Trace.to_jsonl (Engine.trace eng) ]
+
+let test_reset_replays_fresh () =
+  List.iter
+    (fun trace ->
+      let model = Cost_model.att_3b2 and seed = 17 in
+      let reused = Engine.create ~cores:reset_cores ~model ~seed:5 ~trace () in
+      dirty reused;
+      Engine.reset reused ~seed;
+      let fresh = Engine.create ~cores:reset_cores ~model ~seed ~trace () in
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "trace %b: reset = fresh" trace)
+        (replay_observation fresh) (replay_observation reused))
+    [ true; false ]
+
 (* ---------------- Allocation budget ----------------
 
    Minor words per operation on a warm engine (its handler built, its
@@ -2563,10 +2726,13 @@ let test_clone_replays_parks () =
    message in a two-message batch, and a message streamed one way. A park
    allocates its park record and the runtime's continuation, a start the
    fiber's own, and a send its message and, unless it joins a batch, the
-   batch's [Flush]. The ceilings sit a little above the measured figures
-   (12 / 22 / 75.5 / 149 / 15 / 8.2 words with OCaml 5.1.1), and below
-   what a handler built per start (+19 a spawn), a park effect or closure
-   built per park (+5 or +8 a park), a replay-log entry built for an
+   batch's [Flush]. An exit runs its watchers and decides its own fate
+   without building a closure. The ceilings sit a little above the
+   measured figures (12 / 22 / 60.5 / 134 / 15 / 8.2 words with OCaml
+   5.1.1), and below what a handler built per start (+19 a spawn), a
+   closure per exit for its watcher loop and its fate (+15 a spawn), a
+   park effect or closure built per park (+5 or +8 a park), a
+   replay-log entry built for an
    unlogged process (+2 a park or a receive), a channel object per
    (sender, dest) pair (+41 a fresh destination), a fresh ring per joined
    batch (+7 a batched message) or mailboxes without rings (150+ a
@@ -2683,6 +2849,21 @@ let test_sweep_skips_certain () =
   in
   if per_live > 0.1 then
     Alcotest.failf "%.2f words per fate per live certain process" per_live
+
+(* Resetting an engine a run has dirtied allocates nothing: every table
+   is cleared in place. *)
+let test_reset_allocates_nothing () =
+  let eng = mk () in
+  let words = ref 0. in
+  for seed = 1 to 200 do
+    message_hops eng 8;
+    fresh_dests eng 4;
+    let w0 = Gc.minor_words () in
+    Engine.reset eng ~seed;
+    let w = Gc.minor_words () -. w0 in
+    words := !words +. w
+  done;
+  if !words > 0. then Alcotest.failf "200 resets: %.0f words" !words
 
 let test_alloc_budget name op ceiling () =
   let w = words_per ~n:2000 op in
@@ -2854,15 +3035,21 @@ let () =
           Alcotest.test_case "message hop" `Quick
             (test_alloc_budget "message hop" message_hops 24.);
           Alcotest.test_case "spawn to exit" `Quick
-            (test_alloc_budget "spawn to exit" spawns 77.);
+            (test_alloc_budget "spawn to exit" spawns 64.);
           Alcotest.test_case "send to a fresh dest" `Quick
-            (test_alloc_budget "send to a fresh dest" fresh_dests 160.);
+            (test_alloc_budget "send to a fresh dest" fresh_dests 141.);
           Alcotest.test_case "two-message batches" `Quick
             (test_alloc_budget "two-message batches" batched_hops 17.);
           Alcotest.test_case "streamed one-way sends" `Quick
             (test_alloc_budget "streamed one-way sends" streamed_sends 9.);
           Alcotest.test_case "sweep: no words per certain process" `Quick
             test_sweep_skips_certain;
+          Alcotest.test_case "reset allocates nothing" `Quick test_reset_allocates_nothing;
+        ] );
+      ( "reset",
+        [
+          Alcotest.test_case "a reset engine replays a fresh one" `Quick
+            test_reset_replays_fresh;
         ] );
       ( "ordering",
         [

@@ -565,6 +565,24 @@ let test_warm_pool_replays () =
       ("faults", { Server.default with Server.sv_faults = Some 7 });
     ]
 
+(* A domain keeps one engine and resets it for every batch it executes.
+   The last batch of a faulted, sanitized run leaves that engine with
+   its fault plan, site hooks and parked voters; the same domain (jobs
+   1 runs on the caller's) must then serve the 600-request stream with
+   the digest `altserve --requests 600` pins. *)
+let test_dirty_domain_engine () =
+  ignore
+    (Server.run
+       { Workload.default with Workload.wl_requests = 200 }
+       { Server.default with Server.sv_faults = Some 7; sv_sanitize = true; sv_jobs = 1 });
+  let r =
+    Server.run
+      { Workload.default with Workload.wl_requests = 600 }
+      { Server.default with Server.sv_jobs = 1 }
+  in
+  check Alcotest.int64 "pinned digest after a dirty engine" 0xc6e0235e01117f45L
+    (Server.digest r)
+
 let test_sanitized_run_stays_clean () =
   let sv = { Server.default with Server.sv_sanitize = true } in
   let r = Server.run { small_wl with Workload.wl_requests = 120 } sv in
@@ -766,6 +784,8 @@ let () =
             test_bench_record_schema;
           Alcotest.test_case "warm frame pool replays exactly" `Quick
             test_warm_pool_replays;
+          Alcotest.test_case "a dirty domain engine serves the pinned digest" `Quick
+            test_dirty_domain_engine;
           Alcotest.test_case "planner rows: pinned digests, one slot each"
             `Quick test_planner_rows;
           Alcotest.test_case "NaN config values are rejected" `Quick
