@@ -269,8 +269,9 @@ let wasted_cpu eng ~winner children =
 let index_suffix = Names.indexed 16 (Printf.sprintf "[%d]")
 let coordinator_name = Names.indexed 8 (Printf.sprintf "alt-parent.e%d")
 
-let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
-    ?(exclusive = false) ?(deadline = infinity) alts =
+(* [run] with every argument given: what a supervisor calls per
+   incarnation, so that it boxes no option. *)
+let run_block ctx ~policy ~borrowed ~epoch ~exclusive ~deadline alts =
   let eng = Engine.engine ctx in
   let model = Engine.model eng in
   let n = List.length alts in
@@ -563,6 +564,10 @@ let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
     }
   end
 
+let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
+    ?(exclusive = false) ?(deadline = infinity) alts =
+  run_block ctx ~policy ~borrowed ~epoch ~exclusive ~deadline alts
+
 (* ------------------------------------------------------------------ *)
 (* Coordinator recovery: a supervised block survives the death of its
    own coordinator (parent), the paper's remaining single point of
@@ -587,6 +592,134 @@ type 'a supervised_report = {
   sr_space : Address_space.t option;
 }
 
+(* One supervised block's state. Only one incarnation is ever alive: the
+   next is launched from the exit watcher of the one before, so the
+   [cur_*] fields always describe the incarnation whose exit is next,
+   and its epoch is the count of incarnations (a decided one launches no
+   successor, so the deciding epoch is the last). Each incarnation's
+   body and exit watcher close over this record and nothing else of the
+   block. *)
+type 'a supervisor = {
+  s_eng : Engine.t;
+  s_sites : Sites.t;
+  s_policy : policy;
+  s_consensus : Majority.t;
+  s_borrowed : Majority.t option;  (* [Some s_consensus], boxed once *)
+  s_alts : 'a Alternative.t list;
+  s_deadline : float;
+  s_max_restarts : int;
+  s_avoid : string list;
+  s_image : Checkpoint.image option;  (* the parent's sink state at entry *)
+  mutable s_result : 'a report option;  (* the deciding incarnation's *)
+  mutable s_incarnations : int;
+  mutable s_recoveries : (Pid.t * Pid.t * int) list;  (* newest first *)
+  mutable s_coordinators : Pid.t list;  (* newest first *)
+  mutable cur_pid : Pid.t;
+  mutable cur_space : Address_space.t option;
+  mutable cur_ours : bool;  (* [cur_space] is a restore the supervisor made *)
+}
+
+let rec mem_string s = function
+  | [] -> false
+  | x :: rest -> String.equal x s || mem_string s rest
+
+(* Placement prefers alive sites whose circuit breaker (if the caller
+   runs one) has not been tripped; when every alive site is to be
+   avoided, avoidance yields — serving a request on a suspect site
+   beats not serving it at all. *)
+let usable s i ~avoiding =
+  (not (Sites.is_crashed_at s.s_sites i))
+  && not
+       (avoiding
+       && match Sites.label s.s_sites i with
+          | Some name -> mem_string name s.s_avoid
+          | None -> false)
+
+let count_usable s ~avoiding =
+  let k = ref 0 in
+  for i = 0 to Sites.count s.s_sites - 1 do
+    if usable s i ~avoiding then incr k
+  done;
+  !k
+
+(* The index of the [r]th usable site. *)
+let rec nth_usable s ~avoiding r i =
+  if usable s i ~avoiding then
+    if r = 0 then i else nth_usable s ~avoiding (r - 1) (i + 1)
+  else nth_usable s ~avoiding r (i + 1)
+
+(* Incarnation [epoch]'s site index, -1 when every site is down. *)
+let pick_site s epoch =
+  let preferred = if s.s_avoid = [] then 0 else count_usable s ~avoiding:true in
+  let avoiding = preferred > 0 in
+  let k = if avoiding then preferred else count_usable s ~avoiding:false in
+  if k = 0 then -1 else nth_usable s ~avoiding ((epoch - 1) mod k) 0
+
+let coordinator_body s epoch ctx =
+  s.s_result <-
+    Some
+      (run_block ctx ~policy:s.s_policy ~borrowed:s.s_borrowed ~epoch
+         ~exclusive:false ~deadline:s.s_deadline s.s_alts)
+
+let rec kill_orphans eng = function
+  | [] -> ()
+  | c :: rest ->
+    Engine.kill eng c ~reason:"orphaned alternative";
+    kill_orphans eng rest
+
+let rec launch s ~epoch ~site ~space ~ours ~start_delay =
+  let eng = s.s_eng in
+  s.s_incarnations <- s.s_incarnations + 1;
+  let pid =
+    Engine.spawn eng ?space ~cloneable:false ~name:(coordinator_name epoch)
+      ?site:(Sites.label s.s_sites site) ~start_delay
+      (fun ctx -> coordinator_body s epoch ctx)
+  in
+  if Option.is_some space then Engine.preserve_space eng pid;
+  s.s_coordinators <- pid :: s.s_coordinators;
+  s.cur_pid <- pid;
+  s.cur_space <- space;
+  s.cur_ours <- ours;
+  Engine.on_exit eng pid (fun _ -> incarnation_exited s);
+  pid
+
+and incarnation_exited s =
+  let eng = s.s_eng in
+  if Option.is_none s.s_result then begin
+    let pid = s.cur_pid in
+    (* Died undecided. Reap the orphans first: an alternative must not
+       keep running (let alone commit) into a dead block. *)
+    kill_orphans eng (Engine.children_of eng pid);
+    (* A restart past the request deadline could only deliver a late
+       answer: spend the remaining budget on nothing and report the
+       coordinator lost, honestly. *)
+    if s.s_incarnations <= s.s_max_restarts && Engine.now eng < s.s_deadline then begin
+      let epoch' = s.s_incarnations + 1 in
+      let site' = pick_site s epoch' in
+      if site' >= 0 (* else every site is down: nowhere to restart *) then begin
+        Majority.fence s.s_consensus ~epoch:epoch';
+        if s.cur_ours then Option.iter Address_space.release s.cur_space;
+        let model = Engine.model eng in
+        (* Restart cost: the checkpoint travels to the new site. *)
+        let space', start_delay =
+          match s.s_image with
+          | Some img ->
+            ( Some (Checkpoint.restore (Engine.frame_store eng) model img),
+              Checkpoint.transfer_cost model img )
+          | None -> (None, model.Cost_model.remote_spawn_base)
+        in
+        let pid' =
+          launch s ~epoch:epoch' ~site:site' ~space:space'
+            ~ours:(Option.is_some space') ~start_delay
+        in
+        s.s_recoveries <- (pid, pid', epoch') :: s.s_recoveries;
+        if Trace.wants (Engine.trace eng) Trace.Kind.recovered then
+          Trace.record (Engine.trace eng) ~time:(Engine.now eng)
+            (Trace.Recovered { failed = pid; successor = pid'; epoch = epoch' })
+      end
+    end
+  end
+
 let run_supervised eng ?(policy = default_policy) ?space ?(max_restarts = 2)
     ?(deadline = infinity) ?(avoid_sites = []) ~sites alts =
   let consensus =
@@ -597,121 +730,62 @@ let run_supervised eng ?(policy = default_policy) ?space ?(max_restarts = 2)
       Majority.create eng ~nodes ~crashed ~vote_delay ~sites:(Sites.names sites)
         ()
   in
-  let model = Engine.model eng in
   let t0 = Engine.now eng in
-  let image = Option.map Checkpoint.capture space in
-  let tr e = Trace.record (Engine.trace eng) ~time:(Engine.now eng) e in
-  let result = ref None in
-  let incarnations = ref 0 in
-  let recoveries = ref [] in
-  let coordinators = ref [] in  (* (pid, its space, space is ours) newest first *)
-  (* Placement prefers alive sites whose circuit breaker (if the caller
-     runs one) has not been tripped; when every alive site is to be
-     avoided, avoidance yields — serving a request on a suspect site
-     beats not serving it at all. *)
-  let pick_site epoch =
-    match Sites.alive_sites sites with
-    | [] -> None
-    | alive ->
-      let usable =
-        match List.filter (fun s -> not (List.mem s avoid_sites)) alive with
-        | [] -> alive
-        | preferred -> preferred
-      in
-      Some (List.nth usable ((epoch - 1) mod List.length usable))
+  let s =
+    {
+      s_eng = eng;
+      s_sites = sites;
+      s_policy = policy;
+      s_consensus = consensus;
+      s_borrowed = Some consensus;
+      s_alts = alts;
+      s_deadline = deadline;
+      s_max_restarts = max_restarts;
+      s_avoid = avoid_sites;
+      s_image = (match space with Some sp -> Some (Checkpoint.capture sp) | None -> None);
+      s_result = None;
+      s_incarnations = 0;
+      s_recoveries = [];
+      s_coordinators = [];
+      cur_pid = Pid.of_int (-1);
+      cur_space = None;
+      cur_ours = false;
+    }
   in
-  let rec launch ~epoch ~site ~space_now ~ours ~start_delay =
-    incr incarnations;
-    let pid =
-      Engine.spawn eng ?space:space_now ~cloneable:false
-        ~name:(coordinator_name epoch)
-        ~site ~start_delay
-        (fun ctx ->
-          result := Some (epoch, run ctx ~policy ~consensus ~epoch ~deadline alts))
-    in
-    if Option.is_some space_now then Engine.preserve_space eng pid;
-    coordinators := (pid, space_now, ours) :: !coordinators;
-    Engine.on_exit eng pid (fun _st ->
-        if !result = None then begin
-          (* Died undecided. Reap the orphans first: an alternative must
-             not keep running (let alone commit) into a dead block. *)
-          List.iter
-            (fun c -> Engine.kill eng c ~reason:"orphaned alternative")
-            (Engine.children_of eng pid);
-          (* A restart past the request deadline could only deliver a
-             late answer: spend the remaining budget on nothing and
-             report the coordinator lost, honestly. *)
-          if !incarnations <= max_restarts && Engine.now eng < deadline
-          then begin
-            let epoch' = epoch + 1 in
-            match pick_site epoch' with
-            | None -> () (* every site is down: nowhere to restart *)
-            | Some site' ->
-              Majority.fence consensus ~epoch:epoch';
-              if ours then Option.iter Address_space.release space_now;
-              let space' =
-                Option.map
-                  (fun img ->
-                    Checkpoint.restore (Engine.frame_store eng) model img)
-                  image
-              in
-              (* Restart cost: the checkpoint travels to the new site. *)
-              let start_delay =
-                match image with
-                | Some img -> Checkpoint.transfer_cost model img
-                | None -> model.Cost_model.remote_spawn_base
-              in
-              let pid' =
-                launch ~epoch:epoch' ~site:site' ~space_now:space'
-                  ~ours:(Option.is_some space') ~start_delay
-              in
-              recoveries := (pid, pid', epoch') :: !recoveries;
-              if Trace.wants (Engine.trace eng) Trace.Kind.recovered then
-                tr (Trace.Recovered { failed = pid; successor = pid'; epoch = epoch' })
-          end
-        end);
-    pid
-  in
-  (match pick_site 1 with
-  | None -> invalid_arg "Concurrent.run_supervised: no alive site"
-  | Some site ->
-    ignore (launch ~epoch:1 ~site ~space_now:space ~ours:false ~start_delay:0.));
+  let site = pick_site s 1 in
+  if site < 0 then invalid_arg "Concurrent.run_supervised: no alive site";
+  ignore (launch s ~epoch:1 ~site ~space ~ours:false ~start_delay:0.);
   Engine.run eng;
   (* Quiescent: no incarnation is left to die, so the last restore is
      done. *)
-  Option.iter Checkpoint.release image;
+  Option.iter Checkpoint.release s.s_image;
   Majority.shutdown consensus;
-  let final_pid, final_space =
-    match !coordinators with
-    | (pid, sp, _) :: _ -> (Some pid, sp)
-    | [] -> (None, None)
-  in
   let all_children =
-    List.concat_map
-      (fun (pid, _, _) -> Engine.children_of eng pid)
-      (List.rev !coordinators)
+    match s.s_coordinators with
+    | [ pid ] -> Engine.children_of eng pid
+    | coordinators -> List.concat_map (Engine.children_of eng) (List.rev coordinators)
   in
-  let sr_epoch, sr_report =
-    match !result with
-    | Some (epoch, r) ->
-      (epoch, { r with wasted_cpu = wasted_cpu eng ~winner:r.winner all_children })
+  let sr_report =
+    match s.s_result with
+    | Some r ->
+      let w = wasted_cpu eng ~winner:r.winner all_children in
+      if w = r.wasted_cpu then r else { r with wasted_cpu = w }
     | None ->
       (* No incarnation lived to decide: report the outage honestly (no
          phantom winner, no fabricated costs). *)
-      ( !incarnations,
-        failed_report ~reason:"coordinator lost" ~children:all_children
-          ~elapsed:(Engine.now eng -. t0)
-          ~wasted_cpu:(wasted_cpu eng ~winner:None all_children)
-          ~sync_messages:(Majority.messages_sent consensus) )
+      failed_report ~reason:"coordinator lost" ~children:all_children
+        ~elapsed:(Engine.now eng -. t0)
+        ~wasted_cpu:(wasted_cpu eng ~winner:None all_children)
+        ~sync_messages:(Majority.messages_sent consensus)
   in
   {
     sr_report;
-    sr_incarnations = !incarnations;
-    sr_recoveries = List.rev !recoveries;
-    sr_epoch;
-    sr_coordinator = final_pid;
-    sr_site = Option.bind final_pid (Engine.site_of eng);
-    sr_space = final_space;
+    sr_incarnations = s.s_incarnations;
+    sr_recoveries = List.rev s.s_recoveries;
+    sr_epoch = s.s_incarnations;
+    sr_coordinator = Some s.cur_pid;
+    sr_site = Engine.site_of eng s.cur_pid;
+    sr_space = s.cur_space;
   }
 
 let run_toplevel eng ?policy ?space ?exclusive ?deadline alts =

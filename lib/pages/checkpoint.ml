@@ -5,37 +5,36 @@
 type image = {
   psize : int;
   store : Frame_store.t;
-  pages : (int * Frame_store.frame) list;  (* vpage, contents *)
+  vpages : int array;  (* ascending in a captured image; wire order in a parsed one *)
+  frames : Frame_store.frame array;  (* [frames.(i)] holds page [vpages.(i)] *)
   tracked : bool;  (* the source space's page tracking, re-applied at restore *)
   mutable released : bool;
 }
 
-(* One frame per source entry; [fill] writes the page into the frame and
-   names its vpage. *)
-let of_pages psize ~tracked fill entries =
-  let store = Frame_store.create ~page_size:psize in
-  let pages =
-    List.map
-      (fun e ->
-        let f = Frame_store.alloc store in
-        (fill e (Frame_store.data f), f))
-      entries
-  in
-  { psize; store; pages; tracked; released = false }
+(* A frame of [store] holding page [vpage] of [map]. *)
+let read_page store map psize vpage =
+  let f = Frame_store.alloc store in
+  Page_map.read_into map ~vpage ~off:0 ~len:psize ~dst:(Frame_store.data f) ~dst_off:0;
+  f
 
 let capture space =
   let map = Address_space.map space in
   let psize = Page_map.page_size map in
-  of_pages psize ~tracked:(Page_map.tracking map)
-    (fun vpage dst ->
-      Page_map.read_into map ~vpage ~off:0 ~len:psize ~dst ~dst_off:0;
-      vpage)
-    (Page_map.mapped_vpages map)
+  let vpages = Page_map.mapped_vpage_array map in
+  let store = Frame_store.create ~page_size:psize in
+  {
+    psize;
+    store;
+    vpages;
+    frames = Array.map (read_page store map psize) vpages;
+    tracked = Page_map.tracking map;
+    released = false;
+  }
 
 let release image =
   if not image.released then begin
     image.released <- true;
-    List.iter (fun (_, f) -> Frame_store.decref image.store f) image.pages
+    Array.iter (Frame_store.decref image.store) image.frames
   end
 
 (* A released image's frames may already hold another store's pages. *)
@@ -49,24 +48,23 @@ let restore store model image =
   if model.Cost_model.page_size <> image.psize then
     invalid_arg "Checkpoint.restore: model page size mismatch";
   let space = Address_space.create store model in
-  List.iter
-    (fun (vpage, f) ->
-      let copied = ref false in
-      Page_map.write (Address_space.map space) ~vpage ~off:0
-        ~src:(Frame_store.data f) ~copied)
-    image.pages;
+  let map = Address_space.map space and copied = ref false in
+  for i = 0 to Array.length image.vpages - 1 do
+    Page_map.write map ~vpage:image.vpages.(i) ~off:0
+      ~src:(Frame_store.data image.frames.(i)) ~copied
+  done;
   ignore (Address_space.drain_cost space);
   (* After the fill, so the restore's own writes stay out of the log. *)
   if image.tracked then Address_space.set_tracking space true;
   space
 
-let mapped_pages image = List.length image.pages
+let mapped_pages image = Array.length image.vpages
 
 let header_bytes = 16
 let per_page_header = 8
 
 let size_bytes image =
-  header_bytes + List.length image.pages * (per_page_header + image.psize)
+  header_bytes + (mapped_pages image * (per_page_header + image.psize))
 
 let to_bytes image =
   check_live image;
@@ -77,12 +75,12 @@ let to_bytes image =
     Buffer.add_bytes buf b
   in
   add_int image.psize;
-  add_int (List.length image.pages);
-  List.iter
-    (fun (vpage, f) ->
+  add_int (mapped_pages image);
+  Array.iteri
+    (fun i vpage ->
       add_int vpage;
-      Buffer.add_bytes buf (Frame_store.data f))
-    image.pages;
+      Buffer.add_bytes buf (Frame_store.data image.frames.(i)))
+    image.vpages;
   Buffer.to_bytes buf
 
 let of_bytes b =
@@ -108,22 +106,25 @@ let of_bytes b =
   let per_page = per_page_header + psize in
   if len <> header_bytes + (count * per_page) then fail ();
   let seen = Hashtbl.create (max 16 count) in
-  let offsets =
-    List.init count (fun i ->
-        let off = header_bytes + (i * per_page) in
-        let vpage = int_at off in
+  let vpages =
+    Array.init count (fun i ->
+        let vpage = int_at (header_bytes + (i * per_page)) in
         (* A negative page number or a repeated entry cannot come from
            [to_bytes]; restoring such an image would double-write pages
            silently. *)
         if vpage < 0 || Hashtbl.mem seen vpage then fail ();
         Hashtbl.replace seen vpage ();
-        off)
+        vpage)
   in
-  of_pages psize ~tracked:false
-    (fun off dst ->
-      Bytes.blit b (off + per_page_header) dst 0 psize;
-      int_at off)
-    offsets
+  let store = Frame_store.create ~page_size:psize in
+  let frames =
+    Array.init count (fun i ->
+        let f = Frame_store.alloc store in
+        Bytes.blit b (header_bytes + (i * per_page) + per_page_header)
+          (Frame_store.data f) 0 psize;
+        f)
+  in
+  { psize; store; vpages; frames; tracked = false; released = false }
 
 let transfer_cost model image =
   Cost_model.remote_spawn_cost model ~mapped_pages:(mapped_pages image)

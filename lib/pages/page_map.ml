@@ -570,9 +570,56 @@ let write_log t =
   Tbl.fold (fun vpage fid acc -> (vpage, fid) :: acc) t.writes_log []
   |> List.sort compare
 
-let mapped_vpages t =
+(* Insertion sort, which allocates nothing ([Array.sort] raises an
+   exception per sift). A map's pages are few; a checkpoint of [n] pages
+   copies [n] pages, which dwarfs the sort until [n] is in the
+   thousands. *)
+let sort_ints a =
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Keys held by [node] and the layers below it, with repeats. *)
+let rec layer_keys node =
+  Tbl.length node.frames + match node.base with Some b -> layer_keys b | None -> 0
+
+(* Copy the keys of [node] and the layers below it into [a] from [n]. *)
+let rec copy_layer_keys node a n =
+  let keys = node.frames.Tbl.keys in
+  let n = ref n in
+  for i = 0 to Array.length keys - 1 do
+    let k = Array.unsafe_get keys i in
+    if k <> Tbl.no_key then begin
+      a.(!n) <- k;
+      incr n
+    end
+  done;
+  match node.base with Some b -> copy_layer_keys b a !n | None -> ()
+
+(* A page resolves exactly when some layer of the chain holds it, so the
+   mapped pages are the chain's keys, sorted, each once: read straight
+   off the tables, with no walk state. *)
+let mapped_vpage_array t =
   check t;
-  fold_resolved t (fun vp _ _ acc -> vp :: acc) [] |> List.sort compare
+  let a = Array.make (layer_keys t.top) 0 in
+  copy_layer_keys t.top a 0;
+  sort_ints a;
+  let m = ref (min 1 (Array.length a)) in
+  for i = 1 to Array.length a - 1 do
+    if a.(i) <> a.(!m - 1) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  if !m = Array.length a then a else Array.sub a 0 !m
+
+let mapped_vpages t = Array.to_list (mapped_vpage_array t)
 
 let frame_id t ~vpage =
   check t;

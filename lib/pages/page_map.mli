@@ -161,6 +161,11 @@ val write_log : t -> (int * int) list
 val mapped_vpages : t -> int list
 (** Virtual page numbers with a materialised frame, ascending. *)
 
+val mapped_vpage_array : t -> int array
+(** {!mapped_vpages} in a fresh array, read straight off the layers'
+    page tables: it allocates the array and nothing else (a second,
+    shorter one when a page is held in more than one layer). *)
+
 val frame_id : t -> vpage:int -> int option
 (** Identity of the frame backing [vpage], for sharing assertions in
     tests. *)

@@ -1327,9 +1327,16 @@ let space_of t pid = Option.bind (find_pcb t pid) (fun p -> p.space)
 let name_of t pid = Option.map (fun p -> p.name) (find_pcb t pid)
 let site_of t pid = Option.bind (find_pcb t pid) (fun p -> p.site)
 
+(* A direct walk of the issued pids: a filter closure over [pid] would
+   allocate per call. *)
 let children_of t pid =
-  pids_where t (fun pcb ->
-      match pcb.parent with Some p -> Pid.equal p pid | None -> false)
+  let acc = ref [] in
+  for i = Pid.Allocator.allocated t.alloc - 1 downto 0 do
+    match Array.unsafe_get t.procs i with
+    | Some { parent = Some p; pid = c; _ } when Pid.equal p pid -> acc := c :: !acc
+    | _ -> ()
+  done;
+  !acc
 
 let certain_of t pid =
   match find_pcb t pid with

@@ -325,11 +325,12 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
    Each domain keeps one engine, and a batch runs on its domain's engine
    after {!Engine.reset} with the batch's seed, jobs back to back. The
    seed is derived from (workload seed, batch id) only, and a reset
-   engine is exactly a fresh one with that seed, tables' capacity aside
-   — sites topology, fault plan, circuit breakers and sanitizer are all
-   scoped to the batch and dropped by the next reset — so executing
-   batches on N domains in any order gives the same per-batch results
-   as one domain in dispatch order. The structures batches on a domain
+   engine is exactly a fresh one with that seed, tables' capacity aside.
+   Sites topology, fault plan, circuit breakers and sanitizer are all
+   scoped to the batch, and a second reset as the batch ends drops them
+   with its processes, so an idle domain's engine holds nothing of its
+   last batch. So executing batches on N domains in any order gives the
+   same per-batch results as one domain in dispatch order. The structures batches on a domain
    share are that engine's tables and the domain's free-frame pool
    ({!Frame_store}): each job releases the address spaces it created,
    and their frames serve the next job and the next batch on that
@@ -390,16 +391,40 @@ let rec fault_site_index name i =
    consensus traffic runs ~0.08-0.10 s), so the injection lands
    mid-decision; later jobs in the batch inherit the crashed topology,
    which is what exercises placement and the circuit breakers. *)
+let crash_rules = [ Faultplan.crash_site ~at:0.06 ~jitter:0.02 "s0" ]
+
+let partition_rules =
+  [
+    Faultplan.partition_sites ~at:0.06 ~jitter:0.02 ~heal_after:0.08 [ "s0" ]
+      [ "s1"; "s2"; "s3"; "s4" ];
+  ]
+
 let fault_rules cb_id =
-  match cb_id mod 3 with
-  | 0 -> [ Faultplan.crash_site ~at:0.06 ~jitter:0.02 "s0" ]
-  | 1 ->
-      [
-        Faultplan.partition_sites ~at:0.06 ~jitter:0.02 ~heal_after:0.08
-          [ "s0" ]
-          [ "s1"; "s2"; "s3"; "s4" ];
-      ]
-  | _ -> []
+  match cb_id mod 3 with 0 -> crash_rules | 1 -> partition_rules | _ -> []
+
+(* The fault sites whose breaker refuses a placement at [now], in site
+   order, asking each breaker once: [], and nothing built, while every
+   breaker allows. A site with no breaker yet has never failed, and a
+   fresh breaker allows without changing state, so it is not made. *)
+let rec refused_sites breakers ~now i =
+  if i = Array.length breakers then []
+  else
+    let refuses =
+      match breakers.(i) with
+      | Some b -> not (Breaker.allow b ~now)
+      | None -> false
+    in
+    let rest = refused_sites breakers ~now (i + 1) in
+    if refuses then fault_site_names.(i) :: rest else rest
+
+(* Every incarnation that died charges its site's breaker. *)
+let rec charge_recoveries engine breaker ~now = function
+  | [] -> ()
+  | (failed, _successor, _epoch) :: rest ->
+      (match Engine.site_of engine failed with
+      | Some s -> Breaker.record_failure (breaker s) ~now
+      | None -> ());
+      charge_recoveries engine breaker ~now rest
 
 (* Ladder rung 2: first-fit sequential execution in a fresh root
    process, no speculation. The report is fabricated — honestly: it
@@ -567,11 +592,7 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
           in
           if supervise then begin
             let sites = Option.get sites in
-            let avoid =
-              List.filter
-                (fun s -> not (Breaker.allow (breaker s) ~now:t_start))
-                fault_sites
-            in
+            let avoid = refused_sites breakers ~now:t_start 0 in
             let sr =
               Concurrent.run_supervised engine ~policy ~space
                 ~max_restarts:sv.sv_retry_budget ~deadline ~avoid_sites:avoid
@@ -581,12 +602,7 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
             let now = Engine.now engine in
             (* Every incarnation that died charges its site's breaker;
                the final incarnation settles its own site by outcome. *)
-            List.iter
-              (fun (failed, _successor, _epoch) ->
-                match Engine.site_of engine failed with
-                | Some s -> Breaker.record_failure (breaker s) ~now
-                | None -> ())
-              sr.Concurrent.sr_recoveries;
+            charge_recoveries engine breaker ~now sr.Concurrent.sr_recoveries;
             (match sr.Concurrent.sr_site with
             | Some s -> (
                 match sr.Concurrent.sr_report.Concurrent.outcome with
@@ -681,6 +697,10 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
       (fun acc b -> match b with Some b -> acc + Breaker.opens b | None -> acc)
       0 breakers
   in
+  (* Nothing of the batch is read again: reset the domain's engine now,
+     so that until its next batch it holds no process, continuation,
+     topology or fault hook of this one. *)
+  Engine.reset engine ~seed:0;
   (results, sz_viols, opens)
 
 (* ------------------------------------------------------------------ *)

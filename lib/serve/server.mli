@@ -36,7 +36,8 @@
     equal). The structures batches share are each domain's engine and
     free-frame pool ({!Frame_store}). A batch runs on its domain's
     engine after {!Engine.reset} with the batch's seed, which leaves it
-    exactly as a fresh engine. A job releases the address spaces it
+    exactly as a fresh engine, and is reset again as the batch ends, so
+    an idle domain's engine holds nothing of its last batch. A job releases the address spaces it
     created once it is audited, and later jobs and batches on that
     domain — of this run or a later one — reuse the frames. Neither can
     be observed: a reused frame is zero-filled and takes the new store's

@@ -28,10 +28,24 @@ val create : Engine.t -> names:string list -> t
 (** Install a topology on the engine: claims {!Engine.set_site_hook} and
     {!Engine.set_delivery_fault}. Raises [Invalid_argument] on an empty or
     duplicated name list. One topology per engine; installing a second one
-    silently replaces the first's hooks. *)
+    silently replaces the first's hooks. The topology is index-based (a
+    name array, a crashed flag per site, a symmetric cut matrix, members
+    per site), so placing a process allocates only its membership cell
+    and a delivery verdict on healthy sites allocates nothing. *)
 
 val names : t -> string list
-(** Site names, in declaration order. *)
+(** Site names, in declaration order: the list given to {!create}. *)
+
+val count : t -> int
+(** The number of sites. Site [i] (from 0) is the [i]th of {!names}. *)
+
+val label : t -> int -> string option
+(** [Some] the name of site [i], boxed once per topology: the value every
+    placement on that site returns, so passing it as a spawn's [?site]
+    allocates nothing. Raises [Invalid_argument] if [i] is out of range. *)
+
+val is_crashed_at : t -> int -> bool
+(** {!is_crashed} of site [i]. *)
 
 val site_of : t -> Pid.t -> string option
 (** Where the pid was placed ([None] only for processes spawned before the
@@ -69,3 +83,9 @@ val heal : t -> left:string list -> right:string list -> unit
 
 val partitioned : t -> string -> string -> bool
 (** Whether the link between the two sites is currently cut. *)
+
+val delivers : t -> sender:Pid.t -> dest:Pid.t -> bool
+(** The delivery filter's verdict on a message from [sender] to [dest] if
+    it were delivered now: [false] when either end lives on a crashed site
+    or the link between their two sites is cut. Records nothing; the
+    installed filter traces each loss it decides. *)

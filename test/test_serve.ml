@@ -583,6 +583,29 @@ let test_dirty_domain_engine () =
   check Alcotest.int64 "pinned digest after a dirty engine" 0xc6e0235e01117f45L
     (Server.digest r)
 
+(* Words the heap keeps live, after a full collection. *)
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+(* A domain's engine outlives its batches, and must not keep the last
+   one's processes, continuations, topology or fault hooks reachable.
+   After a faulted run on the calling domain, a one-request clean run
+   (whose single batch resets the same engine at its start) may free
+   nothing: the faulted run's last batch was dropped when it ended. *)
+let test_idle_domain_engine_holds_no_batch () =
+  let faulted = { Server.default with Server.sv_faults = Some 7; sv_jobs = 1 } in
+  ignore (Server.run { Workload.default with Workload.wl_requests = 2000 } faulted);
+  let after_faulted = live_words () in
+  ignore
+    (Server.run
+       { Workload.default with Workload.wl_requests = 1 }
+       { Server.default with Server.sv_jobs = 1 });
+  let after_clean = live_words () in
+  if after_faulted - after_clean > 64 then
+    Alcotest.failf "a faulted run's last batch kept %d words live"
+      (after_faulted - after_clean)
+
 let test_sanitized_run_stays_clean () =
   let sv = { Server.default with Server.sv_sanitize = true } in
   let r = Server.run { small_wl with Workload.wl_requests = 120 } sv in
@@ -786,6 +809,8 @@ let () =
             test_warm_pool_replays;
           Alcotest.test_case "a dirty domain engine serves the pinned digest" `Quick
             test_dirty_domain_engine;
+          Alcotest.test_case "an idle domain engine holds no batch" `Quick
+            test_idle_domain_engine_holds_no_batch;
           Alcotest.test_case "planner rows: pinned digests, one slot each"
             `Quick test_planner_rows;
           Alcotest.test_case "NaN config values are rejected" `Quick

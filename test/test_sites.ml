@@ -477,6 +477,259 @@ let test_restored_incarnation_stays_tracked () =
           (Address_space.written_pages sp <> []))
     children
 
+(* ------------------------------------------------------------------ *)
+(* The topology against a reference model                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The list-and-hash-table topology the index-based one replaced, kept
+   as the reference: members in a table of refs, crashed sites in a
+   table, cuts as a list of normalised unordered pairs, and each pid's
+   site in a table of its own. *)
+module Ref_topology = struct
+  type t = {
+    names : string array;
+    members : (string, Pid.t list ref) Hashtbl.t;
+    crashed : (string, unit) Hashtbl.t;
+    mutable cuts : (string * string) list;
+    mutable rr : int;
+    site : (Pid.t, string) Hashtbl.t;
+  }
+
+  let create names =
+    {
+      names = Array.of_list names;
+      members = Hashtbl.create 8;
+      crashed = Hashtbl.create 4;
+      cuts = [];
+      rr = 0;
+      site = Hashtbl.create 16;
+    }
+
+  let place t pid ~parent ~explicit =
+    let site =
+      match explicit with
+      | Some s -> Some s
+      | None -> (
+        match Option.bind parent (Hashtbl.find_opt t.site) with
+        | Some s -> Some s
+        | None ->
+          let s = t.names.(t.rr mod Array.length t.names) in
+          t.rr <- t.rr + 1;
+          Some s)
+    in
+    Option.iter
+      (fun s ->
+        Hashtbl.replace t.site pid s;
+        match Hashtbl.find_opt t.members s with
+        | Some l -> l := pid :: !l
+        | None -> Hashtbl.replace t.members s (ref [ pid ]))
+      site
+
+  let members t s =
+    match Hashtbl.find_opt t.members s with
+    | None -> []
+    | Some l -> List.sort_uniq Pid.compare !l
+
+  let is_crashed t s = Hashtbl.mem t.crashed s
+  let crash t s = Hashtbl.replace t.crashed s ()
+  let norm a b = if String.compare a b <= 0 then (a, b) else (b, a)
+
+  let cross left right =
+    List.concat_map (fun l -> List.map (fun r -> norm l r) right) left
+
+  let partition t ~left ~right =
+    t.cuts <- t.cuts @ List.filter (fun p -> not (List.mem p t.cuts)) (cross left right)
+
+  let heal t ~left ~right =
+    let gone = cross left right in
+    t.cuts <- List.filter (fun p -> not (List.mem p gone)) t.cuts
+
+  let partitioned t a b = List.mem (norm a b) t.cuts
+
+  let delivers t ~sender ~dest =
+    let ss = Hashtbl.find_opt t.site sender and ds = Hashtbl.find_opt t.site dest in
+    let crashed_end = function Some s -> is_crashed t s | None -> false in
+    if crashed_end ss || crashed_end ds then false
+    else
+      match (ss, ds) with
+      | Some a, Some b when (not (String.equal a b)) && partitioned t a b -> false
+      | _ -> true
+end
+
+(* An operation on a topology of [n] sites; its ints are taken modulo
+   what they index. *)
+type topo_op =
+  | Spawn_explicit of int
+  | Spawn_inherited of int  (* the parent: an earlier pid *)
+  | Spawn_round_robin
+  | Crash of int
+  | Partition of int  (* a bitmask: the left group *)
+  | Heal of int
+
+let show_topo_op = function
+  | Spawn_explicit i -> Printf.sprintf "explicit %d" i
+  | Spawn_inherited i -> Printf.sprintf "inherited %d" i
+  | Spawn_round_robin -> "round-robin"
+  | Crash i -> Printf.sprintf "crash %d" i
+  | Partition m -> Printf.sprintf "partition %d" m
+  | Heal m -> Printf.sprintf "heal %d" m
+
+let gen_topo_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun i -> Spawn_explicit i) (int_bound 7));
+        (3, map (fun i -> Spawn_inherited i) (int_bound 63));
+        (3, return Spawn_round_robin);
+        (1, map (fun i -> Crash i) (int_bound 7));
+        (2, map (fun m -> Partition m) (int_bound 31));
+        (2, map (fun m -> Heal m) (int_bound 31));
+      ])
+
+let arb_topology =
+  QCheck.make
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "%d sites: %s" n (String.concat "; " (List.map show_topo_op ops)))
+    QCheck.Gen.(pair (int_range 1 5) (list_size (int_range 1 40) gen_topo_op))
+
+(* Run the operations on both topologies, comparing every query after
+   each step. Two processes spawned before the topology have no site. *)
+let topology_agrees (n, ops) =
+  let eng = Engine.create ~trace:false () in
+  let names = List.init n (Printf.sprintf "n%d") in
+  let siteless = [ Engine.spawn eng ignore; Engine.spawn eng ignore ] in
+  let sites = Sites.create eng ~names in
+  let model = Ref_topology.create names in
+  let pids = ref siteless in
+  let spawn ?parent ?site () =
+    let pid = Engine.spawn eng ?parent ?site ignore in
+    Ref_topology.place model pid ~parent ~explicit:site;
+    pids := !pids @ [ pid ]
+  in
+  let split m =
+    ( List.filteri (fun i _ -> m land (1 lsl i) <> 0) names,
+      List.filteri (fun i _ -> m land (1 lsl i) = 0) names )
+  in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+  let agrees () =
+    List.iter
+      (fun s ->
+        if Sites.members sites s <> Ref_topology.members model s then
+          fail "members %s" s;
+        if Sites.is_crashed sites s <> Ref_topology.is_crashed model s then
+          fail "is_crashed %s" s;
+        List.iter
+          (fun s' ->
+            if Sites.partitioned sites s s' <> Ref_topology.partitioned model s s' then
+              fail "partitioned %s %s" s s')
+          names)
+      names;
+    if Sites.alive_sites sites
+       <> List.filter (fun s -> not (Ref_topology.is_crashed model s)) names
+    then fail "alive_sites";
+    if Sites.crashed_sites sites <> List.filter (Ref_topology.is_crashed model) names
+    then fail "crashed_sites";
+    List.iter
+      (fun a ->
+        if Sites.site_of sites a <> Hashtbl.find_opt model.Ref_topology.site a then
+          fail "site_of %s" (Pid.to_string a);
+        List.iter
+          (fun b ->
+            if Sites.delivers sites ~sender:a ~dest:b
+               <> Ref_topology.delivers model ~sender:a ~dest:b
+            then fail "delivers %s -> %s" (Pid.to_string a) (Pid.to_string b))
+          !pids)
+      !pids
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Spawn_explicit i -> spawn ~site:(List.nth names (i mod n)) ()
+      | Spawn_inherited i -> spawn ~parent:(List.nth !pids (i mod List.length !pids)) ()
+      | Spawn_round_robin -> spawn ()
+      | Crash i ->
+        let s = List.nth names (i mod n) in
+        Sites.crash sites s;
+        Ref_topology.crash model s
+      | Partition m | Heal m -> (
+        match split m with
+        | [], _ | _, [] -> ()
+        | left, right -> (
+          match op with
+          | Partition _ ->
+            Sites.partition sites ~left ~right;
+            Ref_topology.partition model ~left ~right
+          | _ ->
+            Sites.heal sites ~left ~right;
+            Ref_topology.heal model ~left ~right)));
+      agrees ())
+    ops;
+  true
+
+let prop_topology_model =
+  QCheck.Test.make ~name:"topology agrees with the list model" ~count:500
+    arb_topology topology_agrees
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per operation of [op] on a warm engine (a first run of 64
+   grows its tables), with the two sites "a" and "b" installed or none. *)
+let words_per ~topology ~n op =
+  let eng = Engine.create ~trace:false () in
+  if topology then ignore (Sites.create eng ~names:[ "a"; "b" ]);
+  op eng 64;
+  let w0 = Gc.minor_words () in
+  op eng n;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let one = Payload.int 1
+
+(* [n] messages between a process on "a" and one on "b" (round-robin
+   placement puts them there), each only receiving and replying. *)
+let cross_site_hops eng n =
+  let pong =
+    Engine.spawn eng ~cloneable:false (fun ctx ->
+        for _ = 1 to n / 2 do
+          let m = Engine.receive ctx () in
+          Engine.send ctx m.Message.sender one
+        done)
+  in
+  ignore
+    (Engine.spawn eng ~cloneable:false (fun ctx ->
+         for _ = 1 to n / 2 do
+           Engine.send ctx pong one;
+           ignore (Engine.receive ctx ())
+         done));
+  Engine.run eng
+
+(* [n] spawns, a third each placed explicitly, inherited from the
+   parent and round-robin: [n / 3] parents on "b", each spawning one
+   child, and as many parentless processes. *)
+let placements eng n =
+  for _ = 1 to n / 3 do
+    ignore
+      (Engine.spawn eng ~cloneable:false ~site:"b" (fun ctx ->
+           ignore (Engine.spawn (Engine.engine ctx) ~parent:(Engine.self ctx) ignore)));
+    ignore (Engine.spawn eng ~cloneable:false ignore);
+    Engine.run eng
+  done
+
+(* What a healthy topology adds to each operation of [op]: the
+   difference between two runs of the same program, so the engine's own
+   words cancel. A delivery verdict compares preboxed site labels and
+   reads two arrays, so it adds nothing; a placement adds its membership
+   cell (3 words with OCaml 5.1.1). The ceilings reject a verdict built
+   from local closures and pair tuples (11 words per message) and a
+   placement through [Option.bind] and a hash table (14 per spawn). *)
+let topology_words op =
+  words_per ~topology:true ~n:3000 op -. words_per ~topology:false ~n:3000 op
+
+let test_topology_alloc name op ceiling () =
+  let w = topology_words op in
+  if w > ceiling then Alcotest.failf "%s: %.2f words, ceiling %.2f" name w ceiling
+
 let () =
   Alcotest.run "sites"
     [
@@ -518,6 +771,14 @@ let () =
           Alcotest.test_case "stale epoch denied" `Quick test_stale_epoch_denied;
           Alcotest.test_case "fence voids stale grants" `Quick
             test_fence_voids_stale_grants;
+        ] );
+      ( "model", [ QCheck_alcotest.to_alcotest prop_topology_model ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "cross-site delivery on healthy sites" `Quick
+            (test_topology_alloc "cross-site delivery, per message" cross_site_hops 0.05);
+          Alcotest.test_case "placement" `Quick
+            (test_topology_alloc "placement, per spawn" placements 3.15);
         ] );
       ( "coordinator recovery",
         [
