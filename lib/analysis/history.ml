@@ -70,7 +70,7 @@ let of_trace trace =
       | Trace.Site_crashed { site } -> site_crashes := site :: !site_crashes
       | Trace.Recovered { failed; successor; epoch } ->
         recoveries := (failed, successor, epoch) :: !recoveries
-      | Trace.Started _ | Trace.Delivered_batch _ | Trace.Delivered _
+      | Trace.Started _ | Trace.Delivered _
       | Trace.Ignored _ | Trace.Split _ | Trace.Fate_deferred _ | Trace.Sanitizer_flag _ | Trace.Note _
       | Trace.Partitioned _ | Trace.Healed _ | Trace.Degraded _ -> ())
     (Trace.events trace);

@@ -353,9 +353,9 @@ let on_event t ~time:_ e =
       end
       else if Page_map.released (Address_space.map sp) then drop_clock t pid)
   | Trace.Killed { pid; _ } -> mark_dead t pid
-  (* Only the kinds in [kinds] arrive. [Delivered], [Delivered_batch] and
-     the rest are left out by design: happens-before is carried by [Sent]
-     and [Accepted]; a delivery alone orders nothing. *)
+  (* Only the kinds in [kinds] arrive. [Delivered] and the rest are left
+     out by design: happens-before is carried by [Sent] and [Accepted]; a
+     delivery alone orders nothing. *)
   | _ -> ()
 
 let kinds =

@@ -12,8 +12,8 @@
     next tick is due at [Float.max (now +. min_rem /. rate) now], with
     [rate] read after it changes. It lives in the event queue's slot, not
     its heap: each reschedule re-keys the slot (or clears it when no task
-    is left), and a re-key takes a fresh {!Event_queue.stamp} even when
-    the time is unchanged. *)
+    is left), and a re-key takes a fresh sequence number even when the
+    time is unchanged. *)
 
 (** CPU capacity: [Infinite] gives every task its own processor; [Cores c]
     shares [c] of them. *)

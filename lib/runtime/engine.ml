@@ -85,37 +85,16 @@ and 'a ivar = { mutable value : 'a option; mutable waiters : park list }
 
 and ctx = { engine : t; pcb : pcb }
 
-(* What the event queue holds: data, dispatched by [run].
-
-   A [Flush] is a delivery batch: the messages of one (sender, logical
-   dest) pair due at one time, handed to the receiver by one event.
-   [first] is its first message; [more] is {!no_more} for a batch of one,
-   else a ring holding every message of the batch, [first] included; a
-   delayed or reordered fault injection is a batch of one of its own. A
-   later send may join the batch only if (a) it goes to the same pair,
-   (b) it is due at exactly the batch's flush time, (c) the event queue's
-   stamp has not moved since the batch was pushed — nothing else was
-   scheduled in between — and (d) no event has executed since either. The
-   stamp alone counts only pushes: a zero-delay timer that pops and runs
-   between two sends at the same virtual time (say, filling an ivar whose
-   waiter resumes synchronously and sends again) moves neither the stamp
-   nor the flush time, yet an event did order between the two sends and
-   must flush the batch. Nor may a sender that the batch's own flush
-   resumes, at its time, join the batch it has just delivered. With
-   (a)–(d) no event can order between the batch's members, so global
-   (time, seq) order is exactly as if each message had its own event.
-   Every push takes a stamp, so only the batch pushed last can pass (c):
-   the engine keeps that one in [open_batch]. *)
+(* What the event queue holds: data, dispatched by [run]. A [Deliver]
+   carries one sent message to every world copy of its logical
+   destination, [msg.dest]: each send (and each copy an injected
+   duplicate makes) is its own event, at the time its (sender, logical
+   dest) FIFO clock assigns. *)
 and event =
   | Tick  (* the CPU's, in the queue's slot *)
   | Deadline  (* a timed wait's, keyed by its pid *)
   | Start of pcb
-  | Flush of {
-      sender : Pid.t;
-      dest : Pid.t;  (* logical destination *)
-      first : Message.t;
-      mutable more : Mailbox.t;
-    }
+  | Deliver of Message.t
   | Thunk of (unit -> unit)
 
 and fault_action =
@@ -145,14 +124,7 @@ and t = {
       (* The runnable processes, each parked as the [Park_cpu] its tick
          hands back. *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
-  mutable events_processed : int;  (* also the batch-join epoch *)
-  mutable open_batch : event;  (* the [Flush] pushed last; [Tick] before any *)
-  open_time : floatarray;  (* its flush time, unboxed *)
-  mutable open_stamp : int;  (* Event_queue.stamp just after its push *)
-  mutable open_epoch : int;  (* events_processed at its push *)
-  mutable spare : Mailbox.t;
-      (* An empty ring for the next joined batch, or {!no_more}: flushed
-         batches' rings, with their slot arrays, are recycled here. *)
+  mutable events_processed : int;
   mutable live : int;
   mutable deferred : pcb list;  (* exited ok, fate deferred on predicates *)
   mutable stopped : bool;
@@ -205,9 +177,6 @@ let initial_pids = 16
 (* Sentinel: a generator never drawn from (a pcb's stream before its
    first draw). *)
 let no_rng = Rng.create ~seed:0
-
-(* The [more] of every batch of one. Never pushed to. *)
-let no_more = Mailbox.create ()
 
 let set_message_fault t f = t.msg_fault <- f
 let set_spawn_hook t f = t.spawn_hook <- f
@@ -327,11 +296,6 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     cpu = Cpu.create cores queue ~tick:Tick ~empty:No_park;
     mailbox_scanned = 0;
     events_processed = 0;
-    open_batch = Tick;
-    open_time = Float.Array.make 1 0.;
-    open_stamp = -1;
-    open_epoch = -1;
-    spare = no_more;
     live = 0;
     deferred = [];
     stopped = false;
@@ -350,8 +314,7 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
 (* Back to the state [create ~seed] leaves, with the same cores, model
    and trace setting, keeping every table's capacity. The pid-indexed
    tables are cleared up to the last pid issued, the only part a run
-   touches. The handler is kept, as it reads everything from [t], and so
-   is the spare batch ring, which is empty. *)
+   touches. The handler is kept, as it reads everything from [t]. *)
 let reset t ~seed =
   let issued = Pid.Allocator.allocated t.alloc in
   Array.fill t.procs 0 issued None;
@@ -367,10 +330,6 @@ let reset t ~seed =
   t.spawned <- 0;
   t.mailbox_scanned <- 0;
   t.events_processed <- 0;
-  t.open_batch <- Tick;
-  Float.Array.unsafe_set t.open_time 0 0.;
-  t.open_stamp <- -1;
-  t.open_epoch <- -1;
   t.live <- 0;
   t.deferred <- [];
   t.stopped <- false;
@@ -850,10 +809,7 @@ and make_handler t =
    is one [park] value in [pcb.park], plus a CPU task or an ivar waiter
    entry holding that same value, plus a deadline handle for a timed wait
    with a finite timeout. No park builds a closure or a cancellable
-   event. Each wait takes exactly the event-queue stamps it always has (an
-   untimed receive none, a finite timed wait one, at park time), since
-   the batch-join rule compares [Event_queue.stamp]; clearing a deadline
-   takes none. A woken or killed timed wait clears its deadline, so the
+   event. A woken or killed timed wait clears its deadline, so the
    heap keeps no dead entry and the clock is never dragged to a deadline
    nobody waits for. A receive parks only after its caller found nothing
    acceptable, and the park does not scan again. *)
@@ -886,36 +842,6 @@ and suspend : type a.
       pcb.park <- p;
       iv.waiters <- iv.waiters @ [ p ]
     | _ -> invalid_arg "Engine.suspend: not a park effect")
-
-(* Hand [msg] to a flush at the time in [pcb.sent_at.(i)] (read through
-   the index, so the float stays unboxed): join the open batch when that
-   is provably order-preserving (see [event]), otherwise push a fresh
-   [Flush], which takes exactly the event-queue slot a per-message
-   delivery would, so (time, seq) order is unchanged. A batch's first
-   join moves it into a ring, the spare one when there is one. *)
-and batch_push t pcb i (msg : Message.t) =
-  let at = Float.Array.unsafe_get pcb.sent_at i in
-  match t.open_batch with
-  | Flush b
-    when Float.Array.unsafe_get t.open_time 0 = at
-         && t.open_stamp = Event_queue.stamp t.queue
-         && t.open_epoch = t.events_processed
-         && Pid.equal b.sender pcb.pid
-         && Pid.equal b.dest msg.dest ->
-    if b.more == no_more then begin
-      let ring = if t.spare == no_more then Mailbox.create () else t.spare in
-      t.spare <- no_more;
-      Mailbox.push ring b.first;
-      b.more <- ring
-    end;
-    Mailbox.push b.more msg
-  | _ ->
-    let b = Flush { sender = pcb.pid; dest = msg.dest; first = msg; more = no_more } in
-    schedule t ~at b;
-    t.open_batch <- b;
-    Float.Array.unsafe_set t.open_time 0 at;
-    t.open_stamp <- Event_queue.stamp t.queue;
-    t.open_epoch <- t.events_processed
 
 and do_send t pcb ~dest ~tag payload =
   let predicate =
@@ -953,14 +879,14 @@ and do_send t pcb ~dest ~tag payload =
      reordered send keeps later sends on their fault-free schedule. *)
   Float.Array.unsafe_set pcb.sent_at i at;
   match t.msg_fault with
-  | None -> batch_push t pcb i msg
+  | None -> schedule t ~at (Deliver msg)
   | Some f -> (
     let inject kind =
       if wants t Trace.Kind.injected then
         tr t (Trace.Injected { kind; pid = None; msg = Some msg })
     in
     match f msg with
-    | F_deliver -> batch_push t pcb i msg
+    | F_deliver -> schedule t ~at (Deliver msg)
     | F_drop ->
       (* The send happened; the network lost it. *)
       inject "drop"
@@ -969,8 +895,8 @@ and do_send t pcb ~dest ~tag payload =
       (* Two entries sharing one immutable value: consuming one copy
          cannot touch the other, and a world split's physical-identity
          filter removes both as a single logical send. *)
-      batch_push t pcb i msg;
-      batch_push t pcb i msg
+      schedule t ~at (Deliver msg);
+      schedule t ~at (Deliver msg)
     | F_delay extra ->
       (* Extra latency that also holds back later sends to the same
          destination: per-sender FIFO is preserved, everything just
@@ -978,73 +904,42 @@ and do_send t pcb ~dest ~tag payload =
       let at = at +. Float.max 0. extra in
       Float.Array.unsafe_set pcb.sent_at i at;
       inject "delay";
-      schedule t ~at (Flush { sender = pcb.pid; dest; first = msg; more = no_more })
+      schedule t ~at (Deliver msg)
     | F_reorder extra ->
       (* Extra latency that does NOT advance the clock: a later send may
          overtake this message — a genuine FIFO violation. *)
       inject "reorder";
-      schedule t
-        ~at:(at +. Float.max 0. extra)
-        (Flush { sender = pcb.pid; dest; first = msg; more = no_more }))
+      schedule t ~at:(at +. Float.max 0. extra) (Deliver msg))
 
-(* Hand every message of one delivery batch to every world copy of its
-   destination, then rescan each copy once. The rule is the same whoever
-   watches: no user code runs before the rescan, so no receiver can see a
-   batch half-delivered, and every [Delivered] event and delivery-fault
-   verdict of the batch precedes the first acceptance. How the messages
-   move is chosen from what the engine can see: a single copy with no
-   delivery-fault hook takes a joined run in one [transfer] (O(1)
-   when it adopts into an empty ring); anything else, a batch of one
-   included, offers each message to each copy in turn. An emptied ring
-   becomes the engine's spare. *)
-and flush_batch t sender dest first more =
-  if more == no_more then offer_copies t first dest
-  else begin
-    if wants t Trace.Kind.delivered_batch then
-      tr t (Trace.Delivered_batch { sender; dest; count = Mailbox.length more });
-    (match (t.delivery_fault, World.copies t.worlds dest) with
-    | None, [] -> hand_over t more dest
-    | None, [ pid ] -> hand_over t more pid
-    | _ ->
-      while not (Mailbox.is_empty more) do
-        let pos = Mailbox.head_pos more in
-        offer_copies t (Mailbox.message_at more pos) dest;
-        Mailbox.remove more pos
-      done);
-    if Mailbox.is_empty more then t.spare <- more
-  end;
-  rescan_worlds t dest
+(* Offer [msg] to every world copy of its logical destination, then
+   rescan each copy once: every copy holds the message before any
+   receiver runs. A destination with no copies (one that never split, a
+   ghost, or the physical pid of a clone) stands for itself. The
+   delivery-fault hook is asked per copy at delivery time, so a site
+   crash or partition that comes up while the message is in flight still
+   loses it; the hook records its own trace events. Every copy that takes
+   the message shares the one immutable value. *)
+and deliver t (msg : Message.t) =
+  (match World.copies t.worlds msg.dest with
+  | [] -> offer t msg msg.dest
+  | copies -> offer_each t msg copies);
+  match World.copies t.worlds msg.dest with
+  | [] -> rescan_world_copy t msg.dest
+  | copies -> rescan_each t copies
 
-(* The single-copy bulk move: the destination is looked up once for the
-   whole run (liveness cannot change mid-move). A dead one drops it. *)
-and hand_over t more pid =
-  match find_pcb t pid with
-  | Some pcb when is_alive pcb ->
-    if wants t Trace.Kind.delivered then
-      for pos = Mailbox.head_pos more to Mailbox.tail_pos more - 1 do
-        tr t (Trace.Delivered { dest = pid; msg = Mailbox.message_at more pos })
-      done;
-    Mailbox.transfer more pcb.mailbox
-  | _ -> ()
-
-(* Offer one message to each world copy of [dest] in turn; a destination
-   with none (one that never split, a ghost, or the physical pid of a
-   clone) stands for itself. The delivery-fault hook is asked per copy at
-   delivery time, so a site crash or partition that comes up while the
-   message is in flight still loses it; the hook records its own trace
-   events. Every copy that takes the message shares the one immutable
-   value. *)
-and offer_copies t msg dest =
-  match World.copies t.worlds dest with
-  | [] -> offer t msg dest
-  | copies -> offer_each t msg copies
-
-(* A direct loop: a closure over the message would allocate per entry. *)
+(* Direct loops: a closure over the message or the engine would allocate
+   per delivery. *)
 and offer_each t msg = function
   | [] -> ()
   | pid :: rest ->
     offer t msg pid;
     offer_each t msg rest
+
+and rescan_each t = function
+  | [] -> ()
+  | pid :: rest ->
+    rescan_world_copy t pid;
+    rescan_each t rest
 
 and offer t msg pid =
   match find_pcb t pid with
@@ -1054,12 +949,6 @@ and offer t msg pid =
       if wants t Trace.Kind.delivered then tr t (Trace.Delivered { dest = pid; msg })
     end
   | _ -> ()
-
-and rescan_worlds t dest =
-  match World.copies t.worlds dest with
-  | [] -> rescan_world_copy t dest
-  | [ pid ] -> rescan_world_copy t pid
-  | pids -> List.iter (fun pid -> rescan_world_copy t pid) pids
 
 and rescan_world_copy t pid =
   match find_pcb t pid with
@@ -1151,7 +1040,7 @@ let run t =
     | Tick -> cpu_tick t
     | Deadline -> deadline t (Event_queue.popped_handle q)
     | Start pcb -> start_pcb t pcb
-    | Flush b -> flush_batch t b.sender b.dest b.first b.more
+    | Deliver msg -> deliver t msg
     | Thunk f -> f ()
   done
 

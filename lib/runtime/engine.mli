@@ -424,11 +424,11 @@ val set_site_hook :
 
 val set_delivery_fault : t -> (Message.t -> dest:Pid.t -> bool) option -> unit
 (** Install (or clear) the delivery filter, consulted at {e delivery} time
-    once per (entry, destination copy): [false] silently discards that
+    once per (message, destination copy): [false] silently discards that
     copy's delivery. Unlike {!set_message_fault} (a send-time decision),
     this sees faults that arise while the message is in flight — a site
     crash or partition loses exactly the traffic that was crossing it. A
-    batch's verdicts are all taken before any copy is rescanned, so no
+    message's verdicts are all taken before any copy is rescanned, so no
     receiver runs between two of them, and installing a filter that admits
     everything changes nothing a receiver observes. The filter is expected
     to record its own {!Trace.Injected} events. *)

@@ -275,7 +275,6 @@ let pop t =
 
 let peek_time t = if is_empty t then None else Some (min_time t)
 
-let stamp t = t.next_seq
 let size t = if t.slot_seq < 0 then t.size else t.size + 1
 
 let clear t =

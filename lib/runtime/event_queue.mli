@@ -28,20 +28,19 @@ val push : 'a t -> time:float -> 'a -> unit
 val set_handle : 'a t -> int -> time:float -> 'a -> unit
 (** [set_handle t h ~time v] makes [v] at [time] the entry of handle [h],
     replacing the entry [h] had, if any. It takes a fresh sequence number
-    exactly as {!push} would (so it moves {!stamp}). Raises
-    [Invalid_argument] if [time] is NaN or [h] is negative. *)
+    exactly as {!push} would. Raises [Invalid_argument] if [time] is NaN
+    or [h] is negative. *)
 
 val clear_handle : 'a t -> int -> unit
-(** Remove handle [h]'s entry, if it has one. Does not move {!stamp}. *)
+(** Remove handle [h]'s entry, if it has one. Takes no sequence number. *)
 
 val set_slot : 'a t -> time:float -> 'a -> unit
 (** Put [v] in the slot at [time], replacing whatever the slot held. It
-    takes a fresh sequence number exactly as {!push} would (so it moves
-    {!stamp}), even when the time is unchanged. Raises [Invalid_argument]
-    if [time] is NaN. *)
+    takes a fresh sequence number exactly as {!push} would, even when the
+    time is unchanged. Raises [Invalid_argument] if [time] is NaN. *)
 
 val clear_slot : 'a t -> unit
-(** Empty the slot, if set. Does not move {!stamp}. *)
+(** Empty the slot, if set. Takes no sequence number. *)
 
 val min_time : 'a t -> float
 (** The time of the earliest event. Raises [Invalid_argument] on an empty
@@ -61,14 +60,6 @@ val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event, [None] when empty. *)
 
 val peek_time : 'a t -> float option
-
-val stamp : 'a t -> int
-(** The sequence number the next {!push}, {!set_handle} or {!set_slot}
-    will receive. Two
-    observations of [stamp] are equal iff nothing was pushed, set or
-    slotted in between, which is what the engine's batch-join rule uses to
-    decide whether a message may join an already-scheduled delivery batch
-    without reordering it against intervening events. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

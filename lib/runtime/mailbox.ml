@@ -1,12 +1,11 @@
-(* A ring-buffer mailbox of immutable messages.
+(* A receiver's ring-buffer mailbox of immutable messages.
 
-   Used both as a receiver's mailbox and to hold a joined delivery
-   batch's run of messages until its flush. Entries are addressed by
-   *absolute* monotone positions: [head] is the first position that may
-   still hold a live entry, [tail] is one past the newest. A position
-   maps to a physical slot by masking with the (power-of-two) slot-array
-   length, so positions survive growth and removal — the engine's per-tag
-   receive cursors depend on that stability.
+   Entries are addressed by *absolute* monotone positions: [head] is the
+   first position that may still hold a live entry, [tail] is one past
+   the newest. A position maps to a physical slot by masking with the
+   (power-of-two) slot-array length, so positions survive growth and
+   removal — the engine's per-tag receive cursors depend on that
+   stability.
 
    A slot holds the sent [Message.t] itself: messages are immutable, so
    every copy of a send (world copies, an injected duplicate) shares the
@@ -87,48 +86,6 @@ let remove t pos =
     t.live <- t.live - 1;
     skip_tombstones t
   end
-
-let rec reset_cursors pos = function
-  | [] -> ()
-  | c :: rest -> c.cpos <- pos; reset_cursors pos rest
-
-(* Whole-batch adoption: when the destination is empty, it takes the
-   source's slot array wholesale and the source inherits the (empty)
-   array the destination held. O(1) instead of O(batch), and in a streaming steady
-   state the two rings simply circulate one pair of arrays between them.
-   The entries are the very values the copying path would have pushed. *)
-let adopt t dst =
-  let slots = dst.slots and pos = dst.tail in
-  dst.slots <- t.slots;
-  dst.head <- t.head;
-  dst.tail <- t.tail;
-  dst.live <- t.live;
-  t.slots <- slots;
-  t.head <- pos;
-  t.tail <- pos;
-  t.live <- 0;
-  (* Both rings' absolute numbering just jumped; cursors are lower bounds
-     tied to the old numbering, so reset them to the new heads. *)
-  reset_cursors dst.head dst.cursors;
-  reset_cursors t.head t.cursors
-
-let transfer t dst =
-  if t.tail > t.head then
-    if dst.live = 0 then adopt t dst
-    else begin
-      reserve dst (t.tail - t.head);
-      let mask = Array.length t.slots - 1 in
-      for pos = t.head to t.tail - 1 do
-        let i = pos land mask in
-        let m = Array.unsafe_get t.slots i in
-        if m != no_message then begin
-          push dst m;
-          Array.unsafe_set t.slots i no_message
-        end
-      done;
-      t.live <- 0;
-      t.head <- t.tail
-    end
 
 (* Never a ring's cursor, and never written. *)
 let no_cursor = { ctag = ""; cpos = 0 }

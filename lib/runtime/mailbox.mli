@@ -1,7 +1,5 @@
-(** A ring-buffer mailbox of immutable messages.
+(** A receiver's ring-buffer mailbox of immutable messages.
 
-    Serves both as a receiver's mailbox and as the run of messages a
-    joined delivery batch holds until its flush.
     Entries are addressed by absolute monotone positions that survive
     growth and removal: position [p] lives in physical slot
     [p land (n - 1)] of a slot array whose length [n] is a power of two,
@@ -53,15 +51,6 @@ val message_at : t -> int -> Message.t
 val remove : t -> int -> unit
 (** Tombstone the entry at an absolute position; the head advances past
     any leading tombstones. No-op on an already empty slot. *)
-
-val transfer : t -> t -> unit
-(** [transfer src dst] moves every live entry of [src] to the back of
-    [dst], in order, and leaves [src] empty. When [dst] is empty, [dst]
-    adopts [src]'s slot array in O(1) (and [src] continues from [dst]'s
-    old tail with [dst]'s old array); both rings' cursors reset to their
-    new heads. Otherwise the entries are copied. Batched delivery moves
-    a joined batch this way when it goes to a single receiver with no
-    delivery-fault hook to consult. *)
 
 val cursor : t -> string -> cursor
 (** The ring's cursor for [tag], created at the current head on first

@@ -4,7 +4,6 @@ type event =
   | Exited of { pid : Pid.t; status : string }
   | Sent of { msg : Message.t }
   | Delivered of { dest : Pid.t; msg : Message.t }
-  | Delivered_batch of { sender : Pid.t; dest : Pid.t; count : int }
   | Accepted of { dest : Pid.t; msg : Message.t; dest_pred : Predicate.t }
   | Ignored of { dest : Pid.t; msg : Message.t; reason : string }
   | Split of { original : Pid.t; clone : Pid.t; on : Message.t }
@@ -32,25 +31,24 @@ module Kind = struct
   let exited = 1 lsl 2
   let sent = 1 lsl 3
   let delivered = 1 lsl 4
-  let delivered_batch = 1 lsl 5
-  let accepted = 1 lsl 6
-  let ignored = 1 lsl 7
-  let split = 1 lsl 8
-  let killed = 1 lsl 9
-  let fate = 1 lsl 10
-  let fate_deferred = 1 lsl 11
-  let absorbed = 1 lsl 12
-  let sync_won = 1 lsl 13
-  let sync_late = 1 lsl 14
-  let injected = 1 lsl 15
-  let degraded = 1 lsl 16
-  let site_crashed = 1 lsl 17
-  let partitioned = 1 lsl 18
-  let healed = 1 lsl 19
-  let recovered = 1 lsl 20
-  let sanitizer_flag = 1 lsl 21
-  let note = 1 lsl 22
-  let all = (1 lsl 23) - 1
+  let accepted = 1 lsl 5
+  let ignored = 1 lsl 6
+  let split = 1 lsl 7
+  let killed = 1 lsl 8
+  let fate = 1 lsl 9
+  let fate_deferred = 1 lsl 10
+  let absorbed = 1 lsl 11
+  let sync_won = 1 lsl 12
+  let sync_late = 1 lsl 13
+  let injected = 1 lsl 14
+  let degraded = 1 lsl 15
+  let site_crashed = 1 lsl 16
+  let partitioned = 1 lsl 17
+  let healed = 1 lsl 18
+  let recovered = 1 lsl 19
+  let sanitizer_flag = 1 lsl 20
+  let note = 1 lsl 21
+  let all = (1 lsl 22) - 1
 end
 
 let kind = function
@@ -59,7 +57,6 @@ let kind = function
   | Exited _ -> Kind.exited
   | Sent _ -> Kind.sent
   | Delivered _ -> Kind.delivered
-  | Delivered_batch _ -> Kind.delivered_batch
   | Accepted _ -> Kind.accepted
   | Ignored _ -> Kind.ignored
   | Split _ -> Kind.split
@@ -193,9 +190,6 @@ let pp_event ppf = function
   | Sent { msg } -> Format.fprintf ppf "send %a" Message.pp msg
   | Delivered { dest; msg } ->
     Format.fprintf ppf "deliver to %a: %a" Pid.pp dest Message.pp msg
-  | Delivered_batch { sender; dest; count } ->
-    Format.fprintf ppf "deliver batch %a -> %a (%d messages)" Pid.pp sender
-      Pid.pp dest count
   | Accepted { dest; msg; dest_pred } ->
     Format.fprintf ppf "accept by %a %a: %a" Pid.pp dest Predicate.pp dest_pred
       Message.pp msg
@@ -299,10 +293,6 @@ let json_fields_of_event = function
   | Delivered { dest; msg } ->
     ( "delivered",
       Printf.sprintf "\"dest\":%s,\"msg\":%s" (json_pid dest) (json_msg msg) )
-  | Delivered_batch { sender; dest; count } ->
-    ( "delivered_batch",
-      Printf.sprintf "\"sender\":%s,\"dest\":%s,\"count\":%d" (json_pid sender)
-        (json_pid dest) count )
   | Accepted { dest; msg; dest_pred } ->
     ( "accepted",
       Printf.sprintf "\"dest\":%s,\"dest_pred\":%s,\"msg\":%s" (json_pid dest)

@@ -17,14 +17,6 @@ type event =
   | Exited of { pid : Pid.t; status : string }
   | Sent of { msg : Message.t }
   | Delivered of { dest : Pid.t; msg : Message.t }
-  | Delivered_batch of { sender : Pid.t; dest : Pid.t; count : int }
-      (** A delivery batch handed [count] messages that [sender] sent to
-          [dest] at one delivery time to their receiver in a single
-          event-queue event. Emitted (before
-          the per-message {!Delivered} events it covers, which all come
-          before any receiver accepts one of them) only when
-          [count > 1]; a batch of one is indistinguishable from the
-          pre-batching engine and is not announced. *)
   | Accepted of { dest : Pid.t; msg : Message.t; dest_pred : Predicate.t }
       (** [dest_pred] is the receiver's predicate {e before} it adopted any
           of the sender's assumptions: the analysis layer audits acceptance
@@ -98,7 +90,6 @@ module Kind : sig
   val exited : mask
   val sent : mask
   val delivered : mask
-  val delivered_batch : mask
   val accepted : mask
   val ignored : mask
   val split : mask

@@ -4,10 +4,11 @@
    recorded when the engine could shard (where shards 1/2/4 were asserted
    equal); a zero-latency ring storm keeps its pinned trace events and
    per-channel FIFO; per-process RNG streams depend only on (seed, pid); the shared
-   pool propagates the lowest-indexed exception and survives it; the
-   batch-join epoch guard is engine-wide; and [Engine.create] accepts only
-   the one shard it has. The suite and case names predate the removal of
-   in-engine sharding and are kept as they were. *)
+   pool propagates the lowest-indexed exception and survives it; a fill
+   between two same-time sends keeps FIFO and a pinned trace; and
+   [Engine.create] accepts only the one shard it has. The suite and case
+   names predate the removal of in-engine sharding and of the delivery
+   batch, and are kept as they were. *)
 
 let check = Alcotest.check
 
@@ -162,20 +163,19 @@ let ring_run () =
   Engine.run eng;
   (Trace.to_jsonl (Engine.trace eng), Array.map List.rev got)
 
-(* Every batch lands whole before any receiver is rescanned, so each
-   batch's [accepted] lines follow all of its [delivered] lines. The
-   digest over the sorted lines was recorded when receivers were rescanned
-   entry by entry: the events and their contents must stay exactly those,
-   whatever order they come in. *)
+(* Each message is its own delivery event, and its receiver is rescanned
+   right after it lands, so each [accepted] line follows its own
+   [delivered] line. The three digests pin the trace, its length, and its
+   lines up to order. *)
 let test_zero_lookahead_ordering () =
   let trace, got = ring_run () in
-  check Alcotest.string "ring trace digest" "9093b0c7a94edb91" (fnv [ trace ]);
+  check Alcotest.string "ring trace digest" "915d365693766c55" (fnv [ trace ]);
   let lines =
     String.split_on_char '\n' trace |> List.filter (fun l -> l <> "")
   in
-  check Alcotest.int "ring trace event count" 56 (List.length lines);
+  check Alcotest.int "ring trace event count" 52 (List.length lines);
   check Alcotest.string "ring trace events unchanged up to order"
-    "fb06139dd5c0e4ed" (fnv (List.sort compare lines));
+    "04c5121b65884871" (fnv (List.sort compare lines));
   Array.iteri
     (fun i payloads ->
       let from = (i + ring_n - 1) mod ring_n in
@@ -260,16 +260,14 @@ let test_shared_pool_raises_lowest_index () =
     (Array.init 8 (fun i -> i * i))
     again
 
-(* ---------------- the batch-join epoch guard ----------------
+(* ---------------- a fill between two same-time sends ----------------
 
-   The guard's epoch is the engine-wide executed-event count; a count kept
-   per site (or per queue) is not equivalent. Construction: src (site s0)
-   sends m1 and parks on an ivar; wake (site s1) fills the ivar in its own
-   start event, resuming src synchronously, and src sends m2 at the same
-   flush time with no intervening push, so only the epoch can tell the two
-   sends apart. A filler on s1 that parks first makes s1's count at m2
-   equal s0's count at m1: a per-site epoch would join a batch the global
-   order saw an event interleave into. *)
+   src (site s0) sends m1 and parks on an ivar; wake (site s1) fills the
+   ivar in its own start event, resuming src synchronously, and src sends
+   m2 due at the same time with no intervening push. A filler on s1 that
+   parks first gives the two sites equal executed-event counts at the two
+   sends. The receiver must take m1 then m2, and the trace must be the
+   same on every run. *)
 
 let epoch_guard_run () =
   let eng = Engine.create () in
@@ -295,19 +293,13 @@ let epoch_guard_run () =
     (Engine.spawn eng ~cloneable:false ~oblivious:true ~name:"wake" ~site:"s1"
        (fun _ctx -> ignore (Engine.Ivar.try_fill iv 0)));
   Engine.run eng;
-  let batches =
-    Trace.count (Engine.trace eng) ~f:(function
-      | Trace.Delivered_batch _ -> true
-      | _ -> false)
-  in
   let payloads = List.rev_map (function Payload.Int i -> i | _ -> -1) !got in
-  (Trace.to_jsonl (Engine.trace eng), batches, payloads)
+  (Trace.to_jsonl (Engine.trace eng), payloads)
 
 let test_epoch_guard_regression () =
-  let trace, batches, got = epoch_guard_run () in
-  check Alcotest.int "the interleaved event split the batch" 0 batches;
+  let trace, got = epoch_guard_run () in
   check Alcotest.(list int) "FIFO" [ 1; 2 ] got;
-  let trace', _, _ = epoch_guard_run () in
+  let trace', _ = epoch_guard_run () in
   check Alcotest.string "trace is deterministic" trace trace';
   check Alcotest.string "trace digest unchanged" "bbae44d57309df0e" (fnv [ trace ])
 

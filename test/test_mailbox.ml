@@ -12,10 +12,10 @@
    - the per-tag receive cursor (the quadratic re-scan fix), with a hard
      budget on [Engine.stats_mailbox_scanned],
    - size stamping at send,
-   - batched delivery interleaved with zero-timeout pure polls, the same
-     with the trace off, on, or behind a pass-through delivery hook,
-   - two qcheck models: the ring against a FIFO list, and channel
-     batching against one-event-per-message delivery order. *)
+   - delivery interleaved with zero-timeout pure polls, the same with
+     the trace off, on, or behind a pass-through delivery hook,
+   - two qcheck models: the ring against a FIFO list, and delivery order
+     against the per-message (time, send order) reference. *)
 
 let check = Alcotest.check
 
@@ -160,20 +160,18 @@ let test_copy_excluding_drops_every_copy () =
 
 (* ---------------- duplicates and identity ---------------- *)
 
-(* A duplicate travels outbox -> mailbox as two entries of one value.
-   After the first copy is consumed and later traffic has cycled through
-   both rings, the second copy is still the sent value: no slot holds
-   content that traffic could overwrite. *)
+(* A duplicate lands as two entries of one value. After the first copy
+   is consumed and later traffic has cycled through the ring's slots, the
+   second copy is still the sent value: no slot holds content that
+   traffic could overwrite. *)
 let test_traffic_cannot_reach_a_duplicate () =
-  let outbox = Mailbox.create () and inbox = Mailbox.create () in
+  let inbox = Mailbox.create () in
   let m = message ~uid:42 ~tag:"orig" (Payload.int 1234) in
-  Mailbox.push outbox m;
-  Mailbox.push outbox m;
-  Mailbox.transfer outbox inbox;
+  Mailbox.push inbox m;
+  Mailbox.push inbox m;
   check Alcotest.bool "first copy is the sent value" true (pop_front inbox == m);
   for i = 0 to 99 do
-    push_one outbox ~uid:i ~tag:"evil" (Payload.str "overwrite");
-    Mailbox.transfer outbox inbox;
+    push_one inbox ~uid:i ~tag:"evil" (Payload.str "overwrite");
     (* Consume the newcomer, leaving the second copy at the head. *)
     Mailbox.remove inbox (Mailbox.tail_pos inbox - 1)
   done;
@@ -311,8 +309,8 @@ let test_duplicates_stay_one_logical_send () =
 
 (* With the trace off, the receiver gets the sender's message value and
    the sender's payload value — not a rebuilt or decoded copy — whether
-   the batch moves to one copy in bulk, is offered to two world copies,
-   or passes a delivery-fault hook. *)
+   the message goes to one copy, to two world copies, or through a
+   delivery-fault hook. *)
 let test_delivered_message_is_the_sent_value () =
   let sent = List.init 3 (fun i -> Payload.str (Printf.sprintf "p%d" i)) in
   let run_single ~hook =
@@ -400,8 +398,8 @@ let test_tag_cursor_scan_budget () =
          done;
          for i = 1 to n_wanted do
            Engine.send ctx ~tag:"want" receiver (Payload.int i);
-           (* A fresh delivery batch per wanted message, so the receiver
-              parks and rescans between them — the worst case for the old
+           (* One wanted message per instant, so the receiver parks and
+              rescans between them — the worst case for the old
               quadratic walk. *)
            Engine.delay ctx 0.001
          done));
@@ -452,7 +450,7 @@ let test_size_stamped_and_payload_frozen_at_send () =
       (Payload.equal big m2.Message.payload)
   | l -> Alcotest.failf "expected 2 messages, got %d" (List.length l)
 
-(* ---------------- batched delivery vs zero-timeout polls ---------------- *)
+(* ---------------- delivery vs zero-timeout polls ---------------- *)
 
 (* What a receiver observes must not depend on who watches: the same
    programs run with the trace off, with it on, and with a delivery-fault
@@ -468,17 +466,17 @@ let observers =
         eng );
   ]
 
-(* [receive_timeout ~timeout:0.] is a pure poll: before the batch lands it
-   must report None without parking; after the batch lands it must drain
+(* [receive_timeout ~timeout:0.] is a pure poll: before a burst lands it
+   must report None without parking; after the burst lands it must drain
    exactly the delivered messages in order. *)
-let batch_vs_zero_timeout_polls (what, make) =
+let zero_timeout_polls (what, make) =
   let n = 50 in
   let eng = make () in
   let pre_polls = ref (-1) and post = ref [] and final = ref (Some []) in
   let receiver =
     Engine.spawn eng ~cloneable:false ~name:"poller" (fun ctx ->
         (* Sends are scheduled with a delivery latency: polls at t=0 run
-           before the batch can possibly land. *)
+           before any message can possibly land. *)
         let misses = ref 0 in
         for _ = 1 to 10 do
           match Engine.receive_timeout ctx ~timeout:0. () with
@@ -486,7 +484,7 @@ let batch_vs_zero_timeout_polls (what, make) =
           | Some _ -> ()
         done;
         pre_polls := !misses;
-        (* Sleep past the batch's flush, then drain by pure polling. *)
+        (* Sleep past the deliveries, then drain by pure polling. *)
         Engine.delay ctx 1.0;
         let continue = ref true in
         while !continue do
@@ -506,24 +504,27 @@ let batch_vs_zero_timeout_polls (what, make) =
   Engine.run eng;
   check Alcotest.int (what ^ ": polls before delivery all miss, none park") 10
     !pre_polls;
-  check (Alcotest.list Alcotest.int) (what ^ ": batch drained in order")
+  check (Alcotest.list Alcotest.int) (what ^ ": burst drained in order")
     (List.init n (fun i -> i + 1))
     (List.rev_map int_of_payload !post);
   check Alcotest.bool (what ^ ": and then the well is dry") true (!final = None)
 
-(* A receiver parked on message 1 of a 3-message batch polls the moment it
-   wakes. The batch lands whole before any receiver runs, so the poll
-   finds message 2 in every configuration. *)
+(* A receiver parked on message 1 of three sent at one instant polls the
+   moment it wakes. Each message is its own delivery event, and the
+   receiver runs inside the first one's, so the poll finds nothing and
+   the next two receives get messages 2 and 3, in every configuration.
+   With the trace on, each acceptance comes right after its own
+   delivery. *)
 let wake_then_poll (what, make) =
   let eng = make () in
-  let seen = ref [] in
+  let poll = ref None and rest = ref [] in
   let receiver =
     Engine.spawn eng ~cloneable:false ~name:"waker" (fun ctx ->
-        let first = Engine.receive ctx () in
-        let next = Engine.receive_timeout ctx ~timeout:0. () in
-        seen :=
-          first.Message.payload
-          :: Option.to_list (Option.map (fun m -> m.Message.payload) next))
+        ignore (Engine.receive ctx ());
+        poll := Engine.receive_timeout ctx ~timeout:0. ();
+        for _ = 1 to 2 do
+          rest := (Engine.receive ctx ()).Message.payload :: !rest
+        done)
   in
   ignore
     (Engine.spawn eng ~cloneable:false ~name:"source" (fun ctx ->
@@ -531,52 +532,39 @@ let wake_then_poll (what, make) =
            Engine.send ctx receiver (Payload.int i)
          done));
   Engine.run eng;
+  check Alcotest.bool (what ^ ": the poll right after waking finds nothing") true
+    (Option.is_none !poll);
   check (Alcotest.list Alcotest.int)
-    (what ^ ": the poll after waking sees message 2")
-    [ 1; 2 ]
-    (List.map int_of_payload !seen);
-  if Trace.enabled (Engine.trace eng) then begin
-    let positions p =
-      List.concat
-        (List.mapi
-           (fun i (_, e) -> if p e then [ i ] else [])
-           (Trace.events (Engine.trace eng)))
-    in
-    let delivered =
-      positions (function
-        | Trace.Delivered { dest; _ } -> Pid.equal dest receiver
-        | _ -> false)
-    and accepted =
-      positions (function
-        | Trace.Accepted { dest; _ } -> Pid.equal dest receiver
-        | _ -> false)
-    in
-    check Alcotest.int (what ^ ": one batch of 3") 1
-      (Trace.count (Engine.trace eng) ~f:(function
-        | Trace.Delivered_batch { count = 3; _ } -> true
-        | _ -> false));
-    check Alcotest.int (what ^ ": every entry delivered") 3
-      (List.length delivered);
-    check Alcotest.bool
-      (what ^ ": every delivery precedes the first acceptance")
-      true
-      (List.for_all (fun d -> d < List.hd accepted) delivered)
-  end
+    (what ^ ": the next two receives get messages 2 and 3")
+    [ 2; 3 ]
+    (List.rev_map int_of_payload !rest);
+  if Trace.enabled (Engine.trace eng) then
+    check
+      Alcotest.(list (pair string int))
+      (what ^ ": each acceptance follows its own delivery")
+      [ ("delivered", 1); ("accepted", 1); ("delivered", 2); ("accepted", 2);
+        ("delivered", 3); ("accepted", 3) ]
+      (List.filter_map
+         (fun (_, e) ->
+           match e with
+           | Trace.Delivered { dest; msg } when Pid.equal dest receiver ->
+             Some ("delivered", int_of_payload msg.Message.payload)
+           | Trace.Accepted { dest; msg; _ } when Pid.equal dest receiver ->
+             Some ("accepted", int_of_payload msg.Message.payload)
+           | _ -> None)
+         (Trace.events (Engine.trace eng)))
 
-let test_batch_vs_zero_timeout_polls () =
-  List.iter batch_vs_zero_timeout_polls observers;
+let test_zero_timeout_polls () =
+  List.iter zero_timeout_polls observers;
   List.iter wake_then_poll observers
 
-(* ---------------- the batch-join guard vs zero-delay timers ----------------
+(* ---------------- a zero-delay timer between two sends ----------------
 
-   The open-batch join guard used to be "same flush time + unmoved
-   event-queue stamp". The stamp counts only pushes: a zero-delay timer
-   that pops and runs between two sends at the same virtual time — here by
-   filling an ivar whose parked waiter resumes synchronously inside the
-   timer's event — moves neither the stamp nor the flush time, so the
-   second send silently joined a batch an event had ordered into. An
-   intervening event must flush the open batch, which is why the guard
-   also compares the engine's executed-event count. *)
+   A zero-delay timer that pops and runs between two sends at the same
+   virtual time — here by filling an ivar whose parked waiter resumes
+   synchronously inside the timer's event — must not reorder the two
+   messages of the channel, and a pass-through delivery hook must see
+   the same delivery sequence. *)
 
 let deliveries eng =
   Trace.find_all (Engine.trace eng) ~f:(function
@@ -603,169 +591,36 @@ let run_timer_between_sends ~pass_through_hook =
          Engine.send ctx receiver (Payload.int 1);
          ignore (Engine.Ivar.read ctx iv);
          Engine.send ctx receiver (Payload.int 2)));
-  (* Scheduled after src's start event at the same virtual time: it pops
-     (moving no stamp), fills the ivar, and src's continuation sends again
-     synchronously inside the timer's event. *)
+  (* Scheduled after src's start event at the same virtual time: it pops,
+     fills the ivar, and src's continuation sends again synchronously
+     inside the timer's event. *)
   Engine.after eng ~delay:0. (fun () -> ignore (Engine.Ivar.try_fill iv 0));
   Engine.run eng;
   (eng, List.rev !got)
 
-let test_zero_delay_timer_flushes_open_batch () =
+let test_zero_delay_timer_between_sends () =
   let eng, got = run_timer_between_sends ~pass_through_hook:false in
-  let batches =
-    Trace.count (Engine.trace eng) ~f:(function
-      | Trace.Delivered_batch _ -> true
-      | _ -> false)
-  in
-  check Alcotest.int "an intervening event flushed the open batch" 0 batches;
   check
     (Alcotest.list Alcotest.int)
     "per-channel FIFO kept"
     [ 1; 2 ]
     (List.map (function Payload.Int i -> i | _ -> -1) got);
-  (* Determinism: a pass-through delivery hook, which moves entries one
-     (entry, copy) offer at a time, receives and traces the very same
-     delivery sequence. *)
+  (* Determinism: a pass-through delivery hook receives and traces the
+     very same delivery sequence. *)
   let eng', got' = run_timer_between_sends ~pass_through_hook:true in
   check Alcotest.bool "received order matches the hooked run" true
     (got = got');
   check Alcotest.bool "traced delivery order matches too" true
-    (deliveries eng = deliveries eng');
-  (* Control: two back-to-back sends in one event still batch — the new
-     guard only breaks joins an event ordered into. *)
-  let eng2 = Engine.create () in
-  let r2 =
-    Engine.spawn eng2 ~cloneable:false ~name:"sink" (fun ctx ->
-        for _ = 1 to 2 do
-          ignore (Engine.receive ctx ())
-        done)
-  in
-  ignore
-    (Engine.spawn eng2 ~cloneable:false ~name:"src" (fun ctx ->
-         Engine.send ctx r2 (Payload.int 1);
-         Engine.send ctx r2 (Payload.int 2)));
-  Engine.run eng2;
-  check Alcotest.int "uninterrupted sends still coalesce" 1
-    (Trace.count (Engine.trace eng2) ~f:(function
-      | Trace.Delivered_batch { count = 2; _ } -> true
-      | _ -> false))
-
-(* ---------------- bulk transfer / adoption ---------------- *)
-
-let test_transfer_into_empty_ring_adopts () =
-  let src = Mailbox.create () in
-  for i = 0 to 9 do
-    push_one src ~uid:i ~tag:"t" (Payload.int i)
-  done;
-  let dst = Mailbox.create () in
-  ignore (Mailbox.cursor dst "t");
-  Mailbox.transfer src dst;
-  check Alcotest.int "all moved" 10 (Mailbox.length dst);
-  check Alcotest.int "source empty" 0 (Mailbox.length src);
-  let c = Mailbox.cursor dst "t" in
-  check Alcotest.int "destination cursor reset to the adopted head"
-    (Mailbox.head_pos dst) c.Mailbox.cpos;
-  for i = 0 to 9 do
-    check Alcotest.int "order preserved" i (pop_int dst)
-  done;
-  (* The source inherited usable (empty) state: it keeps working. *)
-  push_one src ~uid:100 ~tag:"t" (Payload.int 100);
-  check Alcotest.int "source reusable after adoption" 1 (Mailbox.length src)
-
-let test_transfer_into_nonempty_ring_copies () =
-  let src = Mailbox.create () in
-  for i = 10 to 14 do
-    push_one src ~uid:i ~tag:"t" (Payload.int i)
-  done;
-  let dst = Mailbox.create () in
-  push_one dst ~uid:0 ~tag:"t" (Payload.int 0);
-  Mailbox.transfer src dst;
-  check Alcotest.int "appended behind the resident entry" 6
-    (Mailbox.length dst);
-  check Alcotest.int "source drained" 0 (Mailbox.length src);
-  List.iter
-    (fun e -> check Alcotest.int "arrival order" e (pop_int dst))
-    [ 0; 10; 11; 12; 13; 14 ]
-
-(* Whole-batch adoption and the copying path must be indistinguishable:
-   the same batch (with a tombstone in it) leaves the same message values
-   in the same order either way, and both sources empty and reusable. *)
-let test_adoption_matches_copy_path () =
-  let ms = List.init 10 (fun i -> message ~uid:i ~tag:"t" (Payload.int i)) in
-  let mk_src () =
-    let src = Mailbox.create () in
-    List.iter (Mailbox.push src) ms;
-    Mailbox.remove src 4;
-    src
-  in
-  (* Reference: the copying path (a resident entry in the destination,
-     taken off after the move, so the adoption guard never applies). *)
-  let src_copy = mk_src () in
-  let dst_copy = Mailbox.create () in
-  let resident = message ~uid:(-1) ~tag:"t" (Payload.int (-1)) in
-  Mailbox.push dst_copy resident;
-  Mailbox.transfer src_copy dst_copy;
-  check Alcotest.bool "the resident entry stays first" true
-    (pop_front dst_copy == resident);
-  (* Same batch through the O(1) adoption path. *)
-  let src_adopt = mk_src () in
-  let dst_adopt = Mailbox.create () in
-  Mailbox.transfer src_adopt dst_adopt;
-  let values ring = List.map snd (entries ring) in
-  check Alcotest.int "both paths moved everything" (Mailbox.length dst_copy)
-    (Mailbox.length dst_adopt);
-  check Alcotest.bool "identical entries" true
-    (same_values (values dst_copy) (values dst_adopt));
-  check Alcotest.bool "the batch minus its tombstone" true
-    (same_values (List.filteri (fun i _ -> i <> 4) ms) (values dst_adopt));
-  List.iter
-    (fun src ->
-      check Alcotest.int "source drained" 0 (Mailbox.length src);
-      push_one src ~uid:99 ~tag:"t" (Payload.int 99);
-      check Alcotest.int "source reusable" 99 (pop_int src))
-    [ src_copy; src_adopt ];
-  List.iter
-    (fun i -> check Alcotest.int "adopted order" i (pop_int dst_adopt))
-    [ 0; 1; 2; 3; 5; 6; 7; 8; 9 ]
-
-(* The destination growing mid-batch: its live entries wrap around the
-   end of its slot array when an 8-entry batch arrives that does not
-   fit, so the transfer re-homes them and appends the batch — FIFO order
-   must hold exactly across the growth. *)
-let test_transfer_fifo_when_destination_grows () =
-  let src = Mailbox.create () in
-  for i = 10 to 17 do
-    push_one src ~uid:i ~tag:"t" (Payload.int i)
-  done;
-  let dst = Mailbox.create () in
-  for i = -6 to -1 do
-    push_one dst ~uid:i ~tag:"t" (Payload.int i)
-  done;
-  for _ = 1 to 6 do
-    ignore (pop_front dst)
-  done;
-  (* Head at position 6 of an 8-slot array: 0..5 occupy 6, 7, 0, 1, 2, 3. *)
-  for i = 0 to 5 do
-    push_one dst ~uid:i ~tag:"t" (Payload.int i)
-  done;
-  Mailbox.transfer src dst;
-  check Alcotest.int "all appended" 14 (Mailbox.length dst);
-  List.iteri
-    (fun k e ->
-      check Alcotest.int (Printf.sprintf "FIFO across the growth @%d" k) e
-        (pop_int dst))
-    [ 0; 1; 2; 3; 4; 5; 10; 11; 12; 13; 14; 15; 16; 17 ]
+    (deliveries eng = deliveries eng')
 
 (* ---------------- model-based: two rings against a FIFO list ----------------
 
-   Random operation sequences over two rings (a joined batch's run and a
-   mailbox, as a flush pairs them), checked after every step against a trivial
-   reference: per ring, the live entries as a list in position order plus
-   the tail position. Receive-by-tag takes the first entry with that tag;
-   the head is the first live position (the tail when empty); a transfer
-   moves the whole content: into an empty ring it adopts it (positions
-   move as they are, the source continues from the destination's old
-   tail), into a non-empty one it appends. *)
+   Random operation sequences over two rings, so that each is also checked
+   against disturbance by the other's traffic, checked after every step
+   against a trivial reference: per ring, the live entries as a list in
+   position order plus the tail position. Receive-by-tag takes the first
+   entry with that tag; the head is the first live position (the tail
+   when empty). *)
 
 type m_entry = { e_pos : int; e_uid : int; e_tag : string }
 type model = { mutable m_entries : m_entry list; mutable m_tail : int }
@@ -774,13 +629,11 @@ type op =
   | Push of int * string  (** ring, tag *)
   | Receive of int * string  (** first live entry with the tag, via cursor *)
   | Remove_nth of int * int  (** tombstone the n-th live entry (mod length) *)
-  | Transfer of int  (** [transfer] the whole ring to the other *)
 
 let show_op = function
   | Push (r, t) -> Printf.sprintf "Push(%d,%s)" r t
   | Receive (r, t) -> Printf.sprintf "Receive(%d,%s)" r t
   | Remove_nth (r, n) -> Printf.sprintf "Remove_nth(%d,%d)" r n
-  | Transfer r -> Printf.sprintf "Transfer(%d)" r
 
 let m_head m = match m.m_entries with [] -> m.m_tail | e :: _ -> e.e_pos
 
@@ -789,20 +642,6 @@ let m_append m ~uid ~tag =
   m.m_tail <- m.m_tail + 1
 
 let m_remove m e = m.m_entries <- List.filter (fun e' -> e' != e) m.m_entries
-
-let m_transfer src dst =
-  if src.m_entries <> [] then
-    if dst.m_entries = [] then begin
-      let dst_tail = dst.m_tail in
-      dst.m_entries <- src.m_entries;
-      dst.m_tail <- src.m_tail;
-      src.m_entries <- [];
-      src.m_tail <- dst_tail
-    end
-    else begin
-      List.iter (fun e -> m_append dst ~uid:e.e_uid ~tag:e.e_tag) src.m_entries;
-      src.m_entries <- []
-    end
 
 (* The ring's live entries in the model's shape. *)
 let observe ring =
@@ -879,10 +718,7 @@ let run_ops ops =
         | es ->
           let e = List.nth es (n mod List.length es) in
           Mailbox.remove rings.(r) e.e_pos;
-          m_remove models.(r) e)
-      | Transfer r ->
-        Mailbox.transfer rings.(r) rings.(1 - r);
-        m_transfer models.(r) models.(1 - r));
+          m_remove models.(r) e));
       Array.iteri
         (fun r ring ->
           match agree ring models.(r) with
@@ -901,7 +737,6 @@ let arb_ops =
         (8, map2 (fun r t -> Push (r, t)) ring tag);
         (4, map2 (fun r t -> Receive (r, t)) ring tag);
         (2, map2 (fun r n -> Remove_nth (r, n)) ring (int_bound 15));
-        (3, map (fun r -> Transfer r) ring);
       ]
   in
   QCheck.make
@@ -912,7 +747,7 @@ let prop_mailbox_matches_model =
   QCheck.Test.make ~name:"random ops agree with a FIFO-list model" ~count:500
     arb_ops run_ops
 
-(* ---------------- model-based: batching vs per-message delivery ----------------
+(* ---------------- model-based: delivery order against a reference ----------------
 
    Random programs: k senders, each a list of steps — send a tagged
    message with a padding of 0 to 240 bytes to one of two or three
@@ -921,23 +756,21 @@ let prop_mailbox_matches_model =
    models: latency 0 or 1/4, per-byte cost 0 or 1/256, so every virtual
    time stays exact. A fill resumes its waiters synchronously inside the
    filler's event, and one CPU tick resumes every sender whose delay
-   ends then, so two senders' sends can interleave within one event:
-   exactly what the batch-join guard has to notice. A collector fills
-   its receipt ivar as it takes each message, so with zero cost a sender
-   can be resumed inside the very flush of its last batch, at that
-   batch's time, with no event pushed since: it must not join the
-   flushed batch. With a size cost one sender's sends to different
-   collectors fall due at different times, and a small message queues
-   behind a larger one sent earlier on its (sender, collector) pair,
-   whose FIFO clock binds, but not behind one to another collector.
+   ends then, so two senders' sends can interleave within one event. A
+   collector fills its receipt ivar as it takes each message, so with
+   zero cost a sender can be resumed inside the very delivery of its last
+   message, at that message's time, and send again. With a size cost one
+   sender's sends to different collectors fall due at different times,
+   and a small message queues behind a larger one sent earlier on its
+   (sender, collector) pair, whose FIFO clock binds, but not behind one
+   to another collector.
 
-   Delivering each message by its own event, in (time, stamp) order,
-   hands a collector its messages in a stable sort of the sends by (due
+   Each message is its own event, in (time, push order) order, so a
+   collector gets its messages in a stable sort of the sends by (due
    time, global send index), where a send's due time is
    max (its pair's clock, send time + latency + size x per-byte cost) and
-   becomes the pair's clock. Batching must be indistinguishable from
-   that. With a per-tag receive, each collector sees that order's
-   subsequence for its tag. *)
+   becomes the pair's clock. With a per-tag receive, each collector sees
+   that order's subsequence for its tag. *)
 
 type step =
   | Send of { tag : string; dest : int; pad : int }
@@ -1091,8 +924,8 @@ let arb_program =
   in
   QCheck.make ~print:show_program program
 
-let prop_batching_matches_per_message =
-  QCheck.Test.make ~name:"channel batching matches per-message delivery order"
+let prop_delivery_order_matches_reference =
+  QCheck.Test.make ~name:"delivery order is (time, send order)"
     ~count:1000 arb_program run_program
 
 let () =
@@ -1128,24 +961,13 @@ let () =
           Alcotest.test_case "size stamped and payload frozen at send" `Quick
             test_size_stamped_and_payload_frozen_at_send;
           Alcotest.test_case "batched delivery vs zero-timeout polls" `Quick
-            test_batch_vs_zero_timeout_polls;
-          Alcotest.test_case "zero-delay timer flushes the open batch" `Quick
-            test_zero_delay_timer_flushes_open_batch;
-        ] );
-      ( "bulk",
-        [
-          Alcotest.test_case "transfer into empty ring adopts" `Quick
-            test_transfer_into_empty_ring_adopts;
-          Alcotest.test_case "transfer into non-empty ring copies" `Quick
-            test_transfer_into_nonempty_ring_copies;
-          Alcotest.test_case "adoption spilled accounting = copy path" `Quick
-            test_adoption_matches_copy_path;
-          Alcotest.test_case "FIFO when destination pool exhausts mid-batch"
-            `Quick test_transfer_fifo_when_destination_grows;
+            test_zero_timeout_polls;
+          Alcotest.test_case "zero-delay timer between two sends" `Quick
+            test_zero_delay_timer_between_sends;
         ] );
       ( "model",
         [
           QCheck_alcotest.to_alcotest prop_mailbox_matches_model;
-          QCheck_alcotest.to_alcotest prop_batching_matches_per_message;
+          QCheck_alcotest.to_alcotest prop_delivery_order_matches_reference;
         ] );
     ]
