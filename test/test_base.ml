@@ -293,6 +293,27 @@ let test_rng_pick () =
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick r [||]))
 
+(* ---------------- Allocation ----------------
+
+   A float drawn from another module comes back unboxed: the default
+   build compiles without -opaque, so ocamlopt inlines [Rng.float] and
+   [Rng.exponential] here and their results stay in registers. A build
+   with -opaque (dune's dev profile) boxes each returned float, 2 words
+   a draw. The ceiling holds the default build to that. *)
+let test_float_draw_unboxed () =
+  let r = Rng.create ~seed:5 in
+  let draws = 100_000 in
+  let sum = ref 0. in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws / 2 do
+    sum := !sum +. Rng.float r 1.;
+    sum := !sum +. Rng.exponential r ~mean:0.5
+  done;
+  let per_draw = (Gc.minor_words () -. w0) /. float_of_int draws in
+  if not (!sum > 0.) then Alcotest.failf "sum of draws %h" !sum;
+  if per_draw > 0.05 then
+    Alcotest.failf "%.3f words per float draw, ceiling 0.05" per_draw
+
 (* ---------------- Stats ---------------- *)
 
 let test_stats_mean_variance () =
@@ -405,6 +426,11 @@ let () =
           Alcotest.test_case "uniform_in range" `Quick test_rng_uniform_in;
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick membership" `Quick test_rng_pick;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "a float draw from another module allocates nothing" `Quick
+            test_float_draw_unboxed;
         ] );
       ( "stats",
         [

@@ -961,12 +961,14 @@ let test_record_from_a_subscriber () =
    voters' grant state is int arrays, a tagged receive builds no cursor
    closure, a reply shares its request's round block, and the
    acquisition's options are boxed once per block. The ceilings sit
-   about 5% above the measured figures (547 and 1178 words with OCaml
-   5.1.1). They reject a body closure over a dozen captured variables
-   and refs, an exit watcher per child, a chain of predicate copies per
-   child and list pipelines for the victims (888 and 1715 words), and
-   also closures built at every exit and vote with the voters' grants
-   in option refs (601 and 1394). *)
+   about 5% above the measured figures (455 and 924 words with OCaml
+   5.1.1; 507 and 1090 in a build with -opaque, where every float
+   returned across modules is boxed). They reject a body closure over a
+   dozen captured variables and refs, an exit watcher per child, a chain
+   of predicate copies per child and list pipelines for the victims (888
+   and 1715 words with -opaque), and also closures built at every exit
+   and vote with the voters' grants in option refs (601 and 1394 with
+   -opaque). *)
 
 let block_alts =
   [
@@ -1005,10 +1007,11 @@ let test_block_alloc_budget name policy ceiling () =
    exit watcher close over, site choice by index loops, a checkpoint
    that reads the page map's layer tables directly, and a report copied
    only when its waste is recounted. The ceiling sits about 5% above the
-   measured figure (1513 words with OCaml 5.1.1). It rejects closures
-   per incarnation over the block's arguments, site choice by list
-   filters, a checkpoint through a hash table and a sorted list, and a
-   placement hook that boxes per spawn (1882 words). *)
+   measured figure (1249 words with OCaml 5.1.1; 1423 with -opaque). It
+   rejects closures per incarnation over the block's arguments, site
+   choice by list filters, a checkpoint through a hash table and a
+   sorted list, and a placement hook that boxes per spawn (1882 words
+   with -opaque). *)
 let supervised_words ~n =
   let eng = mk_engine () in
   let sites = Sites.create eng ~names:[ "s0"; "s1"; "s2" ] in
@@ -1098,12 +1101,12 @@ let () =
         [
           Alcotest.test_case "local-latch block of three" `Quick
             (test_block_alloc_budget "local-latch block of three"
-               Concurrent.default_policy 575.);
+               Concurrent.default_policy 478.);
           Alcotest.test_case "3-node consensus block of three" `Quick
             (test_block_alloc_budget "3-node consensus block of three" consensus_policy
-               1242.);
+               970.);
           Alcotest.test_case "supervised 3-node consensus block of three" `Quick
-            (test_supervised_alloc_budget 1589.);
+            (test_supervised_alloc_budget 1312.);
         ] );
       ( "pinned",
         [
