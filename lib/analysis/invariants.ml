@@ -17,6 +17,7 @@ type run = {
   scenario : scenario;
   seed : int;
   alts_count : int;
+  writes : Race.writes;
   sanitizer : Sanitizer.t option;
 }
 
@@ -73,7 +74,7 @@ let run_scenario ?faults ?sites ?(sanitize = false) scenario ~policy ~seed =
   let topology = Option.map (fun names -> Sites.create engine ~names) sites in
   Option.iter (fun plan -> Faultplan.install ?sites:topology plan engine) faults;
   let space = mk_space engine in
-  Address_space.set_tracking space true;
+  let writes = Race.record (Engine.frame_store engine) in
   scenario.prepare engine space;
   ignore (Address_space.drain_cost space);
   let source = mk_source engine scenario in
@@ -100,6 +101,7 @@ let run_scenario ?faults ?sites ?(sanitize = false) scenario ~policy ~seed =
     scenario;
     seed;
     alts_count = List.length alts;
+    writes;
     sanitizer;
   }
 
@@ -823,8 +825,9 @@ let check_all rr =
       check_supervised_report ~scenario:rr.scenario.sc_name ~policy:rr.policy
         ~seed:rr.seed sr
       @ check_recovery rr h s)
-  @ Race.check_isolation rr.engine ~children:rr.report.Concurrent.children
-      ~scenario:rr.scenario.sc_name ~policy ~seed:rr.seed
+  @ Race.check_isolation rr.writes rr.engine
+      ~children:rr.report.Concurrent.children ~scenario:rr.scenario.sc_name
+      ~policy ~seed:rr.seed
   @
   match rr.source with
   | Some s ->

@@ -63,6 +63,9 @@ type run = {
   scenario : scenario;
   seed : int;
   alts_count : int;
+  writes : Race.writes;
+      (** Every page write of the run, recorded from before the parent's
+          space was seeded: what {!Race.check_isolation} reads. *)
   sanitizer : Sanitizer.t option;
       (** Present when the run executed with [~sanitize:true]: the online
           monitor that watched the execution, flags included. *)
@@ -74,8 +77,8 @@ val run_scenario :
   ?sanitize:bool ->
   scenario -> policy:Concurrent.policy -> seed:int -> run
 (** Execute the scenario under the policy: fresh engine
-    ({!Cost_model.att_3b2}), tracked parent space, block run to
-    quiescence via {!Concurrent.run_toplevel}. With [~sites] the engine
+    ({!Cost_model.att_3b2}) whose page writes {!Race.record} keeps, block
+    run to quiescence via {!Concurrent.run_toplevel}. With [~sites] the engine
     gets a {!Sites} topology of those names and the block runs under
     {!Concurrent.run_supervised} on it instead (the policy must use
     [Consensus]). [faults] is installed on the fresh engine (and the

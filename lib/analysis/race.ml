@@ -1,4 +1,25 @@
-let check_isolation eng ~children ~scenario ~policy ~seed =
+(* (map id, vpage) -> id of the frame last written there. *)
+type writes = (int * int, int) Hashtbl.t
+
+let record store =
+  let w = Hashtbl.create 64 in
+  Frame_store.add_observer store
+    {
+      Frame_store.on_write =
+        (fun ~map ~vpage ~frame -> Hashtbl.replace w (map, vpage) frame);
+      on_free = (fun ~frame:_ -> ());
+      on_release = (fun ~map:_ -> ());
+    };
+  w
+
+let written w sp =
+  let id = Page_map.id (Address_space.map sp) in
+  Hashtbl.fold
+    (fun (map, vp) f acc -> if map = id then (vp, f) :: acc else acc)
+    w []
+  |> List.sort compare
+
+let check_isolation w eng ~children ~scenario ~policy ~seed =
   let viol detail =
     Report.violation Report.Isolation ~scenario ~policy ~seed detail
   in
@@ -7,15 +28,15 @@ let check_isolation eng ~children ~scenario ~policy ~seed =
       (fun pid ->
         match Engine.space_of eng pid with
         | None -> None
-        | Some sp -> Some (pid, sp, Address_space.written_pages sp))
+        | Some sp -> Some (pid, written w sp))
       children
   in
   let violations = ref [] in
   let rec over_pairs = function
     | [] -> ()
-    | (pid_a, _, log_a) :: rest ->
+    | (pid_a, log_a) :: rest ->
       List.iter
-        (fun (pid_b, _, log_b) ->
+        (fun (pid_b, log_b) ->
           List.iter
             (fun (vpage, fid) ->
               if List.mem (vpage, fid) log_b then

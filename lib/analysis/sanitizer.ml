@@ -67,6 +67,7 @@ let msg_key (m : Message.t) =
 type t = {
   eng : Engine.t;
   mutable sub : Trace.subscription option;
+  mutable obs : Frame_store.observer option;
   mutable clocks : Vclock.t array;  (* by pid; [Vclock.empty] = absent *)
   mutable clock_count : int;  (* non-empty entries of [clocks] *)
   snaps : Vclock.t Tbl.t;
@@ -372,6 +373,7 @@ let attach eng =
     {
       eng;
       sub = None;
+      obs = None;
       clocks = [||];
       clock_count = 0;
       snaps = Tbl.create Vclock.empty;
@@ -389,16 +391,19 @@ let attach eng =
     }
   in
   t.sub <- Some (Trace.subscribe (Engine.trace eng) kinds (on_event t));
-  Frame_store.set_observer (Engine.frame_store eng)
-    (Some
-       { Frame_store.on_write = on_write t; on_free = on_free t;
-         on_release = on_release t });
+  let obs =
+    { Frame_store.on_write = on_write t; on_free = on_free t;
+      on_release = on_release t }
+  in
+  Frame_store.add_observer (Engine.frame_store eng) obs;
+  t.obs <- Some obs;
   t
 
 let detach t =
   Option.iter (Trace.unsubscribe (Engine.trace t.eng)) t.sub;
   t.sub <- None;
-  Frame_store.set_observer (Engine.frame_store t.eng) None
+  Option.iter (Frame_store.remove_observer (Engine.frame_store t.eng)) t.obs;
+  t.obs <- None
 
 (* The at-most-once state is scoped to ONE alternative block: [wins],
    [lates], the degradation latch and the recovery fence all describe

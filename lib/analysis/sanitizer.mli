@@ -4,11 +4,11 @@
     writes, and source emissions {e as they happen}, with state bounded by
     the live working set (processes, in-flight messages, live maps and
     frames) rather than by run length — so it can watch executions whose
-    trace recording is switched off entirely, and whose spaces keep no
-    write log. A block leaves the state as it found it once its processes
-    have exited, {!next_block} has closed it and its spaces are released. Violations are flagged at
-    the exact virtual time and pid of the offence and additionally traced
-    as {!Trace.Sanitizer_flag} breadcrumbs.
+    trace recording is switched off entirely. A block leaves the state as
+    it found it once its processes have exited, {!next_block} has closed
+    it and its spaces are released. Violations are flagged at the exact
+    virtual time and pid of the offence and additionally traced as
+    {!Trace.Sanitizer_flag} breadcrumbs.
 
     The streaming checks are {e sound subsets} of the post-mortem checker
     classes: a sanitizer flag of class [c] implies the post-mortem checker
@@ -52,13 +52,14 @@ val kinds : Trace.mask
 
 val attach : Engine.t -> t
 (** Install the sanitizer on an engine: subscribes to {!kinds}
-    ({!Trace.subscribe}) and claims the frame store's observer
-    ({!Frame_store.set_observer}). Must be called before the monitored
-    processes are spawned. One sanitizer per engine. *)
+    ({!Trace.subscribe}) and adds an observer to the frame store
+    ({!Frame_store.add_observer}), beside any other (the oracle's
+    {!Race.record}). Must be called before the monitored processes are
+    spawned. One sanitizer per engine. *)
 
 val detach : t -> unit
-(** Unsubscribe and release the frame store's observer. The accumulated
-    flags remain readable. *)
+(** Unsubscribe and remove the sanitizer's own frame-store observer; any
+    other observer stays. The accumulated flags remain readable. *)
 
 val next_block : t -> unit
 (** Close the current alternative block's at-most-once scope: the win /

@@ -70,13 +70,8 @@ val mapped_pages : t -> int
 val private_pages : t -> int
 
 val set_tracking : t -> bool -> unit
-(** Enable (or disable) the per-page write log of the underlying
-    {!Page_map} (reads are only counted) that the post-mortem isolation
-    check reads. Children created by {!fork} inherit the setting, so
-    enabling it on a parent before an alternative block audits every
-    sibling. Off by default. Writes reach the frame store's observer
-    either way: an online monitor needs no log. *)
-
-val written_pages : t -> (int * int) list
-(** [(vpage, frame_id)] pairs for pages this space has written; usable
-    after {!release}. See {!Page_map.write_log}. *)
+(** Does nothing. Page writes reach the frame store's observers whatever
+    the setting, and no map keeps a write log. It stays only because the
+    profiling harness in [bench/profile] still calls it, and goes with
+    that harness (ROADMAP item 1b), next to [Engine.create ?shards] and
+    [Server.sv_shards]. *)

@@ -7,7 +7,6 @@ type image = {
   store : Frame_store.t;
   vpages : int array;  (* ascending in a captured image; wire order in a parsed one *)
   frames : Frame_store.frame array;  (* [frames.(i)] holds page [vpages.(i)] *)
-  tracked : bool;  (* the source space's page tracking, re-applied at restore *)
   mutable released : bool;
 }
 
@@ -27,7 +26,6 @@ let capture space =
     store;
     vpages;
     frames = Array.map (read_page store map psize) vpages;
-    tracked = Page_map.tracking map;
     released = false;
   }
 
@@ -54,8 +52,6 @@ let restore store model image =
       ~src:(Frame_store.data image.frames.(i)) ~copied
   done;
   ignore (Address_space.drain_cost space);
-  (* After the fill, so the restore's own writes stay out of the log. *)
-  if image.tracked then Address_space.set_tracking space true;
   space
 
 let mapped_pages image = Array.length image.vpages
@@ -124,7 +120,7 @@ let of_bytes b =
           (Frame_store.data f) 0 psize;
         f)
   in
-  { psize; store; vpages; frames; tracked = false; released = false }
+  { psize; store; vpages; frames; released = false }
 
 let transfer_cost model image =
   Cost_model.remote_spawn_cost model ~mapped_pages:(mapped_pages image)

@@ -22,9 +22,8 @@ type image
 val capture : Address_space.t -> image
 (** Snapshot the space's current contents. O(mapped pages); does not
     disturb sharing (reads only). The pages are read through
-    {!Page_map.read_into}, so the space's read counter moves as for any
-    read; the space's store is not touched — its frame ids,
-    {!Frame_store.live_frames}, {!Frame_store.total_allocations} and
+    {!Page_map.read_into}; the space's store is not touched — its frame
+    ids, {!Frame_store.live_frames}, {!Frame_store.total_allocations} and
     {!Frame_store.cow_copies} are exactly what they were. *)
 
 val release : image -> unit
@@ -36,12 +35,10 @@ val release : image -> unit
 
 val restore : Frame_store.t -> Cost_model.t -> image -> Address_space.t
 (** Materialise the image as a fresh private address space in the given
-    store. The space is tracked ({!Address_space.set_tracking}) exactly
-    when the captured space was, so a restored incarnation stays visible
-    to the write log; the restore's own page fills are not logged (the
-    store's observer hears them as writes of a map no process owns yet).
-    Raises [Invalid_argument] if the page sizes disagree or the image
-    was released. *)
+    store. Its page fills are writes like any other: the store's observers
+    hear them under the new space's map id, before any process owns it,
+    and in frames no other map holds. Raises [Invalid_argument] if the
+    page sizes disagree or the image was released. *)
 
 val mapped_pages : image -> int
 
@@ -55,9 +52,8 @@ val to_bytes : image -> bytes
 
 val of_bytes : bytes -> image
 (** Inverse of {!to_bytes}; the result owns pooled frames like a captured
-    image and restores untracked (the wire format carries no tracking
-    setting). Raises [Invalid_argument] with a
-    ["Checkpoint.of_bytes"] message on malformed data: a truncated or
+    image. Raises [Invalid_argument] with a ["Checkpoint.of_bytes"]
+    message on malformed data: a truncated or
     oversized buffer, nonsensical header fields (the size arithmetic is
     overflow-safe, so no wire value can smuggle an out-of-range access
     into [Bytes]), a negative page number, or a duplicated page entry

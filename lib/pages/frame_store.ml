@@ -6,8 +6,8 @@ type t = {
   mutable live : int;
   mutable allocs : int;
   mutable copies : int;
-  mutable next_map : int;  (* map identities, for the observer *)
-  mutable observer : observer option;
+  mutable next_map : int;  (* map identities, for the observers *)
+  mutable observers : observer list;
 }
 
 and observer = {
@@ -48,7 +48,7 @@ let bucket pool size =
 let create ~page_size =
   if page_size <= 0 then invalid_arg "Frame_store.create: page_size";
   { page_size; next_id = 0; live = 0; allocs = 0; copies = 0; next_map = 0;
-    observer = None }
+    observers = [] }
 
 let reset t =
   t.next_id <- 0;
@@ -56,27 +56,50 @@ let reset t =
   t.allocs <- 0;
   t.copies <- 0;
   t.next_map <- 0;
-  t.observer <- None
+  t.observers <- []
 
 let fresh_map_id t =
   let id = t.next_map in
   t.next_map <- t.next_map + 1;
   id
 
-let set_observer t o = t.observer <- o
+let add_observer t o = t.observers <- o :: t.observers
+let remove_observer t o =
+  t.observers <- List.filter (fun o' -> o' != o) t.observers
+
+(* Top-level walks, so a notification allocates no closure. *)
+let rec write_all os ~map ~vpage ~frame =
+  match os with
+  | [] -> ()
+  | o :: rest ->
+    o.on_write ~map ~vpage ~frame;
+    write_all rest ~map ~vpage ~frame
+
+let rec free_all os ~frame =
+  match os with
+  | [] -> ()
+  | o :: rest ->
+    o.on_free ~frame;
+    free_all rest ~frame
+
+let rec release_all os ~map =
+  match os with
+  | [] -> ()
+  | o :: rest ->
+    o.on_release ~map;
+    release_all rest ~map
 
 let notify_write t ~map ~vpage f =
-  match t.observer with
-  | Some o -> o.on_write ~map ~vpage ~frame:f.fid
-  | None -> ()
+  match t.observers with
+  | [] -> ()
+  | os -> write_all os ~map ~vpage ~frame:f.fid
 
-let notify_release t ~map =
-  match t.observer with Some o -> o.on_release ~map | None -> ()
+let notify_release t ~map = release_all t.observers ~map
 
 let page_size t = t.page_size
 
 (* A frame with reference count 1 and the store's next id — never an id
-   it has handed out before, so an id recorded in a write log always
+   it has handed out before, so a frame id an observer reports always
    denotes one physical write target (the isolation checker depends on
    this). Its contents are unspecified: the callers overwrite the whole
    page. *)
@@ -116,7 +139,7 @@ let decref t f =
   f.refs <- f.refs - 1;
   if f.refs = 0 then begin
     t.live <- t.live - 1;
-    (match t.observer with Some o -> o.on_free ~frame:f.fid | None -> ());
+    free_all t.observers ~frame:f.fid;
     let pool = Domain.DLS.get pool_key in
     let size = Bytes.length f.buf in
     if pool.retained + size <= pool_cap_bytes then begin

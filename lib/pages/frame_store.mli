@@ -30,7 +30,7 @@ val page_size : t -> int
 
 val reset : t -> unit
 (** Return the store to the state {!create} leaves: every counter and the
-    map-id sequence at zero, and no observer. Frames still referenced by
+    map-id sequence at zero, and no observers. Frames still referenced by
     maps of the previous run are forgotten, not pooled: nothing may
     decrement them through this store afterwards. *)
 
@@ -63,10 +63,10 @@ val data : frame -> bytes
     exclusively (reference count 1); {!Page_map} enforces this. *)
 
 val id : frame -> int
-(** Stable identity of the frame, for tests, traces, and the analysis
-    layer's write logs. Ids are per store and never reused within one: a
-    frame recycled through the pool comes back under the allocating
-    store's next id. *)
+(** Stable identity of the frame, for tests, traces, and the observers
+    below. Ids are per store and never reused within one: a frame
+    recycled through the pool comes back under the allocating store's
+    next id. *)
 
 val live_frames : t -> int
 (** Number of frames currently referenced by at least one map. *)
@@ -85,11 +85,12 @@ val fresh_map_id : t -> int
 
 (** {2 Observation}
 
-    An online monitor (the analysis layer's sanitizer) watches the store
-    through one observer: every page write of every map drawing from the
-    store, every frame whose last reference is dropped, and every map
-    that is released. A store with no observer pays one branch per write
-    and nothing else. *)
+    Online monitors watch the store through observers: every page write
+    of every map drawing from the store, every frame whose last reference
+    is dropped, and every map that is released. The analysis layer's
+    sanitizer and its isolation oracle ([Race]) are both observers, and
+    both hear the one notification that every write makes. A store with
+    no observer pays one branch per write and nothing else. *)
 
 type observer = {
   on_write : map:int -> vpage:int -> frame:int -> unit;
@@ -103,13 +104,17 @@ type observer = {
           never write again. *)
 }
 
-val set_observer : t -> observer option -> unit
-(** Install (or clear) the store's observer. *)
+val add_observer : t -> observer -> unit
+(** Notify the observer of every event above from now on. Observers are
+    independent: in what order they hear one event is unspecified. *)
+
+val remove_observer : t -> observer -> unit
+(** Stop notifying the observer (compared physically); the others keep
+    hearing everything. *)
 
 val notify_write : t -> map:int -> vpage:int -> frame -> unit
 (** Used by {!Page_map} on every write, with the frame written; a no-op
-    when no observer is installed. Page maps report whether or not they
-    keep a write log. *)
+    when no observer is installed. *)
 
 val notify_release : t -> map:int -> unit
 (** Used by {!Page_map} when a map is released or absorbed. *)

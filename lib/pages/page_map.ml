@@ -19,7 +19,7 @@
 (* ------------------------------------------------------------------ *)
 (* An int-keyed open-addressing table: power-of-two capacity, linear
    probing, backward-shift deletion. An empty table holds no arrays until
-   its first insert, so a fresh overlay or log costs one record; lookups
+   its first insert, so a fresh overlay costs one record; lookups
    and the replacement of an existing key allocate nothing. [min_int]
    marks an empty slot, so every other int (negative vpages included) is
    a valid key. Removed and reset slots take [dummy], so the table drops
@@ -177,22 +177,14 @@ type t = {
   mutable mapped : int;  (* distinct vpages resolving to a frame *)
   mutable fault : bool;  (* scratch: did the last prepare_write COW? *)
   mutable cow_copies : int;
-  mutable writes : int;
-  mutable reads : int;
   mutable released : bool;
-  (* The write log survives release so that the analysis layer can audit
-     the page behaviour of eliminated processes post mortem. *)
-  mutable track : bool;
-  writes_log : int Tbl.t;  (* vpage -> id of the frame written *)
 }
 
 let fresh_top base = { frames = Tbl.create no_frame; is_top = true; deps = []; base }
 
 let create store =
   { store; id = Frame_store.fresh_map_id store; top = fresh_top None;
-    mapped = 0; fault = false; cow_copies = 0;
-    writes = 0; reads = 0; released = false; track = false;
-    writes_log = Tbl.create 0 }
+    mapped = 0; fault = false; cow_copies = 0; released = false }
 
 let id t = t.id
 let page_size t = Frame_store.page_size t.store
@@ -292,8 +284,7 @@ let fork parent =
   in
   { store = parent.store; id = Frame_store.fresh_map_id parent.store;
     top = child_top; mapped = parent.mapped;
-    fault = false; cow_copies = 0; writes = 0; reads = 0; released = false;
-    track = parent.track; writes_log = Tbl.create 0 }
+    fault = false; cow_copies = 0; released = false }
 
 let mapped_pages t =
   check t;
@@ -336,7 +327,6 @@ let read_into t ~vpage ~off ~len ~dst ~dst_off =
   bounds_check t ~off ~len;
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Page_map.read_into: destination range";
-  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | f -> Bytes.blit (Frame_store.data f) off dst dst_off len
   | exception Not_found -> Bytes.fill dst dst_off len '\000'
@@ -344,7 +334,6 @@ let read_into t ~vpage ~off ~len ~dst ~dst_off =
 let read t ~vpage ~off ~len =
   check t;
   bounds_check t ~off ~len;
-  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | f -> Bytes.sub (Frame_store.data f) off len
   | exception Not_found -> Bytes.make len '\000'
@@ -393,19 +382,13 @@ let prepare_write t vpage =
   let i = Tbl.slot frames vpage in
   if i >= 0 then Array.unsafe_get frames.vals i else prepare_slow t vpage
 
-(* Every write reaches the store's observer; [track] gates only the log. *)
-let note_write t vpage f =
-  if t.track then Tbl.replace t.writes_log vpage (Frame_store.id f);
-  Frame_store.notify_write t.store ~map:t.id ~vpage f
-
 let write_from t ~vpage ~off ~src ~src_off ~len =
   check t;
   bounds_check t ~off ~len;
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Page_map.write_from: source range";
-  t.writes <- t.writes + 1;
   let f = prepare_write t vpage in
-  note_write t vpage f;
+  Frame_store.notify_write t.store ~map:t.id ~vpage f;
   Bytes.blit src src_off (Frame_store.data f) off len;
   t.fault
 
@@ -421,7 +404,6 @@ let write t ~vpage ~off ~src ~copied =
 let get_u8 t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:1;
-  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | f -> Char.code (Bytes.unsafe_get (Frame_store.data f) off)
   | exception Not_found -> 0
@@ -430,16 +412,14 @@ let set_u8 t ~vpage ~off v =
   check t;
   bounds_check t ~off ~len:1;
   if v < 0 || v > 0xff then invalid_arg "Page_map.set_u8";
-  t.writes <- t.writes + 1;
   let f = prepare_write t vpage in
-  note_write t vpage f;
+  Frame_store.notify_write t.store ~map:t.id ~vpage f;
   Bytes.unsafe_set (Frame_store.data f) off (Char.unsafe_chr v);
   t.fault
 
 let get_i64 t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:8;
-  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | f -> Bytes.get_int64_le (Frame_store.data f) off
   | exception Not_found -> 0L
@@ -447,9 +427,8 @@ let get_i64 t ~vpage ~off =
 let set_i64 t ~vpage ~off v =
   check t;
   bounds_check t ~off ~len:8;
-  t.writes <- t.writes + 1;
   let f = prepare_write t vpage in
-  note_write t vpage f;
+  Frame_store.notify_write t.store ~map:t.id ~vpage f;
   Bytes.set_int64_le (Frame_store.data f) off v;
   t.fault
 
@@ -459,7 +438,6 @@ let set_i64 t ~vpage ~off v =
 let get_int t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:8;
-  t.reads <- t.reads + 1;
   match resolve_node t.top vpage with
   | exception Not_found -> 0
   | f ->
@@ -476,9 +454,8 @@ let get_int t ~vpage ~off =
 let set_int t ~vpage ~off v =
   check t;
   bounds_check t ~off ~len:8;
-  t.writes <- t.writes + 1;
   let f = prepare_write t vpage in
-  note_write t vpage f;
+  Frame_store.notify_write t.store ~map:t.id ~vpage f;
   let b = Frame_store.data f in
   Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff));
   Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v asr 8) land 0xff));
@@ -491,25 +468,25 @@ let set_int t ~vpage ~off v =
   t.fault
 
 (* Fault-only probe: privatise or materialise [vpage] without reading or
-   changing its contents. Counts a write (and returns [true], so the
-   caller charges the copy) only when a copy-on-write fault is actually
-   serviced; a page that is already private is a no-op apart from the
-   write log, and an unmapped page is materialised for free (zero-fill
-   costs nothing in the model). *)
+   changing its contents. Returns [true] (so the caller charges the copy)
+   only when a copy-on-write fault is actually serviced; a page that is
+   already private is a no-op apart from the write notification, and an
+   unmapped page is materialised for free (zero-fill costs nothing in the
+   model). *)
 let touch_page t ~vpage =
   check t;
   compact t;
   let frames = t.top.frames in
   let i = Tbl.slot frames vpage in
   if i >= 0 then begin
-    note_write t vpage (Array.unsafe_get frames.vals i);
+    Frame_store.notify_write t.store ~map:t.id ~vpage
+      (Array.unsafe_get frames.vals i);
     false
   end
   else begin
     t.fault <- false;
     let f = prepare_slow t vpage in
-    note_write t vpage f;
-    if t.fault then t.writes <- t.writes + 1;
+    Frame_store.notify_write t.store ~map:t.id ~vpage f;
     t.fault
   end
 
@@ -546,11 +523,6 @@ let absorb ~parent ~child =
   parent.top <- child.top;
   parent.mapped <- child.mapped;
   parent.cow_copies <- parent.cow_copies + child.cow_copies;
-  parent.writes <- parent.writes + child.writes;
-  parent.reads <- parent.reads + child.reads;
-  (* The surviving timeline inherits the winner's write history; the
-     child keeps its own copy for post-mortem analysis. *)
-  Tbl.iter (fun k v -> Tbl.replace parent.writes_log k v) child.writes_log;
   child.top <- fresh_top None;
   child.mapped <- 0;
   child.released <- true;
@@ -558,17 +530,6 @@ let absorb ~parent ~child =
   compact parent
 
 let cow_copies t = t.cow_copies
-let writes t = t.writes
-let reads t = t.reads
-
-let set_tracking t b = t.track <- b
-let tracking t = t.track
-
-(* Deliberately usable after [release]: eliminated siblings are audited
-   through this log. *)
-let write_log t =
-  Tbl.fold (fun vpage fid acc -> (vpage, fid) :: acc) t.writes_log []
-  |> List.sort compare
 
 (* Insertion sort, which allocates nothing ([Array.sort] raises an
    exception per sift). A map's pages are few; a checkpoint of [n] pages
@@ -625,11 +586,11 @@ let frame_id t ~vpage =
   check t;
   Option.map Frame_store.id (resolve_opt t vpage)
 
-(* Stat-neutral by design: auditing a map must not perturb the access
-   counters and log the analysis layer is about to read (the observer
-   effect the old [read]-based implementation had). Frames are compared by
-   physical identity first — only valid within one store — and byte-wise
-   otherwise; an unmapped page equals a mapped one that is all zeroes. *)
+(* Stat-neutral by design: auditing a map reads frames directly, so it
+   takes no fault, compacts no layer and notifies no observer. Frames are
+   compared by physical identity first — only valid within one store —
+   and byte-wise otherwise; an unmapped page equals a mapped one that is
+   all zeroes. *)
 let is_zero_page b =
   let rec go i = i < 0 || (Bytes.unsafe_get b i = '\000' && go (i - 1)) in
   go (Bytes.length b - 1)

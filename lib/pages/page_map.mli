@@ -13,9 +13,8 @@
 
 (** {2 Flat int tables}
 
-    The int-keyed open-addressing table page maps keep their layers and
-    write logs in, exposed for other per-operation tables (the
-    sanitizer's). Power-of-two capacity, linear probing, backward-shift
+    The int-keyed open-addressing table page maps keep their layers in,
+    exposed for other per-operation tables (the sanitizer's). Power-of-two capacity, linear probing, backward-shift
     deletion. An empty table holds no arrays until its first insert;
     lookups, the replacement of an existing key and removals allocate
     nothing. [min_int] is reserved; every other int is a valid key. *)
@@ -49,7 +48,7 @@ val create : Frame_store.t -> t
 
 val id : t -> int
 (** This map's {!Frame_store.fresh_map_id}: a store-unique, deterministic
-    identity. The frame store's observer reports this map's writes and its
+    identity. The frame store's observers hear this map's writes and its
     release under it, and the analysis layer joins those reports back to
     processes through {!Address_space.map}. *)
 
@@ -109,54 +108,28 @@ val set_int : t -> vpage:int -> off:int -> int -> bool
 
 val touch_page : t -> vpage:int -> bool
 (** Fault-only probe: ensure [vpage] is privately mapped without reading
-    or changing its contents. Returns [true] — and counts a write — only
-    when a copy-on-write fault was actually serviced (the caller charges
-    the copy); already-private pages are no-ops and unmapped pages are
-    materialised as zero frames for free. *)
+    or changing its contents. Returns [true] only when a copy-on-write
+    fault was actually serviced (the caller charges the copy);
+    already-private pages are no-ops and unmapped pages are materialised
+    as zero frames for free. Either way the store's observers hear a
+    write of the page. *)
 
 val absorb : parent:t -> child:t -> unit
 (** The parent drops all of its frames and takes over the child's overlay
-    and statistics; the child map becomes released (any further use
-    raises, and the store's observer hears of the release). This is the
+    and copy-on-write count; the child map becomes released (any further use
+    raises, and the store's observers hear of the release). This is the
     atomic page-pointer replacement of [alt_wait].
     O(pages the child dirtied), not O(mapped). *)
 
 val release : t -> unit
 (** Drop every frame reference (process elimination) and report the
-    release to the store's observer. Idempotent. *)
+    release to the store's observers. Idempotent. *)
 
 val released : t -> bool
 
 val cow_copies : t -> int
 (** Copy-on-write faults serviced by writes through this map (absorbing a
     child adds the child's count: the surviving timeline's history). *)
-
-val writes : t -> int
-val reads : t -> int
-
-(** {2 Access-set recording}
-
-    Every write is reported to the frame store's observer
-    ({!Frame_store.set_observer}), tracked or not: that notification is
-    how the online sanitizer sees writes as they happen, and it keeps no
-    state in the map. Tracking adds a write log on top: the map records
-    which virtual pages were written, together with the identity of the
-    frame each write landed in; reads are only counted ({!reads}). The
-    post-mortem isolation check reads the log: two sibling maps whose
-    write logs contain the same frame id for a page have mutated shared
-    state without copy-on-write privatisation. Tracking is off by default;
-    {!fork} inherits the parent's setting. *)
-
-val set_tracking : t -> bool -> unit
-val tracking : t -> bool
-
-val write_log : t -> (int * int) list
-(** [(vpage, frame_id)] pairs: the frame most recently written through this
-    map for each written page, ascending by page. Frame ids are never
-    reused by the store, so equal ids across sibling maps mean writes to
-    the same physical frame. Unlike the page-table accessors, this remains
-    usable after {!release} (post-mortem audit of eliminated processes).
-    Empty unless tracking was enabled. *)
 
 val mapped_vpages : t -> int list
 (** Virtual page numbers with a materialised frame, ascending. *)
@@ -173,6 +146,6 @@ val frame_id : t -> vpage:int -> int option
 val snapshot_equal : t -> t -> bool
 (** [snapshot_equal a b] holds when both maps present identical page
     contents (zero-extended to the union of their mapped pages).
-    Stat-neutral: auditing never perturbs {!reads}. Frames shared between
-    maps of the same store short-circuit by identity before any byte
-    comparison. *)
+    Stat-neutral: it takes no fault and notifies no observer. Frames
+    shared between maps of the same store short-circuit by identity
+    before any byte comparison. *)

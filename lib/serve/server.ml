@@ -339,8 +339,8 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
    what either holds, and which batch filled it, cannot be observed. Trace
    recording stays off (these runs are throughput, not post-mortem); the
    sanitizer, when requested, watches through its trace subscription,
-   called even with recording off, and the frame store's observer, which
-   hears every write although the request spaces keep no write log. *)
+   called even with recording off, and its frame-store observer, which
+   hears every write. *)
 
 type job_result = {
   jr_verdict : verdict;

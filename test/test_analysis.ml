@@ -27,6 +27,37 @@ let test_clean_matrix () =
   check Alcotest.int "no violations" 0 (List.length violations);
   check Alcotest.int "exit code" 0 (Report.exit_code violations)
 
+(* The oracle off local placement: every default scenario under every
+   policy of the matrix, its children spawned remotely (spaces restored
+   from a checkpoint, whose fills the isolation reader hears) or on
+   demand (copy-on-write at network prices), with and without the
+   sanitizer. *)
+let test_remote_placements_clean () =
+  let dirty = ref [] in
+  List.iter
+    (fun placement ->
+      List.iter
+        (fun sanitize ->
+          List.iter
+            (fun (sc : Invariants.scenario) ->
+              List.iter
+                (fun p ->
+                  let policy = { p with Concurrent.placement } in
+                  let _, vs = Invariants.run_checked ~sanitize sc ~policy ~seed:1 in
+                  List.iter
+                    (fun v ->
+                      dirty :=
+                        Format.asprintf "%s%a"
+                          (if sanitize then "sanitized " else "")
+                          Report.pp_violation v
+                        :: !dirty)
+                    vs)
+                Invariants.policy_matrix)
+            Invariants.default_scenarios)
+        [ false; true ])
+    [ Concurrent.Remote_spawn; Concurrent.Remote_on_demand ];
+  check Alcotest.(list string) "no violations" [] (List.rev !dirty)
+
 (* ---------------- seeded bugs ---------------- *)
 
 (* A second latch fill: some loser also records Sync_won, as if the
@@ -100,25 +131,45 @@ let test_seeded_skipped_elimination () =
 
 (* ---------------- race detection ---------------- *)
 
-(* Two siblings sharing one (untracked-by-COW) address space: every write
-   lands in the same frames, which is exactly what the isolation checker
-   must flag. *)
-let test_isolation_shared_space () =
+(* Two siblings sharing one (unprivatised-by-COW) address space: every
+   write lands in the same frames, which is exactly what the isolation
+   checker must flag. With [~sanitize] the sanitizer watches the same
+   store, and the one write must reach both readers: the oracle's
+   violation and the sanitizer's flag. *)
+let shared_space_race ~sanitize =
   let eng = Engine.create ~seed:7 () in
+  let sz = if sanitize then Some (Sanitizer.attach eng) else None in
   let sp = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
-  Address_space.set_tracking sp true;
+  let writes = Race.record (Engine.frame_store eng) in
   let blocked ctx = ignore (Engine.receive ctx ()) in
   let p1 = Engine.spawn eng ~space:sp ~name:"sib0" blocked in
   let p2 = Engine.spawn eng ~space:sp ~name:"sib1" blocked in
   Engine.run eng;
   Address_space.write_bytes sp ~addr:0 (Bytes.make 16 'x');
   let vs =
-    Race.check_isolation eng ~children:[ p1; p2 ] ~scenario:"shared-space"
-      ~policy:"manual" ~seed:7
+    Race.check_isolation writes eng ~children:[ p1; p2 ]
+      ~scenario:"shared-space" ~policy:"manual" ~seed:7
   in
   check Alcotest.bool "shared frame flagged" true (vs <> []);
   check Alcotest.(list string) "isolation class" [ "isolation" ] (class_names vs);
-  check Alcotest.int "exit code" 14 (Report.exit_code vs)
+  check Alcotest.int "exit code" 14 (Report.exit_code vs);
+  Option.iter
+    (fun sz ->
+      Sanitizer.detach sz;
+      check Alcotest.(list string) "the sanitizer flags the write"
+        [ "isolation" ]
+        (List.map
+           (fun f -> Report.class_name f.Sanitizer.sf_class)
+           (Sanitizer.flags sz));
+      check Alcotest.int "the two readers agree" 0
+        (List.length
+           (Sanitizer.crosscheck sz ~oracle:vs ~scenario:"shared-space"
+              ~policy:"manual" ~seed:7)))
+    sz
+
+let test_isolation_shared_space () = shared_space_race ~sanitize:false
+
+let test_isolation_shared_space_sanitized () = shared_space_race ~sanitize:true
 
 (* ---------------- trace export ---------------- *)
 
@@ -259,6 +310,8 @@ let () =
         [
           Alcotest.test_case "clean matrix has no violations" `Quick
             test_clean_matrix;
+          Alcotest.test_case "remote placements have no violations" `Quick
+            test_remote_placements_clean;
           Alcotest.test_case "seeded double latch fill -> exit 10" `Quick
             test_seeded_double_latch;
           Alcotest.test_case "seeded forged predicate -> exit 12" `Quick
@@ -267,6 +320,8 @@ let () =
             test_seeded_skipped_elimination;
           Alcotest.test_case "shared-space race -> exit 14" `Quick
             test_isolation_shared_space;
+          Alcotest.test_case "shared-space race sanitized -> exit 14" `Quick
+            test_isolation_shared_space_sanitized;
           Alcotest.test_case "trace exports as JSON lines" `Quick
             test_trace_jsonl;
         ] );

@@ -841,7 +841,6 @@ let test_observer_only_run () =
     (Trace.subscribe (Engine.trace eng) Trace.Kind.all (fun ~time e ->
          seen := Trace.event_to_json ~time e :: !seen));
   let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
-  Address_space.set_tracking space true;
   sc.Invariants.prepare eng space;
   ignore (Address_space.drain_cost space);
   ignore

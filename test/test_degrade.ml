@@ -534,7 +534,6 @@ let test_supervised_audit_catches_stale_epoch () =
   let space =
     Address_space.create (Engine.frame_store eng) (Engine.model eng)
   in
-  Address_space.set_tracking space true;
   scenario.Invariants.prepare eng space;
   let alts = scenario.Invariants.alts eng ~seed:1 ~source:None in
   let sr = Concurrent.run_supervised eng ~policy ~space ~sites alts in

@@ -280,56 +280,52 @@ let test_space_scalar_cross_page () =
 
 let test_space_touch_private_is_free () =
   (* Satellite: [touch] is a fault-only probe. A page that is already
-     private must cost nothing and count no write; an unmapped page is
-     materialised for free; only a genuine COW fault is charged. *)
+     private must cost nothing; an unmapped page is materialised for
+     free; only a genuine COW fault is charged. *)
   let sp = mk_space () in
   Address_space.set_int sp ~addr:0 5;
   ignore (Address_space.drain_cost sp);
-  let writes_before = Page_map.writes (Address_space.map sp) in
   Address_space.touch sp ~addr:0 ~len:8;
-  check Alcotest.int "no write counted on private page" writes_before
-    (Page_map.writes (Address_space.map sp));
   check cf "no cost on private page" 0. (Address_space.pending_cost sp);
   Address_space.touch sp ~addr:2048 ~len:1;
   check Alcotest.int "unmapped page materialised" 2 (Address_space.mapped_pages sp);
-  check Alcotest.int "no write counted on unmapped page" writes_before
-    (Page_map.writes (Address_space.map sp));
   check cf "no cost on unmapped page" 0. (Address_space.pending_cost sp);
-  (* Shared page: the probe must privatise, count one write, and charge. *)
+  check Alcotest.int "no cow fault" 0 (Address_space.cow_copies sp);
+  (* Shared page: the probe must privatise and charge. *)
   let child = Address_space.fork sp in
   ignore (Address_space.drain_cost child);
-  let w0 = Page_map.writes (Address_space.map child) in
   Address_space.touch child ~addr:0 ~len:1;
-  check Alcotest.int "one write counted on shared page" (w0 + 1)
-    (Page_map.writes (Address_space.map child));
   check Alcotest.int "one cow fault" 1 (Address_space.cow_copies child);
   check cf "exactly one page copy charged"
     (Cost_model.copy_cost model ~pages:1)
     (Address_space.pending_cost child)
 
 let test_snapshot_equal_is_stat_neutral () =
-  (* Satellite: auditing with [snapshot_equal] (and reading the write log)
-     must not perturb the counters or the log it is auditing. *)
+  (* Satellite: auditing with [snapshot_equal] must not perturb what it
+     audits: no write reaches the store's observers, no fault is taken,
+     and no frame is allocated or moved. *)
   let s = mk_store () in
   let a = Page_map.create s in
-  Page_map.set_tracking a true;
   let copied = ref false in
   Page_map.write a ~vpage:0 ~off:0 ~src:(Bytes.of_string "zz") ~copied;
   let b = Page_map.fork a in
   Page_map.write b ~vpage:3 ~off:0 ~src:(Bytes.of_string "w") ~copied;
   ignore (Page_map.read a ~vpage:0 ~off:0 ~len:2);
-  let reads_a = Page_map.reads a and writes_a = Page_map.writes a in
-  let reads_b = Page_map.reads b and writes_b = Page_map.writes b in
-  let wlog_a = Page_map.write_log a in
+  let heard = ref 0 in
+  Frame_store.add_observer s
+    { Frame_store.on_write = (fun ~map:_ ~vpage:_ ~frame:_ -> incr heard);
+      on_free = (fun ~frame:_ -> incr heard);
+      on_release = (fun ~map:_ -> incr heard) };
+  let frames m = List.map (fun vp -> Page_map.frame_id m ~vpage:vp) [ 0; 3 ] in
+  let frames_a = frames a and frames_b = frames b in
+  let allocs = Frame_store.total_allocations s in
   ignore (Page_map.snapshot_equal a b);
   ignore (Page_map.snapshot_equal a a);
-  check Alcotest.int "a.reads unchanged" reads_a (Page_map.reads a);
-  check Alcotest.int "a.writes unchanged" writes_a (Page_map.writes a);
-  check Alcotest.int "b.reads unchanged" reads_b (Page_map.reads b);
-  check Alcotest.int "b.writes unchanged" writes_b (Page_map.writes b);
-  check
-    Alcotest.(list (pair int int))
-    "a write log unchanged" wlog_a (Page_map.write_log a)
+  check Alcotest.int "observers hear nothing" 0 !heard;
+  check Alcotest.int "no frame allocated" allocs (Frame_store.total_allocations s);
+  check Alcotest.int "no cow fault" 0 (Page_map.cow_copies a + Page_map.cow_copies b);
+  check Alcotest.(list (option int)) "a's frames unchanged" frames_a (frames a);
+  check Alcotest.(list (option int)) "b's frames unchanged" frames_b (frames b)
 
 (* Satellite: frame conservation across fork / write / absorb / release
    schedules. After the tree of maps has been absorbed and released back
@@ -688,15 +684,12 @@ let prop_absorb_equals_child =
    page materialises a zero frame. The layered maps must agree with it on
    bytes, fault results, [mapped_pages], [mapped_vpages],
    [private_pages], [cow_copies], and - since frames are allocated at the
-   same steps on both sides - the frame ids in [frame_id] and the sorted
-   [write_log], which is checked on released maps too. The run is made
-   once with every map tracked and once with none (every write log then
-   stays empty): either way the store's observer must report exactly the
-   [(map id, vpage, frame id)] of each step's write, with map ids dense
-   in creation order, and nothing for the audit reads; the id of each
-   map a step releases or absorbs; and each freed frame once, so that
-   the frames reported freed and the live frames add up to every frame
-   allocated. The store's
+   same steps on both sides - the frame ids in [frame_id]. The store's
+   observer must report exactly the [(map id, vpage, frame id)] of each
+   step's write, with map ids dense in creation order, and nothing for
+   the audit reads; the id of each map a step releases or absorbs; and
+   each freed frame once, so that the frames reported freed and the live
+   frames add up to every frame allocated. The store's
    [live_frames] never falls below the reference's count (a frame some
    map resolves is never freed) and is 0 once every map is released: a
    frozen layer may hold a frame that every live relative shadows until
@@ -710,7 +703,6 @@ type rframe = { rid : int; rbytes : Bytes.t; mutable rrefs : int }
 type rmap = {
   rpages : (int, rframe) Hashtbl.t;
   mutable rcow : int;
-  rwrites : (int, int) Hashtbl.t;
   mutable rlive : bool;
 }
 
@@ -732,29 +724,26 @@ let show_map_op = function
 
 let model_page_size = 16
 
-let run_map_model ~track ops =
+let run_map_model ops =
   let fail fmt = QCheck.Test.fail_reportf fmt in
   let store = Frame_store.create ~page_size:model_page_size in
   let next_id = ref 0 and live = ref 0 in
   let rmap () =
-    { rpages = Hashtbl.create 8; rcow = 0; rwrites = Hashtbl.create 8;
-      rlive = true }
+    { rpages = Hashtbl.create 8; rcow = 0; rlive = true }
   in
   let reported = ref [] and released = ref [] in
   let freed = Hashtbl.create 64 in
-  Frame_store.set_observer store
-    (Some
-       {
-         Frame_store.on_write =
-           (fun ~map ~vpage ~frame -> reported := (map, vpage, frame) :: !reported);
-         on_free =
-           (fun ~frame ->
-             if Hashtbl.mem freed frame then fail "frame %d freed twice" frame;
-             Hashtbl.replace freed frame ());
-         on_release = (fun ~map -> released := map :: !released);
-       });
+  Frame_store.add_observer store
+    {
+      Frame_store.on_write =
+        (fun ~map ~vpage ~frame -> reported := (map, vpage, frame) :: !reported);
+      on_free =
+        (fun ~frame ->
+          if Hashtbl.mem freed frame then fail "frame %d freed twice" frame;
+          Hashtbl.replace freed frame ());
+      on_release = (fun ~map -> released := map :: !released);
+    };
   let root = Page_map.create store in
-  Page_map.set_tracking root track;
   let maps = ref [| (root, rmap ()) |] in
   let r_alloc bytes =
     let f = { rid = !next_id; rbytes = bytes; rrefs = 1 } in
@@ -789,9 +778,7 @@ let run_map_model ~track ops =
   let audit_read m vp = Page_map.read m ~vpage:vp ~off:0 ~len:model_page_size in
   let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
   let agree i (m, r) =
-    if Page_map.write_log m <> (if track then sorted r.rwrites else []) then
-      Some (Printf.sprintf "map #%d: write log" i)
-    else if Page_map.released m = r.rlive then Some "released"
+    if Page_map.released m = r.rlive then Some "released"
     else if not r.rlive then None
     else if Page_map.mapped_pages m <> Hashtbl.length r.rpages then Some "mapped_pages"
     else if Page_map.mapped_vpages m <> List.map fst (sorted r.rpages) then
@@ -836,7 +823,6 @@ let run_map_model ~track ops =
             let faulted = Page_map.set_u8 m ~vpage:vp ~off v in
             let f, r_faulted = r_prepare r vp in
             Bytes.set f.rbytes off (Char.chr v);
-            Hashtbl.replace r.rwrites vp f.rid;
             expected := [ (i, vp, f.rid) ];
             if faulted <> r_faulted then fail "%s: fault %b" (show_map_op op) faulted)
           (live_index k)
@@ -858,7 +844,6 @@ let run_map_model ~track ops =
             let m, r = !maps.(i) in
             let faulted = Page_map.touch_page m ~vpage:vp in
             let f, r_faulted = r_prepare r vp in
-            Hashtbl.replace r.rwrites vp f.rid;
             expected := [ (i, vp, f.rid) ];
             if faulted <> r_faulted then fail "%s: fault %b" (show_map_op op) faulted)
           (live_index k)
@@ -885,8 +870,7 @@ let run_map_model ~track ops =
           Hashtbl.iter (Hashtbl.replace pr.rpages) cr.rpages;
           Hashtbl.reset cr.rpages;
           cr.rlive <- false;
-          pr.rcow <- pr.rcow + cr.rcow;
-          Hashtbl.iter (Hashtbl.replace pr.rwrites) cr.rwrites
+          pr.rcow <- pr.rcow + cr.rcow
         | _ -> ())
       | Release k ->
         Option.iter
@@ -950,7 +934,7 @@ let arb_map_ops =
 let prop_page_map_model =
   QCheck.Test.make ~name:"random ops agree with an eager-copy reference" ~count:500
     arb_map_ops (fun ops ->
-      run_map_model ~track:true ops && run_map_model ~track:false ops)
+      run_map_model ops)
 
 (* ---------------- Allocation contracts ----------------
 
@@ -960,7 +944,7 @@ let prop_page_map_model =
    copy-on-write fork that does not grow with the address space, and an
    absorb that pays only for the winner's dirty pages (§3.1, §4.4). With
    4096-byte pages, 1024 pages mapped and OCaml 5.1.1 the figures are 0
-   words a scalar get or set, 71 a fork and release, and 97 / 1864 a
+   words a scalar get or set, 62 a fork and release, and 83 / 1850 a
    fork, dirty and absorb of 1 / 256 pages; the ceilings sit a little
    above them. *)
 
@@ -1099,9 +1083,9 @@ let () =
           Alcotest.test_case "scalar set_int" `Quick
             (test_alloc_budget "set_int" scalar_sets 0.01);
           Alcotest.test_case "fork and release, 1024 mapped" `Quick
-            (test_alloc_budget "fork and release" fork_releases 75.);
+            (test_alloc_budget "fork and release" fork_releases 65.);
           Alcotest.test_case "absorb 1 dirty of 1024 mapped" `Quick
-            (test_alloc_budget "absorb 1 dirty" (absorbs ~dirty:1) 105.);
+            (test_alloc_budget "absorb 1 dirty" (absorbs ~dirty:1) 88.);
           Alcotest.test_case "absorb scales with dirty pages" `Quick
             test_absorb_scales_with_dirty;
         ] );

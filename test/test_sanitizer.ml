@@ -128,7 +128,7 @@ let test_shared_space_caught_at_write () =
     Address_space.create ~size_hint:4096 (Engine.frame_store eng)
       (Engine.model eng)
   in
-  Address_space.set_tracking sp true;
+  let writes = Race.record (Engine.frame_store eng) in
   let p1 =
     Engine.spawn eng ~space:sp (fun ctx ->
         Engine.delay ctx 0.001;
@@ -154,7 +154,7 @@ let test_shared_space_caught_at_write () =
     ] sz;
   (* Oracle parity on the same run. *)
   let oracle =
-    Race.check_isolation eng ~children:[ p1; p2 ] ~scenario:"shared"
+    Race.check_isolation writes eng ~children:[ p1; p2 ] ~scenario:"shared"
       ~policy:"p" ~seed:3
   in
   check Alcotest.bool "post-mortem oracle agrees" true
@@ -222,7 +222,6 @@ let supervised_block eng sites ~seed =
   let space =
     Address_space.create (Engine.frame_store eng) (Engine.model eng)
   in
-  Address_space.set_tracking space true;
   counters.Invariants.prepare eng space;
   let alts = counters.Invariants.alts eng ~seed ~source:None in
   Concurrent.run_supervised eng ~policy:supervised_policy ~space ~sites alts

@@ -437,12 +437,11 @@ let test_coordinator_site_crash_recovers () =
   check Alcotest.int "everything reaped" 0 (Engine.live_count eng)
 
 let test_restored_incarnation_stays_tracked () =
-  (* The site campaign tracks the block's space, so every write an
-     alternative makes reaches the write log and the sanitizer's
-     observer. A recovered coordinator runs in a space restored from the
-     checkpoint; that space, and the children forked from it, must stay
-     tracked too. The cell is the one whose epoch-2 children used CPU
-     while recording no writes when restore dropped the setting. *)
+  (* Every write an alternative makes reaches the frame store's
+     observers: the run's isolation recorder and the sanitizer. A
+     recovered coordinator runs in a space restored from the checkpoint;
+     the writes of the children forked from it must be recorded too. The
+     cell is one whose epoch-2 children use CPU. *)
   let cell =
     List.find
       (fun c ->
@@ -474,7 +473,7 @@ let test_restored_incarnation_stays_tracked () =
         check Alcotest.bool
           (Format.asprintf "epoch-2 child %a recorded its writes" Pid.pp c)
           true
-          (Address_space.written_pages sp <> []))
+          (Race.written run.Invariants.writes sp <> []))
     children
 
 (* ------------------------------------------------------------------ *)
