@@ -246,7 +246,7 @@ let rec won_by p = function
   | [] -> false
   | (q, _, _) :: rest -> Pid.equal p q || won_by p rest
 
-let rec wins_in epoch n = function
+let rec wins_in (epoch : int) n = function
   | [] -> n
   | (_, _, e) :: rest -> wins_in epoch (if e = epoch then n + 1 else n) rest
 

@@ -1,13 +1,15 @@
 (* [| p0; n0; p1; n1; ... |]: (pid, count) pairs in increasing pid order,
    every count >= 1. The walks below are top-level functions with
-   explicit arguments, so a call allocates no closure. *)
+   explicit arguments, so a call allocates no closure, and their arrays
+   are annotated [t], so every comparison compiles to an inline integer
+   compare rather than a call to the polymorphic one. *)
 type t = int array
 
 let empty = [||]
 let is_empty c = Array.length c = 0
 let singleton p = [| Pid.to_int p; 1 |]
 
-let rec leq_from a b i j =
+let rec leq_from (a : t) (b : t) i j =
   i >= Array.length a
   || j < Array.length b
      &&
@@ -17,11 +19,11 @@ let rec leq_from a b i j =
 
 let leq a b = leq_from a b 0 0
 
-let rec mem_from c p i =
+let rec mem_from (c : t) p i =
   i < Array.length c && (c.(i) = p || (c.(i) < p && mem_from c p (i + 2)))
 
 (* Twice the number of pids in [a] or [b], counted from [i], [j]. *)
-let rec union_size a b i j k =
+let rec union_size (a : t) (b : t) i j k =
   let na = Array.length a and nb = Array.length b in
   if i >= na then k + nb - j
   else if j >= nb then k + na - i

@@ -60,7 +60,7 @@ let run_oracle ctx ~costs alts =
     if Array.length costs <> Array.length arr then
       invalid_arg "Alt_block.run_oracle: costs/alternatives length mismatch";
     let best = ref 0 in
-    Array.iteri (fun i c -> if c < costs.(!best) then best := i) costs;
+    Array.iteri (fun i (c : float) -> if c < costs.(!best) then best := i) costs;
     let index = !best in
     (match attempt ctx arr.(index) with
     | Ok value -> Selected { index; value }

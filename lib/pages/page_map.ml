@@ -535,7 +535,7 @@ let cow_copies t = t.cow_copies
    exception per sift). A map's pages are few; a checkpoint of [n] pages
    copies [n] pages, which dwarfs the sort until [n] is in the
    thousands. *)
-let sort_ints a =
+let sort_ints (a : int array) =
   for i = 1 to Array.length a - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in

@@ -5,7 +5,9 @@
    returns [empty] for the certain predicate, so the fast paths below
    test it physically. The loops are top-level functions taking every
    variable as an argument: a local recursive function would allocate a
-   closure per call. *)
+   closure per call. Their arrays are annotated [int array], so each
+   comparison is an inline integer compare, not a call to the
+   polymorphic one. *)
 
 type t = { completes : int array; fails : int array }
 
@@ -16,7 +18,7 @@ let mk completes fails =
   else { completes; fails }
 
 (* Index of [x] in [a.(lo..hi-1)], or [-1 - i] for its insertion point [i]. *)
-let rec search a x lo hi =
+let rec search (a : int array) x lo hi =
   if lo >= hi then -1 - lo
   else
     let mid = (lo + hi) lsr 1 in
@@ -26,7 +28,7 @@ let rec search a x lo hi =
 let mem a x = search a x 0 (Array.length a) >= 0
 
 (* [a] with [x] added; [x] must be absent. *)
-let insert a x =
+let insert (a : int array) x =
   let i = -1 - search a x 0 (Array.length a) and n = Array.length a in
   let b = Array.make (n + 1) x in
   Array.blit a 0 b 0 i;
@@ -34,7 +36,7 @@ let insert a x =
   b
 
 (* Every element of [s.(i..)] is in [r.(j..)]. *)
-let rec subset s r i j =
+let rec subset (s : int array) (r : int array) i j =
   let ns = Array.length s and nr = Array.length r in
   i = ns
   || nr - j >= ns - i
@@ -42,7 +44,7 @@ let rec subset s r i j =
      let x = Array.unsafe_get s i and y = Array.unsafe_get r j in
      if x = y then subset s r (i + 1) (j + 1) else x > y && subset s r i (j + 1)
 
-let rec intersects a b i j =
+let rec intersects (a : int array) (b : int array) i j =
   i < Array.length a
   && j < Array.length b
   &&
@@ -51,7 +53,7 @@ let rec intersects a b i j =
 
 (* Merge [a.(i..)] and [b.(j..)] into [c.(k..)], dropping duplicates;
    returns the merged length. *)
-let rec merge a b c i j k =
+let rec merge (a : int array) (b : int array) c i j k =
   let na = Array.length a and nb = Array.length b in
   if i = na then (Array.blit b j c k (nb - j); k + nb - j)
   else if j = nb then (Array.blit a i c k (na - i); k + na - i)
@@ -61,7 +63,7 @@ let rec merge a b c i j k =
     merge a b c (if x <= y then i + 1 else i) (if y <= x then j + 1 else j) (k + 1)
 
 (* Returns an argument when it already contains the other. *)
-let union a b =
+let union (a : int array) (b : int array) =
   if subset b a 0 0 then a
   else if subset a b 0 0 then b
   else
@@ -156,7 +158,12 @@ let conjoin r s =
   else if implies s r then s
   else { completes = union r.completes s.completes; fails = union r.fails s.fails }
 
-let equal a b = a == b || a = b
+let rec equal_from (a : int array) (b : int array) i =
+  i = Array.length a || (Array.unsafe_get a i = Array.unsafe_get b i && equal_from a b (i + 1))
+
+let equal_ints a b = Array.length a = Array.length b && equal_from a b 0
+
+let equal a b = a == b || (equal_ints a.completes b.completes && equal_ints a.fails b.fails)
 
 (* Lexicographic over the ascending elements, a proper prefix first:
    exactly the order [Pid.Set.compare] gives. *)

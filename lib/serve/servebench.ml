@@ -31,7 +31,7 @@ let metrics_of (sv : Server.config) (r : Server.result) =
            | _ -> rs.Server.rs_latency :: acc)
          r.Server.responses [])
   in
-  let pct p = if latencies = [||] then 0. else Stats.percentile latencies ~p in
+  let pct p = if Array.length latencies = 0 then 0. else Stats.percentile latencies ~p in
   let makespan =
     Array.fold_left
       (fun acc (rs : Server.response) -> Float.max acc rs.Server.rs_completion)

@@ -10,7 +10,7 @@ let cdf ~tenants ~s =
   cdf.(tenants - 1) <- 1.;
   cdf
 
-let search cdf u =
+let search (cdf : float array) (u : float) =
   let n = Array.length cdf in
   let lo = ref 0 and hi = ref (n - 1) in
   while !lo < !hi do

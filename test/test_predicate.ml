@@ -222,6 +222,22 @@ let prop_resolve_shrinks =
       | Predicate.Falsified -> true
       | Predicate.Simplified q' -> Predicate.cardinal q' = Predicate.cardinal q - 1)
 
+(* [Predicate.equal] is an int-array walk; it must agree with structural
+   equality, which it replaced. [b'] rebuilds [b] through [make], so an
+   equal pair that is not physically equal occurs on every draw, and the
+   small pid ranges make equal random pairs common too. *)
+let prop_equal_is_structural =
+  QCheck.Test.make ~name:"equal agrees with structural (=)" ~count:2000
+    (QCheck.pair gen_pred gen_pred) (fun (a, b) ->
+      let b' =
+        Predicate.make
+          ~must_complete:(Pid.Set.elements (Predicate.must_complete b))
+          ~must_fail:(Pid.Set.elements (Predicate.must_fail b))
+      in
+      let agrees x y = Predicate.equal x y = (x = y) && Predicate.equal y x = (y = x) in
+      agrees a b && agrees a b' && agrees b b' && Predicate.equal b b'
+      && Predicate.equal a b = (Predicate.compare a b = 0))
+
 (* [Predicate.resolve] decides one pid with two binary searches; its
    definition is [resolve_all] with a fate function that decides that pid
    alone. Pids 20 and 21 occur in no generated predicate. *)
@@ -623,6 +639,7 @@ let () =
             prop_conjoin_implies_both;
             prop_conflicts_symmetric;
             prop_empty_is_unit;
+            prop_equal_is_structural;
             prop_resolve_shrinks;
             prop_resolve_is_one_pid_resolve_all;
             prop_predicate_model;

@@ -364,6 +364,29 @@ let prop_vclock_matches_map =
              && same (Vclock.tick a p) (ref_tick ra p))
            [ 0; 3; 7; 9 ])
 
+(* The sanitizer keeps send snapshots and frame writers' clocks by
+   reference, so no clock operation may write into an argument: after
+   each operation both arguments read as before, and the operation asked
+   again answers the same. *)
+let prop_vclock_immutable =
+  QCheck.Test.make ~name:"Vclock tick/join/join_tick/leq never mutate their arguments"
+    ~count:1000 (QCheck.pair gen_ticks gen_ticks) (fun (xs, ys) ->
+      let a, _ = clocks_of xs and b, _ = clocks_of ys in
+      let a0 = Vclock.to_list a and b0 = Vclock.to_list b in
+      let stable f =
+        let r = f () in
+        Vclock.to_list a = a0 && Vclock.to_list b = b0 && f () = r
+      in
+      stable (fun () -> Vclock.to_list (Vclock.join a b))
+      && stable (fun () -> (Vclock.leq a b, Vclock.leq b a))
+      && List.for_all
+           (fun p ->
+             let p = Pid.of_int p in
+             stable (fun () -> Vclock.to_list (Vclock.tick a p))
+             && stable (fun () -> Vclock.to_list (Vclock.tick b p))
+             && stable (fun () -> Vclock.to_list (Vclock.join_tick a b p)))
+           [ 0; 3; 7; 9 ])
+
 (* ---------------- state across the blocks of one engine ------------- *)
 
 (* One engine hosts block after block, as a serving batch does: after
@@ -448,5 +471,6 @@ let () =
           Alcotest.test_case "clean runs unchanged" `Quick
             test_clean_run_parity;
           QCheck_alcotest.to_alcotest prop_vclock_matches_map;
+          QCheck_alcotest.to_alcotest prop_vclock_immutable;
         ] );
     ]
