@@ -75,11 +75,11 @@ let pick what hint name_of all = function
           exit 1)
       names
 
-(* Write [c]'s event trace as JSON Lines. The sweep keeps no engine, so
-   the cell is executed again: a cell's run is a function of the cell, so
-   this is the trace the sweep saw. *)
+(* Write [c]'s event trace as JSON Lines. The sweep's engines record no
+   trace, so the cell is executed once more with a recorder: a cell's run
+   is a function of the cell, so this is the execution the sweep judged. *)
 let dump_trace ~sanitize file which c =
-  let rr, _ = Campaign.execute ~sanitize c in
+  let rr, _ = Campaign.execute ~record:true ~sanitize c in
   let oc =
     try open_out file
     with Sys_error m ->

@@ -315,13 +315,10 @@ let outcome_string rep =
 (* The executor: one checked run per cell, supervised on the five-site
    topology for a site campaign.                                        *)
 
-let count_events rr f = Trace.count (Engine.trace rr.Invariants.engine) ~f
-
 let summary c (rr : Invariants.run) =
   let rep = rr.Invariants.report in
-  let injections =
-    count_events rr (function Trace.Injected _ -> true | _ -> false)
-  in
+  let h = rr.Invariants.history in
+  let injections = List.length (History.injections h) in
   match rr.Invariants.supervised with
   | None ->
     Printf.sprintf
@@ -340,9 +337,8 @@ let summary c (rr : Invariants.run) =
       (List.length sr.Concurrent.sr_recoveries)
       rep.Concurrent.degraded
       (String.concat "," (Sites.crashed_sites sites))
-      (count_events rr (function Trace.Partitioned _ -> true | _ -> false))
-      (count_events rr (function Trace.Healed _ -> true | _ -> false))
-      injections rep.Concurrent.sync_messages rep.Concurrent.elapsed
+      (History.partitions h) (History.heals h) injections
+      rep.Concurrent.sync_messages rep.Concurrent.elapsed
       rep.Concurrent.wasted_cpu
 
 (* A campaign that takes a voter majority down before anyone can
@@ -363,10 +359,10 @@ let phantom_winner c (rr : Invariants.run) =
     ]
   | _ -> []
 
-let execute ?sanitize c =
+let execute ?record ?sanitize c =
   let sites = if c.cl_campaign.cg_supervised then Some site_names else None in
   let rr, vs =
-    Invariants.run_checked
+    Invariants.run_checked ?record
       ~faults:(c.cl_campaign.plan ~seed:c.cl_seed)
       ?sites ?sanitize c.cl_scenario ~policy:c.cl_policy ~seed:c.cl_seed
   in

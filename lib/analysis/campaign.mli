@@ -94,12 +94,14 @@ val cells : family -> cell array
 val describe_cell : cell -> string
 (** ["scenario/campaign/policy/seed N"] — the replay coordinates. *)
 
-val execute : ?sanitize:bool -> cell -> Invariants.run * Report.violation list
+val execute :
+  ?record:bool -> ?sanitize:bool -> cell ->
+  Invariants.run * Report.violation list
 (** Run one cell through {!Invariants.run_checked} (supervised on the
     {!site_names} topology for a site campaign) and add the campaign's
     own phantom-winner check. Deterministic in the cell: a re-execution
-    yields a byte-identical trace and report, which is how a caller gets
-    a cell's trace back after {!run} without {!run} keeping any engine. *)
+    with [~record:true] (default false) records the trace {!run} judged,
+    without {!run} keeping or recording any engine. *)
 
 type result = {
   cells_run : int;

@@ -1,18 +1,24 @@
-(** Structured views over an execution trace.
+(** Structured views over an execution's event stream.
 
     The checkers in {!Invariants} ask questions like "how many [Sync_won]
     events does this pid have" or "what was this process's exit status";
-    this module answers them from one pass over a {!Trace.t}, so that each
-    checker reads like the invariant it verifies. *)
+    this module answers them from a {!Trace} subscription to the kinds its
+    views read, so that each checker reads like the invariant it
+    verifies. *)
 
 type t
 
-val of_trace : Trace.t -> t
+val attach : Trace.t -> t
+(** Subscribe to the trace: the views cover what is recorded from now on,
+    whether or not the trace keeps it. Attach before anything spawns. *)
+
+val replay : (float * Trace.event) list -> t
+(** What {!attach} would have built from these events (oldest first). *)
 
 (** {2 Process identity} *)
 
 val name_of : t -> Pid.t -> string option
-(** Spawn-time name, if the pid was spawned inside the traced window. *)
+(** Spawn-time name, if the pid was spawned while attached. *)
 
 (** {2 Exits} *)
 
@@ -28,7 +34,7 @@ val classify_exit : string -> exit_class
 
 val exits_of : t -> Pid.t -> string list
 (** The raw statuses of every [Exited] event for the pid (a well-formed
-    trace has at most one). *)
+    run has at most one). *)
 
 (** {2 Synchronisation and rendezvous} *)
 
@@ -65,9 +71,14 @@ val recoveries : t -> (Pid.t * Pid.t * int) list
 (** [(failed coordinator, successor, new epoch)] of every [Recovered]
     event, in order. *)
 
+val partitions : t -> int
+val heals : t -> int
+
 val faulted : t -> bool
 (** At least one injection took effect. Checkers use this to decide whether
     a failure outcome may be excused by the campaign. *)
 
 val count_sent_tag : t -> tag:string -> int
+(** How many [Sent] events carried a message with this tag. *)
+
 val count_accept_tag : t -> tag:string -> dest_ok:(Pid.t -> bool) -> int

@@ -18,6 +18,7 @@ type run = {
   seed : int;
   alts_count : int;
   writes : Race.writes;
+  history : History.t;
   sanitizer : Sanitizer.t option;
 }
 
@@ -50,7 +51,8 @@ let block_children rr =
 (* ------------------------------------------------------------------ *)
 (* Running a scenario.                                                 *)
 
-let mk_engine seed = Engine.create ~model:Cost_model.att_3b2 ~seed ()
+let mk_engine ?(record = false) seed =
+  Engine.create ~model:Cost_model.att_3b2 ~seed ~trace:record ()
 
 let mk_space eng =
   Address_space.create (Engine.frame_store eng) (Engine.model eng)
@@ -63,13 +65,14 @@ let mk_source eng scenario =
     Some s
   end
 
-let run_scenario ?faults ?sites ?(sanitize = false) scenario ~policy ~seed =
-  let engine = mk_engine seed in
-  (* The sanitizer attaches before anything is spawned (its vector clocks
-     must see every Spawned event), and fault plans hook the engine before
-     anything is spawned, so a campaign covers the whole execution (the
-     transparency checker's reference runs stay fault-free: they are built
-     by [sequential_reference] below). *)
+let run_scenario ?record ?faults ?sites ?(sanitize = false) scenario ~policy
+    ~seed =
+  let engine = mk_engine ?record seed in
+  (* The history and the sanitizer must see every Spawned event, and
+     fault plans hook the engine before anything is spawned, so a campaign
+     covers the whole execution (the transparency checker's reference runs
+     stay fault-free: they are built by [sequential_reference] below). *)
+  let history = History.attach (Engine.trace engine) in
   let sanitizer = if sanitize then Some (Sanitizer.attach engine) else None in
   let topology = Option.map (fun names -> Sites.create engine ~names) sites in
   Option.iter (fun plan -> Faultplan.install ?sites:topology plan engine) faults;
@@ -102,6 +105,7 @@ let run_scenario ?faults ?sites ?(sanitize = false) scenario ~policy ~seed =
     seed;
     alts_count = List.length alts;
     writes;
+    history;
     sanitizer;
   }
 
@@ -697,11 +701,11 @@ let find_scenario name =
 (* Per-request report checks.
 
    The serving layer answers each admitted request with a block report;
-   these checks audit one report's self-consistency without a trace (the
-   serving engines keep recording off for throughput — the trace-based
-   checkers above need [run_scenario]'s full instrumentation). They are a
-   sound subset of the post-mortem classes: any violation here implies
-   the corresponding replay checker would find one too. *)
+   these checks audit one report's self-consistency without an event
+   history (a served block attaches no [History]: the checkers above need
+   [run_scenario]'s instrumentation). They are a sound subset of the
+   post-mortem classes: any violation here implies the corresponding
+   replay checker would find one too. *)
 
 (* A violation built and pushed onto [out]. The checks below accumulate
    newest first in a local [ref] that no closure captures, so a clean
@@ -812,8 +816,7 @@ let check_supervised_report ~scenario ~policy ~seed
 (* ------------------------------------------------------------------ *)
 (* Everything.                                                         *)
 
-let check_all rr =
-  let h = History.of_trace (Engine.trace rr.engine) in
+let check_all ({ history = h; _ } as rr) =
   let policy = Concurrent.describe rr.policy in
   check_at_most_once rr h @ check_transparency rr h @ check_world rr h
   @ check_elimination rr h
@@ -834,8 +837,10 @@ let check_all rr =
     Race.check_sources s ~scenario:rr.scenario.sc_name ~policy ~seed:rr.seed
   | None -> []
 
-let run_checked ?faults ?sites ?sanitize scenario ~policy ~seed =
-  let rr = run_scenario ?faults ?sites ?sanitize scenario ~policy ~seed in
+let run_checked ?record ?faults ?sites ?sanitize scenario ~policy ~seed =
+  let rr =
+    run_scenario ?record ?faults ?sites ?sanitize scenario ~policy ~seed
+  in
   let vs = check_all rr in
   match rr.sanitizer with
   | None -> (rr, vs)

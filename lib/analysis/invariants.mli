@@ -1,7 +1,7 @@
 (** The paper's invariants, checked against whole executions.
 
-    {!check_all} consumes a finished run — engine, trace, report — of
-    either {!Concurrent.run_toplevel} or {!Concurrent.run_supervised}, and
+    {!check_all} consumes a finished run — engine, event history, report —
+    of either {!Concurrent.run_toplevel} or {!Concurrent.run_supervised}, and
     verifies each family of properties from Smith & Maguire's transparency
     argument with the same checkers for both:
 
@@ -66,19 +66,22 @@ type run = {
   writes : Race.writes;
       (** Every page write of the run, recorded from before the parent's
           space was seeded: what {!Race.check_isolation} reads. *)
+  history : History.t;  (** Attached before anything spawned. *)
   sanitizer : Sanitizer.t option;
       (** Present when the run executed with [~sanitize:true]: the online
           monitor that watched the execution, flags included. *)
 }
 
 val run_scenario :
+  ?record:bool ->
   ?faults:Faultplan.t ->
   ?sites:string list ->
   ?sanitize:bool ->
   scenario -> policy:Concurrent.policy -> seed:int -> run
 (** Execute the scenario under the policy: fresh engine
     ({!Cost_model.att_3b2}) whose page writes {!Race.record} keeps, block
-    run to quiescence via {!Concurrent.run_toplevel}. With [~sites] the engine
+    run to quiescence via {!Concurrent.run_toplevel}; it records no trace
+    unless [~record:true] (default false). With [~sites] the engine
     gets a {!Sites} topology of those names and the block runs under
     {!Concurrent.run_supervised} on it instead (the policy must use
     [Consensus]). [faults] is installed on the fresh engine (and the
@@ -92,6 +95,7 @@ val check_all : run -> Report.violation list
 (** Every checker that applies to the run (see above), concatenated. *)
 
 val run_checked :
+  ?record:bool ->
   ?faults:Faultplan.t ->
   ?sites:string list ->
   ?sanitize:bool ->
@@ -123,11 +127,11 @@ val check_report :
   seed:int ->
   'a Concurrent.report ->
   Report.violation list
-(** Audit one block report's self-consistency without a trace: winner
-    membership and at-most-once shape of the outcome, spawn bookkeeping,
-    non-negative cost counters, zero consensus messages under a local
-    latch. A sound subset of the replay checkers, cheap enough to run on
-    every served request (the serving engines keep trace recording off). *)
+(** Audit one block report's self-consistency without an event history:
+    winner membership and at-most-once shape of the outcome, spawn
+    bookkeeping, non-negative cost counters, zero consensus messages under
+    a local latch. A sound subset of the replay checkers, cheap enough to
+    run on every served request (a served block attaches no {!History}). *)
 
 val check_supervised_report :
   scenario:string ->

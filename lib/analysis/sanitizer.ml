@@ -1,7 +1,7 @@
 (* The online sanitizer: a streaming monitor over the engine's trace,
    the frame store's observer, and source emissions. Where the
-   post-mortem checkers replay a finished [History] (memory grows with run
-   length, findings carry no "caught in the act" coordinates), the
+   post-mortem checkers judge a finished run's [History] (memory grows with
+   run length, findings carry no "caught in the act" coordinates), the
    sanitizer consumes each event as it happens and flags violations at the
    exact virtual time and pid of the offence. It subscribes only to the
    trace kinds [on_event] matches, so a sanitized engine with recording off

@@ -95,8 +95,7 @@ val create :
 
 val reset : t -> seed:int -> unit
 (** Return the engine to exactly the state [create ~seed] leaves, with
-    the cores and cost model it was created with and its recorder's
-    current on/off setting ({!Trace.set_enabled}). What
+    the cores, cost model and [trace] setting it was created with. What
     the previous run left behind is dropped: its processes (parked ones
     are abandoned, not unwound: no cleanup of theirs runs), queued
     events, fates, recorded trace events and trace subscribers, the

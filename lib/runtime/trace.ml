@@ -90,8 +90,8 @@ type hub = {
 let no_hub = { subs = []; busy = false; pending = [] }
 
 (* The recorder is the subscriber with every bit set. [mask] is the
-   union of every subscriber's mask, plus [recording] while the recorder
-   is on: the one word the engine's guards test. *)
+   union of every subscriber's mask, plus [recording] when the trace has
+   a recorder: the one word the engine's guards test. *)
 type t = {
   mutable events : (float * event) list;
   mutable mask : mask;
@@ -99,33 +99,30 @@ type t = {
 }
 
 let recording = Kind.all + 1
+let recorder = Kind.all lor recording
 
-let remask t ~enabled =
+let create ?(enabled = true) () =
+  { events = []; mask = (if enabled then recorder else 0); hub = no_hub }
+
+(* A trace keeps the recorder it was created with. *)
+let remask t =
   t.mask <-
     List.fold_left
       (fun m s -> m lor s.s_mask)
-      (if enabled then Kind.all lor recording else 0)
+      (if t.mask land recording <> 0 then recorder else 0)
       t.hub.subs
 
-let create ?(enabled = true) () =
-  let t = { events = []; mask = 0; hub = no_hub } in
-  remask t ~enabled;
-  t
-
-let enabled t = t.mask land recording <> 0
-let set_enabled t b = remask t ~enabled:b
-
 let reset t =
-  let enabled = enabled t in
   t.events <- [];
   t.hub <- no_hub;
-  remask t ~enabled
+  remask t
+
 let wants t k = t.mask land k <> 0
 
 let set_subs t subs =
   if t.hub.busy then invalid_arg "Trace: subscriptions changed by a subscriber";
   t.hub <- (match subs with [] -> no_hub | _ -> { subs; busy = false; pending = [] });
-  remask t ~enabled:(enabled t)
+  remask t
 
 let subscribe t mask f =
   let s = { s_mask = mask; s_f = f } in
@@ -172,11 +169,8 @@ and dispatch t hub ~time e k =
 
 let events t = List.rev t.events
 
-let find_all t ~f = List.filter (fun (_, e) -> f e) (events t)
-let count t ~f = List.length (find_all t ~f)
-let clear t = t.events <- []
-
-let replace t events = t.events <- List.rev events
+let count t ~f =
+  List.fold_left (fun n (_, e) -> if f e then n + 1 else n) 0 t.events
 
 let pp_event ppf = function
   | Spawned { pid; parent; name } ->

@@ -1,13 +1,12 @@
 (** Execution traces.
 
-    The engine records one {!event} per interesting action; tests assert on
-    traces, and the worlds/elimination examples print them. Recording can be
-    disabled for long benchmark runs.
-
-    Whoever reads events is a {e subscriber} with a {!mask} of the event
-    kinds it reads. The recorder, which keeps {!events}, is the subscriber
-    with every bit set while recording is enabled; an online monitor such
-    as the sanitizer subscribes to the few kinds it matches. The engine
+    The engine records one {!event} per interesting action. Whoever reads
+    events is a {e subscriber} with a {!mask} of the event kinds it reads.
+    The recorder, which keeps {!events}, is the subscriber with every bit
+    set, present when the trace was created with [~enabled:true]: tests
+    assert on what it keeps, and the worlds/elimination examples and
+    [altcheck --dump-trace] print it. A monitor such as the sanitizer or
+    the oracle's history subscribes to the few kinds it reads. The engine
     asks {!wants} before it builds an event, so a kind no subscriber reads
     is never built. *)
 
@@ -70,13 +69,11 @@ type event =
 type t
 
 val create : ?enabled:bool -> unit -> t
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-(** Switch the recorder on or off. Other subscribers are unaffected. *)
+(** With the recorder when [enabled] (the default). *)
 
 val reset : t -> unit
-(** Drop every recorded event and every subscriber, keeping the
-    recorder's enabled flag: the state [create ~enabled] leaves. *)
+(** Drop every recorded event and every subscriber but the recorder: the
+    state [create ~enabled] leaves. *)
 
 (** {2 Subscriptions} *)
 
@@ -116,8 +113,8 @@ val kind : event -> mask
 (** The single bit of the event's constructor. *)
 
 val wants : t -> mask -> bool
-(** Whether some subscriber reads a kind in the mask: the recorder while
-    recording is enabled, or any {!subscribe}d callback. The engine tests
+(** Whether some subscriber reads a kind in the mask: the recorder, if
+    the trace has one, or any {!subscribe}d callback. The engine tests
     the kind it is about to build, so an event nobody reads costs one
     branch and no allocation; the answer never changes when a receiver
     runs. *)
@@ -125,17 +122,15 @@ val wants : t -> mask -> bool
 type subscription
 
 val subscribe : t -> mask -> (time:float -> event -> unit) -> subscription
-(** Call [f] on every {!record}ed event whose kind is in [mask], {e even
-    when recording is disabled}, so a streaming monitor can watch an
-    execution whose trace is switched off to bound memory. Subscribers are
-    called in subscription order, after the recorder has stored the event.
-    A subscriber may itself call {!record} (the sanitizer appends
+(** Call [f] on every {!record}ed event whose kind is in [mask], {e
+    whether or not the trace has a recorder}. Subscribers are called in
+    subscription order, after the recorder has stored the event. A
+    subscriber may itself call {!record} (the sanitizer appends
     {!Sanitizer_flag} events this way): the new event is held until every
     subscriber has seen the current one, so every subscriber sees the
     recorder's stream filtered by its mask, in the recorder's order.
-    {!replace} and {!clear} notify nobody: they rewrite history rather
-    than extend it. Raises [Invalid_argument] when called from inside a
-    subscriber, as does {!unsubscribe}. *)
+    Raises [Invalid_argument] when called from inside a subscriber, as
+    does {!unsubscribe}. *)
 
 val unsubscribe : t -> subscription -> unit
 
@@ -144,16 +139,9 @@ val record : t -> time:float -> event -> unit
     its kind; a no-op when nobody reads it. *)
 
 val events : t -> (float * event) list
-(** All recorded events, oldest first. *)
+(** All recorded events, oldest first; empty without a recorder. *)
 
-val find_all : t -> f:(event -> bool) -> (float * event) list
 val count : t -> f:(event -> bool) -> int
-val clear : t -> unit
-
-val replace : t -> (float * event) list -> unit
-(** Replace the recorded history wholesale (oldest first). Used by the
-    checker's fault-seeding tests to hand the analysis layer a corrupted
-    history; not something the engine ever does. *)
 
 val pp_event : Format.formatter -> event -> unit
 

@@ -49,10 +49,10 @@ val set_emission_hook :
 
 val force_flush : t -> Pid.t -> unit
 (** Flush [pid]'s buffered speculative lines {e now}, bypassing the
-    predicate gate. Never called by the runtime: like {!Trace.replace},
-    this exists so the analysis layer's fault-seeding tests can corrupt an
-    execution on purpose (emitting while uncertain) and confirm both the
-    sanitizer and the post-mortem checker catch it. *)
+    predicate gate. Never called by the runtime: the analysis layer's
+    fault-seeding tests corrupt an execution with it on purpose (emitting
+    while uncertain) and confirm both the sanitizer and the post-mortem
+    checker catch it. *)
 
 val output : t -> (float * Pid.t * string) list
 (** Lines actually emitted, oldest first, with emission time and the

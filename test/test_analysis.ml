@@ -106,8 +106,9 @@ let test_seeded_forged_predicate () =
 (* A skipped elimination: a loser's exit vanishes from the record, as if the
    block let an alternative escape. *)
 let test_seeded_skipped_elimination () =
-  let rr = Invariants.run_scenario counters ~policy:sync_elim ~seed:3 in
-  let tr = Engine.trace rr.Invariants.engine in
+  let rr =
+    Invariants.run_scenario ~record:true counters ~policy:sync_elim ~seed:3
+  in
   let loser =
     List.find
       (fun c ->
@@ -120,10 +121,9 @@ let test_seeded_skipped_elimination () =
         match e with
         | Trace.Exited { pid; _ } -> not (Pid.equal pid loser)
         | _ -> true)
-      (Trace.events tr)
+      (Trace.events (Engine.trace rr.Invariants.engine))
   in
-  Trace.replace tr kept;
-  let vs = Invariants.check_all rr in
+  let vs = Invariants.check_all { rr with history = History.replay kept } in
   check Alcotest.int "caught once" 1 (List.length vs);
   check Alcotest.(list string) "only the elimination checker fires"
     [ "elimination" ] (class_names vs);
@@ -174,7 +174,9 @@ let test_isolation_shared_space_sanitized () = shared_space_race ~sanitize:true
 (* ---------------- trace export ---------------- *)
 
 let test_trace_jsonl () =
-  let rr = Invariants.run_scenario counters ~policy:sync_elim ~seed:4 in
+  let rr =
+    Invariants.run_scenario ~record:true counters ~policy:sync_elim ~seed:4
+  in
   let tr = Engine.trace rr.Invariants.engine in
   let s = Trace.to_jsonl tr in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' s) in
@@ -201,9 +203,9 @@ let test_trace_jsonl () =
 
 (* ---------------- supervised blocks ---------------- *)
 
-(* A site-campaign cell run through the oracle's own runner. *)
+(* A site-campaign cell run through the oracle's own runner, recording. *)
 let run_site_cell (c : Campaign.cell) =
-  Invariants.run_scenario
+  Invariants.run_scenario ~record:true
     ~faults:(c.Campaign.cl_campaign.Campaign.plan ~seed:c.Campaign.cl_seed)
     ~sites:Campaign.site_names c.Campaign.cl_scenario
     ~policy:c.Campaign.cl_policy ~seed:c.Campaign.cl_seed
@@ -224,8 +226,7 @@ let test_supervised_world_and_latch () =
   let rr = run_site_cell (List.hd (site_cell ~campaign:"crash-minority" ~scenario:"counters")) in
   check Alcotest.int "the clean cell is clean" 0
     (List.length (Invariants.check_all rr));
-  let tr = Engine.trace rr.Invariants.engine in
-  let clean = Trace.events tr in
+  let clean = Trace.events (Engine.trace rr.Invariants.engine) in
   let now = Engine.now rr.Invariants.engine in
   let c0 = List.hd rr.Invariants.report.Concurrent.children in
   let c1 = List.nth rr.Invariants.report.Concurrent.children 1 in
@@ -234,18 +235,22 @@ let test_supervised_world_and_latch () =
       ~predicate:(Predicate.make ~must_complete:[ c0 ] ~must_fail:[])
       ~tag:"forged" ~seq:0 Payload.Unit
   in
-  Trace.replace tr
-    (clean
-    @ [
-        ( now,
-          Trace.Accepted
-            {
-              dest = c1;
-              msg;
-              dest_pred = Predicate.make ~must_complete:[] ~must_fail:[ c0 ];
-            } );
-      ]);
-  let vs = Invariants.check_all rr in
+  let judge events =
+    Invariants.check_all { rr with history = History.replay events }
+  in
+  let vs =
+    judge
+      (clean
+      @ [
+          ( now,
+            Trace.Accepted
+              {
+                dest = c1;
+                msg;
+                dest_pred = Predicate.make ~must_complete:[] ~must_fail:[ c0 ];
+              } );
+        ])
+  in
   check Alcotest.(list string) "only the world checker fires" [ "world" ]
     (class_names vs);
   check Alcotest.int "exit code" 12 (Report.exit_code vs);
@@ -255,10 +260,13 @@ let test_supervised_world_and_latch () =
         not (Option.equal Pid.equal (Some c) rr.Invariants.report.Concurrent.winner))
       rr.Invariants.report.Concurrent.children
   in
-  Trace.replace tr
-    (clean
-    @ [ (now, Trace.Sync_won { pid = loser; index = 99; epoch = epoch_of rr }) ]);
-  let vs = Invariants.check_all rr in
+  let vs =
+    judge
+      (clean
+      @ [
+          (now, Trace.Sync_won { pid = loser; index = 99; epoch = epoch_of rr });
+        ])
+  in
   check Alcotest.(list string) "only the at-most-once checker fires"
     [ "at-most-once" ] (class_names vs);
   check Alcotest.int "exit code" 10 (Report.exit_code vs)
@@ -284,24 +292,160 @@ let test_fenced_win_is_void () =
   check Alcotest.int "epoch 2 decided" 2 (epoch_of rr);
   check Alcotest.int "the clean cell is clean" 0
     (List.length (Invariants.check_all rr));
-  let tr = Engine.trace rr.Invariants.engine in
   let now = Engine.now rr.Invariants.engine in
-  Trace.replace tr
-    (List.map
-       (fun (t, e) ->
-         match e with
-         | Trace.Exited { pid; _ } when Pid.equal pid child ->
-           (t, Trace.Exited { pid; status = "ok" })
-         | e -> (t, e))
-       (Trace.events tr)
+  let forged =
+    List.map
+      (fun (t, e) ->
+        match e with
+        | Trace.Exited { pid; _ } when Pid.equal pid child ->
+          (t, Trace.Exited { pid; status = "ok" })
+        | e -> (t, e))
+      (Trace.events (Engine.trace rr.Invariants.engine))
     @ [
         (now, Trace.Sync_won { pid = child; index = 0; epoch = 1 });
         (now, Trace.Absorbed { parent = failed; child });
-      ]);
-  let vs = Invariants.check_all rr in
+      ]
+  in
+  let vs = Invariants.check_all { rr with history = History.replay forged } in
   List.iter (fun v -> Format.printf "%a@." Report.pp_violation v) vs;
   check Alcotest.int "nothing counts against the deciding epoch" 0
     (List.length vs)
+
+(* ---------------- streamed history ---------------- *)
+
+(* Everything a history answers about a run, rendered: every accessor,
+   the exits and name of each pid in [pids], and the sent and accepted
+   counts of each tag in [tags]. *)
+let render_history h ~pids ~tags =
+  let pid = Format.asprintf "%a" Pid.pp in
+  let msg = Format.asprintf "%a" Message.pp in
+  let pred = Format.asprintf "%a" Predicate.pp in
+  let opt f = function None -> "-" | Some x -> f x in
+  let fate = function
+    | Predicate.Completed -> "completed"
+    | Predicate.Failed -> "failed"
+  in
+  let line label f xs = label ^ ": " ^ String.concat "; " (List.map f xs) in
+  [
+    line "sync_wins" (fun (p, i, e) -> Printf.sprintf "%s/%d/%d" (pid p) i e)
+      (History.sync_wins h);
+    line "sync_lates" (fun (p, i) -> Printf.sprintf "%s/%d" (pid p) i)
+      (History.sync_lates h);
+    line "absorbs" (fun (p, c) -> pid p ^ "<-" ^ pid c) (History.absorbs h);
+    line "accepts" (fun (d, dp, m) -> pid d ^ " " ^ pred dp ^ " " ^ msg m)
+      (History.accepts h);
+    line "fates" (fun (p, f) -> pid p ^ "=" ^ fate f) (History.fates h);
+    line "kills" (fun (p, r) -> pid p ^ " " ^ r) (History.kills h);
+    line "injections"
+      (fun (k, p, m) -> k ^ " " ^ opt pid p ^ " " ^ opt msg m)
+      (History.injections h);
+    line "site_crashes" Fun.id (History.site_crashes h);
+    line "recoveries"
+      (fun (f, s, e) -> Printf.sprintf "%s->%s/%d" (pid f) (pid s) e)
+      (History.recoveries h);
+    Printf.sprintf "faulted %b partitions %d heals %d" (History.faulted h)
+      (History.partitions h) (History.heals h);
+  ]
+  @ List.map
+      (fun p ->
+        Printf.sprintf "%s %s exits [%s]" (pid p)
+          (opt Fun.id (History.name_of h p))
+          (String.concat "; " (History.exits_of h p)))
+      pids
+  @ List.map
+      (fun tag ->
+        Printf.sprintf "tag %s sent %d accepted %d" tag
+          (History.count_sent_tag h ~tag)
+          (History.count_accept_tag h ~tag ~dest_ok:(fun _ -> true)))
+      tags
+
+(* The kinds a history reads, with the name the model test reports. *)
+let history_kinds =
+  Trace.Kind.
+    [
+      (spawned, "spawned"); (exited, "exited"); (sent, "sent");
+      (accepted, "accepted"); (killed, "killed"); (fate, "fate");
+      (absorbed, "absorbed"); (sync_won, "sync_won"); (sync_late, "sync_late");
+      (injected, "injected"); (site_crashed, "site_crashed");
+      (recovered, "recovered"); (partitioned, "partitioned");
+      (healed, "healed");
+    ]
+
+(* The pids an engine issued, and the tags its recording's messages
+   carry. *)
+let issued eng =
+  match Engine.fresh_pids eng 1 with
+  | [ next ] -> List.init (Pid.to_int next) Pid.of_int
+  | _ -> assert false
+
+let tags_of events =
+  List.sort_uniq String.compare
+    (List.filter_map
+       (fun (_, e) ->
+         match e with
+         | Trace.Sent { msg } | Trace.Accepted { msg; _ } ->
+           Some msg.Message.tag
+         | _ -> None)
+       events)
+
+(* No matrix cell kills a dead world: a process assuming a sibling
+   completes outlives it by waiting, and the sibling fails. *)
+let dead_world_run () =
+  let eng = Engine.create () in
+  let h = History.attach (Engine.trace eng) in
+  let sibling, assumer =
+    match Engine.fresh_pids eng 2 with [ a; b ] -> (a, b) | _ -> assert false
+  in
+  ignore
+    (Engine.spawn eng ~pid:sibling ~name:"sibling" (fun ctx ->
+         Engine.delay ctx 1.;
+         Engine.abort ctx "fails"));
+  ignore
+    (Engine.spawn eng ~pid:assumer ~name:"assumer"
+       ~predicate:(Predicate.make ~must_complete:[ sibling ] ~must_fail:[])
+       (fun ctx -> ignore (Engine.receive ctx ~tag:"never" ())));
+  Engine.run eng;
+  (eng, h)
+
+(* The model: the history a cell streams to the oracle equals the one
+   replayed from a full recording of the same execution, on every cell of
+   the clean, message and site families at seed 1, plain and sanitized,
+   and on a dead world's kill. [History.replay] folds every recorded
+   event, so a kind that [History.attach]'s mask drops shows as a
+   difference, provided some run records that kind: the runs must record
+   each of them. *)
+let test_streamed_history_is_the_recording () =
+  let seen = ref 0 and diffs = ref [] in
+  let compare_run what eng streamed =
+    let events = Trace.events (Engine.trace eng) in
+    List.iter (fun (_, e) -> seen := !seen lor Trace.kind e) events;
+    let pids = issued eng and tags = tags_of events in
+    if render_history streamed ~pids ~tags
+       <> render_history (History.replay events) ~pids ~tags
+    then diffs := what :: !diffs
+  in
+  let eng, h = dead_world_run () in
+  compare_run "dead world" eng h;
+  List.iter
+    (fun family ->
+      Array.iter
+        (fun c ->
+          List.iter
+            (fun sanitize ->
+              let rr, _ = Campaign.execute ~record:true ~sanitize c in
+              compare_run
+                (Printf.sprintf "%s (sanitize=%b)" (Campaign.describe_cell c)
+                   sanitize)
+                rr.Invariants.engine rr.Invariants.history)
+            [ false; true ])
+        (Campaign.cells { family with Campaign.fm_seeds = 1 }))
+    [ Campaign.clean; Campaign.messages; Campaign.sites ];
+  check Alcotest.(list string) "kinds the sweep never records" []
+    (List.filter_map
+       (fun (k, name) -> if !seen land k = 0 then Some name else None)
+       history_kinds);
+  check Alcotest.(list string) "cells whose streamed history differs" []
+    (List.rev !diffs)
 
 let () =
   Alcotest.run "analysis"
@@ -324,6 +468,11 @@ let () =
             test_isolation_shared_space_sanitized;
           Alcotest.test_case "trace exports as JSON lines" `Quick
             test_trace_jsonl;
+        ] );
+      ( "history",
+        [
+          Alcotest.test_case "streamed history equals its recording" `Quick
+            test_streamed_history_is_the_recording;
         ] );
       ( "supervised",
         [

@@ -637,7 +637,7 @@ let consensus3 ?(crashed = []) () =
   }
 
 let scenario_run name policy =
-  Invariants.run_scenario
+  Invariants.run_scenario ~record:true
     (Option.get (Invariants.find_scenario name))
     ~policy ~seed:1
 

@@ -114,11 +114,11 @@ let test_sites_matrix_byte_identity () =
   check_matrix ~what:"sites matrix" ~pinned:"07c018c3f8292445" sites_lines
 
 (* A cell's trace is a function of the cell: [altcheck --dump-trace]
-   re-executes the chosen cell rather than keep every engine of the
-   sweep, so a second execution must write the same bytes. *)
+   re-executes the chosen cell with a recorder rather than keep every
+   engine of the sweep, so a second execution must write the same bytes. *)
 let test_clean_cell_trace_replays () =
   let jsonl ~sanitize c =
-    let rr, _ = Campaign.execute ~sanitize c in
+    let rr, _ = Campaign.execute ~record:true ~sanitize c in
     Trace.to_jsonl (Engine.trace rr.Invariants.engine)
   in
   List.iter

@@ -32,6 +32,7 @@ let test_rule_validation () =
 
 let test_empty_plan_injects_nothing () =
   let eng = mk () in
+  let h = History.attach (Engine.trace eng) in
   Faultplan.install Faultplan.none eng;
   let m = Majority.create eng ~nodes:3 () in
   let got = ref None in
@@ -41,7 +42,6 @@ let test_empty_plan_injects_nothing () =
          Majority.shutdown m));
   Engine.run eng;
   check (Alcotest.option verdict) "clean acquire" (Some Majority.Granted) !got;
-  let h = History.of_trace (Engine.trace eng) in
   check Alcotest.int "no injections recorded" 0
     (List.length (History.injections h))
 
@@ -235,6 +235,7 @@ let test_same_seeds_same_injections () =
     let eng =
       Engine.create ~trace:true ~model:Cost_model.hp_9000_350 ~seed:7 ()
     in
+    let h = History.attach (Engine.trace eng) in
     Faultplan.install
       (Faultplan.make ~seed:11
          [ Faultplan.message ~p:0.5 ~tag:"vote_rep" Faultplan.Drop ])
@@ -247,7 +248,6 @@ let test_same_seeds_same_injections () =
                 ~backoff:0.02 ());
            Majority.shutdown m));
     Engine.run eng;
-    let h = History.of_trace (Engine.trace eng) in
     ( List.map
         (fun (kind, _, msg) ->
           (kind, Option.map (fun m -> m.Message.tag) msg))
@@ -302,7 +302,7 @@ let test_sanitized_drop_duplicate_plan_stays_clean () =
           check Alcotest.bool
             (Printf.sprintf "%s seed %d: the plan did inject" sc_name seed)
             true
-            (History.faulted (History.of_trace (Engine.trace rr.Invariants.engine))))
+            (History.faulted rr.Invariants.history))
         [ 1; 2; 3 ])
     [ "counters"; "guarded" ]
 

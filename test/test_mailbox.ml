@@ -538,7 +538,7 @@ let wake_then_poll (what, make) =
     (what ^ ": the next two receives get messages 2 and 3")
     [ 2; 3 ]
     (List.rev_map int_of_payload !rest);
-  if Trace.enabled (Engine.trace eng) then
+  if what = "trace on" then
     check
       Alcotest.(list (pair string int))
       (what ^ ": each acceptance follows its own delivery")
@@ -567,12 +567,11 @@ let test_zero_timeout_polls () =
    the same delivery sequence. *)
 
 let deliveries eng =
-  Trace.find_all (Engine.trace eng) ~f:(function
-    | Trace.Delivered _ -> true
-    | _ -> false)
-  |> List.map (function
-       | _, Trace.Delivered { msg; _ } -> msg.Message.payload
-       | _ -> Payload.Unit)
+  List.filter_map
+    (function
+      | _, Trace.Delivered { msg; _ } -> Some msg.Message.payload
+      | _ -> None)
+    (Trace.events (Engine.trace eng))
 
 let run_timer_between_sends ~pass_through_hook =
   let eng = Engine.create () in

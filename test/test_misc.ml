@@ -94,15 +94,6 @@ let test_message_structure () =
 
 (* ---------------- Trace ---------------- *)
 
-let test_trace_disabled_records_nothing () =
-  let t = Trace.create ~enabled:false () in
-  Trace.record t ~time:1. (Trace.Note "x");
-  check Alcotest.int "empty" 0 (List.length (Trace.events t));
-  Trace.set_enabled t true;
-  Trace.record t ~time:2. (Trace.Note "y");
-  check Alcotest.int "recorded once enabled" 1 (List.length (Trace.events t));
-  check Alcotest.bool "enabled flag" true (Trace.enabled t)
-
 let test_trace_query_helpers () =
   let t = Trace.create () in
   Trace.record t ~time:1. (Trace.Started (Pid.of_int 0));
@@ -110,11 +101,16 @@ let test_trace_query_helpers () =
   Trace.record t ~time:3. (Trace.Note "b");
   check Alcotest.int "count notes" 2
     (Trace.count t ~f:(function Trace.Note _ -> true | _ -> false));
-  (match Trace.find_all t ~f:(function Trace.Note _ -> true | _ -> false) with
-  | [ (2., Trace.Note "a"); (3., Trace.Note "b") ] -> ()
-  | _ -> Alcotest.fail "find_all order");
-  Trace.clear t;
-  check Alcotest.int "cleared" 0 (List.length (Trace.events t))
+  (match Trace.events t with
+  | [ (1., Trace.Started _); (2., Trace.Note "a"); (3., Trace.Note "b") ] -> ()
+  | _ -> Alcotest.fail "events order");
+  (* Without a recorder nothing is kept, but a subscriber still hears. *)
+  let off = Trace.create ~enabled:false () in
+  let heard = ref 0 in
+  ignore (Trace.subscribe off Trace.Kind.note (fun ~time:_ _ -> incr heard));
+  Trace.record off ~time:1. (Trace.Note "x");
+  check Alcotest.int "nothing kept" 0 (List.length (Trace.events off));
+  check Alcotest.int "subscriber heard" 1 !heard
 
 let test_trace_event_printing () =
   let printed e = Format.asprintf "%a" Trace.pp_event e in
@@ -208,7 +204,6 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "disable/enable" `Quick test_trace_disabled_records_nothing;
           Alcotest.test_case "query helpers" `Quick test_trace_query_helpers;
           Alcotest.test_case "event printing" `Quick test_trace_event_printing;
         ] );

@@ -2772,7 +2772,7 @@ let test_clone_replays_parks () =
 
 let reset_cores = Engine.Cores 2
 
-let dirty eng =
+let dirty ~trace eng =
   let sites = Sites.create eng ~names:[ "s0"; "s1" ] in
   Faultplan.install ~sites
     (Faultplan.make ~seed:3
@@ -2816,7 +2816,7 @@ let dirty eng =
   assert (Engine.parked_pids eng <> []);
   assert (Engine.live_count eng > 0);
   assert (Trace.count tr ~f:(function Trace.Split _ -> true | _ -> false) > 0
-          || not (Trace.enabled tr))
+          || not trace)
 
 (* The program both engines run: CPU sharing over two cores, tagged
    traffic past a foreign-tag message, a timed receive whose deadline
@@ -2912,7 +2912,7 @@ let test_reset_replays_fresh () =
     (fun trace ->
       let model = Cost_model.att_3b2 and seed = 17 in
       let reused = Engine.create ~cores:reset_cores ~model ~seed:5 ~trace () in
-      dirty reused;
+      dirty ~trace reused;
       Engine.reset reused ~seed;
       let fresh = Engine.create ~cores:reset_cores ~model ~seed ~trace () in
       check

@@ -109,8 +109,8 @@ let test_forged_win_caught_online () =
       "at-most-once [t=0.084816 pid=P3] the at-most-once latch fired a second time (win 2 of the block)";
       "at-most-once [t=0.084816 pid=P3] 2 Sync_won events within epoch 0";
     ] sz;
-  (* The post-mortem oracle, replaying the same (corrupted) trace, agrees
-     — so the crosscheck records no divergence. *)
+  (* The post-mortem oracle, whose history heard the same forged event,
+     agrees — so the crosscheck records no divergence. *)
   let oracle = Invariants.check_all rr in
   check Alcotest.bool "oracle sees the duplicate win" true
     (oracle_has Report.At_most_once oracle);
