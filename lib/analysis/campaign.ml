@@ -405,7 +405,7 @@ let run_cell ?sanitize c =
      takes the allocating store's next id. [Parallel]'s shared pool sits
      behind its own mutex and hands results back in index order.
      [Page_map]'s table filler is a frame of a private store that no map
-     resolves, so nothing ever writes it. [Predicate] holds no state.
+     holds, so nothing ever writes it or counts a reference on it. [Predicate] holds no state.
 
    Results are collected by {!Parallel.map_indexed_shared} in index
    order, so a parallel sweep reports byte-for-byte what the sequential

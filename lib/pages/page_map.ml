@@ -1,25 +1,15 @@
-(* A page map is a chain of overlay nodes. [top] is always exclusively
-   owned by this map and is the only layer it may freely mutate; deeper
-   nodes are frozen layers shared copy-on-write with relatives. [fork]
-   freezes the top into a shared base and gives both sides fresh empty
-   overlays, so forking is O(1) regardless of how many pages are mapped,
-   and [absorb] transplants just the child's overlay (O(dirty)).
-
-   Sharing is tracked on nodes, not frames: a frozen node records the
-   nodes layered directly on top of it ([deps]), a top belongs to exactly
-   one live map ([is_top]). A frame is shared — and a write to it must
-   take a copy-on-write fault — exactly when more than one live map
-   currently resolves its page through the node holding it; [resolvers]
-   computes that by walking the dependent tree upward, cutting branches
-   that shadow the page. This reproduces the per-frame reference counts
-   of an eager fork exactly (a loser sibling that keeps running after the
-   winner was absorbed writes its still-exclusive pages in place, for
-   instance), while keeping fork and absorb off the O(mapped) path. *)
+(* A page map is one table from vpage to frame, holding one reference on
+   each frame it maps: the frame store's reference count is the number of
+   maps sharing a frame. [fork] copies the table and takes a reference on
+   every frame; a write to a frame whose count is above one takes a
+   copy-on-write fault (copy, drop the shared reference, map the copy in
+   place); [absorb] drops the parent's references and hands it the
+   child's table; [release] drops every reference. *)
 
 (* ------------------------------------------------------------------ *)
 (* An int-keyed open-addressing table: power-of-two capacity, linear
    probing, backward-shift deletion. An empty table holds no arrays until
-   its first insert, so a fresh overlay costs one record; lookups
+   its first insert, so a fresh map's table costs one record; lookups
    and the replacement of an existing key allocate nothing. [min_int]
    marks an empty slot, so every other int (negative vpages included) is
    a valid key. Removed and reset slots take [dummy], so the table drops
@@ -57,8 +47,6 @@ module Tbl = struct
     else
       let mask = Array.length t.keys - 1 in
       probe t.keys k (home k mask) mask
-
-  let mem t k = slot t k >= 0
 
   let find t k =
     let i = slot t k in
@@ -140,6 +128,8 @@ module Tbl = struct
       else incr i
     done
 
+  let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
+
   (* Drop every entry and both arrays. *)
   let reset t =
     t.keys <- [||];
@@ -159,163 +149,59 @@ module Tbl = struct
     !acc
 end
 
-(* Fills the frame tables' empty slots: a frame of a private store, never
-   resolved by any map. *)
+(* Fills the frame tables' empty slots and is what [Tbl.find] returns
+   for an unmapped page: a frame of a private store, never mapped. *)
 let no_frame = Frame_store.alloc (Frame_store.create ~page_size:1)
-
-type node = {
-  frames : Frame_store.frame Tbl.t;
-  mutable is_top : bool;  (* the private top layer of one live map *)
-  mutable deps : node list;  (* nodes whose [base] is this node *)
-  mutable base : node option;
-}
 
 type t = {
   store : Frame_store.t;
   id : int;  (* store-unique map identity, for the store's observer *)
-  mutable top : node;
-  mutable mapped : int;  (* distinct vpages resolving to a frame *)
+  mutable frames : Frame_store.frame Tbl.t;
   mutable fault : bool;  (* scratch: did the last prepare_write COW? *)
   mutable cow_copies : int;
   mutable released : bool;
 }
 
-let fresh_top base = { frames = Tbl.create no_frame; is_top = true; deps = []; base }
-
 let create store =
-  { store; id = Frame_store.fresh_map_id store; top = fresh_top None;
-    mapped = 0; fault = false; cow_copies = 0; released = false }
+  { store; id = Frame_store.fresh_map_id store; frames = Tbl.create no_frame;
+    fault = false; cow_copies = 0; released = false }
 
 let id t = t.id
 let page_size t = Frame_store.page_size t.store
 
 let check t = if t.released then invalid_arg "Page_map: use after release"
 
-(* Resolve [vpage] through the overlay chain; raises [Not_found] when the
-   page is unmapped. Allocation-free. *)
-let rec resolve_node node vpage =
-  let i = Tbl.slot node.frames vpage in
-  if i >= 0 then Array.unsafe_get node.frames.vals i
-  else
-    match node.base with
-    | Some b -> resolve_node b vpage
-    | None -> raise Not_found
+(* Walks over the occupied slots only: [no_frame] is shared by every
+   domain and must never be counted. Top-level, so neither allocates a
+   closure. *)
+let incref_all (frames : Frame_store.frame Tbl.t) =
+  let keys = frames.keys in
+  for i = 0 to Array.length keys - 1 do
+    if Array.unsafe_get keys i <> Tbl.no_key then
+      Frame_store.incref (Array.unsafe_get frames.vals i)
+  done
 
-let resolve_opt t vpage =
-  match resolve_node t.top vpage with
-  | f -> Some f
-  | exception Not_found -> None
-
-(* Stands for "no layer": no map ever resolves through it. *)
-let no_node = { frames = Tbl.create no_frame; is_top = false; deps = []; base = None }
-
-(* The layer [vpage] resolves in, or [no_node] when it is unmapped.
-   Slow path only; allocation-free. *)
-let rec resolve_layer node vpage =
-  if Tbl.mem node.frames vpage then node
-  else match node.base with Some b -> resolve_layer b vpage | None -> no_node
-
-(* Number of live maps currently resolving [vpage] to the frame held by
-   [node]: walk the layers stacked on [node], cutting any branch that
-   shadows the page. Equals the reference count an eager per-frame scheme
-   would have, at slow-path-only cost. Top-level walks taking [vpage], so
-   a count allocates no closure. *)
-let rec above vpage n acc =
-  if Tbl.mem n.frames vpage then acc
-  else if n.is_top then acc + 1
-  else above_all vpage n.deps acc
-
-and above_all vpage deps acc =
-  match deps with [] -> acc | d :: rest -> above_all vpage rest (above vpage d acc)
-
-let resolvers node vpage = if node.is_top then 1 else above_all vpage node.deps 0
-
-let rec without n = function
-  | [] -> []
-  | d :: rest -> if d == n then without n rest else d :: without n rest
-
-let remove_dep b n = b.deps <- without n b.deps
-
-(* While the layer under the top is referenced by nobody else, its history
-   is private: merge the top's entries down over it (freeing the frames
-   they shadow) and adopt it as the new top. Keeps chains short once
-   relatives have released or been absorbed. The no-merge check is
-   allocation-free, so writers run it on every access. *)
-let rec compact t =
-  let top = t.top in
-  match top.base with
-  | Some b when (match b.deps with [ _ ] -> true | _ -> false) ->
-    Tbl.iter
-      (fun vpage f ->
-        let i = Tbl.slot b.frames vpage in
-        if i >= 0 then begin
-          Frame_store.decref t.store (Array.unsafe_get b.frames.vals i);
-          Array.unsafe_set b.frames.vals i f
-        end
-        else Tbl.replace b.frames vpage f)
-      top.frames;
-    b.deps <- [];
-    b.is_top <- true;
-    t.top <- b;
-    compact t
-  | _ -> ()
+let decref_all store (frames : Frame_store.frame Tbl.t) =
+  let keys = frames.keys in
+  for i = 0 to Array.length keys - 1 do
+    if Array.unsafe_get keys i <> Tbl.no_key then
+      Frame_store.decref store (Array.unsafe_get frames.vals i)
+  done
 
 let fork parent =
   check parent;
-  compact parent;
-  let top = parent.top in
-  let child_top =
-    if Tbl.length top.frames = 0 then begin
-      (* Idle overlay: the child can share the existing base directly
-         (after compaction it is either shared already or absent). *)
-      let ct = fresh_top top.base in
-      (match top.base with Some b -> b.deps <- ct :: b.deps | None -> ());
-      ct
-    end
-    else begin
-      (* Freeze the parent's private layer; parent and child both overlay
-         it from now on. O(1): no frame is touched. *)
-      top.is_top <- false;
-      let pt = fresh_top (Some top) and ct = fresh_top (Some top) in
-      top.deps <- [ pt; ct ];
-      parent.top <- pt;
-      ct
-    end
-  in
-  { store = parent.store; id = Frame_store.fresh_map_id parent.store;
-    top = child_top; mapped = parent.mapped;
+  let frames = Tbl.copy parent.frames in
+  incref_all frames;
+  { store = parent.store; id = Frame_store.fresh_map_id parent.store; frames;
     fault = false; cow_copies = 0; released = false }
 
 let mapped_pages t =
   check t;
-  t.mapped
-
-(* Fold [f] over every mapped vpage with its resolving frame and the
-   layer holding it (topmost occurrence wins, as in [resolve_node]). *)
-let fold_resolved t f acc =
-  let seen = Tbl.create () in
-  let rec go node acc =
-    let acc =
-      Tbl.fold
-        (fun vp fr acc ->
-          if Tbl.mem seen vp then acc
-          else begin
-            Tbl.replace seen vp ();
-            f vp fr node acc
-          end)
-        node.frames acc
-    in
-    match node.base with Some b -> go b acc | None -> acc
-  in
-  go t.top acc
+  Tbl.length t.frames
 
 let private_pages t =
   check t;
-  fold_resolved t
-    (fun vp _ node acc -> if resolvers node vp <= 1 then acc + 1 else acc)
-    0
-
-let shared_pages t = mapped_pages t - private_pages t
+  Tbl.fold (fun _ f n -> if Frame_store.refcount f = 1 then n + 1 else n) t.frames 0
 
 let bounds_check t ~off ~len =
   let ps = page_size t in
@@ -327,60 +213,39 @@ let read_into t ~vpage ~off ~len ~dst ~dst_off =
   bounds_check t ~off ~len;
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Page_map.read_into: destination range";
-  match resolve_node t.top vpage with
-  | f -> Bytes.blit (Frame_store.data f) off dst dst_off len
-  | exception Not_found -> Bytes.fill dst dst_off len '\000'
+  let f = Tbl.find t.frames vpage in
+  if f == no_frame then Bytes.fill dst dst_off len '\000'
+  else Bytes.blit (Frame_store.data f) off dst dst_off len
 
-let read t ~vpage ~off ~len =
-  check t;
-  bounds_check t ~off ~len;
-  match resolve_node t.top vpage with
-  | f -> Bytes.sub (Frame_store.data f) off len
-  | exception Not_found -> Bytes.make len '\000'
-
-(* Materialise a zero frame for an unmapped page in the top layer. *)
-let materialize t vpage =
-  let f = Frame_store.alloc t.store in
-  Tbl.replace t.top.frames vpage f;
-  t.mapped <- t.mapped + 1;
-  f
-
-let prepare_slow t vpage =
-  match t.top.base with
-  | Some b ->
-    let owner = resolve_layer b vpage in
-    if owner == no_node then materialize t vpage
-    else begin
-      let shared = Array.unsafe_get owner.frames.vals (Tbl.slot owner.frames vpage) in
-      if resolvers owner vpage > 1 then begin
-        (* Someone else still resolves this frame: privatise it. *)
-        let f = Frame_store.alloc_copy t.store shared in
-        Tbl.replace t.top.frames vpage f;
-        t.cow_copies <- t.cow_copies + 1;
-        t.fault <- true;
-        f
-      end
-      else begin
-        (* We are the frame's only claimant (relatives shadowed it or
-           died): adopt it into the top so later writes take the fast
-           path. Equivalent to the eager scheme's refcount-1 in-place
-           write — no fault, no copy. *)
-        Tbl.remove owner.frames vpage;
-        Tbl.replace t.top.frames vpage shared;
-        shared
-      end
-    end
-  | None -> materialize t vpage
-
-(* Return the writable frame for [vpage], privatising or materialising as
-   needed; [t.fault] says whether a copy-on-write fault was serviced.
-   Allocation-free when the page is already in the top layer. *)
+(* Return the writable frame for [vpage], materialising a zero frame for
+   an unmapped page and privatising a shared one; [t.fault] says whether
+   a copy-on-write fault was serviced. Allocation-free unless a frame is
+   allocated. *)
 let prepare_write t vpage =
-  compact t;
-  t.fault <- false;
-  let frames = t.top.frames in
+  let frames = t.frames in
   let i = Tbl.slot frames vpage in
-  if i >= 0 then Array.unsafe_get frames.vals i else prepare_slow t vpage
+  if i < 0 then begin
+    t.fault <- false;
+    let f = Frame_store.alloc t.store in
+    Tbl.replace frames vpage f;
+    f
+  end
+  else begin
+    let f = Array.unsafe_get frames.vals i in
+    if Frame_store.refcount f = 1 then begin
+      t.fault <- false;
+      f
+    end
+    else begin
+      (* Another map still holds this frame: privatise it. *)
+      let g = Frame_store.alloc_copy t.store f in
+      Frame_store.decref t.store f;
+      Array.unsafe_set frames.vals i g;
+      t.cow_copies <- t.cow_copies + 1;
+      t.fault <- true;
+      g
+    end
+  end
 
 let write_from t ~vpage ~off ~src ~src_off ~len =
   check t;
@@ -404,9 +269,8 @@ let write t ~vpage ~off ~src ~copied =
 let get_u8 t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:1;
-  match resolve_node t.top vpage with
-  | f -> Char.code (Bytes.unsafe_get (Frame_store.data f) off)
-  | exception Not_found -> 0
+  let f = Tbl.find t.frames vpage in
+  if f == no_frame then 0 else Char.code (Bytes.unsafe_get (Frame_store.data f) off)
 
 let set_u8 t ~vpage ~off v =
   check t;
@@ -420,9 +284,8 @@ let set_u8 t ~vpage ~off v =
 let get_i64 t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:8;
-  match resolve_node t.top vpage with
-  | f -> Bytes.get_int64_le (Frame_store.data f) off
-  | exception Not_found -> 0L
+  let f = Tbl.find t.frames vpage in
+  if f == no_frame then 0L else Bytes.get_int64_le (Frame_store.data f) off
 
 let set_i64 t ~vpage ~off v =
   check t;
@@ -438,9 +301,9 @@ let set_i64 t ~vpage ~off v =
 let get_int t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:8;
-  match resolve_node t.top vpage with
-  | exception Not_found -> 0
-  | f ->
+  let f = Tbl.find t.frames vpage in
+  if f == no_frame then 0
+  else
     let b = Frame_store.data f in
     Char.code (Bytes.unsafe_get b off)
     lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 8)
@@ -475,39 +338,16 @@ let set_int t ~vpage ~off v =
    model). *)
 let touch_page t ~vpage =
   check t;
-  compact t;
-  let frames = t.top.frames in
-  let i = Tbl.slot frames vpage in
-  if i >= 0 then begin
-    Frame_store.notify_write t.store ~map:t.id ~vpage
-      (Array.unsafe_get frames.vals i);
-    false
-  end
-  else begin
-    t.fault <- false;
-    let f = prepare_slow t vpage in
-    Frame_store.notify_write t.store ~map:t.id ~vpage f;
-    t.fault
-  end
+  let f = prepare_write t vpage in
+  Frame_store.notify_write t.store ~map:t.id ~vpage f;
+  t.fault
 
 (* ------------------------------------------------------------------ *)
 
-(* Free a map's hold on [node]: its frames go back to the store and the
-   layer below loses a dependent (recursively, when it was the last). *)
-let rec free_node store node =
-  Tbl.iter (fun _ f -> Frame_store.decref store f) node.frames;
-  Tbl.reset node.frames;
-  match node.base with
-  | Some b ->
-    remove_dep b node;
-    if b.deps = [] then free_node store b
-  | None -> ()
-
 let release t =
   if not t.released then begin
-    free_node t.store t.top;
-    t.top <- fresh_top None;
-    t.mapped <- 0;
+    decref_all t.store t.frames;
+    Tbl.reset t.frames;
     t.released <- true;
     Frame_store.notify_release t.store ~map:t.id
   end
@@ -517,17 +357,14 @@ let released t = t.released
 let absorb ~parent ~child =
   check parent;
   check child;
-  (* Drop the parent's chain and transplant the child's overlay wholesale:
-     O(child dirty pages), not O(mapped). *)
-  free_node parent.store parent.top;
-  parent.top <- child.top;
-  parent.mapped <- child.mapped;
+  let old = parent.frames in
+  decref_all parent.store old;
+  Tbl.reset old;
+  parent.frames <- child.frames;
   parent.cow_copies <- parent.cow_copies + child.cow_copies;
-  child.top <- fresh_top None;
-  child.mapped <- 0;
+  child.frames <- old;
   child.released <- true;
-  Frame_store.notify_release child.store ~map:child.id;
-  compact parent
+  Frame_store.notify_release child.store ~map:child.id
 
 let cow_copies t = t.cow_copies
 
@@ -546,51 +383,30 @@ let sort_ints (a : int array) =
     a.(!j + 1) <- x
   done
 
-(* Keys held by [node] and the layers below it, with repeats. *)
-let rec layer_keys node =
-  Tbl.length node.frames + match node.base with Some b -> layer_keys b | None -> 0
-
-(* Copy the keys of [node] and the layers below it into [a] from [n]. *)
-let rec copy_layer_keys node a n =
-  let keys = node.frames.Tbl.keys in
-  let n = ref n in
-  for i = 0 to Array.length keys - 1 do
-    let k = Array.unsafe_get keys i in
+let mapped_vpage_array t =
+  check t;
+  let frames = t.frames in
+  let a = Array.make (Tbl.length frames) 0 in
+  let n = ref 0 in
+  for i = 0 to Array.length frames.keys - 1 do
+    let k = Array.unsafe_get frames.keys i in
     if k <> Tbl.no_key then begin
       a.(!n) <- k;
       incr n
     end
   done;
-  match node.base with Some b -> copy_layer_keys b a !n | None -> ()
-
-(* A page resolves exactly when some layer of the chain holds it, so the
-   mapped pages are the chain's keys, sorted, each once: read straight
-   off the tables, with no walk state. *)
-let mapped_vpage_array t =
-  check t;
-  let a = Array.make (layer_keys t.top) 0 in
-  copy_layer_keys t.top a 0;
   sort_ints a;
-  let m = ref (min 1 (Array.length a)) in
-  for i = 1 to Array.length a - 1 do
-    if a.(i) <> a.(!m - 1) then begin
-      a.(!m) <- a.(i);
-      incr m
-    end
-  done;
-  if !m = Array.length a then a else Array.sub a 0 !m
-
-let mapped_vpages t = Array.to_list (mapped_vpage_array t)
+  a
 
 let frame_id t ~vpage =
   check t;
-  Option.map Frame_store.id (resolve_opt t vpage)
+  let f = Tbl.find t.frames vpage in
+  if f == no_frame then None else Some (Frame_store.id f)
 
 (* Stat-neutral by design: auditing a map reads frames directly, so it
-   takes no fault, compacts no layer and notifies no observer. Frames are
-   compared by physical identity first — only valid within one store —
-   and byte-wise otherwise; an unmapped page equals a mapped one that is
-   all zeroes. *)
+   takes no fault and notifies no observer. Frames are compared by
+   physical identity first — only valid within one store — and byte-wise
+   otherwise; an unmapped page equals a mapped one that is all zeroes. *)
 let is_zero_page b =
   let rec go i = i < 0 || (Bytes.unsafe_get b i = '\000' && go (i - 1)) in
   go (Bytes.length b - 1)
@@ -598,31 +414,23 @@ let is_zero_page b =
 let snapshot_equal a b =
   check a;
   check b;
-  let ps = page_size a in
-  if ps <> page_size b then false
+  if page_size a <> page_size b then false
   else begin
-    let pages = Tbl.create () in
-    let add t =
-      let rec go node =
-        Tbl.iter (fun v _ -> Tbl.replace pages v ()) node.frames;
-        match node.base with Some base -> go base | None -> ()
-      in
-      go t.top
-    in
-    add a;
-    add b;
     let same_store = a.store == b.store in
     Tbl.fold
-      (fun vpage () acc ->
+      (fun vpage fa acc ->
         acc
         &&
-        match (resolve_opt a vpage, resolve_opt b vpage) with
-        | None, None -> true
-        | Some fa, Some fb ->
+        let fb = Tbl.find b.frames vpage in
+        if fb == no_frame then is_zero_page (Frame_store.data fa)
+        else
           (same_store && fa == fb)
-          || Bytes.equal (Frame_store.data fa) (Frame_store.data fb)
-        | Some f, None | None, Some f -> is_zero_page (Frame_store.data f))
-      pages true
+          || Bytes.equal (Frame_store.data fa) (Frame_store.data fb))
+      a.frames true
+    && Tbl.fold
+         (fun vpage fb acc ->
+           acc && (Tbl.slot a.frames vpage >= 0 || is_zero_page (Frame_store.data fb)))
+         b.frames true
   end
 
 (* Exported for the analysis layer's per-operation tables. It is named

@@ -1,23 +1,22 @@
 (** Per-process page tables with copy-on-write inheritance.
 
     "The state management strategy is copy-on-write with page map
-    inheritance from the parent" (paper, section 3.3). A {!t} maps virtual
-    page numbers to {!Frame_store} frames through a chain of overlay
-    layers: the top layer is private to the map, deeper layers are frozen
-    and shared with relatives. {!fork} freezes the parent's top layer and
-    starts both sides with empty overlays (O(1), regardless of how many
-    pages are mapped); frames are copied lazily on first write. {!absorb}
+    inheritance from the parent" (paper, section 3.3). A {!t} is one
+    table from virtual page numbers to {!Frame_store} frames, holding one
+    reference on each frame it maps, so a frame's
+    {!Frame_store.refcount} is the number of maps sharing it. {!fork}
+    copies the parent's table and takes a reference on every frame; a
+    write to a frame whose count is above one copies it first. {!absorb}
     implements the [alt_wait] rendezvous: the parent atomically replaces
-    its page pointer with the child's overlay, walking only the child's
-    dirty pages. *)
+    its page table with the child's. *)
 
 (** {2 Flat int tables}
 
-    The int-keyed open-addressing table page maps keep their layers in,
-    exposed for other per-operation tables (the sanitizer's). Power-of-two capacity, linear probing, backward-shift
-    deletion. An empty table holds no arrays until its first insert;
-    lookups, the replacement of an existing key and removals allocate
-    nothing. [min_int] is reserved; every other int is a valid key. *)
+    The int-keyed open-addressing table a page map keeps its frames in,
+    exposed for other per-operation tables (the sanitizer's).
+    Power-of-two capacity, linear probing, backward-shift deletion. An
+    empty table holds no arrays until its first insert; lookups, the
+    replacement of an existing key and removals allocate nothing. [min_int] is reserved; every other int is a valid key. *)
 
 module Int_table : sig
   type 'a t
@@ -56,8 +55,9 @@ val page_size : t -> int
 
 val fork : t -> t
 (** [fork parent] is a child map sharing every frame of [parent]
-    copy-on-write. O(1) amortised: no frame or page-table entry is copied;
-    the caller charges {!Cost_model.fork_cost}. *)
+    copy-on-write: it copies the parent's page table and adds a reference
+    to every frame, in time and words proportional to the mapped pages,
+    but copies no frame. The caller charges {!Cost_model.fork_cost}. *)
 
 val mapped_pages : t -> int
 (** Number of virtual pages with a materialised frame. O(1). *)
@@ -65,15 +65,9 @@ val mapped_pages : t -> int
 val private_pages : t -> int
 (** Mapped pages whose frame is reachable through this map alone. *)
 
-val shared_pages : t -> int
-(** Mapped pages whose frame is shared with at least one other map. *)
-
-val read : t -> vpage:int -> off:int -> len:int -> bytes
-(** Read [len] bytes at [off] within page [vpage] into a fresh buffer. *)
-
 val read_into : t -> vpage:int -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
-(** Like {!read}, but blits into [dst] at [dst_off] instead of
-    allocating. Unmapped pages zero-fill the destination range. *)
+(** Read [len] bytes at [off] within page [vpage] into [dst] at
+    [dst_off]. Unmapped pages zero-fill the destination range. *)
 
 val write : t -> vpage:int -> off:int -> src:bytes -> copied:bool ref -> unit
 (** Write [src] at [off] within page [vpage]. Sets [copied := true] if a
@@ -115,11 +109,11 @@ val touch_page : t -> vpage:int -> bool
     write of the page. *)
 
 val absorb : parent:t -> child:t -> unit
-(** The parent drops all of its frames and takes over the child's overlay
-    and copy-on-write count; the child map becomes released (any further use
-    raises, and the store's observers hear of the release). This is the
-    atomic page-pointer replacement of [alt_wait].
-    O(pages the child dirtied), not O(mapped). *)
+(** The parent drops its reference on each of its frames and takes over
+    the child's page table, references and copy-on-write count; the child
+    map becomes released (any further use raises, and the store's
+    observers hear of the release). This is the atomic page-pointer
+    replacement of [alt_wait]. O(pages the parent mapped). *)
 
 val release : t -> unit
 (** Drop every frame reference (process elimination) and report the
@@ -131,13 +125,10 @@ val cow_copies : t -> int
 (** Copy-on-write faults serviced by writes through this map (absorbing a
     child adds the child's count: the surviving timeline's history). *)
 
-val mapped_vpages : t -> int list
-(** Virtual page numbers with a materialised frame, ascending. *)
-
 val mapped_vpage_array : t -> int array
-(** {!mapped_vpages} in a fresh array, read straight off the layers'
-    page tables: it allocates the array and nothing else (a second,
-    shorter one when a page is held in more than one layer). *)
+(** Virtual page numbers with a materialised frame, ascending, in a fresh
+    array read straight off the page table: it allocates the array and
+    nothing else. *)
 
 val frame_id : t -> vpage:int -> int option
 (** Identity of the frame backing [vpage], for sharing assertions in
