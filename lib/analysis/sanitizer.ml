@@ -14,17 +14,27 @@
      dropped, or at [next_block] when no copy of its receiver is alive;
    - a map's registration goes when the map is released or absorbed, and
      with it the clock of an owner that has already exited;
-   - a frame's last writer goes when the frame is freed: frame ids are
-     never reused, so no write can land in it again.
+   - a frame's last writer goes when the frame is freed: within one
+     engine run frame ids are never reused, so no write can land in it
+     again.
    The per-pid arrays grow with the pids the engine issues, like the
-   engine's own tables.
+   engine's own tables. [detach] drops all of it and keeps the capacity,
+   so a serving domain re-arms one sanitizer on its reset engine batch
+   after batch.
 
-   Happens-before is tracked with per-process vector clocks ([Vclock]):
+   Happens-before is tracked with per-process vector clocks ([Vclock]),
+   each changed in place:
 
-   - [Spawned]   child clock := parent clock joined with {child -> 1}
+   - [Spawned]   parent clock ticks; child clock := a copy of it, ticked
+                 for the child
    - [Sent]      snapshot the sender's clock under (sender, seq), tick
    - [Accepted]  receiver clock := join with the snapshot, tick
-   - [Absorbed]  parent clock := join with the winner child's clock
+   - [Absorbed]  parent clock := join with the winner child's clock, tick
+
+   Every change to a clock ticks its owner's own entry, so an owner's
+   count names one state of its clock. A frame's last writer is kept as
+   that epoch (pid, count) alone: the writer's clock then happens-before
+   a clock [now] exactly when [now] knows the writer's count.
 
    Page writes of every map reach the sanitizer through the frame store's
    observer; writes of a map no spawned process owns are ignored. Two
@@ -47,35 +57,38 @@ type owner =
   | Single of Pid.t
   | Shared of Pid.t list  (* deliberately shared space: >= 2 registrants *)
 
-(* The last write to a frame, updated in place when the frame is
-   rewritten or changes hands. *)
-type writer = { mutable w_pid : Pid.t; mutable w_clock : Vclock.t }
-
-(* The frames table's dummy; never updated. *)
-let no_writer = { w_pid = Pid.of_int (-1); w_clock = Vclock.empty }
-
-(* Message keys pack (sender, seq), two non-negative ints below 2^31. *)
+(* Message keys pack (sender, seq) and frame writers' epochs pack
+   (pid, count): two non-negative ints below 2^31. *)
 let pack_limit = 1 lsl 31
 
-let msg_key (m : Message.t) =
-  let hi = Pid.to_int m.Message.sender and lo = m.Message.seq in
+let pack what hi lo =
   if hi < 0 || hi >= pack_limit || lo < 0 || lo >= pack_limit then
-    invalid_arg
-      (Printf.sprintf "Sanitizer: message key (%d, %d) out of range" hi lo);
+    invalid_arg (Printf.sprintf "Sanitizer: %s (%d, %d) out of range" what hi lo);
   (hi lsl 31) lor lo
+
+let msg_key (m : Message.t) =
+  pack "message key" (Pid.to_int m.Message.sender) m.Message.seq
+
+let epoch_pid e = e lsr 31
+let epoch_count e = e land (pack_limit - 1)
+
+(* The frames table's dummy: no writer. *)
+let no_writer = -1
 
 type t = {
   eng : Engine.t;
   mutable sub : Trace.subscription option;
   mutable obs : Frame_store.observer option;
-  mutable clocks : Vclock.t array;  (* by pid; [Vclock.empty] = absent *)
-  mutable clock_count : int;  (* non-empty entries of [clocks] *)
-  snaps : Vclock.t Tbl.t;
-      (* message key -> the sender's clock at Sent; an empty clock stands
-         for "no snapshot", which a join treats alike *)
+  mutable clocks : Vclock.t array;  (* by pid; [absent] = none *)
+  mutable clock_count : int;  (* entries of [clocks] other than [absent] *)
+  mutable spare : Vclock.t array;  (* dropped clocks, for reuse *)
+  mutable spare_count : int;  (* [spare.(0 .. spare_count - 1)] *)
+  snaps : Vclock.snapshot Tbl.t;
+      (* message key -> the sender's clock at Sent; [Vclock.no_snapshot]
+         stands for "no snapshot", which a join treats alike *)
   snap_dest : int Tbl.t;  (* message key -> its destination, same keys *)
   maps : owner Tbl.t;  (* page-map id -> owning process *)
-  frames : writer Tbl.t;  (* frame id -> its last writer *)
+  frames : int Tbl.t;  (* frame id -> its last writer's epoch *)
   mutable dead : bool array;  (* by pid: exited (liveness for Shared) *)
   mutable wins : (Pid.t * int * int) list;  (* (pid, index, epoch), newest first *)
   mutable lates : Pid.t list;
@@ -108,25 +121,56 @@ let mark_dead t pid =
 (* ------------------------------------------------------------------ *)
 (* Vector clocks.                                                      *)
 
+(* The clocks array's dummy, read as the clock that knows no process.
+   Shared by every sanitizer, so nothing writes into it: a clock is
+   changed only through [own_clock]. *)
+let absent = Vclock.create ()
+
+(* A clock no pid holds any more goes to [spare], and the next pid's
+   clock is taken from there, with the capacity it grew to: in steady
+   state a clock is neither made nor grown. Only [clocks] refers to a
+   clock, so one dropped from it is unreachable but for [spare]. *)
+let retire t c =
+  if t.spare_count = Array.length t.spare then
+    t.spare <- grown t.spare t.spare_count absent;
+  t.spare.(t.spare_count) <- c;
+  t.spare_count <- t.spare_count + 1
+
 let clock_of t pid =
   let i = Pid.to_int pid in
-  if i < Array.length t.clocks then t.clocks.(i) else Vclock.empty
+  if i < Array.length t.clocks then t.clocks.(i) else absent
 
 let drop_clock t pid =
   let i = Pid.to_int pid in
-  if i < Array.length t.clocks && not (Vclock.is_empty t.clocks.(i)) then begin
+  if i < Array.length t.clocks && t.clocks.(i) != absent then begin
     t.clock_count <- t.clock_count - 1;
-    t.clocks.(i) <- Vclock.empty
+    retire t t.clocks.(i);
+    t.clocks.(i) <- absent
   end
 
-(* [c] is never empty: every clock stored holds at least its own tick. *)
-let set_clock t pid c =
+(* A clock that knows no process, for [pid], replacing any it had. *)
+let new_clock t pid =
+  drop_clock t pid;
+  let c =
+    if t.spare_count = 0 then Vclock.create ()
+    else begin
+      t.spare_count <- t.spare_count - 1;
+      let c = t.spare.(t.spare_count) in
+      t.spare.(t.spare_count) <- absent;
+      Vclock.clear c;
+      c
+    end
+  in
   let i = Pid.to_int pid in
-  t.clocks <- grown t.clocks i Vclock.empty;
-  if Vclock.is_empty t.clocks.(i) then t.clock_count <- t.clock_count + 1;
-  t.clocks.(i) <- c
+  t.clocks <- grown t.clocks i absent;
+  t.clock_count <- t.clock_count + 1;
+  t.clocks.(i) <- c;
+  c
 
-let tick t pid = set_clock t pid (Vclock.tick (clock_of t pid) pid)
+(* [pid]'s clock, to change in place; made on its first change. *)
+let own_clock t pid =
+  let c = clock_of t pid in
+  if c != absent then c else new_clock t pid
 
 (* ------------------------------------------------------------------ *)
 (* Flagging. The sanitizer does not subscribe to its own breadcrumbs.  *)
@@ -156,7 +200,7 @@ let register_map t pid =
     | Shared ps when not (has_pid pid ps) -> Tbl.replace t.maps id (Shared (pid :: ps))
     | Single _ | Shared _ -> ())
 
-let written_by pid _frame w = Pid.equal w.w_pid pid
+let written_by pid _frame e = epoch_pid e = Pid.to_int pid
 
 (* Forget the frames [pid] wrote last: its world died. *)
 let prune_owned t pid = Tbl.remove_if written_by pid t.frames
@@ -179,19 +223,19 @@ let on_write t ~map ~vpage ~frame =
   | Single pid ->
     let now = clock_of t pid in
     let w = Tbl.find t.frames frame in
-    if w == no_writer then Tbl.replace t.frames frame { w_pid = pid; w_clock = now }
-    else if Pid.equal w.w_pid pid then w.w_clock <- now
-    else if Vclock.leq w.w_clock now then begin
-      (* Ordered handoff (absorb): re-own the frame. *)
-      w.w_pid <- pid;
-      w.w_clock <- now
-    end
+    (* A first write, a rewrite, or an ordered handoff (absorb), which
+       re-owns the frame: the earlier write happens-before this one. *)
+    if w = no_writer || epoch_pid w = Pid.to_int pid
+       || epoch_count w <= Vclock.get now (Pid.of_int (epoch_pid w))
+    then
+      Tbl.replace t.frames frame
+        (pack "frame writer epoch" (Pid.to_int pid) (Vclock.get now pid))
     else
       flag t ~pid Report.Isolation
         (Format.asprintf
            "%a wrote frame %d (vpage %d) concurrently with %a: the write \
             was not privatised copy-on-write"
-           Pid.pp pid frame vpage Pid.pp w.w_pid)
+           Pid.pp pid frame vpage Pid.pp (Pid.of_int (epoch_pid w)))
 
 let on_free t ~frame = Tbl.remove t.frames frame
 
@@ -263,24 +307,24 @@ let rec unfenced_wins t n = function
 let on_event t ~time:_ e =
   match e with
   | Trace.Spawned { pid; parent; _ } ->
-    let base =
-      match parent with
-      | Some p ->
-        tick t p;
-        clock_of t p
-      | None -> Vclock.empty
-    in
-    (* The child is new to [base]: ticking it in joins its first event. *)
-    set_clock t pid (Vclock.tick base pid);
+    (match parent with
+    | Some p ->
+      let pc = own_clock t p in
+      Vclock.tick pc p;
+      (* The child is new to its parent's clock: the join copies it,
+         and ticking the child in adds its first event. *)
+      Vclock.join_tick (new_clock t pid) pc pid
+    | None -> Vclock.tick (new_clock t pid) pid);
     register_map t pid
   | Trace.Sent { msg } ->
     let sender = msg.Message.sender in
     let key = msg_key msg in
-    Tbl.replace t.snaps key (clock_of t sender);
+    let c = own_clock t sender in
+    Tbl.replace t.snaps key (Vclock.snapshot c);
     Tbl.replace t.snap_dest key (Pid.to_int msg.Message.dest);
-    tick t sender
+    Vclock.tick c sender
   | Trace.Accepted { dest; msg; dest_pred } ->
-    set_clock t dest (Vclock.join_tick (clock_of t dest) (take_snap t msg) dest);
+    Vclock.join_snapshot_tick (own_clock t dest) (take_snap t msg) dest;
     if Predicate.conflicts dest_pred msg.Message.predicate then
       flag t ~pid:dest Report.World
         (Format.asprintf
@@ -293,8 +337,7 @@ let on_event t ~time:_ e =
   | Trace.Injected { kind = "drop" | "partition-drop"; msg = Some msg; _ } ->
     drop_snap t (msg_key msg)
   | Trace.Absorbed { parent; child } ->
-    set_clock t parent
-      (Vclock.join_tick (clock_of t parent) (clock_of t child) parent);
+    Vclock.join_tick (own_clock t parent) (clock_of t child) parent;
     drop_clock t child
   | Trace.Sync_won { pid; index; epoch } ->
     let per = wins_in epoch 0 t.wins in
@@ -368,42 +411,68 @@ let kinds =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
-let attach eng =
-  let t =
-    {
-      eng;
-      sub = None;
-      obs = None;
-      clocks = [||];
-      clock_count = 0;
-      snaps = Tbl.create Vclock.empty;
-      snap_dest = Tbl.create (-1);
-      maps = Tbl.create Unregistered;
-      frames = Tbl.create no_writer;
-      dead = [||];
-      wins = [];
-      lates = [];
-      fence = 0;
-      degraded = false;
-      sources_seen = 0;
-      flags = [];
-      flag_count = 0;
-    }
-  in
-  t.sub <- Some (Trace.subscribe (Engine.trace eng) kinds (on_event t));
-  let obs =
-    { Frame_store.on_write = on_write t; on_free = on_free t;
-      on_release = on_release t }
-  in
-  Frame_store.add_observer (Engine.frame_store eng) obs;
-  t.obs <- Some obs;
-  t
+let create eng =
+  {
+    eng;
+    sub = None;
+    obs = None;
+    clocks = [||];
+    clock_count = 0;
+    spare = [||];
+    spare_count = 0;
+    snaps = Tbl.create Vclock.no_snapshot;
+    snap_dest = Tbl.create (-1);
+    maps = Tbl.create Unregistered;
+    frames = Tbl.create no_writer;
+    dead = [||];
+    wins = [];
+    lates = [];
+    fence = 0;
+    degraded = false;
+    sources_seen = 0;
+    flags = [];
+    flag_count = 0;
+  }
 
+(* Everything but the flags goes, and every table and array keeps its
+   capacity for the next arming. The frame writers must go even where a
+   run left frames live: a reset engine's store hands out frame ids from 0
+   again. *)
 let detach t =
   Option.iter (Trace.unsubscribe (Engine.trace t.eng)) t.sub;
   t.sub <- None;
   Option.iter (Frame_store.remove_observer (Engine.frame_store t.eng)) t.obs;
-  t.obs <- None
+  t.obs <- None;
+  for i = 0 to Array.length t.clocks - 1 do
+    drop_clock t (Pid.of_int i)
+  done;
+  Tbl.clear t.snaps;
+  Tbl.clear t.snap_dest;
+  Tbl.clear t.maps;
+  Tbl.clear t.frames;
+  Array.fill t.dead 0 (Array.length t.dead) false;
+  t.wins <- [];
+  t.lates <- [];
+  t.fence <- 0;
+  t.degraded <- false
+
+let arm t =
+  if Option.is_some t.sub then detach t;
+  t.sources_seen <- 0;
+  t.flags <- [];
+  t.flag_count <- 0;
+  t.sub <- Some (Trace.subscribe (Engine.trace t.eng) kinds (on_event t));
+  let obs =
+    { Frame_store.on_write = on_write t; on_free = on_free t;
+      on_release = on_release t }
+  in
+  Frame_store.add_observer (Engine.frame_store t.eng) obs;
+  t.obs <- Some obs
+
+let attach eng =
+  let t = create eng in
+  arm t;
+  t
 
 (* The at-most-once state is scoped to ONE alternative block: [wins],
    [lates], the degradation latch and the recovery fence all describe

@@ -50,16 +50,28 @@ val kinds : Trace.mask
     [Degraded], [Recovered], [Exited] and [Killed]. A sanitized engine
     with recording off builds no other kind. *)
 
+val create : Engine.t -> t
+(** A sanitizer for the engine, not yet armed: it hears nothing until
+    {!arm}. *)
+
+val arm : t -> unit
+(** Start watching: subscribes to {!kinds} ({!Trace.subscribe}) and
+    adds an observer to the frame store ({!Frame_store.add_observer}),
+    beside any other (the oracle's {!Race.record}). Drops the flags of
+    the previous arming. Must be called before the monitored processes
+    are spawned, on a fresh or freshly reset engine; an armed sanitizer
+    is {!detach}ed first. One armed sanitizer per engine. A serving
+    domain keeps one sanitizer and re-arms it for every batch its reset
+    engine runs, so its tables keep their capacity. *)
+
 val attach : Engine.t -> t
-(** Install the sanitizer on an engine: subscribes to {!kinds}
-    ({!Trace.subscribe}) and adds an observer to the frame store
-    ({!Frame_store.add_observer}), beside any other (the oracle's
-    {!Race.record}). Must be called before the monitored processes are
-    spawned. One sanitizer per engine. *)
+(** [create] and {!arm} in one. *)
 
 val detach : t -> unit
 (** Unsubscribe and remove the sanitizer's own frame-store observer; any
-    other observer stays. The accumulated flags remain readable. *)
+    other observer stays. Drops every clock, snapshot, map, frame writer
+    and block tally ({!state_size} is then 0) and keeps their capacity;
+    the accumulated flags remain readable until the next {!arm}. *)
 
 val next_block : t -> unit
 (** Close the current alternative block's at-most-once scope: the win /

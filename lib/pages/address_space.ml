@@ -1,7 +1,9 @@
 type t = {
   map_ : Page_map.t;
   model_ : Cost_model.t;
-  mutable pending : float;
+  pending : floatarray;
+      (* length 1: the cost not yet drained. A mutable float field of
+         this mixed record would box every value stored in it. *)
 }
 
 let model t = t.model_
@@ -9,12 +11,13 @@ let map t = t.map_
 
 let page_size t = t.model_.Cost_model.page_size
 
-let add_cost t c = t.pending <- t.pending +. c
-let pending_cost t = t.pending
+let pending_cost t = Float.Array.unsafe_get t.pending 0
+let set_pending t c = Float.Array.unsafe_set t.pending 0 c
+let add_cost t c = set_pending t (pending_cost t +. c)
 
 let drain_cost t =
-  let c = t.pending in
-  t.pending <- 0.;
+  let c = pending_cost t in
+  set_pending t 0.;
   c
 
 let check_addr ~addr ~len =
@@ -53,7 +56,10 @@ let write_bytes t ~addr src =
 let create ?(size_hint = 0) store model =
   if Frame_store.page_size store <> model.Cost_model.page_size then
     invalid_arg "Address_space.create: store/model page size mismatch";
-  let t = { map_ = Page_map.create store; model_ = model; pending = 0. } in
+  let t =
+    { map_ = Page_map.create store; model_ = model;
+      pending = Float.Array.make 1 0. }
+  in
   if size_hint > 0 then begin
     (* Materialise the image pages, then discard the setup cost: the hinted
        image exists before the measured operations begin. *)
@@ -72,7 +78,9 @@ let fork ?model parent =
   if model.Cost_model.page_size <> parent.model_.Cost_model.page_size then
     invalid_arg "Address_space.fork: model page size mismatch";
   let child_map = Page_map.fork parent.map_ in
-  let child = { map_ = child_map; model_ = model; pending = 0. } in
+  let child =
+    { map_ = child_map; model_ = model; pending = Float.Array.make 1 0. }
+  in
   add_cost child
     (Cost_model.fork_cost model ~mapped_pages:(Page_map.mapped_pages parent.map_));
   child
@@ -81,8 +89,7 @@ let absorb ~parent ~child =
   Page_map.absorb ~parent:parent.map_ ~child:child.map_;
   add_cost parent parent.model_.Cost_model.absorb_base;
   (* Unflushed child cost belongs to the surviving timeline. *)
-  add_cost parent child.pending;
-  child.pending <- 0.
+  add_cost parent (drain_cost child)
 
 let release t = Page_map.release t.map_
 

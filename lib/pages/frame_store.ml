@@ -22,10 +22,21 @@ and observer = {
    (it exceeds the minor heap's object size limit). A serving domain
    resets one engine per batch instead, and [reset] forgets the store's
    counters but not the pool. Pooled frames keep stale bytes, id and
-   count until [fresh] overwrites them. *)
+   count until [fresh] overwrites them. A bucket is an array stack, so
+   recycling a frame in either direction allocates nothing once the
+   stack has grown to the domain's working set. *)
 
-type bucket = { size : int; mutable frames : frame list }
+type bucket = {
+  size : int;
+  mutable frames : frame array;  (* [frames.(0 .. count - 1)] are free *)
+  mutable count : int;
+}
+
 type pool = { mutable buckets : bucket list; mutable retained : int }
+
+(* Fills a bucket's slots above [count], so a taken frame is not kept
+   alive by the pool. *)
+let taken = { fid = -1; buf = Bytes.empty; refs = 0 }
 
 (* Bytes of free frames a domain keeps; past it, freed frames go to the
    GC. Enough for the working set of a serving batch many times over. *)
@@ -41,7 +52,7 @@ let bucket pool size =
   match find_bucket size pool.buckets with
   | b -> b
   | exception Not_found ->
-    let b = { size; frames = [] } in
+    let b = { size; frames = [||]; count = 0 } in
     pool.buckets <- b :: pool.buckets;
     b
 
@@ -99,10 +110,10 @@ let notify_release t ~map = release_all t.observers ~map
 let page_size t = t.page_size
 
 (* A frame with reference count 1 and the store's next id — never an id
-   it has handed out before, so a frame id an observer reports always
-   denotes one physical write target (the isolation checker depends on
-   this). Its contents are unspecified: the callers overwrite the whole
-   page. *)
+   it has handed out since its last reset, so within a run a frame id an
+   observer reports always denotes one physical write target (the
+   isolation checker depends on this). Its contents are unspecified:
+   the callers overwrite the whole page. *)
 let fresh t =
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -110,14 +121,16 @@ let fresh t =
   t.allocs <- t.allocs + 1;
   let pool = Domain.DLS.get pool_key in
   let b = bucket pool t.page_size in
-  match b.frames with
-  | f :: rest ->
-    b.frames <- rest;
+  if b.count > 0 then begin
+    b.count <- b.count - 1;
+    let f = b.frames.(b.count) in
+    b.frames.(b.count) <- taken;
     pool.retained <- pool.retained - t.page_size;
     f.fid <- id;
     f.refs <- 1;
     f
-  | [] -> { fid = id; buf = Bytes.create t.page_size; refs = 1 }
+  end
+  else { fid = id; buf = Bytes.create t.page_size; refs = 1 }
 
 let alloc t =
   let f = fresh t in
@@ -144,7 +157,13 @@ let decref t f =
     let size = Bytes.length f.buf in
     if pool.retained + size <= pool_cap_bytes then begin
       let b = bucket pool size in
-      b.frames <- f :: b.frames;
+      if b.count = Array.length b.frames then begin
+        let frames = Array.make (Int.max 16 (2 * b.count)) taken in
+        Array.blit b.frames 0 frames 0 b.count;
+        b.frames <- frames
+      end;
+      b.frames.(b.count) <- f;
+      b.count <- b.count + 1;
       pool.retained <- pool.retained + size
     end
   end

@@ -30,9 +30,9 @@ val page_size : t -> int
 
 val reset : t -> unit
 (** Return the store to the state {!create} leaves: every counter and the
-    map-id sequence at zero, and no observers. Frames still referenced by
-    maps of the previous run are forgotten, not pooled: nothing may
-    decrement them through this store afterwards. *)
+    map-id and frame-id sequences at zero, and no observers. Frames still
+    referenced by maps of the previous run are forgotten, not pooled:
+    nothing may decrement them through this store afterwards. *)
 
 val alloc : t -> frame
 (** A zero-filled frame with reference count 1 and an id this store has
@@ -64,9 +64,10 @@ val data : frame -> bytes
 
 val id : frame -> int
 (** Stable identity of the frame, for tests, traces, and the observers
-    below. Ids are per store and never reused within one: a frame
-    recycled through the pool comes back under the allocating store's
-    next id. *)
+    below. Ids are per store and never reused between its creation or
+    {!reset} and the next reset: a frame recycled through the pool comes
+    back under the allocating store's next id. A reset starts the ids at
+    0 again, so an observer that outlives one must forget them. *)
 
 val live_frames : t -> int
 (** Number of frames currently referenced by at least one map. *)
@@ -98,7 +99,7 @@ type observer = {
           frame [frame] at page [vpage]. *)
   on_free : frame:int -> unit;
       (** The frame's count reached zero: no map can write it again, as
-          ids are never reused. *)
+          ids are not reused until the store is {!reset}. *)
   on_release : map:int -> unit;
       (** The map was released (or absorbed into its parent): it will
           never write again. *)

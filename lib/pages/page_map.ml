@@ -130,6 +130,14 @@ module Tbl = struct
 
   let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
 
+  (* Drop every entry and keep the capacity: [dummy] in every slot. *)
+  let clear t =
+    if t.size > 0 then begin
+      Array.fill t.keys 0 (Array.length t.keys) no_key;
+      Array.fill t.vals 0 (Array.length t.vals) t.dummy;
+      t.size <- 0
+    end
+
   (* Drop every entry and both arrays. *)
   let reset t =
     t.keys <- [||];

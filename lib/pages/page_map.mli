@@ -34,6 +34,10 @@ module Int_table : sig
   val replace : 'a t -> int -> 'a -> unit
   val remove : 'a t -> int -> unit
 
+  val clear : 'a t -> unit
+  (** Remove every entry, keeping the table's capacity: a table cleared
+      and refilled to its old size allocates nothing. *)
+
   val remove_if : ('e -> int -> 'a -> bool) -> 'e -> 'a t -> unit
   (** [remove_if f env t] removes every entry for which [f env key value]
       holds, allocating nothing when [f] is a top-level function. *)

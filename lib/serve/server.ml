@@ -326,10 +326,11 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
    after {!Engine.reset} with the batch's seed, jobs back to back. The
    seed is derived from (workload seed, batch id) only, and a reset
    engine is exactly a fresh one with that seed, tables' capacity aside.
-   Sites topology, fault plan, circuit breakers and sanitizer are all
-   scoped to the batch, and a second reset as the batch ends drops them
-   with its processes, so an idle domain's engine holds nothing of its
-   last batch. So executing batches on N domains in any order gives the
+   Sites topology, fault plan and circuit breakers are all scoped to the
+   batch, and a second reset as the batch ends drops them with its
+   processes, so an idle domain's engine holds nothing of its last
+   batch. The domain's sanitizer is re-armed for each sanitized batch
+   and detached at its end, which drops its state. So executing batches on N domains in any order gives the
    same per-batch results as one domain in dispatch order. The structures batches on a domain
    share are that engine's tables and the domain's free-frame pool
    ({!Frame_store}): each job releases the address spaces it created,
@@ -447,6 +448,12 @@ let engine_key =
   Domain.DLS.new_key (fun () ->
       Engine.create ~model:Cost_model.att_3b2 ~trace:false ())
 
+(* The domain's sanitizer on that engine, made on its first sanitized
+   batch and re-armed for each: detached, it holds nothing of the last
+   batch but the tables' capacity. *)
+let sanitizer_key =
+  Domain.DLS.new_key (fun () -> Sanitizer.create (Domain.DLS.get engine_key))
+
 let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
   let engine = Domain.DLS.get engine_key in
   Engine.reset engine ~seed:((wl.Workload.wl_seed * 1_000_003) + cb.cb_id);
@@ -478,7 +485,14 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
         breakers.(i) <- Some b;
         b
   in
-  let sanitizer = if sv.sv_sanitize then Some (Sanitizer.attach engine) else None in
+  let sanitizer =
+    if sv.sv_sanitize then begin
+      let sz = Domain.DLS.get sanitizer_key in
+      Sanitizer.arm sz;
+      Some sz
+    end
+    else None
+  in
   let scenario = resolve_scenario cb.cb_scenario in
   let policy = resolve_policy cb.cb_policy in
   let consensus_policy =

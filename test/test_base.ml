@@ -300,16 +300,21 @@ let test_rng_pick () =
    [Rng.exponential] here and their results stay in registers. A build
    with -opaque (dune's dev profile) boxes each returned float, 2 words
    a draw. The ceiling holds the default build to that. *)
-let test_float_draw_unboxed () =
-  let r = Rng.create ~seed:5 in
-  let draws = 100_000 in
+(* Top-level, so the running sum stays an unboxed local. *)
+let sum_draws r draws =
   let sum = ref 0. in
-  let w0 = Gc.minor_words () in
   for _ = 1 to draws / 2 do
     sum := !sum +. Rng.float r 1.;
     sum := !sum +. Rng.exponential r ~mean:0.5
   done;
-  let per_draw = (Gc.minor_words () -. w0) /. float_of_int draws in
+  !sum
+
+let test_float_draw_unboxed () =
+  let r = Rng.create ~seed:5 in
+  let draws = 100_000 in
+  let sum = ref 0. in
+  let words = Alloc_words.of_run (fun () -> sum := sum_draws r draws) in
+  let per_draw = words /. float_of_int draws in
   if not (!sum > 0.) then Alcotest.failf "sum of draws %h" !sum;
   if per_draw > 0.05 then
     Alcotest.failf "%.3f words per float draw, ceiling 0.05" per_draw

@@ -566,12 +566,14 @@ let test_supervised_audit_order_and_clean_cost () =
   let sr = Concurrent.run_supervised eng ~policy ~sites alts in
   let audit sr = Invariants.check_supervised_report ~scenario:"counters" ~policy ~seed:1 sr in
   let inner = sr.Concurrent.sr_report in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 100 do
-    ignore (Invariants.check_report ~scenario:"counters" ~policy ~seed:1 inner);
-    ignore (audit sr)
-  done;
-  check (Alcotest.float 0.) "a clean audit allocates nothing" 0. (Gc.minor_words () -. w0);
+  let words =
+    Alloc_words.of_run (fun () ->
+        for _ = 1 to 100 do
+          ignore (Invariants.check_report ~scenario:"counters" ~policy ~seed:1 inner);
+          ignore (audit sr)
+        done)
+  in
+  check (Alcotest.float 0.) "a clean audit allocates nothing" 0. words;
   let p = Pid.of_int 0 in
   let tampered =
     {

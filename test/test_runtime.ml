@@ -2923,8 +2923,10 @@ let test_reset_replays_fresh () =
 
 (* ---------------- Allocation budget ----------------
 
-   Minor words per operation on a warm engine (its handler built, its
-   tables grown by a first run of the same shape): a CPU park, a message
+   Words per operation ([Alloc_words]: minor plus direct major words) on
+   a warm engine (its handler built, its tables grown by a first run of
+   the same shape and then reset, so that pids handed out afresh grow no
+   table): a CPU park, a message
    hop (a send and the parked receive it wakes), a spawn-to-exit, and a
    send to a destination never sent to (with its receiver's spawn to
    exit). A park allocates its park record and the runtime's
@@ -2944,10 +2946,9 @@ let test_reset_replays_fresh () =
 
 let words_per ~n op =
   let eng = mk () in
-  op eng 64;
-  let w0 = Gc.minor_words () in
   op eng n;
-  (Gc.minor_words () -. w0) /. float_of_int n
+  Engine.reset eng ~seed:42;
+  Alloc_words.of_run (fun () -> op eng n) /. float_of_int n
 
 let cpu_parks eng n =
   ignore
@@ -3006,9 +3007,7 @@ let test_sweep_skips_certain () =
              ignore (Engine.receive ctx ())))
     done;
     spawns eng 64;
-    let w0 = Gc.minor_words () in
-    spawns eng n;
-    (Gc.minor_words () -. w0) /. float_of_int n
+    Alloc_words.of_run (fun () -> spawns eng n) /. float_of_int n
   in
   let per_live =
     (spawn_words ~live -. spawn_words ~live:0) /. float_of_int live
@@ -3024,10 +3023,7 @@ let test_reset_allocates_nothing () =
   for seed = 1 to 200 do
     message_hops eng 8;
     fresh_dests eng 4;
-    let w0 = Gc.minor_words () in
-    Engine.reset eng ~seed;
-    let w = Gc.minor_words () -. w0 in
-    words := !words +. w
+    words := !words +. Alloc_words.of_run (fun () -> Engine.reset eng ~seed)
   done;
   if !words > 0. then Alcotest.failf "200 resets: %.0f words" !words
 

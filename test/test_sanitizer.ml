@@ -180,8 +180,9 @@ let churn n =
            ignore (Engine.receive ctx ())
          done));
   Engine.run eng;
+  let state = Sanitizer.state_size sz in
   Sanitizer.detach sz;
-  (Sanitizer.state_size sz, Sanitizer.flag_count sz)
+  (state, Sanitizer.flag_count sz)
 
 let test_bounded_state () =
   (* The trace is disabled (History would be empty) yet the observer still
@@ -315,77 +316,127 @@ let test_fenced_win_is_void () =
     ]
     (run ~recovered:false)
 
-(* ---------------- the flat vector clock against a map reference ------ *)
+(* ---------------- the in-place vector clock against a map reference -- *)
 
 let ref_tick m p =
   Pid.Map.update p (fun n -> Some (1 + Option.value ~default:0 n)) m
 
-(* A clock built by ticking pids in order, both as a [Vclock.t] and as the
-   [Pid.Map] the sanitizer used before (absent = 0). *)
-let clocks_of ticks =
-  List.fold_left
-    (fun (c, m) p ->
-      let p = Pid.of_int p in
-      (Vclock.tick c p, ref_tick m p))
-    (Vclock.empty, Pid.Map.empty) ticks
-
 let ref_join = Pid.Map.union (fun _ x y -> Some (max x y))
+let ref_get m p = Option.value ~default:0 (Pid.Map.find_opt p m)
 
-let ref_leq a b =
-  Pid.Map.for_all
-    (fun p n ->
-      match Pid.Map.find_opt p b with Some m -> n <= m | None -> false)
-    a
+(* Operations on four clocks, each mirrored by a [Pid.Map] (absent = 0),
+   the representation the sanitizer used before its clocks were flat. *)
+type vc_op =
+  | V_tick of int * int  (* clock, pid *)
+  | V_join of int * int * int  (* into, from, pid to tick *)
+  | V_join_snap of int * int * int  (* into, snapshot index, pid *)
+  | V_fork of int * int * int  (* from, into, pid: clear, join, tick *)
+  | V_snap of int
+
+let show_vc_op = function
+  | V_tick (c, p) -> Printf.sprintf "tick c%d P%d" c p
+  | V_join (c, d, p) -> Printf.sprintf "join c%d c%d P%d" c d p
+  | V_join_snap (c, s, p) -> Printf.sprintf "join c%d s%d P%d" c s p
+  | V_fork (c, d, p) -> Printf.sprintf "clear c%d; join c%d c%d P%d" d d c p
+  | V_snap c -> Printf.sprintf "snap c%d" c
+
+let gen_vc_op =
+  QCheck.Gen.(
+    let clock = int_bound 3 and pid = int_bound 9 in
+    frequency
+      [
+        (4, map2 (fun c p -> V_tick (c, p)) clock pid);
+        (3, map3 (fun c d p -> V_join (c, d, p)) clock clock pid);
+        (2, map3 (fun c s p -> V_join_snap (c, s, p)) clock (int_bound 7) pid);
+        (1, map3 (fun c d p -> V_fork (c, d, p)) clock clock pid);
+        (2, map (fun c -> V_snap c) clock);
+      ])
+
+let arb_vc_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_vc_op ops))
+    QCheck.Gen.(list_size (int_range 0 60) gen_vc_op)
+
+let same_clock c m = Vclock.to_list c = Pid.Map.bindings m
+
+(* Every operation runs in place on the model's clocks, and after each
+   one every clock, every component read with [get], and every snapshot
+   taken so far equals the reference. A fork is what a spawn does with a
+   reused clock: clear it, join the parent's, tick the child. Joining a
+   clock into itself is no operation the sanitizer performs, so the
+   generator's [V_join (c, c, _)] ticks instead, and its
+   [V_fork (c, c, _)] clears and ticks. *)
+let prop_vclock_matches_map =
+  QCheck.Test.make
+    ~name:"Vclock in-place tick/join/clear/snapshot match a Pid.Map reference"
+    ~count:1000 arb_vc_ops (fun ops ->
+      let clocks = Array.init 4 (fun _ -> Vclock.create ()) in
+      let refs = Array.make 4 Pid.Map.empty in
+      let snaps = ref [] in
+      let snap_at k =
+        let n = List.length !snaps in
+        if n = 0 then (Vclock.no_snapshot, Pid.Map.empty)
+        else List.nth !snaps (k mod n)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | V_join (c, d, p) when d <> c ->
+              Vclock.join_tick clocks.(c) clocks.(d) (Pid.of_int p);
+              refs.(c) <- ref_tick (ref_join refs.(c) refs.(d)) (Pid.of_int p)
+          | V_tick (c, p) | V_join (c, _, p) ->
+              Vclock.tick clocks.(c) (Pid.of_int p);
+              refs.(c) <- ref_tick refs.(c) (Pid.of_int p)
+          | V_join_snap (c, k, p) ->
+              let s, r = snap_at k in
+              Vclock.join_snapshot_tick clocks.(c) s (Pid.of_int p);
+              refs.(c) <- ref_tick (ref_join refs.(c) r) (Pid.of_int p)
+          | V_fork (c, d, p) when d <> c ->
+              Vclock.clear clocks.(d);
+              Vclock.join_tick clocks.(d) clocks.(c) (Pid.of_int p);
+              refs.(d) <- ref_tick refs.(c) (Pid.of_int p)
+          | V_fork (c, _, p) ->
+              Vclock.clear clocks.(c);
+              Vclock.tick clocks.(c) (Pid.of_int p);
+              refs.(c) <- ref_tick Pid.Map.empty (Pid.of_int p)
+          | V_snap c -> snaps := !snaps @ [ (Vclock.snapshot clocks.(c), refs.(c)) ]);
+          Array.for_all2 same_clock clocks refs
+          && Array.for_all2
+               (fun c m ->
+                 List.for_all
+                   (fun p -> Vclock.get c (Pid.of_int p) = ref_get m (Pid.of_int p))
+                   [ 0; 3; 7; 9; 10 ])
+               clocks refs
+          && List.for_all
+               (fun (s, r) -> Vclock.snapshot_to_list s = Pid.Map.bindings r)
+               !snaps)
+        ops)
 
 let gen_ticks = QCheck.(list_of_size Gen.(int_range 0 12) (int_range 0 7))
 
-let prop_vclock_matches_map =
-  QCheck.Test.make ~name:"Vclock join/join_tick/leq/tick match a Pid.Map reference"
-    ~count:1000 (QCheck.pair gen_ticks gen_ticks) (fun (xs, ys) ->
-      let a, ra = clocks_of xs and b, rb = clocks_of ys in
-      (* [c] dominates [a]: the ticks of [a], then more. *)
-      let c, rc = clocks_of (xs @ ys) in
-      let same v r = Vclock.to_list v = Pid.Map.bindings r in
-      same a ra && same b rb && same c rc
-      && same (Vclock.join a b) (ref_join ra rb)
-      && same (Vclock.join b a) (ref_join rb ra)
-      && same (Vclock.join a c) (ref_join ra rc)
-      && same (Vclock.join a (Vclock.singleton (Pid.of_int 3)))
-           (ref_join ra (Pid.Map.singleton (Pid.of_int 3) 1))
-      && Vclock.leq a b = ref_leq ra rb
-      && Vclock.leq b a = ref_leq rb ra
-      && Vclock.leq a c = ref_leq ra rc
-      && Vclock.leq c a = ref_leq rc ra
-      && Vclock.is_empty a = Pid.Map.is_empty ra
-      && List.for_all
-           (fun p ->
-             let p = Pid.of_int p in
-             same (Vclock.join_tick a b p) (ref_tick (ref_join ra rb) p)
-             && same (Vclock.tick a p) (ref_tick ra p))
-           [ 0; 3; 7; 9 ])
+let clock_of_ticks ticks =
+  let c = Vclock.create () in
+  List.iter (fun p -> Vclock.tick c (Pid.of_int p)) ticks;
+  c
 
-(* The sanitizer keeps send snapshots and frame writers' clocks by
-   reference, so no clock operation may write into an argument: after
-   each operation both arguments read as before, and the operation asked
-   again answers the same. *)
-let prop_vclock_immutable =
-  QCheck.Test.make ~name:"Vclock tick/join/join_tick/leq never mutate their arguments"
-    ~count:1000 (QCheck.pair gen_ticks gen_ticks) (fun (xs, ys) ->
-      let a, _ = clocks_of xs and b, _ = clocks_of ys in
-      let a0 = Vclock.to_list a and b0 = Vclock.to_list b in
-      let stable f =
-        let r = f () in
-        Vclock.to_list a = a0 && Vclock.to_list b = b0 && f () = r
-      in
-      stable (fun () -> Vclock.to_list (Vclock.join a b))
-      && stable (fun () -> (Vclock.leq a b, Vclock.leq b a))
-      && List.for_all
-           (fun p ->
-             let p = Pid.of_int p in
-             stable (fun () -> Vclock.to_list (Vclock.tick a p))
-             && stable (fun () -> Vclock.to_list (Vclock.tick b p))
-             && stable (fun () -> Vclock.to_list (Vclock.join_tick a b p)))
-           [ 0; 3; 7; 9 ])
+(* The sanitizer keeps a message's snapshot until the receiver accepts
+   it, while the sender's clock keeps changing in place: the snapshot
+   must read as it was taken after the sender's later ticks and joins,
+   whether or not they outgrow the clock's array. *)
+let prop_snapshot_stable =
+  QCheck.Test.make
+    ~name:"a Sent snapshot is unchanged by later ticks and joins"
+    ~count:1000
+    (QCheck.triple gen_ticks gen_ticks gen_ticks)
+    (fun (xs, ys, later) ->
+      let sender = clock_of_ticks xs and other = clock_of_ticks ys in
+      let s = Vclock.snapshot sender in
+      let taken = Vclock.to_list sender in
+      List.iter (fun p -> Vclock.tick sender (Pid.of_int p)) later;
+      Vclock.join_tick sender other (Pid.of_int 1);
+      Vclock.join_snapshot_tick sender (Vclock.snapshot other) (Pid.of_int 2);
+      List.iter (fun p -> Vclock.tick sender (Pid.of_int p)) xs;
+      Vclock.snapshot_to_list s = taken)
 
 (* ---------------- state across the blocks of one engine ------------- *)
 
@@ -423,9 +474,10 @@ let state_after_blocks ?crashed_site policy n =
     Sanitizer.next_block sz;
     Address_space.release space
   done;
+  let state = Sanitizer.state_size sz in
   Sanitizer.detach sz;
   check Alcotest.int "no flags" 0 (Sanitizer.flag_count sz);
-  Sanitizer.state_size sz
+  state
 
 let consensus_policy =
   {
@@ -447,6 +499,161 @@ let test_state_returns_after_each_block () =
       ("5-node consensus, crashed site", Some "s4", supervised_policy);
     ]
 
+(* ---------------- one sanitizer, re-armed on a reset engine ---------- *)
+
+(* A frame of a scratch store whose id is [id]. The observers read only
+   a frame's id, so reporting a write of it on an engine's store reports
+   a write into that store's frame [id]. *)
+let frame_with_id id =
+  let scratch = Frame_store.create ~page_size:1 in
+  let rec next () =
+    let f = Frame_store.alloc scratch in
+    if Frame_store.id f = id then f else next ()
+  in
+  next ()
+
+(* Two siblings forked from one space. The first privatises page 0; the
+   second's write to page 0 is then reported in the first's private
+   frame, as if copy-on-write had let it write there: two writers of one
+   frame with no happens-before edge between them. *)
+let seeded_race eng =
+  let store = Engine.frame_store eng in
+  let base = Address_space.create store (Engine.model eng) in
+  Address_space.set_int base ~addr:0 1;
+  let sp1 = Address_space.fork base and sp2 = Address_space.fork base in
+  ignore
+    (Engine.spawn eng ~space:sp1 (fun ctx ->
+         Engine.delay ctx 0.001;
+         Address_space.set_int sp1 ~addr:0 2;
+         (* Alive, so its space and frame are, at the second write. *)
+         Engine.delay ctx 0.002));
+  ignore
+    (Engine.spawn eng ~space:sp2 (fun ctx ->
+         Engine.delay ctx 0.002;
+         let frame = Page_map.frame_id (Address_space.map sp1) ~vpage:0 in
+         Frame_store.notify_write store
+           ~map:(Page_map.id (Address_space.map sp2))
+           ~vpage:0
+           (frame_with_id (Option.get frame))));
+  Engine.run eng
+
+(* A consensus block of the counters scenario whose space is never
+   released, so its frame writers outlive it. *)
+let unreleased_block eng ~seed =
+  let counters = List.hd Invariants.default_scenarios in
+  let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+  counters.Invariants.prepare eng space;
+  ignore (Address_space.drain_cost space);
+  let alts = counters.Invariants.alts eng ~seed ~source:None in
+  ignore (Concurrent.run_toplevel eng ~policy:consensus_policy ~space alts)
+
+let race_flags =
+  [
+    "isolation [t=0.002000 pid=P1] P1 wrote frame 1 (vpage 0) concurrently with P0: the write was not privatised copy-on-write";
+  ]
+
+(* A run that leaves frame 1 last written by P1, whose space outlives
+   it: what a frame writer kept across a reset would misattribute. *)
+let leave_frame_writer eng =
+  ignore (Engine.spawn eng ignore);
+  let base = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+  Address_space.set_int base ~addr:0 1;
+  let sp = Address_space.fork base in
+  let p = Engine.spawn eng ~space:sp (fun _ -> Address_space.set_int sp ~addr:0 2) in
+  Engine.preserve_space eng p;
+  Engine.run eng
+
+(* A serving domain keeps one sanitizer and re-arms it on its engine
+   after each reset. The engine's store hands out frame ids from 0 again,
+   so a frame writer kept from the last batch would be read as a writer
+   of an unrelated frame of this one. *)
+let test_rearmed_race () =
+  let fresh =
+    let eng = Engine.create ~seed:7 () in
+    let sz = Sanitizer.attach eng in
+    seeded_race eng;
+    Sanitizer.detach sz;
+    sz
+  in
+  pinned_violations "rendered race, fresh sanitizer" race_flags fresh;
+  let eng = Engine.create ~seed:7 () in
+  let sz = Sanitizer.attach eng in
+  leave_frame_writer eng;
+  check Alcotest.int "P1's clock, map and frame writer outlive the run" 3
+    (Sanitizer.state_size sz);
+  Sanitizer.detach sz;
+  Engine.reset eng ~seed:7;
+  Sanitizer.arm sz;
+  seeded_race eng;
+  Sanitizer.detach sz;
+  pinned_violations "rendered race, re-armed sanitizer" race_flags sz
+
+let test_clean_block_after_rearm () =
+  let eng = Engine.create ~seed:7 () in
+  let sz = Sanitizer.attach eng in
+  seeded_race eng;
+  Sanitizer.detach sz;
+  check Alcotest.bool "the race was flagged" true (Sanitizer.flag_count sz > 0);
+  Engine.reset eng ~seed:7;
+  Sanitizer.arm sz;
+  check Alcotest.int "re-arming drops the flags" 0 (Sanitizer.flag_count sz);
+  unreleased_block eng ~seed:1;
+  Sanitizer.detach sz;
+  check Alcotest.int "a clean block flags nothing" 0 (Sanitizer.flag_count sz)
+
+(* Between batches a serving domain's sanitizer is detached: it holds
+   none of the last batch's state, even where the batch left spaces and
+   frames live, and its flags stay readable. *)
+let test_detached_holds_nothing () =
+  let eng = Engine.create ~seed:7 () in
+  let sz = Sanitizer.attach eng in
+  unreleased_block eng ~seed:1;
+  seeded_race eng;
+  check Alcotest.bool "the run left state" true (Sanitizer.state_size sz > 0);
+  Sanitizer.detach sz;
+  check Alcotest.int "detached: state size" 0 (Sanitizer.state_size sz);
+  check Alcotest.bool "detached: flags readable" true (Sanitizer.flag_count sz > 0)
+
+(* The worlds example under the sanitizer: a consumer splits on a
+   speculative producer's message, and the world that accepted it dies
+   when the other alternative wins. The sanitizer sees [Killed] and then
+   the killed world's [Exited]; nothing of the dead world stays, and
+   nothing is flagged. *)
+let test_dead_world_killed () =
+  let eng = Engine.create ~trace:true () in
+  let sz = Sanitizer.attach eng in
+  let consumer =
+    Engine.spawn eng ~name:"consumer" (fun ctx ->
+        for _ = 1 to 2 do
+          ignore (Engine.receive ctx ())
+        done)
+  in
+  let alt name cost partial =
+    Alternative.make ~name (fun ctx ->
+        Engine.send ctx consumer (Payload.int partial);
+        Engine.delay ctx cost;
+        partial)
+  in
+  ignore
+    (Engine.spawn eng ~cloneable:false ~name:"parent" (fun ctx ->
+         ignore (Concurrent.run ctx [ alt "slow" 5.0 100; alt "fast" 1.0 7 ])));
+  ignore
+    (Engine.spawn eng ~name:"steady" (fun ctx ->
+         Engine.delay ctx 8.;
+         Engine.send ctx consumer (Payload.int 1)));
+  Engine.run eng;
+  let killed =
+    List.filter
+      (fun (_, e) -> match e with Trace.Killed _ -> true | _ -> false)
+      (Trace.events (Engine.trace eng))
+  in
+  check Alcotest.bool "a world was killed" true (killed <> []);
+  Sanitizer.next_block sz;
+  check Alcotest.int "no clock, snapshot, map or frame entry left" 0
+    (Sanitizer.state_size sz);
+  Sanitizer.detach sz;
+  check Alcotest.int "no flag" 0 (Sanitizer.flag_count sz)
+
 let () =
   Alcotest.run "sanitizer"
     [
@@ -462,6 +669,15 @@ let () =
             test_next_block_across_supervised_restart;
           Alcotest.test_case "a fenced epoch's win is void" `Quick
             test_fenced_win_is_void;
+          Alcotest.test_case "a dead world's kill leaves nothing" `Quick
+            test_dead_world_killed;
+        ] );
+      ( "rearm",
+        [
+          Alcotest.test_case "a re-armed sanitizer flags a seeded race as a fresh one" `Quick
+            test_rearmed_race;
+          Alcotest.test_case "a clean block after a re-arm flags nothing" `Quick
+            test_clean_block_after_rearm;
         ] );
       ( "contract",
         [
@@ -471,6 +687,8 @@ let () =
           Alcotest.test_case "clean runs unchanged" `Quick
             test_clean_run_parity;
           QCheck_alcotest.to_alcotest prop_vclock_matches_map;
-          QCheck_alcotest.to_alcotest prop_vclock_immutable;
+          QCheck_alcotest.to_alcotest prop_snapshot_stable;
+          Alcotest.test_case "a detached sanitizer holds nothing" `Quick
+            test_detached_holds_nothing;
         ] );
     ]

@@ -673,15 +673,14 @@ let prop_topology_model =
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor words per operation of [op] on a warm engine (a first run of 64
-   grows its tables), with the two sites "a" and "b" installed or none. *)
+(* Words per operation of [op] ([Alloc_words]) on a warm engine (a first
+   run of 64 grows its tables), with the two sites "a" and "b" installed
+   or none. *)
 let words_per ~topology ~n op =
   let eng = Engine.create ~trace:false () in
   if topology then ignore (Sites.create eng ~names:[ "a"; "b" ]);
   op eng 64;
-  let w0 = Gc.minor_words () in
-  op eng n;
-  (Gc.minor_words () -. w0) /. float_of_int n
+  Alloc_words.of_run (fun () -> op eng n) /. float_of_int n
 
 let one = Payload.int 1
 
