@@ -90,7 +90,10 @@ type t = {
   maps : owner Tbl.t;  (* page-map id -> owning process *)
   frames : int Tbl.t;  (* frame id -> its last writer's epoch *)
   mutable dead : bool array;  (* by pid: exited (liveness for Shared) *)
-  mutable wins : (Pid.t * int * int) list;  (* (pid, index, epoch), newest first *)
+  mutable wins : int array;
+      (* this block's wins, oldest first: win [i]'s pid at [2 i] and its
+         epoch at [2 i + 1]; kept for the next block *)
+  mutable win_count : int;
   mutable lates : Pid.t list;
   mutable fence : int;  (* epochs below this were fenced by a recovery *)
   mutable degraded : bool;
@@ -286,13 +289,30 @@ let dead_letter t key dest =
 
 (* The per-block at-most-once state is a few entries long; these walks
    are top-level so that a win or a late allocates no closure. *)
-let rec won_by p = function
-  | [] -> false
-  | (q, _, _) :: rest -> Pid.equal p q || won_by p rest
+let won_by t p =
+  let p = Pid.to_int p and won = ref false in
+  for i = 0 to t.win_count - 1 do
+    if t.wins.(2 * i) = p then won := true
+  done;
+  !won
 
-let rec wins_in (epoch : int) n = function
-  | [] -> n
-  | (_, _, e) :: rest -> wins_in epoch (if e = epoch then n + 1 else n) rest
+let wins_in t (epoch : int) =
+  let n = ref 0 in
+  for i = 0 to t.win_count - 1 do
+    if t.wins.((2 * i) + 1) = epoch then incr n
+  done;
+  !n
+
+let add_win t pid epoch =
+  let i = 2 * t.win_count in
+  if i = Array.length t.wins then begin
+    let wins = Array.make (Int.max 8 (2 * i)) 0 in
+    Array.blit t.wins 0 wins 0 i;
+    t.wins <- wins
+  end;
+  t.wins.(i) <- Pid.to_int pid;
+  t.wins.(i + 1) <- epoch;
+  t.win_count <- t.win_count + 1
 
 (* A win in a fenced epoch was voided by the recovery that fenced it
    ([run_supervised]'s contract), so it does not count against the
@@ -300,9 +320,12 @@ let rec wins_in (epoch : int) n = function
    cover each epoch on its own. *)
 let fenced t e = e <> 0 && e < t.fence
 
-let rec unfenced_wins t n = function
-  | [] -> n
-  | (_, _, e) :: rest -> unfenced_wins t (if fenced t e then n else n + 1) rest
+let unfenced_wins t =
+  let n = ref 0 in
+  for i = 0 to t.win_count - 1 do
+    if not (fenced t t.wins.((2 * i) + 1)) then incr n
+  done;
+  !n
 
 let on_event t ~time:_ e =
   match e with
@@ -339,10 +362,10 @@ let on_event t ~time:_ e =
   | Trace.Absorbed { parent; child } ->
     Vclock.join_tick (own_clock t parent) (clock_of t child) parent;
     drop_clock t child
-  | Trace.Sync_won { pid; index; epoch } ->
-    let per = wins_in epoch 0 t.wins in
-    t.wins <- (pid, index, epoch) :: t.wins;
-    let live_wins = unfenced_wins t 0 t.wins in
+  | Trace.Sync_won { pid; index = _; epoch } ->
+    let per = wins_in t epoch in
+    add_win t pid epoch;
+    let live_wins = unfenced_wins t in
     if live_wins > 1 then
       flag t ~pid Report.At_most_once
         (Printf.sprintf
@@ -369,16 +392,16 @@ let on_event t ~time:_ e =
       flag t ~pid Report.At_most_once
         (Format.asprintf "%a was told \"too late\" more than once" Pid.pp pid)
     else t.lates <- pid :: t.lates;
-    if won_by pid t.wins then
+    if won_by t pid then
       flag t ~pid Report.At_most_once
         (Format.asprintf "the winner %a was also told \"too late\"" Pid.pp pid)
   | Trace.Degraded _ ->
     t.degraded <- true;
-    (match t.wins with
-    | (pid, _, _) :: _ ->
-      flag t ~pid Report.At_most_once
+    if t.win_count > 0 then
+      flag t
+        ~pid:(Pid.of_int t.wins.(2 * (t.win_count - 1)))
+        Report.At_most_once
         "the block degraded to sequential execution after a Sync_won"
-    | [] -> ())
   | Trace.Recovered { epoch; _ } -> t.fence <- max t.fence epoch
   | Trace.Exited { pid; status } ->
     mark_dead t pid;
@@ -425,7 +448,8 @@ let create eng =
     maps = Tbl.create Unregistered;
     frames = Tbl.create no_writer;
     dead = [||];
-    wins = [];
+    wins = [||];
+    win_count = 0;
     lates = [];
     fence = 0;
     degraded = false;
@@ -451,7 +475,7 @@ let detach t =
   Tbl.clear t.maps;
   Tbl.clear t.frames;
   Array.fill t.dead 0 (Array.length t.dead) false;
-  t.wins <- [];
+  t.win_count <- 0;
   t.lates <- [];
   t.fence <- 0;
   t.degraded <- false
@@ -486,7 +510,7 @@ let attach eng =
    flags also survive: they already happened. *)
 let next_block t =
   Tbl.remove_if dead_letter t t.snap_dest;
-  t.wins <- [];
+  t.win_count <- 0;
   t.lates <- [];
   t.fence <- 0;
   t.degraded <- false
@@ -508,7 +532,7 @@ let flag_count t = t.flag_count
 
 let state_size t =
   t.clock_count + Tbl.length t.snaps + Tbl.length t.maps + Tbl.length t.frames
-  + List.length t.lates + List.length t.wins
+  + List.length t.lates + t.win_count
 
 (* ------------------------------------------------------------------ *)
 (* Reporting and the oracle cross-check.                               *)

@@ -1,6 +1,6 @@
 type t = {
   engine : Engine.t;
-  pids : Pid.t list;
+  pids : Pid.t array;  (* voter [i]'s pid, ascending *)
   n : int;
   owners : int array;  (* per voter: the pid it granted, -1 while free *)
   owner_epochs : int array;  (* per voter: the epoch of that grant *)
@@ -118,27 +118,29 @@ let crashed_voter_body ctx =
 let voter_name = Names.indexed 8 (Printf.sprintf "voter%d")
 let crashed_voter_name = Names.indexed 8 (Printf.sprintf "voter%d(crashed)")
 
-(* Spawn voter [i] onwards, one per pid. Round-robin sites spread the
-   voters so a crash of any one site takes out as few as possible (a
-   minority, whenever nodes > |sites| >= 2). *)
-let rec spawn_voters t ~crashed ~sites i = function
-  | [] -> ()
-  | pid :: rest ->
-    let site =
-      if Array.length sites = 0 then None
-      else Some sites.(i mod Array.length sites)
-    in
-    let dead = List.mem i crashed in
-    ignore
-      (Engine.spawn_process t.engine ~pid ~parent:None ~predicate:Predicate.empty
-         ~space:None ~cloneable:false ~oblivious:true ~start_delay:0.
-         ~name:(if dead then crashed_voter_name i else voter_name i)
-         ~site
-         (if dead then crashed_voter_body else fun ctx -> voter_loop t i ctx));
-    spawn_voters t ~crashed ~sites (i + 1) rest
+(* Spawn voter [i] under its pid. Round-robin sites spread the voters so
+   a crash of any one site takes out as few as possible (a minority,
+   whenever nodes > |sites| >= 2). *)
+let spawn_voter t ~crashed ~sites i =
+  let site =
+    if Array.length sites = 0 then None else Some sites.(i mod Array.length sites)
+  in
+  let dead = List.mem i crashed in
+  ignore
+    (Engine.spawn_process t.engine ~pid:t.pids.(i) ~parent:None
+       ~predicate:Predicate.empty ~space:None ~cloneable:false ~oblivious:true
+       ~start_delay:0.
+       ~name:(if dead then crashed_voter_name i else voter_name i)
+       ~site
+       (if dead then crashed_voter_body else fun ctx -> voter_loop t i ctx))
+
+(* A round tallies its replies in a bitmask over the voter indices. *)
+let max_nodes = Sys.int_size - 1
 
 let create engine ~nodes ?(crashed = []) ?(vote_delay = 0.) ?(sites = []) () =
   if nodes < 1 then invalid_arg "Majority.create: nodes must be >= 1";
+  if nodes > max_nodes then
+    invalid_arg (Printf.sprintf "Majority.create: nodes must be at most %d" max_nodes);
   let t =
     {
       engine;
@@ -151,7 +153,10 @@ let create engine ~nodes ?(crashed = []) ?(vote_delay = 0.) ?(sites = []) () =
       msg_count = 0;
     }
   in
-  spawn_voters t ~crashed ~sites:(Array.of_list sites) 0 t.pids;
+  let sites = Array.of_list sites in
+  for i = 0 to nodes - 1 do
+    spawn_voter t ~crashed ~sites i
+  done;
   t
 
 let node_pids t = t.pids
@@ -176,16 +181,16 @@ let rec drain ctx =
   | Some _ -> drain ctx
   | None -> ()
 
-let rec request ctx payload = function
-  | [] -> ()
-  | voter :: rest ->
-    Engine.send ctx ?tag:tag_req_opt voter payload;
-    request ctx payload rest
+let request ctx t payload =
+  for i = 0 to t.n - 1 do
+    Engine.send ctx ?tag:tag_req_opt t.pids.(i) payload
+  done
 
-(* [replied]: the voters already counted this round, at most [t.n]. *)
-let rec counted p = function
-  | [] -> false
-  | q :: rest -> Pid.equal p q || counted p rest
+(* [p]'s bit in a round's [replied] mask: [1 lsl i] for voter [i], 0 for
+   a pid that is none of this group's voters. *)
+let voter_bit t p =
+  let i = Pid.to_int p - Pid.to_int t.pids.(0) in
+  if i >= 0 && i < t.n && Pid.equal t.pids.(i) p then 1 lsl i else 0
 
 let rec collect ctx t ~round ~need ~reply_timeout ~grants ~replied ~replies =
   if grants >= need then Granted
@@ -205,22 +210,25 @@ let rec collect ctx t ~round ~need ~reply_timeout ~grants ~replied ~replies =
       (* A stale reply that raced the entry drain: it answers an older
          request, so it neither grants nor counts as this round's reply. *)
       collect ctx t ~round ~need ~reply_timeout ~grants ~replied ~replies
-    | Some m when counted m.Message.sender replied ->
-      (* A duplicated reply (e.g. under fault injection): one voter, one
-         vote. Counting it again would let [n/2 + 1] copies of a single
-         grant manufacture a majority. *)
-      collect ctx t ~round ~need ~reply_timeout ~grants ~replied ~replies
     | Some m ->
-      collect ctx t ~round ~need ~reply_timeout
-        ~grants:(if rep_granted m then grants + 1 else grants)
-        ~replied:(m.Message.sender :: replied) ~replies:(replies + 1)
+      let bit = voter_bit t m.Message.sender in
+      if bit = 0 || replied land bit <> 0 then
+        (* A duplicated reply (e.g. under fault injection): one voter, one
+           vote. Counting it again would let [n/2 + 1] copies of a single
+           grant manufacture a majority. A pid that is no voter of this
+           group has no vote. *)
+        collect ctx t ~round ~need ~reply_timeout ~grants ~replied ~replies
+      else
+        collect ctx t ~round ~need ~reply_timeout
+          ~grants:(if rep_granted m then grants + 1 else grants)
+          ~replied:(replied lor bit) ~replies:(replies + 1)
 
 let acquire_verdict_epoch ctx t ~epoch ~reply_timeout =
   let round = Int64.to_int (Engine.random_bits ctx) land max_int in
   drain ctx;
   (* Every voter is sent the one payload. *)
-  request ctx (req_payload ~round ~epoch) t.pids;
-  collect ctx t ~round ~need:(majority t) ~reply_timeout ~grants:0 ~replied:[]
+  request ctx t (req_payload ~round ~epoch);
+  collect ctx t ~round ~need:(majority t) ~reply_timeout ~grants:0 ~replied:0
     ~replies:0
 
 (* Deterministic exponential backoff in virtual time: delay, then run a
@@ -258,12 +266,9 @@ let owner t =
     t.owners;
   !found
 
-let rec kill_voters engine = function
-  | [] -> ()
-  | pid :: rest ->
-    Engine.kill engine pid ~reason:"consensus shutdown";
-    kill_voters engine rest
-
-let shutdown t = kill_voters t.engine t.pids
+let shutdown t =
+  for i = 0 to t.n - 1 do
+    Engine.kill t.engine t.pids.(i) ~reason:"consensus shutdown"
+  done
 
 let messages_sent t = t.msg_count

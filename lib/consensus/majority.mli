@@ -27,9 +27,12 @@ val create :
     given site names as each voter's explicit site
     ({!Engine.spawn_process}'s [site]), so that no single site
     hosts a majority whenever [nodes > length sites >= 2]. Raises
-    [Invalid_argument] if [nodes < 1]. *)
+    [Invalid_argument] if [nodes < 1] or [nodes > 62]: a round tallies
+    its replies in a bitmask over the voters. *)
 
-val node_pids : t -> Pid.t list
+val node_pids : t -> Pid.t array
+(** The voters' pids, ascending by voter index. *)
+
 val nodes : t -> int
 val majority : t -> int
 (** Votes needed: [nodes/2 + 1]. *)

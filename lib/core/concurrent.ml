@@ -299,7 +299,7 @@ let run_block ctx ~policy ~borrowed ~epoch ~exclusive ~deadline alts =
     failed_report ~reason:"no open alternative" ~children:[]
       ~elapsed:(Engine.now_v ctx -. t0) ~wasted_cpu:0. ~sync_messages:0
   else begin
-    let pids = Array.of_list (Engine.fresh_pids eng n) in
+    let pids = Engine.fresh_pids eng n in
     (* A borrowed consensus group (coordinator recovery) outlives this
        incarnation: its durable grants are exactly what makes the
        at-most-once decision survive a coordinator restart, so the block

@@ -62,10 +62,12 @@ module Tbl = struct
     Array.unsafe_set t.vals i v;
     t.size <- t.size + 1
 
+  let first_slots = 8
+
   (* Keep the load at most 3/4. A table's first insert builds its
-     8-slot arrays as literals: the key array is allocated inline, and
-     the value array needs only the runtime's float-array check, where
-     [Array.make] is a runtime call per array. *)
+     [first_slots]-slot arrays as literals: the key array is allocated
+     inline, and the value array needs only the runtime's float-array
+     check, where [Array.make] is a runtime call per array. *)
   let grow t =
     let cap = Array.length t.keys in
     if cap = 0 then begin
@@ -128,8 +130,6 @@ module Tbl = struct
       else incr i
     done
 
-  let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
-
   (* Drop every entry and keep the capacity: [dummy] in every slot. *)
   let clear t =
     if t.size > 0 then begin
@@ -174,6 +174,73 @@ let create store =
   { store; id = Frame_store.fresh_map_id store; frames = Tbl.create no_frame;
     fault = false; cow_copies = 0; released = false }
 
+(* ------------------------------------------------------------------ *)
+(* Spare tables. Most maps never outgrow their first [Tbl.first_slots]
+   slots, and a serving domain forks, releases and absorbs thousands of
+   them. Like the frame store's free frames, a released or absorbed map's
+   first-size arrays go to a stack per domain, cleared (every key
+   [no_key], every frame [no_frame]) so the stack keeps no frame alive; a
+   fork of a map of that size and a fresh map's first insert take them
+   back. The stack keeps at most [spare_cap] tables (about 9 KB); past
+   it, released tables go to the GC. Taken slots are emptied, so the
+   stack holds only free tables. *)
+
+let spare_cap = 64
+
+type spares = {
+  spare_keys : int array array;
+  spare_vals : Frame_store.frame array array;
+  mutable spare_count : int;
+}
+
+let spares_key =
+  Domain.DLS.new_key (fun () ->
+      { spare_keys = Array.make spare_cap [||]; spare_vals = Array.make spare_cap [||];
+        spare_count = 0 })
+
+(* Empty the occupied slots of a first-size table. A loop over the few
+   slots in use: the stores into a table that outlived a minor collection
+   pass the write barrier one by one, and [Array.fill] is a C call. *)
+let empty_first (frames : Frame_store.frame Tbl.t) =
+  let keys = frames.keys in
+  for i = 0 to Tbl.first_slots - 1 do
+    if Array.unsafe_get keys i <> Tbl.no_key then begin
+      Array.unsafe_set keys i Tbl.no_key;
+      Array.unsafe_set frames.vals i no_frame
+    end
+  done
+
+(* Hand [frames]' arrays to the domain's stack, if it is of the first size
+   and the stack has room, and leave [frames] empty. Every frame it maps
+   must have been released. *)
+let give_table (frames : Frame_store.frame Tbl.t) =
+  if Array.length frames.keys = Tbl.first_slots then begin
+    let s = Domain.DLS.get spares_key in
+    let n = s.spare_count in
+    if n < spare_cap then begin
+      empty_first frames;
+      s.spare_keys.(n) <- frames.keys;
+      s.spare_vals.(n) <- frames.vals;
+      s.spare_count <- n + 1
+    end
+  end;
+  Tbl.reset frames
+
+(* Give the empty [frames] a spare table's arrays: [false] when the
+   domain has none. *)
+let take_table (frames : Frame_store.frame Tbl.t) =
+  let s = Domain.DLS.get spares_key in
+  let n = s.spare_count - 1 in
+  if n < 0 then false
+  else begin
+    frames.keys <- s.spare_keys.(n);
+    frames.vals <- s.spare_vals.(n);
+    s.spare_keys.(n) <- [||];
+    s.spare_vals.(n) <- [||];
+    s.spare_count <- n;
+    true
+  end
+
 let id t = t.id
 let page_size t = Frame_store.page_size t.store
 
@@ -196,10 +263,33 @@ let decref_all store (frames : Frame_store.frame Tbl.t) =
       Frame_store.decref store (Array.unsafe_get frames.vals i)
   done
 
+(* [src]'s entries in a table of their own, with one more reference on
+   each frame: in a spare's arrays when [src] is of the first size and the
+   domain has one (only the occupied slots are written: a spare is
+   empty), else in copies of [src]'s. *)
+let share_table (src : Frame_store.frame Tbl.t) =
+  let frames = Tbl.create no_frame in
+  if Array.length src.keys = Tbl.first_slots && take_table frames then
+    for i = 0 to Tbl.first_slots - 1 do
+      let k = Array.unsafe_get src.keys i in
+      if k <> Tbl.no_key then begin
+        let f = Array.unsafe_get src.vals i in
+        Frame_store.incref f;
+        Array.unsafe_set frames.keys i k;
+        Array.unsafe_set frames.vals i f
+      end
+    done
+  else begin
+    frames.keys <- Array.copy src.keys;
+    frames.vals <- Array.copy src.vals;
+    incref_all frames
+  end;
+  frames.size <- src.size;
+  frames
+
 let fork parent =
   check parent;
-  let frames = Tbl.copy parent.frames in
-  incref_all frames;
+  let frames = share_table parent.frames in
   { store = parent.store; id = Frame_store.fresh_map_id parent.store; frames;
     fault = false; cow_copies = 0; released = false }
 
@@ -235,6 +325,7 @@ let prepare_write t vpage =
   if i < 0 then begin
     t.fault <- false;
     let f = Frame_store.alloc t.store in
+    if Array.length frames.keys = 0 then ignore (take_table frames : bool);
     Tbl.replace frames vpage f;
     f
   end
@@ -355,7 +446,7 @@ let touch_page t ~vpage =
 let release t =
   if not t.released then begin
     decref_all t.store t.frames;
-    Tbl.reset t.frames;
+    give_table t.frames;
     t.released <- true;
     Frame_store.notify_release t.store ~map:t.id
   end
@@ -367,7 +458,7 @@ let absorb ~parent ~child =
   check child;
   let old = parent.frames in
   decref_all parent.store old;
-  Tbl.reset old;
+  give_table old;
   parent.frames <- child.frames;
   parent.cow_copies <- parent.cow_copies + child.cow_copies;
   child.frames <- old;

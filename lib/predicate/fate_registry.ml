@@ -53,12 +53,12 @@ let record t pid f =
 let normalize t pred =
   (* Certain predicates (the overwhelmingly common case on the message
      path) and empty registries have nothing to resolve. *)
-  if Predicate.is_certain pred || t.decided = 0 then `Live pred
+  if Predicate.is_certain pred || t.decided = 0 then pred
   else
     match Predicate.resolve_all pred ~fate:t.lookup with
-    | Predicate.Unchanged -> `Live pred
-    | Predicate.Simplified p -> `Live p
-    | Predicate.Falsified -> `Dead
+    | Predicate.Unchanged -> pred
+    | Predicate.Simplified p -> p
+    | Predicate.Falsified -> Predicate.falsified
 
 let resolution t ~pid pred =
   match fate t pid with

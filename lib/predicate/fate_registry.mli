@@ -23,17 +23,18 @@ val record : t -> Pid.t -> Predicate.fate -> unit
     — fates are immutable, which is what makes the at-most-once
     synchronisation sound. A negative pid raises [Invalid_argument]. *)
 
-val normalize : t -> Predicate.t -> [ `Live of Predicate.t | `Dead ]
+val normalize : t -> Predicate.t -> Predicate.t
 (** Simplify a predicate against every fate known to the registry, in one
-    pass that builds at most one residue ({!Predicate.resolve_all}).
-    [`Dead] means some assumption was falsified: the holder's world no
-    longer exists. [`Live p] carries the residual (possibly empty)
-    predicate; it is the argument itself when no pid of it is decided. *)
+    pass that builds at most one residue ({!Predicate.resolve_all}), and
+    nothing else. {!Predicate.falsified} (physically) means some
+    assumption was falsified: the holder's world no longer exists.
+    Otherwise the result is the residual (possibly empty) predicate; it is
+    the argument itself when no pid of it is decided. *)
 
 val resolution : t -> pid:Pid.t -> Predicate.t -> [ `Certain | `Dead | `Pending ]
 (** What is decided about the world of [pid], which holds [pred]: its
     recorded fate ([`Certain] if completed, [`Dead] if failed), or else
-    whether [pred] normalises to [`Dead] or to an empty residue
+    whether [pred] normalises to {!Predicate.falsified} or to an empty residue
     ([`Certain]). A certain or wholly undecided [pred] allocates nothing. *)
 
 val decided : t -> int

@@ -13,6 +13,9 @@ type t = { completes : int array; fails : int array }
 
 let empty = { completes = [||]; fails = [||] }
 
+(* Pid -1 is never issued, and no world has it both complete and fail. *)
+let falsified = { completes = [| -1 |]; fails = [| -1 |] }
+
 let mk completes fails =
   if Array.length completes = 0 && Array.length fails = 0 then empty
   else { completes; fails }
@@ -187,17 +190,14 @@ type receipt =
   | Defer
 
 let receipt r ~sender ~stamp s ~cloneable =
-  match s with
-  | `Dead -> Ignore "dead world"
-  | `Live _ when mem_fails stamp sender -> Ignore "conflict"
-  | `Live s ->
-    if implies r s then Accept
-    else if conflicts r s || mem_fails r sender then Ignore "conflict"
-    else if mem_completes r sender then Adopt (conjoin r s)
-    else if cloneable then
-      Split
-        { accept = assume_completes (conjoin r s) sender; reject = assume_fails r sender }
-    else Defer
+  if s == falsified then Ignore "dead world"
+  else if mem_fails stamp sender then Ignore "conflict"
+  else if implies r s then Accept
+  else if conflicts r s || mem_fails r sender then Ignore "conflict"
+  else if mem_completes r sender then Adopt (conjoin r s)
+  else if cloneable then
+    Split { accept = assume_completes (conjoin r s) sender; reject = assume_fails r sender }
+  else Defer
 
 type fate = Completed | Failed
 

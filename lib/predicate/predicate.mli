@@ -13,6 +13,13 @@ type t
 val empty : t
 (** No assumptions: the process's effects are unconditionally observable. *)
 
+val falsified : t
+(** The one predicate no world satisfies: it assumes the never-issued pid
+    -1 both completes and fails. {!Fate_registry.normalize} returns this
+    very value, compared physically, for a predicate an assumption of
+    which was falsified, so a dead world is told apart without a variant
+    cell. It is not {!is_certain}. *)
+
 val make : must_complete:Pid.t list -> must_fail:Pid.t list -> t
 (** Raises [Invalid_argument] if the two lists intersect (a logically
     impossible predicate). *)
@@ -87,12 +94,11 @@ type receipt =
       (** Leave it queued, and take no later message of its sender before
           it, until the sender's fate resolves. *)
 
-val receipt :
-  t -> sender:Pid.t -> stamp:t -> [ `Live of t | `Dead ] -> cloneable:bool -> receipt
+val receipt : t -> sender:Pid.t -> stamp:t -> t -> cloneable:bool -> receipt
 (** [receipt r ~sender ~stamp s ~cloneable]: the receipt of a message from
     [sender], stamped with [stamp], which normalises to [s], by a receiver
     holding [r]. Decided in this order, the first that applies:
-    - [`Dead]: [Ignore "dead world"];
+    - [s] is {!falsified}: [Ignore "dead world"];
     - [stamp] assumes [sender] fails: [Ignore "conflict"], as below ([s]
       drops that assumption once [sender] is recorded failed);
     - [implies r s]: [Accept] (so a certain [stamp] is always accepted);

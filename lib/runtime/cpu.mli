@@ -23,26 +23,40 @@ type ('p, 'e) t
 (** A CPU holding tasks with payloads of type ['p], whose pending tick is
     an ['e] in the event queue's slot. *)
 
-val create : cores -> 'e Event_queue.t -> tick:'e -> empty:'p -> ('p, 'e) t
-(** No task, no CPU used, last charged at time 0. [tick] is the event the
-    slot holds while a tick is pending; running it must call {!tick}.
-    [empty] fills the payload slots no task holds, so a finished task's
-    payload is not retained. [cores] is not validated: [Cores c] with
-    [c < 1] never finishes a task. *)
+val now_slot : int
+val demand_slot : int
+(** The slots of the engine's clock cell the CPU reads: [clock.(now_slot)]
+    is the virtual time of every charge, and [clock.(demand_slot)] the
+    demand {!add} gives its task. A cell, not arguments, so that no call
+    here boxes a float. *)
 
-val add : ('p, 'e) t -> now:float -> Pid.t -> float -> 'p -> unit
-(** [add t ~now pid dt p] charges every task up to [now], then makes [pid]
-    runnable with [dt] seconds of demand and payload [p] (replacing its
-    task if it has one), and reschedules the tick. *)
+val create :
+  cores -> 'e Event_queue.t -> clock:floatarray -> tick:'e -> empty:'p -> ('p, 'e) t
+(** No task, no CPU used, last charged at time 0. [clock] is the engine's
+    clock cell (above). [tick] is the event the slot holds while a tick
+    is pending; running it must call {!tick}. [empty] fills the payload
+    slots no task holds, so a finished task's payload is not retained.
+    [cores] is not validated: [Cores c] with [c < 1] never finishes a
+    task. *)
 
-val remove : ('p, 'e) t -> now:float -> Pid.t -> unit
-(** Charge every task up to [now], drop [pid]'s task and reschedule the
+val add : ('p, 'e) t -> Pid.t -> 'p -> unit
+(** [add t pid p] charges every task up to now, then makes [pid] runnable
+    with [clock.(demand_slot)] seconds of demand and payload [p]
+    (replacing its task if it has one), and reschedules the tick. *)
+
+val remove : ('p, 'e) t -> Pid.t -> unit
+(** Charge every task up to now, drop [pid]'s task and reschedule the
     tick. Does nothing, not even the charge, if [pid] has no task. *)
 
-val tick : ('p, 'e) t -> now:float -> 'p list
-(** Charge every task up to [now], drop those whose demand ran out
-    (within [1e-12]), reschedule the tick, and return the dropped tasks'
-    payloads in pid order. *)
+val tick : ('p, 'e) t -> int
+(** Charge every task up to now, drop those whose demand ran out (within
+    [1e-12]), reschedule the tick, and return how many were dropped. Their
+    payloads, in pid order, are {!take_finished} [0] to [n - 1], held in a
+    buffer the CPU reuses, so a tick builds no list. *)
+
+val take_finished : ('p, 'e) t -> int -> 'p
+(** [take_finished t i]: the [i]th payload the last {!tick} dropped. The
+    buffer forgets it, so a finished task's payload is not retained. *)
 
 val used : ('p, 'e) t -> Pid.t -> float
 (** CPU seconds charged to the pid so far; 0 for a pid never added. *)

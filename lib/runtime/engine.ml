@@ -16,17 +16,22 @@ type proc_state =
   | Suspended
   | Dead of exit_status
 
+(* A process's control block, which is also its bodies' [ctx]: a start
+   builds no context record. *)
 type pcb = {
   pid : Pid.t;
   logical : Pid.t;
   parent : Pid.t option;
   name : string;
+  engine : t;
   body : ctx -> unit;
   mutable state : proc_state;
   mutable park : park;
   mutable predicate : Predicate.t;
   space : Address_space.t option;
-  mutable mailbox : Mailbox.t;  (* ring of messages, arrival order *)
+  mutable mailbox : Mailbox.t;
+      (* Ring of messages, arrival order: {!Mailbox.none} until the first
+         delivery. *)
   mutable sent_to : int array;
   mutable sent_at : floatarray;
       (* The per-(sender, logical dest) FIFO clock: the last delivery time
@@ -83,17 +88,18 @@ and park =
    order. *)
 and 'a ivar = { mutable value : 'a option; mutable waiters : park list }
 
-and ctx = { engine : t; pcb : pcb }
+and ctx = pcb
 
 (* What the event queue holds: data, dispatched by [run]. A [Deliver]
    carries one sent message to every world copy of its logical
    destination, [msg.dest]: each send (and each copy an injected
    duplicate makes) is its own event, at the time its (sender, logical
-   dest) FIFO clock assigns. *)
+   dest) FIFO clock assigns. A process has no deadline before it starts,
+   so its start takes its pid's handle too. *)
 and event =
   | Tick  (* the CPU's, in the queue's slot *)
   | Deadline  (* a timed wait's, keyed by its pid *)
-  | Start of pcb
+  | Start  (* a spawned process's first run, keyed by its pid *)
   | Deliver of Message.t
   | Thunk of (unit -> unit)
 
@@ -107,12 +113,19 @@ and fault_action =
 (* The process table is an array indexed by the pid: pids are the dense
    ints this engine's allocator hands out from 0, and the array is grown
    as pids are issued ([alloc_pid]), so its length always covers every
-   issued pid. *)
+   issued pid. A pid issued but never spawned holds [no_pcb], this
+   engine's sentinel, which is never started, parked or written. *)
 and t = {
-  mutable vnow : float;
+  clock : floatarray;
+      (* [clock.(Cpu.now_slot)] is the virtual time and
+         [clock.(Cpu.demand_slot)] the time operand of the park effect
+         being performed: the CPU time of [E_cpu], the timeout of
+         [E_recv_timed] and [E_fill_timed]. A cell the CPU shares, so that
+         neither advancing the clock nor parking boxes a float. *)
   queue : event Event_queue.t;  (* (time, stamp) order *)
   mutable root_seed : int;
-  mutable procs : pcb option array;  (* None: issued but never spawned *)
+  mutable procs : pcb array;
+  no_pcb : pcb;
   worlds : World.t;  (* logical pid -> its world copies, once it split *)
   mutable spawned : int;  (* pcbs created so far; the next [born] *)
   alloc : Pid.Allocator.t;
@@ -152,25 +165,23 @@ and t = {
          waiter, a kill's victim) never see each other's value, and no
          entry has to set or restore it. An int, so that setting it is a
          plain store, not a write barrier. *)
-  mutable park_time : float;
   mutable park_tag : string option;
-      (* The operands of the argument-free park effect being performed:
-         the CPU time of [E_cpu], the timeout of [E_recv_timed], the tag
-         of both receives. *)
+      (* The tag operand of the receive park being performed. *)
 }
 
 (* The engine's effects, all of them parks. The CPU wait and the two
-   receives are constants whose operands travel in [park_time] and
+   receives are constants whose operands travel in the clock cell and
    [park_tag], so performing one builds nothing; a fill wait names its
-   ivar. Every body operation that cannot block (send, now_v,
-   random_bits, the receive fast paths, the doom, replay and log steps)
-   runs on the caller's own stack. *)
+   ivar, and a timed one's timeout travels in the clock cell too. Every
+   body operation that cannot block (send, now_v, random_bits, the
+   receive fast paths, the doom, replay and log steps) runs on the
+   caller's own stack. *)
 type _ Effect.t +=
   | E_cpu : unit Effect.t
   | E_recv : Message.t Effect.t
   | E_recv_timed : Message.t option Effect.t
   | E_fill : 'a ivar -> 'a Effect.t
-  | E_fill_timed : 'a ivar * float -> 'a option Effect.t
+  | E_fill_timed : 'a ivar -> 'a option Effect.t
 
 let initial_pids = 16
 
@@ -183,7 +194,10 @@ let set_spawn_hook t f = t.spawn_hook <- f
 let set_site_hook t f = t.site_hook <- f
 let set_delivery_fault t f = t.delivery_fault <- f
 
-let now t = t.vnow
+let now t = Float.Array.unsafe_get t.clock Cpu.now_slot
+let set_now t v = Float.Array.unsafe_set t.clock Cpu.now_slot v
+let set_park_time t v = Float.Array.unsafe_set t.clock Cpu.demand_slot v
+let park_time t = Float.Array.unsafe_get t.clock Cpu.demand_slot
 let model t = t.model_
 let frame_store t = t.store
 let trace t = t.trace_
@@ -191,9 +205,12 @@ let registry t = t.reg
 let stats_events_processed t = t.events_processed
 let stats_mailbox_scanned t = t.mailbox_scanned
 
-let schedule t ~at thunk = Event_queue.push t.queue ~time:(Float.max at t.vnow) thunk
+let schedule t ~at thunk = Event_queue.push t.queue ~time:(Float.max at (now t)) thunk
 
-let tr t e = Trace.record t.trace_ ~time:t.vnow e
+let schedule_start t ~at pcb =
+  Event_queue.set_handle t.queue (Pid.to_int pcb.pid) ~time:(Float.max at (now t)) Start
+
+let tr t e = Trace.record t.trace_ ~time:(now t) e
 
 (* Whether some trace subscriber reads events of kind [k]: tested before
    an event is built, so a kind nobody reads costs no allocation. *)
@@ -207,9 +224,9 @@ let status_string = function
 
 (* The pcb whose fiber handed control to the handler (see [running]). *)
 let running_pcb t =
-  match t.procs.(t.running) with
-  | Some pcb -> pcb
-  | None -> invalid_arg "Engine: no running process"
+  let pcb = t.procs.(t.running) in
+  if pcb == t.no_pcb then invalid_arg "Engine: no running process";
+  pcb
 
 (* Continue a process whose slice ran out, unless it was killed after the
    tick collected it: [kill] resets [pcb.park], and a killed process that
@@ -222,14 +239,17 @@ let resume_slice p =
     Effect.Deep.continue k ()
   | _ -> ()
 
-let cpu_tick t = List.iter resume_slice (Cpu.tick t.cpu ~now:t.vnow)
+let cpu_tick t =
+  for i = 0 to Cpu.tick t.cpu - 1 do
+    resume_slice (Cpu.take_finished t.cpu i)
+  done
 
 (* A timed wait's deadline is the queue entry keyed by its pid. An
    infinite timeout sets none: the wait parks exactly like an untimed
    one. *)
 let set_deadline t pcb timeout =
   if timeout < infinity then
-    Event_queue.set_handle t.queue (Pid.to_int pcb.pid) ~time:(t.vnow +. timeout)
+    Event_queue.set_handle t.queue (Pid.to_int pcb.pid) ~time:(now t +. timeout)
       Deadline
 
 let clear_deadline t pcb = Event_queue.clear_handle t.queue (Pid.to_int pcb.pid)
@@ -265,11 +285,11 @@ let wake_filled p =
 
 (* A process's fiber: its body, which names the process to the handler
    on the way out, however it leaves. *)
-let run_fiber ctx =
-  match ctx.pcb.body ctx with
-  | () -> ctx.engine.running <- Pid.to_int ctx.pcb.pid
+let run_fiber pcb =
+  match pcb.body pcb with
+  | () -> pcb.engine.running <- Pid.to_int pcb.pid
   | exception e ->
-    ctx.engine.running <- Pid.to_int ctx.pcb.pid;
+    pcb.engine.running <- Pid.to_int pcb.pid;
     raise e
 
 let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
@@ -281,35 +301,73 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
   | Cores c when c < 1 -> invalid_arg "Engine.create: cores must be at least 1"
   | _ -> ());
   let queue = Event_queue.create () in
-  {
-    vnow = 0.;
-    queue;
-    root_seed = seed;
-    procs = Array.make initial_pids None;
-    worlds = World.create ();
-    spawned = 0;
-    alloc = Pid.Allocator.create ();
-    reg = Fate_registry.create ();
-    store = Frame_store.create ~page_size:model.Cost_model.page_size;
-    model_ = model;
-    trace_ = Trace.create ~enabled:trace ();
-    cpu = Cpu.create cores queue ~tick:Tick ~empty:No_park;
-    mailbox_scanned = 0;
-    events_processed = 0;
-    live = 0;
-    deferred = [];
-    stopped = false;
-    sweeping = false;
-    sweep_again = false;
-    msg_fault = None;
-    spawn_hook = None;
-    site_hook = None;
-    delivery_fault = None;
-    handler = None;
-    running = -1;
-    park_time = 0.;
-    park_tag = None;
-  }
+  let clock = Float.Array.make 2 0. in
+  let worlds = World.create ()
+  and alloc = Pid.Allocator.create ()
+  and reg = Fate_registry.create ()
+  and store = Frame_store.create ~page_size:model.Cost_model.page_size
+  and trace_ = Trace.create ~enabled:trace ()
+  and cpu = Cpu.create cores queue ~clock ~tick:Tick ~empty:No_park
+  and no_sent_at = Float.Array.create 0 in
+  let rec t =
+    {
+      clock;
+      queue;
+      root_seed = seed;
+      procs = [||];
+      no_pcb;
+      worlds;
+      spawned = 0;
+      alloc;
+      reg;
+      store;
+      model_ = model;
+      trace_;
+      cpu;
+      mailbox_scanned = 0;
+      events_processed = 0;
+      live = 0;
+      deferred = [];
+      stopped = false;
+      sweeping = false;
+      sweep_again = false;
+      msg_fault = None;
+      spawn_hook = None;
+      site_hook = None;
+      delivery_fault = None;
+      handler = None;
+      running = -1;
+      park_tag = None;
+    }
+  and no_pcb =
+    {
+      pid = Pid.of_int (-1);
+      logical = Pid.of_int (-1);
+      parent = None;
+      name = "";
+      engine = t;
+      body = ignore;
+      state = Dead (Eliminated "no process");
+      park = No_park;
+      predicate = Predicate.empty;
+      space = None;
+      mailbox = Mailbox.none;
+      sent_to = [||];
+      sent_at = no_sent_at;
+      born = -1;
+      doomed = None;
+      log = World.not_cloneable;
+      send_seq = 0;
+      exit_watchers = [];
+      res_watchers = [];
+      preserve_space = false;
+      oblivious = true;
+      site = None;
+      rng = no_rng;
+    }
+  in
+  t.procs <- Array.make initial_pids no_pcb;
+  t
 
 (* Back to the state [create ~seed] leaves, with the same cores, model
    and trace setting, keeping every table's capacity. The pid-indexed
@@ -317,7 +375,7 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
    touches. The handler is kept, as it reads everything from [t]. *)
 let reset t ~seed =
   let issued = Pid.Allocator.allocated t.alloc in
-  Array.fill t.procs 0 issued None;
+  Array.fill t.procs 0 issued t.no_pcb;
   World.reset t.worlds;
   Pid.Allocator.reset t.alloc;
   Event_queue.reset t.queue;
@@ -325,7 +383,7 @@ let reset t ~seed =
   Frame_store.reset t.store;
   Trace.reset t.trace_;
   Cpu.reset t.cpu;
-  t.vnow <- 0.;
+  set_now t 0.;
   t.root_seed <- seed;
   t.spawned <- 0;
   t.mailbox_scanned <- 0;
@@ -340,7 +398,7 @@ let reset t ~seed =
   t.site_hook <- None;
   t.delivery_fault <- None;
   t.running <- -1;
-  t.park_time <- 0.;
+  set_park_time t 0.;
   t.park_tag <- None
 
 (* ------------------------------------------------------------------ *)
@@ -351,15 +409,16 @@ let alloc_pid t =
   let pid = Pid.Allocator.fresh t.alloc in
   let n = Array.length t.procs in
   if Pid.to_int pid >= n then begin
-    let procs = Array.make (2 * n) None in
+    let procs = Array.make (2 * n) t.no_pcb in
     Array.blit t.procs 0 procs 0 n;
     t.procs <- procs
   end;
   pid
 
-let find_pcb t pid =
+(* [pid]'s pcb, or [t.no_pcb] when it names no spawned process. *)
+let pcb_of t pid =
   let i = Pid.to_int pid in
-  if i >= 0 && i < Array.length t.procs then Array.unsafe_get t.procs i else None
+  if i >= 0 && i < Array.length t.procs then Array.unsafe_get t.procs i else t.no_pcb
 
 (* The slot of [dest] in a FIFO-clock table, else its first free slot,
    else its length when it is full. A free slot holds pid -1 and clock
@@ -384,16 +443,17 @@ let grow_clock pcb =
 
 let is_alive pcb = match pcb.state with Dead _ -> false | _ -> true
 
-let alive t pid = match find_pcb t pid with Some p -> is_alive p | None -> false
+(* The sentinel is dead, so it is never alive. *)
+let alive t pid = is_alive (pcb_of t pid)
 
 (* Only live copies are recorded: a pid with any is receivable. *)
 let receivable t pid =
   match World.copies t.worlds pid with [] -> alive t pid | _ -> true
 
 let status t pid =
-  match find_pcb t pid with
-  | Some { state = Dead s; _ } -> Some s
-  | _ -> None
+  let pcb = pcb_of t pid in
+  if pcb == t.no_pcb then None
+  else match pcb.state with Dead s -> Some s | _ -> None
 
 let live_count t = t.live
 
@@ -401,9 +461,8 @@ let live_count t = t.live
 let pids_where t f =
   let acc = ref [] in
   for i = Array.length t.procs - 1 downto 0 do
-    match t.procs.(i) with
-    | Some pcb when f pcb -> acc := pcb.pid :: !acc
-    | _ -> ()
+    let pcb = t.procs.(i) in
+    if pcb != t.no_pcb && f pcb then acc := pcb.pid :: !acc
   done;
   !acc
 
@@ -420,14 +479,20 @@ let watcher_raised t kind e =
   if wants t Trace.Kind.note then
     tr t (Trace.Note (kind ^ " watcher raised: " ^ Printexc.to_string e))
 
+(* Shared by every process that exits ok, so such an exit builds no
+   state cell. *)
+let dead_ok = Dead Exited_ok
+
 let rec finalize t pcb st =
   match pcb.state with
   | Dead _ -> ()
-  | _ ->
-    pcb.state <- Dead st;
+  | prev ->
+    pcb.state <- (match st with Exited_ok -> dead_ok | _ -> Dead st);
     World.remove t.worlds pcb.pid ~logical:pcb.logical;
-    unpark t pcb;
-    Cpu.remove t.cpu ~now:t.vnow pcb.pid;
+    (* An embryo is not parked, and its pid's queue handle holds its
+       start, which stays queued and then finds it dead. *)
+    (match prev with Embryo -> () | _ -> unpark t pcb);
+    Cpu.remove t.cpu pcb.pid;
     if not pcb.preserve_space then Option.iter Address_space.release pcb.space;
     t.live <- t.live - 1;
     if wants t Trace.Kind.exited then
@@ -455,16 +520,19 @@ let rec finalize t pcb st =
 (* Settle the fate of a process that exited ok, if what it assumes is
    known by now: [false] while it stays pending, holding the residue. *)
 and settle_exited t pcb =
-  match Fate_registry.normalize t.reg pcb.predicate with
-  | `Dead ->
+  let p = Fate_registry.normalize t.reg pcb.predicate in
+  if p == Predicate.falsified then begin
     decide t pcb `Dead;
     true
-  | `Live p when Predicate.is_certain p ->
+  end
+  else if Predicate.is_certain p then begin
     decide t pcb `Certain;
     true
-  | `Live p ->
+  end
+  else begin
     pcb.predicate <- p;
     false
+  end
 
 (* Tell the resolution watchers, then record the fate [outcome] means
    and sweep. Each process is decided once: at a failed exit, or when its
@@ -499,27 +567,26 @@ and run_res_watchers t outcome = function
     run_res_watchers t outcome rest
 
 and kill t pid ~reason =
-  match find_pcb t pid with
-  | None -> ()
-  | Some pcb -> (
-    match pcb.state with
-    | Dead _ -> ()
-    | Embryo -> finalize t pcb (Eliminated reason)
-    | Running -> pcb.doomed <- Some reason
-    | Suspended -> (
-      match pcb.park with
-      | No_park ->
-        (* Runnable (start scheduled): doom it; the start event checks. *)
-        pcb.doomed <- Some reason
-      | Park_cpu { k; _ } ->
-        Cpu.remove t.cpu ~now:t.vnow pcb.pid;
-        cancel t pcb k reason
-      (* The other parks are never in the CPU table: only a [Park_cpu]
-         is. *)
-      | Park_recv { k; _ } -> cancel t pcb k reason
-      | Park_recv_timed { k; _ } -> cancel t pcb k reason
-      | Park_fill { k; _ } -> cancel t pcb k reason
-      | Park_fill_timed { k; _ } -> cancel t pcb k reason))
+  (* The sentinel is dead: a kill of a pid never spawned does nothing. *)
+  let pcb = pcb_of t pid in
+  match pcb.state with
+  | Dead _ -> ()
+  | Embryo -> finalize t pcb (Eliminated reason)
+  | Running -> pcb.doomed <- Some reason
+  | Suspended -> (
+    match pcb.park with
+    | No_park ->
+      (* Runnable (start scheduled): doom it; the start event checks. *)
+      pcb.doomed <- Some reason
+    | Park_cpu { k; _ } ->
+      Cpu.remove t.cpu pcb.pid;
+      cancel t pcb k reason
+    (* The other parks are never in the CPU table: only a [Park_cpu]
+       is. *)
+    | Park_recv { k; _ } -> cancel t pcb k reason
+    | Park_recv_timed { k; _ } -> cancel t pcb k reason
+    | Park_fill { k; _ } -> cancel t pcb k reason
+    | Park_fill_timed { k; _ } -> cancel t pcb k reason)
 
 (* Re-examine every live process's predicate after new knowledge arrives:
    falsified worlds are eliminated, satisfied assumptions removed, parked
@@ -538,26 +605,28 @@ and sweep t =
          re-read per step: a spawn may grow it. *)
       let born_before = t.spawned in
       for i = 0 to Pid.Allocator.allocated t.alloc - 1 do
-        match t.procs.(i) with
-        | Some pcb when pcb.born < born_before && is_alive pcb ->
-          (* A certain predicate normalises to itself: skipping the call
-             keeps the walk free of its `Live cell. *)
-          if not (Predicate.is_certain pcb.predicate) then
-            (match Fate_registry.normalize t.reg pcb.predicate with
-            | `Dead ->
+        let pcb = t.procs.(i) in
+        if pcb.born < born_before && is_alive pcb then begin
+          (* A certain predicate normalises to itself. *)
+          if not (Predicate.is_certain pcb.predicate) then begin
+            let p = Fate_registry.normalize t.reg pcb.predicate in
+            if p == Predicate.falsified then begin
               if wants t Trace.Kind.killed then
                 tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
               fire_res_watchers t pcb `Dead;
               kill t pcb.pid ~reason:"dead world"
-            | `Live p ->
+            end
+            else begin
               let changed = not (Predicate.equal p pcb.predicate) in
               pcb.predicate <- p;
               if changed && Predicate.is_certain p then
-                fire_res_watchers t pcb `Certain);
+                fire_res_watchers t pcb `Certain
+            end
+          end;
           (* A parked receiver may now be able to accept a message whose
              acceptance was deferred. *)
           if is_alive pcb then rescan_parked t pcb
-        | _ -> ()
+        end
       done;
       (* Settle deferred fates. *)
       let deferred = t.deferred in
@@ -636,8 +705,7 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
       match
         (* Kernel-level services (consensus voters, devices) accept every
            message: they belong to no world. The rule accepts a certain
-           sender, the overwhelmingly common case. Both skip the call,
-           whose `Live argument would allocate. *)
+           sender, the overwhelmingly common case. Both skip the call. *)
         if pcb.oblivious || Predicate.is_certain m.Message.predicate then
           Predicate.Accept
         else
@@ -697,7 +765,7 @@ and split t pcb m reject =
   if wants t Trace.Kind.split then
     tr t (Trace.Split { original = pcb.pid; clone = clone_pid; on = m });
   (match t.spawn_hook with Some h -> h clone_pid clone.name | None -> ());
-  schedule t ~at:(t.vnow +. t.model_.Cost_model.fork_base) (Start clone)
+  schedule_start t ~at:(now t +. t.model_.Cost_model.fork_base) clone
 
 and rescan_parked t pcb =
   match pcb.park with
@@ -714,20 +782,20 @@ and rescan_parked t pcb =
 
 and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~log
     ~oblivious ~body =
-  if Option.is_some (find_pcb t pid) then
-    invalid_arg "Engine.spawn: pid already in use";
+  if pcb_of t pid != t.no_pcb then invalid_arg "Engine.spawn: pid already in use";
   let pcb =
     {
       pid;
       logical;
       parent;
       name;
+      engine = t;
       body;
       state = Embryo;
       park = No_park;
       predicate;
       space;
-      mailbox = Mailbox.create ();
+      mailbox = Mailbox.none;
       sent_to = [||];
       sent_at = Float.Array.create 0;
       born = t.spawned;
@@ -743,7 +811,7 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~log
     }
   in
   t.spawned <- t.spawned + 1;
-  t.procs.(Pid.to_int pid) <- Some pcb;
+  t.procs.(Pid.to_int pid) <- pcb;
   pcb
 
 and assign_site t pcb ~explicit =
@@ -776,7 +844,7 @@ and run_body t pcb =
       t.handler <- Some h;
       h
   in
-  Effect.Deep.match_with run_fiber { engine = t; pcb } handler
+  Effect.Deep.match_with run_fiber pcb handler
 
 (* The one handler of [t]'s bodies. The constant parks' [Some] closures
    are built here, once: [effc] hands the running process's continuation
@@ -827,17 +895,17 @@ and suspend : type a.
     | E_cpu ->
       let p = Park_cpu { pcb; k } in
       pcb.park <- p;
-      Cpu.add t.cpu ~now:t.vnow pcb.pid t.park_time p
+      Cpu.add t.cpu pcb.pid p
     | E_recv -> pcb.park <- Park_recv { tag = t.park_tag; k }
     | E_recv_timed ->
-      set_deadline t pcb t.park_time;
+      set_deadline t pcb (park_time t);
       pcb.park <- Park_recv_timed { tag = t.park_tag; k }
     | E_fill iv ->
       let p = Park_fill { pcb; iv; k } in
       pcb.park <- p;
       iv.waiters <- iv.waiters @ [ p ]
-    | E_fill_timed (iv, timeout) ->
-      set_deadline t pcb timeout;
+    | E_fill_timed iv ->
+      set_deadline t pcb (park_time t);
       let p = Park_fill_timed { eng = t; pcb; iv; k } in
       pcb.park <- p;
       iv.waiters <- iv.waiters @ [ p ]
@@ -845,13 +913,9 @@ and suspend : type a.
 
 and do_send t pcb ~dest ~tag payload =
   let predicate =
-    (* Certain predicates normalise to themselves; skipping the call keeps
-       the fast path free of the `Live wrapper allocation. *)
-    if Predicate.is_certain pcb.predicate then pcb.predicate
-    else
-      match Fate_registry.normalize t.reg pcb.predicate with
-      | `Live p -> p
-      | `Dead -> pcb.predicate (* the sweep will kill us shortly *)
+    let p = Fate_registry.normalize t.reg pcb.predicate in
+    (* A falsified sender: the sweep will kill it shortly. *)
+    if p == Predicate.falsified then pcb.predicate else p
   in
   let seq = pcb.send_seq in
   pcb.send_seq <- seq + 1;
@@ -868,7 +932,7 @@ and do_send t pcb ~dest ~tag payload =
   Array.unsafe_set pcb.sent_to i (Pid.to_int dest);
   let at =
     let earliest =
-      t.vnow
+      now t
       +. t.model_.Cost_model.msg_latency
       +. (float_of_int size *. t.model_.Cost_model.msg_per_byte)
     in
@@ -942,23 +1006,27 @@ and rescan_each t = function
     rescan_each t rest
 
 and offer t msg pid =
-  match find_pcb t pid with
-  | Some pcb when is_alive pcb ->
+  let pcb = pcb_of t pid in
+  if is_alive pcb then
     if match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid then begin
+      if pcb.mailbox == Mailbox.none then pcb.mailbox <- Mailbox.create ();
       Mailbox.push pcb.mailbox msg;
       if wants t Trace.Kind.delivered then tr t (Trace.Delivered { dest = pid; msg })
     end
-  | _ -> ()
 
 and rescan_world_copy t pid =
-  match find_pcb t pid with
-  | None -> ()
-  | Some pcb -> if is_alive pcb then rescan_parked t pcb
+  let pcb = pcb_of t pid in
+  if is_alive pcb then rescan_parked t pcb
 
 (* ------------------------------------------------------------------ *)
 (* Public spawning / running.                                          *)
 
-let fresh_pids t n = List.init n (fun _ -> alloc_pid t)
+let fresh_pids t n =
+  let pids = Array.make n (Pid.of_int (-1)) in
+  for i = 0 to n - 1 do
+    pids.(i) <- alloc_pid t
+  done;
+  pids
 
 let spawn_process t ~pid ~parent ~predicate ~space ~cloneable ~oblivious
     ~start_delay ~name ~site body =
@@ -967,7 +1035,9 @@ let spawn_process t ~pid ~parent ~predicate ~space ~cloneable ~oblivious
   if not (Pid.Allocator.issued t.alloc pid) then
     invalid_arg "Engine.spawn: pid not issued by this engine";
   (match parent with
-  | Some pp -> Option.iter disable_cloning (find_pcb t pp)
+  | Some pp ->
+    let pp = pcb_of t pp in
+    if pp != t.no_pcb then disable_cloning pp
   | None -> ());
   let log = if cloneable && space = None then World.fresh () else World.not_cloneable in
   let pcb =
@@ -978,7 +1048,7 @@ let spawn_process t ~pid ~parent ~predicate ~space ~cloneable ~oblivious
   assign_site t pcb ~explicit:site;
   if wants t Trace.Kind.spawned then tr t (Trace.Spawned { pid; parent; name });
   (match t.spawn_hook with Some h -> h pid name | None -> ());
-  schedule t ~at:(t.vnow +. start_delay) (Start pcb);
+  schedule_start t ~at:(now t +. start_delay) pcb;
   pid
 
 let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
@@ -988,13 +1058,17 @@ let spawn t ?pid ?parent ?(predicate = Predicate.empty) ?space
   spawn_process t ~pid ~parent ~predicate ~space ~cloneable ~oblivious
     ~start_delay ~name ~site body
 
+(* The pcb of a spawned [pid], else [Invalid_argument] naming [fn]. *)
+let spawned_pcb t pid fn =
+  let pcb = pcb_of t pid in
+  if pcb == t.no_pcb then invalid_arg (fn ^ ": unknown pid");
+  pcb
+
 let on_exit t pid f =
-  match find_pcb t pid with
-  | None -> invalid_arg "Engine.on_exit: unknown pid"
-  | Some pcb -> (
-    match pcb.state with
-    | Dead st -> f st
-    | _ -> pcb.exit_watchers <- f :: pcb.exit_watchers)
+  let pcb = spawned_pcb t pid "Engine.on_exit" in
+  match pcb.state with
+  | Dead st -> f st
+  | _ -> pcb.exit_watchers <- f :: pcb.exit_watchers
 
 (* What is decided about [pcb]'s world. One that ended other than ok has
    failed, also in the exit watchers run before its fate is recorded. *)
@@ -1004,29 +1078,23 @@ let resolution t pcb =
   | _ -> Fate_registry.resolution t.reg ~pid:pcb.pid pcb.predicate
 
 let on_resolution t pid f =
-  match find_pcb t pid with
-  | None -> invalid_arg "Engine.on_resolution: unknown pid"
-  | Some pcb -> (
-    match resolution t pcb with
-    | `Pending -> pcb.res_watchers <- f :: pcb.res_watchers
-    | (`Certain | `Dead) as o -> f o)
+  let pcb = spawned_pcb t pid "Engine.on_resolution" in
+  match resolution t pcb with
+  | `Pending -> pcb.res_watchers <- f :: pcb.res_watchers
+  | (`Certain | `Dead) as o -> f o
 
 let preserve_space t pid =
-  match find_pcb t pid with
-  | None -> invalid_arg "Engine.preserve_space: unknown pid"
-  | Some pcb -> pcb.preserve_space <- true
+  (spawned_pcb t pid "Engine.preserve_space").preserve_space <- true
 
-let after t ~delay thunk = schedule t ~at:(t.vnow +. delay) (Thunk thunk)
+let after t ~delay thunk = schedule t ~at:(now t +. delay) (Thunk thunk)
 
 (* A timed wait's deadline came first: resume it with [None]. *)
 let deadline t pid =
-  match find_pcb t (Pid.of_int pid) with
-  | None -> ()
-  | Some pcb -> (
-    match pcb.park with
-    | Park_recv_timed { k; _ } -> resume t pcb k None
-    | Park_fill_timed { k; _ } -> resume t pcb k None
-    | _ -> ())
+  let pcb = t.procs.(pid) in
+  match pcb.park with
+  | Park_recv_timed { k; _ } -> resume t pcb k None
+  | Park_fill_timed { k; _ } -> resume t pcb k None
+  | _ -> ()
 
 let run t =
   t.stopped <- false;
@@ -1034,18 +1102,18 @@ let run t =
   while (not t.stopped) && not (Event_queue.is_empty q) do
     let time = Event_queue.min_time q in
     let ev = Event_queue.pop_min q in
-    t.vnow <- Float.max t.vnow time;
+    set_now t (Float.max (now t) time);
     t.events_processed <- t.events_processed + 1;
     match ev with
     | Tick -> cpu_tick t
     | Deadline -> deadline t (Event_queue.popped_handle q)
-    | Start pcb -> start_pcb t pcb
+    | Start -> start_pcb t t.procs.(Event_queue.popped_handle q)
     | Deliver msg -> deliver t msg
     | Thunk f -> f ()
   done
 
 let run_for t duration =
-  schedule t ~at:(t.vnow +. duration) (Thunk (fun () -> t.stopped <- true));
+  schedule t ~at:(now t +. duration) (Thunk (fun () -> t.stopped <- true));
   run t
 
 (* ------------------------------------------------------------------ *)
@@ -1061,7 +1129,7 @@ let run_for t duration =
 
 (* Name the process to the handler, then park on [eff]. *)
 let park_as ctx eff =
-  ctx.engine.running <- Pid.to_int ctx.pcb.pid;
+  ctx.engine.running <- Pid.to_int ctx.pid;
   Effect.perform eff
 
 let check_doomed pcb =
@@ -1080,22 +1148,20 @@ let check_delay d =
   check_duration "Engine.delay" d;
   if Float.abs d = infinity then invalid_arg "Engine.delay: infinite duration"
 
-let self ctx = ctx.pcb.pid
+let self ctx = ctx.pid
 let engine ctx = ctx.engine
 
-let now_v ctx =
-  let pcb = ctx.pcb in
+let now_v pcb =
   check_doomed pcb;
   match World.replay_next pcb.log with
   | Some (World.L_now v) -> v
   | Some _ -> raise (Replay_divergence "expected now")
   | None ->
-    let v = ctx.engine.vnow in
+    let v = now pcb.engine in
     if World.logging pcb.log then World.record pcb.log (L_now v);
     v
 
-let delay ctx dt =
-  let pcb = ctx.pcb in
+let delay pcb dt =
   check_doomed pcb;
   check_delay dt;
   match World.replay_next pcb.log with
@@ -1104,56 +1170,53 @@ let delay ctx dt =
   | None ->
     if World.logging pcb.log then World.record pcb.log (L_delay dt);
     if dt > 0. then begin
-      ctx.engine.park_time <- dt;
-      park_as ctx E_cpu
+      set_park_time pcb.engine dt;
+      park_as pcb E_cpu
     end
 
-let space ctx = ctx.pcb.space
+let space ctx = ctx.space
 
 let charge_memory ctx =
-  match ctx.pcb.space with
+  match ctx.space with
   | None -> ()
   | Some sp ->
     let c = Address_space.drain_cost sp in
     if c > 0. then delay ctx c
 
-let send ctx ?(tag = "") dest payload =
-  let pcb = ctx.pcb in
+let send pcb ?(tag = "") dest payload =
   check_doomed pcb;
   match World.replay_next pcb.log with
   | Some World.L_sent -> ()
   | Some _ -> raise (Replay_divergence "expected send")
   | None ->
     if World.logging pcb.log then World.record pcb.log L_sent;
-    do_send ctx.engine pcb ~dest ~tag payload
+    do_send pcb.engine pcb ~dest ~tag payload
 
-let receive ctx ?tag () =
-  let pcb = ctx.pcb in
+let receive pcb ?tag () =
   check_doomed pcb;
   match World.replay_next pcb.log with
   | Some (World.L_recv m) -> m
   | Some _ -> raise (Replay_divergence "expected receive")
   | None ->
-    let m = try_receive ctx.engine pcb tag in
+    let m = try_receive pcb.engine pcb tag in
     let m =
       if m != Mailbox.no_message then m
       else begin
-        ctx.engine.park_tag <- tag;
-        park_as ctx E_recv
+        pcb.engine.park_tag <- tag;
+        park_as pcb E_recv
       end
     in
     if World.logging pcb.log then World.record pcb.log (L_recv m);
     m
 
-let receive_timeout ctx ?tag ~timeout () =
-  let pcb = ctx.pcb in
+let receive_timeout pcb ?tag ~timeout () =
   check_doomed pcb;
   check_duration "Engine.receive_timeout" timeout;
   match World.replay_next pcb.log with
   | Some (World.L_recv_opt r) -> r
   | Some _ -> raise (Replay_divergence "expected receive_timeout")
   | None ->
-    let m = try_receive ctx.engine pcb tag in
+    let m = try_receive pcb.engine pcb tag in
     let r =
       if m != Mailbox.no_message then Some m
       else if timeout <= 0. then
@@ -1161,9 +1224,9 @@ let receive_timeout ctx ?tag ~timeout () =
            immediately without parking. *)
         None
       else begin
-        ctx.engine.park_tag <- tag;
-        ctx.engine.park_time <- timeout;
-        park_as ctx E_recv_timed
+        pcb.engine.park_tag <- tag;
+        set_park_time pcb.engine timeout;
+        park_as pcb E_recv_timed
       end
     in
     if World.logging pcb.log then World.record pcb.log (L_recv_opt r);
@@ -1172,10 +1235,17 @@ let receive_timeout ctx ?tag ~timeout () =
 let cpu_time_of t pid = Cpu.used t.cpu pid
 let total_cpu_time t = Cpu.total t.cpu
 
-let logical_of t pid = Option.map (fun p -> p.logical) (find_pcb t pid)
-let space_of t pid = Option.bind (find_pcb t pid) (fun p -> p.space)
-let name_of t pid = Option.map (fun p -> p.name) (find_pcb t pid)
-let site_of t pid = Option.bind (find_pcb t pid) (fun p -> p.site)
+let logical_of t pid =
+  let pcb = pcb_of t pid in
+  if pcb == t.no_pcb then None else Some pcb.logical
+
+let name_of t pid =
+  let pcb = pcb_of t pid in
+  if pcb == t.no_pcb then None else Some pcb.name
+
+(* The sentinel has neither: a lookup builds nothing. *)
+let space_of t pid = (pcb_of t pid).space
+let site_of t pid = (pcb_of t pid).site
 
 (* A direct walk of the issued pids: a filter closure over [pid] would
    allocate per call. *)
@@ -1183,34 +1253,32 @@ let children_of t pid =
   let acc = ref [] in
   for i = Pid.Allocator.allocated t.alloc - 1 downto 0 do
     match Array.unsafe_get t.procs i with
-    | Some { parent = Some p; pid = c; _ } when Pid.equal p pid -> acc := c :: !acc
+    | { parent = Some p; pid = c; _ } when Pid.equal p pid -> acc := c :: !acc
     | _ -> ()
   done;
   !acc
 
 let certain_of t pid =
-  match find_pcb t pid with
-  | None -> false
-  | Some pcb -> resolution t pcb = `Certain
+  let pcb = pcb_of t pid in
+  pcb != t.no_pcb && resolution t pcb = `Certain
 
 let abort _ctx reason = raise (Abort_process reason)
 
-let random_bits ctx =
-  let pcb = ctx.pcb in
+let random_bits pcb =
   check_doomed pcb;
   match World.replay_next pcb.log with
   | Some (World.L_random v) -> v
   | Some _ -> raise (Replay_divergence "expected random")
   | None ->
     if pcb.rng == no_rng then
-      pcb.rng <- Rng.stream ~seed:ctx.engine.root_seed ~key:(Pid.to_int pcb.pid);
+      pcb.rng <- Rng.stream ~seed:pcb.engine.root_seed ~key:(Pid.to_int pcb.pid);
     let v = Rng.bits64 pcb.rng in
     if World.logging pcb.log then World.record pcb.log (L_random v);
     v
 
-let my_predicate ctx = ctx.pcb.predicate
+let my_predicate ctx = ctx.predicate
 
-let is_certain ctx = resolution ctx.engine ctx.pcb = `Certain
+let is_certain ctx = resolution ctx.engine ctx = `Certain
 
 module Ivar = struct
   type 'a t = 'a ivar
@@ -1231,18 +1299,20 @@ module Ivar = struct
   let peek iv = iv.value
 
   let read ctx iv =
-    disable_cloning ctx.pcb;
+    disable_cloning ctx;
     match iv.value with
     | Some v -> v
     | None -> park_as ctx (E_fill iv)
 
   let read_timeout ctx iv ~timeout =
     check_duration "Engine.Ivar.read_timeout" timeout;
-    disable_cloning ctx.pcb;
+    disable_cloning ctx;
     match iv.value with
     | Some _ as r -> r
     | None when timeout <= 0. ->
       (* Poll-only: report the current state without parking. *)
       None
-    | None -> park_as ctx (E_fill_timed (iv, timeout))
+    | None ->
+      set_park_time ctx.engine timeout;
+      park_as ctx (E_fill_timed iv)
 end

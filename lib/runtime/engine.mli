@@ -116,8 +116,8 @@ val frame_store : t -> Frame_store.t
 val trace : t -> Trace.t
 val registry : t -> Fate_registry.t
 
-val fresh_pids : t -> int -> Pid.t list
-(** Pre-allocate pids, so that sibling predicates can be constructed before
+val fresh_pids : t -> int -> Pid.t array
+(** Pre-allocate pids, in ascending order, so that sibling predicates can be constructed before
     the siblings are spawned. Pids obtained here must be passed to
     {!spawn}'s [?pid] exactly once. An engine's pids are dense: it hands
     them out from 0, and keeps its per-process tables in arrays indexed by

@@ -39,6 +39,8 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
 let create () = { slots = [||]; head = 0; tail = 0; live = 0; cursors = [] }
 
+let none = create ()
+
 let length t = t.live
 let is_empty t = t.live = 0
 let head_pos t = t.head

@@ -24,6 +24,11 @@ type cursor = { ctag : string; mutable cpos : int }
 
 val create : unit -> t
 
+val none : t
+(** An empty ring that is never written: a process holds it until its
+    first delivery, so a process that receives nothing builds no ring.
+    Compare physically, and {!create} a ring before the first {!push}. *)
+
 val length : t -> int
 (** Number of live entries. *)
 

@@ -374,7 +374,7 @@ let history_kinds =
 (* The pids an engine issued, and the tags its recording's messages
    carry. *)
 let issued eng =
-  match Engine.fresh_pids eng 1 with
+  match Array.to_list (Engine.fresh_pids eng 1) with
   | [ next ] -> List.init (Pid.to_int next) Pid.of_int
   | _ -> assert false
 
@@ -394,7 +394,7 @@ let dead_world_run () =
   let eng = Engine.create () in
   let h = History.attach (Engine.trace eng) in
   let sibling, assumer =
-    match Engine.fresh_pids eng 2 with [ a; b ] -> (a, b) | _ -> assert false
+    match Array.to_list (Engine.fresh_pids eng 2) with [ a; b ] -> (a, b) | _ -> assert false
   in
   ignore
     (Engine.spawn eng ~pid:sibling ~name:"sibling" (fun ctx ->

@@ -13,10 +13,15 @@ let test_create_validations () =
   Alcotest.check_raises "nodes >= 1"
     (Invalid_argument "Majority.create: nodes must be >= 1") (fun () ->
       ignore (Majority.create eng ~nodes:0 ()));
+  (* A round tallies its replies in an int bitmask over the voters. *)
+  Alcotest.check_raises "nodes fit a bitmask"
+    (Invalid_argument
+       (Printf.sprintf "Majority.create: nodes must be at most %d" (Sys.int_size - 1)))
+    (fun () -> ignore (Majority.create eng ~nodes:Sys.int_size ()));
   let m = Majority.create eng ~nodes:5 () in
   check Alcotest.int "nodes" 5 (Majority.nodes m);
   check Alcotest.int "majority of 5 is 3" 3 (Majority.majority m);
-  check Alcotest.int "pids spawned" 5 (List.length (Majority.node_pids m));
+  check Alcotest.int "pids spawned" 5 (Array.length (Majority.node_pids m));
   let m1 = Majority.create eng ~nodes:1 () in
   check Alcotest.int "majority of 1 is 1" 1 (Majority.majority m1)
 
@@ -196,7 +201,7 @@ let verdict =
 let test_malformed_request_does_not_consume_grant () =
   let eng = mk () in
   let m = Majority.create eng ~nodes:1 () in
-  let voter = List.hd (Majority.node_pids m) in
+  let voter = (Majority.node_pids m).(0) in
   let got = ref None in
   (* The rogue fires first: two differently-garbled requests. *)
   ignore
@@ -290,7 +295,7 @@ let test_speculative_requesters_do_not_split_voters () =
      non-trivial predicates) must not spawn voter worlds. *)
   let eng = Engine.create ~trace:true ~model:Cost_model.hp_9000_350 () in
   let m = Majority.create eng ~nodes:3 () in
-  let pids = Engine.fresh_pids eng 2 in
+  let pids = Array.to_list (Engine.fresh_pids eng 2) in
   let a = List.nth pids 0 and b = List.nth pids 1 in
   let wins = ref 0 in
   let spawn_child pid other =

@@ -537,7 +537,7 @@ let test_children_inherit_parent_predicates () =
   (* Section 3.3: "the predicates of a child process consist of those of
      the parent", plus self-completes and siblings-fail. *)
   let eng = Engine.create ~trace:false () in
-  let dep = List.hd (Engine.fresh_pids eng 1) in
+  let dep = (Engine.fresh_pids eng 1).(0) in
   let child_preds = ref [] in
   ignore
     (Engine.spawn eng ~cloneable:false
@@ -956,16 +956,19 @@ let test_record_from_a_subscriber () =
    then reset, as a serving domain's engine is between batches), under the default policy with a local
    latch and with a 3-node consensus group. A block allocates its
    children's processes, its report and little else: one block record
-   that the children's bodies and one shared exit watcher close over.
-   A consensus round allocates its messages and little else: the
-   voters' grant state is int arrays, a tagged receive builds no cursor
-   closure, a reply shares its request's round block, and the
+   that the children's bodies and one shared exit watcher close over,
+   and its children's pids in one array. A consensus round allocates its
+   messages and little else: the voters' grant state is int arrays, a
+   tagged receive builds no cursor closure, a reply shares its request's
+   round block, a round tallies its replies in a bitmask, and the
    acquisition's options are boxed once per block. The ceilings sit
-   about 5% above the measured figures (455 and 924 words with OCaml
-   5.1.1; 507 and 1090 in a build with -opaque, where every float
-   returned across modules is boxed). They reject a body closure over a
-   dozen captured variables and refs, an exit watcher per child, a chain
-   of predicate copies per child and list pipelines for the victims (888
+   about 5% above the measured figures (345 and 751 words with OCaml
+   5.1.1; 455 and 924 with a boxed engine clock, a fate cell per
+   normalisation and a mailbox, context and start event per process, the
+   pids in a list and a round's replies in a list). They reject a body
+   closure over a dozen captured variables and refs, an exit watcher per
+   child, a chain of predicate copies per child and list pipelines for
+   the victims (888
    and 1715 words with -opaque), and also closures built at every exit
    and vote with the voters' grants in option refs (601 and 1394 with
    -opaque). *)
@@ -1006,8 +1009,9 @@ let test_block_alloc_budget name policy ceiling () =
    exit watcher close over, site choice by index loops, a checkpoint
    that reads the page map's layer tables directly, and a report copied
    only when its waste is recounted. The ceiling sits about 5% above the
-   measured figure (1197 words with OCaml 5.1.1, where an address
-   space's pending cost is stored unboxed; 1249 when it was boxed). It
+   measured figure (979 words with OCaml 5.1.1, where a released page
+   table goes to the domain's spare tables; 1197 before the engine's
+   fixed costs left the heap, 1249 when the pending cost was boxed). It
    rejects closures per incarnation over the block's arguments, site
    choice by list filters, a checkpoint through a hash table and a
    sorted list, and a placement hook that boxes per spawn (1882 words
@@ -1099,12 +1103,12 @@ let () =
         [
           Alcotest.test_case "local-latch block of three" `Quick
             (test_block_alloc_budget "local-latch block of three"
-               Concurrent.default_policy 478.);
+               Concurrent.default_policy 362.);
           Alcotest.test_case "3-node consensus block of three" `Quick
             (test_block_alloc_budget "3-node consensus block of three" consensus_policy
-               970.);
+               788.);
           Alcotest.test_case "supervised 3-node consensus block of three" `Quick
-            (test_supervised_alloc_budget 1257.);
+            (test_supervised_alloc_budget 1028.);
         ] );
       ( "pinned",
         [

@@ -142,7 +142,7 @@ let ring_n = 4
 
 let ring_run () =
   let eng = Engine.create ~seed:11 () in
-  let pids = Array.of_list (Engine.fresh_pids eng ring_n) in
+  let pids = Engine.fresh_pids eng ring_n in
   let got = Array.make ring_n [] in
   for i = 0 to ring_n - 1 do
     ignore

@@ -117,7 +117,7 @@ let test_second_order_worlds () =
         published := List.sort compare !local :: !published)
   in
   let spawn_spec i ~succeeds =
-    let pid = List.hd (Engine.fresh_pids eng 1) in
+    let pid = (Engine.fresh_pids eng 1).(0) in
     ignore
       (Engine.spawn eng ~pid
          ~predicate:(Predicate.make ~must_complete:[ pid ] ~must_fail:[])
@@ -139,7 +139,7 @@ let test_second_order_worlds () =
 let test_deferred_fate_chain () =
   (* A's completion is deferred on B, whose completion is deferred on C. *)
   let eng = Engine.create ~trace:false () in
-  let pids = Engine.fresh_pids eng 2 in
+  let pids = Array.to_list (Engine.fresh_pids eng 2) in
   let b = List.nth pids 0 and c = List.nth pids 1 in
   let a =
     Engine.spawn eng ~predicate:(Predicate.make ~must_complete:[ b ] ~must_fail:[])

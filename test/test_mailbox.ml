@@ -252,7 +252,7 @@ let split_on_duplicate () =
   let eng = Engine.create ~trace:false () in
   Engine.set_message_fault eng
     (Some (fun m -> if m.Message.tag = "spec" then Engine.F_duplicate else Engine.F_deliver));
-  let spec = List.hd (Engine.fresh_pids eng 1) in
+  let spec = (Engine.fresh_pids eng 1).(0) in
   let firsts = ref [] in
   let recv =
     Engine.spawn eng ~name:"recv" (fun ctx ->
@@ -346,7 +346,7 @@ let test_delivered_message_is_the_sent_value () =
   (* Two world copies: a speculative send splits the receiver, then a
      later message reaches both copies. *)
   let eng = Engine.create ~trace:false () in
-  let spec = List.hd (Engine.fresh_pids eng 1) in
+  let spec = (Engine.fresh_pids eng 1).(0) in
   let late = Payload.str "late" in
   let seen = ref [] in
   let recv =

@@ -159,6 +159,45 @@ let test_map_release_idempotent () =
     (Invalid_argument "Page_map: use after release") (fun () ->
       ignore (Page_map.mapped_pages m))
 
+(* A released or absorbed map's table goes to the domain's spare tables,
+   and the next fork or first insert takes it back: it must come back
+   empty, whatever the map it left held. Each round fills a table with
+   four pages, gives it back by a release or an absorb, and reads a map
+   built on the spare. *)
+let test_map_recycled_table_empty () =
+  let s = mk_store () in
+  let fill m =
+    for vp = 0 to 3 do
+      ignore (Page_map.set_u8 m ~vpage:vp ~off:0 (vp + 1))
+    done
+  in
+  let check_fresh what =
+    let m = Page_map.create s in
+    ignore (Page_map.set_u8 m ~vpage:100 ~off:0 7);
+    check Alcotest.(array int) (what ^ ": mapped") [| 100 |] (Page_map.mapped_vpage_array m);
+    for vp = 0 to 3 do
+      check Alcotest.int (what ^ ": unmapped page reads 0") 0 (Page_map.get_u8 m ~vpage:vp ~off:0)
+    done;
+    let child = Page_map.fork m in
+    check Alcotest.(array int) (what ^ ": fork") [| 100 |] (Page_map.mapped_vpage_array child);
+    Page_map.release child;
+    Page_map.release m
+  in
+  for _ = 1 to 3 do
+    let m = Page_map.create s in
+    fill m;
+    Page_map.release m;
+    check_fresh "after a release";
+    let parent = Page_map.create s in
+    fill parent;
+    let child = Page_map.fork parent in
+    ignore (Page_map.set_u8 child ~vpage:0 ~off:0 9);
+    Page_map.absorb ~parent ~child;
+    check_fresh "after an absorb";
+    Page_map.release parent
+  done;
+  check Alcotest.int "frames freed" 0 (Frame_store.live_frames s)
+
 let test_map_bounds () =
   let s = mk_store () in
   let m = Page_map.create s in
@@ -951,12 +990,16 @@ let prop_page_map_model =
    table it inherits (§3.3, §4.4): no frame is copied until it is
    written, absorb and release drop references without allocating, and
    a copy-on-write fault takes its copy from the free-frame pool and
-   prices itself into an unboxed pending cost. With 4096-byte pages and
-   OCaml 5.1.1 the figures are 0 words a scalar get or set and a
-   copy-on-write fault, 30 a fork and release of the 4-page map a served
-   request holds, and 4110 a fork and release of 1024 mapped pages (12
-   minor words, the rest the copied table); the ceilings sit a little
-   above them. The counter is the shared one, [Alloc_words]. *)
+   prices itself into an unboxed pending cost. A map's first-size table
+   comes back through the domain's spare tables, so once they are warm a
+   fork and release of a small map costs its two records only. With
+   4096-byte pages and OCaml 5.1.1 the figures are 0 words a scalar get
+   or set and a copy-on-write fault, 12 a fork and release of the 4-page
+   map a served request holds (the map and its table record; 30 when its
+   key and frame arrays were built per fork), and 4110 a fork and release
+   of 1024 mapped pages (12 minor words, the rest the copied table); the
+   ceilings sit a little above them. The counter is the shared one,
+   [Alloc_words]. *)
 
 let alloc_page_size = 4096
 
@@ -1066,6 +1109,16 @@ let cow_faults () =
       incr next
     done
 
+(* Once the domain's spare tables are warm, a fork and release of the
+   served 4-page map costs what one of an unmapped map does: the page
+   table itself, keys and frames, costs 0 words. *)
+let test_small_fork_reuses_tables () =
+  let four = words_per ~n:2000 (fun () -> fork_releases (mapped_map 4)) in
+  let none = words_per ~n:2000 (fun () -> fork_releases (mapped_map 0)) in
+  if four -. none > 0.01 then
+    Alcotest.failf "fork and release, 4 mapped: %.2f words beyond an unmapped map's %.2f"
+      (four -. none) none
+
 let test_cow_fault () =
   let w = words_per ~n:256 cow_faults in
   if w > 0.01 then Alcotest.failf "a COW fault: %.2f words, ceiling 0.01" w
@@ -1096,6 +1149,8 @@ let () =
             test_snapshot_equal_is_stat_neutral;
           Alcotest.test_case "frame conservation over 100 schedules" `Quick
             test_frame_conservation_schedules;
+          Alcotest.test_case "a recycled table starts empty" `Quick
+            test_map_recycled_table_empty;
         ] );
       ( "address_space",
         [
@@ -1132,9 +1187,11 @@ let () =
           Alcotest.test_case "fork and release, 4 mapped" `Quick
             (test_alloc_budget "fork and release, 4 mapped"
                (fun () -> fork_releases (mapped_map 4))
-               32.);
+               13.);
           Alcotest.test_case "a COW fault allocates 0 words" `Quick
             test_cow_fault;
+          Alcotest.test_case "warm spare tables: a 4-page table costs 0 words" `Quick
+            test_small_fork_reuses_tables;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -127,17 +127,20 @@ let test_registry_normalize () =
   let r = Fate_registry.create () in
   Fate_registry.record r (p 1) Predicate.Completed;
   Fate_registry.record r (p 2) Predicate.Failed;
-  (match Fate_registry.normalize r (pred [ 1 ] [ 2 ]) with
-  | `Live q -> check Alcotest.bool "fully resolved" true (Predicate.is_certain q)
-  | `Dead -> Alcotest.fail "should be live");
-  (match Fate_registry.normalize r (pred [ 2 ] []) with
-  | `Dead -> ()
-  | `Live _ -> Alcotest.fail "should be dead");
-  (match Fate_registry.normalize r (pred [ 1; 5 ] []) with
-  | `Live q ->
-    check Alcotest.bool "residual assumption" true (Predicate.mem_completes q (p 5));
-    check Alcotest.int "only one left" 1 (Predicate.cardinal q)
-  | `Dead -> Alcotest.fail "should be live")
+  let q = Fate_registry.normalize r (pred [ 1 ] [ 2 ]) in
+  check Alcotest.bool "fully resolved" true (Predicate.is_certain q);
+  check Alcotest.bool "dead" true
+    (Fate_registry.normalize r (pred [ 2 ] []) == Predicate.falsified);
+  let q = Fate_registry.normalize r (pred [ 1; 5 ] []) in
+  check Alcotest.bool "live" true (q != Predicate.falsified);
+  check Alcotest.bool "residual assumption" true (Predicate.mem_completes q (p 5));
+  check Alcotest.int "only one left" 1 (Predicate.cardinal q);
+  (* The sentinel is never certain, and an undecided predicate comes back
+     as itself. *)
+  check Alcotest.bool "falsified is not certain" false
+    (Predicate.is_certain Predicate.falsified);
+  let u = pred [ 7 ] [ 8 ] in
+  check Alcotest.bool "undecided is itself" true (Fate_registry.normalize r u == u)
 
 (* A recorded fate decides over the predicate; without one, the
    normalised predicate does. *)
@@ -389,10 +392,10 @@ let prop_registry_model =
       recorded_ok
       && Fate_registry.decided r = Hashtbl.length model
       &&
-      match (Fate_registry.normalize r q, reference) with
-      | `Dead, `Dead -> true
-      | `Live a, `Live b -> Predicate.equal a b
-      | _ -> false)
+      let n = Fate_registry.normalize r q in
+      match reference with
+      | `Dead -> n == Predicate.falsified
+      | `Live b -> n != Predicate.falsified && Predicate.equal n b)
 
 (* ---------------- model: Predicate against a pair of pid sets ----------------
 

@@ -42,7 +42,7 @@ let mesh_arb =
 let run_mesh spec =
   let cores = if spec.cores = 0 then Engine.Infinite else Engine.Cores spec.cores in
   let eng = Engine.create ~cores ~seed:spec.seed ~trace:true () in
-  let pids = Engine.fresh_pids eng spec.procs in
+  let pids = Array.to_list (Engine.fresh_pids eng spec.procs) in
   let arr = Array.of_list pids in
   List.iteri
     (fun i pid ->

@@ -16,7 +16,7 @@ let test_certain_write_immediate () =
   check Alcotest.int "nothing pending" 0 (List.length (Source.pending tty))
 
 let speculative_writer eng tty ~succeeds lines_to_write =
-  let pid = List.hd (Engine.fresh_pids eng 1) in
+  let pid = (Engine.fresh_pids eng 1).(0) in
   ignore
     (Engine.spawn eng ~pid
        ~predicate:(Predicate.make ~must_complete:[ pid ] ~must_fail:[])
@@ -51,7 +51,7 @@ let test_two_worlds_one_trace () =
      output appears. *)
   let eng = mk () in
   let tty = Source.create eng ~name:"tty" in
-  let pids = Engine.fresh_pids eng 2 in
+  let pids = Array.to_list (Engine.fresh_pids eng 2) in
   let a = List.nth pids 0 and b = List.nth pids 1 in
   let spawn_alt pid other line ~wins =
     ignore
@@ -72,7 +72,7 @@ let test_flush_order_with_certain_write () =
      process becomes certain. *)
   let eng = mk () in
   let tty = Source.create eng ~name:"tty" in
-  let dep = List.hd (Engine.fresh_pids eng 1) in
+  let dep = (Engine.fresh_pids eng 1).(0) in
   ignore
     (Engine.spawn eng
        ~predicate:(Predicate.make ~must_complete:[ dep ] ~must_fail:[])
