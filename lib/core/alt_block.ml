@@ -4,8 +4,7 @@ type 'a outcome =
 
 (* Run one alternative in the current process against the current sink
    state, rolling back on failure. Returns [Ok v] or [Error reason]. *)
-let attempt ctx (alt : 'a Alternative.t) =
-  let snapshot = Option.map Address_space.fork (Engine.space ctx) in
+let trial ctx (alt : 'a Alternative.t) snapshot =
   (* The snapshot fork cost is part of the trial. *)
   (match snapshot with
   | Some snap ->
@@ -31,6 +30,18 @@ let attempt ctx (alt : 'a Alternative.t) =
       commit ();
       Ok v
     | exception Alternative.Failed r -> fail r
+
+(* The snapshot is the attempt's until commit releases it or rollback
+   absorbs it: a process that leaves mid-attempt (killed, aborted or
+   crashed) returns it. Release is idempotent, so an absorbed snapshot
+   is left as it is. *)
+let attempt ctx alt =
+  let snapshot = Option.map Address_space.fork (Engine.space ctx) in
+  match trial ctx alt snapshot with
+  | r -> r
+  | exception e ->
+    Option.iter Address_space.release snapshot;
+    raise e
 
 let run_first ctx alts =
   let rec go index = function

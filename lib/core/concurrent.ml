@@ -269,6 +269,12 @@ let wasted_cpu eng ~winner children =
 let index_suffix = Names.indexed 16 (Printf.sprintf "[%d]")
 let coordinator_name = Names.indexed 8 (Printf.sprintf "alt-parent.e%d")
 
+(* Release every space a block forked and has not handed to a child. *)
+let release_forks spaces =
+  for i = 0 to Array.length spaces - 1 do
+    match spaces.(i) with Some sp -> Address_space.release sp | None -> ()
+  done
+
 (* [run] with every argument given: what a supervisor calls per
    incarnation, so that it boxes no option. *)
 let run_block ctx ~policy ~borrowed ~epoch ~exclusive ~deadline alts =
@@ -374,7 +380,14 @@ let run_block ctx ~policy ~borrowed ~epoch ~exclusive ~deadline alts =
     (* Every child has its own pages now; the image's frames go back to
        the pool. *)
     Option.iter Checkpoint.release checkpoint;
-    if !setup_cost > 0. then Engine.delay ctx !setup_cost;
+    (* The forks are the parent's until each child is spawned with its
+       own: a parent that dies in the setup delay returns them. *)
+    (if !setup_cost > 0. then
+       match Engine.delay ctx !setup_cost with
+       | () -> ()
+       | exception e ->
+         release_forks spaces;
+         raise e);
     let b =
       {
         eng;
@@ -505,7 +518,13 @@ let run_block ctx ~policy ~borrowed ~epoch ~exclusive ~deadline alts =
                   ~mapped_pages:(Address_space.mapped_pages csp)
             in
             selection_cost := !selection_cost +. back;
-            Engine.delay ctx back
+            (* The preserved winner's space is the parent's again until
+               it is absorbed. *)
+            match Engine.delay ctx back with
+            | () -> ()
+            | exception e ->
+              Address_space.release csp;
+              raise e
           end;
           Address_space.absorb ~parent:psp ~child:csp;
           if Trace.wants b.trace Trace.Kind.absorbed then

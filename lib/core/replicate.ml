@@ -64,7 +64,13 @@ let run_quorum ?(equal = ( = )) ctx ~replicas body =
           setup := !setup +. model.Cost_model.fork_base;
           None)
   in
-  if !setup > 0. then Engine.delay ctx !setup;
+  (* The forks are ours until each replica is spawned with its own. *)
+  (if !setup > 0. then
+     match Engine.delay ctx !setup with
+     | () -> ()
+     | exception e ->
+       Array.iter (Option.iter Address_space.release) child_spaces;
+       raise e);
   let pids =
     Array.mapi
       (fun i space ->

@@ -70,7 +70,10 @@ val id : frame -> int
     0 again, so an observer that outlives one must forget them. *)
 
 val live_frames : t -> int
-(** Number of frames currently referenced by at least one map. *)
+(** Number of frames currently referenced by at least one map. The
+    serving layer reads it at the end of every batch, where frame
+    conservation requires 0 (a fork nobody released keeps its frames
+    here, out of the domain's pool). *)
 
 val total_allocations : t -> int
 (** Number of [alloc]/[alloc_copy] calls since creation (monotone). *)

@@ -326,11 +326,11 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
    after {!Engine.reset} with the batch's seed, jobs back to back. The
    seed is derived from (workload seed, batch id) only, and a reset
    engine is exactly a fresh one with that seed, tables' capacity aside.
-   Sites topology, fault plan and circuit breakers are all scoped to the
-   batch, and a second reset as the batch ends drops them with its
-   processes, so an idle domain's engine holds nothing of its last
-   batch. The domain's sanitizer is re-armed for each sanitized batch
-   and detached at its end, which drops its state. So executing batches on N domains in any order gives the
+   Fault plan and circuit breakers are scoped to the batch, and a second
+   reset as the batch ends drops them with its processes, so an idle
+   domain's engine holds nothing of its last batch. The domain's site
+   topology and sanitizer are re-armed for each faulted or sanitized
+   batch and cleared or detached at its end, which drops their state. So executing batches on N domains in any order gives the
    same per-batch results as one domain in dispatch order. The structures batches on a domain
    share are that engine's tables and the domain's free-frame pool
    ({!Frame_store}): each job releases the address spaces it created,
@@ -454,6 +454,12 @@ let engine_key =
 let sanitizer_key =
   Domain.DLS.new_key (fun () -> Sanitizer.create (Domain.DLS.get engine_key))
 
+(* The domain's fault topology on that engine, made on its first faulted
+   batch and re-armed for each. *)
+let sites_key =
+  Domain.DLS.new_key (fun () ->
+      Sites.create (Domain.DLS.get engine_key) ~names:fault_sites)
+
 let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
   let engine = Domain.DLS.get engine_key in
   Engine.reset engine ~seed:((wl.Workload.wl_seed * 1_000_003) + cb.cb_id);
@@ -461,7 +467,8 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
     match sv.sv_faults with
     | None -> None
     | Some fseed ->
-        let sites = Sites.create engine ~names:fault_sites in
+        let sites = Domain.DLS.get sites_key in
+        Sites.reset sites;
         let plan =
           Faultplan.make
             ~seed:((fseed * 1_000_003) + cb.cb_id)
@@ -706,14 +713,29 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
             ~policy:(Concurrent.describe policy)
             ~seed:cb.cb_id
   in
+  (* Frame conservation: every job released its spaces and every process
+     that forked one released what it still owned, however it left, so
+     no frame of the batch is still referenced. One that is would never
+     reach the domain's pool. *)
+  let live = Frame_store.live_frames (Engine.frame_store engine) in
+  let sz_viols =
+    if live = 0 then sz_viols
+    else
+      Report.violation Report.Accounting ~scenario:cb.cb_scenario
+        ~policy:(Concurrent.describe policy) ~seed:cb.cb_id
+        (Printf.sprintf "batch %d ends with %d frames still referenced"
+           cb.cb_id live)
+      :: sz_viols
+  in
   let opens =
     Array.fold_left
       (fun acc b -> match b with Some b -> acc + Breaker.opens b | None -> acc)
       0 breakers
   in
   (* Nothing of the batch is read again: reset the domain's engine now,
-     so that until its next batch it holds no process, continuation,
-     topology or fault hook of this one. *)
+     and its topology with it, so that until its next batch neither holds
+     a process, continuation, site member or fault hook of this one. *)
+  Option.iter Sites.reset sites;
   Engine.reset engine ~seed:0;
   (results, sz_viols, opens)
 

@@ -17,6 +17,13 @@ type t = {
       (* n*n, symmetric: [cut.(i * n + j)] iff the link between sites
          [i] and [j] is cut. The diagonal is never set. *)
   mutable rr : int;  (* round-robin cursor for default placement *)
+  site_hook :
+    (pid:Pid.t -> parent:Pid.t option -> name:string -> explicit:string option ->
+    string option)
+    option;
+  delivery_hook : (Message.t -> dest:Pid.t -> bool) option;
+      (* The two hooks over this topology, boxed once: {!reset} installs
+         them again without building either. *)
 }
 
 let count t = Array.length t.names
@@ -107,6 +114,10 @@ let deliverable t msg ~dest =
            });
     false
 
+let install t =
+  Engine.set_site_hook t.engine t.site_hook;
+  Engine.set_delivery_fault t.engine t.delivery_hook
+
 let create engine ~names =
   if names = [] then invalid_arg "Sites.create: no sites";
   let arr = Array.of_list names in
@@ -117,23 +128,36 @@ let create engine ~names =
         invalid_arg (Printf.sprintf "Sites.create: duplicate site %S" arr.(i))
     done
   done;
-  let t =
+  let trace = Engine.trace engine in
+  let labels = Array.map Option.some arr in
+  let members = Array.make n [] in
+  let crashed = Array.make n false in
+  let cut = Array.make (n * n) false in
+  let rec t =
     {
       engine;
-      trace = Engine.trace engine;
+      trace;
       names = arr;
       name_list = names;
-      labels = Array.map Option.some arr;
-      members = Array.make n [];
-      crashed = Array.make n false;
-      cut = Array.make (n * n) false;
+      labels;
+      members;
+      crashed;
+      cut;
       rr = 0;
+      site_hook =
+        Some (fun ~pid ~parent ~name ~explicit -> place t ~pid ~parent ~name ~explicit);
+      delivery_hook = Some (fun msg ~dest -> deliverable t msg ~dest);
     }
   in
-  Engine.set_site_hook engine
-    (Some (fun ~pid ~parent ~name ~explicit -> place t ~pid ~parent ~name ~explicit));
-  Engine.set_delivery_fault engine (Some (fun msg ~dest -> deliverable t msg ~dest));
+  install t;
   t
+
+let reset t =
+  Array.fill t.members 0 (Array.length t.members) [];
+  Array.fill t.crashed 0 (Array.length t.crashed) false;
+  Array.fill t.cut 0 (Array.length t.cut) false;
+  t.rr <- 0;
+  install t
 
 let members t site =
   List.sort_uniq Pid.compare t.members.(index_exn t ~fn:"members" site)

@@ -33,6 +33,14 @@ val create : Engine.t -> names:string list -> t
     per site), so placing a process allocates only its membership cell
     and a delivery verdict on healthy sites allocates nothing. *)
 
+val reset : t -> unit
+(** Return the topology to the state {!create} left it in (no members,
+    no crashed site, no cut link, the round-robin cursor at site 0) and
+    install its two hooks on its engine again, as {!Engine.reset} clears
+    them. The hooks were boxed by {!create}, so a reset allocates nothing:
+    a caller that runs one topology per engine run re-arms it instead of
+    creating one per run. *)
+
 val names : t -> string list
 (** Site names, in declaration order: the list given to {!create}. *)
 

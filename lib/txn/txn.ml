@@ -54,7 +54,12 @@ let charge ctx space =
 
 let begin_ ctx st =
   let snapshot = Address_space.fork st.space in
-  charge ctx snapshot;
+  (* Until [begin_] returns, nothing else holds the snapshot. *)
+  (match charge ctx snapshot with
+  | () -> ()
+  | exception e ->
+    Address_space.release snapshot;
+    raise e);
   {
     st;
     snapshot;

@@ -14,7 +14,15 @@
 # listed seed, and reverts the patch. A patch that no longer applies
 # fails the run: a refactor of the code a mutant patches must refresh
 # the patch. Exits 1 if any check fails.
+#
+# Every test runs under `timeout` (coreutils), MUTANT_TIMEOUT seconds
+# each (default 300): a mutant that corrupts a table can make a test loop
+# forever instead of failing. A timeout is reported as "timed out", apart
+# from pass and fail. Unpatched, it fails the run, as the test must pass;
+# under a patch, it counts as caught, since the test did not pass.
 set -eu
+
+limit=${MUTANT_TIMEOUT:-300}
 
 rev=${1:-HEAD}
 root=$(git rev-parse --show-toplevel)
@@ -31,9 +39,10 @@ rows() { grep -v '^#' "$dir/table" | grep -v '^ *$'; }
 
 build() { (cd "$work" && dune build --root . "./$1" 2>&1); }
 
-# The index of test NAME in GROUP, read from the executable's `list`.
+# The index of test NAME in GROUP, read from the executable's `list`,
+# wide enough that Alcotest truncates no name.
 index_of() {
-  "$work/_build/default/$1" list | awk -v g="$2" -v n="$3." '
+  ALCOTEST_COLUMNS=1000 "$work/_build/default/$1" list | awk -v g="$2" -v n="$3." '
     index($0, g) == 1 {
       rest = substr($0, length(g) + 1)
       if (match(rest, /^ +[0-9]+ +/) == 0) next
@@ -42,14 +51,16 @@ index_of() {
     }'
 }
 
-# Run test NAME of GROUP in EXE at SEED; its exit status.
+# Run test NAME of GROUP in EXE at SEED for at most $limit seconds; its
+# exit status, 124 on a timeout.
 run() {
   exe=$1 group=$2 idx=$3 seed=$4
   if [ "$seed" = - ]; then
-    (cd "$work" && "./_build/default/$exe" test "$group" "$idx") >/dev/null 2>&1
-  else
-    (cd "$work" && QCHECK_SEED=$seed "./_build/default/$exe" test "$group" "$idx") \
+    (cd "$work" && timeout "$limit" "./_build/default/$exe" test "$group" "$idx") \
       >/dev/null 2>&1
+  else
+    (cd "$work" && QCHECK_SEED=$seed timeout "$limit" \
+      "./_build/default/$exe" test "$group" "$idx") >/dev/null 2>&1
   fi
 }
 
@@ -72,9 +83,13 @@ check() {
         echo "$patch: no test \"$name\" in group $group of $exe" | tee -a "$failed"
       else
         for seed in $seeds; do
-          if run "$exe" "$group" "$idx" "$seed"; then got=pass; else got=fail; fi
+          if run "$exe" "$group" "$idx" "$seed"; then got=pass
+          elif [ $? -eq 124 ]; then got="timed out after ${limit}s"
+          else got=fail; fi
           if [ "$got" = "$1" ]; then
             echo "$patch: $group/$name at seed $seed: $got, as it must"
+          elif [ "$got" != pass ] && [ "$got" != fail ] && [ "$1" = fail ]; then
+            echo "$patch: $group/$name at seed $seed: $got, caught"
           else
             echo "$patch: $group/$name at seed $seed: $got, must $1" | tee -a "$failed"
           fi

@@ -201,6 +201,41 @@ let test_run_oracle () =
   | _ -> Alcotest.fail "oracle must pick the cheapest");
   check cf "oracle pays only the best time" 1. !elapsed
 
+(* A root process with a paged space, killed [at] seconds in while it
+   runs [f]; the frames left referenced once the root's own space is
+   released. The root's space is preserved across its exit, as a served
+   job's is, so every frame still live was forked and never returned. *)
+let frames_left_by_killed_root ~at f =
+  let model = Cost_model.hp_9000_350 in
+  let eng = Engine.create ~model ~trace:false () in
+  let store = Engine.frame_store eng in
+  let space = Address_space.create ~size_hint:(320 * 1024) store model in
+  let pid =
+    Engine.spawn eng ~space ~cloneable:false ~name:"root" (fun ctx -> f ctx)
+  in
+  Engine.preserve_space eng pid;
+  Engine.after eng ~delay:at (fun () -> Engine.kill eng pid ~reason:"test kill");
+  Engine.run eng;
+  (match Engine.status eng pid with
+  | Some (Engine.Eliminated _) -> ()
+  | _ -> Alcotest.failf "the root was not killed at %g s" at);
+  let children = Engine.children_of eng pid in
+  Address_space.release space;
+  (Frame_store.live_frames store, children)
+
+let test_killed_attempt_returns_snapshot () =
+  (* 80 pages: the snapshot fork costs 12 ms, then the body runs 1 s. A
+     kill in either window must give the snapshot's frames back. *)
+  let alts = [ Alternative.fixed ~cost:1. 0 ] in
+  List.iter
+    (fun at ->
+      let live, _ =
+        frames_left_by_killed_root ~at (fun ctx ->
+            ignore (Alt_block.run_first ctx alts))
+      in
+      check Alcotest.int (Printf.sprintf "live frames, killed at %g s" at) 0 live)
+    [ 0.005; 0.5 ]
+
 (* ---------------- Concurrent ---------------- *)
 
 let test_concurrent_fastest_wins () =
@@ -348,6 +383,35 @@ let test_concurrent_setup_cost_charged () =
   (* 2 forks of 80 pages at calibrated cost: 2 * 12ms. *)
   check Alcotest.bool "setup is 2 forks" true
     (Float.abs (r2.Concurrent.setup_cost -. 0.024) < 1e-6)
+
+let test_setup_death_returns_frames () =
+  (* Three local forks of 80 pages: a 36 ms setup delay before any child
+     is spawned. The coordinator dies 10 ms into it. *)
+  let alts = List.init 3 (fun i -> Alternative.fixed ~cost:1. i) in
+  let live, children =
+    frames_left_by_killed_root ~at:0.01 (fun ctx -> ignore (Concurrent.run ctx alts))
+  in
+  check Alcotest.int "no child was spawned" 0 (List.length children);
+  check Alcotest.int "live frames" 0 live
+
+let test_ship_back_death_returns_frames () =
+  (* Remote placement: the winner's preserved space travels back before
+     the parent absorbs it. A parent that dies during the transfer
+     returns it. *)
+  let policy =
+    { Concurrent.default_policy with Concurrent.placement = Concurrent.Remote_spawn }
+  in
+  let alts = List.init 2 (fun i -> Alternative.fixed ~cost:(1. +. float_of_int i) i) in
+  let model = Cost_model.hp_9000_350 in
+  let eng = Engine.create ~model ~trace:false () in
+  let space = Address_space.create ~size_hint:(320 * 1024) (Engine.frame_store eng) model in
+  let r = Concurrent.run_toplevel eng ~policy ~space alts in
+  (* The transfer is most of the selection cost, and its last part. *)
+  let at = r.Concurrent.elapsed -. (0.5 *. r.Concurrent.selection_cost) in
+  let live, _ =
+    frames_left_by_killed_root ~at (fun ctx -> ignore (Concurrent.run ctx ~policy alts))
+  in
+  check Alcotest.int "live frames" 0 live
 
 let test_concurrent_sim_matches_analytic_table () =
   List.iter
@@ -1066,6 +1130,8 @@ let () =
             test_run_random_is_seed_deterministic;
           Alcotest.test_case "run_random commits" `Quick test_run_random_commits_to_failure;
           Alcotest.test_case "run_oracle" `Quick test_run_oracle;
+          Alcotest.test_case "a root killed mid-attempt returns its snapshot" `Quick
+            test_killed_attempt_returns_snapshot;
         ] );
       ( "concurrent",
         [
@@ -1098,6 +1164,10 @@ let () =
           Alcotest.test_case "children inherit parent predicates" `Quick
             test_children_inherit_parent_predicates;
           QCheck_alcotest.to_alcotest prop_concurrent_selects_a_real_alternative;
+          Alcotest.test_case "a coordinator killed in its setup delay returns every frame"
+            `Quick test_setup_death_returns_frames;
+          Alcotest.test_case "a coordinator killed shipping its winner back returns it"
+            `Quick test_ship_back_death_returns_frames;
         ] );
       ( "alloc",
         [

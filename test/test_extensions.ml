@@ -370,6 +370,30 @@ let test_quorum_survives_minority_crashes () =
   check Alcotest.bool "3 of 5 suffice" true (q.Replicate.value = Some 11);
   check Alcotest.int "crashes counted" 2 q.Replicate.crashed
 
+let test_quorum_setup_death_returns_forks () =
+  (* Three forks of 80 pages: a 36 ms setup delay before any replica is
+     spawned. The caller dies 10 ms into it; once its own space is
+     released, no frame may stay referenced. *)
+  let model = Cost_model.hp_9000_350 in
+  let eng = mk_engine ~model () in
+  let store = Engine.frame_store eng in
+  let space = Address_space.create ~size_hint:(320 * 1024) store model in
+  let pid =
+    Engine.spawn eng ~space ~cloneable:false ~name:"ext-root" (fun ctx ->
+        ignore
+          (Replicate.run_quorum ctx ~replicas:3 (fun rctx ->
+               Engine.delay rctx 1.;
+               7)))
+  in
+  Engine.preserve_space eng pid;
+  Engine.after eng ~delay:0.01 (fun () -> Engine.kill eng pid ~reason:"test kill");
+  Engine.run eng;
+  check Alcotest.bool "killed in the setup delay" true
+    (Engine.status eng pid = Some (Engine.Eliminated "test kill")
+    && Engine.children_of eng pid = []);
+  Address_space.release space;
+  check Alcotest.int "live frames" 0 (Frame_store.live_frames store)
+
 let test_quorum_validation () =
   let eng = mk_engine () in
   let raised = ref false in
@@ -468,5 +492,7 @@ let () =
             test_replicated_alternative_in_a_block;
           Alcotest.test_case "name and guard preserved" `Quick
             test_replicated_alternative_name_and_guard;
+          Alcotest.test_case "a caller killed in the setup delay returns its forks"
+            `Quick test_quorum_setup_death_returns_forks;
         ] );
     ]

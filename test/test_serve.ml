@@ -632,6 +632,27 @@ let test_sanitized_faulted_run () =
   check Alcotest.int64 "sanitizing leaves the digest alone"
     (Server.digest plain) (Server.digest sanitized)
 
+let test_faulted_runs_audit_frames () =
+  (* Every batch checks as it ends that no frame is still referenced: a
+     coordinator killed between its forks and its children's spawn, or a
+     sequential root killed mid-attempt, must have returned its pages. *)
+  let wl = { Workload.default with Workload.wl_requests = 2000 } in
+  let sv = { Server.default with Server.sv_faults = Some 7 } in
+  let ladder =
+    { (Controller.default ~lanes:sv.Server.sv_lanes) with Controller.dc_enabled = true }
+  in
+  List.iter
+    (fun (label, sv) ->
+      let r = Server.run wl sv in
+      check Alcotest.bool (label ^ ": recoveries happened") true (r.Server.recovered > 0);
+      check
+        Alcotest.(list string)
+        (label ^ ": no batch leaks a frame") []
+        (List.map
+           (fun v -> Format.asprintf "%a" Report.pp_violation v)
+           r.Server.violations))
+    [ ("faults", sv); ("faults + ladder", { sv with Server.sv_ladder = ladder }) ]
+
 let test_bench_record_schema () =
   let sv = Server.default in
   let wl = { small_wl with Workload.wl_requests = 150 } in
@@ -819,5 +840,7 @@ let () =
             test_workload_checked_first;
           Alcotest.test_case "digest matches its Printf definition" `Quick
             test_digest_matches_reference;
+          Alcotest.test_case "faulted runs audit 0 leaked frames" `Quick
+            test_faulted_runs_audit_frames;
         ] );
     ]

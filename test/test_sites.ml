@@ -64,6 +64,45 @@ let test_placement () =
     (Invalid_argument "Sites.members: unknown site \"zz\"") (fun () ->
       ignore (Sites.members sites "zz"))
 
+(* Re-armed after an engine reset, a topology that saw crashes, cuts and
+   placements places and delivers exactly as a fresh one on a fresh
+   engine. *)
+let test_reset_is_fresh () =
+  let names = [ "a"; "b"; "c" ] in
+  let eng = mk () in
+  let sites = Sites.create eng ~names in
+  ignore (Engine.spawn eng ~site:"b" (fun ctx -> Engine.delay ctx 1.));
+  ignore (Engine.spawn eng (fun ctx -> Engine.delay ctx 1.));
+  Sites.crash sites "a";
+  Sites.partition sites ~left:[ "b" ] ~right:[ "c" ];
+  Engine.run eng;
+  Engine.reset eng ~seed:42;
+  Sites.reset sites;
+  check Alcotest.(list string) "every site alive" names (Sites.alive_sites sites);
+  check Alcotest.bool "no cut" false (Sites.partitioned sites "b" "c");
+  List.iter
+    (fun n -> check Alcotest.int ("no member of " ^ n) 0 (List.length (Sites.members sites n)))
+    names;
+  let fresh_eng = mk () in
+  let fresh = Sites.create fresh_eng ~names in
+  let run eng sites =
+    let got = ref [] in
+    let receiver =
+      Engine.spawn eng (fun ctx ->
+          got := [ (Engine.receive ctx ()).Message.payload ])
+    in
+    let sender = Engine.spawn eng (fun ctx -> Engine.send ctx receiver (Payload.int 7)) in
+    Engine.run eng;
+    (Sites.site_of sites receiver, Sites.site_of sites sender, List.length !got)
+  in
+  let placed = run eng sites and fresh_placed = run fresh_eng fresh in
+  check
+    Alcotest.(triple (option string) (option string) int)
+    "placement and delivery as fresh" fresh_placed placed;
+  check
+    Alcotest.(triple (option string) (option string) int)
+    "round-robin from the first site, message delivered" (Some "a", Some "b", 1) placed
+
 (* ------------------------------------------------------------------ *)
 (* Crashes                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -724,6 +763,13 @@ let placements eng n =
 let topology_words op =
   words_per ~topology:true ~n:3000 op -. words_per ~topology:false ~n:3000 op
 
+let test_reset_alloc () =
+  let eng = Engine.create ~trace:false () in
+  let sites = Sites.create eng ~names:[ "a"; "b"; "c"; "d"; "e" ] in
+  Sites.reset sites;
+  let w = Alloc_words.of_run (fun () -> for _ = 1 to 1000 do Sites.reset sites done) in
+  if w > 0. then Alcotest.failf "Sites.reset: %.0f words over 1000 resets" w
+
 let test_topology_alloc name op ceiling () =
   let w = topology_words op in
   if w > ceiling then Alcotest.failf "%s: %.2f words, ceiling %.2f" name w ceiling
@@ -735,6 +781,7 @@ let () =
         [
           Alcotest.test_case "create validations" `Quick test_create_validations;
           Alcotest.test_case "placement rules" `Quick test_placement;
+          Alcotest.test_case "a reset topology is a fresh one" `Quick test_reset_is_fresh;
         ] );
       ( "faults",
         [
@@ -777,6 +824,7 @@ let () =
             (test_topology_alloc "cross-site delivery, per message" cross_site_hops 0.05);
           Alcotest.test_case "placement" `Quick
             (test_topology_alloc "placement, per spawn" placements 3.15);
+          Alcotest.test_case "reset" `Quick test_reset_alloc;
         ] );
       ( "coordinator recovery",
         [

@@ -298,6 +298,33 @@ let test_race_all_fail () =
   | _ -> Alcotest.fail "must fail");
   check Alcotest.int "no commits" 0 (Txn.commits st)
 
+let test_begin_death_returns_snapshot () =
+  (* A store of 80 pages: the snapshot fork costs 12 ms, and a process is
+     killed 5 ms into that charge. A commit afterwards writes the store's
+     pages in place, so a snapshot still sharing them would force a copy:
+     one frame beyond the store's own. *)
+  let model = Cost_model.hp_9000_350 in
+  let eng = Engine.create ~model ~trace:false () in
+  let st = Txn.create_store eng ~records:(320 * 1024 / 8) in
+  let store_frames = Frame_store.live_frames (Engine.frame_store eng) in
+  let pid =
+    Engine.spawn eng ~cloneable:false ~name:"txn-root" (fun ctx ->
+        ignore (Txn.begin_ ctx st))
+  in
+  Engine.after eng ~delay:0.005 (fun () -> Engine.kill eng pid ~reason:"test kill");
+  Engine.run eng;
+  check Alcotest.bool "killed in begin_'s charge" true
+    (Engine.status eng pid = Some (Engine.Eliminated "test kill"));
+  let r =
+    in_process eng (fun ctx ->
+        let t = Txn.begin_ ctx st in
+        Txn.write ctx t ~key:0 1;
+        Txn.commit ctx t)
+  in
+  check Alcotest.bool "committed" true (r = Ok ());
+  check Alcotest.int "frames beyond the store's" 0
+    (Frame_store.live_frames (Engine.frame_store eng) - store_frames)
+
 let prop_competing_increments_serialize =
   (* Run several racing groups back to back; each group commits exactly one
      increment, so the counter equals the number of groups. *)
@@ -345,6 +372,8 @@ let () =
           Alcotest.test_case "with_txn exhausts retries" `Quick
             test_with_txn_exhausts_retries;
           Alcotest.test_case "serializable counter" `Quick test_serializable_counter;
+          Alcotest.test_case "a process killed in begin_ returns its snapshot" `Quick
+            test_begin_death_returns_snapshot;
         ] );
       ( "competing",
         [
