@@ -5,6 +5,7 @@ type scenario = {
   prepare : Engine.t -> Address_space.t -> unit;
   alts :
     Engine.t -> seed:int -> source:Source.t option -> int Alternative.t list;
+  sc_exclusive : bool;
 }
 
 type run = {
@@ -49,61 +50,159 @@ let block_children rr =
   @ own
 
 (* ------------------------------------------------------------------ *)
-(* Running a scenario.                                                 *)
+(* Running a block: the one runner, for the oracle and the server.     *)
+
+type mode =
+  | Racing of { exclusive : bool; budget : float }
+  | Supervised of {
+      sites : Sites.t;
+      max_restarts : int;
+      budget : float;
+      avoid_sites : unit -> string list;
+    }
+  | Sequential
+
+type block = {
+  bl_space : Address_space.t;
+  bl_source : Source.t option;
+  bl_alts : int Alternative.t list;
+  mutable bl_report : int Concurrent.report;
+  mutable bl_supervised : int Concurrent.supervised_report option;
+}
 
 let mk_engine ?(record = false) seed =
   Engine.create ~model:Cost_model.att_3b2 ~seed ~trace:record ()
 
-let mk_space eng =
-  Address_space.create (Engine.frame_store eng) (Engine.model eng)
+(* The report of a block that is staged but has not run. *)
+let unrun =
+  { Concurrent.outcome = Alt_block.Block_failed "not run"; winner = None;
+    children = []; elapsed = 0.; setup_cost = 0.; spawned = 0;
+    selection_cost = 0.; wasted_cpu = 0.; child_cow_copies = 0;
+    sync_messages = 0; attempted = 0; degraded = false }
 
-let mk_source eng scenario =
-  if not scenario.uses_source then None
-  else begin
-    let s = Source.create eng ~name:(scenario.sc_name ^ "-tty") in
-    Source.feed s scenario.source_script;
-    Some s
-  end
-
-let run_scenario ?record ?faults ?sites ?(sanitize = false) scenario ~policy
-    ~seed =
-  let engine = mk_engine ?record seed in
-  (* The history and the sanitizer must see every Spawned event, and
-     fault plans hook the engine before anything is spawned, so a campaign
-     covers the whole execution (the transparency checker's reference runs
-     stay fault-free: they are built by [sequential_reference] below). *)
-  let history = History.attach (Engine.trace engine) in
-  let sanitizer = if sanitize then Some (Sanitizer.attach engine) else None in
-  let topology = Option.map (fun names -> Sites.create engine ~names) sites in
-  Option.iter (fun plan -> Faultplan.install ?sites:topology plan engine) faults;
-  let space = mk_space engine in
-  let writes = Race.record (Engine.frame_store engine) in
+(* The one staging step, and the only caller of [scenario.prepare] and
+   [scenario.alts]. *)
+let stage ?sanitizer ?source_name engine scenario ~seed =
+  let space =
+    Address_space.create (Engine.frame_store engine) (Engine.model engine)
+  in
   scenario.prepare engine space;
   ignore (Address_space.drain_cost space);
-  let source = mk_source engine scenario in
+  let source =
+    if not scenario.uses_source then None
+    else begin
+      let name =
+        match source_name with Some n -> n | None -> scenario.sc_name ^ "-tty"
+      in
+      let s = Source.create engine ~name in
+      Source.feed s scenario.source_script;
+      Some s
+    end
+  in
   (match (sanitizer, source) with
   | Some sz, Some src -> Sanitizer.observe_source sz src
   | _ -> ());
   let alts = scenario.alts engine ~seed ~source in
-  let space, report, supervised =
-    match topology with
-    | None -> (space, Concurrent.run_toplevel engine ~policy ~space alts, None)
-    | Some sites ->
-      let sr = Concurrent.run_supervised engine ~policy ~space ~sites alts in
-      ( Option.value sr.Concurrent.sr_space ~default:space,
-        sr.Concurrent.sr_report,
-        Some (sites, sr) )
+  {
+    bl_space = space;
+    bl_source = source;
+    bl_alts = alts;
+    bl_report = unrun;
+    bl_supervised = None;
+  }
+
+(* Ladder rung 2: first-fit sequential execution in a root process. The
+   report claims no winner, children or sync traffic and flags itself
+   degraded, the shape [check_report] demands of a sequential fallback. *)
+let run_sequential engine ~space alts =
+  let outcome = ref None in
+  let t0 = Engine.now engine in
+  let pid =
+    Engine.spawn engine ~space ~cloneable:false ~name:"alt-seq" (fun ctx ->
+        outcome := Some (Alt_block.run_first ctx alts))
+  in
+  Engine.preserve_space engine pid;
+  Engine.run engine;
+  match !outcome with
+  | None -> failwith "Invariants.run_block: sequential block did not complete"
+  | Some outcome ->
+    {
+      unrun with
+      Concurrent.outcome;
+      elapsed = Engine.now engine -. t0;
+      attempted =
+        (match outcome with
+        | Alt_block.Selected { index; _ } -> index + 1
+        | Alt_block.Block_failed _ -> List.length alts);
+      degraded = true;
+    }
+
+(* A budget of [infinity] is no deadline, and boxes nothing. *)
+let deadline engine budget =
+  if budget < infinity then Some (Engine.now engine +. budget) else None
+
+let run_block ?sanitizer ?source_name engine scenario mode ~policy ~seed =
+  let b = stage ?sanitizer ?source_name engine scenario ~seed in
+  let space = b.bl_space and alts = b.bl_alts in
+  (try
+     match mode with
+     | Racing { exclusive; budget } ->
+       b.bl_report <-
+         Concurrent.run_toplevel engine ~policy ~space
+           ?exclusive:(if exclusive then Some true else None)
+           ?deadline:(deadline engine budget) alts
+     | Supervised { sites; max_restarts; budget; avoid_sites } ->
+       let sr =
+         Concurrent.run_supervised engine ~policy ~space ~max_restarts
+           ?deadline:(deadline engine budget) ~avoid_sites:(avoid_sites ())
+           ~sites alts
+       in
+       b.bl_report <- sr.Concurrent.sr_report;
+       b.bl_supervised <- Some sr
+     | Sequential -> b.bl_report <- run_sequential engine ~space alts
+   with e ->
+     (* The root died: nothing reads the space again. *)
+     Address_space.release space;
+     raise e);
+  b
+
+let run_scenario ?record ?faults ?sites ?(sanitize = false) ?mode scenario
+    ~policy ~seed =
+  let engine = mk_engine ?record seed in
+  (* The monitors must see every Spawned event and page write, and a
+     fault plan hooks the engine before anything is spawned. *)
+  let history = History.attach (Engine.trace engine) in
+  let sanitizer = if sanitize then Some (Sanitizer.attach engine) else None in
+  let topology = Option.map (fun names -> Sites.create engine ~names) sites in
+  Option.iter (fun plan -> Faultplan.install ?sites:topology plan engine) faults;
+  let writes = Race.record (Engine.frame_store engine) in
+  let mode =
+    match (topology, mode) with
+    | None, None -> Racing { exclusive = false; budget = infinity }
+    | None, Some ((Racing _ | Sequential) as mode) -> mode
+    | Some sites, None ->
+      Supervised
+        { sites; max_restarts = 2; budget = infinity; avoid_sites = (fun () -> []) }
+    | _, Some _ ->
+      invalid_arg "Invariants.run_scenario: a supervised block takes ~sites"
+  in
+  let b = run_block ?sanitizer engine scenario mode ~policy ~seed in
+  let space, supervised =
+    match (topology, b.bl_supervised) with
+    | Some sites, Some sr ->
+      (Option.value sr.Concurrent.sr_space ~default:b.bl_space, Some (sites, sr))
+    | _ -> (b.bl_space, None)
   in
   {
     engine;
     space;
-    source;
-    report;
+    source = b.bl_source;
+    report = b.bl_report;
     supervised;
     policy;
     scenario;
     seed;
-    alts_count = List.length alts;
+    alts_count = List.length b.bl_alts;
     writes;
     history;
     sanitizer;
@@ -229,14 +328,12 @@ let check_at_most_once rr h =
 
 let sequential_reference scenario ~seed ~indices =
   let engine = mk_engine seed in
-  let space = mk_space engine in
-  scenario.prepare engine space;
-  ignore (Address_space.drain_cost space);
-  let source = mk_source engine scenario in
+  let { bl_space = space; bl_source = source; bl_alts = alts; _ } =
+    stage engine scenario ~seed
+  in
   let outcome = ref None in
   let pid =
     Engine.spawn engine ~space ~cloneable:false ~name:"seq-ref" (fun ctx ->
-        let alts = scenario.alts engine ~seed ~source in
         let chosen = List.filteri (fun i _ -> List.mem i indices) alts in
         outcome := Some (Alt_block.run_first ctx chosen))
   in
@@ -622,7 +719,8 @@ let counters =
             Engine.charge_memory ctx;
             (100 * i) + (seed land 0xfff)))
   in
-  { sc_name = "counters"; uses_source = false; source_script = []; prepare; alts }
+  { sc_name = "counters"; uses_source = false; source_script = []; prepare;
+    alts; sc_exclusive = false }
 
 let guarded =
   let prepare _eng sp = Address_space.set_int sp ~addr:0 7 in
@@ -647,7 +745,8 @@ let guarded =
             Engine.charge_memory ctx;
             (10 * i) + (seed mod 100)))
   in
-  { sc_name = "guarded"; uses_source = false; source_script = []; prepare; alts }
+  { sc_name = "guarded"; uses_source = false; source_script = []; prepare;
+    alts; sc_exclusive = true }
 
 let teletype =
   let prepare _eng sp = Address_space.set_int sp ~addr:0 1 in
@@ -673,6 +772,7 @@ let teletype =
     source_script = [ "alpha"; "beta" ];
     prepare;
     alts;
+    sc_exclusive = false;
   }
 
 let all_fail =
@@ -690,7 +790,8 @@ let all_fail =
             Engine.charge_memory ctx;
             raise (Alternative.Failed "no result")))
   in
-  { sc_name = "all-fail"; uses_source = false; source_script = []; prepare; alts }
+  { sc_name = "all-fail"; uses_source = false; source_script = []; prepare;
+    alts; sc_exclusive = true }
 
 let default_scenarios = [ counters; guarded; teletype; all_fail ]
 
@@ -837,9 +938,9 @@ let check_all ({ history = h; _ } as rr) =
     Race.check_sources s ~scenario:rr.scenario.sc_name ~policy ~seed:rr.seed
   | None -> []
 
-let run_checked ?record ?faults ?sites ?sanitize scenario ~policy ~seed =
+let run_checked ?record ?faults ?sites ?sanitize ?mode scenario ~policy ~seed =
   let rr =
-    run_scenario ?record ?faults ?sites ?sanitize scenario ~policy ~seed
+    run_scenario ?record ?faults ?sites ?sanitize ?mode scenario ~policy ~seed
   in
   let vs = check_all rr in
   match rr.sanitizer with

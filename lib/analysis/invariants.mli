@@ -44,6 +44,11 @@ type scenario = {
       (** Build the alternatives. Must be deterministic in [seed] (use
           {!Rng}), so the transparency checker can re-execute the winner
           in a fresh engine. *)
+  sc_exclusive : bool;
+      (** At most one alternative can ever reach its synchronisation
+          point with a result: the proof obligation of
+          [Concurrent.run ~exclusive], declared with the scenario. The
+          serving layer's rung 1 elides consensus only for these. *)
 }
 
 (** One finished, checkable execution. *)
@@ -72,24 +77,63 @@ type run = {
           monitor that watched the execution, flags included. *)
 }
 
+(** How {!run_block} runs a block: the serving layer's three rungs. *)
+type mode =
+  | Racing of { exclusive : bool; budget : float }
+      (** {!Concurrent.run_toplevel} with [~exclusive] and a deadline
+          [budget] seconds after block entry ([infinity]: none). *)
+  | Supervised of {
+      sites : Sites.t;
+      max_restarts : int;
+      budget : float;
+      avoid_sites : unit -> string list;  (** Asked at block entry. *)
+    }  (** {!Concurrent.run_supervised} on [sites]. *)
+  | Sequential
+      (** Ladder rung 2: {!Alt_block.run_first} in a root process; the
+          report is degraded, with no winner, children or sync traffic. *)
+
+(** A block {!run_block} staged and ran. The caller releases [bl_space]
+    (and a supervised restart's [sr_space]). *)
+type block = private {
+  bl_space : Address_space.t;
+  bl_source : Source.t option;
+  bl_alts : int Alternative.t list;
+  mutable bl_report : int Concurrent.report;  (** Set by the run. *)
+  mutable bl_supervised : int Concurrent.supervised_report option;
+}
+
+val run_block :
+  ?sanitizer:Sanitizer.t ->
+  ?source_name:string ->
+  Engine.t -> scenario -> mode -> policy:Concurrent.policy -> seed:int ->
+  block
+(** The one runner: the oracle and the server stage and run every block
+    through it, so the oracle checks the blocks the server serves. It
+    creates the space, seeds it with [prepare] at no charge, creates and
+    feeds the source (named [source_name], default ["<scenario>-tty"]),
+    lets [sanitizer] observe it, builds the alternatives from [seed] and
+    runs them in [mode]. Monitors are attached by the caller. The
+    transparency checker's reference shares only the staging. A root
+    that dies raises [Failure] in [Racing] and [Sequential] mode, after
+    releasing the space. *)
+
 val run_scenario :
   ?record:bool ->
   ?faults:Faultplan.t ->
   ?sites:string list ->
   ?sanitize:bool ->
+  ?mode:mode ->
   scenario -> policy:Concurrent.policy -> seed:int -> run
-(** Execute the scenario under the policy: fresh engine
-    ({!Cost_model.att_3b2}) whose page writes {!Race.record} keeps, block
-    run to quiescence via {!Concurrent.run_toplevel}; it records no trace
-    unless [~record:true] (default false). With [~sites] the engine
-    gets a {!Sites} topology of those names and the block runs under
-    {!Concurrent.run_supervised} on it instead (the policy must use
-    [Consensus]). [faults] is installed on the fresh engine (and the
-    topology) before anything runs, so an injection campaign covers the
-    whole execution; the transparency checker's sequential reference runs
-    are always fault-free. With [~sanitize:true] (default false) a
-    {!Sanitizer} is attached before anything spawns and watches the whole
-    execution online. *)
+(** A fresh engine ({!Cost_model.att_3b2}) with a {!History} and a
+    {!Race.record} attached, then {!run_block} in [mode] (default:
+    racing, no exclusivity, no deadline). It records no trace unless
+    [~record:true]. With [~sites] the engine gets a {!Sites} topology of
+    those names and the block runs [Supervised] on it (the policy must
+    use [Consensus]; [~mode] with [~sites], or a [Supervised] [~mode], is
+    [Invalid_argument]). [faults] is installed before anything runs, so
+    an injection campaign covers the whole execution; the transparency
+    checker's reference runs are fault-free. With [~sanitize:true] a
+    {!Sanitizer} watches the whole execution online. *)
 
 val check_all : run -> Report.violation list
 (** Every checker that applies to the run (see above), concatenated. *)
@@ -99,6 +143,7 @@ val run_checked :
   ?faults:Faultplan.t ->
   ?sites:string list ->
   ?sanitize:bool ->
+  ?mode:mode ->
   scenario ->
   policy:Concurrent.policy ->
   seed:int ->
@@ -115,7 +160,9 @@ val run_checked :
 val default_scenarios : scenario list
 (** [counters] (racing writers over shared pages), [guarded] (one closed
     guard, one failing body), [teletype] (source-device reads and gated
-    writes), [all-fail] (every alternative fails). *)
+    writes), [all-fail] (every alternative fails). [guarded] and
+    [all-fail] are [sc_exclusive]: one alternative can succeed, or none;
+    [counters] and [teletype] race independent successes. *)
 
 val find_scenario : string -> scenario option
 (** Look a default scenario up by [sc_name]. The serving layer resolves

@@ -2,7 +2,6 @@ type t = int
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
 let to_int t = t
 let of_int n = n
 let pp ppf t = Format.fprintf ppf "P%d" t

@@ -10,7 +10,6 @@ type t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val to_int : t -> int
 (** [to_int pid] is the raw integer behind [pid]; stable for a given run. *)

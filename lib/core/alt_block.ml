@@ -3,7 +3,10 @@ type 'a outcome =
   | Block_failed of string
 
 (* Run one alternative in the current process against the current sink
-   state, rolling back on failure. Returns [Ok v] or [Error reason]. *)
+   state, rolling back on failure. Returns [Ok v] or [Error reason]. A
+   body that calls [Engine.abort] has failed, as it has in a concurrent
+   child; [Process_killed] is not a failure of the alternative and
+   propagates. *)
 let trial ctx (alt : 'a Alternative.t) snapshot =
   (* The snapshot fork cost is part of the trial. *)
   (match snapshot with
@@ -29,7 +32,7 @@ let trial ctx (alt : 'a Alternative.t) snapshot =
       Engine.charge_memory ctx;
       commit ();
       Ok v
-    | exception Alternative.Failed r -> fail r
+    | exception (Alternative.Failed r | Engine.Abort_process r) -> fail r
 
 (* The snapshot is the attempt's until commit releases it or rollback
    absorbs it: a process that leaves mid-attempt (killed, aborted or
@@ -52,27 +55,3 @@ let run_first ctx alts =
       | Error _ -> go (index + 1) rest)
   in
   go 0 alts
-
-let run_random ctx ~rng alts =
-  match alts with
-  | [] -> Block_failed "empty block"
-  | _ ->
-    let arr = Array.of_list alts in
-    let index = Rng.int rng (Array.length arr) in
-    (match attempt ctx arr.(index) with
-    | Ok value -> Selected { index; value }
-    | Error r -> Block_failed (Printf.sprintf "alternative %d failed: %s" index r))
-
-let run_oracle ctx ~costs alts =
-  match alts with
-  | [] -> Block_failed "empty block"
-  | _ ->
-    let arr = Array.of_list alts in
-    if Array.length costs <> Array.length arr then
-      invalid_arg "Alt_block.run_oracle: costs/alternatives length mismatch";
-    let best = ref 0 in
-    Array.iteri (fun i (c : float) -> if c < costs.(!best) then best := i) costs;
-    let index = !best in
-    (match attempt ctx arr.(index) with
-    | Ok value -> Selected { index; value }
-    | Error r -> Block_failed (Printf.sprintf "alternative %d failed: %s" index r))

@@ -40,8 +40,3 @@ let evaluate w ~overhead =
   let oracle = Stats.mean per_input_best in
   let scheme_c = oracle +. overhead in
   { scheme_a; scheme_b; scheme_c; oracle; pi_c_over_b = scheme_b /. scheme_c }
-
-let pp_evaluation ppf e =
-  Format.fprintf ppf
-    "A(static)=%.4g  B(random)=%.4g  C(concurrent)=%.4g  oracle=%.4g  PI(C/B)=%.3g"
-    e.scheme_a e.scheme_b e.scheme_c e.oracle e.pi_c_over_b

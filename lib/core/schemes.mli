@@ -32,5 +32,3 @@ type evaluation = {
 }
 
 val evaluate : workload -> overhead:float -> evaluation
-
-val pp_evaluation : Format.formatter -> evaluation -> unit

@@ -3,14 +3,10 @@ module IntMap = Map.Make (Int)
 type t = Term.t IntMap.t
 
 let empty = IntMap.empty
-let is_empty = IntMap.is_empty
-let cardinal = IntMap.cardinal
 
 let bind s i t =
   if IntMap.mem i s then invalid_arg "Subst.bind: variable already bound";
   IntMap.add i t s
-
-let lookup s i = IntMap.find_opt i s
 
 let rec walk s t =
   match t with

@@ -8,14 +8,10 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
-val cardinal : t -> int
 
 val bind : t -> int -> Term.t -> t
 (** Add a binding. Raises [Invalid_argument] if the variable is already
     bound (unification only binds free variables). *)
-
-val lookup : t -> int -> Term.t option
 
 val walk : t -> Term.t -> Term.t
 (** Dereference a chain of variable bindings until reaching a non-variable

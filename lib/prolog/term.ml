@@ -4,10 +4,6 @@ type t =
   | Int of int
   | Compound of string * t array
 
-let atom s = Atom s
-let var i = Var i
-let int i = Int i
-
 let compound f = function
   | [] -> Atom f
   | args -> Compound (f, Array.of_list args)

@@ -9,9 +9,6 @@ type t =
   | Int of int
   | Compound of string * t array
 
-val atom : string -> t
-val var : int -> t
-val int : int -> t
 val compound : string -> t list -> t
 (** [compound f []] collapses to [Atom f]. *)
 

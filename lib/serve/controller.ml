@@ -27,10 +27,10 @@
    Rungs (the tentpole's ladder):
      0  full service — the policy the request asked for
         (majority consensus for consensus policies);
-     1  consensus elision — lint-proven exclusive scenarios keep their
-        at-most-once guarantee through `?exclusive` (local latch, zero
-        sync messages); other classes downgrade sync to the local
-        latch;
+     1  consensus elision — scenarios proven exclusive
+        ([Invariants.scenario.sc_exclusive]) keep their at-most-once
+        guarantee through `?exclusive` (local latch, zero sync
+        messages); other classes downgrade sync to the local latch;
      2  sequential fallback — first-fit `Alt_block.run_first`, no
         speculation at all;
      3  shed — an honest `Rejected {Overload}`, no tokens consumed,

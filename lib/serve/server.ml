@@ -323,16 +323,19 @@ let plan (wl : Workload.config) (sv : config) (responses : response array) =
 (* Phase 2: batch execution.
 
    Each domain keeps one engine, and a batch runs on its domain's engine
-   after {!Engine.reset} with the batch's seed, jobs back to back. The
-   seed is derived from (workload seed, batch id) only, and a reset
-   engine is exactly a fresh one with that seed, tables' capacity aside.
-   Fault plan and circuit breakers are scoped to the batch, and a second
-   reset as the batch ends drops them with its processes, so an idle
-   domain's engine holds nothing of its last batch. The domain's site
-   topology and sanitizer are re-armed for each faulted or sanitized
-   batch and cleared or detached at its end, which drops their state. So executing batches on N domains in any order gives the
-   same per-batch results as one domain in dispatch order. The structures batches on a domain
-   share are that engine's tables and the domain's free-frame pool
+   after {!Engine.reset} with the batch's seed, jobs back to back, each
+   staged and run by {!Invariants.run_block}, the oracle's runner, in
+   the mode the batch's rung decides. The seed is derived from (workload
+   seed, batch id) only, and a reset engine is exactly a fresh one with
+   that seed, tables' capacity aside. Fault plan and circuit breakers
+   are scoped to the batch, and a second reset as the batch ends drops
+   them with its processes, so an idle domain's engine holds nothing of
+   its last batch. The domain's site topology and sanitizer are re-armed
+   for each faulted or sanitized batch and cleared or detached at its
+   end, which drops their state. So executing batches on N domains in
+   any order gives the same per-batch results as one domain in dispatch
+   order. The structures batches on a domain share are that engine's
+   tables and the domain's free-frame pool
    ({!Frame_store}): each job releases the address spaces it created,
    and their frames serve the next job and the next batch on that
    domain. A pooled frame is zero-filled and re-identified by the store
@@ -350,6 +353,9 @@ type job_result = {
   jr_violations : Report.violation list;
 }
 
+let unreached =
+  { jr_verdict = Failed "unreached"; jr_elapsed = 0.; jr_wasted = 0.; jr_violations = [] }
+
 let resolve_scenario name =
   match Invariants.find_scenario name with
   | Some sc -> sc
@@ -360,17 +366,6 @@ let policy_table = Array.of_list Invariants.policy_matrix
 let resolve_policy idx =
   if idx >= 0 && idx < Array.length policy_table then policy_table.(idx)
   else invalid_arg (Printf.sprintf "Server.run: policy index %d" idx)
-
-(* The serving layer's static exclusivity registry: scenarios whose
-   alternatives are provably mutually exclusive by construction, the
-   proof obligation `?exclusive` demands. "guarded" builds one closed
-   guard, one alternative that always raises, and exactly one that can
-   succeed; "all-fail" has no succeeding alternative at all. "counters"
-   and "teletype" race genuinely independent successes and must keep
-   their distributed latch. (The same judgement Lint's [Independent]
-   verdict encodes for Prolog goals, hand-established here because these
-   scenarios are OCaml closures.) *)
-let proven_exclusive = function "guarded" | "all-fail" -> true | _ -> false
 
 (* Five named failure domains per faulted batch engine, like the
    altcheck sites campaigns: voters spread across all five, coordinators
@@ -403,45 +398,67 @@ let partition_rules =
 let fault_rules cb_id =
   match cb_id mod 3 with 0 -> crash_rules | 1 -> partition_rules | _ -> []
 
-(* The fault sites whose breaker refuses a placement at [now], in site
-   order, asking each breaker once: [], and nothing built, while every
-   breaker allows. A site with no breaker yet has never failed, and a
-   fresh breaker allows without changing state, so it is not made. *)
-let rec refused_sites breakers ~now i =
+(* The fault sites whose breaker refuses a placement now, in site order,
+   asking each breaker once: [], and nothing built, while every breaker
+   allows. A site with no breaker yet has never failed, and a fresh
+   breaker allows without changing state, so it is not made. The clock
+   is read where a breaker is asked, so no float is boxed. *)
+let rec refused_sites engine breakers i =
   if i = Array.length breakers then []
   else
     let refuses =
       match breakers.(i) with
-      | Some b -> not (Breaker.allow b ~now)
+      | Some b -> not (Breaker.allow b ~now:(Engine.now engine))
       | None -> false
     in
-    let rest = refused_sites breakers ~now (i + 1) in
+    let rest = refused_sites engine breakers (i + 1) in
     if refuses then fault_site_names.(i) :: rest else rest
 
-(* Every incarnation that died charges its site's breaker. *)
-let rec charge_recoveries engine breaker ~now = function
+(* The fault site's breaker, made on its first recorded outcome. *)
+let breaker_of breakers config site =
+  let i = fault_site_index site 0 in
+  match breakers.(i) with
+  | Some b -> b
+  | None ->
+      let b = Breaker.create config in
+      breakers.(i) <- Some b;
+      b
+
+let rec charge_recoveries engine breakers config = function
   | [] -> ()
   | (failed, _successor, _epoch) :: rest ->
       (match Engine.site_of engine failed with
-      | Some s -> Breaker.record_failure (breaker s) ~now
+      | Some s ->
+          Breaker.record_failure (breaker_of breakers config s)
+            ~now:(Engine.now engine)
       | None -> ());
-      charge_recoveries engine breaker ~now rest
+      charge_recoveries engine breakers config rest
 
-(* Ladder rung 2: first-fit sequential execution in a fresh root
-   process, no speculation. The report is fabricated — honestly: it
-   claims no winner, no children and no sync traffic, and flags itself
-   degraded, which is exactly the shape [Invariants.check_report]
-   demands of a sequential fallback. *)
-let run_sequential engine ~space alts =
-  let outcome = ref None in
-  let t0 = Engine.now engine in
-  let pid =
-    Engine.spawn engine ~space ~cloneable:false ~name:"alt-seq" (fun ctx ->
-        outcome := Some (Alt_block.run_first ctx alts))
-  in
-  Engine.preserve_space engine pid;
-  Engine.run engine;
-  (!outcome, Engine.now engine -. t0)
+(* Every incarnation of a supervised block that died charges its site's
+   breaker; the final incarnation settles its own site by outcome. *)
+let settle_breakers engine breakers config (sr : _ Concurrent.supervised_report) =
+  charge_recoveries engine breakers config sr.Concurrent.sr_recoveries;
+  match sr.Concurrent.sr_site with
+  | Some s -> (
+      let b = breaker_of breakers config s in
+      match sr.Concurrent.sr_report.Concurrent.outcome with
+      | Alt_block.Selected _ -> Breaker.record_success b
+      | Alt_block.Block_failed _ ->
+          Breaker.record_failure b ~now:(Engine.now engine))
+  | None -> ()
+
+(* The answer to a request whose block ran: its outcome, the rung it ran
+   at and, for a supervised block, whether it recovered. *)
+let verdict ~level (b : Invariants.block) =
+  match b.Invariants.bl_report.Concurrent.outcome with
+  | Alt_block.Block_failed reason -> Failed reason
+  | Alt_block.Selected { index; value } -> (
+      if level > 0 then Served_degraded { alt = index; value; level }
+      else
+        match b.Invariants.bl_supervised with
+        | Some { Concurrent.sr_recoveries = _ :: _; sr_epoch; _ } ->
+            Recovered { alt = index; value; epochs = sr_epoch }
+        | _ -> Served { alt = index; value })
 
 (* The executing domain's batch engine, made on the domain's first batch. *)
 let engine_key =
@@ -483,15 +500,6 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
     Array.make (if Option.is_some sites then Array.length fault_site_names else 0)
       None
   in
-  let breaker site =
-    let i = fault_site_index site 0 in
-    match breakers.(i) with
-    | Some b -> b
-    | None ->
-        let b = Breaker.create sv.sv_breaker in
-        breakers.(i) <- Some b;
-        b
-  in
   let sanitizer =
     if sv.sv_sanitize then begin
       let sz = Domain.DLS.get sanitizer_key in
@@ -508,200 +516,94 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
     | Concurrent.Local -> false
   in
   (* The batch's rung, resolved to an execution mode once. A rung-1
-     class keeps its at-most-once story: scenarios in the static
-     exclusivity registry elide consensus through `?exclusive` (same
-     winner, zero sync messages); everything else downgrades to the
-     local latch. A rung-1 request that already asked for the local
-     latch gets exactly what it asked for — that is full service, not a
-     degradation, and is labelled honestly as such. *)
+     class keeps its at-most-once story: scenarios proven exclusive
+     ([sc_exclusive]) elide consensus through `?exclusive` (same winner,
+     zero sync messages); everything else downgrades to the local latch.
+     A rung-1 request that already asked for the local latch gets exactly
+     what it asked for — that is full service, not a degradation, and is
+     labelled honestly as such. Full-service consensus runs supervised
+     under a fault campaign. *)
   let eff_policy, eff_exclusive, eff_level =
     match cb.cb_level with
     | 0 -> (policy, false, 0)
-    | 1 when consensus_policy && proven_exclusive cb.cb_scenario ->
+    | 1 when consensus_policy && scenario.Invariants.sc_exclusive ->
         (policy, true, 1)
     | 1 when consensus_policy ->
         ({ policy with Concurrent.sync = Concurrent.Local }, false, 1)
     | 1 -> (policy, false, 0)
     | _ -> ({ policy with Concurrent.sync = Concurrent.Local }, false, 2)
   in
-  Array.map
-    (fun (rq : Workload.request) ->
-      let space =
-        Address_space.create (Engine.frame_store engine) (Engine.model engine)
-      in
-      scenario.Invariants.prepare engine space;
-      ignore (Address_space.drain_cost space);
-      let source =
-        if not scenario.Invariants.uses_source then None
-        else begin
-          let s =
-            Source.create engine
-              ~name:
-                (Printf.sprintf "%s-tty-%d" scenario.Invariants.sc_name
-                   rq.Workload.rq_id)
-          in
-          Source.feed s scenario.Invariants.source_script;
-          Some s
-        end
-      in
-      (match (sanitizer, source) with
-      | Some sz, Some src -> Sanitizer.observe_source sz src
-      | _ -> ());
-      let alts =
-        scenario.Invariants.alts engine ~seed:rq.Workload.rq_seed ~source
-      in
-      let t_start = Engine.now engine in
-      let deadline = t_start +. sv.sv_deadline in
-      (* A supervised restart leaves the job a second space: the final
-         incarnation's restored checkpoint. *)
-      let restored = ref None in
-      let jr =
-        if eff_level = 2 then begin
-          let outcome, elapsed = run_sequential engine ~space alts in
-          match outcome with
-          | None ->
-              (* The root died mid-fallback (site fault): no outcome,
-                 no invented one. *)
-              {
-                jr_verdict = Failed "coordinator lost";
-                jr_elapsed = elapsed;
-                jr_wasted = 0.;
-                jr_violations = [];
-              }
-          | Some outcome ->
-              let attempted =
-                match outcome with
-                | Alt_block.Selected { index; _ } -> index + 1
-                | Alt_block.Block_failed _ -> List.length alts
-              in
-              let rep =
-                {
-                  Concurrent.outcome;
-                  winner = None;
-                  children = [];
-                  elapsed;
-                  setup_cost = 0.;
-                  spawned = 0;
-                  selection_cost = 0.;
-                  wasted_cpu = 0.;
-                  child_cow_copies = 0;
-                  sync_messages = 0;
-                  attempted;
-                  degraded = true;
-                }
-              in
-              let violations =
+  let mode =
+    match sites with
+    | _ when eff_level = 2 -> Invariants.Sequential
+    | Some sites when consensus_policy && eff_level = 0 ->
+        Invariants.Supervised
+          {
+            sites;
+            max_restarts = sv.sv_retry_budget;
+            budget = sv.sv_deadline;
+            avoid_sites = (fun () -> refused_sites engine breakers 0);
+          }
+    | _ -> Invariants.Racing { exclusive = eff_exclusive; budget = sv.sv_deadline }
+  in
+  (* A loop, not [Array.map]: the body reads a dozen batch values, and a
+     loop allocates no closure over them. *)
+  let results = Array.make (Array.length cb.cb_jobs) unreached in
+  for j = 0 to Array.length cb.cb_jobs - 1 do
+    let rq = cb.cb_jobs.(j) in
+    let t_start = Engine.now engine in
+    let seed = rq.Workload.rq_seed in
+    let source_name =
+      if scenario.Invariants.uses_source then
+        Some
+          (scenario.Invariants.sc_name ^ "-tty-" ^ string_of_int rq.Workload.rq_id)
+      else None
+    in
+    results.(j) <-
+      (match
+         Invariants.run_block ?sanitizer ?source_name engine scenario mode
+           ~policy:eff_policy ~seed
+       with
+      | b ->
+          let rep = b.Invariants.bl_report in
+          let violations =
+            match b.Invariants.bl_supervised with
+            | None ->
                 Invariants.check_report ~scenario:cb.cb_scenario
-                  ~policy:eff_policy ~seed:rq.Workload.rq_seed rep
-              in
-              let verdict =
-                match outcome with
-                | Alt_block.Selected { index; value } ->
-                    Served_degraded { alt = index; value; level = 2 }
-                | Alt_block.Block_failed reason -> Failed reason
-              in
-              {
-                jr_verdict = verdict;
-                jr_elapsed = elapsed;
-                jr_wasted = 0.;
-                jr_violations = violations;
-              }
-        end
-        else begin
-          let supervise =
-            Option.is_some sites && consensus_policy && eff_level = 0
+                  ~policy:eff_policy ~seed rep
+            | Some sr ->
+                settle_breakers engine breakers sv.sv_breaker sr;
+                Invariants.check_supervised_report ~scenario:cb.cb_scenario
+                  ~policy:eff_policy ~seed sr
           in
-          if supervise then begin
-            let sites = Option.get sites in
-            let avoid = refused_sites breakers ~now:t_start 0 in
-            let sr =
-              Concurrent.run_supervised engine ~policy ~space
-                ~max_restarts:sv.sv_retry_budget ~deadline ~avoid_sites:avoid
-                ~sites alts
-            in
-            restored := sr.Concurrent.sr_space;
-            let now = Engine.now engine in
-            (* Every incarnation that died charges its site's breaker;
-               the final incarnation settles its own site by outcome. *)
-            charge_recoveries engine breaker ~now sr.Concurrent.sr_recoveries;
-            (match sr.Concurrent.sr_site with
-            | Some s -> (
-                match sr.Concurrent.sr_report.Concurrent.outcome with
-                | Alt_block.Selected _ -> Breaker.record_success (breaker s)
-                | Alt_block.Block_failed _ ->
-                    Breaker.record_failure (breaker s) ~now)
-            | None -> ());
-            let violations =
-              Invariants.check_supervised_report ~scenario:cb.cb_scenario
-                ~policy ~seed:rq.Workload.rq_seed sr
-            in
-            let rep = sr.Concurrent.sr_report in
-            let verdict =
-              match rep.Concurrent.outcome with
-              | Alt_block.Selected { index; value } ->
-                  if sr.Concurrent.sr_recoveries <> [] then
-                    Recovered
-                      { alt = index; value; epochs = sr.Concurrent.sr_epoch }
-                  else Served { alt = index; value }
-              | Alt_block.Block_failed reason -> Failed reason
-            in
-            {
-              jr_verdict = verdict;
-              jr_elapsed = rep.Concurrent.elapsed;
-              jr_wasted = rep.Concurrent.wasted_cpu;
-              jr_violations = violations;
-            }
-          end
-          else begin
-            match
-              Concurrent.run_toplevel engine ~policy:eff_policy ~space
-                ~exclusive:eff_exclusive ~deadline alts
-            with
-            | rep ->
-                let violations =
-                  Invariants.check_report ~scenario:cb.cb_scenario
-                    ~policy:eff_policy ~seed:rq.Workload.rq_seed rep
-                in
-                let verdict =
-                  match rep.Concurrent.outcome with
-                  | Alt_block.Selected { index; value } when eff_level > 0 ->
-                      Served_degraded { alt = index; value; level = eff_level }
-                  | Alt_block.Selected { index; value } ->
-                      Served { alt = index; value }
-                  | Alt_block.Block_failed reason -> Failed reason
-                in
-                {
-                  jr_verdict = verdict;
-                  jr_elapsed = rep.Concurrent.elapsed;
-                  jr_wasted = rep.Concurrent.wasted_cpu;
-                  jr_violations = violations;
-                }
-            | exception Failure _ when Option.is_some sites ->
-                (* The unsupervised root was killed by the fault campaign
-                   (rung >= 1 trades the watchdog away, and local-latch
-                   blocks never had one): an honest loss, never a made-up
-                   answer. *)
-                {
-                  jr_verdict = Failed "coordinator lost";
-                  jr_elapsed = Engine.now engine -. t_start;
-                  jr_wasted = 0.;
-                  jr_violations = [];
-                }
-          end
-        end
-      in
-      (* The engine hosts the next job's block too: reset the sanitizer's
-         at-most-once scope so job n+1's win is not a "duplicate" of job
-         n's. *)
-      (match sanitizer with Some sz -> Sanitizer.next_block sz | None -> ());
-      (* The job is audited and nothing reads its spaces again: return
-         their frames to the domain's pool (release is idempotent, so a
-         restored space that is the request space itself is fine). *)
-      Address_space.release space;
-      Option.iter Address_space.release !restored;
-      jr)
-    cb.cb_jobs
-  |> fun results ->
+          (* The job is audited and nothing reads its spaces again: return
+             their frames to the domain's pool (release is idempotent, so
+             a restored space that is the request space itself is fine). *)
+          Address_space.release b.Invariants.bl_space;
+          (match b.Invariants.bl_supervised with
+          | Some { Concurrent.sr_space = Some sp; _ } -> Address_space.release sp
+          | _ -> ());
+          {
+            jr_verdict = verdict ~level:eff_level b;
+            jr_elapsed = rep.Concurrent.elapsed;
+            jr_wasted = rep.Concurrent.wasted_cpu;
+            jr_violations = violations;
+          }
+      | exception Failure _ when Option.is_some sites ->
+          (* The fault campaign killed an unsupervised root (rung >= 1
+             trades the watchdog away, and local-latch blocks never had
+             one): an honest loss, never a made-up answer. *)
+          {
+            jr_verdict = Failed "coordinator lost";
+            jr_elapsed = Engine.now engine -. t_start;
+            jr_wasted = 0.;
+            jr_violations = [];
+          });
+    (* The engine hosts the next job's block too: reset the sanitizer's
+       at-most-once scope so job n+1's win is not a "duplicate" of job
+       n's. *)
+    match sanitizer with Some sz -> Sanitizer.next_block sz | None -> ()
+  done;
   let sz_viols =
     match sanitizer with
     | None -> []

@@ -51,7 +51,7 @@ let counter_read =
               ~name:(Printf.sprintf "cr%d" i)
               (fun ctx ->
                 Engine.delay ctx (0.001 *. float_of_int (i + 1));
-                if seed = 1 then i else Atomic.fetch_and_add reads 1)));
+                if seed = 1 then i else Atomic.fetch_and_add reads 1)));    sc_exclusive = false;
   }
 
 (* Seeds 1..3 of one campaign and one policy: cell 0 is clean, cells 1

@@ -158,23 +158,6 @@ let test_schemes_distributions () =
     (Array.iter (fun v -> if v < 0. then Alcotest.fail "exponential negative"))
     e.Schemes.times
 
-let test_run_random_spread () =
-  (* Over many seeds, run_random must pick different alternatives. *)
-  let picked = Hashtbl.create 8 in
-  for seed = 1 to 40 do
-    let eng = Engine.create ~trace:false () in
-    let rng = Rng.create ~seed in
-    let outcome =
-      in_process eng (fun ctx ->
-          Alt_block.run_random ctx ~rng (List.init 4 (fun i -> Alternative.fixed ~cost:1. i)))
-    in
-    match outcome with
-    | Alt_block.Selected { index; _ } -> Hashtbl.replace picked index ()
-    | Alt_block.Block_failed _ -> Alcotest.fail "no failure expected"
-  done;
-  check Alcotest.bool "at least three of four alternatives chosen" true
-    (Hashtbl.length picked >= 3)
-
 let () =
   Alcotest.run "scale"
     [
@@ -191,6 +174,5 @@ let () =
           Alcotest.test_case "clause_of_string" `Quick test_parser_clause_of_string_errors;
           Alcotest.test_case "empty checkpoint" `Quick test_checkpoint_empty_space;
           Alcotest.test_case "scheme distributions" `Quick test_schemes_distributions;
-          Alcotest.test_case "run_random spread" `Quick test_run_random_spread;
         ] );
     ]
