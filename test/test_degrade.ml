@@ -493,9 +493,13 @@ let test_deadline_bounds_the_block () =
     }
   in
   let eng = Engine.create ~model:Cost_model.att_3b2 () in
-  let scenario = List.hd Invariants.default_scenarios in
-  let alts = scenario.Invariants.alts eng ~seed:1 ~source:None in
-  let report = Concurrent.run_toplevel eng ~policy ~deadline:1.0 alts in
+  let report =
+    (Invariants.run_block eng
+       (List.hd Invariants.default_scenarios)
+       (Invariants.Racing { exclusive = false; budget = 1.0 })
+       ~policy ~seed:1)
+      .Invariants.bl_report
+  in
   (match report.Concurrent.outcome with
   | Alt_block.Block_failed _ -> ()
   | Alt_block.Selected _ -> Alcotest.fail "no quorum: the block cannot decide");
@@ -515,6 +519,17 @@ let test_chaos_campaign_recovers_and_stays_deterministic () =
     "0 violations, replay identical, jobs-1 = jobs-2 under chaos" true
     (Chaosserve.chaos_ok r v)
 
+(* The counters block at seed 1, supervised on [sites]. *)
+let supervised_counters eng sites ~policy =
+  let b =
+    Invariants.run_block eng
+      (List.hd Invariants.default_scenarios)
+      (Invariants.Supervised
+         { sites; max_restarts = 2; budget = infinity; avoid_sites = (fun () -> []) })
+      ~policy ~seed:1
+  in
+  Option.get b.Invariants.bl_supervised
+
 let test_supervised_audit_catches_stale_epoch () =
   (* A clean supervised run, then a tampered copy claiming its answer
      came from a later epoch than its incarnations justify: the audit
@@ -530,13 +545,7 @@ let test_supervised_audit_catches_stale_epoch () =
           { nodes = 3; crashed = []; vote_delay = 0.0002; reply_timeout = 0.5 };
     }
   in
-  let scenario = List.hd Invariants.default_scenarios in
-  let space =
-    Address_space.create (Engine.frame_store eng) (Engine.model eng)
-  in
-  scenario.Invariants.prepare eng space;
-  let alts = scenario.Invariants.alts eng ~seed:1 ~source:None in
-  let sr = Concurrent.run_supervised eng ~policy ~space ~sites alts in
+  let sr = supervised_counters eng sites ~policy in
   check Alcotest.int "clean supervised run passes the audit" 0
     (List.length
        (Invariants.check_supervised_report ~scenario:"counters" ~policy
@@ -561,9 +570,7 @@ let test_supervised_audit_order_and_clean_cost () =
           { nodes = 3; crashed = []; vote_delay = 0.0002; reply_timeout = 0.5 };
     }
   in
-  let scenario = List.hd Invariants.default_scenarios in
-  let alts = scenario.Invariants.alts eng ~seed:1 ~source:None in
-  let sr = Concurrent.run_supervised eng ~policy ~sites alts in
+  let sr = supervised_counters eng sites ~policy in
   let audit sr = Invariants.check_supervised_report ~scenario:"counters" ~policy ~seed:1 sr in
   let inner = sr.Concurrent.sr_report in
   let words =
