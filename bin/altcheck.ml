@@ -32,7 +32,7 @@
 
    Exit code 0 when every run satisfies every invariant; otherwise the
    exit code of the most severe violated class. Every code altcheck can
-   produce lives in Report.registry ('altcheck codes' prints the table). *)
+   produce lives in Report's registry ('altcheck codes' prints the table). *)
 
 (* The Prolog term module, captured before [open Cmdliner] shadows it
    with Cmdliner.Term. *)

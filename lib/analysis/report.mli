@@ -4,7 +4,7 @@
     to distinct process exit codes so that scripted runs of [altcheck] can
     tell {e which} invariant of the paper broke without parsing output. All
     exit codes [altcheck] can produce — checker classes, the determinism
-    contract, and the lint verdicts — live in one {!registry}; the CLI
+    contract, and the lint verdicts — live in one registry; the CLI
     table ([altcheck codes]) and the docs are derived from it. *)
 
 (** The invariant families, in severity order (most fundamental first). *)
@@ -50,15 +50,9 @@ type code_info = {
   source : string;  (** The source file the code's logic lives in. *)
 }
 
-val registry : code_info list
-(** Every exit code [altcheck] can produce, in ascending order: [0] (ok),
-    [10]-[17] (checker classes), [20] (determinism contract), [21]-[22]
-    (lint verdicts). The single source of truth: the CLI and docs derive
-    their tables from this list. *)
-
 val code_of_label : string -> int
 (** Look a code up by its label. Raises [Invalid_argument] on labels not in
-    {!registry}. *)
+    the registry. *)
 
 val code_determinism : int
 (** Exit code of a jobs-1 vs jobs-N report mismatch (20). *)

@@ -78,7 +78,6 @@ let[@inline] unit_float t =
   float_of_int bits *. 0x1p-53
 
 let float t x = unit_float t *. x
-let bool t = Int64.logand (step t) 1L = 1L
 let bernoulli t ~p = unit_float t < p
 
 let exponential t ~mean =

@@ -37,8 +37,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
 

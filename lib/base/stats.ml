@@ -58,7 +58,3 @@ let summarize xs =
     max = max xs;
     median = median xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g med=%.6g max=%.6g" s.n
-    s.mean s.stddev s.min s.median s.max

@@ -5,13 +5,7 @@
 val mean : float array -> float
 (** Arithmetic mean. Raises [Invalid_argument] on an empty array. *)
 
-val variance : float array -> float
-(** Population variance. *)
-
-val stddev : float array -> float
-
 val min : float array -> float
-val max : float array -> float
 
 val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0,100\]], linear interpolation between
@@ -19,16 +13,13 @@ val percentile : float array -> p:float -> float
 
 val median : float array -> float
 
-val sum : float array -> float
-
 type summary = {
   n : int;
   mean : float;
-  stddev : float;
+  stddev : float;  (** Population standard deviation. *)
   min : float;
   max : float;
   median : float;
 }
 
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit

@@ -160,7 +160,6 @@ let create engine ~nodes ?(crashed = []) ?(vote_delay = 0.) ?(sites = []) () =
   t
 
 let node_pids t = t.pids
-let nodes t = t.n
 let majority t = (t.n / 2) + 1
 
 let fence t ~epoch =

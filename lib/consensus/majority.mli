@@ -33,10 +33,6 @@ val create :
 val node_pids : t -> Pid.t array
 (** The voters' pids, ascending by voter index. *)
 
-val nodes : t -> int
-val majority : t -> int
-(** Votes needed: [nodes/2 + 1]. *)
-
 (** How an acquisition round ended. [Denied] is {e final}: enough voters
     explicitly denied that a majority is impossible, and since grants are
     permanent a retry cannot change the answer. [No_quorum] is {e

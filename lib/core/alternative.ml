@@ -28,8 +28,3 @@ let fixed ?(name = "fixed") ~cost v =
   make ~name ~footprint:pure (fun ctx ->
       Engine.delay ctx cost;
       v)
-
-let failing ?(name = "failing") ~cost () =
-  make ~name ~footprint:pure (fun ctx ->
-      Engine.delay ctx cost;
-      raise (Failed name))

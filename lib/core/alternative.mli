@@ -32,10 +32,6 @@ type footprint = {
           with. *)
 }
 
-val pure : footprint
-(** No writes, no source, no endpoints: the footprint of {!fixed} and
-    {!failing}. *)
-
 val footprint :
   ?writes:(int * int) list ->
   ?reads_source:bool ->
@@ -79,5 +75,3 @@ val fixed : ?name:string -> cost:float -> 'a -> 'a t
     the value: the synthetic computation used throughout the performance
     experiments. *)
 
-val failing : ?name:string -> cost:float -> unit -> 'a t
-(** Consumes [cost] seconds, then fails. *)

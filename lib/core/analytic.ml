@@ -1,16 +1,4 @@
-type overhead = { setup : float; runtime : float; selection : float }
-
-let overhead_total o = o.setup +. o.runtime +. o.selection
-let zero_overhead = { setup = 0.; runtime = 0.; selection = 0. }
-
-let pi ~times ~overhead =
-  if Array.length times = 0 then invalid_arg "Analytic.pi: no alternatives";
-  if overhead < 0. then invalid_arg "Analytic.pi: negative overhead";
-  Stats.mean times /. (Stats.min times +. overhead)
-
-let wins ~times ~overhead = pi ~times ~overhead > 1.
-
-let break_even_overhead ~times = Stats.mean times -. Stats.min times
+let pi ~times ~overhead = Stats.mean times /. (Stats.min times +. overhead)
 
 type row = {
   label : string;
@@ -34,9 +22,3 @@ let table_4_3 () =
     mk "(5)" [| 115; 120; 125 |] 1.0;
     mk "(6)" [| 100; 200; 300 |] 1.9;
   ]
-
-let pp_row ppf r =
-  Format.fprintf ppf "%s  tau=(%s)  overhead=%g  PI=%.2f (paper: %.2f)" r.label
-    (String.concat ", "
-       (Array.to_list (Array.map (fun x -> Format.asprintf "%g" x) r.times)))
-    r.overhead r.pi_value r.pi_paper

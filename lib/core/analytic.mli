@@ -7,34 +7,11 @@
 
     {v PI = tau(C_mean, x) / (tau(C_best, x) + tau(overhead)) v}
 
-    and the parallel execution wins iff [PI > 1]. *)
-
-type overhead = {
-  setup : float;
-      (** Creating execution environments: process-table entries and page
-          map tables for [C1..CN]. *)
-  runtime : float;
-      (** Copying shared memory areas on update, plus cycles lost to
-          siblings when alternatives share processors. *)
-  selection : float;
-      (** Choosing [C_best]: deleting the others and cleaning up. *)
-}
-
-val overhead_total : overhead -> float
-val zero_overhead : overhead
-
-val pi : times:float array -> overhead:float -> float
-(** The performance improvement ratio. [times] must be non-empty and
-    [overhead] non-negative. *)
-
-val wins : times:float array -> overhead:float -> bool
-(** [pi > 1]: the condition
-    [tau(C_best) + tau(overhead) < (sum tau(Ci)) / N]. *)
-
-val break_even_overhead : times:float array -> float
-(** Largest overhead at which concurrent execution still ties the
-    sequential baseline: [mean - best]. Negative dispersion is impossible,
-    so this is always [>= 0]. *)
+    and the parallel execution wins iff [PI > 1]. The overhead covers
+    creating the execution environments (process-table entries and page
+    map tables for [C1..CN]), copying shared memory on update plus cycles
+    lost to siblings sharing processors, and selecting [C_best] (deleting
+    the others and cleaning up). *)
 
 (** {2 The section 4.3 example table}
 
@@ -50,5 +27,3 @@ type row = {
 }
 
 val table_4_3 : unit -> row list
-
-val pp_row : Format.formatter -> row -> unit

@@ -290,11 +290,6 @@ let check_goal db goal =
                    })))
     end
 
-let proven_exclusive db goal =
-  match (check_goal db goal).verdict with
-  | Independent _ -> true
-  | Conflicting _ | Unknown _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Declared effect footprints. *)
 

@@ -49,10 +49,6 @@ type finding = {
 val check_goal : Database.t -> Term.t -> finding
 (** Analyse the OR branches of [goal] against the database. *)
 
-val proven_exclusive : Database.t -> Term.t -> bool
-(** [true] iff {!check_goal} returns {!Independent} — the form consumed by
-    {!Or_parallel.solve_sim}'s [?exclusive]. *)
-
 val check_footprints : label:string -> 'a Alternative.t list -> finding
 (** Compare the declared footprints of a block's alternatives pairwise.
     Any alternative with no declared footprint makes the verdict

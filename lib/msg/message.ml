@@ -10,12 +10,6 @@ type t = {
 
 let header_bytes = 32
 
-let make ~sender ~dest ~predicate ?(tag = "") ~seq payload =
-  { sender; dest; predicate; payload; tag; seq;
-    size = header_bytes + Payload.size_bytes payload }
-
-let size_bytes t = t.size
-
 let pp ppf t =
   Format.fprintf ppf "%a->%a #%d %s%s%a %a" Pid.pp t.sender Pid.pp t.dest t.seq
     t.tag

@@ -17,21 +17,8 @@ type t = {
 }
 
 val header_bytes : int
-(** Fixed per-message header estimate added to the payload size. Exposed
-    so the engine's send path, which builds its message record inline,
-    prices messages identically to {!make}. *)
-
-val make :
-  sender:Pid.t ->
-  dest:Pid.t ->
-  predicate:Predicate.t ->
-  ?tag:string ->
-  seq:int ->
-  Payload.t ->
-  t
-
-val size_bytes : t -> int
-(** Payload size plus a fixed header estimate, for message costing.
-    Constant time: the payload tree is measured once, in {!make}. *)
+(** Fixed per-message header estimate: a message's [size] is this plus
+    {!Payload.size_bytes} of its payload, measured once when the engine's
+    send path builds the record. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,8 +16,6 @@ let rec size_bytes = function
   | Pair (a, b) -> 2 + size_bytes a + size_bytes b
   | List l -> 4 + List.fold_left (fun acc x -> acc + size_bytes x) 0 l
 
-let equal = ( = )
-
 let rec pp ppf = function
   | Unit -> Format.fprintf ppf "()"
   | Bool b -> Format.fprintf ppf "%b" b
@@ -33,9 +31,5 @@ let rec pp ppf = function
 let to_string t = Format.asprintf "%a" pp t
 
 let int i = Int i
-let str s = Str s
-let pair a b = Pair (a, b)
 
 let get_int = function Int i -> i | _ -> invalid_arg "Payload.get_int"
-let get_str = function Str s -> s | _ -> invalid_arg "Payload.get_str"
-let get_pair = function Pair (a, b) -> (a, b) | _ -> invalid_arg "Payload.get_pair"

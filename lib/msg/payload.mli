@@ -18,19 +18,14 @@ type t =
   | List of t list
 
 val size_bytes : t -> int
-(** Wire-size estimate used by {!Cost_model.message_cost}. *)
+(** Wire-size estimate, which the model prices per byte. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** Convenience constructors and partial projections (raising
-    [Invalid_argument] on shape mismatch, for use in tests and examples
-    where the protocol fixes the shape). *)
+(** A convenience constructor and partial projection (raising
+    [Invalid_argument] on shape mismatch, for use in examples where the
+    protocol fixes the shape). *)
 
 val int : int -> t
-val str : string -> t
-val pair : t -> t -> t
 val get_int : t -> int
-val get_str : t -> string
-val get_pair : t -> t * t

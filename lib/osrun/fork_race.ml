@@ -130,9 +130,3 @@ let run ?timeout alternatives =
     end
   in
   wait ()
-
-let run_exn ?timeout alternatives =
-  match run ?timeout alternatives with
-  | Winner { value; _ } -> value
-  | All_failed _ -> failwith "Fork_race: all alternatives failed"
-  | Timed_out _ -> failwith "Fork_race: timed out"

@@ -28,6 +28,3 @@ val run : ?timeout:float -> (unit -> 'a) list -> 'a outcome
     isolation that {!Page_map} provides in simulation). The winner's state
     changes must therefore travel in the returned value; this is the
     "method result" discipline of the paper's message layer. *)
-
-val run_exn : ?timeout:float -> (unit -> 'a) list -> 'a
-(** Like {!run} but raises [Failure] unless there is a winner. *)

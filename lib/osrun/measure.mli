@@ -6,9 +6,6 @@
     same methodology: fork a child over an address space of known size, have
     it dirty a chosen fraction of the pages, and time the operation. *)
 
-val page_size : unit -> int
-(** The host's page size in bytes (usually 4096). *)
-
 val fork_latency : ?image_bytes:int -> iters:int -> unit -> Stats.summary
 (** Wall-clock seconds for [fork] + child [_exit] + [waitpid], with
     [image_bytes] (default 320 KiB, the paper's test size) of touched heap

@@ -97,38 +97,6 @@ let release t = Page_map.release t.map_
    access stays inside one page; only a page-crossing access (or a
    serviced fault, which is priced anyway) takes the allocating route. *)
 
-let get_u8 t ~addr =
-  check_addr ~addr ~len:1;
-  let ps = page_size t in
-  Page_map.get_u8 t.map_ ~vpage:(addr / ps) ~off:(addr mod ps)
-
-let set_u8 t ~addr v =
-  if v < 0 || v > 0xff then invalid_arg "Address_space.set_u8";
-  check_addr ~addr ~len:1;
-  let ps = page_size t in
-  if Page_map.set_u8 t.map_ ~vpage:(addr / ps) ~off:(addr mod ps) v then
-    fault_cost t
-
-let get_i64 t ~addr =
-  check_addr ~addr ~len:8;
-  let ps = page_size t in
-  let off = addr mod ps in
-  if off + 8 <= ps then Page_map.get_i64 t.map_ ~vpage:(addr / ps) ~off
-  else Bytes.get_int64_le (read_bytes t ~addr ~len:8) 0
-
-let set_i64 t ~addr v =
-  check_addr ~addr ~len:8;
-  let ps = page_size t in
-  let off = addr mod ps in
-  if off + 8 <= ps then begin
-    if Page_map.set_i64 t.map_ ~vpage:(addr / ps) ~off v then fault_cost t
-  end
-  else begin
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 v;
-    write_bytes t ~addr b
-  end
-
 let get_int t ~addr =
   check_addr ~addr ~len:8;
   let ps = page_size t in
@@ -149,10 +117,6 @@ let set_int t ~addr v =
     write_bytes t ~addr b
   end
 
-let get_float t ~addr = Int64.float_of_bits (get_i64 t ~addr)
-let set_float t ~addr v = set_i64 t ~addr (Int64.bits_of_float v)
-
-let get_string t ~addr ~len = Bytes.to_string (read_bytes t ~addr ~len)
 let set_string t ~addr s = write_bytes t ~addr (Bytes.of_string s)
 
 (* A pure fault probe: no byte is read or written, so a page that is

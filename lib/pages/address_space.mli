@@ -31,25 +31,14 @@ val absorb : parent:t -> child:t -> unit
 
 val release : t -> unit
 
-val read_bytes : t -> addr:int -> len:int -> bytes
-val write_bytes : t -> addr:int -> bytes -> unit
-(** Reads and writes may span page boundaries; writes accumulate
-    copy-on-write fault costs into the pending total. Negative addresses
-    raise [Invalid_argument]. *)
+(** Accesses may span page boundaries; writes accumulate copy-on-write
+    fault costs into the pending cost. Negative addresses raise
+    [Invalid_argument]. [get_int]/[set_int] (8 bytes, little-endian) route
+    through {!Page_map}'s in-place fast paths when the access does not
+    cross a page boundary, and are allocation-free on that path. *)
 
-(** Scalar accessors route through {!Page_map}'s in-place fast paths when
-    the access does not cross a page boundary; [get_u8]/[set_u8]/
-    [get_int]/[set_int] are allocation-free on that path. *)
-
-val get_u8 : t -> addr:int -> int
-val set_u8 : t -> addr:int -> int -> unit
-val get_i64 : t -> addr:int -> int64
-val set_i64 : t -> addr:int -> int64 -> unit
 val get_int : t -> addr:int -> int
 val set_int : t -> addr:int -> int -> unit
-val get_float : t -> addr:int -> float
-val set_float : t -> addr:int -> float -> unit
-val get_string : t -> addr:int -> len:int -> string
 val set_string : t -> addr:int -> string -> unit
 
 val touch : t -> addr:int -> len:int -> unit
@@ -59,11 +48,9 @@ val touch : t -> addr:int -> len:int -> unit
     copy-on-write fault; already-private pages are free. Models a program
     whose working set dirties a known fraction of its pages. *)
 
-val pending_cost : t -> float
-(** Accumulated un-charged cost. *)
-
 val drain_cost : t -> float
-(** Return the pending cost and reset it to zero. *)
+(** Return the cost accumulated since the last drain and reset it to
+    zero. *)
 
 val cow_copies : t -> int
 val mapped_pages : t -> int

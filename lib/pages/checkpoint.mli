@@ -30,8 +30,8 @@ val release : image -> unit
 (** Return the image's frames to the domain's free-frame pool. Idempotent.
     After it, {!restore} and {!to_bytes} raise
     [Invalid_argument "Checkpoint: image released"] (the frames may
-    already hold another store's pages); {!mapped_pages}, {!size_bytes}
-    and {!transfer_cost} still answer. *)
+    already hold another store's pages); {!mapped_pages} and
+    {!transfer_cost} still answer. *)
 
 val restore : Frame_store.t -> Cost_model.t -> image -> Address_space.t
 (** Materialise the image as a fresh private address space in the given
@@ -42,12 +42,10 @@ val restore : Frame_store.t -> Cost_model.t -> image -> Address_space.t
 
 val mapped_pages : image -> int
 
-val size_bytes : image -> int
-(** Wire size of the checkpoint: what a remote fork must ship. *)
-
 val to_bytes : image -> bytes
 (** Serialise to a flat byte string (the "executable file" of the paper's
-    implementation). Raises [Invalid_argument] if the image was
+    implementation): a 16-byte header, then an 8-byte header and the
+    contents of each mapped page. Raises [Invalid_argument] if the image was
     released. *)
 
 val of_bytes : bytes -> image

@@ -105,5 +105,3 @@ let copy_cost m ~pages = float_of_int pages *. m.page_copy
 
 let remote_spawn_cost m ~mapped_pages =
   m.remote_spawn_base +. (float_of_int mapped_pages *. m.remote_per_page)
-
-let message_cost m ~bytes = m.msg_latency +. (float_of_int bytes *. m.msg_per_byte)

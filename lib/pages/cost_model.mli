@@ -70,6 +70,3 @@ val copy_cost : t -> pages:int -> float
 val remote_spawn_cost : t -> mapped_pages:int -> float
 (** Mechanism cost of a remote fork shipping [mapped_pages] pages. *)
 
-val message_cost : t -> bytes:int -> float
-(** End-to-end cost of delivering one message of [bytes] payload bytes. *)
-

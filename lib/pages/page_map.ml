@@ -361,9 +361,8 @@ let write t ~vpage ~off ~src ~copied =
     copied := true
 
 (* ------------------------------------------------------------------ *)
-(* Scalar fast paths: no [Bytes.sub]/[Bytes.make] per access. The [int]
-   forms are additionally allocation-free (the [int64] forms return a
-   boxed value by nature). *)
+(* Scalar fast paths: no [Bytes.sub]/[Bytes.make] per access, and no
+   allocation. *)
 
 let get_u8 t ~vpage ~off =
   check t;
@@ -380,23 +379,9 @@ let set_u8 t ~vpage ~off v =
   Bytes.unsafe_set (Frame_store.data f) off (Char.unsafe_chr v);
   t.fault
 
-let get_i64 t ~vpage ~off =
-  check t;
-  bounds_check t ~off ~len:8;
-  let f = Tbl.find t.frames vpage in
-  if f == no_frame then 0L else Bytes.get_int64_le (Frame_store.data f) off
-
-let set_i64 t ~vpage ~off v =
-  check t;
-  bounds_check t ~off ~len:8;
-  let f = prepare_write t vpage in
-  Frame_store.notify_write t.store ~map:t.id ~vpage f;
-  Bytes.set_int64_le (Frame_store.data f) off v;
-  t.fault
-
-(* Little-endian 63-bit load: equals [Int64.to_int (get_i64 ...)] (the
-   top bit is dropped by [lsl]'s modular semantics), written out byte by
-   byte so no intermediate [int64] is boxed. *)
+(* Little-endian 63-bit load: equals [Int64.to_int] of the little-endian
+   [int64] (the top bit is dropped by [lsl]'s modular semantics), written
+   out byte by byte so no intermediate [int64] is boxed. *)
 let get_int t ~vpage ~off =
   check t;
   bounds_check t ~off ~len:8;

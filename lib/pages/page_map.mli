@@ -89,18 +89,15 @@ val write_from :
 (** {2 Scalar fast paths}
 
     Single-value accessors that touch the frame bytes in place — no
-    [Bytes.sub]/[Bytes.make] per access. The [int] forms are additionally
-    allocation-free; [get_int]/[set_int] use the little-endian [int64]
-    encoding truncated to OCaml's 63-bit [int] (identical to
-    [Int64.to_int] of {!get_i64}). All raise [Invalid_argument] when the
+    [Bytes.sub]/[Bytes.make] per access, and no allocation;
+    [get_int]/[set_int] use the little-endian [int64] encoding truncated to
+    OCaml's 63-bit [int]. All raise [Invalid_argument] when the
     access would cross the page boundary; {!Address_space} falls back to
     the byte-range path in that case. Setters return [true] iff a
     copy-on-write fault was serviced. *)
 
 val get_u8 : t -> vpage:int -> off:int -> int
 val set_u8 : t -> vpage:int -> off:int -> int -> bool
-val get_i64 : t -> vpage:int -> off:int -> int64
-val set_i64 : t -> vpage:int -> off:int -> int64 -> bool
 val get_int : t -> vpage:int -> off:int -> int
 val set_int : t -> vpage:int -> off:int -> int -> bool
 

@@ -168,20 +168,6 @@ let equal_ints a b = Array.length a = Array.length b && equal_from a b 0
 
 let equal a b = a == b || (equal_ints a.completes b.completes && equal_ints a.fails b.fails)
 
-(* Lexicographic over the ascending elements, a proper prefix first:
-   exactly the order [Pid.Set.compare] gives. *)
-let rec compare_from a b i =
-  let na = Array.length a and nb = Array.length b in
-  if i = na then if i = nb then 0 else -1
-  else if i = nb then 1
-  else
-    let c = Int.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
-    if c <> 0 then c else compare_from a b (i + 1)
-
-let compare a b =
-  let c = compare_from a.completes b.completes 0 in
-  if c <> 0 then c else compare_from a.fails b.fails 0
-
 type receipt =
   | Accept
   | Adopt of t

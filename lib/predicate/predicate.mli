@@ -77,12 +77,6 @@ val equal : t -> t -> bool
 (** Structural, O(k) in the number of assumptions: every route to the same
     assumptions gives an equal predicate. *)
 
-val compare : t -> t -> int
-(** Structural: lexicographic over the ascending completes, then over the
-    ascending fails, a proper prefix first. This is the order
-    [Pid.Set.compare] gives on the two sets, so orderings derived from it
-    are schedule-deterministic. *)
-
 (** What a receiver does with one message (section 3.4.2). *)
 type receipt =
   | Accept  (** Take it as it is. *)

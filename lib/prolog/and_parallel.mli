@@ -16,20 +16,14 @@
     selection and no sibling elimination, which is precisely the structural
     difference from OR-parallelism that the experiments expose. *)
 
-val conjuncts : Term.t -> Term.t list
-(** Flatten a [','] tree into its conjuncts, left to right. *)
-
-val independent_groups : Term.t list -> Term.t list list
-(** Partition conjuncts into maximal groups connected by shared variables,
-    preserving the left-to-right order within and across groups. Two
-    conjuncts sharing no variable (directly or transitively) land in
-    different groups. *)
-
 type report = {
   solution : (int * Term.t) list option;
       (** Combined first-solution bindings of the goal's variables, or
           [None] if some group has no solution. *)
-  groups : int;  (** Independent groups found. *)
+  groups : int;
+      (** Independent groups found: the conjuncts partitioned into maximal
+          groups connected by shared variables, directly or
+          transitively. *)
   group_inferences : int array;  (** Work per group. *)
   seq_inferences : int;  (** Sequential resolution to the first solution. *)
   seq_time : float;

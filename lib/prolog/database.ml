@@ -1,10 +1,6 @@
-type t = {
-  table : (string * int, Parser.clause list ref) Hashtbl.t;
-  mutable order : (string * int) list;  (* first-definition order, reversed *)
-  mutable count : int;
-}
+type t = { table : (string * int, Parser.clause list ref) Hashtbl.t }
 
-let create () = { table = Hashtbl.create 64; order = []; count = 0 }
+let create () = { table = Hashtbl.create 64 }
 
 (* Normalise a clause so its variables are 0..k densely (parser output
    already satisfies this, but clauses can also be built programmatically). *)
@@ -31,12 +27,9 @@ let add t clause =
   | None -> invalid_arg "Database.add: clause head must be callable"
   | Some key ->
     let clause = normalise clause in
-    (match Hashtbl.find_opt t.table key with
+    match Hashtbl.find_opt t.table key with
     | Some l -> l := !l @ [ clause ]
-    | None ->
-      Hashtbl.replace t.table key (ref [ clause ]);
-      t.order <- key :: t.order);
-    t.count <- t.count + 1
+    | None -> Hashtbl.replace t.table key (ref [ clause ])
 
 let add_program t src =
   let items = Parser.program src in
@@ -52,9 +45,6 @@ let clauses t ~name ~arity =
   match Hashtbl.find_opt t.table (name, arity) with
   | Some l -> !l
   | None -> []
-
-let predicates t = List.sort compare (List.rev t.order)
-let clause_count t = t.count
 
 let prelude =
   {|

@@ -10,25 +10,17 @@ type t
 
 val create : unit -> t
 
-val add : t -> Parser.clause -> unit
-(** Append (assertz order). Raises [Invalid_argument] if the head is a
-    variable or an integer. *)
-
 val add_program : t -> string -> Term.t list
-(** Parse and add every clause of the text; returns the goals of any
-    [?-]/[:-] directives encountered (in order) without running them. *)
+(** Parse and add every clause of the text, appending each to its
+    predicate (assertz order); returns the goals of any [?-]/[:-]
+    directives encountered (in order) without running them. Raises
+    [Invalid_argument] on a clause whose head is a variable or an
+    integer. *)
 
 val clauses : t -> name:string -> arity:int -> Parser.clause list
 (** Matching clauses in assertion order; [] for unknown predicates. *)
 
-val predicates : t -> (string * int) list
-(** Defined predicate indicators, sorted. *)
-
-val clause_count : t -> int
-
-val prelude : string
-(** A small standard library in Prolog source form: [append/3], [member/2],
-    [length/2], [reverse/2], [between/3], [last/2], [nth0/3], [select/3]. *)
-
 val with_prelude : unit -> t
-(** A database preloaded with {!prelude}. *)
+(** A database preloaded with a small standard library: [append/3],
+    [member/2], [length/2], [reverse/2], [between/3], [last/2], [nth0/3],
+    [select/3]. *)

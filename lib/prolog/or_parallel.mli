@@ -50,8 +50,8 @@ val solve_sim :
     [exclusive] is passed through to {!Concurrent.run_toplevel}: under a
     [Consensus] policy it elides the voter group when the branches have
     been {e proven} mutually exclusive. It is deliberately a parameter —
-    obtain it from [Lint.proven_exclusive db goal] (the lint library sits
-    above this one); never assert it by hand. *)
+    set it only on an [Independent] verdict of [Lint.check_goal db goal]
+    (the lint library sits above this one); never assert it by hand. *)
 
 type real_report = {
   value : (int * Term.t) list option;

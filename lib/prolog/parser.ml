@@ -187,11 +187,6 @@ let program src =
   in
   go []
 
-let clause_of_string src =
-  match program src with
-  | [ Clause c ] -> c
-  | _ -> fail "expected exactly one clause"
-
 let query src =
   let st = fresh_state (Lexer.tokens src) in
   (match peek st with

@@ -19,9 +19,6 @@ val program : string -> item list
 (** Parse a whole program text. Raises {!Parse_error} (with position
     context) or {!Lexer.Lex_error}. *)
 
-val clause_of_string : string -> clause
-(** Parse exactly one clause. *)
-
 val query : string -> Term.t * (int * string) list
 (** Parse one goal (with or without a leading [?-] and trailing [.]);
     returns the goal and the (index, source name) pairs of its variables,

@@ -226,13 +226,6 @@ let run ?max_depth ?max_solutions ?occurs_check db goal =
   collect st ~max_solutions ~qvars:(Term.vars goal) ~subst:Subst.empty
     ~goals:[ goal ]
 
-let succeeds db goal = (run ~max_solutions:1 db goal).solutions <> []
-
-let first db goal =
-  match (run ~max_solutions:1 db goal).solutions with
-  | s :: _ -> Some s
-  | [] -> None
-
 let query db src =
   match Parser.query src with
   | exception Parser.Parse_error m -> Error ("parse error: " ^ m)

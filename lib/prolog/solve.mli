@@ -36,12 +36,6 @@ val run :
     bounds the resolution depth; [max_solutions] (default: all) stops the
     search early. Unknown predicates raise {!Prolog_error}. *)
 
-val succeeds : Database.t -> Term.t -> bool
-(** At least one solution (first-solution search). *)
-
-val first : Database.t -> Term.t -> (int * Term.t) list option
-(** The first solution's bindings. *)
-
 val query : Database.t -> string -> ((string * Term.t) list list, string) Stdlib.result
 (** Parse and solve, mapping variable indices back to their source names.
     Errors (parse, type, instantiation) come back as [Error message]. *)

@@ -13,14 +13,6 @@ let cons h t = Compound (".", [| h; t |])
 
 let of_list l = List.fold_right cons l nil
 
-let to_list t =
-  let rec go acc = function
-    | Atom "[]" -> Some (List.rev acc)
-    | Compound (".", [| h; tl |]) -> go (h :: acc) tl
-    | _ -> None
-  in
-  go [] t
-
 let functor_of = function
   | Atom f -> Some (f, 0)
   | Compound (f, args) -> Some (f, Array.length args)

@@ -17,9 +17,6 @@ val cons : t -> t -> t
 val of_list : t list -> t
 (** A proper Prolog list. *)
 
-val to_list : t -> t list option
-(** [Some elements] iff the term is a proper list. *)
-
 val functor_of : t -> (string * int) option
 (** Name and arity of an atom or compound; [None] for variables and
     integers. *)
@@ -35,11 +32,6 @@ val max_var : t -> int
 val rename : offset:int -> t -> t
 (** Shift every variable index by [offset] (renaming apart). *)
 
-val pp : Format.formatter -> t -> unit
-(** Conventional syntax: lists bracketed, operators infix where readable,
-    variables as [_0], [_1], ... unless a name map is provided via
-    {!pp_named}. *)
-
-val pp_named : names:(int -> string option) -> Format.formatter -> t -> unit
-
 val to_string : t -> string
+(** Conventional syntax: lists bracketed, operators infix where readable,
+    variables as [_0], [_1], .... *)

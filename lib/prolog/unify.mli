@@ -8,10 +8,3 @@ val unify : ?occurs_check:bool -> Subst.t -> Term.t -> Term.t -> Subst.t option
 (** [unify s a b] extends [s] to a substitution under which [a] and [b] are
     equal, or returns [None]. *)
 
-val unify_arrays :
-  ?occurs_check:bool -> Subst.t -> Term.t array -> Term.t array -> Subst.t option
-(** Pointwise unification of equal-length argument vectors; [None] on
-    length mismatch. *)
-
-val occurs : Subst.t -> int -> Term.t -> bool
-(** Does the variable occur in the (walked) term? *)

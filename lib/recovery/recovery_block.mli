@@ -63,8 +63,3 @@ val distributed_policy :
     (default 3 nodes, none crashed), asynchronous elimination — the
     configuration section 5.1.2 prescribes for fault-tolerant distributed
     recovery blocks. *)
-
-val to_alternatives : 'a t -> 'a Alternative.t list
-(** The encoding used by {!run_concurrent}: each alternate's body runs the
-    version and then its acceptance test, failing the alternative if the
-    test rejects. Exposed for tests and custom drivers. *)

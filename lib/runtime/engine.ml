@@ -925,8 +925,8 @@ and do_send t pcb ~dest ~tag payload =
   let msg = { Message.sender = pcb.pid; dest; predicate; payload; tag; seq; size } in
   if wants t Trace.Kind.sent then tr t (Trace.Sent { msg });
   (* Per-(sender, logical dest) FIFO: never deliver before an earlier send.
-     The cost expression is inlined (rather than calling
-     [Cost_model.message_cost]) so the float stays unboxed in this frame. *)
+     A message costs the model's latency plus its per-byte price, computed
+     here so the float stays unboxed in this frame. *)
   let i = clock_slot pcb.sent_to pcb.sent_at (Pid.to_int dest) 0 in
   if i = Array.length pcb.sent_to then grow_clock pcb;
   Array.unsafe_set pcb.sent_to i (Pid.to_int dest);

@@ -240,8 +240,8 @@ val charge_memory : ctx -> unit
 
 val send : ctx -> ?tag:string -> Pid.t -> Payload.t -> unit
 (** Reliable FIFO send; stamps the message with the sender's current
-    predicate and charges {!Cost_model.message_cost} latency before
-    delivery. The message is built once: every world copy of the receiver,
+    predicate and delivers it after the model's [msg_latency] plus
+    [msg_per_byte] per byte of its size. The message is built once: every world copy of the receiver,
     every trace event and every fault hook sees that one immutable
     value. *)
 

@@ -266,19 +266,10 @@ let pop_min t =
 let popped_handle t = t.popped
 let is_empty t = t.size = 0 && t.slot_seq < 0
 
-let pop t =
-  if is_empty t then None
-  else
-    let time = min_time t in
-    let v = pop_min t in
-    Some (time, v)
-
-let peek_time t = if is_empty t then None else Some (min_time t)
-
 let size t = if t.slot_seq < 0 then t.size else t.size + 1
 
 let clear t =
-  (* Consistent with pop's clearing: keep the capacity, drop every
+  (* Consistent with pop_min's clearing: keep the capacity, drop every
      reference. *)
   for i = 0 to t.size - 1 do
     let h = handle_at t i in

@@ -15,8 +15,8 @@
 
     Beside the heap the queue holds one {e slot}: an event that
     {!set_slot} re-keys in O(1). The slot orders against the heap by the
-    same (time, sequence) rule, and {!min_time}, {!pop_min}, {!pop},
-    {!peek_time}, {!is_empty}, {!size} and {!clear} all count it. *)
+    same (time, sequence) rule, and {!min_time}, {!pop_min}, {!is_empty},
+    {!size} and {!reset} all count it. *)
 
 type 'a t
 
@@ -53,20 +53,13 @@ val pop_min : 'a t -> 'a
     tuple per event. *)
 
 val popped_handle : 'a t -> int
-(** The handle of the entry the last {!pop_min} or {!pop} removed, or -1
-    if that entry had none (a {!push} or the slot). *)
-
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event, [None] when empty. *)
-
-val peek_time : 'a t -> float option
+(** The handle of the entry the last {!pop_min} removed, or -1 if that
+    entry had none (a {!push} or the slot). *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
-val clear : 'a t -> unit
-
 val reset : 'a t -> unit
-(** {!clear}, and restart the sequence numbers: the queue is then in the
-    state {!create} leaves, except that it keeps its arrays' capacity
-    (the handle arrays included, once made). *)
+(** Drop every entry and restart the sequence numbers: the queue is then
+    in the state {!create} leaves, except that it keeps its arrays'
+    capacity (the handle arrays included, once made). *)

@@ -145,9 +145,7 @@ val count : t -> f:(event -> bool) -> int
 
 val pp_event : Format.formatter -> event -> unit
 
-val event_to_json : time:float -> event -> string
-(** One event as a single-line JSON object [{"t":..., "ev":..., ...}]. *)
-
 val to_jsonl : t -> string
-(** The whole trace as JSON Lines (one {!event_to_json} line per event,
-    oldest first), for inspection and diffing outside the process. *)
+(** The whole trace as JSON Lines, one single-line object
+    [{"t":..., "ev":..., ...}] per event, oldest first, for inspection and
+    diffing outside the process. *)

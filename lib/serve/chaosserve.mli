@@ -4,7 +4,7 @@
     (faults x overload, audited and determinism-checked). [altserve
     --degrade-bench] and [altserve --faults/--chaos] drive these; their
     failures map to the registry codes [serve-degrade] and
-    [serve-chaos] ({!Report.registry}). *)
+    [serve-chaos] ({!Report.code_of_label}). *)
 
 (** One load step of the degrade benchmark: the same offered stream
     served with the ladder and with the shed-only baseline. "Good" =
@@ -57,8 +57,6 @@ val degrade :
     over the step's fixed arrival horizon, so both sides are normalised
     by the same offered load; each side's completion rate over its own
     makespan is reported next to it. *)
-
-val degrade_required_fields : string list
 
 val degrade_to_json : degrade_record -> string
 (** The committed [BENCH_degrade.json] record (hand-rolled JSON, unique

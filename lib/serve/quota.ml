@@ -44,13 +44,6 @@ let charge t ~now =
   else t.steps <- t.steps + 1;
   t.admits <- t.admits + 1
 
-let admit t ~now =
-  if conforming t ~now then begin
-    charge t ~now;
-    true
-  end
-  else false
-
 (* Multi-class admission: a request is admitted only when every
    applicable bucket conforms, and tokens are consumed only then. The
    check/charge split is what keeps composite sheds pure — a request

@@ -15,16 +15,13 @@ val create : rate:float -> burst:int -> t
 (** A full bucket. [rate > 0], [burst >= 1] ([Invalid_argument]
     otherwise). *)
 
-val admit : t -> now:float -> bool
-(** Admission decision at virtual time [now] (calls must have
-    nondecreasing [now]). [true] consumes a token; [false] is a shed —
-    the state does not change, so shed traffic never pushes the
-    refill schedule around. *)
-
 val admit_all : t list -> now:float -> bool
-(** Composite admission across quota classes (per-tenant, per-scenario,
+(** Admission decision at virtual time [now] (calls must have
+    nondecreasing [now]) across quota classes (per-tenant, per-scenario,
     global, ...): [true] — and one token consumed from {e every} bucket
-    — iff all of them conform at [now]. A request denied by any class
+    — iff all of them conform at [now]; [false] is a shed, and no
+    bucket's state changes, so shed traffic never pushes a refill
+    schedule around. A request denied by any class
     consumes from none, so a tenant-shed request cannot drain the global
     bucket out from under other tenants. The decision is evaluated in
     list order with plain integer GCRA arithmetic: bit-exact at boundary

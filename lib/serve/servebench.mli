@@ -50,10 +50,6 @@ val run_verified :
     (with [sv_jobs = 1] the jobs check is vacuously true — there is
     nothing to compare against). *)
 
-val required_fields : string list
-(** The JSON schema, as field names — what every [altserve] run and the
-    CI job probe for. *)
-
 val to_json :
   Workload.config -> Server.config -> metrics -> verification -> string
 (** The benchmark record, one field per line (the repo's hand-rolled
@@ -66,5 +62,6 @@ val missing_fields : required:string list -> string -> string list
     behind {!validate} and [Chaosserve.degrade_validate]. *)
 
 val validate : string -> (int, string list) result
-(** Probe a record's contents for every required field: [Ok count] or
+(** Probe a record's contents for every field of the JSON schema (what
+    every [altserve] run and the CI job probe for): [Ok count] or
     [Error missing]. *)

@@ -18,8 +18,6 @@ let create_store eng ~records =
   { eng; space; versions = Array.make records 0; nrecords = records;
     commit_count = 0 }
 
-let records st = st.nrecords
-
 let check_key st key =
   if key < 0 || key >= st.nrecords then invalid_arg "Txn: key out of range"
 
@@ -28,10 +26,6 @@ let addr_of key = key * record_bytes
 let get st ~key =
   check_key st key;
   Address_space.get_int st.space ~addr:(addr_of key)
-
-let version st ~key =
-  check_key st key;
-  st.versions.(key)
 
 let commits st = st.commit_count
 
@@ -97,7 +91,6 @@ let finish t =
   end
 
 let abort t = finish t
-let is_finished t = t.status = Finished
 
 let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 let sorted_reads tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare

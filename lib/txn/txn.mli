@@ -9,9 +9,9 @@
 
     This module supplies both views:
 
-    - {!begin_}/{!read}/{!write}/{!commit}/{!abort}: optimistic concurrency
-      control in the style the paper cites (Kung and Robinson 1981). A
-      transaction works against a copy-on-write {e snapshot} of the
+    - {!with_txn}/{!read}/{!write}: optimistic concurrency control in the
+      style the paper cites (Kung and Robinson 1981). A transaction works
+      against a copy-on-write {e snapshot} of the
       committed store; at commit, its read set is validated against the
       versions committed meanwhile, and its write set is applied atomically
       or the transaction aborts with a {!conflict}.
@@ -29,12 +29,8 @@ type store
 val create_store : Engine.t -> records:int -> store
 (** A store of [records] records, all initially 0. *)
 
-val records : store -> int
 val get : store -> key:int -> int
 (** Committed value of a record (test/inspection access, no transaction). *)
-
-val version : store -> key:int -> int
-(** Commits that have written this record. *)
 
 val commits : store -> int
 (** Successful commits so far. *)
@@ -48,33 +44,23 @@ type conflict = {
   committed_version : int;  (** Version now. *)
 }
 
-val begin_ : Engine.ctx -> store -> t
-(** Start a transaction: forks the committed space as a private snapshot
-    (charged as a COW fork). *)
-
 val read : Engine.ctx -> t -> key:int -> int
-(** Read through the snapshot: sees the store as of [begin_], plus this
-    transaction's own writes. Records the version for validation. Raises
+(** Read through the snapshot: sees the store as of the transaction's
+    start, plus its own writes. Records the version for validation. Raises
     [Invalid_argument] on a bad key or a finished transaction. *)
 
 val write : Engine.ctx -> t -> key:int -> int -> unit
 (** Write to the private copy (a COW fault on first touch of a page). *)
 
-val commit : Engine.ctx -> t -> (unit, conflict) result
-(** Validate the read set against the store's current versions; on success
-    apply the write set to the committed store (bumping versions) and
-    return [Ok ()]. On conflict, the transaction is aborted and the store
-    untouched. Either way the transaction is finished afterwards. *)
-
-val abort : t -> unit
-(** Discard the snapshot and the write set. Idempotent. *)
-
-val is_finished : t -> bool
-
 val with_txn :
   Engine.ctx -> store -> ?retries:int -> (Engine.ctx -> t -> 'a) -> ('a, conflict) result
-(** Run [f] in a fresh transaction and commit; on conflict, retry from a
-    fresh snapshot up to [retries] (default 3) more times. The body must
+(** Run [f] in a fresh transaction (a private snapshot of the committed
+    space, charged as a COW fork) and commit: validate the read set
+    against the store's current versions and, on success, apply the write
+    set to the committed store. On conflict, retry from a fresh snapshot
+    up to [retries] (default 3) more times, then return the conflict. If
+    [f] raises, the transaction is discarded and the exception re-raised.
+    Either way the transaction is finished afterwards. The body must
     confine its store access to this transaction. *)
 
 (** {2 Competing transactions (section 6)} *)

@@ -58,12 +58,20 @@ let test_remote_placements_clean () =
     [ Concurrent.Remote_spawn; Concurrent.Remote_on_demand ];
   check Alcotest.(list string) "no violations" [] (List.rev !dirty)
 
+(* A message [sender] never sent to [dest], stamped as if [sender]
+   completes. *)
+let forged_message ~sender ~dest =
+  { Message.sender; dest;
+    predicate = Predicate.make ~must_complete:[ sender ] ~must_fail:[];
+    payload = Payload.Unit; tag = "forged"; seq = 0;
+    size = Message.header_bytes + Payload.size_bytes Payload.Unit }
+
 (* ---------------- seeded bugs ---------------- *)
 
 (* A second latch fill: some loser also records Sync_won, as if the
    at-most-once synchronisation admitted two winners. *)
 let test_seeded_double_latch () =
-  let rr = Invariants.run_scenario counters ~policy:sync_elim ~seed:1 in
+  let rr, _ = Invariants.run_checked counters ~policy:sync_elim ~seed:1 in
   let tr = Engine.trace rr.Invariants.engine in
   let loser =
     List.find
@@ -83,14 +91,12 @@ let test_seeded_double_latch () =
 (* A forged acceptance: the trace claims a process accepted a message whose
    predicate contradicts the acceptor's own world. *)
 let test_seeded_forged_predicate () =
-  let rr = Invariants.run_scenario counters ~policy:sync_elim ~seed:2 in
+  let rr, _ = Invariants.run_checked counters ~policy:sync_elim ~seed:2 in
   let tr = Engine.trace rr.Invariants.engine in
   let c0 = List.hd rr.Invariants.report.Concurrent.children in
   let c1 = List.nth rr.Invariants.report.Concurrent.children 1 in
   let msg =
-    Message.make ~sender:c0 ~dest:c1
-      ~predicate:(Predicate.make ~must_complete:[ c0 ] ~must_fail:[])
-      ~tag:"forged" ~seq:0 Payload.Unit
+    forged_message ~sender:c0 ~dest:c1
   in
   Trace.record tr
     ~time:(Engine.now rr.Invariants.engine)
@@ -106,8 +112,8 @@ let test_seeded_forged_predicate () =
 (* A skipped elimination: a loser's exit vanishes from the record, as if the
    block let an alternative escape. *)
 let test_seeded_skipped_elimination () =
-  let rr =
-    Invariants.run_scenario ~record:true counters ~policy:sync_elim ~seed:3
+  let rr, _ =
+    Invariants.run_checked ~record:true counters ~policy:sync_elim ~seed:3
   in
   let loser =
     List.find
@@ -145,7 +151,7 @@ let shared_space_race ~sanitize =
   let p1 = Engine.spawn eng ~space:sp ~name:"sib0" blocked in
   let p2 = Engine.spawn eng ~space:sp ~name:"sib1" blocked in
   Engine.run eng;
-  Address_space.write_bytes sp ~addr:0 (Bytes.make 16 'x');
+  Address_space.set_string sp ~addr:0 (String.make 16 'x');
   let vs =
     Race.check_isolation writes eng ~children:[ p1; p2 ]
       ~scenario:"shared-space" ~policy:"manual" ~seed:7
@@ -174,8 +180,8 @@ let test_isolation_shared_space_sanitized () = shared_space_race ~sanitize:true
 (* ---------------- trace export ---------------- *)
 
 let test_trace_jsonl () =
-  let rr =
-    Invariants.run_scenario ~record:true counters ~policy:sync_elim ~seed:4
+  let rr, _ =
+    Invariants.run_checked ~record:true counters ~policy:sync_elim ~seed:4
   in
   let tr = Engine.trace rr.Invariants.engine in
   let s = Trace.to_jsonl tr in
@@ -203,9 +209,10 @@ let test_trace_jsonl () =
 
 (* ---------------- supervised blocks ---------------- *)
 
-(* A site-campaign cell run through the oracle's own runner, recording. *)
+(* A site-campaign cell run through the oracle's own runner, recording:
+   the run and its violations. *)
 let run_site_cell (c : Campaign.cell) =
-  Invariants.run_scenario ~record:true
+  Invariants.run_checked ~record:true
     ~faults:(c.Campaign.cl_campaign.Campaign.plan ~seed:c.Campaign.cl_seed)
     ~sites:Campaign.site_names c.Campaign.cl_scenario
     ~policy:c.Campaign.cl_policy ~seed:c.Campaign.cl_seed
@@ -223,17 +230,14 @@ let epoch_of rr = (snd (Option.get rr.Invariants.supervised)).Concurrent.sr_epoc
    conflicting acceptance and a second win in the deciding epoch, forged
    into a clean crash-minority cell, each trip their own class. *)
 let test_supervised_world_and_latch () =
-  let rr = run_site_cell (List.hd (site_cell ~campaign:"crash-minority" ~scenario:"counters")) in
-  check Alcotest.int "the clean cell is clean" 0
-    (List.length (Invariants.check_all rr));
+  let rr, vs = run_site_cell (List.hd (site_cell ~campaign:"crash-minority" ~scenario:"counters")) in
+  check Alcotest.int "the clean cell is clean" 0 (List.length vs);
   let clean = Trace.events (Engine.trace rr.Invariants.engine) in
   let now = Engine.now rr.Invariants.engine in
   let c0 = List.hd rr.Invariants.report.Concurrent.children in
   let c1 = List.nth rr.Invariants.report.Concurrent.children 1 in
   let msg =
-    Message.make ~sender:c0 ~dest:c1
-      ~predicate:(Predicate.make ~must_complete:[ c0 ] ~must_fail:[])
-      ~tag:"forged" ~seq:0 Payload.Unit
+    forged_message ~sender:c0 ~dest:c1
   in
   let judge events =
     Invariants.check_all { rr with history = History.replay events }
@@ -276,22 +280,21 @@ let test_supervised_world_and_latch () =
    Absorbed and a second ok exit in the block's trace, none of which may
    count against the deciding epoch. *)
 let test_fenced_win_is_void () =
-  let rr, failed, child =
+  let rr, vs, failed, child =
     List.find_map
       (fun c ->
-        let rr = run_site_cell c in
+        let rr, vs = run_site_cell c in
         match (snd (Option.get rr.Invariants.supervised)).Concurrent.sr_recoveries with
         | [ (failed, _, 2) ] -> (
           match Engine.children_of rr.Invariants.engine failed with
-          | child :: _ -> Some (rr, failed, child)
+          | child :: _ -> Some (rr, vs, failed, child)
           | [] -> None)
         | _ -> None)
       (site_cell ~campaign:"crash-coordinator" ~scenario:"counters")
     |> Option.get
   in
   check Alcotest.int "epoch 2 decided" 2 (epoch_of rr);
-  check Alcotest.int "the clean cell is clean" 0
-    (List.length (Invariants.check_all rr));
+  check Alcotest.int "the clean cell is clean" 0 (List.length vs);
   let now = Engine.now rr.Invariants.engine in
   let forged =
     List.map
@@ -468,7 +471,7 @@ let supervised sites =
 
 (* One request through both paths: the server's (the runner on a domain
    engine, warmed by another block and reset with the request's seed,
-   no monitor attached) and the oracle's ([run_scenario] on a fresh
+   no monitor attached) and the oracle's ([run_checked] on a fresh
    engine with a [History] and a [Race.record] attached). The reports
    must agree field for field. *)
 let test_two_paths_one_report () =
@@ -495,7 +498,7 @@ let test_two_paths_one_report () =
   let differs = ref [] in
   let compare ?sites sc ~policy ~seed =
     incr cells;
-    let oracle = Invariants.run_scenario ?sites sc ~policy ~seed in
+    let oracle, _ = Invariants.run_checked ?sites sc ~policy ~seed in
     if served ~on_sites:(sites <> None) sc ~policy ~seed <> oracle.Invariants.report
     then
       differs :=
@@ -560,9 +563,10 @@ let test_exclusive_elision_is_sound () =
             List.iter
               (fun seed ->
                 let run exclusive =
-                  Invariants.run_scenario
-                    ~mode:(Invariants.Racing { exclusive; budget = infinity })
-                    sc ~policy ~seed
+                  fst
+                    (Invariants.run_checked
+                       ~mode:(Invariants.Racing { exclusive; budget = infinity })
+                       sc ~policy ~seed)
                 in
                 let voted = run false and elided = run true in
                 if
@@ -596,7 +600,7 @@ let test_exclusive_claims_hold () =
             if policy.Concurrent.elimination = Concurrent.No_elim then
               List.iter
                 (fun seed ->
-                  let rr = Invariants.run_scenario sc ~policy ~seed in
+                  let rr, _ = Invariants.run_checked sc ~policy ~seed in
                   if History.sync_lates rr.Invariants.history <> [] then
                     late :=
                       Printf.sprintf "%s/%s/seed %d" sc.Invariants.sc_name

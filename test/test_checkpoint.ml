@@ -11,14 +11,13 @@ let test_roundtrip_contents () =
   let sp = mk_space () in
   Address_space.set_int sp ~addr:0 42;
   Address_space.set_string sp ~addr:1000 "checkpointed";
-  Address_space.set_float sp ~addr:5000 2.5;
+  Address_space.set_int sp ~addr:5000 (-25);
   let image = Checkpoint.capture sp in
   let sp' = Checkpoint.restore (Frame_store.create ~page_size:256) model image in
   check Alcotest.int "int survives" 42 (Address_space.get_int sp' ~addr:0);
   check Alcotest.string "string survives" "checkpointed"
-    (Address_space.get_string sp' ~addr:1000 ~len:12);
-  check (Alcotest.float 1e-9) "float survives" 2.5
-    (Address_space.get_float sp' ~addr:5000);
+    (Space_io.read sp' ~addr:1000 ~len:12);
+  check Alcotest.int "negative int survives" (-25) (Address_space.get_int sp' ~addr:5000);
   check Alcotest.bool "maps identical" true
     (Page_map.snapshot_equal (Address_space.map sp) (Address_space.map sp'))
 
@@ -42,27 +41,28 @@ let test_restored_space_is_private () =
 
 let test_sparse_pages_preserved () =
   let sp = mk_space () in
-  Address_space.set_u8 sp ~addr:0 1;
-  Address_space.set_u8 sp ~addr:(100 * 256) 2;
+  Space_io.set_u8 sp ~addr:0 1;
+  Space_io.set_u8 sp ~addr:(100 * 256) 2;
   let image = Checkpoint.capture sp in
   check Alcotest.int "two mapped pages" 2 (Checkpoint.mapped_pages image);
   let sp' = Checkpoint.restore (Frame_store.create ~page_size:256) model image in
   check Alcotest.int "sparse page restored" 2
-    (Address_space.get_u8 sp' ~addr:(100 * 256));
-  check Alcotest.int "unmapped reads zero" 0 (Address_space.get_u8 sp' ~addr:256)
+    (Space_io.get_u8 sp' ~addr:(100 * 256));
+  check Alcotest.int "unmapped reads zero" 0 (Space_io.get_u8 sp' ~addr:256)
 
 let test_bytes_roundtrip () =
   let sp = mk_space () in
   Address_space.set_string sp ~addr:10 "wire format";
   let image = Checkpoint.capture sp in
   let b = Checkpoint.to_bytes image in
-  check Alcotest.int "wire size" (Checkpoint.size_bytes image) (Bytes.length b);
+  check Alcotest.int "wire size: header, one page header and page" (16 + 8 + 256)
+    (Bytes.length b);
   let image' = Checkpoint.of_bytes b in
   check Alcotest.int "pages preserved" (Checkpoint.mapped_pages image)
     (Checkpoint.mapped_pages image');
   let sp' = Checkpoint.restore (Frame_store.create ~page_size:256) model image' in
   check Alcotest.string "contents preserved over the wire" "wire format"
-    (Address_space.get_string sp' ~addr:10 ~len:11)
+    (Space_io.read sp' ~addr:10 ~len:11)
 
 let test_of_bytes_rejects_garbage () =
   Alcotest.check_raises "short input"
@@ -82,9 +82,9 @@ let test_of_bytes_rejects_garbage () =
    vpage poisons the page map. Both must be rejected up front. *)
 let test_of_bytes_rejects_corrupt_page_table () =
   let sp = mk_space () in
-  Address_space.set_u8 sp ~addr:0 1;
+  Space_io.set_u8 sp ~addr:0 1;
   (* page 0 *)
-  Address_space.set_u8 sp ~addr:256 2;
+  Space_io.set_u8 sp ~addr:256 2;
   (* page 1 *)
   let b = Checkpoint.to_bytes (Checkpoint.capture sp) in
   (* Layout: 16-byte header, then per page an 8-byte vpage field followed
@@ -133,7 +133,7 @@ let test_of_bytes_overflow_safe () =
   (* Oversized input — trailing junk after a well-formed image — is
      rejected too, not silently ignored. *)
   let sp = mk_space () in
-  Address_space.set_u8 sp ~addr:0 7;
+  Space_io.set_u8 sp ~addr:0 7;
   let b = Checkpoint.to_bytes (Checkpoint.capture sp) in
   Alcotest.check_raises "oversized input" malformed (fun () ->
       ignore (Checkpoint.of_bytes (Bytes.cat b (Bytes.make 1 '\000'))))
@@ -165,7 +165,7 @@ let prop_capture_restore_identity =
     QCheck.(list_of_size Gen.(int_range 1 30) (pair (int_bound 5000) (int_bound 255)))
     (fun writes ->
       let sp = mk_space () in
-      List.iter (fun (addr, v) -> Address_space.set_u8 sp ~addr v) writes;
+      List.iter (fun (addr, v) -> Space_io.set_u8 sp ~addr v) writes;
       let image = Checkpoint.of_bytes (Checkpoint.to_bytes (Checkpoint.capture sp)) in
       let sp' = Checkpoint.restore (Frame_store.create ~page_size:256) model image in
       Page_map.snapshot_equal (Address_space.map sp) (Address_space.map sp'))
@@ -258,26 +258,26 @@ let prop_image_survives_source_and_pool =
     ~count:200 ck_case
     (fun (init, ops) ->
       let sp = mk_space () in
-      List.iter (fun (addr, v) -> Address_space.set_u8 sp ~addr v) init;
+      List.iter (fun (addr, v) -> Space_io.set_u8 sp ~addr v) init;
       let other = Frame_store.create ~page_size:256 in
       let held = ref [] in
-      let snap () = Address_space.read_bytes sp ~addr:0 ~len:span in
+      let snap () = Space_io.read sp ~addr:0 ~len:span in
       let matches image expect =
         let sp' = Checkpoint.restore (Frame_store.create ~page_size:256) model image in
-        Bytes.equal (Address_space.read_bytes sp' ~addr:0 ~len:span) expect
+        String.equal (Space_io.read sp' ~addr:0 ~len:span) expect
       in
       let image = ref (Checkpoint.capture sp) in
       let expect = ref (snap ()) in
       let ok = ref true in
       let apply = function
-        | K_set (addr, v) -> Address_space.set_u8 sp ~addr v
+        | K_set (addr, v) -> Space_io.set_u8 sp ~addr v
         | K_fork_absorb ws ->
           let child = Address_space.fork sp in
-          List.iter (fun (addr, v) -> Address_space.set_u8 child ~addr v) ws;
+          List.iter (fun (addr, v) -> Space_io.set_u8 child ~addr v) ws;
           Address_space.absorb ~parent:sp ~child
         | K_fork_discard ws ->
           let child = Address_space.fork sp in
-          List.iter (fun (addr, v) -> Address_space.set_u8 child ~addr v) ws;
+          List.iter (fun (addr, v) -> Space_io.set_u8 child ~addr v) ws;
           Address_space.release child
         | K_other_alloc ->
           let f = Frame_store.alloc other in

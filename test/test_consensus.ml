@@ -19,11 +19,7 @@ let test_create_validations () =
        (Printf.sprintf "Majority.create: nodes must be at most %d" (Sys.int_size - 1)))
     (fun () -> ignore (Majority.create eng ~nodes:Sys.int_size ()));
   let m = Majority.create eng ~nodes:5 () in
-  check Alcotest.int "nodes" 5 (Majority.nodes m);
-  check Alcotest.int "majority of 5 is 3" 3 (Majority.majority m);
-  check Alcotest.int "pids spawned" 5 (Array.length (Majority.node_pids m));
-  let m1 = Majority.create eng ~nodes:1 () in
-  check Alcotest.int "majority of 1 is 1" 1 (Majority.majority m1)
+  check Alcotest.int "pids spawned" 5 (Array.length (Majority.node_pids m))
 
 let test_single_requester_acquires () =
   let eng = mk () in

@@ -7,27 +7,19 @@ let cf = Alcotest.float 1e-9
 
 (* ---------------- Analytic ---------------- *)
 
+(* PI > 1 exactly where the best alternative plus the overhead beats the
+   mean: rows (1), (2) and (6) of the table. *)
 let test_pi_basic () =
-  check cf "pi" 2.0 (Analytic.pi ~times:[| 10.; 20.; 30. |] ~overhead:0.);
-  check Alcotest.bool "wins" true (Analytic.wins ~times:[| 10.; 20.; 30. |] ~overhead:0.);
-  check Alcotest.bool "loses with equal times" false
-    (Analytic.wins ~times:[| 10.; 10. |] ~overhead:1.)
-
-let test_pi_validations () =
-  Alcotest.check_raises "empty" (Invalid_argument "Analytic.pi: no alternatives")
-    (fun () -> ignore (Analytic.pi ~times:[||] ~overhead:0.));
-  Alcotest.check_raises "negative overhead"
-    (Invalid_argument "Analytic.pi: negative overhead") (fun () ->
-      ignore (Analytic.pi ~times:[| 1. |] ~overhead:(-1.)))
-
-let test_break_even () =
-  check cf "mean - best" 10. (Analytic.break_even_overhead ~times:[| 10.; 20.; 30. |]);
-  check cf "zero dispersion" 0. (Analytic.break_even_overhead ~times:[| 5.; 5. |])
-
-let test_overhead_total () =
-  let o = { Analytic.setup = 1.; runtime = 2.; selection = 3. } in
-  check cf "sum" 6. (Analytic.overhead_total o);
-  check cf "zero" 0. (Analytic.overhead_total Analytic.zero_overhead)
+  List.iter
+    (fun (r : Analytic.row) ->
+      check Alcotest.bool ("row " ^ r.Analytic.label ^ " wins") (r.Analytic.pi_value > 1.)
+        (Stats.min r.Analytic.times +. r.Analytic.overhead < Stats.mean r.Analytic.times))
+    (Analytic.table_4_3 ());
+  check Alcotest.(list string) "winning rows" [ "(1)"; "(2)"; "(6)" ]
+    (List.filter_map
+       (fun (r : Analytic.row) ->
+         if r.Analytic.pi_value > 1. then Some r.Analytic.label else None)
+       (Analytic.table_4_3 ()))
 
 (* The table of section 4.3 — the recomputed PI must match the paper's
    printed values to their printed precision. *)
@@ -45,22 +37,32 @@ let test_table_4_3_matches_paper () =
           r.Analytic.pi_value r.Analytic.pi_paper)
     rows
 
-let prop_pi_formula =
-  QCheck.Test.make ~name:"PI = mean / (best + overhead)" ~count:300
-    QCheck.(
-      pair
-        (array_of_size Gen.(int_range 1 10) (float_range 0.1 1000.))
-        (float_range 0. 100.))
-    (fun (times, overhead) ->
-      let pi = Analytic.pi ~times ~overhead in
-      Float.abs (pi -. (Stats.mean times /. (Stats.min times +. overhead)))
-      < 1e-9)
+(* The break-even overhead is [mean - best]: each row's overhead of 5 is
+   below it exactly where PI > 1, and row (5) sits on it. *)
+let test_break_even () =
+  List.iter
+    (fun (r : Analytic.row) ->
+      let break_even = Stats.mean r.Analytic.times -. Stats.min r.Analytic.times in
+      check Alcotest.int ("row " ^ r.Analytic.label)
+        (Float.compare break_even r.Analytic.overhead)
+        (Float.compare r.Analytic.pi_value 1.))
+    (Analytic.table_4_3 ())
 
-let prop_pi_antitone_in_overhead =
-  QCheck.Test.make ~name:"PI decreases with overhead" ~count:300
-    QCheck.(array_of_size Gen.(int_range 1 10) (float_range 0.1 1000.))
-    (fun times ->
-      Analytic.pi ~times ~overhead:1. >= Analytic.pi ~times ~overhead:2.)
+(* Each row's PI falls below its overhead-free value [mean / best]. *)
+let test_pi_antitone_in_overhead () =
+  List.iter
+    (fun (r : Analytic.row) ->
+      check Alcotest.bool ("row " ^ r.Analytic.label) true
+        (r.Analytic.pi_value < Stats.mean r.Analytic.times /. Stats.min r.Analytic.times))
+    (Analytic.table_4_3 ())
+
+let test_pi_formula () =
+  List.iter
+    (fun (r : Analytic.row) ->
+      check cf ("row " ^ r.Analytic.label)
+        (Stats.mean r.Analytic.times /. (Stats.min r.Analytic.times +. r.Analytic.overhead))
+        r.Analytic.pi_value)
+    (Analytic.table_4_3 ())
 
 (* ---------------- helpers ---------------- *)
 
@@ -93,11 +95,17 @@ let get_int ctx addr =
 
 (* ---------------- Alt_block (sequential semantics) ---------------- *)
 
+(* An alternative that consumes [cost] seconds, then fails. *)
+let failing ~cost () =
+  Alternative.make ~name:"failing" (fun ctx ->
+      Engine.delay ctx cost;
+      raise (Alternative.Failed "failing"))
+
 let test_run_first_picks_first_success () =
   let eng = mk_engine () in
   let alts =
     [
-      Alternative.failing ~cost:1. ();
+      failing ~cost:1. ();
       Alternative.fixed ~cost:1. "second";
       Alternative.fixed ~cost:1. "third";
     ]
@@ -110,7 +118,7 @@ let test_run_first_picks_first_success () =
 
 let test_run_first_all_fail () =
   let eng = mk_engine () in
-  let alts = [ Alternative.failing ~cost:1. (); Alternative.failing ~cost:1. () ] in
+  let alts = [ failing ~cost:1. (); failing ~cost:1. () ] in
   match in_process eng (fun ctx -> Alt_block.run_first ctx alts) with
   | Alt_block.Block_failed _ -> ()
   | Alt_block.Selected _ -> Alcotest.fail "should have failed"
@@ -270,7 +278,7 @@ let test_concurrent_all_fail () =
   let eng = mk_engine () in
   let r =
     Concurrent.run_toplevel eng
-      [ Alternative.failing ~cost:1. (); Alternative.failing ~cost:2. () ]
+      [ failing ~cost:1. (); failing ~cost:2. () ]
   in
   (match r.Concurrent.outcome with
   | Alt_block.Block_failed _ -> ()
@@ -697,9 +705,10 @@ let consensus3 ?(crashed = []) () =
   }
 
 let scenario_run name policy =
-  Invariants.run_scenario ~record:true
-    (Option.get (Invariants.find_scenario name))
-    ~policy ~seed:1
+  fst
+    (Invariants.run_checked ~record:true
+       (Option.get (Invariants.find_scenario name))
+       ~policy ~seed:1)
 
 let scenario_names name policy =
   spawned_names (scenario_run name policy).Invariants.engine
@@ -885,21 +894,23 @@ let test_recorded_trace_digests () =
          ("guarded", consensus3 ());
        ])
 
+(* An event and its time as one comparable line. *)
+let render_event (time, e) = Format.asprintf "%h %a" time Trace.pp_event e
+
 (* Recording off, a subscriber to every kind attached: it must see every
    event a recording run stores, in the same order. *)
 let test_observer_only_run () =
   let sc = Option.get (Invariants.find_scenario "counters") in
   let policy = consensus3 () in
   let recorded =
-    List.map
-      (fun (time, e) -> Trace.event_to_json ~time e)
+    List.map render_event
       (Trace.events (Engine.trace (scenario_run "counters" policy).Invariants.engine))
   in
   let eng = Engine.create ~model:Cost_model.att_3b2 ~seed:1 ~trace:false () in
   let seen = ref [] in
   ignore
     (Trace.subscribe (Engine.trace eng) Trace.Kind.all (fun ~time e ->
-         seen := Trace.event_to_json ~time e :: !seen));
+         seen := render_event (time, e) :: !seen));
   ignore (Invariants.run_block eng sc (Invariants.Racing { exclusive = false; budget = infinity }) ~policy ~seed:1);
   check Alcotest.int "observed events" 64 (List.length !seen);
   check Alcotest.(list string) "observer sees the recorded stream" recorded
@@ -916,7 +927,7 @@ let test_subscribers_see_their_kinds () =
   let events_of kinds stream =
     List.filter (fun (_, e) -> Trace.kind e land kinds <> 0) stream
   in
-  let render l = List.map (fun (time, e) -> Trace.event_to_json ~time e) l in
+  let render l = List.map render_event l in
   List.iter
     (fun (sc : Invariants.scenario) ->
       List.iter
@@ -974,7 +985,7 @@ let test_sanitizer_kinds_only () =
 let test_record_from_a_subscriber () =
   let tr = Trace.create () in
   let first = ref [] and second = ref [] in
-  let note ~time:_ e = Trace.event_to_json ~time:0. e in
+  let note ~time:_ e = Format.asprintf "%a" Trace.pp_event e in
   ignore
     (Trace.subscribe tr Trace.Kind.all (fun ~time e ->
          first := note ~time e :: !first;
@@ -1087,13 +1098,11 @@ let () =
       ( "analytic",
         [
           Alcotest.test_case "pi basics" `Quick test_pi_basic;
-          Alcotest.test_case "pi validations" `Quick test_pi_validations;
-          Alcotest.test_case "break-even overhead" `Quick test_break_even;
-          Alcotest.test_case "overhead total" `Quick test_overhead_total;
           Alcotest.test_case "table 4.3 matches the paper" `Quick
             test_table_4_3_matches_paper;
-          QCheck_alcotest.to_alcotest prop_pi_formula;
-          QCheck_alcotest.to_alcotest prop_pi_antitone_in_overhead;
+          Alcotest.test_case "break-even overhead" `Quick test_break_even;
+          Alcotest.test_case "PI = mean / (best + overhead)" `Quick test_pi_formula;
+          Alcotest.test_case "PI decreases with overhead" `Quick test_pi_antitone_in_overhead;
         ] );
       ( "alt_block",
         [

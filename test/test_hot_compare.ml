@@ -22,8 +22,8 @@ let generic_compares =
   ]
 
 (* Modules that may compare polymorphically, as "dir/module" under lib/,
-   "dir/*" for a whole library. Post-mortem analysis, [Payload.equal]
-   (structural, called by tests), replication, the experiment tables,
+   "dir/*" for a whole library. Post-mortem analysis, payloads,
+   replication, the experiment tables,
    the Prolog interpreter and the transaction layer: none of them runs
    per event on a serving path. *)
 let cold =

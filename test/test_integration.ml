@@ -136,7 +136,9 @@ let test_prolog_end_to_end () =
   match r.Or_parallel.first_solution with
   | Some [ (_, p) ] ->
     let seq_first =
-      match Solve.first db goal with Some [ (_, t) ] -> [ t ] | _ -> []
+      match (Solve.run ~max_solutions:1 db goal).Solve.solutions with
+      | [ [ (_, t) ] ] -> [ t ]
+      | _ -> []
     in
     (* OR-parallel may pick a different route than clause order: it must be
        one of the valid answers. *)

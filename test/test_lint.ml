@@ -73,11 +73,17 @@ let test_undefined_unknown () =
   let f = find (Database.with_prelude ()) "no_such_predicate(X)" in
   check Alcotest.string "undefined predicate" "unknown" (verdict_name f)
 
+(* The lint licenses the [?exclusive] fast path on an independent
+   verdict only. *)
+let exclusive db g =
+  match (Lint.check_goal db g).Lint.verdict with
+  | Lint.Independent _ -> true
+  | Lint.Conflicting _ | Lint.Unknown _ -> false
+
 let test_proven_exclusive () =
-  check Alcotest.bool "plan(P) exclusive" true
-    (Lint.proven_exclusive (db_of plan_program) (goal "plan(P)"));
+  check Alcotest.bool "plan(P) exclusive" true (exclusive (db_of plan_program) (goal "plan(P)"));
   check Alcotest.bool "member not exclusive" false
-    (Lint.proven_exclusive (Database.with_prelude ()) (goal "member(X, [a,b])"))
+    (exclusive (Database.with_prelude ()) (goal "member(X, [a,b])"))
 
 (* ---------------- footprint analysis ---------------- *)
 
@@ -108,11 +114,11 @@ let test_footprints_endpoint () =
   check Alcotest.string "shared endpoint" "conflicting" (fp_verdict [ a; b ])
 
 let test_footprints_undeclared () =
-  let a = alt ~footprint:Alternative.pure 1 in
+  let a = alt ~footprint:(Alternative.footprint ()) 1 in
   let b = alt 2 in
   check Alcotest.string "undeclared is unknown" "unknown" (fp_verdict [ a; b ]);
   check Alcotest.string "all pure is independent" "independent"
-    (fp_verdict [ alt ~footprint:Alternative.pure 1; alt ~footprint:Alternative.pure 2 ])
+    (fp_verdict [ alt ~footprint:(Alternative.footprint ()) 1; alt ~footprint:(Alternative.footprint ()) 2 ])
 
 (* ---------------- exit codes and JSON ---------------- *)
 
@@ -183,7 +189,7 @@ let test_elision_same_winner () =
 let test_or_parallel_elision () =
   let db = db_of plan_program in
   let g = goal "plan(P)" in
-  let exclusive = Lint.proven_exclusive db g in
+  let exclusive = exclusive db g in
   check Alcotest.bool "lint licenses the fast path" true exclusive;
   let voted = Or_parallel.solve_sim ~policy:consensus_policy db g in
   let elided = Or_parallel.solve_sim ~policy:consensus_policy ~exclusive db g in

@@ -22,8 +22,8 @@ let check = Alcotest.check
 let pid i = Pid.of_int i
 
 let message ~uid ~tag payload =
-  Message.make ~sender:(pid 1) ~dest:(pid 2) ~predicate:Predicate.empty ~tag
-    ~seq:uid payload
+  { Message.sender = pid 1; dest = pid 2; predicate = Predicate.empty; payload; tag;
+    seq = uid; size = Message.header_bytes + Payload.size_bytes payload }
 
 let push_one ring ~uid ~tag payload = Mailbox.push ring (message ~uid ~tag payload)
 
@@ -122,16 +122,16 @@ let test_growth_while_wrapped () =
 let test_duplicate_copies_share_one_value () =
   let ring = Mailbox.create () in
   for i = 0 to 99 do
-    let m = message ~uid:i ~tag:"t" (Payload.str (string_of_int i)) in
+    let m = message ~uid:i ~tag:"t" (Payload.Str (string_of_int i)) in
     Mailbox.push ring m;
     Mailbox.push ring m;
     let first = pop_front ring in
-    push_one ring ~uid:(-1) ~tag:"chaff" (Payload.str "overwrite");
+    push_one ring ~uid:(-1) ~tag:"chaff" (Payload.Str "overwrite");
     let second = pop_front ring in
     check Alcotest.bool "both copies are the sent value" true
       (first == m && second == m);
     check Alcotest.string "payload intact" (string_of_int i)
-      (Payload.get_str second.Message.payload);
+      (match second.Message.payload with Payload.Str s -> s | _ -> "not a string");
     check Alcotest.string "chaff after both" "chaff" (pop_front ring).Message.tag
   done
 
@@ -171,7 +171,7 @@ let test_traffic_cannot_reach_a_duplicate () =
   Mailbox.push inbox m;
   check Alcotest.bool "first copy is the sent value" true (pop_front inbox == m);
   for i = 0 to 99 do
-    push_one inbox ~uid:i ~tag:"evil" (Payload.str "overwrite");
+    push_one inbox ~uid:i ~tag:"evil" (Payload.Str "overwrite");
     (* Consume the newcomer, leaving the second copy at the head. *)
     Mailbox.remove inbox (Mailbox.tail_pos inbox - 1)
   done;
@@ -206,7 +206,7 @@ let test_duplicate_copies_do_not_alias () =
   in
   ignore
     (Engine.spawn eng ~cloneable:false ~name:"source" (fun ctx ->
-         Engine.send ctx ~tag:"dup" receiver (Payload.str "precious");
+         Engine.send ctx ~tag:"dup" receiver (Payload.Str "precious");
          for i = 1 to n_chaff do
            Engine.send ctx ~tag:"chaff" receiver (Payload.int i)
          done));
@@ -214,9 +214,9 @@ let test_duplicate_copies_do_not_alias () =
   match !got with
   | [ a; b ] ->
     check Alcotest.bool "first copy intact" true
-      (Payload.equal a (Payload.str "precious"));
+      (a = Payload.Str "precious");
     check Alcotest.bool "second copy intact" true
-      (Payload.equal b (Payload.str "precious"))
+      (b = Payload.Str "precious")
   | l -> Alcotest.failf "expected 2 copies, got %d" (List.length l)
 
 (* [F_duplicate] on every send of a 100-message burst: the two copies of
@@ -312,7 +312,7 @@ let test_duplicates_stay_one_logical_send () =
    the message goes to one copy, to two world copies, or through a
    delivery-fault hook. *)
 let test_delivered_message_is_the_sent_value () =
-  let sent = List.init 3 (fun i -> Payload.str (Printf.sprintf "p%d" i)) in
+  let sent = List.init 3 (fun i -> Payload.Str (Printf.sprintf "p%d" i)) in
   let run_single ~hook =
     let eng = Engine.create ~trace:false () in
     let hooked = ref [] in
@@ -347,7 +347,7 @@ let test_delivered_message_is_the_sent_value () =
      later message reaches both copies. *)
   let eng = Engine.create ~trace:false () in
   let spec = (Engine.fresh_pids eng 1).(0) in
-  let late = Payload.str "late" in
+  let late = Payload.Str "late" in
   let seen = ref [] in
   let recv =
     Engine.spawn eng ~name:"recv" (fun ctx ->
@@ -421,7 +421,7 @@ let test_tag_cursor_scan_budget () =
 let test_size_stamped_and_payload_frozen_at_send () =
   let eng = Engine.create ~trace:false () in
   let small = Payload.int 7 in
-  let big = Payload.str (String.make 200 'x') in
+  let big = Payload.Str (String.make 200 'x') in
   let got = ref [] in
   let receiver =
     Engine.spawn eng ~cloneable:false ~name:"sink" (fun ctx ->
@@ -439,15 +439,13 @@ let test_size_stamped_and_payload_frozen_at_send () =
     check Alcotest.int "small size stamped at send"
       (Message.header_bytes + Payload.size_bytes small)
       m1.Message.size;
-    check Alcotest.int "stamped size is live size" (Message.size_bytes m1)
-      m1.Message.size;
     check Alcotest.bool "small payload arrives" true
-      (Payload.equal small m1.Message.payload);
+      (small = m1.Message.payload);
     check Alcotest.int "large payload's size stamped too"
       (Message.header_bytes + Payload.size_bytes big)
       m2.Message.size;
     check Alcotest.bool "large payload arrives" true
-      (Payload.equal big m2.Message.payload)
+      (big = m2.Message.payload)
   | l -> Alcotest.failf "expected 2 messages, got %d" (List.length l)
 
 (* ---------------- delivery vs zero-timeout polls ---------------- *)
@@ -824,7 +822,11 @@ let run_program p =
         Engine.spawn eng ~cloneable:false ~name:(Printf.sprintf "c%d" c) (fun ctx ->
             while true do
               let m = Engine.receive ctx ?tag:p.per_tag () in
-              let k = int_of_payload (fst (Payload.get_pair m.Message.payload)) in
+              let k =
+                match m.Message.payload with
+                | Payload.Pair (k, _) -> int_of_payload k
+                | _ -> Alcotest.fail "not a pair"
+              in
               got.(c) <- k :: got.(c);
               let iv = receipt.(c) in
               receipt.(c) <- Engine.Ivar.create ();
@@ -841,7 +843,7 @@ let run_program p =
                    let k = !next in
                    incr next;
                    let payload =
-                     Payload.pair (Payload.int k) (Payload.str (String.make pad 'x'))
+                     Payload.Pair (Payload.int k, Payload.Str (String.make pad 'x'))
                    in
                    let s_size = Message.header_bytes + Payload.size_bytes payload in
                    let s_dest = dest mod p.collectors in

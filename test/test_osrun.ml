@@ -68,20 +68,15 @@ let test_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Fork_race.run: empty list")
     (fun () -> ignore (Fork_race.run ([] : (unit -> int) list)))
 
-let test_run_exn () =
-  check Alcotest.int "winner value" 7 (Fork_race.run_exn [ (fun () -> 7) ]);
-  Alcotest.check_raises "all failed"
-    (Failure "Fork_race: all alternatives failed") (fun () ->
-      ignore (Fork_race.run_exn [ (fun () -> failwith "x" : unit -> int) ]))
-
 let test_many_alternatives () =
-  let winner =
-    Fork_race.run_exn ~timeout:60.
+  match
+    Fork_race.run ~timeout:60.
       (List.init 8 (fun i () ->
            Unix.sleepf (0.02 +. (0.05 *. float_of_int (7 - i)));
            i))
-  in
-  check Alcotest.int "cheapest sleep wins" 7 winner
+  with
+  | Fork_race.Winner { value; _ } -> check Alcotest.int "cheapest sleep wins" 7 value
+  | _ -> Alcotest.fail "expected a winner"
 
 (* ---------------- Measure ---------------- *)
 
@@ -124,7 +119,6 @@ let () =
           Alcotest.test_case "structured values" `Quick test_structured_values_cross_the_pipe;
           Alcotest.test_case "child isolation" `Quick test_child_isolation;
           Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
-          Alcotest.test_case "run_exn" `Quick test_run_exn;
           Alcotest.test_case "many alternatives" `Slow test_many_alternatives;
         ] );
       ( "measure",

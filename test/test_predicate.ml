@@ -79,21 +79,18 @@ let test_resolve () =
   | Predicate.Unchanged -> ()
   | _ -> Alcotest.fail "expected Unchanged")
 
-let test_equal_compare () =
+let test_equal () =
   check Alcotest.bool "equal" true (Predicate.equal (pred [ 1 ] [ 2 ]) (pred [ 1 ] [ 2 ]));
-  check Alcotest.bool "not equal" false (Predicate.equal (pred [ 1 ] []) (pred [ 2 ] []));
-  check Alcotest.int "compare self" 0 (Predicate.compare (pred [ 1 ] [ 2 ]) (pred [ 1 ] [ 2 ]))
+  check Alcotest.bool "not equal" false (Predicate.equal (pred [ 1 ] []) (pred [ 2 ] []))
 
 let test_pp () =
   check Alcotest.string "printed" "{+P1 -P2}" (Predicate.to_string (pred [ 1 ] [ 2 ]))
 
 let test_hash_consing () =
   (* The construction route does not matter: every route to the same
-     assumptions yields an equal predicate that compares as 0. Only the
-     certain predicate is shared physically. *)
-  let same name a b =
-    check Alcotest.bool name true (Predicate.equal a b && Predicate.compare a b = 0)
-  in
+     assumptions yields an equal predicate. Only the certain predicate is
+     shared physically. *)
+  let same name a b = check Alcotest.bool name true (Predicate.equal a b) in
   let target = pred [ 1; 2 ] [ 3 ] in
   same "list order and duplicates" (pred [ 2; 1; 2 ] [ 3 ]) target;
   same "assume route" (Predicate.assume_completes (pred [ 1 ] [ 3 ]) (p 2)) target;
@@ -238,8 +235,7 @@ let prop_equal_is_structural =
           ~must_fail:(Pid.Set.elements (Predicate.must_fail b))
       in
       let agrees x y = Predicate.equal x y = (x = y) && Predicate.equal y x = (y = x) in
-      agrees a b && agrees a b' && agrees b b' && Predicate.equal b b'
-      && Predicate.equal a b = (Predicate.compare a b = 0))
+      agrees a b && agrees a b' && agrees b b' && Predicate.equal b b')
 
 (* [Predicate.resolve] decides one pid with two binary searches; its
    definition is [resolve_all] with a fate function that decides that pid
@@ -261,8 +257,7 @@ let prop_resolve_is_one_pid_resolve_all =
       | Predicate.Unchanged, Predicate.Unchanged | Predicate.Falsified, Predicate.Falsified ->
         true
       | Predicate.Simplified a, Predicate.Simplified b ->
-        (Predicate.equal a b && Predicate.compare a b = 0
-         && Predicate.is_certain a = (a == Predicate.empty))
+        (Predicate.equal a b && Predicate.is_certain a = (a == Predicate.empty))
         || QCheck.Test.fail_reportf "resolve %s, resolve_all %s" (Predicate.to_string a)
              (Predicate.to_string b)
       | _ -> QCheck.Test.fail_report "different resolutions")
@@ -305,7 +300,6 @@ let prop_assume_alternative_model =
       match (outcome fold, outcome one_step) with
       | Ok a, Ok b ->
         Predicate.equal a b && Predicate.equal b a
-        && Predicate.compare a b = 0 && Predicate.compare b a = 0
         || QCheck.Test.fail_reportf "fold %s, one step %s" (Predicate.to_string a)
              (Predicate.to_string b)
       | Error a, Error b ->
@@ -444,11 +438,7 @@ let ref_implies r s = Pid.Set.subset s.rc r.rc && Pid.Set.subset s.rf r.rf
 let ref_conflicts r s =
   not (Pid.Set.disjoint r.rc s.rf && Pid.Set.disjoint r.rf s.rc)
 
-let ref_compare a b =
-  let c = Pid.Set.compare a.rc b.rc in
-  if c <> 0 then c else Pid.Set.compare a.rf b.rf
-
-let sign c = Stdlib.compare c 0
+let ref_equal a b = Pid.Set.equal a.rc b.rc && Pid.Set.equal a.rf b.rf
 
 (* The reference outcome of one step; [`Raises] stands for
    [Invalid_argument]. *)
@@ -535,8 +525,7 @@ let disagreement ~universe q r =
 let pair_disagreement (a, ra) (b, rb) =
   if Predicate.implies a b <> ref_implies ra rb then Some "implies"
   else if Predicate.conflicts a b <> ref_conflicts ra rb then Some "conflicts"
-  else if Predicate.equal a b <> (ref_compare ra rb = 0) then Some "equal"
-  else if sign (Predicate.compare a b) <> sign (ref_compare ra rb) then Some "compare"
+  else if Predicate.equal a b <> ref_equal ra rb then Some "equal"
   else None
 
 let run_model (universe, ops) =
@@ -621,7 +610,7 @@ let () =
           Alcotest.test_case "conflicts" `Quick test_conflicts;
           Alcotest.test_case "conjoin" `Quick test_conjoin;
           Alcotest.test_case "resolve" `Quick test_resolve;
-          Alcotest.test_case "equal/compare" `Quick test_equal_compare;
+          Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "hash-consing" `Quick test_hash_consing;
           Alcotest.test_case "printing" `Quick test_pp;
           Alcotest.test_case "assume_alternative rejects unsorted rivals" `Quick

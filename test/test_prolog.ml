@@ -3,7 +3,7 @@
 
 let check = Alcotest.check
 
-let term = Alcotest.testable Term.pp Term.equal
+let term = Alcotest.testable (fun ppf t -> Format.pp_print_string ppf (Term.to_string t)) Term.equal
 
 (* ---------------- Term ---------------- *)
 
@@ -13,13 +13,11 @@ let test_term_constructors () =
     (Term.of_list [ Term.Int 1; Term.Int 2 ])
     (Term.cons (Term.Int 1) (Term.cons (Term.Int 2) Term.nil))
 
-let test_term_to_list () =
-  let l = Term.of_list [ Term.Atom "a"; Term.Atom "b" ] in
-  check Alcotest.bool "proper list" true
-    (Term.to_list l = Some [ Term.Atom "a"; Term.Atom "b" ]);
-  check Alcotest.bool "improper list" true
-    (Term.to_list (Term.cons (Term.Atom "a") (Term.Var 0)) = None);
-  check Alcotest.bool "non-list" true (Term.to_list (Term.Int 3) = None)
+(* The elements of a proper Prolog list. *)
+let rec list_of = function
+  | Term.Atom "[]" -> Some []
+  | Term.Compound (".", [| h; t |]) -> Option.map (fun l -> h :: l) (list_of t)
+  | _ -> None
 
 let test_term_functor_vars () =
   let t = Term.compound "f" [ Term.Var 2; Term.compound "g" [ Term.Var 0; Term.Var 2 ] ] in
@@ -96,12 +94,14 @@ let test_unify_occurs_check () =
   check Alcotest.bool "without check, cyclic binding accepted" true
     (Unify.unify Subst.empty x fx <> None);
   check Alcotest.bool "with check, rejected" true
-    (Unify.unify ~occurs_check:true Subst.empty x fx = None);
-  check Alcotest.bool "occurs" true (Unify.occurs Subst.empty 0 fx)
+    (Unify.unify ~occurs_check:true Subst.empty x fx = None)
 
 let test_unify_arrays_length () =
   check Alcotest.bool "length mismatch" true
-    (Unify.unify_arrays Subst.empty [| Term.Int 1 |] [||] = None)
+    (Unify.unify Subst.empty
+       (Term.compound "f" [ Term.Int 1 ])
+       (Term.compound "f" [ Term.Int 1; Term.Int 2 ])
+    = None)
 
 (* Random ground-able term pairs: if unification succeeds, applying the
    unifier to both sides must give equal terms. *)
@@ -200,9 +200,8 @@ let test_parser_fact_and_rule () =
   | _ -> Alcotest.fail "unexpected parse")
 
 let test_parser_operators_precedence () =
-  let c = Parser.clause_of_string "r(X) :- X is 1 + 2 * 3." in
-  match c.Parser.body with
-  | Some (Term.Compound ("is", [| _; rhs |])) ->
+  match Parser.program "r(X) :- X is 1 + 2 * 3." with
+  | [ Parser.Clause { Parser.body = Some (Term.Compound ("is", [| _; rhs |])); _ } ] ->
     check term "* binds tighter than +"
       (Term.compound "+" [ Term.Int 1; Term.compound "*" [ Term.Int 2; Term.Int 3 ] ])
       rhs
@@ -267,23 +266,21 @@ let test_parser_errors () =
 let test_database_add_and_lookup () =
   let db = Database.create () in
   ignore (Database.add_program db "f(a). f(b). g(X) :- f(X).");
-  check Alcotest.int "count" 3 (Database.clause_count db);
   check Alcotest.int "f/1 clauses" 2 (List.length (Database.clauses db ~name:"f" ~arity:1));
-  check Alcotest.int "unknown" 0 (List.length (Database.clauses db ~name:"h" ~arity:2));
-  check Alcotest.bool "predicates" true
-    (Database.predicates db = [ ("f", 1); ("g", 1) ])
+  check Alcotest.int "g/1 clauses" 1 (List.length (Database.clauses db ~name:"g" ~arity:1));
+  check Alcotest.int "unknown" 0 (List.length (Database.clauses db ~name:"h" ~arity:2))
 
 let test_database_rejects_bad_head () =
   let db = Database.create () in
   Alcotest.check_raises "var head"
     (Invalid_argument "Database.add: clause head must be callable") (fun () ->
-      Database.add db { Parser.head = Term.Var 0; body = None })
+      ignore (Database.add_program db "X."))
 
 let test_database_directives_returned () =
   let db = Database.create () in
   let goals = Database.add_program db "f(a). ?- f(X). f(b)." in
   check Alcotest.int "one directive" 1 (List.length goals);
-  check Alcotest.int "two clauses" 2 (Database.clause_count db)
+  check Alcotest.int "two clauses" 2 (List.length (Database.clauses db ~name:"f" ~arity:1))
 
 let test_database_prelude_loads () =
   let db = Database.with_prelude () in
@@ -440,11 +437,9 @@ let test_solve_inference_counting () =
 
 let test_solve_succeeds_first () =
   let db = Database.with_prelude () in
-  let goal, _ = Parser.query "member(b, [a, b, c])" in
-  check Alcotest.bool "succeeds" true (Solve.succeeds db goal);
-  check Alcotest.bool "first returns bindings" true (Solve.first db goal = Some []);
-  let goal2, _ = Parser.query "member(z, [a])" in
-  check Alcotest.bool "fails" false (Solve.succeeds db goal2)
+  let first q = (Solve.run ~max_solutions:1 db (fst (Parser.query q))).Solve.solutions in
+  check Alcotest.bool "first returns bindings" true (first "member(b, [a, b, c])" = [ [] ]);
+  check Alcotest.bool "fails" true (first "member(z, [a])" = [])
 
 (* ---------------- findall / forall / \+ ---------------- *)
 
@@ -508,7 +503,7 @@ let test_nqueens_integration () =
   (* And each reported board is a valid permutation. *)
   match first_binding db "nqueens(6, Qs)" "Qs" with
   | Some qs -> (
-    match Term.to_list qs with
+    match list_of qs with
     | Some cells ->
       let ints =
         List.filter_map (function Term.Int i -> Some i | _ -> None) cells
@@ -628,24 +623,24 @@ let test_or_parallel_real_agrees () =
 
 (* ---------------- AND-parallelism ---------------- *)
 
+(* The independent groups [And_parallel.solve_sim] finds for [q]. *)
+let and_groups q =
+  let db = Database.create () in
+  ignore
+    (Database.add_program db
+       "a. b. c. d. e. just_one. p(1). q(2). r(1). s(3). p(1, 2). q(2, 3). r(3).");
+  (And_parallel.solve_sim db (fst (Parser.query q))).And_parallel.groups
+
 let test_and_conjuncts_flatten () =
-  let goal, _ = Parser.query "a, b, (c, d), e" in
-  check Alcotest.int "five conjuncts" 5 (List.length (And_parallel.conjuncts goal));
-  let single, _ = Parser.query "just_one" in
-  check Alcotest.int "single goal" 1 (List.length (And_parallel.conjuncts single))
+  check Alcotest.int "five conjuncts" 5 (and_groups "a, b, (c, d), e");
+  check Alcotest.int "single goal" 1 (and_groups "just_one")
 
 let test_and_independent_groups () =
-  let goal, _ = Parser.query "p(X), q(Y), r(X), s(Z)" in
-  let groups = And_parallel.independent_groups (And_parallel.conjuncts goal) in
   (* p(X) and r(X) share X; q(Y) and s(Z) are each alone. *)
-  check Alcotest.int "three groups" 3 (List.length groups);
-  check Alcotest.(list int) "group sizes" [ 2; 1; 1 ]
-    (List.map List.length groups)
+  check Alcotest.int "three groups" 3 (and_groups "p(X), q(Y), r(X), s(Z)")
 
 let test_and_transitive_sharing () =
-  let goal, _ = Parser.query "p(X, Y), q(Y, Z), r(Z)" in
-  let groups = And_parallel.independent_groups (And_parallel.conjuncts goal) in
-  check Alcotest.int "one chained group" 1 (List.length groups)
+  check Alcotest.int "one chained group" 1 (and_groups "p(X, Y), q(Y, Z), r(Z)")
 
 let and_db () =
   let db = Database.with_prelude () in
@@ -672,7 +667,7 @@ let test_and_parallel_solves_and_speeds_up () =
     (r.And_parallel.speedup < 3.);
   (* The OR contrast: AND must wait for the slowest, never the fastest. *)
   let max_group =
-    float_of_int (Stats.max (Array.map float_of_int r.And_parallel.group_inferences) |> int_of_float)
+    float_of_int (Array.fold_left max 0 r.And_parallel.group_inferences)
   in
   check Alcotest.bool "par time >= slowest group's work" true
     (r.And_parallel.par_time >= max_group *. 1e-4 -. 1e-9)
@@ -772,7 +767,6 @@ let () =
       ( "term",
         [
           Alcotest.test_case "constructors" `Quick test_term_constructors;
-          Alcotest.test_case "to_list" `Quick test_term_to_list;
           Alcotest.test_case "functor and vars" `Quick test_term_functor_vars;
           Alcotest.test_case "rename" `Quick test_term_rename;
           Alcotest.test_case "printing" `Quick test_term_printing;

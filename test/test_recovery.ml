@@ -183,14 +183,15 @@ let test_concurrent_attempts_counts_finished_versions () =
   let r = in_process eng (fun ctx -> Recovery_block.run_concurrent ctx rb) in
   check Alcotest.int "all finished versions count" 2 r.Recovery_block.attempts
 
+(* The concurrent encoding folds the acceptance test into each
+   alternative: a version whose result it rejects fails its alternative. *)
 let test_to_alternatives_folds_acceptance () =
   let eng = mk_engine () in
   let rb = Recovery_block.make ~acceptance:accept_positive [ timed "neg" 0.1 (-5) ] in
-  let alts = Recovery_block.to_alternatives rb in
-  check Alcotest.int "one alternative" 1 (List.length alts);
-  let outcome = in_process eng (fun ctx -> Alt_block.run_first ctx alts) in
+  let r = in_process eng (fun ctx -> Recovery_block.run_concurrent ctx rb) in
+  check Alcotest.int "one alternative attempted" 1 r.Recovery_block.attempts;
   check Alcotest.bool "acceptance folded into alternative" true
-    (match outcome with Alt_block.Block_failed _ -> true | _ -> false)
+    (r.Recovery_block.verdict = `Failed)
 
 (* ---------------- Fault ---------------- *)
 

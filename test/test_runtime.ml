@@ -7,19 +7,23 @@ let cf = Alcotest.float 1e-9
 
 (* ---------------- Event_queue ---------------- *)
 
+(* The engine's pop: [min_time] for the time, then [pop_min]. *)
+let eq_pop q =
+  if Event_queue.is_empty q then None
+  else
+    let time = Event_queue.min_time q in
+    Some (time, Event_queue.pop_min q)
+
 let test_eq_order () =
   let q = Event_queue.create () in
   Event_queue.push q ~time:3. "c";
   Event_queue.push q ~time:1. "a";
   Event_queue.push q ~time:2. "b";
   check Alcotest.int "size" 3 (Event_queue.size q);
-  check Alcotest.(option (pair (float 0.) string)) "a first" (Some (1., "a"))
-    (Event_queue.pop q);
-  check Alcotest.(option (pair (float 0.) string)) "b second" (Some (2., "b"))
-    (Event_queue.pop q);
-  check Alcotest.(option (pair (float 0.) string)) "c third" (Some (3., "c"))
-    (Event_queue.pop q);
-  check Alcotest.bool "empty" true (Event_queue.pop q = None)
+  check Alcotest.(option (pair (float 0.) string)) "a first" (Some (1., "a")) (eq_pop q);
+  check Alcotest.(option (pair (float 0.) string)) "b second" (Some (2., "b")) (eq_pop q);
+  check Alcotest.(option (pair (float 0.) string)) "c third" (Some (3., "c")) (eq_pop q);
+  check Alcotest.bool "empty" true (eq_pop q = None)
 
 (* Regression for the pop leak: the heap array must not keep popped
    values reachable. Weak pointers observe exactly what the GC can still
@@ -35,7 +39,7 @@ let test_eq_pop_clears_slots () =
     Event_queue.push q ~time:(float_of_int i) v
   done;
   for _ = 0 to 7 do
-    ignore (Event_queue.pop q)
+    ignore (Event_queue.pop_min q)
   done;
   (* Keep the queue itself (and therefore its heap array) alive. *)
   Event_queue.push q ~time:99. (ref 0);
@@ -54,15 +58,15 @@ let test_eq_clear_drops_references () =
     Weak.set weak i (Some v);
     Event_queue.push q ~time:(float_of_int i) v
   done;
-  Event_queue.clear q;
+  Event_queue.reset q;
   Gc.full_major ();
   for i = 0 to 3 do
     if Weak.check weak i then
       Alcotest.failf "cleared value %d is still referenced by the queue" i
   done;
-  (* The queue works after clear. *)
+  (* The queue works after a reset. *)
   Event_queue.push q ~time:1. (ref 42);
-  check Alcotest.int "size after clear+push" 1 (Event_queue.size q)
+  check Alcotest.int "size after reset+push" 1 (Event_queue.size q)
 
 let test_eq_fifo_ties () =
   let q = Event_queue.create () in
@@ -70,18 +74,20 @@ let test_eq_fifo_ties () =
     Event_queue.push q ~time:1. i
   done;
   for i = 0 to 9 do
-    match Event_queue.pop q with
+    match eq_pop q with
     | Some (_, v) -> check Alcotest.int "insertion order on ties" i v
     | None -> Alcotest.fail "queue exhausted early"
   done
 
 let test_eq_peek_clear () =
   let q = Event_queue.create () in
-  check Alcotest.(option (float 0.)) "peek empty" None (Event_queue.peek_time q);
+  Alcotest.check_raises "min_time of empty"
+    (Invalid_argument "Event_queue.min_time: empty queue")
+    (fun () -> ignore (Event_queue.min_time q));
   Event_queue.push q ~time:5. ();
-  check Alcotest.(option (float 0.)) "peek" (Some 5.) (Event_queue.peek_time q);
-  Event_queue.clear q;
-  check Alcotest.bool "cleared" true (Event_queue.is_empty q)
+  check (Alcotest.float 0.) "min_time" 5. (Event_queue.min_time q);
+  Event_queue.reset q;
+  check Alcotest.bool "reset" true (Event_queue.is_empty q)
 
 let test_eq_nan () =
   let q = Event_queue.create () in
@@ -101,14 +107,14 @@ let prop_eq_sorted =
       let q = Event_queue.create () in
       List.iter (fun t -> Event_queue.push q ~time:t ()) times;
       let rec drain last =
-        match Event_queue.pop q with
+        match eq_pop q with
         | None -> true
         | Some (t, ()) -> t >= last && drain t
       in
       drain neg_infinity)
 
 (* A model test: random push / set_slot / clear_slot / set_handle /
-   clear_handle / pop / min_time+pop_min / peek / clear sequences, times
+   clear_handle / min_time+pop_min / peek / reset sequences, times
    drawn from a few values so ties (slot and handles against the heap too)
    are common, against a list kept sorted by (time, stamp). Each pushed,
    slotted or handled value is its stamp. The reference treats the slot
@@ -122,10 +128,9 @@ type eq_op =
   | Clear_slot
   | Set_handle of int * float
   | Clear_handle of int
-  | Pop
   | Pop_min
   | Peek
-  | Clear
+  | Reset
 
 let eq_handles = 8
 
@@ -144,10 +149,9 @@ let prop_eq_model =
              (2, return Clear_slot);
              (8, map2 (fun h t -> Set_handle (h, t)) (int_range 0 (eq_handles - 1)) time);
              (6, map (fun h -> Clear_handle h) (int_range 0 eq_handles));
-             (4, return Pop);
-             (4, return Pop_min);
+             (8, return Pop_min);
              (2, return Peek);
-             (1, return Clear);
+             (1, return Reset);
            ]))
   in
   let print ops =
@@ -159,10 +163,9 @@ let prop_eq_model =
            | Clear_slot -> "clear_slot"
            | Set_handle (h, t) -> Printf.sprintf "set_handle(%d,%g)" h t
            | Clear_handle h -> Printf.sprintf "clear_handle(%d)" h
-           | Pop -> "pop"
            | Pop_min -> "pop_min"
            | Peek -> "peek"
-           | Clear -> "clear")
+           | Reset -> "reset")
          ops)
   in
   QCheck.Test.make ~name:"model: a list sorted by (time, stamp)" ~count:1000
@@ -220,12 +223,6 @@ let prop_eq_model =
               Event_queue.clear_handle q h;
               handles.(h) := false;
               true
-            | Pop -> (
-              match front () with
-              | [] -> Event_queue.pop q = None
-              | (t, v, _, h) :: rest ->
-                model := rest;
-                Event_queue.pop q = Some (t, v) && Event_queue.popped_handle q = h)
             | Pop_min -> (
               match front () with
               | [] -> (
@@ -237,11 +234,12 @@ let prop_eq_model =
                 let t' = Event_queue.min_time q in
                 let v' = Event_queue.pop_min q in
                 t' = t && v' = v && Event_queue.popped_handle q = h)
-            | Peek ->
-              Event_queue.peek_time q
-              = (match front () with [] -> None | (t, _, _, _) :: _ -> Some t)
-            | Clear ->
-              Event_queue.clear q;
+            | Peek -> (
+              match front () with
+              | [] -> Event_queue.is_empty q
+              | (t, _, _, _) :: _ -> Event_queue.min_time q = t)
+            | Reset ->
+              Event_queue.reset q;
               model := [];
               true
           in
@@ -859,7 +857,7 @@ let test_send_receive_payload () =
         let m = Engine.receive ctx () in
         got := Some m.Message.payload)
   in
-  ignore (Engine.spawn eng (fun ctx -> Engine.send ctx recv (Payload.str "hi")));
+  ignore (Engine.spawn eng (fun ctx -> Engine.send ctx recv (Payload.Str "hi")));
   Engine.run eng;
   check Alcotest.bool "payload" true (!got = Some (Payload.Str "hi"))
 
@@ -978,7 +976,7 @@ let test_forged_dest_clock () =
   in
   ignore
     (Engine.spawn eng ~cloneable:false (fun ctx ->
-         Engine.send ctx (Pid.of_int (-1)) (Payload.str (String.make 100_000 'x'));
+         Engine.send ctx (Pid.of_int (-1)) (Payload.Str (String.make 100_000 'x'));
          List.iter (fun r -> Engine.send ctx r (Payload.int 1)) receivers));
   Engine.run eng;
   check Alcotest.int "every receiver got its message" 64 (List.length !arrivals);

@@ -132,12 +132,12 @@ let test_shared_space_caught_at_write () =
   let p1 =
     Engine.spawn eng ~space:sp (fun ctx ->
         Engine.delay ctx 0.001;
-        Address_space.write_bytes sp ~addr:0 (Bytes.make 16 'x'))
+        Address_space.set_string sp ~addr:0 (String.make 16 'x'))
   in
   let p2 =
     Engine.spawn eng ~space:sp (fun ctx ->
         Engine.delay ctx 0.002;
-        Address_space.write_bytes sp ~addr:256 (Bytes.make 16 'y'))
+        Address_space.set_string sp ~addr:256 (String.make 16 'y'))
   in
   Engine.run eng;
   Sanitizer.detach sz;

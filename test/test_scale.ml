@@ -121,14 +121,6 @@ let test_deep_prolog_recursion () =
 
 (* ---------------- residual API coverage ---------------- *)
 
-let test_parser_clause_of_string_errors () =
-  (try
-     ignore (Parser.clause_of_string "a. b.");
-     Alcotest.fail "two clauses must be rejected"
-   with Parser.Parse_error _ -> ());
-  let c = Parser.clause_of_string "f(x)." in
-  check Alcotest.bool "fact parsed" true (c.Parser.body = None)
-
 let test_checkpoint_empty_space () =
   let model = Cost_model.uniform ~page_size:256 () in
   let sp = Address_space.create (Frame_store.create ~page_size:256) model in
@@ -171,7 +163,6 @@ let () =
         ] );
       ( "residual coverage",
         [
-          Alcotest.test_case "clause_of_string" `Quick test_parser_clause_of_string_errors;
           Alcotest.test_case "empty checkpoint" `Quick test_checkpoint_empty_space;
           Alcotest.test_case "scheme distributions" `Quick test_schemes_distributions;
         ] );

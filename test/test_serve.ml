@@ -92,7 +92,7 @@ let test_quota_no_drift_over_1e6 () =
      decision compares k >= k with no accumulated error. *)
   let q = Quota.create ~rate:1024. ~burst:1 in
   for k = 0 to n - 1 do
-    ignore (Quota.admit q ~now:(float_of_int k /. 1024.))
+    ignore (Quota.admit_all [ q ] ~now:(float_of_int k /. 1024.))
   done;
   check Alcotest.int "boundary arrivals all admitted" n (Quota.admitted q);
   (* Arrivals at half the refill period: after the initial burst token
@@ -100,7 +100,7 @@ let test_quota_no_drift_over_1e6 () =
   let q = Quota.create ~rate:1024. ~burst:1 in
   let last_sheds = ref [] in
   for k = 0 to n - 1 do
-    let ok = Quota.admit q ~now:(float_of_int k /. 2048.) in
+    let ok = Quota.admit_all [ q ] ~now:(float_of_int k /. 2048.) in
     if k >= n - 4 then last_sheds := ok :: !last_sheds
   done;
   check Alcotest.int "half-period arrivals alternate exactly" (n / 2)
@@ -112,16 +112,46 @@ let test_quota_no_drift_over_1e6 () =
 
 let test_quota_burst_and_refusal () =
   let q = Quota.create ~rate:10. ~burst:3 in
-  let okays = List.init 5 (fun _ -> Quota.admit q ~now:0.) in
+  let okays = List.init 5 (fun _ -> Quota.admit_all [ q ] ~now:0.) in
   check
     Alcotest.(list bool)
     "burst then refusal" [ true; true; true; false; false ] okays;
   check Alcotest.bool "shed leaves no tokens" true (Quota.tokens q ~now:0. < 1.);
   (* Sheds must not consume anything: a full refill period later one
      token is back, regardless of how many refusals happened. *)
-  check Alcotest.bool "refill after shed burst" true (Quota.admit q ~now:0.1)
+  check Alcotest.bool "refill after shed burst" true (Quota.admit_all [ q ] ~now:0.1)
 
-(* The guided Zipf pick is the binary search, answer for answer. *)
+(* The guided Zipf pick is the binary search, answer for answer. The
+   reference is the library's unguided path: the same CDF, summed in the
+   same order so its entries agree to the bit, and a binary search over
+   it. *)
+module Ref_zipf = struct
+  let cdf ~tenants ~s =
+    let w = Array.init tenants (fun k -> float_of_int (k + 1) ** -.s) in
+    let total = Array.fold_left ( +. ) 0. w in
+    let acc = ref 0. in
+    let cdf =
+      Array.map
+        (fun wk ->
+          acc := !acc +. (wk /. total);
+          !acc)
+        w
+    in
+    cdf.(tenants - 1) <- 1.;
+    cdf
+
+  let search cdf u =
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if u <= cdf.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+  (* Entries in [Zipf.pick]'s guide table. *)
+  let buckets = 256
+end
+
 let zipf_shapes =
   List.concat_map
     (fun tenants -> List.map (fun s -> (tenants, s)) [ 0.; 1.1; 3. ])
@@ -131,16 +161,16 @@ let test_zipf_pick_boundaries () =
   let below_one u = u >= 0. && u < 1. in
   List.iter
     (fun (tenants, s) ->
-      let cdf = Zipf.cdf ~tenants ~s and t = Zipf.table ~tenants ~s in
+      let cdf = Ref_zipf.cdf ~tenants ~s and t = Zipf.table ~tenants ~s in
       let probe u =
         if below_one u then
           check Alcotest.int
             (Printf.sprintf "tenants %d, s %g, u %h" tenants s u)
-            (Zipf.search cdf u) (Zipf.pick t u)
+            (Ref_zipf.search cdf u) (Zipf.pick t u)
       in
       let around u = List.iter probe [ Float.pred u; u; Float.succ u ] in
-      for b = 0 to Zipf.buckets do
-        around (float_of_int b /. float_of_int Zipf.buckets)
+      for b = 0 to Ref_zipf.buckets do
+        around (float_of_int b /. float_of_int Ref_zipf.buckets)
       done;
       Array.iter around cdf;
       probe (Float.pred 1.);
@@ -153,7 +183,7 @@ let prop_zipf_pick_matches_search =
     QCheck.(pair (int_range 0 (List.length zipf_shapes - 1)) (float_bound_exclusive 1.))
     (fun (shape, u) ->
       let tenants, s = List.nth zipf_shapes shape in
-      Zipf.pick (Zipf.table ~tenants ~s) u = Zipf.search (Zipf.cdf ~tenants ~s) u)
+      Zipf.pick (Zipf.table ~tenants ~s) u = Ref_zipf.search (Ref_zipf.cdf ~tenants ~s) u)
 
 (* [Quota.admit_all] against the parent's GCRA with its [List.for_all]
    check and [List.iter] charge, on random streams over random subsets
@@ -297,7 +327,7 @@ let test_timeout_zero_polls_in_shed_path () =
         for _ = 1 to 2 do
           let m = Engine.receive ctx ~tag:"req" () in
           let now = Engine.now_v ctx in
-          if Quota.admit quota ~now then
+          if Quota.admit_all [ quota ] ~now then
             polled := `Admitted (Payload.get_int m.Message.payload) :: !polled
           else begin
             (* The shed path: pure polls only, never a park. *)
@@ -669,9 +699,7 @@ let test_bench_record_schema () =
     (m.Servebench.m_degraded + m.Servebench.m_recovered);
   match Servebench.validate (Servebench.to_json wl sv m v) with
   | Ok n ->
-      check Alcotest.int "all schema fields present"
-        (List.length Servebench.required_fields)
-        n
+      check Alcotest.int "all 34 schema fields present" 34 n
   | Error missing ->
       Alcotest.fail ("missing fields: " ^ String.concat ", " missing)
 

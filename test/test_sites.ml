@@ -489,8 +489,8 @@ let test_restored_incarnation_stays_tracked () =
         && String.ends_with ~suffix:"/retry2/seed 1" d)
       (Array.to_list (Campaign.cells Campaign.sites))
   in
-  let run =
-    Invariants.run_scenario
+  let run, _ =
+    Invariants.run_checked
       ~faults:(cell.Campaign.cl_campaign.Campaign.plan ~seed:cell.Campaign.cl_seed)
       ~sites:Campaign.site_names cell.Campaign.cl_scenario
       ~policy:cell.Campaign.cl_policy ~seed:cell.Campaign.cl_seed

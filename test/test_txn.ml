@@ -19,9 +19,8 @@ let in_process eng f =
 let test_store_basics () =
   let eng = mk_engine () in
   let st = Txn.create_store eng ~records:8 in
-  check Alcotest.int "records" 8 (Txn.records st);
   check Alcotest.int "initial value" 0 (Txn.get st ~key:3);
-  check Alcotest.int "initial version" 0 (Txn.version st ~key:3);
+  check Alcotest.int "no commits" 0 (Txn.commits st);
   Alcotest.check_raises "records positive"
     (Invalid_argument "Txn.create_store: records must be positive") (fun () ->
       ignore (Txn.create_store eng ~records:0))
@@ -31,64 +30,69 @@ let test_commit_applies_writes () =
   let st = Txn.create_store eng ~records:4 in
   let r =
     in_process eng (fun ctx ->
-        let t = Txn.begin_ ctx st in
-        Txn.write ctx t ~key:0 10;
-        Txn.write ctx t ~key:1 20;
-        Txn.commit ctx t)
+        Txn.with_txn ctx st (fun ctx t ->
+            Txn.write ctx t ~key:0 10;
+            Txn.write ctx t ~key:1 20))
   in
   check Alcotest.bool "committed" true (r = Ok ());
   check Alcotest.int "key 0" 10 (Txn.get st ~key:0);
   check Alcotest.int "key 1" 20 (Txn.get st ~key:1);
-  check Alcotest.int "versions bumped" 1 (Txn.version st ~key:0);
-  check Alcotest.int "untouched version" 0 (Txn.version st ~key:2);
+  check Alcotest.int "untouched key" 0 (Txn.get st ~key:2);
   check Alcotest.int "one commit" 1 (Txn.commits st)
 
 let test_reads_own_writes () =
   let eng = mk_engine () in
   let st = Txn.create_store eng ~records:2 in
-  in_process eng (fun ctx ->
-      let t = Txn.begin_ ctx st in
-      Txn.write ctx t ~key:0 5;
-      check Alcotest.int "internally consistent" 5 (Txn.read ctx t ~key:0);
-      Txn.abort t)
+  ignore
+    (in_process eng (fun ctx ->
+         Txn.with_txn ctx st (fun ctx t ->
+             Txn.write ctx t ~key:0 5;
+             check Alcotest.int "internally consistent" 5 (Txn.read ctx t ~key:0))))
 
+exception Rollback
+
+(* A body that raises aborts its transaction. *)
 let test_isolation_until_commit () =
   let eng = mk_engine () in
   let st = Txn.create_store eng ~records:2 in
   in_process eng (fun ctx ->
-      let t = Txn.begin_ ctx st in
-      Txn.write ctx t ~key:0 99;
-      check Alcotest.int "uncommitted write invisible" 0 (Txn.get st ~key:0);
-      Txn.abort t;
-      check Alcotest.int "aborted write never lands" 0 (Txn.get st ~key:0))
+      match
+        Txn.with_txn ctx st (fun ctx t ->
+            Txn.write ctx t ~key:0 99;
+            check Alcotest.int "uncommitted write invisible" 0 (Txn.get st ~key:0);
+            raise Rollback)
+      with
+      | _ -> Alcotest.fail "the body raised"
+      | exception Rollback ->
+        check Alcotest.int "aborted write never lands" 0 (Txn.get st ~key:0))
 
 let test_snapshot_isolation_reads () =
   let eng = mk_engine () in
   let st = Txn.create_store eng ~records:2 in
-  in_process eng (fun ctx ->
-      let t1 = Txn.begin_ ctx st in
-      (* A later transaction commits a change. *)
-      let t2 = Txn.begin_ ctx st in
-      Txn.write ctx t2 ~key:0 7;
-      check Alcotest.bool "t2 commits" true (Txn.commit ctx t2 = Ok ());
-      (* t1 still sees its snapshot. *)
-      check Alcotest.int "t1 reads the snapshot" 0 (Txn.read ctx t1 ~key:0);
-      Txn.abort t1)
+  ignore
+    (in_process eng (fun ctx ->
+         Txn.with_txn ctx st ~retries:0 (fun ctx t1 ->
+             (* A later transaction commits a change. *)
+             let r = Txn.with_txn ctx st (fun ctx t2 -> Txn.write ctx t2 ~key:0 7) in
+             check Alcotest.bool "t2 commits" true (r = Ok ());
+             (* t1 still sees its snapshot. *)
+             check Alcotest.int "t1 reads the snapshot" 0 (Txn.read ctx t1 ~key:0))))
 
 let test_write_write_conflict_detected () =
   let eng = mk_engine () in
   let st = Txn.create_store eng ~records:2 in
   let result =
     in_process eng (fun ctx ->
-        let t1 = Txn.begin_ ctx st in
-        let _ = Txn.read ctx t1 ~key:0 in
-        let t2 = Txn.begin_ ctx st in
-        let v = Txn.read ctx t2 ~key:0 in
-        Txn.write ctx t2 ~key:0 (v + 1);
-        check Alcotest.bool "t2 commits first" true (Txn.commit ctx t2 = Ok ());
-        (* t1's read of key 0 is now stale. *)
-        Txn.write ctx t1 ~key:0 100;
-        Txn.commit ctx t1)
+        Txn.with_txn ctx st ~retries:0 (fun ctx t1 ->
+            let _ = Txn.read ctx t1 ~key:0 in
+            let r =
+              Txn.with_txn ctx st (fun ctx t2 ->
+                  let v = Txn.read ctx t2 ~key:0 in
+                  Txn.write ctx t2 ~key:0 (v + 1))
+            in
+            check Alcotest.bool "t2 commits first" true (r = Ok ());
+            (* t1's read of key 0 is now stale. *)
+            Txn.write ctx t1 ~key:0 100))
   in
   (match result with
   | Error { Txn.key = 0; read_version = 0; committed_version = 1 } -> ()
@@ -103,12 +107,10 @@ let test_blind_writes_do_not_conflict () =
   let st = Txn.create_store eng ~records:2 in
   let r =
     in_process eng (fun ctx ->
-        let t1 = Txn.begin_ ctx st in
-        let t2 = Txn.begin_ ctx st in
-        Txn.write ctx t2 ~key:0 1;
-        check Alcotest.bool "t2 ok" true (Txn.commit ctx t2 = Ok ());
-        Txn.write ctx t1 ~key:0 2;
-        Txn.commit ctx t1)
+        Txn.with_txn ctx st ~retries:0 (fun ctx t1 ->
+            let r = Txn.with_txn ctx st (fun ctx t2 -> Txn.write ctx t2 ~key:0 1) in
+            check Alcotest.bool "t2 ok" true (r = Ok ());
+            Txn.write ctx t1 ~key:0 2))
   in
   check Alcotest.bool "blind write commits" true (r = Ok ());
   check Alcotest.int "last writer wins" 2 (Txn.get st ~key:0)
@@ -117,22 +119,29 @@ let test_finished_transactions_reject_use () =
   let eng = mk_engine () in
   let st = Txn.create_store eng ~records:1 in
   in_process eng (fun ctx ->
-      let t = Txn.begin_ ctx st in
-      Txn.abort t;
-      Txn.abort t (* idempotent *);
-      check Alcotest.bool "finished" true (Txn.is_finished t);
-      Alcotest.check_raises "read after finish"
-        (Invalid_argument "Txn: transaction already finished") (fun () ->
-          ignore (Txn.read ctx t ~key:0)))
+      match Txn.with_txn ctx st (fun _ t -> t) with
+      | Error _ -> Alcotest.fail "an empty transaction commits"
+      | Ok t ->
+        Alcotest.check_raises "read after finish"
+          (Invalid_argument "Txn: transaction already finished") (fun () ->
+            ignore (Txn.read ctx t ~key:0)))
 
 let test_key_range_checked () =
   let eng = mk_engine () in
   let st = Txn.create_store eng ~records:2 in
-  in_process eng (fun ctx ->
-      let t = Txn.begin_ ctx st in
-      Alcotest.check_raises "bad key" (Invalid_argument "Txn: key out of range")
-        (fun () -> ignore (Txn.read ctx t ~key:2));
-      Txn.abort t)
+  ignore
+    (in_process eng (fun ctx ->
+         Txn.with_txn ctx st (fun ctx t ->
+             Alcotest.check_raises "bad key" (Invalid_argument "Txn: key out of range")
+               (fun () -> ignore (Txn.read ctx t ~key:2)))))
+
+(* A transaction that commits an increment of record 0 from inside
+   another's body. *)
+let sabotage ctx st n =
+  ignore
+    (Txn.with_txn ctx st (fun ctx s ->
+         let w = Txn.read ctx s ~key:0 in
+         Txn.write ctx s ~key:0 (w + n)))
 
 let test_with_txn_retries () =
   let eng = mk_engine () in
@@ -144,12 +153,7 @@ let test_with_txn_retries () =
             incr attempts;
             let v = Txn.read ctx t ~key:0 in
             (* Interfere with ourselves on the first two attempts. *)
-            if !attempts <= 2 then begin
-              let saboteur = Txn.begin_ ctx st in
-              let w = Txn.read ctx saboteur ~key:0 in
-              Txn.write ctx saboteur ~key:0 (w + 10);
-              ignore (Txn.commit ctx saboteur)
-            end;
+            if !attempts <= 2 then sabotage ctx st 10;
             Txn.write ctx t ~key:0 (v + 1);
             v))
   in
@@ -165,10 +169,7 @@ let test_with_txn_exhausts_retries () =
     in_process eng (fun ctx ->
         Txn.with_txn ctx st ~retries:2 (fun ctx t ->
             let v = Txn.read ctx t ~key:0 in
-            let saboteur = Txn.begin_ ctx st in
-            let w = Txn.read ctx saboteur ~key:0 in
-            Txn.write ctx saboteur ~key:0 (w + 1);
-            ignore (Txn.commit ctx saboteur);
+            sabotage ctx st 1;
             Txn.write ctx t ~key:0 (v + 100)))
   in
   check Alcotest.bool "gives up with the conflict" true
@@ -309,17 +310,14 @@ let test_begin_death_returns_snapshot () =
   let store_frames = Frame_store.live_frames (Engine.frame_store eng) in
   let pid =
     Engine.spawn eng ~cloneable:false ~name:"txn-root" (fun ctx ->
-        ignore (Txn.begin_ ctx st))
+        ignore (Txn.with_txn ctx st (fun _ _ -> ())))
   in
   Engine.after eng ~delay:0.005 (fun () -> Engine.kill eng pid ~reason:"test kill");
   Engine.run eng;
   check Alcotest.bool "killed in begin_'s charge" true
     (Engine.status eng pid = Some (Engine.Eliminated "test kill"));
   let r =
-    in_process eng (fun ctx ->
-        let t = Txn.begin_ ctx st in
-        Txn.write ctx t ~key:0 1;
-        Txn.commit ctx t)
+    in_process eng (fun ctx -> Txn.with_txn ctx st (fun ctx t -> Txn.write ctx t ~key:0 1))
   in
   check Alcotest.bool "committed" true (r = Ok ());
   check Alcotest.int "frames beyond the store's" 0
