@@ -636,6 +636,45 @@ let test_idle_domain_engine_holds_no_batch () =
     Alcotest.failf "a faulted run's last batch kept %d words live"
       (after_faulted - after_clean)
 
+(* The configurations `altserve` runs, at its default 2,000 requests,
+   pinned at jobs 1 and 2: the defaults, `--faults 7` plain and with
+   `--sanitize` (same digest, nothing flagged), and the digest `--chaos`
+   prints. *)
+let test_altserve_digests_pinned () =
+  let faulted = { Server.default with Server.sv_faults = Some 7 } in
+  List.iter
+    (fun jobs ->
+      let at sv = { sv with Server.sv_jobs = jobs } in
+      let pin label expected sv =
+        let r = Server.run Workload.default (at sv) in
+        check Alcotest.int64
+          (Printf.sprintf "%s, jobs %d: pinned digest" label jobs)
+          expected (Server.digest r);
+        check
+          Alcotest.(list string)
+          (Printf.sprintf "%s, jobs %d: no violations" label jobs)
+          []
+          (List.map
+             (fun v -> Format.asprintf "%a" Report.pp_violation v)
+             r.Server.violations)
+      in
+      pin "defaults" 0x4de686bb8f490476L Server.default;
+      pin "faults 7" 0xa8d8a65bffb47e11L faulted;
+      pin "faults 7, sanitized" 0xa8d8a65bffb47e11L
+        { faulted with Server.sv_sanitize = true };
+      let wl = Workload.default in
+      let r, v =
+        Chaosserve.chaos ~requests:wl.Workload.wl_requests
+          ~rate:wl.Workload.wl_rate ~jobs ~seed:wl.Workload.wl_seed ()
+      in
+      check Alcotest.int64
+        (Printf.sprintf "chaos, jobs %d: pinned digest" jobs)
+        0xa953c8fd2985abcaL v.Servebench.v_digest;
+      check Alcotest.bool
+        (Printf.sprintf "chaos, jobs %d: campaign ok" jobs)
+        true (Chaosserve.chaos_ok r v))
+    [ 1; 2 ]
+
 let test_sanitized_run_stays_clean () =
   let sv = { Server.default with Server.sv_sanitize = true } in
   let r = Server.run { small_wl with Workload.wl_requests = 120 } sv in
@@ -870,5 +909,7 @@ let () =
             test_digest_matches_reference;
           Alcotest.test_case "faulted runs audit 0 leaked frames" `Quick
             test_faulted_runs_audit_frames;
+          Alcotest.test_case "altserve configurations: pinned digests" `Quick
+            test_altserve_digests_pinned;
         ] );
     ]
