@@ -101,6 +101,138 @@ let test_create_validates_jobs () =
     (Invalid_argument "Parallel.map_indexed_shared: negative length")
     (fun () -> ignore (Parallel.map_indexed_shared ~jobs:2 Fun.id (-1)))
 
+(* ---------------- the pipeline ---------------- *)
+
+(* Item [i] spins for an uneven, index-dependent time, so items finish
+   out of emission order on any worker count above one. *)
+let uneven i =
+  let acc = ref 0 in
+  for k = 1 to ((i * 7919) mod 13) * 3_000 do
+    acc := !acc + (k land 1)
+  done;
+  ignore (Sys.opaque_identity !acc);
+  (i * i) - 5
+
+let window jobs = 4 * jobs
+
+(* [consume] sees emission order and the results of a sequential run;
+   [produce] and [consume] run on the calling domain. Inside [work] and
+   [consume] the emitted-but-unconsumed items never exceed the window:
+   item [i] is emitted only while fewer than [window] items are
+   outstanding, so it runs with [i - consumed < window], and when an item
+   is consumed at most [window] are emitted and unconsumed. *)
+let run_pipeline ~jobs n =
+  let caller = Domain.self () in
+  let emitted = ref 0 and consumed = Atomic.make 0 in
+  let worst = Atomic.make 0 in
+  let note outstanding =
+    if outstanding > Atomic.get worst then Atomic.set worst outstanding
+  in
+  let seen = ref [] in
+  Parallel.pipeline_shared ~jobs
+    ~produce:(fun ~emit ->
+      for i = 0 to n - 1 do
+        emit i;
+        incr emitted
+      done)
+    ~work:(fun i ->
+      note (i + 1 - Atomic.get consumed);
+      uneven i)
+    ~consume:(fun i v ->
+      if Domain.self () <> caller then Alcotest.fail "consume off the caller";
+      note (!emitted - Atomic.get consumed);
+      seen := (i, v) :: !seen;
+      Atomic.incr consumed);
+  (List.rev !seen, Atomic.get worst)
+
+let test_pipeline_order_and_results () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun n ->
+          let seen, _ = run_pipeline ~jobs n in
+          check
+            Alcotest.(list (pair int int))
+            (Printf.sprintf "jobs=%d n=%d" jobs n)
+            (List.init n (fun i -> (i, uneven i)))
+            seen)
+        [ 0; 1; 7; 100 ])
+    [ 1; 2; 4 ]
+
+let test_pipeline_window_bound () =
+  List.iter
+    (fun jobs ->
+      let _, worst = run_pipeline ~jobs 200 in
+      if worst > window jobs then
+        Alcotest.failf "jobs=%d: %d items emitted and unconsumed, window %d"
+          jobs worst (window jobs))
+    [ 1; 2; 4 ]
+
+let test_pipeline_raising_item () =
+  List.iter
+    (fun jobs ->
+      let ran = Array.make 40 false and consumed = ref [] in
+      (match
+         Parallel.pipeline_shared ~jobs
+           ~produce:(fun ~emit ->
+             for i = 0 to 39 do
+               emit i
+             done)
+           ~work:(fun i ->
+             ran.(i) <- true;
+             if i >= 17 && i mod 4 = 1 then raise (Boom i);
+             uneven i)
+           ~consume:(fun i _ -> consumed := i :: !consumed)
+       with
+      | () -> Alcotest.fail "raising item did not propagate"
+      | exception Boom 17 -> ()
+      | exception e ->
+        Alcotest.failf "unexpected exception %s" (Printexc.to_string e));
+      check
+        Alcotest.(list int)
+        (Printf.sprintf "jobs=%d: consumed up to the failure" jobs)
+        (List.init 17 Fun.id) (List.rev !consumed);
+      if jobs > 1 then
+        Array.iteri
+          (fun i r -> if not r then Alcotest.failf "jobs=%d: item %d skipped" jobs i)
+          ran;
+      let seen, _ = run_pipeline ~jobs 12 in
+      check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "jobs=%d: pool usable after a raising item" jobs)
+        (List.init 12 (fun i -> (i, uneven i)))
+        seen)
+    [ 1; 2; 4 ]
+
+let test_pipeline_raising_produce () =
+  List.iter
+    (fun jobs ->
+      let consumed = ref [] in
+      (match
+         Parallel.pipeline_shared ~jobs
+           ~produce:(fun ~emit ->
+             for i = 0 to 29 do
+               emit i
+             done;
+             raise (Boom (-1)))
+           ~work:uneven
+           ~consume:(fun i _ -> consumed := i :: !consumed)
+       with
+      | () -> Alcotest.fail "raising produce did not propagate"
+      | exception Boom -1 -> ()
+      | exception e ->
+        Alcotest.failf "unexpected exception %s" (Printexc.to_string e));
+      check
+        Alcotest.(list int)
+        (Printf.sprintf "jobs=%d: emitted items drained first" jobs)
+        (List.init 30 Fun.id) (List.rev !consumed);
+      check
+        Alcotest.(array int)
+        (Printf.sprintf "jobs=%d: pool usable after a raising produce" jobs)
+        (Array.init 16 succ)
+        (Parallel.map_indexed_shared ~jobs succ 16))
+    [ 1; 2; 4 ]
+
 let render_sweep (r : Campaign.result) =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
@@ -139,6 +271,17 @@ let () =
             test_lowest_indexed_failure_wins;
           Alcotest.test_case "create validates jobs" `Quick
             test_create_validates_jobs;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "emission order, sequential results" `Quick
+            test_pipeline_order_and_results;
+          Alcotest.test_case "unconsumed items never exceed the window" `Quick
+            test_pipeline_window_bound;
+          Alcotest.test_case "a raising item drains and re-raises" `Quick
+            test_pipeline_raising_item;
+          Alcotest.test_case "a raising produce drains and re-raises" `Quick
+            test_pipeline_raising_produce;
         ] );
       ( "sweep",
         [
