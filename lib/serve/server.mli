@@ -28,12 +28,17 @@
     ladder rungs, batch boundaries, fault schedules, breaker state,
     dispatch order, per-request responses — is a pure function of the
     workload and server configs; every signal the controller and the
-    breakers consume is virtual-time, never wall-clock. Batches may
-    {e execute} on several domains ([sv_jobs]), but each batch builds
-    its entire engine-world (sites, fault plan, breakers, sanitizer)
-    from its own seed and results are folded back in batch order, so
-    [sv_jobs = 1] and [sv_jobs = n] are byte-identical ({!digest}
-    equal). The structures batches share are each domain's engine and
+    breakers consume is virtual-time, never wall-clock. The run is one
+    pass: planning hands each batch to the domain pool as it closes
+    ({!Parallel.pipeline_shared}), and its results are folded into the
+    lane timeline on the calling domain in batch order, at most a few
+    batches per domain behind the planner. Batches may {e execute} on
+    several domains ([sv_jobs]), but each batch builds its entire
+    engine-world (sites, fault plan, breakers, sanitizer) from its own
+    seed, and planning reads nothing a batch computes, so neither the
+    domain count nor the window between plan and fold can change a
+    response: [sv_jobs = 1] and [sv_jobs = n] are byte-identical
+    ({!digest} equal). The structures batches share are each domain's engine and
     free-frame pool ({!Frame_store}). A batch runs on its domain's
     engine after {!Engine.reset} with the batch's seed, which leaves it
     exactly as a fresh engine, and is reset again as the batch ends, so
