@@ -168,10 +168,12 @@ type violation = {
 let violation check ~scenario ~policy ~seed detail =
   { check; scenario; policy; seed; detail }
 
+(* No file: a class's provenance is where its check is defined, not
+   where a violation was found (the serving layer's frame audit is an
+   [Accounting] one). *)
 let pp_violation ppf v =
-  Format.fprintf ppf "%s:%s: %s (scenario %s, policy %s, seed %d)"
-    (class_provenance v.check) (class_name v.check) v.detail v.scenario
-    v.policy v.seed
+  Format.fprintf ppf "%s: %s (scenario %s, policy %s, seed %d)" (class_name v.check)
+    v.detail v.scenario v.policy v.seed
 
 (* Constant constructors compare in declaration order, which is severity
    order. *)

@@ -80,7 +80,9 @@ val violation :
   violation
 
 val pp_violation : Format.formatter -> violation -> unit
-(** One line: [file:check: detail (scenario, policy, seed)]. *)
+(** One line: [check: detail (scenario, policy, seed)]. It names no
+    file: a class's [source] ({!pp_code_table}) is where its check is
+    defined, not where a violation was found. *)
 
 val exit_code : violation list -> int
 (** [0] for no violations; otherwise the exit code of the most severe
