@@ -20,8 +20,9 @@ val create :
   ?sites:string list ->
   unit ->
   t
-(** Spawn [nodes] voter processes. Voters whose index (0-based) appears in
-    [crashed] are spawned dead: they receive requests and never answer.
+(** Spawn [nodes] voter processes, each an {!Engine.spawn_service}.
+    Voters whose index (0-based) appears in [crashed] are spawned dead:
+    they receive requests and never answer.
     [vote_delay] (default 0) is per-vote processing time at each live
     voter. [sites] (default none) spreads the voters round-robin across the
     given site names as each voter's explicit site
