@@ -31,12 +31,7 @@ type pcb = {
   space : Address_space.t option;
   mutable mailbox : Mailbox.t;
       (* Ring of messages, arrival order: {!Mailbox.none} until the first
-         delivery. *)
-  mutable sent_to : int array;
-  mutable sent_at : floatarray;
-      (* The per-(sender, logical dest) FIFO clock: the last delivery time
-         scheduled to pid [sent_to.(i)] (see [clock_slot]). Empty until
-         the first send. *)
+         delivery that is not handed over ([hand_off]). *)
   born : int;  (* spawn order within the engine: the sweep's snapshot key *)
   mutable doomed : string option;
   mutable log : World.log;  (* {!World.not_cloneable} once it cannot split *)
@@ -94,11 +89,9 @@ and park =
    bypass predicate matching. A [Service] is oblivious too, and has no
    fiber: the engine accepts a message, runs [handle] on it, charges the
    CPU time it returns, then runs [finish] on it (see [serve]). [msg] is
-   that message from its acceptance to its [finish], or one [offer]
-   handed over while the service waited with an empty mailbox, for the
-   rescan the same delivery runs next to take; [no_message] otherwise.
-   [charging] is its CPU park, built once at spawn; a waiting service
-   parks as the constant [Park_idle]. *)
+   that message from its acceptance to its [finish], [no_message]
+   otherwise. [charging] is its CPU park, built once at spawn; a waiting
+   service parks as the constant [Park_idle]. *)
 and kind = Plain | Oblivious | Service of service
 
 and service =
@@ -118,17 +111,17 @@ and 'a ivar = { mutable value : 'a option; mutable waiters : park list }
 
 and ctx = pcb
 
-(* What the event queue holds: data, dispatched by [run]. A [Deliver]
-   carries one sent message to every world copy of its logical
+(* What the event queue holds besides messages: data, dispatched by
+   [run]. A process has no deadline before it starts, so its start takes
+   its pid's handle too. A sent message is queued as itself, a message
+   entry, for [deliver] to carry to every world copy of its logical
    destination, [msg.dest]: each send (and each copy an injected
-   duplicate makes) is its own event, at the time its (sender, logical
-   dest) FIFO clock assigns. A process has no deadline before it starts,
-   so its start takes its pid's handle too. *)
+   duplicate makes) is its own entry, at the time its (sender, logical
+   dest) FIFO clock assigns. *)
 and event =
   | Tick  (* the CPU's, in the queue's slot *)
   | Deadline  (* a timed wait's, keyed by its pid *)
   | Start  (* a spawned process's first run, keyed by its pid *)
-  | Deliver of Message.t
   | Thunk of (unit -> unit)
 
 and fault_action =
@@ -153,7 +146,14 @@ and t = {
   queue : event Event_queue.t;  (* (time, stamp) order *)
   mutable root_seed : int;
   mutable procs : pcb array;
+  mutable handed : Message.t array;
+      (* By pid, as long as [procs]: the message [hand_off] gave a waiting
+         receiver for the rescan of the same delivery to take, else
+         {!Mailbox.no_message}. *)
   no_pcb : pcb;
+  clocks : Fifo_clock.t;
+      (* The FIFO clock of every (sender pid, logical dest pid) pair sent
+         on: the last delivery time scheduled on it. *)
   worlds : World.t;  (* logical pid -> its world copies, once it split *)
   mutable spawned : int;  (* pcbs created so far; the next [born] *)
   alloc : Pid.Allocator.t;
@@ -235,6 +235,9 @@ let stats_mailbox_scanned t = t.mailbox_scanned
 
 let schedule t ~at thunk = Event_queue.push t.queue ~time:(Float.max at (now t)) thunk
 
+let schedule_message t ~at msg =
+  Event_queue.push_message t.queue ~time:(Float.max at (now t)) msg
+
 let schedule_start t ~at pcb =
   Event_queue.set_handle t.queue (Pid.to_int pcb.pid) ~time:(Float.max at (now t)) Start
 
@@ -282,11 +285,24 @@ let set_deadline t pcb timeout =
 
 let clear_deadline t pcb = Event_queue.clear_handle t.queue (Pid.to_int pcb.pid)
 
+(* Append [m] to [pcb]'s mailbox, building its ring at the first. *)
+let enqueue pcb m =
+  if pcb.mailbox == Mailbox.none then pcb.mailbox <- Mailbox.create ();
+  Mailbox.push pcb.mailbox m
+
 (* Take a process off its wait, and its deadline out of the queue if it
-   has one, then continue or discontinue the wait's [k]. *)
+   has one, then continue or discontinue the wait's [k]. A message handed
+   to the wait ([hand_off]) that no rescan took goes to the mailbox,
+   where a ring would have held it all along. *)
 let unpark t pcb =
   pcb.park <- No_park;
-  clear_deadline t pcb
+  clear_deadline t pcb;
+  let i = Pid.to_int pcb.pid in
+  let m = Array.unsafe_get t.handed i in
+  if m != Mailbox.no_message then begin
+    Array.unsafe_set t.handed i Mailbox.no_message;
+    enqueue pcb m
+  end
 
 let resume t pcb k v =
   unpark t pcb;
@@ -336,14 +352,21 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
   and store = Frame_store.create ~page_size:model.Cost_model.page_size
   and trace_ = Trace.create ~enabled:trace ()
   and cpu = Cpu.create cores queue ~clock ~tick:Tick ~empty:No_park
-  and no_sent_at = Float.Array.create 0 in
+  and clocks =
+    (* A send is scheduled at its time plus the model's latency and
+       per-byte price: never earlier while neither is negative. *)
+    Fifo_clock.create ~clock
+      ~reclaim:(model.Cost_model.msg_latency >= 0. && model.Cost_model.msg_per_byte >= 0.)
+  in
   let rec t =
     {
       clock;
       queue;
       root_seed = seed;
       procs = [||];
+      handed = [||];
       no_pcb;
+      clocks;
       worlds;
       spawned = 0;
       alloc;
@@ -380,8 +403,6 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
       predicate = Predicate.empty;
       space = None;
       mailbox = Mailbox.none;
-      sent_to = [||];
-      sent_at = no_sent_at;
       born = -1;
       doomed = None;
       log = World.not_cloneable;
@@ -395,6 +416,7 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     }
   in
   t.procs <- Array.make initial_pids no_pcb;
+  t.handed <- Array.make initial_pids Mailbox.no_message;
   t
 
 (* Back to the state [create ~seed] leaves, with the same cores, model
@@ -404,6 +426,8 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
 let reset t ~seed =
   let issued = Pid.Allocator.allocated t.alloc in
   Array.fill t.procs 0 issued t.no_pcb;
+  Array.fill t.handed 0 issued Mailbox.no_message;
+  Fifo_clock.reset t.clocks;
   World.reset t.worlds;
   Pid.Allocator.reset t.alloc;
   Event_queue.reset t.queue;
@@ -439,7 +463,10 @@ let alloc_pid t =
   if Pid.to_int pid >= n then begin
     let procs = Array.make (2 * n) t.no_pcb in
     Array.blit t.procs 0 procs 0 n;
-    t.procs <- procs
+    t.procs <- procs;
+    let handed = Array.make (2 * n) Mailbox.no_message in
+    Array.blit t.handed 0 handed 0 n;
+    t.handed <- handed
   end;
   pid
 
@@ -448,28 +475,44 @@ let pcb_of t pid =
   let i = Pid.to_int pid in
   if i >= 0 && i < Array.length t.procs then Array.unsafe_get t.procs i else t.no_pcb
 
-(* The slot of [dest] in a FIFO-clock table, else its first free slot,
-   else its length when it is full. A free slot holds pid -1 and clock
-   [neg_infinity]; a slot of a forged pid -1 holds a finite clock. The
-   scan compares ints and reads a clock only at a -1. Top-level, so the
-   send path builds no closure. *)
-let rec clock_slot sent_to sent_at dest i =
-  if i = Array.length sent_to then i
-  else
-    let d = Array.unsafe_get sent_to i in
-    if d = dest || (d = -1 && Float.Array.unsafe_get sent_at i = neg_infinity) then i
-    else clock_slot sent_to sent_at dest (i + 1)
-
-let grow_clock pcb =
-  let n = Array.length pcb.sent_to in
-  let cap = if n = 0 then 4 else 2 * n in
-  let sent_to = Array.make cap (-1) and sent_at = Float.Array.make cap neg_infinity in
-  Array.blit pcb.sent_to 0 sent_to 0 n;
-  Float.Array.blit pcb.sent_at 0 sent_at 0 n;
-  pcb.sent_to <- sent_to;
-  pcb.sent_at <- sent_at
-
 let is_alive pcb = match pcb.state with Dead _ -> false | _ -> true
+
+(* The receive rule's outright acceptance: a kernel-level service
+   (a consensus voter, a device) belongs to no world and takes every
+   message, and every receiver takes a certain sender's, the
+   overwhelmingly common case. Neither consults a predicate. *)
+let accepts_outright pcb (m : Message.t) =
+  pcb.kind != Plain || Predicate.is_certain m.Message.predicate
+
+let tag_admits tag (m : Message.t) =
+  match tag with None -> true | Some wanted -> String.equal m.Message.tag wanted
+
+(* Whether [pcb] waits on a receive that [m]'s tag matches: a fiber
+   parked in [receive] or [receive_timeout], or a waiting service. *)
+let waits_for pcb m =
+  match pcb.park with
+  | Park_recv { tag; _ } | Park_recv_timed { tag; _ } -> tag_admits tag m
+  | Park_idle -> (
+    match pcb.kind with Service (Svc s) -> tag_admits s.tag m | Plain | Oblivious -> false)
+  | _ -> false
+
+(* The one hand-off rule, for fibers and services alike: a delivered
+   message goes straight to a receiver that waits for its tag with an
+   empty mailbox and nothing handed yet, when its receive rule takes the
+   message outright. The rescan the same delivery runs next takes it
+   ([take]) as a scan of a one-entry ring would, so no ring is built. *)
+let hand_off t pcb m =
+  let i = Pid.to_int pcb.pid in
+  if
+    Array.unsafe_get t.handed i == Mailbox.no_message
+    && Mailbox.is_empty pcb.mailbox
+    && accepts_outright pcb m
+    && waits_for pcb m
+  then begin
+    Array.unsafe_set t.handed i m;
+    true
+  end
+  else false
 
 (* The sentinel is dead, so it is never alive. *)
 let alive t pid = is_alive (pcb_of t pid)
@@ -734,11 +777,7 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
     then scan_mailbox t pcb ring tag cur blocked (pos + 1) false
     else
       match
-        (* Kernel-level services (consensus voters, devices) accept every
-           message: they belong to no world. The rule accepts a certain
-           sender, the overwhelmingly common case. Both skip the call. *)
-        if pcb.kind != Plain || Predicate.is_certain m.Message.predicate then
-          Predicate.Accept
+        if accepts_outright pcb m then Predicate.Accept
         else
           Predicate.receipt pcb.predicate ~sender:m.Message.sender
             ~stamp:m.Message.predicate
@@ -798,29 +837,32 @@ and split t pcb m reject =
   (match t.spawn_hook with Some h -> h clone_pid clone.name | None -> ());
   schedule_start t ~at:(now t +. t.model_.Cost_model.fork_base) clone
 
+(* A parked receiver's next message: the one [hand_off] gave it, taken as
+   a scan of a one-entry ring takes it, else what a scan accepts. *)
+and take t pcb tag =
+  let i = Pid.to_int pcb.pid in
+  let m = Array.unsafe_get t.handed i in
+  if m == Mailbox.no_message then try_receive t pcb tag
+  else begin
+    Array.unsafe_set t.handed i Mailbox.no_message;
+    t.mailbox_scanned <- t.mailbox_scanned + 1;
+    if wants t Trace.Kind.accepted then
+      tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
+    m
+  end
+
 and rescan_parked t pcb =
   match pcb.park with
   | Park_recv { tag; k } ->
-    let m = try_receive t pcb tag in
+    let m = take t pcb tag in
     if m != Mailbox.no_message then resume t pcb k m
   | Park_recv_timed { tag; k } ->
-    let m = try_receive t pcb tag in
+    let m = take t pcb tag in
     if m != Mailbox.no_message then resume t pcb k (Some m)
   | Park_idle -> (
     match pcb.kind with
     | Service (Svc s as svc) ->
-      let m = s.msg in
-      let m =
-        if m == Mailbox.no_message then try_receive t pcb s.tag
-        else begin
-          (* What a scan of a one-entry ring does, on the message [offer]
-             handed over. *)
-          t.mailbox_scanned <- t.mailbox_scanned + 1;
-          if wants t Trace.Kind.accepted then
-            tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pcb.predicate });
-          m
-        end
-      in
+      let m = take t pcb s.tag in
       if m != Mailbox.no_message then begin
         pcb.park <- No_park;
         pcb.state <- Running;
@@ -904,8 +946,6 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~log ~kind
       predicate;
       space;
       mailbox = Mailbox.none;
-      sent_to = [||];
-      sent_at = Float.Array.create 0;
       born = t.spawned;
       doomed = None;
       log;
@@ -1029,30 +1069,29 @@ and do_send t pcb ~dest ~tag payload =
   (* Per-(sender, logical dest) FIFO: never deliver before an earlier send.
      A message costs the model's latency plus its per-byte price, computed
      here so the float stays unboxed in this frame. *)
-  let i = clock_slot pcb.sent_to pcb.sent_at (Pid.to_int dest) 0 in
-  if i = Array.length pcb.sent_to then grow_clock pcb;
-  Array.unsafe_set pcb.sent_to i (Pid.to_int dest);
+  let sender = Pid.to_int pcb.pid and dest = Pid.to_int dest in
+  let i = Fifo_clock.slot t.clocks ~sender ~dest in
   let at =
     let earliest =
       now t
       +. t.model_.Cost_model.msg_latency
       +. (float_of_int size *. t.model_.Cost_model.msg_per_byte)
     in
-    let last = Float.Array.unsafe_get pcb.sent_at i in
+    let last = Fifo_clock.get t.clocks i in
     if last > earliest then last else earliest
   in
   (* Every outcome but a delay advances the clock to [at]: a dropped or
      reordered send keeps later sends on their fault-free schedule. *)
-  Float.Array.unsafe_set pcb.sent_at i at;
+  Fifo_clock.set t.clocks i at;
   match t.msg_fault with
-  | None -> schedule t ~at (Deliver msg)
+  | None -> schedule_message t ~at msg
   | Some f -> (
     let inject kind =
       if wants t Trace.Kind.injected then
         tr t (Trace.Injected { kind; pid = None; msg = Some msg })
     in
     match f msg with
-    | F_deliver -> schedule t ~at (Deliver msg)
+    | F_deliver -> schedule_message t ~at msg
     | F_drop ->
       (* The send happened; the network lost it. *)
       inject "drop"
@@ -1061,21 +1100,23 @@ and do_send t pcb ~dest ~tag payload =
       (* Two entries sharing one immutable value: consuming one copy
          cannot touch the other, and a world split's physical-identity
          filter removes both as a single logical send. *)
-      schedule t ~at (Deliver msg);
-      schedule t ~at (Deliver msg)
+      schedule_message t ~at msg;
+      schedule_message t ~at msg
     | F_delay extra ->
       (* Extra latency that also holds back later sends to the same
          destination: per-sender FIFO is preserved, everything just
          arrives late. *)
       let at = at +. Float.max 0. extra in
-      Float.Array.unsafe_set pcb.sent_at i at;
+      (* The hook may have sent and grown the table: look the slot up
+         again. *)
+      Fifo_clock.set t.clocks (Fifo_clock.slot t.clocks ~sender ~dest) at;
       inject "delay";
-      schedule t ~at (Deliver msg)
+      schedule_message t ~at msg
     | F_reorder extra ->
       (* Extra latency that does NOT advance the clock: a later send may
          overtake this message — a genuine FIFO violation. *)
       inject "reorder";
-      schedule t ~at:(at +. Float.max 0. extra) (Deliver msg))
+      schedule_message t ~at:(at +. Float.max 0. extra) msg)
 
 (* Offer [msg] to every world copy of its logical destination, then
    rescan each copy once: every copy holds the message before any
@@ -1111,21 +1152,7 @@ and offer t msg pid =
   let pcb = pcb_of t pid in
   if is_alive pcb then
     if match t.delivery_fault with None -> true | Some f -> f msg ~dest:pid then begin
-      (* A service that waits with nothing queued or handed is handed a
-         message its receive would take: the rescan that follows takes it
-         as a scan of a one-entry ring would, so no ring is built. *)
-      (match pcb.kind with
-      | Service (Svc s)
-        when pcb.park == Park_idle
-             && s.msg == Mailbox.no_message
-             && Mailbox.is_empty pcb.mailbox
-             && match s.tag with
-                | None -> true
-                | Some wanted -> String.equal msg.Message.tag wanted ->
-        s.msg <- msg
-      | _ ->
-        if pcb.mailbox == Mailbox.none then pcb.mailbox <- Mailbox.create ();
-        Mailbox.push pcb.mailbox msg);
+      if not (hand_off t pcb msg) then enqueue pcb msg;
       if wants t Trace.Kind.delivered then tr t (Trace.Delivered { dest = pid; msg })
     end
 
@@ -1262,16 +1289,15 @@ let run t =
   t.stopped <- false;
   let q = t.queue in
   while (not t.stopped) && not (Event_queue.is_empty q) do
-    let time = Event_queue.min_time q in
-    let ev = Event_queue.pop_min q in
-    set_now t (Float.max (now t) time);
+    set_now t (Float.max (now t) (Event_queue.min_time q));
     t.events_processed <- t.events_processed + 1;
-    match ev with
-    | Tick -> cpu_tick t
-    | Deadline -> deadline t (Event_queue.popped_handle q)
-    | Start -> start_pcb t t.procs.(Event_queue.popped_handle q)
-    | Deliver msg -> deliver t msg
-    | Thunk f -> f ()
+    if Event_queue.message_first q then deliver t (Event_queue.pop_message q)
+    else
+      match Event_queue.pop_min q with
+      | Tick -> cpu_tick t
+      | Deadline -> deadline t (Event_queue.popped_handle q)
+      | Start -> start_pcb t t.procs.(Event_queue.popped_handle q)
+      | Thunk f -> f ()
   done
 
 let run_for t duration =

@@ -213,15 +213,9 @@ val spawn_service :
     a body ends a process ([Process_killed] eliminated, [Abort_process]
     failed, any other crashed) and does not escape {!run}.
 
-    Hand-off: a message the delivery-fault hook (see
-    {!set_delivery_fault}) admitted, addressed to a waiting service whose
-    mailbox is empty, and that its receive would take, is handed to it
-    directly instead of queued; the rescan the same delivery runs next
-    takes it, counting one scanned slot ({!stats_mailbox_scanned}) and
-    recording its acceptance, as a one-entry mailbox would. Every other
-    message (one that arrives while the service charges, or a foreign
-    tag) is queued, so order and tag filtering are those of {!receive},
-    and a service that is never busy builds no mailbox. *)
+    A waiting service is handed its messages by {!receive}'s hand-off
+    rule; one that arrives while it charges, or with a foreign tag, is
+    queued, so a service that is never busy builds no mailbox. *)
 
 val on_exit : t -> Pid.t -> (exit_status -> unit) -> unit
 (** Register a watcher called (at the process's exit time) when the pid
@@ -291,11 +285,33 @@ val send : ctx -> ?tag:string -> Pid.t -> Payload.t -> unit
     predicate and delivers it after the model's [msg_latency] plus
     [msg_per_byte] per byte of its size. The message is built once: every world copy of the receiver,
     every trace event and every fault hook sees that one immutable
-    value. *)
+    value, and the event queue holds it as itself.
+
+    FIFO rule: each (sender pid, logical destination pid) pair has a
+    clock, the latest delivery time scheduled on it, and a send is
+    scheduled no earlier than its pair's clock, which it then advances
+    to its own time ({!F_delay} advances it further, {!F_reorder} not
+    at all). The clocks live in one table of the engine, cleared by
+    {!reset}; any destination pid, a forged one included, has its own
+    pair. *)
 
 val receive : ctx -> ?tag:string -> unit -> Message.t
 (** Block until a message acceptable under the predicate rules (and matching
-    [tag], if given) arrives. May split the receiver (see module doc). *)
+    [tag], if given) arrives. May split the receiver (see module doc).
+
+    Hand-off: a delivered message that the delivery-fault hook (see
+    {!set_delivery_fault}) admitted, addressed to a process parked in
+    {!receive} or {!receive_timeout} (or a waiting service, see
+    {!spawn_service}) whose mailbox is empty, whose receive names the
+    message's tag or none, and whose receive rule takes it without
+    consulting a predicate (the sender is certain, or the receiver is
+    oblivious), is handed to it instead of queued. The rescan the same
+    delivery runs next takes it, counting one scanned slot
+    ({!stats_mailbox_scanned}) and recording its acceptance, as a
+    one-entry mailbox would; a receiver killed first finds it in its
+    mailbox. Every other message is queued, so order, tag filtering and
+    the receive rule are unchanged, and a receiver that is always
+    waiting when its messages arrive builds no mailbox. *)
 
 val receive_timeout : ctx -> ?tag:string -> timeout:float -> unit -> Message.t option
 (** Like {!receive} but gives up after [timeout] seconds of virtual time

@@ -14,6 +14,12 @@
    empty until the first [set_handle], so a queue that never uses a handle
    pays only for the emptiness test.
 
+   An entry of the other kind, a message, holds a [Message.t] rather
+   than an ['a]: the handle array marks it with [message_mark], so the
+   mark moves with the value as a handle does, and [pop_min] and
+   [pop_message] each refuse the other's kind. A message entry has no
+   real handle; the first one makes the handle arrays.
+
    Beside the heap sits one re-keyable slot, an event with its own
    (time, seq) that [set_slot] moves in place: the engine's pending CPU
    tick, rescheduled at every delay, kill and tick, stays O(1) there. The
@@ -54,6 +60,10 @@ let create () =
   }
 
 let has_handles t = Array.length t.handles > 0
+
+(* What a message entry holds in the handle array: no real handle is
+   negative, and -1 means none. *)
+let message_mark = -2
 
 let grow t =
   let cap = Array.length t.seqs in
@@ -182,15 +192,23 @@ let remove_at t i =
       (Array.unsafe_get t.values n) (handle_at t n);
   vacate t n
 
-let set_handle t h ~time v =
-  if Float.is_nan time then invalid_arg "Event_queue.set_handle: NaN time";
-  if h < 0 then invalid_arg "Event_queue.set_handle: negative handle";
+let make_handles t =
   if not (has_handles t) then begin
     (* Grow an unused heap first: [has_handles] reads an empty array as
        "no handle yet". *)
     if Array.length t.seqs = 0 then grow t;
     t.handles <- Array.make (Array.length t.seqs) (-1)
-  end;
+  end
+
+let push_message t ~time (m : Message.t) =
+  if Float.is_nan time then invalid_arg "Event_queue.push_message: NaN time";
+  make_handles t;
+  insert t time (take_seq t) (Obj.repr m) message_mark
+
+let set_handle t h ~time v =
+  if Float.is_nan time then invalid_arg "Event_queue.set_handle: NaN time";
+  if h < 0 then invalid_arg "Event_queue.set_handle: negative handle";
+  make_handles t;
   let len = Array.length t.pos_of in
   if h >= len then begin
     let pos_of = Array.make (max (2 * len) (max 16 (h + 1))) (-1) in
@@ -252,7 +270,10 @@ let pop_heap t =
      reachable: every popped event would otherwise live until its position
      happened to be overwritten — a real leak in long simulations. *)
   vacate t n;
-  Obj.obj top
+  top
+
+let root_is_message t = t.size > 0 && handle_at t 0 = message_mark
+let message_first t = (not (slot_first t)) && root_is_message t
 
 let pop_min t =
   if slot_first t then begin
@@ -261,7 +282,14 @@ let pop_min t =
     t.popped <- -1;
     Obj.obj v
   end
-  else pop_heap t
+  else if root_is_message t then invalid_arg "Event_queue.pop_min: a message is first"
+  else Obj.obj (pop_heap t)
+
+let pop_message t : Message.t =
+  if not (message_first t) then invalid_arg "Event_queue.pop_message: no message first";
+  let m = pop_heap t in
+  t.popped <- -1;
+  Obj.obj m
 
 let popped_handle t = t.popped
 let is_empty t = t.size = 0 && t.slot_seq < 0

@@ -1017,8 +1017,12 @@ let test_record_from_a_subscriber () =
    their grant state is int arrays, a tagged receive builds no cursor
    closure, a reply shares its request's round block, a round tallies
    its replies in a bitmask, and the acquisition's options are boxed
-   once per block. The ceilings sit about 5% above the measured figures
-   (345 and 652 words with OCaml 5.1.1; 751 for the consensus block with
+   once per block. A message costs its record alone: no delivery box,
+   no FIFO-clock table per sender, and no mailbox for a requester that
+   waits for its replies. The ceilings sit about 5% above the measured
+   figures (337 and 565 words with OCaml 5.1.1; 345 and 652 with a
+   delivery box per send, a clock table per sender and a mailbox per
+   requester; 751 for the consensus block with
    a fiber per voter; 455 and 924 with a boxed engine clock, a fate cell per
    normalisation and a mailbox, context and start event per process, the
    pids in a list and a round's replies in a list). They reject a body
@@ -1064,8 +1068,12 @@ let test_block_alloc_budget name policy ceiling () =
    little else: one supervisor record that the incarnation's body and
    exit watcher close over, site choice by index loops, a checkpoint
    that reads the page map's layer tables directly, and a report copied
-   only when its waste is recounted. The ceiling sits about 5% above the
-   measured figure (879.6 words with OCaml 5.1.1, with service voters;
+   only when its waste is recounted. The engine is not reset between
+   blocks, so the FIFO-clock table reclaims the pairs whose clocks have
+   passed instead of growing. The ceiling sits about 5% above the
+   measured figure (808.5 words with OCaml 5.1.1; 879.6 with a delivery
+   box per send, a clock table per sender and a mailbox per requester;
+   919.6 with one engine table that never reclaims a pair;
    978.6 with a fiber per voter, where a released page table goes to the
    domain's spare tables; 1197 before the engine's
    fixed costs left the heap, 1249 when the pending cost was boxed). It
@@ -1162,12 +1170,12 @@ let () =
         [
           Alcotest.test_case "local-latch block of three" `Quick
             (test_block_alloc_budget "local-latch block of three"
-               Concurrent.default_policy 362.);
+               Concurrent.default_policy 354.);
           Alcotest.test_case "3-node consensus block of three" `Quick
             (test_block_alloc_budget "3-node consensus block of three" consensus_policy
-               685.);
+               593.);
           Alcotest.test_case "supervised 3-node consensus block of three" `Quick
-            (test_supervised_alloc_budget 924.);
+            (test_supervised_alloc_budget 849.);
         ] );
       ( "pinned",
         [
