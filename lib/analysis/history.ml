@@ -43,7 +43,7 @@ let create () =
     absorbs = []; accepts = []; fates = []; kills = []; injections = [];
     site_crashes = []; recoveries = []; partitions = 0; heals = 0 }
 
-let on_event t ~time:_ = function
+let on_event t = function
   | Trace.Spawned { pid; name; _ } -> Hashtbl.replace t.names pid name
   | Trace.Exited { pid; status } -> Hashtbl.add t.exits pid status
   | Trace.Sync_won { pid; index; epoch } ->
@@ -81,7 +81,7 @@ let attach trace =
 
 let replay events =
   let t = create () in
-  List.iter (fun (time, e) -> on_event t ~time e) events;
+  List.iter (fun (_, e) -> on_event t e) events;
   t
 
 let name_of t pid = Hashtbl.find_opt t.names pid

@@ -77,8 +77,10 @@ let no_writer = -1
 
 type t = {
   eng : Engine.t;
-  mutable sub : Trace.subscription option;
-  mutable obs : Frame_store.observer option;
+  mutable armed : bool;
+  mutable sub : Trace.subscription;
+  mutable obs : Frame_store.observer;
+      (* Both built once by [create] and re-attached by every [arm]. *)
   mutable clocks : Vclock.t array;  (* by pid; [absent] = none *)
   mutable clock_count : int;  (* entries of [clocks] other than [absent] *)
   mutable spare : Vclock.t array;  (* dropped clocks, for reuse *)
@@ -178,12 +180,18 @@ let own_clock t pid =
 (* ------------------------------------------------------------------ *)
 (* Flagging. The sanitizer does not subscribe to its own breadcrumbs.  *)
 
-let flag t ?pid cls detail =
-  let time = Engine.now t.eng in
+let flag_at t ~time ?pid cls detail =
   t.flags <- { sf_time = time; sf_class = cls; sf_pid = pid; sf_detail = detail } :: t.flags;
   t.flag_count <- t.flag_count + 1;
   Trace.record (Engine.trace t.eng) ~time
     (Trace.Sanitizer_flag { check = Report.class_name cls; pid; detail })
+
+(* A page write or an emission, flagged at the engine's time. *)
+let flag t ?pid cls detail = flag_at t ~time:(Engine.now t.eng) ?pid cls detail
+
+(* A trace event, flagged at the event's time. *)
+let flag_event t ?pid cls detail =
+  flag_at t ~time:(Trace.now (Engine.trace t.eng)) ?pid cls detail
 
 (* ------------------------------------------------------------------ *)
 (* Page-map registration and the frame store's observer.               *)
@@ -327,7 +335,7 @@ let unfenced_wins t =
   done;
   !n
 
-let on_event t ~time:_ e =
+let on_event t e =
   match e with
   | Trace.Spawned { pid; parent; _ } ->
     (match parent with
@@ -349,7 +357,7 @@ let on_event t ~time:_ e =
   | Trace.Accepted { dest; msg; dest_pred } ->
     Vclock.join_snapshot_tick (own_clock t dest) (take_snap t msg) dest;
     if Predicate.conflicts dest_pred msg.Message.predicate then
-      flag t ~pid:dest Report.World
+      flag_event t ~pid:dest Report.World
         (Format.asprintf
            "%a accepted a message from %a whose predicate %s conflicts with \
             its own %s"
@@ -367,38 +375,38 @@ let on_event t ~time:_ e =
     add_win t pid epoch;
     let live_wins = unfenced_wins t in
     if live_wins > 1 then
-      flag t ~pid Report.At_most_once
+      flag_event t ~pid Report.At_most_once
         (Printf.sprintf
            "the at-most-once latch fired a second time (win %d of the block)"
            live_wins);
     if per + 1 > 1 then
-      flag t ~pid Report.At_most_once
+      flag_event t ~pid Report.At_most_once
         (Printf.sprintf "%d Sync_won events within epoch %d" (per + 1) epoch);
     if fenced t epoch then
-      flag t ~pid Report.At_most_once
+      flag_event t ~pid Report.At_most_once
         (Printf.sprintf
            "a stale incarnation won in epoch %d after voters were fenced to \
             epoch %d"
            epoch t.fence);
     if t.degraded then
-      flag t ~pid Report.At_most_once
+      flag_event t ~pid Report.At_most_once
         "Sync_won recorded although the block degraded to sequential \
          execution";
     if has_pid pid t.lates then
-      flag t ~pid Report.At_most_once
+      flag_event t ~pid Report.At_most_once
         (Format.asprintf "%a both won and lost the synchronisation" Pid.pp pid)
   | Trace.Sync_late { pid; _ } ->
     if has_pid pid t.lates then
-      flag t ~pid Report.At_most_once
+      flag_event t ~pid Report.At_most_once
         (Format.asprintf "%a was told \"too late\" more than once" Pid.pp pid)
     else t.lates <- pid :: t.lates;
     if won_by t pid then
-      flag t ~pid Report.At_most_once
+      flag_event t ~pid Report.At_most_once
         (Format.asprintf "the winner %a was also told \"too late\"" Pid.pp pid)
   | Trace.Degraded _ ->
     t.degraded <- true;
     if t.win_count > 0 then
-      flag t
+      flag_event t
         ~pid:(Pid.of_int t.wins.(2 * (t.win_count - 1)))
         Report.At_most_once
         "the block degraded to sequential execution after a Sync_won"
@@ -434,39 +442,55 @@ let kinds =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
+(* Placeholders until [create] builds the sanitizer's own. *)
+let no_sub = Trace.subscription 0 ignore
+
+let no_obs =
+  { Frame_store.on_write = (fun ~map:_ ~vpage:_ ~frame:_ -> ());
+    on_free = (fun ~frame:_ -> ()); on_release = (fun ~map:_ -> ()) }
+
 let create eng =
-  {
-    eng;
-    sub = None;
-    obs = None;
-    clocks = [||];
-    clock_count = 0;
-    spare = [||];
-    spare_count = 0;
-    snaps = Tbl.create Vclock.no_snapshot;
-    snap_dest = Tbl.create (-1);
-    maps = Tbl.create Unregistered;
-    frames = Tbl.create no_writer;
-    dead = [||];
-    wins = [||];
-    win_count = 0;
-    lates = [];
-    fence = 0;
-    degraded = false;
-    sources_seen = 0;
-    flags = [];
-    flag_count = 0;
-  }
+  let t =
+    {
+      eng;
+      armed = false;
+      sub = no_sub;
+      obs = no_obs;
+      clocks = [||];
+      clock_count = 0;
+      spare = [||];
+      spare_count = 0;
+      snaps = Tbl.create Vclock.no_snapshot;
+      snap_dest = Tbl.create (-1);
+      maps = Tbl.create Unregistered;
+      frames = Tbl.create no_writer;
+      dead = [||];
+      wins = [||];
+      win_count = 0;
+      lates = [];
+      fence = 0;
+      degraded = false;
+      sources_seen = 0;
+      flags = [];
+      flag_count = 0;
+    }
+  in
+  t.sub <- Trace.subscription kinds (on_event t);
+  t.obs <-
+    { Frame_store.on_write = on_write t; on_free = on_free t;
+      on_release = on_release t };
+  t
 
 (* Everything but the flags goes, and every table and array keeps its
    capacity for the next arming. The frame writers must go even where a
    run left frames live: a reset engine's store hands out frame ids from 0
    again. *)
 let detach t =
-  Option.iter (Trace.unsubscribe (Engine.trace t.eng)) t.sub;
-  t.sub <- None;
-  Option.iter (Frame_store.remove_observer (Engine.frame_store t.eng)) t.obs;
-  t.obs <- None;
+  if t.armed then begin
+    Trace.unsubscribe (Engine.trace t.eng) t.sub;
+    Frame_store.remove_observer (Engine.frame_store t.eng) t.obs;
+    t.armed <- false
+  end;
   for i = 0 to Array.length t.clocks - 1 do
     drop_clock t (Pid.of_int i)
   done;
@@ -480,18 +504,16 @@ let detach t =
   t.fence <- 0;
   t.degraded <- false
 
+(* Re-attaches the subscription and observer [create] built: arming
+   builds nothing. *)
 let arm t =
-  if Option.is_some t.sub then detach t;
+  if t.armed then detach t;
   t.sources_seen <- 0;
   t.flags <- [];
   t.flag_count <- 0;
-  t.sub <- Some (Trace.subscribe (Engine.trace t.eng) kinds (on_event t));
-  let obs =
-    { Frame_store.on_write = on_write t; on_free = on_free t;
-      on_release = on_release t }
-  in
-  Frame_store.add_observer (Engine.frame_store t.eng) obs;
-  t.obs <- Some obs
+  Trace.attach (Engine.trace t.eng) t.sub;
+  Frame_store.add_observer (Engine.frame_store t.eng) t.obs;
+  t.armed <- true
 
 let attach eng =
   let t = create eng in

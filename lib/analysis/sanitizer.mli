@@ -52,13 +52,15 @@ val kinds : Trace.mask
 
 val create : Engine.t -> t
 (** A sanitizer for the engine, not yet armed: it hears nothing until
-    {!arm}. *)
+    {!arm}. Builds the sanitizer's trace subscription to {!kinds} and
+    its frame-store observer, once. *)
 
 val arm : t -> unit
-(** Start watching: subscribes to {!kinds} ({!Trace.subscribe}) and
-    adds an observer to the frame store ({!Frame_store.add_observer}),
-    beside any other (the oracle's {!Race.record}). Drops the flags of
-    the previous arming. Must be called before the monitored processes
+(** Start watching: attaches the subscription {!create} built
+    ({!Trace.attach}) and adds its observer to the frame store
+    ({!Frame_store.add_observer}), beside any other (the oracle's
+    {!Race.record}). Arming builds nothing but the observer list's cell.
+    Drops the flags of the previous arming. Must be called before the monitored processes
     are spawned, on a fresh or freshly reset engine; an armed sanitizer
     is {!detach}ed first. One armed sanitizer per engine. A serving
     domain keeps one sanitizer and re-arms it for every batch its reset
@@ -68,8 +70,8 @@ val attach : Engine.t -> t
 (** [create] and {!arm} in one. *)
 
 val detach : t -> unit
-(** Unsubscribe and remove the sanitizer's own frame-store observer; any
-    other observer stays. Drops every clock, snapshot, map, frame writer
+(** Unsubscribe and remove the sanitizer's own frame-store observer, by
+    physical identity and allocating nothing; any other observer stays. Drops every clock, snapshot, map, frame writer
     and block tally ({!state_size} is then 0) and keeps their capacity;
     the accumulated flags remain readable until the next {!arm}. *)
 

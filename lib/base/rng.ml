@@ -18,7 +18,6 @@ let of_state s =
   t
 
 let create ~seed = of_state (Int64.of_int seed)
-let copy = Bytes.copy
 
 (* SplitMix64 output function. *)
 let[@inline] mix z =
@@ -33,12 +32,10 @@ let[@inline] step t =
   mix s
 
 let bits64 t = step t
-let split t = of_state (step t)
 
 (* A keyed stream: state = mix(seed + (key+1)·γ), i.e. the (key+1)-th
    output of a SplitMix64 generator seeded with [seed], used as a fresh
-   seed. Two distinct keys give statistically independent streams, and —
-   unlike [split], whose result depends on how many draws preceded it —
+   seed. Two distinct keys give statistically independent streams, and
    the stream is a pure function of (seed, key). The engine keys one
    stream per process by pid, so a process's draw sequence does not
    depend on any other process's draws. *)
@@ -87,15 +84,3 @@ let exponential t ~mean =
   -.mean *. log u
 
 let uniform_in t ~lo ~hi = lo +. unit_float t *. (hi -. lo)
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

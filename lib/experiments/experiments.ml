@@ -615,6 +615,9 @@ let e13_real_race =
 (* ------------------------------------------------------------------ *)
 (* E17: AND- vs OR-parallelism.                                        *)
 
+let inference_counts counts =
+  String.concat " / " (Array.to_list (Array.map string_of_int counts))
+
 let e17_prolog_and =
   {
     id = "prolog-and";
@@ -640,7 +643,9 @@ maps closely to mutually exclusive alternatives)";
         (* OR: any one of three equivalent clauses suffices. *)
         let or_goal, _ = Parser.query "any(W)" in
         let o = Or_parallel.solve_sim db or_goal in
-        fp ppf "  branch/conjunct work: ~500 / ~1500 / ~3000 inferences@.@.";
+        fp ppf "  conjunct work: %s inferences; branch work: %s@.@."
+          (inference_counts a.And_parallel.group_inferences)
+          (inference_counts o.Or_parallel.branch_inferences);
         fp ppf "  %-22s %12s %12s %10s %16s@." "parallelism" "seq (s)"
           "par (s)" "speedup" "bounded by";
         hr ppf;

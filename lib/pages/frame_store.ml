@@ -75,8 +75,14 @@ let fresh_map_id t =
   id
 
 let add_observer t o = t.observers <- o :: t.observers
-let remove_observer t o =
-  t.observers <- List.filter (fun o' -> o' != o) t.observers
+
+(* [os] without its first [o]: its tail, with nothing built, when [o]
+   was the last observer added. *)
+let rec without o = function
+  | [] -> []
+  | o' :: rest -> if o' == o then rest else o' :: without o rest
+
+let remove_observer t o = t.observers <- without o t.observers
 
 (* Top-level walks, so a notification allocates no closure. *)
 let rec write_all os ~map ~vpage ~frame =

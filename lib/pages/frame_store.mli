@@ -113,8 +113,11 @@ val add_observer : t -> observer -> unit
     independent: in what order they hear one event is unspecified. *)
 
 val remove_observer : t -> observer -> unit
-(** Stop notifying the observer (compared physically); the others keep
-    hearing everything. *)
+(** Stop notifying the observer (compared physically; one registration
+    of it goes); the others keep hearing everything. Removing the
+    observer added last allocates nothing, so a monitor that keeps its
+    observer and re-adds it per run (the sanitizer) pays only the list
+    cell of {!add_observer}. *)
 
 val notify_write : t -> map:int -> vpage:int -> frame -> unit
 (** Used by {!Page_map} on every write, with the frame written; a no-op

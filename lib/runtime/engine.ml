@@ -195,6 +195,11 @@ and t = {
          plain store, not a write barrier. *)
   mutable park_tag : string option;
       (* The tag operand of the receive park being performed. *)
+  exit_reasons : string array;
+  exit_texts : string array;
+      (* By failure constructor (failed, crashed, eliminated), a run of
+         [exit_memo] slots: the reasons [status_string] rendered last,
+         newest first, and their renderings. *)
 }
 
 (* The engine's effects, all of them parks. The CPU wait and the two
@@ -247,11 +252,37 @@ let tr t e = Trace.record t.trace_ ~time:(now t) e
    an event is built, so a kind nobody reads costs no allocation. *)
 let wants t k = Trace.wants t.trace_ k
 
-let status_string = function
+(* Rendered reasons kept per failure constructor. *)
+let exit_memo = 8
+
+(* The exit status as the trace reads it. A served stream ends its
+   processes with a handful of reasons ("too late", "sibling
+   elimination", "consensus shutdown", an alternative's failure), so
+   each failure constructor keeps the last [exit_memo] reasons it
+   rendered and renders an equal reason as the string it built then. *)
+let rec find_exit t r i stop =
+  if i = stop then -1
+  else if String.equal t.exit_reasons.(i) r then i
+  else find_exit t r (i + 1) stop
+
+let render_exit t c prefix r =
+  let first = c * exit_memo in
+  let i = find_exit t r first (first + exit_memo) in
+  if i >= 0 then t.exit_texts.(i)
+  else begin
+    let s = prefix ^ r in
+    Array.blit t.exit_reasons first t.exit_reasons (first + 1) (exit_memo - 1);
+    Array.blit t.exit_texts first t.exit_texts (first + 1) (exit_memo - 1);
+    t.exit_reasons.(first) <- r;
+    t.exit_texts.(first) <- s;
+    s
+  end
+
+let status_string t = function
   | Exited_ok -> "ok"
-  | Exited_failed r -> "failed: " ^ r
-  | Crashed r -> "crashed: " ^ r
-  | Eliminated r -> "eliminated: " ^ r
+  | Exited_failed r -> render_exit t 0 "failed: " r
+  | Crashed r -> render_exit t 1 "crashed: " r
+  | Eliminated r -> render_exit t 2 "eliminated: " r
 
 (* A NaN wait would reach the event queue, which refuses it out of [run]. *)
 let check_duration fn d = if Float.is_nan d then invalid_arg (fn ^ ": NaN duration")
@@ -389,6 +420,10 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
       handler = None;
       running = -1;
       park_tag = None;
+      exit_reasons = Array.make (3 * exit_memo) "";
+      exit_texts =
+        Array.init (3 * exit_memo) (fun i ->
+            [| "failed: "; "crashed: "; "eliminated: " |].(i / exit_memo));
     }
   and no_pcb =
     {
@@ -567,7 +602,7 @@ let rec finalize t pcb st =
     if not pcb.preserve_space then Option.iter Address_space.release pcb.space;
     t.live <- t.live - 1;
     if wants t Trace.Kind.exited then
-      tr t (Trace.Exited { pid = pcb.pid; status = status_string st });
+      tr t (Trace.Exited { pid = pcb.pid; status = status_string t st });
     let watchers = pcb.exit_watchers in
     pcb.exit_watchers <- [];
     run_exit_watchers t st watchers;

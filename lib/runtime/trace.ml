@@ -75,97 +75,139 @@ let kind = function
   | Sanitizer_flag _ -> Kind.sanitizer_flag
   | Note _ -> Kind.note
 
-type subscription = { s_mask : mask; s_f : time:float -> event -> unit }
+type subscription = { s_mask : mask; s_f : event -> unit }
 
-(* The subscribers besides the recorder, and what they record while
-   being called. *)
-type hub = {
-  subs : subscription list;  (* in subscription order *)
-  mutable busy : bool;  (* the subscribers are being called *)
-  mutable pending : (float * event) list;  (* recorded meanwhile, newest first *)
-}
+(* Fills the subscriber array's free slots. *)
+let no_sub = { s_mask = 0; s_f = ignore }
 
-(* No subscriber besides the recorder; never dispatched through, so never
-   mutated. *)
-let no_hub = { subs = []; busy = false; pending = [] }
-
-(* The recorder is the subscriber with every bit set. [mask] is the
-   union of every subscriber's mask, plus [recording] when the trace has
-   a recorder: the one word the engine's guards test. *)
+(* The recorder is the subscriber with every bit set; the others sit in
+   [subs.(0 .. nsubs - 1)], in subscription order. [mask] is the union
+   of every subscriber's mask, plus [recording] when the trace has a
+   recorder: the one word the engine's guards test. The dispatched
+   event's time is in the one-slot [time] cell, so a record passes no
+   boxed float; only the recorder's list and [pending] box it. *)
 type t = {
   mutable events : (float * event) list;
   mutable mask : mask;
-  mutable hub : hub;
+  mutable subs : subscription array;
+  mutable nsubs : int;
+  mutable busy : bool;  (* the subscribers are being called *)
+  mutable pending : (float * event) list;  (* recorded meanwhile, newest first *)
+  time : floatarray;
 }
 
 let recording = Kind.all + 1
 let recorder = Kind.all lor recording
 
 let create ?(enabled = true) () =
-  { events = []; mask = (if enabled then recorder else 0); hub = no_hub }
+  { events = []; mask = (if enabled then recorder else 0); subs = [||];
+    nsubs = 0; busy = false; pending = []; time = Float.Array.make 1 0. }
+
+let now t = Float.Array.unsafe_get t.time 0
 
 (* A trace keeps the recorder it was created with. *)
 let remask t =
-  t.mask <-
-    List.fold_left
-      (fun m s -> m lor s.s_mask)
-      (if t.mask land recording <> 0 then recorder else 0)
-      t.hub.subs
+  let m = ref (if t.mask land recording <> 0 then recorder else 0) in
+  for i = 0 to t.nsubs - 1 do
+    m := !m lor t.subs.(i).s_mask
+  done;
+  t.mask <- !m
 
 let reset t =
   t.events <- [];
-  t.hub <- no_hub;
+  Array.fill t.subs 0 t.nsubs no_sub;
+  t.nsubs <- 0;
+  t.busy <- false;
+  t.pending <- [];
   remask t
 
 let wants t k = t.mask land k <> 0
 
-let set_subs t subs =
-  if t.hub.busy then invalid_arg "Trace: subscriptions changed by a subscriber";
-  t.hub <- (match subs with [] -> no_hub | _ -> { subs; busy = false; pending = [] });
+let check_idle t =
+  if t.busy then invalid_arg "Trace: subscriptions changed by a subscriber"
+
+let subscription mask f = { s_mask = mask; s_f = f }
+
+let rec index_of subs s i n =
+  if i = n then -1 else if subs.(i) == s then i else index_of subs s (i + 1) n
+
+let attach t s =
+  check_idle t;
+  if index_of t.subs s 0 t.nsubs >= 0 then invalid_arg "Trace.attach: attached";
+  if t.nsubs = Array.length t.subs then begin
+    let subs = Array.make (Int.max 4 (2 * t.nsubs)) no_sub in
+    Array.blit t.subs 0 subs 0 t.nsubs;
+    t.subs <- subs
+  end;
+  t.subs.(t.nsubs) <- s;
+  t.nsubs <- t.nsubs + 1;
   remask t
 
 let subscribe t mask f =
-  let s = { s_mask = mask; s_f = f } in
-  set_subs t (t.hub.subs @ [ s ]);
+  let s = subscription mask f in
+  attach t s;
   s
 
-let unsubscribe t s = set_subs t (List.filter (fun s' -> s' != s) t.hub.subs)
-
-let rec notify subs ~time e k =
-  match subs with
-  | [] -> ()
-  | s :: rest ->
-    if s.s_mask land k <> 0 then s.s_f ~time e;
-    notify rest ~time e k
-
-(* An event recorded while the subscribers are being called (the
-   sanitizer traces its flags from inside its own callback) waits until
-   every subscriber has seen the current one, so that all of them, the
-   recorder included, see one stream in one order. *)
-let rec record t ~time e =
-  let k = kind e in
-  if t.mask land k <> 0 then begin
-    let hub = t.hub in
-    if hub.busy then hub.pending <- (time, e) :: hub.pending
-    else begin
-      if t.mask land recording <> 0 then t.events <- (time, e) :: t.events;
-      if hub != no_hub then dispatch t hub ~time e k
-    end
+let unsubscribe t s =
+  check_idle t;
+  let i = index_of t.subs s 0 t.nsubs in
+  if i >= 0 then begin
+    Array.blit t.subs (i + 1) t.subs i (t.nsubs - i - 1);
+    t.nsubs <- t.nsubs - 1;
+    t.subs.(t.nsubs) <- no_sub;
+    remask t
   end
 
-and dispatch t hub ~time e k =
-  hub.busy <- true;
-  (match notify hub.subs ~time e k with
-  | () -> hub.busy <- false
+let rec notify subs n e k i =
+  if i < n then begin
+    let s = subs.(i) in
+    if s.s_mask land k <> 0 then s.s_f e;
+    notify subs n e k (i + 1)
+  end
+
+(* Store and dispatch an event whose time is already in the cell. An
+   event recorded while the subscribers are being called (the sanitizer
+   traces its flags from inside its own callback) waits in [pending],
+   its time boxed beside it, until every subscriber has seen the current
+   one: all of them, the recorder included, see one stream in one
+   order, and every subscriber reads the current event's time. *)
+let rec deliver t e k =
+  if t.mask land recording <> 0 then t.events <- (now t, e) :: t.events;
+  if t.nsubs > 0 then dispatch t e k
+
+and dispatch t e k =
+  t.busy <- true;
+  (match notify t.subs t.nsubs e k 0 with
+  | () -> t.busy <- false
   | exception ex ->
-    hub.busy <- false;
-    hub.pending <- [];
+    t.busy <- false;
+    t.pending <- [];
     raise ex);
-  match hub.pending with
+  match t.pending with
   | [] -> ()
   | queued ->
-    hub.pending <- [];
-    List.iter (fun (time, e) -> record t ~time e) (List.rev queued)
+    t.pending <- [];
+    replay t (List.rev queued)
+
+(* Subscriptions cannot change while a subscriber runs, so a held event
+   is still read by someone. *)
+and replay t = function
+  | [] -> ()
+  | (time, e) :: rest ->
+    Float.Array.unsafe_set t.time 0 time;
+    deliver t e (kind e);
+    replay t rest
+
+(* Inlined into its callers, so the time goes from the caller's cell to
+   the trace's without a box. *)
+let[@inline] record t ~time e =
+  let k = kind e in
+  if t.mask land k <> 0 then
+    if t.busy then t.pending <- (time, e) :: t.pending
+    else begin
+      Float.Array.unsafe_set t.time 0 time;
+      deliver t e k
+    end
 
 let events t = List.rev t.events
 

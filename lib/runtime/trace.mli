@@ -114,29 +114,52 @@ val kind : event -> mask
 
 val wants : t -> mask -> bool
 (** Whether some subscriber reads a kind in the mask: the recorder, if
-    the trace has one, or any {!subscribe}d callback. The engine tests
+    the trace has one, or any {!attach}ed subscription. The engine tests
     the kind it is about to build, so an event nobody reads costs one
     branch and no allocation; the answer never changes when a receiver
     runs. *)
 
 type subscription
+(** A mask and a callback [f : event -> unit]. A subscriber reads the
+    event's time with {!now}: the time travels in a cell the trace owns,
+    so a dispatched event costs no boxed float. A subscription is a
+    value the subscriber may keep: {!unsubscribe} and {!attach} take it
+    off and put it back, so a monitor re-armed many times (the
+    sanitizer, once per served batch) builds its subscription once. *)
 
-val subscribe : t -> mask -> (time:float -> event -> unit) -> subscription
-(** Call [f] on every {!record}ed event whose kind is in [mask], {e
-    whether or not the trace has a recorder}. Subscribers are called in
-    subscription order, after the recorder has stored the event. A
-    subscriber may itself call {!record} (the sanitizer appends
-    {!Sanitizer_flag} events this way): the new event is held until every
-    subscriber has seen the current one, so every subscriber sees the
-    recorder's stream filtered by its mask, in the recorder's order.
-    Raises [Invalid_argument] when called from inside a subscriber, as
-    does {!unsubscribe}. *)
+val subscription : mask -> (event -> unit) -> subscription
+(** A subscription, not yet attached to any trace. *)
+
+val attach : t -> subscription -> unit
+(** Call the subscription's callback on every {!record}ed event whose
+    kind is in its mask, {e whether or not the trace has a recorder}.
+    Subscribers are called in attachment order, after the recorder has
+    stored the event. A subscriber may itself call {!record} (the
+    sanitizer appends {!Sanitizer_flag} events this way): the new event
+    is held, with its own time, until every subscriber has seen the
+    current one, so every subscriber sees the recorder's stream filtered
+    by its mask, in the recorder's order, and reads the current event's
+    time through {!now}. Attaching allocates nothing once the trace has
+    held as many subscribers. Raises [Invalid_argument] when the
+    subscription is attached already, or when called from inside a
+    subscriber, as does {!unsubscribe}. *)
+
+val subscribe : t -> mask -> (event -> unit) -> subscription
+(** {!subscription} and {!attach} in one. *)
 
 val unsubscribe : t -> subscription -> unit
+(** Detach the subscription (compared physically); a no-op when it is
+    not attached. Allocates nothing. *)
+
+val now : t -> float
+(** Inside a subscriber's callback, the time of the event it was handed.
+    An event a subscriber records meanwhile does not change it. *)
 
 val record : t -> time:float -> event -> unit
 (** Hand the event to the recorder and every subscriber whose mask holds
-    its kind; a no-op when nobody reads it. *)
+    its kind; a no-op when nobody reads it. Inlined at its call sites:
+    the time goes into the trace's cell unboxed, and only the recorder's
+    list and an event held while a subscriber runs box it. *)
 
 val events : t -> (float * event) list
 (** All recorded events, oldest first; empty without a recorder. *)

@@ -46,18 +46,6 @@ let test_rng_seed_sensitivity () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   check Alcotest.bool "different seeds differ" true (Rng.bits64 a <> Rng.bits64 b)
 
-let test_rng_copy () =
-  let a = Rng.create ~seed:3 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  check Alcotest.int64 "copies agree" (Rng.bits64 a) (Rng.bits64 b)
-
-let test_rng_split_independent () =
-  let a = Rng.create ~seed:3 in
-  let b = Rng.split a in
-  (* The split stream must differ from the parent's continued stream. *)
-  check Alcotest.bool "split differs" true (Rng.bits64 a <> Rng.bits64 b)
-
 (* Pinned outputs. Workload streams, fault plans and every process's
    draws come from this generator, so a change to how the state is
    stored or stepped must reproduce these values bit for bit. *)
@@ -124,46 +112,7 @@ let test_rng_pinned_outputs () =
       0x97a08f3876d3dde3L; 0xc39488fb63f5c09fL; 0x9d574da993ad31ccL;
       0x5982bbb39a5c01b6L; 0xd2a359388612671cL; 0xd840b373de217708L;
       0x2c736d543b691746L ]
-    (first16 (fun () -> Rng.bits64 r));
-  (* [split] after one draw: the child's stream, then the parent's
-     continuation, which resumes at the parent's third output. *)
-  let p = fresh () in
-  ignore (Rng.bits64 p);
-  let c = Rng.split p in
-  check
-    Alcotest.(list int64)
-    "split: child"
-    [ 0x7d8029131a9cf55aL; 0x59ac64c47d850673L; 0x575647bea2cc354fL;
-      0x81f645b62c86b95aL; 0x48993b0b5daf688cL; 0x4e2fa9c587de24aL;
-      0xee0345aea1be2037L; 0xb88257f1adb6c05L; 0x6066342b6107bd5L;
-      0x66a4f8a5dba6412dL; 0x4a908e413bab3f4dL; 0xe725db81849552d8L;
-      0x8b80188ee601804bL; 0xc21fda3684c8c256L; 0x23dfa2820e8aafe7L;
-      0x8b3c722f1c4ade78L ]
-    (first16 (fun () -> Rng.bits64 c));
-  check
-    Alcotest.(list int64)
-    "split: parent continues"
-    [ 0x4c6f7cbf58dba57fL; 0x1dbe69e0ae9bb859L; 0xd4a0c1656476437aL;
-      0x8d6b7b6d69455aebL; 0x230249cae3603297L; 0x98aa033e99c4a792L;
-      0x2b39e8e05ba9e530L; 0x6d467b84dc360331L; 0x762887bf5d21a339L;
-      0xd644a39996a5cd1bL; 0xd811dfdb557fab8bL; 0xa955c3c7d9d3af85L;
-      0x25430e1349d55355L; 0xb05386bf060a34c7L; 0xfde34b132f5500f5L;
-      0x56cac227eef3fb1fL ]
-    (first16 (fun () -> Rng.bits64 p))
-
-(* A copy shares no state with its original: drawing from either leaves
-   the other's stream where it was. *)
-let test_rng_copy_independent () =
-  let a = Rng.create ~seed:2024 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  let from_b = first16 (fun () -> Rng.bits64 b) in
-  check Alcotest.(list int64) "draining the copy leaves the original" from_b
-    (first16 (fun () -> Rng.bits64 a));
-  let c = Rng.copy a in
-  let next = Rng.bits64 a in
-  check Alcotest.int64 "drawing from the original leaves the copy" next
-    (Rng.bits64 c)
+    (first16 (fun () -> Rng.bits64 r))
 
 let test_rng_int_bounds () =
   let r = Rng.create ~seed:11 in
@@ -268,24 +217,6 @@ let test_rng_uniform_in () =
     if v < -1. || v >= 1. then Alcotest.fail "uniform_in out of range"
   done
 
-let test_rng_shuffle_permutation () =
-  let r = Rng.create ~seed:21 in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  check Alcotest.(array int) "is a permutation" (Array.init 50 Fun.id) sorted
-
-let test_rng_pick () =
-  let r = Rng.create ~seed:2 in
-  let a = [| "x"; "y"; "z" |] in
-  for _ = 1 to 100 do
-    let v = Rng.pick r a in
-    if not (Array.mem v a) then Alcotest.fail "pick outside array"
-  done;
-  Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array")
-    (fun () -> ignore (Rng.pick r [||]))
-
 (* ---------------- Allocation ----------------
 
    A float drawn from another module comes back unboxed: the default
@@ -376,18 +307,6 @@ let prop_percentile_monotone =
       let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
       Stats.percentile xs ~p:lo <= Stats.percentile xs ~p:hi +. 1e-9)
 
-let prop_shuffle_preserves_multiset =
-  QCheck.Test.make ~name:"shuffle preserves elements" ~count:300
-    QCheck.(pair small_int (array small_int))
-    (fun (seed, a) ->
-      let r = Rng.create ~seed in
-      let b = Array.copy a in
-      Rng.shuffle r b;
-      let sa = Array.copy a and sb = Array.copy b in
-      Array.sort compare sa;
-      Array.sort compare sb;
-      sa = sb)
-
 let () =
   Alcotest.run "base"
     [
@@ -402,10 +321,7 @@ let () =
         [
           Alcotest.test_case "deterministic per seed" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
-          Alcotest.test_case "copy duplicates state" `Quick test_rng_copy;
-          Alcotest.test_case "split diverges" `Quick test_rng_split_independent;
           Alcotest.test_case "pinned outputs" `Quick test_rng_pinned_outputs;
-          Alcotest.test_case "copy is independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "int stays in bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int rejects bad bound" `Quick test_rng_int_invalid;
           Alcotest.test_case "int large-bound bias regression" `Quick
@@ -417,8 +333,6 @@ let () =
           Alcotest.test_case "bernoulli frequency" `Slow test_rng_bernoulli_frequency;
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "uniform_in range" `Quick test_rng_uniform_in;
-          Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
-          Alcotest.test_case "pick membership" `Quick test_rng_pick;
         ] );
       ( "alloc",
         [
@@ -441,6 +355,5 @@ let () =
             prop_mean_bounded;
             prop_variance_nonneg;
             prop_percentile_monotone;
-            prop_shuffle_preserves_multiset;
           ] );
     ]

@@ -102,7 +102,7 @@ let test_trace_query_helpers () =
   (* Without a recorder nothing is kept, but a subscriber still hears. *)
   let off = Trace.create ~enabled:false () in
   let heard = ref 0 in
-  ignore (Trace.subscribe off Trace.Kind.note (fun ~time:_ _ -> incr heard));
+  ignore (Trace.subscribe off Trace.Kind.note (fun _ -> incr heard));
   Trace.record off ~time:1. (Trace.Note "x");
   check Alcotest.int "nothing kept" 0 (List.length (Trace.events off));
   check Alcotest.int "subscriber heard" 1 !heard

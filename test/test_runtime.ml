@@ -2968,8 +2968,8 @@ let dirty ~trace eng =
   ignore (Sanitizer.attach eng);
   let tr = Engine.trace eng in
   ignore
-    (Trace.subscribe tr Trace.Kind.started (fun ~time _ ->
-         Trace.record tr ~time (Trace.Note "stale subscriber")));
+    (Trace.subscribe tr Trace.Kind.started (fun _ ->
+         Trace.record tr ~time:(Trace.now tr) (Trace.Note "stale subscriber")));
   ignore (Engine.spawn eng ~name:"crasher" (fun _ -> failwith "dirty"));
   ignore
     (Engine.spawn eng ~name:"sleeper" (fun ctx ->
@@ -3236,6 +3236,29 @@ let test_tick_allocates_nothing () =
   let total n = words_per ~n cpu_parks *. float_of_int n in
   let beyond = ((total 4000 -. total 2000) /. 2000.) -. park_own_words in
   if beyond > 0.01 then Alcotest.failf "a tick: %.2f words beyond its park" beyond
+
+(* A record of a kind one subscriber reads builds nothing: [record] is
+   inlined, so the time goes from the caller into the trace's cell
+   unboxed, and the subscriber reads it there with [Trace.now] (2.0
+   words a record when the time was a labelled argument every subscriber
+   took, boxed at the call). *)
+let test_subscribed_record () =
+  let tr = Trace.create ~enabled:false () in
+  let sum = Float.Array.make 1 0. in
+  ignore
+    (Trace.subscribe tr Trace.Kind.note (fun _ ->
+         Float.Array.set sum 0 (Float.Array.get sum 0 +. Trace.now tr)));
+  let e = Trace.Note "tick" and n = 10_000 in
+  let records () =
+    for i = 1 to n do
+      Trace.record tr ~time:(float_of_int i) e
+    done
+  in
+  records ();
+  let w = Alloc_words.of_run records /. float_of_int n in
+  check (Alcotest.float 0.) "the subscriber read every time"
+    (float_of_int (n * (n + 1))) (Float.Array.get sum 0);
+  if w > 0.1 then Alcotest.failf "a subscribed record: %.2f words" w
 
 (* Resetting an engine a run has dirtied allocates nothing: every table
    is cleared in place. *)
@@ -3695,6 +3718,8 @@ let () =
           Alcotest.test_case "sweep: no words per certain process" `Quick
             test_sweep_skips_certain;
           Alcotest.test_case "reset allocates nothing" `Quick test_reset_allocates_nothing;
+          Alcotest.test_case "a subscribed record builds nothing" `Quick
+            test_subscribed_record;
           Alcotest.test_case "sweep: no words per uncertain process" `Quick
             test_sweep_keeps_uncertain;
           Alcotest.test_case "a tick allocates nothing beyond its park" `Quick
